@@ -4,9 +4,9 @@
 
 GO ?= go
 
-.PHONY: check build vet test race obsdebug benchguard benchsmoke httpsmoke netsmoke placesmoke benchdiff bench
+.PHONY: check build vet test flake race obsdebug benchguard benchsmoke httpsmoke netsmoke placesmoke benchdiff bench benchrepo
 
-check: build vet test race obsdebug benchguard benchsmoke httpsmoke netsmoke placesmoke benchdiff
+check: build vet test flake race obsdebug benchguard benchsmoke httpsmoke netsmoke placesmoke benchdiff
 
 build:
 	$(GO) build ./...
@@ -16,6 +16,15 @@ vet:
 
 test:
 	$(GO) test ./...
+
+# Flake gate: the packages whose tests run rank goroutines, sockets or
+# HTTP servers, twenty times over. A test that is green once and red
+# once in twenty is a broken test (or a real race); the allocation
+# guards in particular must hold on every run, which is why they
+# measure on one quiet P (see runMallocs in internal/core). Run it at
+# GOMAXPROCS=1, 2 and 8 before opening a PR that touches comm or core.
+flake:
+	$(GO) test -count=20 ./internal/core ./internal/comm/... ./internal/obs/...
 
 # Goroutines share state in the comm substrate, the observability
 # layer, and — since the zero-copy typed transport — the core timestep
@@ -95,3 +104,10 @@ benchdiff:
 bench:
 	$(GO) run ./cmd/bench -o BENCH_PR9.json
 	$(GO) test -run NONE -bench . -benchtime 1s ./internal/obs/
+
+# The repository benchmark (BENCHMARK.json, benchmark/README.md) on its
+# most communication-bound workload, as the pipeline runs it but for 5 s:
+# a smoke test that the command builds and reports. Not part of `check`
+# — its timings mean something only on a quiet host.
+benchrepo:
+	bash benchmark/run.sh --workload ap-latency --seconds 5 --trace 0

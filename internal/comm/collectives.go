@@ -285,19 +285,3 @@ func BytesToF64s(b []byte) []float64 {
 	}
 	return out
 }
-
-func encodeInts(vals []int) []byte {
-	out := make([]byte, 8*len(vals))
-	for i, v := range vals {
-		binary.LittleEndian.PutUint64(out[8*i:], uint64(int64(v)))
-	}
-	return out
-}
-
-func decodeInts(b []byte) []int {
-	out := make([]int, len(b)/8)
-	for i := range out {
-		out[i] = int(int64(binary.LittleEndian.Uint64(b[8*i:])))
-	}
-	return out
-}

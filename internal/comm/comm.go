@@ -2,7 +2,6 @@ package comm
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/obs"
 	"repro/internal/phys"
@@ -70,6 +69,10 @@ type Comm struct {
 	stats *trace.Stats
 	tr    *obs.Tracer  // nil = timeline disabled
 	cm    *commMetrics // nil = metrics disabled
+	// peers caches the rank's streams by communicator rank, filled as
+	// peers are first addressed, so the per-message path indexes a
+	// private slice and never consults the runtime's shared tables.
+	peers []peer
 	// done is the shared Request returned by nonblocking sends that
 	// complete synchronously (fast path). It carries no per-operation
 	// state — Wait/waitSent on it return immediately — so reusing one
@@ -85,6 +88,40 @@ func (c *Comm) doneRequest() *Request {
 		c.done = &Request{comm: c}
 	}
 	return c.done
+}
+
+// peer is one cached pair of streams: out carries this rank's messages
+// to the peer, in is this rank's mailbox for the peer. Either stays nil
+// until that direction is used, so a one-way pair costs one mailbox.
+type peer struct {
+	out *link
+	in  chan message
+}
+
+// peer returns the cache slot of communicator rank r.
+func (c *Comm) peer(r int) *peer {
+	if c.peers == nil {
+		c.peers = make([]peer, len(c.group))
+	}
+	return &c.peers[r]
+}
+
+// sendLink returns the stream from this rank to communicator rank `to`.
+func (c *Comm) sendLink(to int) *link {
+	p := c.peer(to)
+	if p.out == nil {
+		p.out = c.rt.link(c.group[c.rank], c.group[to])
+	}
+	return p.out
+}
+
+// mailbox returns this rank's mailbox for communicator rank `from`.
+func (c *Comm) mailbox(from int) chan message {
+	p := c.peer(from)
+	if p.in == nil {
+		p.in = c.rt.link(c.group[from], c.group[c.rank]).box
+	}
+	return p.in
 }
 
 // Rank returns the caller's rank within the communicator.
@@ -159,29 +196,64 @@ func (c *Comm) Send(to, tag int, data []byte) {
 // it stamps the communicator id, delivers into the destination mailbox,
 // and charges m.wire bytes to the sender's active phase and the obs
 // instruments.
+//
+// Like every blocking operation here it tries the channel operation on
+// its own first and enters the select that also offers the runtime's
+// abort channel only when that would block: a ready mailbox costs one
+// operation on a channel only its two endpoints use, and the abort
+// channel — which every rank of the run would otherwise lock on every
+// message — is touched only by ranks about to park. The price is
+// failure latency: a rank learns of a failed peer at its next operation
+// that actually blocks, not at its next operation. That is bounded by
+// what is already buffered: a survivor runs ahead only until it needs a
+// message the failed rank (or a rank stuck behind it) never sent, or
+// until a mailbox nobody drains any more — at most MailboxCap messages
+// per stream — is full; then it blocks and unwinds.
 func (c *Comm) sendMsg(to, tag int, m message) {
 	c.checkPeer(to)
 	if to == c.rank {
 		panic(fmt.Sprintf("comm: self-send (use local copies instead) (%s)", c.diag()))
 	}
 	src, dst := c.group[c.rank], c.group[to]
+	l := c.sendLink(to)
 	m.comm = c.id
 	m.tag = tag
-	m.seq = c.rt.nextSeq(src, dst)
-	if c.rt.remote(dst) {
+	l.seq++
+	m.seq = l.seq
+	if l.box == nil {
 		c.cm.countSend(int(c.stats.Phase()), src, dst, m.wire, c.rt.proc.queueDepthTo(dst))
 		c.rt.netSend(src, dst, m)
 	} else {
-		box := c.rt.boxes[dst][src]
-		c.cm.countSend(int(c.stats.Phase()), src, dst, m.wire, len(box))
+		c.cm.countSend(int(c.stats.Phase()), src, dst, m.wire, len(l.box))
 		select {
-		case box <- m:
-		case <-c.rt.abort:
-			panic(errAborted{})
+		case l.box <- m:
+		default:
+			c.blockingSend(l.box, m)
 		}
 	}
 	c.stats.CountMessage(m.wire)
 	c.tr.Send(dst, tag, m.wire, m.seq)
+}
+
+// blockingSend delivers m into a full mailbox, unwinding if the run
+// aborts first.
+func (c *Comm) blockingSend(box chan message, m message) {
+	select {
+	case box <- m:
+	case <-c.rt.abort:
+		panic(errAborted{})
+	}
+}
+
+// blockingRecv takes the next message from an empty mailbox, unwinding
+// if the run aborts first.
+func (c *Comm) blockingRecv(box chan message) message {
+	select {
+	case m := <-box:
+		return m
+	case <-c.rt.abort:
+		panic(errAborted{})
+	}
 }
 
 // Recv blocks until the next message from rank `from` of this
@@ -200,15 +272,16 @@ func (c *Comm) recvMsg(from, tag int) message {
 	if from == c.rank {
 		panic(fmt.Sprintf("comm: self-receive (%s)", c.diag()))
 	}
-	box := c.rt.boxes[c.group[c.rank]][c.group[from]]
+	box := c.mailbox(from)
 	t0 := c.tr.Now()
+	var m message
 	select {
-	case m := <-box:
-		c.finishRecv(m, from, tag, t0)
-		return m
-	case <-c.rt.abort:
-		panic(errAborted{})
+	case m = <-box:
+	default:
+		m = c.blockingRecv(box)
 	}
+	c.finishRecv(m, from, tag, t0)
+	return m
 }
 
 // finishRecv validates and accounts one message taken from `from`'s
@@ -269,32 +342,16 @@ func (c *Comm) Sendrecv(to int, data []byte, from, tag int) []byte {
 	return c.sendrecvMsg(to, tag, bytesMsg(data), from).bytesPayload(c)
 }
 
-// tailPending reaps a completed overflow Isend to dst and reports
-// whether one is still in flight (in which case inline mailbox delivery
-// would reorder the src→dst stream).
-func (c *Comm) tailPending(src, dst int) bool {
-	prev := c.rt.sendTail[src][dst]
-	if prev == nil {
-		return false
-	}
-	select {
-	case <-prev.sent:
-		c.rt.sendTail[src][dst] = nil
-		return false
-	default:
-		return true
-	}
-}
-
 // sendrecvMsg is the shared exchange under Sendrecv and its typed
-// variants. The send and the receive are offered simultaneously in one
-// select, so a ring of ranks exchanging at once cannot deadlock on any
-// mailbox capacity — including zero. (The historical blocking
-// send-then-recv only avoided deadlock because the default mailboxes
-// buffer eight messages; a shrunken mailbox or a saturated transport
-// breaks that assumption, which TestSendrecvRingUnbuffered pins.) The
-// select carries no goroutine or Request, keeping the steady-state
-// shift loops allocation-free.
+// variants. When neither half can complete at once, the send and the
+// receive are offered simultaneously in one select, so a ring of ranks
+// exchanging at once cannot deadlock on any mailbox capacity —
+// including zero. (The historical blocking send-then-recv only avoided
+// deadlock because the default mailboxes buffer eight messages; a
+// shrunken mailbox or a saturated transport breaks that assumption,
+// which TestSendrecvRingUnbuffered pins.) The select carries no
+// goroutine or Request, keeping the steady-state shift loops
+// allocation-free.
 //
 // Progress argument for the recv-first arm: once this rank's receive
 // completes, its upstream neighbor's send has completed, so by
@@ -311,7 +368,8 @@ func (c *Comm) sendrecvMsg(to, tag int, m message, from int) message {
 		panic(fmt.Sprintf("comm: self-receive (%s)", c.diag()))
 	}
 	src, dst := c.group[c.rank], c.group[to]
-	if c.rt.remote(dst) || c.tailPending(src, dst) {
+	l := c.sendLink(to)
+	if l.box == nil || l.tailPending() {
 		// A remote send cannot join a mailbox cycle — the link's writer
 		// goroutine drains the queue and the remote reader never blocks
 		// on delivery — and a pending overflow Isend forbids inline
@@ -321,35 +379,49 @@ func (c *Comm) sendrecvMsg(to, tag int, m message, from int) message {
 		send.waitSent()
 		return out
 	}
-	box := c.rt.boxes[dst][src]
+	box := l.box
 	c.cm.countSend(int(c.stats.Phase()), src, dst, m.wire, len(box))
 	m.comm = c.id
 	m.tag = tag
-	m.seq = c.rt.nextSeq(src, dst)
+	l.seq++
+	m.seq = l.seq
 	c.stats.CountMessage(m.wire)
 	c.tr.Send(dst, tag, m.wire, m.seq)
-	rbox := c.rt.boxes[src][c.group[from]]
+	rbox := c.mailbox(from)
 	t0 := c.tr.Now()
+	// Fast path: a half that is ready completes on its own channel; a
+	// half that would block waits in a select with the abort channel,
+	// and only when both would block are they offered together.
+	var got message
+	sent, received := false, false
 	select {
 	case box <- m:
-		select {
-		case got := <-rbox:
-			c.finishRecv(got, from, tag, t0)
-			return got
-		case <-c.rt.abort:
-			panic(errAborted{})
-		}
-	case got := <-rbox:
-		c.finishRecv(got, from, tag, t0)
+		sent = true
+	default:
+	}
+	select {
+	case got = <-rbox:
+		received = true
+	default:
+	}
+	if !sent && !received {
 		select {
 		case box <- m:
+			sent = true
+		case got = <-rbox:
+			received = true
 		case <-c.rt.abort:
 			panic(errAborted{})
 		}
-		return got
-	case <-c.rt.abort:
-		panic(errAborted{})
 	}
+	if !received {
+		got = c.blockingRecv(rbox)
+	}
+	c.finishRecv(got, from, tag, t0)
+	if !sent {
+		c.blockingSend(box, m)
+	}
+	return got
 }
 
 // Barrier blocks until every rank of the communicator has entered it.
@@ -365,48 +437,6 @@ func (c *Comm) Barrier() {
 	c.fanIn(0, tag, nil)
 	c.fanOut(0, tag, nil)
 	c.tr.Collective(obs.KindBarrier, t0, 0)
-}
-
-// Split partitions the communicator by color, ordering ranks of each new
-// communicator by key (ties broken by parent rank), and returns the
-// caller's handle on its new communicator. All ranks of the parent must
-// call Split with consistent arguments; color/key exchange happens
-// through an allgather on the parent.
-func (c *Comm) Split(color, key int) *Comm {
-	type ck struct{ color, key, rank int }
-	mine := encodeInts([]int{color, key, c.rank})
-	all := c.Allgather(mine)
-	var members []ck
-	for r, b := range all {
-		v := decodeInts(b)
-		if v[0] == color {
-			members = append(members, ck{v[0], v[1], r})
-		}
-	}
-	sort.Slice(members, func(i, j int) bool {
-		if members[i].key != members[j].key {
-			return members[i].key < members[j].key
-		}
-		return members[i].rank < members[j].rank
-	})
-	group := make([]int, len(members))
-	newRank := -1
-	for i, m := range members {
-		group[i] = c.group[m.rank]
-		if m.rank == c.rank {
-			newRank = i
-		}
-	}
-	return &Comm{
-		rt:    c.rt,
-		id:    deriveID(c.id, color),
-		rank:  newRank,
-		group: group,
-		opts:  c.opts,
-		stats: c.stats,
-		tr:    c.tr,
-		cm:    c.cm,
-	}
 }
 
 // Sub returns the caller's handle on a communicator containing exactly

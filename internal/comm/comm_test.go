@@ -175,12 +175,20 @@ func TestGatherAndAllgather(t *testing.T) {
 	}
 }
 
-func TestSplitRowsAndColumns(t *testing.T) {
+func TestSubRowsAndColumns(t *testing.T) {
 	const rows, cols = 3, 4
 	_, err := Run(rows*cols, Options{}, func(c *Comm) error {
 		row, col := c.Rank()/cols, c.Rank()%cols
-		rowComm := c.Split(row, col)
-		colComm := c.Split(rows+col, row)
+		rowRanks := make([]int, cols)
+		for j := range rowRanks {
+			rowRanks[j] = row*cols + j
+		}
+		colRanks := make([]int, rows)
+		for i := range colRanks {
+			colRanks[i] = i*cols + col
+		}
+		rowComm := c.Sub(rowRanks)
+		colComm := c.Sub(colRanks)
 		if rowComm.Size() != cols || rowComm.Rank() != col {
 			return fmt.Errorf("row comm size %d rank %d", rowComm.Size(), rowComm.Rank())
 		}

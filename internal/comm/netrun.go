@@ -148,10 +148,6 @@ func (rt *Runtime) bindProc(p *Proc) error {
 	rt.proc = p
 	rt.lo = p.ID() * p.ranksPerProc
 	rt.hi = rt.lo + p.ranksPerProc
-	rt.inTail = make([][]chan struct{}, rt.size)
-	for s := range rt.inTail {
-		rt.inTail[s] = make([]chan struct{}, rt.size)
-	}
 	p.mesh.OnAbort(func(err error) { rt.failLocal(err) })
 	p.mesh.Attach(rt.inject)
 	return nil
@@ -227,10 +223,10 @@ func msgFromFrame(f cnet.Frame) (message, int, int, error) {
 // inject delivers one incoming data frame into the destination
 // mailbox. It runs on the mesh's per-connection reader goroutines and
 // must never block: a full mailbox defers to a chained goroutine (the
-// receive-side mirror of Isend's overflow chain), keyed per (src, dst)
-// so one slow pair cannot head-of-line block the link. Each (src, dst)
-// pair arrives on exactly one connection, so inTail[src][dst] is
-// accessed single-threaded, like sendTail.
+// same per-stream chain Isend's overflow uses), so one slow pair cannot
+// head-of-line block the connection. Each (src, dst) pair arrives on
+// exactly one connection, so the link's tail is accessed
+// single-threaded, as a local sender's is.
 func (rt *Runtime) inject(f cnet.Frame) {
 	m, src, dst, err := msgFromFrame(f)
 	if err != nil {
@@ -241,39 +237,20 @@ func (rt *Runtime) inject(f cnet.Frame) {
 		rt.fail(fmt.Errorf("comm: frame addressed %d→%d outside this process (local ranks [%d,%d))", src, dst, rt.lo, rt.hi))
 		return
 	}
-	box := rt.boxes[dst][src]
-	prev := rt.inTail[src][dst]
-	if prev != nil {
+	l := rt.link(src, dst)
+	if !l.tailPending() {
 		select {
-		case <-prev:
-			prev = nil
-			rt.inTail[src][dst] = nil
-		default:
-		}
-	}
-	if prev == nil {
-		select {
-		case box <- m:
+		case l.box <- m:
 			return
 		default:
 		}
 	}
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		if prev != nil {
-			select {
-			case <-prev:
-			case <-rt.abort:
-				return
-			}
-		}
+	rt.deferDelivery(l, func() {
 		select {
-		case box <- m:
+		case l.box <- m:
 		case <-rt.abort:
 		}
-	}()
-	rt.inTail[src][dst] = done
+	})
 }
 
 // netSend is the blocking remote delivery under sendMsg: encode, then
@@ -292,9 +269,9 @@ func (rt *Runtime) netSend(src, dst int, m message) {
 }
 
 // isendRemote is the nonblocking remote delivery under isendMsg,
-// preserving per-pair order through the sendTail chain exactly like
-// the in-process overflow path.
-func (c *Comm) isendRemote(src, dst int, m message) *Request {
+// preserving per-pair order through the stream's tail chain exactly
+// like the in-process overflow path.
+func (c *Comm) isendRemote(l *link, src, dst int, m message) *Request {
 	rt := c.rt
 	f, err := frameFromMsg(src, dst, m)
 	if err != nil {
@@ -302,34 +279,15 @@ func (c *Comm) isendRemote(src, dst int, m message) *Request {
 		panic(errAborted{})
 	}
 	to := rt.proc.procOf(dst)
-	prev := rt.sendTail[src][dst]
-	if prev != nil {
-		select {
-		case <-prev.sent:
-			prev = nil
-			rt.sendTail[src][dst] = nil
-		default:
-		}
-	}
-	if prev == nil && rt.proc.mesh.TrySend(to, f) {
+	if !l.tailPending() && rt.proc.mesh.TrySend(to, f) {
 		return c.doneRequest()
 	}
-	r := &Request{comm: c, sent: make(chan struct{})}
-	go func() {
-		defer close(r.sent)
-		if prev != nil {
-			select {
-			case <-prev.sent:
-			case <-rt.abort:
-				return
-			}
-		}
+	rt.deferDelivery(l, func() {
 		// A send error means the mesh aborted; the rank goroutine will
-		// observe rt.abort on its next blocking operation.
+		// observe the abort at its next blocking operation.
 		rt.proc.mesh.Send(to, f, rt.abort)
-	}()
-	rt.sendTail[src][dst] = r
-	return r
+	})
+	return &Request{comm: c, sent: l.tail}
 }
 
 // --- final state deposits -------------------------------------------

@@ -54,54 +54,36 @@ func (c *Comm) isendMsg(to, tag int, m message) *Request {
 		panic(fmt.Sprintf("comm: self-send (use local copies instead) (%s)", c.diag()))
 	}
 	src, dst := c.group[c.rank], c.group[to]
+	l := c.sendLink(to)
 	m.comm = c.id
 	m.tag = tag
-	m.seq = c.rt.nextSeq(src, dst)
+	l.seq++
+	m.seq = l.seq
 	c.stats.CountMessage(m.wire)
 	c.tr.Send(dst, tag, m.wire, m.seq)
-	if c.rt.remote(dst) {
+	if l.box == nil {
 		c.cm.countSend(int(c.stats.Phase()), src, dst, m.wire, c.rt.proc.queueDepthTo(dst))
-		return c.isendRemote(src, dst, m)
+		return c.isendRemote(l, src, dst, m)
 	}
-	box := c.rt.boxes[dst][src]
+	box := l.box
 	c.cm.countSend(int(c.stats.Phase()), src, dst, m.wire, len(box))
 
-	// An earlier overflow send to the same destination that is still in
-	// flight forbids the fast path: delivering inline would reorder the
-	// stream.
-	prev := c.rt.sendTail[src][dst]
-	if prev != nil {
-		select {
-		case <-prev.sent:
-			prev = nil
-			c.rt.sendTail[src][dst] = nil
-		default:
-		}
-	}
-	if prev == nil {
+	// An earlier overflow send on the stream that is still in flight
+	// forbids the fast path: delivering inline would reorder it.
+	if !l.tailPending() {
 		select {
 		case box <- m:
 			return c.doneRequest()
 		default:
 		}
 	}
-	r := &Request{comm: c, sent: make(chan struct{})}
-	go func() {
-		defer close(r.sent)
-		if prev != nil {
-			select {
-			case <-prev.sent:
-			case <-c.rt.abort:
-				return
-			}
-		}
+	c.rt.deferDelivery(l, func() {
 		select {
 		case box <- m:
 		case <-c.rt.abort:
 		}
-	}()
-	c.rt.sendTail[src][dst] = r
-	return r
+	})
+	return &Request{comm: c, sent: l.tail}
 }
 
 // Irecv registers interest in the next message from rank `from` under

@@ -73,9 +73,9 @@ func TestObservedRunRecordsEvents(t *testing.T) {
 
 // TestTimelinePhaseTotalsMatchReport is the acceptance check that the
 // timeline's per-phase span totals agree with trace.Report's wall-clock
-// phase accounting: both measure the same SetPhase boundaries, so the
-// critical-path (max over ranks) totals must match within 5% plus a
-// small absolute floor for scheduler jitter on near-empty phases.
+// phase accounting: both are charged from the same clock reading at
+// each SetPhase boundary, so for phases that begin and end at one the
+// critical-path (max over ranks) totals are equal to the nanosecond.
 func TestTimelinePhaseTotalsMatchReport(t *testing.T) {
 	const p = 8
 	o := obs.NewObserver(p, 1<<14)
@@ -110,19 +110,8 @@ func TestTimelinePhaseTotalsMatchReport(t *testing.T) {
 			t.Errorf("phase %v: report recorded no time", ph)
 			continue
 		}
-		diff := timelineNs - reportNs
-		if diff < 0 {
-			diff = -diff
-		}
-		// 5% relative tolerance with a 200µs absolute floor: the two
-		// clocks sample the same boundaries but not atomically.
-		tol := reportNs / 20
-		if tol < 200_000 {
-			tol = 200_000
-		}
-		if diff > tol {
-			t.Errorf("phase %v: timeline %v vs report %v (diff %v > tol %v)",
-				ph, time.Duration(timelineNs), time.Duration(reportNs), time.Duration(diff), time.Duration(tol))
+		if timelineNs != reportNs {
+			t.Errorf("phase %v: timeline %v vs report %v", ph, time.Duration(timelineNs), time.Duration(reportNs))
 		}
 	}
 }

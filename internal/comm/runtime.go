@@ -1,9 +1,17 @@
 // Package comm is a hand-rolled message-passing substrate that stands in
 // for MPI (Go has no mature MPI bindings). A Runtime executes p ranks as
-// goroutines in one SPMD function; ranks exchange byte-slice messages
-// through per-pair channels and synchronize with collectives —
+// goroutines in one SPMD function; ranks exchange byte-slice or typed
+// messages through per-pair channels and synchronize with collectives —
 // broadcast, reduce, allreduce, gather, allgather, barrier and the
 // sendrecv shifts the communication-avoiding algorithms are built from.
+// Sub-communicators are built from explicit member lists (Comm.Sub)
+// and need no communication.
+//
+// Starting a run costs O(p): a pair's mailbox is created the first
+// time one of its endpoints addresses the other, exactly once, and a
+// message whose mailbox is ready costs one channel operation that only
+// the two endpoints contend for — the run-wide abort channel is
+// consulted only by a rank about to block (see link and sendMsg).
 //
 // Collectives are implemented from scratch with selectable algorithms
 // (binomial tree, flat, ring), mirroring the "tree" versus "no-tree"
@@ -100,47 +108,106 @@ const frameBytes = 4
 
 // mailboxCap is the default per-(src,dst) channel buffer. The algorithms
 // in this repository keep at most a few outstanding messages per pair;
-// the abort select below prevents a hard deadlock if that assumption is
+// the abort select prevents a hard deadlock if that assumption is
 // violated. Options.MailboxCap overrides it — tests use tiny (even zero)
 // capacities to prove point-to-point patterns correct on any
 // bounded-capacity transport.
 const mailboxCap = 8
 
+// link is the src→dst message stream of one run: the destination's
+// mailbox for this source plus the state of whoever feeds it. A link is
+// created the first time either endpoint names the pair and lives until
+// the run ends, so a run costs memory for the pairs it uses, not for
+// the P² it could. box is immutable after creation and the only field
+// the receiver touches (each Comm caches the channel itself, see
+// Comm.mailbox); everything else belongs to the feeding goroutine — the
+// rank src when it is hosted by this process, the mesh connection's
+// reader goroutine otherwise.
+type link struct {
+	// box is dst's mailbox for src; nil when dst lives in another
+	// process (the stream then ends in the mesh, not in a mailbox).
+	box chan message
+	// seq is the per-pair sequence counter backing message.seq.
+	seq uint64
+	// tail is closed when the most recent deferred delivery on the
+	// stream (an Isend, or an arriving frame, that found the mailbox
+	// full) has completed; nil when there has been none. Deferred
+	// deliveries chain on it, so message order survives past mailbox
+	// capacity.
+	tail chan struct{}
+}
+
+// tailPending reaps a completed deferred delivery and reports whether
+// one is still in flight (in which case inline mailbox delivery would
+// reorder the stream).
+func (l *link) tailPending() bool {
+	if l.tail == nil {
+		return false
+	}
+	select {
+	case <-l.tail:
+		l.tail = nil
+		return false
+	default:
+		return true
+	}
+}
+
+// deferDelivery runs deliver on a goroutine once the stream's previous
+// deferred delivery has completed and makes it the stream's tail.
+// deliver must give up when the run aborts.
+func (rt *Runtime) deferDelivery(l *link, deliver func()) {
+	prev, done := l.tail, make(chan struct{})
+	go func() {
+		defer close(done)
+		if prev != nil {
+			select {
+			case <-prev:
+			case <-rt.abort:
+				return
+			}
+		}
+		deliver()
+	}()
+	l.tail = done
+}
+
+// inbox indexes the links that end at one destination rank. Its lock
+// is taken on the miss path only — a Comm's first message to or from a
+// peer — and is what makes link creation exactly-once: both endpoints
+// may miss at the same moment, and the loser must find the winner's
+// link rather than allocate a second mailbox (besides the wasted
+// channel, a race-dependent allocation would make a run's malloc count
+// vary, which the steady-state allocation guards forbid).
+type inbox struct {
+	mu   sync.Mutex
+	from map[int]*link
+}
+
 // Runtime owns the mailboxes and failure plumbing for one SPMD execution.
 type Runtime struct {
-	size  int
-	boxes [][]chan message // boxes[dst][src]
-	abort chan struct{}    // closed on first rank failure
-	once  sync.Once
-	mu    sync.Mutex
-	err   error
-	stats []*trace.Stats
-	// sendTail[src][dst] is the most recent overflow Isend between the
-	// pair, used to chain deferred deliveries so message order is
-	// preserved even past mailbox capacity. Accessed only by src's
-	// goroutine.
-	sendTail [][]*Request
-	// seqs[src][dst] is the per-pair message sequence counter backing
-	// message.seq. Like sendTail, each row is written only by src's
-	// goroutine, so plain (non-atomic) increments are race-free.
-	seqs [][]uint64
+	size    int
+	boxCap  int
+	inboxes []inbox       // by destination world rank
+	abort   chan struct{} // closed on first rank failure
+	once    sync.Once
+	mu      sync.Mutex
+	err     error
+	stats   []*trace.Stats
 
 	// Multi-process state (nil/zero under plain Run). lo/hi bound the
-	// world ranks hosted by this process; inTail chains deferred inbound
-	// deliveries per (src,dst) like sendTail chains outbound ones; shadow
-	// counts traffic when the local process is unobserved so the merged
-	// matrix stays globally true; deposits collects the final state
-	// published via Comm.Deposit.
+	// world ranks hosted by this process; shadow counts traffic when the
+	// local process is unobserved so the merged matrix stays globally
+	// true; deposits collects the final state published via
+	// Comm.Deposit.
 	proc     *Proc
 	lo, hi   int
-	inTail   [][]chan struct{}
 	shadow   *obs.CommMatrix
 	deposits map[int][]phys.Particle
 }
 
-// NewRuntime prepares mailboxes for size ranks.
-func NewRuntime(size int) *Runtime { return newRuntime(size, 0) }
-
+// newRuntime prepares a run of size ranks. Everything it allocates is
+// O(size); mailboxes appear as pairs are used (see link).
 func newRuntime(size, boxCap int) *Runtime {
 	if size <= 0 {
 		panic(fmt.Sprintf("comm: non-positive world size %d", size))
@@ -151,33 +218,36 @@ func newRuntime(size, boxCap int) *Runtime {
 		boxCap = 0 // explicit request for unbuffered mailboxes
 	}
 	rt := &Runtime{
-		size:  size,
-		boxes: make([][]chan message, size),
-		abort: make(chan struct{}),
-		stats: make([]*trace.Stats, size),
+		size:    size,
+		boxCap:  boxCap,
+		inboxes: make([]inbox, size),
+		abort:   make(chan struct{}),
+		stats:   make([]*trace.Stats, size),
+		hi:      size,
 	}
-	rt.lo, rt.hi = 0, size
-	for d := range rt.boxes {
-		rt.boxes[d] = make([]chan message, size)
-		for s := range rt.boxes[d] {
-			rt.boxes[d][s] = make(chan message, boxCap)
-		}
-		rt.stats[d] = trace.NewStats()
-	}
-	rt.sendTail = make([][]*Request, size)
-	rt.seqs = make([][]uint64, size)
-	for s := range rt.sendTail {
-		rt.sendTail[s] = make([]*Request, size)
-		rt.seqs[s] = make([]uint64, size)
+	for r := range rt.stats {
+		rt.stats[r] = trace.NewStats()
 	}
 	return rt
 }
 
-// nextSeq advances and returns the src→dst sequence counter. Must be
-// called by src's goroutine (it is, from sendMsg/isendMsg).
-func (rt *Runtime) nextSeq(src, dst int) uint64 {
-	rt.seqs[src][dst]++
-	return rt.seqs[src][dst]
+// link returns the src→dst stream, creating it on first use.
+func (rt *Runtime) link(src, dst int) *link {
+	in := &rt.inboxes[dst]
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	l := in.from[src]
+	if l == nil {
+		if in.from == nil {
+			in.from = make(map[int]*link)
+		}
+		l = &link{}
+		if !rt.remote(dst) {
+			l.box = make(chan message, rt.boxCap)
+		}
+		in.from[src] = l
+	}
+	return l
 }
 
 // Stats returns the per-rank accounting records. Call after Run returns.
@@ -252,6 +322,7 @@ func RunProc(size int, opts Options, proc *Proc, fn func(*Comm) error) (*trace.R
 	}
 	var wg sync.WaitGroup
 	wg.Add(rt.hi - rt.lo)
+	group := identity(size)
 	for r := rt.lo; r < rt.hi; r++ {
 		var tr *obs.Tracer
 		if o := opts.Observe; o != nil {
@@ -261,7 +332,7 @@ func RunProc(size int, opts Options, proc *Proc, fn func(*Comm) error) (*trace.R
 			rt:    rt,
 			id:    worldID,
 			rank:  r,
-			group: identity(size),
+			group: group,
 			opts:  opts,
 			stats: rt.stats[r],
 			tr:    tr,

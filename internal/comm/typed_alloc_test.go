@@ -6,10 +6,7 @@
 
 package comm
 
-import (
-	"runtime"
-	"testing"
-)
+import "testing"
 
 // TestScratchReductionsSteadyStateAllocFree pins the zero-allocation
 // claim for the scratch reduction paths end to end: once the per-rank
@@ -36,16 +33,12 @@ func TestScratchReductionsSteadyStateAllocFree(t *testing.T) {
 		}
 	}
 	mallocs := func(rounds int) uint64 {
-		var m0, m1 runtime.MemStats
-		runtime.ReadMemStats(&m0)
-		run(rounds)
-		runtime.ReadMemStats(&m1)
-		return m1.Mallocs - m0.Mallocs
+		objects, _ := quietMallocs(t, 64, func() { run(rounds) })
+		return objects
 	}
-	run(3) // warm any lazy runtime state
 	base := mallocs(3)
 	long := mallocs(23)
-	if long > base {
-		t.Errorf("20 extra reduction rounds allocated %d times, want 0 (base run %d, long run %d)", long-base, base, long)
+	if long != base {
+		t.Errorf("a 23-round run allocated %d objects, a 3-round run %d; 20 extra reduction rounds must allocate 0", long, base)
 	}
 }

@@ -43,11 +43,7 @@ func AllPairs(ps []phys.Particle, pr Params) ([]phys.Particle, *trace.Report, er
 	report, results, err := comm.RunProc(pr.P, pr.Options, pr.Proc, func(world *comm.Comm) error {
 		rank := world.Rank()
 		row, col := grid.Coord(rank)
-		// Row communicator: all ranks with the same row, ordered by
-		// column. Column (team) communicator: ordered by row, so the
-		// team leader is rank 0.
-		rowComm := world.Split(row, col)
-		teamComm := world.Split(grid.Rows+col, row)
+		rowComm, teamComm := gridComms(world, grid)
 		st := world.Stats()
 
 		// The leader starts with the authoritative copy of the team's

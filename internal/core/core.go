@@ -22,6 +22,7 @@ import (
 	"repro/internal/comm"
 	"repro/internal/obs/record"
 	"repro/internal/phys"
+	"repro/internal/topo"
 )
 
 // Params configures a parallel run.
@@ -121,6 +122,17 @@ func (pr Params) validateCommon(n int) error {
 		return fmt.Errorf("core: empty particle set")
 	}
 	return nil
+}
+
+// gridComms returns the caller's two communicators on the c × p/c
+// replication grid: its row (one replication layer, indexed by team —
+// the ring the exchange buffers shift along) and its team (one column,
+// leader first — the broadcast/reduce group). Every rank knows the
+// grid, so membership is explicit and building them costs no
+// communication.
+func gridComms(world *comm.Comm, grid topo.Grid) (row, team *comm.Comm) {
+	r, col := grid.Coord(world.Rank())
+	return world.Sub(grid.RowRanks(r)), world.Sub(grid.TeamRanks(col))
 }
 
 // flattenForces packs the force accumulators of ps into a float64 slice

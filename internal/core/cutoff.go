@@ -64,6 +64,7 @@ func Cutoff(ps []phys.Particle, pr Params) ([]phys.Particle, *trace.Report, erro
 	wrap := pr.Box.Boundary == phys.Periodic
 	dirs := migrationDirs(pr.Box.Dim)
 	perS, perW := cutoffBounds(n, pr)
+	owned := scatterByTeam(ps, pr.Box, tg)
 
 	rr := newRunRecorder(pr)
 	report, results, err := comm.RunProc(pr.P, pr.Options, pr.Proc, func(world *comm.Comm) error {
@@ -73,24 +74,13 @@ func Cutoff(ps []phys.Particle, pr Params) ([]phys.Particle, *trace.Report, erro
 
 		// Communicators: layerComm for shifts (same layer, indexed by
 		// team), teamComm for broadcast/reduce (same team, leader
-		// first), leaderComm for migration (layer-0 ranks, indexed by
-		// team). Colors are disjoint by construction.
-		layerComm := world.Split(layer, team)
-		teamComm := world.Split(pr.C+team, layer)
-		var leaderComm *comm.Comm
-		if layer == 0 {
-			leaderComm = world.Split(pr.C+T, team)
-		} else {
-			world.Split(pr.C+T+1+rank, 0)
-		}
+		// first). Migration runs between the team leaders, the layer-0
+		// ranks indexed by team: that is layer 0's layerComm.
+		layerComm, teamComm := gridComms(world, grid)
 
 		var mine []phys.Particle
 		if layer == 0 {
-			for i := range ps {
-				if teamOfPos(ps[i].Pos, pr.Box, tg) == team {
-					mine = append(mine, ps[i])
-				}
-			}
+			mine = owned[team]
 		}
 
 		st.StartTiming()
@@ -111,18 +101,17 @@ func Cutoff(ps []phys.Particle, pr Params) ([]phys.Particle, *trace.Report, erro
 
 		// Per-rank fast-path state, built once per run: specialized
 		// kernel, the transport's retained buffers (see transport.go
-		// for the exchange reuse discipline), and the force pool with
-		// its parked workers. Migration buffers are NOT reused — their
-		// sizes are data-dependent and their payloads are retained by
-		// the receiving leader. The pool tiles the import-region
-		// accumulation by disjoint target blocks (bitwise-identical for
-		// any worker count); under Overlap its workers read the held
-		// buffer while the next shift is in flight.
+		// for the exchange reuse discipline), the migrator's reassignment
+		// buffers, and the force pool with its parked workers. The pool
+		// tiles the import-region accumulation by disjoint target blocks
+		// (bitwise-identical for any worker count); under Overlap its
+		// workers read the held buffer while the next shift is in flight.
 		kern := pr.Law.Kernel().WithTile(pr.Tile)
 		pool := phys.NewPool(pr.WorkersPerRank())
 		defer pool.Close()
 		po := newPoolObs(pool, st, mx)
 		x := newXfer(pr.Encoded, team, pr.Overlap)
+		var mig migrator
 		var teamCopy []phys.Particle
 		update := func() error {
 			srcTeam, visiting, err := x.view()
@@ -216,7 +205,7 @@ func Cutoff(ps []phys.Particle, pr Params) ([]phys.Particle, *trace.Report, erro
 
 				// (6) Spatial reassignment between neighboring teams.
 				st.SetPhase(trace.Reassign)
-				mine, err = migrate(x, leaderComm, tg, team, mine, pr.Box, dirs, wrap)
+				mine, err = mig.migrate(x, layerComm, tg, team, mine, pr.Box, dirs, wrap)
 				if err != nil {
 					return err
 				}
@@ -318,20 +307,78 @@ func migrationDirs(dim int) []topo.Offset {
 	return out
 }
 
+// scatterByTeam buckets the initial particles by owning team in one
+// pass over the input, so that no rank scans particles it will not own.
+// The buckets share one backing array; each is capped at its length,
+// so a team that grows reallocates instead of writing into its
+// neighbor.
+func scatterByTeam(ps []phys.Particle, box phys.Box, tg topo.TeamGrid) [][]phys.Particle {
+	starts := make([]int, tg.Teams()+1)
+	for i := range ps {
+		starts[teamOfPos(ps[i].Pos, box, tg)+1]++
+	}
+	for t := 0; t < tg.Teams(); t++ {
+		starts[t+1] += starts[t]
+	}
+	backing := make([]phys.Particle, len(ps))
+	owned := make([][]phys.Particle, tg.Teams())
+	for t := range owned {
+		owned[t] = backing[starts[t]:starts[t]:starts[t+1]]
+	}
+	for i := range ps {
+		t := teamOfPos(ps[i].Pos, box, tg)
+		owned[t] = append(owned[t], ps[i])
+	}
+	return owned
+}
+
+// migrator is one leader's spatial-reassignment state, retained across
+// steps so that the steady state allocates nothing: the outgoing
+// particles are bucketed by direction in a fixed array, the team is
+// rebuilt in a buffer double-buffered against the current one, and the
+// payloads received in one step are the send buffers of later ones.
+type migrator struct {
+	out [8][]phys.Particle // by index into migrationDirs
+	// spare is the previous team buffer, the target of the next rebuild.
+	// The current one cannot be rebuilt in place while incoming
+	// particles are appended behind the stayers, and the previous one is
+	// free: its last readers, the team members copying the broadcast,
+	// finished before the force reduction of the step it was sent in.
+	spare []phys.Particle
+	// free holds payloads received in earlier steps. A received slice
+	// is the receiver's outright (the ownership-transfer contract in
+	// transport.go), so it backs a later send; buffers circulate between
+	// neighbors instead of being allocated by every sender every step.
+	free [][]phys.Particle
+}
+
+// dirIndex is the position of a Chebyshev-unit offset in
+// migrationDirs(dim).
+func dirIndex(off topo.Offset, dim int) int {
+	if dim == 1 {
+		return (off.DX + 1) / 2
+	}
+	i := (off.DY+1)*3 + off.DX + 1
+	if i > 4 {
+		i-- // the origin is not a direction
+	}
+	return i
+}
+
 // migrate exchanges particles that left the team's spatial region with
 // the neighboring teams over the given transport and returns the updated
-// local set. Outgoing slices are freshly built each step and transfer
-// ownership outright on typed sends. Particles may move at most one team
-// width per step; exceeding that is reported as an error (the timestep
-// is too large for the decomposition).
-func migrate(x xfer, leaders *comm.Comm, tg topo.TeamGrid, team int, mine []phys.Particle, box phys.Box, dirs []topo.Offset, wrap bool) ([]phys.Particle, error) {
+// local set (in a different buffer than mine, which the migrator keeps
+// for the next step). Typed sends transfer their payload outright.
+// Particles may move at most one team width per step; exceeding that is
+// reported as an error (the timestep is too large for the
+// decomposition).
+func (mg *migrator) migrate(x xfer, leaders *comm.Comm, tg topo.TeamGrid, team int, mine []phys.Particle, box phys.Box, dirs []topo.Offset, wrap bool) ([]phys.Particle, error) {
 	tx, ty := tg.Coord(team)
-	stay := mine[:0]
-	outgoing := make(map[topo.Offset][]phys.Particle)
+	merged := mg.spare[:0]
 	for i := range mine {
 		dst := teamOfPos(mine[i].Pos, box, tg)
 		if dst == team {
-			stay = append(stay, mine[i])
+			merged = append(merged, mine[i])
 			continue
 		}
 		dx, dy := tg.Coord(dst)
@@ -343,26 +390,35 @@ func migrate(x xfer, leaders *comm.Comm, tg topo.TeamGrid, team int, mine []phys
 		if off.Chebyshev() > 1 {
 			return nil, fmt.Errorf("core: particle %d migrated %d team widths in one step; reduce dt or enlarge teams", mine[i].ID, off.Chebyshev())
 		}
-		outgoing[off] = append(outgoing[off], mine[i])
+		d := dirIndex(off, tg.Dim)
+		if mg.out[d] == nil && len(mg.free) > 0 {
+			last := len(mg.free) - 1
+			mg.out[d], mg.free = mg.free[last][:0], mg.free[:last]
+		}
+		mg.out[d] = append(mg.out[d], mine[i])
 	}
-	merged := append([]phys.Particle(nil), stay...)
 	for d, dir := range dirs {
 		to, toOK := tg.Neighbor(team, dir.DX, dir.DY, wrap)
 		from, fromOK := tg.Neighbor(team, -dir.DX, -dir.DY, wrap)
 		if toOK && to != team {
-			x.sendParticles(leaders, to, tagMigrate+d, outgoing[dir])
-		} else if len(outgoing[dir]) > 0 {
+			x.sendParticles(leaders, to, tagMigrate+d, mg.out[d])
+		} else if len(mg.out[d]) > 0 {
 			return nil, fmt.Errorf("core: particles migrating off the reflective grid toward %+v", dir)
 		}
+		mg.out[d] = nil
 		if fromOK && from != team {
 			inc, err := x.recvParticles(leaders, from, tagMigrate+d)
 			if err != nil {
 				return nil, err
 			}
 			merged = append(merged, inc...)
+			if cap(inc) > 0 {
+				mg.free = append(mg.free, inc)
+			}
 		}
 	}
 	phys.SortByID(merged)
+	mg.spare = mine
 	return merged, nil
 }
 

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -74,6 +76,7 @@ func midpointND(ps []phys.Particle, pr Params, dim int) ([]phys.Particle, *trace
 	}
 	dirs := migrationDirs(dim)
 	perS, perW := cutoffBounds(n, pr)
+	owned := scatterByTeam(ps, pr.Box, tg)
 
 	rr := newRunRecorder(pr)
 	report, results, err := comm.RunProc(pr.P, pr.Options, pr.Proc, func(world *comm.Comm) error {
@@ -95,12 +98,19 @@ func midpointND(ps []phys.Particle, pr Params, dim int) ([]phys.Particle, *trace
 		po := newPoolObs(pool, st, mx)
 		probe := newStepProbe(world, perS, perW)
 		sampler := rr.sampler(world, pr.Steps)
-		var mine []phys.Particle
-		for i := range ps {
-			if teamOfPos(ps[i].Pos, pr.Box, tg) == me {
-				mine = append(mine, ps[i])
-			}
+		mine := owned[me]
+		var mig migrator
+		// Per-step scratch, retained across steps (see phase 1).
+		type cellRef struct {
+			owner     int
+			particles []phys.Particle
 		}
+		var (
+			wire      []byte
+			held      = make([][]phys.Particle, 1+len(window))
+			cells     []cellRef
+			cellStart []int
+		)
 
 		st.StartTiming()
 		defer st.StopTiming()
@@ -113,22 +123,27 @@ func midpointND(ps []phys.Particle, pr Params, dim int) ([]phys.Particle, *trace
 				computeBefore = st.ByPhase[trace.Compute].Time
 			}
 			// (1) Import: exchange cells with every neighbor in the
-			// half-window.
+			// half-window. The imported cells are decoded into buffers
+			// retained across steps, one per importing direction. So is
+			// the encode buffer: every neighbor it is sent to decodes it
+			// on receipt and later returns forces, which this rank
+			// collects before it encodes again.
 			st.SetPhase(trace.Shift)
-			imports := make(map[int][]phys.Particle, len(window))
-			myData := phys.EncodeSlice(mine)
+			wire = phys.AppendSlice(wire[:0], mine)
+			cells = cells[:0]
 			for d, off := range window {
 				to, toOK := tg.Neighbor(me, off.DX, off.DY, false)
 				from, fromOK := tg.Neighbor(me, -off.DX, -off.DY, false)
 				if toOK {
-					world.Send(to, tagShift+d, myData)
+					world.Send(to, tagShift+d, wire)
 				}
 				if fromOK {
-					slab, err := phys.DecodeSlice(world.Recv(from, tagShift+d))
+					var err error
+					held[d+1], err = phys.DecodeSliceInto(held[d+1][:0], world.Recv(from, tagShift+d))
 					if err != nil {
 						return err
 					}
-					imports[from] = slab
+					cells = append(cells, cellRef{from, held[d+1]})
 				}
 			}
 
@@ -145,18 +160,12 @@ func midpointND(ps []phys.Particle, pr Params, dim int) ([]phys.Particle, *trace
 			// half-traversal to rounding (the method's accuracy tests are
 			// tolerance-based).
 			st.SetPhase(trace.Compute)
-			type cellRef struct {
-				owner     int
-				particles []phys.Particle
+			held[0] = append(held[0][:0], mine...)
+			cells = append(cells, cellRef{me, held[0]})
+			for _, cell := range cells {
+				phys.ClearForces(cell.particles)
 			}
-			cells := []cellRef{{me, append([]phys.Particle(nil), mine...)}}
-			phys.ClearForces(cells[0].particles)
-			for owner, sp := range imports {
-				cp := append([]phys.Particle(nil), sp...)
-				phys.ClearForces(cp)
-				cells = append(cells, cellRef{owner, cp})
-			}
-			sort.Slice(cells, func(i, j int) bool { return cells[i].owner < cells[j].owner })
+			slices.SortFunc(cells, func(a, b cellRef) int { return cmp.Compare(a.owner, b.owner) })
 			rc2 := pr.Law.Cutoff * pr.Law.Cutoff
 			open := pr.Law
 			open.Cutoff = 0
@@ -164,9 +173,9 @@ func midpointND(ps []phys.Particle, pr Params, dim int) ([]phys.Particle, *trace
 			tw := phys.TileWidth(pr.Tile)
 			// Prefix sums give every particle a global target index the
 			// pool can partition.
-			cellStart := make([]int, len(cells)+1)
+			cellStart = append(cellStart[:0], 0)
 			for ci := range cells {
-				cellStart[ci+1] = cellStart[ci] + len(cells[ci].particles)
+				cellStart = append(cellStart, cellStart[ci]+len(cells[ci].particles))
 			}
 			pool.Run(cellStart[len(cells)], func(lo, hi, _ int) int64 {
 				// Locate the cell holding global target lo, then walk.
@@ -268,7 +277,7 @@ func midpointND(ps []phys.Particle, pr Params, dim int) ([]phys.Particle, *trace
 			st.SetPhase(trace.Compute)
 			phys.Step(mine, pr.Box, pr.DT)
 			st.SetPhase(trace.Reassign)
-			migrated, err := migrate(x, world, tg, me, mine, pr.Box, dirs, false)
+			migrated, err := mig.migrate(x, world, tg, me, mine, pr.Box, dirs, false)
 			if err != nil {
 				return err
 			}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/phys"
+	"repro/internal/topo"
 	"repro/internal/vec"
 )
 
@@ -146,4 +147,41 @@ func TestSpanFor(t *testing.T) {
 	if got := SpanFor(1, 16, 16); got != 1 {
 		t.Errorf("SpanFor(1,16,16) = %d, want 1", got)
 	}
+}
+
+// TestClusteredWorkloadImbalance: a spatially clustered particle set
+// loads the cutoff's spatial decomposition unevenly — the contrast
+// behind the paper's uniform-density assumption — while a lattice
+// fills every team alike. Measured on what the decomposition itself
+// decides, the particles each team owns, not on phase wall times: a
+// three-step run's compute phases are microseconds and their max/mean
+// says more about the scheduler than about the input.
+func TestClusteredWorkloadImbalance(t *testing.T) {
+	box := phys.NewBox(16, 1, phys.Reflective)
+	clustered := phys.InitClustered(128, box, 2, 0.8, 17)
+	uniform := phys.InitLattice(128, box, 17)
+
+	prCut := cutoffParams(16, 1, 1, phys.Reflective)
+	prCut.Steps = 3
+	tg, err := topo.NewTeamGrid(prCut.Teams(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	imbalance := func(ps []phys.Particle) float64 {
+		most := 0
+		for _, owned := range scatterByTeam(ps, box, tg) {
+			most = max(most, len(owned))
+		}
+		return float64(most) * float64(tg.Teams()) / float64(len(ps))
+	}
+	if ic, iu := imbalance(clustered), imbalance(uniform); iu != 1 || ic < 2 {
+		t.Errorf("team occupancy max/mean: clustered %.2f (want >= 2), lattice %.2f (want 1)", ic, iu)
+	}
+	// Sanity: clustered input remains numerically correct.
+	want := serialCutoffRun(clustered, prCut.Law, prCut.Box, prCut.Steps, prCut.DT)
+	got, _, err := Cutoff(clustered, prCut)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkAgainst(t, got, want, 1e-9)
 }

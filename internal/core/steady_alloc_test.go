@@ -1,0 +1,180 @@
+//go:build !obsdebug
+
+// The zero-allocation claim is a release-build property: obsdebug
+// builds deliberately allocate in the Stats ownership guard, so these
+// guards only run without the tag.
+
+package core
+
+import (
+	"fmt"
+	"math"
+	"runtime"
+	"runtime/debug"
+	"sync"
+	"testing"
+	"time"
+
+	"repro/internal/comm"
+	"repro/internal/phys"
+	"repro/internal/topo"
+)
+
+// runMallocs returns the number of heap objects one call of run
+// allocates, with the Go runtime's own schedule-dependent allocations
+// taken out of the picture. The runtime keeps its free goroutine and
+// sudog (blocked-channel-operation) records in per-P caches and
+// allocates a fresh one whenever the P that needs one has none: which
+// P, and how many goroutines are alive or blocked at once, is the
+// schedule's doing, not the code's, and a collection starting mid-run
+// empties the shared caches and schedules its own workers. So, like
+// testing.AllocsPerRun, measure on a single P after a warm-up call —
+// and also hold the collector off, and first park more goroutines at
+// once than any run here has, which leaves that many goroutine and
+// sudog records on the one P's free lists. What is left is the
+// program's own allocations, which are deterministic, plus the odd
+// object from a runtime background goroutine (the scavenger growing its
+// P's timer heap was caught doing it); that noise only ever adds, so
+// the minimum of three measurements is the program's count.
+func runMallocs(run func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	idle := runtime.NumGoroutine()
+	var parked sync.WaitGroup
+	gate := make(chan struct{})
+	for i := 0; i < 256; i++ {
+		parked.Add(1)
+		go func() {
+			defer parked.Done()
+			<-gate
+		}()
+	}
+	close(gate)
+	parked.Wait()
+	run()
+	best := ^uint64(0)
+	for i := 0; i < 3; i++ {
+		// Goroutines signal completion a few instructions before they
+		// exit; one still on its way out is not yet on the free list.
+		for end := time.Now().Add(time.Second); runtime.NumGoroutine() > idle && time.Now().Before(end); {
+			runtime.Gosched()
+		}
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		run()
+		runtime.ReadMemStats(&m1)
+		best = min(best, m1.Mallocs-m0.Mallocs)
+	}
+	return best
+}
+
+// TestSteadyStateAllocFree pins the end-to-end zero-allocation property
+// of the timestep loops: once a run's retained buffers exist, a step
+// allocates nothing anywhere in the pipeline — broadcast, skew, shifts,
+// force kernel (inline, pooled, tiled), reduce, integrate and, for the
+// cutoff loop, spatial reassignment. Two runs that differ only in step
+// count must therefore allocate exactly the same number of objects:
+// per-run set-up (communicators, mailboxes of the pairs used, pool and
+// worker goroutines, first-step buffer growth) is identical in both,
+// and ten extra steps must add zero. The guard is an equality, not a
+// bound: a long run allocating *less* would mean the set-up is not what
+// we think it is.
+func TestSteadyStateAllocFree(t *testing.T) {
+	const c, n = 2, 32
+	for _, tc := range []struct {
+		name          string
+		cutoff        bool
+		workers, tile int
+	}{
+		{"allpairs", false, 1, 0},
+		{"allpairs/workers=2", false, 2, 0},
+		{"allpairs/workers=2/tile=7", false, 2, 7},
+		{"allpairs/workers=2/tile=64", false, 2, 64},
+		{"cutoff", true, 1, 0},
+		{"cutoff/workers=2", true, 2, 0},
+		{"cutoff/tile=7", true, 1, 7},
+	} {
+		run := func(steps int) func() {
+			return func() {
+				var err error
+				if tc.cutoff {
+					// 8 ranks: the 1D cutoff window needs at least 3 teams.
+					pr := cutoffParams(8, c, 1, phys.Periodic)
+					pr.Steps, pr.Workers, pr.Tile = steps, tc.workers, tc.tile
+					_, _, err = Cutoff(phys.InitLattice(n, pr.Box, 5), pr)
+				} else {
+					pr := defaultParams(4, c, steps)
+					pr.Workers, pr.Tile = tc.workers, tc.tile
+					_, _, err = AllPairs(phys.InitUniform(n, pr.Box, 5), pr)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		base := runMallocs(run(2))
+		long := runMallocs(run(12))
+		if long != base {
+			t.Errorf("%s: a 12-step run allocated %d objects, a 2-step run %d; 10 extra steps must allocate 0", tc.name, long, base)
+		}
+	}
+}
+
+// TestMigratorRecyclesBuffers drives the reassignment buffers directly,
+// on a conveyor: every step every particle crosses into the next team,
+// so each leader ships its whole set one way and adopts its neighbor's.
+// (The lattice runs above never migrate; this is the opposite extreme.)
+// After the first two steps — which allocate the two team buffers and
+// the first payloads — the payload received in one step must be the
+// send buffer of the next and the team buffers must alternate, so more
+// steps allocate nothing; and every leader must hold exactly the
+// particles that have travelled to it.
+func TestMigratorRecyclesBuffers(t *testing.T) {
+	const teams, per = 4, 6
+	box := phys.NewBox(16, 1, phys.Periodic)
+	tg, err := topo.NewTeamGrid(teams, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	width := box.L / teams
+	dirs := migrationDirs(1)
+	conveyor := func(steps int) func() {
+		return func() {
+			_, err := comm.Run(teams, comm.Options{}, func(leaders *comm.Comm) error {
+				team := leaders.Rank()
+				mine := make([]phys.Particle, per)
+				for i := range mine {
+					mine[i].ID = uint32(team*per + i)
+					mine[i].Pos.X = (float64(team) + 0.5) * width
+				}
+				x := newXfer(false, team, false)
+				var mig migrator
+				for step := 0; step < steps; step++ {
+					for i := range mine {
+						mine[i].Pos.X = math.Mod(mine[i].Pos.X+width, box.L)
+					}
+					var err error
+					if mine, err = mig.migrate(x, leaders, tg, team, mine, box, dirs, true); err != nil {
+						return err
+					}
+				}
+				origin := topo.Mod(team-steps, teams)
+				for i := range mine {
+					if len(mine) != per || mine[i].ID != uint32(origin*per+i) {
+						return fmt.Errorf("team %d after %d steps holds %d particles, particle %d has ID %d; want team %d's %d in ID order",
+							team, steps, len(mine), i, mine[i].ID, origin, per)
+					}
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	base := runMallocs(conveyor(3))
+	long := runMallocs(conveyor(23))
+	if long != base {
+		t.Errorf("a 23-step conveyor allocated %d objects, a 3-step one %d; 20 extra steps must allocate 0", long, base)
+	}
+}

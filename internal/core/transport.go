@@ -51,7 +51,8 @@ type xfer interface {
 	reduceForces(tc *comm.Comm, team []phys.Particle) []float64
 	// sendParticles/recvParticles move migration payloads between team
 	// leaders. Sent slices transfer ownership; received slices are
-	// owned by the caller.
+	// owned by the caller, which is what lets the migrator send them
+	// on in a later step.
 	sendParticles(lc *comm.Comm, to, tag int, ps []phys.Particle)
 	recvParticles(lc *comm.Comm, from, tag int) ([]phys.Particle, error)
 }
@@ -87,7 +88,8 @@ func newXfer(encoded bool, frame int, overlap bool) xfer {
 // k−1, which precedes the write. The cutoff schedule's ring does not
 // close in general, so no such ordering exists; in overlap mode the
 // cutoff transport loads into a fresh buffer each step instead (one
-// O(n/T) allocation per step, alongside migration's unavoidable ones).
+// O(n/T) allocation per step — the only one the cutoff loop makes;
+// migration recycles its buffers, see migrator in cutoff.go).
 
 // typedXfer is the zero-copy transport: payload slices move through the
 // comm mailboxes by reference under the ownership-transfer contract

@@ -259,8 +259,6 @@ func (s *Server) handleSeries(w http.ResponseWriter, r *http.Request) {
 	doc := SeriesDoc{Samples: []record.View{}}
 	if rec != nil {
 		doc.Meta = rec.Meta()
-		doc.Total = rec.Total()
-		doc.RingDropped = rec.RingDropped()
 		var samples []record.Sample
 		q := r.URL.Query()
 		if last := q.Get("last"); last != "" {
@@ -271,7 +269,7 @@ func (s *Server) handleSeries(w http.ResponseWriter, r *http.Request) {
 			}
 			samples = rec.Last(k)
 		} else {
-			from, to := int64(0), doc.Total
+			from, to := int64(0), rec.Total()
 			var err error
 			if v := q.Get("from"); v != "" {
 				if from, err = strconv.ParseInt(v, 10, 64); err != nil {
@@ -287,6 +285,11 @@ func (s *Server) handleSeries(w http.ResponseWriter, r *http.Request) {
 			}
 			samples = rec.Window(from, to)
 		}
+		// Read the totals after the samples: the run keeps recording
+		// while this handler runs, and totals that were read first could
+		// be smaller than the window they are meant to bound.
+		doc.Total = rec.Total()
+		doc.RingDropped = rec.RingDropped()
 		nph := rec.NumPhases()
 		for _, smp := range samples {
 			doc.Samples = append(doc.Samples, smp.View(nph))

@@ -219,6 +219,15 @@ func (t *Tracer) Rank() int {
 	return t.rank
 }
 
+// Epoch returns the instant the timeline's clock counts from (the zero
+// time when disabled).
+func (t *Tracer) Epoch() time.Time {
+	if t == nil {
+		return time.Time{}
+	}
+	return t.tl.epoch
+}
+
 // Now returns nanoseconds since the timeline epoch (0 when disabled).
 // Use it to capture start times for Recv and Collective.
 func (t *Tracer) Now() int64 {
@@ -240,11 +249,16 @@ func (t *Tracer) record(e Event) {
 // phase span (emitting a KindPhase event and feeding the per-phase
 // histogram) and opens a span for p. Re-entering the open phase is a
 // no-op, so tight loops may call it redundantly.
-func (t *Tracer) Phase(p uint8) {
+func (t *Tracer) Phase(p uint8) { t.PhaseAt(p, t.Now()) }
+
+// PhaseAt is Phase for a caller that already read the clock: now is
+// nanoseconds since Epoch. trace.Stats charges its own phase times from
+// the same reading, so the timeline's spans and the report's phase
+// times are one measurement, not two taken a preemption apart.
+func (t *Tracer) PhaseAt(p uint8, now int64) {
 	if t == nil {
 		return
 	}
-	now := t.Now()
 	if t.phaseOpen {
 		if t.openPhase == p {
 			return

@@ -1,7 +1,9 @@
 package phys
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/vec"
@@ -70,7 +72,8 @@ func SortByX(ps []Particle) {
 }
 
 // SortByID reorders particles by ascending ID, the canonical order used
-// when comparing parallel results against the serial reference.
+// when comparing parallel results against the serial reference. It does
+// not allocate (the cutoff loop sorts every step).
 func SortByID(ps []Particle) {
-	sort.Slice(ps, func(i, j int) bool { return ps[i].ID < ps[j].ID })
+	slices.SortFunc(ps, func(a, b Particle) int { return cmp.Compare(a.ID, b.ID) })
 }

@@ -122,8 +122,15 @@ func (s *PhaseStats) Max(o PhaseStats) {
 // the single-goroutine contract: the first mutating call binds the
 // owning goroutine and any mutation from another goroutine panics.
 type Stats struct {
-	phase   Phase
-	started time.Time
+	phase Phase
+	// epoch is the instant the phase clock counts from — the attached
+	// tracer's timeline epoch, else when the Stats was made — and
+	// started the offset at which the active phase began. A phase
+	// switch takes one reading, time.Since(epoch), which touches only
+	// the monotonic clock (time.Now reads two clocks), and both the
+	// phase times here and the tracer's phase spans are charged from it.
+	epoch   time.Time
+	started time.Duration
 	timing  bool
 	guard   guard
 	tracer  *obs.Tracer
@@ -137,7 +144,7 @@ type Stats struct {
 
 // NewStats returns a Stats positioned in the Other phase with timing
 // disabled.
-func NewStats() *Stats { return &Stats{phase: Other} }
+func NewStats() *Stats { return &Stats{phase: Other, epoch: time.Now()} }
 
 // SetTracer attaches a per-rank event tracer: subsequent SetPhase calls
 // emit timeline span events alongside the aggregate accounting. A nil
@@ -145,6 +152,13 @@ func NewStats() *Stats { return &Stats{phase: Other} }
 // check.
 func (s *Stats) SetTracer(t *obs.Tracer) {
 	s.tracer = t
+	if t != nil {
+		// Move to the timeline's clock, keeping the instant the active
+		// phase began.
+		e := t.Epoch()
+		s.started -= e.Sub(s.epoch)
+		s.epoch = e
+	}
 	s.tracer.Phase(uint8(s.phase))
 }
 
@@ -157,13 +171,15 @@ func (s *Stats) Tracer() *obs.Tracer { return s.tracer }
 // is emitted to the timeline.
 func (s *Stats) SetPhase(p Phase) {
 	s.guard.check()
-	if s.timing {
-		now := time.Now()
-		s.ByPhase[s.phase].Time += now.Sub(s.started)
-		s.started = now
+	if s.timing || s.tracer != nil {
+		now := time.Since(s.epoch)
+		if s.timing {
+			s.ByPhase[s.phase].Time += now - s.started
+			s.started = now
+		}
+		s.tracer.PhaseAt(uint8(p), int64(now))
 	}
 	s.phase = p
-	s.tracer.Phase(uint8(p))
 }
 
 // Phase returns the active phase.
@@ -173,7 +189,7 @@ func (s *Stats) Phase() Phase { return s.phase }
 func (s *Stats) StartTiming() {
 	s.guard.check()
 	s.timing = true
-	s.started = time.Now()
+	s.started = time.Since(s.epoch)
 }
 
 // StopTiming charges the time since the last phase switch and stops the
@@ -181,7 +197,7 @@ func (s *Stats) StartTiming() {
 func (s *Stats) StopTiming() {
 	s.guard.check()
 	if s.timing {
-		s.ByPhase[s.phase].Time += time.Since(s.started)
+		s.ByPhase[s.phase].Time += time.Since(s.epoch) - s.started
 		s.timing = false
 	}
 }

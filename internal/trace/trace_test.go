@@ -49,6 +49,42 @@ func TestTiming(t *testing.T) {
 	}
 }
 
+// TestPhaseTimesSumToWall: phases are charged as differences of
+// offsets from one epoch, one monotonic read per switch, so over many
+// switches the charges must telescope to the wall time between
+// StartTiming and StopTiming — nothing lost between the reading that
+// closes one phase and the one that opens the next.
+func TestPhaseTimesSumToWall(t *testing.T) {
+	s := NewStats()
+	t0 := time.Now()
+	s.StartTiming()
+	for i := 0; i < 20000; i++ {
+		s.SetPhase(Phase(i % int(numPhases)))
+	}
+	time.Sleep(2 * time.Millisecond)
+	s.StopTiming()
+	wall := time.Since(t0)
+	var sum time.Duration
+	for _, ps := range s.ByPhase {
+		sum += ps.Time
+	}
+	if diff := (wall - sum).Abs(); float64(diff) > 0.01*float64(wall) {
+		t.Errorf("phase times sum to %v over a wall time of %v (off by %v, want within 1%%)", sum, wall, diff)
+	}
+	// A second timed interval on the same Stats starts a new epoch and
+	// adds to the totals.
+	s.StartTiming()
+	time.Sleep(time.Millisecond)
+	s.StopTiming()
+	var again time.Duration
+	for _, ps := range s.ByPhase {
+		again += ps.Time
+	}
+	if again < sum+time.Millisecond {
+		t.Errorf("second interval added %v, want at least 1ms", again-sum)
+	}
+}
+
 func TestAggregateCriticalPathAndSum(t *testing.T) {
 	a, b := NewStats(), NewStats()
 	a.SetPhase(Shift)
