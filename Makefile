@@ -4,9 +4,9 @@
 
 GO ?= go
 
-.PHONY: check build vet test flake race obsdebug benchguard benchsmoke httpsmoke netsmoke placesmoke benchdiff bench benchrepo
+.PHONY: check build vet test purego crossbuild flake race obsdebug benchguard benchsmoke httpsmoke netsmoke placesmoke benchdiff bench benchrepo
 
-check: build vet test flake race obsdebug benchguard benchsmoke httpsmoke netsmoke placesmoke benchdiff
+check: build vet test purego crossbuild flake race obsdebug benchguard benchsmoke httpsmoke netsmoke placesmoke benchdiff
 
 build:
 	$(GO) build ./...
@@ -16,6 +16,21 @@ vet:
 
 test:
 	$(GO) test ./...
+
+# Portable-path gate. On an amd64 host with AVX2 the default build sends
+# the two repulsive kernel flavors the timestep loops run through the
+# assembly sweeps (internal/phys/sweep_amd64.s), so the Go loops they
+# replace — for the repulsive cutoff law, the only users of the
+# compaction sweep — run only in this build. `purego` compiles the
+# assembly out; every property test must hold here unchanged.
+purego:
+	$(GO) test -tags purego ./internal/phys/... ./internal/core/...
+
+# Cross-compile gate: the tree must build, and the phys build-tag split
+# must vet, for an architecture that has no assembly path.
+crossbuild:
+	GOARCH=arm64 $(GO) build ./...
+	GOARCH=arm64 $(GO) vet ./internal/phys/
 
 # Flake gate: the packages whose tests run rank goroutines, sockets or
 # HTTP servers, twenty times over. A test that is green once and red

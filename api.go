@@ -187,18 +187,20 @@ type Config struct {
 	// raising Workers only while P × Workers ≤ GOMAXPROCS; negative
 	// values are rejected.
 	Workers int
-	// Tile is the source-tile width of the force kernels: the inner
-	// loops stage this many sources at a time into a structure-of-
-	// arrays scratch and sweep the block across the targets with
-	// branch-free cutoff and minimum-image handling. Accumulation
-	// order is pinned to source order, so — like Workers — every width
-	// produces bitwise-identical trajectories and identical measured
-	// communication; the knob trades only speed. 0 (the default) picks
-	// the tuned policy: the kernel flavors that may skip beyond-cutoff
-	// pairs run tiled at the full scratch width (64), the rest keep
-	// their classic loops. Positive widths force the tiled loops at
-	// that width (clamped to the scratch cap, 64); negative values are
-	// rejected.
+	// Tile is the compaction tile width of the force kernels: the
+	// kernel flavors that may skip beyond-cutoff pairs stage this many
+	// sources at a time into a structure-of-arrays scratch, compact the
+	// pairs in reach with branch-free cutoff and minimum-image
+	// handling, and sweep those. Accumulation order is pinned to source
+	// order, so — like Workers — every width produces bitwise-identical
+	// trajectories and identical measured communication; the knob
+	// trades only speed. 0 (the default) is the tuned width, the full
+	// scratch (64); positive widths are clamped to it; negative values
+	// are rejected. The flavors that must add for every pair have one
+	// loop each and ignore the knob, and so does the AVX2 sweep that
+	// replaces the repulsive compaction loop on CPUs that have it — on
+	// such a host the knob only reaches Lennard-Jones cutoff runs, the
+	// cell list and the midpoint algorithm.
 	Tile int
 	// EncodedTransport selects the serialize-and-ship message path for
 	// the CA timestep loops instead of the default zero-copy typed

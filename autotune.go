@@ -136,8 +136,8 @@ type TileTuneResult struct {
 	Err     error // non-nil when the width is infeasible
 }
 
-// AutotuneTile empirically selects the force-kernel source-tile width
-// (Config.Tile) the same way AutotuneWorkers selects the pool width:
+// AutotuneTile empirically selects the force kernels' compaction tile
+// width (Config.Tile) the same way AutotuneWorkers selects the pool width:
 // it runs trialSteps timesteps of cfg at every candidate width and
 // returns the fastest, together with all trial results sorted by
 // width. Tiling is bitwise-invariant — every width reproduces the
@@ -145,10 +145,10 @@ type TileTuneResult struct {
 // is purely a speed question and tuning on a short prefix of a long
 // run is safe.
 //
-// Candidates may be nil, in which case the auto policy (0 — tiled
-// compaction loops where pair skipping is legal, classic loops
-// elsewhere) and the powers of two from 1 up to the tile cap are
-// tried. The returned width can be assigned directly to Config.Tile.
+// Candidates may be nil, in which case the default (0, the tuned
+// width) and the powers of two from 1 up to the tile cap are tried.
+// Only configurations whose kernels compact have anything to tune
+// (see Config.Tile). The returned width can be assigned directly to Config.Tile.
 func AutotuneTile(cfg Config, trialSteps int, candidates []int) (int, []TileTuneResult, error) {
 	cfg = cfg.withDefaults()
 	if trialSteps <= 0 {

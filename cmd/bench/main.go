@@ -160,6 +160,7 @@ type report struct {
 	Kind          string                  `json:"kind"`
 	GoVersion     string                  `json:"go_version"`
 	GOMAXPROCS    int                     `json:"gomaxprocs"`
+	KernelImpl    string                  `json:"kernel_impl"` // phys.KernelImpl: "avx2" or "portable"
 	Kernels       []result                `json:"kernels,omitempty"`
 	TileKernels   []tileKernelResult      `json:"tile_kernels,omitempty"`
 	Speedups      map[string]float64      `json:"speedups,omitempty"`
@@ -212,6 +213,7 @@ func main() {
 			Kind:       reportKind,
 			GoVersion:  runtime.Version(),
 			GOMAXPROCS: runtime.GOMAXPROCS(0),
+			KernelImpl: phys.KernelImpl(),
 			Metrics:    map[string]float64{},
 		}
 		rep.Timesteps = append(rep.Timesteps, timeAllPairs(), timeCutoff())
@@ -285,6 +287,7 @@ func main() {
 		Kind:       reportKind,
 		GoVersion:  runtime.Version(),
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		KernelImpl: phys.KernelImpl(),
 		Speedups:   map[string]float64{},
 		Metrics:    map[string]float64{},
 	}
@@ -678,47 +681,35 @@ func transportCutoff(reps int) transportResult {
 	return tr
 }
 
-// benchTileKernels times the tile-width × kernel grid: every potential
-// kernel at every explicit tile width on the same batch, against the
+// benchTileKernels times the tile-width × kernel grid: the kernels that
+// compact, at every explicit tile width on the same batch, against the
 // classic untiled loop (tile = -1) as baseline. All cells compute
 // bit-identical forces — tiling pins accumulation to source order — so
-// the grid is a pure speed surface. It is also why Config.Tile = 0
-// routes only the compaction flavors (the *_in rows, and the cell-list
-// sweeps) to the tiled loops: the grid shows the mandatory-add rows
-// (rep_open, rep_cut, lj_cut) at or below 1.0x at every width, while
-// the compaction rows peak at the full tile cap.
+// the grid is a pure speed surface. The flavors that must add for every
+// pair are not in it: their tiled forms lost to the classic loops at
+// every width (BENCH_PR8.json has the rows) and are gone. On a host
+// where phys.KernelImpl is "avx2" the rep_cut_in row is flat, because
+// the vector sweep replaces that loop at every tile setting; build with
+// -tags purego to time its compaction loop.
 func benchTileKernels(targets, sources []phys.Particle, box phys.Box) []tileKernelResult {
 	tiles := []int{-1, 1, 8, 16, 32, 64}
 	kernels := []struct {
 		name string
 		law  phys.Law
-		in   bool // AccumulateIn (box metric) instead of Accumulate
 	}{
-		{"rep_open", phys.Law{Kind: phys.Repulsive, K: 1.3, Softening: 1e-3}, false},
-		{"rep_cut", phys.Law{Kind: phys.Repulsive, K: 1.3, Softening: 1e-3, Cutoff: 0.9}, false},
-		{"lj_cut", phys.LJLaw(0.7, 0.4).WithCutoff(0.9), false},
-		{"rep_cut_in", phys.Law{Kind: phys.Repulsive, K: 1.3, Softening: 1e-3, Cutoff: 0.9}, true},
-		{"lj_cut_in", phys.LJLaw(0.7, 0.4).WithCutoff(0.9), true},
+		{"rep_cut_in", phys.Law{Kind: phys.Repulsive, K: 1.3, Softening: 1e-3, Cutoff: 0.9}},
+		{"lj_cut_in", phys.LJLaw(0.7, 0.4).WithCutoff(0.9)},
 	}
 	var out []tileKernelResult
 	for _, kc := range kernels {
 		var base float64
 		for _, tile := range tiles {
 			kern := kc.law.Kernel().WithTile(tile)
-			var r testing.BenchmarkResult
-			if kc.in {
-				r = testing.Benchmark(func(b *testing.B) {
-					for i := 0; i < b.N; i++ {
-						kern.AccumulateIn(targets, sources, box)
-					}
-				})
-			} else {
-				r = testing.Benchmark(func(b *testing.B) {
-					for i := 0; i < b.N; i++ {
-						kern.Accumulate(targets, sources)
-					}
-				})
-			}
+			r := testing.Benchmark(func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					kern.AccumulateIn(targets, sources, box)
+				}
+			})
 			ns := float64(r.T.Nanoseconds()) / float64(r.N)
 			if tile < 0 {
 				base = ns

@@ -31,7 +31,7 @@ func main() {
 		p           = flag.Int("p", 16, "number of ranks (goroutines)")
 		c           = flag.Int("c", 1, "replication factor")
 		workers     = flag.Int("workers", 0, "intra-rank force workers per rank (0 = spread GOMAXPROCS over ranks)")
-		tile        = flag.Int("tile", 0, "force-kernel source-tile width (0 = tuned default; bitwise-invariant)")
+		tile        = flag.Int("tile", 0, "compaction tile width of the cutoff force kernels (0 = tuned default; bitwise-invariant)")
 		dim         = flag.Int("dim", 2, "spatial dimension (1 or 2)")
 		cutoff      = flag.Float64("cutoff", 0, "cutoff radius (0 = all pairs)")
 		steps       = flag.Int("steps", 10, "timesteps to run")

@@ -38,7 +38,7 @@ func main() {
 		cutoff     = flag.Float64("cutoff", 0, "cutoff radius (0 = all pairs)")
 		steps      = flag.Int("steps", 5, "timesteps per configuration")
 		workers    = flag.Int("workers", 0, "intra-rank force workers per rank (0 = spread GOMAXPROCS over ranks)")
-		tile       = flag.Int("tile", 0, "force-kernel source-tile width (0 = tuned default; bitwise-invariant)")
+		tile       = flag.Int("tile", 0, "compaction tile width of the cutoff force kernels (0 = tuned default; bitwise-invariant)")
 		csFlag     = flag.String("cs", "1,2,4,8", "comma-separated replication factors")
 		autotune   = flag.Bool("autotune", false, "pick c automatically instead of sweeping")
 		autotuneW  = flag.Bool("autotune-workers", false, "pick the worker-pool width automatically instead of sweeping")

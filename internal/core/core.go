@@ -54,14 +54,17 @@ type Params struct {
 	// to 1 when P alone already oversubscribes the machine. Negative
 	// values are rejected by validation.
 	Workers int
-	// Tile is the source-tile width for the force kernels: the inner
-	// loops stage this many sources into a structure-of-arrays scratch
-	// and sweep the block across the targets (phys.Kernel.WithTile).
-	// Accumulation order is pinned to source order, so every width
-	// produces bitwise-identical states. 0 picks the tuned default
-	// policy (tiled compaction loops where skipping is legal, classic
-	// loops elsewhere); positive widths force the tiled loops, clamped
-	// at the cap. Negative values are rejected by validation.
+	// Tile is the compaction tile width of the force kernels: the
+	// flavors that may skip beyond-cutoff pairs (AccumulateIn with a
+	// cutoff, the cell list, midpoint's staged sweep) stage this many
+	// sources into a structure-of-arrays scratch, compact the pairs in
+	// reach and sweep those (phys.Kernel.WithTile). Accumulation order
+	// is pinned to source order, so every width produces
+	// bitwise-identical states. 0 picks the tuned default width;
+	// positive widths are clamped at the cap. The remaining flavors have
+	// one loop each and ignore it, as does the AVX2 sweep that stands in
+	// for the repulsive compaction loop where the CPU has it. Negative
+	// values are rejected by validation.
 	Tile int
 	// Record, when non-nil on an observed run, receives one flight-
 	// recorder sample per timestep (per-phase walls and traffic, bounds

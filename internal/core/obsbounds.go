@@ -65,6 +65,15 @@ func newStepProbe(world *comm.Comm, perS, perW float64) *stepProbe {
 	if mx == nil {
 		return nil
 	}
+	if world.Rank() == 0 {
+		// Which force kernels the run's compute times come from: 1 for
+		// the AVX2 sweeps, 0 for the Go loops (phys.KernelImpl).
+		var avx2 int64
+		if phys.KernelImpl() == "avx2" {
+			avx2 = 1
+		}
+		mx.Gauge("compute.kernel_avx2").Set(avx2)
+	}
 	return &stepProbe{
 		st:    world.Stats(),
 		sMeas: mx.Gauge("comm.s.measured"),
@@ -103,11 +112,13 @@ func (p *stepProbe) stampStep() {
 
 // stampReport stores the whole-run lower bounds on the aggregated
 // report so its footer (and JSON summary) can print the measured-over-
-// bound optimality ratios. Safe on a nil report (failed runs).
+// bound optimality ratios, and the force-kernel implementation its
+// compute times came from. Safe on a nil report (failed runs).
 func stampReport(rep *trace.Report, perS, perW float64, steps int) {
 	if rep == nil {
 		return
 	}
+	rep.KernelImpl = phys.KernelImpl()
 	rep.SLowerBound = perS * float64(steps)
 	rep.WLowerBound = perW * float64(steps)
 }

@@ -235,3 +235,33 @@ func TestDroppedWarning(t *testing.T) {
 		t.Error("default-capacity run spuriously warned about dropped events")
 	}
 }
+
+// TestKernelImplAttribution checks that a run says which force-kernel
+// implementation its compute times came from, wherever a recorded
+// number can end up: the report footer, the summary JSON and, on an
+// observed run, the compute.kernel_avx2 gauge.
+func TestKernelImplAttribution(t *testing.T) {
+	impl := phys.KernelImpl()
+	if impl != "avx2" && impl != "portable" {
+		t.Fatalf("phys.KernelImpl() = %q", impl)
+	}
+	const p, c = 4, 2
+	pr := defaultParams(p, c, 2)
+	ob := obs.NewObserver(p, 0)
+	pr.Options.Observe = ob
+	_, rep, err := AllPairs(phys.InitUniform(32, pr.Box, 13), pr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.KernelImpl != impl || rep.Summary().KernelImpl != impl {
+		t.Errorf("report says kernel %q, summary %q, phys %q", rep.KernelImpl, rep.Summary().KernelImpl, impl)
+	}
+	if s := rep.String(); !strings.Contains(s, "force kernel") || !strings.HasSuffix(strings.TrimRight(s, "\n"), impl) {
+		t.Errorf("report footer does not end with the force kernel line for %q:\n%s", impl, s)
+	}
+	gauges := ob.Metrics.Snapshot().Gauges
+	got, ok := gauges["compute.kernel_avx2"]
+	if want := map[string]int64{"avx2": 1, "portable": 0}[impl]; !ok || got != want {
+		t.Errorf("compute.kernel_avx2 gauge = %d (present %v), want %d", got, ok, want)
+	}
+}

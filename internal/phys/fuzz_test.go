@@ -2,6 +2,8 @@ package phys
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
 	"testing"
 )
 
@@ -25,6 +27,91 @@ func FuzzDecodeSlice(f *testing.F) {
 		round := EncodeSlice(ps)
 		if !bytes.Equal(round, data) {
 			t.Fatalf("re-encode mismatch: %d vs %d bytes", len(round), len(data))
+		}
+	})
+}
+
+// FuzzSweepMatchesGo holds the path Accumulate and AccumulateIn select
+// for the repulsive law on this build — the AVX2 sweeps where the CPU
+// has them, the compaction loop under a cutoff elsewhere — to the plain
+// Go loops: same pair count, and every force equal bit for bit (two
+// NaNs count as equal; overflowing inputs make them, and their payloads
+// are not part of the contract). raw overwrites coordinates, sources
+// first, with whatever finite doubles the fuzzer invents: out-of-box
+// positions, coincident pairs, values whose squares overflow (in a
+// reflective box; a periodic one takes images up to a hundred boxes out).
+func FuzzSweepMatchesGo(f *testing.F) {
+	f.Add(uint64(1), uint8(9), uint8(13), uint8(0), 1e-3, 0.0, []byte{})
+	f.Add(uint64(2), uint8(8), uint8(8), uint8(3), 0.0, 0.9, []byte{})
+	f.Add(uint64(3), uint8(5), uint8(70), uint8(6), 1e-3, 1.4, binary.LittleEndian.AppendUint64(nil, math.Float64bits(7.9)))
+	f.Add(uint64(4), uint8(12), uint8(3), uint8(9), 0.0, 0.0, binary.LittleEndian.AppendUint64(nil, math.Float64bits(1e200)))
+	f.Fuzz(func(t *testing.T, seed uint64, nt, ns, mode uint8, soft, rc float64, raw []byte) {
+		if !(soft >= 0 && soft <= 1) {
+			soft = 0
+		}
+		if !(rc >= 0 && rc <= 10) {
+			rc = 0
+		}
+		box := Box{L: 3, Dim: 1 + int(mode&1), Boundary: Boundary(mode >> 1 & 1)}
+		targets := InitUniform(int(nt%40), box, seed)
+		sources := InitUniform(int(ns%90), box, seed+1)
+		for j := range sources {
+			sources[j].ID += uint32(mode >> 2) // how many IDs the slices share
+		}
+		seedForces(targets)
+		coord := func(i int) *float64 {
+			ps := sources
+			if i >= 2*len(ps) {
+				i -= 2 * len(ps)
+				ps = targets
+			}
+			if i >= 2*len(ps) {
+				return nil
+			}
+			if i%2 == 0 {
+				return &ps[i/2].Pos.X
+			}
+			return &ps[i/2].Pos.Y
+		}
+		for i := 0; len(raw) >= 8; i, raw = i+1, raw[8:] {
+			c := coord(i)
+			if c == nil {
+				break
+			}
+			v := math.Float64frombits(binary.LittleEndian.Uint64(raw))
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				continue
+			}
+			// minImage1 walks a displacement home one box length at a
+			// time, so a far image costs the reference loop that many
+			// iterations (and a displacement l cannot move, forever).
+			if box.Boundary == Periodic && math.Abs(v) > 100*box.L {
+				continue
+			}
+			*c = v
+		}
+
+		k := Law{Kind: Repulsive, K: 1.3, Softening: soft, Cutoff: rc}.Kernel()
+		want := append([]Particle(nil), targets...)
+		got := append([]Particle(nil), targets...)
+		var nWant, nGot int64
+		if rc > 0 {
+			nWant = k.accumulateInRepCut(want, sources, box)
+			nGot = k.AccumulateIn(got, sources, box)
+		} else {
+			nWant = k.accumulateRepOpen(want, sources)
+			nGot = k.Accumulate(got, sources)
+		}
+		if nGot != nWant {
+			t.Fatalf("counted %d pairs, Go loop %d", nGot, nWant)
+		}
+		same := func(a, b float64) bool { return bitsEqual(a, b) || math.IsNaN(a) && math.IsNaN(b) }
+		for i := range got {
+			if !same(got[i].Force.X, want[i].Force.X) || !same(got[i].Force.Y, want[i].Force.Y) {
+				t.Fatalf("target %d: force (%x, %x), Go loop (%x, %x)", i,
+					math.Float64bits(got[i].Force.X), math.Float64bits(got[i].Force.Y),
+					math.Float64bits(want[i].Force.X), math.Float64bits(want[i].Force.Y))
+			}
 		}
 	})
 }

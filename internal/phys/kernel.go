@@ -10,10 +10,12 @@ import "math"
 // local and never consult the Law again. The flavors whose reference
 // semantics permit skipping force-free pairs (the box-metric cutoff
 // loops here, and the cell-list sweeps) run by default in their tiled
-// SoA gate-compact-sweep form (see kernel_tiled.go); WithTile tunes the
-// tile width, forces the tiled form for the remaining flavors, or
-// selects the classic untiled loops below — every choice
-// bitwise-identical.
+// SoA gate-compact-sweep form (see kernel_tiled.go); WithTile sets their
+// tile width or selects the classic untiled loops below. On a CPU with
+// AVX2 the two repulsive flavors the timestep loops run — Accumulate
+// without a cutoff and AccumulateIn with one — take a vector sweep
+// instead, at every tile setting (see sweep_amd64.go; KernelImpl says
+// which). Every choice is bitwise-identical.
 //
 // The specialized loops are bitwise-identical to the generic
 // Law.Pair-per-pair path (AccumulateGeneric, AccumulateInGeneric): they
@@ -36,7 +38,7 @@ type Kernel struct {
 	sig2   float64 // σ²
 	soft2  float64 // softening²
 	rc2    float64 // cutoff²
-	tile   int     // source-tile knob (see WithTile): 0 auto, >0 explicit, <0 untiled
+	tile   int     // compaction tile width (see WithTile): 0 auto, >0 explicit, <0 untiled
 }
 
 // Kernel compiles the law into its specialized inner-loop form. The
@@ -54,30 +56,27 @@ func (l Law) Kernel() Kernel {
 	}
 }
 
+// KernelImpl names the implementation Accumulate and AccumulateIn select
+// on this host for the flavors that have a vector sweep: "avx2", or
+// "portable" for the Go loops. Timings are only comparable between runs
+// that agree on it; results are identical either way.
+func KernelImpl() string {
+	if useAVX2 {
+		return "avx2"
+	}
+	return "portable"
+}
+
 // Accumulate is the specialized form of Law.Accumulate: it adds to every
 // target's force accumulator the force from every source, skipping (and
 // not counting) equal-ID pairs, and returns the number of pair
 // evaluations performed. The kind/cutoff dispatch happens once per call.
 //
 // Accumulate's flavors add an exact +0 for every counted force-free
-// pair, so no pair may be compacted away and tiling buys only the SoA
-// layout — measured slower than the classic loops here, where the
-// divider rather than memory is the bottleneck. The auto tile (0)
-// therefore keeps the classic loops; an explicit positive width forces
-// the tiled form (bitwise-identical, for tuning and benchmarks).
+// pair, so no pair may be compacted away; their scalar loops sit at the
+// divider bound and staging sources in tiles measured slower at every
+// width, so the tile knob does not reach them.
 func (k *Kernel) Accumulate(targets, sources []Particle) int64 {
-	if tw := TileWidth(k.tile); k.tile > 0 && tw > 0 {
-		switch {
-		case k.lj && k.hasCut:
-			return k.accumulateLJCutTiled(targets, sources, tw)
-		case k.lj:
-			return k.accumulateLJOpenTiled(targets, sources, tw)
-		case k.hasCut:
-			return k.accumulateRepCutTiled(targets, sources, tw)
-		default:
-			return k.accumulateRepOpenTiled(targets, sources, tw)
-		}
-	}
 	switch {
 	case k.lj && k.hasCut:
 		return k.accumulateLJCut(targets, sources)
@@ -85,6 +84,8 @@ func (k *Kernel) Accumulate(targets, sources []Particle) int64 {
 		return k.accumulateLJOpen(targets, sources)
 	case k.hasCut:
 		return k.accumulateRepCut(targets, sources)
+	case useAVX2:
+		return k.sweepRepOpen(targets, sources)
 	default:
 		return k.accumulateRepOpen(targets, sources)
 	}
@@ -96,21 +97,21 @@ func (k *Kernel) Accumulate(targets, sources []Particle) int64 {
 // path does.
 //
 // The cutoff flavors skip beyond-cutoff pairs without any add, which
-// legalizes the tiled gate-compact-sweep loops (the headline win of the
-// tiling — see kernel_tiled.go), so they run tiled by default. The open
-// flavors must add for every counted pair, like Accumulate, and keep
-// the classic loops under the auto tile.
+// legalizes the tiled gate-compact-sweep loops (see kernel_tiled.go), so
+// they run tiled unless the tile knob is negative. The open flavors must
+// add for every counted pair, like Accumulate, and have only the classic
+// loops.
 func (k *Kernel) AccumulateIn(targets, sources []Particle, box Box) int64 {
-	if tw := TileWidth(k.tile); tw > 0 && k.hasCut {
-		if k.lj {
-			return k.accumulateInLJCutTiled(targets, sources, box, tw)
+	if k.hasCut {
+		if useAVX2 && !k.lj {
+			return k.sweepInRepCut(targets, sources, box)
 		}
-		return k.accumulateInRepCutTiled(targets, sources, box, tw)
-	} else if k.tile > 0 && tw > 0 {
-		if k.lj {
-			return k.accumulateInLJOpenTiled(targets, sources, box, tw)
+		if tw := TileWidth(k.tile); tw > 0 {
+			if k.lj {
+				return k.accumulateInLJCutTiled(targets, sources, box, tw)
+			}
+			return k.accumulateInRepCutTiled(targets, sources, box, tw)
 		}
-		return k.accumulateInRepOpenTiled(targets, sources, box, tw)
 	}
 	switch {
 	case k.lj && k.hasCut:

@@ -196,6 +196,18 @@ func TestKernelAllocs(t *testing.T) {
 		t.Errorf("Kernel.AccumulateIn allocated %.1f times per run, want 0", a)
 	}
 
+	// The two repulsive flavors the timestep loops run take the AVX2
+	// sweeps where the CPU has them (KernelImpl): their lane state and
+	// spread constants must stay on the stack too.
+	rep := DefaultLaw().Kernel()
+	if a := testing.AllocsPerRun(10, func() { rep.Accumulate(targets, sources) }); a != 0 {
+		t.Errorf("%s repulsive Accumulate allocated %.1f times per run, want 0", KernelImpl(), a)
+	}
+	repCut := DefaultLaw().WithCutoff(0.9).Kernel()
+	if a := testing.AllocsPerRun(10, func() { repCut.AccumulateIn(targets, sources, box) }); a != 0 {
+		t.Errorf("%s repulsive cutoff AccumulateIn allocated %.1f times per run, want 0", KernelImpl(), a)
+	}
+
 	cl := NewCellList(targets, law.Cutoff, box)
 	if a := testing.AllocsPerRun(10, func() { cl.Forces(targets, law) }); a != 0 {
 		t.Errorf("CellList.Forces allocated %.1f times per run, want 0", a)

@@ -14,34 +14,26 @@ import (
 // once per tile instead of once per target, and the sweep indexes three
 // dense arrays instead of striding through 52-byte particles.
 //
-// Two loop strategies share the tiling, picked by what the reference
-// path does with a pair that contributes no force:
+// Only the flavors that may compact are tiled. The AccumulateIn cutoff
+// and cell-list flavors skip beyond-cutoff pairs without any add, which
+// legalizes compaction: a gating pass computes each lane's box-metric
+// displacement with sign-mask arithmetic (vec.NegMask) instead of
+// data-dependent branches and compacts the survivors in source order
+// into a scratch (cutScratch); a sweep pass then runs the sqrt/divide
+// weights over the dense survivors — four sqrt lanes in flight to break
+// SQRTSD's false output dependency (extending the untiled loops'
+// two-wide unroll), two divide lanes for LJ — whose cutoff branch has
+// vanished and whose `r2 != 0` branch is all but never taken. At
+// typical cutoff densities the gating pass discards two thirds of the
+// lanes before they reach the divider (the measured win is 1.5-1.8x).
 //
-//   - The AccumulateIn cutoff and cell-list flavors skip beyond-cutoff
-//     pairs without any add, which legalizes compaction: a gating pass
-//     computes each lane's box-metric displacement with sign-mask
-//     arithmetic (vec.NegMask) instead of data-dependent branches and
-//     compacts the survivors in source order into a scratch
-//     (cutScratch); a sweep pass then runs the sqrt/divide weights over
-//     the dense survivors — four sqrt lanes in flight to break SQRTSD's
-//     false output dependency (extending the untiled loops' two-wide
-//     unroll), two divide lanes for LJ — whose cutoff branch has
-//     vanished and whose `r2 != 0` branch is all but never taken. At
-//     typical cutoff densities the gating pass discards two thirds of
-//     the lanes before they reach the divider. These flavors run tiled
-//     by default (the measured win is 1.5-1.8x).
-//
-//   - The Accumulate and open-law AccumulateIn flavors add an exact +0
-//     for every counted force-free pair (beyond cutoff or coincident),
-//     so no pair's arithmetic may be skipped or reordered. Their tiled
-//     loops keep the untiled paths' branch structure — the same
-//     predictable `d2 <= rc2` / `r2 != 0` tests guarding the expensive
-//     weight math — over the SoA lanes. With every pair's weight
-//     mandatory, the divider is the bottleneck and the SoA layout buys
-//     nothing at these working-set sizes (measured slightly slower than
-//     the classic loops, and masking instead of branching measured
-//     slower still), so the auto tile routes these flavors to the
-//     classic loops; an explicit positive width forces the tiled form.
+// The Accumulate and open-law AccumulateIn flavors add an exact +0 for
+// every counted force-free pair (beyond cutoff or coincident), so no
+// pair's arithmetic may be skipped. With every pair's weight mandatory
+// the scalar divider is the bottleneck; tiled forms of those six loops
+// measured 0.50-0.98x of the classic ones at every width and were
+// deleted. What lifts that bound is doing four divisions at once
+// (sweep_amd64.go), not staging.
 //
 // Bitwise contract. Every tiled loop is bit-identical to its untiled
 // counterpart — and hence to the generic per-pair reference — for every
@@ -67,14 +59,16 @@ import (
 // applies: σ², r_c², ε_s², 24ε only. Folding σ⁶, 1/r_c², or the l/2 of
 // the wrap into other constants would reassociate low-order bits.
 
-// WithTile returns a copy of k with the tile knob set: 0 (the default)
-// selects the auto policy — the compaction flavors run tiled at
-// vec.DefaultTile, the mandatory-zero-add flavors keep the classic
-// loops that measure faster for them — positive widths force the tiled
-// loops everywhere (clamped to vec.TileCap), and negative values select
-// the classic untiled loops everywhere. Every setting is
-// bitwise-identical; the knob exists for tuning and for benchmarking
-// the shapes against each other.
+// WithTile returns a copy of k with the tile knob set. The knob reaches
+// only the flavors that compact (AccumulateIn with a cutoff, the
+// cell-list sweeps, and through TileWidth the midpoint loop's staged
+// sweep): 0 (the default) runs them tiled at vec.DefaultTile, a positive
+// value sets the tile width (clamped to vec.TileCap), and a negative
+// value selects their classic untiled loops. The other flavors have one
+// loop each and ignore it, as does the AVX2 sweep where it stands in for
+// the repulsive compaction loop. Every setting is bitwise-identical; the
+// knob exists for tuning and for benchmarking the shapes against each
+// other.
 func (k Kernel) WithTile(tile int) Kernel {
 	k.tile = tile
 	return k
@@ -320,416 +314,6 @@ func fillTile(soa *vec.SoA, sources []Particle, base, nt int) {
 		s := &sources[base+j]
 		soa.X[j], soa.Y[j], soa.ID[j] = s.Pos.X, s.Pos.Y, s.ID
 	}
-}
-
-// The Accumulate flavors add a value for every counted pair — the force
-// or the generic path's +0 — so their pairs cannot be compacted away.
-// Their tiled bodies keep the untiled loops' branch structure (the
-// cutoff and coincidence tests predict well and skip the expensive
-// weight math; computing every lane's weight and masking it off was
-// measured distinctly slower at realistic cutoff densities) and differ
-// only in reading the SoA tile and, for the repulsive flavors, in
-// keeping four sqrt lanes in flight instead of two.
-
-func (k *Kernel) accumulateRepOpenTiled(targets, sources []Particle, tw int) int64 {
-	kk, soft2 := k.k, k.soft2
-	var soa vec.SoA
-	var n int64
-	for base := 0; base < len(sources); base += tw {
-		nt := len(sources) - base
-		if nt > tw {
-			nt = tw
-		}
-		fillTile(&soa, sources, base, nt)
-		for i := range targets {
-			t := &targets[i]
-			fx, fy := t.Force.X, t.Force.Y
-			px, py, id := t.Pos.X, t.Pos.Y, t.ID
-			j := 0
-			for ; j+1 < nt; j += 2 {
-				var w0, w1, dx0, dy0, dx1, dy1 float64
-				ok0, ok1 := false, false
-				if soa.ID[j] != id {
-					n++
-					dx0 = px - soa.X[j]
-					dy0 = py - soa.Y[j]
-					r2 := dx0*dx0 + dy0*dy0 + soft2
-					if r2 != 0 {
-						w0 = kk / (r2 * math.Sqrt(r2))
-						ok0 = true
-					}
-				}
-				if soa.ID[j+1] != id {
-					n++
-					dx1 = px - soa.X[j+1]
-					dy1 = py - soa.Y[j+1]
-					r2 := dx1*dx1 + dy1*dy1 + soft2
-					if r2 != 0 {
-						w1 = kk / (r2 * math.Sqrt(r2))
-						ok1 = true
-					}
-				}
-				if ok0 {
-					fx += w0 * dx0
-					fy += w0 * dy0
-				} else if soa.ID[j] != id {
-					fx += 0
-					fy += 0
-				}
-				if ok1 {
-					fx += w1 * dx1
-					fy += w1 * dy1
-				} else if soa.ID[j+1] != id {
-					fx += 0
-					fy += 0
-				}
-			}
-			for ; j < nt; j++ {
-				if soa.ID[j] == id {
-					continue
-				}
-				n++
-				dx := px - soa.X[j]
-				dy := py - soa.Y[j]
-				r2 := dx*dx + dy*dy + soft2
-				if r2 == 0 {
-					fx += 0
-					fy += 0
-					continue
-				}
-				w := kk / (r2 * math.Sqrt(r2))
-				fx += w * dx
-				fy += w * dy
-			}
-			t.Force.X, t.Force.Y = fx, fy
-		}
-	}
-	return n
-}
-
-func (k *Kernel) accumulateRepCutTiled(targets, sources []Particle, tw int) int64 {
-	kk, soft2, rc2 := k.k, k.soft2, k.rc2
-	var soa vec.SoA
-	var n int64
-	for base := 0; base < len(sources); base += tw {
-		nt := len(sources) - base
-		if nt > tw {
-			nt = tw
-		}
-		fillTile(&soa, sources, base, nt)
-		for i := range targets {
-			t := &targets[i]
-			fx, fy := t.Force.X, t.Force.Y
-			px, py, id := t.Pos.X, t.Pos.Y, t.ID
-			j := 0
-			for ; j+1 < nt; j += 2 {
-				var w0, w1, dx0, dy0, dx1, dy1 float64
-				// Every counted pair without a force (beyond cutoff or
-				// exactly coincident) gets the zero add below, so
-				// `counted && !ok` is exactly the zero-add condition.
-				ok0, ok1 := false, false
-				if soa.ID[j] != id {
-					n++
-					dx0 = px - soa.X[j]
-					dy0 = py - soa.Y[j]
-					d2 := dx0*dx0 + dy0*dy0
-					if d2 <= rc2 {
-						r2 := d2 + soft2
-						if r2 != 0 {
-							w0 = kk / (r2 * math.Sqrt(r2))
-							ok0 = true
-						}
-					}
-				}
-				if soa.ID[j+1] != id {
-					n++
-					dx1 = px - soa.X[j+1]
-					dy1 = py - soa.Y[j+1]
-					d2 := dx1*dx1 + dy1*dy1
-					if d2 <= rc2 {
-						r2 := d2 + soft2
-						if r2 != 0 {
-							w1 = kk / (r2 * math.Sqrt(r2))
-							ok1 = true
-						}
-					}
-				}
-				if ok0 {
-					fx += w0 * dx0
-					fy += w0 * dy0
-				} else if soa.ID[j] != id {
-					fx += 0
-					fy += 0
-				}
-				if ok1 {
-					fx += w1 * dx1
-					fy += w1 * dy1
-				} else if soa.ID[j+1] != id {
-					fx += 0
-					fy += 0
-				}
-			}
-			for ; j < nt; j++ {
-				if soa.ID[j] == id {
-					continue
-				}
-				n++
-				dx := px - soa.X[j]
-				dy := py - soa.Y[j]
-				d2 := dx*dx + dy*dy
-				if d2 > rc2 {
-					fx += 0
-					fy += 0
-					continue
-				}
-				r2 := d2 + soft2
-				if r2 == 0 {
-					fx += 0
-					fy += 0
-					continue
-				}
-				w := kk / (r2 * math.Sqrt(r2))
-				fx += w * dx
-				fy += w * dy
-			}
-			t.Force.X, t.Force.Y = fx, fy
-		}
-	}
-	return n
-}
-
-func (k *Kernel) accumulateLJOpenTiled(targets, sources []Particle, tw int) int64 {
-	e24, sig2, soft2 := k.e24, k.sig2, k.soft2
-	var soa vec.SoA
-	var n int64
-	for base := 0; base < len(sources); base += tw {
-		nt := len(sources) - base
-		if nt > tw {
-			nt = tw
-		}
-		fillTile(&soa, sources, base, nt)
-		for i := range targets {
-			t := &targets[i]
-			fx, fy := t.Force.X, t.Force.Y
-			px, py, id := t.Pos.X, t.Pos.Y, t.ID
-			for j := 0; j < nt; j++ {
-				if soa.ID[j] == id {
-					continue
-				}
-				n++
-				dx := px - soa.X[j]
-				dy := py - soa.Y[j]
-				r2 := dx*dx + dy*dy + soft2
-				if r2 == 0 {
-					fx += 0
-					fy += 0
-					continue
-				}
-				s2 := sig2 / r2
-				s6 := s2 * s2 * s2
-				s12 := s6 * s6
-				w := e24 * (2*s12 - s6) / r2
-				fx += w * dx
-				fy += w * dy
-			}
-			t.Force.X, t.Force.Y = fx, fy
-		}
-	}
-	return n
-}
-
-func (k *Kernel) accumulateLJCutTiled(targets, sources []Particle, tw int) int64 {
-	e24, sig2, soft2, rc2 := k.e24, k.sig2, k.soft2, k.rc2
-	var soa vec.SoA
-	var n int64
-	for base := 0; base < len(sources); base += tw {
-		nt := len(sources) - base
-		if nt > tw {
-			nt = tw
-		}
-		fillTile(&soa, sources, base, nt)
-		for i := range targets {
-			t := &targets[i]
-			fx, fy := t.Force.X, t.Force.Y
-			px, py, id := t.Pos.X, t.Pos.Y, t.ID
-			for j := 0; j < nt; j++ {
-				if soa.ID[j] == id {
-					continue
-				}
-				n++
-				dx := px - soa.X[j]
-				dy := py - soa.Y[j]
-				d2 := dx*dx + dy*dy
-				if d2 > rc2 {
-					fx += 0
-					fy += 0
-					continue
-				}
-				r2 := d2 + soft2
-				if r2 == 0 {
-					fx += 0
-					fy += 0
-					continue
-				}
-				s2 := sig2 / r2
-				s6 := s2 * s2 * s2
-				s12 := s6 * s6
-				w := e24 * (2*s12 - s6) / r2
-				fx += w * dx
-				fy += w * dy
-			}
-			t.Force.X, t.Force.Y = fx, fy
-		}
-	}
-	return n
-}
-
-// The AccumulateIn open flavors have no cutoff to compact on — every
-// counted pair adds — so they mirror the untiled box-metric loops over
-// the SoA tile. They sit off the hot paths (the timestep loops pair the
-// box metric with a cutoff law), so they call minImage1 as the untiled
-// loops do rather than hand-inlining the masked wrap.
-
-func (k *Kernel) accumulateInRepOpenTiled(targets, sources []Particle, box Box, tw int) int64 {
-	kk, soft2 := k.k, k.soft2
-	periodic, dim2, boxL := box.Boundary == Periodic, box.Dim >= 2, box.L
-	var soa vec.SoA
-	var n int64
-	for base := 0; base < len(sources); base += tw {
-		nt := len(sources) - base
-		if nt > tw {
-			nt = tw
-		}
-		fillTile(&soa, sources, base, nt)
-		for i := range targets {
-			t := &targets[i]
-			fx, fy := t.Force.X, t.Force.Y
-			px, py, id := t.Pos.X, t.Pos.Y, t.ID
-			j := 0
-			for ; j+1 < nt; j += 2 {
-				var w0, w1, dx0, dy0, dx1, dy1 float64
-				ok0, ok1 := false, false
-				if soa.ID[j] != id {
-					n++
-					dx0 = px - soa.X[j]
-					dy0 = py - soa.Y[j]
-					if periodic {
-						dx0 = minImage1(dx0, boxL)
-						if dim2 {
-							dy0 = minImage1(dy0, boxL)
-						}
-					}
-					r2 := dx0*dx0 + dy0*dy0 + soft2
-					if r2 != 0 {
-						w0 = kk / (r2 * math.Sqrt(r2))
-						ok0 = true
-					}
-				}
-				if soa.ID[j+1] != id {
-					n++
-					dx1 = px - soa.X[j+1]
-					dy1 = py - soa.Y[j+1]
-					if periodic {
-						dx1 = minImage1(dx1, boxL)
-						if dim2 {
-							dy1 = minImage1(dy1, boxL)
-						}
-					}
-					r2 := dx1*dx1 + dy1*dy1 + soft2
-					if r2 != 0 {
-						w1 = kk / (r2 * math.Sqrt(r2))
-						ok1 = true
-					}
-				}
-				if ok0 {
-					fx += w0 * dx0
-					fy += w0 * dy0
-				} else if soa.ID[j] != id {
-					fx += 0
-					fy += 0
-				}
-				if ok1 {
-					fx += w1 * dx1
-					fy += w1 * dy1
-				} else if soa.ID[j+1] != id {
-					fx += 0
-					fy += 0
-				}
-			}
-			for ; j < nt; j++ {
-				if soa.ID[j] == id {
-					continue
-				}
-				n++
-				dx := px - soa.X[j]
-				dy := py - soa.Y[j]
-				if periodic {
-					dx = minImage1(dx, boxL)
-					if dim2 {
-						dy = minImage1(dy, boxL)
-					}
-				}
-				r2 := dx*dx + dy*dy + soft2
-				if r2 == 0 {
-					fx += 0
-					fy += 0
-					continue
-				}
-				w := kk / (r2 * math.Sqrt(r2))
-				fx += w * dx
-				fy += w * dy
-			}
-			t.Force.X, t.Force.Y = fx, fy
-		}
-	}
-	return n
-}
-
-func (k *Kernel) accumulateInLJOpenTiled(targets, sources []Particle, box Box, tw int) int64 {
-	e24, sig2, soft2 := k.e24, k.sig2, k.soft2
-	periodic, dim2, boxL := box.Boundary == Periodic, box.Dim >= 2, box.L
-	var soa vec.SoA
-	var n int64
-	for base := 0; base < len(sources); base += tw {
-		nt := len(sources) - base
-		if nt > tw {
-			nt = tw
-		}
-		fillTile(&soa, sources, base, nt)
-		for i := range targets {
-			t := &targets[i]
-			fx, fy := t.Force.X, t.Force.Y
-			px, py, id := t.Pos.X, t.Pos.Y, t.ID
-			for j := 0; j < nt; j++ {
-				if soa.ID[j] == id {
-					continue
-				}
-				n++
-				dx := px - soa.X[j]
-				dy := py - soa.Y[j]
-				if periodic {
-					dx = minImage1(dx, boxL)
-					if dim2 {
-						dy = minImage1(dy, boxL)
-					}
-				}
-				r2 := dx*dx + dy*dy + soft2
-				if r2 == 0 {
-					fx += 0
-					fy += 0
-					continue
-				}
-				s2 := sig2 / r2
-				s6 := s2 * s2 * s2
-				s12 := s6 * s6
-				w := e24 * (2*s12 - s6) / r2
-				fx += w * dx
-				fy += w * dy
-			}
-			t.Force.X, t.Force.Y = fx, fy
-		}
-	}
-	return n
 }
 
 // The AccumulateIn cutoff flavors compact: the generic path performs no

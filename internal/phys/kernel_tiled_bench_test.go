@@ -10,7 +10,11 @@ import "testing"
 //	go test -run NONE -bench Tiled -benchtime 300x ./internal/phys/
 //
 // The /untiled variants time the classic loops the tiled paths must
-// beat; cmd/bench records the authoritative grid in BENCH_PR8.json.
+// beat; cmd/bench records the authoritative grid in BENCH_PR8.json. Only
+// the flavors that compact are tiled. Where KernelImpl is "avx2" the
+// RepCutIn rows all time the vector sweep, which ignores the tile knob:
+// add -tags purego to time the compaction loop (BenchmarkSweep compares
+// the two directly).
 
 func tileBenchBatch() ([]Particle, []Particle, Box) {
 	box := NewBox(3, 2, Periodic)
@@ -19,52 +23,27 @@ func tileBenchBatch() ([]Particle, []Particle, Box) {
 	return targets, sources, box
 }
 
-func benchAccumulate(b *testing.B, law Law, tile int, in bool) {
+func benchAccumulateIn(b *testing.B, law Law, tile int) {
 	targets, sources, box := tileBenchBatch()
 	kern := law.Kernel().WithTile(tile)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if in {
-			kern.AccumulateIn(targets, sources, box)
-		} else {
-			kern.Accumulate(targets, sources)
-		}
+		kern.AccumulateIn(targets, sources, box)
 	}
-}
-
-func BenchmarkTiledRepOpen(b *testing.B) {
-	law := Law{Kind: Repulsive, K: 1.3, Softening: 1e-3}
-	b.Run("untiled", func(b *testing.B) { benchAccumulate(b, law, -1, false) })
-	b.Run("t32", func(b *testing.B) { benchAccumulate(b, law, 32, false) })
-	b.Run("t64", func(b *testing.B) { benchAccumulate(b, law, 64, false) })
-}
-
-func BenchmarkTiledRepCut(b *testing.B) {
-	law := Law{Kind: Repulsive, K: 1.3, Softening: 1e-3, Cutoff: 0.9}
-	b.Run("untiled", func(b *testing.B) { benchAccumulate(b, law, -1, false) })
-	b.Run("t32", func(b *testing.B) { benchAccumulate(b, law, 32, false) })
-	b.Run("t64", func(b *testing.B) { benchAccumulate(b, law, 64, false) })
-}
-
-func BenchmarkTiledLJCut(b *testing.B) {
-	law := LJLaw(0.7, 0.4).WithCutoff(0.9)
-	b.Run("untiled", func(b *testing.B) { benchAccumulate(b, law, -1, false) })
-	b.Run("t32", func(b *testing.B) { benchAccumulate(b, law, 32, false) })
-	b.Run("t64", func(b *testing.B) { benchAccumulate(b, law, 64, false) })
 }
 
 func BenchmarkTiledRepCutIn(b *testing.B) {
 	law := Law{Kind: Repulsive, K: 1.3, Softening: 1e-3, Cutoff: 0.9}
-	b.Run("untiled", func(b *testing.B) { benchAccumulate(b, law, -1, true) })
-	b.Run("t32", func(b *testing.B) { benchAccumulate(b, law, 32, true) })
-	b.Run("t64", func(b *testing.B) { benchAccumulate(b, law, 64, true) })
+	b.Run("untiled", func(b *testing.B) { benchAccumulateIn(b, law, -1) })
+	b.Run("t32", func(b *testing.B) { benchAccumulateIn(b, law, 32) })
+	b.Run("t64", func(b *testing.B) { benchAccumulateIn(b, law, 64) })
 }
 
 func BenchmarkTiledLJCutIn(b *testing.B) {
 	law := LJLaw(0.7, 0.4).WithCutoff(0.9)
-	b.Run("untiled", func(b *testing.B) { benchAccumulate(b, law, -1, true) })
-	b.Run("t32", func(b *testing.B) { benchAccumulate(b, law, 32, true) })
-	b.Run("t64", func(b *testing.B) { benchAccumulate(b, law, 64, true) })
+	b.Run("untiled", func(b *testing.B) { benchAccumulateIn(b, law, -1) })
+	b.Run("t32", func(b *testing.B) { benchAccumulateIn(b, law, 32) })
+	b.Run("t64", func(b *testing.B) { benchAccumulateIn(b, law, 64) })
 }
 
 func BenchmarkTiledCellList(b *testing.B) {

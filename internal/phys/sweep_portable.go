@@ -1,0 +1,15 @@
+//go:build !amd64 || purego
+
+package phys
+
+// This build has no vector sweeps (see sweep_amd64.go): the Go loops are
+// the only path, and the constant lets the compiler drop the dispatch.
+const useAVX2 = false
+
+func (k *Kernel) sweepRepOpen(targets, sources []Particle) int64 {
+	return k.accumulateRepOpen(targets, sources)
+}
+
+func (k *Kernel) sweepInRepCut(targets, sources []Particle, box Box) int64 {
+	return k.accumulateInRepCut(targets, sources, box)
+}

@@ -34,6 +34,7 @@ type Summary struct {
 	HopBytesMeasured  float64        `json:"hop_bytes_measured,omitempty"`
 	HopBytesOptimized float64        `json:"hop_bytes_optimized,omitempty"`
 	HopBytesBound     float64        `json:"hop_bytes_lower_bound,omitempty"`
+	KernelImpl        string         `json:"kernel_impl,omitempty"`
 	Phases            []PhaseSummary `json:"phases"`
 }
 
@@ -54,6 +55,7 @@ func (r *Report) Summary() Summary {
 		HopBytesMeasured:  r.HopBytesMeasured,
 		HopBytesOptimized: r.HopBytesOptimized,
 		HopBytesBound:     r.HopBytesBound,
+		KernelImpl:        r.KernelImpl,
 	}
 	for _, p := range Phases() {
 		cp := r.CriticalPath[p]

@@ -294,6 +294,11 @@ type Report struct {
 	HopBytesMeasured   float64
 	HopBytesOptimized  float64
 	HopBytesBound      float64
+	// KernelImpl names the force-kernel implementation that produced
+	// the run's compute times ("avx2" or "portable", phys.KernelImpl),
+	// stamped by the algorithm driver. Results do not depend on it;
+	// timings do, so the footer states it. Empty when not stamped.
+	KernelImpl string
 }
 
 // Aggregate builds a Report from per-rank Stats.
@@ -405,6 +410,9 @@ func (r *Report) String() string {
 	}
 	fmt.Fprintf(&b, "%-37s %12.3f\n", "     compute imbalance (max/mean)", r.ComputeImbalance())
 	fmt.Fprintf(&b, "%-37s %12.3f\n", "     per-worker imbalance (max/mean)", r.WorkerImbalance())
+	if r.KernelImpl != "" {
+		fmt.Fprintf(&b, "%-37s %12s\n", "     force kernel", r.KernelImpl)
+	}
 	if r.TimelineDropped > 0 {
 		fmt.Fprintf(&b, "WARNING: timeline dropped %d events to ring wraparound; the exported trace is truncated\n", r.TimelineDropped)
 	}

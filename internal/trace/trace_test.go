@@ -148,6 +148,13 @@ func TestReportString(t *testing.T) {
 	if !strings.HasSuffix(lines[len(lines)-1], "1.000") { // no pool ran: neutral worker imbalance
 		t.Errorf("worker imbalance footer line %q should end with 1.000", lines[len(lines)-1])
 	}
+	// A driver that stamps the force-kernel implementation gets it as the
+	// last footer line; an unstamped report (above) has no such line.
+	r.KernelImpl = "avx2"
+	stamped := strings.Split(strings.TrimRight(r.String(), "\n"), "\n")
+	if last := stamped[len(stamped)-1]; len(stamped) != len(lines)+1 || !strings.Contains(last, "force kernel") || !strings.HasSuffix(last, " avx2") {
+		t.Errorf("stamped report should end with the force kernel line, got %q", last)
+	}
 }
 
 // TestWorkerImbalance checks the rank×worker lane aggregation: lanes
@@ -282,6 +289,7 @@ func TestSummaryRoundTrip(t *testing.T) {
 	a.ByPhase[Compute].Time = 3 * time.Second
 	b.ByPhase[Compute].Time = time.Second
 	r := Aggregate([]*Stats{a, b})
+	r.KernelImpl = "portable"
 
 	data, err := r.JSON()
 	if err != nil {
@@ -292,7 +300,7 @@ func TestSummaryRoundTrip(t *testing.T) {
 		t.Fatalf("ParseSummary: %v\n%s", err, data)
 	}
 	want := r.Summary()
-	if got.Ranks != want.Ranks || got.S != want.S || got.W != want.W {
+	if got.Ranks != want.Ranks || got.S != want.S || got.W != want.W || got.KernelImpl != "portable" {
 		t.Errorf("round trip header: got %+v want %+v", got, want)
 	}
 	if got.ComputeImbalance != want.ComputeImbalance || got.ComputeImbalance != 1.5 {
@@ -314,7 +322,7 @@ func TestSummaryRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("legacy decode: %v", err)
 	}
-	if old.S != 3 || old.W != 140 || old.ComputeImbalance != 0 {
+	if old.S != 3 || old.W != 140 || old.ComputeImbalance != 0 || old.KernelImpl != "" {
 		t.Errorf("legacy decode = %+v", old)
 	}
 }
