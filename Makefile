@@ -60,10 +60,14 @@ obsdebug:
 	$(GO) test -tags obsdebug ./internal/trace/... ./internal/comm/... ./internal/core/... ./internal/phys/... ./internal/vec/... ./internal/obs/... ./internal/place/...
 
 # Benchmark guard: the disabled observability path must not allocate
-# (asserted by TestDisabledPathAllocs) and the benchmark must run clean.
+# (asserted by TestDisabledPathAllocs) and the benchmark must run clean;
+# so must the socket mesh's ping-pong and burst benchmarks, over unix
+# sockets and TCP loopback (a hang or a failed send shows here; their
+# timings mean nothing at 100 iterations).
 benchguard:
 	$(GO) test -run TestDisabledPathAllocs ./internal/obs/
 	$(GO) test -run NONE -bench BenchmarkObsDisabled -benchtime 100000x ./internal/obs/
+	$(GO) test -run NONE -bench BenchmarkMesh -benchtime 100x ./internal/comm/net/
 
 # Smoke gates: the specialized LJ-cutoff kernel must beat the generic
 # per-pair path and the typed transport must beat the serialize-and-ship
@@ -120,9 +124,11 @@ bench:
 	$(GO) run ./cmd/bench -o BENCH_PR9.json
 	$(GO) test -run NONE -bench . -benchtime 1s ./internal/obs/
 
-# The repository benchmark (BENCHMARK.json, benchmark/README.md) on its
-# most communication-bound workload, as the pipeline runs it but for 5 s:
-# a smoke test that the command builds and reports. Not part of `check`
-# — its timings mean something only on a quiet host.
+# The repository benchmark (BENCHMARK.json, benchmark/README.md) on one
+# workload — by default its most communication-bound one; `make benchrepo
+# WORKLOAD=ap-socket` is the same over the socket mesh — as the pipeline
+# runs it but for 5 s: a smoke test that the command builds and reports.
+# Not part of `check` — its timings mean something only on a quiet host.
+WORKLOAD ?= ap-latency
 benchrepo:
-	bash benchmark/run.sh --workload ap-latency --seconds 5 --trace 0
+	bash benchmark/run.sh --workload $(WORKLOAD) --seconds 5 --trace 0

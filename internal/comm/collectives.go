@@ -263,11 +263,15 @@ func F64sToBytes(vals []float64) []byte {
 	if vals == nil {
 		return nil
 	}
-	out := make([]byte, 8*len(vals))
-	for i, v := range vals {
-		binary.LittleEndian.PutUint64(out[8*i:], math.Float64bits(v))
+	return appendF64s(make([]byte, 0, 8*len(vals)), vals)
+}
+
+// appendF64s appends vals to dst in the F64sToBytes encoding.
+func appendF64s(dst []byte, vals []float64) []byte {
+	for _, v := range vals {
+		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
 	}
-	return out
+	return dst
 }
 
 // BytesToF64s deserializes a slice produced by F64sToBytes. It panics on
@@ -279,9 +283,19 @@ func BytesToF64s(b []byte) []float64 {
 	if len(b)%8 != 0 {
 		panic(fmt.Sprintf("comm: float payload of %d bytes", len(b)))
 	}
-	out := make([]float64, len(b)/8)
-	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
+	return decodeF64sInto(nil, b)
+}
+
+// decodeF64sInto deserializes b, whose length must be a multiple of 8,
+// into dst[:len(b)/8], reusing dst's capacity when it suffices.
+func decodeF64sInto(dst []float64, b []byte) []float64 {
+	n := len(b) / 8
+	if cap(dst) < n {
+		dst = make([]float64, n)
 	}
-	return out
+	dst = dst[:n]
+	for i := range dst {
+		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
+	}
+	return dst
 }

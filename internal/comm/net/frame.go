@@ -81,44 +81,76 @@ var (
 	ErrFrameCorrupt  = errors.New("net: corrupt frame")
 )
 
-// AppendFrame appends the encoded frame to dst and returns the extended
-// slice. The only failure mode is an oversized payload.
-func AppendFrame(dst []byte, f *Frame) ([]byte, error) {
-	if len(f.Payload) > MaxPayload {
-		return dst, fmt.Errorf("%w: payload %d > %d", ErrFrameTooLarge, len(f.Payload), MaxPayload)
-	}
-	dst = binary.BigEndian.AppendUint32(dst, uint32(headerSize+len(f.Payload)))
+// AppendHeader appends f's length slot and fixed header — everything but
+// the payload, which the caller appends after it (f.Payload is ignored).
+// The length slot is left zero: sealFrame fills it in once the payload
+// is in place, so a sender that encodes a typed payload straight into
+// the frame buffer never has to know its size up front.
+func AppendHeader(dst []byte, f *Frame) []byte {
+	dst = append(dst, 0, 0, 0, 0)
 	dst = append(dst, f.Kind)
 	dst = binary.BigEndian.AppendUint32(dst, f.Src)
 	dst = binary.BigEndian.AppendUint32(dst, f.Dst)
 	dst = binary.BigEndian.AppendUint64(dst, f.Comm)
 	dst = binary.BigEndian.AppendUint64(dst, uint64(f.Tag))
 	dst = binary.BigEndian.AppendUint64(dst, f.Seq)
-	dst = binary.BigEndian.AppendUint32(dst, f.Hdr)
-	return append(dst, f.Payload...), nil
+	return binary.BigEndian.AppendUint32(dst, f.Hdr)
 }
 
-// ReadFrame decodes the next frame from the stream. Truncated,
-// oversized or otherwise malformed input returns an error — never a
-// panic, and never an allocation beyond the data actually present plus
-// one read chunk (a lying length prefix cannot reserve memory ahead of
-// the bytes backing it).
-func ReadFrame(br *bufio.Reader) (Frame, error) {
-	var lenb [4]byte
-	if _, err := io.ReadFull(br, lenb[:]); err != nil {
-		return Frame{}, err
+// sealFrame writes the length prefix of the single frame occupying buf
+// (an AppendHeader followed by the payload). The only failure mode is an
+// oversized payload.
+func sealFrame(buf []byte) error {
+	n := len(buf) - 4
+	if n < headerSize {
+		return fmt.Errorf("%w: %d-byte buffer holds no frame header", ErrFrameCorrupt, len(buf))
 	}
-	total := int(binary.BigEndian.Uint32(lenb[:]))
+	if n > maxFrame {
+		return fmt.Errorf("%w: payload %d > %d", ErrFrameTooLarge, n-headerSize, MaxPayload)
+	}
+	binary.BigEndian.PutUint32(buf, uint32(n))
+	return nil
+}
+
+// AppendFrame appends the encoded frame to dst and returns the extended
+// slice. The only failure mode is an oversized payload.
+func AppendFrame(dst []byte, f *Frame) ([]byte, error) {
+	if len(f.Payload) > MaxPayload {
+		return dst, fmt.Errorf("%w: payload %d > %d", ErrFrameTooLarge, len(f.Payload), MaxPayload)
+	}
+	start := len(dst)
+	dst = append(AppendHeader(dst, f), f.Payload...)
+	binary.BigEndian.PutUint32(dst[start:], uint32(len(dst)-start-4))
+	return dst, nil
+}
+
+// readHeader consumes the next frame's length prefix and fixed header
+// and returns the frame without its payload plus the payload's length.
+// It peeks instead of copying into a local array (which would escape
+// through the io.Reader interface and cost two allocations a frame), so
+// br's buffer must hold at least the 41 prefix+header bytes — bufio's
+// default of 4096 does. Truncated, oversized or otherwise malformed
+// input returns an error, never a panic.
+func readHeader(br *bufio.Reader) (Frame, int, error) {
+	b, err := br.Peek(4)
+	if err != nil {
+		if len(b) == 0 && err == io.EOF {
+			return Frame{}, 0, io.EOF // the stream ended between frames
+		}
+		return Frame{}, 0, truncated(err)
+	}
+	total := int(binary.BigEndian.Uint32(b))
 	if total < headerSize {
-		return Frame{}, fmt.Errorf("%w: frame length %d below header size %d", ErrFrameCorrupt, total, headerSize)
+		return Frame{}, 0, fmt.Errorf("%w: frame length %d below header size %d", ErrFrameCorrupt, total, headerSize)
 	}
 	if total > maxFrame {
-		return Frame{}, fmt.Errorf("%w: frame length %d > %d", ErrFrameTooLarge, total, maxFrame)
+		return Frame{}, 0, fmt.Errorf("%w: frame length %d > %d", ErrFrameTooLarge, total, maxFrame)
 	}
-	var hdr [headerSize]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return Frame{}, truncated(err)
+	b, err = br.Peek(4 + headerSize)
+	if err != nil {
+		return Frame{}, 0, truncated(err)
 	}
+	hdr := b[4:]
 	f := Frame{
 		Kind: hdr[0],
 		Src:  binary.BigEndian.Uint32(hdr[1:5]),
@@ -129,34 +161,90 @@ func ReadFrame(br *bufio.Reader) (Frame, error) {
 		Hdr:  binary.BigEndian.Uint32(hdr[33:37]),
 	}
 	if !validKind(f.Kind) {
-		return Frame{}, fmt.Errorf("%w: unknown frame kind %#x", ErrFrameCorrupt, f.Kind)
+		return Frame{}, 0, fmt.Errorf("%w: unknown frame kind %#x", ErrFrameCorrupt, f.Kind)
 	}
-	payload, err := readPayload(br, total-headerSize)
+	br.Discard(4 + headerSize) // cannot fail: the bytes were just peeked
+	return f, total - headerSize, nil
+}
+
+// ReadFrame decodes the next frame from the stream into a payload the
+// caller owns. Truncated, oversized or otherwise malformed input returns
+// an error — never a panic, and never an allocation beyond the data
+// actually present plus one read chunk (a lying length prefix cannot
+// reserve memory ahead of the bytes backing it). The mesh's read loops
+// use a Decoder instead, which lends the payload out of its buffers.
+func ReadFrame(br *bufio.Reader) (Frame, error) {
+	f, n, err := readHeader(br)
 	if err != nil {
+		return Frame{}, err
+	}
+	if f.Payload, err = readPayload(br, nil, n); err != nil {
 		return Frame{}, truncated(err)
 	}
-	f.Payload = payload
 	return f, nil
 }
 
-// readPayload reads exactly n payload bytes, growing the buffer one
+// Decoder reads the frames of one connection without allocating per
+// frame: Next lends each payload out of storage the decoder owns.
+//
+// Buffer ownership: the Payload of a frame returned by Next aliases
+// either the connection's read buffer (payloads that fit in it, which is
+// every message of the timestep loops) or the decoder's spill buffer
+// (larger ones), and is valid only until the following Next. A consumer
+// decodes typed payloads straight out of it and copies whatever bytes it
+// needs to keep.
+type Decoder struct {
+	br    *bufio.Reader
+	lent  int    // bytes of br's buffer the last frame's payload still occupies
+	spill []byte // payloads larger than br's buffer; grown by bounded chunks, reused
+}
+
+// spillKeep bounds the spill buffer a Decoder retains between frames, so
+// one huge frame (an end-of-run result, say) does not pin its size for
+// the life of the connection.
+const spillKeep = 4 << 20
+
+// NewDecoder returns a decoder over br, whose buffer must hold at least
+// a frame header (see readHeader).
+func NewDecoder(br *bufio.Reader) *Decoder { return &Decoder{br: br} }
+
+// Next decodes the next frame under ReadFrame's contract — errors, never
+// panics, allocation bounded by the bytes present — except that the
+// payload is lent, not owned (see Decoder).
+func (d *Decoder) Next() (Frame, error) {
+	d.br.Discard(d.lent) // cannot fail: those bytes were peeked by the previous call
+	d.lent = 0
+	if cap(d.spill) > spillKeep {
+		d.spill = nil
+	}
+	f, n, err := readHeader(d.br)
+	if err != nil || n == 0 {
+		return f, err
+	}
+	if n <= d.br.Size() {
+		if f.Payload, err = d.br.Peek(n); err != nil {
+			return Frame{}, truncated(err)
+		}
+		d.lent = n
+		return f, nil
+	}
+	if d.spill, err = readPayload(d.br, d.spill[:0], n); err != nil {
+		return Frame{}, truncated(err)
+	}
+	f.Payload = d.spill
+	return f, nil
+}
+
+// readPayload reads exactly n payload bytes into buf[:0], growing it one
 // bounded chunk at a time so the allocation tracks the data that
 // actually arrives rather than the advertised length.
-func readPayload(br *bufio.Reader, n int) ([]byte, error) {
+func readPayload(br *bufio.Reader, buf []byte, n int) ([]byte, error) {
 	if n == 0 {
 		return nil, nil
 	}
 	const chunk = 64 << 10
-	first := n
-	if first > chunk {
-		first = chunk
-	}
-	buf := make([]byte, 0, first)
 	for len(buf) < n {
-		k := n - len(buf)
-		if k > chunk {
-			k = chunk
-		}
+		k := min(n-len(buf), chunk)
 		start := len(buf)
 		buf = append(buf, make([]byte, k)...)
 		if _, err := io.ReadFull(br, buf[start:]); err != nil {

@@ -6,8 +6,30 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"runtime"
 	"testing"
 )
+
+// readOne decodes the first frame of data twice — with ReadFrame, which
+// hands out an owned payload, and with a Decoder, which lends it — and
+// requires the two to agree on everything, the error included.
+func readOne(t testing.TB, data []byte) (Frame, error) {
+	t.Helper()
+	owned, err := ReadFrame(bufio.NewReader(bytes.NewReader(data)))
+	lent, lerr := NewDecoder(bufio.NewReader(bytes.NewReader(data))).Next()
+	if (err == nil) != (lerr == nil) || (err != nil && err.Error() != lerr.Error()) {
+		t.Fatalf("ReadFrame err %v, Decoder err %v", err, lerr)
+	}
+	if err == nil && !sameFrame(owned, lent) {
+		t.Fatalf("ReadFrame %+v, Decoder %+v", owned, lent)
+	}
+	return owned, err
+}
+
+func sameFrame(a, b Frame) bool {
+	return a.Kind == b.Kind && a.Src == b.Src && a.Dst == b.Dst && a.Comm == b.Comm &&
+		a.Tag == b.Tag && a.Seq == b.Seq && a.Hdr == b.Hdr && bytes.Equal(a.Payload, b.Payload)
+}
 
 func TestFrameRoundTrip(t *testing.T) {
 	cases := []Frame{
@@ -32,9 +54,7 @@ func TestFrameRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
-		if got.Kind != want.Kind || got.Src != want.Src || got.Dst != want.Dst ||
-			got.Comm != want.Comm || got.Tag != want.Tag || got.Seq != want.Seq ||
-			got.Hdr != want.Hdr || !bytes.Equal(got.Payload, want.Payload) {
+		if !sameFrame(got, want) {
 			t.Errorf("frame %d: got %+v, want %+v", i, got, want)
 		}
 	}
@@ -43,11 +63,82 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDecoderLendsPayloads runs a stream through a Decoder whose read
+// buffer is smaller than some of the payloads: small ones are lent out
+// of the read buffer, large ones out of the spill buffer, every frame
+// reads back exactly while it is current, and a lent payload is not
+// expected to survive the next call.
+func TestDecoderLendsPayloads(t *testing.T) {
+	pattern := func(n int, salt byte) []byte {
+		p := make([]byte, n)
+		for i := range p {
+			p[i] = byte(i)*7 + salt
+		}
+		return p
+	}
+	cases := []Frame{
+		{Kind: KindParticles, Src: 1, Dst: 2, Seq: 1, Payload: pattern(416, 1)},
+		{Kind: KindF64s, Seq: 2},
+		{Kind: KindBytes, Seq: 3, Payload: pattern(3*4096+5, 3)}, // spills
+		{Kind: KindParticles, Seq: 4, Payload: pattern(4096, 4)}, // exactly the buffer
+		{Kind: KindResult, Seq: 5, Payload: pattern(9000, 5)},    // spills again, reusing
+		{Kind: KindBytes, Seq: 6, Payload: pattern(1, 6)},
+	}
+	var stream []byte
+	for i := range cases {
+		var err error
+		if stream, err = AppendFrame(stream, &cases[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	d := NewDecoder(bufio.NewReaderSize(bytes.NewReader(stream), 4096))
+	for i, want := range cases {
+		got, err := d.Next()
+		if err != nil {
+			t.Fatalf("frame %d: %v", i, err)
+		}
+		if !sameFrame(got, want) {
+			t.Errorf("frame %d: got kind %#x seq %d with %d payload bytes, want %#x/%d/%d (or payload differs)",
+				i, got.Kind, got.Seq, len(got.Payload), want.Kind, want.Seq, len(want.Payload))
+		}
+	}
+	if _, err := d.Next(); err != io.EOF {
+		t.Fatalf("after last frame: err = %v, want io.EOF", err)
+	}
+}
+
+// TestDecoderSteadyStateAllocFree: a stream of message-sized frames
+// costs no allocation at all to decode.
+func TestDecoderSteadyStateAllocFree(t *testing.T) {
+	f := Frame{Kind: KindParticles, Src: 1, Dst: 33, Tag: 7, Payload: make([]byte, 416)}
+	var stream []byte
+	for i := 0; i < 64; i++ {
+		f.Seq++
+		stream, _ = AppendFrame(stream, &f)
+	}
+	var rd bytes.Reader
+	br := bufio.NewReaderSize(&rd, linkBufSize)
+	d := NewDecoder(br)
+	allocs := testing.AllocsPerRun(20, func() {
+		rd.Reset(stream)
+		br.Reset(&rd)
+		*d = Decoder{br: br}
+		for i := 0; i < 64; i++ {
+			if got, err := d.Next(); err != nil || len(got.Payload) != 416 {
+				t.Fatalf("frame %d: %d payload bytes, err %v", i, len(got.Payload), err)
+			}
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("decoding 64 frames allocated %.0f objects, want 0", allocs)
+	}
+}
+
 func TestReadFrameRejectsOversizedLength(t *testing.T) {
 	var buf []byte
 	buf = binary.BigEndian.AppendUint32(buf, uint32(maxFrame+1))
 	buf = append(buf, make([]byte, 64)...)
-	_, err := ReadFrame(bufio.NewReader(bytes.NewReader(buf)))
+	_, err := readOne(t, buf)
 	if !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("err = %v, want ErrFrameTooLarge", err)
 	}
@@ -57,7 +148,7 @@ func TestReadFrameRejectsShortLength(t *testing.T) {
 	var buf []byte
 	buf = binary.BigEndian.AppendUint32(buf, uint32(headerSize-1))
 	buf = append(buf, make([]byte, headerSize)...)
-	_, err := ReadFrame(bufio.NewReader(bytes.NewReader(buf)))
+	_, err := readOne(t, buf)
 	if !errors.Is(err, ErrFrameCorrupt) {
 		t.Fatalf("err = %v, want ErrFrameCorrupt", err)
 	}
@@ -70,7 +161,7 @@ func TestReadFrameRejectsUnknownKind(t *testing.T) {
 		t.Fatal(err)
 	}
 	buf[4] = 0x7f // corrupt the kind byte (after the 4-byte length)
-	_, err = ReadFrame(bufio.NewReader(bytes.NewReader(buf)))
+	_, err = readOne(t, buf)
 	if !errors.Is(err, ErrFrameCorrupt) {
 		t.Fatalf("err = %v, want ErrFrameCorrupt", err)
 	}
@@ -85,12 +176,12 @@ func TestReadFrameTruncatedIsUnexpectedEOF(t *testing.T) {
 	// Every proper prefix must yield ErrUnexpectedEOF (mid-frame), except
 	// the empty prefix, which is a clean io.EOF (between frames).
 	for cut := 1; cut < len(buf); cut++ {
-		_, err := ReadFrame(bufio.NewReader(bytes.NewReader(buf[:cut])))
+		_, err := readOne(t, buf[:cut])
 		if !errors.Is(err, io.ErrUnexpectedEOF) {
 			t.Fatalf("cut %d: err = %v, want ErrUnexpectedEOF", cut, err)
 		}
 	}
-	if _, err := ReadFrame(bufio.NewReader(bytes.NewReader(nil))); err != io.EOF {
+	if _, err := readOne(t, nil); err != io.EOF {
 		t.Fatalf("empty stream: err = %v, want io.EOF", err)
 	}
 }
@@ -104,14 +195,17 @@ func TestReadFrameLyingLengthBoundsAllocation(t *testing.T) {
 	buf = append(buf, KindBytes)
 	buf = append(buf, make([]byte, headerSize-1)...) // rest of header, zeros
 	buf = append(buf, make([]byte, 1024)...)         // only 1 KiB of actual payload
-	allocated := testing.AllocsPerRun(1, func() {
-		if _, err := ReadFrame(bufio.NewReader(bytes.NewReader(buf))); !errors.Is(err, io.ErrUnexpectedEOF) {
-			t.Fatalf("err = %v, want ErrUnexpectedEOF", err)
-		}
-	})
-	// The implementation reads in 64 KiB chunks; a run must stay within a
-	// couple of small allocations, never the claimed 256 MiB.
-	_ = allocated
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := readOne(t, buf); !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("err = %v, want ErrUnexpectedEOF", err)
+	}
+	runtime.ReadMemStats(&after)
+	// Both decoders grow the payload by 64 KiB chunks as bytes arrive; a
+	// few read buffers and one chunk each, never the claimed 256 MiB.
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Errorf("a lying length prefix made the decoders allocate %d bytes", grew)
+	}
 }
 
 func TestAppendFrameRejectsOversizedPayload(t *testing.T) {
@@ -121,9 +215,10 @@ func TestAppendFrameRejectsOversizedPayload(t *testing.T) {
 	}
 }
 
-// FuzzReadFrame asserts the decoder's safety contract on arbitrary
-// bytes: it returns (frame, nil) or an error — it never panics — and a
-// successfully decoded frame re-encodes to the exact bytes consumed.
+// FuzzReadFrame asserts the safety contract of both decoders on
+// arbitrary bytes: each returns (frame, nil) or an error — never panics —
+// the two agree, and a successfully decoded frame re-encodes to the
+// exact bytes consumed.
 func FuzzReadFrame(f *testing.F) {
 	seed, _ := AppendFrame(nil, &Frame{Kind: KindBytes, Src: 1, Dst: 2, Comm: 3, Tag: 4, Seq: 5, Payload: []byte("seed")})
 	f.Add(seed)
@@ -133,8 +228,7 @@ func FuzzReadFrame(f *testing.F) {
 	trunc, _ := AppendFrame(nil, &Frame{Kind: KindParticles, Payload: make([]byte, 52)})
 	f.Add(trunc[:len(trunc)-7])
 	f.Fuzz(func(t *testing.T, data []byte) {
-		br := bufio.NewReader(bytes.NewReader(data))
-		fr, err := ReadFrame(br)
+		fr, err := readOne(t, data)
 		if err != nil {
 			return
 		}

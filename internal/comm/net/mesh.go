@@ -2,11 +2,13 @@ package net
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
 	"os"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -58,8 +60,8 @@ type Mesh struct {
 	// before a run begins (they buffer in pending, then drain under the
 	// same lock, so per-pair FIFO order survives the hand-off).
 	routeMu sync.Mutex
-	sink    func(Frame)
-	pending []Frame
+	sink    func(from int, f Frame)
+	pending []pendingFrame
 
 	ctrl chan Frame
 
@@ -74,6 +76,13 @@ type Mesh struct {
 	wg sync.WaitGroup
 }
 
+// pendingFrame is a data frame that arrived while no sink was attached,
+// with a payload the mesh owns (the decoder only lent it).
+type pendingFrame struct {
+	from int
+	f    Frame
+}
+
 type peer struct {
 	id   int
 	conn net.Conn
@@ -81,14 +90,115 @@ type peer struct {
 	// the introduction frame and the data stream share one reader — a
 	// second buffered reader would silently swallow whatever the first
 	// one slurped past the frame it was asked for.
-	br  *bufio.Reader
-	out chan Frame
+	br *bufio.Reader
+	// out queues sealed frames for the writer goroutine, which owns each
+	// buffer from the moment it is queued and returns it to free once it
+	// has copied the bytes out.
+	out  chan []byte
+	free bufList
+
+	// sent belongs to the writer goroutine, rcvd to the reader goroutine.
+	sent, rcvd linkCounters
+}
+
+// linkCounters counts one direction of a link. Only the goroutine that
+// owns the direction adds to them; LinkStats reads them from outside,
+// which is the only reason they are atomics.
+type linkCounters struct {
+	frames  atomic.Int64
+	payload atomic.Int64 // payload bytes, i.e. frame bytes minus prefix and header
+	ios     atomic.Int64 // Write (sent) or Read (rcvd) calls on the connection
+}
+
+// LinkStats is a snapshot of one peer link's counters since the mesh
+// formed. Flushes and Reads count calls on the connection, so
+// FramesOut/Flushes is the write coalescing actually achieved.
+type LinkStats struct {
+	Peer                         int
+	FramesOut, BytesOut, Flushes int64
+	FramesIn, BytesIn, Reads     int64
+}
+
+// LinkStats returns the counters of every peer link, by proc id (the
+// entry of this proc itself is zero).
+func (m *Mesh) LinkStats() []LinkStats {
+	out := make([]LinkStats, m.procs)
+	for i, p := range m.peers {
+		out[i].Peer = i
+		if p == nil {
+			continue
+		}
+		out[i].FramesOut, out[i].BytesOut, out[i].Flushes = p.sent.frames.Load(), p.sent.payload.Load(), p.sent.ios.Load()
+		out[i].FramesIn, out[i].BytesIn, out[i].Reads = p.rcvd.frames.Load(), p.rcvd.payload.Load(), p.rcvd.ios.Load()
+	}
+	return out
+}
+
+// countedConn counts the Read and Write calls a link's buffered reader
+// and writer actually issue on the connection.
+type countedConn struct{ p *peer }
+
+func (c countedConn) Read(b []byte) (int, error) {
+	c.p.rcvd.ios.Add(1)
+	return c.p.conn.Read(b)
+}
+
+func (c countedConn) Write(b []byte) (int, error) {
+	c.p.sent.ios.Add(1)
+	return c.p.conn.Write(b)
+}
+
+// bufList is a link's stock of frame buffers: senders take one to encode
+// into, the writer goroutine puts it back once the bytes are in its
+// write buffer. Buffers past freeKeep in number or freeBufCap in
+// capacity are left to the collector, so a burst or one huge frame does
+// not pin memory.
+type bufList struct {
+	mu   sync.Mutex
+	bufs [][]byte
+}
+
+const (
+	freeKeep   = 64
+	freeBufCap = linkBufSize
+)
+
+func (l *bufList) get() []byte {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if n := len(l.bufs); n > 0 {
+		b := l.bufs[n-1]
+		l.bufs = l.bufs[:n-1]
+		return b
+	}
+	return nil
+}
+
+func (l *bufList) put(b []byte) {
+	if cap(b) > freeBufCap {
+		return
+	}
+	l.mu.Lock()
+	if len(l.bufs) < freeKeep {
+		l.bufs = append(l.bufs, b[:0])
+	}
+	l.mu.Unlock()
 }
 
 // outQueueCap is each peer link's writer queue depth. Sends beyond it
 // block (Send) or overflow to the caller's chaining logic (TrySend
 // returning false), mirroring the bounded in-process mailboxes.
 const outQueueCap = 1024
+
+// linkBufSize is the size of each link's read and write buffers.
+const linkBufSize = 64 << 10
+
+// newPeer wires up one link's state around an established connection.
+func newPeer(id int, conn net.Conn) *peer {
+	p := &peer{id: id, conn: conn, out: make(chan []byte, outQueueCap)}
+	p.br = bufio.NewReaderSize(countedConn{p}, linkBufSize)
+	return p
+}
 
 // resolveNetwork splits a rendezvous address into (network, address):
 // "unix:path" or any address containing a path separator selects
@@ -290,12 +400,9 @@ func dataListener(network, rendezvous string) (net.Listener, string, func(), err
 	return ln, ln.Addr().String(), func() {}, nil
 }
 
-// formMesh completes the pairwise connections: proc i dials every j<i
-// (identifying itself with a hello frame) and then accepts from every
-// k>i. Dials target only lower ids and each proc accepts only after
-// its dials, so by induction no cycle of procs waits on each other.
-func formMesh(network string, id, procs int, addrs []string, dataLn net.Listener, cleanup func(), deadline time.Time) (*Mesh, error) {
-	m := &Mesh{
+// newMesh returns a mesh with no links yet.
+func newMesh(network string, id, procs int) *Mesh {
+	return &Mesh{
 		network: network,
 		id:      id,
 		procs:   procs,
@@ -304,6 +411,14 @@ func formMesh(network string, id, procs int, addrs []string, dataLn net.Listener
 		abortCh: make(chan struct{}),
 		closeCh: make(chan struct{}),
 	}
+}
+
+// formMesh completes the pairwise connections: proc i dials every j<i
+// (identifying itself with a hello frame) and then accepts from every
+// k>i. Dials target only lower ids and each proc accepts only after
+// its dials, so by induction no cycle of procs waits on each other.
+func formMesh(network string, id, procs int, addrs []string, dataLn net.Listener, cleanup func(), deadline time.Time) (*Mesh, error) {
+	m := newMesh(network, id, procs)
 	fail := func(err error) (*Mesh, error) {
 		for _, p := range m.peers {
 			if p != nil {
@@ -324,7 +439,7 @@ func formMesh(network string, id, procs int, addrs []string, dataLn net.Listener
 			conn.Close()
 			return fail(fmt.Errorf("net: proc %d identify to proc %d: %w", id, j, err))
 		}
-		m.peers[j] = &peer{id: j, conn: conn, br: bufio.NewReaderSize(conn, 64<<10), out: make(chan Frame, outQueueCap)}
+		m.peers[j] = newPeer(j, conn)
 	}
 	if dl, ok := dataLn.(interface{ SetDeadline(time.Time) error }); ok {
 		dl.SetDeadline(deadline)
@@ -339,8 +454,8 @@ func formMesh(network string, id, procs int, addrs []string, dataLn net.Listener
 		// data frames can already be queued behind it (the dialing proc's
 		// ranks start as soon as its mesh forms), and a throwaway buffered
 		// reader would slurp and then discard them.
-		br := bufio.NewReaderSize(conn, 64<<10)
-		f, err := ReadFrame(br)
+		p := newPeer(-1, conn)
+		f, err := ReadFrame(p.br)
 		if err != nil || f.Kind != KindHello || int(f.Src) <= id || int(f.Src) >= procs {
 			conn.Close()
 			return fail(fmt.Errorf("net: proc %d: bad peer introduction: %v", id, err))
@@ -349,10 +464,17 @@ func formMesh(network string, id, procs int, addrs []string, dataLn net.Listener
 			conn.Close()
 			return fail(fmt.Errorf("net: proc %d introduced twice", f.Src))
 		}
-		m.peers[f.Src] = &peer{id: int(f.Src), conn: conn, br: br, out: make(chan Frame, outQueueCap)}
+		p.id = int(f.Src)
+		m.peers[p.id] = p
 	}
 	dataLn.Close()
 	cleanup()
+	m.start()
+	return m, nil
+}
+
+// start launches the writer and reader goroutine of every link.
+func (m *Mesh) start() {
 	for _, p := range m.peers {
 		if p == nil {
 			continue
@@ -362,7 +484,6 @@ func formMesh(network string, id, procs int, addrs []string, dataLn net.Listener
 		go m.writeLoop(p)
 		go m.readLoop(p)
 	}
-	return m, nil
 }
 
 // writeFrame encodes and writes one frame directly (mesh-formation
@@ -386,15 +507,19 @@ func (m *Mesh) Procs() int { return m.procs }
 func (m *Mesh) Network() string { return m.network }
 
 // Attach installs the data-frame sink and drains any frames that
-// arrived before it, in order. The sink must not block: delivery runs
+// arrived before it, in order. The sink is told which proc's link a
+// frame arrived on — each (src, dst) rank pair lives on exactly one
+// link, so the receiver can keep per-link state without locking. The
+// frame's payload is only lent (see Decoder): the sink decodes or copies
+// what it needs before returning. The sink must not block: delivery runs
 // on the per-connection reader goroutines under the routing lock, so
 // receivers that might stall must defer to their own goroutines (the
 // comm runtime's overflow chains do exactly that).
-func (m *Mesh) Attach(sink func(Frame)) {
+func (m *Mesh) Attach(sink func(from int, f Frame)) {
 	m.routeMu.Lock()
 	defer m.routeMu.Unlock()
-	for _, f := range m.pending {
-		sink(f)
+	for _, pf := range m.pending {
+		sink(pf.from, pf.f)
 	}
 	m.pending = nil
 	m.sink = sink
@@ -415,33 +540,55 @@ func (m *Mesh) OnAbort(fn func(error)) {
 	m.errMu.Unlock()
 }
 
-func (m *Mesh) route(f Frame) {
+func (m *Mesh) route(from int, f Frame) {
 	m.routeMu.Lock()
+	defer m.routeMu.Unlock()
 	if m.sink != nil {
-		sink := m.sink
-		sink(f)
-		m.routeMu.Unlock()
+		m.sink(from, f)
 		return
 	}
-	m.pending = append(m.pending, f)
-	m.routeMu.Unlock()
+	f.Payload = bytes.Clone(f.Payload)
+	m.pending = append(m.pending, pendingFrame{from, f})
 }
 
-// Send queues a frame to a peer, blocking while the link's queue is
-// full. cancel (may be nil) aborts the wait. Returns an error when the
-// mesh has aborted or the wait was canceled.
+// Send encodes a frame and queues it to a peer, blocking while the
+// link's queue is full. cancel (may be nil) aborts the wait. Returns an
+// error when the mesh has aborted or the wait was canceled. f.Payload is
+// copied before Send returns.
 func (m *Mesh) Send(to int, f Frame, cancel <-chan struct{}) error {
+	return m.SendEncoded(to, append(AppendHeader(m.Buffer(to), &f), f.Payload...), cancel)
+}
+
+// Buffer returns an empty buffer from the stock of the link toward a
+// peer, for the caller to build one frame in: AppendHeader, then the
+// payload, then SendEncoded or TrySendEncoded, which take it back. The
+// message path encodes typed payloads straight into it, so a frame is
+// copied once (into the link's write buffer) between the sender's slice
+// and the socket.
+func (m *Mesh) Buffer(to int) []byte {
+	if p := m.peers[to]; p != nil {
+		return p.free.get()
+	}
+	return nil
+}
+
+// SendEncoded seals and queues a frame built in a Buffer, blocking like
+// Send. The mesh owns buf from here on, whatever the outcome.
+func (m *Mesh) SendEncoded(to int, buf []byte, cancel <-chan struct{}) error {
 	p := m.peers[to]
 	if p == nil {
 		return fmt.Errorf("net: proc %d sending to itself", to)
 	}
+	if err := sealFrame(buf); err != nil {
+		return err
+	}
 	select {
-	case p.out <- f:
+	case p.out <- buf:
 		return nil
 	default:
 	}
 	select {
-	case p.out <- f:
+	case p.out <- buf:
 		return nil
 	case <-m.abortCh:
 		return m.Err()
@@ -450,15 +597,17 @@ func (m *Mesh) Send(to int, f Frame, cancel <-chan struct{}) error {
 	}
 }
 
-// TrySend queues a frame without blocking; false means the link queue
-// is full (or the mesh is gone) and the caller must fall back to Send.
-func (m *Mesh) TrySend(to int, f Frame) bool {
+// TrySendEncoded is SendEncoded without blocking; false means the link
+// queue is full and the caller, who then still owns buf, must fall back
+// to SendEncoded. An unsealable (oversized) frame also reports false and
+// fails in that fallback.
+func (m *Mesh) TrySendEncoded(to int, buf []byte) bool {
 	p := m.peers[to]
-	if p == nil {
+	if p == nil || sealFrame(buf) != nil {
 		return false
 	}
 	select {
-	case p.out <- f:
+	case p.out <- buf:
 		return true
 	default:
 		return false
@@ -522,28 +671,73 @@ func (m *Mesh) Close() error {
 	return nil
 }
 
-// writeLoop owns all writes on one link: it encodes queued frames
-// through a buffered writer, flushing when the queue drains. On abort
-// it emits a final abort frame (with a short deadline — the peer may
-// already be gone) and severs the connection.
+// writeLoop owns all writes on one link: it copies queued frames into a
+// buffered writer and decides when the buffer goes to the socket. On
+// abort it emits a final abort frame (with a short deadline — the peer
+// may already be gone) and severs the connection.
+//
+// Flush policy. A flush is a write syscall here and a read plus a
+// netpoll wake-up at the peer, which at 8-particle blocks costs more
+// than the frame itself, and the ranks of a timestep send in bursts: the
+// 32 team leaders of a 2×32 grid broadcast one after another. The first
+// of them wakes this goroutine, which the scheduler runs next, ahead of
+// the senders still runnable behind it — so flushing whenever the queue
+// is momentarily empty sends every frame of the burst on its own. The
+// writer therefore drains the queue, yields the processor once, drains
+// what the goroutines that were runnable have queued meanwhile, and only
+// then flushes.
+//
+// Latency bound. A frame waits for at most that one runtime.Gosched.
+// With nothing else runnable — a lone message, a ping-pong — the yield
+// returns at once and the frame leaves as before. Otherwise the writer
+// resumes from the global run queue, which every P polls when its local
+// queue empties and at the latest on its 61st scheduling decision, so
+// the wait is bounded by the goroutines already runnable, each running
+// until it blocks or is preempted (10 ms): exactly the ranks whose
+// frames the flush is waiting to carry. Nothing queued after the yield
+// can delay the flush further; the writer never yields twice per flush.
 func (m *Mesh) writeLoop(p *peer) {
 	defer m.wg.Done()
-	bw := bufio.NewWriterSize(p.conn, 64<<10)
-	var enc []byte
-	write := func(f Frame) error {
-		var err error
-		enc, err = AppendFrame(enc[:0], &f)
-		if err != nil {
-			return err
-		}
-		_, err = bw.Write(enc)
+	bw := bufio.NewWriterSize(countedConn{p}, linkBufSize)
+	write := func(buf []byte) error {
+		_, err := bw.Write(buf)
+		p.sent.frames.Add(1)
+		p.sent.payload.Add(int64(len(buf) - 4 - headerSize))
+		p.free.put(buf)
 		return err
+	}
+	drain := func() error {
+		for {
+			select {
+			case buf := <-p.out:
+				if err := write(buf); err != nil {
+					return err
+				}
+			default:
+				return nil
+			}
+		}
+	}
+	// control writes a frame the mesh itself originates and flushes.
+	control := func(f Frame) {
+		p.conn.SetWriteDeadline(time.Now().Add(time.Second))
+		if buf, err := AppendFrame(nil, &f); err == nil && write(buf) == nil {
+			bw.Flush()
+		}
+		p.conn.Close()
 	}
 	for {
 		select {
-		case f := <-p.out:
-			err := write(f)
-			if err == nil && len(p.out) == 0 {
+		case buf := <-p.out:
+			err := write(buf)
+			if err == nil {
+				err = drain()
+			}
+			if err == nil {
+				runtime.Gosched()
+				err = drain()
+			}
+			if err == nil {
 				err = bw.Flush()
 			}
 			if err != nil {
@@ -556,33 +750,19 @@ func (m *Mesh) writeLoop(p *peer) {
 			if e := m.Err(); e != nil {
 				af.Payload = []byte(e.Error())
 			}
-			p.conn.SetWriteDeadline(time.Now().Add(time.Second))
-			if write(af) == nil {
-				bw.Flush()
-			}
-			p.conn.Close()
+			control(af)
 			return
 		case <-m.closeCh:
-			for {
-				select {
-				case f := <-p.out:
-					if err := write(f); err != nil {
-						p.conn.Close()
-						return
-					}
-				default:
-					// A goodbye frame marks this as an orderly departure:
-					// without it the peer's reader cannot tell our exit
-					// from a crash and would abort its mesh. Short
-					// deadline — the peer may already be gone.
-					p.conn.SetWriteDeadline(time.Now().Add(time.Second))
-					if write(Frame{Kind: KindBye}) == nil {
-						bw.Flush()
-					}
-					p.conn.Close()
-					return
-				}
+			if drain() != nil {
+				p.conn.Close()
+				return
 			}
+			// A goodbye frame marks this as an orderly departure: without
+			// it the peer's reader cannot tell our exit from a crash and
+			// would abort its mesh. Short deadline — the peer may already
+			// be gone.
+			control(Frame{Kind: KindBye})
+			return
 		}
 	}
 }
@@ -593,9 +773,9 @@ func (m *Mesh) writeLoop(p *peer) {
 // proc, not hang it.
 func (m *Mesh) readLoop(p *peer) {
 	defer m.wg.Done()
-	br := p.br
+	dec := NewDecoder(p.br)
 	for {
-		f, err := ReadFrame(br)
+		f, err := dec.Next()
 		if err != nil {
 			select {
 			case <-m.closeCh:
@@ -605,10 +785,13 @@ func (m *Mesh) readLoop(p *peer) {
 			}
 			return
 		}
+		p.rcvd.frames.Add(1)
+		p.rcvd.payload.Add(int64(len(f.Payload)))
 		switch {
 		case IsData(f.Kind):
-			m.route(f)
+			m.route(p.id, f)
 		case f.Kind == KindFinish || f.Kind == KindResult:
+			f.Payload = bytes.Clone(f.Payload) // the queue outlives the loan
 			select {
 			case m.ctrl <- f:
 			case <-m.abortCh:

@@ -2,16 +2,19 @@ package net
 
 import (
 	"fmt"
+	"net"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
 
 // joinAll forms an n-proc mesh within this test process, one goroutine
 // per member, and returns the meshes indexed by proc id.
-func joinAll(t *testing.T, rendezvous string, n int) []*Mesh {
+func joinAll(t testing.TB, rendezvous string, n int) []*Mesh {
 	t.Helper()
 	meshes := make([]*Mesh, n)
 	errs := make([]error, n)
@@ -37,7 +40,7 @@ func joinAll(t *testing.T, rendezvous string, n int) []*Mesh {
 	return meshes
 }
 
-func unixRendezvous(t *testing.T) string {
+func unixRendezvous(t testing.TB) string {
 	return "unix:" + filepath.Join(t.TempDir(), "r.sock")
 }
 
@@ -60,7 +63,7 @@ func TestMeshFormsAndRoutesData(t *testing.T) {
 	for i, m := range meshes {
 		ch := make(chan got, 16)
 		sinks[i] = ch
-		m.Attach(func(f Frame) { ch <- got{from: int(f.Src), seq: f.Seq} })
+		m.Attach(func(_ int, f Frame) { ch <- got{from: int(f.Src), seq: f.Seq} })
 	}
 	for i, m := range meshes {
 		for j := 0; j < n; j++ {
@@ -114,7 +117,7 @@ func TestMeshDeliversFramesSentBeforeAttach(t *testing.T) {
 	}
 	recv := make(chan uint64, burst)
 	time.Sleep(50 * time.Millisecond) // let frames land in the pending buffer
-	meshes[0].Attach(func(f Frame) { recv <- f.Seq })
+	meshes[0].Attach(func(_ int, f Frame) { recv <- f.Seq })
 	for want := uint64(1); want <= burst; want++ {
 		select {
 		case seq := <-recv:
@@ -198,7 +201,7 @@ func TestMeshOrderlyCloseIsNotACrash(t *testing.T) {
 		}
 	}()
 	recv := make(chan Frame, 1)
-	meshes[0].Attach(func(f Frame) { recv <- f })
+	meshes[0].Attach(func(_ int, f Frame) { recv <- f })
 
 	// Proc 2 sends one last frame and departs; the frame must still be
 	// delivered, and neither survivor may observe an abort.
@@ -235,35 +238,39 @@ func TestMeshOrderlyCloseIsNotACrash(t *testing.T) {
 	}
 }
 
-// TestMeshTCP exercises the TCP resolver path end to end (the other
-// tests use unix sockets).
-func TestMeshTCP(t *testing.T) {
+// joinTCP forms a two-proc mesh over TCP loopback: the leader binds
+// port 0, the follower joins at the address it got.
+func joinTCP(t testing.TB) (leader, follower *Mesh) {
+	t.Helper()
 	r, err := Listen(Config{Rendezvous: "127.0.0.1:0", Procs: 2, Timeout: 30 * time.Second})
 	if err != nil {
-		t.Fatal(err)
+		t.Skipf("no TCP loopback here: %v", err)
 	}
-	var follower *Mesh
 	var joinErr error
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
 		follower, joinErr = Join(Config{Rendezvous: r.Addr(), Procs: 2, Timeout: 30 * time.Second})
 	}()
-	leader, err := r.Accept()
-	if err != nil {
-		t.Fatal(err)
-	}
+	leader, err = r.Accept()
 	<-done
-	if joinErr != nil {
-		t.Fatal(joinErr)
+	if err != nil || joinErr != nil {
+		t.Fatalf("TCP mesh: accept %v, join %v", err, joinErr)
 	}
+	return leader, follower
+}
+
+// TestMeshTCP exercises the TCP resolver path end to end (the other
+// tests use unix sockets).
+func TestMeshTCP(t *testing.T) {
+	leader, follower := joinTCP(t)
 	defer leader.Close()
 	defer follower.Close()
 	if leader.Network() != "tcp" || follower.Network() != "tcp" {
 		t.Fatalf("networks %q/%q, want tcp", leader.Network(), follower.Network())
 	}
 	recv := make(chan Frame, 1)
-	follower.Attach(func(f Frame) { recv <- f })
+	follower.Attach(func(_ int, f Frame) { recv <- f })
 	if err := leader.Send(1, Frame{Kind: KindBytes, Seq: 42}, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -275,4 +282,220 @@ func TestMeshTCP(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("frame never arrived over TCP")
 	}
+}
+
+// writeCounter is a connection that counts the Write calls made on it —
+// the flushes the link's writer issues, seen from outside the mesh.
+type writeCounter struct {
+	net.Conn
+	writes atomic.Int64
+}
+
+func (c *writeCounter) Write(b []byte) (int, error) {
+	c.writes.Add(1)
+	return c.Conn.Write(b)
+}
+
+// wiredPair is a two-proc mesh assembled by hand over one unix socket
+// connection, so that the test can sit between proc 0's writer and the
+// socket.
+func wiredPair(t *testing.T) (a, b *Mesh, a2b *writeCounter) {
+	t.Helper()
+	ln, err := net.Listen("unix", filepath.Join(t.TempDir(), "pair.sock"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	dialed, err := net.Dial("unix", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	accepted, err := ln.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	a2b = &writeCounter{Conn: dialed}
+	a, b = newMesh("unix", 0, 2), newMesh("unix", 1, 2)
+	a.peers[1], b.peers[0] = newPeer(1, a2b), newPeer(0, accepted)
+	a.start()
+	b.start()
+	t.Cleanup(func() {
+		a.Close()
+		b.Close()
+	})
+	return a, b, a2b
+}
+
+// TestMeshCoalescesBurst pins the flush policy on the schedule it was
+// made for: on one P, 32 senders that are runnable at the same moment
+// each queue one frame and then block, as the team leaders of a timestep
+// do waiting for their reduction. The first send wakes the writer, which
+// the scheduler runs next; flushing whenever the queue is momentarily
+// empty gives one Write per frame there. The writer must instead let the
+// runnable senders go first and carry their frames in a few Writes.
+func TestMeshCoalescesBurst(t *testing.T) {
+	const burst, size = 32, 416
+	a, b, wire := wiredPair(t)
+	arrived := make(chan uint64, burst)
+	b.Attach(func(_ int, f Frame) { arrived <- f.Seq })
+	send := func(seq uint64) {
+		if err := a.Send(1, Frame{Kind: KindBytes, Src: 0, Dst: 1, Seq: seq, Payload: make([]byte, size)}, nil); err != nil {
+			t.Error(err)
+		}
+	}
+	await := func(n int) {
+		t.Helper()
+		for seen := 0; seen < n; seen++ {
+			select {
+			case <-arrived:
+			case <-time.After(10 * time.Second):
+				t.Fatalf("%d of %d frames arrived", seen, n)
+			}
+		}
+	}
+
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	// One frame ahead of the burst, so that the writer is known to be up
+	// and — once everything else on the one P has run until it blocks —
+	// parked on its empty queue, which is the state a burst finds it in.
+	send(0)
+	await(1)
+	runtime.Gosched()
+	quiet := wire.writes.Load()
+
+	release := make(chan struct{})
+	var senders sync.WaitGroup
+	for s := 1; s <= burst; s++ {
+		senders.Add(1)
+		go func(seq uint64) {
+			defer senders.Done()
+			<-release
+			send(seq)
+		}(uint64(s))
+	}
+	close(release)
+	senders.Wait()
+	await(burst)
+	writes := wire.writes.Load() - quiet
+	t.Logf("%d frames in %d writes", burst, writes)
+	if writes > burst/4 {
+		t.Errorf("%d frames queued by runnable senders took %d Writes, want at most %d", burst, writes, burst/4)
+	}
+	ls := a.LinkStats()[1]
+	if ls.FramesOut != 1+burst || ls.Flushes != quiet+writes || ls.BytesOut != (1+burst)*size {
+		t.Errorf("link counters %+v, want %d frames, %d payload bytes, %d flushes", ls, 1+burst, (1+burst)*size, quiet+writes)
+	}
+	if in := b.LinkStats()[0]; in.FramesIn != 1+burst || in.BytesIn != (1+burst)*size || in.Reads < 2 {
+		t.Errorf("receiving link counters %+v, want %d frames, %d payload bytes, at least 2 reads", in, 1+burst, (1+burst)*size)
+	}
+}
+
+// TestMeshLoneFrameFlushesPromptly is the other side of the policy: a
+// frame with no company is not held back. With the process otherwise
+// idle it goes out in a Write of its own at once; with every P kept busy
+// by goroutines that never block it still leaves within the scheduler's
+// fairness bound (the writer's one yield ends at the latest when the
+// spinners are preempted), far inside the test's deadline.
+func TestMeshLoneFrameFlushesPromptly(t *testing.T) {
+	for _, busy := range []bool{false, true} {
+		t.Run(fmt.Sprintf("busy=%t", busy), func(t *testing.T) {
+			a, b, wire := wiredPair(t)
+			arrived := make(chan struct{}, 1)
+			b.Attach(func(int, Frame) { arrived <- struct{}{} })
+			if busy {
+				var stop atomic.Bool
+				var spinners sync.WaitGroup
+				defer spinners.Wait()
+				defer stop.Store(true)
+				for i := 0; i < runtime.GOMAXPROCS(0); i++ {
+					spinners.Add(1)
+					go func() {
+						defer spinners.Done()
+						for !stop.Load() {
+						}
+					}()
+				}
+			}
+			t0 := time.Now()
+			if err := a.Send(1, Frame{Kind: KindBytes, Seq: 1, Payload: []byte("alone")}, nil); err != nil {
+				t.Fatal(err)
+			}
+			select {
+			case <-arrived:
+			case <-time.After(5 * time.Second):
+				t.Fatal("a lone frame was still unflushed after 5 s")
+			}
+			t.Logf("lone frame delivered in %v", time.Since(t0))
+			if w := wire.writes.Load(); w != 1 {
+				t.Errorf("a lone frame took %d Writes, want 1", w)
+			}
+		})
+	}
+}
+
+// benchMeshes runs a mesh benchmark over both transports.
+func benchMeshes(b *testing.B, run func(b *testing.B, leader, follower *Mesh)) {
+	b.Run("unix", func(b *testing.B) {
+		meshes := joinAll(b, unixRendezvous(b), 2)
+		defer meshes[0].Close()
+		defer meshes[1].Close()
+		run(b, meshes[0], meshes[1])
+	})
+	b.Run("tcp", func(b *testing.B) {
+		leader, follower := joinTCP(b)
+		defer leader.Close()
+		defer follower.Close()
+		run(b, leader, follower)
+	})
+}
+
+// blockPayload is the payload of one ap-latency message: 8 particles.
+var blockPayload = make([]byte, 8*52)
+
+// BenchmarkMeshPingPong is the round trip of one lone frame each way:
+// the latency the flush policy must not add to.
+func BenchmarkMeshPingPong(b *testing.B) {
+	benchMeshes(b, func(b *testing.B, leader, follower *Mesh) {
+		back := make(chan struct{}, 1)
+		leader.Attach(func(int, Frame) { back <- struct{}{} })
+		follower.Attach(func(_ int, f Frame) { follower.Send(0, f, nil) })
+		b.SetBytes(int64(2 * len(blockPayload)))
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := leader.Send(1, Frame{Kind: KindParticles, Dst: 1, Payload: blockPayload}, nil); err != nil {
+				b.Fatal(err)
+			}
+			<-back
+		}
+	})
+}
+
+// BenchmarkMeshBurst32 sends 32 frames back to back — a timestep's team
+// broadcasts — and waits for the peer's acknowledgement of the last one;
+// frames/flush is the coalescing the writer achieved.
+func BenchmarkMeshBurst32(b *testing.B) {
+	const burst = 32
+	benchMeshes(b, func(b *testing.B, leader, follower *Mesh) {
+		back := make(chan struct{}, 1)
+		leader.Attach(func(int, Frame) { back <- struct{}{} })
+		follower.Attach(func(_ int, f Frame) {
+			if f.Seq == burst {
+				follower.Send(0, Frame{Kind: KindBytes}, nil)
+			}
+		})
+		before := leader.LinkStats()[1]
+		b.SetBytes(int64(burst * len(blockPayload)))
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for s := uint64(1); s <= burst; s++ {
+				if err := leader.Send(1, Frame{Kind: KindParticles, Dst: 1, Seq: s, Payload: blockPayload}, nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+			<-back
+		}
+		b.StopTimer()
+		after := leader.LinkStats()[1]
+		b.ReportMetric(float64(after.FramesOut-before.FramesOut)/float64(after.Flushes-before.Flushes), "frames/flush")
+	})
 }

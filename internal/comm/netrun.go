@@ -7,6 +7,20 @@ package comm
 // destination lives elsewhere are encoded into the 52-byte particle
 // wire format (or the packed float64 format) and framed over the mesh.
 //
+// Buffers on the socket path. A remote send encodes header and payload
+// straight into a frame buffer borrowed from the destination link's
+// stock (Mesh.Buffer) before it returns, so nothing on the wire side
+// ever references the sender's slice; the link's writer puts the buffer
+// back once the bytes are in its write buffer. An arriving payload is
+// only lent by the link's decoder: typed payloads are decoded out of the
+// read buffer into a slice from the destination rank's spares, byte
+// payloads are copied. The receiver owns the decoded slice outright,
+// like any received payload; message.offWire records that nothing else
+// can reference it, which lets the two collectives of the timestep loops
+// that copy out of a received slice and drop it — a BcastParticles leaf
+// and every ReduceF64sInPlace parent — put it back in the spares. Steady
+// state, a remote message allocates nothing on either side.
+//
 // Accounting fidelity: the socket path charges exactly the bytes the
 // in-process transports charge. Typed payloads are encoded with the
 // same codec whose size the typed path accounts (phys.WireBytes,
@@ -17,8 +31,11 @@ package comm
 // pin bitwise.
 
 import (
+	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"sync"
 	"time"
 
 	cnet "repro/internal/comm/net"
@@ -35,6 +52,9 @@ import (
 type Proc struct {
 	mesh         *cnet.Mesh
 	ranksPerProc int
+	// flushed is the mesh's write count when the last run ended, the
+	// base of the next run's share.
+	flushed int64
 }
 
 // JoinProcs forms (or joins) a mesh of procs processes at the
@@ -148,9 +168,33 @@ func (rt *Runtime) bindProc(p *Proc) error {
 	rt.proc = p
 	rt.lo = p.ID() * p.ranksPerProc
 	rt.hi = rt.lo + p.ranksPerProc
+	rt.wire = &wireState{
+		spares:   make([]spares, p.ranksPerProc),
+		arrivals: make([][][]arrival, p.NumProcs()),
+	}
+	if p.ID() != 0 {
+		rt.wire.tallies = make([]tally, p.ranksPerProc)
+	}
 	p.mesh.OnAbort(func(err error) { rt.failLocal(err) })
 	p.mesh.Attach(rt.inject)
 	return nil
+}
+
+// wireState is what one run keeps for its socket side.
+type wireState struct {
+	// tallies holds, by local rank, the traffic a follower process
+	// reports to proc 0 at the end of the run (nil on proc 0, whose own
+	// counts go to its observer's matrix or nowhere).
+	tallies []tally
+	// spares holds, by local rank, the typed slices decoded off the wire
+	// that the rank has finished with, for the readers to decode into.
+	spares []spares
+	// arrivals caches, per peer process and local destination rank, the
+	// links that process's reader goroutine delivers on.
+	arrivals [][][]arrival
+	// arrived counts the data frames delivered to this run; like
+	// arrivals it is guarded by the mesh's routing lock.
+	arrived int64
 }
 
 // unbindProc detaches the runtime after a run; later frames buffer in
@@ -162,62 +206,152 @@ func (rt *Runtime) unbindProc() {
 
 // --- frame conversion ------------------------------------------------
 
-// frameFromMsg encodes a message for the wire. Typed payloads
-// serialize with the exact codec whose size the typed transport
-// charges, so both sides of the socket account identically.
-func frameFromMsg(src, dst int, m message) (cnet.Frame, error) {
-	f := cnet.Frame{
+// encodeFrame builds the wire frame of a message in a buffer of the
+// destination link. Typed payloads serialize with the exact codec whose
+// size the typed transport charges, so both sides of the socket account
+// identically.
+func (rt *Runtime) encodeFrame(src, dst int, m message) ([]byte, error) {
+	buf := cnet.AppendHeader(rt.proc.mesh.Buffer(rt.proc.procOf(dst)), &cnet.Frame{
 		Kind: uint8(m.kind),
 		Src:  uint32(src), Dst: uint32(dst),
 		Comm: m.comm, Tag: int64(m.tag), Seq: m.seq, Hdr: m.hdr,
-	}
+	})
 	switch m.kind {
 	case payloadBytes:
-		f.Payload = m.data
+		return append(buf, m.data...), nil
 	case payloadParticles, payloadTeamParticles:
-		if len(m.ps) > 0 {
-			f.Payload = phys.EncodeSlice(m.ps)
-		}
+		return phys.AppendSlice(buf, m.ps), nil
 	case payloadF64s:
-		if len(m.f64s) > 0 {
-			f.Payload = F64sToBytes(m.f64s)
-		}
+		return appendF64s(buf, m.f64s), nil
 	default:
-		return f, fmt.Errorf("comm: unsendable payload kind %v", m.kind)
+		return nil, fmt.Errorf("comm: unsendable payload kind %v", m.kind)
 	}
-	return f, nil
 }
 
-// msgFromFrame decodes a wire frame back into a message, recomputing
-// the accounted wire size from the payload length by the same formulas
-// the payload constructors use.
-func msgFromFrame(f cnet.Frame) (message, int, int, error) {
-	src, dst := int(f.Src), int(f.Dst)
+// spares is one local rank's stock of typed slices that were decoded off
+// the wire and that the rank has finished with. The link readers take
+// from it to decode the rank's next arrivals into; the rank puts back
+// (see Comm.recycle).
+type spares struct {
+	ps   stock[phys.Particle]
+	f64s stock[float64]
+}
+
+// stock is a bounded free list of slices. Both ends hold it briefly and
+// rarely meet, hence a plain mutex.
+type stock[T any] struct {
+	mu   sync.Mutex
+	free [][]T
+}
+
+// stockKeep bounds a stock; a rank of a timestep loop has one or two
+// slices of each type in circulation.
+const stockKeep = 8
+
+// take returns an empty slice with whatever capacity the stock has to
+// offer, nil when it has none.
+func (s *stock[T]) take() []T {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if n := len(s.free); n > 0 {
+		v := s.free[n-1]
+		s.free = s.free[:n-1]
+		return v
+	}
+	return nil
+}
+
+func (s *stock[T]) put(v []T) {
+	s.mu.Lock()
+	if len(s.free) < stockKeep {
+		s.free = append(s.free, v[:0])
+	}
+	s.mu.Unlock()
+}
+
+// recycle returns the typed payload of a received message to the rank's
+// spares if this process decoded it off the wire. The caller must be
+// done with the slice and must not have passed it on.
+func (c *Comm) recycle(m message) {
+	if !m.offWire {
+		return
+	}
+	sp := &c.rt.wire.spares[c.group[c.rank]-c.rt.lo]
+	switch m.kind {
+	case payloadParticles, payloadTeamParticles:
+		sp.ps.put(m.ps)
+	case payloadF64s:
+		sp.f64s.put(m.f64s)
+	}
+}
+
+// msgFromFrame decodes a wire frame addressed to local rank dst back
+// into a message, recomputing the accounted wire size from the payload
+// length by the same formulas the payload constructors use. The frame's
+// payload is only lent (cnet.Decoder), so nothing of it is retained.
+func (rt *Runtime) msgFromFrame(f cnet.Frame, src, dst int) (message, error) {
 	m := message{comm: f.Comm, tag: int(f.Tag), kind: payloadKind(f.Kind), seq: f.Seq, hdr: f.Hdr}
+	sp := &rt.wire.spares[dst-rt.lo]
 	switch m.kind {
 	case payloadBytes:
-		m.data = f.Payload
+		m.data = bytes.Clone(f.Payload)
 		m.wire = len(f.Payload)
 	case payloadParticles, payloadTeamParticles:
-		ps, err := phys.DecodeSlice(f.Payload)
-		if err != nil {
-			return m, src, dst, fmt.Errorf("comm: frame from rank %d: %w", src, err)
+		if len(f.Payload) > 0 {
+			ps, err := phys.DecodeSliceInto(sp.ps.take(), f.Payload)
+			if err != nil {
+				return m, fmt.Errorf("comm: frame from rank %d: %w", src, err)
+			}
+			m.ps, m.offWire = ps, true
 		}
-		m.ps = ps
-		m.wire = phys.WireBytes(len(ps))
+		m.wire = phys.WireBytes(len(m.ps))
 		if m.kind == payloadTeamParticles {
 			m.wire += frameBytes
 		}
 	case payloadF64s:
 		if len(f.Payload)%8 != 0 {
-			return m, src, dst, fmt.Errorf("comm: frame from rank %d: float64 payload of %d bytes", src, len(f.Payload))
+			return m, fmt.Errorf("comm: frame from rank %d: float64 payload of %d bytes", src, len(f.Payload))
 		}
-		m.f64s = BytesToF64s(f.Payload)
+		if len(f.Payload) > 0 {
+			m.f64s, m.offWire = decodeF64sInto(sp.f64s.take(), f.Payload), true
+		}
 		m.wire = len(f.Payload)
 	default:
-		return m, src, dst, fmt.Errorf("comm: frame from rank %d: unknown payload kind %d", src, f.Kind)
+		return m, fmt.Errorf("comm: frame from rank %d: unknown payload kind %d", src, f.Kind)
 	}
-	return m, src, dst, nil
+	return m, nil
+}
+
+// arrival is one entry of a link reader's cache: the stream of frames
+// from world rank src to the local rank the entry is filed under.
+type arrival struct {
+	src int
+	l   *link
+}
+
+// arrivalLink returns the src→dst stream for a frame that came in on the
+// link from process `from`. Each (src, dst) pair arrives on exactly one
+// connection, and the mesh delivers a connection's frames one at a time,
+// so the reader keeps the links it has resolved in a table nobody else
+// touches, as Comm.peers does for a local sender: a frame costs an index
+// and a scan of the one to three sources that reach dst over this link,
+// and only a pair's first frame takes the destination inbox's lock
+// (rt.link — which keeps link creation exactly-once against the
+// receiving rank naming the pair at the same moment).
+func (rt *Runtime) arrivalLink(from, src, dst int) *link {
+	byDst := &rt.wire.arrivals[from]
+	if *byDst == nil {
+		*byDst = make([][]arrival, rt.hi-rt.lo)
+	}
+	known := &(*byDst)[dst-rt.lo]
+	for _, a := range *known {
+		if a.src == src {
+			return a.l
+		}
+	}
+	l := rt.link(src, dst)
+	*known = append(*known, arrival{src, l})
+	return l
 }
 
 // inject delivers one incoming data frame into the destination
@@ -227,17 +361,19 @@ func msgFromFrame(f cnet.Frame) (message, int, int, error) {
 // head-of-line block the connection. Each (src, dst) pair arrives on
 // exactly one connection, so the link's tail is accessed
 // single-threaded, as a local sender's is.
-func (rt *Runtime) inject(f cnet.Frame) {
-	m, src, dst, err := msgFromFrame(f)
+func (rt *Runtime) inject(from int, f cnet.Frame) {
+	src, dst := int(f.Src), int(f.Dst)
+	if src < 0 || src >= rt.size || rt.proc.procOf(src) != from || dst < rt.lo || dst >= rt.hi {
+		rt.fail(fmt.Errorf("comm: frame addressed %d→%d on the link from proc %d, outside this process (local ranks [%d,%d))", src, dst, from, rt.lo, rt.hi))
+		return
+	}
+	m, err := rt.msgFromFrame(f, src, dst)
 	if err != nil {
 		rt.fail(err)
 		return
 	}
-	if src < 0 || src >= rt.size || dst < rt.lo || dst >= rt.hi {
-		rt.fail(fmt.Errorf("comm: frame addressed %d→%d outside this process (local ranks [%d,%d))", src, dst, rt.lo, rt.hi))
-		return
-	}
-	l := rt.link(src, dst)
+	rt.wire.arrived++
+	l := rt.arrivalLink(from, src, dst)
 	if !l.tailPending() {
 		select {
 		case l.box <- m:
@@ -257,12 +393,12 @@ func (rt *Runtime) inject(f cnet.Frame) {
 // queue to the destination proc's link (blocking while the link queue
 // is full, unwinding on abort).
 func (rt *Runtime) netSend(src, dst int, m message) {
-	f, err := frameFromMsg(src, dst, m)
+	buf, err := rt.encodeFrame(src, dst, m)
 	if err != nil {
 		rt.fail(err)
 		panic(errAborted{})
 	}
-	if err := rt.proc.mesh.Send(rt.proc.procOf(dst), f, rt.abort); err != nil {
+	if err := rt.proc.mesh.SendEncoded(rt.proc.procOf(dst), buf, rt.abort); err != nil {
 		rt.failLocal(err)
 		panic(errAborted{})
 	}
@@ -273,19 +409,21 @@ func (rt *Runtime) netSend(src, dst int, m message) {
 // like the in-process overflow path.
 func (c *Comm) isendRemote(l *link, src, dst int, m message) *Request {
 	rt := c.rt
-	f, err := frameFromMsg(src, dst, m)
+	buf, err := rt.encodeFrame(src, dst, m)
 	if err != nil {
 		rt.fail(err)
 		panic(errAborted{})
 	}
 	to := rt.proc.procOf(dst)
-	if !l.tailPending() && rt.proc.mesh.TrySend(to, f) {
+	if !l.tailPending() && rt.proc.mesh.TrySendEncoded(to, buf) {
 		return c.doneRequest()
 	}
 	rt.deferDelivery(l, func() {
-		// A send error means the mesh aborted; the rank goroutine will
-		// observe the abort at its next blocking operation.
-		rt.proc.mesh.Send(to, f, rt.abort)
+		// The rank goroutine observes a failed send at its next blocking
+		// operation.
+		if err := rt.proc.mesh.SendEncoded(to, buf, rt.abort); err != nil {
+			rt.fail(err)
+		}
 	})
 	return &Request{comm: c, sent: l.tail}
 }
@@ -344,15 +482,41 @@ type rankStatsWire struct {
 	WorkerCompute []time.Duration    `json:"worker_compute,omitempty"`
 }
 
-// procSummary is a follower's end-of-run report to proc 0: per-local-
-// rank stats, the local slice of the comm matrix, the local deposits,
-// and timeline losses.
+// procSummary is the JSON part of a follower's end-of-run report to
+// proc 0: per-local-rank stats, the local deposits, timeline losses and
+// the process's share of the socket counters. The follower's traffic
+// cells travel beside it, see encodeSummary.
 type procSummary struct {
-	Proc            int                 `json:"proc"`
-	Stats           []rankStatsWire     `json:"stats"`
-	Matrix          *obs.MatrixSnapshot `json:"matrix,omitempty"`
-	Deposits        map[int][]byte      `json:"deposits,omitempty"`
-	TimelineDropped int64               `json:"timeline_dropped,omitempty"`
+	Proc            int             `json:"proc"`
+	Stats           []rankStatsWire `json:"stats"`
+	Deposits        map[int][]byte  `json:"deposits,omitempty"`
+	TimelineDropped int64           `json:"timeline_dropped,omitempty"`
+	Frames          int64           `json:"frames,omitempty"`
+	Flushes         int64           `json:"flushes,omitempty"`
+}
+
+// encodeSummary lays out a FINISH payload: a 4-byte big-endian length,
+// that many bytes of traffic cells (appendCells), then the JSON summary.
+// The cells stand outside the JSON so that a proc 0 with no observer to
+// merge them into skips them without decoding a byte.
+func encodeSummary(sum procSummary, cells []obs.MatrixCell) ([]byte, error) {
+	out := appendCells(make([]byte, 4, 4096), cells)
+	binary.BigEndian.PutUint32(out, uint32(len(out)-4))
+	js, err := json.Marshal(sum)
+	if err != nil {
+		return nil, err
+	}
+	return append(out, js...), nil
+}
+
+// splitSummary separates a FINISH payload into its cell block and its
+// JSON.
+func splitSummary(payload []byte) (cells, js []byte, err error) {
+	if len(payload) < 4 || uint64(binary.BigEndian.Uint32(payload)) > uint64(len(payload)-4) {
+		return nil, nil, fmt.Errorf("finish frame of %d bytes is shorter than its cell block", len(payload))
+	}
+	n := 4 + int(binary.BigEndian.Uint32(payload))
+	return payload[4:n], payload[n:], nil
 }
 
 // runResult is proc 0's reply: the merged report and final state,
@@ -388,7 +552,7 @@ func (rt *Runtime) joinDistributed(opts Options) (*trace.Report, map[int][]phys.
 
 func (rt *Runtime) followerJoin(opts Options) (*trace.Report, map[int][]phys.Particle, error) {
 	mesh := rt.proc.mesh
-	payload, err := json.Marshal(rt.localSummary(opts))
+	payload, err := encodeSummary(rt.localSummary(opts), mergeTallies(rt.wire.tallies))
 	if err != nil {
 		mesh.Abort(err)
 		return nil, nil, err
@@ -420,6 +584,7 @@ func (rt *Runtime) followerJoin(opts Options) (*trace.Report, map[int][]phys.Par
 
 func (rt *Runtime) leaderJoin(opts Options) (*trace.Report, map[int][]phys.Particle, error) {
 	mesh := rt.proc.mesh
+	frames, flushes := rt.socketShare(opts) // before the exchange adds its control frames
 	var remoteDropped int64
 	for i := 1; i < rt.proc.NumProcs(); i++ {
 		f, err := mesh.RecvCtrl()
@@ -431,18 +596,17 @@ func (rt *Runtime) leaderJoin(opts Options) (*trace.Report, map[int][]phys.Parti
 			mesh.Abort(err)
 			return rt.Report(), nil, err
 		}
-		var sum procSummary
-		if err := json.Unmarshal(f.Payload, &sum); err != nil {
-			mesh.Abort(err)
-			return rt.Report(), nil, err
-		}
-		if err := rt.mergeSummary(sum, opts); err != nil {
+		sum, err := rt.mergeSummary(f, opts)
+		if err != nil {
 			mesh.Abort(err)
 			return rt.Report(), nil, err
 		}
 		remoteDropped += sum.TimelineDropped
+		frames += sum.Frames
+		flushes += sum.Flushes
 	}
 	rep := rt.Report()
+	rep.SocketFrames, rep.SocketFlushes = frames, flushes
 	if o := opts.Observe; o != nil {
 		dropped := o.Timeline.Dropped() + remoteDropped
 		rep.TimelineDropped = dropped
@@ -464,13 +628,10 @@ func (rt *Runtime) leaderJoin(opts Options) (*trace.Report, map[int][]phys.Parti
 	return rep, deposits, nil
 }
 
-// localSummary snapshots this process's share of the run for the
-// leader. The matrix slice comes from the observer when the run is
-// observed, and from the shadow matrix otherwise — an unobserved
-// follower still contributes its counts so the leader's merged matrix
-// is globally true.
+// localSummary snapshots this process's share of the run for proc 0.
 func (rt *Runtime) localSummary(opts Options) procSummary {
 	sum := procSummary{Proc: rt.proc.ID()}
+	sum.Frames, sum.Flushes = rt.socketShare(opts)
 	for r := rt.lo; r < rt.hi; r++ {
 		st := rt.stats[r]
 		sum.Stats = append(sum.Stats, rankStatsWire{
@@ -479,14 +640,8 @@ func (rt *Runtime) localSummary(opts Options) procSummary {
 			WorkerCompute: st.WorkerCompute,
 		})
 	}
-	mx := rt.shadow
 	if o := opts.Observe; o != nil {
-		mx = o.Matrix()
 		sum.TimelineDropped = o.Timeline.Dropped()
-	}
-	if mx != nil {
-		snap := mx.Snapshot(nil)
-		sum.Matrix = &snap
 	}
 	rt.mu.Lock()
 	sum.Deposits = encodeDeposits(rt.deposits)
@@ -494,39 +649,93 @@ func (rt *Runtime) localSummary(opts Options) procSummary {
 	return sum
 }
 
-// mergeSummary folds one follower's summary into the leader's state:
-// remote rank stats land in rt.stats (sends were counted at the
-// sender's process and receives at the receiver's, so cell-wise matrix
-// addition and per-rank stats assignment reconstruct the global run).
-func (rt *Runtime) mergeSummary(sum procSummary, opts Options) error {
+// socketShare returns this process's part of the report's socket line:
+// the data frames that arrived for this run — every one of them, since
+// the local ranks have consumed their whole receive schedule — and the
+// writes the mesh has issued since the previous run's count (a frame
+// still in a writer's queue is flushed on the next run's account). On an
+// observed process it also publishes the mesh's cumulative link counters
+// as comm.net.* gauges.
+func (rt *Runtime) socketShare(opts Options) (frames, flushes int64) {
+	var total cnet.LinkStats
+	for _, ls := range rt.proc.mesh.LinkStats() {
+		total.FramesOut += ls.FramesOut
+		total.BytesOut += ls.BytesOut
+		total.Flushes += ls.Flushes
+		total.FramesIn += ls.FramesIn
+		total.BytesIn += ls.BytesIn
+		total.Reads += ls.Reads
+	}
+	if o := opts.Observe; o != nil {
+		for _, g := range [...]struct {
+			name string
+			v    int64
+		}{
+			{"comm.net.frames_out", total.FramesOut}, {"comm.net.payload_bytes_out", total.BytesOut}, {"comm.net.flushes", total.Flushes},
+			{"comm.net.frames_in", total.FramesIn}, {"comm.net.payload_bytes_in", total.BytesIn}, {"comm.net.reads", total.Reads},
+		} {
+			o.Metrics.Gauge(g.name).Set(g.v)
+		}
+	}
+	flushes = total.Flushes - rt.proc.flushed
+	rt.proc.flushed = total.Flushes
+	return rt.wire.arrived, flushes
+}
+
+// mergeSummary folds the summary in one follower's FINISH frame into
+// the leader's state: remote rank stats land in rt.stats, and — sends
+// having been counted at the sender's process and receives at the
+// receiver's — adding the follower's cells to an observed leader's
+// matrix reconstructs the global run. Without an observer the cells are
+// not looked at.
+func (rt *Runtime) mergeSummary(f cnet.Frame, opts Options) (sum procSummary, err error) {
+	defer func() {
+		if err != nil {
+			err = fmt.Errorf("comm: summary from proc %d: %w", f.Src, err)
+		}
+	}()
+	cells, js, err := splitSummary(f.Payload)
+	if err != nil {
+		return sum, err
+	}
+	if err := json.Unmarshal(js, &sum); err != nil {
+		return sum, err
+	}
+	// Everything is checked before anything is merged.
 	for _, w := range sum.Stats {
 		if w.Rank < 0 || w.Rank >= rt.size || (w.Rank >= rt.lo && w.Rank < rt.hi) {
-			return fmt.Errorf("comm: summary from proc %d covers rank %d", sum.Proc, w.Rank)
+			return sum, fmt.Errorf("it covers rank %d", w.Rank)
 		}
+	}
+	mx := opts.Observe.Matrix()
+	var traffic []obs.MatrixCell
+	if mx != nil {
+		if traffic, err = decodeCells(cells, mx.Phases(), mx.Ranks()); err != nil {
+			return sum, err
+		}
+	}
+	deps, err := decodeDeposits(sum.Deposits)
+	if err != nil {
+		return sum, err
+	}
+	for _, w := range sum.Stats {
 		st := rt.stats[w.Rank]
 		copy(st.ByPhase[:], w.ByPhase)
 		st.WorkerCompute = w.WorkerCompute
 	}
-	if o := opts.Observe; o != nil && sum.Matrix != nil {
-		o.Matrix().Merge(*sum.Matrix)
-	}
-	deps, err := decodeDeposits(sum.Deposits)
-	if err != nil {
-		return err
-	}
+	mx.AddCells(traffic)
 	if len(deps) > 0 {
 		rt.mu.Lock()
+		defer rt.mu.Unlock()
 		if rt.deposits == nil {
 			rt.deposits = make(map[int][]phys.Particle, len(deps))
 		}
 		for slot, ps := range deps {
 			if _, dup := rt.deposits[slot]; dup {
-				rt.mu.Unlock()
-				return fmt.Errorf("comm: duplicate deposit slot %d from proc %d", slot, sum.Proc)
+				return sum, fmt.Errorf("duplicate deposit slot %d", slot)
 			}
 			rt.deposits[slot] = ps
 		}
-		rt.mu.Unlock()
 	}
-	return nil
+	return sum, nil
 }

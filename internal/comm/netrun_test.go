@@ -1,0 +1,227 @@
+package comm_test
+
+// End-of-run exchange of a multi-process run (netrun.go), driven by the
+// real timestep loops: what proc 0 merges out of its followers' sparse
+// tallies must be the matrix an in-process run counts.
+
+import (
+	"fmt"
+	"os"
+	"path/filepath"
+	"reflect"
+	"sync"
+	"testing"
+
+	"repro/internal/comm"
+	"repro/internal/core"
+	"repro/internal/obs"
+	"repro/internal/phys"
+	"repro/internal/trace"
+)
+
+// overMesh joins procs in-process "OS processes" over a unix-socket
+// mesh hosting ranksPerProc ranks each, runs fn on every one of them
+// concurrently and closes the mesh. fn's first error fails the test.
+func overMesh(t *testing.T, procs, ranksPerProc int, fn func(proc *comm.Proc) error) {
+	t.Helper()
+	// Not t.TempDir: it spells out the subtest's name, and a unix socket
+	// path is capped near 108 bytes.
+	dir, err := os.MkdirTemp("", "mesh")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer os.RemoveAll(dir)
+	rendezvous := "unix:" + filepath.Join(dir, "r")
+	errs := make([]error, procs)
+	var wg sync.WaitGroup
+	for i := 0; i < procs; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			proc, err := comm.JoinProcs(rendezvous, procs, ranksPerProc)
+			if err != nil {
+				errs[i] = fmt.Errorf("join: %w", err)
+				return
+			}
+			defer proc.Close()
+			errs[i] = fn(proc)
+		}(i)
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("process %d: %v", i, err)
+		}
+	}
+}
+
+type driver func([]phys.Particle, core.Params) ([]phys.Particle, *trace.Report, error)
+
+// mergeCase is one timestep loop configuration whose traffic matrix is
+// compared between transports.
+type mergeCase struct {
+	name string
+	run  driver
+	pr   core.Params
+	n    int
+}
+
+func mergeCases() []mergeCase {
+	box := phys.NewBox(16, 1, phys.Periodic)
+	return []mergeCase{
+		{"all-pairs/p=8/c=2", core.AllPairs, core.Params{
+			P: 8, C: 2, Law: phys.DefaultLaw(), Box: phys.NewBox(10, 2, phys.Reflective), DT: 1e-3, Steps: 3,
+		}, 32},
+		{"cutoff/p=16", core.Cutoff, core.Params{
+			P: 16, C: 2, Law: phys.DefaultLaw().WithCutoff(box.L / 4), Box: box, DT: 5e-4, Steps: 3,
+		}, 64},
+	}
+}
+
+// inProcessMatrix runs the case observed in one process and returns its
+// matrix, after checking it against the report it must conserve.
+func inProcessMatrix(t *testing.T, tc mergeCase, ps []phys.Particle) *obs.CommMatrix {
+	t.Helper()
+	ob := obs.NewObserver(tc.pr.P, 0)
+	pr := tc.pr
+	pr.Options.Observe = ob
+	_, rep, err := tc.run(ps, pr)
+	if err != nil {
+		t.Fatalf("in-process run: %v", err)
+	}
+	mx := ob.Matrix()
+	var msgs int64
+	for _, ph := range trace.Phases() {
+		sent, bytes, _, _ := mx.PhaseTotals(int(ph))
+		if sent != rep.Sum[ph].Messages || bytes != rep.Sum[ph].Bytes {
+			t.Fatalf("phase %v: in-process matrix holds %d msgs / %d bytes, report %d / %d", ph, sent, bytes, rep.Sum[ph].Messages, rep.Sum[ph].Bytes)
+		}
+		msgs += sent
+	}
+	if msgs == 0 {
+		t.Fatal("the in-process run sent nothing; the comparison would be vacuous")
+	}
+	return mx
+}
+
+// sameMatrix requires two matrices to agree cell for cell and in their
+// per-phase running totals.
+func sameMatrix(t *testing.T, label string, want, got *obs.CommMatrix) {
+	t.Helper()
+	if w, g := want.Snapshot(nil), got.Snapshot(nil); !reflect.DeepEqual(w, g) {
+		t.Errorf("%s: merged matrix differs from the in-process matrix\nwant:\n%sgot:\n%s", label, w.Table(), g.Table())
+	}
+	for ph := 0; ph < want.Phases(); ph++ {
+		ws, wb, wr, wrb := want.PhaseTotals(ph)
+		gs, gb, gr, grb := got.PhaseTotals(ph)
+		if ws != gs || wb != gb || wr != gr || wrb != grb {
+			t.Errorf("%s: phase %d totals sent %d/%d recv %d/%d, want sent %d/%d recv %d/%d", label, ph, gs, gb, gr, grb, ws, wb, wr, wrb)
+		}
+	}
+}
+
+// TestMergedMatrixEqualsInProcess: an observed proc 0 and followers that
+// only tally — unobserved, or observed with a dense matrix of their own
+// besides — yield on proc 0 exactly the in-process matrix, and a report
+// that says how many messages took the socket.
+func TestMergedMatrixEqualsInProcess(t *testing.T) {
+	for _, tc := range mergeCases() {
+		for _, v := range []struct {
+			procs            int
+			followerObserved bool
+		}{{2, false}, {2, true}, {4, false}} {
+			tc, v := tc, v
+			t.Run(fmt.Sprintf("%s/procs=%d/followerObserved=%t", tc.name, v.procs, v.followerObserved), func(t *testing.T) {
+				t.Parallel()
+				ps := phys.InitUniform(tc.n, tc.pr.Box, 7)
+				want := inProcessMatrix(t, tc, ps)
+				var leader *obs.Observer
+				var rep *trace.Report
+				overMesh(t, v.procs, tc.pr.P/v.procs, func(proc *comm.Proc) error {
+					pr := tc.pr
+					pr.Proc = proc
+					if proc.ID() == 0 || v.followerObserved {
+						pr.Options.Observe = obs.NewObserver(tc.pr.P, 0)
+					}
+					_, r, err := tc.run(ps, pr)
+					if proc.ID() == 0 {
+						leader, rep = pr.Options.Observe, r
+					}
+					return err
+				})
+				sameMatrix(t, "socket run", want, leader.Matrix())
+
+				// Every message between ranks of different processes is one
+				// frame, counted where it arrived.
+				rpp := tc.pr.P / v.procs
+				var crossing int64
+				snap := want.Snapshot(nil)
+				for _, ph := range snap.Phases {
+					for src := range ph.SentMsgs {
+						for dst, n := range ph.SentMsgs[src] {
+							if src/rpp != dst/rpp {
+								crossing += n
+							}
+						}
+					}
+				}
+				if rep.SocketFrames != crossing || rep.SocketFlushes < 1 || rep.SocketFlushes > crossing {
+					t.Errorf("report says %d frames in %d flushes, want %d frames in 1..%d flushes", rep.SocketFrames, rep.SocketFlushes, crossing, crossing)
+				}
+				if g := leader.Metrics.Snapshot().Gauges; g["comm.net.frames_in"] == 0 || g["comm.net.flushes"] == 0 {
+					t.Errorf("observed proc 0 published no link counters: %v", g)
+				}
+			})
+		}
+	}
+}
+
+// TestTallyStartsFromZeroEachRun: a mesh outlives its runs, the tallies
+// must not. Three runs back to back on one mesh, a fresh observer on
+// proc 0 each time, give the single-run matrix three times; one observer
+// kept across three more gives exactly three times the single run. That
+// holds too when the follower is observed and its own dense matrix keeps
+// accumulating across the runs: what it reports is the run's tally, not
+// that matrix.
+func TestTallyStartsFromZeroEachRun(t *testing.T) {
+	tc := mergeCases()[0]
+	ps := phys.InitUniform(tc.n, tc.pr.Box, 7)
+	want := inProcessMatrix(t, tc, ps)
+	const runs = 3
+	for _, followerObserved := range []bool{false, true} {
+		t.Run(fmt.Sprintf("followerObserved=%t", followerObserved), func(t *testing.T) {
+			var fresh [runs]*obs.Observer
+			kept := obs.NewObserver(tc.pr.P, 0)
+			overMesh(t, 2, tc.pr.P/2, func(proc *comm.Proc) error {
+				pr := tc.pr
+				pr.Proc = proc
+				if proc.ID() != 0 && followerObserved {
+					pr.Options.Observe = obs.NewObserver(tc.pr.P, 0)
+				}
+				for r := 0; r < 2*runs; r++ {
+					if proc.ID() == 0 {
+						if pr.Options.Observe = kept; r < runs {
+							fresh[r] = obs.NewObserver(tc.pr.P, 0)
+							pr.Options.Observe = fresh[r]
+						}
+					}
+					if _, _, err := tc.run(ps, pr); err != nil {
+						return fmt.Errorf("run %d: %w", r, err)
+					}
+				}
+				return nil
+			})
+			for r, ob := range fresh {
+				sameMatrix(t, fmt.Sprintf("run %d", r), want, ob.Matrix())
+			}
+			for ph := 0; ph < want.Phases(); ph++ {
+				ws, wb, wr, wrb := want.PhaseTotals(ph)
+				gs, gb, gr, grb := kept.Matrix().PhaseTotals(ph)
+				if gs != runs*ws || gb != runs*wb || gr != runs*wr || grb != runs*wrb {
+					t.Errorf("phase %d after %d runs into one observer: sent %d/%d recv %d/%d, want %d times sent %d/%d recv %d/%d",
+						ph, runs, gs, gb, gr, grb, runs, ws, wb, wr, wrb)
+				}
+			}
+		})
+	}
+}

@@ -69,7 +69,13 @@ type message struct {
 	comm uint64
 	tag  int
 	kind payloadKind
-	wire int
+	// offWire marks a typed payload this process decoded off a socket:
+	// the slice is referenced by nothing but this message, so a receiver
+	// that copies out of it and drops it may hand it back for the next
+	// decode (see spares in netrun.go). False on every message that
+	// travelled by reference.
+	offWire bool
+	wire    int
 	// seq is the 1-based per-(src,dst) world-rank sequence number stamped
 	// at send time; the per-pair FIFO mailboxes deliver it in order, so
 	// the receiving endpoint observes the same number. The timeline's
@@ -196,14 +202,14 @@ type Runtime struct {
 	stats   []*trace.Stats
 
 	// Multi-process state (nil/zero under plain Run). lo/hi bound the
-	// world ranks hosted by this process; shadow counts traffic when the
-	// local process is unobserved so the merged matrix stays globally
-	// true; deposits collects the final state published via
-	// Comm.Deposit.
+	// world ranks hosted by this process; deposits collects the final
+	// state published via Comm.Deposit; wire is the socket side of the
+	// run (netrun.go), behind a pointer so that an in-process run pays
+	// nothing for it.
 	proc     *Proc
 	lo, hi   int
-	shadow   *obs.CommMatrix
 	deposits map[int][]phys.Particle
+	wire     *wireState
 }
 
 // newRuntime prepares a run of size ranks. Everything it allocates is
@@ -313,12 +319,6 @@ func RunProc(size int, opts Options, proc *Proc, fn func(*Comm) error) (*trace.R
 	if o := opts.Observe; o != nil {
 		o.Timeline.SetPhaseNamesIfUnset(trace.PhaseNames())
 		cm = newCommMetrics(o.Metrics, o.EnsureMatrix(len(trace.PhaseNames()), size))
-	} else if proc != nil {
-		// Unobserved distributed processes still count traffic into a
-		// shadow matrix, so the observed leader's merged matrix covers
-		// the whole world.
-		rt.shadow = obs.NewCommMatrix(len(trace.PhaseNames()), size)
-		cm = newCommMetrics(nil, rt.shadow)
 	}
 	var wg sync.WaitGroup
 	wg.Add(rt.hi - rt.lo)
@@ -328,6 +328,12 @@ func RunProc(size int, opts Options, proc *Proc, fn func(*Comm) error) (*trace.R
 		if o := opts.Observe; o != nil {
 			tr = o.Timeline.Rank(r)
 		}
+		rankCM := cm
+		if proc != nil && proc.ID() != 0 {
+			// A follower's ranks each count into their own tally, observed
+			// or not, so proc 0's merged matrix covers the whole world.
+			rankCM = cm.withTally(&rt.wire.tallies[r-rt.lo])
+		}
 		world := &Comm{
 			rt:    rt,
 			id:    worldID,
@@ -336,7 +342,7 @@ func RunProc(size int, opts Options, proc *Proc, fn func(*Comm) error) (*trace.R
 			opts:  opts,
 			stats: rt.stats[r],
 			tr:    tr,
-			cm:    cm,
+			cm:    rankCM,
 		}
 		go func(c *Comm) {
 			defer wg.Done()
@@ -383,9 +389,11 @@ func RunProc(size int, opts Options, proc *Proc, fn func(*Comm) error) (*trace.R
 }
 
 // commMetrics holds the substrate's pre-resolved registry instruments,
-// shared by all ranks (updates are atomic). Resolving once at Run start
-// keeps map lookups out of the per-message path. A nil *commMetrics
-// disables all of it at the cost of one nil check per site.
+// shared by all ranks (updates are atomic), plus — on a follower process
+// of a multi-process run, where every rank has a commMetrics of its own —
+// the rank's tally. Resolving once at Run start keeps map lookups out of
+// the per-message path. A nil *commMetrics disables all of it at the
+// cost of one nil check per site.
 type commMetrics struct {
 	sentMsgs  *obs.Counter
 	sentBytes *obs.Counter
@@ -394,6 +402,7 @@ type commMetrics struct {
 	msgBytes  *obs.Histogram // payload size distribution of sends
 	mailbox   *obs.Histogram // destination mailbox depth seen by sends
 	matrix    *obs.CommMatrix
+	tally     *tally // rank-owned; nil except on a follower process
 }
 
 func newCommMetrics(reg *obs.Registry, matrix *obs.CommMatrix) *commMetrics {
@@ -411,11 +420,31 @@ func newCommMetrics(reg *obs.Registry, matrix *obs.CommMatrix) *commMetrics {
 	}
 }
 
-// countSend records one src→dst world-rank message in the registry
-// instruments and the communication matrix, under the sender's phase.
+// withTally returns one rank's copy of m (nil for an unobserved run)
+// that also counts into t.
+func (m *commMetrics) withTally(t *tally) *commMetrics {
+	var own commMetrics
+	if m != nil {
+		own = *m
+	}
+	own.tally = t
+	return &own
+}
+
+// countSend records one src→dst world-rank message in the rank's tally,
+// the registry instruments and the communication matrix, under the
+// sender's phase.
 func (m *commMetrics) countSend(phase, src, dst, bytes, boxDepth int) {
 	if m == nil {
 		return
+	}
+	if m.tally != nil {
+		c := m.tally.at(phase, src, dst)
+		c.SentMsgs++
+		c.SentBytes += int64(bytes)
+		if m.matrix == nil {
+			return // unobserved follower: the tally is all there is
+		}
 	}
 	m.sentMsgs.Inc()
 	m.sentBytes.Add(int64(bytes))
@@ -424,12 +453,20 @@ func (m *commMetrics) countSend(phase, src, dst, bytes, boxDepth int) {
 	m.matrix.CountSend(phase, src, dst, bytes)
 }
 
-// countRecv records one received src→dst world-rank message in the
-// registry instruments and the matrix, under the receiver's phase
-// (which may differ from the phase the send was stamped under).
+// countRecv records one received src→dst world-rank message the same
+// way, under the receiver's phase (which may differ from the phase the
+// send was stamped under).
 func (m *commMetrics) countRecv(phase, src, dst, bytes int) {
 	if m == nil {
 		return
+	}
+	if m.tally != nil {
+		c := m.tally.at(phase, src, dst)
+		c.RecvMsgs++
+		c.RecvBytes += int64(bytes)
+		if m.matrix == nil {
+			return
+		}
 	}
 	m.recvMsgs.Inc()
 	m.recvBytes.Add(int64(bytes))

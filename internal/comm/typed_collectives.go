@@ -22,52 +22,64 @@ import (
 // replica. Root may therefore not write ps again until a
 // synchronization point transitively orders every member behind the
 // reuse — the timestep loops use the team force reduction, which every
-// member enters only after taking its copy.
+// member enters only after taking its copy. (A member that received its
+// alias over a socket and passed it to nobody holds the only reference,
+// and recycles it once copied; see Comm.recycle.)
 func (c *Comm) BcastParticles(root int, ps, dst []phys.Particle) []phys.Particle {
 	c.checkPeer(root)
 	if c.Size() == 1 {
 		return append(dst[:0], ps...)
 	}
 	t0 := c.tr.Now()
-	alias := c.bcastParticles(root, ps)
+	alias, spent := c.bcastParticles(root, ps)
 	out := append(dst[:0], alias...)
+	c.recycle(spent)
 	c.tr.Collective(obs.KindBcast, t0, phys.WireBytes(len(alias)))
 	return out
 }
 
 // bcastParticles moves the payload alias along the same peer schedule as
-// the encoded bcast and returns the alias the caller holds.
-func (c *Comm) bcastParticles(root int, ps []phys.Particle) []phys.Particle {
+// the encoded bcast and returns the alias the caller holds — and, when
+// the caller received it and forwarded it to no one, the message it came
+// in, which the caller recycles after copying (the zero message
+// otherwise: a forwarded slice is aliased downstream).
+func (c *Comm) bcastParticles(root int, ps []phys.Particle) (alias []phys.Particle, spent message) {
 	n := c.Size()
+	recv := func(from int) {
+		spent = c.recvMsg(from, tagBcast)
+		ps = spent.particlesPayload(c)
+	}
+	send := func(to int) {
+		c.SendParticles(to, tagBcast, ps)
+		spent = message{}
+	}
 	switch c.opts.Collectives {
 	case Flat:
 		if c.rank == root {
 			for r := 0; r < n; r++ {
 				if r != root {
-					c.SendParticles(r, tagBcast, ps)
+					send(r)
 				}
 			}
-			return ps
+		} else {
+			recv(root)
 		}
-		return c.RecvParticles(root, tagBcast)
 	case Ring:
 		prev := (c.rank - 1 + n) % n
 		next := (c.rank + 1) % n
 		if c.rank != root {
-			ps = c.RecvParticles(prev, tagBcast)
+			recv(prev)
 		}
 		if next != root {
-			c.SendParticles(next, tagBcast, ps)
+			send(next)
 		}
-		return ps
 	default:
 		// Binomial tree, mirroring fanOut.
 		vr := (c.rank - root + n) % n
 		mask := 1
 		for mask < n {
 			if vr&mask != 0 {
-				src := (vr - mask + root) % n
-				ps = c.RecvParticles(src, tagBcast)
+				recv((vr - mask + root) % n)
 				break
 			}
 			mask <<= 1
@@ -75,13 +87,12 @@ func (c *Comm) bcastParticles(root int, ps []phys.Particle) []phys.Particle {
 		mask >>= 1
 		for mask > 0 {
 			if vr+mask < n {
-				dst := (vr + mask + root) % n
-				c.SendParticles(dst, tagBcast, ps)
+				send((vr + mask + root) % n)
 			}
 			mask >>= 1
 		}
-		return ps
 	}
+	return ps, spent
 }
 
 // BcastF64s is BcastParticles for float64 vectors: root's vals reach
@@ -176,7 +187,7 @@ func (c *Comm) reduceF64sInPlace(root int, vals []float64) []float64 {
 			if r == root {
 				continue
 			}
-			addF64s(vals, c.RecvF64s(r, tagReduce))
+			c.recvAddF64s(vals, r)
 		}
 		return vals
 	case Ring:
@@ -184,7 +195,7 @@ func (c *Comm) reduceF64sInPlace(root int, vals []float64) []float64 {
 		prev := (c.rank - 1 + n) % n
 		start := (root + 1) % n
 		if c.rank != start {
-			addF64s(vals, c.RecvF64s(prev, tagReduce))
+			c.recvAddF64s(vals, prev)
 		}
 		if c.rank != root {
 			c.SendF64s(next, tagReduce, vals)
@@ -198,8 +209,7 @@ func (c *Comm) reduceF64sInPlace(root int, vals []float64) []float64 {
 		for mask < n {
 			if vr&mask == 0 {
 				if vr+mask < n {
-					src := (vr + mask + root) % n
-					addF64s(vals, c.RecvF64s(src, tagReduce))
+					c.recvAddF64s(vals, (vr+mask+root)%n)
 				}
 			} else {
 				dst := (vr - mask + root) % n
@@ -210,4 +220,13 @@ func (c *Comm) reduceF64sInPlace(root int, vals []float64) []float64 {
 		}
 		return vals
 	}
+}
+
+// recvAddF64s receives a reduction contribution from rank `from` and
+// adds it into vals. The received slice is dropped here, so one that was
+// decoded off a socket goes back to the rank's spares.
+func (c *Comm) recvAddF64s(vals []float64, from int) {
+	m := c.recvMsg(from, tagReduce)
+	addF64s(vals, m.f64sPayload(c))
+	c.recycle(m)
 }

@@ -9,6 +9,8 @@ package core
 import (
 	"fmt"
 	"math"
+	"os"
+	"path/filepath"
 	"runtime"
 	"runtime/debug"
 	"sync"
@@ -176,5 +178,72 @@ func TestMigratorRecyclesBuffers(t *testing.T) {
 	long := runMallocs(conveyor(23))
 	if long != base {
 		t.Errorf("a 23-step conveyor allocated %d objects, a 3-step one %d; 20 extra steps must allocate 0", long, base)
+	}
+}
+
+// TestSocketSteadyStateAllocBound is the steady-state guard of the
+// socket path: a 2×4 all-pairs grid split row by row over a unix-socket
+// mesh, so every step sends four team broadcasts and four force
+// reductions across the wire. Frames are encoded into the link's
+// recycled buffers, decoded straight out of its read buffer into slices
+// the receiving collectives hand back, and counted in per-rank tallies
+// whose cells all exist after the first step — so, as in process, ten
+// more steps should allocate nothing. The guard is a bound rather than
+// an equality because the mesh brings the netpoller and four goroutines
+// that outlive the measured call into the picture: an arriving frame
+// that finds its mailbox full is delivered by a goroutine of its own,
+// and how often that happens is the scheduler's doing.
+func TestSocketSteadyStateAllocBound(t *testing.T) {
+	const procs, extra, perStep = 2, 10, 1
+	pr := defaultParams(8, 2, 0)
+	ps := phys.InitUniform(32, pr.Box, 5)
+	dir, err := os.MkdirTemp("", "mesh")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer os.RemoveAll(dir)
+	l, err := comm.ListenProcs("unix:"+filepath.Join(dir, "r"), procs, pr.P/procs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mesh [procs]*comm.Proc
+	joined := make(chan error, 1)
+	go func() {
+		var err error
+		mesh[1], err = comm.JoinProcs(l.Addr(), procs, pr.P/procs)
+		joined <- err
+	}()
+	if mesh[0], err = l.Accept(); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-joined; err != nil {
+		t.Fatal(err)
+	}
+	defer mesh[0].Close()
+	defer mesh[1].Close()
+	run := func(steps int) func() {
+		return func() {
+			follower := make(chan error, 1)
+			on := func(proc *comm.Proc) error {
+				local := pr
+				local.Steps, local.Proc = steps, proc
+				_, _, err := AllPairs(ps, local)
+				return err
+			}
+			go func() { follower <- on(mesh[1]) }()
+			if err := on(mesh[0]); err != nil {
+				t.Fatal(err)
+			}
+			if err := <-follower; err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	base := runMallocs(run(2))
+	long := runMallocs(run(2 + extra))
+	t.Logf("2 steps: %d objects, %d steps: %d objects", base, 2+extra, long)
+	if long > base+extra*perStep {
+		t.Errorf("a %d-step socket run allocated %d objects, a 2-step run %d; %d extra steps may allocate at most %d",
+			2+extra, long, base, extra, extra*perStep)
 	}
 }

@@ -182,43 +182,38 @@ func (m *CommMatrix) Snapshot(nameOf func(int) string) MatrixSnapshot {
 	return out
 }
 
-// Merge folds a snapshot taken on another process into this matrix,
+// MatrixCell is one (phase, src, dst) entry of the matrix by value: the
+// unit in which a process that keeps no dense matrix tallies its traffic
+// and in which the end-of-run summary of a multi-process run carries it.
+type MatrixCell struct {
+	Phase, Src, Dst     int
+	SentMsgs, SentBytes int64
+	RecvMsgs, RecvBytes int64
+}
+
+// AddCells folds traffic counted on another process into this matrix,
 // cell by cell. In a multi-process run each send is stamped once (at
 // the sender's process) and each receive once (at the receiver's), so
-// cell-wise addition of every process's matrix reconstructs the exact
-// global matrix a single-process run would have produced. Snapshot
-// phases outside this matrix's dimensions are dropped, matching cell's
-// policy for out-of-range traffic. Nil-safe.
-func (m *CommMatrix) Merge(s MatrixSnapshot) {
-	if m == nil {
-		return
-	}
-	for _, ps := range s.Phases {
-		if ps.Phase < 0 || ps.Phase >= m.phases {
+// cell-wise addition of every process's counts reconstructs the exact
+// global matrix a single-process run would have produced. Cells outside
+// this matrix's dimensions are dropped, matching cell's policy for
+// out-of-range traffic (the summary decoder has rejected them before
+// they get here). Nil-safe.
+func (m *CommMatrix) AddCells(cells []MatrixCell) {
+	for _, in := range cells {
+		c := m.cell(in.Phase, in.Src, in.Dst)
+		if c == nil {
 			continue
 		}
-		t := &m.totals[ps.Phase]
-		for src := 0; src < len(ps.SentMsgs) && src < m.ranks; src++ {
-			for dst := 0; dst < len(ps.SentMsgs[src]) && dst < m.ranks; dst++ {
-				c := m.cell(ps.Phase, src, dst)
-				if n := ps.SentMsgs[src][dst]; n != 0 {
-					c.sentMsgs.Add(n)
-					t.sentMsgs.Add(n)
-				}
-				if n := ps.SentBytes[src][dst]; n != 0 {
-					c.sentBytes.Add(n)
-					t.sentBytes.Add(n)
-				}
-				if n := ps.RecvMsgs[src][dst]; n != 0 {
-					c.recvMsgs.Add(n)
-					t.recvMsgs.Add(n)
-				}
-				if n := ps.RecvBytes[src][dst]; n != 0 {
-					c.recvBytes.Add(n)
-					t.recvBytes.Add(n)
-				}
-			}
-		}
+		t := &m.totals[in.Phase]
+		c.sentMsgs.Add(in.SentMsgs)
+		t.sentMsgs.Add(in.SentMsgs)
+		c.sentBytes.Add(in.SentBytes)
+		t.sentBytes.Add(in.SentBytes)
+		c.recvMsgs.Add(in.RecvMsgs)
+		t.recvMsgs.Add(in.RecvMsgs)
+		c.recvBytes.Add(in.RecvBytes)
+		t.recvBytes.Add(in.RecvBytes)
 	}
 }
 

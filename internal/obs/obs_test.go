@@ -301,3 +301,30 @@ func TestPhaseTotals(t *testing.T) {
 		t.Errorf("totals = %v", totals)
 	}
 }
+
+// TestMatrixAddCells: adding another process's cells is cell-wise
+// addition that keeps the per-phase running totals in step, and drops
+// what falls outside the matrix.
+func TestMatrixAddCells(t *testing.T) {
+	m := NewCommMatrix(2, 3)
+	m.CountSend(1, 0, 2, 100)
+	m.AddCells([]MatrixCell{
+		{Phase: 1, Src: 0, Dst: 2, SentMsgs: 2, SentBytes: 50, RecvMsgs: 3, RecvBytes: 150},
+		{Phase: 0, Src: 2, Dst: 1, RecvMsgs: 1, RecvBytes: 8},
+		{Phase: 2, Src: 0, Dst: 0, SentMsgs: 9}, // no such phase
+		{Phase: 0, Src: 3, Dst: 0, SentMsgs: 9}, // no such rank
+	})
+	snap := m.Snapshot(nil)
+	if len(snap.Phases) != 2 || snap.Phases[1].SentMsgs[0][2] != 3 || snap.Phases[1].SentBytes[0][2] != 150 ||
+		snap.Phases[1].RecvMsgs[0][2] != 3 || snap.Phases[1].RecvBytes[0][2] != 150 || snap.Phases[0].RecvBytes[2][1] != 8 {
+		t.Errorf("cells after AddCells: %+v", snap)
+	}
+	if s, sb, r, rb := m.PhaseTotals(1); s != 3 || sb != 150 || r != 3 || rb != 150 {
+		t.Errorf("phase 1 totals %d/%d %d/%d, want 3/150 3/150", s, sb, r, rb)
+	}
+	if s, _, r, rb := m.PhaseTotals(0); s != 0 || r != 1 || rb != 8 {
+		t.Errorf("phase 0 totals sent %d recv %d/%d, want 0 and 1/8", s, r, rb)
+	}
+	var none *CommMatrix
+	none.AddCells([]MatrixCell{{SentMsgs: 1}}) // nil-safe
+}

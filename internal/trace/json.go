@@ -35,6 +35,8 @@ type Summary struct {
 	HopBytesOptimized float64        `json:"hop_bytes_optimized,omitempty"`
 	HopBytesBound     float64        `json:"hop_bytes_lower_bound,omitempty"`
 	KernelImpl        string         `json:"kernel_impl,omitempty"`
+	SocketFrames      int64          `json:"socket_frames,omitempty"`
+	SocketFlushes     int64          `json:"socket_flushes,omitempty"`
 	Phases            []PhaseSummary `json:"phases"`
 }
 
@@ -56,6 +58,8 @@ func (r *Report) Summary() Summary {
 		HopBytesOptimized: r.HopBytesOptimized,
 		HopBytesBound:     r.HopBytesBound,
 		KernelImpl:        r.KernelImpl,
+		SocketFrames:      r.SocketFrames,
+		SocketFlushes:     r.SocketFlushes,
 	}
 	for _, p := range Phases() {
 		cp := r.CriticalPath[p]

@@ -299,6 +299,13 @@ type Report struct {
 	// stamped by the algorithm driver. Results do not depend on it;
 	// timings do, so the footer states it. Empty when not stamped.
 	KernelImpl string
+	// SocketFrames and SocketFlushes are, for a run spanning OS
+	// processes, the messages that crossed a socket and the write calls
+	// that carried them, summed over the processes; their ratio is the
+	// write coalescing the mesh achieved. Zero for an in-process run;
+	// then the footer omits the socket line.
+	SocketFrames  int64
+	SocketFlushes int64
 }
 
 // Aggregate builds a Report from per-rank Stats.
@@ -412,6 +419,9 @@ func (r *Report) String() string {
 	fmt.Fprintf(&b, "%-37s %12.3f\n", "     per-worker imbalance (max/mean)", r.WorkerImbalance())
 	if r.KernelImpl != "" {
 		fmt.Fprintf(&b, "%-37s %12s\n", "     force kernel", r.KernelImpl)
+	}
+	if r.SocketFrames > 0 {
+		fmt.Fprintf(&b, "     socket  %d frames in %d flushes\n", r.SocketFrames, r.SocketFlushes)
 	}
 	if r.TimelineDropped > 0 {
 		fmt.Fprintf(&b, "WARNING: timeline dropped %d events to ring wraparound; the exported trace is truncated\n", r.TimelineDropped)

@@ -155,6 +155,14 @@ func TestReportString(t *testing.T) {
 	if last := stamped[len(stamped)-1]; len(stamped) != len(lines)+1 || !strings.Contains(last, "force kernel") || !strings.HasSuffix(last, " avx2") {
 		t.Errorf("stamped report should end with the force kernel line, got %q", last)
 	}
+	// A run that spanned OS processes says what went over the sockets.
+	r.SocketFrames, r.SocketFlushes = 6400, 458
+	if out := r.String(); !strings.Contains(out, "socket  6400 frames in 458 flushes\n") {
+		t.Errorf("socket line missing:\n%s", out)
+	}
+	if sum := r.Summary(); sum.SocketFrames != 6400 || sum.SocketFlushes != 458 {
+		t.Errorf("summary socket counters %d/%d", sum.SocketFrames, sum.SocketFlushes)
+	}
 }
 
 // TestWorkerImbalance checks the rank×worker lane aggregation: lanes
