@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: check build vet test purego crossbuild flake race obsdebug benchguard benchsmoke httpsmoke netsmoke placesmoke benchdiff bench benchrepo
+.PHONY: check build vet test purego crossbuild flake flakematrix race obsdebug benchguard benchsmoke httpsmoke netsmoke placesmoke benchdiff bench benchrepo
 
 check: build vet test purego crossbuild flake race obsdebug benchguard benchsmoke httpsmoke netsmoke placesmoke benchdiff
 
@@ -41,6 +41,17 @@ crossbuild:
 flake:
 	$(GO) test -count=20 ./internal/core ./internal/comm/... ./internal/obs/...
 
+# The roadmap's robustness criterion, as one command: the rank runtime
+# and the timestep loops fifty times over at one, two and eight Ps. One
+# core serializes the ranks, two is the reference host, eight
+# oversubscribes it — the three schedules a mailbox or abort race shows
+# under. Takes several minutes; not part of `check` (which runs `flake`),
+# run it on the final commit of a PR that touches comm or core.
+flakematrix:
+	for procs in 1 2 8; do \
+		GOMAXPROCS=$$procs $(GO) test -count=50 ./internal/comm/... ./internal/core || exit 1; \
+	done
+
 # Goroutines share state in the comm substrate, the observability
 # layer, and — since the zero-copy typed transport — the core timestep
 # loops, whose buffers cross rank goroutines by reference under an
@@ -62,12 +73,15 @@ obsdebug:
 # Benchmark guard: the disabled observability path must not allocate
 # (asserted by TestDisabledPathAllocs) and the benchmark must run clean;
 # so must the socket mesh's ping-pong and burst benchmarks, over unix
-# sockets and TCP loopback (a hang or a failed send shows here; their
-# timings mean nothing at 100 iterations).
+# sockets and TCP loopback, and the in-process ring shift of 64 ranks on
+# 2 Ps (a hang or a failed send shows here; their timings mean nothing
+# at 100 iterations — for the per-hop cost run the last one at
+# -benchtime 20000x).
 benchguard:
 	$(GO) test -run TestDisabledPathAllocs ./internal/obs/
 	$(GO) test -run NONE -bench BenchmarkObsDisabled -benchtime 100000x ./internal/obs/
 	$(GO) test -run NONE -bench BenchmarkMesh -benchtime 100x ./internal/comm/net/
+	$(GO) test -run NONE -bench BenchmarkRingShiftOversubscribed -benchtime 100x ./internal/comm/
 
 # Smoke gates: the specialized LJ-cutoff kernel must beat the generic
 # per-pair path and the typed transport must beat the serialize-and-ship

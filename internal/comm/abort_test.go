@@ -1,0 +1,231 @@
+package comm
+
+import (
+	"errors"
+	"fmt"
+	"runtime"
+	"strings"
+	"testing"
+	"time"
+
+	"repro/internal/phys"
+)
+
+// The abort path: a receive is a bare channel receive, so a failure
+// reaches a blocked receiver only through the abort token failLocal
+// offers its mailbox (blocked senders still select on rt.abort). These
+// tests hold every blocking primitive to the same contract, on every
+// mailbox capacity: the run returns the failing rank's error promptly
+// and leaves no goroutine — rank, deferred delivery or token offer —
+// behind.
+
+// runAborted runs fn on p ranks and requires Run to return an error
+// containing want within two seconds, with the goroutine count back at
+// its starting value afterwards.
+func runAborted(t *testing.T, p int, opts Options, want string, fn func(*Comm) error) {
+	t.Helper()
+	before := runtime.NumGoroutine()
+	finished := make(chan error, 1)
+	go func() {
+		_, err := Run(p, opts, fn)
+		finished <- err
+	}()
+	select {
+	case err := <-finished:
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("Run returned %v, want an error containing %q", err, want)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("Run still blocked 2 s after a rank failed")
+	}
+	waitGoroutines(t, before)
+}
+
+// waitGoroutines gives goroutines that were released a moment to exit
+// before calling the surplus over `before` a leak.
+func waitGoroutines(t *testing.T, before int) {
+	t.Helper()
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		t.Errorf("%d goroutines before the run, %d after", before, n)
+	}
+}
+
+// failure is one way for a rank to fail; want is what Run's error must
+// then contain for rank r.
+type failure struct {
+	name string
+	fail func() error
+	want func(r int) string
+}
+
+var failures = []failure{
+	{"panic", func() error { panic("injected failure") },
+		func(r int) string { return fmt.Sprintf("rank %d panicked: injected failure", r) }},
+	{"error", func() error { return errors.New("injected failure") },
+		func(r int) string { return fmt.Sprintf("rank %d: injected failure", r) }},
+}
+
+// blockedCase parks the survivors of a p-rank run in one blocking
+// primitive that cannot complete without rank dies, which takes no part
+// and fails instead. survive may return once its primitive completes
+// (some ranks of a collective do not depend on the dead one).
+type blockedCase struct {
+	name    string
+	dies    int
+	survive func(c *Comm, dies int)
+}
+
+const abortRanks = 4
+
+var blockedCases = []blockedCase{
+	{"Recv", 1, func(c *Comm, dies int) {
+		c.Recv(dies, 0)
+	}},
+	{"Sendrecv/recv-half", 1, func(c *Comm, dies int) {
+		// The send finds room (or, unbuffered, waits beside the receive);
+		// the receive never completes.
+		c.Sendrecv(dies, []byte{1}, dies, 0)
+	}},
+	{"Sendrecv/send-half", 1, func(c *Comm, dies int) {
+		// Rank 0's receive completes, its send into a mailbox nobody
+		// drains does not; the others feed it and park.
+		switch c.Rank() {
+		case 0:
+			for i := 0; i < cap(c.sendLink(dies).box); i++ {
+				c.Send(dies, 0, []byte{0})
+			}
+			c.Sendrecv(dies, []byte{1}, 2, 0)
+		case 2:
+			c.Send(0, 0, []byte{2})
+			c.Recv(dies, 0)
+		default:
+			c.Recv(dies, 0)
+		}
+	}},
+	{"Irecv+Wait", 1, func(c *Comm, dies int) {
+		c.Irecv(dies, 0).Wait()
+	}},
+	{"SendrecvParticlesOverlap", 1, func(c *Comm, dies int) {
+		c.SendrecvParticlesOverlap(dies, make([]phys.Particle, 8), dies, 0, func() {})
+	}},
+	{"BcastParticles/non-root", 1, func(c *Comm, root int) {
+		c.BcastParticles(root, nil, nil)
+	}},
+	{"ReduceF64sInPlace/parent", abortRanks - 1, func(c *Comm, dies int) {
+		// Rank p-1 is a leaf of every reduction schedule rooted at 0.
+		c.ReduceF64sInPlace(0, make([]float64, 16))
+	}},
+	{"Barrier", 1, func(c *Comm, dies int) {
+		c.Barrier()
+	}},
+	{"Send/full-mailbox", 1, func(c *Comm, dies int) {
+		for {
+			c.Send(dies, 0, []byte{1})
+		}
+	}},
+}
+
+// TestAbortReleasesBlockedRanks: one rank fails — by panic, by error —
+// a moment after its peers have parked in a blocking primitive that
+// depends on it.
+func TestAbortReleasesBlockedRanks(t *testing.T) {
+	for _, bc := range blockedCases {
+		for _, f := range failures {
+			for _, boxCap := range []int{-1, 1, 8} {
+				for _, alg := range []CollectiveAlg{Tree, Flat, Ring} {
+					t.Run(fmt.Sprintf("%s/%s/cap=%d/%v", bc.name, f.name, boxCap, alg), func(t *testing.T) {
+						opts := Options{MailboxCap: boxCap, Collectives: alg}
+						runAborted(t, abortRanks, opts, f.want(bc.dies), func(c *Comm) error {
+							if c.Rank() == bc.dies {
+								// Long enough for the others to park; the contract
+								// covers a rank still on its way there just the same.
+								time.Sleep(2 * time.Millisecond)
+								return f.fail()
+							}
+							bc.survive(c, bc.dies)
+							return nil
+						})
+					})
+				}
+			}
+		}
+	}
+}
+
+// TestAbortReachesMailboxCreatedLater: survivors that first address a
+// peer after the failure was recorded — their mailbox does not exist
+// when failLocal sweeps, or comes into being while it does — must find
+// an abort token in it.
+func TestAbortReachesMailboxCreatedLater(t *testing.T) {
+	const p, dies = 4, 1
+	for _, f := range failures {
+		for _, boxCap := range []int{-1, 1, 8} {
+			t.Run(fmt.Sprintf("%s/cap=%d", f.name, boxCap), func(t *testing.T) {
+				runAborted(t, p, Options{MailboxCap: boxCap}, f.want(dies), func(c *Comm) error {
+					if c.Rank() == dies {
+						return f.fail()
+					}
+					<-c.rt.abort
+					// A pair nobody has named yet, between two survivors, and
+					// nobody ever sends on it.
+					c.Recv((c.Rank()+2)%p, 0)
+					return nil
+				})
+			})
+		}
+	}
+}
+
+// TestAbortTokens drives the token protocol on a bare runtime: every
+// mailbox that exists at the failure and every mailbox created after it
+// holds (or is offered) exactly one token, behind what was delivered
+// before; a full or unbuffered mailbox is offered its token by a
+// goroutine that ends with the run when nobody takes it.
+func TestAbortTokens(t *testing.T) {
+	for _, boxCap := range []int{-1, 1, 8} {
+		t.Run(fmt.Sprintf("cap=%d", boxCap), func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			rt := newRuntime(4, boxCap)
+			early := rt.link(0, 1).box
+			full := rt.link(2, 1).box
+			for i := 0; i < cap(full); i++ {
+				full <- bytesMsg([]byte{byte(i)})
+			}
+			rt.failLocal(errors.New("injected failure"))
+			rt.failLocal(errors.New("a later failure")) // offers nothing more
+			late := rt.link(3, 1).box
+
+			for name, box := range map[string]chan message{"early": early, "late": late} {
+				if m := <-box; m.kind != payloadAbort {
+					t.Errorf("%s mailbox: got a %v message, want the abort token", name, m.kind)
+				}
+				select {
+				case m := <-box:
+					t.Errorf("%s mailbox: a second message (%v) behind the token", name, m.kind)
+				case <-time.After(time.Millisecond):
+				}
+			}
+			for i := 0; i < cap(full); i++ {
+				if m := <-full; m.kind != payloadBytes || m.data[0] != byte(i) {
+					t.Fatalf("full mailbox: message %d is %v %v, want the payload sent before the failure", i, m.kind, m.data)
+				}
+			}
+			if m := <-full; m.kind != payloadAbort {
+				t.Errorf("full mailbox: got a %v message behind the payloads, want the abort token", m.kind)
+			}
+
+			// Offers nobody takes end with the run.
+			rt.link(0, 2)
+			rt.link(1, 2)
+			close(rt.done)
+			waitGoroutines(t, before)
+			if err := rt.err; err == nil || err.Error() != "injected failure" {
+				t.Errorf("runtime kept error %v, want the first one", err)
+			}
+		})
+	}
+}

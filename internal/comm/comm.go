@@ -197,18 +197,24 @@ func (c *Comm) Send(to, tag int, data []byte) {
 // and charges m.wire bytes to the sender's active phase and the obs
 // instruments.
 //
-// Like every blocking operation here it tries the channel operation on
-// its own first and enters the select that also offers the runtime's
-// abort channel only when that would block: a ready mailbox costs one
-// operation on a channel only its two endpoints use, and the abort
-// channel — which every rank of the run would otherwise lock on every
-// message — is touched only by ranks about to park. The price is
-// failure latency: a rank learns of a failed peer at its next operation
-// that actually blocks, not at its next operation. That is bounded by
-// what is already buffered: a survivor runs ahead only until it needs a
-// message the failed rank (or a rank stuck behind it) never sent, or
-// until a mailbox nobody drains any more — at most MailboxCap messages
-// per stream — is full; then it blocks and unwinds.
+// What a failed peer costs the survivors — the failure-latency contract
+// of every operation in this package. A send tries its channel
+// operation bare and, only when the mailbox (or the link queue of a
+// remote destination) is full, blocks in a select that also offers the
+// runtime's abort channel: a ready mailbox costs one operation on a
+// channel only its two endpoints use. A receive never looks at the
+// abort channel; it is one bare channel receive, parked or not, and a
+// failure reaches it through its own mailbox — failLocal offers an
+// abort token to every local mailbox, at once where there is room, and
+// keeps the offer up for the ones that are full, unbuffered or not yet
+// created. So a survivor blocked in a receive on any mailbox, or in a
+// send, unwinds as soon as the failure is recorded. A survivor that is
+// running consumes what was delivered before the failure, in order (the
+// token queues behind it), and unwinds at the first receive that finds
+// nothing ahead of the token: it runs on only until it needs a message
+// the failed rank (or a rank stuck behind it) never sent, or — if it
+// only sends — until a mailbox nobody drains any more is full, at most
+// MailboxCap messages per stream later.
 func (c *Comm) sendMsg(to, tag int, m message) {
 	c.checkPeer(to)
 	if to == c.rank {
@@ -245,17 +251,6 @@ func (c *Comm) blockingSend(box chan message, m message) {
 	}
 }
 
-// blockingRecv takes the next message from an empty mailbox, unwinding
-// if the run aborts first.
-func (c *Comm) blockingRecv(box chan message) message {
-	select {
-	case m := <-box:
-		return m
-	case <-c.rt.abort:
-		panic(errAborted{})
-	}
-}
-
 // Recv blocks until the next message from rank `from` of this
 // communicator arrives and returns its payload. The message must carry
 // the expected communicator id and tag — the algorithms in this
@@ -274,20 +269,18 @@ func (c *Comm) recvMsg(from, tag int) message {
 	}
 	box := c.mailbox(from)
 	t0 := c.tr.Now()
-	var m message
-	select {
-	case m = <-box:
-	default:
-		m = c.blockingRecv(box)
-	}
+	m := <-box
 	c.finishRecv(m, from, tag, t0)
 	return m
 }
 
 // finishRecv validates and accounts one message taken from `from`'s
 // mailbox; t0 is the tracer timestamp taken when the receive was
-// posted.
+// posted. Taking an abort token (see failLocal) unwinds the rank.
 func (c *Comm) finishRecv(m message, from, tag int, t0 int64) {
+	if m.kind == payloadAbort {
+		panic(errAborted{})
+	}
 	if m.comm != c.id || m.tag != tag {
 		panic(fmt.Sprintf("comm: rank %d expected (comm %x, tag %d) from %d, got (comm %x, tag %d) (%s)",
 			c.rank, c.id, tag, from, m.comm, m.tag, c.diag()))
@@ -389,33 +382,32 @@ func (c *Comm) sendrecvMsg(to, tag int, m message, from int) message {
 	c.tr.Send(dst, tag, m.wire, m.seq)
 	rbox := c.mailbox(from)
 	t0 := c.tr.Now()
-	// Fast path: a half that is ready completes on its own channel; a
-	// half that would block waits in a select with the abort channel,
-	// and only when both would block are they offered together.
+	// Fast path: a send that finds room leaves one bare receive to do.
+	// Only a send that would block looks further: it takes a message
+	// that is already there, and when neither half can complete the two
+	// are offered together — with the abort channel, for the send's sake.
 	var got message
 	sent, received := false, false
 	select {
 	case box <- m:
 		sent = true
 	default:
-	}
-	select {
-	case got = <-rbox:
-		received = true
-	default:
-	}
-	if !sent && !received {
 		select {
-		case box <- m:
-			sent = true
 		case got = <-rbox:
 			received = true
-		case <-c.rt.abort:
-			panic(errAborted{})
+		default:
+			select {
+			case box <- m:
+				sent = true
+			case got = <-rbox:
+				received = true
+			case <-c.rt.abort:
+				panic(errAborted{})
+			}
 		}
 	}
 	if !received {
-		got = c.blockingRecv(rbox)
+		got = <-rbox
 	}
 	c.finishRecv(got, from, tag, t0)
 	if !sent {

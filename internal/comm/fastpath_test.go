@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/phys"
 )
 
 // TestRunStartupScalesWithRanks pins the O(P) start-up: an empty
@@ -102,4 +104,28 @@ func TestPanicMidRingAbortsPromptly(t *testing.T) {
 			}
 		})
 	}
+}
+
+// BenchmarkRingShiftOversubscribed is the hand-off the latency-bound
+// timestep is made of, on its own: 64 ranks on 2 Ps pass an 8-particle
+// typed block around a ring, so a rank's turn comes through the
+// scheduler and a receive that finds nothing parks. One iteration is
+// one shift of the whole ring; ns/hop is the wall time per single
+// rank-to-rank hand-off (64 per iteration).
+func BenchmarkRingShiftOversubscribed(b *testing.B) {
+	const p, block = 64, 8
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	b.ReportAllocs()
+	b.ResetTimer()
+	if _, err := Run(p, Options{}, func(c *Comm) error {
+		ps := make([]phys.Particle, block)
+		to, from := (c.Rank()+1)%p, (c.Rank()+p-1)%p
+		for i := 0; i < b.N; i++ {
+			ps = c.SendrecvParticles(to, ps, from, 0)
+		}
+		return nil
+	}); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*p), "ns/hop")
 }

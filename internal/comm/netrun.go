@@ -419,8 +419,8 @@ func (c *Comm) isendRemote(l *link, src, dst int, m message) *Request {
 		return c.doneRequest()
 	}
 	rt.deferDelivery(l, func() {
-		// The rank goroutine observes a failed send at its next blocking
-		// operation.
+		// The rank goroutine observes a failed send at its next receive
+		// or blocked send.
 		if err := rt.proc.mesh.SendEncoded(to, buf, rt.abort); err != nil {
 			rt.fail(err)
 		}

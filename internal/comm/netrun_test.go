@@ -9,8 +9,11 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/comm"
 	"repro/internal/core"
@@ -23,6 +26,16 @@ import (
 // mesh hosting ranksPerProc ranks each, runs fn on every one of them
 // concurrently and closes the mesh. fn's first error fails the test.
 func overMesh(t *testing.T, procs, ranksPerProc int, fn func(proc *comm.Proc) error) {
+	t.Helper()
+	for i, err := range meshErrors(t, procs, ranksPerProc, fn) {
+		if err != nil {
+			t.Fatalf("process %d: %v", i, err)
+		}
+	}
+}
+
+// meshErrors is overMesh returning what fn returned on each process.
+func meshErrors(t *testing.T, procs, ranksPerProc int, fn func(proc *comm.Proc) error) []error {
 	t.Helper()
 	// Not t.TempDir: it spells out the subtest's name, and a unix socket
 	// path is capped near 108 bytes.
@@ -48,11 +61,7 @@ func overMesh(t *testing.T, procs, ranksPerProc int, fn func(proc *comm.Proc) er
 		}(i)
 	}
 	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("process %d: %v", i, err)
-		}
-	}
+	return errs
 }
 
 type driver func([]phys.Particle, core.Params) ([]phys.Particle, *trace.Report, error)
@@ -221,6 +230,58 @@ func TestTallyStartsFromZeroEachRun(t *testing.T) {
 					t.Errorf("phase %d after %d runs into one observer: sent %d/%d recv %d/%d, want %d times sent %d/%d recv %d/%d",
 						ph, runs, gs, gb, gr, grb, runs, ws, wb, wr, wrb)
 				}
+			}
+		})
+	}
+}
+
+// TestRemoteFailureReleasesReceivers: a rank on one process fails while
+// every rank of the other process sits in a receive — half of them on a
+// mailbox fed over the socket, half on a mailbox between two local
+// ranks, which only the abort token reaches. Both RunProc calls must
+// return the failure, neither may hang, and no goroutine may be left.
+func TestRemoteFailureReleasesReceivers(t *testing.T) {
+	const procs, rpp = 2, 4
+	const dies = rpp // first rank of proc 1
+	for _, boxCap := range []int{-1, 1, 8} {
+		t.Run(fmt.Sprintf("cap=%d", boxCap), func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			finished := make(chan []error, 1)
+			go func() {
+				finished <- meshErrors(t, procs, rpp, func(proc *comm.Proc) error {
+					_, _, err := comm.RunProc(procs*rpp, comm.Options{MailboxCap: boxCap}, proc, func(c *comm.Comm) error {
+						switch r := c.Rank(); {
+						case r == dies:
+							time.Sleep(5 * time.Millisecond) // let the others park
+							return fmt.Errorf("injected failure")
+						case r%2 == 0:
+							c.Recv(dies, 0) // across the socket for proc 0
+						default:
+							c.Recv(r-1, 0) // a local neighbour that never sends
+						}
+						return nil
+					})
+					return err
+				})
+			}()
+			select {
+			case errs := <-finished:
+				for i, err := range errs {
+					if err == nil || !strings.Contains(err.Error(), "injected failure") {
+						t.Errorf("process %d returned %v, want the failing rank's error", i, err)
+					}
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("a process still blocked 5 s after a remote rank failed")
+			}
+			// Ranks, token offers and — the meshes being closed — link
+			// goroutines are all gone.
+			deadline := time.Now().Add(2 * time.Second)
+			for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+				time.Sleep(time.Millisecond)
+			}
+			if n := runtime.NumGoroutine(); n > before {
+				t.Errorf("%d goroutines before the run, %d after", before, n)
 			}
 		})
 	}

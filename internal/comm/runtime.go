@@ -9,9 +9,13 @@
 //
 // Starting a run costs O(p): a pair's mailbox is created the first
 // time one of its endpoints addresses the other, exactly once, and a
-// message whose mailbox is ready costs one channel operation that only
-// the two endpoints contend for — the run-wide abort channel is
-// consulted only by a rank about to block (see link and sendMsg).
+// message costs one channel operation that only the two endpoints
+// contend for. A receive is a bare channel receive whether or not it
+// parks: a receiver never consults the run-wide abort channel, it is
+// woken on its own mailbox by an abort token when a peer fails (see
+// failLocal). Only an operation blocked on a full mailbox or queue —
+// a send, a deferred delivery — selects on the abort channel as well
+// (see link and sendMsg).
 //
 // Collectives are implemented from scratch with selectable algorithms
 // (binomial tree, flat, ring), mirroring the "tree" versus "no-tree"
@@ -42,6 +46,11 @@ const (
 	payloadParticles
 	payloadTeamParticles // particles prefixed with a 4-byte source-team frame
 	payloadF64s
+	// payloadAbort marks an abort token: not a payload but the wake-up
+	// failLocal puts into every local mailbox when the run fails. No
+	// constructor below produces it and encodeFrame refuses it, so only
+	// failLocal can make one; a receiver that takes one unwinds.
+	payloadAbort
 )
 
 func (k payloadKind) String() string {
@@ -54,6 +63,8 @@ func (k payloadKind) String() string {
 		return "team-particles"
 	case payloadF64s:
 		return "f64s"
+	case payloadAbort:
+		return "abort"
 	default:
 		return fmt.Sprintf("payloadKind(%d)", int(k))
 	}
@@ -114,8 +125,8 @@ const frameBytes = 4
 
 // mailboxCap is the default per-(src,dst) channel buffer. The algorithms
 // in this repository keep at most a few outstanding messages per pair;
-// the abort select prevents a hard deadlock if that assumption is
-// violated. Options.MailboxCap overrides it — tests use tiny (even zero)
+// a sender blocked on a full mailbox selects on the abort channel too,
+// which prevents a hard deadlock if that assumption is violated. Options.MailboxCap overrides it — tests use tiny (even zero)
 // capacities to prove point-to-point patterns correct on any
 // bounded-capacity transport.
 const mailboxCap = 8
@@ -188,6 +199,10 @@ func (rt *Runtime) deferDelivery(l *link, deliver func()) {
 type inbox struct {
 	mu   sync.Mutex
 	from map[int]*link
+	// aborted is set, under mu, when failLocal has offered an abort token
+	// to every mailbox in from: a mailbox created later is handed its
+	// token at creation, so each mailbox of a failed run gets exactly one.
+	aborted bool
 }
 
 // Runtime owns the mailboxes and failure plumbing for one SPMD execution.
@@ -196,6 +211,7 @@ type Runtime struct {
 	boxCap  int
 	inboxes []inbox       // by destination world rank
 	abort   chan struct{} // closed on first rank failure
+	done    chan struct{} // closed when every local rank has returned
 	once    sync.Once
 	mu      sync.Mutex
 	err     error
@@ -228,6 +244,7 @@ func newRuntime(size, boxCap int) *Runtime {
 		boxCap:  boxCap,
 		inboxes: make([]inbox, size),
 		abort:   make(chan struct{}),
+		done:    make(chan struct{}),
 		stats:   make([]*trace.Stats, size),
 		hi:      size,
 	}
@@ -250,6 +267,9 @@ func (rt *Runtime) link(src, dst int) *link {
 		l = &link{}
 		if !rt.remote(dst) {
 			l.box = make(chan message, rt.boxCap)
+			if in.aborted {
+				rt.offerAbort(l.box)
+			}
 		}
 		in.from[src] = l
 	}
@@ -274,13 +294,52 @@ func (rt *Runtime) fail(err error) {
 // failLocal is fail without the mesh propagation — the form the mesh's
 // own abort callback uses, so failure notifications arriving from a
 // remote process do not recurse back into the mesh.
+//
+// The first call releases the local ranks in two ways. Closing rt.abort
+// releases whatever is blocked on a full mailbox or queue (senders,
+// deferred deliveries, remote sends), which select on it. Receivers do
+// not — a receive is a bare channel receive — so every local mailbox,
+// present or future, is offered one abort token (offerAbort), behind
+// whatever it already holds: a rank blocked in, or arriving at, a
+// receive on any mailbox drains the messages delivered before the
+// failure, takes the token and unwinds.
 func (rt *Runtime) failLocal(err error) {
 	rt.mu.Lock()
 	if rt.err == nil {
 		rt.err = err
 	}
 	rt.mu.Unlock()
-	rt.once.Do(func() { close(rt.abort) })
+	rt.once.Do(func() {
+		close(rt.abort)
+		for dst := rt.lo; dst < rt.hi; dst++ {
+			in := &rt.inboxes[dst]
+			in.mu.Lock()
+			in.aborted = true
+			for _, l := range in.from {
+				rt.offerAbort(l.box)
+			}
+			in.mu.Unlock()
+		}
+	})
+}
+
+// offerAbort puts an abort token into box: at once if the mailbox has
+// room, otherwise from a goroutine that keeps the offer up until the
+// receiver takes it or every local rank has returned (rt.done), so
+// unbuffered and full mailboxes are covered and nothing outlives
+// RunProc. It never blocks; the caller holds the mailbox's inbox lock.
+func (rt *Runtime) offerAbort(box chan message) {
+	token := message{kind: payloadAbort}
+	select {
+	case box <- token:
+	default:
+		go func() {
+			select {
+			case box <- token:
+			case <-rt.done:
+			}
+		}()
+	}
 }
 
 // errAborted is the panic payload used to unwind ranks blocked on
@@ -363,6 +422,7 @@ func RunProc(size int, opts Options, proc *Proc, fn func(*Comm) error) (*trace.R
 		}(world)
 	}
 	wg.Wait()
+	close(rt.done)
 	if proc != nil {
 		// Detach before the result exchange, not after: once every local
 		// rank has returned, all of this run's inbound traffic has been

@@ -86,6 +86,10 @@ func AllPairs(ps []phys.Particle, pr Params) ([]phys.Particle, *trace.Report, er
 		defer pool.Close()
 		po := newPoolObs(pool, st, mx)
 		x := newXfer(pr.Encoded, -1, pr.Overlap)
+		// Ring neighbours are constants of the run: row k skews east by k,
+		// every row shifts east by c (rowComm ranks are team columns).
+		skewTo, skewFrom := topo.Mod(col+row, T), topo.Mod(col-row, T)
+		shiftTo, shiftFrom := topo.Mod(col+pr.C, T), topo.Mod(col-pr.C, T)
 		var team []phys.Particle
 		update := func() error {
 			_, visiting, err := x.view()
@@ -123,10 +127,7 @@ func AllPairs(ps []phys.Particle, pr Params) ([]phys.Particle, *trace.Report, er
 			// (3) Skew: row k shifts its exchange buffer east by k.
 			st.SetPhase(trace.Skew)
 			if row != 0 && T > 1 {
-				to := rowComm.Rank() // == col
-				to = topo.Mod(to+row, T)
-				from := topo.Mod(col-row, T)
-				x.shift(rowComm, to, from, tagSkew)
+				x.shift(rowComm, skewTo, skewFrom, tagSkew)
 			}
 
 			// (4) p/c² shift-and-update steps. In overlap mode each rank
@@ -137,10 +138,8 @@ func AllPairs(ps []phys.Particle, pr Params) ([]phys.Particle, *trace.Report, er
 			for i := 0; i < shifts; i++ {
 				st.SetPhase(trace.Shift)
 				if T > 1 && pr.C < T {
-					to := topo.Mod(col+pr.C, T)
-					from := topo.Mod(col-pr.C, T)
 					if pr.Overlap {
-						err := x.shiftOverlap(rowComm, to, from, tagShift+i, func() error {
+						err := x.shiftOverlap(rowComm, shiftTo, shiftFrom, tagShift+i, func() error {
 							uerr := update()
 							st.SetPhase(trace.Shift)
 							return uerr
@@ -150,7 +149,7 @@ func AllPairs(ps []phys.Particle, pr Params) ([]phys.Particle, *trace.Report, er
 						}
 						continue
 					}
-					x.shift(rowComm, to, from, tagShift+i)
+					x.shift(rowComm, shiftTo, shiftFrom, tagShift+i)
 				}
 				if err := update(); err != nil {
 					return err

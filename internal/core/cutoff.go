@@ -126,14 +126,20 @@ func Cutoff(ps []phys.Particle, pr Params) ([]phys.Particle, *trace.Report, erro
 			po.stampBatch()
 			return nil
 		}
-		shiftPeers := func(i int) (to, from int, ok bool) {
-			mv := sched.Move(layer, i)
-			if mv == (topo.Offset{}) {
-				return 0, 0, false
+		// The layer's moves are constants of the run: resolve each step's
+		// neighbours once (ok is false where the buffer stays put).
+		steps := sched.Steps(layer)
+		type hop struct {
+			to, from int
+			ok       bool
+		}
+		hops := make([]hop, steps)
+		for i := range hops {
+			if mv := sched.Move(layer, i); mv != (topo.Offset{}) {
+				to, _ := tg.Neighbor(team, mv.DX, mv.DY, true)
+				from, _ := tg.Neighbor(team, -mv.DX, -mv.DY, true)
+				hops[i] = hop{to, from, to != team}
 			}
-			to, _ = tg.Neighbor(team, mv.DX, mv.DY, true)
-			from, _ = tg.Neighbor(team, -mv.DX, -mv.DY, true)
-			return to, from, to != team
 		}
 
 		for step := 0; step < pr.Steps; step++ {
@@ -165,19 +171,18 @@ func Cutoff(ps []phys.Particle, pr Params) ([]phys.Particle, *trace.Report, erro
 			// shipped before computing on step i's buffer, so the
 			// transfer hides behind the force evaluation (the payload is
 			// only read on both sides).
-			steps := sched.Steps(layer)
 			for i := 0; i < steps; i++ {
 				if i == 0 {
 					st.SetPhase(trace.Skew)
-					if to, from, ok := shiftPeers(0); ok {
-						x.shift(layerComm, to, from, tagShift)
+					if h := hops[0]; h.ok {
+						x.shift(layerComm, h.to, h.from, tagShift)
 					}
 				}
 				st.SetPhase(trace.Shift)
 				pending := false
 				if pr.Overlap && i+1 < steps {
-					if to, from, ok := shiftPeers(i + 1); ok {
-						x.startShift(layerComm, to, from, tagShift+i+1)
+					if h := hops[i+1]; h.ok {
+						x.startShift(layerComm, h.to, h.from, tagShift+i+1)
 						pending = true
 					}
 				}
@@ -188,8 +193,8 @@ func Cutoff(ps []phys.Particle, pr Params) ([]phys.Particle, *trace.Report, erro
 				if pending {
 					x.finishShift()
 				} else if !pr.Overlap && i+1 < steps {
-					if to, from, ok := shiftPeers(i + 1); ok {
-						x.shift(layerComm, to, from, tagShift+i+1)
+					if h := hops[i+1]; h.ok {
+						x.shift(layerComm, h.to, h.from, tagShift+i+1)
 					}
 				}
 			}

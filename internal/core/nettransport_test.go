@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"os"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -10,6 +11,21 @@ import (
 	"repro/internal/phys"
 	"repro/internal/trace"
 )
+
+// socketDir returns a short-lived directory for a mesh's unix sockets.
+// Not t.TempDir: it spells out the subtest's name, a unix socket path is
+// capped near 108 bytes, and the mesh numbers its data sockets with a
+// counter that reaches four digits by the fortieth repetition of a
+// -count run (`make flakematrix` is what found it).
+func socketDir(t *testing.T) string {
+	t.Helper()
+	dir, err := os.MkdirTemp("", "mesh")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { os.RemoveAll(dir) })
+	return dir
+}
 
 // runOverSockets executes an algorithm collectively across `procs`
 // in-process "OS processes" joined over a unix-socket mesh, splitting
@@ -29,7 +45,7 @@ func runOverSockets(t *testing.T, procs int, pr Params, ps []phys.Particle,
 	if pr.P%procs != 0 {
 		t.Fatalf("p=%d not divisible by procs=%d", pr.P, procs)
 	}
-	rendezvous := "unix:" + filepath.Join(t.TempDir(), "r.sock")
+	rendezvous := "unix:" + filepath.Join(socketDir(t), "r.sock")
 	states := make([][]phys.Particle, procs)
 	reports := make([]*trace.Report, procs)
 	errs := make([]error, procs)
@@ -156,7 +172,7 @@ func TestSocketBackToBackRuns(t *testing.T) {
 		t.Fatalf("in-process run: %v", err)
 	}
 
-	rendezvous := "unix:" + filepath.Join(t.TempDir(), "r2.sock")
+	rendezvous := "unix:" + filepath.Join(socketDir(t), "r2.sock")
 	type result struct {
 		states  [2][]phys.Particle
 		reports [2]*trace.Report

@@ -168,9 +168,13 @@ func (s *Stats) Tracer() *obs.Tracer { return s.tracer }
 // SetPhase switches the active phase. If wall-clock timing was started
 // with StartTiming, the elapsed time since the last switch is charged to
 // the outgoing phase. With a tracer attached, the outgoing phase's span
-// is emitted to the timeline.
+// is emitted to the timeline. Re-entering the active phase is a no-op —
+// no clock reading, no span — so loops may call it redundantly.
 func (s *Stats) SetPhase(p Phase) {
 	s.guard.check()
+	if p == s.phase {
+		return
+	}
 	if s.timing || s.tracer != nil {
 		now := time.Since(s.epoch)
 		if s.timing {
