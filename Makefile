@@ -4,12 +4,16 @@
 
 GO ?= go
 
-.PHONY: check build vet test purego crossbuild flake flakematrix race obsdebug benchguard benchsmoke httpsmoke netsmoke placesmoke benchdiff bench benchrepo
+.PHONY: check build fmt vet test purego crossbuild flake flakematrix race obsdebug benchguard benchsmoke httpsmoke netsmoke placesmoke benchdiff bench benchrepo loc
 
-check: build vet test purego crossbuild flake race obsdebug benchguard benchsmoke httpsmoke netsmoke placesmoke benchdiff
+check: build fmt vet test purego crossbuild flake race obsdebug benchguard benchsmoke httpsmoke netsmoke placesmoke benchdiff
 
 build:
 	$(GO) build ./...
+
+# Formatting gate: gofmt must have nothing to say about any file.
+fmt:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...
@@ -22,9 +26,11 @@ test:
 # assembly sweeps (internal/phys/sweep_amd64.s), so the Go loops they
 # replace — for the repulsive cutoff law, the only users of the
 # compaction sweep — run only in this build. `purego` compiles the
-# assembly out; every property test must hold here unchanged.
+# assembly out; every property test must hold here unchanged, and so
+# must the pinned state hashes of the root package's golden test.
 purego:
 	$(GO) test -tags purego ./internal/phys/... ./internal/core/...
+	$(GO) test -tags purego -run TestGoldenStateAndTraffic .
 
 # Cross-compile gate: the tree must build, and the phys build-tag split
 # must vet, for an architecture that has no assembly path.
@@ -84,10 +90,9 @@ benchguard:
 	$(GO) test -run NONE -bench BenchmarkRingShiftOversubscribed -benchtime 100x ./internal/comm/
 
 # Smoke gates: the specialized LJ-cutoff kernel must beat the generic
-# per-pair path and the typed transport must beat the serialize-and-ship
-# fallback (small thresholds, robust to loaded machines); the
-# specialized kernel must not allocate; pooled (workers>1) runs must be
-# bitwise-identical to workers=1 with unchanged S/W.
+# per-pair path (small threshold, robust to loaded machines) and must
+# not allocate; pooled (workers>1) runs must be bitwise-identical to
+# workers=1 with unchanged S/W.
 benchsmoke:
 	$(GO) run ./cmd/bench -smoke
 
@@ -107,17 +112,17 @@ netsmoke:
 	sh scripts/netsmoke.sh
 
 # Placement smoke gate: on the committed p=64 cutoff communication
-# matrix over the Balanced3D generic torus, the seeded PSO and
-# annealing searchers must beat the identity hop cost and reproduce
-# the committed golden objective values bitwise (the searcher
-# arithmetic is deterministic). Regenerate the golden file with
+# matrix over the Balanced3D generic torus, the seeded annealing
+# searcher must beat the identity hop cost and reproduce the
+# committed golden objective values bitwise (the searcher arithmetic
+# is deterministic). Regenerate the golden file with
 # `go test ./internal/place/ -run TestPlaceGolden -update` after an
 # intentional searcher change.
 placesmoke:
 	$(GO) test -run TestPlaceGolden ./internal/place/
 
-# Perf-regression gate: run the quick bench (timesteps, transport,
-# placement search, recorder overhead) and diff the result against the
+# Perf-regression gate: run the quick bench (timesteps, placement
+# search, recorder overhead) and diff the result against the
 # committed baseline with obsdiff, which exits 1 if any shared metric
 # regresses past the threshold. The threshold is deliberately loose —
 # wall-clock metrics on a loaded CI machine vary severalfold; the gate
@@ -130,9 +135,9 @@ benchdiff:
 
 # Full benchmark report: kernel microbenchmarks (generic vs specialized,
 # the tile-width × kernel grid, pooled worker widths), speedups,
-# end-to-end per-step wall times, the typed-vs-encoded transport
-# comparison, the rank×worker scaling grid, the placement-searcher
-# timings, and the flight-recorder overhead, written to BENCH_PR9.json.
+# end-to-end per-step wall times, the rank×worker scaling grid, the
+# placement-searcher timings, and the flight-recorder overhead, written
+# to BENCH_PR9.json.
 # The obs micro-benchmarks ride along.
 bench:
 	$(GO) run ./cmd/bench -o BENCH_PR9.json
@@ -146,3 +151,9 @@ bench:
 WORKLOAD ?= ap-latency
 benchrepo:
 	bash benchmark/run.sh --workload $(WORKLOAD) --seconds 5 --trace 0
+
+# The two line counts ROADMAP.md tracks: non-test Go and test Go,
+# benchmark/ and cmd/ included.
+loc:
+	@printf 'non-test Go: %s lines\n' "$$(find . -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)"
+	@printf 'test Go:     %s lines\n' "$$(find . -name '*_test.go' | xargs cat | wc -l)"

@@ -2,6 +2,7 @@ package nbody
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/comm"
 	"repro/internal/core"
@@ -129,6 +130,10 @@ type Config struct {
 	P int
 	// C is the replication factor, 1 ≤ c ≤ √p for all-pairs runs
 	// (default 1). The number of teams p/c must divide N for all-pairs.
+	// Four algorithms fix it — ParticleDecomp, NaiveAllGather and
+	// Midpoint run at c = 1, ForceDecomp at c = √p: there 0 and 1 mean
+	// "whatever the algorithm runs at", any other value that disagrees
+	// is rejected, and Simulation.Config reports the value in effect.
 	C int
 	// Algorithm selects the decomposition (default Auto).
 	Algorithm Algorithm
@@ -202,12 +207,6 @@ type Config struct {
 	// such a host the knob only reaches Lennard-Jones cutoff runs, the
 	// cell list and the midpoint algorithm.
 	Tile int
-	// EncodedTransport selects the serialize-and-ship message path for
-	// the CA timestep loops instead of the default zero-copy typed
-	// transport. Results and measured communication quantities are
-	// bit-identical either way; the encoded path exists as the
-	// verification fallback and benchmark baseline.
-	EncodedTransport bool
 	// Observe, when non-nil, records a per-rank event timeline and a
 	// metrics registry during runs; retrieve them with
 	// Simulation.Timeline and Simulation.MetricsSnapshot. Nil (the
@@ -280,11 +279,28 @@ func (c Config) params(steps int) core.Params {
 		Steps:   steps,
 		Options: comm.Options{Collectives: c.Collectives},
 		Overlap: c.Overlap,
-		Encoded: c.EncodedTransport,
 		Workers: c.Workers,
 		Tile:    c.Tile,
 		Proc:    c.Proc,
 	}
+}
+
+// fixedC returns the replication factor the configured algorithm always
+// runs at, or 0 when it runs at the caller's. The drivers of those
+// algorithms overwrite Params.C, so what the configuration, the
+// recorder header and a checkpoint report is settled before any of them
+// is built.
+func (c Config) fixedC() int {
+	switch c.resolveAlgorithm() {
+	case ParticleDecomp, NaiveAllGather, Midpoint:
+		return 1
+	case ForceDecomp:
+		// A non-square P is the dry run's to reject.
+		if root := int(math.Round(math.Sqrt(float64(c.P)))); root*root == c.P {
+			return root
+		}
+	}
+	return 0
 }
 
 // resolveAlgorithm maps Auto onto a concrete decomposition.
@@ -318,6 +334,15 @@ var errNotObserved = fmt.Errorf("nbody: simulation not observed (set Config.Obse
 // rather than mid-run.
 func New(cfg Config) (*Simulation, error) {
 	cfg = cfg.withDefaults()
+	if fixed := cfg.fixedC(); fixed != 0 {
+		// 0 and 1 are what a caller who does not care passes (cmd/nbody's
+		// -c defaults to 1); a larger value the algorithm would ignore is
+		// a contradiction.
+		if cfg.C > 1 && cfg.C != fixed {
+			return nil, fmt.Errorf("nbody: %v runs at c=%d, but C=%d was asked for", cfg.resolveAlgorithm(), fixed, cfg.C)
+		}
+		cfg.C = fixed
+	}
 	if cfg.N <= 0 {
 		return nil, fmt.Errorf("nbody: config needs N > 0")
 	}

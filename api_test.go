@@ -334,3 +334,56 @@ func TestAlgorithmString(t *testing.T) {
 		t.Error("unknown algorithm should still render")
 	}
 }
+
+// TestFixedReplicationFactorIsReported: four algorithms run at a
+// replication factor of their own — c = 1, or √p for the force
+// decomposition — whatever Config.C says. A caller's 0 or 1 must
+// resolve to that value everywhere it is reported (the configuration,
+// the flight-recorder header, a checkpoint and what Load restores from
+// it); any other value that disagrees must be refused, not ignored.
+func TestFixedReplicationFactorIsReported(t *testing.T) {
+	for _, tc := range []struct {
+		cfg  Config
+		want int
+	}{
+		{Config{N: 64, P: 16, Algorithm: ParticleDecomp}, 1},
+		{Config{N: 64, P: 16, Algorithm: NaiveAllGather}, 1},
+		{Config{N: 64, P: 16, Algorithm: Midpoint, Cutoff: 4}, 1},
+		{Config{N: 64, P: 16, Algorithm: ForceDecomp}, 4},
+	} {
+		for _, c := range []int{0, 1, tc.want} {
+			cfg := tc.cfg
+			cfg.C = c
+			cfg.Observe = &ObserveOptions{}
+			sim, err := New(cfg)
+			if err != nil {
+				t.Fatalf("%v C=%d: %v", cfg.Algorithm, c, err)
+			}
+			if got := sim.Config().C; got != tc.want {
+				t.Errorf("%v C=%d: Config().C = %d, want %d", cfg.Algorithm, c, got, tc.want)
+			}
+			if got := sim.Recorder().Meta().C; got != tc.want {
+				t.Errorf("%v C=%d: recorder header says c=%d, want %d", cfg.Algorithm, c, got, tc.want)
+			}
+			if err := sim.Run(2); err != nil {
+				t.Fatalf("%v C=%d: %v", cfg.Algorithm, c, err)
+			}
+			var buf bytes.Buffer
+			if err := sim.Save(&buf); err != nil {
+				t.Fatal(err)
+			}
+			restored, err := Load(&buf)
+			if err != nil {
+				t.Fatalf("%v C=%d: load: %v", cfg.Algorithm, c, err)
+			}
+			if got := restored.Config().C; got != tc.want {
+				t.Errorf("%v C=%d: restored Config().C = %d, want %d", cfg.Algorithm, c, got, tc.want)
+			}
+		}
+		cfg := tc.cfg
+		cfg.C = 2 // neither 1 nor √16
+		if _, err := New(cfg); err == nil || !strings.Contains(err.Error(), "runs at c=") {
+			t.Errorf("%v C=2: New returned %v, want the contradiction refused", cfg.Algorithm, err)
+		}
+	}
+}

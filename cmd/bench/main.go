@@ -1,17 +1,15 @@
 // Command bench measures the hot-path force kernels against their
 // generic per-pair reference implementations, the end-to-end per-step
-// wall time of the parallel algorithms, the zero-copy typed transport
-// against the serialize-and-ship fallback, the intra-rank force
+// wall time of the parallel algorithms, the intra-rank force
 // pool's rank×worker scaling, and the rank→node placement searchers'
 // wall time and hop-cost improvement, writing the results as JSON
 // (BENCH_PR9.json in the repository root records a committed run).
 //
 //	bench -o BENCH_PR9.json   # full run, write the JSON report
 //	bench -smoke              # fast gates only; exit 1 unless the
-//	                          # specialized LJ-cutoff kernel and the
-//	                          # typed transport beat their baselines
-//	                          # by the smoke thresholds, or pooled
-//	                          # (workers > 1) runs diverge from
+//	                          # specialized LJ-cutoff kernel beats its
+//	                          # baseline by the smoke threshold, or
+//	                          # pooled (workers > 1) runs diverge from
 //	                          # workers=1 in final state or S/W
 //
 // The worker-pool comparison runs the same kernel batch and the same
@@ -29,14 +27,6 @@
 // exactly the win of hoisting the kind/cutoff/softening dispatch out of
 // the pair loop. allocs_per_op doubles as a regression guard: the
 // specialized loops must report 0.
-//
-// The transport comparison runs the same algorithm with the same
-// inputs under both transports (core.Params.Encoded toggles them), so
-// the reported speedup is exactly the win of moving particles through
-// the mailboxes by reference instead of through the wire codec. The
-// particle counts are deliberately communication-bound (small n, so
-// codec cost is a large fraction of the step) — that is the regime the
-// zero-copy path targets.
 package main
 
 import (
@@ -81,19 +71,6 @@ type stepResult struct {
 	Replication   int     `json:"replication"`
 	Steps         int     `json:"steps"`
 	WallNsPerStep float64 `json:"wall_ns_per_step"`
-}
-
-// transportResult compares the typed and encoded transports on one
-// algorithm configuration.
-type transportResult struct {
-	Algorithm        string  `json:"algorithm"`
-	Particles        int     `json:"particles"`
-	Ranks            int     `json:"ranks"`
-	Replication      int     `json:"replication"`
-	Steps            int     `json:"steps"`
-	TypedNsPerStep   float64 `json:"typed_ns_per_step"`
-	EncodedNsPerStep float64 `json:"encoded_ns_per_step"`
-	Speedup          float64 `json:"speedup"`
 }
 
 // tileKernelResult is one line of the tile-width × kernel microbench
@@ -165,7 +142,6 @@ type report struct {
 	TileKernels   []tileKernelResult      `json:"tile_kernels,omitempty"`
 	Speedups      map[string]float64      `json:"speedups,omitempty"`
 	Timesteps     []stepResult            `json:"timesteps,omitempty"`
-	Transport     []transportResult       `json:"transport,omitempty"`
 	WorkerKernels []workerKernelResult    `json:"worker_kernels,omitempty"`
 	WorkerScaling []workerScalingResult   `json:"worker_scaling,omitempty"`
 	Placement     []placementResult       `json:"placement,omitempty"`
@@ -185,20 +161,14 @@ const reportKind = "canbody-bench"
 // generic path's cost on loaded CI machines, not against noise.
 const smokeThreshold = 1.1
 
-// transportSmokeThreshold is the minimum typed-over-encoded all-pairs
-// speedup the -smoke gate accepts. The committed BENCH_PR4.json shows
-// ≥1.3×; the gate is set well below that so it trips only when the
-// typed path regresses to (near) codec cost, not on machine noise.
-const transportSmokeThreshold = 1.05
-
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("bench: ")
 	var (
 		out       = flag.String("o", "BENCH_PR9.json", "output path for the JSON report")
-		smoke     = flag.Bool("smoke", false, "run only the smoke gates (LJ-cutoff kernel, typed transport)")
+		smoke     = flag.Bool("smoke", false, "run only the smoke gates (LJ-cutoff kernel, worker and tile invariance)")
 		httpSmoke = flag.Bool("httpsmoke", false, "run only the live-telemetry smoke gate (mid-run scrapes, matrix and series conservation)")
-		quick     = flag.Bool("quick", false, "run only the timestep, transport and recorder-overhead sections and write the report — the fast artifact the benchdiff gate compares against committed baselines")
+		quick     = flag.Bool("quick", false, "run only the timestep, placement and recorder-overhead sections and write the report — the fast artifact the benchdiff gate compares against committed baselines")
 	)
 	flag.Parse()
 
@@ -217,7 +187,6 @@ func main() {
 			Metrics:    map[string]float64{},
 		}
 		rep.Timesteps = append(rep.Timesteps, timeAllPairs(), timeCutoff())
-		rep.Transport = append(rep.Transport, transportAllPairs(3), transportCutoff(3))
 		rep.Placement = benchPlacement()
 		fillPlacement(rep.Placement, rep.Metrics)
 		rep.Recorder = recorderOverhead()
@@ -272,10 +241,6 @@ func main() {
 		}
 		if speedup < smokeThreshold {
 			log.Fatalf("FAIL: lj_cut speedup %.2fx below threshold %.2fx", speedup, smokeThreshold)
-		}
-		tr := transportAllPairs(3)
-		if tr.Speedup < transportSmokeThreshold {
-			log.Fatalf("FAIL: typed transport speedup %.2fx below threshold %.2fx", tr.Speedup, transportSmokeThreshold)
 		}
 		checkWorkerInvariance()
 		checkTileInvariance()
@@ -341,10 +306,6 @@ func main() {
 	addKernel("celllist", genericCL, fastCL)
 
 	rep.Timesteps = append(rep.Timesteps, timeAllPairs(), timeCutoff())
-	rep.Transport = append(rep.Transport, transportAllPairs(5), transportCutoff(5))
-	for _, tr := range rep.Transport {
-		rep.Speedups["transport_"+tr.Algorithm] = tr.Speedup
-	}
 
 	rep.TileKernels = benchTileKernels(targets, sources, box)
 	for _, tr := range rep.TileKernels {
@@ -374,10 +335,6 @@ func main() {
 
 	if rep.Speedups["lj_cut"] < smokeThreshold {
 		log.Fatalf("FAIL: lj_cut speedup %.2fx below threshold %.2fx", rep.Speedups["lj_cut"], smokeThreshold)
-	}
-	if rep.Speedups["transport_allpairs"] < transportSmokeThreshold {
-		log.Fatalf("FAIL: typed transport speedup %.2fx below threshold %.2fx",
-			rep.Speedups["transport_allpairs"], transportSmokeThreshold)
 	}
 
 	writeReport(rep, *out)
@@ -608,77 +565,6 @@ func medianStepTime(steps, reps int, run func()) float64 {
 	}
 	sort.Float64s(times)
 	return times[len(times)/2]
-}
-
-// transportAllPairs times the all-pairs algorithm under both transports
-// on identical inputs. Small n: with few particles per rank the wire
-// codec is a large share of the step, which is exactly the overhead the
-// typed path removes.
-func transportAllPairs(reps int) transportResult {
-	const n, p, c, steps = 64, 4, 2, 60
-	pr := core.Params{
-		P:     p,
-		C:     c,
-		Law:   phys.DefaultLaw(),
-		Box:   phys.NewBox(10, 2, phys.Reflective),
-		DT:    1e-3,
-		Steps: steps,
-	}
-	ps := phys.InitUniform(n, pr.Box, 17)
-	typed := medianStepTime(steps, reps, func() {
-		if _, _, err := core.AllPairs(ps, pr); err != nil {
-			log.Fatal(err)
-		}
-	})
-	prEnc := pr
-	prEnc.Encoded = true
-	encoded := medianStepTime(steps, reps, func() {
-		if _, _, err := core.AllPairs(ps, prEnc); err != nil {
-			log.Fatal(err)
-		}
-	})
-	tr := transportResult{
-		Algorithm: "allpairs", Particles: n, Ranks: p, Replication: c, Steps: steps,
-		TypedNsPerStep: typed, EncodedNsPerStep: encoded, Speedup: encoded / typed,
-	}
-	fmt.Printf("%-28s typed %10.1f ns/step  encoded %10.1f ns/step  %.2fx\n",
-		"transport allpairs p=4 c=2", typed, encoded, tr.Speedup)
-	return tr
-}
-
-// transportCutoff is the same comparison for the distance-limited
-// algorithm (1D periodic, framed team exchange, per-step migration).
-func transportCutoff(reps int) transportResult {
-	const n, p, c, steps = 128, 8, 2, 60
-	box := phys.NewBox(16, 1, phys.Periodic)
-	pr := core.Params{
-		P:     p,
-		C:     c,
-		Law:   phys.DefaultLaw().WithCutoff(box.L / 4),
-		Box:   box,
-		DT:    5e-4,
-		Steps: steps,
-	}
-	ps := phys.InitLattice(n, box, 17)
-	typed := medianStepTime(steps, reps, func() {
-		if _, _, err := core.Cutoff(ps, pr); err != nil {
-			log.Fatal(err)
-		}
-	})
-	prEnc := pr
-	prEnc.Encoded = true
-	encoded := medianStepTime(steps, reps, func() {
-		if _, _, err := core.Cutoff(ps, prEnc); err != nil {
-			log.Fatal(err)
-		}
-	})
-	tr := transportResult{
-		Algorithm: "cutoff", Particles: n, Ranks: p, Replication: c, Steps: steps,
-		TypedNsPerStep: typed, EncodedNsPerStep: encoded, Speedup: encoded / typed,
-	}
-	fmt.Printf("%-28s typed %10.1f ns/step  encoded %10.1f ns/step  %.2fx\n",
-		"transport cutoff p=8 c=2", typed, encoded, tr.Speedup)
-	return tr
 }
 
 // benchTileKernels times the tile-width × kernel grid: the kernels that

@@ -167,7 +167,6 @@ func main() {
 		if observing {
 			sim.EnableObservation(&nbody.ObserveOptions{TimelineCapacity: *traceCap})
 		}
-		cfg = sim.Config()
 		say("resumed from %s at step %d\n", *loadFile, sim.Steps())
 	} else {
 		sim, err = nbody.New(cfg)
@@ -175,6 +174,9 @@ func main() {
 			log.Fatal(err)
 		}
 	}
+	// What runs is the simulation's configuration: New fills defaults in
+	// and settles the replication factor of the algorithms that fix it.
+	cfg = sim.Config()
 
 	if *httpAddr != "" {
 		hub, bound, err := sim.ServeLive(*httpAddr)

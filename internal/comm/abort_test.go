@@ -110,7 +110,12 @@ var blockedCases = []blockedCase{
 		c.Irecv(dies, 0).Wait()
 	}},
 	{"SendrecvParticlesOverlap", 1, func(c *Comm, dies int) {
-		c.SendrecvParticlesOverlap(dies, make([]phys.Particle, 8), dies, 0, func() {})
+		// The overlapped shift exchange as core's walkOverlapped spells it
+		// since the function this row is named after was deleted (the
+		// name stays: the tier-1 floor lists its eighteen subtests).
+		send := c.IsendParticles(dies, 0, make([]phys.Particle, 8))
+		c.Irecv(dies, 0).WaitParticles()
+		send.Wait()
 	}},
 	{"BcastParticles/non-root", 1, func(c *Comm, root int) {
 		c.BcastParticles(root, nil, nil)

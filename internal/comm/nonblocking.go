@@ -9,7 +9,9 @@ import (
 // Nonblocking point-to-point operations, the substrate for overlapping
 // communication with computation in the shift loop (the optimization
 // production MD codes layer on top of the paper's algorithm; see
-// core.AllPairs with Overlap set).
+// core.Params.Overlap): post the send and the receive, compute on the
+// outgoing buffer — it may still be read while in flight, receivers
+// only read it too — then Wait on both.
 
 // Request is an in-flight nonblocking operation. It belongs to the rank
 // that created it; Wait must be called from that rank's goroutine.
@@ -136,37 +138,4 @@ func (r *Request) waitSent() {
 			panic(errAborted{})
 		}
 	}
-}
-
-// SendrecvOverlap performs the shift exchange of Sendrecv but runs
-// overlap() between posting the send and collecting the receive, letting
-// computation on the outgoing buffer proceed while the payloads move.
-func (c *Comm) SendrecvOverlap(to int, data []byte, from, tag int, overlap func()) []byte {
-	if to == c.rank && from == c.rank {
-		overlap()
-		return data
-	}
-	send := c.Isend(to, tag, data)
-	recv := c.Irecv(from, tag)
-	overlap()
-	out := recv.Wait()
-	send.Wait()
-	return out
-}
-
-// SendrecvParticlesOverlap is SendrecvOverlap over the typed transport.
-// The outgoing slice may still be read by overlap() while in flight
-// (receivers only read it too); see the ownership contract on
-// SendParticles for when the buffer may be written again.
-func (c *Comm) SendrecvParticlesOverlap(to int, ps []phys.Particle, from, tag int, overlap func()) []phys.Particle {
-	if to == c.rank && from == c.rank {
-		overlap()
-		return ps
-	}
-	send := c.IsendParticles(to, tag, ps)
-	recv := c.Irecv(from, tag)
-	overlap()
-	out := recv.WaitParticles()
-	send.waitSent()
-	return out
 }

@@ -51,39 +51,6 @@ func TestIsendBeyondMailboxCapacity(t *testing.T) {
 	}
 }
 
-func TestSendrecvOverlapRunsCallback(t *testing.T) {
-	const p = 8
-	_, err := Run(p, Options{}, func(c *Comm) error {
-		data := []byte{byte(c.Rank())}
-		ran := false
-		got := c.SendrecvOverlap((c.Rank()+1)%p, data, (c.Rank()+p-1)%p, 0, func() { ran = true })
-		if !ran {
-			return fmt.Errorf("overlap callback skipped")
-		}
-		if want := byte((c.Rank() + p - 1) % p); got[0] != want {
-			return fmt.Errorf("got payload from %d, want %d", got[0], want)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestSendrecvOverlapSingleRank(t *testing.T) {
-	_, err := Run(1, Options{}, func(c *Comm) error {
-		ran := false
-		out := c.SendrecvOverlap(0, []byte{7}, 0, 0, func() { ran = true })
-		if !ran || out[0] != 7 {
-			return fmt.Errorf("degenerate overlap broken: ran=%v out=%v", ran, out)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestIsendAbortUnwinds(t *testing.T) {
 	_, err := Run(2, Options{}, func(c *Comm) error {
 		if c.Rank() == 0 {

@@ -298,4 +298,3 @@ func TestScratchReductionsMatchLegacy(t *testing.T) {
 		}
 	}
 }
-

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/comm"
 	"repro/internal/phys"
 	"repro/internal/trace"
 )
@@ -48,18 +47,13 @@ func NaiveAllGather(ps []phys.Particle, pr Params) ([]phys.Particle, *trace.Repo
 	npr := n / pr.P
 	perS, perW := directBounds(n, pr)
 
-	report, results, err := comm.RunProc(pr.P, pr.Options, pr.Proc, func(world *comm.Comm) error {
-		rank := world.Rank()
-		st := world.Stats()
-		mine := append([]phys.Particle(nil), ps[rank*npr:(rank+1)*npr]...)
-		probe := newStepProbe(world, perS, perW)
-
-		st.StartTiming()
-		defer st.StopTiming()
-		for step := 0; step < pr.Steps; step++ {
-			st.SetPhase(trace.Shift)
-			blocks := world.Allgather(phys.EncodeSlice(mine))
-			st.SetPhase(trace.Compute)
+	return runRanks(n, pr, perS, perW, func(rk *rank) rankLoop {
+		r := rk.world.Rank()
+		mine := append([]phys.Particle(nil), ps[r*npr:(r+1)*npr]...)
+		step := func() error {
+			rk.st.SetPhase(trace.Shift)
+			blocks := rk.world.Allgather(phys.EncodeSlice(mine))
+			rk.st.SetPhase(trace.Compute)
 			phys.ClearForces(mine)
 			for _, b := range blocks {
 				others, err := phys.DecodeSlice(b)
@@ -69,15 +63,8 @@ func NaiveAllGather(ps []phys.Particle, pr Params) ([]phys.Particle, *trace.Repo
 				pr.Law.Accumulate(mine, others)
 			}
 			phys.Step(mine, pr.Box, pr.DT)
-			st.SetPhase(trace.Other)
-			probe.stampStep()
+			return nil
 		}
-		world.Deposit(rank, mine)
-		return nil
+		return rankLoop{step, func() (int, []phys.Particle, bool) { return r, mine, true }}
 	})
-	stampReport(report, perS, perW, pr.Steps)
-	if err != nil {
-		return nil, report, err
-	}
-	return gatherResults(results, n), report, nil
 }

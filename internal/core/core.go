@@ -41,12 +41,6 @@ type Params struct {
 	// is synchronous; this is the optimization production MD codes add
 	// on top.
 	Overlap bool
-	// Encoded selects the serialize-and-ship transport for the timestep
-	// loops instead of the default zero-copy typed transport. The two
-	// are bit-identical in results and in measured communication
-	// quantities (the transport property tests assert it); the encoded
-	// path remains as the verification fallback and benchmark baseline.
-	Encoded bool
 	// Workers is the intra-rank worker-pool width for the force phase:
 	// each rank tiles its force accumulation over this many goroutines
 	// (disjoint target blocks, bitwise-identical results for any
@@ -78,6 +72,10 @@ type Params struct {
 	// process of the mesh must call the same driver with the same
 	// parameters and input. Nil runs all P ranks in-process.
 	Proc *comm.Proc
+	// oracle runs the loops on the serialize-everything transport
+	// (encodedXfer) the package's property tests hold the typed one
+	// against. Unexported, so only those tests can set it.
+	oracle bool
 }
 
 // Teams returns the number of teams p/c.
@@ -127,27 +125,36 @@ func (pr Params) validateCommon(n int) error {
 	return nil
 }
 
-// gridComms returns the caller's two communicators on the c × p/c
-// replication grid: its row (one replication layer, indexed by team —
-// the ring the exchange buffers shift along) and its team (one column,
-// leader first — the broadcast/reduce group). Every rank knows the
-// grid, so membership is explicit and building them costs no
-// communication.
-func gridComms(world *comm.Comm, grid topo.Grid) (row, team *comm.Comm) {
-	r, col := grid.Coord(world.Rank())
-	return world.Sub(grid.RowRanks(r)), world.Sub(grid.TeamRanks(col))
+// commGrid is the c × p/c replication grid with the member lists of its
+// communicators — one per row (a replication layer, in team order) and
+// one per team (a column, leader first) — built once per run. Every
+// rank knows the grid, so membership is explicit and making a rank's two
+// communicators costs no communication (Comm.Sub copies what it keeps).
+type commGrid struct {
+	topo.Grid
+	rows, teams [][]int
 }
 
-// flattenForces packs the force accumulators of ps into a float64 slice
-// (x0, y0, x1, y1, ...) for reduction.
-func flattenForces(ps []phys.Particle) []float64 {
-	return flattenForcesInto(make([]float64, 0, 2*len(ps)), ps)
+func newCommGrid(p, c int) (*commGrid, error) {
+	grid, err := topo.NewGrid(p, c)
+	if err != nil {
+		return nil, err
+	}
+	g := &commGrid{Grid: grid, rows: make([][]int, grid.Rows), teams: make([][]int, grid.Cols)}
+	for r := range g.rows {
+		g.rows[r] = grid.RowRanks(r)
+	}
+	for col := range g.teams {
+		g.teams[col] = grid.TeamRanks(col)
+	}
+	return g, nil
 }
 
-// flattenForcesInto is flattenForces appending into dst, reusing its
-// capacity; the timestep loops pass a retained scratch as dst[:0] so the
-// steady-state flatten allocates nothing. Reuse across steps is safe
-// because ReduceF64s copies the payload before any rank retains it.
+// flattenForcesInto appends the force accumulators of ps to dst as
+// (x0, y0, x1, y1, ...) for reduction, reusing dst's capacity; the
+// timestep loops pass a retained scratch as dst[:0] so the steady-state
+// flatten allocates nothing. Reuse across steps is safe because
+// ReduceF64s copies the payload before any rank retains it.
 func flattenForcesInto(dst []float64, ps []phys.Particle) []float64 {
 	for i := range ps {
 		dst = append(dst, ps[i].Force.X, ps[i].Force.Y)
@@ -164,15 +171,4 @@ func applyForces(ps []phys.Particle, forces []float64) {
 		ps[i].Force.X = forces[2*i]
 		ps[i].Force.Y = forces[2*i+1]
 	}
-}
-
-// blockPartition splits n items into parts contiguous blocks as evenly as
-// possible and returns the start index of each block plus a final
-// sentinel, i.e. block t is [starts[t], starts[t+1]).
-func blockPartition(n, parts int) []int {
-	starts := make([]int, parts+1)
-	for t := 0; t <= parts; t++ {
-		starts[t] = t * n / parts
-	}
-	return starts
 }

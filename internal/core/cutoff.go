@@ -1,10 +1,8 @@
 package core
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
-	"time"
 
 	"repro/internal/comm"
 	"repro/internal/phys"
@@ -57,7 +55,7 @@ func Cutoff(ps []phys.Particle, pr Params) ([]phys.Particle, *trace.Report, erro
 	if err != nil {
 		return nil, nil, err
 	}
-	grid, err := topo.NewGrid(pr.P, pr.C)
+	cg, err := newCommGrid(pr.P, pr.C)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -66,180 +64,67 @@ func Cutoff(ps []phys.Particle, pr Params) ([]phys.Particle, *trace.Report, erro
 	perS, perW := cutoffBounds(n, pr)
 	owned := scatterByTeam(ps, pr.Box, tg)
 
-	rr := newRunRecorder(pr)
-	report, results, err := comm.RunProc(pr.P, pr.Options, pr.Proc, func(world *comm.Comm) error {
-		rank := world.Rank()
-		layer, team := grid.Coord(rank)
-		st := world.Stats()
-
-		// Communicators: layerComm for shifts (same layer, indexed by
-		// team), teamComm for broadcast/reduce (same team, leader
-		// first). Migration runs between the team leaders, the layer-0
-		// ranks indexed by team: that is layer 0's layerComm.
-		layerComm, teamComm := gridComms(world, grid)
-
-		var mine []phys.Particle
-		if layer == 0 {
-			mine = owned[team]
+	return runRanks(n, pr, perS, perW, func(rk *rank) rankLoop {
+		l, layer, team := newShiftLoop(rk, &pr, cg)
+		l.moves = cutoffMoves(sched, tg, layer, team)
+		l.pairing = &windowed{tg: tg, m: m, wrap: wrap, dirs: dirs}
+		// The exchange buffer carries its true source team so receivers
+		// can reject aliased buffers near reflective boundaries.
+		l.x = newXfer(pr, team, l.closed)
+		if l.leader {
+			l.mine = owned[team]
 		}
-
-		st.StartTiming()
-		defer st.StopTiming()
-
-		// Per-step metrics, mirroring the all-pairs loop: step wall
-		// time from rank 0, per-rank per-step compute time from every
-		// rank (its max/mean is the spatial-imbalance signal the cutoff
-		// algorithm's boundary effects show up in).
-		mx := world.Metrics()
-		stepWall := mx.Histogram("step.wall_ns")
-		stepCompute := mx.Histogram("step.compute_ns")
-		stepsDone := mx.Counter("step.count")
-		pairEvals := mx.Counter("compute.pairs")
-		observed := mx != nil
-		probe := newStepProbe(world, perS, perW)
-		sampler := rr.sampler(world, pr.Steps)
-
-		// Per-rank fast-path state, built once per run: specialized
-		// kernel, the transport's retained buffers (see transport.go
-		// for the exchange reuse discipline), the migrator's reassignment
-		// buffers, and the force pool with its parked workers. The pool
-		// tiles the import-region accumulation by disjoint target blocks
-		// (bitwise-identical for any worker count); under Overlap its
-		// workers read the held buffer while the next shift is in flight.
-		kern := pr.Law.Kernel().WithTile(pr.Tile)
-		pool := phys.NewPool(pr.WorkersPerRank())
-		defer pool.Close()
-		po := newPoolObs(pool, st, mx)
-		x := newXfer(pr.Encoded, team, pr.Overlap)
-		var mig migrator
-		var teamCopy []phys.Particle
-		update := func() error {
-			srcTeam, visiting, err := x.view()
-			if err != nil {
-				return err
-			}
-			if !withinWindow(tg, team, srcTeam, m, wrap) {
-				return nil // aliased buffer from beyond a reflective edge
-			}
-			st.SetPhase(trace.Compute)
-			pairEvals.Add(pool.AccumulateIn(kern, teamCopy, visiting, pr.Box))
-			po.stampBatch()
-			return nil
-		}
-		// The layer's moves are constants of the run: resolve each step's
-		// neighbours once (ok is false where the buffer stays put).
-		steps := sched.Steps(layer)
-		type hop struct {
-			to, from int
-			ok       bool
-		}
-		hops := make([]hop, steps)
-		for i := range hops {
-			if mv := sched.Move(layer, i); mv != (topo.Offset{}) {
-				to, _ := tg.Neighbor(team, mv.DX, mv.DY, true)
-				from, _ := tg.Neighbor(team, -mv.DX, -mv.DY, true)
-				hops[i] = hop{to, from, to != team}
-			}
-		}
-
-		for step := 0; step < pr.Steps; step++ {
-			var t0 time.Time
-			var computeBefore time.Duration
-			if observed {
-				t0 = time.Now()
-				computeBefore = st.ByPhase[trace.Compute].Time
-			}
-			// (1) Broadcast St within the team.
-			st.SetPhase(trace.Broadcast)
-			var lead []phys.Particle
-			if layer == 0 {
-				lead = mine
-			}
-			var err error
-			teamCopy, err = x.bcastTeam(teamComm, lead)
-			if err != nil {
-				return err
-			}
-
-			// (2) The exchange buffer carries its true source team so
-			// receivers can reject aliased buffers near reflective
-			// boundaries.
-			x.loadExchange(teamCopy)
-
-			// (3)+(4) Skew, then shift through the cutoff window with
-			// stride c. In overlap mode the buffer for step i+1 is
-			// shipped before computing on step i's buffer, so the
-			// transfer hides behind the force evaluation (the payload is
-			// only read on both sides).
-			for i := 0; i < steps; i++ {
-				if i == 0 {
-					st.SetPhase(trace.Skew)
-					if h := hops[0]; h.ok {
-						x.shift(layerComm, h.to, h.from, tagShift)
-					}
-				}
-				st.SetPhase(trace.Shift)
-				pending := false
-				if pr.Overlap && i+1 < steps {
-					if h := hops[i+1]; h.ok {
-						x.startShift(layerComm, h.to, h.from, tagShift+i+1)
-						pending = true
-					}
-				}
-				if err := update(); err != nil {
-					return err
-				}
-				st.SetPhase(trace.Shift)
-				if pending {
-					x.finishShift()
-				} else if !pr.Overlap && i+1 < steps {
-					if h := hops[i+1]; h.ok {
-						x.shift(layerComm, h.to, h.from, tagShift+i+1)
-					}
-				}
-			}
-
-			// (5) Sum-reduce the team's force contributions.
-			st.SetPhase(trace.Reduce)
-			total := x.reduceForces(teamComm, teamCopy)
-
-			if layer == 0 {
-				applyForces(mine, total)
-				st.SetPhase(trace.Compute)
-				phys.Step(mine, pr.Box, pr.DT)
-
-				// (6) Spatial reassignment between neighboring teams.
-				st.SetPhase(trace.Reassign)
-				mine, err = mig.migrate(x, layerComm, tg, team, mine, pr.Box, dirs, wrap)
-				if err != nil {
-					return err
-				}
-			}
-			st.SetPhase(trace.Other)
-			po.stampStep()
-			probe.stampStep()
-			if observed {
-				stepCompute.Observe(int64(st.ByPhase[trace.Compute].Time - computeBefore))
-				if rank == 0 {
-					wall := time.Since(t0)
-					stepWall.Observe(wall.Nanoseconds())
-					stepsDone.Inc()
-					sampler.stampStep(wall)
-				}
-			}
-		}
-
-		if layer == 0 {
-			world.Deposit(team, mine)
-		}
-		return nil
+		return rankLoop{l.step, l.holds}
 	})
-	stampReport(report, perS, perW, pr.Steps)
-	rr.finish(report)
-	if err != nil {
-		return nil, report, err
+}
+
+// cutoffMoves is the move list of the rank of the given layer and team:
+// the skew into the layer's first window position, then the layer's
+// stride-c jumps through the cutoff window. The moves are constants of
+// the run, so each one's ring neighbours are resolved once. Data moves
+// on the team torus whatever the box's boundary; a buffer that wrapped
+// around a reflective edge is rejected on arrival (windowed.accumulate).
+// The ring does not close in general: the window is a part of the
+// torus and c need not divide it, so no buffer returns to its loader.
+func cutoffMoves(sched *CutoffSchedule, tg topo.TeamGrid, layer, team int) moves {
+	hops := make([]hop, sched.Steps(layer))
+	for i := range hops {
+		mv := sched.Move(layer, i)
+		hops[i].to, _ = tg.Neighbor(team, mv.DX, mv.DY, true)
+		hops[i].from, _ = tg.Neighbor(team, -mv.DX, -mv.DY, true)
 	}
-	return gatherResults(results, n), report, nil
+	return moves{last: len(hops) - 1, hops: hops}
+}
+
+// windowed is Algorithm 2's pairing: a visiting block interacts if its
+// source team lies in the rank's cutoff window, and a leader that has
+// integrated hands the particles that left its region to their new
+// teams.
+type windowed struct {
+	tg   topo.TeamGrid
+	m    int  // cutoff span in team widths
+	wrap bool // periodic box: team distances wrap
+	dirs []topo.Offset
+	mig  migrator
+}
+
+func (w *windowed) accumulate(l *shiftLoop, src int, visiting []phys.Particle) {
+	// The teams must be within Chebyshev distance m, unwrapped for
+	// reflective boxes: a wrapped delivery means the buffer aliased
+	// around the data-movement torus and must be skipped.
+	if w.tg.ChebyshevDist(l.slot, src, w.wrap) > w.m {
+		return
+	}
+	l.st.SetPhase(trace.Compute)
+	l.counted(l.pool.AccumulateIn(l.kern, l.replica, visiting, l.pr.Box))
+}
+
+// integrated is step (6), the spatial reassignment between neighboring
+// teams. Migration runs between the team leaders, the layer-0 ranks
+// indexed by team: that is the leader's ring.
+func (w *windowed) integrated(l *shiftLoop, mine []phys.Particle) ([]phys.Particle, error) {
+	l.st.SetPhase(trace.Reassign)
+	return w.mig.migrate(l.x, l.ring, w.tg, l.slot, mine, l.pr.Box, w.dirs, w.wrap)
 }
 
 // teamOfPos returns the team owning a position: the spatial cell of the
@@ -262,36 +147,6 @@ func clampCell(c, side int) int {
 		return side - 1
 	}
 	return c
-}
-
-// withinWindow reports whether src's buffer should be applied by team:
-// the teams must be within Chebyshev distance m, unwrapped for
-// reflective boxes (a wrapped delivery means the buffer aliased around
-// the data-movement torus and must be skipped).
-func withinWindow(tg topo.TeamGrid, team, src, m int, wrap bool) bool {
-	return tg.ChebyshevDist(team, src, wrap) <= m
-}
-
-// frameTeam prefixes the encoded particle payload with its source team.
-func frameTeam(team int, body []byte) []byte {
-	return appendFrameTeam(make([]byte, 0, 4+len(body)), team, body)
-}
-
-// appendFrameTeam is frameTeam appending into dst, reusing its capacity;
-// the timestep loop passes a retained exchange buffer as dst[:0] so the
-// steady-state frame allocates nothing.
-func appendFrameTeam(dst []byte, team int, body []byte) []byte {
-	var hdr [4]byte
-	binary.LittleEndian.PutUint32(hdr[:], uint32(team))
-	dst = append(dst, hdr[:]...)
-	return append(dst, body...)
-}
-
-func unframeTeam(b []byte) (int, []byte) {
-	if len(b) < 4 {
-		panic(fmt.Sprintf("core: malformed exchange frame of %d bytes", len(b)))
-	}
-	return int(binary.LittleEndian.Uint32(b)), b[4:]
 }
 
 // migrationDirs lists the neighbor directions particles can migrate
@@ -412,10 +267,7 @@ func (mg *migrator) migrate(x xfer, leaders *comm.Comm, tg topo.TeamGrid, team i
 		}
 		mg.out[d] = nil
 		if fromOK && from != team {
-			inc, err := x.recvParticles(leaders, from, tagMigrate+d)
-			if err != nil {
-				return nil, err
-			}
+			inc := x.recvParticles(leaders, from, tagMigrate+d)
 			merged = append(merged, inc...)
 			if cap(inc) > 0 {
 				mg.free = append(mg.free, inc)

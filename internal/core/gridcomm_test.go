@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"repro/internal/comm"
-	"repro/internal/topo"
 )
 
 // commView is what one rank sees of one of its communicators: its own
@@ -25,7 +24,7 @@ type commView struct {
 // keyed "kind/rank".
 func gridViews(t *testing.T, p, c int) map[string]commView {
 	t.Helper()
-	grid, err := topo.NewGrid(p, c)
+	cg, err := newCommGrid(p, c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,11 +42,11 @@ func gridViews(t *testing.T, p, c int) map[string]commView {
 			views[fmt.Sprintf("%s/%03d", kind, me)] = commView{cm.Rank(), group}
 			mu.Unlock()
 		}
-		rowComm, teamComm := gridComms(world, grid)
-		view("row", rowComm)
-		view("team", teamComm)
-		if row, _ := grid.Coord(world.Rank()); row == 0 {
-			view("lead", rowComm) // the cutoff loop's leaderComm
+		l, _, _ := newShiftLoop(&rank{world: world}, &Params{}, cg)
+		view("row", l.ring)
+		view("team", l.team)
+		if l.leader {
+			view("lead", l.ring) // the cutoff loop's leaderComm
 		}
 		return nil
 	})

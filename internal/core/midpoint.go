@@ -6,9 +6,7 @@ import (
 	"math"
 	"slices"
 	"sort"
-	"time"
 
-	"repro/internal/comm"
 	"repro/internal/phys"
 	"repro/internal/topo"
 	"repro/internal/trace"
@@ -78,26 +76,16 @@ func midpointND(ps []phys.Particle, pr Params, dim int) ([]phys.Particle, *trace
 	perS, perW := cutoffBounds(n, pr)
 	owned := scatterByTeam(ps, pr.Box, tg)
 
-	rr := newRunRecorder(pr)
-	report, results, err := comm.RunProc(pr.P, pr.Options, pr.Proc, func(world *comm.Comm) error {
-		me := world.Rank()
-		st := world.Stats()
-		x := newXfer(pr.Encoded, me, false)
-		pool := phys.NewPool(pr.WorkersPerRank())
-		defer pool.Close()
+	rc2 := pr.Law.Cutoff * pr.Law.Cutoff
+	open := pr.Law
+	open.Cutoff = 0
+	kern := open.Kernel()
+	tw := phys.TileWidth(pr.Tile)
 
-		// Per-step metrics, mirroring the all-pairs and cutoff loops:
-		// step wall time from rank 0, per-rank per-step compute time from
-		// every rank. Handles are nil — and the calls no-ops — when the
-		// run is not observed.
-		mx := world.Metrics()
-		stepWall := mx.Histogram("step.wall_ns")
-		stepCompute := mx.Histogram("step.compute_ns")
-		stepsDone := mx.Counter("step.count")
-		observed := mx != nil
-		po := newPoolObs(pool, st, mx)
-		probe := newStepProbe(world, perS, perW)
-		sampler := rr.sampler(world, pr.Steps)
+	return runRanks(n, pr, perS, perW, func(rk *rank) rankLoop {
+		world, st := rk.world, rk.st
+		me := world.Rank()
+		x := newXfer(pr, me, false)
 		mine := owned[me]
 		var mig migrator
 		// Per-step scratch, retained across steps (see phase 1).
@@ -110,18 +98,77 @@ func midpointND(ps []phys.Particle, pr Params, dim int) ([]phys.Particle, *trace
 			held      = make([][]phys.Particle, 1+len(window))
 			cells     []cellRef
 			cellStart []int
+			// spent holds force-return payloads received earlier. A
+			// received slice is the receiver's outright (the
+			// ownership-transfer contract in transport.go), so it backs a
+			// later send; like the migrator's payloads, the buffers
+			// circulate between neighbors instead of being allocated by
+			// every sender every step.
+			spent [][]float64
 		)
-
-		st.StartTiming()
-		defer st.StopTiming()
-
-		for step := 0; step < pr.Steps; step++ {
-			var t0 time.Time
-			var computeBefore time.Duration
-			if observed {
-				t0 = time.Now()
-				computeBefore = st.ByPhase[trace.Compute].Time
+		// sweep accumulates the forces on the flat target range [lo, hi)
+		// of the step's cells. Built once: the pool retains the function
+		// it runs, so a closure made per step would be a per-step
+		// allocation.
+		sweep := func(lo, hi, _ int) int64 {
+			// Locate the cell holding global target lo, then walk.
+			ci := sort.SearchInts(cellStart, lo+1) - 1
+			li := lo - cellStart[ci]
+			var pairs int64
+			// The eligibility gates (identity, midpoint ownership, cutoff)
+			// stay per-pair branches — they decide which sources interact
+			// at all — but eligible sources are staged into an SoA tile
+			// and folded through the specialized open-law sweep. Flushing
+			// at tile boundaries only groups consecutive adds of the same
+			// in-order fold, so every tile width reproduces the per-pair
+			// loop bitwise.
+			var soa vec.SoA
+			for g := lo; g < hi; g++ {
+				for li >= len(cells[ci].particles) {
+					ci++
+					li = 0
+				}
+				t := &cells[ci].particles[li]
+				f := t.Force
+				staged := 0
+				for b := range cells {
+					pb := cells[b].particles
+					for j := range pb {
+						s := &pb[j]
+						if t.ID == s.ID {
+							continue
+						}
+						mid := t.Pos.Add(s.Pos).Scale(0.5)
+						if teamOfPos(mid, pr.Box, tg) != me {
+							continue
+						}
+						if t.Pos.Dist2(s.Pos) > rc2 {
+							continue
+						}
+						if tw == 0 {
+							f = f.Add(open.Pair(t.Pos, s.Pos))
+							pairs++
+							continue
+						}
+						soa.X[staged], soa.Y[staged] = s.Pos.X, s.Pos.Y
+						staged++
+						pairs++
+						if staged == tw {
+							f.X, f.Y = kern.SweepStaged(f.X, f.Y, t.Pos.X, t.Pos.Y, &soa, staged)
+							staged = 0
+						}
+					}
+				}
+				if staged > 0 {
+					f.X, f.Y = kern.SweepStaged(f.X, f.Y, t.Pos.X, t.Pos.Y, &soa, staged)
+				}
+				t.Force = f
+				li++
 			}
+			return pairs
+		}
+
+		step := func() error {
 			// (1) Import: exchange cells with every neighbor in the
 			// half-window. The imported cells are decoded into buffers
 			// retained across steps, one per importing direction. So is
@@ -166,79 +213,17 @@ func midpointND(ps []phys.Particle, pr Params, dim int) ([]phys.Particle, *trace
 				phys.ClearForces(cell.particles)
 			}
 			slices.SortFunc(cells, func(a, b cellRef) int { return cmp.Compare(a.owner, b.owner) })
-			rc2 := pr.Law.Cutoff * pr.Law.Cutoff
-			open := pr.Law
-			open.Cutoff = 0
-			kern := open.Kernel()
-			tw := phys.TileWidth(pr.Tile)
 			// Prefix sums give every particle a global target index the
 			// pool can partition.
 			cellStart = append(cellStart[:0], 0)
 			for ci := range cells {
 				cellStart = append(cellStart, cellStart[ci]+len(cells[ci].particles))
 			}
-			pool.Run(cellStart[len(cells)], func(lo, hi, _ int) int64 {
-				// Locate the cell holding global target lo, then walk.
-				ci := sort.SearchInts(cellStart, lo+1) - 1
-				li := lo - cellStart[ci]
-				var pairs int64
-				// The eligibility gates (identity, midpoint ownership,
-				// cutoff) stay per-pair branches — they decide which
-				// sources interact at all — but eligible sources are
-				// staged into an SoA tile and folded through the
-				// specialized open-law sweep. Flushing at tile
-				// boundaries only groups consecutive adds of the same
-				// in-order fold, so every tile width reproduces the
-				// per-pair loop bitwise.
-				var soa vec.SoA
-				for g := lo; g < hi; g++ {
-					for li >= len(cells[ci].particles) {
-						ci++
-						li = 0
-					}
-					t := &cells[ci].particles[li]
-					f := t.Force
-					staged := 0
-					for b := range cells {
-						pb := cells[b].particles
-						for j := range pb {
-							s := &pb[j]
-							if t.ID == s.ID {
-								continue
-							}
-							mid := t.Pos.Add(s.Pos).Scale(0.5)
-							if teamOfPos(mid, pr.Box, tg) != me {
-								continue
-							}
-							if t.Pos.Dist2(s.Pos) > rc2 {
-								continue
-							}
-							if tw == 0 {
-								f = f.Add(open.Pair(t.Pos, s.Pos))
-								pairs++
-								continue
-							}
-							soa.X[staged], soa.Y[staged] = s.Pos.X, s.Pos.Y
-							staged++
-							pairs++
-							if staged == tw {
-								f.X, f.Y = kern.SweepStaged(f.X, f.Y, t.Pos.X, t.Pos.Y, &soa, staged)
-								staged = 0
-							}
-						}
-					}
-					if staged > 0 {
-						f.X, f.Y = kern.SweepStaged(f.X, f.Y, t.Pos.X, t.Pos.Y, &soa, staged)
-					}
-					t.Force = f
-					li++
-				}
-				return pairs
-			})
-			po.stampBatch()
+			rk.pool.Run(cellStart[len(cells)], sweep)
+			rk.po.stampBatch()
 
 			// (3) Export: return force contributions to their owners and
-			// sum contributions arriving for my cell.
+			// sum contributions arriving for my cell, in window order.
 			st.SetPhase(trace.Reduce)
 			phys.ClearForces(mine)
 			for _, cell := range cells {
@@ -253,22 +238,28 @@ func midpointND(ps []phys.Particle, pr Params, dim int) ([]phys.Particle, *trace
 				from, fromOK := tg.Neighbor(me, -off.DX, -off.DY, false)
 				if toOK {
 					var payload []float64
+					if last := len(spent) - 1; last >= 0 {
+						payload, spent = spent[last][:0], spent[:last]
+					}
 					for _, cell := range cells {
 						if cell.owner == to {
-							payload = flattenForces(cell.particles)
+							payload = flattenForcesInto(payload, cell.particles)
 							break
 						}
 					}
-					world.Send(to, tagReduceBack+d, comm.F64sToBytes(payload))
+					world.SendF64s(to, tagReduceBack+d, payload)
 				}
 				if fromOK {
-					contrib := comm.BytesToF64s(world.Recv(from, tagReduceBack+d))
+					contrib := world.RecvF64s(from, tagReduceBack+d)
 					if len(contrib) != 2*len(mine) {
 						return fmt.Errorf("core: midpoint force return of %d values for %d particles", len(contrib), len(mine))
 					}
 					for i := range mine {
 						mine[i].Force.X += contrib[2*i]
 						mine[i].Force.Y += contrib[2*i+1]
+					}
+					if cap(contrib) > 0 {
+						spent = append(spent, contrib)
 					}
 				}
 			}
@@ -277,33 +268,12 @@ func midpointND(ps []phys.Particle, pr Params, dim int) ([]phys.Particle, *trace
 			st.SetPhase(trace.Compute)
 			phys.Step(mine, pr.Box, pr.DT)
 			st.SetPhase(trace.Reassign)
-			migrated, err := mig.migrate(x, world, tg, me, mine, pr.Box, dirs, false)
-			if err != nil {
-				return err
-			}
-			mine = migrated
-			st.SetPhase(trace.Other)
-			po.stampStep()
-			probe.stampStep()
-			if observed {
-				stepCompute.Observe(int64(st.ByPhase[trace.Compute].Time - computeBefore))
-				if me == 0 {
-					wall := time.Since(t0)
-					stepWall.Observe(wall.Nanoseconds())
-					stepsDone.Inc()
-					sampler.stampStep(wall)
-				}
-			}
+			var err error
+			mine, err = mig.migrate(x, world, tg, me, mine, pr.Box, dirs, false)
+			return err
 		}
-		world.Deposit(me, mine)
-		return nil
+		return rankLoop{step, func() (int, []phys.Particle, bool) { return me, mine, true }}
 	})
-	stampReport(report, perS, perW, pr.Steps)
-	rr.finish(report)
-	if err != nil {
-		return nil, report, err
-	}
-	return gatherResults(results, n), report, nil
 }
 
 // tagReduceBack tags the midpoint method's force-return messages.

@@ -109,16 +109,3 @@ func (p *stepProbe) stampStep() {
 		p.wLow.Set(int64(p.perW * float64(p.steps)))
 	}
 }
-
-// stampReport stores the whole-run lower bounds on the aggregated
-// report so its footer (and JSON summary) can print the measured-over-
-// bound optimality ratios, and the force-kernel implementation its
-// compute times came from. Safe on a nil report (failed runs).
-func stampReport(rep *trace.Report, perS, perW float64, steps int) {
-	if rep == nil {
-		return
-	}
-	rep.KernelImpl = phys.KernelImpl()
-	rep.SLowerBound = perS * float64(steps)
-	rep.WLowerBound = perW * float64(steps)
-}

@@ -10,10 +10,10 @@ import (
 )
 
 // This file wires the step-series flight recorder (internal/obs/record)
-// into the timestep loops. The shape mirrors stepProbe: the driver
-// builds a runRecorder before comm.Run, world rank 0 holds the only
-// stepSampler and stamps it once per step from the observed block, and
-// the driver calls finish next to stampReport once the run has joined.
+// into the rank harness (runRanks). The shape mirrors stepProbe: the
+// harness builds a runRecorder before comm.RunProc, world rank 0 holds
+// the only stepSampler and stamps it once per step from the observed
+// block, and the harness calls finish once the run has joined.
 //
 // Per-phase communication is sampled as the matrix's CUMULATIVE phase
 // totals and converted to per-step deltas inside the Recorder. Rank 0
@@ -121,8 +121,8 @@ func (sp *stepSampler) stampStep(wall time.Duration) {
 // finish closes the run on the recorder. When a final sample is
 // pending, its communication totals and summary metrics are re-read
 // now — after comm.Run has joined every rank, so the matrix and report
-// are complete — before the Recorder emits it. Call next to
-// stampReport on success and error paths alike; safe on a nil report.
+// are complete — before the Recorder emits it. Call on success and
+// error paths alike; safe on a nil report.
 func (rr *runRecorder) finish(rep *trace.Report) {
 	if rr == nil {
 		return

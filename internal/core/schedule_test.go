@@ -2,9 +2,13 @@ package core
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
+	"repro/internal/comm"
+	"repro/internal/phys"
 	"repro/internal/topo"
+	"repro/internal/trace"
 )
 
 func TestCutoffScheduleCoversWindowExactlyOnce3D(t *testing.T) {
@@ -138,6 +142,194 @@ func TestSerpentineAdjacency(t *testing.T) {
 				if d.Chebyshev() != 1 {
 					t.Fatalf("dim=%d m=%d: entries %d,%d not adjacent: %+v -> %+v",
 						dim, m, i-1, i, seq[i-1], seq[i])
+				}
+			}
+		}
+	}
+}
+
+// paperXfer is a transport that moves nothing: driven by a rank's real
+// shiftLoop.step, it writes down what the rank would have sent, awaited
+// and computed on, in order, so that a whole ring can be replayed on
+// paper afterwards.
+type paperXfer struct{ log []paperOp }
+
+type paperOp struct {
+	kind          byte // 'm' a completed move, 's' a started one, 'f' its completion, 'u' an update
+	to, from, tag int
+}
+
+func (x *paperXfer) bcastTeam(*comm.Comm, []phys.Particle) []phys.Particle { return nil }
+func (x *paperXfer) loadExchange([]phys.Particle)                          {}
+func (x *paperXfer) reduceForces(*comm.Comm, []phys.Particle) []float64    { return nil }
+func (x *paperXfer) sendParticles(*comm.Comm, int, int, []phys.Particle)   {}
+func (x *paperXfer) recvParticles(*comm.Comm, int, int) []phys.Particle    { return nil }
+func (x *paperXfer) finishShift()                                          { x.log = append(x.log, paperOp{kind: 'f'}) }
+func (x *paperXfer) shift(_ *comm.Comm, to, from, tag int) {
+	x.log = append(x.log, paperOp{'m', to, from, tag})
+}
+func (x *paperXfer) startShift(_ *comm.Comm, to, from, tag int) {
+	x.log = append(x.log, paperOp{'s', to, from, tag})
+}
+func (x *paperXfer) view() (int, []phys.Particle) {
+	x.log = append(x.log, paperOp{kind: 'u'})
+	return -1, nil
+}
+
+// noPairing leaves the accumulation to the paper: view has logged it.
+type noPairing struct{}
+
+func (noPairing) accumulate(*shiftLoop, int, []phys.Particle) {}
+func (noPairing) integrated(_ *shiftLoop, mine []phys.Particle) ([]phys.Particle, error) {
+	return mine, nil
+}
+
+// walkRing runs one timestep of every rank of one ring — rank t gets
+// plan(t) — under the synchronous or the overlapped walk and replays
+// the logs in lock step. It checks that the ranks agree on every move
+// (same kind of operation, every hop's to is its peer's from, same tag
+// at both ends) and returns applied[t][src]: how often team t computed
+// on the buffer team src loaded.
+func walkRing(t *testing.T, teams int, overlap bool, plan func(team int) moves) [][]int {
+	t.Helper()
+	logs := make([][]paperOp, teams)
+	for team := range logs {
+		x := &paperXfer{}
+		l := &shiftLoop{
+			rank: &rank{st: trace.NewStats()}, pr: &Params{Overlap: overlap},
+			slot: team, moves: plan(team), x: x, pairing: noPairing{},
+		}
+		if err := l.step(); err != nil {
+			t.Fatal(err)
+		}
+		logs[team] = x.log
+	}
+	holds := make([]int, teams) // the loader of the buffer each team holds
+	for team := range holds {
+		holds[team] = team
+	}
+	applied := make([][]int, teams)
+	for team := range applied {
+		applied[team] = make([]int, teams)
+	}
+	pending := make([]int, teams) // the from of each team's started move
+	for k, op0 := range logs[0] {
+		next := append([]int(nil), holds...)
+		for team, log := range logs {
+			if len(log) != len(logs[0]) || log[k].kind != op0.kind {
+				t.Fatalf("team %d and team 0 disagree on operation %d of the step", team, k)
+			}
+			op := log[k]
+			switch op.kind {
+			case 'u':
+				applied[team][holds[team]]++
+			case 'm', 's':
+				peer := logs[op.to][k]
+				if peer.from != team || peer.tag != op.tag {
+					t.Fatalf("operation %d: team %d ships to %d under tag %d, which awaits %d under tag %d",
+						k, team, op.to, op.tag, peer.from, peer.tag)
+				}
+				if op.kind == 'm' {
+					next[team] = holds[op.from]
+				} else {
+					pending[team] = op.from
+				}
+			case 'f':
+				next[team] = holds[pending[team]]
+			}
+		}
+		holds = next
+	}
+	return applied
+}
+
+// stepOnPaper is walkRing over every layer of a grid, under both walks:
+// applied[t][src] counts how often, in one timestep, some rank of team t
+// computed on the buffer team src loaded. The synchronous and the
+// overlapped walk must apply the same multiset.
+func stepOnPaper(t *testing.T, teams, layers int, plan func(layer, team int) moves) [][]int {
+	t.Helper()
+	var totals [2][][]int
+	for w, overlap := range []bool{false, true} {
+		totals[w] = make([][]int, teams)
+		for team := range totals[w] {
+			totals[w][team] = make([]int, teams)
+		}
+		for layer := 0; layer < layers; layer++ {
+			applied := walkRing(t, teams, overlap, func(team int) moves { return plan(layer, team) })
+			for team := range applied {
+				for src, n := range applied[team] {
+					totals[w][team][src] += n
+				}
+			}
+		}
+	}
+	if !reflect.DeepEqual(totals[0], totals[1]) {
+		t.Fatalf("the overlapped walk applies %v, the synchronous one %v", totals[1], totals[0])
+	}
+	return totals[0]
+}
+
+// TestAllPairsPlanAppliesEveryBlockOnce walks Algorithm 1's plan on
+// paper for the (p, c) grid of the all-pairs tests: over the c rows of
+// the grid, every team's buffer is applied to every team exactly once
+// per step.
+func TestAllPairsPlanAppliesEveryBlockOnce(t *testing.T) {
+	for _, tc := range []struct{ p, c int }{
+		{1, 1}, {4, 1}, {4, 2}, {8, 2}, {16, 1}, {16, 2}, {16, 4}, {36, 6}, {64, 4}, {64, 8},
+	} {
+		T := tc.p / tc.c
+		applied := stepOnPaper(t, T, tc.c, func(row, col int) moves { return allPairsMoves(T, tc.c, row, col) })
+		for team := range applied {
+			for src, n := range applied[team] {
+				if n != 1 {
+					t.Fatalf("p=%d c=%d: team %d's buffer applied to team %d %d times, want once", tc.p, tc.c, src, team, n)
+				}
+			}
+		}
+	}
+}
+
+// TestCutoffPlanAppliesWindowOnce walks Algorithm 2's plan on paper
+// over the schedule grid, on a team grid that is exactly the window and
+// on a wider one: for either boundary, the buffers that pass the window
+// test are those of the teams of the cutoff window, each exactly once.
+// (What else arrives — a buffer that wrapped around a reflective edge —
+// is what the test is there to skip.)
+func TestCutoffPlanAppliesWindowOnce(t *testing.T) {
+	for dim := 1; dim <= 2; dim++ {
+		maxM := 6
+		if dim == 2 {
+			// (2m+2)² teams × up to (2m+1)² layers × (2m+1)² values of c,
+			// each walked twice: m = 3 alone would be 300 000 steps.
+			maxM = 2
+		}
+		for m := 1; m <= maxM; m++ {
+			for _, side := range []int{2*m + 1, 2*m + 2} {
+				T := side
+				if dim == 2 {
+					T = side * side
+				}
+				tg, err := topo.NewTeamGrid(T, dim)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for c := 1; c <= topo.WindowSize(m, dim); c++ {
+					sched, err := NewCutoffSchedule(m, c, dim)
+					if err != nil {
+						t.Fatal(err)
+					}
+					applied := stepOnPaper(t, T, c, func(layer, team int) moves { return cutoffMoves(sched, tg, layer, team) })
+					for _, wrap := range []bool{false, true} {
+						for team := range applied {
+							for src, n := range applied[team] {
+								if tg.ChebyshevDist(team, src, wrap) <= m && n != 1 {
+									t.Fatalf("dim=%d m=%d side=%d c=%d wrap=%v: team %d's buffer applied to team %d %d times, want once",
+										dim, m, side, c, wrap, src, team, n)
+								}
+							}
+						}
+					}
 				}
 			}
 		}

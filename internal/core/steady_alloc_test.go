@@ -74,7 +74,8 @@ func runMallocs(run func()) uint64 {
 // of the timestep loops: once a run's retained buffers exist, a step
 // allocates nothing anywhere in the pipeline — broadcast, skew, shifts,
 // force kernel (inline, pooled, tiled), reduce, integrate and, for the
-// cutoff loop, spatial reassignment. Two runs that differ only in step
+// cutoff loop, spatial reassignment; nor, in the midpoint method,
+// import, staged sweep, force return or reassignment. Two runs that differ only in step
 // count must therefore allocate exactly the same number of objects:
 // per-run set-up (communicators, mailboxes of the pairs used, pool and
 // worker goroutines, first-step buffer growth) is identical in both,
@@ -83,28 +84,47 @@ func runMallocs(run func()) uint64 {
 // we think it is.
 func TestSteadyStateAllocFree(t *testing.T) {
 	const c, n = 2, 32
+	type loop int
+	const (
+		allpairs loop = iota
+		cutoff
+		midpoint1D
+		midpoint2D
+	)
 	for _, tc := range []struct {
 		name          string
-		cutoff        bool
+		loop          loop
 		workers, tile int
 	}{
-		{"allpairs", false, 1, 0},
-		{"allpairs/workers=2", false, 2, 0},
-		{"allpairs/workers=2/tile=7", false, 2, 7},
-		{"allpairs/workers=2/tile=64", false, 2, 64},
-		{"cutoff", true, 1, 0},
-		{"cutoff/workers=2", true, 2, 0},
-		{"cutoff/tile=7", true, 1, 7},
+		{"allpairs", allpairs, 1, 0},
+		{"allpairs/workers=2", allpairs, 2, 0},
+		{"allpairs/workers=2/tile=7", allpairs, 2, 7},
+		{"allpairs/workers=2/tile=64", allpairs, 2, 64},
+		{"cutoff", cutoff, 1, 0},
+		{"cutoff/workers=2", cutoff, 2, 0},
+		{"cutoff/tile=7", cutoff, 1, 7},
+		{"midpoint1D", midpoint1D, 1, 0},
+		{"midpoint1D/workers=2/tile=7", midpoint1D, 2, 7},
+		{"midpoint2D", midpoint2D, 1, 0},
 	} {
 		run := func(steps int) func() {
 			return func() {
 				var err error
-				if tc.cutoff {
+				switch tc.loop {
+				case cutoff:
 					// 8 ranks: the 1D cutoff window needs at least 3 teams.
 					pr := cutoffParams(8, c, 1, phys.Periodic)
 					pr.Steps, pr.Workers, pr.Tile = steps, tc.workers, tc.tile
 					_, _, err = Cutoff(phys.InitLattice(n, pr.Box, 5), pr)
-				} else {
+				case midpoint1D:
+					pr := cutoffParams(8, 1, 1, phys.Reflective)
+					pr.Steps, pr.Workers, pr.Tile = steps, tc.workers, tc.tile
+					_, _, err = Midpoint1D(phys.InitLattice(n, pr.Box, 5), pr)
+				case midpoint2D:
+					pr := cutoffParams(16, 1, 2, phys.Reflective)
+					pr.Steps, pr.Workers, pr.Tile = steps, tc.workers, tc.tile
+					_, _, err = Midpoint2D(phys.InitLattice(2*n, pr.Box, 5), pr)
+				default:
 					pr := defaultParams(4, c, steps)
 					pr.Workers, pr.Tile = tc.workers, tc.tile
 					_, _, err = AllPairs(phys.InitUniform(n, pr.Box, 5), pr)
@@ -149,7 +169,7 @@ func TestMigratorRecyclesBuffers(t *testing.T) {
 					mine[i].ID = uint32(team*per + i)
 					mine[i].Pos.X = (float64(team) + 0.5) * width
 				}
-				x := newXfer(false, team, false)
+				x := newXfer(Params{}, team, false)
 				var mig migrator
 				for step := 0; step < steps; step++ {
 					for i := range mine {

@@ -26,17 +26,17 @@ func TestTileWidthInvariance(t *testing.T) {
 	}{
 		{"allpairs", func(encoded bool, workers, tile int) ([]phys.Particle, *trace.Report, error) {
 			pr := defaultParams(4, 2, 3)
-			pr.Encoded, pr.Workers, pr.Tile = encoded, workers, tile
+			pr.oracle, pr.Workers, pr.Tile = encoded, workers, tile
 			return AllPairs(phys.InitUniform(n, pr.Box, 53), pr)
 		}},
 		{"cutoff", func(encoded bool, workers, tile int) ([]phys.Particle, *trace.Report, error) {
 			pr := cutoffParams(8, 2, 1, phys.Periodic)
-			pr.Encoded, pr.Workers, pr.Tile = encoded, workers, tile
+			pr.oracle, pr.Workers, pr.Tile = encoded, workers, tile
 			return Cutoff(phys.InitLattice(n, pr.Box, 53), pr)
 		}},
 		{"midpoint", func(encoded bool, workers, tile int) ([]phys.Particle, *trace.Report, error) {
 			pr := cutoffParams(8, 1, 1, phys.Reflective)
-			pr.Encoded, pr.Workers, pr.Tile = encoded, workers, tile
+			pr.oracle, pr.Workers, pr.Tile = encoded, workers, tile
 			return Midpoint1D(phys.InitLattice(n, pr.Box, 53), pr)
 		}},
 	}

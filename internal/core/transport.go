@@ -1,6 +1,9 @@
 package core
 
 import (
+	"encoding/binary"
+	"fmt"
+
 	"repro/internal/comm"
 	"repro/internal/phys"
 )
@@ -9,13 +12,15 @@ import (
 // broadcast, the exchange-buffer shifts, the force reduction, and
 // particle migration, abstracted over the payload representation.
 //
-// Two implementations exist. typedXfer (the default) moves particle and
-// float64 slices through the mailboxes by reference — zero
-// serialization — while charging the exact encoded wire sizes, so the
-// measured S and W communication quantities are unchanged. encodedXfer
-// is the original encode/decode path, kept as the verification fallback;
-// the transport property tests assert the two produce bit-identical
-// final states and identical trace reports.
+// Every run uses typedXfer: particle and float64 slices move through
+// the mailboxes by reference — zero serialization — while charging the
+// exact encoded wire sizes, so the measured S and W communication
+// quantities are unchanged. encodedXfer is the original encode/decode
+// path, kept as the oracle of the transport property tests, which assert
+// the two produce bit-identical final states and identical trace
+// reports: it copies every message, so a buffer two ranks wrongly share
+// shows as a difference — which the socket twin, copying only what
+// crosses processes, cannot show.
 //
 // A transport belongs to one rank; construct it inside the rank's
 // closure.
@@ -24,7 +29,7 @@ type xfer interface {
 	// others pass nil) and returns the rank's private replica with
 	// force accumulators cleared. The replica is transport-owned
 	// scratch, valid until the next bcastTeam.
-	bcastTeam(tc *comm.Comm, mine []phys.Particle) ([]phys.Particle, error)
+	bcastTeam(tc *comm.Comm, mine []phys.Particle) []phys.Particle
 	// loadExchange (re)fills the exchange buffer from the replica the
 	// preceding bcastTeam produced, tagging it with the source-team
 	// frame fixed at construction.
@@ -33,13 +38,10 @@ type xfer interface {
 	// the team they originate from (-1 on unframed transports). The
 	// slice is read-only: it may alias a buffer that is simultaneously
 	// in flight to a neighbor.
-	view() (srcTeam int, ps []phys.Particle, err error)
+	view() (srcTeam int, ps []phys.Particle)
 	// shift synchronously exchanges the buffer with the ring neighbors:
 	// ship to rank `to`, adopt the buffer arriving from rank `from`.
 	shift(rc *comm.Comm, to, from, tag int)
-	// shiftOverlap is shift with the transfer hidden behind overlap(),
-	// which computes on the outgoing buffer while it is in flight.
-	shiftOverlap(rc *comm.Comm, to, from, tag int, overlap func() error) error
 	// startShift posts the exchange nonblockingly; finishShift adopts
 	// the received buffer. Between the two the current buffer may only
 	// be read (it is in flight).
@@ -54,19 +56,19 @@ type xfer interface {
 	// owned by the caller, which is what lets the migrator send them
 	// on in a later step.
 	sendParticles(lc *comm.Comm, to, tag int, ps []phys.Particle)
-	recvParticles(lc *comm.Comm, from, tag int) ([]phys.Particle, error)
+	recvParticles(lc *comm.Comm, from, tag int) []phys.Particle
 }
 
 // newXfer builds the transport for one rank. frame is the rank's team
 // id when exchange buffers carry a source-team frame (the cutoff
-// algorithm), -1 for the unframed all-pairs exchange. overlap must
-// match Params.Overlap: it selects the exchange-buffer reuse discipline
-// (see loadExchange in the implementations).
-func newXfer(encoded bool, frame int, overlap bool) xfer {
-	if encoded {
-		return &encodedXfer{frame: frame, overlap: overlap}
+// algorithm), -1 for the unframed all-pairs exchange. closed is the
+// rank's moves.closed (false where nothing shifts): with pr.Overlap it
+// selects the exchange-buffer reuse discipline below.
+func newXfer(pr Params, frame int, closed bool) xfer {
+	if pr.oracle {
+		return &encodedXfer{frame: frame, closed: closed, overlap: pr.Overlap}
 	}
-	return &typedXfer{frame: frame, overlap: overlap}
+	return &typedXfer{frame: frame, closed: closed, overlap: pr.Overlap}
 }
 
 // Exchange-buffer reuse discipline, shared by both transports.
@@ -75,28 +77,30 @@ func newXfer(encoded bool, frame int, overlap bool) xfer {
 // holder reads the buffer strictly before forwarding it, so the final
 // holder — the only rank that ever writes it again, at the next step's
 // loadExchange — is already ordered after every read, and a single
-// retained slot is safe (the cutoff loop uses this).
+// retained slot is safe (the open ring of the cutoff loop uses this).
 //
 // Overlap mode breaks the chain: a sender computes on the buffer while
-// it is in flight, concurrently with everything downstream. The
-// all-pairs loop therefore double-buffers the load: loadExchange writes
+// it is in flight, concurrently with everything downstream. On a closed
+// ring the load is therefore double-buffered: loadExchange writes
 // the buffer held at the end of step k−2, never the one just received.
-// That deferral is safe because the all-pairs ring closes — s·c ≡ 0
+// That deferral is safe because the ring closes — for all-pairs s·c ≡ 0
 // (mod T), so each step's buffer returns to the rank that loaded it —
 // and the intervening step's shift messages therefore order every
 // reader of the step-k−2 buffer before rank's first receive of step
-// k−1, which precedes the write. The cutoff schedule's ring does not
-// close in general, so no such ordering exists; in overlap mode the
-// cutoff transport loads into a fresh buffer each step instead (one
-// O(n/T) allocation per step — the only one the cutoff loop makes;
-// migration recycles its buffers, see migrator in cutoff.go).
+// k−1, which precedes the write. (The closed ring double-buffers under
+// the synchronous walk too, where either discipline is safe.) The
+// cutoff schedule's ring does not close in general, so no such ordering
+// exists; in overlap mode an open ring loads into a fresh buffer each
+// step instead (one O(n/T) allocation per step — the only one the
+// cutoff loop makes; migration recycles its buffers, see migrator in
+// cutoff.go).
 
 // typedXfer is the zero-copy transport: payload slices move through the
 // comm mailboxes by reference under the ownership-transfer contract
 // (see internal/comm/typed.go), charged at exact wire-format sizes.
 type typedXfer struct {
-	frame   int
-	overlap bool
+	frame           int
+	closed, overlap bool
 
 	team     []phys.Particle // broadcast replica scratch
 	exchange []phys.Particle // current exchange payload
@@ -107,35 +111,31 @@ type typedXfer struct {
 	pendSend, pendRecv *comm.Request
 }
 
-func (x *typedXfer) bcastTeam(tc *comm.Comm, mine []phys.Particle) ([]phys.Particle, error) {
+func (x *typedXfer) bcastTeam(tc *comm.Comm, mine []phys.Particle) []phys.Particle {
 	// The leader's slice is aliased by every team member until each has
 	// taken its copy; the leader writes it again only after the force
 	// reduction, which every member enters after copying.
 	x.team = tc.BcastParticles(0, mine, x.team)
 	phys.ClearForces(x.team)
-	return x.team, nil
+	return x.team
 }
 
 func (x *typedXfer) loadExchange(team []phys.Particle) {
 	x.exTeam = x.frame
-	if x.frame >= 0 && x.overlap {
-		// Cutoff overlap: fresh buffer, see the reuse discipline above.
-		x.exchange = append([]phys.Particle(nil), team...)
-		return
-	}
-	target := x.spare
-	if x.frame >= 0 {
-		// Synchronous chain of custody: the end-of-step buffer itself is
-		// the safe write target.
-		target = x.exchange
-	} else {
-		x.spare = x.exchange
+	// The write target, by the reuse discipline above. Synchronous chain
+	// of custody on an open ring: the end-of-step buffer itself.
+	target := x.exchange
+	switch {
+	case x.closed: // double-buffered under either walk
+		target, x.spare = x.spare, x.exchange
+	case x.overlap: // open ring, overlapped: a fresh buffer
+		target = nil
 	}
 	x.exchange = append(target[:0], team...)
 }
 
-func (x *typedXfer) view() (int, []phys.Particle, error) {
-	return x.exTeam, x.exchange, nil
+func (x *typedXfer) view() (int, []phys.Particle) {
+	return x.exTeam, x.exchange
 }
 
 func (x *typedXfer) shift(rc *comm.Comm, to, from, tag int) {
@@ -146,21 +146,21 @@ func (x *typedXfer) shift(rc *comm.Comm, to, from, tag int) {
 	x.exchange = rc.SendrecvParticles(to, x.exchange, from, tag)
 }
 
-func (x *typedXfer) shiftOverlap(rc *comm.Comm, to, from, tag int, overlap func() error) error {
-	var oerr error
-	x.exchange = rc.SendrecvParticlesOverlap(to, x.exchange, from, tag, func() {
-		oerr = overlap()
-	})
-	return oerr
-}
-
 func (x *typedXfer) startShift(rc *comm.Comm, to, from, tag int) {
-	x.pendSend = rc.IsendTeamParticles(to, tag, x.exTeam, x.exchange)
+	if x.frame >= 0 {
+		x.pendSend = rc.IsendTeamParticles(to, tag, x.exTeam, x.exchange)
+	} else {
+		x.pendSend = rc.IsendParticles(to, tag, x.exchange)
+	}
 	x.pendRecv = rc.Irecv(from, tag)
 }
 
 func (x *typedXfer) finishShift() {
-	x.exTeam, x.exchange = x.pendRecv.WaitTeamParticles()
+	if x.frame >= 0 {
+		x.exTeam, x.exchange = x.pendRecv.WaitTeamParticles()
+	} else {
+		x.exchange = x.pendRecv.WaitParticles()
+	}
 	x.pendSend.Wait()
 	x.pendSend, x.pendRecv = nil, nil
 }
@@ -178,15 +178,15 @@ func (x *typedXfer) sendParticles(lc *comm.Comm, to, tag int, ps []phys.Particle
 	lc.SendParticles(to, tag, ps)
 }
 
-func (x *typedXfer) recvParticles(lc *comm.Comm, from, tag int) ([]phys.Particle, error) {
-	return lc.RecvParticles(from, tag), nil
+func (x *typedXfer) recvParticles(lc *comm.Comm, from, tag int) []phys.Particle {
+	return lc.RecvParticles(from, tag)
 }
 
 // encodedXfer is the original serialize-and-ship transport, retained as
-// the verification fallback and the benchmark baseline.
+// the test oracle (Params.oracle).
 type encodedXfer struct {
-	frame   int
-	overlap bool
+	frame           int
+	closed, overlap bool
 
 	bcastBuf []byte          // leader's encode buffer
 	teamData []byte          // this step's broadcast payload (framed exchange source)
@@ -199,58 +199,56 @@ type encodedXfer struct {
 	pendSend, pendRecv *comm.Request
 }
 
-func (x *encodedXfer) bcastTeam(tc *comm.Comm, mine []phys.Particle) ([]phys.Particle, error) {
+// decodeInto decodes bytes a peer's encodedXfer produced; failing is a
+// bug, like the malformed frame unframeTeam panics on.
+func decodeInto(dst []phys.Particle, b []byte) []phys.Particle {
+	ps, err := phys.DecodeSliceInto(dst, b)
+	if err != nil {
+		panic(fmt.Sprintf("core: malformed transport payload: %v", err))
+	}
+	return ps
+}
+
+func (x *encodedXfer) bcastTeam(tc *comm.Comm, mine []phys.Particle) []phys.Particle {
 	var payload []byte
 	if tc.Rank() == 0 {
 		x.bcastBuf = phys.AppendSlice(x.bcastBuf[:0], mine)
 		payload = x.bcastBuf
 	}
 	x.teamData = tc.Bcast(0, payload)
-	var err error
-	x.team, err = phys.DecodeSliceInto(x.team[:0], x.teamData)
-	if err != nil {
-		return nil, err
-	}
+	x.team = decodeInto(x.team[:0], x.teamData)
 	phys.ClearForces(x.team)
-	return x.team, nil
+	return x.team
 }
 
 func (x *encodedXfer) loadExchange(team []phys.Particle) {
+	target := x.exchange // as in typedXfer.loadExchange
+	switch {
+	case x.closed:
+		target, x.spare = x.spare, x.exchange
+	case x.overlap:
+		target = nil
+	}
 	if x.frame >= 0 {
 		// The framed exchange reuses the raw broadcast bytes; the force
 		// fields in them are stale, but views never read forces.
-		if x.overlap {
-			x.exchange = appendFrameTeam(make([]byte, 0, 4+len(x.teamData)), x.frame, x.teamData)
-			return
-		}
-		x.exchange = appendFrameTeam(x.exchange[:0], x.frame, x.teamData)
+		x.exchange = appendFrameTeam(target[:0], x.frame, x.teamData)
 		return
 	}
-	target := x.spare
-	x.spare = x.exchange
 	x.exchange = phys.AppendSlice(target[:0], team)
 }
 
-func (x *encodedXfer) view() (int, []phys.Particle, error) {
+func (x *encodedXfer) view() (int, []phys.Particle) {
 	src, body := -1, x.exchange
 	if x.frame >= 0 {
 		src, body = unframeTeam(x.exchange)
 	}
-	var err error
-	x.visiting, err = phys.DecodeSliceInto(x.visiting[:0], body)
-	return src, x.visiting, err
+	x.visiting = decodeInto(x.visiting[:0], body)
+	return src, x.visiting
 }
 
 func (x *encodedXfer) shift(rc *comm.Comm, to, from, tag int) {
 	x.exchange = rc.Sendrecv(to, x.exchange, from, tag)
-}
-
-func (x *encodedXfer) shiftOverlap(rc *comm.Comm, to, from, tag int, overlap func() error) error {
-	var oerr error
-	x.exchange = rc.SendrecvOverlap(to, x.exchange, from, tag, func() {
-		oerr = overlap()
-	})
-	return oerr
 }
 
 func (x *encodedXfer) startShift(rc *comm.Comm, to, from, tag int) {
@@ -273,6 +271,24 @@ func (x *encodedXfer) sendParticles(lc *comm.Comm, to, tag int, ps []phys.Partic
 	lc.Send(to, tag, phys.EncodeSlice(ps))
 }
 
-func (x *encodedXfer) recvParticles(lc *comm.Comm, from, tag int) ([]phys.Particle, error) {
-	return phys.DecodeSlice(lc.Recv(from, tag))
+func (x *encodedXfer) recvParticles(lc *comm.Comm, from, tag int) []phys.Particle {
+	return decodeInto(nil, lc.Recv(from, tag))
+}
+
+// appendFrameTeam appends the encoded particle payload, prefixed with
+// its source team, to dst, reusing its capacity; the timestep loop
+// passes a retained exchange buffer as dst[:0] so the steady-state frame
+// allocates nothing.
+func appendFrameTeam(dst []byte, team int, body []byte) []byte {
+	var hdr [4]byte
+	binary.LittleEndian.PutUint32(hdr[:], uint32(team))
+	dst = append(dst, hdr[:]...)
+	return append(dst, body...)
+}
+
+func unframeTeam(b []byte) (int, []byte) {
+	if len(b) < 4 {
+		panic(fmt.Sprintf("core: malformed exchange frame of %d bytes", len(b)))
+	}
+	return int(binary.LittleEndian.Uint32(b)), b[4:]
 }

@@ -78,7 +78,7 @@ func TestAllPairsTypedMatchesEncoded(t *testing.T) {
 			if err != nil {
 				t.Fatalf("typed AllPairs: %v", err)
 			}
-			pr.Encoded = true
+			pr.oracle = true
 			encoded, encodedRep, err := AllPairs(ps, pr)
 			if err != nil {
 				t.Fatalf("encoded AllPairs: %v", err)
@@ -119,7 +119,7 @@ func TestCutoffTypedMatchesEncoded(t *testing.T) {
 			if err != nil {
 				t.Fatalf("typed Cutoff: %v", err)
 			}
-			pr.Encoded = true
+			pr.oracle = true
 			encoded, encodedRep, err := Cutoff(ps, pr)
 			if err != nil {
 				t.Fatalf("encoded Cutoff: %v", err)
@@ -148,7 +148,7 @@ func TestMidpointTypedMatchesEncoded(t *testing.T) {
 	if err != nil {
 		t.Fatalf("typed Midpoint2D: %v", err)
 	}
-	pr.Encoded = true
+	pr.oracle = true
 	encoded, encodedRep, err := Midpoint2D(ps, pr)
 	if err != nil {
 		t.Fatalf("encoded Midpoint2D: %v", err)
@@ -156,4 +156,3 @@ func TestMidpointTypedMatchesEncoded(t *testing.T) {
 	samePhysState(t, typed, encoded)
 	sameReportCounts(t, typedRep, encodedRep)
 }
-

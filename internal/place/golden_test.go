@@ -18,7 +18,6 @@ var update = flag.Bool("update", false, "rewrite the golden objective file")
 // runs and machines.
 type goldenObjective struct {
 	IdentityHopBytes float64 `json:"identity_hop_bytes"`
-	PSOHopBytes      float64 `json:"pso_seed42_hop_bytes"`
 	AnnealHopBytes   float64 `json:"anneal_seed42_hop_bytes"`
 }
 
@@ -26,8 +25,8 @@ const goldenPath = "testdata/golden_objective.json"
 
 // TestPlaceGolden is the `make placesmoke` gate: on the recorded
 // p=64 cutoff communication matrix over the Balanced3D generic torus,
-// the seeded PSO and annealing searchers must beat the identity hop
-// cost and reproduce the committed objective values exactly.
+// the seeded annealing searcher must beat the identity hop cost and
+// reproduce the committed objective values exactly.
 // Regenerate with `go test ./internal/place/ -run TestPlaceGolden
 // -update` after an intentional searcher change.
 func TestPlaceGolden(t *testing.T) {
@@ -45,12 +44,8 @@ func TestPlaceGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := goldenObjective{IdentityHopBytes: ev.Cost(ev.Identity())}
-	got.PSOHopBytes = ev.Cost(PSO{}.Search(ev, 42))
 	got.AnnealHopBytes = ev.Cost(Anneal{}.Search(ev, 42))
 
-	if got.PSOHopBytes >= got.IdentityHopBytes {
-		t.Errorf("PSO cost %.0f does not beat identity %.0f", got.PSOHopBytes, got.IdentityHopBytes)
-	}
 	if got.AnnealHopBytes >= got.IdentityHopBytes {
 		t.Errorf("anneal cost %.0f does not beat identity %.0f", got.AnnealHopBytes, got.IdentityHopBytes)
 	}

@@ -14,10 +14,10 @@ type Searcher interface {
 }
 
 // Searchers returns the standard searcher set in evaluation order:
-// the greedy constructor, the swap-sequence PSO, and the annealing
-// refiner (seeded from greedy).
+// the greedy constructor and the annealing refiner (seeded from
+// greedy).
 func Searchers() []Searcher {
-	return []Searcher{Greedy{}, PSO{}, Anneal{}}
+	return []Searcher{Greedy{}, Anneal{}}
 }
 
 // refine runs deterministic best-improvement local search on perm:
@@ -112,132 +112,6 @@ func (Greedy) Search(ev *Evaluator, _ uint64) []int {
 	}
 	refine(ev, perm)
 	return perm
-}
-
-// PSO is the swap-sequence particle-swarm optimizer of the MPNN-Ptr
-// line: particles are permutations, and the "velocity" toward the
-// personal and global bests is the swap sequence transforming one
-// permutation into the other, each swap applied with a fixed
-// probability. One particle starts from the greedy constructor so the
-// swarm refines a good seed instead of rediscovering it.
-type PSO struct {
-	// Particles is the swarm size (default 16).
-	Particles int
-	// Iters is the number of swarm iterations (default 120).
-	Iters int
-	// PersonalProb and GlobalProb are the per-position probabilities of
-	// applying the swap that aligns a particle with its personal /
-	// global best (defaults 0.3 and 0.5, the Sahu et al. shape).
-	PersonalProb float64
-	// GlobalProb see PersonalProb.
-	GlobalProb float64
-	// MutateProb is the per-iteration probability of one random
-	// exploratory swap per particle (default 0.2).
-	MutateProb float64
-}
-
-// Name implements Searcher.
-func (PSO) Name() string { return "pso" }
-
-// withDefaults fills zero fields.
-func (o PSO) withDefaults() PSO {
-	if o.Particles == 0 {
-		o.Particles = 16
-	}
-	if o.Iters == 0 {
-		o.Iters = 120
-	}
-	if o.PersonalProb == 0 {
-		o.PersonalProb = 0.3
-	}
-	if o.GlobalProb == 0 {
-		o.GlobalProb = 0.5
-	}
-	if o.MutateProb == 0 {
-		o.MutateProb = 0.2
-	}
-	return o
-}
-
-// particle is one swarm member: its permutation, the slot→rank
-// inverse (so "align position r with best[r]" finds the swap partner
-// in O(1)), and its personal best.
-type particle struct {
-	perm, inv []int
-	fit       float64
-	best      []int
-	bestFit   float64
-}
-
-// Search implements Searcher.
-func (o PSO) Search(ev *Evaluator, seed uint64) []int {
-	o = o.withDefaults()
-	rng := rand.New(rand.NewSource(int64(seed)))
-	n := ev.ranks
-
-	swarm := make([]particle, o.Particles)
-	for i := range swarm {
-		var perm []int
-		if i == 0 {
-			perm = Greedy{}.Search(ev, seed)
-		} else {
-			perm = rng.Perm(n)
-		}
-		swarm[i] = particle{
-			perm: perm,
-			inv:  Inverse(perm),
-			fit:  ev.Cost(perm),
-		}
-		swarm[i].best = append([]int(nil), perm...)
-		swarm[i].bestFit = swarm[i].fit
-	}
-	gbest := append([]int(nil), swarm[0].best...)
-	gbestFit := swarm[0].bestFit
-	for i := 1; i < len(swarm); i++ {
-		if swarm[i].bestFit < gbestFit {
-			copy(gbest, swarm[i].best)
-			gbestFit = swarm[i].bestFit
-		}
-	}
-
-	// align applies, with the given probability per position, the swap
-	// that makes pt.perm agree with target at rank r, tracking fitness
-	// incrementally via SwapDelta.
-	align := func(pt *particle, target []int, prob float64) {
-		for r := 0; r < n; r++ {
-			if pt.perm[r] == target[r] || rng.Float64() >= prob {
-				continue
-			}
-			b := pt.inv[target[r]] // rank currently holding the slot r wants
-			pt.fit += ev.SwapDelta(pt.perm, r, b)
-			Swap(pt.perm, pt.inv, r, b)
-		}
-	}
-
-	for it := 0; it < o.Iters; it++ {
-		for i := range swarm {
-			pt := &swarm[i]
-			align(pt, pt.best, o.PersonalProb)
-			align(pt, gbest, o.GlobalProb)
-			if rng.Float64() < o.MutateProb {
-				a, b := rng.Intn(n), rng.Intn(n)
-				if a != b {
-					pt.fit += ev.SwapDelta(pt.perm, a, b)
-					Swap(pt.perm, pt.inv, a, b)
-				}
-			}
-			if pt.fit < pt.bestFit {
-				copy(pt.best, pt.perm)
-				pt.bestFit = pt.fit
-				if pt.fit < gbestFit {
-					copy(gbest, pt.perm)
-					gbestFit = pt.fit
-				}
-			}
-		}
-	}
-	refine(ev, gbest)
-	return gbest
 }
 
 // Anneal is the simulated-annealing refiner: each restart proposes

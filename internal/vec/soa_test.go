@@ -16,7 +16,7 @@ func TestNegMask(t *testing.T) {
 		{math.Copysign(0, -1), ^uint64(0)},
 		{math.Inf(1), 0},
 		{math.Inf(-1), ^uint64(0)},
-		{5e-324, 0},  // smallest subnormal
+		{5e-324, 0}, // smallest subnormal
 		{-5e-324, ^uint64(0)},
 		{math.MaxFloat64, 0},
 		{-math.MaxFloat64, ^uint64(0)},

@@ -47,8 +47,8 @@ func TestAutotunePlacementRecordedMatrix(t *testing.T) {
 	if pl.HopBytes < pl.HopBytesBound {
 		t.Errorf("hop-bytes %g below the lower bound %g: bound or evaluator is wrong", pl.HopBytes, pl.HopBytesBound)
 	}
-	if len(trials) != 4 || trials[0].Algorithm != "identity" {
-		t.Fatalf("trials = %+v, want identity + 3 searchers", trials)
+	if len(trials) != 3 || trials[0].Algorithm != "identity" {
+		t.Fatalf("trials = %+v, want identity + 2 searchers", trials)
 	}
 
 	again, _, err := AutotunePlacement(traffic, Generic, 1)

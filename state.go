@@ -71,6 +71,11 @@ func Load(r io.Reader) (*Simulation, error) {
 		ForceK: h.ForceK, Softening: h.Softening, Lattice: h.Lattice,
 		Potential: PotentialKind(h.Potential), Epsilon: h.Epsilon, Sigma: h.Sigma,
 	}.withDefaults()
+	// A checkpoint written before New settled the replication factor may
+	// carry a value its algorithm ignored; what ran is what is restored.
+	if fixed := cfg.fixedC(); fixed != 0 {
+		cfg.C = fixed
+	}
 	if cfg.N != len(cp.Particles) {
 		return nil, fmt.Errorf("nbody: checkpoint particle count %d != header N %d", len(cp.Particles), cfg.N)
 	}
