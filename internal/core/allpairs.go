@@ -68,7 +68,8 @@ func allPairsMoves(T, c, row, col int) moves {
 // with the replica, and nothing follows the integration.
 type everyBlock struct{}
 
-func (everyBlock) accumulate(l *shiftLoop, _ int, visiting []phys.Particle) {
+func (everyBlock) update(l *shiftLoop) {
+	_, visiting := l.x.view()
 	l.st.SetPhase(trace.Compute)
 	l.counted(l.pool.Accumulate(l.kern, l.replica, visiting))
 }

@@ -83,7 +83,7 @@ func Cutoff(ps []phys.Particle, pr Params) ([]phys.Particle, *trace.Report, erro
 // stride-c jumps through the cutoff window. The moves are constants of
 // the run, so each one's ring neighbours are resolved once. Data moves
 // on the team torus whatever the box's boundary; a buffer that wrapped
-// around a reflective edge is rejected on arrival (windowed.accumulate).
+// around a reflective edge is rejected on arrival (windowed.update).
 // The ring does not close in general: the window is a part of the
 // torus and c need not divide it, so no buffer returns to its loader.
 func cutoffMoves(sched *CutoffSchedule, tg topo.TeamGrid, layer, team int) moves {
@@ -108,7 +108,8 @@ type windowed struct {
 	mig  migrator
 }
 
-func (w *windowed) accumulate(l *shiftLoop, src int, visiting []phys.Particle) {
+func (w *windowed) update(l *shiftLoop) {
+	src, visiting := l.x.view()
 	// The teams must be within Chebyshev distance m, unwrapped for
 	// reflective boxes: a wrapped delivery means the buffer aliased
 	// around the data-movement torus and must be skipped.

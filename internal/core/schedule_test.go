@@ -176,10 +176,10 @@ func (x *paperXfer) view() (int, []phys.Particle) {
 	return -1, nil
 }
 
-// noPairing leaves the accumulation to the paper: view has logged it.
+// noPairing leaves the accumulation to the paper: view logs it.
 type noPairing struct{}
 
-func (noPairing) accumulate(*shiftLoop, int, []phys.Particle) {}
+func (noPairing) update(l *shiftLoop) { l.x.view() }
 func (noPairing) integrated(_ *shiftLoop, mine []phys.Particle) ([]phys.Particle, error) {
 	return mine, nil
 }

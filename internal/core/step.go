@@ -161,10 +161,10 @@ func (m *moves) move(i int) (hop, int) {
 // pairing is what a plan leaves to the algorithm: which visiting blocks
 // interact with the rank's replica, and what follows the integration.
 type pairing interface {
-	// accumulate adds the forces the visiting block of team src exerts
-	// on l.replica — under the Compute phase, booked with l.counted —
-	// or skips a block that must not interact.
-	accumulate(l *shiftLoop, src int, visiting []phys.Particle)
+	// update applies the buffer the rank holds (l.x.view) to l.replica —
+	// under the Compute phase, booked with l.counted — or skips a block
+	// that must not interact.
+	update(l *shiftLoop)
 	// integrated runs on the leader once it has integrated mine and
 	// returns the block the leader owns from here on.
 	integrated(l *shiftLoop, mine []phys.Particle) ([]phys.Particle, error)
@@ -256,14 +256,14 @@ func (l *shiftLoop) step() error {
 // before the first shift.
 func (l *shiftLoop) walkSync() {
 	if !l.closed {
-		l.update()
+		l.pairing.update(l)
 	}
 	for i := 1; i <= l.last; i++ {
 		l.st.SetPhase(trace.Shift)
 		if h, tag := l.move(i); h.to != l.slot {
 			l.x.shift(l.ring, h.to, h.from, tag)
 		}
-		l.update()
+		l.pairing.update(l)
 	}
 }
 
@@ -281,21 +281,15 @@ func (l *shiftLoop) walkOverlapped() {
 		if h.to != l.slot {
 			l.x.startShift(l.ring, h.to, h.from, tag)
 		}
-		l.update()
+		l.pairing.update(l)
 		if h.to != l.slot {
 			l.st.SetPhase(trace.Shift)
 			l.x.finishShift()
 		}
 	}
 	if !l.closed {
-		l.update()
+		l.pairing.update(l)
 	}
-}
-
-// update applies the buffer the rank currently holds to its replica.
-func (l *shiftLoop) update() {
-	src, visiting := l.x.view()
-	l.pairing.accumulate(l, src, visiting)
 }
 
 // counted books one kernel batch: its pair evaluations and, on observed
