@@ -79,15 +79,18 @@ obsdebug:
 # Benchmark guard: the disabled observability path must not allocate
 # (asserted by TestDisabledPathAllocs) and the benchmark must run clean;
 # so must the socket mesh's ping-pong and burst benchmarks, over unix
-# sockets and TCP loopback, and the in-process ring shift of 64 ranks on
-# 2 Ps (a hang or a failed send shows here; their timings mean nothing
-# at 100 iterations — for the per-hop cost run the last one at
-# -benchtime 20000x).
+# sockets and TCP loopback, the in-process ring shift of 64 ranks on
+# 2 Ps, which prices the message of a hop alone, and the all-pairs
+# timestep of the same 64 ranks with 8-particle blocks, which prices the
+# hop whole (a hang or a failed send shows here; their timings mean
+# nothing at 100 iterations — for the per-hop and per-step cost run the
+# last two at -benchtime 20000x).
 benchguard:
 	$(GO) test -run TestDisabledPathAllocs ./internal/obs/
 	$(GO) test -run NONE -bench BenchmarkObsDisabled -benchtime 100000x ./internal/obs/
 	$(GO) test -run NONE -bench BenchmarkMesh -benchtime 100x ./internal/comm/net/
 	$(GO) test -run NONE -bench BenchmarkRingShiftOversubscribed -benchtime 100x ./internal/comm/
+	$(GO) test -run NONE -bench BenchmarkShiftLoopSmallBlocks -benchtime 100x ./internal/core/
 
 # Smoke gates: the specialized LJ-cutoff kernel must beat the generic
 # per-pair path (small threshold, robust to loaded machines) and must

@@ -343,27 +343,8 @@ func New(cfg Config) (*Simulation, error) {
 		}
 		cfg.C = fixed
 	}
-	if cfg.N <= 0 {
-		return nil, fmt.Errorf("nbody: config needs N > 0")
-	}
-	if cfg.Dim != 1 && cfg.Dim != 2 {
-		return nil, fmt.Errorf("nbody: dimension must be 1 or 2, got %d", cfg.Dim)
-	}
-	if cfg.Cutoff < 0 || cfg.Cutoff > cfg.BoxLength {
-		return nil, fmt.Errorf("nbody: cutoff %g outside [0, box length %g]", cfg.Cutoff, cfg.BoxLength)
-	}
-	if cfg.Workers < 0 {
-		return nil, fmt.Errorf("nbody: negative worker count %d", cfg.Workers)
-	}
-	if cfg.Tile < 0 {
-		return nil, fmt.Errorf("nbody: negative tile width %d", cfg.Tile)
-	}
-	if alg := cfg.resolveAlgorithm(); (alg == CACutoff || alg == Midpoint) && cfg.Cutoff == 0 {
-		return nil, fmt.Errorf("nbody: %v requires a positive cutoff", alg)
-	}
-	if cfg.Proc != nil && cfg.Proc.WorldSize() != cfg.P {
-		return nil, fmt.Errorf("nbody: P=%d but the process mesh spans %d ranks (%d procs × %d per proc)",
-			cfg.P, cfg.Proc.WorldSize(), cfg.Proc.NumProcs(), cfg.Proc.RanksPerProc())
+	if err := cfg.validate(); err != nil {
+		return nil, err
 	}
 	s := &Simulation{cfg: cfg, particles: cfg.initialParticles()}
 	if err := s.dryRun(); err != nil {
@@ -375,6 +356,48 @@ func New(cfg Config) (*Simulation, error) {
 	s.observer = cfg.observer()
 	s.recorder = cfg.newRecorder(s.observer)
 	return s, nil
+}
+
+// maxRanks bounds P. Ranks are goroutines, and every driver allocates
+// O(P) — the replication grid, the runtime's tables — before its dry run
+// can reject anything, so a nonsense count has to stop here.
+const maxRanks = 1 << 20
+
+// validate rejects, on a defaulted configuration, what no driver may be
+// handed: values the box, the law or the grid constructors would panic
+// on or allocate for. New and Load share it — a checkpoint header is
+// outside input like any other. What depends on the algorithm's
+// divisibility rules is the dry run's to reject.
+func (c Config) validate() error {
+	if c.N <= 0 {
+		return fmt.Errorf("nbody: config needs N > 0")
+	}
+	if c.P > maxRanks {
+		return fmt.Errorf("nbody: implausible rank count %d (at most %d)", c.P, maxRanks)
+	}
+	if c.Dim != 1 && c.Dim != 2 {
+		return fmt.Errorf("nbody: dimension must be 1 or 2, got %d", c.Dim)
+	}
+	if !(c.BoxLength > 0) {
+		return fmt.Errorf("nbody: box length %g is not positive", c.BoxLength)
+	}
+	if !(c.Cutoff >= 0 && c.Cutoff <= c.BoxLength) {
+		return fmt.Errorf("nbody: cutoff %g outside [0, box length %g]", c.Cutoff, c.BoxLength)
+	}
+	if c.Workers < 0 {
+		return fmt.Errorf("nbody: negative worker count %d", c.Workers)
+	}
+	if c.Tile < 0 {
+		return fmt.Errorf("nbody: negative tile width %d", c.Tile)
+	}
+	if alg := c.resolveAlgorithm(); (alg == CACutoff || alg == Midpoint) && c.Cutoff == 0 {
+		return fmt.Errorf("nbody: %v requires a positive cutoff", alg)
+	}
+	if c.Proc != nil && c.Proc.WorldSize() != c.P {
+		return fmt.Errorf("nbody: P=%d but the process mesh spans %d ranks (%d procs × %d per proc)",
+			c.P, c.Proc.WorldSize(), c.Proc.NumProcs(), c.Proc.RanksPerProc())
+	}
+	return nil
 }
 
 // initialParticles builds the deterministic initial particle set the

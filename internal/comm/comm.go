@@ -435,13 +435,26 @@ func (c *Comm) Barrier() {
 // the given parent ranks, in the given order. Every listed rank must call
 // Sub with the same list; callers not in the list must not call it. No
 // communication is needed because the membership is explicit.
+//
+// On the world communicator a parent rank is a world rank, so the new
+// communicator keeps parentRanks itself as its group instead of a copy:
+// the caller must not write the list afterwards, and may hand the same
+// one to every member (a grid's row and team lists are built once per
+// run, not once per rank). A sub-communicator of a sub-communicator
+// translates into a list of its own.
 func (c *Comm) Sub(parentRanks []int) *Comm {
-	group := make([]int, len(parentRanks))
+	world := c.id == worldID
+	group := parentRanks
+	if !world {
+		group = make([]int, len(parentRanks))
+	}
 	newRank := -1
 	h := c.id
 	for i, pr := range parentRanks {
 		c.checkPeer(pr)
-		group[i] = c.group[pr]
+		if !world {
+			group[i] = c.group[pr]
+		}
 		if pr == c.rank {
 			newRank = i
 		}

@@ -230,6 +230,37 @@ func TestSubCommunicator(t *testing.T) {
 	}
 }
 
+// TestSubOfSubTranslates: a sub-communicator names its members by parent
+// rank, so one made from a sub-communicator translates through the
+// parent's group into a list of its own — unlike one made from the
+// world, which keeps the caller's list (see Sub) — and the caller may
+// reuse its list afterwards.
+func TestSubOfSubTranslates(t *testing.T) {
+	_, err := Run(8, Options{}, func(c *Comm) error {
+		if c.Rank()%2 == 1 {
+			return nil
+		}
+		evens := c.Sub([]int{0, 2, 4, 6})
+		if evens.Rank()%2 == 0 {
+			return nil
+		}
+		pick := []int{3, 1} // world ranks 6 and 2, in that order
+		pair := evens.Sub(pick)
+		pick[0], pick[1] = -1, -1
+		if want := 1 - evens.Rank()/2; pair.Size() != 2 || pair.Rank() != want || pair.WorldRank() != c.Rank() {
+			return fmt.Errorf("world rank %d: pair size %d rank %d world rank %d", c.Rank(), pair.Size(), pair.Rank(), pair.WorldRank())
+		}
+		got := pair.Sendrecv(1-pair.Rank(), []byte{byte(c.Rank())}, 1-pair.Rank(), 7)
+		if want := byte(8 - c.Rank()); len(got) != 1 || got[0] != want {
+			return fmt.Errorf("world rank %d received %v from its peer, want [%d]", c.Rank(), got, want)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestStatsCountMessages(t *testing.T) {
 	rep, err := Run(2, Options{}, func(c *Comm) error {
 		c.SetPhase(trace.Shift)

@@ -126,9 +126,10 @@ const frameBytes = 4
 // mailboxCap is the default per-(src,dst) channel buffer. The algorithms
 // in this repository keep at most a few outstanding messages per pair;
 // a sender blocked on a full mailbox selects on the abort channel too,
-// which prevents a hard deadlock if that assumption is violated. Options.MailboxCap overrides it — tests use tiny (even zero)
-// capacities to prove point-to-point patterns correct on any
-// bounded-capacity transport.
+// which prevents a hard deadlock if that assumption is violated.
+// Options.MailboxCap overrides it: tests use tiny (even zero) capacities
+// to prove point-to-point patterns correct on any bounded-capacity
+// transport.
 const mailboxCap = 8
 
 // link is the src→dst message stream of one run: the destination's

@@ -39,7 +39,7 @@ func AllPairs(ps []phys.Particle, pr Params) ([]phys.Particle, *trace.Report, er
 	return runRanks(n, pr, perS, perW, func(rk *rank) rankLoop {
 		l, row, col := newShiftLoop(rk, &pr, cg)
 		l.moves = allPairsMoves(T, pr.C, row, col)
-		l.pairing = everyBlock{}
+		l.pairing = newEveryBlock(l.last, npt)
 		l.x = newXfer(pr, -1, l.closed)
 		if l.leader {
 			// The leader starts with the authoritative copy of the team's
@@ -64,16 +64,74 @@ func allPairsMoves(T, c, row, col int) moves {
 	}
 }
 
-// everyBlock is Algorithm 1's pairing: every visiting block interacts
-// with the replica, and nothing follows the integration.
-type everyBlock struct{}
+// sweepBatch is the number of gathered visiting particles at which a
+// rank sweeps them into its replica (everyBlock). A constant of the
+// code, not a knob: it is read off what a sweep costs beyond its pairs,
+// which no input changes. Hot, the kernel has almost nothing of that
+// kind left — ns/pair of one sweep for 8 targets against the sources it
+// covers (phys.BenchmarkAccumulateBlocks, AVX2, the 2-vCPU 2.1 GHz Xeon
+// this repository is measured on):
+//
+//	sources   8    16    32    64   128   256
+//	ns/pair  2.0   1.8   1.85  1.85  1.9  1.9
+//
+// (3.5, 2.7, 2.3, 2.1, 2.0, 2.0 while the lanes were still filled by
+// scalar stores, see lanes4.load in internal/phys). What is left sits
+// around the kernel: two clock reads for the Compute span, a pool
+// dispatch, the counters, and caches the exchange in between has
+// cooled. CPU µs/step of 64 ranks with 8-particle blocks, 16 hops a
+// step, on 2 Ps (BenchmarkShiftLoopSmallBlocks, medians of ten) against
+// the batch:
+//
+//	sweepBatch    1    16    32    64   128
+//	CPU µs/step  689   617   611   579   575
+//
+// 128 is where it is flat, and on that shape the whole step in one
+// sweep; more would only raise the visiting particles a rank may
+// reference.
+const sweepBatch = 128
 
-func (everyBlock) update(l *shiftLoop) {
-	_, visiting := l.x.view()
-	l.st.SetPhase(trace.Compute)
-	l.counted(l.pool.Accumulate(l.kern, l.replica, visiting))
+// everyBlock is Algorithm 1's pairing: every visiting block interacts
+// with the replica, and nothing follows the integration. The blocks are
+// gathered, not applied on arrival: update records the view of the held
+// buffer — a slice header, no copy — and the rank sweeps what it has
+// gathered when that reaches sweepBatch particles and once more when
+// the walk ends (flush). A block of sweepBatch particles or more is
+// therefore swept at once, alone; many short ones share one kernel
+// call and one Compute span. Each target still folds its sources in
+// arrival order, so the forces are those of a sweep per block, bit for
+// bit. Reading a view that late is legal on the closed ring only (the
+// reuse discipline in transport.go); a rank references at most
+// sweepBatch + n/T visiting particles beyond the buffer it holds.
+type everyBlock struct {
+	gathered [][]phys.Particle // since the last sweep; never grows
+	n        int               // particles in gathered
 }
 
-func (everyBlock) integrated(_ *shiftLoop, mine []phys.Particle) ([]phys.Particle, error) {
+// newEveryBlock sizes the list for the most blocks a sweep can cover:
+// all T/c of a step, or as many n/T-particle blocks as reach sweepBatch.
+func newEveryBlock(blocksPerStep, blockLen int) *everyBlock {
+	perSweep := min(blocksPerStep, (sweepBatch+blockLen-1)/blockLen)
+	return &everyBlock{gathered: make([][]phys.Particle, 0, perSweep)}
+}
+
+func (e *everyBlock) update(l *shiftLoop) {
+	_, visiting := l.x.view()
+	e.gathered = append(e.gathered, visiting)
+	if e.n += len(visiting); e.n >= sweepBatch {
+		e.flush(l)
+	}
+}
+
+func (e *everyBlock) flush(l *shiftLoop) {
+	if len(e.gathered) == 0 {
+		return
+	}
+	l.st.SetPhase(trace.Compute)
+	l.counted(l.pool.AccumulateBlocks(l.kern, l.replica, e.gathered))
+	e.gathered, e.n = e.gathered[:0], 0
+}
+
+func (*everyBlock) integrated(_ *shiftLoop, mine []phys.Particle) ([]phys.Particle, error) {
 	return mine, nil
 }

@@ -129,7 +129,8 @@ func (pr Params) validateCommon(n int) error {
 // communicators — one per row (a replication layer, in team order) and
 // one per team (a column, leader first) — built once per run. Every
 // rank knows the grid, so membership is explicit and making a rank's two
-// communicators costs no communication (Comm.Sub copies what it keeps).
+// communicators costs no communication. Comm.Sub keeps the list it is
+// given, shared by the members: the lists are never written after this.
 type commGrid struct {
 	topo.Grid
 	rows, teams [][]int

@@ -120,6 +120,11 @@ func (w *windowed) update(l *shiftLoop) {
 	l.counted(l.pool.AccumulateIn(l.kern, l.replica, visiting, l.pr.Box))
 }
 
+// flush has nothing to apply: the window's ring is open, so update may
+// not keep a view past the next move (the reuse discipline in
+// transport.go) and applies every block on arrival.
+func (*windowed) flush(*shiftLoop) {}
+
 // integrated is step (6), the spatial reassignment between neighboring
 // teams. Migration runs between the team leaders, the layer-0 ranks
 // indexed by team: that is the leader's ring.

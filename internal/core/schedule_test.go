@@ -180,6 +180,7 @@ func (x *paperXfer) view() (int, []phys.Particle) {
 type noPairing struct{}
 
 func (noPairing) update(l *shiftLoop) { l.x.view() }
+func (noPairing) flush(*shiftLoop)    {}
 func (noPairing) integrated(_ *shiftLoop, mine []phys.Particle) ([]phys.Particle, error) {
 	return mine, nil
 }

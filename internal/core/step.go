@@ -163,8 +163,12 @@ func (m *moves) move(i int) (hop, int) {
 type pairing interface {
 	// update applies the buffer the rank holds (l.x.view) to l.replica —
 	// under the Compute phase, booked with l.counted — or skips a block
-	// that must not interact.
+	// that must not interact. On a closed ring it may instead keep the
+	// view and apply it later, no later than flush.
 	update(l *shiftLoop)
+	// flush runs when the walk has ended, before the reduce: it applies
+	// whatever update has kept back.
+	flush(l *shiftLoop)
 	// integrated runs on the leader once it has integrated mine and
 	// returns the block the leader owns from here on.
 	integrated(l *shiftLoop, mine []phys.Particle) ([]phys.Particle, error)
@@ -234,6 +238,7 @@ func (l *shiftLoop) step() error {
 	} else {
 		l.walkSync()
 	}
+	l.pairing.flush(l)
 	// (5) Sum-reduce the partial force contributions within the team;
 	// the leader integrates.
 	l.st.SetPhase(trace.Reduce)

@@ -37,7 +37,10 @@ type xfer interface {
 	// view exposes the particles currently in the exchange buffer and
 	// the team they originate from (-1 on unframed transports). The
 	// slice is read-only: it may alias a buffer that is simultaneously
-	// in flight to a neighbor.
+	// in flight to a neighbor, or that a neighbor holds by now. On an
+	// open ring it is valid until the rank's next move; on a closed ring
+	// until the rank enters reduceForces (the reuse discipline below),
+	// whatever it has moved in between.
 	view() (srcTeam int, ps []phys.Particle)
 	// shift synchronously exchanges the buffer with the ring neighbors:
 	// ship to rank `to`, adopt the buffer arriving from rank `from`.
@@ -84,16 +87,37 @@ func newXfer(pr Params, frame int, closed bool) xfer {
 // ring the load is therefore double-buffered: loadExchange writes
 // the buffer held at the end of step k−2, never the one just received.
 // That deferral is safe because the ring closes — for all-pairs s·c ≡ 0
-// (mod T), so each step's buffer returns to the rank that loaded it —
-// and the intervening step's shift messages therefore order every
-// reader of the step-k−2 buffer before rank's first receive of step
-// k−1, which precedes the write. (The closed ring double-buffers under
-// the synchronous walk too, where either discipline is safe.) The
-// cutoff schedule's ring does not close in general, so no such ordering
-// exists; in overlap mode an open ring loads into a fresh buffer each
-// step instead (one O(n/T) allocation per step — the only one the
-// cutoff loop makes; migration recycles its buffers, see migrator in
-// cutoff.go).
+// (mod T), so each step's buffer ends the step at the rank its shifts
+// started from — and the intervening step's shift messages therefore
+// order every reader of the step-k−2 buffer before the end of the
+// rank's step k−1, which precedes the write. (The closed ring
+// double-buffers under the synchronous walk too, where either
+// discipline is safe.)
+//
+// The all-pairs loop leans on the same closure for longer: it gathers
+// the views of the buffers that visit a rank and reads them when it
+// sweeps, at the latest in the flush that ends its walk (everyBlock in
+// allpairs.go) — long after the buffer went on, under either walk. The
+// readers of the buffer a rank holds at the end of step k are the T/c
+// ranks of its shift cycle (its row, every c-th team), each until its
+// flush of step k; the rank writes the buffer at the loadExchange of
+// step k+2. A reader's flush precedes its reduce and so every message
+// it sends in step k+1, whose T/c shifts pass a message from each rank
+// of the cycle to the next: after them every rank of the cycle has
+// received, directly or through the ranks between, from every other,
+// and only then does it go on to step k+2 and write. So "read while in
+// flight" extends to "read until the flush" — on this ring, and for two
+// steps, no further. The race detector checks it mechanically (`make
+// race`): the oracle transport decodes every view into memory of its
+// own, so state alone cannot.
+//
+// The cutoff schedule's ring does not close in general, so no such
+// ordering exists; in overlap mode an open ring loads into a fresh
+// buffer each step instead (one O(n/T) allocation per step — the only
+// one the cutoff loop makes; migration recycles its buffers, see
+// migrator in cutoff.go). Nor may an open ring keep a view past its
+// next move: the single retained slot rests on "read strictly before
+// forwarding".
 
 // typedXfer is the zero-copy transport: payload slices move through the
 // comm mailboxes by reference under the ownership-transfer contract
@@ -191,10 +215,15 @@ type encodedXfer struct {
 	bcastBuf []byte          // leader's encode buffer
 	teamData []byte          // this step's broadcast payload (framed exchange source)
 	team     []phys.Particle // decoded replica
-	visiting []phys.Particle // decode scratch for exchange views
-	exchange []byte          // current exchange payload
-	spare    []byte          // all-pairs double-buffer (end of step k−2)
-	forces   []float64       // flattened reduction payload
+	// views holds one decode scratch per view handed out since the last
+	// reduceForces, nviews of them in use: a view stays readable until
+	// then, so the next one may not decode over it. Retained across
+	// steps.
+	views    [][]phys.Particle
+	nviews   int
+	exchange []byte    // current exchange payload
+	spare    []byte    // all-pairs double-buffer (end of step k−2)
+	forces   []float64 // flattened reduction payload
 
 	pendSend, pendRecv *comm.Request
 }
@@ -243,8 +272,13 @@ func (x *encodedXfer) view() (int, []phys.Particle) {
 	if x.frame >= 0 {
 		src, body = unframeTeam(x.exchange)
 	}
-	x.visiting = decodeInto(x.visiting[:0], body)
-	return src, x.visiting
+	if x.nviews == len(x.views) {
+		x.views = append(x.views, nil)
+	}
+	v := decodeInto(x.views[x.nviews][:0], body)
+	x.views[x.nviews] = v
+	x.nviews++
+	return src, v
 }
 
 func (x *encodedXfer) shift(rc *comm.Comm, to, from, tag int) {
@@ -263,6 +297,7 @@ func (x *encodedXfer) finishShift() {
 }
 
 func (x *encodedXfer) reduceForces(tc *comm.Comm, team []phys.Particle) []float64 {
+	x.nviews = 0
 	x.forces = flattenForcesInto(x.forces[:0], team)
 	return tc.ReduceF64s(0, x.forces)
 }

@@ -40,12 +40,16 @@ func FuzzDecodeSlice(f *testing.F) {
 // first, with whatever finite doubles the fuzzer invents: out-of-box
 // positions, coincident pairs, values whose squares overflow (in a
 // reflective box; a periodic one takes images up to a hundred boxes out).
+// cuts slices the sources into blocks — each byte the length of the next
+// one, zero an empty block, what is left the last — and AccumulateBlocks
+// over those is held to Accumulate over the uncut slice the same way.
 func FuzzSweepMatchesGo(f *testing.F) {
-	f.Add(uint64(1), uint8(9), uint8(13), uint8(0), 1e-3, 0.0, []byte{})
-	f.Add(uint64(2), uint8(8), uint8(8), uint8(3), 0.0, 0.9, []byte{})
-	f.Add(uint64(3), uint8(5), uint8(70), uint8(6), 1e-3, 1.4, binary.LittleEndian.AppendUint64(nil, math.Float64bits(7.9)))
-	f.Add(uint64(4), uint8(12), uint8(3), uint8(9), 0.0, 0.0, binary.LittleEndian.AppendUint64(nil, math.Float64bits(1e200)))
-	f.Fuzz(func(t *testing.T, seed uint64, nt, ns, mode uint8, soft, rc float64, raw []byte) {
+	f.Add(uint64(1), uint8(9), uint8(13), uint8(0), 1e-3, 0.0, []byte{}, []byte{})
+	f.Add(uint64(2), uint8(8), uint8(8), uint8(3), 0.0, 0.9, []byte{}, []byte{3, 0, 4})
+	f.Add(uint64(3), uint8(5), uint8(70), uint8(6), 1e-3, 1.4, binary.LittleEndian.AppendUint64(nil, math.Float64bits(7.9)), []byte{8, 8, 8, 8})
+	f.Add(uint64(4), uint8(12), uint8(3), uint8(9), 0.0, 0.0, binary.LittleEndian.AppendUint64(nil, math.Float64bits(1e200)), []byte{0, 1, 1, 200})
+	f.Add(uint64(5), uint8(39), uint8(89), uint8(5), 1e-3, 0.0, []byte{}, []byte{1, 0, 0, 7, 30, 2})
+	f.Fuzz(func(t *testing.T, seed uint64, nt, ns, mode uint8, soft, rc float64, raw, cuts []byte) {
 		if !(soft >= 0 && soft <= 1) {
 			soft = 0
 		}
@@ -106,12 +110,30 @@ func FuzzSweepMatchesGo(f *testing.F) {
 			t.Fatalf("counted %d pairs, Go loop %d", nGot, nWant)
 		}
 		same := func(a, b float64) bool { return bitsEqual(a, b) || math.IsNaN(a) && math.IsNaN(b) }
-		for i := range got {
-			if !same(got[i].Force.X, want[i].Force.X) || !same(got[i].Force.Y, want[i].Force.Y) {
-				t.Fatalf("target %d: force (%x, %x), Go loop (%x, %x)", i,
-					math.Float64bits(got[i].Force.X), math.Float64bits(got[i].Force.Y),
-					math.Float64bits(want[i].Force.X), math.Float64bits(want[i].Force.Y))
+		compare := func(what string, got, want []Particle) {
+			for i := range got {
+				if !same(got[i].Force.X, want[i].Force.X) || !same(got[i].Force.Y, want[i].Force.Y) {
+					t.Fatalf("target %d: %s force (%x, %x), want (%x, %x)", i, what,
+						math.Float64bits(got[i].Force.X), math.Float64bits(got[i].Force.Y),
+						math.Float64bits(want[i].Force.X), math.Float64bits(want[i].Force.Y))
+				}
 			}
 		}
+		compare("selected path", got, want)
+
+		var blocks [][]Particle
+		rest := sources
+		for _, c := range cuts {
+			n := min(int(c), len(rest))
+			blocks = append(blocks, rest[:n])
+			rest = rest[n:]
+		}
+		blocks = append(blocks, rest)
+		uncut := append([]Particle(nil), targets...)
+		cut := append([]Particle(nil), targets...)
+		if nCut, nUncut := k.AccumulateBlocks(cut, blocks), k.Accumulate(uncut, sources); nCut != nUncut {
+			t.Fatalf("AccumulateBlocks counted %d pairs over %d blocks, Accumulate %d over the uncut slice", nCut, len(blocks), nUncut)
+		}
+		compare("AccumulateBlocks", cut, uncut)
 	})
 }

@@ -91,6 +91,25 @@ func (k *Kernel) Accumulate(targets, sources []Particle) int64 {
 	}
 }
 
+// AccumulateBlocks is one Accumulate per block, in list order, bit for
+// bit and count for count: every target folds the sources of block 0,
+// then those of block 1, and so on, and the result is the sum of the
+// calls' pair counts. It exists for callers holding many short source
+// blocks (the all-pairs loop gathers its visiting blocks, see
+// internal/core): the AVX2 sweep keeps each group of targets in its
+// lanes across the whole list instead of loading, draining and storing
+// it once per block. The flavors without a sweep make the calls.
+func (k *Kernel) AccumulateBlocks(targets []Particle, blocks [][]Particle) int64 {
+	if useAVX2 && !k.lj && !k.hasCut {
+		return k.sweepRepOpenBlocks(targets, blocks)
+	}
+	var n int64
+	for _, sources := range blocks {
+		n += k.Accumulate(targets, sources)
+	}
+	return n
+}
+
 // AccumulateIn is the specialized form of Law.AccumulateIn: Accumulate
 // under the box metric (minimum-image displacements for periodic boxes),
 // counting beyond-cutoff pairs as evaluations exactly as the generic

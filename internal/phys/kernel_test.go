@@ -127,6 +127,112 @@ func TestKernelMatchesGenericAccumulateIn(t *testing.T) {
 	}
 }
 
+// longBlock is a source count beyond what one assembly call of the AVX2
+// sweeps takes (sweepChunk; sweep_amd64_test.go holds the two apart).
+const longBlock = 4099
+
+// TestAccumulateBlocksMatchesPerBlock holds AccumulateBlocks to the
+// calls it stands for — one Accumulate per block, in order — for all
+// four flavors, the three without a sweep included: every force bit,
+// and a pair count equal to the calls' sum and to Interactions. The
+// target counts cover every remainder of the sweep's lane groups and a
+// ragged tail behind ten full ones; the lists cover no block, one,
+// empty ones between others, the targets' own IDs, and a block longer
+// than one assembly call.
+func TestAccumulateBlocksMatchesPerBlock(t *testing.T) {
+	box := NewBox(3, 2, Reflective)
+	laws := []Law{
+		{Kind: Repulsive, K: 1.3, Softening: 1e-3}, // the flavor with a sweep
+		{Kind: Repulsive, K: 1.3, Softening: 1e-3, Cutoff: 0.9},
+		LJLaw(0.7, 0.4),
+		LJLaw(0.7, 0.4).WithCutoff(0.9),
+	}
+	for _, law := range laws {
+		k := law.Kernel()
+		for _, nt := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 40} {
+			targets := InitUniform(nt, box, uint64(nt)+1)
+			seedForces(targets)
+			strangers := func(n int, seed uint64) []Particle {
+				return relabel(InitUniform(n, box, seed), uint32(nt)+uint32(10000*seed))
+			}
+			own := append([]Particle(nil), targets...)
+			var ring [][]Particle // the all-pairs shape: many short blocks
+			for b := uint64(0); b < 16; b++ {
+				ring = append(ring, strangers(8, 20+b))
+			}
+			lists := []struct {
+				name   string
+				blocks [][]Particle
+			}{
+				{"none", nil},
+				{"one", [][]Particle{strangers(7, 2)}},
+				{"empties", [][]Particle{nil, strangers(5, 3), {}, strangers(8, 4), nil}},
+				{"own", [][]Particle{strangers(3, 5), own, strangers(4, 6), own[:nt/2]}},
+				{"ownOnly", [][]Particle{own[:min(nt, 1)], nil, own[:min(nt, 1)]}},
+				{"long", [][]Particle{strangers(2, 7), strangers(longBlock, 8), strangers(3, 9)}},
+				{"ring", ring},
+			}
+			for _, tc := range lists {
+				t.Run(fmt.Sprintf("%v_rc%g/%d targets/%s", law.Kind, law.Cutoff, nt, tc.name), func(t *testing.T) {
+					want := append([]Particle(nil), targets...)
+					got := append([]Particle(nil), targets...)
+					var nWant int64
+					ns, shared := 0, 0
+					for _, b := range tc.blocks {
+						nWant += k.Accumulate(want, b)
+						ns += len(b)
+						for i := range b {
+							if int(b[i].ID) < nt {
+								shared++
+							}
+						}
+					}
+					nGot := k.AccumulateBlocks(got, tc.blocks)
+					if nGot != nWant || nGot != Interactions(nt, ns, shared) {
+						t.Fatalf("counted %d pairs, the per-block calls %d, Interactions %d",
+							nGot, nWant, Interactions(nt, ns, shared))
+					}
+					compareForces(t, got, want)
+					// Target 0 met nothing but its own ID and was never added
+					// to: seedForces' -0 accumulator comes back as -0 (as
+					// TestSweepKeepsNegativeZero pins for the single block).
+					if negZero := math.Copysign(0, -1); tc.name == "ownOnly" && nt > 0 &&
+						!(bitsEqual(got[0].Force.X, negZero) && bitsEqual(got[0].Force.Y, negZero)) {
+						t.Fatalf("untouched -0 accumulator came back as (%x, %x)",
+							math.Float64bits(got[0].Force.X), math.Float64bits(got[0].Force.Y))
+					}
+				})
+			}
+		}
+	}
+}
+
+// BenchmarkAccumulateBlocks prints the kernel's half of what the
+// all-pairs loop's batch size is read off (sweepBatch in internal/core):
+// ns/pair of one call for 8 targets — the block of the benchmark's
+// ap-latency workload — against the number of sources it sweeps,
+// gathered in blocks of 8, caches hot. The fixed cost of a call (lane
+// set-up, a divider pipeline that fills and drains) is what the left end
+// pays.
+func BenchmarkAccumulateBlocks(b *testing.B) {
+	box := NewBox(10, 2, Reflective)
+	k := DefaultLaw().Kernel()
+	targets := InitUniform(8, box, 1)
+	for _, ns := range []int{8, 16, 32, 64, 128, 256} {
+		var blocks [][]Particle
+		for i := 1; i <= ns/8; i++ {
+			blocks = append(blocks, relabel(InitUniform(8, box, uint64(1+i)), uint32(8*i)))
+		}
+		b.Run(fmt.Sprintf("8x%d", ns), func(b *testing.B) {
+			var pairs int64
+			for i := 0; i < b.N; i++ {
+				pairs = k.AccumulateBlocks(targets, blocks)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(pairs), "ns/pair")
+		})
+	}
+}
+
 // TestKernelUnknownKindFallsBackToRepulsive pins the dispatch default:
 // an unrecognized potential kind must behave exactly like pairVec's
 // default case (repulsive), not crash or zero out.
@@ -195,6 +301,10 @@ func TestKernelAllocs(t *testing.T) {
 	if a := testing.AllocsPerRun(10, func() { kern.AccumulateIn(targets, sources, box) }); a != 0 {
 		t.Errorf("Kernel.AccumulateIn allocated %.1f times per run, want 0", a)
 	}
+	blocks := [][]Particle{sources[:5], sources[5:40], sources[40:]}
+	if a := testing.AllocsPerRun(10, func() { kern.AccumulateBlocks(targets, blocks) }); a != 0 {
+		t.Errorf("Kernel.AccumulateBlocks allocated %.1f times per run, want 0", a)
+	}
 
 	// The two repulsive flavors the timestep loops run take the AVX2
 	// sweeps where the CPU has them (KernelImpl): their lane state and
@@ -202,6 +312,9 @@ func TestKernelAllocs(t *testing.T) {
 	rep := DefaultLaw().Kernel()
 	if a := testing.AllocsPerRun(10, func() { rep.Accumulate(targets, sources) }); a != 0 {
 		t.Errorf("%s repulsive Accumulate allocated %.1f times per run, want 0", KernelImpl(), a)
+	}
+	if a := testing.AllocsPerRun(10, func() { rep.AccumulateBlocks(targets, blocks) }); a != 0 {
+		t.Errorf("%s repulsive AccumulateBlocks allocated %.1f times per run, want 0", KernelImpl(), a)
 	}
 	repCut := DefaultLaw().WithCutoff(0.9).Kernel()
 	if a := testing.AllocsPerRun(10, func() { repCut.AccumulateIn(targets, sources, box) }); a != 0 {

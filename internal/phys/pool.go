@@ -5,9 +5,10 @@ import (
 )
 
 // Pool fans one rank's force accumulation out over spare cores: a batch
-// tiles the targets of a Kernel.Accumulate/AccumulateIn call (or the
-// cells of a CellList.Forces call) into one contiguous block per worker,
-// and every worker accumulates into its own disjoint block. Because each
+// tiles the targets of a Kernel.Accumulate/AccumulateBlocks/AccumulateIn
+// call (or the cells of a CellList.Forces call) into one contiguous
+// block per worker, and every worker accumulates into its own disjoint
+// block. Because each
 // kernel loop writes only the targets it iterates — sources are
 // read-only — the tiles never share a force accumulator, need no
 // atomics, and each target sees exactly the source order of the untiled
@@ -34,6 +35,7 @@ type Pool struct {
 	kern    Kernel
 	targets []Particle
 	sources []Particle
+	blocks  [][]Particle
 	box     Box
 	cl      *CellList
 	fn      func(lo, hi, worker int) int64
@@ -51,6 +53,7 @@ type Pool struct {
 // Batch operation selectors.
 const (
 	opAccumulate uint8 = iota
+	opAccumulateBlocks
 	opAccumulateIn
 	opCellForces
 	opFunc
@@ -114,6 +117,8 @@ func (p *Pool) exec(w int) {
 	switch p.mode {
 	case opAccumulate:
 		pairs = p.kern.Accumulate(p.targets[lo:hi], p.sources)
+	case opAccumulateBlocks:
+		pairs = p.kern.AccumulateBlocks(p.targets[lo:hi], p.blocks)
 	case opAccumulateIn:
 		pairs = p.kern.AccumulateIn(p.targets[lo:hi], p.sources, p.box)
 	case opCellForces:
@@ -160,6 +165,20 @@ func (p *Pool) Accumulate(k Kernel, targets, sources []Particle) int64 {
 	p.mode, p.kern, p.targets, p.sources = opAccumulate, k, targets, sources
 	total := p.dispatch(len(targets))
 	p.targets, p.sources = nil, nil
+	return total
+}
+
+// AccumulateBlocks is Kernel.AccumulateBlocks with the targets tiled
+// across the pool: one dispatch for the whole list, not one per block.
+// Bitwise-identical to one Accumulate per block for every worker count;
+// returns the same pair-evaluation count.
+func (p *Pool) AccumulateBlocks(k Kernel, targets []Particle, blocks [][]Particle) int64 {
+	if p == nil {
+		return k.AccumulateBlocks(targets, blocks)
+	}
+	p.mode, p.kern, p.targets, p.blocks = opAccumulateBlocks, k, targets, blocks
+	total := p.dispatch(len(targets))
+	p.targets, p.blocks = nil, nil
 	return total
 }
 

@@ -35,8 +35,11 @@ func TestPoolAccumulateBitwiseInvariance(t *testing.T) {
 		wantPairs := kern.Accumulate(want, sources)
 		wantIn := append([]Particle(nil), targets...)
 		wantInPairs := kern.AccumulateIn(wantIn, sources, box)
-		for _, w := range []int{2, 3, 4, 8} {
-			pool := NewPool(w)
+		// The blocks form stands for one Accumulate per block; cut
+		// anywhere, the blocks fold into each target in source order.
+		blocks := [][]Particle{sources[:9], nil, sources[9:10], sources[10:]}
+		for _, w := range []int{1, 2, 3, 4, 8} {
+			pool := NewPool(w) // nil, the inline pool, for one worker
 			got := append([]Particle(nil), targets...)
 			if pairs := pool.Accumulate(kern, got, sources); pairs != wantPairs {
 				t.Errorf("law %+v w=%d: pair count %d, want %d", law, w, pairs, wantPairs)
@@ -44,6 +47,15 @@ func TestPoolAccumulateBitwiseInvariance(t *testing.T) {
 			for i := range got {
 				if got[i] != want[i] {
 					t.Errorf("law %+v w=%d: Accumulate target %d = %+v, want %+v", law, w, i, got[i], want[i])
+				}
+			}
+			gotBlocks := append([]Particle(nil), targets...)
+			if pairs := pool.AccumulateBlocks(kern, gotBlocks, blocks); pairs != wantPairs {
+				t.Errorf("law %+v w=%d: AccumulateBlocks pair count %d, want %d", law, w, pairs, wantPairs)
+			}
+			for i := range gotBlocks {
+				if gotBlocks[i] != want[i] {
+					t.Errorf("law %+v w=%d: AccumulateBlocks target %d = %+v, want %+v", law, w, i, gotBlocks[i], want[i])
 				}
 			}
 			gotIn := append([]Particle(nil), targets...)
@@ -201,6 +213,12 @@ func TestPoolAllocs(t *testing.T) {
 		pool.Accumulate(kern, targets, sources)
 	}); got != 0 {
 		t.Errorf("pooled Accumulate: %v allocs/op, want 0", got)
+	}
+	blocks := [][]Particle{sources[:40], sources[40:]}
+	if got := testing.AllocsPerRun(20, func() {
+		pool.AccumulateBlocks(kern, targets, blocks)
+	}); got != 0 {
+		t.Errorf("pooled AccumulateBlocks: %v allocs/op, want 0", got)
 	}
 	if got := testing.AllocsPerRun(20, func() {
 		pool.AccumulateIn(kern, targets, sources, box)

@@ -55,13 +55,15 @@ type lanes4 struct {
 	same [4]uint64
 }
 
+// load fills the lanes from the four targets of g. It is assembly
+// because of how the sweeps read the lanes back: a vector load cannot be
+// forwarded from scalar stores, it waits for them to reach the cache —
+// which they do in program order, behind the whole sweep of the group
+// before. Filled that way a group could not start until its predecessor
+// had drained (some 35 ns a group, a third of an 8-source sweep).
 func (ln *lanes4) load(g []Particle) {
-	for i := range ln.px {
-		t := &g[i]
-		ln.px[i], ln.py[i] = t.Pos.X, t.Pos.Y
-		ln.fx[i], ln.fy[i] = t.Force.X, t.Force.Y
-		ln.id[i] = uint64(t.ID)<<32 | uint64(t.ID)
-	}
+	_ = g[3]
+	gatherLanesAVX2(ln, &g[0])
 }
 
 func (ln *lanes4) store(g []Particle) {
@@ -76,8 +78,9 @@ func (ln *lanes4) identities() int64 {
 	return int64(ln.same[0] + ln.same[1] + ln.same[2] + ln.same[3])
 }
 
-// sweepConsts holds the loop constants, each already spread over the
-// four lanes so the assembly can use them as memory operands.
+// sweepConsts holds the cutoff sweep's loop constants, each already
+// spread over the four lanes so the assembly can use them as memory
+// operands.
 type sweepConsts struct {
 	kk, soft2, rc2 [4]float64
 	// l and negl are ±the box length; half and nhalf are the ±l/2 of
@@ -93,26 +96,47 @@ func spread(x float64) [4]float64 { return [4]float64{x, x, x, x} }
 func cpuHasAVX2() bool
 
 //go:noescape
-func sweepRepOpenAVX2(ln *lanes4, src *Particle, n int, c *sweepConsts)
+func gatherLanesAVX2(ln *lanes4, group *Particle)
+
+// The open sweep takes its two constants as scalars and spreads them
+// itself, for the reason load is assembly.
+//
+//go:noescape
+func sweepRepOpenAVX2(ln *lanes4, src *Particle, n int, kk, soft2 float64)
 
 //go:noescape
 func sweepInRepCutAVX2(ln *lanes4, src *Particle, n int, c *sweepConsts, periodic bool)
 
 // sweepRepOpen is accumulateRepOpen, bit for bit and count for count.
 func (k *Kernel) sweepRepOpen(targets, sources []Particle) int64 {
-	c := sweepConsts{kk: spread(k.k), soft2: spread(k.soft2)}
+	return k.sweepRepOpenBlocks(targets, [][]Particle{sources})
+}
+
+// sweepRepOpenBlocks is one accumulateRepOpen per block, in order, bit
+// for bit and count for count: each group of four targets is loaded
+// once, folds every block's sources in list order — the sequence the
+// per-block calls would give each target — and is stored once.
+func (k *Kernel) sweepRepOpenBlocks(targets []Particle, blocks [][]Particle) int64 {
 	var ln lanes4
 	full := len(targets) &^ 3
 	for i := 0; i < full; i += 4 {
 		g := targets[i : i+4]
 		ln.load(g)
-		for lo := 0; lo < len(sources); lo += sweepChunk {
-			sweepRepOpenAVX2(&ln, &sources[lo], min(sweepChunk, len(sources)-lo), &c)
+		for _, sources := range blocks {
+			for lo := 0; lo < len(sources); lo += sweepChunk {
+				sweepRepOpenAVX2(&ln, &sources[lo], min(sweepChunk, len(sources)-lo), k.k, k.soft2)
+			}
 		}
 		ln.store(g)
 	}
-	n := int64(full)*int64(len(sources)) - ln.identities()
-	return n + k.accumulateRepOpen(targets[full:], sources)
+	n := -ln.identities()
+	for _, sources := range blocks {
+		n += int64(full) * int64(len(sources))
+		if full < len(targets) {
+			n += k.accumulateRepOpen(targets[full:], sources)
+		}
+	}
+	return n
 }
 
 // inBox reports whether every particle lies in [0, l] along the axes a

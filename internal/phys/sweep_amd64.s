@@ -13,7 +13,7 @@
 //	Y0 px   Y1 py   Y2 fx   Y3 fy   Y4 target IDs   Y5 identity tally
 //	Y6 soft2 (open) / box length (cut)   Y7 K   Y14 soft2 (cut)   Y15 +0
 //	Y8..Y13 per-source temporaries
-//	DI lanes   SI current source   CX sources left   DX constants
+//	DI lanes   SI current source   CX sources left   DX constants (cut)
 
 // VCMPPD predicates: ordered and quiet, so a NaN operand compares false
 // exactly as Go's ==, > and < do.
@@ -41,6 +41,17 @@
 	VMOVUPD Y2, lanes4_fx(DI);   \
 	VMOVUPD Y3, lanes4_fy(DI);   \
 	VMOVDQU Y5, lanes4_same(DI)
+
+// GATHER4: y = the float64 at offset off of each of the four particles
+// at (SI), lane by lane; x is y's low half and t a scratch X register.
+// Scalar loads throughout, so values the caller has just written with
+// scalar stores — the last sweep's forces — forward to them.
+#define GATHER4(off, x, y, t) \
+	VMOVSD      (off+0*Particle__size)(SI), x;    \
+	VMOVHPD     (off+1*Particle__size)(SI), x, x; \
+	VMOVSD      (off+2*Particle__size)(SI), t;    \
+	VMOVHPD     (off+3*Particle__size)(SI), t, t; \
+	VINSERTF128 $1, t, y, y
 
 // DISPLACE: Y8 = px - s.X, Y9 = py - s.Y.
 #define DISPLACE \
@@ -136,15 +147,44 @@ TEXT ·cpuHasAVX2(SB), NOSPLIT, $0-1
 no:
 	RET
 
-// func sweepRepOpenAVX2(ln *lanes4, src *Particle, n int, c *sweepConsts)
-TEXT ·sweepRepOpenAVX2(SB), NOSPLIT, $0-32
+// func gatherLanesAVX2(ln *lanes4, group *Particle)
+//
+// Fills the position, force and ID lanes from the four particles at
+// group and leaves the identity tally alone. The lanes are written as
+// whole vectors, which is how the sweeps read them back.
+TEXT ·gatherLanesAVX2(SB), NOSPLIT, $0-16
+	MOVQ ln+0(FP), DI
+	MOVQ group+8(FP), SI
+	GATHER4(Particle_Pos+0, X0, Y0, X8)
+	GATHER4(Particle_Pos+8, X1, Y1, X9)
+	GATHER4(Particle_Force+0, X2, Y2, X10)
+	GATHER4(Particle_Force+8, X3, Y3, X11)
+
+	// Each ID into both halves of its quadword (see lanes4.id).
+	VPBROADCASTD (Particle_ID+0*Particle__size)(SI), X4
+	VPBROADCASTD (Particle_ID+1*Particle__size)(SI), X12
+	VPUNPCKLQDQ  X12, X4, X4
+	VPBROADCASTD (Particle_ID+2*Particle__size)(SI), X12
+	VPBROADCASTD (Particle_ID+3*Particle__size)(SI), X13
+	VPUNPCKLQDQ  X13, X12, X12
+	VINSERTI128  $1, X12, Y4, Y4
+
+	VMOVUPD Y0, lanes4_px(DI)
+	VMOVUPD Y1, lanes4_py(DI)
+	VMOVUPD Y2, lanes4_fx(DI)
+	VMOVUPD Y3, lanes4_fy(DI)
+	VMOVDQU Y4, lanes4_id(DI)
+	VZEROUPPER
+	RET
+
+// func sweepRepOpenAVX2(ln *lanes4, src *Particle, n int, kk, soft2 float64)
+TEXT ·sweepRepOpenAVX2(SB), NOSPLIT, $0-40
 	MOVQ ln+0(FP), DI
 	MOVQ src+8(FP), SI
 	MOVQ n+16(FP), CX
-	MOVQ c+24(FP), DX
 	LOAD_LANES
-	VMOVUPD sweepConsts_soft2(DX), Y6
-	VMOVUPD sweepConsts_kk(DX), Y7
+	VBROADCASTSD soft2+32(FP), Y6
+	VBROADCASTSD kk+24(FP), Y7
 	TESTQ   CX, CX
 	JEQ     done
 

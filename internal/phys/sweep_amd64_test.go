@@ -14,6 +14,10 @@ import (
 // (accumulateRepOpen, accumulateInRepCut): every force bit and the pair
 // count, on inputs built to reach each mask and each tail.
 
+// TestAccumulateBlocksMatchesPerBlock's long block (kernel_test.go, which
+// the portable build compiles too) must span two assembly calls.
+const _ = uint(longBlock - sweepChunk - 1)
+
 var mulAddProbe = [3]float64{1 + 0x1p-30, 1 - 0x1p-30, -1}
 
 //go:noinline

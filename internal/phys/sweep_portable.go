@@ -10,6 +10,14 @@ func (k *Kernel) sweepRepOpen(targets, sources []Particle) int64 {
 	return k.accumulateRepOpen(targets, sources)
 }
 
+func (k *Kernel) sweepRepOpenBlocks(targets []Particle, blocks [][]Particle) int64 {
+	var n int64
+	for _, sources := range blocks {
+		n += k.accumulateRepOpen(targets, sources)
+	}
+	return n
+}
+
 func (k *Kernel) sweepInRepCut(targets, sources []Particle, box Box) int64 {
 	return k.accumulateInRepCut(targets, sources, box)
 }

@@ -220,14 +220,17 @@ func Inverse(perm []int) []int {
 }
 
 // CheckPerm validates that perm is a permutation of [0, ev.Ranks()).
-func (ev *Evaluator) CheckPerm(perm []int) error {
-	if len(perm) != ev.ranks {
-		return fmt.Errorf("place: permutation length %d, want %d", len(perm), ev.ranks)
+func (ev *Evaluator) CheckPerm(perm []int) error { return CheckPerm(perm, ev.ranks) }
+
+// CheckPerm validates that perm is a permutation of [0, n).
+func CheckPerm(perm []int, n int) error {
+	if len(perm) != n {
+		return fmt.Errorf("place: permutation length %d, want %d", len(perm), n)
 	}
-	seen := make([]bool, ev.ranks)
+	seen := make([]bool, n)
 	for r, s := range perm {
-		if s < 0 || s >= ev.ranks {
-			return fmt.Errorf("place: rank %d placed on slot %d outside [0,%d)", r, s, ev.ranks)
+		if s < 0 || s >= n {
+			return fmt.Errorf("place: rank %d placed on slot %d outside [0,%d)", r, s, n)
 		}
 		if seen[s] {
 			return fmt.Errorf("place: slot %d assigned twice", s)

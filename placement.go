@@ -86,7 +86,8 @@ func SavePlacement(path string, pl Placement) error {
 	return f.Close()
 }
 
-// ReadPlacement decodes a placement from JSON.
+// ReadPlacement decodes a placement from JSON. Perm must be a
+// permutation of 0..len(Perm)−1: ApplyPlacement indexes by its entries.
 func ReadPlacement(r io.Reader) (Placement, error) {
 	var pl Placement
 	if err := json.NewDecoder(r).Decode(&pl); err != nil {
@@ -94,6 +95,9 @@ func ReadPlacement(r io.Reader) (Placement, error) {
 	}
 	if len(pl.Perm) == 0 {
 		return Placement{}, fmt.Errorf("nbody: placement has no permutation")
+	}
+	if err := place.CheckPerm(pl.Perm, len(pl.Perm)); err != nil {
+		return Placement{}, fmt.Errorf("nbody: placement: %w", err)
 	}
 	return pl, nil
 }

@@ -1,8 +1,10 @@
 package nbody
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -105,12 +107,76 @@ func TestLoadPlacementErrors(t *testing.T) {
 		t.Error("missing file accepted")
 	}
 	bad := filepath.Join(t.TempDir(), "bad.json")
-	if err := os.WriteFile(bad, []byte(`{"perm": []}`), 0o644); err != nil {
-		t.Fatal(err)
+	// Perm must be a permutation of 0..len−1: ApplyPlacement indexes a
+	// len×len matrix by its entries ({"perm":[5]} used to load, and
+	// panic there).
+	for _, content := range []string{`{"perm": []}`, `{"perm":[5]}`, `{"perm":[0,2]}`, `{"perm":[1,0,1]}`, `{"perm":[0,-1]}`} {
+		if err := os.WriteFile(bad, []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := LoadPlacement(bad); err == nil {
+			t.Errorf("placement %s accepted", content)
+		}
 	}
-	if _, err := LoadPlacement(bad); err == nil {
-		t.Error("permless placement accepted")
+}
+
+// FuzzReadPlacement: ReadPlacement never panics, and what it accepts is
+// safe to use — ApplyPlacement relabels a matrix of the permutation's
+// size cell for cell — and round-trips through WriteJSON.
+func FuzzReadPlacement(f *testing.F) {
+	ring := make([][]float64, 8)
+	for s := range ring {
+		ring[s] = make([]float64, 8)
+		ring[s][(s+1)%8], ring[s][(s+3)%8] = 4096, 512
 	}
+	pl, _, err := AutotunePlacement(ring, Generic, 7)
+	if err != nil {
+		f.Fatal(err)
+	}
+	var tuned bytes.Buffer
+	if err := pl.WriteJSON(&tuned); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(tuned.Bytes())
+	f.Add([]byte(`{"machine":"hopper","torus":[2,1,1],"cores_per_node":1,"ranks":2,"algorithm":"<id>","perm":[1,0],"hop_bytes":-0.0}`))
+	f.Add([]byte(`{"perm":[5]}`))
+	f.Add([]byte(`{"perm":[1,0,1]}`))
+	f.Add([]byte(`{"perm":[]}`))
+	f.Add([]byte(`{"perm":[0],"makespan_sec":1e999}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		pl, err := ReadPlacement(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		if n := len(pl.Perm); n <= 64 { // the relabelled matrix has n² cells
+			traffic := make([][]float64, n)
+			for s := range traffic {
+				traffic[s] = make([]float64, n)
+				for d := range traffic[s] {
+					traffic[s][d] = float64(1 + s*n + d)
+				}
+			}
+			out := ApplyPlacement(pl, traffic)
+			for s := range traffic {
+				for d, w := range traffic[s] {
+					if got := out[pl.Perm[s]][pl.Perm[d]]; got != w {
+						t.Fatalf("perm %v: cell (%d,%d) relabelled to %g, want %g", pl.Perm, s, d, got, w)
+					}
+				}
+			}
+		}
+		var buf bytes.Buffer
+		if err := pl.WriteJSON(&buf); err != nil {
+			t.Fatalf("accepted placement fails to encode: %v", err)
+		}
+		again, err := ReadPlacement(&buf)
+		if err != nil {
+			t.Fatalf("re-encoded placement fails to load: %v", err)
+		}
+		if !reflect.DeepEqual(again, pl) {
+			t.Fatalf("round trip changed the placement:\n read    %+v\n re-read %+v", pl, again)
+		}
+	})
 }
 
 // TestOptimizePlacementStampsRun checks the live wiring end to end on

@@ -76,6 +76,12 @@ func Load(r io.Reader) (*Simulation, error) {
 	if fixed := cfg.fixedC(); fixed != 0 {
 		cfg.C = fixed
 	}
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
+	if h.Step < 0 {
+		return nil, fmt.Errorf("nbody: checkpoint at negative step %d", h.Step)
+	}
 	if cfg.N != len(cp.Particles) {
 		return nil, fmt.Errorf("nbody: checkpoint particle count %d != header N %d", len(cp.Particles), cfg.N)
 	}

@@ -2,6 +2,8 @@ package nbody
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
 	"testing"
 )
 
@@ -56,6 +58,116 @@ func TestLoadRejectsGarbage(t *testing.T) {
 	if _, err := Load(bytes.NewReader([]byte("not a checkpoint"))); err == nil {
 		t.Error("garbage input should fail")
 	}
+}
+
+// checkpointOf saves a fresh simulation of cfg advanced by steps.
+func checkpointOf(t testing.TB, cfg Config, steps int) []byte {
+	t.Helper()
+	sim, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sim.Run(steps); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := sim.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// withHeaderField returns a copy of a checkpoint with the i-th 8-byte
+// header field (sim.Header's order, behind magic and version)
+// overwritten.
+func withHeaderField(ckpt []byte, i int, v uint64) []byte {
+	out := bytes.Clone(ckpt)
+	binary.LittleEndian.PutUint64(out[8+8*i:], v)
+	return out
+}
+
+// Header fields the tests forge.
+const (
+	hdrStep      = 0
+	hdrP         = 2
+	hdrDim       = 5
+	hdrBoxLength = 8
+	hdrCutoff    = 9
+)
+
+// TestLoadRejectsForgedHeader: a checkpoint header is outside input.
+// Values New refuses — and the box constructor or the grid allocations
+// would panic on — must come back from Load as errors too.
+func TestLoadRejectsForgedHeader(t *testing.T) {
+	good := checkpointOf(t, Config{N: 64, P: 16, C: 2, Seed: 9}, 1)
+	if _, err := Load(bytes.NewReader(good)); err != nil {
+		t.Fatalf("unforged checkpoint: %v", err)
+	}
+	for _, tc := range []struct {
+		name  string
+		field int
+		v     uint64
+	}{
+		{"three dimensions", hdrDim, 3},
+		{"negative box length", hdrBoxLength, math.Float64bits(-16)},
+		{"NaN box length", hdrBoxLength, math.Float64bits(math.NaN())},
+		{"NaN cutoff", hdrCutoff, math.Float64bits(math.NaN())},
+		{"2^50 ranks", hdrP, 1 << 50},
+		{"negative step count", hdrStep, 1 << 63},
+	} {
+		if _, err := Load(bytes.NewReader(withHeaderField(good, tc.field, tc.v))); err == nil {
+			t.Errorf("%s: accepted", tc.name)
+		}
+	}
+}
+
+// FuzzLoad drives Load past where internal/sim's FuzzLoad stops: the
+// header's mapping onto a Config, its validation and the dry run through
+// the configured driver. Load must never panic, and what it accepts must
+// re-save and reload to the same configuration, step count and
+// particles — compared in saved form, which is also how NaN payloads
+// compare. (Load defaults zero fields and settles C, so the first
+// re-save is the fixed point, not the input.)
+func FuzzLoad(f *testing.F) {
+	allPairs := checkpointOf(f, Config{N: 64, P: 16, C: 2, Seed: 9}, 4)
+	f.Add(allPairs)
+	f.Add(checkpointOf(f, Config{N: 48, P: 8, C: 2, Dim: 1, Boundary: Periodic, Cutoff: 4, Lattice: true}, 2))
+	f.Add(checkpointOf(f, Config{N: 36, P: 9, Algorithm: ForceDecomp, Potential: LennardJonesPotential}, 1))
+	f.Add(checkpointOf(f, Config{N: 64, P: 16, Algorithm: Midpoint, Dim: 1, Cutoff: 4, Lattice: true, DT: 5e-4}, 1))
+	f.Add(allPairs[:len(allPairs)-7])
+	f.Add(withHeaderField(allPairs, hdrDim, 3))
+	f.Add(withHeaderField(allPairs, hdrBoxLength, math.Float64bits(-16)))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		// The dry run starts P goroutines. Up to maxRanks of them is
+		// defined behaviour (TestLoadRejectsForgedHeader has the case
+		// beyond), but not a cost to pay per fuzz input.
+		if len(data) >= 8+8*(hdrP+1) && binary.LittleEndian.Uint64(data[8+8*hdrP:]) > 256 {
+			return
+		}
+		s, err := Load(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var first bytes.Buffer
+		if err := s.Save(&first); err != nil {
+			t.Fatalf("accepted checkpoint fails to re-save: %v", err)
+		}
+		s2, err := Load(bytes.NewReader(first.Bytes()))
+		if err != nil {
+			t.Fatalf("re-saved checkpoint fails to load: %v", err)
+		}
+		if s2.Steps() != s.Steps() {
+			t.Fatalf("reload at step %d, want %d", s2.Steps(), s.Steps())
+		}
+		var second bytes.Buffer
+		if err := s2.Save(&second); err != nil {
+			t.Fatalf("second re-save failed: %v", err)
+		}
+		if !bytes.Equal(first.Bytes(), second.Bytes()) {
+			t.Fatalf("Save∘Load is not a fixed point: configurations %+v and %+v", s.Config(), s2.Config())
+		}
+	})
 }
 
 func TestObserve(t *testing.T) {
