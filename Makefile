@@ -4,9 +4,9 @@
 
 GO ?= go
 
-.PHONY: check build fmt vet test purego crossbuild flake flakematrix race obsdebug benchguard benchsmoke httpsmoke netsmoke placesmoke benchdiff bench benchrepo loc
+.PHONY: check build fmt vet test purego crossbuild fuzzsmoke flake flakematrix race obsdebug benchguard benchsmoke httpsmoke netsmoke placesmoke benchdiff bench benchrepo loc
 
-check: build fmt vet test purego crossbuild flake race obsdebug benchguard benchsmoke httpsmoke netsmoke placesmoke benchdiff
+check: build fmt vet test purego crossbuild fuzzsmoke flake race obsdebug benchguard benchsmoke httpsmoke netsmoke placesmoke benchdiff
 
 build:
 	$(GO) build ./...
@@ -37,6 +37,15 @@ purego:
 crossbuild:
 	GOARCH=arm64 $(GO) build ./...
 	GOARCH=arm64 $(GO) vet ./internal/phys/
+
+# Fuzz gate: twenty seconds each of the two fuzz targets. Every kernel
+# change leans on FuzzSweepMatchesGo's property — the selected force
+# sweep equals the plain Go loop bit for bit, whatever the coordinates,
+# strength, block cuts and ID overlap — and `go test` alone only replays
+# its seeds.
+fuzzsmoke:
+	$(GO) test -run '^$$' -fuzz FuzzSweepMatchesGo -fuzztime 20s ./internal/phys
+	$(GO) test -run '^$$' -fuzz FuzzDecodeSlice -fuzztime 20s ./internal/phys
 
 # Flake gate: the packages whose tests run rank goroutines, sockets or
 # HTTP servers, twenty times over. A test that is green once and red

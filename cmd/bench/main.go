@@ -137,7 +137,7 @@ type report struct {
 	Kind          string                  `json:"kind"`
 	GoVersion     string                  `json:"go_version"`
 	GOMAXPROCS    int                     `json:"gomaxprocs"`
-	KernelImpl    string                  `json:"kernel_impl"` // phys.KernelImpl: "avx2" or "portable"
+	KernelImpl    string                  `json:"kernel_impl"` // phys.KernelImpl: "avx2", "avx512vl" or "portable"
 	Kernels       []result                `json:"kernels,omitempty"`
 	TileKernels   []tileKernelResult      `json:"tile_kernels,omitempty"`
 	Speedups      map[string]float64      `json:"speedups,omitempty"`
@@ -574,7 +574,7 @@ func medianStepTime(steps, reps int, run func()) float64 {
 // the grid is a pure speed surface. The flavors that must add for every
 // pair are not in it: their tiled forms lost to the classic loops at
 // every width (BENCH_PR8.json has the rows) and are gone. On a host
-// where phys.KernelImpl is "avx2" the rep_cut_in row is flat, because
+// where phys.KernelImpl is not "portable" the rep_cut_in row is flat, because
 // the vector sweep replaces that loop at every tile setting; build with
 // -tags purego to time its compaction loop.
 func benchTileKernels(targets, sources []phys.Particle, box phys.Box) []tileKernelResult {

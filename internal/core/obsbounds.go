@@ -66,13 +66,10 @@ func newStepProbe(world *comm.Comm, perS, perW float64) *stepProbe {
 		return nil
 	}
 	if world.Rank() == 0 {
-		// Which force kernels the run's compute times come from: 1 for
-		// the AVX2 sweeps, 0 for the Go loops (phys.KernelImpl).
-		var avx2 int64
-		if phys.KernelImpl() == "avx2" {
-			avx2 = 1
-		}
-		mx.Gauge("compute.kernel_avx2").Set(avx2)
+		// Which force kernels the run's compute times come from: 0 for
+		// the Go loops, 1 for the AVX2 sweeps, 2 for those with the
+		// pipelined open sweep (phys.KernelImpl).
+		mx.Gauge("compute.kernel_avx2").Set(map[string]int64{"avx2": 1, "avx512vl": 2}[phys.KernelImpl()])
 	}
 	return &stepProbe{
 		st:    world.Stats(),

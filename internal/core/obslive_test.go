@@ -242,7 +242,7 @@ func TestDroppedWarning(t *testing.T) {
 // observed run, the compute.kernel_avx2 gauge.
 func TestKernelImplAttribution(t *testing.T) {
 	impl := phys.KernelImpl()
-	if impl != "avx2" && impl != "portable" {
+	if impl != "avx2" && impl != "avx512vl" && impl != "portable" {
 		t.Fatalf("phys.KernelImpl() = %q", impl)
 	}
 	const p, c = 4, 2
@@ -261,7 +261,7 @@ func TestKernelImplAttribution(t *testing.T) {
 	}
 	gauges := ob.Metrics.Snapshot().Gauges
 	got, ok := gauges["compute.kernel_avx2"]
-	if want := map[string]int64{"avx2": 1, "portable": 0}[impl]; !ok || got != want {
+	if want := map[string]int64{"avx512vl": 2, "avx2": 1, "portable": 0}[impl]; !ok || got != want {
 		t.Errorf("compute.kernel_avx2 gauge = %d (present %v), want %d", got, ok, want)
 	}
 }

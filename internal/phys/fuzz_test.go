@@ -35,8 +35,9 @@ func FuzzDecodeSlice(f *testing.F) {
 // for the repulsive law on this build — the AVX2 sweeps where the CPU
 // has them, the compaction loop under a cutoff elsewhere — to the plain
 // Go loops: same pair count, and every force equal bit for bit (two
-// NaNs count as equal; overflowing inputs make them, and their payloads
-// are not part of the contract). raw overwrites coordinates, sources
+// NaNs count as equal). kk is the strength K — tiny, huge, negative,
+// zero: the pipelined open sweep admits a range of it and hands the rest
+// to its plain loop — and raw overwrites coordinates, sources
 // first, with whatever finite doubles the fuzzer invents: out-of-box
 // positions, coincident pairs, values whose squares overflow (in a
 // reflective box; a periodic one takes images up to a hundred boxes out).
@@ -44,12 +45,18 @@ func FuzzDecodeSlice(f *testing.F) {
 // one, zero an empty block, what is left the last — and AccumulateBlocks
 // over those is held to Accumulate over the uncut slice the same way.
 func FuzzSweepMatchesGo(f *testing.F) {
-	f.Add(uint64(1), uint8(9), uint8(13), uint8(0), 1e-3, 0.0, []byte{}, []byte{})
-	f.Add(uint64(2), uint8(8), uint8(8), uint8(3), 0.0, 0.9, []byte{}, []byte{3, 0, 4})
-	f.Add(uint64(3), uint8(5), uint8(70), uint8(6), 1e-3, 1.4, binary.LittleEndian.AppendUint64(nil, math.Float64bits(7.9)), []byte{8, 8, 8, 8})
-	f.Add(uint64(4), uint8(12), uint8(3), uint8(9), 0.0, 0.0, binary.LittleEndian.AppendUint64(nil, math.Float64bits(1e200)), []byte{0, 1, 1, 200})
-	f.Add(uint64(5), uint8(39), uint8(89), uint8(5), 1e-3, 0.0, []byte{}, []byte{1, 0, 0, 7, 30, 2})
-	f.Fuzz(func(t *testing.T, seed uint64, nt, ns, mode uint8, soft, rc float64, raw, cuts []byte) {
+	f.Add(uint64(1), uint8(9), uint8(13), uint8(0), 1.3, 1e-3, 0.0, []byte{}, []byte{})
+	f.Add(uint64(2), uint8(8), uint8(8), uint8(3), 1.3, 0.0, 0.9, []byte{}, []byte{3, 0, 4})
+	f.Add(uint64(3), uint8(5), uint8(70), uint8(6), -2.5, 1e-3, 1.4, binary.LittleEndian.AppendUint64(nil, math.Float64bits(7.9)), []byte{8, 8, 8, 8})
+	f.Add(uint64(4), uint8(12), uint8(3), uint8(9), 1.3, 0.0, 0.0, binary.LittleEndian.AppendUint64(nil, math.Float64bits(1e200)), []byte{0, 1, 1, 200})
+	f.Add(uint64(5), uint8(39), uint8(89), uint8(5), 1.3, 1e-3, 0.0, []byte{}, []byte{1, 0, 0, 7, 30, 2})
+	f.Add(uint64(6), uint8(17), uint8(64), uint8(0), 0x1p-500, 0.0, 0.0, binary.LittleEndian.AppendUint64(nil, math.Float64bits(1e-130)), []byte{16, 0, 15, 17})
+	f.Add(uint64(7), uint8(8), uint8(33), uint8(4), -0x1p+500, 0.0, 0.0, binary.LittleEndian.AppendUint64(nil, math.Float64bits(1e120)), []byte{})
+	f.Add(uint64(8), uint8(20), uint8(47), uint8(8), 1e-310, 1e-3, 0.0, []byte{}, []byte{23})
+	f.Fuzz(func(t *testing.T, seed uint64, nt, ns, mode uint8, kk, soft, rc float64, raw, cuts []byte) {
+		if math.IsNaN(kk) {
+			kk = 1.3
+		}
 		if !(soft >= 0 && soft <= 1) {
 			soft = 0
 		}
@@ -95,7 +102,7 @@ func FuzzSweepMatchesGo(f *testing.F) {
 			*c = v
 		}
 
-		k := Law{Kind: Repulsive, K: 1.3, Softening: soft, Cutoff: rc}.Kernel()
+		k := Law{Kind: Repulsive, K: kk, Softening: soft, Cutoff: rc}.Kernel()
 		want := append([]Particle(nil), targets...)
 		got := append([]Particle(nil), targets...)
 		var nWant, nGot int64
@@ -109,10 +116,9 @@ func FuzzSweepMatchesGo(f *testing.F) {
 		if nGot != nWant {
 			t.Fatalf("counted %d pairs, Go loop %d", nGot, nWant)
 		}
-		same := func(a, b float64) bool { return bitsEqual(a, b) || math.IsNaN(a) && math.IsNaN(b) }
 		compare := func(what string, got, want []Particle) {
 			for i := range got {
-				if !same(got[i].Force.X, want[i].Force.X) || !same(got[i].Force.Y, want[i].Force.Y) {
+				if !sameOrNaN(got[i].Force.X, want[i].Force.X) || !sameOrNaN(got[i].Force.Y, want[i].Force.Y) {
 					t.Fatalf("target %d: %s force (%x, %x), want (%x, %x)", i, what,
 						math.Float64bits(got[i].Force.X), math.Float64bits(got[i].Force.Y),
 						math.Float64bits(want[i].Force.X), math.Float64bits(want[i].Force.Y))

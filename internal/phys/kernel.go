@@ -14,8 +14,9 @@ import "math"
 // tile width or selects the classic untiled loops below. On a CPU with
 // AVX2 the two repulsive flavors the timestep loops run — Accumulate
 // without a cutoff and AccumulateIn with one — take a vector sweep
-// instead, at every tile setting (see sweep_amd64.go; KernelImpl says
-// which). Every choice is bitwise-identical.
+// instead, at every tile setting, and with AVX-512VL and FMA the first
+// of them a pipelined one (see sweep_amd64.go; KernelImpl says which).
+// Every choice is bitwise-identical.
 //
 // The specialized loops are bitwise-identical to the generic
 // Law.Pair-per-pair path (AccumulateGeneric, AccumulateInGeneric): they
@@ -57,11 +58,16 @@ func (l Law) Kernel() Kernel {
 }
 
 // KernelImpl names the implementation Accumulate and AccumulateIn select
-// on this host for the flavors that have a vector sweep: "avx2", or
-// "portable" for the Go loops. Timings are only comparable between runs
-// that agree on it; results are identical either way.
+// on this host for the flavors that have a vector sweep: "avx2",
+// "avx512vl" for the same with the open sweep's long source runs on its
+// pipelined loop, or "portable" for the Go loops. Timings are only
+// comparable between runs that agree on it; results are identical
+// whichever it is.
 func KernelImpl() string {
-	if useAVX2 {
+	switch {
+	case usePipe:
+		return "avx512vl"
+	case useAVX2:
 		return "avx2"
 	}
 	return "portable"
@@ -73,9 +79,11 @@ func KernelImpl() string {
 // evaluations performed. The kind/cutoff dispatch happens once per call.
 //
 // Accumulate's flavors add an exact +0 for every counted force-free
-// pair, so no pair may be compacted away; their scalar loops sit at the
-// divider bound and staging sources in tiles measured slower at every
-// width, so the tile knob does not reach them.
+// pair, so no pair may be compacted away, and staging sources in tiles
+// measured slower at every width, so the tile knob does not reach them.
+// Their scalar loops sit at the divider bound; the repulsive open
+// flavor's vector sweep leaves it by taking the quotient off the divider
+// (sweep_amd64.s).
 func (k *Kernel) Accumulate(targets, sources []Particle) int64 {
 	switch {
 	case k.lj && k.hasCut:
@@ -85,7 +93,7 @@ func (k *Kernel) Accumulate(targets, sources []Particle) int64 {
 	case k.hasCut:
 		return k.accumulateRepCut(targets, sources)
 	case useAVX2:
-		return k.sweepRepOpen(targets, sources)
+		return k.sweepRepOpenBlocks(targets, [][]Particle{sources})
 	default:
 		return k.accumulateRepOpen(targets, sources)
 	}

@@ -54,6 +54,12 @@ func bitsEqual(a, b float64) bool {
 	return math.Float64bits(a) == math.Float64bits(b)
 }
 
+// sameOrNaN is bitsEqual with any two NaNs equal: overflowing inputs
+// make them, and their payloads are not part of any contract here.
+func sameOrNaN(a, b float64) bool {
+	return bitsEqual(a, b) || math.IsNaN(a) && math.IsNaN(b)
+}
+
 // compareForces asserts got and want match bitwise, force for force.
 func compareForces(t *testing.T, got, want []Particle) {
 	t.Helper()
@@ -137,8 +143,9 @@ const longBlock = 4099
 // and a pair count equal to the calls' sum and to Interactions. The
 // target counts cover every remainder of the sweep's lane groups and a
 // ragged tail behind ten full ones; the lists cover no block, one,
-// empty ones between others, the targets' own IDs, and a block longer
-// than one assembly call.
+// empty ones between others, the targets' own IDs, a block longer than
+// one assembly call, and blocks either side of the length at which the
+// open sweep changes loops.
 func TestAccumulateBlocksMatchesPerBlock(t *testing.T) {
 	box := NewBox(3, 2, Reflective)
 	laws := []Law{
@@ -170,6 +177,7 @@ func TestAccumulateBlocksMatchesPerBlock(t *testing.T) {
 				{"own", [][]Particle{strangers(3, 5), own, strangers(4, 6), own[:nt/2]}},
 				{"ownOnly", [][]Particle{own[:min(nt, 1)], nil, own[:min(nt, 1)]}},
 				{"long", [][]Particle{strangers(2, 7), strangers(longBlock, 8), strangers(3, 9)}},
+				{"mixed", [][]Particle{strangers(15, 10), strangers(16, 11), nil, own, strangers(8, 12), strangers(37, 13)}},
 				{"ring", ring},
 			}
 			for _, tc := range lists {

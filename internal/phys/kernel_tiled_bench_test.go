@@ -11,7 +11,7 @@ import "testing"
 //
 // The /untiled variants time the classic loops the tiled paths must
 // beat; cmd/bench records the authoritative grid in BENCH_PR8.json. Only
-// the flavors that compact are tiled. Where KernelImpl is "avx2" the
+// the flavors that compact are tiled. Unless KernelImpl is "portable" the
 // RepCutIn rows all time the vector sweep, which ignores the tile knob:
 // add -tags purego to time the compaction loop (BenchmarkSweep compares
 // the two directly).

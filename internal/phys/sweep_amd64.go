@@ -15,9 +15,11 @@ import "math"
 // targets occupy the four lanes of a YMM register and the sources are
 // broadcast one at a time in slice order, so each lane performs, for
 // its target, exactly the Go loop's sequence of correctly rounded
-// subtract, multiply, add, square root and divide — no FMA, no
-// reassociation, no reduction across lanes. The data-dependent branches
-// of the Go loops become lane masks whose effect is exact:
+// subtract, multiply, add, square root and divide — no contraction, no
+// reassociation, no reduction across lanes. (The pipelined open loop
+// computes that divide with FMAs; it is the same quotient, see the
+// assembly.) The data-dependent branches of the Go loops become lane
+// masks whose effect is exact:
 //
 //   - an equal-ID lane and (AccumulateIn) a beyond-cutoff lane keep
 //     their accumulator by blend. The Go loop performs no add there, and
@@ -33,15 +35,47 @@ import "math"
 // Targets beyond the last full group of four run the Go loop. The
 // identity holds for finite inputs; NaN payloads are not pinned.
 
-// useAVX2 selects the sweeps below. It is decided once, at start-up,
+// useAVX2 selects the sweeps below and usePipe, on top of it, the
+// pipelined loop of the open sweep. Both are decided once, at start-up,
 // from the CPU and the operating system alone.
-var useAVX2 = cpuHasAVX2()
+var useAVX2, usePipe = cpuSweeps(cpuid, xgetbv0)
+
+// cpuSweeps reads the two decisions off CPUID and XCR0. AVX2 needs the
+// feature (leaf 7 EBX bit 5), AVX itself and OSXSAVE (leaf 1 ECX bits 28
+// and 27) and an OS that saves the YMM state (XCR0 bits 1 and 2). The
+// pipelined loop uses FMA (leaf 1 ECX bit 12) and 256-bit EVEX forms —
+// mask registers, Y16 and up, VRCP14PD — so AVX-512F and VL (leaf 7 EBX
+// bits 16 and 31) with the opmask and ZMM state enabled (XCR0 bits 5-7).
+func cpuSweeps(cpuid func(leaf uint32) (eax, ebx, ecx, edx uint32), xcr0 func() uint32) (avx2, pipe bool) {
+	if maxLeaf, _, _, _ := cpuid(0); maxLeaf < 7 {
+		return false, false
+	}
+	_, _, c1, _ := cpuid(1)
+	if c1&(3<<27) != 3<<27 {
+		return false, false // XGETBV would fault
+	}
+	x := xcr0()
+	_, b7, _, _ := cpuid(7)
+	avx2 = x&6 == 6 && b7&(1<<5) != 0
+	pipe = avx2 && x&0xE0 == 0xE0 && c1&(1<<12) != 0 && b7&(1<<16|1<<31) == 1<<16|1<<31
+	return avx2, pipe
+}
 
 // sweepChunk bounds the sources of one assembly call. The routines are
 // NOSPLIT loops the runtime cannot preempt, so an unbounded source
 // block would hold off a garbage-collection stop-the-world for its
 // whole length; 4096 sources are a few tens of microseconds.
 const sweepChunk = 4096
+
+// The pipelined loop takes source runs of pipeMin or more — four blocks,
+// its depth — and a strength K whose magnitude lies in [pipeKMin,
+// pipeKMax]: with that and the window its guard puts on the divisor,
+// every intermediate of its quotient is a normal number.
+const (
+	pipeMin  = 16
+	pipeKMin = 0x1p-500
+	pipeKMax = 0x1p+500
+)
 
 // lanes4 is the state of one group of four targets, one target per
 // lane. It lives on the caller's stack.
@@ -93,7 +127,8 @@ type sweepConsts struct {
 
 func spread(x float64) [4]float64 { return [4]float64{x, x, x, x} }
 
-func cpuHasAVX2() bool
+func cpuid(leaf uint32) (eax, ebx, ecx, edx uint32)
+func xgetbv0() uint32
 
 //go:noescape
 func gatherLanesAVX2(ln *lanes4, group *Particle)
@@ -107,16 +142,32 @@ func sweepRepOpenAVX2(ln *lanes4, src *Particle, n int, kk, soft2 float64)
 //go:noescape
 func sweepInRepCutAVX2(ln *lanes4, src *Particle, n int, c *sweepConsts, periodic bool)
 
-// sweepRepOpen is accumulateRepOpen, bit for bit and count for count.
-func (k *Kernel) sweepRepOpen(targets, sources []Particle) int64 {
-	return k.sweepRepOpenBlocks(targets, [][]Particle{sources})
-}
+// sweepRepOpenPipeAVX512 is sweepRepOpenAVX2, bit for bit, with the
+// sources taken four at a time through a software pipeline whose
+// quotient runs on the FMA ports instead of the divider.
+//
+//go:noescape
+func sweepRepOpenPipeAVX512(ln *lanes4, src *Particle, n int, kk, soft2 float64)
+
+// quotientAVX512 is the pipelined loop's quotient stage alone, for the
+// tests: q = kk/a, and whether the guard took the divider.
+//
+//go:noescape
+func quotientAVX512(a *[4]float64, kk float64, q *[4]float64) (divider bool)
 
 // sweepRepOpenBlocks is one accumulateRepOpen per block, in order, bit
-// for bit and count for count: each group of four targets is loaded
-// once, folds every block's sources in list order — the sequence the
-// per-block calls would give each target — and is stored once.
+// for bit and count for count.
 func (k *Kernel) sweepRepOpenBlocks(targets []Particle, blocks [][]Particle) int64 {
+	return k.sweepRepOpenVia(usePipe, targets, blocks)
+}
+
+// sweepRepOpenVia is sweepRepOpenBlocks with the loop named: each group
+// of four targets is loaded once, folds every block's sources in list
+// order — the sequence the per-block calls would give each target — and
+// is stored once. pipe sends the runs it admits through the pipelined
+// loop; the others, and all of them without it, take the plain one.
+func (k *Kernel) sweepRepOpenVia(pipe bool, targets []Particle, blocks [][]Particle) int64 {
+	pipe = pipe && math.Abs(k.k) >= pipeKMin && math.Abs(k.k) <= pipeKMax
 	var ln lanes4
 	full := len(targets) &^ 3
 	for i := 0; i < full; i += 4 {
@@ -124,7 +175,11 @@ func (k *Kernel) sweepRepOpenBlocks(targets []Particle, blocks [][]Particle) int
 		ln.load(g)
 		for _, sources := range blocks {
 			for lo := 0; lo < len(sources); lo += sweepChunk {
-				sweepRepOpenAVX2(&ln, &sources[lo], min(sweepChunk, len(sources)-lo), k.k, k.soft2)
+				if n := min(sweepChunk, len(sources)-lo); pipe && n >= pipeMin {
+					sweepRepOpenPipeAVX512(&ln, &sources[lo], n, k.k, k.soft2)
+				} else {
+					sweepRepOpenAVX2(&ln, &sources[lo], n, k.k, k.soft2)
+				}
 			}
 		}
 		ln.store(g)

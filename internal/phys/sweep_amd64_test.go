@@ -5,6 +5,8 @@ package phys
 import (
 	"fmt"
 	"math"
+	"os"
+	"strings"
 	"testing"
 
 	"repro/internal/vec"
@@ -39,26 +41,52 @@ func needSweeps(t testing.TB) {
 	}
 }
 
+// needPipe skips when the pipelined open sweep cannot run here.
+func needPipe(t testing.TB) {
+	t.Helper()
+	needSweeps(t)
+	if !usePipe {
+		t.Skip("no AVX-512F/VL with FMA on this host: the open sweep runs its plain loop only")
+	}
+}
+
+// openLoops names the loops of the open sweep this host can run: the
+// plain one, and the pipelined one behind it where the CPU has it. The
+// tests run each against the Go loop, so the plain loop stays covered
+// on a host that selects the other.
+func openLoops() map[string]bool {
+	loops := map[string]bool{"plain": false}
+	if usePipe {
+		loops["pipelined"] = true
+	}
+	return loops
+}
+
 // checkSweeps runs law's repulsive sweep and its Go loop on copies of
-// targets and compares them: the open law through Accumulate's pair, a
-// cutoff law through AccumulateIn's under box.
+// targets and compares them: the open law through Accumulate's pair,
+// once per loop of the sweep, a cutoff law through AccumulateIn's under
+// box.
 func checkSweeps(t *testing.T, law Law, box Box, targets, sources []Particle) {
 	t.Helper()
 	k := law.Kernel()
 	want := append([]Particle(nil), targets...)
-	got := append([]Particle(nil), targets...)
-	var nWant, nGot int64
 	if law.Cutoff > 0 {
-		nWant = k.accumulateInRepCut(want, sources, box)
-		nGot = k.sweepInRepCut(got, sources, box)
-	} else {
-		nWant = k.accumulateRepOpen(want, sources)
-		nGot = k.sweepRepOpen(got, sources)
+		got := append([]Particle(nil), targets...)
+		nWant := k.accumulateInRepCut(want, sources, box)
+		if nGot := k.sweepInRepCut(got, sources, box); nGot != nWant {
+			t.Fatalf("sweep counted %d pairs, Go loop %d", nGot, nWant)
+		}
+		compareForces(t, got, want)
+		return
 	}
-	if nGot != nWant {
-		t.Fatalf("sweep counted %d pairs, Go loop %d", nGot, nWant)
+	nWant := k.accumulateRepOpen(want, sources)
+	for name, pipe := range openLoops() {
+		got := append([]Particle(nil), targets...)
+		if nGot := k.sweepRepOpenVia(pipe, got, [][]Particle{sources}); nGot != nWant {
+			t.Fatalf("%s loop counted %d pairs, Go loop %d", name, nGot, nWant)
+		}
+		compareForces(t, got, want)
 	}
-	compareForces(t, got, want)
 }
 
 var sweepBoxes = []Box{
@@ -82,13 +110,19 @@ func boxName(b Box) string { return fmt.Sprintf("%v%dd", b.Boundary, b.Dim) }
 
 // TestSweepShapes covers every group remainder and loop tail: 0 to 9
 // targets against no, one, an odd number of and more than one chunk of
-// sources, half of which carry target IDs.
+// sources, half of which carry target IDs. The open law also gets the
+// seams of its pipelined loop: the counts around its threshold, around
+// whole blocks of four, and a second assembly call too short for it.
 func TestSweepShapes(t *testing.T) {
 	needSweeps(t)
 	for _, box := range sweepBoxes {
 		for _, law := range sweepLaws() {
 			for nt := 0; nt <= 9; nt++ {
-				for _, ns := range []int{0, 1, 7, sweepChunk + 3} {
+				counts := []int{0, 1, 7, sweepChunk + 3}
+				if law.Cutoff == 0 {
+					counts = append(counts, 15, 16, 17, 18, 19, 20, 21, 22, 23, 31, 33, 63, 65, sweepChunk+5, sweepChunk+pipeMin+1)
+				}
+				for _, ns := range counts {
 					targets := InitUniform(nt, box, uint64(nt)+1)
 					seedForces(targets)
 					sources := InitUniform(ns, box, uint64(ns)+50)
@@ -113,17 +147,19 @@ func TestSweepDiagonalBlock(t *testing.T) {
 	needSweeps(t)
 	for _, box := range sweepBoxes {
 		for _, law := range sweepLaws() {
-			targets := InitUniform(13, box, 9)
-			seedForces(targets)
-			sources := append([]Particle(nil), targets...)
-			checkSweeps(t, law, box, targets, sources)
-			if law.Cutoff > 0 {
-				continue
-			}
-			k := law.Kernel()
-			n := k.sweepRepOpen(append([]Particle(nil), targets...), sources)
-			if want := Interactions(len(targets), len(sources), len(targets)); n != want {
-				t.Fatalf("%s: diagonal block counted %d pairs, Interactions says %d", boxName(box), n, want)
+			for _, n := range []int{13, 30} { // short of the pipelined loop, and in it
+				targets := InitUniform(n, box, 9)
+				seedForces(targets)
+				sources := append([]Particle(nil), targets...)
+				checkSweeps(t, law, box, targets, sources)
+				if law.Cutoff > 0 {
+					continue
+				}
+				k := law.Kernel()
+				n := k.sweepRepOpenBlocks(append([]Particle(nil), targets...), [][]Particle{sources})
+				if want := Interactions(len(targets), len(sources), len(targets)); n != want {
+					t.Fatalf("%s: diagonal block counted %d pairs, Interactions says %d", boxName(box), n, want)
+				}
 			}
 		}
 	}
@@ -158,6 +194,98 @@ func TestSweepCoincidentPairs(t *testing.T) {
 			}
 			mixed = append(mixed, sources[4:]...)
 			checkSweeps(t, law, box, targets, mixed)
+		}
+	}
+}
+
+// TestSweepOpenBlocks runs the open sweep over block lists that mix runs
+// short of the pipelined loop with runs in it, an empty block and the
+// targets' own IDs, each loop against one Go loop per block.
+func TestSweepOpenBlocks(t *testing.T) {
+	needSweeps(t)
+	box := NewBox(3, 2, Reflective)
+	for _, soft := range []float64{0, 1e-3} {
+		k := Law{Kind: Repulsive, K: 1.3, Softening: soft}.Kernel()
+		for _, nt := range []int{4, 9, 40} {
+			targets := InitUniform(nt, box, uint64(nt))
+			seedForces(targets)
+			strangers := func(n int, seed uint64) []Particle {
+				return relabel(InitUniform(n, box, seed), uint32(nt)+uint32(1000*seed))
+			}
+			own := append([]Particle(nil), targets...)
+			blocks := [][]Particle{strangers(15, 1), strangers(16, 2), nil, strangers(8, 3), own, strangers(23, 4), {}, strangers(3, 5), strangers(37, 6)}
+			want := append([]Particle(nil), targets...)
+			var nWant int64
+			for _, b := range blocks {
+				nWant += k.accumulateRepOpen(want, b)
+			}
+			for name, pipe := range openLoops() {
+				got := append([]Particle(nil), targets...)
+				if nGot := k.sweepRepOpenVia(pipe, got, blocks); nGot != nWant {
+					t.Fatalf("%s loop counted %d pairs over the list, the Go loops %d", name, nGot, nWant)
+				}
+				compareForces(t, got, want)
+			}
+		}
+	}
+}
+
+// TestSweepOpenTurnedAway feeds the open sweep what the pipelined loop's
+// guard must hand to the divider, inside runs long enough to reach it:
+// coincident pairs whose displacement is a signed zero (r2 == 0 without
+// softening: the pair adds +0 whatever the sign), a pair so close that
+// r2*sqrt(r2) underflows while r2 does not, pairs so far that r2 or the
+// product overflows, and strengths at the ends of the admitted range
+// and beyond them, where the whole call takes the plain loop.
+func TestSweepOpenTurnedAway(t *testing.T) {
+	needSweeps(t)
+	negZero := math.Copysign(0, -1)
+	box := NewBox(3, 2, Reflective)
+	targets := InitUniform(8, box, 1)
+	targets[1].Pos = vec.Vec2{X: negZero, Y: 0}
+	targets[2].Pos = vec.Vec2{X: 0, Y: negZero}
+	for i := range targets {
+		targets[i].Force = vec.Vec2{X: negZero, Y: negZero}
+	}
+	sources := relabel(InitUniform(41, box, 2), 100)
+	sources[5].Pos = vec.Vec2{X: 0, Y: 0}                     // on targets 1 and 2, up to the sign of zero
+	sources[6].Pos = vec.Vec2{X: negZero, Y: negZero}         // likewise
+	sources[11].Pos = targets[3].Pos                          // exactly coincident
+	sources[12].Pos = targets[4].Pos.Add(vec.Vec2{X: 1e-120}) // r2 = 1e-240, r2*sqrt(r2) = 0
+	sources[20].Pos = vec.Vec2{X: 1e160, Y: 1}                // r2 = Inf
+	sources[21].Pos = vec.Vec2{X: 1e110}                      // r2 = 1e220, r2*sqrt(r2) = Inf
+	sources[40].Pos = targets[5].Pos                          // in the tail behind the last block
+	// And a run of nothing but such coincidences, every displacement of
+	// targets 1 and 2 a -0: a -0 product added in place of +0 would still
+	// be there at the end.
+	origin := relabel(make([]Particle, 20), 200) // whole blocks: no source takes the plain loop
+	onZero := append([]Particle(nil), targets...)
+	for i := range onZero {
+		onZero[i].Pos = targets[i%3].Pos.Scale(0) // keeps the sign of each zero
+	}
+	checkSweeps(t, Law{Kind: Repulsive, K: 1.3}, box, onZero, origin)
+
+	strengths := []float64{1.3, -1.3, pipeKMin, pipeKMax, -pipeKMax,
+		math.Nextafter(pipeKMin, 0), math.Nextafter(pipeKMax, math.Inf(1)),
+		0, negZero, 5e-324, math.MaxFloat64, math.Inf(1), math.NaN()}
+	for _, kk := range strengths {
+		for _, soft := range []float64{0, 1e-3} {
+			k := Law{Kind: Repulsive, K: kk, Softening: soft}.Kernel()
+			want := append([]Particle(nil), targets...)
+			nWant := k.accumulateRepOpen(want, sources)
+			for name, pipe := range openLoops() {
+				got := append([]Particle(nil), targets...)
+				if nGot := k.sweepRepOpenVia(pipe, got, [][]Particle{sources}); nGot != nWant {
+					t.Fatalf("K=%g soft=%g: %s loop counted %d pairs, Go loop %d", kk, soft, name, nGot, nWant)
+				}
+				for i := range got {
+					g, w := got[i].Force, want[i].Force
+					if !sameOrNaN(g.X, w.X) || !sameOrNaN(g.Y, w.Y) {
+						t.Fatalf("K=%g soft=%g: %s loop, target %d: force (%x, %x), Go loop (%x, %x)", kk, soft, name, i,
+							math.Float64bits(g.X), math.Float64bits(g.Y), math.Float64bits(w.X), math.Float64bits(w.Y))
+					}
+				}
+			}
 		}
 	}
 }
@@ -341,6 +469,157 @@ func TestSweepRandom(t *testing.T) {
 	}
 }
 
+// checkQuotient holds one vector of the pipelined loop's quotient stage to
+// Go's kk/a and returns whether its guard took the divider.
+func checkQuotient(t *testing.T, kk float64, a [4]float64) bool {
+	t.Helper()
+	var q [4]float64
+	divider := quotientAVX512(&a, kk, &q)
+	for i := range a {
+		if want := kk / a[i]; !sameOrNaN(q[i], want) {
+			t.Fatalf("%x / %x (lane %d, divider %v) = %x, Go says %x", math.Float64bits(kk), math.Float64bits(a[i]),
+				i, divider, math.Float64bits(q[i]), math.Float64bits(want))
+		}
+	}
+	return divider
+}
+
+// TestQuotientRandom: 1.2e7 random divisors over six hundred binades,
+// under strengths of either sign over as many.
+func TestQuotientRandom(t *testing.T) {
+	needPipe(t)
+	rng := vec.NewRNG(1)
+	operand := func() float64 { return math.Ldexp(1+rng.Float64(), rng.Intn(601)-300) }
+	calls := 3_000_000
+	if testing.Short() {
+		calls /= 10
+	}
+	for n := 0; n < calls; n++ {
+		kk := operand()
+		if n%2 == 1 {
+			kk = -kk
+		}
+		checkQuotient(t, kk, [4]float64{operand(), operand(), operand(), operand()})
+	}
+}
+
+// TestQuotientDirected is the table of divisors the quotient's proof
+// singles out. Left to the FMA sequence, a divisor whose significand is
+// all ones can come out wrong — 1/0x3FEFFFFFFFFFFFFF does, one ulp low —
+// so those must be seen taking the divider, as must everything outside
+// the window of exponents; an ordinary divisor inside it must not.
+func TestQuotientDirected(t *testing.T) {
+	needPipe(t)
+	const ones = 1<<52 - 1
+	lowest, highest := 0x1p-511, math.Nextafter(0x1p+513, 0) // the window's ends
+	frac := func(m uint64, exp int) float64 { return math.Ldexp(math.Float64frombits(0x3FF<<52|m), exp) }
+	exps := []int{-511, -500, -300, -1, 0, 1, 52, 300, 500, 512}
+	strengths := []float64{1, 1.3, -1.3, 3, math.Nextafter(2, 0), pipeKMin, pipeKMax, -pipeKMin, -pipeKMax}
+	for _, kk := range strengths {
+		for _, e := range exps {
+			if !checkQuotient(t, kk, [4]float64{1.5, frac(ones, e), 1.25, 1.75}) {
+				t.Errorf("K=%g: divisor %x with an all-ones significand did not take the divider", kk, math.Float64bits(frac(ones, e)))
+			}
+			// Significands 0 (a power of two may take either way), 1, and
+			// either side of one half.
+			checkQuotient(t, kk, [4]float64{frac(0, e), frac(0, e), frac(0, e), frac(0, e)})
+			if checkQuotient(t, kk, [4]float64{frac(1, e), frac(1<<51-1, e), frac(1<<51+1, e), frac(ones-1, e)}) {
+				t.Errorf("K=%g: ordinary divisors at 2^%d took the divider", kk, e)
+			}
+		}
+		outside := []float64{0, math.Copysign(0, -1), 5e-324, 0x1p-1023, math.Inf(1), math.Inf(-1), math.NaN(),
+			-1.5, math.Nextafter(lowest, 0), math.Nextafter(highest, math.Inf(1)), 0x1p+1000, math.MaxFloat64}
+		for _, a := range outside {
+			for lane := 0; lane < 4; lane++ {
+				v := [4]float64{1.5, 2.5, 3.5, 4.5}
+				v[lane] = a
+				if !checkQuotient(t, kk, v) {
+					t.Errorf("K=%g: divisor %g outside the window did not take the divider", kk, a)
+				}
+			}
+		}
+		if checkQuotient(t, kk, [4]float64{math.Nextafter(lowest, 1), 1.5 * lowest, 0.75 * highest, math.Nextafter(highest, 0)}) {
+			t.Errorf("K=%g: ordinary divisors at the ends of the window took the divider", kk)
+		}
+	}
+}
+
+// TestCPUSweeps runs the start-up check on made-up CPUs: each sweep needs
+// every one of its CPUID bits and every one of its XCR0 bits, and XCR0
+// is not read unless CPUID says it can be.
+func TestCPUSweeps(t *testing.T) {
+	const (
+		fma, osxsave, avx       = 1 << 12, 1 << 27, 1 << 28 // leaf 1 ECX
+		avx2, avx512f, avx512vl = 1 << 5, 1 << 16, 1 << 31  // leaf 7 EBX
+		ymmState, evexState     = 0x06, 0xE0                // XCR0
+	)
+	probe := func(maxLeaf, c1, b7, xcr0 uint32) (bool, bool) {
+		return cpuSweeps(func(leaf uint32) (uint32, uint32, uint32, uint32) {
+			switch leaf {
+			case 0:
+				return maxLeaf, 0, 0, 0
+			case 1:
+				return 0, 0, c1, 0
+			case 7:
+				if maxLeaf >= 7 {
+					return 0, b7, 0, 0
+				}
+			}
+			t.Fatalf("read CPUID leaf %d of a CPU whose highest is %d", leaf, maxLeaf)
+			return 0, 0, 0, 0
+		}, func() uint32 {
+			if c1&osxsave == 0 {
+				t.Fatal("XGETBV without OSXSAVE")
+			}
+			return xcr0
+		})
+	}
+	const c1, b7, x = fma | osxsave | avx, avx2 | avx512f | avx512vl, 1 | ymmState | evexState
+	cases := []struct {
+		name               string
+		maxLeaf, c1, b7, x uint32
+		avx2, pipe         bool
+	}{
+		{"everything", 27, c1, b7, x, true, true},
+		{"old CPUID", 6, c1, b7, x, false, false},
+		{"no OSXSAVE", 27, c1 &^ osxsave, b7, x, false, false},
+		{"no AVX", 27, c1 &^ avx, b7, x, false, false},
+		{"no AVX2", 27, c1, b7 &^ avx2, x, false, false},
+		{"OS without YMM state", 27, c1, b7, x &^ 4, false, false},
+		{"no FMA", 27, c1 &^ fma, b7, x, true, false},
+		{"no AVX-512F", 27, c1, b7 &^ avx512f, x, true, false},
+		{"no AVX-512VL", 27, c1, b7 &^ avx512vl, x, true, false},
+		{"OS without opmask state", 27, c1, b7, x &^ 0x20, true, false},
+		{"OS without ZMM_Hi256 state", 27, c1, b7, x &^ 0x40, true, false},
+		{"OS without Hi16_ZMM state", 27, c1, b7, x &^ 0x80, true, false},
+	}
+	for _, c := range cases {
+		if a, p := probe(c.maxLeaf, c.c1, c.b7, c.x); a != c.avx2 || p != c.pipe {
+			t.Errorf("%s: avx2 %v pipelined %v, want %v %v", c.name, a, p, c.avx2, c.pipe)
+		}
+	}
+	// And the real thing against the kernel's own reading, where there is one.
+	cpuinfo, err := os.ReadFile("/proc/cpuinfo")
+	if err != nil {
+		t.Skip("no /proc/cpuinfo to hold the real CPU to")
+	}
+	flags := map[string]bool{}
+	for _, line := range strings.Split(string(cpuinfo), "\n") {
+		if name, list, ok := strings.Cut(line, ":"); ok && strings.TrimSpace(name) == "flags" {
+			for _, f := range strings.Fields(list) {
+				flags[f] = true
+			}
+			break
+		}
+	}
+	if want := flags["avx2"]; useAVX2 != want {
+		t.Errorf("useAVX2 = %v, /proc/cpuinfo says %v", useAVX2, want)
+	}
+	if want := flags["avx2"] && flags["fma"] && flags["avx512f"] && flags["avx512vl"]; usePipe != want {
+		t.Errorf("usePipe = %v, /proc/cpuinfo says %v", usePipe, want)
+	}
+}
+
 // BenchmarkSweep times the two sweeps against their Go loops at the
 // block shapes of the repository benchmark's workloads (uniform random
 // positions, so the cutoff rows see few groups wholly out of reach).
@@ -379,7 +658,9 @@ func BenchmarkSweep(b *testing.B) {
 			run("avx2", func() int64 { return k.sweepInRepCut(targets, sources, c.box) })
 		} else {
 			run("go", func() int64 { return k.accumulateRepOpen(targets, sources) })
-			run("avx2", func() int64 { return k.sweepRepOpen(targets, sources) })
+			for name, pipe := range openLoops() {
+				run(name, func() int64 { return k.sweepRepOpenVia(pipe, targets, [][]Particle{sources}) })
+			}
 		}
 	}
 }

@@ -4,11 +4,7 @@ package phys
 
 // This build has no vector sweeps (see sweep_amd64.go): the Go loops are
 // the only path, and the constant lets the compiler drop the dispatch.
-const useAVX2 = false
-
-func (k *Kernel) sweepRepOpen(targets, sources []Particle) int64 {
-	return k.accumulateRepOpen(targets, sources)
-}
+const useAVX2, usePipe = false, false
 
 func (k *Kernel) sweepRepOpenBlocks(targets []Particle, blocks [][]Particle) int64 {
 	var n int64

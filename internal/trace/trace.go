@@ -299,7 +299,8 @@ type Report struct {
 	HopBytesOptimized  float64
 	HopBytesBound      float64
 	// KernelImpl names the force-kernel implementation that produced
-	// the run's compute times ("avx2" or "portable", phys.KernelImpl),
+	// the run's compute times ("avx2", "avx512vl" or "portable",
+	// phys.KernelImpl),
 	// stamped by the algorithm driver. Results do not depend on it;
 	// timings do, so the footer states it. Empty when not stamped.
 	KernelImpl string
