@@ -62,7 +62,7 @@ func cpuSweeps(cpuid func(leaf uint32) (eax, ebx, ecx, edx uint32), xcr0 func() 
 }
 
 // sweepChunk bounds the sources of one assembly call. The routines are
-// NOSPLIT loops the runtime cannot preempt, so an unbounded source
+// assembly loops the runtime cannot preempt, so an unbounded source
 // block would hold off a garbage-collection stop-the-world for its
 // whole length; 4096 sources are a few tens of microseconds.
 const sweepChunk = 4096

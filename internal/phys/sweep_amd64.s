@@ -238,7 +238,7 @@ done:
 // power of two just below (Markstein 1990). Q_DIVIDE is q0 = K*y,
 // r = K - a*q0, w = q0 + r*y: with y = RN(1/a), w = RN(K/a), the IEEE
 // quotient, as long as no intermediate leaves the normal range. Q_GUARD
-// clears K3 in the lanes that cannot be promised: y a power of two, or a
+// clears K3, set before a block, in the lanes that cannot be promised: y a power of two, or a
 // outside [2^-511, 2^513) — which with the K the Go side admits keeps y,
 // q0, r and w normal; zero, denormal, infinite, NaN and negative a lie
 // outside it. A block with a lane cleared goes to Q_SLOW.
@@ -269,11 +269,6 @@ done:
 	VFNMADD213PD Y7, t, w;      \
 	VFMADD213PD  t, y, w;       \
 	VMOVUPD      w, SW(i)(R10)
-
-#define Q_GUARD_FIRST(i, y) \
-	VPTESTMQ Y17, y, K3;           \
-	VPADDQ   SA(i)(R10), Y18, Y14; \
-	VPCMPUQ  $1, Y19, Y14, K3, K3
 
 #define Q_GUARD(i, y) \
 	VPTESTMQ Y17, y, K3, K3;       \
@@ -382,7 +377,8 @@ stageC:
 	Q_DIVIDE(1, Y12, Y11, Y13)
 	Q_DIVIDE(2, Y21, Y20, Y22)
 	Q_DIVIDE(3, Y24, Y23, Y25)
-	Q_GUARD_FIRST(0, Y9)
+	KXNORW K3, K3, K3
+	Q_GUARD(0, Y9)
 	Q_GUARD(1, Y12)
 	Q_GUARD(2, Y21)
 	Q_GUARD(3, Y24)
@@ -463,7 +459,8 @@ TEXT ·quotientAVX512(SB), NOSPLIT, $704-25
 	Q_NEWTON(0, Y9, Y8)
 	Q_NEWTON(0, Y8, Y9)
 	Q_DIVIDE(0, Y9, Y8, Y10)
-	Q_GUARD_FIRST(0, Y9)
+	KXNORW K3, K3, K3
+	Q_GUARD(0, Y9)
 	KMOVW K3, AX
 	CMPL  AX, $15
 	SETNE divider+24(FP)

@@ -290,6 +290,41 @@ func TestSweepOpenTurnedAway(t *testing.T) {
 	}
 }
 
+// TestSweepOpenOnGrowingStack calls the pipelined loop — the one sweep
+// with a stack frame of its own, so the one whose prologue can move the
+// stack its lane record lives on — from goroutines at many stack depths,
+// so that some calls land on the growth.
+func TestSweepOpenOnGrowingStack(t *testing.T) {
+	needPipe(t)
+	box := NewBox(3, 2, Reflective)
+	k := Law{Kind: Repulsive, K: 1.3, Softening: 1e-3}.Kernel()
+	targets := InitUniform(8, box, 1)
+	seedForces(targets)
+	sources := relabel(InitUniform(40, box, 2), 100)
+	want := append([]Particle(nil), targets...)
+	k.accumulateRepOpen(want, sources)
+	var descend func(depth int, got []Particle) byte
+	descend = func(depth int, got []Particle) byte {
+		var pad [128]byte // a frame's worth of stack per level
+		if depth > 0 {
+			pad[depth%len(pad)] = descend(depth-1, got)
+		} else {
+			k.sweepRepOpenVia(true, got, [][]Particle{sources})
+		}
+		return pad[depth%len(pad)]
+	}
+	for depth := 0; depth < 120; depth++ {
+		got := append([]Particle(nil), targets...)
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			descend(depth, got)
+		}()
+		<-done
+		compareForces(t, got, want)
+	}
+}
+
 // TestSweepKeepsNegativeZero pins the blend: a target that only meets
 // its own ID and sources beyond the cutoff is never added to, so a -0
 // accumulator must come back as -0, in a full group and in a mixed one.
