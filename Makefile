@@ -4,9 +4,9 @@
 
 GO ?= go
 
-.PHONY: check build fmt vet test purego crossbuild fuzzsmoke flake flakematrix race obsdebug benchguard benchsmoke httpsmoke netsmoke placesmoke benchdiff bench benchrepo loc
+.PHONY: check build fmt vet test purego crossbuild fuzzsmoke flake flakematrix race obsdebug benchguard netsmoke placesmoke benchrepo loc
 
-check: build fmt vet test purego crossbuild fuzzsmoke flake race obsdebug benchguard benchsmoke httpsmoke netsmoke placesmoke benchdiff
+check: build fmt vet test purego crossbuild fuzzsmoke flake race obsdebug benchguard netsmoke placesmoke
 
 build:
 	$(GO) build ./...
@@ -24,11 +24,14 @@ test:
 # Portable-path gate. On an amd64 host with AVX2 the default build sends
 # the two repulsive kernel flavors the timestep loops run through the
 # assembly sweeps (internal/phys/sweep_amd64.s), so the Go loops they
-# replace — for the repulsive cutoff law, the only users of the
-# compaction sweep — run only in this build. `purego` compiles the
-# assembly out; every property test must hold here unchanged, and so
-# must the pinned state hashes of the root package's golden test.
+# replace — for the repulsive cutoff law its only Go loop, the
+# compaction loop of kernel_tiled.go — run only in this build. `purego`
+# compiles the assembly out; every property test must hold here
+# unchanged, and so must the pinned state hashes of the root package's
+# golden test. It is the one build in CI that executes that loop, so it
+# is vetted under the tag as well.
 purego:
+	$(GO) vet -tags purego ./internal/phys/ ./internal/core/
 	$(GO) test -tags purego ./internal/phys/... ./internal/core/...
 	$(GO) test -tags purego -run TestGoldenStateAndTraffic .
 
@@ -40,9 +43,10 @@ crossbuild:
 
 # Fuzz gate: twenty seconds each of the two fuzz targets. Every kernel
 # change leans on FuzzSweepMatchesGo's property — the selected force
-# sweep equals the plain Go loop bit for bit, whatever the coordinates,
-# strength, block cuts and ID overlap — and `go test` alone only replays
-# its seeds.
+# sweep equals its reference (the plain Go loop, the generic per-pair
+# path under a cutoff) bit for bit, whatever the coordinates, strength,
+# block cuts and ID overlap — and `go test` alone only replays its
+# seeds.
 fuzzsmoke:
 	$(GO) test -run '^$$' -fuzz FuzzSweepMatchesGo -fuzztime 20s ./internal/phys
 	$(GO) test -run '^$$' -fuzz FuzzDecodeSlice -fuzztime 20s ./internal/phys
@@ -101,20 +105,6 @@ benchguard:
 	$(GO) test -run NONE -bench BenchmarkRingShiftOversubscribed -benchtime 100x ./internal/comm/
 	$(GO) test -run NONE -bench BenchmarkShiftLoopSmallBlocks -benchtime 100x ./internal/core/
 
-# Smoke gates: the specialized LJ-cutoff kernel must beat the generic
-# per-pair path (small threshold, robust to loaded machines) and must
-# not allocate; pooled (workers>1) runs must be bitwise-identical to
-# workers=1 with unchanged S/W.
-benchsmoke:
-	$(GO) run ./cmd/bench -smoke
-
-# Live-telemetry smoke gate: run an observed simulation with the HTTP
-# hub serving, scrape /metrics, /trace and /snapshot.json mid-run (all
-# must stay well-formed), and check the final communication matrix
-# conserves the report's per-phase traffic bitwise.
-httpsmoke:
-	$(GO) run ./cmd/bench -httpsmoke
-
 # Multi-process transport gate: run each timestep loop once in-process
 # and once spanned across OS processes over TCP loopback (-spawn), and
 # require bitwise-identical checkpoints plus exactly matching
@@ -132,28 +122,6 @@ netsmoke:
 # intentional searcher change.
 placesmoke:
 	$(GO) test -run TestPlaceGolden ./internal/place/
-
-# Perf-regression gate: run the quick bench (timesteps, placement
-# search, recorder overhead) and diff the result against the
-# committed baseline with obsdiff, which exits 1 if any shared metric
-# regresses past the threshold. The threshold is deliberately loose —
-# wall-clock metrics on a loaded CI machine vary severalfold; the gate
-# catches order-of-magnitude regressions (a quadratic slip, a lost fast
-# path), while tighter human-reviewed comparisons use obsdiff directly
-# on recordings.
-benchdiff:
-	$(GO) run ./cmd/bench -quick -o /tmp/canbody_benchdiff.json
-	$(GO) run ./cmd/obsdiff -threshold 8 BENCH_PR9.json /tmp/canbody_benchdiff.json
-
-# Full benchmark report: kernel microbenchmarks (generic vs specialized,
-# the tile-width × kernel grid, pooled worker widths), speedups,
-# end-to-end per-step wall times, the rank×worker scaling grid, the
-# placement-searcher timings, and the flight-recorder overhead, written
-# to BENCH_PR9.json.
-# The obs micro-benchmarks ride along.
-bench:
-	$(GO) run ./cmd/bench -o BENCH_PR9.json
-	$(GO) test -run NONE -bench . -benchtime 1s ./internal/obs/
 
 # The repository benchmark (BENCHMARK.json, benchmark/README.md) on one
 # workload — by default its most communication-bound one; `make benchrepo

@@ -192,21 +192,6 @@ type Config struct {
 	// raising Workers only while P × Workers ≤ GOMAXPROCS; negative
 	// values are rejected.
 	Workers int
-	// Tile is the compaction tile width of the force kernels: the
-	// kernel flavors that may skip beyond-cutoff pairs stage this many
-	// sources at a time into a structure-of-arrays scratch, compact the
-	// pairs in reach with branch-free cutoff and minimum-image
-	// handling, and sweep those. Accumulation order is pinned to source
-	// order, so — like Workers — every width produces bitwise-identical
-	// trajectories and identical measured communication; the knob
-	// trades only speed. 0 (the default) is the tuned width, the full
-	// scratch (64); positive widths are clamped to it; negative values
-	// are rejected. The flavors that must add for every pair have one
-	// loop each and ignore the knob, and so does the AVX2 sweep that
-	// replaces the repulsive compaction loop on CPUs that have it — on
-	// such a host the knob only reaches Lennard-Jones cutoff runs, the
-	// cell list and the midpoint algorithm.
-	Tile int
 	// Observe, when non-nil, records a per-rank event timeline and a
 	// metrics registry during runs; retrieve them with
 	// Simulation.Timeline and Simulation.MetricsSnapshot. Nil (the
@@ -280,7 +265,6 @@ func (c Config) params(steps int) core.Params {
 		Options: comm.Options{Collectives: c.Collectives},
 		Overlap: c.Overlap,
 		Workers: c.Workers,
-		Tile:    c.Tile,
 		Proc:    c.Proc,
 	}
 }
@@ -386,9 +370,6 @@ func (c Config) validate() error {
 	}
 	if c.Workers < 0 {
 		return fmt.Errorf("nbody: negative worker count %d", c.Workers)
-	}
-	if c.Tile < 0 {
-		return fmt.Errorf("nbody: negative tile width %d", c.Tile)
 	}
 	if alg := c.resolveAlgorithm(); (alg == CACutoff || alg == Midpoint) && c.Cutoff == 0 {
 		return fmt.Errorf("nbody: %v requires a positive cutoff", alg)

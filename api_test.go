@@ -282,6 +282,22 @@ func TestAutotuneC(t *testing.T) {
 	}
 }
 
+func TestAutotuneWorkers(t *testing.T) {
+	best, results, err := AutotuneWorkers(Config{N: 64, P: 4, C: 2}, 2, []int{2, 1, -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if best != 1 && best != 2 {
+		t.Errorf("best width = %d, want a feasible candidate", best)
+	}
+	if len(results) != 3 || results[0].Workers != -1 || results[0].Err == nil || results[1].Err != nil || results[2].Err != nil {
+		t.Errorf("results = %+v, want widths -1 (rejected), 1, 2 in order", results)
+	}
+	if _, _, err := AutotuneWorkers(Config{N: 64, P: 4}, 1, []int{-1}); err == nil {
+		t.Error("all-infeasible candidates should error")
+	}
+}
+
 func TestPredictFacade(t *testing.T) {
 	b, err := Predict(Prediction{Machine: Hopper, P: 24576, N: 196608, C: 16})
 	if err != nil {

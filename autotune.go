@@ -20,50 +20,23 @@ type AutotuneResult struct {
 // every feasible candidate c and returns the fastest, together with all
 // trial results sorted by c.
 //
-// Candidates may be nil, in which case every divisor-compatible power of
-// two up to √p (all-pairs) or the cutoff window (cutoff runs) is tried.
+// Candidates may be nil, in which case every power of two with c² ≤ P
+// is tried, whatever the algorithm; those it cannot run at (a c that
+// does not divide the teams, one beyond the cutoff window) come back as
+// infeasible trials.
 func AutotuneC(cfg Config, trialSteps int, candidates []int) (int, []AutotuneResult, error) {
 	cfg = cfg.withDefaults()
-	if trialSteps <= 0 {
-		trialSteps = 3
-	}
 	if candidates == nil {
 		for c := 1; c*c <= cfg.P; c *= 2 {
 			candidates = append(candidates, c)
 		}
 	}
-	if len(candidates) == 0 {
-		return 0, nil, fmt.Errorf("nbody: no autotune candidates")
+	best, trials, err := autotune(cfg, trialSteps, candidates, "replication factor", func(c *Config, v int) { c.C = v })
+	var results []AutotuneResult
+	for _, t := range trials {
+		results = append(results, AutotuneResult{C: t.value, PerStep: t.perStep, Err: t.err})
 	}
-	results := make([]AutotuneResult, 0, len(candidates))
-	bestC, bestT := 0, time.Duration(0)
-	for _, c := range candidates {
-		trial := cfg
-		trial.C = c
-		res := AutotuneResult{C: c}
-		sim, err := New(trial)
-		if err != nil {
-			res.Err = err
-			results = append(results, res)
-			continue
-		}
-		start := time.Now()
-		if err := sim.Run(trialSteps); err != nil {
-			res.Err = err
-			results = append(results, res)
-			continue
-		}
-		res.PerStep = time.Since(start) / time.Duration(trialSteps)
-		results = append(results, res)
-		if bestC == 0 || res.PerStep < bestT {
-			bestC, bestT = c, res.PerStep
-		}
-	}
-	if bestC == 0 {
-		return 0, results, fmt.Errorf("nbody: no feasible replication factor among %v", candidates)
-	}
-	sort.Slice(results, func(i, j int) bool { return results[i].C < results[j].C })
-	return bestC, results, nil
+	return best, results, err
 }
 
 // WorkerTuneResult records one worker-pool width's trial.
@@ -86,107 +59,73 @@ type WorkerTuneResult struct {
 // tried.
 func AutotuneWorkers(cfg Config, trialSteps int, candidates []int) (int, []WorkerTuneResult, error) {
 	cfg = cfg.withDefaults()
-	if trialSteps <= 0 {
-		trialSteps = 3
-	}
 	if candidates == nil {
 		bound := runtime.GOMAXPROCS(0) / cfg.P
 		for w := 1; w <= bound || w == 1; w *= 2 {
 			candidates = append(candidates, w)
 		}
 	}
-	if len(candidates) == 0 {
-		return 0, nil, fmt.Errorf("nbody: no autotune candidates")
+	best, trials, err := autotune(cfg, trialSteps, candidates, "worker width", func(c *Config, v int) { c.Workers = v })
+	var results []WorkerTuneResult
+	for _, t := range trials {
+		results = append(results, WorkerTuneResult{Workers: t.value, PerStep: t.perStep, Err: t.err})
 	}
-	results := make([]WorkerTuneResult, 0, len(candidates))
-	bestW, bestT := 0, time.Duration(0)
-	for _, w := range candidates {
-		trial := cfg
-		trial.Workers = w
-		res := WorkerTuneResult{Workers: w}
-		sim, err := New(trial)
-		if err != nil {
-			res.Err = err
-			results = append(results, res)
-			continue
-		}
-		start := time.Now()
-		if err := sim.Run(trialSteps); err != nil {
-			res.Err = err
-			results = append(results, res)
-			continue
-		}
-		res.PerStep = time.Since(start) / time.Duration(trialSteps)
-		results = append(results, res)
-		if bestW == 0 || res.PerStep < bestT {
-			bestW, bestT = w, res.PerStep
-		}
-	}
-	if bestW == 0 {
-		return 0, results, fmt.Errorf("nbody: no feasible worker width among %v", candidates)
-	}
-	sort.Slice(results, func(i, j int) bool { return results[i].Workers < results[j].Workers })
-	return bestW, results, nil
+	return best, results, err
 }
 
-// TileTuneResult records one kernel tile width's trial.
-type TileTuneResult struct {
-	Tile    int
-	PerStep time.Duration
-	Err     error // non-nil when the width is infeasible
+// trial is one candidate value's outcome.
+type trial struct {
+	value   int
+	perStep time.Duration
+	err     error // non-nil when the value is infeasible
 }
 
-// AutotuneTile empirically selects the force kernels' compaction tile
-// width (Config.Tile) the same way AutotuneWorkers selects the pool width:
-// it runs trialSteps timesteps of cfg at every candidate width and
-// returns the fastest, together with all trial results sorted by
-// width. Tiling is bitwise-invariant — every width reproduces the
-// same trajectory and the same measured communication — so the choice
-// is purely a speed question and tuning on a short prefix of a long
-// run is safe.
-//
-// Candidates may be nil, in which case the default (0, the tuned
-// width) and the powers of two from 1 up to the tile cap are tried.
-// Only configurations whose kernels compact have anything to tune
-// (see Config.Tile). The returned width can be assigned directly to Config.Tile.
-func AutotuneTile(cfg Config, trialSteps int, candidates []int) (int, []TileTuneResult, error) {
-	cfg = cfg.withDefaults()
+// autotune is the trial loop of the exported autotuners: for every
+// candidate it builds cfg with set(&cfg, candidate), advances it one
+// untimed step — a simulation's first step grows every retained buffer,
+// and over a trial of a few steps that set-up would be most of what is
+// timed — then times trialSteps (default 3) more. It returns the fastest
+// feasible candidate and every trial sorted by value; what names the
+// knob in the error when none is feasible.
+func autotune(cfg Config, trialSteps int, candidates []int, what string, set func(*Config, int)) (int, []trial, error) {
 	if trialSteps <= 0 {
 		trialSteps = 3
 	}
-	if candidates == nil {
-		candidates = []int{0, 1, 2, 4, 8, 16, 32, 64}
-	}
 	if len(candidates) == 0 {
 		return 0, nil, fmt.Errorf("nbody: no autotune candidates")
 	}
-	results := make([]TileTuneResult, 0, len(candidates))
-	bestTile, bestT, found := 0, time.Duration(0), false
-	for _, tw := range candidates {
-		trial := cfg
-		trial.Tile = tw
-		res := TileTuneResult{Tile: tw}
-		sim, err := New(trial)
-		if err != nil {
-			res.Err = err
-			results = append(results, res)
-			continue
-		}
-		start := time.Now()
-		if err := sim.Run(trialSteps); err != nil {
-			res.Err = err
-			results = append(results, res)
-			continue
-		}
-		res.PerStep = time.Since(start) / time.Duration(trialSteps)
-		results = append(results, res)
-		if !found || res.PerStep < bestT {
-			bestTile, bestT, found = tw, res.PerStep, true
+	trials := make([]trial, 0, len(candidates))
+	best, bestT, found := 0, time.Duration(0), false
+	for _, v := range candidates {
+		c := cfg
+		set(&c, v)
+		t := trial{value: v}
+		t.perStep, t.err = timeTrial(c, trialSteps)
+		trials = append(trials, t)
+		if t.err == nil && (!found || t.perStep < bestT) {
+			best, bestT, found = v, t.perStep, true
 		}
 	}
+	sort.Slice(trials, func(i, j int) bool { return trials[i].value < trials[j].value })
 	if !found {
-		return 0, results, fmt.Errorf("nbody: no feasible tile width among %v", candidates)
+		return 0, trials, fmt.Errorf("nbody: no feasible %s among %v", what, candidates)
 	}
-	sort.Slice(results, func(i, j int) bool { return results[i].Tile < results[j].Tile })
-	return bestTile, results, nil
+	return best, trials, nil
+}
+
+// timeTrial returns the per-step wall time of steps timesteps of cfg
+// behind one untimed warm-up step.
+func timeTrial(cfg Config, steps int) (time.Duration, error) {
+	sim, err := New(cfg)
+	if err != nil {
+		return 0, err
+	}
+	if err := sim.Run(1); err != nil {
+		return 0, err
+	}
+	start := time.Now()
+	if err := sim.Run(steps); err != nil {
+		return 0, err
+	}
+	return time.Since(start) / time.Duration(steps), nil
 }

@@ -31,7 +31,6 @@ func main() {
 		p           = flag.Int("p", 16, "number of ranks (goroutines)")
 		c           = flag.Int("c", 1, "replication factor")
 		workers     = flag.Int("workers", 0, "intra-rank force workers per rank (0 = spread GOMAXPROCS over ranks)")
-		tile        = flag.Int("tile", 0, "compaction tile width of the cutoff force kernels (0 = tuned default; bitwise-invariant)")
 		dim         = flag.Int("dim", 2, "spatial dimension (1 or 2)")
 		cutoff      = flag.Float64("cutoff", 0, "cutoff radius (0 = all pairs)")
 		steps       = flag.Int("steps", 10, "timesteps to run")
@@ -108,7 +107,7 @@ func main() {
 		*matrixFile != "" || *autoPlace || *placementIn != ""
 
 	cfg := nbody.Config{
-		N: *n, P: *p, C: *c, Workers: *workers, Tile: *tile, Dim: *dim, Cutoff: *cutoff,
+		N: *n, P: *p, C: *c, Workers: *workers, Dim: *dim, Cutoff: *cutoff,
 		DT: *dt, BoxLength: *boxL, Seed: *seed, Lattice: *lattice,
 		Proc: proc,
 	}

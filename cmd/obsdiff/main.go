@@ -1,8 +1,7 @@
-// Command obsdiff compares two performance artifacts — flight
-// recordings (JSONL, as written by nbody/sweep -record-out) or bench
-// reports (BENCH_*.json) — metric by metric, and exits nonzero when any
-// metric regresses past its threshold. It is the perf-regression gate
-// `make check` runs against the committed baselines.
+// Command obsdiff compares two flight recordings (JSONL, as written by
+// nbody/sweep -record-out) metric by metric, and exits nonzero when any
+// metric regresses past its threshold. `make netsmoke` uses it to hold a
+// multi-process run's accounting equal to the in-process run's.
 //
 // Usage:
 //
@@ -61,7 +60,7 @@ func main() {
 	require := flag.Int("require", 1, "minimum number of common metrics the two artifacts must share")
 	quiet := flag.Bool("q", false, "print only breaching rows")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: obsdiff [flags] OLD NEW\n  OLD, NEW: a flight recording (.jsonl[.gz]) or a bench report (BENCH_*.json)\n")
+		fmt.Fprintf(os.Stderr, "usage: obsdiff [flags] OLD NEW\n  OLD, NEW: flight recordings (.jsonl[.gz])\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -80,7 +79,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "obsdiff: %v\n", err)
 		os.Exit(2)
 	}
-	if oldDoc.Kind == "recording" && newDoc.Kind == "recording" && oldDoc.Key != newDoc.Key {
+	if oldDoc.Key != newDoc.Key {
 		fmt.Fprintf(os.Stderr, "obsdiff: WARNING: comparing different configurations:\n  old %s\n  new %s\n", oldDoc.Key, newDoc.Key)
 	}
 

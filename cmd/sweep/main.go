@@ -38,11 +38,9 @@ func main() {
 		cutoff     = flag.Float64("cutoff", 0, "cutoff radius (0 = all pairs)")
 		steps      = flag.Int("steps", 5, "timesteps per configuration")
 		workers    = flag.Int("workers", 0, "intra-rank force workers per rank (0 = spread GOMAXPROCS over ranks)")
-		tile       = flag.Int("tile", 0, "compaction tile width of the cutoff force kernels (0 = tuned default; bitwise-invariant)")
 		csFlag     = flag.String("cs", "1,2,4,8", "comma-separated replication factors")
 		autotune   = flag.Bool("autotune", false, "pick c automatically instead of sweeping")
 		autotuneW  = flag.Bool("autotune-workers", false, "pick the worker-pool width automatically instead of sweeping")
-		autotuneT  = flag.Bool("autotune-tile", false, "pick the kernel tile width automatically instead of sweeping")
 		autotuneP  = flag.Bool("autotune-placement", false, "after each configuration, optimize the rank->node torus placement of its measured matrix and print the per-c improvement")
 		machine    = flag.String("machine", "generic", "machine model for -autotune-placement: generic, hopper, intrepid")
 		traceOut   = flag.String("trace-out", "", "write one Chrome trace per configuration, with .c<N> inserted before the extension")
@@ -61,11 +59,11 @@ func main() {
 		if *rendezvous == "" {
 			log.Fatal("-ranks-per-proc requires -rendezvous: start p/ranks-per-proc sweep processes by hand, each with the same flags")
 		}
-		if *autotune || *autotuneW || *autotuneT {
+		if *autotune || *autotuneW {
 			// Autotuning picks the next configuration from measured wall
 			// time, which differs across processes — the mesh members would
 			// diverge on the first disagreement.
-			log.Fatal("-autotune, -autotune-workers and -autotune-tile are incompatible with -ranks-per-proc")
+			log.Fatal("-autotune and -autotune-workers are incompatible with -ranks-per-proc")
 		}
 		if *p%*ranksPerProc != 0 {
 			log.Fatalf("-ranks-per-proc %d does not divide -p %d", *ranksPerProc, *p)
@@ -97,7 +95,7 @@ func main() {
 		say("pprof serving on http://%s/debug/pprof/\n", *pprofAddr)
 	}
 
-	cfg := nbody.Config{N: *n, P: *p, Workers: *workers, Tile: *tile, Dim: *dim, Cutoff: *cutoff, Lattice: *cutoff > 0, Proc: proc}
+	cfg := nbody.Config{N: *n, P: *p, Workers: *workers, Dim: *dim, Cutoff: *cutoff, Lattice: *cutoff > 0, Proc: proc}
 	if *traceOut != "" || *metricsOut != "" || *httpAddr != "" || *recordOut != "" || *autotuneP {
 		cfg.Observe = &nbody.ObserveOptions{}
 	}
@@ -114,23 +112,6 @@ func main() {
 		}
 		defer hub.Close()
 		say("live telemetry on http://%s/\n", bound)
-	}
-
-	if *autotuneT {
-		best, results, err := nbody.AutotuneTile(cfg, *steps, nil)
-		if err != nil {
-			log.Fatal(err)
-		}
-		say("%-12s %14s\n", "tile", "time/step")
-		for _, r := range results {
-			if r.Err != nil {
-				say("tile=%-4d %14s (%v)\n", r.Tile, "-", r.Err)
-				continue
-			}
-			say("tile=%-4d %14v\n", r.Tile, r.PerStep)
-		}
-		say("autotuned kernel tile width: tile=%d\n", best)
-		return
 	}
 
 	if *autotuneW {

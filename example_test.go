@@ -87,40 +87,6 @@ func ExampleConfig_workers() {
 	// Output: pooled run bitwise-identical=true
 }
 
-// Tuning the force kernels' source-tile width. Like the worker pool,
-// tiling is bitwise-invariant — every width (including the untiled
-// default of a width-32 tile) reproduces the same trajectory — so the
-// knob trades only speed, here demonstrated by comparing an explicit
-// narrow tile against the tuned default.
-func ExampleConfig_tile() {
-	base := nbody.Config{N: 64, P: 4, Seed: 7}
-	tiled := base
-	tiled.Tile = 8
-	a, err := nbody.New(base)
-	if err != nil {
-		log.Fatal(err)
-	}
-	b, err := nbody.New(tiled)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := a.Run(5); err != nil {
-		log.Fatal(err)
-	}
-	if err := b.Run(5); err != nil {
-		log.Fatal(err)
-	}
-	identical := true
-	pa, pb := a.Particles(), b.Particles()
-	for i := range pa {
-		if pa[i] != pb[i] {
-			identical = false
-		}
-	}
-	fmt.Printf("tiled run bitwise-identical=%v\n", identical)
-	// Output: tiled run bitwise-identical=true
-}
-
 // Switching the decomposition: the midpoint method from the paper's
 // related work computes each pair on the processor owning its midpoint.
 func ExampleConfig() {

@@ -87,8 +87,7 @@ func (c *Comm) RecvF64s(from, tag int) []float64 {
 	return c.recvMsg(from, tag).f64sPayload(c)
 }
 
-// SendrecvF64s is Sendrecv over typed float64 payloads, the hop of the
-// scratch-reusing ring reductions (ReduceScatterF64sInto).
+// SendrecvF64s is Sendrecv over typed float64 payloads.
 func (c *Comm) SendrecvF64s(to int, vals []float64, from, tag int) []float64 {
 	if to == c.rank && from == c.rank {
 		return vals

@@ -95,67 +95,6 @@ func (c *Comm) bcastParticles(root int, ps []phys.Particle) (alias []phys.Partic
 	return ps, spent
 }
 
-// BcastF64s is BcastParticles for float64 vectors: root's vals reach
-// every rank, copied into dst[:0]. Root's slice is aliased by all
-// members until they have copied, under the same reuse contract.
-func (c *Comm) BcastF64s(root int, vals, dst []float64) []float64 {
-	c.checkPeer(root)
-	if c.Size() == 1 {
-		return append(dst[:0], vals...)
-	}
-	t0 := c.tr.Now()
-	alias := c.bcastF64s(root, vals)
-	out := append(dst[:0], alias...)
-	c.tr.Collective(obs.KindBcast, t0, 8*len(alias))
-	return out
-}
-
-func (c *Comm) bcastF64s(root int, vals []float64) []float64 {
-	n := c.Size()
-	switch c.opts.Collectives {
-	case Flat:
-		if c.rank == root {
-			for r := 0; r < n; r++ {
-				if r != root {
-					c.SendF64s(r, tagBcast, vals)
-				}
-			}
-			return vals
-		}
-		return c.RecvF64s(root, tagBcast)
-	case Ring:
-		prev := (c.rank - 1 + n) % n
-		next := (c.rank + 1) % n
-		if c.rank != root {
-			vals = c.RecvF64s(prev, tagBcast)
-		}
-		if next != root {
-			c.SendF64s(next, tagBcast, vals)
-		}
-		return vals
-	default:
-		vr := (c.rank - root + n) % n
-		mask := 1
-		for mask < n {
-			if vr&mask != 0 {
-				src := (vr - mask + root) % n
-				vals = c.RecvF64s(src, tagBcast)
-				break
-			}
-			mask <<= 1
-		}
-		mask >>= 1
-		for mask > 0 {
-			if vr+mask < n {
-				dst := (vr + mask + root) % n
-				c.SendF64s(dst, tagBcast, vals)
-			}
-			mask >>= 1
-		}
-		return vals
-	}
-}
-
 // ReduceF64sInPlace element-wise sums vals across all ranks with the
 // same algorithm, peer schedule, and combination order as ReduceF64s —
 // so the result is bit-identical — but accumulates into the callers'

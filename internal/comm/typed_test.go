@@ -210,7 +210,6 @@ func TestSingleRankCollectivesStampNoEvents(t *testing.T) {
 		c.ReduceF64s(0, []float64{1})
 		c.Gather(0, []byte{2})
 		c.BcastParticles(0, testParticles(2, 3), nil)
-		c.BcastF64s(0, []float64{4}, nil)
 		c.ReduceF64sInPlace(0, []float64{5})
 		return nil
 	})
@@ -240,61 +239,5 @@ func TestMixedTransportPanics(t *testing.T) {
 	})
 	if err == nil || !strings.Contains(err.Error(), "payload") {
 		t.Fatalf("err = %v, want payload-kind panic", err)
-	}
-}
-
-// TestScratchReductionsMatchLegacy checks the scratch-reusing reduction
-// paths against their allocating counterparts: bit-identical results on
-// every rank across repeated calls.
-func TestScratchReductionsMatchLegacy(t *testing.T) {
-	const p, length, rounds = 5, 23, 4
-	legacy := make([][][]float64, 3)
-	scratch := make([][][]float64, 3)
-	for i := range legacy {
-		legacy[i] = make([][]float64, p)
-		scratch[i] = make([][]float64, p)
-	}
-	mkVals := func(rank, round int) []float64 {
-		vals := make([]float64, length)
-		for i := range vals {
-			vals[i] = float64(rank+1)*0.5 + float64(i)*float64(round+1)*0.25
-		}
-		return vals
-	}
-	_, err := Run(p, Options{}, func(c *Comm) error {
-		for round := 0; round < rounds; round++ {
-			legacy[0][c.Rank()] = c.ReduceScatterF64s(mkVals(c.Rank(), round))
-			legacy[1][c.Rank()] = c.AllreduceRabenseifner(mkVals(c.Rank(), round))
-			legacy[2][c.Rank()] = c.AllreduceF64s(mkVals(c.Rank(), round))
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = Run(p, Options{}, func(c *Comm) error {
-		var sc1, sc2, sc3 F64Scratch
-		for round := 0; round < rounds; round++ {
-			scratch[0][c.Rank()] = append([]float64(nil), c.ReduceScatterF64sInto(mkVals(c.Rank(), round), &sc1)...)
-			scratch[1][c.Rank()] = append([]float64(nil), c.AllreduceRabenseifnerInto(mkVals(c.Rank(), round), &sc2)...)
-			scratch[2][c.Rank()] = append([]float64(nil), c.AllreduceF64sInto(mkVals(c.Rank(), round), &sc3)...)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	names := []string{"reduce-scatter", "allreduce-rabenseifner", "allreduce"}
-	for op := range names {
-		for r := 0; r < p; r++ {
-			if len(legacy[op][r]) != len(scratch[op][r]) {
-				t.Fatalf("%s rank %d: scratch length %d, legacy %d", names[op], r, len(scratch[op][r]), len(legacy[op][r]))
-			}
-			for i := range legacy[op][r] {
-				if legacy[op][r][i] != scratch[op][r][i] {
-					t.Fatalf("%s rank %d[%d]: scratch %v, legacy %v (must be bit-identical)", names[op], r, i, scratch[op][r][i], legacy[op][r][i])
-				}
-			}
-		}
 	}
 }

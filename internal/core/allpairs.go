@@ -36,7 +36,7 @@ func AllPairs(ps []phys.Particle, pr Params) ([]phys.Particle, *trace.Report, er
 	npt := n / T // particles per team
 	perS, perW := directBounds(n, pr)
 
-	return runRanks(n, pr, perS, perW, func(rk *rank) rankLoop {
+	return runRanks(n, pr, pr.Law.Kernel().Impl(), perS, perW, func(rk *rank) rankLoop {
 		l, row, col := newShiftLoop(rk, &pr, cg)
 		l.moves = allPairsMoves(T, pr.C, row, col)
 		l.pairing = newEveryBlock(l.last, npt)

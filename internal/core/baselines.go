@@ -47,7 +47,7 @@ func NaiveAllGather(ps []phys.Particle, pr Params) ([]phys.Particle, *trace.Repo
 	npr := n / pr.P
 	perS, perW := directBounds(n, pr)
 
-	return runRanks(n, pr, perS, perW, func(rk *rank) rankLoop {
+	return runRanks(n, pr, pr.Law.Kernel().Impl(), perS, perW, func(rk *rank) rankLoop {
 		r := rk.world.Rank()
 		mine := append([]phys.Particle(nil), ps[r*npr:(r+1)*npr]...)
 		step := func() error {

@@ -48,18 +48,6 @@ type Params struct {
 	// to 1 when P alone already oversubscribes the machine. Negative
 	// values are rejected by validation.
 	Workers int
-	// Tile is the compaction tile width of the force kernels: the
-	// flavors that may skip beyond-cutoff pairs (AccumulateIn with a
-	// cutoff, the cell list, midpoint's staged sweep) stage this many
-	// sources into a structure-of-arrays scratch, compact the pairs in
-	// reach and sweep those (phys.Kernel.WithTile). Accumulation order
-	// is pinned to source order, so every width produces
-	// bitwise-identical states. 0 picks the tuned default width;
-	// positive widths are clamped at the cap. The remaining flavors have
-	// one loop each and ignore it, as does the AVX2 sweep that stands in
-	// for the repulsive compaction loop where the CPU has it. Negative
-	// values are rejected by validation.
-	Tile int
 	// Record, when non-nil on an observed run, receives one flight-
 	// recorder sample per timestep (per-phase walls and traffic, bounds
 	// vs measured, runtime health) stamped by world rank 0. Ignored
@@ -111,9 +99,6 @@ func (pr Params) validateCommon(n int) error {
 	}
 	if pr.Workers < 0 {
 		return fmt.Errorf("core: negative worker count %d", pr.Workers)
-	}
-	if pr.Tile < 0 {
-		return fmt.Errorf("core: negative tile width %d", pr.Tile)
 	}
 	if pr.Proc != nil && pr.Proc.WorldSize() != pr.P {
 		return fmt.Errorf("core: p=%d but the process mesh spans %d ranks (%d procs × %d)",

@@ -80,9 +80,9 @@ func midpointND(ps []phys.Particle, pr Params, dim int) ([]phys.Particle, *trace
 	open := pr.Law
 	open.Cutoff = 0
 	kern := open.Kernel()
-	tw := phys.TileWidth(pr.Tile)
 
-	return runRanks(n, pr, perS, perW, func(rk *rank) rankLoop {
+	// The compute phase is the Go staged sweep on every platform.
+	return runRanks(n, pr, "portable", perS, perW, func(rk *rank) rankLoop {
 		world, st := rk.world, rk.st
 		me := world.Rank()
 		x := newXfer(pr, me, false)
@@ -119,9 +119,9 @@ func midpointND(ps []phys.Particle, pr Params, dim int) ([]phys.Particle, *trace
 			// stay per-pair branches — they decide which sources interact
 			// at all — but eligible sources are staged into an SoA tile
 			// and folded through the specialized open-law sweep. Flushing
-			// at tile boundaries only groups consecutive adds of the same
-			// in-order fold, so every tile width reproduces the per-pair
-			// loop bitwise.
+			// when the tile is full only groups consecutive adds of the
+			// same in-order fold, so the result is the per-pair loop's,
+			// bit for bit.
 			var soa vec.SoA
 			for g := lo; g < hi; g++ {
 				for li >= len(cells[ci].particles) {
@@ -145,15 +145,10 @@ func midpointND(ps []phys.Particle, pr Params, dim int) ([]phys.Particle, *trace
 						if t.Pos.Dist2(s.Pos) > rc2 {
 							continue
 						}
-						if tw == 0 {
-							f = f.Add(open.Pair(t.Pos, s.Pos))
-							pairs++
-							continue
-						}
 						soa.X[staged], soa.Y[staged] = s.Pos.X, s.Pos.Y
 						staged++
 						pairs++
-						if staged == tw {
+						if staged == vec.TileCap {
 							f.X, f.Y = kern.SweepStaged(f.X, f.Y, t.Pos.X, t.Pos.Y, &soa, staged)
 							staged = 0
 						}

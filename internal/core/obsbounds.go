@@ -59,17 +59,18 @@ type stepProbe struct {
 }
 
 // newStepProbe builds a probe for the calling rank with the given
-// per-step lower bounds, or nil when the run is unobserved.
-func newStepProbe(world *comm.Comm, perS, perW float64) *stepProbe {
+// per-step lower bounds, or nil when the run is unobserved. impl is the
+// force-kernel implementation the run's loop executes.
+func newStepProbe(world *comm.Comm, impl string, perS, perW float64) *stepProbe {
 	mx := world.Metrics()
 	if mx == nil {
 		return nil
 	}
 	if world.Rank() == 0 {
-		// Which force kernels the run's compute times come from: 0 for
+		// Which force kernel the run's compute times come from: 0 for
 		// the Go loops, 1 for the AVX2 sweeps, 2 for those with the
-		// pipelined open sweep (phys.KernelImpl).
-		mx.Gauge("compute.kernel_avx2").Set(map[string]int64{"avx2": 1, "avx512vl": 2}[phys.KernelImpl()])
+		// pipelined open sweep (phys.Kernel.Impl).
+		mx.Gauge("compute.kernel_avx2").Set(map[string]int64{"avx2": 1, "avx512vl": 2}[impl])
 	}
 	return &stepProbe{
 		st:    world.Stats(),

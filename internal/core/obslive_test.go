@@ -236,32 +236,65 @@ func TestDroppedWarning(t *testing.T) {
 	}
 }
 
-// TestKernelImplAttribution checks that a run says which force-kernel
-// implementation its compute times came from, wherever a recorded
-// number can end up: the report footer, the summary JSON and, on an
-// observed run, the compute.kernel_avx2 gauge.
+// TestKernelImplAttribution checks that a run names the force-kernel
+// implementation its compute phase executed — not what the host could
+// have run — wherever a recorded number can end up: the report footer,
+// the summary JSON and, on an observed run, the compute.kernel_avx2
+// gauge. Only the repulsive law has vector sweeps, the all-pairs loop
+// through Accumulate and the cutoff loop through AccumulateIn; a
+// Lennard-Jones run and the midpoint method's staged sweep are Go loops
+// on every host.
 func TestKernelImplAttribution(t *testing.T) {
-	impl := phys.KernelImpl()
-	if impl != "avx2" && impl != "avx512vl" && impl != "portable" {
-		t.Fatalf("phys.KernelImpl() = %q", impl)
+	host := phys.KernelImpl()
+	if host != "avx2" && host != "avx512vl" && host != "portable" {
+		t.Fatalf("phys.KernelImpl() = %q", host)
 	}
-	const p, c = 4, 2
-	pr := defaultParams(p, c, 2)
-	ob := obs.NewObserver(p, 0)
-	pr.Options.Observe = ob
-	_, rep, err := AllPairs(phys.InitUniform(32, pr.Box, 13), pr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.KernelImpl != impl || rep.Summary().KernelImpl != impl {
-		t.Errorf("report says kernel %q, summary %q, phys %q", rep.KernelImpl, rep.Summary().KernelImpl, impl)
-	}
-	if s := rep.String(); !strings.Contains(s, "force kernel") || !strings.HasSuffix(strings.TrimRight(s, "\n"), impl) {
-		t.Errorf("report footer does not end with the force kernel line for %q:\n%s", impl, s)
-	}
-	gauges := ob.Metrics.Snapshot().Gauges
-	got, ok := gauges["compute.kernel_avx2"]
-	if want := map[string]int64{"avx512vl": 2, "avx2": 1, "portable": 0}[impl]; !ok || got != want {
-		t.Errorf("compute.kernel_avx2 gauge = %d (present %v), want %d", got, ok, want)
+	cutIn := map[string]string{"avx2": "avx2", "avx512vl": "avx2", "portable": "portable"}[host]
+	lj := phys.LJLaw(1e-3, 0.1)
+	for _, tc := range []struct {
+		name string
+		want string
+		run  func(pr Params) (*trace.Report, error)
+		pr   Params
+	}{
+		{"allpairs", host, func(pr Params) (*trace.Report, error) {
+			_, rep, err := AllPairs(phys.InitUniform(32, pr.Box, 13), pr)
+			return rep, err
+		}, defaultParams(4, 2, 2)},
+		{"allpairs/lj", "portable", func(pr Params) (*trace.Report, error) {
+			pr.Law = lj
+			_, rep, err := AllPairs(phys.InitLattice(32, pr.Box, 13), pr)
+			return rep, err
+		}, defaultParams(4, 2, 2)},
+		{"cutoff", cutIn, func(pr Params) (*trace.Report, error) {
+			_, rep, err := Cutoff(phys.InitLattice(64, pr.Box, 13), pr)
+			return rep, err
+		}, cutoffParams(8, 2, 1, phys.Periodic)},
+		{"cutoff/lj", "portable", func(pr Params) (*trace.Report, error) {
+			pr.Law = lj.WithCutoff(pr.Law.Cutoff)
+			_, rep, err := Cutoff(phys.InitLattice(64, pr.Box, 13), pr)
+			return rep, err
+		}, cutoffParams(8, 2, 1, phys.Periodic)},
+		{"midpoint", "portable", func(pr Params) (*trace.Report, error) {
+			_, rep, err := Midpoint2D(phys.InitLattice(64, pr.Box, 13), pr)
+			return rep, err
+		}, cutoffParams(9, 1, 2, phys.Reflective)},
+	} {
+		ob := obs.NewObserver(tc.pr.P, 0)
+		tc.pr.Options.Observe = ob
+		rep, err := tc.run(tc.pr)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if rep.KernelImpl != tc.want || rep.Summary().KernelImpl != tc.want {
+			t.Errorf("%s: report says kernel %q, summary %q, want %q", tc.name, rep.KernelImpl, rep.Summary().KernelImpl, tc.want)
+		}
+		if s := rep.String(); !strings.Contains(s, "force kernel") || !strings.HasSuffix(strings.TrimRight(s, "\n"), tc.want) {
+			t.Errorf("%s: report footer does not end with the force kernel line for %q:\n%s", tc.name, tc.want, s)
+		}
+		got, ok := ob.Metrics.Snapshot().Gauges["compute.kernel_avx2"]
+		if want := map[string]int64{"avx512vl": 2, "avx2": 1, "portable": 0}[tc.want]; !ok || got != want {
+			t.Errorf("%s: compute.kernel_avx2 gauge = %d (present %v), want %d", tc.name, got, ok, want)
+		}
 	}
 }

@@ -73,10 +73,11 @@ func runMallocs(run func()) uint64 {
 // TestSteadyStateAllocFree pins the end-to-end zero-allocation property
 // of the timestep loops: once a run's retained buffers exist, a step
 // allocates nothing anywhere in the pipeline — broadcast, skew, shifts,
-// force kernel (inline, pooled, tiled), reduce, integrate and, for the
-// cutoff loop, spatial reassignment; nor, in the midpoint method,
-// import, staged sweep, force return or reassignment. Two runs that differ only in step
-// count must therefore allocate exactly the same number of objects:
+// force kernel (inline, pooled), reduce, integrate and, for the cutoff
+// loop in one and two dimensions, spatial reassignment; nor, in the
+// midpoint method, import, staged sweep, force return or reassignment.
+// Two runs that differ only in step count must therefore allocate
+// exactly the same number of objects:
 // per-run set-up (communicators, mailboxes of the pairs used, pool and
 // worker goroutines, first-step buffer growth) is identical in both,
 // and ten extra steps must add zero. The guard is an equality, not a
@@ -88,24 +89,24 @@ func TestSteadyStateAllocFree(t *testing.T) {
 	const (
 		allpairs loop = iota
 		cutoff
+		cutoff2D
 		midpoint1D
 		midpoint2D
 	)
 	for _, tc := range []struct {
-		name          string
-		loop          loop
-		workers, tile int
+		name    string
+		loop    loop
+		workers int
 	}{
-		{"allpairs", allpairs, 1, 0},
-		{"allpairs/workers=2", allpairs, 2, 0},
-		{"allpairs/workers=2/tile=7", allpairs, 2, 7},
-		{"allpairs/workers=2/tile=64", allpairs, 2, 64},
-		{"cutoff", cutoff, 1, 0},
-		{"cutoff/workers=2", cutoff, 2, 0},
-		{"cutoff/tile=7", cutoff, 1, 7},
-		{"midpoint1D", midpoint1D, 1, 0},
-		{"midpoint1D/workers=2/tile=7", midpoint1D, 2, 7},
-		{"midpoint2D", midpoint2D, 1, 0},
+		{"allpairs", allpairs, 1},
+		{"allpairs/workers=2", allpairs, 2},
+		{"cutoff", cutoff, 1},
+		{"cutoff/workers=2", cutoff, 2},
+		{"cutoff2D", cutoff2D, 1},
+		{"cutoff2D/workers=2", cutoff2D, 2},
+		{"midpoint1D", midpoint1D, 1},
+		{"midpoint1D/workers=2", midpoint1D, 2},
+		{"midpoint2D", midpoint2D, 1},
 	} {
 		run := func(steps int) func() {
 			return func() {
@@ -114,19 +115,24 @@ func TestSteadyStateAllocFree(t *testing.T) {
 				case cutoff:
 					// 8 ranks: the 1D cutoff window needs at least 3 teams.
 					pr := cutoffParams(8, c, 1, phys.Periodic)
-					pr.Steps, pr.Workers, pr.Tile = steps, tc.workers, tc.tile
+					pr.Steps, pr.Workers = steps, tc.workers
 					_, _, err = Cutoff(phys.InitLattice(n, pr.Box, 5), pr)
+				case cutoff2D:
+					// 32 ranks: a 4 × 4 team grid holds the 3 × 3 window.
+					pr := cutoffParams(32, c, 2, phys.Reflective)
+					pr.Steps, pr.Workers = steps, tc.workers
+					_, _, err = Cutoff(phys.InitLattice(4*n, pr.Box, 5), pr)
 				case midpoint1D:
 					pr := cutoffParams(8, 1, 1, phys.Reflective)
-					pr.Steps, pr.Workers, pr.Tile = steps, tc.workers, tc.tile
+					pr.Steps, pr.Workers = steps, tc.workers
 					_, _, err = Midpoint1D(phys.InitLattice(n, pr.Box, 5), pr)
 				case midpoint2D:
 					pr := cutoffParams(16, 1, 2, phys.Reflective)
-					pr.Steps, pr.Workers, pr.Tile = steps, tc.workers, tc.tile
+					pr.Steps, pr.Workers = steps, tc.workers
 					_, _, err = Midpoint2D(phys.InitLattice(2*n, pr.Box, 5), pr)
 				default:
 					pr := defaultParams(4, c, steps)
-					pr.Workers, pr.Tile = tc.workers, tc.tile
+					pr.Workers = tc.workers
 					_, _, err = AllPairs(phys.InitUniform(n, pr.Box, 5), pr)
 				}
 				if err != nil {

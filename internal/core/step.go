@@ -41,7 +41,9 @@ type rank struct {
 // live bounds probe (perS and perW are the run's per-step lower bounds)
 // and the deposit of the final state, which RunProc merges across
 // processes in a distributed run so every process gathers all of it.
-func runRanks(n int, pr Params, perS, perW float64, build func(*rank) rankLoop) ([]phys.Particle, *trace.Report, error) {
+// impl names the force-kernel implementation the loop's compute phase
+// runs (phys.Kernel.Impl), for the report and the metrics.
+func runRanks(n int, pr Params, impl string, perS, perW float64, build func(*rank) rankLoop) ([]phys.Particle, *trace.Report, error) {
 	rr := newRunRecorder(pr)
 	report, results, err := comm.RunProc(pr.P, pr.Options, pr.Proc, func(world *comm.Comm) error {
 		st, mx := world.Stats(), world.Metrics()
@@ -64,7 +66,7 @@ func runRanks(n int, pr Params, perS, perW float64, build func(*rank) rankLoop) 
 		stepCompute := mx.Histogram("step.compute_ns")
 		stepsDone := mx.Counter("step.count")
 		observed := mx != nil
-		probe := newStepProbe(world, perS, perW)
+		probe := newStepProbe(world, impl, perS, perW)
 		sampler := rr.sampler(world, pr.Steps)
 
 		for step := 0; step < pr.Steps; step++ {
@@ -97,7 +99,7 @@ func runRanks(n int, pr Params, perS, perW float64, build func(*rank) rankLoop) 
 	})
 	if report != nil {
 		// For the footer's kernel line and measured-over-bound ratios.
-		report.KernelImpl = phys.KernelImpl()
+		report.KernelImpl = impl
 		report.SLowerBound = perS * float64(pr.Steps)
 		report.WLowerBound = perW * float64(pr.Steps)
 	}
@@ -212,7 +214,7 @@ func newShiftLoop(rk *rank, pr *Params, cg *commGrid) (l *shiftLoop, row, col in
 	return &shiftLoop{
 		rank: rk, pr: pr, slot: col, leader: row == 0,
 		ring: rk.world.Sub(cg.rows[row]), team: rk.world.Sub(cg.teams[col]),
-		kern:  pr.Law.Kernel().WithTile(pr.Tile),
+		kern:  pr.Law.Kernel(),
 		pairs: rk.world.Metrics().Counter("compute.pairs"),
 	}, row, col
 }

@@ -1,9 +1,7 @@
 package record
 
 import (
-	"bytes"
 	"compress/gzip"
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -12,22 +10,19 @@ import (
 	"strings"
 )
 
-// MetricDoc is the comparison-plane view of a perf artifact: a flat
-// name → value metric map folded from either a flight recording or a
-// bench report (BENCH_*.json, any vintage). obsdiff intersects two
-// docs' metric names and gates the ratios.
+// MetricDoc is the comparison-plane view of a flight recording: a flat
+// name → value metric map folded from its samples. obsdiff intersects
+// two docs' metric names and gates the ratios.
 type MetricDoc struct {
 	Path     string
-	Kind     string // "recording" or "bench"
-	Key      string // config key (recordings only)
+	Key      string // config key
 	Metrics  map[string]float64
-	StepWall []int64 // per-step wall_ns series (recordings only), index = step
+	StepWall []int64 // per-step wall_ns series, index = step
 }
 
 // FromRecording folds a recording into its metric document.
 func FromRecording(meta Meta, samples []Sample) MetricDoc {
 	doc := MetricDoc{
-		Kind:    "recording",
 		Key:     meta.Key(),
 		Metrics: map[string]float64{},
 	}
@@ -96,90 +91,9 @@ func FromRecording(meta Meta, samples []Sample) MetricDoc {
 	return doc
 }
 
-// benchDoc mirrors every section a BENCH_*.json may carry, across all
-// committed vintages (PR2: kernels/speedups/timesteps; PR3: +transport;
-// PR4: +worker sections; PR6: +kind/metrics/recorder). Unknown fields
-// are ignored, absent ones fold to nothing.
-type benchDoc struct {
-	Kind     string             `json:"kind"`
-	Metrics  map[string]float64 `json:"metrics"`
-	Speedups map[string]float64 `json:"speedups"`
-	Kernels  []struct {
-		Name        string  `json:"name"`
-		NsPerOp     float64 `json:"ns_per_op"`
-		AllocsPerOp int64   `json:"allocs_per_op"`
-	} `json:"kernels"`
-	Timesteps []struct {
-		Algorithm     string  `json:"algorithm"`
-		Particles     int     `json:"particles"`
-		Ranks         int     `json:"ranks"`
-		Replication   int     `json:"replication"`
-		WallNsPerStep float64 `json:"wall_ns_per_step"`
-	} `json:"timesteps"`
-	Transport []struct {
-		Algorithm        string  `json:"algorithm"`
-		TypedNsPerStep   float64 `json:"typed_ns_per_step"`
-		EncodedNsPerStep float64 `json:"encoded_ns_per_step"`
-		Speedup          float64 `json:"speedup"`
-	} `json:"transport"`
-	WorkerKernels []struct {
-		Name    string  `json:"name"`
-		Workers int     `json:"workers"`
-		NsPerOp float64 `json:"ns_per_op"`
-	} `json:"worker_kernels"`
-	WorkerScaling []struct {
-		Algorithm     string  `json:"algorithm"`
-		Ranks         int     `json:"ranks"`
-		Workers       int     `json:"workers"`
-		WallNsPerStep float64 `json:"wall_ns_per_step"`
-	} `json:"worker_scaling"`
-}
-
-// FoldBenchJSON folds a bench report of any vintage into the flat
-// metric namespace. New reports carry an explicit "metrics" map (taken
-// as-is, it wins on collisions); the structured sections fold uniformly
-// for old and new files, which is what turns BENCH_PR2–4.json into
-// comparable baselines.
-func FoldBenchJSON(data []byte) (map[string]float64, error) {
-	var d benchDoc
-	if err := json.Unmarshal(data, &d); err != nil {
-		return nil, fmt.Errorf("record: bad bench report: %w", err)
-	}
-	m := map[string]float64{}
-	for _, k := range d.Kernels {
-		m["kernel."+k.Name+".ns_per_op"] = k.NsPerOp
-		m["kernel."+k.Name+".allocs_per_op"] = float64(k.AllocsPerOp)
-	}
-	for name, v := range d.Speedups {
-		m["speedup."+name] = v
-	}
-	for _, ts := range d.Timesteps {
-		m[fmt.Sprintf("timestep.%s.n%d.p%d.c%d.wall_ns_per_step",
-			ts.Algorithm, ts.Particles, ts.Ranks, ts.Replication)] = ts.WallNsPerStep
-	}
-	for _, tr := range d.Transport {
-		pre := "transport." + tr.Algorithm + "."
-		m[pre+"typed_ns_per_step"] = tr.TypedNsPerStep
-		m[pre+"encoded_ns_per_step"] = tr.EncodedNsPerStep
-		m[pre+"speedup"] = tr.Speedup
-	}
-	for _, wk := range d.WorkerKernels {
-		m[fmt.Sprintf("pool.%s.w%d.ns_per_op", wk.Name, wk.Workers)] = wk.NsPerOp
-	}
-	for _, ws := range d.WorkerScaling {
-		m[fmt.Sprintf("workers.%s.p%d.w%d.wall_ns_per_step",
-			ws.Algorithm, ws.Ranks, ws.Workers)] = ws.WallNsPerStep
-	}
-	for name, v := range d.Metrics {
-		m[name] = v
-	}
-	return m, nil
-}
-
-// LoadMetricDoc loads path and folds it into a metric document, sniffing
-// the format: a JSONL flight recording (first line kind ==
-// "canbody-recording", ".gz" transparently decompressed) or a bench
-// report (a single JSON object).
+// LoadMetricDoc loads the flight recording at path (JSON lines, ".gz"
+// transparently decompressed) and folds it into a metric document. A
+// file that is not a recording is an error naming the path.
 func LoadMetricDoc(path string) (MetricDoc, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -195,33 +109,13 @@ func LoadMetricDoc(path string) (MetricDoc, error) {
 		defer gz.Close()
 		r = gz
 	}
-	data, err := io.ReadAll(r)
+	meta, samples, err := ReadRecording(r)
 	if err != nil {
 		return MetricDoc{}, fmt.Errorf("record: %s: %w", path, err)
 	}
-	if firstLineIsRecording(data) {
-		meta, samples, err := ReadRecording(bytes.NewReader(data))
-		if err != nil {
-			return MetricDoc{}, fmt.Errorf("record: %s: %w", path, err)
-		}
-		doc := FromRecording(meta, samples)
-		doc.Path = path
-		return doc, nil
-	}
-	m, err := FoldBenchJSON(data)
-	if err != nil {
-		return MetricDoc{}, fmt.Errorf("record: %s: %w", path, err)
-	}
-	return MetricDoc{Path: path, Kind: "bench", Metrics: m}, nil
-}
-
-func firstLineIsRecording(data []byte) bool {
-	line := data
-	if i := bytes.IndexByte(data, '\n'); i >= 0 {
-		line = data[:i]
-	}
-	var meta Meta
-	return json.Unmarshal(line, &meta) == nil && meta.Kind == DocKind
+	doc := FromRecording(meta, samples)
+	doc.Path = path
+	return doc, nil
 }
 
 // Direction classifies how a metric regresses.

@@ -4,6 +4,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -32,7 +33,7 @@ func mkSamples(n int, wallNs int64) []Sample {
 func TestFromRecording(t *testing.T) {
 	meta := Meta{Algorithm: "allpairs", N: 64, P: 4, C: 2, Phases: []string{"compute", "broadcast"}}
 	doc := FromRecording(meta, mkSamples(10, 2000))
-	if doc.Kind != "recording" || doc.Key != meta.Key() {
+	if doc.Key != meta.Key() {
 		t.Fatalf("doc header: %+v", doc)
 	}
 	checks := map[string]float64{
@@ -197,43 +198,6 @@ func TestDiffExactGate(t *testing.T) {
 	}
 }
 
-func TestFoldBenchJSON(t *testing.T) {
-	data := []byte(`{
-		"kind": "canbody-bench",
-		"kernels": [{"name": "lj_cut/kernel", "ns_per_op": 123.5, "allocs_per_op": 0}],
-		"speedups": {"lj_cut": 1.4},
-		"timesteps": [{"algorithm": "allpairs", "particles": 512, "ranks": 8, "replication": 2, "wall_ns_per_step": 9e5}],
-		"transport": [{"algorithm": "allpairs", "typed_ns_per_step": 100, "encoded_ns_per_step": 150, "speedup": 1.5}],
-		"worker_kernels": [{"name": "pool_accumulate", "workers": 2, "ns_per_op": 50}],
-		"worker_scaling": [{"algorithm": "allpairs", "ranks": 4, "workers": 2, "wall_ns_per_step": 77}],
-		"metrics": {"recorder.overhead_frac": 0.004, "speedup.lj_cut": 9.9}
-	}`)
-	m, err := FoldBenchJSON(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checks := map[string]float64{
-		"kernel.lj_cut/kernel.ns_per_op":                123.5,
-		"kernel.lj_cut/kernel.allocs_per_op":            0,
-		"timestep.allpairs.n512.p8.c2.wall_ns_per_step": 9e5,
-		"transport.allpairs.typed_ns_per_step":          100,
-		"transport.allpairs.speedup":                    1.5,
-		"pool.pool_accumulate.w2.ns_per_op":             50,
-		"workers.allpairs.p4.w2.wall_ns_per_step":       77,
-		"recorder.overhead_frac":                        0.004,
-		// The explicit metrics map wins over the folded sections.
-		"speedup.lj_cut": 9.9,
-	}
-	for name, want := range checks {
-		if got, ok := m[name]; !ok || got != want {
-			t.Errorf("%s = %v (present %v), want %v", name, got, ok, want)
-		}
-	}
-	if _, err := FoldBenchJSON([]byte("not json")); err == nil {
-		t.Error("bad JSON accepted")
-	}
-}
-
 func TestLoadMetricDocSniffing(t *testing.T) {
 	dir := t.TempDir()
 
@@ -261,21 +225,17 @@ func TestLoadMetricDocSniffing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if doc.Kind != "recording" || doc.Metrics["steps"] != 2 {
+	if doc.Path != recPath || doc.Metrics["steps"] != 2 {
 		t.Errorf("recording doc: %+v", doc)
 	}
 
-	// A bench report.
-	benchPath := filepath.Join(dir, "bench.json")
-	if err := os.WriteFile(benchPath, []byte(`{"kind":"canbody-bench","speedups":{"x":2}}`), 0o644); err != nil {
+	// Anything else is an error that names the file.
+	otherPath := filepath.Join(dir, "other.json")
+	if err := os.WriteFile(otherPath, []byte(`{"kind":"canbody-bench","speedups":{"x":2}}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	doc, err = LoadMetricDoc(benchPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if doc.Kind != "bench" || doc.Metrics["speedup.x"] != 2 {
-		t.Errorf("bench doc: %+v", doc)
+	if _, err := LoadMetricDoc(otherPath); err == nil || !strings.Contains(err.Error(), otherPath) {
+		t.Errorf("a file that is not a recording: err = %v, want one naming %s", err, otherPath)
 	}
 
 	if _, err := LoadMetricDoc(filepath.Join(dir, "missing.json")); err == nil {

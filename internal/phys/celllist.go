@@ -134,69 +134,12 @@ func (cl *CellList) shiftCoord(c, d int) (int, bool) {
 // Forces evaluates the cutoff force on every particle using the cell list
 // and stores it in the accumulators. law.Cutoff must equal the rc the
 // list was built with. With a single cell per dimension it degrades
-// gracefully to brute force. The inner loop is specialized per potential
-// kind (dispatch happens once per call) and walks the precomputed
-// neighbor table, so a Forces call over a built list allocates nothing;
-// ForcesGeneric is the per-pair reference it is verified against.
+// gracefully to brute force. It is the list's one traversal: every
+// candidate pair goes through Law.Pair, as in BruteForceCutoff, and only
+// the set of candidates differs — which is what makes it an independent
+// check of the parallel cutoff algorithms and not a third kernel. It
+// walks the precomputed neighbor table and allocates nothing.
 func (cl *CellList) Forces(ps []Particle, law Law) {
-	cl.ForcesPooled(ps, law, nil)
-}
-
-// ForcesPooled is Forces with the cell index space tiled across a
-// worker pool. Each particle belongs to exactly one cell, so a
-// contiguous cell tile owns a disjoint set of force accumulators and
-// the result is bitwise-identical to Forces for every worker count. A
-// nil pool runs the whole range inline (Forces delegates here).
-func (cl *CellList) ForcesPooled(ps []Particle, law Law, pool *Pool) {
-	cl.ForcesKernel(ps, law.Kernel(), pool)
-}
-
-// ForcesKernel is ForcesPooled with a caller-compiled kernel — the
-// entry point that carries the source-tile knob (Kernel.WithTile) into
-// the cell sweeps. The kernel's cutoff must equal the one the list was
-// built with.
-func (cl *CellList) ForcesKernel(ps []Particle, k Kernel, pool *Pool) {
-	if !k.hasCut || k.rc2 != cl.rc*cl.rc {
-		panic("phys: law cutoff differs from cell list cutoff")
-	}
-	ClearForces(ps)
-	if pool == nil {
-		cl.forcesRange(ps, &k, 0, len(cl.cells))
-		return
-	}
-	pool.cellForces(cl, ps, k)
-}
-
-// forcesRange evaluates the cells in [lo, hi), dispatching once to the
-// per-potential specialized loop — tiled by default, classic untiled
-// when the kernel's tile knob is negative — and returns the number of
-// target particles covered (the pool's per-tile work measure).
-func (cl *CellList) forcesRange(ps []Particle, k *Kernel, lo, hi int) int64 {
-	var covered int64
-	for c := lo; c < hi; c++ {
-		covered += int64(len(cl.cells[c]))
-	}
-	if tw := TileWidth(k.tile); tw > 0 {
-		if k.lj {
-			cl.forcesLJTiled(ps, k, lo, hi, tw)
-		} else {
-			cl.forcesRepTiled(ps, k, lo, hi, tw)
-		}
-		return covered
-	}
-	if k.lj {
-		cl.forcesLJ(ps, k, lo, hi)
-	} else {
-		cl.forcesRep(ps, k, lo, hi)
-	}
-	return covered
-}
-
-// ForcesGeneric is the unspecialized reference implementation of Forces,
-// evaluating every candidate pair through Law.Pair with the kind
-// re-tested per pair. The specialized loops are verified bitwise against
-// it; benchmarks use it as the before-optimization baseline.
-func (cl *CellList) ForcesGeneric(ps []Particle, law Law) {
 	if law.Cutoff != cl.rc {
 		panic("phys: law cutoff differs from cell list cutoff")
 	}
@@ -221,163 +164,6 @@ func (cl *CellList) ForcesGeneric(ps []Particle, law Law) {
 				}
 			}
 			t.Force = f
-		}
-	}
-}
-
-// forcesRep is the repulsive-potential cell loop: constants hoisted, box
-// metric inlined, neighbor sets read from the precomputed table. The
-// floating-point sequence mirrors ForcesGeneric operation for operation.
-// Like the repulsive Kernel loops (see kernel.go), the member loop runs
-// two sources wide with both lane weights live across the sqrts to break
-// SQRTSD's false output dependency; accumulation stays in member order.
-func (cl *CellList) forcesRep(ps []Particle, k *Kernel, lo, hi int) {
-	kk, soft2, rc2 := k.k, k.soft2, k.rc2
-	periodic, dim2, boxL := cl.box.Boundary == Periodic, cl.box.Dim >= 2, cl.box.L
-	for c := lo; c < hi; c++ {
-		for _, ti := range cl.cells[c] {
-			t := &ps[ti]
-			fx, fy := t.Force.X, t.Force.Y
-			px, py := t.Pos.X, t.Pos.Y
-			for _, nc := range cl.neighbors[c] {
-				members := cl.cells[nc]
-				j := 0
-				for ; j+1 < len(members); j += 2 {
-					si0, si1 := members[j], members[j+1]
-					var w0, w1, dx0, dy0, dx1, dy1 float64
-					// One flag per lane (see kernel.go): the rare
-					// coincident-pair zero add is re-derived from the
-					// retained displacements in the accumulation step.
-					ok0, ok1 := false, false
-					if si0 != ti {
-						s := &ps[si0]
-						dx0 = px - s.Pos.X
-						dy0 = py - s.Pos.Y
-						if periodic {
-							dx0 = minImage1(dx0, boxL)
-							if dim2 {
-								dy0 = minImage1(dy0, boxL)
-							}
-						}
-						d2 := dx0*dx0 + dy0*dy0
-						if d2 <= rc2 {
-							r2 := d2 + soft2
-							if r2 != 0 {
-								w0 = kk / (r2 * math.Sqrt(r2))
-								ok0 = true
-							}
-						}
-					}
-					if si1 != ti {
-						s := &ps[si1]
-						dx1 = px - s.Pos.X
-						dy1 = py - s.Pos.Y
-						if periodic {
-							dx1 = minImage1(dx1, boxL)
-							if dim2 {
-								dy1 = minImage1(dy1, boxL)
-							}
-						}
-						d2 := dx1*dx1 + dy1*dy1
-						if d2 <= rc2 {
-							r2 := d2 + soft2
-							if r2 != 0 {
-								w1 = kk / (r2 * math.Sqrt(r2))
-								ok1 = true
-							}
-						}
-					}
-					if ok0 {
-						fx += w0 * dx0
-						fy += w0 * dy0
-					} else if si0 != ti && dx0*dx0+dy0*dy0+soft2 == 0 {
-						fx += 0
-						fy += 0
-					}
-					if ok1 {
-						fx += w1 * dx1
-						fy += w1 * dy1
-					} else if si1 != ti && dx1*dx1+dy1*dy1+soft2 == 0 {
-						fx += 0
-						fy += 0
-					}
-				}
-				for ; j < len(members); j++ {
-					si := members[j]
-					if si == ti {
-						continue
-					}
-					s := &ps[si]
-					dx := px - s.Pos.X
-					dy := py - s.Pos.Y
-					if periodic {
-						dx = minImage1(dx, boxL)
-						if dim2 {
-							dy = minImage1(dy, boxL)
-						}
-					}
-					d2 := dx*dx + dy*dy
-					if d2 > rc2 {
-						continue
-					}
-					r2 := d2 + soft2
-					if r2 == 0 {
-						fx += 0
-						fy += 0
-						continue
-					}
-					w := kk / (r2 * math.Sqrt(r2))
-					fx += w * dx
-					fy += w * dy
-				}
-			}
-			t.Force.X, t.Force.Y = fx, fy
-		}
-	}
-}
-
-// forcesLJ is the Lennard-Jones counterpart of forcesRep.
-func (cl *CellList) forcesLJ(ps []Particle, k *Kernel, lo, hi int) {
-	e24, sig2, soft2, rc2 := k.e24, k.sig2, k.soft2, k.rc2
-	periodic, dim2, boxL := cl.box.Boundary == Periodic, cl.box.Dim >= 2, cl.box.L
-	for c := lo; c < hi; c++ {
-		for _, ti := range cl.cells[c] {
-			t := &ps[ti]
-			fx, fy := t.Force.X, t.Force.Y
-			px, py := t.Pos.X, t.Pos.Y
-			for _, nc := range cl.neighbors[c] {
-				for _, si := range cl.cells[nc] {
-					if si == ti {
-						continue
-					}
-					s := &ps[si]
-					dx := px - s.Pos.X
-					dy := py - s.Pos.Y
-					if periodic {
-						dx = minImage1(dx, boxL)
-						if dim2 {
-							dy = minImage1(dy, boxL)
-						}
-					}
-					d2 := dx*dx + dy*dy
-					if d2 > rc2 {
-						continue
-					}
-					r2 := d2 + soft2
-					if r2 == 0 {
-						fx += 0
-						fy += 0
-						continue
-					}
-					s2 := sig2 / r2
-					s6 := s2 * s2 * s2
-					s12 := s6 * s6
-					w := e24 * (2*s12 - s6) / r2
-					fx += w * dx
-					fy += w * dy
-				}
-			}
-			t.Force.X, t.Force.Y = fx, fy
 		}
 	}
 }

@@ -33,9 +33,10 @@ func FuzzDecodeSlice(f *testing.F) {
 
 // FuzzSweepMatchesGo holds the path Accumulate and AccumulateIn select
 // for the repulsive law on this build — the AVX2 sweeps where the CPU
-// has them, the compaction loop under a cutoff elsewhere — to the plain
-// Go loops: same pair count, and every force equal bit for bit (two
-// NaNs count as equal). kk is the strength K — tiny, huge, negative,
+// has them, the Go loops elsewhere — to its reference, the plain Go loop
+// without a cutoff and the generic per-pair path
+// (Law.AccumulateInGeneric) with one: same pair count, and every force
+// equal bit for bit (two NaNs count as equal). kk is the strength K — tiny, huge, negative,
 // zero: the pipelined open sweep admits a range of it and hands the rest
 // to its plain loop — and raw overwrites coordinates, sources
 // first, with whatever finite doubles the fuzzer invents: out-of-box
@@ -102,19 +103,20 @@ func FuzzSweepMatchesGo(f *testing.F) {
 			*c = v
 		}
 
-		k := Law{Kind: Repulsive, K: kk, Softening: soft, Cutoff: rc}.Kernel()
+		law := Law{Kind: Repulsive, K: kk, Softening: soft, Cutoff: rc}
+		k := law.Kernel()
 		want := append([]Particle(nil), targets...)
 		got := append([]Particle(nil), targets...)
 		var nWant, nGot int64
 		if rc > 0 {
-			nWant = k.accumulateInRepCut(want, sources, box)
+			nWant = law.AccumulateInGeneric(want, sources, box)
 			nGot = k.AccumulateIn(got, sources, box)
 		} else {
 			nWant = k.accumulateRepOpen(want, sources)
 			nGot = k.Accumulate(got, sources)
 		}
 		if nGot != nWant {
-			t.Fatalf("counted %d pairs, Go loop %d", nGot, nWant)
+			t.Fatalf("counted %d pairs, the reference %d", nGot, nWant)
 		}
 		compare := func(what string, got, want []Particle) {
 			for i := range got {

@@ -5,18 +5,17 @@ import "math"
 // Kernel is a Law compiled for the inner loop: the potential kind, the
 // cutoff test, and the softening/strength constants are resolved once,
 // when the kernel is built, instead of once per pair. Accumulate and
-// AccumulateIn dispatch to one of four specialized loops (repulsive or
-// Lennard-Jones, open or cutoff) whose bodies keep every constant in a
-// local and never consult the Law again. The flavors whose reference
-// semantics permit skipping force-free pairs (the box-metric cutoff
-// loops here, and the cell-list sweeps) run by default in their tiled
-// SoA gate-compact-sweep form (see kernel_tiled.go); WithTile sets their
-// tile width or selects the classic untiled loops below. On a CPU with
-// AVX2 the two repulsive flavors the timestep loops run — Accumulate
-// without a cutoff and AccumulateIn with one — take a vector sweep
-// instead, at every tile setting, and with AVX-512VL and FMA the first
-// of them a pipelined one (see sweep_amd64.go; KernelImpl says which).
-// Every choice is bitwise-identical.
+// AccumulateIn dispatch on (law, cutoff) to exactly one loop each, whose
+// body keeps every constant in a local and never consults the Law
+// again; nothing but the law and the platform selects it. The loops of
+// this file add for every counted pair. The two box-metric cutoff loops
+// may skip a beyond-cutoff pair without any add, and so gate, compact
+// and sweep their sources a scratch-full at a time (kernel_tiled.go). On
+// a CPU with AVX2 the two repulsive flavors the timestep loops run —
+// Accumulate without a cutoff and AccumulateIn with one — take a vector
+// sweep instead, and with AVX-512VL and FMA the first of them a
+// pipelined one (see sweep_amd64.go; Impl and ImplIn say which). Every
+// choice is bitwise-identical.
 //
 // The specialized loops are bitwise-identical to the generic
 // Law.Pair-per-pair path (AccumulateGeneric, AccumulateInGeneric): they
@@ -39,7 +38,6 @@ type Kernel struct {
 	sig2   float64 // σ²
 	soft2  float64 // softening²
 	rc2    float64 // cutoff²
-	tile   int     // compaction tile width (see WithTile): 0 auto, >0 explicit, <0 untiled
 }
 
 // Kernel compiles the law into its specialized inner-loop form. The
@@ -57,17 +55,37 @@ func (l Law) Kernel() Kernel {
 	}
 }
 
-// KernelImpl names the implementation Accumulate and AccumulateIn select
-// on this host for the flavors that have a vector sweep: "avx2",
-// "avx512vl" for the same with the open sweep's long source runs on its
-// pipelined loop, or "portable" for the Go loops. Timings are only
-// comparable between runs that agree on it; results are identical
-// whichever it is.
+// KernelImpl names the vector sweeps this host has for the flavors that
+// can take one: "avx2", "avx512vl" for the same with the open sweep's
+// long source runs on its pipelined loop, or "portable" for none. It is
+// a property of the CPU and the build; what a given kernel runs is Impl
+// and ImplIn.
 func KernelImpl() string {
 	switch {
 	case usePipe:
 		return "avx512vl"
 	case useAVX2:
+		return "avx2"
+	}
+	return "portable"
+}
+
+// Impl names the implementation k.Accumulate and k.AccumulateBlocks run:
+// KernelImpl for the repulsive law without a cutoff, "portable" — the Go
+// loops — for every other. Timings are only comparable between runs
+// that agree on it; results are identical whichever it is.
+func (k Kernel) Impl() string {
+	if k.lj || k.hasCut {
+		return "portable"
+	}
+	return KernelImpl()
+}
+
+// ImplIn is Impl for k.AccumulateIn: "avx2" for the repulsive law with a
+// cutoff on a host with the sweeps (the pipelined loop is the open
+// sweep's alone), "portable" otherwise.
+func (k Kernel) ImplIn() string {
+	if useAVX2 && !k.lj && k.hasCut {
 		return "avx2"
 	}
 	return "portable"
@@ -79,11 +97,10 @@ func KernelImpl() string {
 // evaluations performed. The kind/cutoff dispatch happens once per call.
 //
 // Accumulate's flavors add an exact +0 for every counted force-free
-// pair, so no pair may be compacted away, and staging sources in tiles
-// measured slower at every width, so the tile knob does not reach them.
-// Their scalar loops sit at the divider bound; the repulsive open
-// flavor's vector sweep leaves it by taking the quotient off the divider
-// (sweep_amd64.s).
+// pair, so no pair may be compacted away, and staging their sources in
+// tiles measured slower. Their scalar loops sit at the divider bound;
+// the repulsive open flavor's vector sweep leaves it by taking the
+// quotient off the divider (sweep_amd64.s).
 func (k *Kernel) Accumulate(targets, sources []Particle) int64 {
 	switch {
 	case k.lj && k.hasCut:
@@ -123,32 +140,21 @@ func (k *Kernel) AccumulateBlocks(targets []Particle, blocks [][]Particle) int64
 // counting beyond-cutoff pairs as evaluations exactly as the generic
 // path does.
 //
-// The cutoff flavors skip beyond-cutoff pairs without any add, which
-// legalizes the tiled gate-compact-sweep loops (see kernel_tiled.go), so
-// they run tiled unless the tile knob is negative. The open flavors must
-// add for every counted pair, like Accumulate, and have only the classic
-// loops.
+// The cutoff flavors skip beyond-cutoff pairs without any add, which is
+// what lets their loops compact (kernel_tiled.go). The open flavors must
+// add for every counted pair, like Accumulate.
 func (k *Kernel) AccumulateIn(targets, sources []Particle, box Box) int64 {
-	if k.hasCut {
-		if useAVX2 && !k.lj {
-			return k.sweepInRepCut(targets, sources, box)
-		}
-		if tw := TileWidth(k.tile); tw > 0 {
-			if k.lj {
-				return k.accumulateInLJCutTiled(targets, sources, box, tw)
-			}
-			return k.accumulateInRepCutTiled(targets, sources, box, tw)
-		}
-	}
 	switch {
 	case k.lj && k.hasCut:
 		return k.accumulateInLJCut(targets, sources, box)
 	case k.lj:
 		return k.accumulateInLJOpen(targets, sources, box)
-	case k.hasCut:
-		return k.accumulateInRepCut(targets, sources, box)
-	default:
+	case !k.hasCut:
 		return k.accumulateInRepOpen(targets, sources, box)
+	case useAVX2:
+		return k.sweepInRepCut(targets, sources, box)
+	default:
+		return k.accumulateInRepCut(targets, sources, box)
 	}
 }
 
@@ -171,8 +177,7 @@ func (k *Kernel) AccumulateIn(targets, sources []Particle, box Box) int64 {
 // every iteration) and stay one-wide.
 //
 // Each lane tracks a single `ok` flag; the rare exact-zero add is
-// re-derived in the accumulation step (from the ID test, or for the
-// box-metric cutoff loops from the retained lane displacements) instead
+// re-derived in the accumulation step (from the ID test) instead
 // of being carried in a second flag — a second per-lane boolean makes
 // the compiler emit branchless SETcc sequences that roughly double the
 // loop's critical path (measured).
@@ -404,11 +409,10 @@ func (k *Kernel) accumulateLJCut(targets, sources []Particle) int64 {
 	return n
 }
 
-// The AccumulateIn variants inline the box metric: the minimum-image
-// wrap applies only to periodic boxes (and only to Y in 2D), exactly as
-// Box.MinImage computes it. Beyond-cutoff pairs are counted and skipped
-// WITHOUT the zero add — the generic AccumulateIn skips the Add call
-// entirely there, unlike the generic Accumulate.
+// The open-law AccumulateIn variants inline the box metric: the
+// minimum-image wrap applies only to periodic boxes (and only to Y in
+// 2D), exactly as Box.MinImage computes it. Their cutoff counterparts
+// are in kernel_tiled.go.
 
 func (k *Kernel) accumulateInRepOpen(targets, sources []Particle, box Box) int64 {
 	kk, soft2 := k.k, k.soft2
@@ -499,110 +503,6 @@ func (k *Kernel) accumulateInRepOpen(targets, sources []Particle, box Box) int64
 	return n
 }
 
-func (k *Kernel) accumulateInRepCut(targets, sources []Particle, box Box) int64 {
-	kk, soft2, rc2 := k.k, k.soft2, k.rc2
-	periodic, dim2, boxL := box.Boundary == Periodic, box.Dim >= 2, box.L
-	var n int64
-	for i := range targets {
-		t := &targets[i]
-		fx, fy := t.Force.X, t.Force.Y
-		px, py, id := t.Pos.X, t.Pos.Y, t.ID
-		j := 0
-		for ; j+1 < len(sources); j += 2 {
-			s0, s1 := &sources[j], &sources[j+1]
-			var w0, w1, dx0, dy0, dx1, dy1 float64
-			// Beyond-cutoff lanes get neither the force nor the zero add:
-			// the generic AccumulateIn skips the Add call entirely there.
-			// The zero add applies only to counted coincident pairs, which
-			// the accumulation step re-derives from the retained lane
-			// displacements (d² + soft² == 0 implies d² = 0 ≤ rc²).
-			ok0, ok1 := false, false
-			if s0.ID != id {
-				n++
-				dx0 = px - s0.Pos.X
-				dy0 = py - s0.Pos.Y
-				if periodic {
-					dx0 = minImage1(dx0, boxL)
-					if dim2 {
-						dy0 = minImage1(dy0, boxL)
-					}
-				}
-				d2 := dx0*dx0 + dy0*dy0
-				if d2 <= rc2 {
-					r2 := d2 + soft2
-					if r2 != 0 {
-						w0 = kk / (r2 * math.Sqrt(r2))
-						ok0 = true
-					}
-				}
-			}
-			if s1.ID != id {
-				n++
-				dx1 = px - s1.Pos.X
-				dy1 = py - s1.Pos.Y
-				if periodic {
-					dx1 = minImage1(dx1, boxL)
-					if dim2 {
-						dy1 = minImage1(dy1, boxL)
-					}
-				}
-				d2 := dx1*dx1 + dy1*dy1
-				if d2 <= rc2 {
-					r2 := d2 + soft2
-					if r2 != 0 {
-						w1 = kk / (r2 * math.Sqrt(r2))
-						ok1 = true
-					}
-				}
-			}
-			if ok0 {
-				fx += w0 * dx0
-				fy += w0 * dy0
-			} else if s0.ID != id && dx0*dx0+dy0*dy0+soft2 == 0 {
-				fx += 0
-				fy += 0
-			}
-			if ok1 {
-				fx += w1 * dx1
-				fy += w1 * dy1
-			} else if s1.ID != id && dx1*dx1+dy1*dy1+soft2 == 0 {
-				fx += 0
-				fy += 0
-			}
-		}
-		for ; j < len(sources); j++ {
-			s := &sources[j]
-			if s.ID == id {
-				continue
-			}
-			n++
-			dx := px - s.Pos.X
-			dy := py - s.Pos.Y
-			if periodic {
-				dx = minImage1(dx, boxL)
-				if dim2 {
-					dy = minImage1(dy, boxL)
-				}
-			}
-			d2 := dx*dx + dy*dy
-			if d2 > rc2 {
-				continue
-			}
-			r2 := d2 + soft2
-			if r2 == 0 {
-				fx += 0
-				fy += 0
-				continue
-			}
-			w := kk / (r2 * math.Sqrt(r2))
-			fx += w * dx
-			fy += w * dy
-		}
-		t.Force.X, t.Force.Y = fx, fy
-	}
-	return n
-}
-
 func (k *Kernel) accumulateInLJOpen(targets, sources []Particle, box Box) int64 {
 	e24, sig2, soft2 := k.e24, k.sig2, k.soft2
 	periodic, dim2, boxL := box.Boundary == Periodic, box.Dim >= 2, box.L
@@ -626,50 +526,6 @@ func (k *Kernel) accumulateInLJOpen(targets, sources []Particle, box Box) int64 
 				}
 			}
 			r2 := dx*dx + dy*dy + soft2
-			if r2 == 0 {
-				fx += 0
-				fy += 0
-				continue
-			}
-			s2 := sig2 / r2
-			s6 := s2 * s2 * s2
-			s12 := s6 * s6
-			w := e24 * (2*s12 - s6) / r2
-			fx += w * dx
-			fy += w * dy
-		}
-		t.Force.X, t.Force.Y = fx, fy
-	}
-	return n
-}
-
-func (k *Kernel) accumulateInLJCut(targets, sources []Particle, box Box) int64 {
-	e24, sig2, soft2, rc2 := k.e24, k.sig2, k.soft2, k.rc2
-	periodic, dim2, boxL := box.Boundary == Periodic, box.Dim >= 2, box.L
-	var n int64
-	for i := range targets {
-		t := &targets[i]
-		fx, fy := t.Force.X, t.Force.Y
-		px, py, id := t.Pos.X, t.Pos.Y, t.ID
-		for j := range sources {
-			s := &sources[j]
-			if s.ID == id {
-				continue
-			}
-			n++
-			dx := px - s.Pos.X
-			dy := py - s.Pos.Y
-			if periodic {
-				dx = minImage1(dx, boxL)
-				if dim2 {
-					dy = minImage1(dy, boxL)
-				}
-			}
-			d2 := dx*dx + dy*dy
-			if d2 > rc2 {
-				continue
-			}
-			r2 := d2 + soft2
 			if r2 == 0 {
 				fx += 0
 				fy += 0

@@ -261,9 +261,11 @@ func TestKernelUnknownKindFallsBackToRepulsive(t *testing.T) {
 	compareForces(t, fast, generic)
 }
 
-// TestCellListForcesMatchesGeneric verifies the specialized cell-list
-// loops against the per-pair reference across kinds, boundaries and
-// dimensions.
+// TestCellListForcesMatchesGeneric holds the cell list — the second
+// serial reference — to the first, the generic per-pair brute force,
+// across kinds, boundaries and dimensions. The two visit the same pairs
+// within the cutoff in different orders, so each force agrees to
+// rounding, not bit for bit.
 func TestCellListForcesMatchesGeneric(t *testing.T) {
 	for _, boundary := range []Boundary{Reflective, Periodic} {
 		for _, dim := range []int{1, 2} {
@@ -279,13 +281,17 @@ func TestCellListForcesMatchesGeneric(t *testing.T) {
 				t.Run(fmt.Sprintf("%v_%d/%v_rc%g_soft%g", boundary, dim, law.Kind, law.Cutoff, law.Softening), func(t *testing.T) {
 					for seed := uint64(1); seed <= 3; seed++ {
 						ps := InitUniform(40, box, seed)
-						cl := NewCellList(ps, law.Cutoff, box)
-
-						generic := append([]Particle(nil), ps...)
-						fast := append([]Particle(nil), ps...)
-						cl.ForcesGeneric(generic, law)
-						cl.Forces(fast, law)
-						compareForces(t, fast, generic)
+						want := append([]Particle(nil), ps...)
+						BruteForceCutoff(want, law, box)
+						got := append([]Particle(nil), ps...)
+						NewCellList(got, law.Cutoff, box).Forces(got, law)
+						for i := range got {
+							// Lennard-Jones forces of a close pair run to 1e9 and
+							// more: the tolerance scales with the force.
+							if d := got[i].Force.Sub(want[i].Force).Norm(); d > 1e-9*(1+want[i].Force.Norm()) {
+								t.Fatalf("seed %d particle %d: cell list force %+v, brute force %+v", seed, i, got[i].Force, want[i].Force)
+							}
+						}
 					}
 				})
 			}
@@ -315,18 +321,18 @@ func TestKernelAllocs(t *testing.T) {
 	}
 
 	// The two repulsive flavors the timestep loops run take the AVX2
-	// sweeps where the CPU has them (KernelImpl): their lane state and
+	// sweeps where the CPU has them (Impl, ImplIn): their lane state and
 	// spread constants must stay on the stack too.
 	rep := DefaultLaw().Kernel()
 	if a := testing.AllocsPerRun(10, func() { rep.Accumulate(targets, sources) }); a != 0 {
-		t.Errorf("%s repulsive Accumulate allocated %.1f times per run, want 0", KernelImpl(), a)
+		t.Errorf("%s repulsive Accumulate allocated %.1f times per run, want 0", rep.Impl(), a)
 	}
 	if a := testing.AllocsPerRun(10, func() { rep.AccumulateBlocks(targets, blocks) }); a != 0 {
-		t.Errorf("%s repulsive AccumulateBlocks allocated %.1f times per run, want 0", KernelImpl(), a)
+		t.Errorf("%s repulsive AccumulateBlocks allocated %.1f times per run, want 0", rep.Impl(), a)
 	}
 	repCut := DefaultLaw().WithCutoff(0.9).Kernel()
 	if a := testing.AllocsPerRun(10, func() { repCut.AccumulateIn(targets, sources, box) }); a != 0 {
-		t.Errorf("%s repulsive cutoff AccumulateIn allocated %.1f times per run, want 0", KernelImpl(), a)
+		t.Errorf("%s repulsive cutoff AccumulateIn allocated %.1f times per run, want 0", repCut.ImplIn(), a)
 	}
 
 	cl := NewCellList(targets, law.Cutoff, box)

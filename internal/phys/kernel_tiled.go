@@ -6,89 +6,57 @@ import (
 	"repro/internal/vec"
 )
 
-// This file holds the tiled forms of the Kernel loops: the interaction
-// matrix is blocked into source tiles of up to vec.TileCap particles,
-// each tile is loaded once into a structure-of-arrays scratch
-// (vec.SoA), and the tile is swept across every target before the next
-// tile is touched. A source is therefore read from the particle slice
-// once per tile instead of once per target, and the sweep indexes three
-// dense arrays instead of striding through 52-byte particles.
+// This file holds the two box-metric cutoff loops of Kernel.AccumulateIn
+// and the staged sweep the midpoint loop shares with them. The cutoff
+// loops block the interaction matrix into source tiles of vec.TileCap
+// particles: a tile is loaded once into a structure-of-arrays scratch
+// (vec.SoA) and swept across every target before the next tile is
+// touched. A source is therefore read from the particle slice once per
+// tile instead of once per target, and the sweep indexes three dense
+// arrays instead of striding through 52-byte particles. The tile is the
+// whole scratch: the scratch is sized to stay in L1 beside the targets,
+// and the per-(tile, target) costs only shrink with a wider tile.
 //
-// Only the flavors that may compact are tiled. The AccumulateIn cutoff
-// and cell-list flavors skip beyond-cutoff pairs without any add, which
-// legalizes compaction: a gating pass computes each lane's box-metric
-// displacement with sign-mask arithmetic (vec.NegMask) instead of
-// data-dependent branches and compacts the survivors in source order
-// into a scratch (cutScratch); a sweep pass then runs the sqrt/divide
-// weights over the dense survivors — four sqrt lanes in flight to break
-// SQRTSD's false output dependency (extending the untiled loops'
-// two-wide unroll), two divide lanes for LJ — whose cutoff branch has
-// vanished and whose `r2 != 0` branch is all but never taken. At
-// typical cutoff densities the gating pass discards two thirds of the
-// lanes before they reach the divider (the measured win is 1.5-1.8x).
+// Per target and tile the loop gates, compacts and sweeps. AccumulateIn
+// skips a beyond-cutoff pair without any add, which legalizes
+// compaction: a gating pass computes each lane's box-metric displacement
+// with sign-mask arithmetic (vec.NegMask) instead of data-dependent
+// branches and compacts the survivors in source order into a scratch
+// (cutScratch); a sweep pass then runs the sqrt/divide weights over the
+// dense survivors — four sqrt lanes in flight to break SQRTSD's false
+// output dependency, two divide lanes for LJ — whose cutoff branch has
+// vanished and whose `r2 != 0` branch is all but never taken. At typical
+// cutoff densities the gating pass discards two thirds of the lanes
+// before they reach the divider.
 //
 // The Accumulate and open-law AccumulateIn flavors add an exact +0 for
 // every counted force-free pair (beyond cutoff or coincident), so no
-// pair's arithmetic may be skipped. With every pair's weight mandatory
-// the scalar divider is the bottleneck; tiled forms of those six loops
-// measured 0.50-0.98x of the classic ones at every width and were
-// deleted. What lifts that bound is doing four divisions at once
-// (sweep_amd64.go), not staging.
+// pair's arithmetic may be skipped, and with every pair's weight
+// mandatory the scalar divider is the bottleneck: staging buys nothing
+// there (kernel.go). What lifts that bound is doing four divisions at
+// once (sweep_amd64.go).
 //
-// Bitwise contract. Every tiled loop is bit-identical to its untiled
-// counterpart — and hence to the generic per-pair reference — for every
-// tile width, because:
+// Bitwise contract. The loops are bit-identical to the generic per-pair
+// reference (Law.AccumulateInGeneric), wherever the tile seams fall,
+// because:
 //
 //   - Per-target accumulation order is pinned: tiles are swept in
 //     ascending source order and lanes accumulate in ascending order
 //     within a tile, so each target folds its contributions in exactly
-//     the untiled sequence. Storing and reloading a force accumulator
-//     at a tile boundary is exact, so where the tile boundaries fall
-//     (the tile width) cannot affect the result.
+//     the reference sequence. Storing and reloading a force accumulator
+//     at a tile boundary is exact.
 //   - The sign masks are exact predicates: fl(a-b) of two doubles is
 //     zero only when a == b and otherwise carries the sign of the exact
 //     difference (gradual underflow never flushes a nonzero difference
 //     to zero), so NegMask(rc2-d2) is precisely `d2 > rc2` and the
 //     masked minimum-image wrap is precisely the loop in minImage1.
 //   - Compaction only elides pairs for which the reference path
-//     performs no floating-point operation at all (beyond-cutoff pairs
-//     in the AccumulateIn/cell-list flavors, identity pairs), so the
-//     surviving operation sequence is unchanged.
+//     performs no floating-point operation at all (beyond-cutoff and
+//     identity pairs), so the surviving operation sequence is unchanged.
 //
 // The same single-operation constant-hoisting rule as kernel.go
 // applies: σ², r_c², ε_s², 24ε only. Folding σ⁶, 1/r_c², or the l/2 of
 // the wrap into other constants would reassociate low-order bits.
-
-// WithTile returns a copy of k with the tile knob set. The knob reaches
-// only the flavors that compact (AccumulateIn with a cutoff, the
-// cell-list sweeps, and through TileWidth the midpoint loop's staged
-// sweep): 0 (the default) runs them tiled at vec.DefaultTile, a positive
-// value sets the tile width (clamped to vec.TileCap), and a negative
-// value selects their classic untiled loops. The other flavors have one
-// loop each and ignore it, as does the AVX2 sweep where it stands in for
-// the repulsive compaction loop. Every setting is bitwise-identical; the
-// knob exists for tuning and for benchmarking the shapes against each
-// other.
-func (k Kernel) WithTile(tile int) Kernel {
-	k.tile = tile
-	return k
-}
-
-// TileWidth resolves a tile knob value to the width the tiled loops run
-// with: vec.DefaultTile for 0 (auto), the explicit width clamped to
-// [1, vec.TileCap] for positive values, and 0 — meaning the classic
-// untiled loops — for negative values.
-func TileWidth(tile int) int {
-	switch {
-	case tile < 0:
-		return 0
-	case tile == 0:
-		return vec.DefaultTile
-	case tile > vec.TileCap:
-		return vec.TileCap
-	}
-	return tile
-}
 
 // neqMask returns 1 if a != b, else 0.
 func neqMask(a, b uint32) uint64 {
@@ -138,7 +106,7 @@ type cutScratch struct {
 // The gates are sign-mask arithmetic, not branches: a rejected lane is
 // written to the scratch slot and then overwritten, instead of
 // mispredicting. Survivor displacements and squared distances are
-// exactly the values the untiled loop computes, so the caller's sweep
+// exactly the values the generic path computes, so the caller's sweep
 // over cs reproduces its arithmetic bit for bit.
 func compactCut(cs *cutScratch, soa *vec.SoA, nt int, px, py float64, id uint32, rc2 float64, periodic, dim2 bool, boxL, half float64) (int, int64) {
 	kc := 0
@@ -316,25 +284,15 @@ func fillTile(soa *vec.SoA, sources []Particle, base, nt int) {
 	}
 }
 
-// The AccumulateIn cutoff flavors compact: the generic path performs no
-// floating-point work at all for a beyond-cutoff pair (it is counted
-// and skipped, with no zero add), so the gating pass may drop such
-// lanes entirely and hand the dense survivor list to the weight sweep.
-// At typical cutoff densities this removes both the misprediction cost
-// of the cutoff branch and two thirds of the divider work.
-
-func (k *Kernel) accumulateInRepCutTiled(targets, sources []Particle, box Box, tw int) int64 {
+func (k *Kernel) accumulateInRepCut(targets, sources []Particle, box Box) int64 {
 	kk, soft2, rc2 := k.k, k.soft2, k.rc2
 	periodic, dim2, boxL := box.Boundary == Periodic, box.Dim >= 2, box.L
 	half := boxL / 2
 	var soa vec.SoA
 	var cs cutScratch
 	var n int64
-	for base := 0; base < len(sources); base += tw {
-		nt := len(sources) - base
-		if nt > tw {
-			nt = tw
-		}
+	for base := 0; base < len(sources); base += vec.TileCap {
+		nt := min(vec.TileCap, len(sources)-base)
 		fillTile(&soa, sources, base, nt)
 		for i := range targets {
 			t := &targets[i]
@@ -347,18 +305,15 @@ func (k *Kernel) accumulateInRepCutTiled(targets, sources []Particle, box Box, t
 	return n
 }
 
-func (k *Kernel) accumulateInLJCutTiled(targets, sources []Particle, box Box, tw int) int64 {
+func (k *Kernel) accumulateInLJCut(targets, sources []Particle, box Box) int64 {
 	e24, sig2, soft2, rc2 := k.e24, k.sig2, k.soft2, k.rc2
 	periodic, dim2, boxL := box.Boundary == Periodic, box.Dim >= 2, box.L
 	half := boxL / 2
 	var soa vec.SoA
 	var cs cutScratch
 	var n int64
-	for base := 0; base < len(sources); base += tw {
-		nt := len(sources) - base
-		if nt > tw {
-			nt = tw
-		}
+	for base := 0; base < len(sources); base += vec.TileCap {
+		nt := min(vec.TileCap, len(sources)-base)
 		fillTile(&soa, sources, base, nt)
 		for i := range targets {
 			t := &targets[i]
@@ -381,7 +336,7 @@ func (k *Kernel) accumulateInLJCutTiled(targets, sources []Particle, box Box, tw
 // sources in order, including the exact +0 the generic path adds for a
 // coincident pair. The kernel's cutoff is not applied; stage only pairs
 // that already passed it. The midpoint timestep loop uses this to run
-// its gated traversal through the four-wide tiled arithmetic.
+// its gated traversal through the four-wide arithmetic.
 func (k *Kernel) SweepStaged(fx, fy, px, py float64, soa *vec.SoA, nt int) (float64, float64) {
 	if k.lj {
 		e24, sig2, soft2 := k.e24, k.sig2, k.soft2

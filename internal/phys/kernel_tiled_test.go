@@ -8,28 +8,6 @@ import (
 	"repro/internal/vec"
 )
 
-// tileGrid is the tile-knob space the invariance tests sweep: the
-// untiled classic loops (-1), auto (0), degenerate and odd widths that
-// exercise every unroll tail, the auto width itself and its neighbors,
-// the cap, and an over-cap value that must clamp.
-func tileGrid() []int {
-	return []int{-1, 0, 1, 2, 3, 5, 7, 8, 31, 32, 33, vec.TileCap, 1000}
-}
-
-func TestTileWidth(t *testing.T) {
-	cases := []struct{ tile, want int }{
-		{-1, 0}, {-100, 0},
-		{0, vec.DefaultTile},
-		{1, 1}, {7, 7}, {vec.TileCap, vec.TileCap},
-		{vec.TileCap + 1, vec.TileCap}, {1000, vec.TileCap},
-	}
-	for _, c := range cases {
-		if got := TileWidth(c.tile); got != c.want {
-			t.Errorf("TileWidth(%d) = %d, want %d", c.tile, got, c.want)
-		}
-	}
-}
-
 // TestWrap1MatchesMinImage1 pins the branch-free minimum-image wrap
 // against the loop for displacements across the whole fallback
 // boundary, including exact half-box and three-half-box edges.
@@ -53,11 +31,13 @@ func TestWrap1MatchesMinImage1(t *testing.T) {
 	}
 }
 
-// TestKernelTileInvariance verifies that every tile width — including
-// the untiled classic loops — produces bitwise-identical forces and
-// identical pair counts to the generic reference, for both entry
-// points, across the law grid, boundaries and dimensions. This is the
-// tile-size analogue of the PR 4 worker-count invariance contract.
+// TestKernelTileInvariance verifies that the result does not depend on
+// where the seams between source tiles fall: for source counts on
+// either side of one tile (vec.TileCap = 64), of two, and well beyond,
+// both entry points produce bitwise-identical forces and identical pair
+// counts to the generic reference, across the law grid, boundaries and
+// dimensions. The targets' own IDs — and so their coincident positions —
+// sit in source lanes 52..75, straddling the first seam.
 func TestKernelTileInvariance(t *testing.T) {
 	for _, boundary := range []Boundary{Reflective, Periodic} {
 		for _, dim := range []int{1, 2} {
@@ -67,58 +47,28 @@ func TestKernelTileInvariance(t *testing.T) {
 				t.Run(fmt.Sprintf("%v_%d/%v_rc%g_soft%g", boundary, dim, law.Kind, law.Cutoff, law.Softening), func(t *testing.T) {
 					targets := InitUniform(24, box, 1)
 					seedForces(targets)
-					sources := kernelSources(targets, box, 1)
+					strangers := relabel(InitUniform(200, box, 2), 1000)
+					pool := append(append(append([]Particle(nil), strangers[:52]...), targets...), strangers[52:]...)
+					kern := law.Kernel()
 
-					generic := append([]Particle(nil), targets...)
-					ng := law.AccumulateGeneric(generic, sources)
-					genericIn := append([]Particle(nil), targets...)
-					ngIn := law.AccumulateInGeneric(genericIn, sources, box)
+					for _, ns := range []int{0, 1, 63, 64, 65, 127, 128, 129, 200} {
+						sources := pool[:ns]
 
-					for _, tile := range tileGrid() {
-						kern := law.Kernel().WithTile(tile)
-
+						generic := append([]Particle(nil), targets...)
 						fast := append([]Particle(nil), targets...)
+						ng := law.AccumulateGeneric(generic, sources)
 						if nf := kern.Accumulate(fast, sources); nf != ng {
-							t.Fatalf("tile %d: Accumulate counted %d, generic %d", tile, nf, ng)
+							t.Fatalf("%d sources: Accumulate counted %d, generic %d", ns, nf, ng)
 						}
 						compareForces(t, fast, generic)
 
+						genericIn := append([]Particle(nil), targets...)
 						fastIn := append([]Particle(nil), targets...)
+						ngIn := law.AccumulateInGeneric(genericIn, sources, box)
 						if nf := kern.AccumulateIn(fastIn, sources, box); nf != ngIn {
-							t.Fatalf("tile %d: AccumulateIn counted %d, generic %d", tile, nf, ngIn)
+							t.Fatalf("%d sources: AccumulateIn counted %d, generic %d", ns, nf, ngIn)
 						}
 						compareForces(t, fastIn, genericIn)
-					}
-				})
-			}
-		}
-	}
-}
-
-// TestCellListTileInvariance does the same for the tiled cell sweeps:
-// every tile width matches the per-pair generic reference bitwise.
-func TestCellListTileInvariance(t *testing.T) {
-	for _, boundary := range []Boundary{Reflective, Periodic} {
-		for _, dim := range []int{1, 2} {
-			box := NewBox(4, dim, boundary)
-			laws := []Law{
-				DefaultLaw().WithCutoff(0.9),
-				{Kind: Repulsive, K: 1.3, Cutoff: 1.1}, // zero softening
-				LJLaw(0.7, 0.4).WithCutoff(0.9),
-			}
-			for _, law := range laws {
-				law, box := law, box
-				t.Run(fmt.Sprintf("%v_%d/%v", boundary, dim, law.Kind), func(t *testing.T) {
-					ps := InitUniform(40, box, 2)
-					cl := NewCellList(ps, law.Cutoff, box)
-
-					generic := append([]Particle(nil), ps...)
-					cl.ForcesGeneric(generic, law)
-
-					for _, tile := range tileGrid() {
-						fast := append([]Particle(nil), ps...)
-						cl.ForcesKernel(fast, law.Kernel().WithTile(tile), nil)
-						compareForces(t, fast, generic)
 					}
 				})
 			}
@@ -174,36 +124,25 @@ func TestSweepStagedMatchesPairFold(t *testing.T) {
 	}
 }
 
-// TestTiledKernelAllocs guards the tiled paths' zero-allocation claim
-// for explicit tile widths (the default width rides along in
-// TestKernelAllocs): the SoA and compaction scratch must live on the
-// stack, never the heap.
+// TestTiledKernelAllocs guards the compaction loops' zero-allocation
+// claim for both laws (TestKernelAllocs covers the other flavors): the
+// SoA and compaction scratch must live on the stack, never the heap,
+// also across a tile seam.
 func TestTiledKernelAllocs(t *testing.T) {
 	box := NewBox(3, 2, Periodic)
 	for _, law := range []Law{DefaultLaw().WithCutoff(0.9), LJLaw(0.7, 0.4).WithCutoff(0.9)} {
-		for _, tile := range []int{1, 7, vec.TileCap} {
-			kern := law.Kernel().WithTile(tile)
-			targets := InitUniform(32, box, 1)
-			sources := kernelSources(targets, box, 1)
+		kern := law.Kernel()
+		targets := InitUniform(vec.TileCap, box, 1)
+		sources := kernelSources(targets, box, 1)
 
-			if a := testing.AllocsPerRun(10, func() { kern.Accumulate(targets, sources) }); a != 0 {
-				t.Errorf("tile %d: Accumulate allocated %.1f times per run, want 0", tile, a)
-			}
-			if a := testing.AllocsPerRun(10, func() { kern.AccumulateIn(targets, sources, box) }); a != 0 {
-				t.Errorf("tile %d: AccumulateIn allocated %.1f times per run, want 0", tile, a)
-			}
-
-			cl := NewCellList(targets, law.Cutoff, box)
-			if a := testing.AllocsPerRun(10, func() { cl.ForcesKernel(targets, kern, nil) }); a != 0 {
-				t.Errorf("tile %d: ForcesKernel allocated %.1f times per run, want 0", tile, a)
-			}
-
-			var soa vec.SoA
-			if a := testing.AllocsPerRun(10, func() {
-				kern.SweepStaged(0, 0, 0.5, 0.5, &soa, vec.TileCap)
-			}); a != 0 {
-				t.Errorf("tile %d: SweepStaged allocated %.1f times per run, want 0", tile, a)
-			}
+		if a := testing.AllocsPerRun(10, func() { kern.AccumulateIn(targets, sources, box) }); a != 0 {
+			t.Errorf("%v: AccumulateIn allocated %.1f times per run, want 0", law.Kind, a)
+		}
+		var soa vec.SoA
+		if a := testing.AllocsPerRun(10, func() {
+			kern.SweepStaged(0, 0, 0.5, 0.5, &soa, vec.TileCap)
+		}); a != 0 {
+			t.Errorf("%v: SweepStaged allocated %.1f times per run, want 0", law.Kind, a)
 		}
 	}
 }

@@ -6,13 +6,11 @@ import (
 
 // Pool fans one rank's force accumulation out over spare cores: a batch
 // tiles the targets of a Kernel.Accumulate/AccumulateBlocks/AccumulateIn
-// call (or the cells of a CellList.Forces call) into one contiguous
-// block per worker, and every worker accumulates into its own disjoint
-// block. Because each
-// kernel loop writes only the targets it iterates — sources are
-// read-only — the tiles never share a force accumulator, need no
-// atomics, and each target sees exactly the source order of the untiled
-// loop. The result is therefore bitwise-identical for every worker
+// call into one contiguous block per worker, and every worker
+// accumulates into its own disjoint block. Because each kernel loop
+// writes only the targets it iterates — sources are read-only — the
+// tiles never share a force accumulator, need no atomics, and each
+// target sees exactly the source order of the unpooled call. The result is therefore bitwise-identical for every worker
 // count, which is the contract the parallel algorithms' determinism
 // tests lean on.
 //
@@ -37,7 +35,6 @@ type Pool struct {
 	sources []Particle
 	blocks  [][]Particle
 	box     Box
-	cl      *CellList
 	fn      func(lo, hi, worker int) int64
 
 	starts []int   // tile bounds, len nw+1: worker w owns [starts[w], starts[w+1])
@@ -55,7 +52,6 @@ const (
 	opAccumulate uint8 = iota
 	opAccumulateBlocks
 	opAccumulateIn
-	opCellForces
 	opFunc
 )
 
@@ -121,8 +117,6 @@ func (p *Pool) exec(w int) {
 		pairs = p.kern.AccumulateBlocks(p.targets[lo:hi], p.blocks)
 	case opAccumulateIn:
 		pairs = p.kern.AccumulateIn(p.targets[lo:hi], p.sources, p.box)
-	case opCellForces:
-		pairs = p.cl.forcesRange(p.targets, &p.kern, lo, hi)
 	case opFunc:
 		pairs = p.fn(lo, hi, w)
 	}
@@ -192,15 +186,6 @@ func (p *Pool) AccumulateIn(k Kernel, targets, sources []Particle, box Box) int6
 	total := p.dispatch(len(targets))
 	p.targets, p.sources = nil, nil
 	return total
-}
-
-// cellForces tiles the cell index space of a built cell list across the
-// pool; each particle belongs to exactly one cell, so cell tiles are
-// target-disjoint. Called by CellList.ForcesPooled.
-func (p *Pool) cellForces(cl *CellList, ps []Particle, k Kernel) {
-	p.mode, p.kern, p.cl, p.targets = opCellForces, k, cl, ps
-	p.dispatch(len(cl.cells))
-	p.cl, p.targets = nil, nil
 }
 
 // Run tiles an arbitrary index space [0, n) across the pool: fn is

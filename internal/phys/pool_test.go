@@ -72,44 +72,6 @@ func TestPoolAccumulateBitwiseInvariance(t *testing.T) {
 	}
 }
 
-// TestPoolCellForcesBitwiseInvariance: the pooled cell-list path tiles
-// by cells (each particle owns exactly one cell) and must match the
-// inline Forces result bit for bit.
-func TestPoolCellForcesBitwiseInvariance(t *testing.T) {
-	for _, boundary := range []Boundary{Reflective, Periodic} {
-		box := NewBox(3, 2, boundary)
-		ps := InitUniform(200, box, 43)
-		for _, law := range []Law{
-			{Kind: Repulsive, K: 1.3, Softening: 1e-3, Cutoff: 0.9},
-			LJLaw(0.7, 0.4).WithCutoff(0.9),
-		} {
-			cl := NewCellList(ps, law.Cutoff, box)
-			want := append([]Particle(nil), ps...)
-			cl.Forces(want, law)
-			for _, w := range []int{2, 3, 5} {
-				pool := NewPool(w)
-				got := append([]Particle(nil), ps...)
-				cl.ForcesPooled(got, law, pool)
-				pool.Close()
-				for i := range got {
-					if got[i] != want[i] {
-						t.Errorf("boundary %v law %+v w=%d: particle %d = %+v, want %+v",
-							boundary, law, w, i, got[i], want[i])
-					}
-				}
-			}
-			// The nil pool is the inline path.
-			got := append([]Particle(nil), ps...)
-			cl.ForcesPooled(got, law, nil)
-			for i := range got {
-				if got[i] != want[i] {
-					t.Errorf("nil pool diverges at particle %d", i)
-				}
-			}
-		}
-	}
-}
-
 // TestPoolRun checks the generic tiling hook: the blocks must cover
 // [0, n) exactly once in disjoint contiguous ranges, results sum, and
 // the partition must be a pure function of (n, workers).
@@ -204,10 +166,8 @@ func TestPoolBusyAccumulates(t *testing.T) {
 func TestPoolAllocs(t *testing.T) {
 	targets, sources, box := poolTestSets(128, 128)
 	kern := LJLaw(0.7, 0.4).WithCutoff(0.9).Kernel()
-	cl := NewCellList(targets, 0.9, box)
 	pool := NewPool(4)
 	defer pool.Close()
-	law := LJLaw(0.7, 0.4).WithCutoff(0.9)
 
 	if got := testing.AllocsPerRun(20, func() {
 		pool.Accumulate(kern, targets, sources)
@@ -224,10 +184,5 @@ func TestPoolAllocs(t *testing.T) {
 		pool.AccumulateIn(kern, targets, sources, box)
 	}); got != 0 {
 		t.Errorf("pooled AccumulateIn: %v allocs/op, want 0", got)
-	}
-	if got := testing.AllocsPerRun(20, func() {
-		cl.ForcesPooled(targets, law, pool)
-	}); got != 0 {
-		t.Errorf("pooled cell-list Forces: %v allocs/op, want 0", got)
 	}
 }

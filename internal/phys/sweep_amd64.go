@@ -235,5 +235,9 @@ func (k *Kernel) sweepInRepCut(targets, sources []Particle, box Box) int64 {
 		ln.store(g)
 	}
 	n := int64(full)*int64(len(sources)) - ln.identities()
-	return n + k.accumulateInRepCut(targets[full:], sources, box)
+	if full < len(targets) {
+		// The Go loop stages every source tile before it looks at a target.
+		n += k.accumulateInRepCut(targets[full:], sources, box)
+	}
+	return n
 }

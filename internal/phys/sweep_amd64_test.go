@@ -12,9 +12,11 @@ import (
 	"repro/internal/vec"
 )
 
-// The tests here hold the AVX2 sweeps to the Go loops they stand in for
-// (accumulateRepOpen, accumulateInRepCut): every force bit and the pair
-// count, on inputs built to reach each mask and each tail.
+// The tests here hold the AVX2 sweeps to what they stand in for — the
+// open sweep to its Go loop (accumulateRepOpen), the cutoff sweep to the
+// generic per-pair path (Law.AccumulateInGeneric), the spec its Go loop
+// is held to as well: every force bit and the pair count, on inputs
+// built to reach each mask and each tail.
 
 // TestAccumulateBlocksMatchesPerBlock's long block (kernel_test.go, which
 // the portable build compiles too) must span two assembly calls.
@@ -62,7 +64,7 @@ func openLoops() map[string]bool {
 	return loops
 }
 
-// checkSweeps runs law's repulsive sweep and its Go loop on copies of
+// checkSweeps runs law's repulsive sweep and its reference on copies of
 // targets and compares them: the open law through Accumulate's pair,
 // once per loop of the sweep, a cutoff law through AccumulateIn's under
 // box.
@@ -72,9 +74,9 @@ func checkSweeps(t *testing.T, law Law, box Box, targets, sources []Particle) {
 	want := append([]Particle(nil), targets...)
 	if law.Cutoff > 0 {
 		got := append([]Particle(nil), targets...)
-		nWant := k.accumulateInRepCut(want, sources, box)
+		nWant := law.AccumulateInGeneric(want, sources, box)
 		if nGot := k.sweepInRepCut(got, sources, box); nGot != nWant {
-			t.Fatalf("sweep counted %d pairs, Go loop %d", nGot, nWant)
+			t.Fatalf("sweep counted %d pairs, the generic path %d", nGot, nWant)
 		}
 		compareForces(t, got, want)
 		return
@@ -689,7 +691,7 @@ func BenchmarkSweep(b *testing.B) {
 			})
 		}
 		if c.law.Cutoff > 0 {
-			run("go", func() int64 { return k.accumulateInRepCutTiled(targets, sources, c.box, vec.DefaultTile) })
+			run("go", func() int64 { return k.accumulateInRepCut(targets, sources, c.box) })
 			run("avx2", func() int64 { return k.sweepInRepCut(targets, sources, c.box) })
 		} else {
 			run("go", func() int64 { return k.accumulateRepOpen(targets, sources) })

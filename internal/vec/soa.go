@@ -2,20 +2,15 @@ package vec
 
 import "math"
 
-// TileCap is the capacity of one SoA staging tile: the largest block of
-// source particles the tiled force kernels load at once. 64 lanes of
-// three hot arrays (X, Y, ID) is 1.5 KiB — small enough to live on the
-// stack and stay resident in L1 across a whole target sweep, large
-// enough that per-tile fill overhead amortizes to well under an
-// operation per pair.
+// TileCap is the capacity of one SoA staging tile, and so the width the
+// compacting force loops run at: they take sources TileCap at a time.
+// 64 lanes of three hot arrays (X, Y, ID) is 1.5 KiB — small enough to
+// live on the stack and stay resident in L1 across a whole target
+// sweep, large enough that the per-(tile, target) costs — the gating and
+// sweep calls, the force accumulator round trip — amortize to well under
+// an operation per pair. Narrower tiles were measured and never won
+// (results/pr23_simplicity.md).
 const TileCap = 64
-
-// DefaultTile is the tile width the kernels resolve "auto" (tile = 0)
-// to. The full TileCap measures best on the benchmark host: the widest
-// tile amortizes the per-(tile, target) costs — the gating/sweep calls
-// and the force accumulator round trip — over the most lanes, and the
-// whole scratch still fits in L1.
-const DefaultTile = TileCap
 
 // SoA is a fixed-capacity structure-of-arrays staging tile: the
 // positions and IDs of up to TileCap source particles, laid out as

@@ -83,9 +83,6 @@ func TestMasked(t *testing.T) {
 }
 
 func TestTileConstants(t *testing.T) {
-	if DefaultTile < 1 || DefaultTile > TileCap {
-		t.Fatalf("DefaultTile %d outside [1, %d]", DefaultTile, TileCap)
-	}
 	var soa SoA
 	if len(soa.X) != TileCap || len(soa.Y) != TileCap || len(soa.ID) != TileCap {
 		t.Fatalf("SoA lanes not TileCap-sized")
