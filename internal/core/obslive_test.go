@@ -249,7 +249,6 @@ func TestKernelImplAttribution(t *testing.T) {
 	if host != "avx2" && host != "avx512vl" && host != "portable" {
 		t.Fatalf("phys.KernelImpl() = %q", host)
 	}
-	cutIn := map[string]string{"avx2": "avx2", "avx512vl": "avx2", "portable": "portable"}[host]
 	lj := phys.LJLaw(1e-3, 0.1)
 	for _, tc := range []struct {
 		name string
@@ -266,10 +265,14 @@ func TestKernelImplAttribution(t *testing.T) {
 			_, rep, err := AllPairs(phys.InitLattice(32, pr.Box, 13), pr)
 			return rep, err
 		}, defaultParams(4, 2, 2)},
-		{"cutoff", cutIn, func(pr Params) (*trace.Report, error) {
+		{"cutoff", host, func(pr Params) (*trace.Report, error) {
 			_, rep, err := Cutoff(phys.InitLattice(64, pr.Box, 13), pr)
 			return rep, err
 		}, cutoffParams(8, 2, 1, phys.Periodic)},
+		{"cutoff/2d", host, func(pr Params) (*trace.Report, error) {
+			_, rep, err := Cutoff(phys.InitLattice(256, pr.Box, 13), pr)
+			return rep, err
+		}, cutoffParams(16, 1, 2, phys.Reflective)},
 		{"cutoff/lj", "portable", func(pr Params) (*trace.Report, error) {
 			pr.Law = lj.WithCutoff(pr.Law.Cutoff)
 			_, rep, err := Cutoff(phys.InitLattice(64, pr.Box, 13), pr)

@@ -33,7 +33,8 @@ func FuzzDecodeSlice(f *testing.F) {
 
 // FuzzSweepMatchesGo holds the path Accumulate and AccumulateIn select
 // for the repulsive law on this build — the AVX2 sweeps where the CPU
-// has them, the Go loops elsewhere — to its reference, the plain Go loop
+// has them (their pipelined loops with AVX-512VL), the Go loops elsewhere —
+// to its reference, the plain Go loop
 // without a cutoff and the generic per-pair path
 // (Law.AccumulateInGeneric) with one: same pair count, and every force
 // equal bit for bit (two NaNs count as equal). kk is the strength K — tiny, huge, negative,
@@ -54,6 +55,12 @@ func FuzzSweepMatchesGo(f *testing.F) {
 	f.Add(uint64(6), uint8(17), uint8(64), uint8(0), 0x1p-500, 0.0, 0.0, binary.LittleEndian.AppendUint64(nil, math.Float64bits(1e-130)), []byte{16, 0, 15, 17})
 	f.Add(uint64(7), uint8(8), uint8(33), uint8(4), -0x1p+500, 0.0, 0.0, binary.LittleEndian.AppendUint64(nil, math.Float64bits(1e120)), []byte{})
 	f.Add(uint64(8), uint8(20), uint8(47), uint8(8), 1e-310, 1e-3, 0.0, []byte{}, []byte{23})
+	// A cutoff most of the box wide, so that the gate of the pipelined
+	// cutoff sweep lets a run of sixteen and more through: 2D reflective,
+	// 2D periodic, 1D periodic with shared IDs.
+	f.Add(uint64(9), uint8(13), uint8(88), uint8(1), 1.3, 0.0, 1.6, []byte{}, []byte{})
+	f.Add(uint64(10), uint8(39), uint8(77), uint8(3), -0.7, 1e-3, 1.6, binary.LittleEndian.AppendUint64(nil, math.Float64bits(1.5)), []byte{})
+	f.Add(uint64(11), uint8(7), uint8(85), uint8(2|5<<2), 1.3, 0.0, 1.2, []byte{}, []byte{})
 	f.Fuzz(func(t *testing.T, seed uint64, nt, ns, mode uint8, kk, soft, rc float64, raw, cuts []byte) {
 		if math.IsNaN(kk) {
 			kk = 1.3

@@ -13,9 +13,10 @@ import "math"
 // and sweep their sources a scratch-full at a time (kernel_tiled.go). On
 // a CPU with AVX2 the two repulsive flavors the timestep loops run —
 // Accumulate without a cutoff and AccumulateIn with one — take a vector
-// sweep instead, and with AVX-512VL and FMA the first of them a
-// pipelined one (see sweep_amd64.go; Impl and ImplIn say which). Every
-// choice is bitwise-identical.
+// sweep instead, and with AVX-512VL and FMA a pipelined one, the second
+// behind a gate that discards the sources out of every lane's reach
+// (see sweep_amd64.go; Impl and ImplIn say which). Every choice is
+// bitwise-identical.
 //
 // The specialized loops are bitwise-identical to the generic
 // Law.Pair-per-pair path (AccumulateGeneric, AccumulateInGeneric): they
@@ -56,9 +57,10 @@ func (l Law) Kernel() Kernel {
 }
 
 // KernelImpl names the vector sweeps this host has for the flavors that
-// can take one: "avx2", "avx512vl" for the same with the open sweep's
-// long source runs on its pipelined loop, or "portable" for none. It is
-// a property of the CPU and the build; what a given kernel runs is Impl
+// can take one: "avx2", "avx512vl" for the same with source runs of 16
+// or more — of the open sweep, and of what the cutoff sweep's gate lets
+// through — on the pipelined loops, or "portable" for none. It is a
+// property of the CPU and the build; what a given kernel runs is Impl
 // and ImplIn.
 func KernelImpl() string {
 	switch {
@@ -81,14 +83,13 @@ func (k Kernel) Impl() string {
 	return KernelImpl()
 }
 
-// ImplIn is Impl for k.AccumulateIn: "avx2" for the repulsive law with a
-// cutoff on a host with the sweeps (the pipelined loop is the open
-// sweep's alone), "portable" otherwise.
+// ImplIn is Impl for k.AccumulateIn: KernelImpl for the repulsive law
+// with a cutoff, "portable" for every other.
 func (k Kernel) ImplIn() string {
-	if useAVX2 && !k.lj && k.hasCut {
-		return "avx2"
+	if k.lj || !k.hasCut {
+		return "portable"
 	}
-	return "portable"
+	return KernelImpl()
 }
 
 // Accumulate is the specialized form of Law.Accumulate: it adds to every
@@ -141,8 +142,10 @@ func (k *Kernel) AccumulateBlocks(targets []Particle, blocks [][]Particle) int64
 // path does.
 //
 // The cutoff flavors skip beyond-cutoff pairs without any add, which is
-// what lets their loops compact (kernel_tiled.go). The open flavors must
-// add for every counted pair, like Accumulate.
+// what lets their loops compact (kernel_tiled.go) and the repulsive
+// flavor's vector sweep gate its sources before it divides for any
+// (sweep_amd64.go). The open flavors must add for every counted pair,
+// like Accumulate.
 func (k *Kernel) AccumulateIn(targets, sources []Particle, box Box) int64 {
 	switch {
 	case k.lj && k.hasCut:

@@ -334,6 +334,15 @@ func TestKernelAllocs(t *testing.T) {
 	if a := testing.AllocsPerRun(10, func() { repCut.AccumulateIn(targets, sources, box) }); a != 0 {
 		t.Errorf("%s repulsive cutoff AccumulateIn allocated %.1f times per run, want 0", repCut.ImplIn(), a)
 	}
+	// Nor may the sources its pipelined loop stages, here two chunks of
+	// them, or the group the last three targets are padded into.
+	many := relabel(InitUniform(300, box, 2), 1000)
+	if a := testing.AllocsPerRun(10, func() { repCut.AccumulateIn(targets[:31], many, box) }); a != 0 {
+		t.Errorf("%s repulsive cutoff AccumulateIn allocated %.1f times per run over staged sources, want 0", repCut.ImplIn(), a)
+	}
+	if a := testing.AllocsPerRun(10, func() { rep.AccumulateBlocks(targets[:31], blocks) }); a != 0 {
+		t.Errorf("%s repulsive AccumulateBlocks allocated %.1f times per run over a padded group, want 0", rep.Impl(), a)
+	}
 
 	cl := NewCellList(targets, law.Cutoff, box)
 	if a := testing.AllocsPerRun(10, func() { cl.Forces(targets, law) }); a != 0 {

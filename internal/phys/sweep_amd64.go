@@ -2,7 +2,11 @@
 
 package phys
 
-import "math"
+import (
+	"math"
+
+	"repro/internal/vec"
+)
 
 // AVX2 sweeps for the two repulsive flavors the timestep loops spend
 // their time in: Accumulate without a cutoff (the all-pairs loop) and
@@ -16,36 +20,55 @@ import "math"
 // broadcast one at a time in slice order, so each lane performs, for
 // its target, exactly the Go loop's sequence of correctly rounded
 // subtract, multiply, add, square root and divide — no contraction, no
-// reassociation, no reduction across lanes. (The pipelined open loop
-// computes that divide with FMAs; it is the same quotient, see the
+// reassociation, no reduction across lanes. (The pipelined loops
+// compute that divide with FMAs; it is the same quotient, see the
 // assembly.) The data-dependent branches of the Go loops become lane
 // masks whose effect is exact:
 //
 //   - an equal-ID lane and (AccumulateIn) a beyond-cutoff lane keep
-//     their accumulator by blend. The Go loop performs no add there, and
-//     adding a masked +0 instead would turn a -0 accumulator into +0;
+//     their accumulator, by blend or by a merging add. The Go loop
+//     performs no add there, and adding a masked +0 instead would turn a
+//     -0 accumulator into +0;
 //   - a lane with r2 == 0 adds an exact +0, as the Go loop does: the
 //     and-not clears its product, whatever Inf·0 made of it;
 //   - the minimum-image wrap is one conditional down-shift and one
 //     conditional up-shift, each the subtraction of a masked l or -l.
 //     That is all minImage1 does when both positions lie in the box, so
 //     a periodic call with a position outside it (the timestep loops
-//     never make one) is handed whole to the Go loop.
+//     never make one) is handed whole to the Go loop — and it does
+//     nothing at all when no target is further than half the box from
+//     any source, which the extents of the two blocks tell (wraps): such
+//     a call runs the loop without the wrap.
 //
-// Targets beyond the last full group of four run the Go loop. The
+// With AVX-512VL the cutoff sweep does not walk a group of lanes past
+// every source. The sources are staged once per call as a structure of
+// arrays (cutStage), and per group a gate vectorized the other way —
+// eight sources to a 512-bit register, against each of the four targets
+// in turn — computes every pair's displacement and squared distance with
+// the lane loop's own rounded operations and drops the sources that lie
+// beyond the cutoff of all four targets and carry none of their IDs:
+// the ones for which the lane loop would do nothing. The survivors, in
+// source order, go through the pipelined loop, which masks each lane by
+// the same two tests. So a lane sees the sources that concern it in the
+// order, and with the arithmetic, of the plain loop.
+//
+// The one to three targets behind the last group of four are swept as a
+// group of their own, padded with copies of the first (groups4). The
 // identity holds for finite inputs; NaN payloads are not pinned.
 
 // useAVX2 selects the sweeps below and usePipe, on top of it, the
-// pipelined loop of the open sweep. Both are decided once, at start-up,
-// from the CPU and the operating system alone.
+// pipelined loops of both. Both are decided once, at start-up, from the
+// CPU and the operating system alone.
 var useAVX2, usePipe = cpuSweeps(cpuid, xgetbv0)
 
 // cpuSweeps reads the two decisions off CPUID and XCR0. AVX2 needs the
 // feature (leaf 7 EBX bit 5), AVX itself and OSXSAVE (leaf 1 ECX bits 28
 // and 27) and an OS that saves the YMM state (XCR0 bits 1 and 2). The
-// pipelined loop uses FMA (leaf 1 ECX bit 12) and 256-bit EVEX forms —
-// mask registers, Y16 and up, VRCP14PD — so AVX-512F and VL (leaf 7 EBX
-// bits 16 and 31) with the opmask and ZMM state enabled (XCR0 bits 5-7).
+// pipelined loops use FMA (leaf 1 ECX bit 12) and EVEX forms — mask
+// registers, Y16 and up, VRCP14PD, and in the cutoff sweep's gate
+// 512-bit compares and VPCOMPRESSD — so AVX-512F and VL (leaf 7 EBX bits
+// 16 and 31) with the opmask and ZMM state enabled (XCR0 bits 5-7); the
+// gate counts its survivors with POPCNT (leaf 1 ECX bit 23).
 func cpuSweeps(cpuid func(leaf uint32) (eax, ebx, ecx, edx uint32), xcr0 func() uint32) (avx2, pipe bool) {
 	if maxLeaf, _, _, _ := cpuid(0); maxLeaf < 7 {
 		return false, false
@@ -57,7 +80,7 @@ func cpuSweeps(cpuid func(leaf uint32) (eax, ebx, ecx, edx uint32), xcr0 func() 
 	x := xcr0()
 	_, b7, _, _ := cpuid(7)
 	avx2 = x&6 == 6 && b7&(1<<5) != 0
-	pipe = avx2 && x&0xE0 == 0xE0 && c1&(1<<12) != 0 && b7&(1<<16|1<<31) == 1<<16|1<<31
+	pipe = avx2 && x&0xE0 == 0xE0 && c1&(1<<12|1<<23) == 1<<12|1<<23 && b7&(1<<16|1<<31) == 1<<16|1<<31
 	return avx2, pipe
 }
 
@@ -104,12 +127,6 @@ func (ln *lanes4) store(g []Particle) {
 	for i := range ln.fx {
 		g[i].Force.X, g[i].Force.Y = ln.fx[i], ln.fy[i]
 	}
-}
-
-// identities returns the equal-ID pairs tallied since the lanes were
-// zeroed: the pairs the Go loops skip without counting.
-func (ln *lanes4) identities() int64 {
-	return int64(ln.same[0] + ln.same[1] + ln.same[2] + ln.same[3])
 }
 
 // sweepConsts holds the cutoff sweep's loop constants, each already
@@ -161,83 +178,209 @@ func (k *Kernel) sweepRepOpenBlocks(targets []Particle, blocks [][]Particle) int
 	return k.sweepRepOpenVia(usePipe, targets, blocks)
 }
 
+// pipeAdmits reports whether the pipelined loops may take this kernel's
+// strength.
+func (k *Kernel) pipeAdmits() bool {
+	return math.Abs(k.k) >= pipeKMin && math.Abs(k.k) <= pipeKMax
+}
+
+// groups4 walks a call's targets as groups of four lanes. The one to
+// three targets behind the last whole group ride in pad, filled up with
+// copies of the first: lanes never interact, so a real lane's bits and
+// tally are those of a lane in any other group, and the copies' are
+// dropped. ln.same tallies the whole groups, lnr.same the padded one.
+type groups4 struct {
+	whole, rest []Particle
+	pad         [4]Particle
+	ln, lnr     lanes4
+	at          int // the group next loads
+}
+
+func (g *groups4) init(targets []Particle) {
+	full := len(targets) &^ 3
+	g.whole, g.rest = targets[:full], targets[full:]
+	if len(g.rest) > 0 {
+		for i := range g.pad {
+			g.pad[i] = g.rest[i%len(g.rest)]
+		}
+	}
+}
+
+// group returns the lanes and the targets of the group at i, or nils.
+func (g *groups4) group(i int) (*lanes4, []Particle) {
+	switch {
+	case i >= 0 && i < len(g.whole):
+		return &g.ln, g.whole[i : i+4]
+	case i == len(g.whole) && len(g.rest) > 0:
+		return &g.lnr, g.pad[:]
+	}
+	return nil, nil
+}
+
+// next stores the group it returned last and loads the one after it,
+// for the caller to fold sources into; after the last it returns nil
+// and starts over. Passes accumulate.
+func (g *groups4) next() *lanes4 {
+	if ln, t := g.group(g.at - 4); ln != nil {
+		ln.store(t)
+	}
+	ln, t := g.group(g.at)
+	if ln == nil {
+		g.at = 0
+		return nil
+	}
+	g.at += 4
+	ln.load(t)
+	return ln
+}
+
+// finish hands the padded targets their forces and returns the equal-ID
+// pairs met: the pairs the Go loops skip without counting.
+func (g *groups4) finish() int64 {
+	same := g.ln.same[0] + g.ln.same[1] + g.ln.same[2] + g.ln.same[3]
+	for i := range g.rest {
+		g.rest[i].Force = g.pad[i].Force
+		same += g.lnr.same[i]
+	}
+	return int64(same)
+}
+
 // sweepRepOpenVia is sweepRepOpenBlocks with the loop named: each group
 // of four targets is loaded once, folds every block's sources in list
 // order — the sequence the per-block calls would give each target — and
 // is stored once. pipe sends the runs it admits through the pipelined
 // loop; the others, and all of them without it, take the plain one.
 func (k *Kernel) sweepRepOpenVia(pipe bool, targets []Particle, blocks [][]Particle) int64 {
-	pipe = pipe && math.Abs(k.k) >= pipeKMin && math.Abs(k.k) <= pipeKMax
-	var ln lanes4
-	full := len(targets) &^ 3
-	for i := 0; i < full; i += 4 {
-		g := targets[i : i+4]
-		ln.load(g)
+	pipe = pipe && k.pipeAdmits()
+	var g groups4
+	g.init(targets)
+	for ln := g.next(); ln != nil; ln = g.next() {
 		for _, sources := range blocks {
 			for lo := 0; lo < len(sources); lo += sweepChunk {
 				if n := min(sweepChunk, len(sources)-lo); pipe && n >= pipeMin {
-					sweepRepOpenPipeAVX512(&ln, &sources[lo], n, k.k, k.soft2)
+					sweepRepOpenPipeAVX512(ln, &sources[lo], n, k.k, k.soft2)
 				} else {
-					sweepRepOpenAVX2(&ln, &sources[lo], n, k.k, k.soft2)
+					sweepRepOpenAVX2(ln, &sources[lo], n, k.k, k.soft2)
 				}
 			}
 		}
-		ln.store(g)
 	}
-	n := -ln.identities()
+	n := -g.finish()
 	for _, sources := range blocks {
-		n += int64(full) * int64(len(sources))
-		if full < len(targets) {
-			n += k.accumulateRepOpen(targets[full:], sources)
-		}
+		n += int64(len(targets)) * int64(len(sources))
 	}
 	return n
 }
 
-// inBox reports whether every particle lies in [0, l] along the axes a
-// periodic box of dim dimensions wraps.
-func inBox(ps []Particle, l float64, dim int) bool {
+// extent returns the componentwise minimum and maximum of the positions
+// of ps — NaN where a coordinate is NaN, and (+Inf, -Inf) of nothing.
+func extent(ps []Particle) (lo, hi vec.Vec2) {
+	inf := math.Inf(1)
+	lo, hi = vec.Vec2{X: inf, Y: inf}, vec.Vec2{X: -inf, Y: -inf}
 	for i := range ps {
 		p := &ps[i].Pos
-		if !(p.X >= 0 && p.X <= l) || dim >= 2 && !(p.Y >= 0 && p.Y <= l) {
-			return false
-		}
+		lo.X, hi.X = min(lo.X, p.X), max(hi.X, p.X)
+		lo.Y, hi.Y = min(lo.Y, p.Y), max(hi.Y, p.Y)
 	}
-	return true
+	return lo, hi
 }
+
+// wraps reports what a periodic call must do about the minimum image,
+// from the extents of its targets and its sources along one wrapped
+// axis. ok is whether all of them lie in [0, l]: two such positions are
+// at most l apart, and a displacement in [-l, l] needs at most the one
+// shift the assembly applies. seam is whether any pair's displacement
+// can leave [-l/2, l/2]. Rounding is monotone, so when the extreme
+// differences do not, no fl(p - s) does, and every wrap would subtract
+// a masked +0: the call may run the loop without one.
+func wraps(tlo, thi, slo, shi, l float64) (ok, seam bool) {
+	ok = tlo >= 0 && thi <= l && slo >= 0 && shi <= l
+	seam = !(thi-slo <= l/2 && tlo-shi >= -l/2)
+	return ok, seam
+}
+
+// cutStageCap bounds the sources of one call of the pipelined cutoff
+// sweep: they are staged on the stack, for every lane group to gate.
+const cutStageCap = 256
+
+// cutStage is a chunk of sources as a structure of arrays, so that a
+// 512-bit load takes eight of them, and live, the routine's scratch: the
+// indices of the sources a lane group's gate let through, in source
+// order. (The gate stores whole vectors of eight, hence the slack.)
+type cutStage struct {
+	x, y [cutStageCap]float64
+	id   [cutStageCap]uint32
+	live [cutStageCap + 8]uint32
+}
+
+func (st *cutStage) fill(src []Particle) {
+	for j := range src {
+		s := &src[j]
+		st.x[j], st.y[j], st.id[j] = s.Pos.X, s.Pos.Y, s.ID
+	}
+}
+
+// sweepInRepCutPipeAVX512 is sweepInRepCutAVX2 over the first n sources
+// staged in st, bit for bit: a gate that tests eight sources a vector
+// against the group's four targets, and the survivors — any source with
+// a lane in reach or a lane of its own ID — through the pipelined loop's
+// quotient.
+//
+//go:noescape
+func sweepInRepCutPipeAVX512(ln *lanes4, st *cutStage, n int, c *sweepConsts, periodic bool)
 
 // sweepInRepCut is accumulateInRepCut, bit for bit and count for count.
 func (k *Kernel) sweepInRepCut(targets, sources []Particle, box Box) int64 {
+	return k.sweepInRepCutVia(usePipe, targets, sources, box)
+}
+
+// sweepInRepCutVia is sweepInRepCut with the loop named: pipe sends the
+// strengths it admits through the gate and the pipelined loop, the
+// others, and all of them without it, take the plain one. Either way the
+// sources are taken a chunk at a time and every group of targets folds
+// the chunk in source order.
+func (k *Kernel) sweepInRepCutVia(pipe bool, targets, sources []Particle, box Box) int64 {
 	c := sweepConsts{kk: spread(k.k), soft2: spread(k.soft2), rc2: spread(k.rc2)}
 	periodic := box.Boundary == Periodic
 	if periodic {
-		// Two positions in [0, l] are at most l apart, and a displacement
-		// in [-l, l] needs at most the one shift the assembly applies.
-		if !inBox(targets, box.L, box.Dim) || !inBox(sources, box.L, box.Dim) {
+		tlo, thi := extent(targets)
+		slo, shi := extent(sources)
+		ok, seam := wraps(tlo.X, thi.X, slo.X, shi.X, box.L)
+		if box.Dim >= 2 {
+			okY, seamY := wraps(tlo.Y, thi.Y, slo.Y, shi.Y, box.L)
+			ok, seam = ok && okY, seam || seamY
+		}
+		if !ok {
 			return k.accumulateInRepCut(targets, sources, box)
 		}
-		inf := math.Inf(1)
-		c.l, c.negl = spread(box.L), spread(-box.L)
-		c.halfX, c.nhalfX = spread(box.L/2), spread(-box.L/2)
-		c.halfY, c.nhalfY = spread(inf), spread(-inf)
-		if box.Dim >= 2 {
-			c.halfY, c.nhalfY = c.halfX, c.nhalfX
+		if periodic = seam; seam {
+			inf := math.Inf(1)
+			c.l, c.negl = spread(box.L), spread(-box.L)
+			c.halfX, c.nhalfX = spread(box.L/2), spread(-box.L/2)
+			c.halfY, c.nhalfY = spread(inf), spread(-inf)
+			if box.Dim >= 2 {
+				c.halfY, c.nhalfY = c.halfX, c.nhalfX
+			}
 		}
 	}
-	var ln lanes4
-	full := len(targets) &^ 3
-	for i := 0; i < full; i += 4 {
-		g := targets[i : i+4]
-		ln.load(g)
+	var g groups4
+	g.init(targets)
+	if pipe && k.pipeAdmits() {
+		var st cutStage
+		for lo := 0; lo < len(sources); lo += cutStageCap {
+			n := min(cutStageCap, len(sources)-lo)
+			st.fill(sources[lo : lo+n])
+			for ln := g.next(); ln != nil; ln = g.next() {
+				sweepInRepCutPipeAVX512(ln, &st, n, &c, periodic)
+			}
+		}
+	} else {
 		for lo := 0; lo < len(sources); lo += sweepChunk {
-			sweepInRepCutAVX2(&ln, &sources[lo], min(sweepChunk, len(sources)-lo), &c, periodic)
+			n := min(sweepChunk, len(sources)-lo)
+			for ln := g.next(); ln != nil; ln = g.next() {
+				sweepInRepCutAVX2(ln, &sources[lo], n, &c, periodic)
+			}
 		}
-		ln.store(g)
 	}
-	n := int64(full)*int64(len(sources)) - ln.identities()
-	if full < len(targets) {
-		// The Go loop stages every source tile before it looks at a target.
-		n += k.accumulateInRepCut(targets[full:], sources, box)
-	}
-	return n
+	return int64(len(targets))*int64(len(sources)) - g.finish()
 }

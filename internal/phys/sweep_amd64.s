@@ -7,21 +7,31 @@
 // sources broadcast one at a time in slice order. See sweep_amd64.go for
 // the contract; the arithmetic below is the Go loops' (kernel.go),
 // operation for operation, and must never be contracted into FMA. The
-// FMAs of the pipelined open sweep contract nothing: they compute the
-// one correctly rounded quotient K/a another way (see Stage C).
+// FMAs of the pipelined sweeps contract nothing: they compute the one
+// correctly rounded quotient K/a another way (see Stage C).
 //
-// Register plan, shared by both sweeps:
+// Register plan, shared by all sweeps:
 //
 //	Y0 px   Y1 py   Y2 fx   Y3 fy   Y4 target IDs   Y5 identity tally
 //	Y6 soft2 (open) / box length (cut)   Y7 K   Y14 soft2 (cut)   Y15 +0
 //	Y8..Y13 per-source temporaries
 //	DI lanes   SI current source   CX sources left   DX constants (cut)
+//
+// The pipelined sweeps add Y16..Y19 the quotient's constants, Y20..Y25
+// more temporaries, Y26 and Y27 the non-identity count and its ones, Y28
+// rc2 (cut), BX the iteration, R8..R11 the ring; the pipelined cutoff
+// sweep has the staged sources at R13, their indices in AX, the list of
+// survivors at SI and, DX being taken, its block count in R12. Its gate
+// runs before the lanes are loaded and has a plan of its own.
 
 // VCMPPD predicates: ordered and quiet, so a NaN operand compares false
 // exactly as Go's ==, > and < do.
 #define EQ_OQ $0x00
 #define LT_OQ $0x11
 #define GT_OQ $0x1E
+
+// And one unordered: not less than, true of a NaN, as Go's !(x < y) is.
+#define NLT_UQ $0x15
 
 #define RC2    sweepConsts_rc2(DX)
 #define NEGL   sweepConsts_negl(DX)
@@ -55,19 +65,29 @@
 	VMOVHPD     (off+3*Particle__size)(SI), t, t; \
 	VINSERTF128 $1, t, y, y
 
+// A source is named by the memory operands of its x, y and ID: the
+// particle at SI, or (the pipelined cutoff sweep) entry AX of the staged
+// structure-of-arrays at R13.
+#define X_SI  (Particle_Pos+0)(SI)
+#define Y_SI  (Particle_Pos+8)(SI)
+#define ID_SI Particle_ID(SI)
+#define X_AX  cutStage_x(R13)(AX*8)
+#define Y_AX  cutStage_y(R13)(AX*8)
+#define ID_AX cutStage_id(R13)(AX*4)
+
 // DISPLACE: Y8 = px - s.X, Y9 = py - s.Y.
-#define DISPLACE \
-	VBROADCASTSD (Particle_Pos+0)(SI), Y8; \
-	VBROADCASTSD (Particle_Pos+8)(SI), Y9; \
-	VSUBPD       Y8, Y0, Y8;               \
+#define DISPLACE(sx, sy) \
+	VBROADCASTSD sx, Y8;     \
+	VBROADCASTSD sy, Y9;     \
+	VSUBPD       Y8, Y0, Y8; \
 	VSUBPD       Y9, Y1, Y9
 
 // IDENTITY: Y10 = all-ones in the lanes whose target carries the
 // source's ID (target IDs sit in both halves of their quadword, so the
 // doubleword compare fills the lane), tallied into Y5.
-#define IDENTITY \
-	VPBROADCASTD Particle_ID(SI), Y10; \
-	VPCMPEQD     Y4, Y10, Y10;         \
+#define IDENTITY(sid) \
+	VPBROADCASTD sid, Y10;     \
+	VPCMPEQD     Y4, Y10, Y10; \
 	VPSUBQ       Y10, Y5, Y5
 
 // WRAP is minImage1 for a displacement between two in-box positions,
@@ -103,8 +123,8 @@
 
 // OPEN_ONE is one source of the open sweep, start to finish.
 #define OPEN_ONE \
-	DISPLACE;              \
-	IDENTITY;              \
+	DISPLACE(X_SI, Y_SI);  \
+	IDENTITY(ID_SI);       \
 	VMULPD Y8, Y8, Y11;    \
 	VMULPD Y9, Y9, Y12;    \
 	VADDPD Y12, Y11, Y11;  \
@@ -114,8 +134,8 @@
 // GATE_FOLD is one source of the cutoff sweep after its displacement is
 // final: identity and beyond-cutoff lanes keep their accumulator, and
 // when that is all four the divider is skipped altogether.
-#define GATE_FOLD(next) \
-	IDENTITY;                      \
+#define GATE_FOLD(sid, next) \
+	IDENTITY(sid);                 \
 	VMULPD    Y8, Y8, Y11;         \
 	VMULPD    Y9, Y9, Y12;         \
 	VADDPD    Y12, Y11, Y11;       \
@@ -212,18 +232,27 @@ done:
 #define SA(i)  (384+32*i)
 #define SW(i)  (512+32*i)
 
+// A_SQUARE: stage A from the displacement on. Y8 = dx and Y9 = dy of
+// source i go into the slot at R8, and Y11 = dx*dx + dy*dy. A_FINISH:
+// r2 = Y11 + soft into the slot.
+#define A_SQUARE(i) \
+	VMOVUPD Y8, SDX(i)(R8); \
+	VMOVUPD Y9, SDY(i)(R8); \
+	VMULPD  Y8, Y8, Y11;    \
+	VMULPD  Y9, Y9, Y12;    \
+	VADDPD  Y12, Y11, Y11
+
+#define A_FINISH(i, soft) \
+	VADDPD  soft, Y11, Y11; \
+	VMOVUPD Y11, SR2(i)(R8)
+
 // STAGE_A: the displacement and r2 of source i of the block at SI, into
 // the slot at R8.
 #define STAGE_A(i) \
 	VSUBPD.BCST (Particle_Pos+0+i*Particle__size)(SI), Y0, Y8; \
 	VSUBPD.BCST (Particle_Pos+8+i*Particle__size)(SI), Y1, Y9; \
-	VMOVUPD     Y8, SDX(i)(R8);                                \
-	VMOVUPD     Y9, SDY(i)(R8);                                \
-	VMULPD      Y8, Y8, Y11;                                   \
-	VMULPD      Y9, Y9, Y12;                                   \
-	VADDPD      Y12, Y11, Y11;                                 \
-	VADDPD      Y6, Y11, Y11;                                  \
-	VMOVUPD     Y11, SR2(i)(R8)
+	A_SQUARE(i);                                               \
+	A_FINISH(i, Y6)
 
 // STAGE_B: a = r2*sqrt(r2) in the slot at R9 — all the divider does.
 #define STAGE_B(i) \
@@ -272,8 +301,8 @@ done:
 
 #define Q_GUARD(i, y) \
 	VPTESTMQ Y17, y, K3, K3;       \
-	VPADDQ   SA(i)(R10), Y18, Y14; \
-	VPCMPUQ  $1, Y19, Y14, K3, K3
+	VPADDQ   SA(i)(R10), Y18, Y10; \
+	VPCMPUQ  $1, Y19, Y10, K3, K3
 
 // Q_SLOW is source i of a block the guard turned away: the divider's
 // quotient. A block the guard passes has no lane with r2 == 0, so stage
@@ -293,18 +322,101 @@ done:
 	VMOVUPD.Z SDY(i)(R10), K2, Y8; \
 	VMOVUPD   Y8, SDY(i)(R10)
 
-// STAGE_D: the add of source i of the block three behind SI, from the
-// slot at R11, in the lanes whose target is not the source itself (K1),
-// which Y26 counts by adding Y27's ones.
+// Stage D is the add of source i of the block three behind stage A's,
+// from the slot at R11. D_IDENTITY: K1 = the lanes whose target is not
+// the source itself, which Y26 counts by adding Y27's ones. D_FOLD: the
+// add, in the lanes of k.
+#define D_IDENTITY(sid) \
+	VPBROADCASTD sid, Y10;         \
+	VPCMPQ       $4, Y4, Y10, K1;  \
+	VPADDQ       Y27, Y26, K1, Y26
+
+#define D_FOLD(i, k) \
+	VMOVUPD SW(i)(R11), Y13;      \
+	VMULPD  SDX(i)(R11), Y13, Y8; \
+	VMULPD  SDY(i)(R11), Y13, Y9; \
+	VADDPD  Y8, Y2, k, Y2;        \
+	VADDPD  Y9, Y3, k, Y3
+
 #define STAGE_D(i) \
-	VPBROADCASTD (Particle_ID+i*Particle__size-3*BLK)(SI), Y10; \
-	VMOVUPD      SW(i)(R11), Y13;                               \
-	VPCMPQ       $4, Y4, Y10, K1;                               \
-	VPADDQ       Y27, Y26, K1, Y26;                             \
-	VMULPD       SDX(i)(R11), Y13, Y8;                          \
-	VMULPD       SDY(i)(R11), Y13, Y9;                          \
-	VADDPD       Y8, Y2, K1, Y2;                                \
-	VADDPD       Y9, Y3, K1, Y3
+	D_IDENTITY((Particle_ID+i*Particle__size-3*BLK)(SI)); \
+	D_FOLD(i, K1)
+
+// STAGE_BC is stages B and C of a pipelined loop's iteration BX over
+// blocks blocks, each where its block exists; a block the guard turns
+// away leaves for the routine's slow label, which comes back to stageD.
+#define STAGE_BC(blocks) \
+	LEAQ -1(BX), AX;            \
+	CMPQ AX, blocks;            \
+	JCC  stageC;                \
+	STAGE_B(0);                 \
+	STAGE_B(1);                 \
+	STAGE_B(2);                 \
+	STAGE_B(3);                 \
+stageC:                         \
+	LEAQ -2(BX), AX;            \
+	CMPQ AX, blocks;            \
+	JCC  stageD;                \
+	Q_RCP(0, Y8);               \
+	Q_RCP(1, Y11);              \
+	Q_RCP(2, Y20);              \
+	Q_RCP(3, Y23);              \
+	Q_NEWTON(0, Y8, Y9);        \
+	Q_NEWTON(1, Y11, Y12);      \
+	Q_NEWTON(2, Y20, Y21);      \
+	Q_NEWTON(3, Y23, Y24);      \
+	Q_NEWTON(0, Y9, Y8);        \
+	Q_NEWTON(1, Y12, Y11);      \
+	Q_NEWTON(2, Y21, Y20);      \
+	Q_NEWTON(3, Y24, Y23);      \
+	Q_NEWTON(0, Y8, Y9);        \
+	Q_NEWTON(1, Y11, Y12);      \
+	Q_NEWTON(2, Y20, Y21);      \
+	Q_NEWTON(3, Y23, Y24);      \
+	Q_DIVIDE(0, Y9, Y8, Y10);   \
+	Q_DIVIDE(1, Y12, Y11, Y13); \
+	Q_DIVIDE(2, Y21, Y20, Y22); \
+	Q_DIVIDE(3, Y24, Y23, Y25); \
+	KXNORW K3, K3, K3;          \
+	Q_GUARD(0, Y9);             \
+	Q_GUARD(1, Y12);            \
+	Q_GUARD(2, Y21);            \
+	Q_GUARD(3, Y24);            \
+	KMOVW K3, AX;               \
+	CMPL  AX, $15;              \
+	JNE   slow
+
+// PIPE_ROTATE ends an iteration: the slots move on a stage.
+#define PIPE_ROTATE \
+	MOVQ R11, AX;  \
+	MOVQ R10, R11; \
+	MOVQ R9, R10;  \
+	MOVQ R8, R9;   \
+	MOVQ AX, R8;   \
+	INCQ BX
+
+// PIPE_SETUP readies a pipelined loop: the quotient's constants, the
+// non-identity count Y26 and its ones, and a ring of four slots, slot
+// bytes apart, in the frame from R8 up.
+#define PIPE_SETUP(slot) \
+	QUOT_CONSTS;                \
+	MOVQ         $1, AX;        \
+	VPBROADCASTQ AX, Y27;       \
+	VPXORQ       Y26, Y26, Y26; \
+	ANDQ         $-64, R8;      \
+	LEAQ         (3*slot)(R8), R9;  \
+	LEAQ         (2*slot)(R8), R10; \
+	LEAQ         (1*slot)(R8), R11; \
+	XORQ         BX, BX
+
+// PIPE_TALLY closes a pipelined loop over blocks blocks: Y26 counted,
+// per lane, the sources that were not the target itself; the identity
+// tally takes the others.
+#define PIPE_TALLY(blocks) \
+	SHLQ         $2, blocks;    \
+	VPBROADCASTQ blocks, Y10;   \
+	VPSUBQ       Y26, Y10, Y10; \
+	VPADDQ       Y10, Y5, Y5
 
 // func sweepRepOpenPipeAVX512(ln *lanes4, src *Particle, n int, kk, soft2 float64)
 //
@@ -325,16 +437,8 @@ TEXT ·sweepRepOpenPipeAVX512(SB), 0, $2624-40
 	MOVQ CX, DX
 	SHRQ $2, DX
 	ANDQ $3, CX
-	QUOT_CONSTS
-	MOVQ         $1, AX
-	VPBROADCASTQ AX, Y27
-	VPXORQ       Y26, Y26, Y26
 	LEAQ 63(SP), R8
-	ANDQ $-64, R8
-	LEAQ (3*SLOT)(R8), R9
-	LEAQ (2*SLOT)(R8), R10
-	LEAQ (1*SLOT)(R8), R11
-	XORQ BX, BX
+	PIPE_SETUP(SLOT)
 
 iter:
 	CMPQ BX, DX
@@ -345,46 +449,7 @@ iter:
 	STAGE_A(3)
 
 stageB:
-	LEAQ -1(BX), AX
-	CMPQ AX, DX
-	JCC  stageC
-	STAGE_B(0)
-	STAGE_B(1)
-	STAGE_B(2)
-	STAGE_B(3)
-
-stageC:
-	LEAQ -2(BX), AX
-	CMPQ AX, DX
-	JCC  stageD
-	Q_RCP(0, Y8)
-	Q_RCP(1, Y11)
-	Q_RCP(2, Y20)
-	Q_RCP(3, Y23)
-	Q_NEWTON(0, Y8, Y9)
-	Q_NEWTON(1, Y11, Y12)
-	Q_NEWTON(2, Y20, Y21)
-	Q_NEWTON(3, Y23, Y24)
-	Q_NEWTON(0, Y9, Y8)
-	Q_NEWTON(1, Y12, Y11)
-	Q_NEWTON(2, Y21, Y20)
-	Q_NEWTON(3, Y24, Y23)
-	Q_NEWTON(0, Y8, Y9)
-	Q_NEWTON(1, Y11, Y12)
-	Q_NEWTON(2, Y20, Y21)
-	Q_NEWTON(3, Y23, Y24)
-	Q_DIVIDE(0, Y9, Y8, Y10)
-	Q_DIVIDE(1, Y12, Y11, Y13)
-	Q_DIVIDE(2, Y21, Y20, Y22)
-	Q_DIVIDE(3, Y24, Y23, Y25)
-	KXNORW K3, K3, K3
-	Q_GUARD(0, Y9)
-	Q_GUARD(1, Y12)
-	Q_GUARD(2, Y21)
-	Q_GUARD(3, Y24)
-	KMOVW K3, AX
-	CMPL  AX, $15
-	JNE   slow
+	STAGE_BC(DX)
 
 stageD:
 	LEAQ -3(BX), AX
@@ -396,24 +461,13 @@ stageD:
 	STAGE_D(3)
 
 next:
-	MOVQ R11, AX
-	MOVQ R10, R11
-	MOVQ R9, R10
-	MOVQ R8, R9
-	MOVQ AX, R8
+	PIPE_ROTATE
 	ADDQ $BLK, SI
-	INCQ BX
 	LEAQ 3(DX), AX
 	CMPQ BX, AX
 	JLT  iter
 	SUBQ $(3*BLK), SI
-
-	// Y26 counted, per lane, the sources that were not the target
-	// itself; the identity tally takes the others.
-	SHLQ         $2, DX
-	VPBROADCASTQ DX, Y14
-	VPSUBQ       Y26, Y14, Y14
-	VPADDQ       Y14, Y5, Y5
+	PIPE_TALLY(DX)
 
 tail:
 	TESTQ CX, CX
@@ -490,8 +544,8 @@ TEXT ·sweepInRepCutAVX2(SB), NOSPLIT, $0-33
 	JNE     periodic
 
 reflective:
-	DISPLACE
-	GATE_FOLD(rnext)
+	DISPLACE(X_SI, Y_SI)
+	GATE_FOLD(ID_SI, rnext)
 rnext:
 	ADDQ $Particle__size, SI
 	DECQ CX
@@ -499,10 +553,10 @@ rnext:
 	JMP  cutdone
 
 periodic:
-	DISPLACE
+	DISPLACE(X_SI, Y_SI)
 	WRAP(Y8, HALFX, NHALFX)
 	WRAP(Y9, HALFY, NHALFY)
-	GATE_FOLD(pnext)
+	GATE_FOLD(ID_SI, pnext)
 pnext:
 	ADDQ $Particle__size, SI
 	DECQ CX
@@ -512,3 +566,298 @@ cutdone:
 	STORE_LANES
 	VZEROUPPER
 	RET
+
+// The pipelined cutoff sweep. Its slot holds a sixth vector per source,
+// d2 = dx*dx + dy*dy, which stage D holds against the cutoff.
+#define CSLOT  768
+#define SD2(i) (640+32*i)
+
+// The gate tests the eight staged sources from index R9 on — the lanes
+// of a 512-bit register — against each of the group's four
+// targets with the rounded operations of DISPLACE, WRAP and GATE_FOLD, so
+// its verdict on a pair is theirs, bit for bit. K1 starts as all eight
+// sources and each target's two compares keep a source only while it
+// neither carries the target's ID nor lies within its reach; what is
+// left is skipped, the rest of K6's sources — all eight, fewer in the
+// last vector — survive: their indices, Y19, are compressed onto the
+// list at R12. A survivor has a lane to add to or a lane to tally.
+//
+//	Z0..Z3 px of target 0..3, Z4..Z7 py, Y8..Y11 ID, Z12 rc2
+//	Z13 l, Z14 -l, Z15..Z18 the wrap's thresholds (periodic only)
+//	Y19 source indices, Y20 eights, Z21 x, Z22 y, Y23 ID
+#define GATE_LOAD \
+	VMOVUPD   cutStage_x(R13)(R9*8), Z21;  \
+	VMOVUPD   cutStage_y(R13)(R9*8), Z22;  \
+	VMOVDQU32 cutStage_id(R13)(R9*4), Y23
+
+#define GATE_ID0(tid) \
+	VPCMPD $4, tid, Y23, K1
+
+#define GATE_ID(tid) \
+	VPCMPD $4, tid, Y23, K1, K1
+
+#define GATE_SUB(px, py) \
+	VSUBPD Z21, px, Z24; \
+	VSUBPD Z22, py, Z25
+
+// WRAPK is WRAP with the shifts as merging subtracts.
+#define WRAPK(d, half, nhalf, l, negl) \
+	VCMPPD GT_OQ, half, d, K5;  \
+	VSUBPD l, d, K5, d;         \
+	VCMPPD LT_OQ, nhalf, d, K5; \
+	VSUBPD negl, d, K5, d
+
+#define GATE_WRAP \
+	WRAPK(Z24, Z15, Z16, Z13, Z14); \
+	WRAPK(Z25, Z17, Z18, Z13, Z14)
+
+#define GATE_CUT \
+	VMULPD Z24, Z24, Z24; \
+	VMULPD Z25, Z25, Z25; \
+	VADDPD Z25, Z24, Z24; \
+	VCMPPD GT_OQ, Z12, Z24, K1, K1
+
+#define GATE_KEEP \
+	KANDNW      K6, K1, K1;       \
+	KMOVW       K1, AX;           \
+	VPCOMPRESSD Y19, K1, Y26;     \
+	VMOVDQU32   Y26, (R12);       \
+	POPCNTL     AX, AX;           \
+	LEAQ        (R12)(AX*4), R12; \
+	VPADDD      Y20, Y19, Y19;    \
+	ADDQ        $8, R9
+
+// GATE_LAST: fewer than eight sources are left, CX of them.
+#define GATE_LAST \
+	MOVL  $1, AX; \
+	SHLL  CX, AX; \
+	DECL  AX;     \
+	KMOVW AX, K6
+
+// CUT_A is stage A for the survivor at entry i of the block at SI,
+// CUT_A_WRAP the same on a periodic call. Both keep d2 in the slot.
+#define CUT_DISPLACE(i) \
+	MOVL        (4*i)(SI), AX; \
+	VSUBPD.BCST X_AX, Y0, Y8;  \
+	VSUBPD.BCST Y_AX, Y1, Y9
+
+#define CUT_SQUARE(i) \
+	A_SQUARE(i);             \
+	VMOVUPD Y11, SD2(i)(R8); \
+	A_FINISH(i, Y14)
+
+#define CUT_A(i) \
+	CUT_DISPLACE(i); \
+	CUT_SQUARE(i)
+
+#define CUT_A_WRAP(i) \
+	CUT_DISPLACE(i);                    \
+	WRAPK(Y8, HALFX, NHALFX, Y6, NEGL); \
+	WRAPK(Y9, HALFY, NHALFY, Y6, NEGL); \
+	CUT_SQUARE(i)
+
+// CUT_D is stage D for entry i of the block three behind SI: the count
+// takes the lanes that are not the source itself, the add those of them
+// the source reaches, !(d2 > rc2) as rc2 (Y28) not below d2.
+#define CUT_D(i) \
+	MOVL   (4*i-48)(SI), AX;                 \
+	D_IDENTITY(ID_AX);                       \
+	VCMPPD NLT_UQ, SD2(i)(R11), Y28, K1, K2; \
+	D_FOLD(i, K2)
+
+DATA indices8<>+0(SB)/8, $0x0000000100000000
+DATA indices8<>+8(SB)/8, $0x0000000300000002
+DATA indices8<>+16(SB)/8, $0x0000000500000004
+DATA indices8<>+24(SB)/8, $0x0000000700000006
+GLOBL indices8<>(SB), RODATA|NOPTR, $32
+
+// func sweepInRepCutPipeAVX512(ln *lanes4, st *cutStage, n int, c *sweepConsts, periodic bool)
+//
+// The gate over the n staged sources, then the list of survivors through
+// the pipeline of sweepRepOpenPipeAVX512 — stage A loading by index and
+// keeping d2, stage D adding within the cutoff only — and, the entries
+// past the last whole block or a list of fewer than four blocks, through
+// the arithmetic of sweepInRepCutAVX2.
+TEXT ·sweepInRepCutPipeAVX512(SB), 0, $3136-33
+	MOVQ ln+0(FP), DI
+	MOVQ st+8(FP), R13
+	MOVQ n+16(FP), CX
+	MOVQ c+24(FP), DX
+
+	VBROADCASTSD (lanes4_px+0)(DI), Z0
+	VBROADCASTSD (lanes4_px+8)(DI), Z1
+	VBROADCASTSD (lanes4_px+16)(DI), Z2
+	VBROADCASTSD (lanes4_px+24)(DI), Z3
+	VBROADCASTSD (lanes4_py+0)(DI), Z4
+	VBROADCASTSD (lanes4_py+8)(DI), Z5
+	VBROADCASTSD (lanes4_py+16)(DI), Z6
+	VBROADCASTSD (lanes4_py+24)(DI), Z7
+	VPBROADCASTD (lanes4_id+0)(DI), Y8
+	VPBROADCASTD (lanes4_id+8)(DI), Y9
+	VPBROADCASTD (lanes4_id+16)(DI), Y10
+	VPBROADCASTD (lanes4_id+24)(DI), Y11
+	VBROADCASTSD RC2, Z12
+	VMOVDQU32    indices8<>(SB), Y19
+	MOVL         $8, AX
+	VPBROADCASTD AX, Y20
+	MOVL         $0xFF, AX
+	KMOVW        AX, K6
+	XORQ R9, R9
+	LEAQ cutStage_live(R13), R12
+	TESTQ CX, CX
+	JLE   gated
+	CMPB  periodic+32(FP), $0
+	JNE   gatewrap
+
+gate:
+	CMPQ CX, $8
+	JLT  gatelast
+gate8:
+	GATE_LOAD
+	GATE_ID0(Y8)
+	GATE_ID(Y9)
+	GATE_ID(Y10)
+	GATE_ID(Y11)
+	GATE_SUB(Z0, Z4)
+	GATE_CUT
+	GATE_SUB(Z1, Z5)
+	GATE_CUT
+	GATE_SUB(Z2, Z6)
+	GATE_CUT
+	GATE_SUB(Z3, Z7)
+	GATE_CUT
+	GATE_KEEP
+	SUBQ $8, CX
+	JGT  gate
+
+gated:
+	// The list is CX entries long, from SI. The lanes in memory are
+	// still as the caller left them, so an empty list ends the call.
+	LEAQ cutStage_live(R13), SI
+	MOVQ R12, CX
+	SUBQ SI, CX
+	SHRQ $2, CX
+	JEQ  cutout
+	LOAD_LANES
+	VMOVUPD sweepConsts_l(DX), Y6
+	VMOVUPD sweepConsts_kk(DX), Y7
+	VMOVUPD sweepConsts_soft2(DX), Y14
+	VMOVUPD RC2, Y28
+	CMPQ CX, $16
+	JLT  tail
+	MOVQ CX, R12
+	SHRQ $2, R12
+	ANDQ $3, CX
+	LEAQ 63(SP), R8
+	PIPE_SETUP(CSLOT)
+
+iter:
+	CMPQ BX, R12
+	JCC  stageB
+	CMPB periodic+32(FP), $0
+	JNE  stageAwrap
+	CUT_A(0)
+	CUT_A(1)
+	CUT_A(2)
+	CUT_A(3)
+
+stageB:
+	STAGE_BC(R12)
+
+stageD:
+	LEAQ -3(BX), AX
+	CMPQ AX, R12
+	JCC  next
+	CUT_D(0)
+	CUT_D(1)
+	CUT_D(2)
+	CUT_D(3)
+
+next:
+	PIPE_ROTATE
+	ADDQ $16, SI
+	LEAQ 3(R12), AX
+	CMPQ BX, AX
+	JLT  iter
+	SUBQ $48, SI
+	PIPE_TALLY(R12)
+
+tail:
+	TESTQ CX, CX
+	JEQ   cutdone
+
+tailloop:
+	MOVL (SI), AX
+	DISPLACE(X_AX, Y_AX)
+	CMPB periodic+32(FP), $0
+	JEQ  tailfold
+	WRAP(Y8, HALFX, NHALFX)
+	WRAP(Y9, HALFY, NHALFY)
+tailfold:
+	GATE_FOLD(ID_AX, tailnext)
+tailnext:
+	ADDQ $4, SI
+	DECQ CX
+	JNE  tailloop
+
+cutdone:
+	STORE_LANES
+cutout:
+	VZEROUPPER
+	RET
+
+gatelast:
+	GATE_LAST
+	JMP gate8
+
+gatewrap:
+	VBROADCASTSD sweepConsts_l(DX), Z13
+	VBROADCASTSD NEGL, Z14
+	VBROADCASTSD HALFX, Z15
+	VBROADCASTSD NHALFX, Z16
+	VBROADCASTSD HALFY, Z17
+	VBROADCASTSD NHALFY, Z18
+
+gatew:
+	CMPQ CX, $8
+	JLT  gatewlast
+gatew8:
+	GATE_LOAD
+	GATE_ID0(Y8)
+	GATE_ID(Y9)
+	GATE_ID(Y10)
+	GATE_ID(Y11)
+	GATE_SUB(Z0, Z4)
+	GATE_WRAP
+	GATE_CUT
+	GATE_SUB(Z1, Z5)
+	GATE_WRAP
+	GATE_CUT
+	GATE_SUB(Z2, Z6)
+	GATE_WRAP
+	GATE_CUT
+	GATE_SUB(Z3, Z7)
+	GATE_WRAP
+	GATE_CUT
+	GATE_KEEP
+	SUBQ $8, CX
+	JGT  gatew
+	JMP  gated
+
+gatewlast:
+	GATE_LAST
+	JMP gatew8
+
+stageAwrap:
+	CUT_A_WRAP(0)
+	CUT_A_WRAP(1)
+	CUT_A_WRAP(2)
+	CUT_A_WRAP(3)
+	JMP stageB
+
+slow:
+	Q_SLOW(0)
+	Q_SLOW(1)
+	Q_SLOW(2)
+	Q_SLOW(3)
+	JMP stageD

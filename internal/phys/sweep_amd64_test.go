@@ -43,12 +43,12 @@ func needSweeps(t testing.TB) {
 	}
 }
 
-// needPipe skips when the pipelined open sweep cannot run here.
+// needPipe skips when the pipelined sweeps cannot run here.
 func needPipe(t testing.TB) {
 	t.Helper()
 	needSweeps(t)
 	if !usePipe {
-		t.Skip("no AVX-512F/VL with FMA on this host: the open sweep runs its plain loop only")
+		t.Skip("no AVX-512F/VL with FMA and POPCNT on this host: the sweeps run their plain loops only")
 	}
 }
 
@@ -64,21 +64,27 @@ func openLoops() map[string]bool {
 	return loops
 }
 
+// cutLoops is openLoops for the cutoff sweep, whose pipelined loop sits
+// behind a gate.
+func cutLoops() map[string]bool { return openLoops() }
+
 // checkSweeps runs law's repulsive sweep and its reference on copies of
-// targets and compares them: the open law through Accumulate's pair,
-// once per loop of the sweep, a cutoff law through AccumulateIn's under
+// targets and compares them, once per loop of the sweep: the open law
+// through Accumulate's pair, a cutoff law through AccumulateIn's under
 // box.
 func checkSweeps(t *testing.T, law Law, box Box, targets, sources []Particle) {
 	t.Helper()
 	k := law.Kernel()
 	want := append([]Particle(nil), targets...)
 	if law.Cutoff > 0 {
-		got := append([]Particle(nil), targets...)
 		nWant := law.AccumulateInGeneric(want, sources, box)
-		if nGot := k.sweepInRepCut(got, sources, box); nGot != nWant {
-			t.Fatalf("sweep counted %d pairs, the generic path %d", nGot, nWant)
+		for name, pipe := range cutLoops() {
+			got := append([]Particle(nil), targets...)
+			if nGot := k.sweepInRepCutVia(pipe, got, sources, box); nGot != nWant {
+				t.Fatalf("%s loop counted %d pairs, the generic path %d", name, nGot, nWant)
+			}
+			sameForces(t, name, got, want)
 		}
-		compareForces(t, got, want)
 		return
 	}
 	nWant := k.accumulateRepOpen(want, sources)
@@ -87,7 +93,20 @@ func checkSweeps(t *testing.T, law Law, box Box, targets, sources []Particle) {
 		if nGot := k.sweepRepOpenVia(pipe, got, [][]Particle{sources}); nGot != nWant {
 			t.Fatalf("%s loop counted %d pairs, Go loop %d", name, nGot, nWant)
 		}
-		compareForces(t, got, want)
+		sameForces(t, name, got, want)
+	}
+}
+
+// sameForces is compareForces with the loop named and two NaNs equal:
+// the strengths and coordinates some tests reach for make them, and
+// their payloads are not pinned.
+func sameForces(t *testing.T, loop string, got, want []Particle) {
+	t.Helper()
+	for i := range got {
+		if g, w := got[i].Force, want[i].Force; !sameOrNaN(g.X, w.X) || !sameOrNaN(g.Y, w.Y) {
+			t.Fatalf("%s loop, target %d: force (%x, %x), the reference (%x, %x)", loop, i,
+				math.Float64bits(g.X), math.Float64bits(g.Y), math.Float64bits(w.X), math.Float64bits(w.Y))
+		}
 	}
 }
 
@@ -280,38 +299,27 @@ func TestSweepOpenTurnedAway(t *testing.T) {
 				if nGot := k.sweepRepOpenVia(pipe, got, [][]Particle{sources}); nGot != nWant {
 					t.Fatalf("K=%g soft=%g: %s loop counted %d pairs, Go loop %d", kk, soft, name, nGot, nWant)
 				}
-				for i := range got {
-					g, w := got[i].Force, want[i].Force
-					if !sameOrNaN(g.X, w.X) || !sameOrNaN(g.Y, w.Y) {
-						t.Fatalf("K=%g soft=%g: %s loop, target %d: force (%x, %x), Go loop (%x, %x)", kk, soft, name, i,
-							math.Float64bits(g.X), math.Float64bits(g.Y), math.Float64bits(w.X), math.Float64bits(w.Y))
-					}
-				}
+				sameForces(t, fmt.Sprintf("K=%g soft=%g: %s", kk, soft, name), got, want)
 			}
 		}
 	}
 }
 
-// TestSweepOpenOnGrowingStack calls the pipelined loop — the one sweep
-// with a stack frame of its own, so the one whose prologue can move the
-// stack its lane record lives on — from goroutines at many stack depths,
-// so that some calls land on the growth.
-func TestSweepOpenOnGrowingStack(t *testing.T) {
-	needPipe(t)
-	box := NewBox(3, 2, Reflective)
-	k := Law{Kind: Repulsive, K: 1.3, Softening: 1e-3}.Kernel()
-	targets := InitUniform(8, box, 1)
-	seedForces(targets)
-	sources := relabel(InitUniform(40, box, 2), 100)
-	want := append([]Particle(nil), targets...)
-	k.accumulateRepOpen(want, sources)
+// onGrowingStacks runs sweep on copies of targets from goroutines at many
+// stack depths, so that some calls land on a stack growth, and holds
+// each result to want. It is for the pipelined loops: the sweeps with a
+// stack frame of their own, so the ones whose prologue can move the
+// stack their lane record — and the cutoff sweep's staged sources, some
+// 6 KB of the wrapper's frame — live on.
+func onGrowingStacks(t *testing.T, targets, want []Particle, sweep func(got []Particle)) {
+	t.Helper()
 	var descend func(depth int, got []Particle) byte
 	descend = func(depth int, got []Particle) byte {
 		var pad [128]byte // a frame's worth of stack per level
 		if depth > 0 {
 			pad[depth%len(pad)] = descend(depth-1, got)
 		} else {
-			k.sweepRepOpenVia(true, got, [][]Particle{sources})
+			sweep(got)
 		}
 		return pad[depth%len(pad)]
 	}
@@ -325,6 +333,35 @@ func TestSweepOpenOnGrowingStack(t *testing.T) {
 		<-done
 		compareForces(t, got, want)
 	}
+}
+
+func TestSweepOpenOnGrowingStack(t *testing.T) {
+	needPipe(t)
+	box := NewBox(3, 2, Reflective)
+	k := Law{Kind: Repulsive, K: 1.3, Softening: 1e-3}.Kernel()
+	targets := InitUniform(8, box, 1)
+	seedForces(targets)
+	sources := relabel(InitUniform(40, box, 2), 100)
+	want := append([]Particle(nil), targets...)
+	k.accumulateRepOpen(want, sources)
+	onGrowingStacks(t, targets, want, func(got []Particle) {
+		k.sweepRepOpenVia(true, got, [][]Particle{sources})
+	})
+}
+
+func TestSweepCutOnGrowingStack(t *testing.T) {
+	needPipe(t)
+	box := NewBox(10, 2, Periodic)
+	law := Law{Kind: Repulsive, K: 1.3, Softening: 1e-3, Cutoff: 0.5}
+	k := law.Kernel()
+	targets := cluster(11, 1, 1, 0, 1)
+	seedForces(targets)
+	sources := nearAndFar(40, 300, 2)
+	want := append([]Particle(nil), targets...)
+	law.AccumulateInGeneric(want, sources, box)
+	onGrowingStacks(t, targets, want, func(got []Particle) {
+		k.sweepInRepCutVia(true, got, sources, box)
+	})
 }
 
 // TestSweepKeepsNegativeZero pins the blend: a target that only meets
@@ -391,7 +428,9 @@ func TestSweepAtCutoff(t *testing.T) {
 // TestSweepAcrossSeam runs a block hugging the low edge of a periodic
 // box against one hugging the high edge, in x, in y and in both, so the
 // minimum image is a shifted one — down for one block, up when the roles
-// swap.
+// swap — and against one on its own side, which the seam test sends
+// through the loop without a wrap. The blocks are long enough for the
+// pipelined loop, and every pair is in reach.
 func TestSweepAcrossSeam(t *testing.T) {
 	needSweeps(t)
 	const l = 3.0
@@ -425,9 +464,9 @@ func TestSweepAcrossSeam(t *testing.T) {
 			for _, c := range []struct {
 				name       string
 				xLow, yLow bool // where the sources sit; the targets sit low
-			}{{"x", false, true}, {"y", true, false}, {"xy", false, false}} {
-				a := edge(11, true, true, 0, 1)
-				b := edge(9, c.xLow, c.yLow, 100, 2)
+			}{{"x", false, true}, {"y", true, false}, {"xy", false, false}, {"none", true, true}} {
+				a := edge(39, true, true, 0, 1)
+				b := edge(30, c.xLow, c.yLow, 100, 2)
 				if dim == 1 {
 					for i := range a {
 						a[i].Pos.Y = 0
@@ -442,6 +481,44 @@ func TestSweepAcrossSeam(t *testing.T) {
 					checkSweeps(t, law, box, a, b)
 					checkSweeps(t, law, box, b, a)
 				})
+			}
+		}
+	}
+}
+
+// TestSweepAtHalfBox sets two blocks so that their extents differ by
+// exactly half the box — the last call the seam test lets go without a
+// wrap, its extreme pair's displacement being the one value minImage1
+// leaves alone — and then an ulp further, where that pair is shifted.
+func TestSweepAtHalfBox(t *testing.T) {
+	needSweeps(t)
+	const l = 3.0
+	span := func(n int, from, to float64, id0 uint32) []Particle {
+		ps := make([]Particle, n)
+		for i := range ps {
+			f := float64(i) / float64(n-1)
+			ps[i] = Particle{ID: id0 + uint32(i), Pos: vec.Vec2{X: from + f*(to-from), Y: 0.5 * f}}
+		}
+		return ps
+	}
+	for _, dim := range []int{1, 2} {
+		box := NewBox(l, dim, Periodic)
+		for _, law := range sweepLaws() {
+			if law.Cutoff == 0 {
+				continue
+			}
+			for _, beyond := range []bool{false, true} {
+				a, b := span(21, 0.5, 1.5, 0), span(18, 0, 1, 100)
+				if a[20].Pos.X-b[0].Pos.X != l/2 {
+					t.Fatal("geometry: the extents are not half a box apart")
+				}
+				if beyond {
+					a[20].Pos.X = math.Nextafter(1.5, 2)
+				}
+				seedForces(a)
+				seedForces(b)
+				checkSweeps(t, law, box, a, b) // max target - min source at l/2
+				checkSweeps(t, law, box, b, a) // min target - max source at -l/2
 			}
 		}
 	}
@@ -503,6 +580,189 @@ func TestSweepRandom(t *testing.T) {
 		}
 		seedForces(targets)
 		checkSweeps(t, law, box, targets, sources)
+	}
+}
+
+// cluster returns n particles within 0.05 of (x, y), IDs from id0.
+func cluster(n int, x, y float64, id0 uint32, seed uint64) []Particle {
+	rng := vec.NewRNG(seed)
+	ps := make([]Particle, n)
+	for i := range ps {
+		ps[i] = Particle{ID: id0 + uint32(i), Pos: vec.Vec2{X: x + 0.1*rng.Float64() - 0.05, Y: y + 0.1*rng.Float64() - 0.05}}
+	}
+	return ps
+}
+
+// nearAndFar returns nNear sources every target of a cluster at (1, 1)
+// reaches under a cutoff of 0.5 and nFar it does not, shuffled so that the
+// survivors of the gate are scattered over its vectors.
+func nearAndFar(nNear, nFar int, seed uint64) []Particle {
+	ps := append(cluster(nNear, 1.2, 1.1, 1000, seed), cluster(nFar, 6, 5, 5000, seed+1)...)
+	rng := vec.NewRNG(seed + 2)
+	for i := len(ps) - 1; i > 0; i-- {
+		j := rng.Intn(i + 1)
+		ps[i], ps[j] = ps[j], ps[i]
+	}
+	return ps
+}
+
+// TestSweepCutSurvivors walks the pipelined cutoff loop's seams: lists of
+// survivors around its threshold and around whole blocks of four, left by
+// gates whose last vector is full, one short and one over, and by one,
+// two and three staging chunks — for whole groups and every remainder.
+func TestSweepCutSurvivors(t *testing.T) {
+	needSweeps(t)
+	for _, boundary := range []Boundary{Reflective, Periodic} {
+		box := NewBox(10, 2, boundary)
+		for _, soft := range []float64{0, 1e-3} {
+			law := Law{Kind: Repulsive, K: 1.3, Softening: soft, Cutoff: 0.5}
+			for _, nt := range []int{4, 9, 10, 11} {
+				targets := cluster(nt, 1, 1, 0, 7)
+				seedForces(targets)
+				for _, nNear := range []int{0, 1, 3, 15, 16, 17, 18, 19, 20, 21, 31, 33} {
+					for _, ns := range []int{39, 40, 41, cutStageCap - 1, cutStageCap, cutStageCap + 1, 2*cutStageCap - 1, 2*cutStageCap + 9} {
+						if nt != 11 && ns > 41 && nNear%4 != 1 {
+							continue // the chunk seams once per kind of list
+						}
+						t.Run(fmt.Sprintf("%v/soft%g/%dx%d/%dnear", boundary, soft, nt, ns, nNear), func(t *testing.T) {
+							checkSweeps(t, law, box, targets, nearAndFar(nNear, ns-nNear, uint64(ns)))
+						})
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestSweepCutSharedIDs is the case the gate's ID clause exists for: a
+// source no lane reaches that carries a lane's ID must still reach the
+// tally, and the lane, never added to, must keep a -0 accumulator. IDs
+// shared with another group only, IDs inside a group's range that match
+// none of it and targets in no ID order ride along, with the pipelined
+// loop idle (nothing in reach) and busy.
+func TestSweepCutSharedIDs(t *testing.T) {
+	needSweeps(t)
+	negZero := math.Copysign(0, -1)
+	box := NewBox(10, 2, Reflective)
+	law := Law{Kind: Repulsive, K: 1.3, Cutoff: 0.5}
+	targets := cluster(11, 1, 1, 0, 3)
+	for i, id := range []uint32{53, 10, 99, 2, 50, 51, 7, 52, 98, 11, 12} {
+		targets[i].ID = id
+		targets[i].Force = vec.Vec2{X: negZero, Y: negZero}
+	}
+	for _, nNear := range []int{0, 24} {
+		sources := nearAndFar(nNear, 60, 5)
+		var far []int
+		for j := range sources {
+			if sources[j].ID >= 5000 {
+				far = append(far, j)
+			}
+		}
+		// Every target's ID on a source out of reach, the first group's in
+		// one vector of the gate; 30 and 60 lie between IDs and match none.
+		for i, id := range []uint32{53, 10, 99, 2, 30, 60, 50, 51, 7, 52, 98, 11, 12, 10} {
+			sources[far[3*i]].ID = id
+		}
+		checkSweeps(t, law, box, targets, sources)
+		if nNear > 0 {
+			continue
+		}
+		for name, pipe := range cutLoops() {
+			got := append([]Particle(nil), targets...)
+			k := law.Kernel()
+			if n, want := k.sweepInRepCutVia(pipe, got, sources, box), int64(len(targets)*len(sources)-12); n != want {
+				t.Fatalf("%s loop counted %d pairs, want %d: twelve sources meet their own ID", name, n, want)
+			}
+			for i := range got {
+				if !bitsEqual(got[i].Force.X, negZero) || !bitsEqual(got[i].Force.Y, negZero) {
+					t.Fatalf("%s loop, target %d: untouched -0 accumulator came back as (%x, %x)", name, i,
+						math.Float64bits(got[i].Force.X), math.Float64bits(got[i].Force.Y))
+				}
+			}
+		}
+	}
+}
+
+// TestSweepCutTurnedAway puts inside a pipelined run of the cutoff sweep
+// what its stages must treat apart: a pair exactly on the cutoff sphere
+// and one an ulp outside it, coincident pairs whose r2 is 0 without
+// softening (the guard hands their block to the divider, which adds +0),
+// a source in reach of one lane only — and runs it under strengths at
+// the ends of the admitted range and beyond them, where the whole call
+// takes the plain loop.
+func TestSweepCutTurnedAway(t *testing.T) {
+	needSweeps(t)
+	const rc = 0.75 // rc*rc and the 0.75 below are exact
+	negZero := math.Copysign(0, -1)
+	box := NewBox(10, 2, Reflective)
+	var targets []Particle
+	for i := 0; i < 7; i++ {
+		targets = append(targets, Particle{ID: uint32(i), Pos: vec.Vec2{X: 1 + float64(i)/64, Y: 1},
+			Force: vec.Vec2{X: negZero, Y: negZero}})
+	}
+	sources := nearAndFar(29, 40, 11)
+	var near []int
+	for j := range sources {
+		if sources[j].ID < 5000 {
+			near = append(near, j)
+		}
+	}
+	x := targets[2].Pos.X
+	if d := x - (x + rc); d*d != rc*rc {
+		t.Fatal("geometry: the pair is not exactly on the cutoff sphere")
+	}
+	sources[near[5]].Pos = vec.Vec2{X: x + rc, Y: 1}                   // on target 2's sphere
+	sources[near[6]].Pos = vec.Vec2{X: math.Nextafter(x+rc, 10), Y: 1} // an ulp outside it
+	sources[near[9]].Pos = targets[1].Pos                              // r2 == 0 in one lane
+	sources[near[14]].Pos = targets[5].Pos                             // and in the remainder group
+	sources[near[18]].Pos = vec.Vec2{X: targets[0].Pos.X - rc, Y: 1}   // reaches lane 0 alone
+	sources[near[28]].Pos = targets[3].Pos                             // behind the last whole block
+	sources[near[20]].ID = targets[4].ID                               // in reach, but itself
+	strengths := []float64{1.3, -1.3, pipeKMin, pipeKMax, -pipeKMax,
+		math.Nextafter(pipeKMin, 0), math.Nextafter(pipeKMax, math.Inf(1)),
+		0, negZero, 5e-324, math.MaxFloat64, math.Inf(1), math.NaN()}
+	for _, kk := range strengths {
+		for _, soft := range []float64{0, 1e-3} {
+			checkSweeps(t, Law{Kind: Repulsive, K: kk, Softening: soft, Cutoff: rc}, box, targets, sources)
+		}
+	}
+}
+
+// TestSeamTest holds the test that lets a periodic call run without the
+// wrap to its claim — no pair's displacement beyond half the box, ends
+// included — and to its other verdict, all positions in the box.
+func TestSeamTest(t *testing.T) {
+	const l = 3.0
+	up, down := math.Nextafter(1.5, 2), math.Nextafter(1.5, 1)
+	for _, c := range []struct {
+		tlo, thi, slo, shi float64
+		ok, seam           bool
+	}{
+		{0.5, 1.5, 0, 1, true, false}, // thi - slo == l/2
+		{0.5, up, 0, 1, true, true},
+		{0, 1, 0.5, 1.5, true, false}, // tlo - shi == -l/2
+		{0, 1, 0.5, up, true, true},
+		{0, down, 0, down, true, false},
+		{0, l, 0, l, true, true},
+		{0, 0.1, 2.9, l, true, true},
+		{-0.1, 1, 0, 1, false, false},
+		{0, 1, 0, math.Nextafter(l, 4), false, true},
+		{math.NaN(), math.NaN(), 0, 1, false, true},
+		{math.Inf(1), math.Inf(-1), 0, l, true, false}, // no targets
+	} {
+		if ok, seam := wraps(c.tlo, c.thi, c.slo, c.shi, l); ok != c.ok || ok && seam != c.seam {
+			t.Errorf("targets [%g, %g], sources [%g, %g]: in box %v, seam %v, want %v, %v", c.tlo, c.thi, c.slo, c.shi, ok, seam, c.ok, c.seam)
+		}
+	}
+	lo, hi := extent([]Particle{{Pos: vec.Vec2{X: 1, Y: -2}}, {Pos: vec.Vec2{X: -1, Y: 5}}, {Pos: vec.Vec2{X: 0.5, Y: 0}}})
+	if want := (vec.Vec2{X: -1, Y: -2}); lo != want {
+		t.Errorf("extent: low corner %v, want %v", lo, want)
+	}
+	if want := (vec.Vec2{X: 1, Y: 5}); hi != want {
+		t.Errorf("extent: high corner %v, want %v", hi, want)
+	}
+	if lo, hi := extent([]Particle{{}, {Pos: vec.Vec2{X: math.NaN()}}, {}}); !math.IsNaN(lo.X) || !math.IsNaN(hi.X) || lo.Y != 0 || hi.Y != 0 {
+		t.Errorf("extent over a NaN coordinate: %v, %v", lo, hi)
 	}
 }
 
@@ -586,9 +846,9 @@ func TestQuotientDirected(t *testing.T) {
 // is not read unless CPUID says it can be.
 func TestCPUSweeps(t *testing.T) {
 	const (
-		fma, osxsave, avx       = 1 << 12, 1 << 27, 1 << 28 // leaf 1 ECX
-		avx2, avx512f, avx512vl = 1 << 5, 1 << 16, 1 << 31  // leaf 7 EBX
-		ymmState, evexState     = 0x06, 0xE0                // XCR0
+		fma, popcnt, osxsave, avx = 1 << 12, 1 << 23, 1 << 27, 1 << 28 // leaf 1 ECX
+		avx2, avx512f, avx512vl   = 1 << 5, 1 << 16, 1 << 31           // leaf 7 EBX
+		ymmState, evexState       = 0x06, 0xE0                         // XCR0
 	)
 	probe := func(maxLeaf, c1, b7, xcr0 uint32) (bool, bool) {
 		return cpuSweeps(func(leaf uint32) (uint32, uint32, uint32, uint32) {
@@ -611,7 +871,7 @@ func TestCPUSweeps(t *testing.T) {
 			return xcr0
 		})
 	}
-	const c1, b7, x = fma | osxsave | avx, avx2 | avx512f | avx512vl, 1 | ymmState | evexState
+	const c1, b7, x = fma | popcnt | osxsave | avx, avx2 | avx512f | avx512vl, 1 | ymmState | evexState
 	cases := []struct {
 		name               string
 		maxLeaf, c1, b7, x uint32
@@ -624,6 +884,7 @@ func TestCPUSweeps(t *testing.T) {
 		{"no AVX2", 27, c1, b7 &^ avx2, x, false, false},
 		{"OS without YMM state", 27, c1, b7, x &^ 4, false, false},
 		{"no FMA", 27, c1 &^ fma, b7, x, true, false},
+		{"no POPCNT", 27, c1 &^ popcnt, b7, x, true, false},
 		{"no AVX-512F", 27, c1, b7 &^ avx512f, x, true, false},
 		{"no AVX-512VL", 27, c1, b7 &^ avx512vl, x, true, false},
 		{"OS without opmask state", 27, c1, b7, x &^ 0x20, true, false},
@@ -652,35 +913,71 @@ func TestCPUSweeps(t *testing.T) {
 	if want := flags["avx2"]; useAVX2 != want {
 		t.Errorf("useAVX2 = %v, /proc/cpuinfo says %v", useAVX2, want)
 	}
-	if want := flags["avx2"] && flags["fma"] && flags["avx512f"] && flags["avx512vl"]; usePipe != want {
+	if want := flags["avx2"] && flags["fma"] && flags["popcnt"] && flags["avx512f"] && flags["avx512vl"]; usePipe != want {
 		t.Errorf("usePipe = %v, /proc/cpuinfo says %v", usePipe, want)
 	}
 }
 
-// BenchmarkSweep times the two sweeps against their Go loops at the
-// block shapes of the repository benchmark's workloads (uniform random
-// positions, so the cutoff rows see few groups wholly out of reach).
+// BenchmarkSweep times each loop of the two sweeps against its Go loop at
+// the block shapes of the repository benchmark's workloads (uniform
+// random positions, so the cutoff rows see few groups wholly out of
+// reach), and the cutoff sweep on the blocks that take its parts apart.
+// In a box of 16 under a cutoff of 4 — the cutoff workloads' — a team's
+// block is a 4 by 4 cell: one out of reach prices the gate alone, ns/pair
+// times four being its cost per (group, source); two in one corner, every
+// pair in reach, the gate and the pipelined loop; the jittered lattice's
+// block against its edge and diagonal neighbours is what cutoff-2d sweeps;
+// and in a periodic box the neighbour across the seam pays for the wrap,
+// the one on this side does not.
 func BenchmarkSweep(b *testing.B) {
 	needSweeps(b)
+	open, cut := DefaultLaw(), DefaultLaw().WithCutoff(0.9)
+	uniform := func(law Law, box Box, nt, ns int) (Law, Box, []Particle, []Particle) {
+		return law, box, InitUniform(nt, box, 1), relabel(InitUniform(ns, box, 2), uint32(nt))
+	}
+	// cell is the block of the 64 by 64 lattice in cell (cx, cy) of box.
+	cell := func(box Box, cx, cy int) []Particle {
+		var ps []Particle
+		for _, p := range InitLattice(4096, box, 1) {
+			if int(p.Pos.X/4) == cx && int(p.Pos.Y/4) == cy {
+				ps = append(ps, p)
+			}
+		}
+		return ps
+	}
+	cells := func(boundary Boundary, cx, cy int) (Law, Box, []Particle, []Particle) {
+		box := NewBox(16, 2, boundary)
+		return DefaultLaw().WithCutoff(4), box, cell(box, 0, 0), cell(box, cx, cy)
+	}
 	cases := []struct {
 		name   string
-		law    Law
-		box    Box
-		nt, ns int
+		blocks func() (Law, Box, []Particle, []Particle)
 	}{
-		{"rep_open/2048x2048", DefaultLaw(), NewBox(10, 2, Reflective), 2048, 2048},
-		{"rep_open/8x8", DefaultLaw(), NewBox(10, 2, Reflective), 8, 8},
-		{"rep_cut_in/reflective2d/256x256", DefaultLaw().WithCutoff(0.9), NewBox(3, 2, Reflective), 256, 256},
-		{"rep_cut_in/periodic2d/256x256", DefaultLaw().WithCutoff(0.9), NewBox(3, 2, Periodic), 256, 256},
-		{"rep_cut_in/periodic1d/64x64", DefaultLaw().WithCutoff(0.9), NewBox(3, 1, Periodic), 64, 64},
+		{"rep_open/2048x2048", func() (Law, Box, []Particle, []Particle) { return uniform(open, NewBox(10, 2, Reflective), 2048, 2048) }},
+		{"rep_open/8x8", func() (Law, Box, []Particle, []Particle) { return uniform(open, NewBox(10, 2, Reflective), 8, 8) }},
+		{"rep_cut_in/reflective2d/256x256", func() (Law, Box, []Particle, []Particle) { return uniform(cut, NewBox(3, 2, Reflective), 256, 256) }},
+		{"rep_cut_in/periodic2d/256x256", func() (Law, Box, []Particle, []Particle) { return uniform(cut, NewBox(3, 2, Periodic), 256, 256) }},
+		{"rep_cut_in/periodic1d/64x64", func() (Law, Box, []Particle, []Particle) { return uniform(cut, NewBox(3, 1, Periodic), 64, 64) }},
+		{"rep_cut_in/uniform16_rc4/256x256", func() (Law, Box, []Particle, []Particle) {
+			return uniform(DefaultLaw().WithCutoff(4), NewBox(16, 2, Reflective), 256, 256)
+		}},
+		{"rep_cut_in/all_beyond/256x256", func() (Law, Box, []Particle, []Particle) { return cells(Reflective, 3, 3) }},
+		{"rep_cut_in/all_inside/256x256", func() (Law, Box, []Particle, []Particle) {
+			law, box, targets, sources := cells(Reflective, 0, 0)
+			for i := range targets {
+				targets[i].Pos = targets[i].Pos.Scale(0.5)
+				sources[i].Pos = sources[i].Pos.Scale(0.5)
+			}
+			return law, box, targets, relabel(sources, 5000)
+		}},
+		{"rep_cut_in/lattice_edge/256x256", func() (Law, Box, []Particle, []Particle) { return cells(Reflective, 1, 0) }},
+		{"rep_cut_in/lattice_diagonal/256x256", func() (Law, Box, []Particle, []Particle) { return cells(Reflective, 1, 1) }},
+		{"rep_cut_in/periodic_no_seam/256x256", func() (Law, Box, []Particle, []Particle) { return cells(Periodic, 1, 0) }},
+		{"rep_cut_in/periodic_seam/256x256", func() (Law, Box, []Particle, []Particle) { return cells(Periodic, 3, 0) }},
 	}
 	for _, c := range cases {
-		targets := InitUniform(c.nt, c.box, 1)
-		sources := InitUniform(c.ns, c.box, 2)
-		for j := range sources {
-			sources[j].ID += uint32(c.nt)
-		}
-		k := c.law.Kernel()
+		law, box, targets, sources := c.blocks()
+		k := law.Kernel()
 		run := func(name string, fn func() int64) {
 			b.Run(c.name+"/"+name, func(b *testing.B) {
 				var pairs int64
@@ -690,9 +987,11 @@ func BenchmarkSweep(b *testing.B) {
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(pairs), "ns/pair")
 			})
 		}
-		if c.law.Cutoff > 0 {
-			run("go", func() int64 { return k.accumulateInRepCut(targets, sources, c.box) })
-			run("avx2", func() int64 { return k.sweepInRepCut(targets, sources, c.box) })
+		if law.Cutoff > 0 {
+			run("go", func() int64 { return k.accumulateInRepCut(targets, sources, box) })
+			for name, pipe := range cutLoops() {
+				run(name, func() int64 { return k.sweepInRepCutVia(pipe, targets, sources, box) })
+			}
 		} else {
 			run("go", func() int64 { return k.accumulateRepOpen(targets, sources) })
 			for name, pipe := range openLoops() {
