@@ -22,10 +22,10 @@ test:
 	$(GO) test ./...
 
 # Portable-path gate. On an amd64 host with AVX2 the default build sends
-# the two repulsive kernel flavors the timestep loops run through the
-# assembly sweeps (internal/phys/sweep_amd64.s), so the Go loops they
-# replace — for the repulsive cutoff law its only Go loop, the
-# compaction loop of kernel_tiled.go — run only in this build. `purego`
+# the repulsive law, open or cut off, through the assembly sweeps
+# (internal/phys/sweep_amd64.s), so the Go loops they replace — the
+# open loop and, under a cutoff, the compaction loop of kernel_tiled.go
+# — run for that law only in this build. `purego`
 # compiles the assembly out; every property test must hold here
 # unchanged, and so must the pinned state hashes of the root package's
 # golden test. It is the one build in CI that executes that loop, so it

@@ -89,6 +89,37 @@ func TestAllDecompositionsAgree(t *testing.T) {
 	}
 }
 
+// TestAllPairsFamilyPeriodicCutoff runs the all-pairs family under a
+// cutoff law in a periodic box, which the law measures by the minimum
+// image: every decomposition must agree with BruteForceCutoff, whose
+// pairs wrap across the seam. (On the jittered lattice: 256 uniform
+// particles on a line of 16 meet at distances that amplify the rounding
+// of a different summation order to a visible deviation in 20 steps.)
+func TestAllPairsFamilyPeriodicCutoff(t *testing.T) {
+	for _, dim := range []int{1, 2} {
+		for _, alg := range []Algorithm{CAAllPairs, ParticleDecomp, ForceDecomp, NaiveAllGather} {
+			cfg := Config{N: 256, P: 16, Algorithm: alg, Dim: dim, Boundary: Periodic, Cutoff: 4, Lattice: true}
+			if alg == CAAllPairs {
+				cfg.C = 2
+			}
+			sim, err := New(cfg)
+			if err != nil {
+				t.Fatalf("%v %dD: %v", alg, dim, err)
+			}
+			if err := sim.Run(20); err != nil {
+				t.Fatalf("%v %dD: %v", alg, dim, err)
+			}
+			worst, err := sim.VerifySerial()
+			if err != nil {
+				t.Fatalf("%v %dD: %v", alg, dim, err)
+			}
+			if worst > 1e-9 {
+				t.Errorf("%v %dD: periodic cutoff run deviates by %g from the serial reference", alg, dim, worst)
+			}
+		}
+	}
+}
+
 func TestLennardJonesSimulation(t *testing.T) {
 	// The communication machinery is potential-agnostic: an LJ workload
 	// must verify against the serial reference through every layer, and

@@ -36,7 +36,9 @@ const goldenSteps = 6
 // The first five rows are the configurations of benchmark/workloads.go
 // (copied: benchmark/ is its own module, and ap-socket is ap-latency's
 // configuration over the socket mesh), then the overlapped walks, the
-// midpoint method, and the fixed-c decompositions.
+// midpoint method, the fixed-c decompositions, and ap-latency's
+// configuration under a cutoff law in a periodic box — the all-pairs
+// loop's traffic does not depend on the law.
 var goldenRuns = []goldenRun{
 	{name: "ap-compute", cfg: Config{N: 4096, P: 4, C: 2},
 		want: goldenCounts{sum: 0x340ea1f20ea1b083, s: 36, w: 2949120, phases: [5][2]int64{{6, 638976}, {6, 638976}, {0, 0}, {6, 196608}, {0, 0}}}},
@@ -62,6 +64,8 @@ var goldenRuns = []goldenRun{
 		want: goldenCounts{sum: 0xf35558c555cbf215, s: 192, w: 159744, phases: [5][2]int64{{0, 0}, {0, 0}, {96, 79872}, {0, 0}, {0, 0}}}},
 	{name: "naive", cfg: Config{N: 256, P: 16, Algorithm: NaiveAllGather},
 		want: goldenCounts{sum: 0x43ec4bc838318d90, s: 180, w: 150480, phases: [5][2]int64{{0, 0}, {0, 0}, {90, 75240}, {0, 0}, {0, 0}}}},
+	{name: "ap-periodic-cutoff", cfg: Config{N: 256, P: 64, C: 2, Algorithm: CAAllPairs, Boundary: Periodic, Cutoff: 4},
+		want: goldenCounts{sum: 0x92dfbddd2d90f27f, s: 228, w: 91392, phases: [5][2]int64{{6, 2496}, {6, 2496}, {96, 39936}, {6, 768}, {0, 0}}}},
 }
 
 // TestGoldenStateAndTraffic is the invariance gate of the timestep

@@ -128,7 +128,7 @@ func (e *everyBlock) flush(l *shiftLoop) {
 		return
 	}
 	l.st.SetPhase(trace.Compute)
-	l.counted(l.pool.AccumulateBlocks(l.kern, l.replica, e.gathered))
+	l.counted(l.pool.AccumulateBlocks(l.kern, l.replica, e.gathered, l.pr.Box))
 	e.gathered, e.n = e.gathered[:0], 0
 }
 

@@ -60,7 +60,7 @@ func NaiveAllGather(ps []phys.Particle, pr Params) ([]phys.Particle, *trace.Repo
 				if err != nil {
 					return err
 				}
-				pr.Law.Accumulate(mine, others)
+				pr.Law.AccumulateIn(mine, others, pr.Box)
 			}
 			phys.Step(mine, pr.Box, pr.DT)
 			return nil

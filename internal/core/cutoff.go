@@ -64,7 +64,7 @@ func Cutoff(ps []phys.Particle, pr Params) ([]phys.Particle, *trace.Report, erro
 	perS, perW := cutoffBounds(n, pr)
 	owned := scatterByTeam(ps, pr.Box, tg)
 
-	return runRanks(n, pr, pr.Law.Kernel().ImplIn(), perS, perW, func(rk *rank) rankLoop {
+	return runRanks(n, pr, pr.Law.Kernel().Impl(), perS, perW, func(rk *rank) rankLoop {
 		l, layer, team := newShiftLoop(rk, &pr, cg)
 		l.moves = cutoffMoves(sched, tg, layer, team)
 		l.pairing = &windowed{tg: tg, m: m, wrap: wrap, dirs: dirs}

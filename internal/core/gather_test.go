@@ -17,7 +17,7 @@ type onArrival struct{}
 func (onArrival) update(l *shiftLoop) {
 	_, visiting := l.x.view()
 	l.st.SetPhase(trace.Compute)
-	l.counted(l.pool.Accumulate(l.kern, l.replica, visiting))
+	l.counted(l.pool.AccumulateIn(l.kern, l.replica, visiting, l.pr.Box))
 }
 
 func (onArrival) flush(*shiftLoop) {}

@@ -117,12 +117,13 @@ func midpointND(ps []phys.Particle, pr Params, dim int) ([]phys.Particle, *trace
 			var pairs int64
 			// The eligibility gates (identity, midpoint ownership, cutoff)
 			// stay per-pair branches — they decide which sources interact
-			// at all — but eligible sources are staged into an SoA tile
-			// and folded through the specialized open-law sweep. Flushing
-			// when the tile is full only groups consecutive adds of the
-			// same in-order fold, so the result is the per-pair loop's,
-			// bit for bit.
-			var soa vec.SoA
+			// at all — but an eligible pair's displacement and squared
+			// distance, the values the cutoff test computed, are staged
+			// and folded through the kernel's staged sweep. Flushing when
+			// the scratch is full only groups consecutive adds of the same
+			// in-order fold, so the result is the per-pair loop's, bit for
+			// bit.
+			var staging phys.Staged
 			for g := lo; g < hi; g++ {
 				for li >= len(cells[ci].particles) {
 					ci++
@@ -142,20 +143,22 @@ func midpointND(ps []phys.Particle, pr Params, dim int) ([]phys.Particle, *trace
 						if teamOfPos(mid, pr.Box, tg) != me {
 							continue
 						}
-						if t.Pos.Dist2(s.Pos) > rc2 {
+						dx, dy := t.Pos.X-s.Pos.X, t.Pos.Y-s.Pos.Y
+						d2 := dx*dx + dy*dy
+						if d2 > rc2 {
 							continue
 						}
-						soa.X[staged], soa.Y[staged] = s.Pos.X, s.Pos.Y
+						staging.DX[staged], staging.DY[staged], staging.D2[staged] = dx, dy, d2
 						staged++
 						pairs++
 						if staged == vec.TileCap {
-							f.X, f.Y = kern.SweepStaged(f.X, f.Y, t.Pos.X, t.Pos.Y, &soa, staged)
+							f.X, f.Y = kern.SweepStaged(f.X, f.Y, &staging, staged)
 							staged = 0
 						}
 					}
 				}
 				if staged > 0 {
-					f.X, f.Y = kern.SweepStaged(f.X, f.Y, t.Pos.X, t.Pos.Y, &soa, staged)
+					f.X, f.Y = kern.SweepStaged(f.X, f.Y, &staging, staged)
 				}
 				t.Force = f
 				li++

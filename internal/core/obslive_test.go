@@ -240,10 +240,10 @@ func TestDroppedWarning(t *testing.T) {
 // implementation its compute phase executed — not what the host could
 // have run — wherever a recorded number can end up: the report footer,
 // the summary JSON and, on an observed run, the compute.kernel_avx2
-// gauge. Only the repulsive law has vector sweeps, the all-pairs loop
-// through Accumulate and the cutoff loop through AccumulateIn; a
-// Lennard-Jones run and the midpoint method's staged sweep are Go loops
-// on every host.
+// gauge. Only the repulsive law has vector sweeps, open or cut off,
+// whichever loop calls them — the all-pairs loop under a cutoff law runs
+// the cutoff sweep; a Lennard-Jones run and the midpoint method's staged
+// sweep are Go loops on every host.
 func TestKernelImplAttribution(t *testing.T) {
 	host := phys.KernelImpl()
 	if host != "avx2" && host != "avx512vl" && host != "portable" {
@@ -265,6 +265,15 @@ func TestKernelImplAttribution(t *testing.T) {
 			_, rep, err := AllPairs(phys.InitLattice(32, pr.Box, 13), pr)
 			return rep, err
 		}, defaultParams(4, 2, 2)},
+		{"allpairs/cutoff", host, func(pr Params) (*trace.Report, error) {
+			_, rep, err := AllPairs(phys.InitUniform(32, pr.Box, 13), pr)
+			return rep, err
+		}, cutoffParams(4, 2, 2, phys.Periodic)},
+		{"allpairs/lj-cutoff", "portable", func(pr Params) (*trace.Report, error) {
+			pr.Law = lj.WithCutoff(pr.Law.Cutoff)
+			_, rep, err := AllPairs(phys.InitLattice(32, pr.Box, 13), pr)
+			return rep, err
+		}, cutoffParams(4, 2, 2, phys.Periodic)},
 		{"cutoff", host, func(pr Params) (*trace.Report, error) {
 			_, rep, err := Cutoff(phys.InitLattice(64, pr.Box, 13), pr)
 			return rep, err

@@ -68,7 +68,7 @@ func (l Law) PairPotential(pi, pj vec.Vec2) float64 {
 
 // Interactions is the number of pairwise force evaluations performed
 // when ni target particles are updated against nj source particles of
-// which shared carry an ID also present among the targets. Accumulate
+// which shared carry an ID also present among the targets. AccumulateIn
 // skips an equal-ID pair without counting it, so each shared ID removes
 // exactly one evaluation from the ni·nj total (IDs are unique within a
 // slice throughout this repository). Pass shared = ni when the sources
@@ -78,22 +78,31 @@ func Interactions(ni, nj, shared int) int64 {
 	return int64(ni)*int64(nj) - int64(shared)
 }
 
-// AccumulateIn is Accumulate evaluated under a box metric: displacements
-// are minimum-image for periodic boxes, so cutoff interactions wrap
-// correctly around the domain. Reflective boxes reduce to the plain
-// displacement. It runs the specialized kernel (see Kernel); the
-// per-pair reference path is AccumulateInGeneric.
+// AccumulateIn adds to the force accumulator of every particle in
+// targets the force exerted by every particle in sources, skipping pairs
+// with equal IDs (a particle never acts on itself, even when the source
+// buffer is a replica of the target buffer). It returns the number of
+// pair evaluations performed, which the instrumented tests use to check
+// that the parallel schedules cover every pair exactly once. The law
+// picks the metric: an open law uses the plain displacement, a cutoff
+// law the box's (minimum-image in a periodic box, so cutoff interactions
+// wrap around the domain) and counts a beyond-cutoff pair without adding
+// for it; Box{} measures plainly. It runs the specialized kernel (see
+// Kernel); the per-pair reference path is AccumulateGeneric.
 func (l Law) AccumulateIn(targets, sources []Particle, box Box) int64 {
 	k := l.Kernel()
 	return k.AccumulateIn(targets, sources, box)
 }
 
-// AccumulateInGeneric is the unspecialized reference implementation of
+// AccumulateGeneric is the unspecialized reference implementation of
 // AccumulateIn, evaluating every pair through Law.Pair with the kind and
 // cutoff re-tested per pair. The specialized kernels are verified
-// bitwise against it; benchmarks use it as the before-optimization
-// baseline. Semantics and results are identical to AccumulateIn.
-func (l Law) AccumulateInGeneric(targets, sources []Particle, box Box) int64 {
+// bitwise against it. Semantics and results are identical to
+// AccumulateIn.
+func (l Law) AccumulateGeneric(targets, sources []Particle, box Box) int64 {
+	if l.Cutoff <= 0 {
+		box = Box{}
+	}
 	open := l
 	open.Cutoff = 0
 	rc2 := l.Cutoff * l.Cutoff
@@ -106,48 +115,12 @@ func (l Law) AccumulateInGeneric(targets, sources []Particle, box Box) int64 {
 			if s.ID == t.ID {
 				continue
 			}
+			n++
 			d := box.MinImage(t.Pos, s.Pos)
 			if l.Cutoff > 0 && d.Norm2() > rc2 {
-				n++
 				continue
 			}
 			f = f.Add(open.Pair(d, vec.Vec2{}))
-			n++
-		}
-		t.Force = f
-	}
-	return n
-}
-
-// Accumulate adds to the force accumulator of every particle in targets
-// the force exerted by every particle in sources, skipping pairs with
-// equal IDs (a particle never acts on itself, even when the source buffer
-// is a replica of the target buffer). It returns the number of pair
-// evaluations actually performed, which the instrumented tests use to
-// check that the parallel schedules cover every pair exactly once.
-// It runs the specialized kernel (see Kernel); the per-pair reference
-// path is AccumulateGeneric.
-func (l Law) Accumulate(targets, sources []Particle) int64 {
-	k := l.Kernel()
-	return k.Accumulate(targets, sources)
-}
-
-// AccumulateGeneric is the unspecialized reference implementation of
-// Accumulate, evaluating every pair through Law.Pair. The specialized
-// kernels are verified bitwise against it; benchmarks use it as the
-// before-optimization baseline.
-func (l Law) AccumulateGeneric(targets, sources []Particle) int64 {
-	var n int64
-	for i := range targets {
-		t := &targets[i]
-		f := t.Force
-		for j := range sources {
-			s := &sources[j]
-			if s.ID == t.ID {
-				continue
-			}
-			f = f.Add(l.Pair(t.Pos, s.Pos))
-			n++
 		}
 		t.Force = f
 	}

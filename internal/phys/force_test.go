@@ -61,7 +61,7 @@ func TestAccumulateSkipsSelfByID(t *testing.T) {
 		{ID: 1, Pos: vec.Vec2{X: 2}},
 	}
 	replicas := append([]Particle(nil), ps...)
-	n := law.Accumulate(ps, replicas)
+	n := law.AccumulateIn(ps, replicas, Box{})
 	if n != 2 {
 		t.Errorf("pair evaluations = %d, want 2 (self pairs skipped)", n)
 	}

@@ -31,21 +31,21 @@ func FuzzDecodeSlice(f *testing.F) {
 	})
 }
 
-// FuzzSweepMatchesGo holds the path Accumulate and AccumulateIn select
-// for the repulsive law on this build — the AVX2 sweeps where the CPU
-// has them (their pipelined loops with AVX-512VL), the Go loops elsewhere —
-// to its reference, the plain Go loop
-// without a cutoff and the generic per-pair path
-// (Law.AccumulateInGeneric) with one: same pair count, and every force
-// equal bit for bit (two NaNs count as equal). kk is the strength K — tiny, huge, negative,
-// zero: the pipelined open sweep admits a range of it and hands the rest
-// to its plain loop — and raw overwrites coordinates, sources
-// first, with whatever finite doubles the fuzzer invents: out-of-box
-// positions, coincident pairs, values whose squares overflow (in a
-// reflective box; a periodic one takes images up to a hundred boxes out).
-// cuts slices the sources into blocks — each byte the length of the next
-// one, zero an empty block, what is left the last — and AccumulateBlocks
-// over those is held to Accumulate over the uncut slice the same way.
+// FuzzSweepMatchesGo holds the path AccumulateIn selects for the
+// repulsive law on this build — the AVX2 sweeps where the CPU has them
+// (their pipelined loops with AVX-512VL), the Go loops elsewhere — to its
+// reference, the plain Go loop without a cutoff and the generic per-pair
+// path (Law.AccumulateGeneric) with one: same pair count, and every
+// force equal bit for bit (two NaNs count as equal). kk is the strength
+// K — tiny, huge, negative, zero: the pipelined open sweep admits a
+// range of it and hands the rest to its plain loop — and raw overwrites
+// coordinates, sources first, with whatever finite doubles the fuzzer
+// invents: out-of-box positions, coincident pairs, values whose squares
+// overflow (in a reflective box; a periodic one takes images up to a
+// hundred boxes out). cuts slices the sources into blocks — each byte
+// the length of the next one, zero an empty block, what is left the
+// last — and AccumulateBlocks over those is held to AccumulateIn over
+// the uncut slice the same way.
 func FuzzSweepMatchesGo(f *testing.F) {
 	f.Add(uint64(1), uint8(9), uint8(13), uint8(0), 1.3, 1e-3, 0.0, []byte{}, []byte{})
 	f.Add(uint64(2), uint8(8), uint8(8), uint8(3), 1.3, 0.0, 0.9, []byte{}, []byte{3, 0, 4})
@@ -116,12 +116,11 @@ func FuzzSweepMatchesGo(f *testing.F) {
 		got := append([]Particle(nil), targets...)
 		var nWant, nGot int64
 		if rc > 0 {
-			nWant = law.AccumulateInGeneric(want, sources, box)
-			nGot = k.AccumulateIn(got, sources, box)
+			nWant = law.AccumulateGeneric(want, sources, box)
 		} else {
 			nWant = k.accumulateRepOpen(want, sources)
-			nGot = k.Accumulate(got, sources)
 		}
+		nGot = k.AccumulateIn(got, sources, box)
 		if nGot != nWant {
 			t.Fatalf("counted %d pairs, the reference %d", nGot, nWant)
 		}
@@ -146,8 +145,8 @@ func FuzzSweepMatchesGo(f *testing.F) {
 		blocks = append(blocks, rest)
 		uncut := append([]Particle(nil), targets...)
 		cut := append([]Particle(nil), targets...)
-		if nCut, nUncut := k.AccumulateBlocks(cut, blocks), k.Accumulate(uncut, sources); nCut != nUncut {
-			t.Fatalf("AccumulateBlocks counted %d pairs over %d blocks, Accumulate %d over the uncut slice", nCut, len(blocks), nUncut)
+		if nCut, nUncut := k.AccumulateBlocks(cut, blocks, box), k.AccumulateIn(uncut, sources, box); nCut != nUncut {
+			t.Fatalf("AccumulateBlocks counted %d pairs over %d blocks, AccumulateIn %d over the uncut slice", nCut, len(blocks), nUncut)
 		}
 		compare("AccumulateBlocks", cut, uncut)
 	})

@@ -4,25 +4,28 @@ import "math"
 
 // Kernel is a Law compiled for the inner loop: the potential kind, the
 // cutoff test, and the softening/strength constants are resolved once,
-// when the kernel is built, instead of once per pair. Accumulate and
-// AccumulateIn dispatch on (law, cutoff) to exactly one loop each, whose
-// body keeps every constant in a local and never consults the Law
-// again; nothing but the law and the platform selects it. The loops of
-// this file add for every counted pair. The two box-metric cutoff loops
-// may skip a beyond-cutoff pair without any add, and so gate, compact
-// and sweep their sources a scratch-full at a time (kernel_tiled.go). On
-// a CPU with AVX2 the two repulsive flavors the timestep loops run —
-// Accumulate without a cutoff and AccumulateIn with one — take a vector
-// sweep instead, and with AVX-512VL and FMA a pipelined one, the second
-// behind a gate that discards the sources out of every lane's reach
-// (see sweep_amd64.go; Impl and ImplIn say which). Every choice is
-// bitwise-identical.
+// when the kernel is built, instead of once per pair.
 //
-// The specialized loops are bitwise-identical to the generic
-// Law.Pair-per-pair path (AccumulateGeneric, AccumulateInGeneric): they
-// perform the same floating-point operations in the same order, down to
-// the exact zero the generic path adds for beyond-cutoff and coincident
-// pairs. That is asserted by TestKernelMatchesGeneric* in
+// The law decides the metric. An open law uses the plain displacement
+// and adds for every counted pair; a cutoff law uses the box's metric
+// (the minimum image in a periodic box) and counts a beyond-cutoff pair
+// without adding anything — the semantics of BruteForce and
+// BruteForceCutoff, the serial truths every algorithm is verified
+// against. So there is one entry point, AccumulateIn, and Accumulate is
+// AccumulateIn under Box{}, which measures plainly. It dispatches on the
+// law to one of three Go loops: accumulateRepOpen and accumulateLJOpen
+// for the open laws, and for a cutoff law of either kind the compaction
+// loop (accumulateCut, kernel_tiled.go), which may drop the pairs it
+// skips and so gates, compacts and sweeps its sources a scratch-full at
+// a time. On a CPU with AVX2 the repulsive law takes a vector sweep
+// instead, and with AVX-512VL and FMA a pipelined one, the cutoff law's
+// behind a gate that discards the sources out of every lane's reach (see
+// sweep_amd64.go; Impl says which). Every choice is bitwise-identical.
+//
+// The loops are bitwise-identical to the generic Law.Pair-per-pair path
+// (AccumulateGeneric): they perform the same floating-point operations
+// in the same order, down to the exact zero the generic path adds for a
+// coincident pair. That is asserted by TestKernelMatchesGeneric* in
 // kernel_test.go, so the fast path cannot drift from the reference the
 // parallel algorithms are verified against. For the same reason only
 // single-operation constants are hoisted (σ² = σ·σ, r_c² = r_c·r_c,
@@ -56,12 +59,11 @@ func (l Law) Kernel() Kernel {
 	}
 }
 
-// KernelImpl names the vector sweeps this host has for the flavors that
-// can take one: "avx2", "avx512vl" for the same with source runs of 16
-// or more — of the open sweep, and of what the cutoff sweep's gate lets
-// through — on the pipelined loops, or "portable" for none. It is a
-// property of the CPU and the build; what a given kernel runs is Impl
-// and ImplIn.
+// KernelImpl names the vector sweeps this host has for the repulsive
+// law: "avx2", "avx512vl" for the same with source runs of 16 or more —
+// of the open sweep, and of what the cutoff sweep's gate lets through —
+// on the pipelined loops, or "portable" for none. It is a property of
+// the CPU and the build; what a given kernel runs is Impl.
 func KernelImpl() string {
 	switch {
 	case usePipe:
@@ -72,44 +74,35 @@ func KernelImpl() string {
 	return "portable"
 }
 
-// Impl names the implementation k.Accumulate and k.AccumulateBlocks run:
-// KernelImpl for the repulsive law without a cutoff, "portable" — the Go
-// loops — for every other. Timings are only comparable between runs
-// that agree on it; results are identical whichever it is.
+// Impl names the implementation k's entry points run: KernelImpl for the
+// repulsive law, open or cut off, and "portable" — the Go loops — for
+// Lennard-Jones. Timings are only comparable between runs that agree on
+// it; results are identical whichever it is.
 func (k Kernel) Impl() string {
-	if k.lj || k.hasCut {
+	if k.lj {
 		return "portable"
 	}
 	return KernelImpl()
 }
 
-// ImplIn is Impl for k.AccumulateIn: KernelImpl for the repulsive law
-// with a cutoff, "portable" for every other.
-func (k Kernel) ImplIn() string {
-	if k.lj || !k.hasCut {
-		return "portable"
-	}
-	return KernelImpl()
-}
-
-// Accumulate is the specialized form of Law.Accumulate: it adds to every
-// target's force accumulator the force from every source, skipping (and
-// not counting) equal-ID pairs, and returns the number of pair
-// evaluations performed. The kind/cutoff dispatch happens once per call.
-//
-// Accumulate's flavors add an exact +0 for every counted force-free
-// pair, so no pair may be compacted away, and staging their sources in
-// tiles measured slower. Their scalar loops sit at the divider bound;
-// the repulsive open flavor's vector sweep leaves it by taking the
-// quotient off the divider (sweep_amd64.s).
+// Accumulate is AccumulateIn under Box{}, the plain metric.
 func (k *Kernel) Accumulate(targets, sources []Particle) int64 {
+	return k.AccumulateIn(targets, sources, Box{})
+}
+
+// AccumulateIn adds to every target's force accumulator the force from
+// every source, skipping (and not counting) equal-ID pairs, and returns
+// the number of pair evaluations performed. A cutoff law measures under
+// box and counts a beyond-cutoff pair without adding for it; an open law
+// ignores box. The dispatch happens once per call.
+func (k *Kernel) AccumulateIn(targets, sources []Particle, box Box) int64 {
 	switch {
-	case k.lj && k.hasCut:
-		return k.accumulateLJCut(targets, sources)
+	case k.hasCut && !k.lj && useAVX2:
+		return k.sweepInRepCut(targets, sources, box)
+	case k.hasCut:
+		return k.accumulateCut(targets, sources, box)
 	case k.lj:
 		return k.accumulateLJOpen(targets, sources)
-	case k.hasCut:
-		return k.accumulateRepCut(targets, sources)
 	case useAVX2:
 		return k.sweepRepOpenBlocks(targets, [][]Particle{sources})
 	default:
@@ -117,56 +110,32 @@ func (k *Kernel) Accumulate(targets, sources []Particle) int64 {
 	}
 }
 
-// AccumulateBlocks is one Accumulate per block, in list order, bit for
+// AccumulateBlocks is one AccumulateIn per block, in list order, bit for
 // bit and count for count: every target folds the sources of block 0,
 // then those of block 1, and so on, and the result is the sum of the
 // calls' pair counts. It exists for callers holding many short source
 // blocks (the all-pairs loop gathers its visiting blocks, see
-// internal/core): the AVX2 sweep keeps each group of targets in its
-// lanes across the whole list instead of loading, draining and storing
-// it once per block. The flavors without a sweep make the calls.
-func (k *Kernel) AccumulateBlocks(targets []Particle, blocks [][]Particle) int64 {
+// internal/core): the open law's AVX2 sweep keeps each group of targets
+// in its lanes across the whole list instead of loading, draining and
+// storing it once per block. Every other case makes the calls.
+func (k *Kernel) AccumulateBlocks(targets []Particle, blocks [][]Particle, box Box) int64 {
 	if useAVX2 && !k.lj && !k.hasCut {
 		return k.sweepRepOpenBlocks(targets, blocks)
 	}
 	var n int64
 	for _, sources := range blocks {
-		n += k.Accumulate(targets, sources)
+		n += k.AccumulateIn(targets, sources, box)
 	}
 	return n
 }
 
-// AccumulateIn is the specialized form of Law.AccumulateIn: Accumulate
-// under the box metric (minimum-image displacements for periodic boxes),
-// counting beyond-cutoff pairs as evaluations exactly as the generic
-// path does.
-//
-// The cutoff flavors skip beyond-cutoff pairs without any add, which is
-// what lets their loops compact (kernel_tiled.go) and the repulsive
-// flavor's vector sweep gate its sources before it divides for any
-// (sweep_amd64.go). The open flavors must add for every counted pair,
-// like Accumulate.
-func (k *Kernel) AccumulateIn(targets, sources []Particle, box Box) int64 {
-	switch {
-	case k.lj && k.hasCut:
-		return k.accumulateInLJCut(targets, sources, box)
-	case k.lj:
-		return k.accumulateInLJOpen(targets, sources, box)
-	case !k.hasCut:
-		return k.accumulateInRepOpen(targets, sources, box)
-	case useAVX2:
-		return k.sweepInRepCut(targets, sources, box)
-	default:
-		return k.accumulateInRepCut(targets, sources, box)
-	}
-}
-
-// The loop bodies below mirror the generic path operation for operation.
+// The two open loops mirror the generic path operation for operation.
 // `fx += 0` statements reproduce the generic path's f.Add(vec.Vec2{})
-// for pairs whose force is exactly zero: adding +0 normalizes a -0
-// accumulator, so eliding the add would not be bitwise-faithful.
+// for a coincident pair, whose force is exactly zero: adding +0
+// normalizes a -0 accumulator, so eliding the add would not be
+// bitwise-faithful.
 //
-// The repulsive loops process two sources per iteration with both lane
+// The repulsive loop processes two sources per iteration with both lane
 // weights computed before either is accumulated. This is not a generic
 // unroll-for-speed: SQRTSD writes only the low lane of its destination
 // register, so a one-wide loop carries a false dependency from each
@@ -175,9 +144,11 @@ func (k *Kernel) AccumulateIn(targets, sources []Particle, box Box) int64 {
 // path, which breaks the chain by reloading registers per call). Keeping
 // both lane weights live forces distinct sqrt destinations. Accumulation
 // stays strictly in source order — lane 0 then lane 1 — so the result is
-// still bitwise-identical to the one-at-a-time reference. The LJ loops
-// have no sqrt (DIVSD's destination is a true input, rewritten fresh
-// every iteration) and stay one-wide.
+// still bitwise-identical to the one-at-a-time reference. The LJ loop
+// has no sqrt (DIVSD's destination is a true input, rewritten fresh
+// every iteration) and stays one-wide. (One open loop for both laws was
+// measured for ISSUE 25: Lennard-Jones 14 % slower, and one register
+// allocation of it took the repulsive loop from 3.6 to 8.0 ns/pair.)
 //
 // Each lane tracks a single `ok` flag; the rare exact-zero add is
 // re-derived in the accumulation step (from the ID test) instead
@@ -255,91 +226,6 @@ func (k *Kernel) accumulateRepOpen(targets, sources []Particle) int64 {
 	return n
 }
 
-func (k *Kernel) accumulateRepCut(targets, sources []Particle) int64 {
-	kk, soft2, rc2 := k.k, k.soft2, k.rc2
-	var n int64
-	for i := range targets {
-		t := &targets[i]
-		fx, fy := t.Force.X, t.Force.Y
-		px, py, id := t.Pos.X, t.Pos.Y, t.ID
-		j := 0
-		for ; j+1 < len(sources); j += 2 {
-			s0, s1 := &sources[j], &sources[j+1]
-			var w0, w1, dx0, dy0, dx1, dy1 float64
-			// Every counted pair without a force (beyond cutoff or exactly
-			// coincident) gets the zero add here, so `counted && !ok` is
-			// exactly the zero-add condition.
-			ok0, ok1 := false, false
-			if s0.ID != id {
-				n++
-				dx0 = px - s0.Pos.X
-				dy0 = py - s0.Pos.Y
-				d2 := dx0*dx0 + dy0*dy0
-				if d2 <= rc2 {
-					r2 := d2 + soft2
-					if r2 != 0 {
-						w0 = kk / (r2 * math.Sqrt(r2))
-						ok0 = true
-					}
-				}
-			}
-			if s1.ID != id {
-				n++
-				dx1 = px - s1.Pos.X
-				dy1 = py - s1.Pos.Y
-				d2 := dx1*dx1 + dy1*dy1
-				if d2 <= rc2 {
-					r2 := d2 + soft2
-					if r2 != 0 {
-						w1 = kk / (r2 * math.Sqrt(r2))
-						ok1 = true
-					}
-				}
-			}
-			if ok0 {
-				fx += w0 * dx0
-				fy += w0 * dy0
-			} else if s0.ID != id {
-				fx += 0
-				fy += 0
-			}
-			if ok1 {
-				fx += w1 * dx1
-				fy += w1 * dy1
-			} else if s1.ID != id {
-				fx += 0
-				fy += 0
-			}
-		}
-		for ; j < len(sources); j++ {
-			s := &sources[j]
-			if s.ID == id {
-				continue
-			}
-			n++
-			dx := px - s.Pos.X
-			dy := py - s.Pos.Y
-			d2 := dx*dx + dy*dy
-			if d2 > rc2 {
-				fx += 0
-				fy += 0
-				continue
-			}
-			r2 := d2 + soft2
-			if r2 == 0 {
-				fx += 0
-				fy += 0
-				continue
-			}
-			w := kk / (r2 * math.Sqrt(r2))
-			fx += w * dx
-			fy += w * dy
-		}
-		t.Force.X, t.Force.Y = fx, fy
-	}
-	return n
-}
-
 func (k *Kernel) accumulateLJOpen(targets, sources []Particle) int64 {
 	e24, sig2, soft2 := k.e24, k.sig2, k.soft2
 	var n int64
@@ -355,179 +241,6 @@ func (k *Kernel) accumulateLJOpen(targets, sources []Particle) int64 {
 			n++
 			dx := px - s.Pos.X
 			dy := py - s.Pos.Y
-			r2 := dx*dx + dy*dy + soft2
-			if r2 == 0 {
-				fx += 0
-				fy += 0
-				continue
-			}
-			s2 := sig2 / r2
-			s6 := s2 * s2 * s2
-			s12 := s6 * s6
-			w := e24 * (2*s12 - s6) / r2
-			fx += w * dx
-			fy += w * dy
-		}
-		t.Force.X, t.Force.Y = fx, fy
-	}
-	return n
-}
-
-func (k *Kernel) accumulateLJCut(targets, sources []Particle) int64 {
-	e24, sig2, soft2, rc2 := k.e24, k.sig2, k.soft2, k.rc2
-	var n int64
-	for i := range targets {
-		t := &targets[i]
-		fx, fy := t.Force.X, t.Force.Y
-		px, py, id := t.Pos.X, t.Pos.Y, t.ID
-		for j := range sources {
-			s := &sources[j]
-			if s.ID == id {
-				continue
-			}
-			n++
-			dx := px - s.Pos.X
-			dy := py - s.Pos.Y
-			d2 := dx*dx + dy*dy
-			if d2 > rc2 {
-				fx += 0
-				fy += 0
-				continue
-			}
-			r2 := d2 + soft2
-			if r2 == 0 {
-				fx += 0
-				fy += 0
-				continue
-			}
-			s2 := sig2 / r2
-			s6 := s2 * s2 * s2
-			s12 := s6 * s6
-			w := e24 * (2*s12 - s6) / r2
-			fx += w * dx
-			fy += w * dy
-		}
-		t.Force.X, t.Force.Y = fx, fy
-	}
-	return n
-}
-
-// The open-law AccumulateIn variants inline the box metric: the
-// minimum-image wrap applies only to periodic boxes (and only to Y in
-// 2D), exactly as Box.MinImage computes it. Their cutoff counterparts
-// are in kernel_tiled.go.
-
-func (k *Kernel) accumulateInRepOpen(targets, sources []Particle, box Box) int64 {
-	kk, soft2 := k.k, k.soft2
-	periodic, dim2, boxL := box.Boundary == Periodic, box.Dim >= 2, box.L
-	var n int64
-	for i := range targets {
-		t := &targets[i]
-		fx, fy := t.Force.X, t.Force.Y
-		px, py, id := t.Pos.X, t.Pos.Y, t.ID
-		j := 0
-		for ; j+1 < len(sources); j += 2 {
-			s0, s1 := &sources[j], &sources[j+1]
-			var w0, w1, dx0, dy0, dx1, dy1 float64
-			ok0, ok1 := false, false
-			if s0.ID != id {
-				n++
-				dx0 = px - s0.Pos.X
-				dy0 = py - s0.Pos.Y
-				if periodic {
-					dx0 = minImage1(dx0, boxL)
-					if dim2 {
-						dy0 = minImage1(dy0, boxL)
-					}
-				}
-				r2 := dx0*dx0 + dy0*dy0 + soft2
-				if r2 != 0 {
-					w0 = kk / (r2 * math.Sqrt(r2))
-					ok0 = true
-				}
-			}
-			if s1.ID != id {
-				n++
-				dx1 = px - s1.Pos.X
-				dy1 = py - s1.Pos.Y
-				if periodic {
-					dx1 = minImage1(dx1, boxL)
-					if dim2 {
-						dy1 = minImage1(dy1, boxL)
-					}
-				}
-				r2 := dx1*dx1 + dy1*dy1 + soft2
-				if r2 != 0 {
-					w1 = kk / (r2 * math.Sqrt(r2))
-					ok1 = true
-				}
-			}
-			if ok0 {
-				fx += w0 * dx0
-				fy += w0 * dy0
-			} else if s0.ID != id {
-				fx += 0
-				fy += 0
-			}
-			if ok1 {
-				fx += w1 * dx1
-				fy += w1 * dy1
-			} else if s1.ID != id {
-				fx += 0
-				fy += 0
-			}
-		}
-		for ; j < len(sources); j++ {
-			s := &sources[j]
-			if s.ID == id {
-				continue
-			}
-			n++
-			dx := px - s.Pos.X
-			dy := py - s.Pos.Y
-			if periodic {
-				dx = minImage1(dx, boxL)
-				if dim2 {
-					dy = minImage1(dy, boxL)
-				}
-			}
-			r2 := dx*dx + dy*dy + soft2
-			if r2 == 0 {
-				fx += 0
-				fy += 0
-				continue
-			}
-			w := kk / (r2 * math.Sqrt(r2))
-			fx += w * dx
-			fy += w * dy
-		}
-		t.Force.X, t.Force.Y = fx, fy
-	}
-	return n
-}
-
-func (k *Kernel) accumulateInLJOpen(targets, sources []Particle, box Box) int64 {
-	e24, sig2, soft2 := k.e24, k.sig2, k.soft2
-	periodic, dim2, boxL := box.Boundary == Periodic, box.Dim >= 2, box.L
-	var n int64
-	for i := range targets {
-		t := &targets[i]
-		fx, fy := t.Force.X, t.Force.Y
-		px, py, id := t.Pos.X, t.Pos.Y, t.ID
-		for j := range sources {
-			s := &sources[j]
-			if s.ID == id {
-				continue
-			}
-			n++
-			dx := px - s.Pos.X
-			dy := py - s.Pos.Y
-			if periodic {
-				dx = minImage1(dx, boxL)
-				if dim2 {
-					dy = minImage1(dy, boxL)
-				}
-			}
 			r2 := dx*dx + dy*dy + soft2
 			if r2 == 0 {
 				fx += 0

@@ -76,59 +76,72 @@ func compareForces(t *testing.T, got, want []Particle) {
 	}
 }
 
-// TestKernelMatchesGenericAccumulate verifies the specialized Accumulate
-// loops are bitwise-identical to the per-pair generic path across the
-// law grid, including counts.
-func TestKernelMatchesGenericAccumulate(t *testing.T) {
-	box := NewBox(3, 2, Reflective)
-	for _, law := range kernelLawGrid() {
-		law := law
-		t.Run(fmt.Sprintf("%v_rc%g_soft%g", law.Kind, law.Cutoff, law.Softening), func(t *testing.T) {
-			for seed := uint64(1); seed <= 3; seed++ {
-				targets := InitUniform(24, box, seed)
-				seedForces(targets)
-				sources := kernelSources(targets, box, seed)
+// kernelBoxes are the metrics of the kernel table: Box{}, under which
+// AccumulateIn is Accumulate, and reflective and periodic boxes in one
+// and two dimensions.
+var kernelBoxes = []Box{{}, NewBox(3, 1, Reflective), NewBox(3, 2, Reflective), NewBox(3, 1, Periodic), NewBox(3, 2, Periodic)}
 
-				generic := append([]Particle(nil), targets...)
-				fast := append([]Particle(nil), targets...)
+// TestKernelMatchesGenericAccumulate and TestKernelMatchesGenericAccumulateIn
+// run one table, kernelBoxes × kernelLawGrid — the first its Box{} row,
+// named by law alone, the second the boxes (see kernelTable).
+func TestKernelMatchesGenericAccumulate(t *testing.T)   { kernelTable(t, kernelBoxes[:1]) }
+func TestKernelMatchesGenericAccumulateIn(t *testing.T) { kernelTable(t, kernelBoxes[1:]) }
+
+// kernelTable holds AccumulateIn — and under Box{} Accumulate too — to
+// the generic per-pair path, from seeded accumulators: every force bit
+// and the pair count. The reference of an open law is taken under Box{}
+// whatever the box, so an open law must ignore it. And a target that
+// meets nothing but pairs beyond a cutoff must keep seedForces' -0
+// accumulator: a cutoff law skips such a pair under either entry point.
+func kernelTable(t *testing.T, boxes []Box) {
+	for _, box := range boxes {
+		space, name := box, fmt.Sprintf("%v_%d/", box.Boundary, box.Dim)
+		if box == (Box{}) {
+			space, name = NewBox(3, 2, Reflective), ""
+		}
+		for _, law := range kernelLawGrid() {
+			t.Run(fmt.Sprintf("%s%v_rc%g_soft%g", name, law.Kind, law.Cutoff, law.Softening), func(t *testing.T) {
 				kern := law.Kernel()
-				ng := law.AccumulateGeneric(generic, sources)
-				nf := kern.Accumulate(fast, sources)
-				if ng != nf {
-					t.Fatalf("seed %d: kernel counted %d evaluations, generic %d", seed, nf, ng)
+				entries := map[string]func(targets, sources []Particle) int64{
+					"AccumulateIn": func(ts, ss []Particle) int64 { return kern.AccumulateIn(ts, ss, box) },
 				}
-				compareForces(t, fast, generic)
-			}
-		})
-	}
-}
-
-// TestKernelMatchesGenericAccumulateIn does the same for the box-metric
-// variant, across boundary conditions and dimensions.
-func TestKernelMatchesGenericAccumulateIn(t *testing.T) {
-	for _, boundary := range []Boundary{Reflective, Periodic} {
-		for _, dim := range []int{1, 2} {
-			box := NewBox(3, dim, boundary)
-			for _, law := range kernelLawGrid() {
-				law, box := law, box
-				t.Run(fmt.Sprintf("%v_%d/%v_rc%g_soft%g", boundary, dim, law.Kind, law.Cutoff, law.Softening), func(t *testing.T) {
-					for seed := uint64(1); seed <= 3; seed++ {
-						targets := InitUniform(24, box, seed)
-						seedForces(targets)
-						sources := kernelSources(targets, box, seed)
-
-						generic := append([]Particle(nil), targets...)
-						fast := append([]Particle(nil), targets...)
-						kern := law.Kernel()
-						ng := law.AccumulateInGeneric(generic, sources, box)
-						nf := kern.AccumulateIn(fast, sources, box)
-						if ng != nf {
-							t.Fatalf("seed %d: kernel counted %d evaluations, generic %d", seed, nf, ng)
+				if box == (Box{}) {
+					entries["Accumulate"] = kern.Accumulate
+				}
+				ref := box
+				if law.Cutoff == 0 {
+					ref = Box{}
+				}
+				for seed := uint64(1); seed <= 3; seed++ {
+					targets := InitUniform(24, space, seed)
+					seedForces(targets)
+					sources := kernelSources(targets, space, seed)
+					want := append([]Particle(nil), targets...)
+					nWant := law.AccumulateGeneric(want, sources, ref)
+					var beyond []Particle // target 0's sources out of reach
+					for _, s := range sources {
+						if law.Cutoff > 0 && box.MinImage(targets[0].Pos, s.Pos).Norm2() > law.Cutoff*law.Cutoff {
+							beyond = append(beyond, s)
 						}
-						compareForces(t, fast, generic)
 					}
-				})
-			}
+					for entry, accumulate := range entries {
+						got := append([]Particle(nil), targets...)
+						if n := accumulate(got, sources); n != nWant {
+							t.Fatalf("seed %d: %s counted %d evaluations, generic %d", seed, entry, n, nWant)
+						}
+						compareForces(t, got, want)
+						if len(beyond) == 0 {
+							continue
+						}
+						lone := append([]Particle(nil), targets[0])
+						accumulate(lone, beyond)
+						if negZero := math.Copysign(0, -1); !bitsEqual(lone[0].Force.X, negZero) || !bitsEqual(lone[0].Force.Y, negZero) {
+							t.Fatalf("seed %d: %s added for %d pairs beyond the cutoff: -0 came back as (%x, %x)", seed, entry,
+								len(beyond), math.Float64bits(lone[0].Force.X), math.Float64bits(lone[0].Force.Y))
+						}
+					}
+				}
+			})
 		}
 	}
 }
@@ -138,8 +151,9 @@ func TestKernelMatchesGenericAccumulateIn(t *testing.T) {
 const longBlock = 4099
 
 // TestAccumulateBlocksMatchesPerBlock holds AccumulateBlocks to the
-// calls it stands for — one Accumulate per block, in order — for all
-// four flavors, the three without a sweep included: every force bit,
+// calls it stands for — one AccumulateIn per block, in order, here in a
+// periodic box — for both laws, open and cut off, the three cases
+// without the blocks sweep included: every force bit,
 // and a pair count equal to the calls' sum and to Interactions. The
 // target counts cover every remainder of the sweep's lane groups and a
 // ragged tail behind ten full ones; the lists cover no block, one,
@@ -147,7 +161,7 @@ const longBlock = 4099
 // one assembly call, and blocks either side of the length at which the
 // open sweep changes loops.
 func TestAccumulateBlocksMatchesPerBlock(t *testing.T) {
-	box := NewBox(3, 2, Reflective)
+	box := NewBox(3, 2, Periodic)
 	laws := []Law{
 		{Kind: Repulsive, K: 1.3, Softening: 1e-3}, // the flavor with a sweep
 		{Kind: Repulsive, K: 1.3, Softening: 1e-3, Cutoff: 0.9},
@@ -187,7 +201,7 @@ func TestAccumulateBlocksMatchesPerBlock(t *testing.T) {
 					var nWant int64
 					ns, shared := 0, 0
 					for _, b := range tc.blocks {
-						nWant += k.Accumulate(want, b)
+						nWant += k.AccumulateIn(want, b, box)
 						ns += len(b)
 						for i := range b {
 							if int(b[i].ID) < nt {
@@ -195,7 +209,7 @@ func TestAccumulateBlocksMatchesPerBlock(t *testing.T) {
 							}
 						}
 					}
-					nGot := k.AccumulateBlocks(got, tc.blocks)
+					nGot := k.AccumulateBlocks(got, tc.blocks, box)
 					if nGot != nWant || nGot != Interactions(nt, ns, shared) {
 						t.Fatalf("counted %d pairs, the per-block calls %d, Interactions %d",
 							nGot, nWant, Interactions(nt, ns, shared))
@@ -234,10 +248,42 @@ func BenchmarkAccumulateBlocks(b *testing.B) {
 		b.Run(fmt.Sprintf("8x%d", ns), func(b *testing.B) {
 			var pairs int64
 			for i := 0; i < b.N; i++ {
-				pairs = k.AccumulateBlocks(targets, blocks)
+				pairs = k.AccumulateBlocks(targets, blocks, Box{})
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(pairs), "ns/pair")
 		})
+	}
+}
+
+// BenchmarkKernelGo times every entry of the kernel table on one batch
+// shape — 256 targets, 512 sources of which 256 carry the targets' own
+// IDs, in a box of 3 — in ns/pair: each law open and under a cutoff of
+// 0.9, through Accumulate and through AccumulateIn of a reflective and a
+// periodic 2D box. Where Impl is not "portable" the repulsive rows time
+// the vector sweeps; -tags purego times the Go loops:
+//
+//	go test -tags purego -run NONE -bench KernelGo ./internal/phys/
+func BenchmarkKernelGo(b *testing.B) {
+	boxes := []struct {
+		name string
+		box  Box
+	}{{"Accumulate", Box{}}, {"reflective", NewBox(3, 2, Reflective)}, {"periodic", NewBox(3, 2, Periodic)}}
+	space := NewBox(3, 2, Reflective)
+	targets := InitUniform(256, space, 1)
+	sources := append(append([]Particle(nil), targets...), relabel(InitUniform(256, space, 2), 256)...)
+	for _, law := range []Law{DefaultLaw(), LJLaw(0.7, 0.4)} {
+		for _, rc := range []float64{0, 0.9} {
+			k := law.WithCutoff(rc).Kernel()
+			for _, bx := range boxes {
+				b.Run(fmt.Sprintf("%v/rc%g/%s", law.Kind, rc, bx.name), func(b *testing.B) {
+					var pairs int64
+					for i := 0; i < b.N; i++ {
+						pairs = k.AccumulateIn(targets, sources, bx.box)
+					}
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(pairs), "ns/pair")
+				})
+			}
+		}
 	}
 }
 
@@ -253,7 +299,7 @@ func TestKernelUnknownKindFallsBackToRepulsive(t *testing.T) {
 	generic := append([]Particle(nil), targets...)
 	fast := append([]Particle(nil), targets...)
 	kern := weird.Kernel()
-	ng := weird.AccumulateGeneric(generic, sources)
+	ng := weird.AccumulateGeneric(generic, sources, Box{})
 	nf := kern.Accumulate(fast, sources)
 	if ng != nf {
 		t.Fatalf("kernel counted %d evaluations, generic %d", nf, ng)
@@ -316,31 +362,31 @@ func TestKernelAllocs(t *testing.T) {
 		t.Errorf("Kernel.AccumulateIn allocated %.1f times per run, want 0", a)
 	}
 	blocks := [][]Particle{sources[:5], sources[5:40], sources[40:]}
-	if a := testing.AllocsPerRun(10, func() { kern.AccumulateBlocks(targets, blocks) }); a != 0 {
+	if a := testing.AllocsPerRun(10, func() { kern.AccumulateBlocks(targets, blocks, box) }); a != 0 {
 		t.Errorf("Kernel.AccumulateBlocks allocated %.1f times per run, want 0", a)
 	}
 
-	// The two repulsive flavors the timestep loops run take the AVX2
-	// sweeps where the CPU has them (Impl, ImplIn): their lane state and
-	// spread constants must stay on the stack too.
+	// The repulsive law takes the AVX2 sweeps where the CPU has them
+	// (Impl): their lane state and spread constants must stay on the
+	// stack too.
 	rep := DefaultLaw().Kernel()
 	if a := testing.AllocsPerRun(10, func() { rep.Accumulate(targets, sources) }); a != 0 {
 		t.Errorf("%s repulsive Accumulate allocated %.1f times per run, want 0", rep.Impl(), a)
 	}
-	if a := testing.AllocsPerRun(10, func() { rep.AccumulateBlocks(targets, blocks) }); a != 0 {
+	if a := testing.AllocsPerRun(10, func() { rep.AccumulateBlocks(targets, blocks, box) }); a != 0 {
 		t.Errorf("%s repulsive AccumulateBlocks allocated %.1f times per run, want 0", rep.Impl(), a)
 	}
 	repCut := DefaultLaw().WithCutoff(0.9).Kernel()
 	if a := testing.AllocsPerRun(10, func() { repCut.AccumulateIn(targets, sources, box) }); a != 0 {
-		t.Errorf("%s repulsive cutoff AccumulateIn allocated %.1f times per run, want 0", repCut.ImplIn(), a)
+		t.Errorf("%s repulsive cutoff AccumulateIn allocated %.1f times per run, want 0", repCut.Impl(), a)
 	}
 	// Nor may the sources its pipelined loop stages, here two chunks of
 	// them, or the group the last three targets are padded into.
 	many := relabel(InitUniform(300, box, 2), 1000)
 	if a := testing.AllocsPerRun(10, func() { repCut.AccumulateIn(targets[:31], many, box) }); a != 0 {
-		t.Errorf("%s repulsive cutoff AccumulateIn allocated %.1f times per run over staged sources, want 0", repCut.ImplIn(), a)
+		t.Errorf("%s repulsive cutoff AccumulateIn allocated %.1f times per run over staged sources, want 0", repCut.Impl(), a)
 	}
-	if a := testing.AllocsPerRun(10, func() { rep.AccumulateBlocks(targets[:31], blocks) }); a != 0 {
+	if a := testing.AllocsPerRun(10, func() { rep.AccumulateBlocks(targets[:31], blocks, box) }); a != 0 {
 		t.Errorf("%s repulsive AccumulateBlocks allocated %.1f times per run over a padded group, want 0", rep.Impl(), a)
 	}
 

@@ -6,38 +6,31 @@ import (
 	"repro/internal/vec"
 )
 
-// This file holds the two box-metric cutoff loops of Kernel.AccumulateIn
-// and the staged sweep the midpoint loop shares with them. The cutoff
-// loops block the interaction matrix into source tiles of vec.TileCap
-// particles: a tile is loaded once into a structure-of-arrays scratch
-// (vec.SoA) and swept across every target before the next tile is
-// touched. A source is therefore read from the particle slice once per
-// tile instead of once per target, and the sweep indexes three dense
-// arrays instead of striding through 52-byte particles. The tile is the
-// whole scratch: the scratch is sized to stay in L1 beside the targets,
-// and the per-(tile, target) costs only shrink with a wider tile.
+// This file holds the compaction loop, the Go loop of every cutoff law
+// (Kernel.AccumulateIn), and the staged sweep it shares with the
+// midpoint timestep loop. A cutoff law skips a beyond-cutoff pair
+// without any add, which legalizes dropping it before any arithmetic:
+// the loop blocks the interaction matrix into source tiles of
+// vec.TileCap particles, loads a tile once into a structure-of-arrays
+// scratch (vec.SoA), and takes it across every target before the next
+// tile is touched. Per target and tile a gating pass (compactCut)
+// computes each lane's displacement under the box's metric with
+// sign-mask arithmetic (vec.NegMask) instead of data-dependent branches
+// and compacts the survivors of the identity and cutoff gates in source
+// order into a Staged scratch; SweepStaged then folds the law's weights
+// over the dense survivors, four lanes in flight (breaking SQRTSD's
+// false output dependency for the repulsive law), with no cutoff branch
+// and an `r2 != 0` branch that is all but never taken. At typical cutoff
+// densities the gate discards two thirds of the lanes before they reach
+// the divider. Under Box{} the gate measures plainly: that is
+// Accumulate with a cutoff law.
 //
-// Per target and tile the loop gates, compacts and sweeps. AccumulateIn
-// skips a beyond-cutoff pair without any add, which legalizes
-// compaction: a gating pass computes each lane's box-metric displacement
-// with sign-mask arithmetic (vec.NegMask) instead of data-dependent
-// branches and compacts the survivors in source order into a scratch
-// (cutScratch); a sweep pass then runs the sqrt/divide weights over the
-// dense survivors — four sqrt lanes in flight to break SQRTSD's false
-// output dependency, two divide lanes for LJ — whose cutoff branch has
-// vanished and whose `r2 != 0` branch is all but never taken. At typical
-// cutoff densities the gating pass discards two thirds of the lanes
-// before they reach the divider.
+// An open law adds for every counted pair, so no pair may be dropped and
+// staging buys nothing: its loops are kernel.go's, and what lifts their
+// divider bound is doing four divisions at once (sweep_amd64.go).
 //
-// The Accumulate and open-law AccumulateIn flavors add an exact +0 for
-// every counted force-free pair (beyond cutoff or coincident), so no
-// pair's arithmetic may be skipped, and with every pair's weight
-// mandatory the scalar divider is the bottleneck: staging buys nothing
-// there (kernel.go). What lifts that bound is doing four divisions at
-// once (sweep_amd64.go).
-//
-// Bitwise contract. The loops are bit-identical to the generic per-pair
-// reference (Law.AccumulateInGeneric), wherever the tile seams fall,
+// Bitwise contract. The loop is bit-identical to the generic per-pair
+// reference (Law.AccumulateGeneric), wherever the tile seams fall,
 // because:
 //
 //   - Per-target accumulation order is pinned: tiles are swept in
@@ -91,24 +84,24 @@ func wrap1(d, l, half float64) float64 {
 	return w
 }
 
-// cutScratch holds the survivors of a tile's gating pass: the
-// displacements and squared distances of the pairs that passed the
-// identity and cutoff gates, compacted in source order.
-type cutScratch struct {
-	dx, dy, d2 [vec.TileCap]float64
+// Staged holds pairs that passed every gate, for SweepStaged: each
+// pair's displacement (DX, DY) toward its target and its squared
+// distance D2 = DX·DX + DY·DY, in fold order.
+type Staged struct {
+	DX, DY, D2 [vec.TileCap]float64
 }
 
-// compactCut is the gating pass of the cutoff compaction loops: it
-// computes the (box-metric) displacement of the target at (px, py) to
-// each of the nt staged sources, counts the non-identity pairs, and
-// compacts the lanes that pass both the identity gate (soa.ID[j] != id)
-// and the cutoff gate (d2 <= rc2) into cs, preserving source order.
-// The gates are sign-mask arithmetic, not branches: a rejected lane is
-// written to the scratch slot and then overwritten, instead of
-// mispredicting. Survivor displacements and squared distances are
-// exactly the values the generic path computes, so the caller's sweep
-// over cs reproduces its arithmetic bit for bit.
-func compactCut(cs *cutScratch, soa *vec.SoA, nt int, px, py float64, id uint32, rc2 float64, periodic, dim2 bool, boxL, half float64) (int, int64) {
+// compactCut is the gating pass of the compaction loop: it computes the
+// (box-metric) displacement of the target at (px, py) to each of the nt
+// staged sources, counts the non-identity pairs, and compacts the lanes
+// that pass both the identity gate (soa.ID[j] != id) and the cutoff gate
+// (d2 <= rc2) into st, preserving source order. The gates are sign-mask
+// arithmetic, not branches: a rejected lane is written to the scratch
+// slot and then overwritten, instead of mispredicting. Survivor
+// displacements and squared distances are exactly the values the
+// generic path computes, so SweepStaged over st reproduces its
+// arithmetic bit for bit.
+func compactCut(st *Staged, soa *vec.SoA, nt int, px, py float64, id uint32, rc2 float64, periodic, dim2 bool, boxL, half float64) (int, int64) {
 	kc := 0
 	var counted int64
 	for j := 0; j < nt; j++ {
@@ -136,341 +129,126 @@ func compactCut(cs *cutScratch, soa *vec.SoA, nt int, px, py float64, id uint32,
 		d2 := dx*dx + dy*dy
 		idm := neqMask(soa.ID[j], id)
 		counted += int64(idm)
-		cs.dx[kc] = dx
-		cs.dy[kc] = dy
-		cs.d2[kc] = d2
+		st.DX[kc] = dx
+		st.DY[kc] = dy
+		st.D2[kc] = d2
 		kc += int(idm &^ vec.NegMask(rc2-d2) & 1)
 	}
 	return kc, counted
 }
 
-// sweepCutRep folds the repulsive force of the kc compacted survivors
-// in cs onto (fx, fy), in order. Four sqrt lanes run concurrently with
-// all four weights live before any is accumulated (breaking SQRTSD's
-// false output dependency); the `r2 != 0` branch is taken for every
-// survivor except an exactly-coincident zero-softening pair, so it
-// predicts perfectly, and that rare survivor contributes the same +0
-// the generic path adds.
-func sweepCutRep(cs *cutScratch, kc int, fx, fy, kk, soft2 float64) (float64, float64) {
+// SweepStaged folds onto (fx, fy) the force of the first n pairs staged
+// in st, in order, and returns the updated accumulators: each pair's
+// weight at r2 = D2 + ε_s² times its displacement, bit for bit the
+// generic path's f.Add(open.Pair(d, 0)) — including the exact +0 it adds
+// for a pair whose r2 is 0, even where DX is not (a D2 that underflows):
+// the `r2 != 0` branch is what adds +0 there instead of a -0 product.
+// The kernel's cutoff is not applied; stage only pairs that passed it.
+//
+// Four lanes run concurrently with all four weights live before any is
+// accumulated, which breaks SQRTSD's false output dependency; the law
+// test in weight is the same every call and predicts perfectly.
+func (k *Kernel) SweepStaged(fx, fy float64, st *Staged, n int) (float64, float64) {
+	lj, kk, e24, sig2, soft2 := k.lj, k.k, k.e24, k.sig2, k.soft2
 	m := 0
-	for ; m+3 < kc; m += 4 {
-		r20 := cs.d2[m] + soft2
-		r21 := cs.d2[m+1] + soft2
-		r22 := cs.d2[m+2] + soft2
-		r23 := cs.d2[m+3] + soft2
+	for ; m+3 < n; m += 4 {
+		r20 := st.D2[m] + soft2
+		r21 := st.D2[m+1] + soft2
+		r22 := st.D2[m+2] + soft2
+		r23 := st.D2[m+3] + soft2
 		var w0, w1, w2, w3 float64
 		ok0, ok1, ok2, ok3 := false, false, false, false
 		if r20 != 0 {
-			w0 = kk / (r20 * math.Sqrt(r20))
+			w0 = weight(lj, kk, e24, sig2, r20)
 			ok0 = true
 		}
 		if r21 != 0 {
-			w1 = kk / (r21 * math.Sqrt(r21))
+			w1 = weight(lj, kk, e24, sig2, r21)
 			ok1 = true
 		}
 		if r22 != 0 {
-			w2 = kk / (r22 * math.Sqrt(r22))
+			w2 = weight(lj, kk, e24, sig2, r22)
 			ok2 = true
 		}
 		if r23 != 0 {
-			w3 = kk / (r23 * math.Sqrt(r23))
+			w3 = weight(lj, kk, e24, sig2, r23)
 			ok3 = true
 		}
 		if ok0 {
-			fx += w0 * cs.dx[m]
-			fy += w0 * cs.dy[m]
+			fx += w0 * st.DX[m]
+			fy += w0 * st.DY[m]
 		} else {
 			fx += 0
 			fy += 0
 		}
 		if ok1 {
-			fx += w1 * cs.dx[m+1]
-			fy += w1 * cs.dy[m+1]
+			fx += w1 * st.DX[m+1]
+			fy += w1 * st.DY[m+1]
 		} else {
 			fx += 0
 			fy += 0
 		}
 		if ok2 {
-			fx += w2 * cs.dx[m+2]
-			fy += w2 * cs.dy[m+2]
+			fx += w2 * st.DX[m+2]
+			fy += w2 * st.DY[m+2]
 		} else {
 			fx += 0
 			fy += 0
 		}
 		if ok3 {
-			fx += w3 * cs.dx[m+3]
-			fy += w3 * cs.dy[m+3]
+			fx += w3 * st.DX[m+3]
+			fy += w3 * st.DY[m+3]
 		} else {
 			fx += 0
 			fy += 0
 		}
 	}
-	for ; m < kc; m++ {
-		r2 := cs.d2[m] + soft2
+	for ; m < n; m++ {
+		r2 := st.D2[m] + soft2
 		if r2 == 0 {
 			fx += 0
 			fy += 0
 			continue
 		}
-		w := kk / (r2 * math.Sqrt(r2))
-		fx += w * cs.dx[m]
-		fy += w * cs.dy[m]
+		w := weight(lj, kk, e24, sig2, r2)
+		fx += w * st.DX[m]
+		fy += w * st.DY[m]
 	}
 	return fx, fy
 }
 
-// sweepCutLJ is the Lennard-Jones counterpart of sweepCutRep. DIVSD's
-// destination is a true input rewritten every iteration — there is no
-// false dependency to break — so two lanes in flight are enough to
-// cover the divider latency.
-func sweepCutLJ(cs *cutScratch, kc int, fx, fy, e24, sig2, soft2 float64) (float64, float64) {
-	m := 0
-	for ; m+1 < kc; m += 2 {
-		r20 := cs.d2[m] + soft2
-		r21 := cs.d2[m+1] + soft2
-		var w0, w1 float64
-		ok0, ok1 := false, false
-		if r20 != 0 {
-			s2 := sig2 / r20
-			s6 := s2 * s2 * s2
-			s12 := s6 * s6
-			w0 = e24 * (2*s12 - s6) / r20
-			ok0 = true
-		}
-		if r21 != 0 {
-			s2 := sig2 / r21
-			s6 := s2 * s2 * s2
-			s12 := s6 * s6
-			w1 = e24 * (2*s12 - s6) / r21
-			ok1 = true
-		}
-		if ok0 {
-			fx += w0 * cs.dx[m]
-			fy += w0 * cs.dy[m]
-		} else {
-			fx += 0
-			fy += 0
-		}
-		if ok1 {
-			fx += w1 * cs.dx[m+1]
-			fy += w1 * cs.dy[m+1]
-		} else {
-			fx += 0
-			fy += 0
-		}
-	}
-	for ; m < kc; m++ {
-		r2 := cs.d2[m] + soft2
-		if r2 == 0 {
-			fx += 0
-			fy += 0
-			continue
-		}
+// weight is the law's force over distance at a softened squared distance
+// r2 != 0, rounded as Law.pairVec rounds it: 24ε(2s⁶ - s³)/r2 with
+// s = σ²/r2 for Lennard-Jones, K/(r2·√r2) for the repulsive law.
+func weight(lj bool, kk, e24, sig2, r2 float64) float64 {
+	if lj {
 		s2 := sig2 / r2
 		s6 := s2 * s2 * s2
 		s12 := s6 * s6
-		w := e24 * (2*s12 - s6) / r2
-		fx += w * cs.dx[m]
-		fy += w * cs.dy[m]
+		return e24 * (2*s12 - s6) / r2
 	}
-	return fx, fy
+	return kk / (r2 * math.Sqrt(r2))
 }
 
-// fillTile stages sources[base:base+nt] into the SoA scratch.
-func fillTile(soa *vec.SoA, sources []Particle, base, nt int) {
-	for j := 0; j < nt; j++ {
-		s := &sources[base+j]
-		soa.X[j], soa.Y[j], soa.ID[j] = s.Pos.X, s.Pos.Y, s.ID
-	}
-}
-
-func (k *Kernel) accumulateInRepCut(targets, sources []Particle, box Box) int64 {
-	kk, soft2, rc2 := k.k, k.soft2, k.rc2
+// accumulateCut is the compaction loop: AccumulateIn for a cutoff law.
+func (k *Kernel) accumulateCut(targets, sources []Particle, box Box) int64 {
 	periodic, dim2, boxL := box.Boundary == Periodic, box.Dim >= 2, box.L
 	half := boxL / 2
 	var soa vec.SoA
-	var cs cutScratch
+	var st Staged
 	var n int64
 	for base := 0; base < len(sources); base += vec.TileCap {
 		nt := min(vec.TileCap, len(sources)-base)
-		fillTile(&soa, sources, base, nt)
+		for j := 0; j < nt; j++ {
+			s := &sources[base+j]
+			soa.X[j], soa.Y[j], soa.ID[j] = s.Pos.X, s.Pos.Y, s.ID
+		}
 		for i := range targets {
 			t := &targets[i]
-			px, py, id := t.Pos.X, t.Pos.Y, t.ID
-			kc, counted := compactCut(&cs, &soa, nt, px, py, id, rc2, periodic, dim2, boxL, half)
+			kc, counted := compactCut(&st, &soa, nt, t.Pos.X, t.Pos.Y, t.ID, k.rc2, periodic, dim2, boxL, half)
 			n += counted
-			t.Force.X, t.Force.Y = sweepCutRep(&cs, kc, t.Force.X, t.Force.Y, kk, soft2)
+			t.Force.X, t.Force.Y = k.SweepStaged(t.Force.X, t.Force.Y, &st, kc)
 		}
 	}
 	return n
-}
-
-func (k *Kernel) accumulateInLJCut(targets, sources []Particle, box Box) int64 {
-	e24, sig2, soft2, rc2 := k.e24, k.sig2, k.soft2, k.rc2
-	periodic, dim2, boxL := box.Boundary == Periodic, box.Dim >= 2, box.L
-	half := boxL / 2
-	var soa vec.SoA
-	var cs cutScratch
-	var n int64
-	for base := 0; base < len(sources); base += vec.TileCap {
-		nt := min(vec.TileCap, len(sources)-base)
-		fillTile(&soa, sources, base, nt)
-		for i := range targets {
-			t := &targets[i]
-			px, py, id := t.Pos.X, t.Pos.Y, t.ID
-			kc, counted := compactCut(&cs, &soa, nt, px, py, id, rc2, periodic, dim2, boxL, half)
-			n += counted
-			t.Force.X, t.Force.Y = sweepCutLJ(&cs, kc, t.Force.X, t.Force.Y, e24, sig2, soft2)
-		}
-	}
-	return n
-}
-
-// SweepStaged accumulates onto (fx, fy) the open-law force on a target
-// at (px, py) from the first nt staged positions in soa, in lane order,
-// and returns the updated accumulators. It is the flush half of a
-// stage-and-sweep traversal: the caller applies its own eligibility
-// gates (cutoff, ownership, identity — the SoA ID lane is ignored)
-// while staging positions, and the sweep is bitwise-identical to
-// folding f = f.Add(openLaw.Pair(target, source)) over the staged
-// sources in order, including the exact +0 the generic path adds for a
-// coincident pair. The kernel's cutoff is not applied; stage only pairs
-// that already passed it. The midpoint timestep loop uses this to run
-// its gated traversal through the four-wide arithmetic.
-func (k *Kernel) SweepStaged(fx, fy, px, py float64, soa *vec.SoA, nt int) (float64, float64) {
-	if k.lj {
-		e24, sig2, soft2 := k.e24, k.sig2, k.soft2
-		j := 0
-		for ; j+1 < nt; j += 2 {
-			dx0 := px - soa.X[j]
-			dy0 := py - soa.Y[j]
-			dx1 := px - soa.X[j+1]
-			dy1 := py - soa.Y[j+1]
-			r20 := dx0*dx0 + dy0*dy0 + soft2
-			r21 := dx1*dx1 + dy1*dy1 + soft2
-			var w0, w1 float64
-			ok0, ok1 := false, false
-			if r20 != 0 {
-				s2 := sig2 / r20
-				s6 := s2 * s2 * s2
-				s12 := s6 * s6
-				w0 = e24 * (2*s12 - s6) / r20
-				ok0 = true
-			}
-			if r21 != 0 {
-				s2 := sig2 / r21
-				s6 := s2 * s2 * s2
-				s12 := s6 * s6
-				w1 = e24 * (2*s12 - s6) / r21
-				ok1 = true
-			}
-			if ok0 {
-				fx += w0 * dx0
-				fy += w0 * dy0
-			} else {
-				fx += 0
-				fy += 0
-			}
-			if ok1 {
-				fx += w1 * dx1
-				fy += w1 * dy1
-			} else {
-				fx += 0
-				fy += 0
-			}
-		}
-		for ; j < nt; j++ {
-			dx := px - soa.X[j]
-			dy := py - soa.Y[j]
-			r2 := dx*dx + dy*dy + soft2
-			if r2 == 0 {
-				fx += 0
-				fy += 0
-				continue
-			}
-			s2 := sig2 / r2
-			s6 := s2 * s2 * s2
-			s12 := s6 * s6
-			w := e24 * (2*s12 - s6) / r2
-			fx += w * dx
-			fy += w * dy
-		}
-		return fx, fy
-	}
-	kk, soft2 := k.k, k.soft2
-	j := 0
-	for ; j+3 < nt; j += 4 {
-		dx0 := px - soa.X[j]
-		dy0 := py - soa.Y[j]
-		dx1 := px - soa.X[j+1]
-		dy1 := py - soa.Y[j+1]
-		dx2 := px - soa.X[j+2]
-		dy2 := py - soa.Y[j+2]
-		dx3 := px - soa.X[j+3]
-		dy3 := py - soa.Y[j+3]
-		r20 := dx0*dx0 + dy0*dy0 + soft2
-		r21 := dx1*dx1 + dy1*dy1 + soft2
-		r22 := dx2*dx2 + dy2*dy2 + soft2
-		r23 := dx3*dx3 + dy3*dy3 + soft2
-		var w0, w1, w2, w3 float64
-		ok0, ok1, ok2, ok3 := false, false, false, false
-		if r20 != 0 {
-			w0 = kk / (r20 * math.Sqrt(r20))
-			ok0 = true
-		}
-		if r21 != 0 {
-			w1 = kk / (r21 * math.Sqrt(r21))
-			ok1 = true
-		}
-		if r22 != 0 {
-			w2 = kk / (r22 * math.Sqrt(r22))
-			ok2 = true
-		}
-		if r23 != 0 {
-			w3 = kk / (r23 * math.Sqrt(r23))
-			ok3 = true
-		}
-		if ok0 {
-			fx += w0 * dx0
-			fy += w0 * dy0
-		} else {
-			fx += 0
-			fy += 0
-		}
-		if ok1 {
-			fx += w1 * dx1
-			fy += w1 * dy1
-		} else {
-			fx += 0
-			fy += 0
-		}
-		if ok2 {
-			fx += w2 * dx2
-			fy += w2 * dy2
-		} else {
-			fx += 0
-			fy += 0
-		}
-		if ok3 {
-			fx += w3 * dx3
-			fy += w3 * dy3
-		} else {
-			fx += 0
-			fy += 0
-		}
-	}
-	for ; j < nt; j++ {
-		dx := px - soa.X[j]
-		dy := py - soa.Y[j]
-		r2 := dx*dx + dy*dy + soft2
-		if r2 == 0 {
-			fx += 0
-			fy += 0
-			continue
-		}
-		w := kk / (r2 * math.Sqrt(r2))
-		fx += w * dx
-		fy += w * dy
-	}
-	return fx, fy
 }

@@ -56,7 +56,7 @@ func TestKernelTileInvariance(t *testing.T) {
 
 						generic := append([]Particle(nil), targets...)
 						fast := append([]Particle(nil), targets...)
-						ng := law.AccumulateGeneric(generic, sources)
+						ng := law.AccumulateGeneric(generic, sources, Box{})
 						if nf := kern.Accumulate(fast, sources); nf != ng {
 							t.Fatalf("%d sources: Accumulate counted %d, generic %d", ns, nf, ng)
 						}
@@ -64,7 +64,7 @@ func TestKernelTileInvariance(t *testing.T) {
 
 						genericIn := append([]Particle(nil), targets...)
 						fastIn := append([]Particle(nil), targets...)
-						ngIn := law.AccumulateInGeneric(genericIn, sources, box)
+						ngIn := law.AccumulateGeneric(genericIn, sources, box)
 						if nf := kern.AccumulateIn(fastIn, sources, box); nf != ngIn {
 							t.Fatalf("%d sources: AccumulateIn counted %d, generic %d", ns, nf, ngIn)
 						}
@@ -77,9 +77,12 @@ func TestKernelTileInvariance(t *testing.T) {
 }
 
 // TestSweepStagedMatchesPairFold pins SweepStaged against the generic
-// fold it replaces in the midpoint loop: folding openLaw.Pair over the
-// staged sources in order, from a seeded (including -0) accumulator,
-// with a coincident pair staged to exercise the +0 add.
+// fold it stands for: folding openLaw.Pair(d, 0) over the staged
+// displacements in order, from a seeded (including -0) accumulator. A
+// coincident pair is staged to exercise the +0 add, and in lane 0 a pair
+// whose D2 underflows to 0 while DX is -1e-170: without softening its r2
+// is 0, and the fold must add +0 to the -0 seed, not the -0 that 0·DX
+// would be.
 func TestSweepStagedMatchesPairFold(t *testing.T) {
 	box := NewBox(3, 2, Reflective)
 	laws := []Law{
@@ -89,45 +92,39 @@ func TestSweepStagedMatchesPairFold(t *testing.T) {
 		{Kind: LennardJones, Epsilon: 0.7, Sigma: 0.4},
 	}
 	for _, law := range laws {
-		law := law
 		t.Run(fmt.Sprintf("%v_soft%g", law.Kind, law.Softening), func(t *testing.T) {
-			srcs := InitUniform(23, box, 3)
+			srcs := InitUniform(vec.TileCap+1, box, 3)
 			target := srcs[5] // coincides with staged source 5
-			for n := 0; n <= len(srcs); n++ {
-				var soa vec.SoA
+			ds := []vec.Vec2{{X: -1e-170}}
+			for _, s := range srcs[1:vec.TileCap] {
+				ds = append(ds, target.Pos.Sub(s.Pos))
+			}
+			var st Staged
+			for j, d := range ds {
+				st.DX[j], st.DY[j], st.D2[j] = d.X, d.Y, d.X*d.X+d.Y*d.Y
+			}
+			kern := law.Kernel()
+			for n := 0; n <= len(ds); n++ {
 				fx, fy := math.Copysign(0, -1), 0.625
-				wantX, wantY := fx, fy
-				kern := law.Kernel()
-				for j := 0; j < n; j++ {
-					if j == vec.TileCap {
-						break
-					}
-					soa.X[j], soa.Y[j] = srcs[j].Pos.X, srcs[j].Pos.Y
+				gotX, gotY := kern.SweepStaged(fx, fy, &st, n)
+				for _, d := range ds[:n] {
+					f := law.Pair(d, vec.Vec2{})
+					fx += f.X
+					fy += f.Y
 				}
-				nn := n
-				if nn > vec.TileCap {
-					nn = vec.TileCap
-				}
-				gotX, gotY := kern.SweepStaged(fx, fy, target.Pos.X, target.Pos.Y, &soa, nn)
-				for j := 0; j < nn; j++ {
-					f := law.Pair(target.Pos, srcs[j].Pos)
-					wantX += f.X
-					wantY += f.Y
-				}
-				if math.Float64bits(gotX) != math.Float64bits(wantX) || math.Float64bits(gotY) != math.Float64bits(wantY) {
-					t.Fatalf("n=%d: staged (%x,%x) != fold (%x,%x)", nn,
-						math.Float64bits(gotX), math.Float64bits(gotY),
-						math.Float64bits(wantX), math.Float64bits(wantY))
+				if !bitsEqual(gotX, fx) || !bitsEqual(gotY, fy) {
+					t.Fatalf("n=%d: staged (%x,%x) != fold (%x,%x)", n,
+						math.Float64bits(gotX), math.Float64bits(gotY), math.Float64bits(fx), math.Float64bits(fy))
 				}
 			}
 		})
 	}
 }
 
-// TestTiledKernelAllocs guards the compaction loops' zero-allocation
-// claim for both laws (TestKernelAllocs covers the other flavors): the
-// SoA and compaction scratch must live on the stack, never the heap,
-// also across a tile seam.
+// TestTiledKernelAllocs guards the compaction loop's zero-allocation
+// claim for both laws (TestKernelAllocs covers the other loops): the SoA
+// and the Staged scratch must live on the stack, never the heap, also
+// across a tile seam.
 func TestTiledKernelAllocs(t *testing.T) {
 	box := NewBox(3, 2, Periodic)
 	for _, law := range []Law{DefaultLaw().WithCutoff(0.9), LJLaw(0.7, 0.4).WithCutoff(0.9)} {
@@ -138,9 +135,9 @@ func TestTiledKernelAllocs(t *testing.T) {
 		if a := testing.AllocsPerRun(10, func() { kern.AccumulateIn(targets, sources, box) }); a != 0 {
 			t.Errorf("%v: AccumulateIn allocated %.1f times per run, want 0", law.Kind, a)
 		}
-		var soa vec.SoA
+		var st Staged
 		if a := testing.AllocsPerRun(10, func() {
-			kern.SweepStaged(0, 0, 0.5, 0.5, &soa, vec.TileCap)
+			kern.SweepStaged(0, 0, &st, vec.TileCap)
 		}); a != 0 {
 			t.Errorf("%v: SweepStaged allocated %.1f times per run, want 0", law.Kind, a)
 		}

@@ -138,7 +138,7 @@ func TestInteractions(t *testing.T) {
 }
 
 // TestInteractionsMatchesAccumulate pins the prediction to the counter
-// Accumulate actually returns, for disjoint, replicated, and partially
+// AccumulateIn actually returns, for disjoint, replicated, and partially
 // overlapping ID sets — the bug the corrected signature fixes.
 func TestInteractionsMatchesAccumulate(t *testing.T) {
 	box := NewBox(10, 2, Reflective)
@@ -154,7 +154,7 @@ func TestInteractionsMatchesAccumulate(t *testing.T) {
 		{"overlap", append(append([]Particle(nil), targets[:3]...), relabel(InitUniform(4, box, 3), 200)...), 3},
 	}
 	for _, tc := range cases {
-		got := law.Accumulate(append([]Particle(nil), targets...), tc.sources)
+		got := law.AccumulateIn(append([]Particle(nil), targets...), tc.sources, box)
 		want := Interactions(len(targets), len(tc.sources), tc.shared)
 		if got != want {
 			t.Errorf("%s: Accumulate counted %d, Interactions predicts %d", tc.name, got, want)

@@ -5,8 +5,7 @@ import (
 )
 
 // Pool fans one rank's force accumulation out over spare cores: a batch
-// tiles the targets of a Kernel.Accumulate/AccumulateBlocks/AccumulateIn
-// call into one contiguous block per worker, and every worker
+// tiles the targets of a Kernel.AccumulateIn/AccumulateBlocks call into one contiguous block per worker, and every worker
 // accumulates into its own disjoint block. Because each kernel loop
 // writes only the targets it iterates — sources are read-only — the
 // tiles never share a force accumulator, need no atomics, and each
@@ -49,9 +48,8 @@ type Pool struct {
 
 // Batch operation selectors.
 const (
-	opAccumulate uint8 = iota
+	opAccumulateIn uint8 = iota
 	opAccumulateBlocks
-	opAccumulateIn
 	opFunc
 )
 
@@ -111,12 +109,10 @@ func (p *Pool) exec(w int) {
 	lo, hi := p.starts[w], p.starts[w+1]
 	var pairs int64
 	switch p.mode {
-	case opAccumulate:
-		pairs = p.kern.Accumulate(p.targets[lo:hi], p.sources)
-	case opAccumulateBlocks:
-		pairs = p.kern.AccumulateBlocks(p.targets[lo:hi], p.blocks)
 	case opAccumulateIn:
 		pairs = p.kern.AccumulateIn(p.targets[lo:hi], p.sources, p.box)
+	case opAccumulateBlocks:
+		pairs = p.kern.AccumulateBlocks(p.targets[lo:hi], p.blocks, p.box)
 	case opFunc:
 		pairs = p.fn(lo, hi, w)
 	}
@@ -149,35 +145,14 @@ func (p *Pool) dispatch(n int) int64 {
 	return total
 }
 
-// Accumulate is Kernel.Accumulate with the targets tiled across the
-// pool. Bitwise-identical to k.Accumulate(targets, sources) for every
-// worker count; returns the same pair-evaluation count.
+// Accumulate is AccumulateIn under Box{}, the plain metric.
 func (p *Pool) Accumulate(k Kernel, targets, sources []Particle) int64 {
-	if p == nil {
-		return k.Accumulate(targets, sources)
-	}
-	p.mode, p.kern, p.targets, p.sources = opAccumulate, k, targets, sources
-	total := p.dispatch(len(targets))
-	p.targets, p.sources = nil, nil
-	return total
-}
-
-// AccumulateBlocks is Kernel.AccumulateBlocks with the targets tiled
-// across the pool: one dispatch for the whole list, not one per block.
-// Bitwise-identical to one Accumulate per block for every worker count;
-// returns the same pair-evaluation count.
-func (p *Pool) AccumulateBlocks(k Kernel, targets []Particle, blocks [][]Particle) int64 {
-	if p == nil {
-		return k.AccumulateBlocks(targets, blocks)
-	}
-	p.mode, p.kern, p.targets, p.blocks = opAccumulateBlocks, k, targets, blocks
-	total := p.dispatch(len(targets))
-	p.targets, p.blocks = nil, nil
-	return total
+	return p.AccumulateIn(k, targets, sources, Box{})
 }
 
 // AccumulateIn is Kernel.AccumulateIn with the targets tiled across the
-// pool.
+// pool. Bitwise-identical to k.AccumulateIn(targets, sources, box) for
+// every worker count; returns the same pair-evaluation count.
 func (p *Pool) AccumulateIn(k Kernel, targets, sources []Particle, box Box) int64 {
 	if p == nil {
 		return k.AccumulateIn(targets, sources, box)
@@ -185,6 +160,20 @@ func (p *Pool) AccumulateIn(k Kernel, targets, sources []Particle, box Box) int6
 	p.mode, p.kern, p.targets, p.sources, p.box = opAccumulateIn, k, targets, sources, box
 	total := p.dispatch(len(targets))
 	p.targets, p.sources = nil, nil
+	return total
+}
+
+// AccumulateBlocks is Kernel.AccumulateBlocks with the targets tiled
+// across the pool: one dispatch for the whole list, not one per block.
+// Bitwise-identical to one AccumulateIn per block for every worker
+// count; returns the same pair-evaluation count.
+func (p *Pool) AccumulateBlocks(k Kernel, targets []Particle, blocks [][]Particle, box Box) int64 {
+	if p == nil {
+		return k.AccumulateBlocks(targets, blocks, box)
+	}
+	p.mode, p.kern, p.targets, p.blocks, p.box = opAccumulateBlocks, k, targets, blocks, box
+	total := p.dispatch(len(targets))
+	p.targets, p.blocks = nil, nil
 	return total
 }
 

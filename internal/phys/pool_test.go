@@ -35,7 +35,7 @@ func TestPoolAccumulateBitwiseInvariance(t *testing.T) {
 		wantPairs := kern.Accumulate(want, sources)
 		wantIn := append([]Particle(nil), targets...)
 		wantInPairs := kern.AccumulateIn(wantIn, sources, box)
-		// The blocks form stands for one Accumulate per block; cut
+		// The blocks form stands for one AccumulateIn per block; cut
 		// anywhere, the blocks fold into each target in source order.
 		blocks := [][]Particle{sources[:9], nil, sources[9:10], sources[10:]}
 		for _, w := range []int{1, 2, 3, 4, 8} {
@@ -50,12 +50,12 @@ func TestPoolAccumulateBitwiseInvariance(t *testing.T) {
 				}
 			}
 			gotBlocks := append([]Particle(nil), targets...)
-			if pairs := pool.AccumulateBlocks(kern, gotBlocks, blocks); pairs != wantPairs {
-				t.Errorf("law %+v w=%d: AccumulateBlocks pair count %d, want %d", law, w, pairs, wantPairs)
+			if pairs := pool.AccumulateBlocks(kern, gotBlocks, blocks, box); pairs != wantInPairs {
+				t.Errorf("law %+v w=%d: AccumulateBlocks pair count %d, want %d", law, w, pairs, wantInPairs)
 			}
 			for i := range gotBlocks {
-				if gotBlocks[i] != want[i] {
-					t.Errorf("law %+v w=%d: AccumulateBlocks target %d = %+v, want %+v", law, w, i, gotBlocks[i], want[i])
+				if gotBlocks[i] != wantIn[i] {
+					t.Errorf("law %+v w=%d: AccumulateBlocks target %d = %+v, want %+v", law, w, i, gotBlocks[i], wantIn[i])
 				}
 			}
 			gotIn := append([]Particle(nil), targets...)
@@ -176,7 +176,7 @@ func TestPoolAllocs(t *testing.T) {
 	}
 	blocks := [][]Particle{sources[:40], sources[40:]}
 	if got := testing.AllocsPerRun(20, func() {
-		pool.AccumulateBlocks(kern, targets, blocks)
+		pool.AccumulateBlocks(kern, targets, blocks, box)
 	}); got != 0 {
 		t.Errorf("pooled AccumulateBlocks: %v allocs/op, want 0", got)
 	}

@@ -8,11 +8,12 @@ import (
 	"repro/internal/vec"
 )
 
-// AVX2 sweeps for the two repulsive flavors the timestep loops spend
-// their time in: Accumulate without a cutoff (the all-pairs loop) and
-// AccumulateIn with one (the cutoff loop). Everything else — Lennard-
-// Jones, the cell list, SweepStaged, other architectures, pre-AVX2
-// CPUs, `-tags purego` — runs the Go loops, which are also the
+// AVX2 sweeps for the repulsive law, one per metric the law can pick
+// (kernel.go): the open sweep, which all-pairs loops spend their time
+// in, and the cutoff sweep, the cutoff loop's (or the all-pairs loop's
+// with a cutoff law; under Box{} it runs without the wrap). Lennard-
+// Jones, the midpoint loop's SweepStaged, other architectures, pre-AVX2
+// CPUs and `-tags purego` run the Go loops, which are also the
 // reference these sweeps are tested against (sweep_amd64_test.go).
 //
 // The sweeps vectorize across targets, not sources. Four consecutive
@@ -25,7 +26,7 @@ import (
 // assembly.) The data-dependent branches of the Go loops become lane
 // masks whose effect is exact:
 //
-//   - an equal-ID lane and (AccumulateIn) a beyond-cutoff lane keep
+//   - an equal-ID lane and (a cutoff law) a beyond-cutoff lane keep
 //     their accumulator, by blend or by a merging add. The Go loop
 //     performs no add there, and adding a masked +0 instead would turn a
 //     -0 accumulator into +0;
@@ -329,7 +330,8 @@ func (st *cutStage) fill(src []Particle) {
 //go:noescape
 func sweepInRepCutPipeAVX512(ln *lanes4, st *cutStage, n int, c *sweepConsts, periodic bool)
 
-// sweepInRepCut is accumulateInRepCut, bit for bit and count for count.
+// sweepInRepCut is accumulateCut for the repulsive law, bit for bit and
+// count for count.
 func (k *Kernel) sweepInRepCut(targets, sources []Particle, box Box) int64 {
 	return k.sweepInRepCutVia(usePipe, targets, sources, box)
 }
@@ -351,7 +353,7 @@ func (k *Kernel) sweepInRepCutVia(pipe bool, targets, sources []Particle, box Bo
 			ok, seam = ok && okY, seam || seamY
 		}
 		if !ok {
-			return k.accumulateInRepCut(targets, sources, box)
+			return k.accumulateCut(targets, sources, box)
 		}
 		if periodic = seam; seam {
 			inf := math.Inf(1)

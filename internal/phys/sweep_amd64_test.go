@@ -14,7 +14,7 @@ import (
 
 // The tests here hold the AVX2 sweeps to what they stand in for — the
 // open sweep to its Go loop (accumulateRepOpen), the cutoff sweep to the
-// generic per-pair path (Law.AccumulateInGeneric), the spec its Go loop
+// generic per-pair path (Law.AccumulateGeneric), the spec its Go loop
 // is held to as well: every force bit and the pair count, on inputs
 // built to reach each mask and each tail.
 
@@ -36,7 +36,7 @@ func mulAdd(x, y, z float64) float64 { return x*y + z }
 func needSweeps(t testing.TB) {
 	t.Helper()
 	if !useAVX2 {
-		t.Skip("no AVX2 on this host: Accumulate and AccumulateIn run the Go loops")
+		t.Skip("no AVX2 on this host: AccumulateIn runs the Go loops")
 	}
 	if mulAdd(mulAddProbe[0], mulAddProbe[1], mulAddProbe[2]) != 0 {
 		t.Skip("this build fuses x*y+z in the Go loops; the bitwise identity to the assembly is asserted for unfused builds (default GOAMD64=v1)")
@@ -70,14 +70,13 @@ func cutLoops() map[string]bool { return openLoops() }
 
 // checkSweeps runs law's repulsive sweep and its reference on copies of
 // targets and compares them, once per loop of the sweep: the open law
-// through Accumulate's pair, a cutoff law through AccumulateIn's under
-// box.
+// against its Go loop, a cutoff law against the generic path under box.
 func checkSweeps(t *testing.T, law Law, box Box, targets, sources []Particle) {
 	t.Helper()
 	k := law.Kernel()
 	want := append([]Particle(nil), targets...)
 	if law.Cutoff > 0 {
-		nWant := law.AccumulateInGeneric(want, sources, box)
+		nWant := law.AccumulateGeneric(want, sources, box)
 		for name, pipe := range cutLoops() {
 			got := append([]Particle(nil), targets...)
 			if nGot := k.sweepInRepCutVia(pipe, got, sources, box); nGot != nWant {
@@ -358,7 +357,7 @@ func TestSweepCutOnGrowingStack(t *testing.T) {
 	seedForces(targets)
 	sources := nearAndFar(40, 300, 2)
 	want := append([]Particle(nil), targets...)
-	law.AccumulateInGeneric(want, sources, box)
+	law.AccumulateGeneric(want, sources, box)
 	onGrowingStacks(t, targets, want, func(got []Particle) {
 		k.sweepInRepCutVia(true, got, sources, box)
 	})
@@ -988,7 +987,7 @@ func BenchmarkSweep(b *testing.B) {
 			})
 		}
 		if law.Cutoff > 0 {
-			run("go", func() int64 { return k.accumulateInRepCut(targets, sources, box) })
+			run("go", func() int64 { return k.accumulateCut(targets, sources, box) })
 			for name, pipe := range cutLoops() {
 				run(name, func() int64 { return k.sweepInRepCutVia(pipe, targets, sources, box) })
 			}

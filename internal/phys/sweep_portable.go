@@ -15,5 +15,5 @@ func (k *Kernel) sweepRepOpenBlocks(targets []Particle, blocks [][]Particle) int
 }
 
 func (k *Kernel) sweepInRepCut(targets, sources []Particle, box Box) int64 {
-	return k.accumulateInRepCut(targets, sources, box)
+	return k.accumulateCut(targets, sources, box)
 }

@@ -47,26 +47,6 @@ func TestNegMaskSubtractionIsComparison(t *testing.T) {
 	}
 }
 
-func TestNonzeroMask(t *testing.T) {
-	cases := []struct {
-		x    float64
-		want uint64
-	}{
-		{0, 0},
-		{math.Copysign(0, -1), 0},
-		{1, ^uint64(0)},
-		{-1, ^uint64(0)},
-		{5e-324, ^uint64(0)},
-		{math.Inf(1), ^uint64(0)},
-		{math.NaN(), ^uint64(0)},
-	}
-	for _, c := range cases {
-		if got := NonzeroMask(c.x); got != c.want {
-			t.Errorf("NonzeroMask(%g) = %#x, want %#x", c.x, got, c.want)
-		}
-	}
-}
-
 // TestMasked verifies the select is exact: an all-ones mask passes the
 // value through bit for bit (including -0 and NaN payloads), a zero
 // mask yields exactly +0.
