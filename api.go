@@ -254,21 +254,6 @@ func (c Config) law() phys.Law {
 	}
 }
 
-func (c Config) params(steps int) core.Params {
-	return core.Params{
-		P:       c.P,
-		C:       c.C,
-		Law:     c.law(),
-		Box:     c.box(),
-		DT:      c.DT,
-		Steps:   steps,
-		Options: comm.Options{Collectives: c.Collectives},
-		Overlap: c.Overlap,
-		Workers: c.Workers,
-		Proc:    c.Proc,
-	}
-}
-
 // fixedC returns the replication factor the configured algorithm always
 // runs at, or 0 when it runs at the caller's. The drivers of those
 // algorithms overwrite Params.C, so what the configuration, the
@@ -279,7 +264,7 @@ func (c Config) fixedC() int {
 	case ParticleDecomp, NaiveAllGather, Midpoint:
 		return 1
 	case ForceDecomp:
-		// A non-square P is the dry run's to reject.
+		// A non-square P is the session constructor's to reject.
 		if root := int(math.Round(math.Sqrt(float64(c.P)))); root*root == c.P {
 			return root
 		}
@@ -298,7 +283,11 @@ func (c Config) resolveAlgorithm() Algorithm {
 	return CAAllPairs
 }
 
-// Simulation owns a particle set and advances it in parallel.
+// Simulation owns a particle set and advances it in parallel. Between
+// Runs it holds a session: the parallel state the algorithm runs on —
+// the ranks' communication world and every rank's loop with its buffers
+// — so that a Run costs its steps, not a rebuild. The session is memory
+// only; no goroutine lives between Runs.
 type Simulation struct {
 	cfg       Config
 	particles []Particle
@@ -306,6 +295,10 @@ type Simulation struct {
 	observer  *obs.Observer
 	recorder  *record.Recorder
 	steps     int
+	// session is built from particles by New, Load or the first Run after
+	// it was dropped (by a failed Run or EnableObservation). particles
+	// then aliases its gather buffer, which only its next Advance writes.
+	session *core.Session
 }
 
 // errNotObserved is returned by the observability exporters when the
@@ -313,9 +306,9 @@ type Simulation struct {
 var errNotObserved = fmt.Errorf("nbody: simulation not observed (set Config.Observe)")
 
 // New validates cfg, initializes the particle set deterministically from
-// the seed, and returns a ready simulation. The configuration is also
-// dry-run validated so infeasible (p, c, n) combinations fail here
-// rather than mid-run.
+// the seed, and returns a ready simulation. Infeasible (p, c, n)
+// combinations fail here rather than mid-run: New runs the session
+// constructor, which validates without starting anything.
 func New(cfg Config) (*Simulation, error) {
 	cfg = cfg.withDefaults()
 	if fixed := cfg.fixedC(); fixed != 0 {
@@ -331,27 +324,28 @@ func New(cfg Config) (*Simulation, error) {
 		return nil, err
 	}
 	s := &Simulation{cfg: cfg, particles: cfg.initialParticles()}
-	if err := s.dryRun(); err != nil {
+	if err := s.build(); err != nil {
 		return nil, err
 	}
-	// The observer attaches after the dry run so validation noise never
-	// reaches the timeline (and the recorder after the observer: it
-	// samples the observer's matrix and metrics).
-	s.observer = cfg.observer()
-	s.recorder = cfg.newRecorder(s.observer)
+	if cfg.Observe != nil {
+		// Only a configuration the session accepted gets a timeline — its
+		// rings are P × capacity events. The unobserved session goes; the
+		// first Run builds the observed one.
+		s.EnableObservation(cfg.Observe)
+	}
 	return s, nil
 }
 
 // maxRanks bounds P. Ranks are goroutines, and every driver allocates
-// O(P) — the replication grid, the runtime's tables — before its dry run
-// can reject anything, so a nonsense count has to stop here.
+// O(P) — the replication grid, the runtime's tables — before it can
+// reject anything, so a nonsense count has to stop here.
 const maxRanks = 1 << 20
 
 // validate rejects, on a defaulted configuration, what no driver may be
 // handed: values the box, the law or the grid constructors would panic
 // on or allocate for. New and Load share it — a checkpoint header is
 // outside input like any other. What depends on the algorithm's
-// divisibility rules is the dry run's to reject.
+// divisibility rules is the session constructor's to reject.
 func (c Config) validate() error {
 	if c.N <= 0 {
 		return fmt.Errorf("nbody: config needs N > 0")
@@ -400,10 +394,45 @@ func (c Config) initialParticles() []Particle {
 	}
 }
 
-// dryRun executes zero timesteps through the parallel driver, which
-// performs all parameter validation without doing work.
-func (s *Simulation) dryRun() error {
-	_, _, err := s.advance(0)
+// build constructs the session the configured algorithm runs on, from
+// the current particles and with the current observer and recorder. The
+// constructor validates and lays out the decomposition on the calling
+// goroutine; it starts nothing.
+func (s *Simulation) build() error {
+	c := s.cfg
+	pr := core.Params{
+		P:       c.P,
+		C:       c.C,
+		Law:     c.law(),
+		Box:     c.box(),
+		DT:      c.DT,
+		Options: comm.Options{Collectives: c.Collectives, Observe: s.observer},
+		Overlap: c.Overlap,
+		Workers: c.Workers,
+		Record:  s.recorder,
+		Proc:    c.Proc,
+	}
+	var err error
+	switch c.resolveAlgorithm() {
+	case CAAllPairs:
+		s.session, err = core.NewAllPairs(s.particles, pr)
+	case CACutoff:
+		s.session, err = core.NewCutoff(s.particles, pr)
+	case ParticleDecomp:
+		s.session, err = core.NewParticleDecomposition(s.particles, pr)
+	case ForceDecomp:
+		s.session, err = core.NewForceDecomposition(s.particles, pr)
+	case NaiveAllGather:
+		s.session, err = core.NewNaiveAllGather(s.particles, pr)
+	case Midpoint:
+		if c.Dim == 2 {
+			s.session, err = core.NewMidpoint2D(s.particles, pr)
+		} else {
+			s.session, err = core.NewMidpoint1D(s.particles, pr)
+		}
+	default:
+		err = fmt.Errorf("nbody: unknown algorithm %v", c.Algorithm)
+	}
 	return err
 }
 
@@ -422,47 +451,28 @@ func (s *Simulation) Steps() int { return s.steps }
 
 // Run advances the simulation by the given number of timesteps using the
 // configured parallel algorithm and records the communication report.
+// It advances the session the previous Run left, so a Run costs its
+// steps. A failed Run changes neither the particles, the step count nor
+// the report, and drops the session: the next Run builds a new one from
+// the particles the last successful Run left.
 func (s *Simulation) Run(steps int) error {
 	if steps < 0 {
 		return fmt.Errorf("nbody: negative step count %d", steps)
 	}
-	final, rep, err := s.advance(steps)
+	if s.session == nil {
+		if err := s.build(); err != nil {
+			return err
+		}
+	}
+	final, rep, err := s.session.Advance(steps)
 	if err != nil {
+		s.session = nil
 		return err
 	}
 	s.particles = final
 	s.report = rep
 	s.steps += steps
 	return nil
-}
-
-func (s *Simulation) advance(steps int) ([]Particle, *trace.Report, error) {
-	pr := s.cfg.params(steps)
-	pr.Options.Observe = s.observer
-	if steps > 0 {
-		// The dry run must not reach the recorder: zero-step validation
-		// would otherwise start its runtime sampler and stream nothing.
-		pr.Record = s.recorder
-	}
-	switch s.cfg.resolveAlgorithm() {
-	case CAAllPairs:
-		return core.AllPairs(s.particles, pr)
-	case CACutoff:
-		return core.Cutoff(s.particles, pr)
-	case ParticleDecomp:
-		return core.ParticleDecomposition(s.particles, pr)
-	case ForceDecomp:
-		return core.ForceDecomposition(s.particles, pr)
-	case NaiveAllGather:
-		return core.NaiveAllGather(s.particles, pr)
-	case Midpoint:
-		if s.cfg.Dim == 2 {
-			return core.Midpoint2D(s.particles, pr)
-		}
-		return core.Midpoint1D(s.particles, pr)
-	default:
-		return nil, nil, fmt.Errorf("nbody: unknown algorithm %v", s.cfg.Algorithm)
-	}
 }
 
 // Report returns the communication report of the last Run: per-phase

@@ -3,12 +3,14 @@ package comm
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/leakcheck"
+	"repro/internal/obs"
 	"repro/internal/phys"
+	"repro/internal/trace"
 )
 
 // The abort path: a receive is a bare channel receive, so a failure
@@ -24,7 +26,7 @@ import (
 // its starting value afterwards.
 func runAborted(t *testing.T, p int, opts Options, want string, fn func(*Comm) error) {
 	t.Helper()
-	before := runtime.NumGoroutine()
+	defer leakcheck.Check(t)()
 	finished := make(chan error, 1)
 	go func() {
 		_, err := Run(p, opts, fn)
@@ -37,20 +39,6 @@ func runAborted(t *testing.T, p int, opts Options, want string, fn func(*Comm) e
 		}
 	case <-time.After(2 * time.Second):
 		t.Fatal("Run still blocked 2 s after a rank failed")
-	}
-	waitGoroutines(t, before)
-}
-
-// waitGoroutines gives goroutines that were released a moment to exit
-// before calling the surplus over `before` a leak.
-func waitGoroutines(t *testing.T, before int) {
-	t.Helper()
-	deadline := time.Now().Add(2 * time.Second)
-	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if n := runtime.NumGoroutine(); n > before {
-		t.Errorf("%d goroutines before the run, %d after", before, n)
 	}
 }
 
@@ -193,7 +181,7 @@ func TestAbortReachesMailboxCreatedLater(t *testing.T) {
 func TestAbortTokens(t *testing.T) {
 	for _, boxCap := range []int{-1, 1, 8} {
 		t.Run(fmt.Sprintf("cap=%d", boxCap), func(t *testing.T) {
-			before := runtime.NumGoroutine()
+			noLeak := leakcheck.Check(t)
 			rt := newRuntime(4, boxCap)
 			early := rt.link(0, 1).box
 			full := rt.link(2, 1).box
@@ -227,10 +215,58 @@ func TestAbortTokens(t *testing.T) {
 			rt.link(0, 2)
 			rt.link(1, 2)
 			close(rt.done)
-			waitGoroutines(t, before)
+			noLeak()
 			if err := rt.err; err == nil || err.Error() != "injected failure" {
 				t.Errorf("runtime kept error %v, want the first one", err)
 			}
 		})
+	}
+}
+
+// TestWorldRunsAgain: a world serves run after run, and each run starts
+// from zero — its report counts its own messages, the per-pair sequence
+// numbers the timeline binds sends to receives by restart at 1 — until a
+// run fails, after which the world refuses to start another. No run
+// leaves a goroutine behind.
+func TestWorldRunsAgain(t *testing.T) {
+	defer leakcheck.Check(t)()
+	ob := obs.NewObserver(2, 0)
+	rt, err := NewRuntime(2, Options{Observe: ob}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ping := func(c *Comm) error {
+		if c.Rank() == 0 {
+			c.Send(1, 0, []byte{1})
+		} else {
+			c.Recv(0, 0)
+		}
+		return nil
+	}
+	for run := 0; run < 3; run++ {
+		rep, _, err := rt.Run(ping)
+		if err != nil {
+			t.Fatalf("run %d: %v", run, err)
+		}
+		if got := rep.Sum[trace.Other].Messages; got != 1 {
+			t.Errorf("run %d reports %d messages sent, want its own 1", run, got)
+		}
+	}
+	sends := 0
+	for _, ev := range ob.Timeline.Events(0) {
+		if ev.Kind == obs.KindSend {
+			if sends++; ev.Seq != 1 {
+				t.Errorf("send %d carries sequence number %d, want every run's first, 1", sends, ev.Seq)
+			}
+		}
+	}
+	if sends != 3 {
+		t.Errorf("the timeline holds %d sends, want 3", sends)
+	}
+	if _, _, err := rt.Run(func(*Comm) error { return errors.New("injected failure") }); err == nil {
+		t.Fatal("a failing run succeeded")
+	}
+	if _, _, err := rt.Run(ping); err == nil || !strings.Contains(err.Error(), "unusable after a failed run") {
+		t.Errorf("a run after a failure returned %v, want the world refused", err)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/leakcheck"
 	"repro/internal/phys"
 )
 
@@ -70,7 +71,7 @@ func TestPanicMidRingAbortsPromptly(t *testing.T) {
 	const p, dies, after = 8, 3, 5
 	for _, boxCap := range []int{-1, 1, 8} {
 		t.Run(fmt.Sprintf("cap=%d", boxCap), func(t *testing.T) {
-			before := runtime.NumGoroutine()
+			defer leakcheck.Check(t)()
 			finished := make(chan error, 1)
 			go func() {
 				_, err := Run(p, Options{MailboxCap: boxCap}, func(c *Comm) error {
@@ -92,15 +93,6 @@ func TestPanicMidRingAbortsPromptly(t *testing.T) {
 				}
 			case <-time.After(2 * time.Second):
 				t.Fatal("Run still blocked 2 s after a rank panicked mid-ring")
-			}
-			// Rank goroutines are gone once Run returns; give stragglers
-			// (there should be none) a moment before calling it a leak.
-			deadline := time.Now().Add(2 * time.Second)
-			for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
-				time.Sleep(time.Millisecond)
-			}
-			if n := runtime.NumGoroutine(); n > before {
-				t.Errorf("%d goroutines before the run, %d after", before, n)
 			}
 		})
 	}

@@ -2,10 +2,11 @@ package comm
 
 // Multi-process execution: a Proc is one OS process's membership in a
 // socket mesh (internal/comm/net) carrying a share of the world's
-// ranks. RunProc spans the SPMD function over every process — local
-// ranks run as goroutines exactly as under Run, and messages whose
-// destination lives elsewhere are encoded into the 52-byte particle
-// wire format (or the packed float64 format) and framed over the mesh.
+// ranks. A world bound to a Proc (NewRuntime) spans each of its runs
+// over every process — local ranks run as goroutines exactly as in
+// process, and messages whose destination lives elsewhere are encoded
+// into the 52-byte particle wire format (or the packed float64 format)
+// and framed over the mesh.
 //
 // Buffers on the socket path. A remote send encodes header and payload
 // straight into a frame buffer borrowed from the destination link's
@@ -47,7 +48,7 @@ import (
 // Proc is one OS process's handle on a multi-process rank group. A
 // Proc hosts a contiguous block of ranksPerProc world ranks:
 // proc i owns ranks [i*ranksPerProc, (i+1)*ranksPerProc). The handle
-// survives multiple RunProc calls (the end-of-run result exchange is a
+// survives multiple runs (the end-of-run result exchange is a
 // natural barrier between them); an abort severs it permanently.
 type Proc struct {
 	mesh         *cnet.Mesh
@@ -154,9 +155,8 @@ func (rt *Runtime) transportName() string {
 	return rt.proc.Transport()
 }
 
-// bindProc attaches a runtime to the mesh for one run: local ranks are
-// [lo, hi), incoming data frames inject into the local mailboxes, and
-// a mesh abort releases every local rank.
+// bindProc places a world on the mesh: its local ranks are [lo, hi),
+// and its socket side is set up for the runs to come.
 func (rt *Runtime) bindProc(p *Proc) error {
 	if err := p.mesh.Err(); err != nil {
 		return fmt.Errorf("comm: mesh unusable: %w", err)
@@ -175,15 +175,13 @@ func (rt *Runtime) bindProc(p *Proc) error {
 	if p.ID() != 0 {
 		rt.wire.tallies = make([]tally, p.ranksPerProc)
 	}
-	p.mesh.OnAbort(func(err error) { rt.failLocal(err) })
-	p.mesh.Attach(rt.inject)
 	return nil
 }
 
-// wireState is what one run keeps for its socket side.
+// wireState is what a world keeps for its socket side.
 type wireState struct {
 	// tallies holds, by local rank, the traffic a follower process
-	// reports to proc 0 at the end of the run (nil on proc 0, whose own
+	// reports to proc 0 at the end of a run (nil on proc 0, whose own
 	// counts go to its observer's matrix or nowhere).
 	tallies []tally
 	// spares holds, by local rank, the typed slices decoded off the wire
@@ -192,14 +190,34 @@ type wireState struct {
 	// arrivals caches, per peer process and local destination rank, the
 	// links that process's reader goroutine delivers on.
 	arrivals [][][]arrival
-	// arrived counts the data frames delivered to this run; like
+	// arrived counts the data frames delivered to the current run; like
 	// arrivals it is guarded by the mesh's routing lock.
 	arrived int64
 }
 
-// unbindProc detaches the runtime after a run; later frames buffer in
-// the mesh for the next run's Attach.
-func (rt *Runtime) unbindProc() {
+// reset zeroes what a run counts on the socket side.
+func (w *wireState) reset() {
+	w.arrived = 0
+	for i := range w.tallies {
+		w.tallies[i].reset()
+	}
+}
+
+// attach connects the world to the mesh for one run: incoming data
+// frames inject into the local mailboxes, and a mesh abort releases
+// every local rank.
+func (rt *Runtime) attach() error {
+	if err := rt.proc.mesh.Err(); err != nil {
+		return fmt.Errorf("comm: mesh unusable: %w", err)
+	}
+	rt.proc.mesh.OnAbort(rt.failLocal)
+	rt.proc.mesh.Attach(rt.inject)
+	return nil
+}
+
+// detach disconnects the world after a run; later frames wait in the
+// mesh for the next run's attach.
+func (rt *Runtime) detach() {
 	rt.proc.mesh.Detach()
 	rt.proc.mesh.OnAbort(nil)
 }
@@ -381,10 +399,10 @@ func (rt *Runtime) inject(from int, f cnet.Frame) {
 		default:
 		}
 	}
-	rt.deferDelivery(l, func() {
+	rt.deferDelivery(l, func(abort <-chan struct{}) {
 		select {
 		case l.box <- m:
-		case <-rt.abort:
+		case <-abort:
 		}
 	})
 }
@@ -418,10 +436,10 @@ func (c *Comm) isendRemote(l *link, src, dst int, m message) *Request {
 	if !l.tailPending() && rt.proc.mesh.TrySendEncoded(to, buf) {
 		return c.doneRequest()
 	}
-	rt.deferDelivery(l, func() {
+	rt.deferDelivery(l, func(abort <-chan struct{}) {
 		// The rank goroutine observes a failed send at its next receive
 		// or blocked send.
-		if err := rt.proc.mesh.SendEncoded(to, buf, rt.abort); err != nil {
+		if err := rt.proc.mesh.SendEncoded(to, buf, abort); err != nil {
 			rt.fail(err)
 		}
 	})
@@ -433,9 +451,9 @@ func (c *Comm) isendRemote(l *link, src, dst int, m message) *Request {
 // Deposit publishes a rank's slice of the final particle state under a
 // globally unique slot index (team id, rank id — whatever the
 // algorithm partitions output by). Deposits from every process are
-// merged and broadcast at the end of a distributed run, so RunProc
-// returns the complete final state on every process; under plain Run
-// they are simply collected locally. The slice is retained by
+// merged and broadcast at the end of a distributed run, so Run
+// returns the complete final state on every process; in process they
+// are simply collected. The slice is retained by
 // reference — the usual hand-off contract applies.
 func (c *Comm) Deposit(slot int, ps []phys.Particle) {
 	rt := c.rt

@@ -9,7 +9,6 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -17,6 +16,7 @@ import (
 
 	"repro/internal/comm"
 	"repro/internal/core"
+	"repro/internal/leakcheck"
 	"repro/internal/obs"
 	"repro/internal/phys"
 	"repro/internal/trace"
@@ -188,10 +188,11 @@ func TestMergedMatrixEqualsInProcess(t *testing.T) {
 // TestTallyStartsFromZeroEachRun: a mesh outlives its runs, the tallies
 // must not. Three runs back to back on one mesh, a fresh observer on
 // proc 0 each time, give the single-run matrix three times; one observer
-// kept across three more gives exactly three times the single run. That
-// holds too when the follower is observed and its own dense matrix keeps
-// accumulating across the runs: what it reports is the run's tally, not
-// that matrix.
+// kept across three more gives exactly three times the single run, and
+// so does one session advanced three times, whose world — tallies and
+// frame count included — every run reuses. That holds too when the
+// follower is observed and its own dense matrix keeps accumulating
+// across the runs: what it reports is the run's tally, not that matrix.
 func TestTallyStartsFromZeroEachRun(t *testing.T) {
 	tc := mergeCases()[0]
 	ps := phys.InitUniform(tc.n, tc.pr.Box, 7)
@@ -200,7 +201,8 @@ func TestTallyStartsFromZeroEachRun(t *testing.T) {
 	for _, followerObserved := range []bool{false, true} {
 		t.Run(fmt.Sprintf("followerObserved=%t", followerObserved), func(t *testing.T) {
 			var fresh [runs]*obs.Observer
-			kept := obs.NewObserver(tc.pr.P, 0)
+			var frames [runs]int64
+			kept, reused := obs.NewObserver(tc.pr.P, 0), obs.NewObserver(tc.pr.P, 0)
 			overMesh(t, 2, tc.pr.P/2, func(proc *comm.Proc) error {
 				pr := tc.pr
 				pr.Proc = proc
@@ -218,18 +220,39 @@ func TestTallyStartsFromZeroEachRun(t *testing.T) {
 						return fmt.Errorf("run %d: %w", r, err)
 					}
 				}
+				if proc.ID() == 0 {
+					pr.Options.Observe = reused
+				}
+				s, err := core.NewAllPairs(ps, pr)
+				if err != nil {
+					return err
+				}
+				for r := range frames {
+					_, rep, err := s.Advance(pr.Steps)
+					if err != nil {
+						return fmt.Errorf("advance %d: %w", r, err)
+					}
+					if proc.ID() == 0 {
+						frames[r] = rep.SocketFrames
+					}
+				}
 				return nil
 			})
 			for r, ob := range fresh {
 				sameMatrix(t, fmt.Sprintf("run %d", r), want, ob.Matrix())
 			}
-			for ph := 0; ph < want.Phases(); ph++ {
-				ws, wb, wr, wrb := want.PhaseTotals(ph)
-				gs, gb, gr, grb := kept.Matrix().PhaseTotals(ph)
-				if gs != runs*ws || gb != runs*wb || gr != runs*wr || grb != runs*wrb {
-					t.Errorf("phase %d after %d runs into one observer: sent %d/%d recv %d/%d, want %d times sent %d/%d recv %d/%d",
-						ph, runs, gs, gb, gr, grb, runs, ws, wb, wr, wrb)
+			for label, ob := range map[string]*obs.Observer{"one observer": kept, "one session": reused} {
+				for ph := 0; ph < want.Phases(); ph++ {
+					ws, wb, wr, wrb := want.PhaseTotals(ph)
+					gs, gb, gr, grb := ob.Matrix().PhaseTotals(ph)
+					if gs != runs*ws || gb != runs*wb || gr != runs*wr || grb != runs*wrb {
+						t.Errorf("%s, phase %d after %d runs: sent %d/%d recv %d/%d, want %d times sent %d/%d recv %d/%d",
+							label, ph, runs, gs, gb, gr, grb, runs, ws, wb, wr, wrb)
+					}
 				}
+			}
+			if frames[0] == 0 || frames[1] != frames[0] || frames[2] != frames[0] {
+				t.Errorf("the session's runs report %v socket frames, want the same nonzero count each", frames)
 			}
 		})
 	}
@@ -245,7 +268,9 @@ func TestRemoteFailureReleasesReceivers(t *testing.T) {
 	const dies = rpp // first rank of proc 1
 	for _, boxCap := range []int{-1, 1, 8} {
 		t.Run(fmt.Sprintf("cap=%d", boxCap), func(t *testing.T) {
-			before := runtime.NumGoroutine()
+			// Ranks, token offers and — the meshes being closed — link
+			// goroutines must all be gone.
+			defer leakcheck.Check(t)()
 			finished := make(chan []error, 1)
 			go func() {
 				finished <- meshErrors(t, procs, rpp, func(proc *comm.Proc) error {
@@ -273,15 +298,6 @@ func TestRemoteFailureReleasesReceivers(t *testing.T) {
 				}
 			case <-time.After(5 * time.Second):
 				t.Fatal("a process still blocked 5 s after a remote rank failed")
-			}
-			// Ranks, token offers and — the meshes being closed — link
-			// goroutines are all gone.
-			deadline := time.Now().Add(2 * time.Second)
-			for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
-				time.Sleep(time.Millisecond)
-			}
-			if n := runtime.NumGoroutine(); n > before {
-				t.Errorf("%d goroutines before the run, %d after", before, n)
 			}
 		})
 	}

@@ -79,10 +79,10 @@ func (c *Comm) isendMsg(to, tag int, m message) *Request {
 		default:
 		}
 	}
-	c.rt.deferDelivery(l, func() {
+	c.rt.deferDelivery(l, func(abort <-chan struct{}) {
 		select {
 		case box <- m:
-		case <-c.rt.abort:
+		case <-abort:
 		}
 	})
 	return &Request{comm: c, sent: l.tail}

@@ -7,13 +7,15 @@
 // Sub-communicators are built from explicit member lists (Comm.Sub)
 // and need no communication.
 //
-// Starting a run costs O(p): a pair's mailbox is created the first
-// time one of its endpoints addresses the other, exactly once, and a
-// message costs one channel operation that only the two endpoints
-// contend for. A receive is a bare channel receive whether or not it
-// parks: a receiver never consults the run-wide abort channel, it is
-// woken on its own mailbox by an abort token when a peer fails (see
-// failLocal). Only an operation blocked on a full mailbox or queue —
+// A world (Runtime) outlives its runs: Run may be called on it again,
+// and what the first run built — mailboxes, communicators, accounting
+// records — is there for the next. Building a world costs O(p): a
+// pair's mailbox is created the first time one of its endpoints
+// addresses the other, exactly once, and a message costs one channel
+// operation that only the two endpoints contend for. A receive is a
+// bare channel receive whether or not it parks: a receiver never
+// consults the run-wide abort channel, it is woken on its own mailbox by
+// an abort token when a peer fails (see failLocal). Only an operation blocked on a full mailbox or queue —
 // a send, a deferred delivery — selects on the abort channel as well
 // (see link and sendMsg).
 //
@@ -132,11 +134,11 @@ const frameBytes = 4
 // transport.
 const mailboxCap = 8
 
-// link is the src→dst message stream of one run: the destination's
+// link is the src→dst message stream of a world: the destination's
 // mailbox for this source plus the state of whoever feeds it. A link is
-// created the first time either endpoint names the pair and lives until
-// the run ends, so a run costs memory for the pairs it uses, not for
-// the P² it could. box is immutable after creation and the only field
+// created the first time either endpoint names the pair and lives as
+// long as the world, so a world costs memory for the pairs it uses, not
+// for the P² it could. box is immutable after creation and the only field
 // the receiver touches (each Comm caches the channel itself, see
 // Comm.mailbox); everything else belongs to the feeding goroutine — the
 // rank src when it is hosted by this process, the mesh connection's
@@ -145,7 +147,8 @@ type link struct {
 	// box is dst's mailbox for src; nil when dst lives in another
 	// process (the stream then ends in the mesh, not in a mailbox).
 	box chan message
-	// seq is the per-pair sequence counter backing message.seq.
+	// seq is the per-pair sequence counter backing message.seq; every
+	// run counts from zero.
 	seq uint64
 	// tail is closed when the most recent deferred delivery on the
 	// stream (an Isend, or an arriving frame, that found the mailbox
@@ -173,19 +176,20 @@ func (l *link) tailPending() bool {
 
 // deferDelivery runs deliver on a goroutine once the stream's previous
 // deferred delivery has completed and makes it the stream's tail.
-// deliver must give up when the run aborts.
-func (rt *Runtime) deferDelivery(l *link, deliver func()) {
-	prev, done := l.tail, make(chan struct{})
+// deliver is handed the abort channel of the run it belongs to, and must
+// give up when that is closed.
+func (rt *Runtime) deferDelivery(l *link, deliver func(abort <-chan struct{})) {
+	prev, done, abort := l.tail, make(chan struct{}), rt.abort
 	go func() {
 		defer close(done)
 		if prev != nil {
 			select {
 			case <-prev:
-			case <-rt.abort:
+			case <-abort:
 				return
 			}
 		}
-		deliver()
+		deliver(abort)
 	}()
 	l.tail = done
 }
@@ -206,35 +210,43 @@ type inbox struct {
 	aborted bool
 }
 
-// Runtime owns the mailboxes and failure plumbing for one SPMD execution.
+// Runtime is a world of ranks and what they communicate through: the
+// mailboxes of the pairs used so far, every local rank's world
+// communicator and accounting record, and in a multi-process world the
+// socket side. Run executes one SPMD function on it and may be called
+// again once it has returned. What a run builds — mailboxes, the peers
+// its communicators cache, sub-communicators the caller keeps, decode
+// spares — serves the next one; what a run counts starts from zero each
+// time: the per-pair sequence numbers, the Stats, the socket tallies.
+// Nothing runs between calls. A failed run leaves the world dead.
 type Runtime struct {
 	size    int
 	boxCap  int
-	inboxes []inbox       // by destination world rank
-	abort   chan struct{} // closed on first rank failure
-	done    chan struct{} // closed when every local rank has returned
-	once    sync.Once
-	mu      sync.Mutex
-	err     error
+	opts    Options
+	inboxes []inbox // by destination world rank
 	stats   []*trace.Stats
+	worlds  []*Comm // world communicator of each local rank, by rank-lo
 
-	// Multi-process state (nil/zero under plain Run). lo/hi bound the
-	// world ranks hosted by this process; deposits collects the final
-	// state published via Comm.Deposit; wire is the socket side of the
-	// run (netrun.go), behind a pointer so that an in-process run pays
+	// Per-run state, made fresh by every Run. err is the run's first
+	// failure, and once set the world's verdict: Run refuses to start.
+	abort    chan struct{} // closed on the run's first failure
+	done     chan struct{} // closed when every local rank has returned
+	mu       sync.Mutex
+	err      error
+	deposits map[int][]phys.Particle // final state published via Comm.Deposit
+
+	// Multi-process state (nil/zero in process). lo/hi bound the world
+	// ranks hosted by this process; wire is the socket side of the world
+	// (netrun.go), behind a pointer so that an in-process world pays
 	// nothing for it.
-	proc     *Proc
-	lo, hi   int
-	deposits map[int][]phys.Particle
-	wire     *wireState
+	proc   *Proc
+	lo, hi int
+	wire   *wireState
 }
 
-// newRuntime prepares a run of size ranks. Everything it allocates is
-// O(size); mailboxes appear as pairs are used (see link).
+// newRuntime prepares a world of size > 0 ranks. Everything it allocates
+// is O(size); mailboxes appear as pairs are used (see link).
 func newRuntime(size, boxCap int) *Runtime {
-	if size <= 0 {
-		panic(fmt.Sprintf("comm: non-positive world size %d", size))
-	}
 	if boxCap == 0 {
 		boxCap = mailboxCap
 	} else if boxCap < 0 {
@@ -253,6 +265,56 @@ func newRuntime(size, boxCap int) *Runtime {
 		rt.stats[r] = trace.NewStats()
 	}
 	return rt
+}
+
+// NewRuntime prepares a world of size ranks for Run calls. With a
+// non-nil proc the world spans the processes of its mesh and this
+// process hosts only its share of the ranks; every process of the mesh
+// must make the same calls. When opts.Observe carries a timeline and/or
+// metrics registry, every rank's communication is recorded there: phase
+// spans and per-message events on the timeline, message-size and
+// mailbox-depth distributions in the registry.
+func NewRuntime(size int, opts Options, proc *Proc) (*Runtime, error) {
+	if size <= 0 {
+		return nil, fmt.Errorf("comm: non-positive world size %d", size)
+	}
+	rt := newRuntime(size, opts.MailboxCap)
+	rt.opts = opts
+	if proc != nil {
+		if err := rt.bindProc(proc); err != nil {
+			return nil, err
+		}
+	}
+	var cm *commMetrics
+	if o := opts.Observe; o != nil {
+		o.Timeline.SetPhaseNamesIfUnset(trace.PhaseNames())
+		cm = newCommMetrics(o.Metrics, o.EnsureMatrix(len(trace.PhaseNames()), size))
+	}
+	group := identity(size)
+	rt.worlds = make([]*Comm, rt.hi-rt.lo)
+	for r := rt.lo; r < rt.hi; r++ {
+		var tr *obs.Tracer
+		if o := opts.Observe; o != nil {
+			tr = o.Timeline.Rank(r)
+		}
+		rankCM := cm
+		if proc != nil && proc.ID() != 0 {
+			// A follower's ranks each count into their own tally, observed
+			// or not, so proc 0's merged matrix covers the whole world.
+			rankCM = cm.withTally(&rt.wire.tallies[r-rt.lo])
+		}
+		rt.worlds[r-rt.lo] = &Comm{
+			rt:    rt,
+			id:    worldID,
+			rank:  r,
+			group: group,
+			opts:  opts,
+			stats: rt.stats[r],
+			tr:    tr,
+			cm:    rankCM,
+		}
+	}
+	return rt, nil
 }
 
 // link returns the src→dst stream, creating it on first use.
@@ -276,9 +338,6 @@ func (rt *Runtime) link(src, dst int) *link {
 	}
 	return l
 }
-
-// Stats returns the per-rank accounting records. Call after Run returns.
-func (rt *Runtime) Stats() []*trace.Stats { return rt.stats }
 
 // Report aggregates the per-rank stats into a critical-path report.
 func (rt *Runtime) Report() *trace.Report { return trace.Aggregate(rt.stats) }
@@ -305,39 +364,48 @@ func (rt *Runtime) fail(err error) {
 // receive on any mailbox drains the messages delivered before the
 // failure, takes the token and unwinds.
 func (rt *Runtime) failLocal(err error) {
-	rt.mu.Lock()
-	if rt.err == nil {
-		rt.err = err
+	if !rt.markFailed(err) {
+		return
 	}
-	rt.mu.Unlock()
-	rt.once.Do(func() {
-		close(rt.abort)
-		for dst := rt.lo; dst < rt.hi; dst++ {
-			in := &rt.inboxes[dst]
-			in.mu.Lock()
-			in.aborted = true
-			for _, l := range in.from {
-				rt.offerAbort(l.box)
-			}
-			in.mu.Unlock()
+	close(rt.abort)
+	for dst := rt.lo; dst < rt.hi; dst++ {
+		in := &rt.inboxes[dst]
+		in.mu.Lock()
+		in.aborted = true
+		for _, l := range in.from {
+			rt.offerAbort(l.box)
 		}
-	})
+		in.mu.Unlock()
+	}
+}
+
+// markFailed records err unless a failure is already recorded, and
+// reports whether it was the first.
+func (rt *Runtime) markFailed(err error) bool {
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	if rt.err != nil {
+		return false
+	}
+	rt.err = err
+	return true
 }
 
 // offerAbort puts an abort token into box: at once if the mailbox has
 // room, otherwise from a goroutine that keeps the offer up until the
 // receiver takes it or every local rank has returned (rt.done), so
 // unbuffered and full mailboxes are covered and nothing outlives
-// RunProc. It never blocks; the caller holds the mailbox's inbox lock.
+// Run. It never blocks; the caller holds the mailbox's inbox lock.
 func (rt *Runtime) offerAbort(box chan message) {
 	token := message{kind: payloadAbort}
 	select {
 	case box <- token:
 	default:
+		done := rt.done
 		go func() {
 			select {
 			case box <- token:
-			case <-rt.done:
+			case <-done:
 			}
 		}()
 	}
@@ -347,97 +415,76 @@ func (rt *Runtime) offerAbort(box chan message) {
 // communication when a peer has failed.
 type errAborted struct{}
 
-// Run executes fn on every rank concurrently and waits for all ranks to
-// finish. The first error returned (or panic raised) by any rank aborts
-// the whole execution: ranks blocked in communication unwind cleanly and
-// Run returns that first error.
-//
-// When opts.Observe carries a timeline and/or metrics registry, every
-// rank's communication is additionally recorded there: phase spans and
-// per-message events on the timeline, message-size and mailbox-depth
-// distributions in the registry.
+// Run executes fn on every rank of a fresh world concurrently and waits
+// for all ranks to finish: RunProc without a mesh.
 func Run(size int, opts Options, fn func(*Comm) error) (*trace.Report, error) {
 	rep, _, err := RunProc(size, opts, nil, fn)
 	return rep, err
 }
 
-// RunProc is Run spanning OS processes: with a non-nil proc, this
-// process executes only its share of the world's ranks, remote traffic
-// travels the socket mesh, and at the end of the run every process
-// receives the same merged report and Deposit-published final state.
-// With a nil proc it is exactly Run (plus the locally collected
-// deposits). RunProc must be called collectively — every process of the
-// mesh, same size and equivalent fn.
+// RunProc runs fn once on a fresh world: NewRuntime, then Runtime.Run.
+// It must be called collectively — every process of the mesh, same size
+// and equivalent fn.
 func RunProc(size int, opts Options, proc *Proc, fn func(*Comm) error) (*trace.Report, map[int][]phys.Particle, error) {
-	rt := newRuntime(size, opts.MailboxCap)
-	if proc != nil {
-		if err := rt.bindProc(proc); err != nil {
+	rt, err := NewRuntime(size, opts, proc)
+	if err != nil {
+		return nil, nil, err
+	}
+	return rt.Run(fn)
+}
+
+// Run executes fn on every local rank concurrently, waits for all of
+// them to finish and returns the run's report — its own traffic and
+// phase times, not the world's so far — and the final state the ranks
+// published with Comm.Deposit, merged across the processes of a mesh so
+// that every process receives the same. The first error returned (or
+// panic raised) by any rank aborts the run: ranks blocked in
+// communication unwind cleanly, Run returns that first error, and the
+// world is dead from then on — a later Run refuses to start. Every
+// goroutine a run starts has ended, or is about to, when it returns.
+//
+// A run must receive every message it sends: a message left in a
+// mailbox would be the next run's to receive. The deposits map is the
+// world's, valid until the next Run; the slices in it are the ranks'.
+func (rt *Runtime) Run(fn func(*Comm) error) (*trace.Report, map[int][]phys.Particle, error) {
+	rt.mu.Lock()
+	dead := rt.err
+	rt.mu.Unlock()
+	if dead != nil {
+		return nil, nil, fmt.Errorf("comm: world unusable after a failed run: %w", dead)
+	}
+	rt.reset()
+	if rt.proc != nil {
+		if err := rt.attach(); err != nil {
+			rt.markFailed(err)
 			return nil, nil, err
 		}
 	}
-	var cm *commMetrics
-	if o := opts.Observe; o != nil {
-		o.Timeline.SetPhaseNamesIfUnset(trace.PhaseNames())
-		cm = newCommMetrics(o.Metrics, o.EnsureMatrix(len(trace.PhaseNames()), size))
-	}
 	var wg sync.WaitGroup
-	wg.Add(rt.hi - rt.lo)
-	group := identity(size)
-	for r := rt.lo; r < rt.hi; r++ {
-		var tr *obs.Tracer
-		if o := opts.Observe; o != nil {
-			tr = o.Timeline.Rank(r)
-		}
-		rankCM := cm
-		if proc != nil && proc.ID() != 0 {
-			// A follower's ranks each count into their own tally, observed
-			// or not, so proc 0's merged matrix covers the whole world.
-			rankCM = cm.withTally(&rt.wire.tallies[r-rt.lo])
-		}
-		world := &Comm{
-			rt:    rt,
-			id:    worldID,
-			rank:  r,
-			group: group,
-			opts:  opts,
-			stats: rt.stats[r],
-			tr:    tr,
-			cm:    rankCM,
-		}
-		go func(c *Comm) {
-			defer wg.Done()
-			defer c.tr.Close()
-			defer func() {
-				switch v := recover().(type) {
-				case nil:
-				case errAborted:
-					// Peer failed first; nothing to report.
-				default:
-					rt.fail(fmt.Errorf("comm: rank %d panicked: %v\n%s", c.rank, v, debug.Stack()))
-				}
-			}()
-			c.stats.SetTracer(c.tr)
-			if err := fn(c); err != nil {
-				rt.fail(fmt.Errorf("comm: rank %d: %w", c.rank, err))
-			}
-		}(world)
+	wg.Add(len(rt.worlds))
+	for _, c := range rt.worlds {
+		go rt.runRank(&wg, c, fn)
 	}
 	wg.Wait()
 	close(rt.done)
-	if proc != nil {
+	if rt.proc != nil {
 		// Detach before the result exchange, not after: once every local
 		// rank has returned, all of this run's inbound traffic has been
 		// consumed (each rank completed its deterministic receive
 		// schedule), so any frame arriving from here on belongs to the
-		// peer's NEXT run — it must buffer in the mesh for the next
-		// Attach, not be swallowed by this run's dead mailboxes. A peer
-		// can race ahead like that because the leader finishes the result
-		// exchange first and may re-enter RunProc immediately.
-		rt.unbindProc()
-		return rt.joinDistributed(opts)
+		// peer's NEXT run — it must wait in the mesh for the next Attach,
+		// which may be another world's, not be swallowed by this one. A
+		// peer can race ahead like that because the leader finishes the
+		// result exchange first and may start its next run immediately.
+		rt.detach()
+		rep, deps, err := rt.joinDistributed(rt.opts)
+		if err != nil {
+			rt.markFailed(err)
+		}
+		return rep, deps, err
 	}
 	rep := rt.Report()
-	if o := opts.Observe; o != nil {
+	if o := rt.opts.Observe; o != nil {
 		// Stamp ring-wraparound losses on the report and as a gauge, so a
 		// truncated timeline is never silently misread as a complete run.
 		dropped := o.Timeline.Dropped()
@@ -447,6 +494,48 @@ func RunProc(size int, opts Options, proc *Proc, fn func(*Comm) error) (*trace.R
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	return rep, rt.deposits, rt.err
+}
+
+// reset starts a run: fresh abort and done channels, the per-pair
+// sequence numbers back at zero, no deferred delivery pending (every one
+// of the previous run completed before its ranks could return), zero
+// counts and no deposits. It runs while nothing else touches the world.
+func (rt *Runtime) reset() {
+	rt.abort, rt.done = make(chan struct{}), make(chan struct{})
+	for d := range rt.inboxes {
+		in := &rt.inboxes[d]
+		in.mu.Lock()
+		for _, l := range in.from {
+			l.seq, l.tail = 0, nil
+		}
+		in.mu.Unlock()
+	}
+	for _, st := range rt.stats {
+		st.Reset()
+	}
+	clear(rt.deposits)
+	if rt.wire != nil {
+		rt.wire.reset()
+	}
+}
+
+// runRank is one rank's goroutine of a run.
+func (rt *Runtime) runRank(wg *sync.WaitGroup, c *Comm, fn func(*Comm) error) {
+	defer wg.Done()
+	defer c.tr.Close()
+	defer func() {
+		switch v := recover().(type) {
+		case nil:
+		case errAborted:
+			// Peer failed first; nothing to report.
+		default:
+			rt.fail(fmt.Errorf("comm: rank %d panicked: %v\n%s", c.rank, v, debug.Stack()))
+		}
+	}()
+	c.stats.SetTracer(c.tr)
+	if err := fn(c); err != nil {
+		rt.fail(fmt.Errorf("comm: rank %d: %w", c.rank, err))
+	}
 }
 
 // commMetrics holds the substrate's pre-resolved registry instruments,

@@ -67,6 +67,12 @@ func (t *tally) at(phase, src, dst int) *obs.MatrixCell {
 	return &t.cells[len(t.cells)-1]
 }
 
+// reset empties the tally for the next run, keeping its storage.
+func (t *tally) reset() {
+	t.cells = t.cells[:0]
+	clear(t.index)
+}
+
 // compareCells orders cells by (phase, src, dst) — the order of the
 // dense matrix's storage and of the summary's cell list.
 func compareCells(a, b obs.MatrixCell) int {

@@ -12,42 +12,50 @@ import (
 // algorithm (Algorithm 1 of the paper) for pr.Steps timesteps on pr.P
 // goroutine ranks with replication factor pr.C, starting from the
 // particle set ps. It returns the final particles sorted by ID and the
-// aggregated communication report.
+// aggregated communication report. It is NewAllPairs advanced once.
+func AllPairs(ps []phys.Particle, pr Params) ([]phys.Particle, *trace.Report, error) {
+	s, err := NewAllPairs(ps, pr)
+	return once(s, err, pr.Steps)
+}
+
+// NewAllPairs prepares a session of Algorithm 1 from the particle set
+// ps, which it copies.
 //
 // Requirements: c² must divide p (so the shift loop runs an integral
 // p/c² steps) and the number of teams p/c must divide n (so teams own
 // equal subsets, the paper's load-balance assumption).
-func AllPairs(ps []phys.Particle, pr Params) ([]phys.Particle, *trace.Report, error) {
+func NewAllPairs(ps []phys.Particle, pr Params) (*Session, error) {
 	n := len(ps)
 	if err := pr.validateCommon(n); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if pr.P%(pr.C*pr.C) != 0 {
-		return nil, nil, fmt.Errorf("core: all-pairs needs c² | p, got p=%d c=%d", pr.P, pr.C)
+		return nil, fmt.Errorf("core: all-pairs needs c² | p, got p=%d c=%d", pr.P, pr.C)
 	}
 	T := pr.Teams()
 	if n%T != 0 {
-		return nil, nil, fmt.Errorf("core: all-pairs needs teams | n, got n=%d teams=%d", n, T)
+		return nil, fmt.Errorf("core: all-pairs needs teams | n, got n=%d teams=%d", n, T)
 	}
 	cg, err := newCommGrid(pr.P, pr.C)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	npt := n / T // particles per team
 	perS, perW := directBounds(n, pr)
+	// Team t's leader owns the t-th contiguous block of the ID-ordered
+	// input; the blocks never grow, so they may share one copy.
+	owned := append([]phys.Particle(nil), ps...)
 
-	return runRanks(n, pr, pr.Law.Kernel().Impl(), perS, perW, func(rk *rank) rankLoop {
+	return newSession(n, pr, pr.Law.Kernel().Impl(), perS, perW, func(rk *rank) rankLoop {
 		l, row, col := newShiftLoop(rk, &pr, cg)
 		l.moves = allPairsMoves(T, pr.C, row, col)
 		l.pairing = newEveryBlock(l.last, npt)
 		l.x = newXfer(pr, -1, l.closed)
 		if l.leader {
-			// The leader starts with the authoritative copy of the team's
-			// particles (contiguous block of the ID-ordered input).
-			l.mine = append([]phys.Particle(nil), ps[col*npt:(col+1)*npt]...)
+			l.mine = owned[col*npt : (col+1)*npt : (col+1)*npt]
 		}
 		return rankLoop{l.step, l.holds}
-	})
+	}), nil
 }
 
 // allPairsMoves is Algorithm 1's move list for the rank at (row, col)

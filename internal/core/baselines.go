@@ -13,21 +13,34 @@ import (
 // point-to-point around the ring, exactly Plimpton's particle
 // decomposition with pairwise shifting.
 func ParticleDecomposition(ps []phys.Particle, pr Params) ([]phys.Particle, *trace.Report, error) {
+	s, err := NewParticleDecomposition(ps, pr)
+	return once(s, err, pr.Steps)
+}
+
+// NewParticleDecomposition prepares a session of the particle
+// decomposition: NewAllPairs at c = 1.
+func NewParticleDecomposition(ps []phys.Particle, pr Params) (*Session, error) {
 	pr.C = 1
-	return AllPairs(ps, pr)
+	return NewAllPairs(ps, pr)
 }
 
 // ForceDecomposition runs the c = √p extreme of the CA algorithm,
 // Plimpton's force decomposition: each processor computes one
 // n/√p × n/√p block of the interaction matrix, with a single shift step.
-// P must be a perfect square.
 func ForceDecomposition(ps []phys.Particle, pr Params) ([]phys.Particle, *trace.Report, error) {
+	s, err := NewForceDecomposition(ps, pr)
+	return once(s, err, pr.Steps)
+}
+
+// NewForceDecomposition prepares a session of the force decomposition:
+// NewAllPairs at c = √p. P must be a perfect square.
+func NewForceDecomposition(ps []phys.Particle, pr Params) (*Session, error) {
 	root := int(math.Round(math.Sqrt(float64(pr.P))))
 	if root*root != pr.P {
-		return nil, nil, fmt.Errorf("core: force decomposition needs a square p, got %d", pr.P)
+		return nil, fmt.Errorf("core: force decomposition needs a square p, got %d", pr.P)
 	}
 	pr.C = root
-	return AllPairs(ps, pr)
+	return NewAllPairs(ps, pr)
 }
 
 // NaiveAllGather is the textbook particle decomposition of Section II-B:
@@ -36,20 +49,28 @@ func ForceDecomposition(ps []phys.Particle, pr Params) ([]phys.Particle, *trace.
 // S = O(p) messages and W = O(n) words on the critical path. It is the
 // baseline whose communication the CA algorithm improves upon.
 func NaiveAllGather(ps []phys.Particle, pr Params) ([]phys.Particle, *trace.Report, error) {
+	s, err := NewNaiveAllGather(ps, pr)
+	return once(s, err, pr.Steps)
+}
+
+// NewNaiveAllGather prepares a session of the naive decomposition from
+// the particle set ps, which it copies.
+func NewNaiveAllGather(ps []phys.Particle, pr Params) (*Session, error) {
 	n := len(ps)
 	pr.C = 1
 	if err := pr.validateCommon(n); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if n%pr.P != 0 {
-		return nil, nil, fmt.Errorf("core: naive decomposition needs p | n, got n=%d p=%d", n, pr.P)
+		return nil, fmt.Errorf("core: naive decomposition needs p | n, got n=%d p=%d", n, pr.P)
 	}
 	npr := n / pr.P
 	perS, perW := directBounds(n, pr)
+	owned := append([]phys.Particle(nil), ps...)
 
-	return runRanks(n, pr, pr.Law.Kernel().Impl(), perS, perW, func(rk *rank) rankLoop {
+	return newSession(n, pr, pr.Law.Kernel().Impl(), perS, perW, func(rk *rank) rankLoop {
 		r := rk.world.Rank()
-		mine := append([]phys.Particle(nil), ps[r*npr:(r+1)*npr]...)
+		mine := owned[r*npr : (r+1)*npr : (r+1)*npr]
 		step := func() error {
 			rk.st.SetPhase(trace.Shift)
 			blocks := rk.world.Allgather(phys.EncodeSlice(mine))
@@ -66,5 +87,5 @@ func NaiveAllGather(ps []phys.Particle, pr Params) ([]phys.Particle, *trace.Repo
 			return nil
 		}
 		return rankLoop{step, func() (int, []phys.Particle, bool) { return r, mine, true }}
-	})
+	}), nil
 }

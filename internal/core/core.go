@@ -12,7 +12,10 @@
 //
 // All algorithms run on the goroutine message-passing runtime in
 // internal/comm and are verified against the serial kernels in
-// internal/phys.
+// internal/phys. Each has a constructor (NewAllPairs, NewCutoff, ...)
+// returning a Session that keeps its ranks' state between Advance
+// calls, and a one-shot form (AllPairs, Cutoff, ...) that advances a
+// new session once.
 package core
 
 import (
@@ -32,7 +35,7 @@ type Params struct {
 	Law     phys.Law
 	Box     phys.Box
 	DT      float64 // timestep length
-	Steps   int     // number of timesteps
+	Steps   int     // timesteps of a one-shot driver (AllPairs, ...); a Session takes them per Advance
 	Options comm.Options
 	// Overlap enables communication/computation overlap in the shift
 	// loops (all-pairs and cutoff): each rank computes on its current
@@ -94,9 +97,6 @@ func (pr Params) validateCommon(n int) error {
 	if pr.P%pr.C != 0 {
 		return fmt.Errorf("core: c=%d does not divide p=%d", pr.C, pr.P)
 	}
-	if pr.Steps < 0 {
-		return fmt.Errorf("core: negative step count %d", pr.Steps)
-	}
 	if pr.Workers < 0 {
 		return fmt.Errorf("core: negative worker count %d", pr.Workers)
 	}
@@ -112,7 +112,7 @@ func (pr Params) validateCommon(n int) error {
 
 // commGrid is the c × p/c replication grid with the member lists of its
 // communicators — one per row (a replication layer, in team order) and
-// one per team (a column, leader first) — built once per run. Every
+// one per team (a column, leader first) — built once per session. Every
 // rank knows the grid, so membership is explicit and making a rank's two
 // communicators costs no communication. Comm.Sub keeps the list it is
 // given, shared by the members: the lists are never written after this.

@@ -31,40 +31,49 @@ func SpanFor(rc, boxL float64, side int) int {
 // stride c, reduces force contributions, integrates, and spatially
 // reassigns migrating particles between neighboring teams.
 //
+// It is NewCutoff advanced once.
+func Cutoff(ps []phys.Particle, pr Params) ([]phys.Particle, *trace.Report, error) {
+	s, err := NewCutoff(ps, pr)
+	return once(s, err, pr.Steps)
+}
+
+// NewCutoff prepares a session of Algorithm 2 from the particle set ps,
+// which it copies into the teams owning their positions.
+//
 // Requirements: pr.Law.Cutoff > 0; for 2D boxes the team count p/c must
 // be a perfect square; the cutoff window (2m+1 teams per dimension) must
 // fit inside the team grid; and c may not exceed the window size.
-func Cutoff(ps []phys.Particle, pr Params) ([]phys.Particle, *trace.Report, error) {
+func NewCutoff(ps []phys.Particle, pr Params) (*Session, error) {
 	n := len(ps)
 	if err := pr.validateCommon(n); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if pr.Law.Cutoff <= 0 {
-		return nil, nil, fmt.Errorf("core: cutoff algorithm requires a positive cutoff radius")
+		return nil, fmt.Errorf("core: cutoff algorithm requires a positive cutoff radius")
 	}
 	T := pr.Teams()
 	tg, err := topo.NewTeamGrid(T, pr.Box.Dim)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	m := SpanFor(pr.Law.Cutoff, pr.Box.L, tg.Side)
 	if 2*m+1 > tg.Side {
-		return nil, nil, fmt.Errorf("core: cutoff window 2m+1=%d exceeds team grid side %d (cutoff too large for this decomposition)", 2*m+1, tg.Side)
+		return nil, fmt.Errorf("core: cutoff window 2m+1=%d exceeds team grid side %d (cutoff too large for this decomposition)", 2*m+1, tg.Side)
 	}
 	sched, err := NewCutoffSchedule(m, pr.C, pr.Box.Dim)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	cg, err := newCommGrid(pr.P, pr.C)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	wrap := pr.Box.Boundary == phys.Periodic
 	dirs := migrationDirs(pr.Box.Dim)
 	perS, perW := cutoffBounds(n, pr)
 	owned := scatterByTeam(ps, pr.Box, tg)
 
-	return runRanks(n, pr, pr.Law.Kernel().Impl(), perS, perW, func(rk *rank) rankLoop {
+	return newSession(n, pr, pr.Law.Kernel().Impl(), perS, perW, func(rk *rank) rankLoop {
 		l, layer, team := newShiftLoop(rk, &pr, cg)
 		l.moves = cutoffMoves(sched, tg, layer, team)
 		l.pairing = &windowed{tg: tg, m: m, wrap: wrap, dirs: dirs}
@@ -75,7 +84,7 @@ func Cutoff(ps []phys.Particle, pr Params) ([]phys.Particle, *trace.Report, erro
 			l.mine = owned[team]
 		}
 		return rankLoop{l.step, l.holds}
-	})
+	}), nil
 }
 
 // cutoffMoves is the move list of the rank of the given layer and team:

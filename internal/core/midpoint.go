@@ -14,14 +14,29 @@ import (
 )
 
 // Midpoint1D runs the midpoint method on a one-dimensional spatial
-// decomposition. See MidpointND.
+// decomposition: NewMidpoint1D advanced once.
 func Midpoint1D(ps []phys.Particle, pr Params) ([]phys.Particle, *trace.Report, error) {
-	return midpointND(ps, pr, 1)
+	s, err := NewMidpoint1D(ps, pr)
+	return once(s, err, pr.Steps)
 }
 
 // Midpoint2D runs the midpoint method on a two-dimensional spatial
-// decomposition (p must be a perfect square). See MidpointND.
+// decomposition (p must be a perfect square): NewMidpoint2D advanced
+// once.
 func Midpoint2D(ps []phys.Particle, pr Params) ([]phys.Particle, *trace.Report, error) {
+	s, err := NewMidpoint2D(ps, pr)
+	return once(s, err, pr.Steps)
+}
+
+// NewMidpoint1D prepares a session of the midpoint method on a
+// one-dimensional spatial decomposition. See midpointND.
+func NewMidpoint1D(ps []phys.Particle, pr Params) (*Session, error) {
+	return midpointND(ps, pr, 1)
+}
+
+// NewMidpoint2D prepares a session of the midpoint method on a
+// two-dimensional spatial decomposition. See midpointND.
+func NewMidpoint2D(ps []phys.Particle, pr Params) (*Session, error) {
 	return midpointND(ps, pr, 2)
 }
 
@@ -36,25 +51,25 @@ func Midpoint2D(ps []phys.Particle, pr Params) ([]phys.Particle, *trace.Report, 
 //
 // No replication (pr.C must be 1); reflective boxes only (midpoints are
 // ambiguous under periodic wrap); the box dimension must equal dim.
-func midpointND(ps []phys.Particle, pr Params, dim int) ([]phys.Particle, *trace.Report, error) {
+func midpointND(ps []phys.Particle, pr Params, dim int) (*Session, error) {
 	n := len(ps)
 	pr.C = 1
 	if err := pr.validateCommon(n); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if pr.Law.Cutoff <= 0 {
-		return nil, nil, fmt.Errorf("core: midpoint method requires a positive cutoff")
+		return nil, fmt.Errorf("core: midpoint method requires a positive cutoff")
 	}
 	if pr.Box.Dim != dim {
-		return nil, nil, fmt.Errorf("core: midpoint-%dD needs a %dD box, got dim %d", dim, dim, pr.Box.Dim)
+		return nil, fmt.Errorf("core: midpoint-%dD needs a %dD box, got dim %d", dim, dim, pr.Box.Dim)
 	}
 	if pr.Box.Boundary != phys.Reflective {
-		return nil, nil, fmt.Errorf("core: midpoint method requires reflective boundaries")
+		return nil, fmt.Errorf("core: midpoint method requires reflective boundaries")
 	}
 	T := pr.P // one team per rank
 	tg, err := topo.NewTeamGrid(T, dim)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	w := pr.Box.L / float64(tg.Side)
 	mHalf := int(math.Ceil(pr.Law.Cutoff/(2*w) - 1e-12))
@@ -62,7 +77,7 @@ func midpointND(ps []phys.Particle, pr Params, dim int) ([]phys.Particle, *trace
 		mHalf = 1
 	}
 	if 2*mHalf+1 > tg.Side {
-		return nil, nil, fmt.Errorf("core: midpoint import region 2·%d+1 exceeds grid side %d", mHalf, tg.Side)
+		return nil, fmt.Errorf("core: midpoint import region 2·%d+1 exceeds grid side %d", mHalf, tg.Side)
 	}
 	// Import offsets: the Chebyshev half-window without the origin, in a
 	// fixed order shared by all ranks.
@@ -82,7 +97,7 @@ func midpointND(ps []phys.Particle, pr Params, dim int) ([]phys.Particle, *trace
 	kern := open.Kernel()
 
 	// The compute phase is the Go staged sweep on every platform.
-	return runRanks(n, pr, "portable", perS, perW, func(rk *rank) rankLoop {
+	return newSession(n, pr, "portable", perS, perW, func(rk *rank) rankLoop {
 		world, st := rk.world, rk.st
 		me := world.Rank()
 		x := newXfer(pr, me, false)
@@ -271,7 +286,7 @@ func midpointND(ps []phys.Particle, pr Params, dim int) ([]phys.Particle, *trace
 			return err
 		}
 		return rankLoop{step, func() (int, []phys.Particle, bool) { return me, mine, true }}
-	})
+	}), nil
 }
 
 // tagReduceBack tags the midpoint method's force-return messages.

@@ -157,11 +157,11 @@ func TestMidpointSocketMatchesInProcess(t *testing.T) {
 }
 
 // TestSocketBackToBackRuns drives two complete simulations over the
-// same mesh, mirroring what cmd/nbody does (a dry run inside New, then
-// the real run). The second run must not see frames from the first:
+// same mesh, as a program does that builds a second Simulation on its
+// process group. The second run must not see frames from the first:
 // processes detach from the mesh before the result exchange, so a
 // fast peer entering run two cannot have its frames swallowed by run
-// one's dead mailboxes.
+// one's world, which nothing will run again.
 func TestSocketBackToBackRuns(t *testing.T) {
 	const procs = 2
 	pr := defaultParams(4, 2, 3)

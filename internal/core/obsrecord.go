@@ -10,10 +10,10 @@ import (
 )
 
 // This file wires the step-series flight recorder (internal/obs/record)
-// into the rank harness (runRanks). The shape mirrors stepProbe: the
-// harness builds a runRecorder before comm.RunProc, world rank 0 holds
-// the only stepSampler and stamps it once per step from the observed
-// block, and the harness calls finish once the run has joined.
+// into the rank harness (Session.Advance). The shape mirrors stepProbe:
+// the harness builds a runRecorder before the world runs, world rank 0
+// holds the only stepSampler and stamps it once per step from the
+// observed block, and the harness calls finish once the run has joined.
 //
 // Per-phase communication is sampled as the matrix's CUMULATIVE phase
 // totals and converted to per-step deltas inside the Recorder. Rank 0
@@ -24,9 +24,9 @@ import (
 // what makes a recording's per-phase byte columns sum bitwise to the
 // end-of-run trace.Report.
 
-// runRecorder couples one algorithm run to the simulation's Recorder.
-// Nil (and a no-op everywhere) unless the run is both observed and
-// recorded.
+// runRecorder couples one Advance to the simulation's Recorder. Nil
+// (and a no-op everywhere) unless the run is both observed and recorded
+// and has steps to record.
 type runRecorder struct {
 	rec         *record.Recorder
 	o           *obs.Observer
@@ -34,10 +34,11 @@ type runRecorder struct {
 	havePending bool
 }
 
-// newRunRecorder opens the run on the recorder (ownership release +
-// runtime-health sampling) and returns the driver-side handle.
-func newRunRecorder(pr Params) *runRecorder {
-	if pr.Record == nil || pr.Options.Observe == nil {
+// newRunRecorder opens an Advance of steps timesteps on the recorder
+// (ownership release + runtime-health sampling) and returns the
+// driver-side handle.
+func newRunRecorder(pr Params, steps int) *runRecorder {
+	if pr.Record == nil || pr.Options.Observe == nil || steps == 0 {
 		return nil
 	}
 	rr := &runRecorder{rec: pr.Record, o: pr.Options.Observe}

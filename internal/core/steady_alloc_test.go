@@ -71,79 +71,80 @@ func runMallocs(run func()) uint64 {
 }
 
 // TestSteadyStateAllocFree pins the end-to-end zero-allocation property
-// of the timestep loops: once a run's retained buffers exist, a step
-// allocates nothing anywhere in the pipeline — broadcast, skew, shifts,
-// force kernel (inline, pooled), reduce, integrate and, for the cutoff
-// loop in one and two dimensions, spatial reassignment; nor, in the
-// midpoint method, import, staged sweep, force return or reassignment.
-// Two runs that differ only in step count must therefore allocate
-// exactly the same number of objects:
-// per-run set-up (communicators, mailboxes of the pairs used, pool and
-// worker goroutines, first-step buffer growth) is identical in both,
-// and ten extra steps must add zero. The guard is an equality, not a
-// bound: a long run allocating *less* would mean the set-up is not what
-// we think it is.
+// of the timestep loops: once a session's retained buffers exist, a
+// step allocates nothing anywhere in the pipeline — broadcast, skew,
+// shifts, force kernel (inline, pooled), reduce, integrate and, for the
+// cutoff loop in one and two dimensions, spatial reassignment; nor, in
+// the midpoint method, import, staged sweep, force return or
+// reassignment. Two runs that differ only in step count must therefore
+// allocate exactly the same number of objects, in two settings. On a
+// fresh session each, the set-up (communicators, mailboxes of the pairs
+// used, first-step buffer growth) is identical in both. Run after Run on
+// one session there is none left, only what every Advance starts — the
+// rank goroutines, the pool's workers, the report. Either way ten extra
+// steps must add zero. The guard is an equality, not a bound: a long run
+// allocating *less* would mean the set-up is not what we think it is.
 func TestSteadyStateAllocFree(t *testing.T) {
 	const c, n = 2, 32
-	type loop int
-	const (
-		allpairs loop = iota
-		cutoff
-		cutoff2D
-		midpoint1D
-		midpoint2D
-	)
-	for _, tc := range []struct {
-		name    string
-		loop    loop
-		workers int
+	loops := []struct {
+		name string
+		new  func(workers int) (*Session, error)
 	}{
-		{"allpairs", allpairs, 1},
-		{"allpairs/workers=2", allpairs, 2},
-		{"cutoff", cutoff, 1},
-		{"cutoff/workers=2", cutoff, 2},
-		{"cutoff2D", cutoff2D, 1},
-		{"cutoff2D/workers=2", cutoff2D, 2},
-		{"midpoint1D", midpoint1D, 1},
-		{"midpoint1D/workers=2", midpoint1D, 2},
-		{"midpoint2D", midpoint2D, 1},
-	} {
-		run := func(steps int) func() {
-			return func() {
-				var err error
-				switch tc.loop {
-				case cutoff:
-					// 8 ranks: the 1D cutoff window needs at least 3 teams.
-					pr := cutoffParams(8, c, 1, phys.Periodic)
-					pr.Steps, pr.Workers = steps, tc.workers
-					_, _, err = Cutoff(phys.InitLattice(n, pr.Box, 5), pr)
-				case cutoff2D:
-					// 32 ranks: a 4 × 4 team grid holds the 3 × 3 window.
-					pr := cutoffParams(32, c, 2, phys.Reflective)
-					pr.Steps, pr.Workers = steps, tc.workers
-					_, _, err = Cutoff(phys.InitLattice(4*n, pr.Box, 5), pr)
-				case midpoint1D:
-					pr := cutoffParams(8, 1, 1, phys.Reflective)
-					pr.Steps, pr.Workers = steps, tc.workers
-					_, _, err = Midpoint1D(phys.InitLattice(n, pr.Box, 5), pr)
-				case midpoint2D:
-					pr := cutoffParams(16, 1, 2, phys.Reflective)
-					pr.Steps, pr.Workers = steps, tc.workers
-					_, _, err = Midpoint2D(phys.InitLattice(2*n, pr.Box, 5), pr)
-				default:
-					pr := defaultParams(4, c, steps)
-					pr.Workers = tc.workers
-					_, _, err = AllPairs(phys.InitUniform(n, pr.Box, 5), pr)
-				}
+		{"allpairs", func(workers int) (*Session, error) {
+			pr := defaultParams(4, c, 0)
+			pr.Workers = workers
+			return NewAllPairs(phys.InitUniform(n, pr.Box, 5), pr)
+		}},
+		{"cutoff", func(workers int) (*Session, error) {
+			// 8 ranks: the 1D cutoff window needs at least 3 teams.
+			pr := cutoffParams(8, c, 1, phys.Periodic)
+			pr.Workers = workers
+			return NewCutoff(phys.InitLattice(n, pr.Box, 5), pr)
+		}},
+		{"cutoff2D", func(workers int) (*Session, error) {
+			// 32 ranks: a 4 × 4 team grid holds the 3 × 3 window.
+			pr := cutoffParams(32, c, 2, phys.Reflective)
+			pr.Workers = workers
+			return NewCutoff(phys.InitLattice(4*n, pr.Box, 5), pr)
+		}},
+		{"midpoint1D", func(workers int) (*Session, error) {
+			pr := cutoffParams(8, 1, 1, phys.Reflective)
+			pr.Workers = workers
+			return NewMidpoint1D(phys.InitLattice(n, pr.Box, 5), pr)
+		}},
+		{"midpoint2D", func(workers int) (*Session, error) {
+			pr := cutoffParams(16, 1, 2, phys.Reflective)
+			pr.Workers = workers
+			return NewMidpoint2D(phys.InitLattice(2*n, pr.Box, 5), pr)
+		}},
+	}
+	for _, lp := range loops {
+		for _, workers := range []int{1, 2} {
+			name := fmt.Sprintf("%s/workers=%d", lp.name, workers)
+			session := func() *Session {
+				s, err := lp.new(workers)
 				if err != nil {
 					t.Fatal(err)
 				}
+				return s
 			}
-		}
-		base := runMallocs(run(2))
-		long := runMallocs(run(12))
-		if long != base {
-			t.Errorf("%s: a 12-step run allocated %d objects, a 2-step run %d; 10 extra steps must allocate 0", tc.name, long, base)
+			advance := func(s *Session, steps int) {
+				if _, _, err := s.Advance(steps); err != nil {
+					t.Fatal(err)
+				}
+			}
+			fresh := func(steps int) func() { return func() { advance(session(), steps) } }
+			if base, long := runMallocs(fresh(2)), runMallocs(fresh(12)); long != base {
+				t.Errorf("%s: a fresh 12-step run allocated %d objects, a 2-step one %d; 10 extra steps must allocate 0", name, long, base)
+			}
+			s := session()
+			advance(s, 2)
+			again := func(steps int) func() { return func() { advance(s, steps) } }
+			base, long := runMallocs(again(2)), runMallocs(again(12))
+			t.Logf("%s: Run after Run, %d objects a call", name, base)
+			if long != base {
+				t.Errorf("%s: Run after Run, 12 steps allocated %d objects, 2 steps %d; 10 extra steps must allocate 0", name, long, base)
+			}
 		}
 	}
 }
@@ -208,19 +209,25 @@ func TestMigratorRecyclesBuffers(t *testing.T) {
 }
 
 // TestSocketSteadyStateAllocBound is the steady-state guard of the
-// socket path: a 2×4 all-pairs grid split row by row over a unix-socket
-// mesh, so every step sends four team broadcasts and four force
-// reductions across the wire. Frames are encoded into the link's
-// recycled buffers, decoded straight out of its read buffer into slices
-// the receiving collectives hand back, and counted in per-rank tallies
-// whose cells all exist after the first step — so, as in process, ten
-// more steps should allocate nothing. The guard is a bound rather than
-// an equality because the mesh brings the netpoller and four goroutines
-// that outlive the measured call into the picture: an arriving frame
-// that finds its mailbox full is delivered by a goroutine of its own,
-// and how often that happens is the scheduler's doing.
+// socket path, Run after Run on one session per process: a 2×4
+// all-pairs grid split row by row over a unix-socket mesh, so every step
+// sends four team broadcasts and four force reductions across the wire.
+// Frames are encoded into the link's recycled buffers, decoded straight
+// out of its read buffer into the receiving rank's spares, and counted in
+// per-rank tallies that keep their cells from one run to the next — so,
+// as in process, ten more steps must allocate nothing.
+//
+// One thing in a run is not the program's to decide under the race
+// detector: the end-of-run result exchange encodes JSON, encoding/json
+// takes its encoder from a sync.Pool, and with -race a sync.Pool drops a
+// quarter of what is put back on purpose. A run whose encoder was dropped
+// allocates a new one, 15 objects. That noise only ever adds, so each
+// length's count is the minimum over enough runs that all of them losing
+// an encoder is out of reach (a run keeps both encoders about half the
+// time; 8 × 3 runs all lose one with odds below 10⁻⁶). Without -race the
+// first measurement is already exact.
 func TestSocketSteadyStateAllocBound(t *testing.T) {
-	const procs, extra, perStep = 2, 10, 1
+	const procs, extra, rounds = 2, 10, 8
 	pr := defaultParams(8, 2, 0)
 	ps := phys.InitUniform(32, pr.Box, 5)
 	dir, err := os.MkdirTemp("", "mesh")
@@ -247,17 +254,22 @@ func TestSocketSteadyStateAllocBound(t *testing.T) {
 	}
 	defer mesh[0].Close()
 	defer mesh[1].Close()
+	var sessions [procs]*Session
+	for i := range sessions {
+		local := pr
+		local.Proc = mesh[i]
+		if sessions[i], err = NewAllPairs(ps, local); err != nil {
+			t.Fatal(err)
+		}
+	}
 	run := func(steps int) func() {
 		return func() {
 			follower := make(chan error, 1)
-			on := func(proc *comm.Proc) error {
-				local := pr
-				local.Steps, local.Proc = steps, proc
-				_, _, err := AllPairs(ps, local)
-				return err
-			}
-			go func() { follower <- on(mesh[1]) }()
-			if err := on(mesh[0]); err != nil {
+			go func() {
+				_, _, err := sessions[1].Advance(steps)
+				follower <- err
+			}()
+			if _, _, err := sessions[0].Advance(steps); err != nil {
 				t.Fatal(err)
 			}
 			if err := <-follower; err != nil {
@@ -265,11 +277,15 @@ func TestSocketSteadyStateAllocBound(t *testing.T) {
 			}
 		}
 	}
-	base := runMallocs(run(2))
-	long := runMallocs(run(2 + extra))
-	t.Logf("2 steps: %d objects, %d steps: %d objects", base, 2+extra, long)
-	if long > base+extra*perStep {
-		t.Errorf("a %d-step socket run allocated %d objects, a 2-step run %d; %d extra steps may allocate at most %d",
-			2+extra, long, base, extra, extra*perStep)
+	run(2)()
+	base, long := ^uint64(0), ^uint64(0)
+	for i := 0; i < rounds; i++ {
+		base = min(base, runMallocs(run(2)))
+		long = min(long, runMallocs(run(2+extra)))
+	}
+	t.Logf("Run after Run, 2 steps: %d objects, %d steps: %d objects", base, 2+extra, long)
+	if long != base {
+		t.Errorf("Run after Run, a %d-step socket run allocated %d objects, a 2-step one %d; %d extra steps must allocate 0",
+			2+extra, long, base, extra)
 	}
 }

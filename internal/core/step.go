@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/comm"
@@ -9,48 +11,107 @@ import (
 	"repro/internal/trace"
 )
 
-// This file is the one step driver: runRanks, the harness every
+// This file is the one step driver: Session, the harness every
 // algorithm's timestep loop runs on, and shiftLoop, the one body that
 // executes Algorithms 1 and 2 from a per-rank plan.
 
-// rankLoop is one rank's share of an algorithm, built once per run
-// inside the rank's goroutine.
+// rankLoop is one rank's share of an algorithm, built inside the rank's
+// goroutine on the session's first Advance and kept for the later ones.
 type rankLoop struct {
 	// step advances the rank by one timestep.
 	step func() error
-	// holds returns the particles the rank owns authoritatively when the
-	// run ends and the slot they are deposited under; ok is false on
-	// ranks that only ever held replicas.
+	// holds returns the particles the rank owns authoritatively at the
+	// end of an Advance and the slot they are deposited under; ok is
+	// false on ranks that only ever hold replicas.
 	holds func() (slot int, ps []phys.Particle, ok bool)
 }
 
 // rank is what the harness lends a loop: the world communicator, its
 // accounting record, and the force pool, which tiles an accumulation by
-// disjoint target blocks — bitwise-identical for any worker count.
+// disjoint target blocks — bitwise-identical for any worker count. The
+// pool and its attribution are the current Advance's: its workers are
+// goroutines, and none outlives the call.
 type rank struct {
 	world *comm.Comm
 	st    *trace.Stats
 	pool  *phys.Pool
 	po    poolObs
+	loop  rankLoop
 }
 
-// runRanks runs build's loop for pr.Steps timesteps on every rank and
-// gathers the n final particles sorted by ID. It owns everything around
-// a step that is not the algorithm: the flight recorder, the phase
-// clock, the per-step metrics, the force pool and its attribution, the
-// live bounds probe (perS and perW are the run's per-step lower bounds)
-// and the deposit of the final state, which RunProc merges across
-// processes in a distributed run so every process gathers all of it.
-// impl names the force-kernel implementation the loop's compute phase
-// runs (phys.Kernel.Impl), for the report and the metrics.
-func runRanks(n int, pr Params, impl string, perS, perW float64, build func(*rank) rankLoop) ([]phys.Particle, *trace.Report, error) {
-	rr := newRunRecorder(pr)
-	report, results, err := comm.RunProc(pr.P, pr.Options, pr.Proc, func(world *comm.Comm) error {
-		st, mx := world.Stats(), world.Metrics()
-		rk := &rank{world: world, st: st, pool: phys.NewPool(pr.WorkersPerRank())}
+// Session is an algorithm's parallel run that outlives its Advance
+// calls. The constructors (NewAllPairs, NewCutoff, ...) validate the
+// parameters and lay out the decomposition — the grid, the schedule, the
+// particles' first owners — on the caller's goroutine, starting nothing.
+// The first Advance builds the comm world and, inside each rank's
+// goroutine, the rank's loop; the session keeps both, the loops with
+// every buffer they have grown (replica, exchange double-buffer,
+// reduction payload, migration stock), so a later Advance costs its
+// steps and not a rebuild. Between calls it is memory only: the rank
+// goroutines and the force pools' workers start and stop with each
+// Advance. A failed Advance leaves the session dead.
+type Session struct {
+	n          int
+	pr         Params
+	impl       string  // force-kernel implementation of the compute phase
+	perS, perW float64 // per-step lower bounds
+	build      func(*rank) rankLoop
+	rt         *comm.Runtime // nil until the first Advance
+	ranks      []*rank       // by world rank; nil until the rank's first Advance
+	out        []phys.Particle
+}
+
+// newSession wraps an algorithm's per-rank loop builder in a session of
+// n particles. impl names the force-kernel implementation the loop's
+// compute phase runs (phys.Kernel.Impl), for the report and the
+// metrics; perS and perW are the run's per-step lower bounds.
+func newSession(n int, pr Params, impl string, perS, perW float64, build func(*rank) rankLoop) *Session {
+	return &Session{n: n, pr: pr, impl: impl, perS: perS, perW: perW, build: build, ranks: make([]*rank, pr.P)}
+}
+
+// once is the one-shot form of a driver: a session constructed, then
+// advanced by steps.
+func once(s *Session, err error, steps int) ([]phys.Particle, *trace.Report, error) {
+	if err != nil {
+		return nil, nil, err
+	}
+	return s.Advance(steps)
+}
+
+// Advance runs every rank's loop for steps timesteps and gathers the n
+// particles sorted by ID, with the report of these steps alone. It owns
+// everything around a step that is not the algorithm: the flight
+// recorder, the phase clock, the per-step metrics, the force pool and
+// its attribution, the live bounds probe and the deposit of the final
+// state, which the world merges across processes in a distributed run
+// so every process gathers all of it. The returned slice is the
+// session's: the next Advance overwrites it.
+func (s *Session) Advance(steps int) ([]phys.Particle, *trace.Report, error) {
+	if steps < 0 {
+		return nil, nil, fmt.Errorf("core: negative step count %d", steps)
+	}
+	if s.rt == nil {
+		rt, err := comm.NewRuntime(s.pr.P, s.pr.Options, s.pr.Proc)
+		if err != nil {
+			return nil, nil, err
+		}
+		s.rt = rt
+	}
+	rr := newRunRecorder(s.pr, steps)
+	report, results, err := s.rt.Run(func(world *comm.Comm) error {
+		rk := s.ranks[world.Rank()]
+		if rk == nil {
+			rk = &rank{world: world, st: world.Stats()}
+			s.ranks[world.Rank()] = rk
+		}
+		st, mx := rk.st, world.Metrics()
+		rk.pool = phys.NewPool(s.pr.WorkersPerRank())
 		defer rk.pool.Close()
 		rk.po = newPoolObs(rk.pool, st, mx)
-		loop := build(rk)
+		if rk.loop.step == nil {
+			rk.loop = s.build(rk)
+		}
+		loop := rk.loop
 
 		st.StartTiming()
 		defer st.StopTiming()
@@ -66,10 +127,10 @@ func runRanks(n int, pr Params, impl string, perS, perW float64, build func(*ran
 		stepCompute := mx.Histogram("step.compute_ns")
 		stepsDone := mx.Counter("step.count")
 		observed := mx != nil
-		probe := newStepProbe(world, impl, perS, perW)
-		sampler := rr.sampler(world, pr.Steps)
+		probe := newStepProbe(world, s.impl, s.perS, s.perW)
+		sampler := rr.sampler(world, steps)
 
-		for step := 0; step < pr.Steps; step++ {
+		for step := 0; step < steps; step++ {
 			var t0 time.Time
 			var computeBefore time.Duration
 			if observed {
@@ -99,22 +160,54 @@ func runRanks(n int, pr Params, impl string, perS, perW float64, build func(*ran
 	})
 	if report != nil {
 		// For the footer's kernel line and measured-over-bound ratios.
-		report.KernelImpl = impl
-		report.SLowerBound = perS * float64(pr.Steps)
-		report.WLowerBound = perW * float64(pr.Steps)
+		report.KernelImpl = s.impl
+		report.SLowerBound = s.perS * float64(steps)
+		report.WLowerBound = s.perW * float64(steps)
 	}
 	rr.finish(report)
 	if err != nil {
 		return nil, report, err
 	}
-	// Flatten the slot-keyed deposits; the sort by ID makes the slot
-	// iteration order irrelevant.
-	out := make([]phys.Particle, 0, n)
-	for _, r := range results {
-		out = append(out, r...)
+	s.out = gather(s.out, results, s.n)
+	return s.out, report, nil
+}
+
+// gather flattens the slot-keyed deposits of n particles into out,
+// reusing its storage, sorted by ID. The sets phys.Init* build are
+// numbered 0..n-1, so there a particle's index is its ID and the layout
+// is one pass; sorting instead was most of what an Advance cost beyond
+// its steps (0.6 ms of 4096 particles). Any other numbering is sorted,
+// which makes the slot iteration order irrelevant.
+func gather(out []phys.Particle, deposits map[int][]phys.Particle, n int) []phys.Particle {
+	const unset = ^uint32(0) // never an ID below n
+	out = slices.Grow(out[:0], n)[:n]
+	for i := range out {
+		out[i].ID = unset
+	}
+	placed := 0
+	for _, ps := range deposits {
+		for _, p := range ps {
+			if int64(p.ID) >= int64(n) || out[p.ID].ID != unset {
+				return sortedByID(out, deposits)
+			}
+			out[p.ID] = p
+			placed++
+		}
+	}
+	if placed != n {
+		return sortedByID(out, deposits)
+	}
+	return out
+}
+
+// sortedByID is gather for any numbering.
+func sortedByID(out []phys.Particle, deposits map[int][]phys.Particle) []phys.Particle {
+	out = out[:0]
+	for _, ps := range deposits {
+		out = append(out, ps...)
 	}
 	phys.SortByID(out)
-	return out, report, nil
+	return out
 }
 
 // Tags for user-level messages. Shift tags encode the move index so a
@@ -180,11 +273,11 @@ type pairing interface {
 // shift-and-update, reduce, integrate — as one rank executes it from
 // its plan: its place on the replication grid, the communicators of
 // its ring and its team, its move list and the algorithm's pairing.
-// The fast-path state is built once per run — the law compiled to a
-// specialized kernel (kind/cutoff/softening resolved outside the pair
-// loop), a transport that retains its buffers across steps, the
-// harness's pool with its workers parked between batches — so the
-// steady-state timestep allocates nothing.
+// The fast-path state is built once per session — the law compiled to
+// a specialized kernel (kind/cutoff/softening resolved outside the pair
+// loop), a transport that retains its buffers across steps and Advance
+// calls — and the harness's pool parks its workers between batches, so
+// the steady-state timestep allocates nothing.
 type shiftLoop struct {
 	*rank
 	moves

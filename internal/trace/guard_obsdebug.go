@@ -32,6 +32,11 @@ func (g *guard) check() {
 	}
 }
 
+// release unbinds the owner, so that the next check binds whichever
+// goroutine makes it: a reused Stats belongs to the rank goroutine of
+// the run in progress, which is a new one every run.
+func (g *guard) release() { g.owner.Store(0) }
+
 // goroutineID parses the current goroutine's id from its stack header
 // ("goroutine N [running]:"). Debug-only; there is no supported API.
 func goroutineID() int64 {

@@ -162,6 +162,19 @@ func (s *Stats) SetTracer(t *obs.Tracer) {
 	s.tracer.Phase(uint8(s.phase))
 }
 
+// Reset returns s to the state NewStats leaves it in — phase Other,
+// timing off, every count zero — keeping its tracer, its clock and the
+// storage of its worker lanes, and releases its owner: the next mutating
+// call binds the goroutine it runs on. A reusable runtime resets each
+// rank's Stats before a run, so a report counts that run alone.
+func (s *Stats) Reset() {
+	s.guard.release()
+	s.phase = Other
+	s.started, s.timing = 0, false
+	s.ByPhase = [numPhases]PhaseStats{}
+	s.WorkerCompute = s.WorkerCompute[:0]
+}
+
 // Tracer returns the attached event tracer (nil when disabled).
 func (s *Stats) Tracer() *obs.Tracer { return s.tracer }
 

@@ -97,7 +97,9 @@ func (c Config) newRecorder(o *obs.Observer) *record.Recorder {
 // checkpoint restores (Load) construct simulations without passing
 // through Config.Observe. Passing nil enables the defaults. Events
 // record from the next Run; any previously recorded timeline or
-// step series is discarded.
+// step series is discarded. The simulation's session is dropped — its
+// ranks were wired to the old observer — and the next Run builds one
+// from the current particles.
 func (s *Simulation) EnableObservation(opts *ObserveOptions) {
 	if opts == nil {
 		opts = &ObserveOptions{}
@@ -105,6 +107,7 @@ func (s *Simulation) EnableObservation(opts *ObserveOptions) {
 	s.cfg.Observe = opts
 	s.observer = s.cfg.observer()
 	s.recorder = s.cfg.newRecorder(s.observer)
+	s.session = nil
 }
 
 // Recorder returns the simulation's flight recorder — one structured

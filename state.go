@@ -87,7 +87,7 @@ func Load(r io.Reader) (*Simulation, error) {
 	}
 	s := &Simulation{cfg: cfg, particles: cp.Particles, steps: int(h.Step)}
 	phys.SortByID(s.particles)
-	if err := s.dryRun(); err != nil {
+	if err := s.build(); err != nil {
 		return nil, err
 	}
 	return s, nil

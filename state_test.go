@@ -122,8 +122,8 @@ func TestLoadRejectsForgedHeader(t *testing.T) {
 }
 
 // FuzzLoad drives Load past where internal/sim's FuzzLoad stops: the
-// header's mapping onto a Config, its validation and the dry run through
-// the configured driver. Load must never panic, and what it accepts must
+// header's mapping onto a Config, its validation and the configured
+// driver's session constructor. Load must never panic, and what it accepts must
 // re-save and reload to the same configuration, step count and
 // particles — compared in saved form, which is also how NaN payloads
 // compare. (Load defaults zero fields and settles C, so the first
@@ -139,7 +139,7 @@ func FuzzLoad(f *testing.F) {
 	f.Add(withHeaderField(allPairs, hdrBoxLength, math.Float64bits(-16)))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		// The dry run starts P goroutines. Up to maxRanks of them is
+		// The session constructor allocates O(P). Up to maxRanks is
 		// defined behaviour (TestLoadRejectsForgedHeader has the case
 		// beyond), but not a cost to pay per fuzz input.
 		if len(data) >= 8+8*(hdrP+1) && binary.LittleEndian.Uint64(data[8+8*hdrP:]) > 256 {
