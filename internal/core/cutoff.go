@@ -51,32 +51,18 @@ func NewCutoff(ps []phys.Particle, pr Params) (*Session, error) {
 	if pr.Law.Cutoff <= 0 {
 		return nil, fmt.Errorf("core: cutoff algorithm requires a positive cutoff radius")
 	}
-	T := pr.Teams()
-	tg, err := topo.NewTeamGrid(T, pr.Box.Dim)
+	cg, sched, w, err := newCutoffLayout(pr.P, pr.C, pr.Law.Cutoff, pr.Box)
 	if err != nil {
 		return nil, err
 	}
-	m := SpanFor(pr.Law.Cutoff, pr.Box.L, tg.Side)
-	if 2*m+1 > tg.Side {
-		return nil, fmt.Errorf("core: cutoff window 2m+1=%d exceeds team grid side %d (cutoff too large for this decomposition)", 2*m+1, tg.Side)
-	}
-	sched, err := NewCutoffSchedule(m, pr.C, pr.Box.Dim)
-	if err != nil {
-		return nil, err
-	}
-	cg, err := newCommGrid(pr.P, pr.C)
-	if err != nil {
-		return nil, err
-	}
-	wrap := pr.Box.Boundary == phys.Periodic
-	dirs := migrationDirs(pr.Box.Dim)
 	perS, perW := cutoffBounds(n, pr)
-	owned := scatterByTeam(ps, pr.Box, tg)
+	owned := scatterByTeam(ps, pr.Box, w.tg)
 
 	return newSession(n, pr, pr.Law.Kernel().Impl(), perS, perW, func(rk *rank) rankLoop {
 		l, layer, team := newShiftLoop(rk, &pr, cg)
-		l.moves = cutoffMoves(sched, tg, layer, team)
-		l.pairing = &windowed{tg: tg, m: m, wrap: wrap, dirs: dirs}
+		l.moves = cutoffMoves(sched, w.tg, layer, team)
+		pairing := w // the migrator in it is the rank's own
+		l.pairing = &pairing
 		// The exchange buffer carries its true source team so receivers
 		// can reject aliased buffers near reflective boundaries.
 		l.x = newXfer(pr, team, l.closed)
@@ -85,6 +71,32 @@ func NewCutoff(ps []phys.Particle, pr Params) (*Session, error) {
 		}
 		return rankLoop{l.step, l.holds}
 	}), nil
+}
+
+// newCutoffLayout lays Algorithm 2 out on p ranks at replication factor
+// c, for cutoff radius rc in box: the replication grid, the schedule and
+// the pairing every rank starts from. The team grid must hold the cutoff
+// window — 2m+1 teams per dimension — and c may not exceed the window
+// size.
+func newCutoffLayout(p, c int, rc float64, box phys.Box) (*commGrid, *CutoffSchedule, windowed, error) {
+	cg, err := newCommGrid(p, c)
+	if err != nil {
+		return nil, nil, windowed{}, err
+	}
+	tg, err := topo.NewTeamGrid(cg.Cols, box.Dim)
+	if err != nil {
+		return nil, nil, windowed{}, err
+	}
+	m := SpanFor(rc, box.L, tg.Side)
+	if 2*m+1 > tg.Side {
+		return nil, nil, windowed{}, fmt.Errorf("core: cutoff window 2m+1=%d exceeds team grid side %d (cutoff too large for this decomposition)", 2*m+1, tg.Side)
+	}
+	sched, err := NewCutoffSchedule(m, c, box.Dim)
+	if err != nil {
+		return nil, nil, windowed{}, err
+	}
+	w := windowed{tg: tg, m: m, wrap: box.Boundary == phys.Periodic, dirs: migrationDirs(box.Dim)}
+	return cg, sched, w, nil
 }
 
 // cutoffMoves is the move list of the rank of the given layer and team:
@@ -119,14 +131,19 @@ type windowed struct {
 
 func (w *windowed) update(l *shiftLoop) {
 	src, visiting := l.x.view()
-	// The teams must be within Chebyshev distance m, unwrapped for
-	// reflective boxes: a wrapped delivery means the buffer aliased
-	// around the data-movement torus and must be skipped.
-	if w.tg.ChebyshevDist(l.slot, src, w.wrap) > w.m {
+	if !w.inWindow(l.slot, src) {
 		return
 	}
 	l.st.SetPhase(trace.Compute)
 	l.counted(l.pool.AccumulateIn(l.kern, l.replica, visiting, l.pr.Box))
+}
+
+// inWindow is the window test: the block team src loaded interacts
+// with team's replica if the two are within Chebyshev distance m,
+// unwrapped for reflective boxes — a wrapped delivery means the buffer
+// aliased around the data-movement torus and must be skipped.
+func (w *windowed) inWindow(team, src int) bool {
+	return w.tg.ChebyshevDist(team, src, w.wrap) <= w.m
 }
 
 // flush has nothing to apply: the window's ring is open, so update may
@@ -273,15 +290,13 @@ func (mg *migrator) migrate(x xfer, leaders *comm.Comm, tg topo.TeamGrid, team i
 		mg.out[d] = append(mg.out[d], mine[i])
 	}
 	for d, dir := range dirs {
-		to, toOK := tg.Neighbor(team, dir.DX, dir.DY, wrap)
-		from, fromOK := tg.Neighbor(team, -dir.DX, -dir.DY, wrap)
-		if toOK && to != team {
+		if to, ok := migrationPeer(tg, team, dir, wrap); ok {
 			x.sendParticles(leaders, to, tagMigrate+d, mg.out[d])
 		} else if len(mg.out[d]) > 0 {
 			return nil, fmt.Errorf("core: particles migrating off the reflective grid toward %+v", dir)
 		}
 		mg.out[d] = nil
-		if fromOK && from != team {
+		if from, ok := migrationPeer(tg, team, topo.Offset{DX: -dir.DX, DY: -dir.DY}, wrap); ok {
 			inc := x.recvParticles(leaders, from, tagMigrate+d)
 			merged = append(merged, inc...)
 			if cap(inc) > 0 {
@@ -292,6 +307,14 @@ func (mg *migrator) migrate(x xfer, leaders *comm.Comm, tg topo.TeamGrid, team i
 	phys.SortByID(merged)
 	mg.spare = mine
 	return merged, nil
+}
+
+// migrationPeer is the team a leader sends the particles moving in
+// direction dir to, and whether it has one: none beyond a reflective
+// edge, nor itself across a periodic grid one team wide.
+func migrationPeer(tg topo.TeamGrid, team int, dir topo.Offset, wrap bool) (int, bool) {
+	to, ok := tg.Neighbor(team, dir.DX, dir.DY, wrap)
+	return to, ok && to != team
 }
 
 // wrapStep maps a coordinate difference on a ring of length side to the
