@@ -35,9 +35,6 @@ const (
 	LennardJonesPotential = phys.LennardJones
 )
 
-// CollectiveAlg selects the collective implementation of the runtime.
-type CollectiveAlg = comm.CollectiveAlg
-
 // ProcGroup is one OS process's membership in a multi-process rank
 // mesh; see JoinProcs.
 type ProcGroup = comm.Proc
@@ -63,14 +60,6 @@ func JoinProcs(rendezvous string, procs, ranksPerProc int) (*ProcGroup, error) {
 func ListenProcs(rendezvous string, procs, ranksPerProc int) (*ProcListener, error) {
 	return comm.ListenProcs(rendezvous, procs, ranksPerProc)
 }
-
-// Collective algorithms: binomial Tree (default), Flat linear (the
-// paper's "no-tree" configuration), and Ring pipelines.
-const (
-	Tree = comm.Tree
-	Flat = comm.Flat
-	Ring = comm.Ring
-)
 
 // Algorithm selects the parallel decomposition.
 type Algorithm int
@@ -161,9 +150,6 @@ type Config struct {
 	// (defaults 1 and BoxLength/16).
 	Epsilon float64
 	Sigma   float64
-	// Collectives selects the runtime's collective algorithm (default
-	// Tree).
-	Collectives CollectiveAlg
 	// Lattice, when true, initializes particles on a jittered lattice
 	// (near-uniform density, as the paper's cutoff experiments assume)
 	// instead of uniformly at random.
@@ -406,7 +392,7 @@ func (s *Simulation) build() error {
 		Law:     c.law(),
 		Box:     c.box(),
 		DT:      c.DT,
-		Options: comm.Options{Collectives: c.Collectives, Observe: s.observer},
+		Options: comm.Options{Observe: s.observer},
 		Overlap: c.Overlap,
 		Workers: c.Workers,
 		Record:  s.recorder,

@@ -218,25 +218,6 @@ func BenchmarkBaselines(b *testing.B) {
 // Ablation benchmarks for the design choices DESIGN.md calls out.
 // ---------------------------------------------------------------------------
 
-// BenchmarkAblationCollectives compares the runtime's collective
-// algorithms (the paper's tree/no-tree study) on real executions.
-func BenchmarkAblationCollectives(b *testing.B) {
-	for _, alg := range []CollectiveAlg{Tree, Flat, Ring} {
-		b.Run(fmt.Sprintf("%v", alg), func(b *testing.B) {
-			sim, err := New(Config{N: 2048, P: 64, C: 8, Collectives: alg})
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := sim.Run(1); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkAblationOverlap compares the synchronous shift loop with the
 // double-buffered communication/computation overlap variant on real
 // executions.

@@ -27,34 +27,33 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("nbody: ")
 	var (
-		n           = flag.Int("n", 1024, "number of particles")
-		p           = flag.Int("p", 16, "number of ranks (goroutines)")
-		c           = flag.Int("c", 1, "replication factor")
-		workers     = flag.Int("workers", 0, "intra-rank force workers per rank (0 = spread GOMAXPROCS over ranks)")
-		dim         = flag.Int("dim", 2, "spatial dimension (1 or 2)")
-		cutoff      = flag.Float64("cutoff", 0, "cutoff radius (0 = all pairs)")
-		steps       = flag.Int("steps", 10, "timesteps to run")
-		dt          = flag.Float64("dt", 1e-3, "timestep length")
-		boxL        = flag.Float64("box", 16, "box side length")
-		seed        = flag.Uint64("seed", 1, "init seed")
-		algName     = flag.String("alg", "auto", "algorithm: auto, ca-all-pairs, ca-cutoff, particle, force, naive, midpoint")
-		boundary    = flag.String("boundary", "reflective", "boundary condition: reflective or periodic")
-		collectives = flag.String("collectives", "tree", "collective algorithm: tree, flat, ring")
-		lattice     = flag.Bool("lattice", false, "initialize particles on a jittered lattice")
-		verify      = flag.Bool("verify", false, "verify against the serial reference after the run")
-		observe     = flag.Int("observe", 0, "sample energies every N steps and print the series")
-		trajFile    = flag.String("traj", "", "write an XYZ trajectory to this file (a frame per -observe interval, or start/end)")
-		saveFile    = flag.String("save", "", "write a checkpoint to this file after the run")
-		loadFile    = flag.String("load", "", "resume from a checkpoint file (overrides most flags)")
-		traceOut    = flag.String("trace-out", "", "write a Chrome trace-event timeline (one track per rank) to this file; open in Perfetto")
-		traceJSONL  = flag.String("trace-jsonl", "", "write the event timeline as JSON lines to this file")
-		traceCap    = flag.Int("trace-events", 0, "per-rank event ring capacity (0 = default 65536)")
-		metricsOut  = flag.String("metrics-out", "", "write the metrics registry snapshot as JSON to this file (flushed every second during the run)")
-		recordOut   = flag.String("record-out", "", "stream the per-step flight recording (JSON lines, one sample per step) to this file; a .gz suffix gzip-compresses it")
-		pprofAddr   = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
-		httpAddr    = flag.String("http", "", "serve the live telemetry hub on this address (e.g. localhost:8080): /metrics, /snapshot.json, /trace, /matrix.json, /debug/pprof")
-		matrixOut   = flag.Bool("matrix", false, "print the per-phase src x dst communication matrix after the run")
-		matrixFile  = flag.String("matrix-out", "", "write the communication-matrix snapshot as JSON to this file after the run (feeds the placement optimizer offline)")
+		n          = flag.Int("n", 1024, "number of particles")
+		p          = flag.Int("p", 16, "number of ranks (goroutines)")
+		c          = flag.Int("c", 1, "replication factor")
+		workers    = flag.Int("workers", 0, "intra-rank force workers per rank (0 = spread GOMAXPROCS over ranks)")
+		dim        = flag.Int("dim", 2, "spatial dimension (1 or 2)")
+		cutoff     = flag.Float64("cutoff", 0, "cutoff radius (0 = all pairs)")
+		steps      = flag.Int("steps", 10, "timesteps to run")
+		dt         = flag.Float64("dt", 1e-3, "timestep length")
+		boxL       = flag.Float64("box", 16, "box side length")
+		seed       = flag.Uint64("seed", 1, "init seed")
+		algName    = flag.String("alg", "auto", "algorithm: auto, ca-all-pairs, ca-cutoff, particle, force, naive, midpoint")
+		boundary   = flag.String("boundary", "reflective", "boundary condition: reflective or periodic")
+		lattice    = flag.Bool("lattice", false, "initialize particles on a jittered lattice")
+		verify     = flag.Bool("verify", false, "verify against the serial reference after the run")
+		observe    = flag.Int("observe", 0, "sample energies every N steps and print the series")
+		trajFile   = flag.String("traj", "", "write an XYZ trajectory to this file (a frame per -observe interval, or start/end)")
+		saveFile   = flag.String("save", "", "write a checkpoint to this file after the run")
+		loadFile   = flag.String("load", "", "resume from a checkpoint file (overrides most flags)")
+		traceOut   = flag.String("trace-out", "", "write a Chrome trace-event timeline (one track per rank) to this file; open in Perfetto")
+		traceJSONL = flag.String("trace-jsonl", "", "write the event timeline as JSON lines to this file")
+		traceCap   = flag.Int("trace-events", 0, "per-rank event ring capacity (0 = default 65536)")
+		metricsOut = flag.String("metrics-out", "", "write the metrics registry snapshot as JSON to this file (flushed every second during the run)")
+		recordOut  = flag.String("record-out", "", "stream the per-step flight recording (JSON lines, one sample per step) to this file; a .gz suffix gzip-compresses it")
+		pprofAddr  = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
+		httpAddr   = flag.String("http", "", "serve the live telemetry hub on this address (e.g. localhost:8080): /metrics, /snapshot.json, /trace, /matrix.json, /debug/pprof")
+		matrixOut  = flag.Bool("matrix", false, "print the per-phase src x dst communication matrix after the run")
+		matrixFile = flag.String("matrix-out", "", "write the communication-matrix snapshot as JSON to this file after the run (feeds the placement optimizer offline)")
 
 		autoPlace    = flag.Bool("autotune-placement", false, "after the run, search rank->node torus placements minimizing hop-weighted bytes of the measured matrix and print the trial table")
 		placementIn  = flag.String("placement", "", "evaluate a saved placement JSON file against this run's measured matrix")
@@ -139,16 +138,6 @@ func main() {
 		cfg.Boundary = nbody.Periodic
 	default:
 		log.Fatalf("unknown -boundary %q", *boundary)
-	}
-	switch *collectives {
-	case "tree":
-		cfg.Collectives = nbody.Tree
-	case "flat":
-		cfg.Collectives = nbody.Flat
-	case "ring":
-		cfg.Collectives = nbody.Ring
-	default:
-		log.Fatalf("unknown -collectives %q", *collectives)
 	}
 
 	var sim *nbody.Simulation

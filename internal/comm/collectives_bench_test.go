@@ -1,14 +1,11 @@
 package comm
 
-import (
-	"fmt"
-	"testing"
-)
+import "testing"
 
-func benchmarkCollective(b *testing.B, p int, alg CollectiveAlg, body func(c *Comm)) {
+func benchmarkCollective(b *testing.B, p int, body func(c *Comm)) {
 	b.Helper()
 	for i := 0; i < b.N; i++ {
-		if _, err := Run(p, Options{Collectives: alg}, func(c *Comm) error {
+		if _, err := Run(p, Options{}, func(c *Comm) error {
 			body(c)
 			return nil
 		}); err != nil {
@@ -19,33 +16,25 @@ func benchmarkCollective(b *testing.B, p int, alg CollectiveAlg, body func(c *Co
 
 func BenchmarkBcast(b *testing.B) {
 	payload := make([]byte, 4096)
-	for _, alg := range []CollectiveAlg{Tree, Flat, Ring} {
-		b.Run(fmt.Sprintf("%v/p=32", alg), func(b *testing.B) {
-			benchmarkCollective(b, 32, alg, func(c *Comm) {
-				var data []byte
-				if c.Rank() == 0 {
-					data = payload
-				}
-				c.Bcast(0, data)
-			})
-		})
-	}
+	benchmarkCollective(b, 32, func(c *Comm) {
+		var data []byte
+		if c.Rank() == 0 {
+			data = payload
+		}
+		c.Bcast(0, data)
+	})
 }
 
 func BenchmarkReduce(b *testing.B) {
 	vals := make([]float64, 512)
-	for _, alg := range []CollectiveAlg{Tree, Flat, Ring} {
-		b.Run(fmt.Sprintf("%v/p=32", alg), func(b *testing.B) {
-			benchmarkCollective(b, 32, alg, func(c *Comm) {
-				c.ReduceF64s(0, vals)
-			})
-		})
-	}
+	benchmarkCollective(b, 32, func(c *Comm) {
+		c.ReduceF64s(0, vals)
+	})
 }
 
 func BenchmarkAllgatherRing(b *testing.B) {
 	payload := make([]byte, 1024)
-	benchmarkCollective(b, 32, Tree, func(c *Comm) {
+	benchmarkCollective(b, 32, func(c *Comm) {
 		c.Allgather(payload)
 	})
 }

@@ -2,8 +2,8 @@
 // for MPI (Go has no mature MPI bindings). A Runtime executes p ranks as
 // goroutines in one SPMD function; ranks exchange byte-slice or typed
 // messages through per-pair channels and synchronize with collectives —
-// broadcast, reduce, allreduce, gather, allgather, barrier and the
-// sendrecv shifts the communication-avoiding algorithms are built from.
+// broadcast, reduce, allgather, barrier and the sendrecv shifts the
+// communication-avoiding algorithms are built from.
 // Sub-communicators are built from explicit member lists (Comm.Sub)
 // and need no communication.
 //
@@ -19,12 +19,11 @@
 // a send, a deferred delivery — selects on the abort channel as well
 // (see link and sendMsg).
 //
-// Collectives are implemented from scratch with selectable algorithms
-// (binomial tree, flat, ring), mirroring the "tree" versus "no-tree"
-// collectives the paper compares on Intrepid. Every point-to-point
-// message is counted against the sender's active trace phase, so the
-// critical-path message and word counts of the paper's analysis are
-// measured exactly, not estimated.
+// Broadcast and reduction run down and up one binomial tree
+// (topo.BinomialParent), the ⌈log₂ c⌉-stage tree the paper prices them
+// by. Every point-to-point message is counted against the sender's
+// active trace phase, so the critical-path message and word counts of
+// the paper's analysis are measured exactly, not estimated.
 package comm
 
 import (

@@ -75,11 +75,6 @@ func TestSendrecvTypedUnbuffered(t *testing.T) {
 		if team != from || len(tp) != 1 || tp[0].ID != 100+uint32(from) {
 			return fmt.Errorf("rank %d: team %d particles %v", c.Rank(), team, tp)
 		}
-
-		vals := c.SendrecvF64s(to, []float64{float64(c.Rank())}, from, 3)
-		if len(vals) != 1 || vals[0] != float64(from) {
-			return fmt.Errorf("rank %d: f64s %v", c.Rank(), vals)
-		}
 		return nil
 	})
 	if err != nil {

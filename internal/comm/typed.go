@@ -86,11 +86,3 @@ func (c *Comm) SendF64s(to, tag int, vals []float64) {
 func (c *Comm) RecvF64s(from, tag int) []float64 {
 	return c.recvMsg(from, tag).f64sPayload(c)
 }
-
-// SendrecvF64s is Sendrecv over typed float64 payloads.
-func (c *Comm) SendrecvF64s(to int, vals []float64, from, tag int) []float64 {
-	if to == c.rank && from == c.rank {
-		return vals
-	}
-	return c.sendrecvMsg(to, tag, f64sMsg(vals), from).f64sPayload(c)
-}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"testing"
 
-	"repro/internal/comm"
 	"repro/internal/phys"
 	"repro/internal/trace"
 )
@@ -73,30 +72,6 @@ func TestAllPairsMatchesSerial(t *testing.T) {
 			}
 			if worst > 1e-9 {
 				t.Errorf("worst position deviation %g exceeds 1e-9", worst)
-			}
-		})
-	}
-}
-
-func TestAllPairsCollectiveAlgorithms(t *testing.T) {
-	pr := defaultParams(16, 4, 2)
-	ps := phys.InitUniform(32, pr.Box, 7)
-	want := serialRun(ps, pr.Law, pr.Box, pr.Steps, pr.DT)
-	phys.SortByID(want)
-	for _, alg := range []comm.CollectiveAlg{comm.Tree, comm.Flat, comm.Ring} {
-		alg := alg
-		t.Run(alg.String(), func(t *testing.T) {
-			t.Parallel()
-			prr := pr
-			prr.Options = comm.Options{Collectives: alg}
-			got, _, err := AllPairs(ps, prr)
-			if err != nil {
-				t.Fatalf("AllPairs(%v): %v", alg, err)
-			}
-			for i := range got {
-				if d := got[i].Pos.Dist(want[i].Pos); d > 1e-9 {
-					t.Fatalf("particle %d deviates by %g under %v collectives", i, d, alg)
-				}
 			}
 		})
 	}

@@ -24,7 +24,6 @@ const (
 	KindBarrier
 	KindBcast
 	KindReduce
-	KindGather
 	KindAllgather
 	// KindWorker is an intra-rank force-pool worker span: Peer holds
 	// the worker id within the rank's pool, Start/Dur the tile's busy
@@ -48,8 +47,6 @@ func (k Kind) String() string {
 		return "bcast"
 	case KindReduce:
 		return "reduce"
-	case KindGather:
-		return "gather"
 	case KindAllgather:
 		return "allgather"
 	case KindWorker:
