@@ -84,41 +84,3 @@ func (s *CutoffSchedule) Move(k, i int) topo.Offset {
 	cur := s.Offset(k, i)
 	return topo.Offset{DX: prev.DX - cur.DX, DY: prev.DY - cur.DY, DZ: prev.DZ - cur.DZ}
 }
-
-// LayerOffsets returns all window offsets layer k handles, in step order.
-func (s *CutoffSchedule) LayerOffsets(k int) []topo.Offset {
-	out := make([]topo.Offset, 0, s.Steps(k))
-	for i := 0; i < s.Steps(k); i++ {
-		out = append(out, s.Offset(k, i))
-	}
-	return out
-}
-
-// Coverage returns, for each window offset, how many (layer, step) slots
-// deliver it. A correct schedule covers every offset exactly once; the
-// schedule tests assert this for wide parameter ranges.
-func (s *CutoffSchedule) Coverage() map[topo.Offset]int {
-	cov := make(map[topo.Offset]int, len(s.Seq))
-	for k := 0; k < s.C; k++ {
-		for i := 0; i < s.Steps(k); i++ {
-			cov[s.Offset(k, i)]++
-		}
-	}
-	return cov
-}
-
-// MaxMoveChebyshev returns the largest Chebyshev length of any move in
-// the schedule. Because consecutive serpentine entries are adjacent, a
-// C-stride jump spans at most C grid steps; the skew move spans at most
-// M. The netsim and machine models use this to price shift messages.
-func (s *CutoffSchedule) MaxMoveChebyshev() int {
-	max := 0
-	for k := 0; k < s.C; k++ {
-		for i := 0; i < s.Steps(k); i++ {
-			if d := s.Move(k, i).Chebyshev(); d > max {
-				max = d
-			}
-		}
-	}
-	return max
-}

@@ -11,6 +11,28 @@ import (
 	"repro/internal/trace"
 )
 
+// layerOffsets returns the window offsets layer k handles, in step
+// order.
+func layerOffsets(s *CutoffSchedule, k int) []topo.Offset {
+	out := make([]topo.Offset, s.Steps(k))
+	for i := range out {
+		out[i] = s.Offset(k, i)
+	}
+	return out
+}
+
+// coverage counts, for each window offset, the (layer, step) slots that
+// deliver it. A correct schedule covers every offset exactly once.
+func coverage(s *CutoffSchedule) map[topo.Offset]int {
+	cov := make(map[topo.Offset]int, len(s.Seq))
+	for k := 0; k < s.C; k++ {
+		for _, off := range layerOffsets(s, k) {
+			cov[off]++
+		}
+	}
+	return cov
+}
+
 func TestCutoffScheduleCoversWindowExactlyOnce3D(t *testing.T) {
 	// The 3D generalization: every offset of the (2m+1)³ import region
 	// is delivered exactly once across layers and steps.
@@ -21,7 +43,7 @@ func TestCutoffScheduleCoversWindowExactlyOnce3D(t *testing.T) {
 			if err != nil {
 				t.Fatalf("m=%d c=%d: %v", m, c, err)
 			}
-			cov := s.Coverage()
+			cov := coverage(s)
 			if len(cov) != w {
 				t.Fatalf("m=%d c=%d: covered %d offsets, want %d", m, c, len(cov), w)
 			}
@@ -43,7 +65,7 @@ func TestCutoffScheduleCoversWindowExactlyOnce(t *testing.T) {
 				if err != nil {
 					t.Fatalf("m=%d c=%d dim=%d: %v", m, c, dim, err)
 				}
-				cov := s.Coverage()
+				cov := coverage(s)
 				if len(cov) != w {
 					t.Fatalf("m=%d c=%d dim=%d: covered %d offsets, want %d", m, c, dim, len(cov), w)
 				}
@@ -73,9 +95,6 @@ func TestCutoffScheduleStepCounts(t *testing.T) {
 					if steps > s.MaxSteps() {
 						t.Fatalf("layer %d exceeds MaxSteps", k)
 					}
-					if got := len(s.LayerOffsets(k)); got != steps {
-						t.Fatalf("LayerOffsets len %d != Steps %d", got, steps)
-					}
 				}
 				if total != w {
 					t.Fatalf("m=%d c=%d dim=%d: total steps %d != window %d", m, c, dim, total, w)
@@ -98,12 +117,12 @@ func TestCutoffScheduleMovesAreLocal(t *testing.T) {
 			w := topo.WindowSize(m, dim)
 			for c := 1; c <= w; c++ {
 				s, _ := NewCutoffSchedule(m, c, dim)
-				bound := m
-				if c > bound {
-					bound = c
-				}
-				if got := s.MaxMoveChebyshev(); got > bound {
-					t.Fatalf("dim=%d m=%d c=%d: move of %d exceeds bound %d", dim, m, c, got, bound)
+				for k := 0; k < c; k++ {
+					for i := 0; i < s.Steps(k); i++ {
+						if got := s.Move(k, i).Chebyshev(); got > max(m, c) {
+							t.Fatalf("dim=%d m=%d c=%d: move of %d exceeds bound %d", dim, m, c, got, max(m, c))
+						}
+					}
 				}
 			}
 		}
@@ -340,7 +359,7 @@ func TestCutoffPlanAppliesWindowOnce(t *testing.T) {
 func ExampleCutoffSchedule() {
 	s, _ := NewCutoffSchedule(2, 2, 1)
 	for k := 0; k < s.C; k++ {
-		fmt.Printf("layer %d: %v\n", k, s.LayerOffsets(k))
+		fmt.Printf("layer %d: %v\n", k, layerOffsets(s, k))
 	}
 	// Output:
 	// layer 0: [{-2 0 0} {0 0 0} {2 0 0}]

@@ -6,17 +6,6 @@ import (
 	"repro/internal/machine"
 )
 
-func TestCutoff1DStepBasics(t *testing.T) {
-	mach := machine.Generic()
-	b, err := Cutoff1DStep(mach, 64, 2048, 2, 0.25)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b.Compute <= 0 || b.Shift <= 0 || b.Reduce <= 0 || b.Reassign <= 0 {
-		t.Fatalf("incomplete breakdown %+v", b)
-	}
-}
-
 func TestCutoff1DStepReplicationReducesShift(t *testing.T) {
 	mach := machine.Generic()
 	prev := -1.0
@@ -30,22 +19,6 @@ func TestCutoff1DStepReplicationReducesShift(t *testing.T) {
 			t.Errorf("c=%d: window traversal %.3g did not drop from %.3g", c, shift, prev)
 		}
 		prev = shift
-	}
-}
-
-func TestCutoff2DStepBasics(t *testing.T) {
-	mach := machine.Generic()
-	// 64 ranks, c=4 -> 16 teams on a 4x4 grid, m=1.
-	b, err := Cutoff2DStep(mach, 64, 2048, 4, 0.25)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b.Compute <= 0 || b.Shift <= 0 || b.Reduce <= 0 || b.Reassign <= 0 {
-		t.Fatalf("incomplete 2D breakdown %+v", b)
-	}
-	// Non-square team count must fail.
-	if _, err := Cutoff2DStep(mach, 32, 2048, 4, 0.25); err == nil {
-		t.Error("8 teams cannot form a square grid")
 	}
 }
 

@@ -39,11 +39,15 @@ type Header struct {
 	Potential int64
 	Epsilon   float64
 	Sigma     float64
+	// Version 3 addition: the overlapped shift loop, which visits a
+	// closed ring's blocks in another order and so sums other bits. It
+	// shares the Lattice word (bit 1), which version 2 wrote as 0 or 1.
+	Overlap bool
 }
 
 const (
 	checkpointMagic   = 0x43414e42 // "CANB"
-	checkpointVersion = 2
+	checkpointVersion = 3
 )
 
 // Save writes the checkpoint in the repository's binary format: magic,
@@ -70,16 +74,19 @@ func Save(w io.Writer, cp *Checkpoint) error {
 		return fmt.Errorf("sim: save: %w", err)
 	}
 	h := cp.Header
-	lattice := uint64(0)
+	flags := uint64(0)
 	if h.Lattice {
-		lattice = 1
+		flags |= 1
+	}
+	if h.Overlap {
+		flags |= 2
 	}
 	fields := []uint64{
 		uint64(h.Step), uint64(h.N), uint64(h.P), uint64(h.C),
 		uint64(h.Algorithm), uint64(h.Dim), uint64(h.Boundary), h.Seed,
 		math.Float64bits(h.BoxLength), math.Float64bits(h.Cutoff),
 		math.Float64bits(h.DT), math.Float64bits(h.ForceK),
-		math.Float64bits(h.Softening), lattice,
+		math.Float64bits(h.Softening), flags,
 		uint64(h.Potential), math.Float64bits(h.Epsilon), math.Float64bits(h.Sigma),
 	}
 	for _, f := range fields {
@@ -94,7 +101,7 @@ func Save(w io.Writer, cp *Checkpoint) error {
 }
 
 // Load reads a checkpoint written by Save, validating magic, version and
-// particle count.
+// particle count. It reads version 2 as well.
 func Load(r io.Reader) (*Checkpoint, error) {
 	var scratch [8]byte
 	readU32 := func() (uint32, error) {
@@ -120,7 +127,7 @@ func Load(r io.Reader) (*Checkpoint, error) {
 	if err != nil {
 		return nil, fmt.Errorf("sim: load: %w", err)
 	}
-	if version != checkpointVersion {
+	if version != 2 && version != checkpointVersion {
 		return nil, fmt.Errorf("sim: unsupported checkpoint version %d", version)
 	}
 	var fields [17]uint64
@@ -134,7 +141,7 @@ func Load(r io.Reader) (*Checkpoint, error) {
 		Algorithm: int64(fields[4]), Dim: int64(fields[5]), Boundary: int64(fields[6]), Seed: fields[7],
 		BoxLength: math.Float64frombits(fields[8]), Cutoff: math.Float64frombits(fields[9]),
 		DT: math.Float64frombits(fields[10]), ForceK: math.Float64frombits(fields[11]),
-		Softening: math.Float64frombits(fields[12]), Lattice: fields[13] != 0,
+		Softening: math.Float64frombits(fields[12]), Lattice: fields[13]&1 != 0, Overlap: fields[13]&2 != 0,
 		Potential: int64(fields[14]), Epsilon: math.Float64frombits(fields[15]),
 		Sigma: math.Float64frombits(fields[16]),
 	}

@@ -118,7 +118,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	cp := &Checkpoint{
 		Header: Header{
 			Step: 42, N: 25, P: 8, C: 2, Algorithm: 1, Dim: 2, Boundary: 0,
-			Seed: 99, BoxLength: 10, Cutoff: 2.5, DT: 1e-3, ForceK: 1, Softening: 1e-3, Lattice: true,
+			Seed: 99, BoxLength: 10, Cutoff: 2.5, DT: 1e-3, ForceK: 1, Softening: 1e-3, Lattice: true, Overlap: true,
 		},
 		Particles: ps,
 	}

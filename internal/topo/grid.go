@@ -47,22 +47,6 @@ func (g Grid) Coord(rank int) (row, col int) {
 	return rank / g.Cols, rank % g.Cols
 }
 
-// RowShift returns the rank that is delta columns east of rank along its
-// row, wrapping modulo the row length. Negative deltas shift west.
-func (g Grid) RowShift(rank, delta int) int {
-	row, col := g.Coord(rank)
-	col = mod(col+delta, g.Cols)
-	return g.Rank(row, col)
-}
-
-// ColShift returns the rank delta rows south of rank along its column,
-// wrapping modulo the column length.
-func (g Grid) ColShift(rank, delta int) int {
-	row, col := g.Coord(rank)
-	row = mod(row+delta, g.Rows)
-	return g.Rank(row, col)
-}
-
 // TeamRanks returns the ranks of team col, leader first.
 func (g Grid) TeamRanks(col int) []int {
 	out := make([]int, g.Rows)

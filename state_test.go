@@ -3,54 +3,50 @@ package nbody
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math"
 	"testing"
 )
 
+// TestSaveLoadResume: for every algorithm, with and without overlap, at
+// one and two workers, Run(a), Save, Load, Run(b) ends where Run(a+b)
+// does, checkpoint byte for byte — a checkpoint drops nothing that
+// decides the results.
 func TestSaveLoadResume(t *testing.T) {
-	sim, err := New(Config{N: 64, P: 16, C: 2, Seed: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sim.Run(4); err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := sim.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-
-	restored, err := Load(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if restored.Steps() != 4 {
-		t.Errorf("restored steps = %d, want 4", restored.Steps())
-	}
-	if restored.Config().C != 2 || restored.Config().Seed != 9 {
-		t.Errorf("restored config %+v", restored.Config())
-	}
-
-	// Continuing the restored run must match continuing the original.
-	if err := sim.Run(3); err != nil {
-		t.Fatal(err)
-	}
-	if err := restored.Run(3); err != nil {
-		t.Fatal(err)
-	}
-	a, b := sim.Particles(), restored.Particles()
-	for i := range a {
-		if d := a[i].Pos.Dist(b[i].Pos); d > 1e-12 {
-			t.Fatalf("particle %d diverged by %g after resume", i, d)
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"ca-all-pairs", Config{N: 64, P: 16, C: 2, Seed: 9}},
+		{"ca-cutoff-1d", Config{N: 48, P: 8, C: 2, Dim: 1, Boundary: Periodic, Cutoff: 4, Lattice: true}},
+		{"ca-cutoff-2d", Config{N: 64, P: 32, C: 2, Cutoff: 4, Lattice: true}},
+		{"particle", Config{N: 32, P: 4, Algorithm: ParticleDecomp}},
+		{"force", Config{N: 36, P: 9, Algorithm: ForceDecomp}},
+		{"naive", Config{N: 32, P: 4, Algorithm: NaiveAllGather}},
+		{"midpoint", Config{N: 64, P: 16, Algorithm: Midpoint, Dim: 1, Cutoff: 4, Lattice: true, DT: 5e-4}},
+	} {
+		for _, overlap := range []bool{false, true} {
+			for _, workers := range []int{1, 2} {
+				cfg := tc.cfg
+				cfg.Overlap, cfg.Workers = overlap, workers
+				t.Run(fmt.Sprintf("%s/overlap=%v/workers=%d", tc.name, overlap, workers), func(t *testing.T) {
+					const a, b = 3, 2
+					restored, err := Load(bytes.NewReader(checkpointOf(t, cfg, a)))
+					var resumed bytes.Buffer
+					if err == nil {
+						if err = restored.Run(b); err == nil {
+							err = restored.Save(&resumed)
+						}
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !bytes.Equal(resumed.Bytes(), checkpointOf(t, cfg, a+b)) {
+						t.Errorf("Run(%d), Save, Load, Run(%d) differs from Run(%d)", a, b, a+b)
+					}
+				})
+			}
 		}
-	}
-	// And still matches the serial reference.
-	worst, err := restored.VerifySerial()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if worst > 1e-9 {
-		t.Errorf("restored run deviates from serial by %g", worst)
 	}
 }
 
