@@ -119,15 +119,15 @@ benchguard:
 netsmoke:
 	sh scripts/netsmoke.sh
 
-# Placement smoke gate: on the committed p=64 cutoff communication
-# matrix over the Balanced3D generic torus, the seeded annealing
-# searcher must beat the identity hop cost and reproduce the
+# Placement smoke gate: on the traffic netsim tallies while replaying
+# the p=64 1D cutoff plan on the generic 4×4×4 torus, the seeded
+# annealing searcher must beat the identity hop cost and reproduce the
 # committed golden objective values bitwise (the searcher arithmetic
 # is deterministic). Regenerate the golden file with
-# `go test ./internal/place/ -run TestPlaceGolden -update` after an
-# intentional searcher change.
+# `go test ./internal/netsim/ -run TestPlaceGolden -update` after an
+# intentional searcher or plan change.
 placesmoke:
-	$(GO) test -run TestPlaceGolden ./internal/place/
+	$(GO) test -run TestPlaceGolden ./internal/netsim/
 
 # The repository benchmark (BENCHMARK.json, benchmark/README.md) on one
 # workload — by default its most communication-bound one; `make benchrepo

@@ -53,12 +53,7 @@ func main() {
 		pprofAddr  = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
 		httpAddr   = flag.String("http", "", "serve the live telemetry hub on this address (e.g. localhost:8080): /metrics, /snapshot.json, /trace, /matrix.json, /debug/pprof")
 		matrixOut  = flag.Bool("matrix", false, "print the per-phase src x dst communication matrix after the run")
-		matrixFile = flag.String("matrix-out", "", "write the communication-matrix snapshot as JSON to this file after the run (feeds the placement optimizer offline)")
-
-		autoPlace    = flag.Bool("autotune-placement", false, "after the run, search rank->node torus placements minimizing hop-weighted bytes of the measured matrix and print the trial table")
-		placementIn  = flag.String("placement", "", "evaluate a saved placement JSON file against this run's measured matrix")
-		placementOut = flag.String("placement-out", "", "write the optimized placement as JSON to this file (implies -autotune-placement)")
-		machineName  = flag.String("machine", "generic", "machine model for placement optimization: generic, hopper, intrepid")
+		matrixFile = flag.String("matrix-out", "", "write the communication-matrix snapshot as JSON to this file after the run (the document the live hub serves at /matrix.json)")
 
 		ranksPerProc = flag.Int("ranks-per-proc", 0, "span the simulation across OS processes, this many ranks per process (0 = all ranks in-process); requires -rendezvous or -spawn")
 		rendezvous   = flag.String("rendezvous", "", "mesh rendezvous address: host:port for TCP, a filesystem path (or unix:path) for unix sockets; every process of one run names the same address")
@@ -88,12 +83,8 @@ func main() {
 		*trajFile, *saveFile = "", ""
 		*traceOut, *traceJSONL, *metricsOut, *recordOut = "", "", "", ""
 		*matrixOut = false
-		*matrixFile, *placementIn, *placementOut = "", "", ""
-		*autoPlace = false
+		*matrixFile = ""
 		*verify = false
-	}
-	if *placementOut != "" {
-		*autoPlace = true
 	}
 
 	if *pprofAddr != "" {
@@ -103,7 +94,7 @@ func main() {
 		say("pprof serving on http://%s/debug/pprof/\n", *pprofAddr)
 	}
 	observing := *traceOut != "" || *traceJSONL != "" || *metricsOut != "" || *httpAddr != "" || *matrixOut || *recordOut != "" ||
-		*matrixFile != "" || *autoPlace || *placementIn != ""
+		*matrixFile != ""
 
 	cfg := nbody.Config{
 		N: *n, P: *p, C: *c, Workers: *workers, Dim: *dim, Cutoff: *cutoff,
@@ -260,17 +251,6 @@ func main() {
 	}
 	elapsed := time.Since(start)
 
-	// Placement optimization runs before the report prints: the chosen
-	// placement's hop-bytes land in the report footer.
-	var bestPlace nbody.Placement
-	var placeTrials []nbody.PlacementTuneResult
-	if *autoPlace {
-		bestPlace, placeTrials, err = sim.OptimizePlacement(nbody.MachineName(*machineName), *seed)
-		if err != nil {
-			log.Fatal(err)
-		}
-	}
-
 	say("algorithm=%v p=%d c=%d n=%d steps=%d dim=%d cutoff=%g\n",
 		cfg.Algorithm, cfg.P, cfg.C, cfg.N, *steps, cfg.Dim, cfg.Cutoff)
 	say("wall time: %v (%v/step)\n\n", elapsed, elapsed/time.Duration(max(1, *steps)))
@@ -285,36 +265,6 @@ func main() {
 		}
 		say("communication matrix written to %s\n", *matrixFile)
 	}
-	if *autoPlace {
-		say("\nplacement trials (%s):\n", *machineName)
-		say("%-10s %16s %14s %12s\n", "algorithm", "hop-bytes", "makespan(s)", "search")
-		for _, tr := range placeTrials {
-			say("%-10s %16.0f %14.3g %12s\n", tr.Algorithm, tr.HopBytes, tr.Makespan, tr.Search.Round(time.Microsecond))
-		}
-		say("\n%s", bestPlace)
-		if *placementOut != "" {
-			if err := nbody.SavePlacement(*placementOut, bestPlace); err != nil {
-				log.Fatal(err)
-			}
-			say("placement written to %s\n", *placementOut)
-		}
-	}
-	if *placementIn != "" {
-		pl, err := nbody.LoadPlacement(*placementIn)
-		if err != nil {
-			log.Fatal(err)
-		}
-		traffic, err := sim.TrafficMatrix()
-		if err != nil {
-			log.Fatal(err)
-		}
-		pl, err = nbody.EvaluatePlacement(pl, traffic)
-		if err != nil {
-			log.Fatal(err)
-		}
-		say("\nsaved placement %s re-evaluated on this run's matrix:\n%s", *placementIn, pl)
-	}
-
 	if stopFlush != nil {
 		close(stopFlush)
 		if err := writeMetricsFile(sim, *metricsOut); err != nil {
@@ -406,8 +356,7 @@ func writeMetricsFile(sim *nbody.Simulation, path string) error {
 }
 
 // writeMatrixFile writes the simulation's communication-matrix
-// snapshot as JSON — the format -placement consumes and the live hub
-// serves at /matrix.json.
+// snapshot as JSON, the document the live hub serves at /matrix.json.
 func writeMatrixFile(sim *nbody.Simulation, path string) error {
 	f, err := os.Create(path)
 	if err != nil {

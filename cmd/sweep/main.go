@@ -41,8 +41,6 @@ func main() {
 		csFlag     = flag.String("cs", "1,2,4,8", "comma-separated replication factors")
 		autotune   = flag.Bool("autotune", false, "pick c automatically instead of sweeping")
 		autotuneW  = flag.Bool("autotune-workers", false, "pick the worker-pool width automatically instead of sweeping")
-		autotuneP  = flag.Bool("autotune-placement", false, "after each configuration, optimize the rank->node torus placement of its measured matrix and print the per-c improvement")
-		machine    = flag.String("machine", "generic", "machine model for -autotune-placement: generic, hopper, intrepid")
 		traceOut   = flag.String("trace-out", "", "write one Chrome trace per configuration, with .c<N> inserted before the extension")
 		metricsOut = flag.String("metrics-out", "", "write one metrics snapshot per configuration, with .c<N> inserted before the extension")
 		recordOut  = flag.String("record-out", "", "stream one per-step flight recording (JSON lines) per configuration, with .c<N> inserted before the extension; a .gz suffix gzip-compresses")
@@ -96,7 +94,7 @@ func main() {
 	}
 
 	cfg := nbody.Config{N: *n, P: *p, Workers: *workers, Dim: *dim, Cutoff: *cutoff, Lattice: *cutoff > 0, Proc: proc}
-	if *traceOut != "" || *metricsOut != "" || *httpAddr != "" || *recordOut != "" || *autotuneP {
+	if *traceOut != "" || *metricsOut != "" || *httpAddr != "" || *recordOut != "" {
 		cfg.Observe = &nbody.ObserveOptions{}
 	}
 
@@ -159,12 +157,7 @@ func main() {
 
 	say("real-execution sweep: n=%d p=%d dim=%d cutoff=%g steps=%d\n",
 		*n, *p, *dim, *cutoff, *steps)
-	if *autotuneP {
-		say("%-6s %14s %16s %14s %16s %16s %8s %8s\n", "c", "time/step", "S (msg events)", "W (bytes)",
-			"hopB identity", "hopB optimized", "better", "placer")
-	} else {
-		say("%-6s %14s %16s %14s\n", "c", "time/step", "S (msg events)", "W (bytes)")
-	}
+	say("%-6s %14s %16s %14s\n", "c", "time/step", "S (msg events)", "W (bytes)")
 	for _, c := range cs {
 		run := cfg
 		run.C = c
@@ -196,17 +189,7 @@ func main() {
 		}
 		per := time.Since(start) / time.Duration(*steps)
 		rep := sim.Report()
-		if *autotuneP {
-			pl, _, err := sim.OptimizePlacement(nbody.MachineName(*machine), 1)
-			if err != nil {
-				log.Fatalf("c=%d: %v", c, err)
-			}
-			say("c=%-4d %14v %16d %14d %16.0f %16.0f %7.1f%% %8s\n",
-				c, per, rep.S()/int64(*steps), rep.W()/int64(*steps),
-				pl.IdentityHopBytes, pl.HopBytes, 100*pl.Improvement(), pl.Algorithm)
-		} else {
-			say("c=%-4d %14v %16d %14d\n", c, per, rep.S()/int64(*steps), rep.W()/int64(*steps))
-		}
+		say("c=%-4d %14v %16d %14d\n", c, per, rep.S()/int64(*steps), rep.W()/int64(*steps))
 		if *traceOut != "" {
 			path := perConfigPath(*traceOut, c)
 			if err := writeFile(path, sim.WriteTrace); err != nil {

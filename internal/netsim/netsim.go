@@ -21,6 +21,9 @@ type Network struct {
 	// linkFree[l] is the time at which directed link l finishes its
 	// current transfer.
 	linkFree map[topo.Link]float64
+	// traffic, when non-nil, tallies the bytes Transfer carries from
+	// each slot to each other: the input of the placement what-if.
+	traffic [][]float64
 	// Messages and MaxHops accumulate simple traffic statistics.
 	Messages int64
 	Bytes    int64
@@ -29,17 +32,9 @@ type Network struct {
 
 // NewNetwork returns an idle network for p ranks on mach's torus.
 func NewNetwork(mach machine.Machine, p int) *Network {
-	return NewNetworkTorus(mach, mach.TorusFor(p))
-}
-
-// NewNetworkTorus returns an idle network on an explicit torus — the
-// entry point for callers (the placement optimizer) that replay
-// traffic on a partition shape chosen independently of the machine's
-// default Balanced3D sizing.
-func NewNetworkTorus(mach machine.Machine, tor topo.Torus) *Network {
 	return &Network{
 		mach:     mach,
-		tor:      tor,
+		tor:      mach.TorusFor(p),
 		linkFree: make(map[topo.Link]float64),
 	}
 }
@@ -55,6 +50,9 @@ func NewNetworkTorus(mach machine.Machine, tor topo.Torus) *Network {
 func (n *Network) Transfer(depart float64, src, dst, bytes int) float64 {
 	n.Messages++
 	n.Bytes += int64(bytes)
+	if n.traffic != nil {
+		n.traffic[src][dst] += float64(bytes)
+	}
 	route := n.tor.Route(src, dst)
 	if len(route) > n.MaxHops {
 		n.MaxHops = len(route)
@@ -82,6 +80,8 @@ type Sim struct {
 	clock  []float64
 	phase  map[string]float64
 	marker []float64
+	// slot places rank r on torus slot slot[r]; nil is the identity.
+	slot []int
 }
 
 // NewSim returns a simulator for p ranks.
@@ -91,17 +91,6 @@ func NewSim(mach machine.Machine, p int) *Sim {
 		clock:  make([]float64, p),
 		phase:  make(map[string]float64),
 		marker: make([]float64, p),
-	}
-}
-
-// NewSimTorus returns a simulator with one virtual clock per rank slot
-// of an explicit torus; see NewNetworkTorus.
-func NewSimTorus(mach machine.Machine, tor topo.Torus) *Sim {
-	return &Sim{
-		net:    NewNetworkTorus(mach, tor),
-		clock:  make([]float64, tor.Ranks()),
-		phase:  make(map[string]float64),
-		marker: make([]float64, tor.Ranks()),
 	}
 }
 
@@ -128,7 +117,7 @@ func (s *Sim) Round(msgs []Message) {
 	oh := s.net.mach.ShiftOverhead
 	for _, m := range msgs {
 		depart := s.clock[m.Src] + oh
-		at := s.net.Transfer(depart, m.Src, m.Dst, m.Bytes)
+		at := s.transfer(depart, m.Src, m.Dst, m.Bytes)
 		s.clock[m.Src] = depart
 		arrivals = append(arrivals, struct {
 			dst int
@@ -185,9 +174,18 @@ func (s *Sim) Reduce(ranks []int, bytes int) {
 // receiver waits for the arrival.
 func (s *Sim) treeHop(src, dst, bytes int) {
 	depart := s.clock[src] + s.net.mach.CollAlpha
-	at := s.net.Transfer(depart, src, dst, bytes)
+	at := s.transfer(depart, src, dst, bytes)
 	s.clock[src] = depart + s.net.mach.Alpha
 	s.clock[dst] = max(s.clock[dst], at)
+}
+
+// transfer sends bytes from rank src to rank dst between the slots the
+// ranks are placed on.
+func (s *Sim) transfer(depart float64, src, dst, bytes int) float64 {
+	if s.slot != nil {
+		src, dst = s.slot[src], s.slot[dst]
+	}
+	return s.net.Transfer(depart, src, dst, bytes)
 }
 
 // collectivePenalty charges every member half the machine's collective

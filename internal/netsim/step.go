@@ -19,7 +19,7 @@ func AllPairsStep(mach machine.Machine, p, n, c int) (model.Breakdown, error) {
 	if err != nil {
 		return model.Breakdown{}, err
 	}
-	return replay(mach, plan, n), nil
+	return replay(NewSim(mach, p), plan, n), nil
 }
 
 // Cutoff1DStep simulates one timestep of the 1D distance-limited
@@ -44,22 +44,23 @@ func CutoffStep(mach machine.Machine, p, n, c int, rcFrac float64, dim int) (mod
 	if err != nil {
 		return model.Breakdown{}, err
 	}
-	return replay(mach, plan, n), nil
+	return replay(NewSim(mach, p), plan, n), nil
 }
 
-// replay executes one timestep of plan over n particles: the team
-// broadcasts; one round per move position — every rank's move in
-// world-rank order, the first round the skew, the others shifts —
-// each followed by the compute of the ranks the plan has computing
-// there; the team reductions; and the leaders' migration round.
-func replay(mach machine.Machine, plan *core.Plan, n int) model.Breakdown {
+// replay executes one timestep of plan over n particles on s, a fresh
+// simulator of the plan's ranks placed as s says: the team broadcasts;
+// one round per move position — every rank's move in world-rank order,
+// the first round the skew, the others shifts — each followed by the
+// compute of the ranks the plan has computing there; the team
+// reductions; and the leaders' migration round.
+func replay(s *Sim, plan *core.Plan, n int) model.Breakdown {
+	mach := s.net.mach
 	npt := float64(n) / float64(len(plan.Teams))
 	partBytes := int(math.Ceil(npt * phys.WireSize))
 	forceBytes := int(math.Ceil(npt * 16))
 	migrBytes := int(math.Ceil(0.05*npt)) * phys.WireSize
 	perSlotWork := npt * npt * mach.InteractionTime
 
-	s := NewSim(mach, len(plan.Ranks))
 	collective := func(phase string, op func([]int, int), bytes int) {
 		s.Mark()
 		for _, team := range plan.Teams {

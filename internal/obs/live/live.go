@@ -174,8 +174,6 @@ type Snapshot struct {
 	WMeasured        int64          `json:"w_measured_bytes"`
 	SLowerBound      int64          `json:"s_lowerbound"`
 	WLowerBound      int64          `json:"w_lowerbound_bytes"`
-	HopsMeasured     int64          `json:"hop_bytes_measured,omitempty"`
-	HopsOptimized    int64          `json:"hop_bytes_optimized,omitempty"`
 	ComputeImbalance float64        `json:"compute_imbalance"`
 	WorkerImbalance  float64        `json:"worker_imbalance"`
 	TimelineDropped  int64          `json:"timeline_dropped"`
@@ -206,8 +204,6 @@ func buildSnapshot(o *obs.Observer) Snapshot {
 	doc.WMeasured = doc.Metrics.Gauges["comm.w.measured"]
 	doc.SLowerBound = doc.Metrics.Gauges["comm.s.lowerbound"]
 	doc.WLowerBound = doc.Metrics.Gauges["comm.w.lowerbound"]
-	doc.HopsMeasured = doc.Metrics.Gauges["comm.hops.measured"]
-	doc.HopsOptimized = doc.Metrics.Gauges["comm.hops.optimized"]
 	doc.ComputeImbalance = doc.Metrics.Histograms["step.compute_ns"].MaxOver
 	doc.WorkerImbalance = doc.Metrics.Histograms["step.worker_compute_ns"].MaxOver
 	doc.TimelineDropped = o.Timeline.Dropped()

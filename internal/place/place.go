@@ -1,20 +1,15 @@
-// Package place closes the loop between the measured communication
-// matrix and the torus machine model: given the src×dst traffic a run
-// actually produced (scraped live by internal/obs, or predicted by
-// internal/netsim) and a topo.Torus, it searches rank→node placements
-// minimizing hop-weighted traffic
+// Package place searches rank→node placements of a src×dst traffic
+// matrix on a topo.Torus, minimizing hop-weighted traffic
 //
 //	cost(π) = Σ_{s,d} traffic[s][d] · Hops(node(π(s)), node(π(d)))
 //
 // — the quadratic-assignment objective of topology-aware MPI rank
 // mapping (the DCMF/topology-aware-collectives line the paper builds
-// on). Three searchers share one Evaluator: a greedy constructor
-// (heaviest edge first onto nearest free slots), a swap-sequence
-// particle-swarm optimizer, and a simulated-annealing refiner. Every
-// candidate is validated by replaying the matrix through the
-// internal/netsim contention model, so callers can compare the
-// hop-cost objective with a predicted makespan that includes link
-// contention.
+// on). Two searchers share one Evaluator: Greedy (heaviest edge first
+// onto nearest free slots) and Anneal (simulated annealing seeded from
+// Greedy). Hop-bytes is only the searchers' objective: internal/netsim's
+// placement what-if tallies the traffic from the replayed timestep and
+// judges each permutation by replaying that timestep under it.
 //
 // The Evaluator precomputes the node×node hop table and a sparse
 // adjacency view of the traffic matrix, so scoring a swap of two
@@ -50,8 +45,7 @@ type edge struct {
 // "virtual" ranks carry no traffic and simply occupy the leftover
 // slots, so every searcher works on full permutations.
 type Evaluator struct {
-	ranks int // permutation length = torus rank slots
-	p     int // traffic matrix dimension (p ≤ ranks)
+	ranks int // permutation length = torus rank slots (≥ matrix dimension)
 	nodes int
 
 	slotNode []int32 // slot → node
@@ -59,7 +53,6 @@ type Evaluator struct {
 
 	adj   [][]arc // per-rank incident edges (both endpoints listed)
 	edges []edge  // each undirected edge once, a < b
-	total float64 // Σ traffic (all directed entries)
 }
 
 // NewEvaluator validates that the torus can host the matrix's ranks
@@ -80,7 +73,6 @@ func NewEvaluator(traffic [][]float64, tor topo.Torus) (*Evaluator, error) {
 	}
 	ev := &Evaluator{
 		ranks: tor.Ranks(),
-		p:     p,
 		nodes: tor.Nodes(),
 	}
 	ev.slotNode = make([]int32, ev.ranks)
@@ -109,9 +101,6 @@ func NewEvaluator(traffic [][]float64, tor topo.Torus) (*Evaluator, error) {
 			ev.adj[a] = append(ev.adj[a], arc{other: int32(b), w: w})
 			ev.adj[b] = append(ev.adj[b], arc{other: int32(a), w: w})
 		}
-		for b := 0; b < p; b++ {
-			ev.total += traffic[a][b]
-		}
 	}
 	return ev, nil
 }
@@ -137,15 +126,8 @@ func absInt(a int) int {
 // Ranks returns the permutation length (the torus's rank slots).
 func (ev *Evaluator) Ranks() int { return ev.ranks }
 
-// P returns the traffic matrix dimension.
-func (ev *Evaluator) P() int { return ev.p }
-
 // Edges returns the number of distinct communicating rank pairs.
 func (ev *Evaluator) Edges() int { return len(ev.edges) }
-
-// TotalBytes returns the total traffic in the matrix (all directed
-// entries summed) — the weight a placement multiplies by hop counts.
-func (ev *Evaluator) TotalBytes() float64 { return ev.total }
 
 // slotHops returns the hop distance between two rank slots.
 func (ev *Evaluator) slotHops(s, t int) int32 {
@@ -254,25 +236,4 @@ func (ev *Evaluator) sortedEdges() []edge {
 		return es[i].b < es[j].b
 	})
 	return es
-}
-
-// Apply relabels a rank-indexed traffic matrix into slot space under a
-// placement: out[perm[s]][perm[d]] = traffic[s][d], sized to the
-// permutation. This is the layer that makes a chosen permutation
-// actually reorder the rank→node assignment seen by the machine model
-// and the netsim replays, whose NodeOf maps slot indices to nodes in
-// natural order.
-func Apply(perm []int, traffic [][]float64) [][]float64 {
-	out := make([][]float64, len(perm))
-	for i := range out {
-		out[i] = make([]float64, len(perm))
-	}
-	for s, row := range traffic {
-		for d, w := range row {
-			if w != 0 {
-				out[perm[s]][perm[d]] = w
-			}
-		}
-	}
-	return out
 }

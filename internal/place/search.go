@@ -5,21 +5,6 @@ import (
 	"math/rand"
 )
 
-// Searcher is one placement-search strategy: given an evaluator and a
-// seed it returns a full slot permutation (rank → slot). Searchers are
-// deterministic under a fixed seed.
-type Searcher interface {
-	Name() string
-	Search(ev *Evaluator, seed uint64) []int
-}
-
-// Searchers returns the standard searcher set in evaluation order:
-// the greedy constructor and the annealing refiner (seeded from
-// greedy).
-func Searchers() []Searcher {
-	return []Searcher{Greedy{}, Anneal{}}
-}
-
 // refine runs deterministic best-improvement local search on perm:
 // full sweeps over every rank pair, applying the single best improving
 // swap per pair visit, until a sweep finds no improvement. With the
@@ -45,18 +30,13 @@ func refine(ev *Evaluator, perm []int) float64 {
 	return total
 }
 
-// Greedy is the constructive seed: edges in descending traffic order,
-// each unplaced endpoint dropped onto the free slot nearest its
+// Greedy is the constructive searcher: edges in descending traffic
+// order, each unplaced endpoint dropped onto the free slot nearest its
 // already-placed partner (the first edge anchors at slot 0 — every
 // torus slot is equivalent by symmetry). Leftover ranks fill leftover
-// slots in index order. Deterministic; the seed is unused.
-type Greedy struct{}
-
-// Name implements Searcher.
-func (Greedy) Name() string { return "greedy" }
-
-// Search implements Searcher.
-func (Greedy) Search(ev *Evaluator, _ uint64) []int {
+// slots in index order, and local search polishes the result. It
+// returns a full slot permutation (rank → slot) and is deterministic.
+func Greedy(ev *Evaluator) []int {
 	perm := make([]int, ev.ranks)
 	for i := range perm {
 		perm[i] = -1
@@ -114,66 +94,40 @@ func (Greedy) Search(ev *Evaluator, _ uint64) []int {
 	return perm
 }
 
-// Anneal is the simulated-annealing refiner: each restart proposes
+// The annealing schedule: restarts, proposed swaps per restart (per
+// rank, capped), and the initial and final temperatures as fractions
+// of the start point's mean per-edge cost.
+const (
+	annealRestarts     = 4
+	annealItersPerRank = 15000
+	annealMaxIters     = 1_000_000
+	annealT0Frac       = 2.0
+	annealT1Frac       = 0.01
+)
+
+// Anneal is the simulated-annealing searcher: each restart proposes
 // random slot swaps, accepting improvements always and regressions
 // with the Metropolis probability under a geometrically cooling
 // temperature, then polishes its best state with local search. The
-// first restart starts from the greedy constructor, later ones from
-// random permutations — diversity matters more than schedule length
-// on torus-placement landscapes. The temperature scale is set
-// relative to the starting cost so the schedule transfers across
-// matrix magnitudes.
-type Anneal struct {
-	// Iters is the number of proposed swaps per restart (default
-	// 15000·ranks, capped at 1M).
-	Iters int
-	// Restarts is the number of independent annealing runs; the best
-	// final state wins (default 4).
-	Restarts int
-	// T0Frac and T1Frac set the initial and final temperatures as
-	// fractions of the per-edge mean cost (defaults 2.0 and 0.01).
-	T0Frac float64
-	// T1Frac see T0Frac.
-	T1Frac float64
-}
-
-// Name implements Searcher.
-func (Anneal) Name() string { return "anneal" }
-
-// withDefaults fills zero fields for a given problem size.
-func (o Anneal) withDefaults(ev *Evaluator) Anneal {
-	if o.Iters == 0 {
-		o.Iters = 15000 * ev.ranks
-		if o.Iters > 1_000_000 {
-			o.Iters = 1_000_000
-		}
-	}
-	if o.Restarts == 0 {
-		o.Restarts = 4
-	}
-	if o.T0Frac == 0 {
-		o.T0Frac = 2.0
-	}
-	if o.T1Frac == 0 {
-		o.T1Frac = 0.01
-	}
-	return o
-}
-
-// Search implements Searcher.
-func (o Anneal) Search(ev *Evaluator, seed uint64) []int {
-	o = o.withDefaults(ev)
+// first restart starts from Greedy, later ones alternately from a
+// kicked copy of the best state so far and from a random permutation —
+// diversity matters more than schedule length on torus-placement
+// landscapes. The temperature scale is set relative to the starting
+// cost so the schedule transfers across matrix magnitudes. It is
+// deterministic under a fixed seed.
+func Anneal(ev *Evaluator, seed uint64) []int {
 	rng := rand.New(rand.NewSource(int64(seed) ^ 0x5eed))
 	n := ev.ranks
+	iters := min(annealItersPerRank*n, annealMaxIters)
 
 	var globalBest []int
 	globalCost := math.Inf(1)
-	for restart := 0; restart < o.Restarts; restart++ {
+	for restart := 0; restart < annealRestarts; restart++ {
 		var perm []int
 		kicked := false
 		switch {
 		case restart == 0:
-			perm = Greedy{}.Search(ev, seed)
+			perm = Greedy(ev)
 		case restart%2 == 1:
 			// Iterated local search: kick the incumbent with n/4 random
 			// swaps and re-anneal at reduced temperature, so half the
@@ -194,15 +148,15 @@ func (o Anneal) Search(ev *Evaluator, seed uint64) []int {
 
 		// Temperature relative to the mean per-edge cost of the start
 		// point; a costless matrix has nothing to anneal.
-		unit := cur / float64(maxInt(1, ev.Edges()))
+		unit := cur / float64(max(1, ev.Edges()))
 		if unit > 0 {
-			t0, t1 := o.T0Frac*unit, o.T1Frac*unit
+			t0, t1 := annealT0Frac*unit, annealT1Frac*unit
 			if kicked {
 				t0 /= 4
 			}
-			cool := math.Pow(t1/t0, 1/float64(maxInt(1, o.Iters-1)))
+			cool := math.Pow(t1/t0, 1/float64(max(1, iters-1)))
 			temp := t0
-			for it := 0; it < o.Iters; it++ {
+			for it := 0; it < iters; it++ {
 				a, b := rng.Intn(n), rng.Intn(n)
 				if a != b {
 					d := ev.SwapDelta(perm, a, b)
@@ -225,11 +179,4 @@ func (o Anneal) Search(ev *Evaluator, seed uint64) []int {
 		}
 	}
 	return globalBest
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -22,22 +22,18 @@ type PhaseSummary struct {
 // plus the footer quantities (S, W, compute imbalance). Field names are
 // append-only so serialized reports stay backward-readable.
 type Summary struct {
-	Ranks             int            `json:"ranks"`
-	S                 int64          `json:"s_critical_path"`
-	W                 int64          `json:"w_critical_path_bytes"`
-	SLowerBound       float64        `json:"s_lower_bound,omitempty"`
-	WLowerBound       float64        `json:"w_lower_bound_bytes,omitempty"`
-	TimelineDropped   int64          `json:"timeline_dropped,omitempty"`
-	ComputeImbalance  float64        `json:"compute_imbalance"`
-	WorkerImbalance   float64        `json:"worker_imbalance"`
-	Placement         string         `json:"placement_algorithm,omitempty"`
-	HopBytesMeasured  float64        `json:"hop_bytes_measured,omitempty"`
-	HopBytesOptimized float64        `json:"hop_bytes_optimized,omitempty"`
-	HopBytesBound     float64        `json:"hop_bytes_lower_bound,omitempty"`
-	KernelImpl        string         `json:"kernel_impl,omitempty"`
-	SocketFrames      int64          `json:"socket_frames,omitempty"`
-	SocketFlushes     int64          `json:"socket_flushes,omitempty"`
-	Phases            []PhaseSummary `json:"phases"`
+	Ranks            int            `json:"ranks"`
+	S                int64          `json:"s_critical_path"`
+	W                int64          `json:"w_critical_path_bytes"`
+	SLowerBound      float64        `json:"s_lower_bound,omitempty"`
+	WLowerBound      float64        `json:"w_lower_bound_bytes,omitempty"`
+	TimelineDropped  int64          `json:"timeline_dropped,omitempty"`
+	ComputeImbalance float64        `json:"compute_imbalance"`
+	WorkerImbalance  float64        `json:"worker_imbalance"`
+	KernelImpl       string         `json:"kernel_impl,omitempty"`
+	SocketFrames     int64          `json:"socket_frames,omitempty"`
+	SocketFlushes    int64          `json:"socket_flushes,omitempty"`
+	Phases           []PhaseSummary `json:"phases"`
 }
 
 // Summary flattens the report into its serializable form: per-phase
@@ -45,21 +41,17 @@ type Summary struct {
 // and compute imbalance. Idle phases are omitted.
 func (r *Report) Summary() Summary {
 	out := Summary{
-		Ranks:             r.Ranks,
-		S:                 r.S(),
-		W:                 r.W(),
-		SLowerBound:       r.SLowerBound,
-		WLowerBound:       r.WLowerBound,
-		TimelineDropped:   r.TimelineDropped,
-		ComputeImbalance:  r.ComputeImbalance(),
-		WorkerImbalance:   r.WorkerImbalance(),
-		Placement:         r.PlacementAlgorithm,
-		HopBytesMeasured:  r.HopBytesMeasured,
-		HopBytesOptimized: r.HopBytesOptimized,
-		HopBytesBound:     r.HopBytesBound,
-		KernelImpl:        r.KernelImpl,
-		SocketFrames:      r.SocketFrames,
-		SocketFlushes:     r.SocketFlushes,
+		Ranks:            r.Ranks,
+		S:                r.S(),
+		W:                r.W(),
+		SLowerBound:      r.SLowerBound,
+		WLowerBound:      r.WLowerBound,
+		TimelineDropped:  r.TimelineDropped,
+		ComputeImbalance: r.ComputeImbalance(),
+		WorkerImbalance:  r.WorkerImbalance(),
+		KernelImpl:       r.KernelImpl,
+		SocketFrames:     r.SocketFrames,
+		SocketFlushes:    r.SocketFlushes,
 	}
 	for _, p := range Phases() {
 		cp := r.CriticalPath[p]

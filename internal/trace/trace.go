@@ -300,17 +300,6 @@ type Report struct {
 	// during the run (0 when unobserved or nothing was dropped). A
 	// nonzero value means the exported trace is a truncated suffix.
 	TimelineDropped int64
-	// Placement quantities, stamped by the placement optimizer
-	// (Simulation.OptimizePlacement) when it ran against this report's
-	// run: the hop-weighted traffic of the measured matrix under the
-	// natural (identity) rank→node mapping, under the optimizer's
-	// chosen permutation, and the co-location lower bound — plus the
-	// winning searcher's name. Zero/empty when no placement ran; then
-	// the footer omits the placement lines.
-	PlacementAlgorithm string
-	HopBytesMeasured   float64
-	HopBytesOptimized  float64
-	HopBytesBound      float64
 	// KernelImpl names the force-kernel implementation that produced
 	// the run's compute times ("avx2", "avx512vl" or "portable",
 	// phys.KernelImpl),
@@ -420,18 +409,6 @@ func (r *Report) String() string {
 	if r.WLowerBound > 0 {
 		fmt.Fprintf(&b, "%-37s %12.1f\n", "     W lower bound (bytes)", r.WLowerBound)
 		fmt.Fprintf(&b, "%-37s %12.2f\n", "     W / bound (1 = optimal)", float64(r.W())/r.WLowerBound)
-	}
-	if r.HopBytesMeasured > 0 {
-		fmt.Fprintf(&b, "%-37s %12.0f\n", "     hop-bytes measured (identity)", r.HopBytesMeasured)
-		label := "     hop-bytes optimized"
-		if r.PlacementAlgorithm != "" {
-			label = fmt.Sprintf("     hop-bytes optimized (%s)", r.PlacementAlgorithm)
-		}
-		fmt.Fprintf(&b, "%-37s %12.0f\n", label, r.HopBytesOptimized)
-		if r.HopBytesBound > 0 {
-			fmt.Fprintf(&b, "%-37s %12.0f\n", "     hop-bytes lower bound", r.HopBytesBound)
-		}
-		fmt.Fprintf(&b, "%-37s %12.3f\n", "     hop-bytes optimized/measured", r.HopBytesOptimized/r.HopBytesMeasured)
 	}
 	fmt.Fprintf(&b, "%-37s %12.3f\n", "     compute imbalance (max/mean)", r.ComputeImbalance())
 	fmt.Fprintf(&b, "%-37s %12.3f\n", "     per-worker imbalance (max/mean)", r.WorkerImbalance())
