@@ -5,7 +5,7 @@ import "sort"
 // HopBytesLowerBound returns a lower bound, over every rank→node
 // placement on any torus hosting coresPerNode ranks per node, on the
 // hop-weighted traffic Σ traffic[s][d]·hops(node(s), node(d)) — the
-// objective the placement optimizer (internal/place) minimizes.
+// objective the placement searchers (internal/place) minimize.
 //
 // The relaxation: an edge costs zero hops only if both endpoints share
 // a node, a node hosts coresPerNode ranks, so each rank can co-locate
