@@ -4,9 +4,9 @@
 
 GO ?= go
 
-.PHONY: check build fmt vet benchvet test purego crossbuild fuzzsmoke flake flakematrix race obsdebug benchguard netsmoke placesmoke benchrepo loc
+.PHONY: check build fmt vet benchvet test purego crossbuild fuzzsmoke flake flakematrix race obsdebug benchguard netsmoke validate benchrepo loc
 
-check: build fmt vet benchvet test purego crossbuild fuzzsmoke flake race obsdebug benchguard netsmoke placesmoke
+check: build fmt vet benchvet test purego crossbuild fuzzsmoke flake race obsdebug benchguard netsmoke validate
 
 build:
 	$(GO) build ./...
@@ -86,14 +86,14 @@ flakematrix:
 # detector: for core and phys it is the mechanical check of those
 # contracts.
 race:
-	$(GO) test -race ./internal/comm/... ./internal/obs/... ./internal/core/... ./internal/phys/... ./internal/vec/... ./internal/place/...
+	$(GO) test -race ./internal/comm/... ./internal/obs/... ./internal/core/... ./internal/phys/... ./internal/vec/...
 
 # obsdebug builds enforce the Stats single-goroutine ownership contract
 # (pool workers never touch Stats; only the rank goroutine stamps).
 # internal/obs rides along so the live hub's mid-run serving is also
 # exercised under the debug assertions.
 obsdebug:
-	$(GO) test -tags obsdebug ./internal/trace/... ./internal/comm/... ./internal/core/... ./internal/phys/... ./internal/vec/... ./internal/obs/... ./internal/place/...
+	$(GO) test -tags obsdebug ./internal/trace/... ./internal/comm/... ./internal/core/... ./internal/phys/... ./internal/vec/... ./internal/obs/...
 
 # Benchmark guard: the disabled observability path must not allocate
 # (asserted by TestDisabledPathAllocs) and the benchmark must run clean;
@@ -119,15 +119,12 @@ benchguard:
 netsmoke:
 	sh scripts/netsmoke.sh
 
-# Placement smoke gate: on the traffic netsim tallies while replaying
-# the p=64 1D cutoff plan on the generic 4×4×4 torus, the seeded
-# annealing searcher must beat the identity hop cost and reproduce the
-# committed golden objective values bitwise (the searcher arithmetic
-# is deterministic). Regenerate the golden file with
-# `go test ./internal/netsim/ -run TestPlaceGolden -update` after an
-# intentional searcher or plan change.
-placesmoke:
-	$(GO) test -run TestPlaceGolden ./internal/netsim/
+# Cross-layer gate: counted S/W against the Equation 5 closed forms and
+# the Equation 2 lower bounds, and the event-driven torus replay against
+# the analytic model (communication time within a factor of two). Well
+# under a second once built.
+validate:
+	$(GO) run ./cmd/validate
 
 # The repository benchmark (BENCHMARK.json, benchmark/README.md) on one
 # workload — by default its most communication-bound one; `make benchrepo

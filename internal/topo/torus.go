@@ -118,15 +118,6 @@ func (t Torus) Route(a, b int) []Link {
 	return links
 }
 
-// Diameter returns the maximum hop distance between any two nodes.
-func (t Torus) Diameter() int {
-	d := 0
-	for i := 0; i < 3; i++ {
-		d += t.Dims[i] / 2
-	}
-	return d
-}
-
 // Balanced3D returns torus dimensions (x ≤ y ≤ z) with
 // x·y·z·coresPerNode ≥ p, choosing sides as close to cubic as
 // possible. It is how the machine models size a partition for a run
