@@ -113,9 +113,9 @@ benchguard:
 
 # Multi-process transport gate: run each timestep loop once in-process
 # and once spanned across OS processes over TCP loopback (-spawn), and
-# require bitwise-identical checkpoints plus exactly matching
-# communication accounting (obsdiff -exact on message/byte counts and
-# measured S/W). Catches any divergence the wire transport introduces.
+# require byte-identical checkpoints and communication matrices (cmp of
+# -save and -matrix-out) plus equal measured S/W and bound lines in the
+# report footer. Catches any divergence the wire transport introduces.
 netsmoke:
 	sh scripts/netsmoke.sh
 

@@ -200,10 +200,13 @@ func main() {
 
 	// Periodic metrics flush: rewrite the snapshot file once a second
 	// while the run progresses, so long runs are inspectable mid-flight.
-	var stopFlush chan struct{}
+	// flushDone closes when the flusher has returned, so no tick can
+	// rewrite the file during or after the final write.
+	var stopFlush, flushDone chan struct{}
 	if *metricsOut != "" {
-		stopFlush = make(chan struct{})
+		stopFlush, flushDone = make(chan struct{}), make(chan struct{})
 		go func() {
+			defer close(flushDone)
 			tick := time.NewTicker(time.Second)
 			defer tick.Stop()
 			for {
@@ -267,6 +270,7 @@ func main() {
 	}
 	if stopFlush != nil {
 		close(stopFlush)
+		<-flushDone
 		if err := writeMetricsFile(sim, *metricsOut); err != nil {
 			log.Fatal(err)
 		}

@@ -193,9 +193,8 @@ func TestMatrixConservation(t *testing.T) {
 }
 
 // TestDroppedWarning forces timeline-ring wraparound with a tiny
-// capacity and checks the loss is surfaced everywhere the ISSUE
-// requires: the report footer warning, the summary JSON field and the
-// timeline.dropped gauge.
+// capacity and checks the loss is surfaced everywhere: the report field,
+// its footer warning and the timeline.dropped gauge.
 func TestDroppedWarning(t *testing.T) {
 	const p, c = 4, 2
 	pr := defaultParams(p, c, 5)
@@ -219,9 +218,6 @@ func TestDroppedWarning(t *testing.T) {
 	if got := ob.Metrics.Snapshot().Gauges["timeline.dropped"]; got != dropped {
 		t.Errorf("timeline.dropped gauge = %d, want %d", got, dropped)
 	}
-	if sum := rep.Summary(); sum.TimelineDropped != dropped {
-		t.Errorf("Summary.TimelineDropped = %d, want %d", sum.TimelineDropped, dropped)
-	}
 
 	// Control: a roomy ring must not warn.
 	pr2 := defaultParams(p, c, 1)
@@ -238,12 +234,12 @@ func TestDroppedWarning(t *testing.T) {
 
 // TestKernelImplAttribution checks that a run names the force-kernel
 // implementation its compute phase executed — not what the host could
-// have run — wherever a recorded number can end up: the report footer,
-// the summary JSON and, on an observed run, the compute.kernel_avx2
-// gauge. Only the repulsive law has vector sweeps, open or cut off,
-// whichever loop calls them — the all-pairs loop under a cutoff law runs
-// the cutoff sweep; a Lennard-Jones run and the midpoint method's staged
-// sweep are Go loops on every host.
+// have run — wherever a recorded number can end up: the report, its
+// footer and, on an observed run, the compute.kernel_avx2 gauge. Only
+// the repulsive law has vector sweeps, open or cut off, whichever loop
+// calls them — the all-pairs loop under a cutoff law runs the cutoff
+// sweep; a Lennard-Jones run and the midpoint method's staged sweep are
+// Go loops on every host.
 func TestKernelImplAttribution(t *testing.T) {
 	host := phys.KernelImpl()
 	if host != "avx2" && host != "avx512vl" && host != "portable" {
@@ -298,8 +294,8 @@ func TestKernelImplAttribution(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		if rep.KernelImpl != tc.want || rep.Summary().KernelImpl != tc.want {
-			t.Errorf("%s: report says kernel %q, summary %q, want %q", tc.name, rep.KernelImpl, rep.Summary().KernelImpl, tc.want)
+		if rep.KernelImpl != tc.want {
+			t.Errorf("%s: report says kernel %q, want %q", tc.name, rep.KernelImpl, tc.want)
 		}
 		if s := rep.String(); !strings.Contains(s, "force kernel") || !strings.HasSuffix(strings.TrimRight(s, "\n"), tc.want) {
 			t.Errorf("%s: report footer does not end with the force kernel line for %q:\n%s", tc.name, tc.want, s)

@@ -144,6 +144,43 @@ func TestRecordingConservesReport(t *testing.T) {
 	}
 }
 
+// TestSocketRecordingConservesReport records a run spanning two
+// socket-joined processes. Only proc 0 is observed and recorded, as
+// cmd/nbody runs one; the follower's traffic reaches the recording only
+// through the leader's merge of its matrix cells, which finish must
+// re-read, so the series still sums to the merged report.
+func TestSocketRecordingConservesReport(t *testing.T) {
+	pr := defaultParams(4, 2, 5)
+	ob, rec := newTestRecorder("allpairs", 32, 4, 2)
+	var buf bytes.Buffer
+	if err := rec.StreamTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	_, rep := runOverSockets(t, 2, pr, phys.InitUniform(32, pr.Box, 7),
+		func(ps []phys.Particle, pr Params) ([]phys.Particle, *trace.Report, error) {
+			if pr.Proc.ID() == 0 {
+				pr.Options.Observe = ob
+				pr.Record = rec
+			}
+			return AllPairs(ps, pr)
+		})
+	if err := rec.CloseStream(); err != nil {
+		t.Fatal(err)
+	}
+	_, samples, err := record.ReadRecording(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(samples) != pr.Steps {
+		t.Fatalf("recording has %d samples, want %d", len(samples), pr.Steps)
+	}
+	checkSeriesConserves(t, samples, rep)
+	if last := samples[len(samples)-1]; last.SMeasured != rep.S() || last.WMeasured != rep.W() {
+		t.Errorf("final sample S/W (%d, %d) != report (%d, %d)",
+			last.SMeasured, last.WMeasured, rep.S(), rep.W())
+	}
+}
+
 // TestRecordingChunkedRuns drives two runs into one recorder the way
 // chunked Simulation.Run calls do (the comm matrix accumulates across
 // runs; each run records from a fresh rank-0 goroutine). Step numbering

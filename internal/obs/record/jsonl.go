@@ -225,23 +225,3 @@ func ReadRecording(r io.Reader) (Meta, []Sample, error) {
 	}
 	return meta, samples, sc.Err()
 }
-
-// OpenRecording opens and parses a recording file, transparently
-// decompressing ".gz" paths.
-func OpenRecording(path string) (Meta, []Sample, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return Meta{}, nil, err
-	}
-	defer f.Close()
-	var r io.Reader = f
-	if strings.HasSuffix(path, ".gz") {
-		gz, err := gzip.NewReader(f)
-		if err != nil {
-			return Meta{}, nil, err
-		}
-		defer gz.Close()
-		r = gz
-	}
-	return ReadRecording(r)
-}

@@ -27,7 +27,6 @@
 package record
 
 import (
-	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -43,8 +42,7 @@ const MaxPhases = 16
 // 4096 covers any laptop-scale run and bounds memory at a few MiB.
 const DefaultCapacity = 4096
 
-// DocKind identifies a recording header line (and the recording's
-// MetricDoc kind).
+// DocKind identifies a recording header line.
 const DocKind = "canbody-recording"
 
 // Sample is one timestep's flight-recorder reading. Comm counts and
@@ -99,13 +97,6 @@ type Meta struct {
 	Dim       int      `json:"dim,omitempty"`
 	Cutoff    float64  `json:"cutoff,omitempty"`
 	Phases    []string `json:"phases"`
-}
-
-// Key returns the config-alignment key two recordings are compared
-// under: same key means the per-step series are directly comparable.
-func (m Meta) Key() string {
-	return fmt.Sprintf("%s/n%d/p%d/c%d/w%d/dim%d/rc%g",
-		m.Algorithm, m.N, m.P, m.C, m.Workers, m.Dim, m.Cutoff)
 }
 
 // Recorder is the bounded sample ring plus its optional sinks. Create

@@ -3,8 +3,10 @@ package record
 import (
 	"bytes"
 	"compress/gzip"
+	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 )
 
@@ -225,11 +227,10 @@ func TestStreamRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if gotMeta.Kind != DocKind || gotMeta.Version != 1 {
-		t.Errorf("header = %+v", gotMeta)
-	}
-	if gotMeta.Key() != meta.Key() {
-		t.Errorf("key %q != %q", gotMeta.Key(), meta.Key())
+	want := meta
+	want.Kind, want.Version = DocKind, 1
+	if !reflect.DeepEqual(gotMeta, want) {
+		t.Errorf("header = %+v, want %+v", gotMeta, want)
 	}
 	if len(samples) != 6 {
 		t.Fatalf("recording has %d samples, want 6 (ring capacity must not limit the stream)", len(samples))
@@ -269,21 +270,24 @@ func TestOpenSinkGzipRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		meta, samples, err := OpenRecording(path)
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var in io.Reader = bytes.NewReader(raw)
+		if name == "run.jsonl.gz" {
+			gz, err := gzip.NewReader(in)
+			if err != nil {
+				t.Fatalf("%s is not gzip: %v", name, err)
+			}
+			in = gz
+		}
+		meta, samples, err := ReadRecording(in)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		if meta.Algorithm != "allpairs" || len(samples) != 2 || samples[1].SentMsgs[0] != 3 {
 			t.Errorf("%s round trip: meta=%+v samples=%+v", name, meta, samples)
-		}
-		if name == "run.jsonl.gz" {
-			raw, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := gzip.NewReader(bytes.NewReader(raw)); err != nil {
-				t.Errorf("%s is not gzip: %v", name, err)
-			}
 		}
 	}
 }

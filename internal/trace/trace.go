@@ -247,33 +247,6 @@ func (s *Stats) CountRecv(n int) {
 	s.ByPhase[s.phase].RecvBytes += int64(n)
 }
 
-// TotalMessages returns the total number of messages across phases.
-func (s *Stats) TotalMessages() int64 {
-	var t int64
-	for i := range s.ByPhase {
-		t += s.ByPhase[i].Messages
-	}
-	return t
-}
-
-// TotalBytes returns the total payload bytes across phases.
-func (s *Stats) TotalBytes() int64 {
-	var t int64
-	for i := range s.ByPhase {
-		t += s.ByPhase[i].Bytes
-	}
-	return t
-}
-
-// CommTime returns the total time spent in communication phases.
-func (s *Stats) CommTime() time.Duration {
-	var t time.Duration
-	for _, p := range CommPhases() {
-		t += s.ByPhase[p].Time
-	}
-	return t
-}
-
 // Report aggregates the Stats of all ranks in a run.
 type Report struct {
 	Ranks int

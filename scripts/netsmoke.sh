@@ -6,15 +6,18 @@
 # in-process, once spanned across OS processes over TCP loopback via
 # -spawn — and requires the two runs to be indistinguishable:
 #
-#   * the saved checkpoints must be bitwise identical (`cmp`), and
-#   * the flight recordings must agree exactly on every deterministic
-#     communication quantity (per-phase sent/recv message and byte
-#     counts, measured S and W, step count), checked with obsdiff's
-#     -exact gate. Wall-clock metrics are reported but not gated.
+#   * checkpoint: the saved checkpoints are bitwise identical (`cmp`);
+#   * matrix: the communication matrices (-matrix-out: messages and
+#     bytes of every phase, source and destination) are bitwise
+#     identical (`cmp`);
+#   * S/W: the report footer lines naming the critical path or a lower
+#     bound — measured S and W and their bounds — are equal. The time
+#     columns are left out.
 #
 # Any divergence means the wire transport changed what the simulation
 # computed or how much it communicated — both are bugs by the
-# transport-fidelity contract (DESIGN.md, "wire transport").
+# transport-fidelity contract (DESIGN.md, "wire transport"). Each
+# failing check is named before the script exits non-zero.
 set -eu
 
 GO=${GO:-go}
@@ -22,28 +25,30 @@ tmp=$(mktemp -d "${TMPDIR:-/tmp}/netsmoke.XXXXXX")
 trap 'rm -rf "$tmp"' EXIT INT TERM
 
 $GO build -o "$tmp/nbody" ./cmd/nbody
-$GO build -o "$tmp/obsdiff" ./cmd/obsdiff
 
+failed=0
 run_case() {
     name=$1; rpp=$2; shift 2
     echo "netsmoke: $name"
     "$tmp/nbody" "$@" -save "$tmp/$name.single.ckpt" \
-        -record-out "$tmp/$name.single.jsonl" >/dev/null
+        -matrix-out "$tmp/$name.single.matrix.json" >"$tmp/$name.single.out"
     "$tmp/nbody" "$@" -ranks-per-proc "$rpp" -spawn \
         -save "$tmp/$name.multi.ckpt" \
-        -record-out "$tmp/$name.multi.jsonl" >/dev/null
+        -matrix-out "$tmp/$name.multi.matrix.json" >"$tmp/$name.multi.out"
     if ! cmp -s "$tmp/$name.single.ckpt" "$tmp/$name.multi.ckpt"; then
-        echo "netsmoke: $name: final states differ between transports" >&2
-        exit 1
+        echo "netsmoke: $name: checkpoint: final states differ between transports" >&2
+        failed=1
     fi
-    if ! "$tmp/obsdiff" -q -threshold 0 \
-        -exact sent_msgs -exact sent_bytes \
-        -exact recv_msgs -exact recv_bytes \
-        -exact comm.s.measured -exact comm.w.measured_bytes \
-        -exact steps \
-        "$tmp/$name.single.jsonl" "$tmp/$name.multi.jsonl"; then
-        echo "netsmoke: $name: communication accounting differs between transports" >&2
-        exit 1
+    if ! cmp -s "$tmp/$name.single.matrix.json" "$tmp/$name.multi.matrix.json"; then
+        echo "netsmoke: $name: matrix: communication matrices differ between transports" >&2
+        failed=1
+    fi
+    if ! grep -E 'critical-path|lower bound' "$tmp/$name.single.out" >"$tmp/$name.single.sw" ||
+        ! grep -E 'critical-path|lower bound' "$tmp/$name.multi.out" >"$tmp/$name.multi.sw" ||
+        ! cmp -s "$tmp/$name.single.sw" "$tmp/$name.multi.sw"; then
+        echo "netsmoke: $name: S/W: report footers differ between transports" >&2
+        diff "$tmp/$name.single.sw" "$tmp/$name.multi.sw" >&2 || true
+        failed=1
     fi
 }
 
@@ -51,4 +56,8 @@ run_case allpairs 2 -n 64 -p 4 -c 2 -steps 4 -seed 3
 run_case cutoff 8 -n 128 -p 16 -c 1 -cutoff 2 -steps 4 -seed 3
 run_case midpoint 2 -alg midpoint -n 64 -p 4 -dim 1 -cutoff 4 -steps 4 -seed 3
 
+if [ "$failed" -ne 0 ]; then
+    echo "netsmoke: FAIL — socket and in-process runs differ" >&2
+    exit 1
+fi
 echo "netsmoke: ok — socket and in-process transports are indistinguishable"
