@@ -160,11 +160,6 @@ type Config struct {
 	// Overrides Lattice.
 	Clusters     int
 	ClusterSigma float64
-	// Overlap enables communication/computation overlap in the shift
-	// loops (all-pairs and cutoff; double buffering with nonblocking
-	// sends) — the optimization production MD codes add on top of the
-	// paper's synchronous algorithm.
-	Overlap bool
 	// Workers is the intra-rank worker-pool width for the force phase:
 	// each rank tiles its force accumulation across this many
 	// goroutines by disjoint target ranges, so results are
@@ -329,9 +324,10 @@ const maxRanks = 1 << 20
 
 // validate rejects, on a defaulted configuration, what no driver may be
 // handed: values the box, the law or the grid constructors would panic
-// on or allocate for. New and Load share it — a checkpoint header is
-// outside input like any other. What depends on the algorithm's
-// divisibility rules is the session constructor's to reject.
+// on or allocate for, and a boundary, potential, timestep or law
+// parameter no run is defined for. New and Load share it — a checkpoint
+// header is outside input like any other. What depends on the
+// algorithm's divisibility rules is the session constructor's to reject.
 func (c Config) validate() error {
 	if c.N <= 0 {
 		return fmt.Errorf("nbody: config needs N > 0")
@@ -351,6 +347,22 @@ func (c Config) validate() error {
 	if c.Workers < 0 {
 		return fmt.Errorf("nbody: negative worker count %d", c.Workers)
 	}
+	if c.Boundary != Reflective && c.Boundary != Periodic {
+		return fmt.Errorf("nbody: unknown boundary %v", c.Boundary)
+	}
+	if c.Potential != RepulsivePotential && c.Potential != LennardJonesPotential {
+		return fmt.Errorf("nbody: unknown potential %v", c.Potential)
+	}
+	switch {
+	case !finitePositive(c.DT):
+		return fmt.Errorf("nbody: timestep DT %g is not a positive finite number", c.DT)
+	case !finitePositive(c.ForceK):
+		return fmt.Errorf("nbody: ForceK %g is not a positive finite number", c.ForceK)
+	case c.Potential == LennardJonesPotential && !(finitePositive(c.Epsilon) && finitePositive(c.Sigma)):
+		return fmt.Errorf("nbody: Lennard-Jones Epsilon %g and Sigma %g must be positive finite numbers", c.Epsilon, c.Sigma)
+	case !(c.Softening >= 0) || math.IsInf(c.Softening, 1):
+		return fmt.Errorf("nbody: Softening %g is not a non-negative finite number", c.Softening)
+	}
 	if alg := c.resolveAlgorithm(); (alg == CACutoff || alg == Midpoint) && c.Cutoff == 0 {
 		return fmt.Errorf("nbody: %v requires a positive cutoff", alg)
 	}
@@ -360,6 +372,9 @@ func (c Config) validate() error {
 	}
 	return nil
 }
+
+// finitePositive reports whether v is a finite number above zero.
+func finitePositive(v float64) bool { return v > 0 && !math.IsInf(v, 1) }
 
 // initialParticles builds the deterministic initial particle set the
 // configuration describes; VerifySerial rebuilds the same set for the
@@ -393,7 +408,6 @@ func (s *Simulation) build() error {
 		Box:     c.box(),
 		DT:      c.DT,
 		Options: comm.Options{Observe: s.observer},
-		Overlap: c.Overlap,
 		Workers: c.Workers,
 		Record:  s.recorder,
 		Proc:    c.Proc,
@@ -481,7 +495,9 @@ func (s *Simulation) VerifySerial() (float64, error) {
 		} else {
 			phys.BruteForce(ref, law)
 		}
-		phys.Step(ref, box, cfg.DT)
+		if err := phys.Step(ref, box, cfg.DT); err != nil {
+			return 0, fmt.Errorf("nbody: serial reference: %w", err)
+		}
 	}
 	phys.SortByID(ref)
 	got := s.Particles()

@@ -2,8 +2,12 @@ package nbody
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
+	"time"
+
+	"repro/internal/leakcheck"
 )
 
 func TestSimulationLifecycle(t *testing.T) {
@@ -259,11 +263,60 @@ func TestNewValidation(t *testing.T) {
 		{"cutoff alg without cutoff", Config{N: 10, Algorithm: CACutoff}},
 		{"c beyond sqrt p", Config{N: 32, P: 8, C: 4}},
 		{"teams not dividing n", Config{N: 30, P: 16, C: 2}},
+		{"negative timestep", Config{N: 10, DT: -1}},
+		{"NaN force constant", Config{N: 10, ForceK: math.NaN()}},
+		{"negative softening", Config{N: 10, Softening: -1}},
+		{"infinite Lennard-Jones sigma", Config{N: 10, Potential: LennardJonesPotential, Sigma: math.Inf(1)}},
+		{"unknown boundary", Config{N: 10, Boundary: 7}},
+		{"unknown potential", Config{N: 10, Potential: 9}},
 	}
 	for _, tc := range cases {
 		if _, err := New(tc.cfg); err == nil {
 			t.Errorf("%s: expected error", tc.name)
 		}
+	}
+}
+
+// TestRunStopsOnRunawayParticles: configurations whose first step
+// throws particles beyond the box's reach or beyond float64 — an
+// infinite or astronomic force constant or timestep — end with an
+// error: New refuses the infinite force constant, and Run the others,
+// promptly, naming a particle, without a rank goroutine left behind.
+// The boundary condition must not spin on such a position.
+func TestRunStopsOnRunawayParticles(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		cfg        Config
+		newRefuses bool
+	}{
+		{"ForceK=+Inf", Config{N: 64, P: 4, ForceK: math.Inf(1)}, true},
+		{"ForceK=1e300", Config{N: 64, P: 4, ForceK: 1e300}, false},
+		{"DT=1e300", Config{N: 64, P: 4, DT: 1e300}, false},
+		{"periodic/ForceK=1e20", Config{N: 64, P: 4, Boundary: Periodic, ForceK: 1e20}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer leakcheck.Check(t)()
+			sim, err := New(tc.cfg)
+			if tc.newRefuses {
+				if err == nil {
+					t.Fatal("New accepted the configuration")
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("New: %v", err)
+			}
+			done := make(chan error, 1)
+			go func() { done <- sim.Run(1) }()
+			select {
+			case err := <-done:
+				if err == nil || !strings.Contains(err.Error(), "particle") {
+					t.Fatalf("Run returned %v, want an error naming a particle", err)
+				}
+			case <-time.After(time.Second):
+				t.Fatal("Run still running after 1 s")
+			}
+		})
 	}
 }
 

@@ -218,26 +218,6 @@ func BenchmarkBaselines(b *testing.B) {
 // Ablation benchmarks for the design choices DESIGN.md calls out.
 // ---------------------------------------------------------------------------
 
-// BenchmarkAblationOverlap compares the synchronous shift loop with the
-// double-buffered communication/computation overlap variant on real
-// executions.
-func BenchmarkAblationOverlap(b *testing.B) {
-	for _, overlap := range []bool{false, true} {
-		b.Run(fmt.Sprintf("overlap=%v", overlap), func(b *testing.B) {
-			sim, err := New(Config{N: 4096, P: 16, C: 2, Overlap: overlap})
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := sim.Run(1); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkMidpointVsCACutoff compares the two independent cutoff
 // implementations on the same 1D workload.
 func BenchmarkMidpointVsCACutoff(b *testing.B) {

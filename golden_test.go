@@ -35,10 +35,11 @@ const goldenSteps = 6
 
 // The first five rows are the configurations of benchmark/workloads.go
 // (copied: benchmark/ is its own module, and ap-socket is ap-latency's
-// configuration over the socket mesh), then the overlapped walks, the
-// midpoint method, the fixed-c decompositions, and ap-latency's
-// configuration under a cutoff law in a periodic box — the all-pairs
-// loop's traffic does not depend on the law.
+// configuration over the socket mesh), then a 2D cutoff run whose
+// particles migrate (uniform, not a lattice), the midpoint method, the
+// fixed-c decompositions, and ap-latency's configuration under a cutoff
+// law in a periodic box — the all-pairs loop's traffic does not depend
+// on the law.
 var goldenRuns = []goldenRun{
 	{name: "ap-compute", cfg: Config{N: 4096, P: 4, C: 2},
 		want: goldenCounts{sum: 0x340ea1f20ea1b083, s: 36, w: 2949120, phases: [5][2]int64{{6, 638976}, {6, 638976}, {0, 0}, {6, 196608}, {0, 0}}}},
@@ -50,11 +51,7 @@ var goldenRuns = []goldenRun{
 		want: goldenCounts{sum: 0x5d76f184ce724d19, s: 72, w: 264288, phases: [5][2]int64{{6, 39936}, {6, 39960}, {6, 39960}, {6, 12288}, {12, 0}}}},
 	{name: "cutoff-2d", cfg: Config{N: 4096, P: 64, C: 4, Dim: 2, Boundary: Reflective, Cutoff: 4, Lattice: true, DT: 5e-4},
 		want: goldenCounts{sum: 0x15a3b1503f2d5745, s: 168, w: 792720, phases: [5][2]int64{{12, 159744}, {6, 79896}, {12, 159792}, {6, 24576}, {48, 0}}}},
-	{name: "ap-overlap", cfg: Config{N: 256, P: 64, C: 2, Overlap: true},
-		want: goldenCounts{sum: 0xb34f5ff2b2b0dfd6, s: 228, w: 91392, phases: [5][2]int64{{6, 2496}, {6, 2496}, {96, 39936}, {6, 768}, {0, 0}}}},
-	{name: "cutoff-1d-overlap", cfg: Config{N: 512, P: 8, C: 2, Dim: 1, Boundary: Periodic, Cutoff: 4, Lattice: true, DT: 5e-4, Overlap: true},
-		want: goldenCounts{sum: 0x5d76f184ce724d19, s: 72, w: 264288, phases: [5][2]int64{{6, 39936}, {6, 39960}, {6, 39960}, {6, 12288}, {12, 0}}}},
-	{name: "cutoff-2d-overlap", cfg: Config{N: 1024, P: 64, C: 4, Dim: 2, Cutoff: 4, DT: 2e-3, Overlap: true},
+	{name: "cutoff-2d-migrating", cfg: Config{N: 1024, P: 64, C: 4, Dim: 2, Cutoff: 4, DT: 2e-3},
 		want: goldenCounts{sum: 0x132ed4edcd192330, s: 168, w: 245584, phases: [5][2]int64{{12, 51376}, {6, 25712}, {12, 46640}, {6, 7904}, {48, 52}}}},
 	{name: "midpoint-2d", cfg: Config{N: 1024, P: 16, Algorithm: Midpoint, Dim: 2, Cutoff: 4, DT: 2e-3},
 		want: goldenCounts{sum: 0x7e763a3c2e7a0300, s: 288, w: 489772, phases: [5][2]int64{{0, 0}, {0, 0}, {48, 205504}, {48, 51984}, {48, 52}}}},

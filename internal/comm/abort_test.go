@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/leakcheck"
 	"repro/internal/obs"
-	"repro/internal/phys"
 	"repro/internal/trace"
 )
 
@@ -93,17 +92,6 @@ var blockedCases = []blockedCase{
 		default:
 			c.Recv(dies, 0)
 		}
-	}},
-	{"Irecv+Wait", 1, func(c *Comm, dies int) {
-		c.Irecv(dies, 0).Wait()
-	}},
-	{"SendrecvParticlesOverlap", 1, func(c *Comm, dies int) {
-		// The overlapped shift exchange as core's walkOverlapped spells it
-		// since the function this row is named after was deleted (the
-		// name stays: the tier-1 floor lists its eighteen subtests).
-		send := c.IsendParticles(dies, 0, make([]phys.Particle, 8))
-		c.Irecv(dies, 0).WaitParticles()
-		send.Wait()
 	}},
 	{"BcastParticles/non-root", 1, func(c *Comm, root int) {
 		c.BcastParticles(root, nil, nil)

@@ -40,21 +40,6 @@ type Comm struct {
 	// peers are first addressed, so the per-message path indexes a
 	// private slice and never consults the runtime's shared tables.
 	peers []peer
-	// done is the shared Request returned by nonblocking sends that
-	// complete synchronously (fast path). It carries no per-operation
-	// state — Wait/waitSent on it return immediately — so reusing one
-	// instance keeps the steady-state Sendrecv paths allocation-free.
-	done *Request
-}
-
-// doneRequest returns the rank's shared already-completed send request,
-// allocating it on first use. Comm is single-goroutine by contract, so
-// the lazy initialization is race-free.
-func (c *Comm) doneRequest() *Request {
-	if c.done == nil {
-		c.done = &Request{comm: c}
-	}
-	return c.done
 }
 
 // peer is one cached pair of streams: out carries this rank's messages
@@ -97,9 +82,6 @@ func (c *Comm) Rank() int { return c.rank }
 // Size returns the number of ranks in the communicator.
 func (c *Comm) Size() int { return len(c.group) }
 
-// WorldRank returns the caller's rank in the world communicator.
-func (c *Comm) WorldRank() int { return c.group[c.rank] }
-
 // Stats returns the rank's accounting record (shared across all
 // communicators of the rank).
 func (c *Comm) Stats() *trace.Stats { return c.stats }
@@ -141,7 +123,7 @@ func (c *Comm) checkPeer(peer int) {
 // Buffer hand-off contract: payloads are never copied by the runtime.
 // Send transfers ownership of data to the receiver — the sender must not
 // write the slice after Send returns (reading a still-referenced copy is
-// fine, e.g. computing on a buffer that is in flight). Conversely, the
+// fine, e.g. a view of a buffer that has moved on). Conversely, the
 // slice returned by Recv is owned by the receiver outright and may be
 // reused as a scratch or send buffer in later steps. Collectives follow
 // the same rule with one refinement: a broadcast payload may be aliased
@@ -306,9 +288,8 @@ func (c *Comm) Sendrecv(to int, data []byte, from, tag int) []byte {
 // including zero. (The historical blocking send-then-recv only avoided
 // deadlock because the default mailboxes buffer eight messages; a
 // shrunken mailbox or a saturated transport breaks that assumption,
-// which TestSendrecvRingUnbuffered pins.) The select carries no
-// goroutine or Request, keeping the steady-state shift loops
-// allocation-free.
+// which TestSendrecvRingUnbuffered pins.) The select starts no
+// goroutine, keeping the steady-state shift loops allocation-free.
 //
 // Progress argument for the recv-first arm: once this rank's receive
 // completes, its upstream neighbor's send has completed, so by
@@ -324,18 +305,16 @@ func (c *Comm) sendrecvMsg(to, tag int, m message, from int) message {
 	if from == c.rank {
 		panic(fmt.Sprintf("comm: self-receive (%s)", c.diag()))
 	}
-	src, dst := c.group[c.rank], c.group[to]
 	l := c.sendLink(to)
-	if l.box == nil || l.tailPending() {
+	if l.box == nil {
 		// A remote send cannot join a mailbox cycle — the link's writer
 		// goroutine drains the queue and the remote reader never blocks
-		// on delivery — and a pending overflow Isend forbids inline
-		// delivery; both delegate to the nonblocking path.
-		send := c.isendMsg(to, tag, m)
-		out := c.recvMsg(from, tag)
-		send.waitSent()
-		return out
+		// on delivery — so Send's blocking delivery completes, and the
+		// receive follows it.
+		c.sendMsg(to, tag, m)
+		return c.recvMsg(from, tag)
 	}
+	src, dst := c.group[c.rank], c.group[to]
 	box := l.box
 	c.cm.countSend(int(c.stats.Phase()), src, dst, m.wire, len(box))
 	m.comm = c.id

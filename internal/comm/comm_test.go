@@ -245,8 +245,8 @@ func TestSubOfSubTranslates(t *testing.T) {
 		pick := []int{3, 1} // world ranks 6 and 2, in that order
 		pair := evens.Sub(pick)
 		pick[0], pick[1] = -1, -1
-		if want := 1 - evens.Rank()/2; pair.Size() != 2 || pair.Rank() != want || pair.WorldRank() != c.Rank() {
-			return fmt.Errorf("world rank %d: pair size %d rank %d world rank %d", c.Rank(), pair.Size(), pair.Rank(), pair.WorldRank())
+		if want := 1 - evens.Rank()/2; pair.Size() != 2 || pair.Rank() != want || pair.group[pair.rank] != c.Rank() {
+			return fmt.Errorf("world rank %d: pair size %d rank %d world rank %d", c.Rank(), pair.Size(), pair.Rank(), pair.group[pair.rank])
 		}
 		got := pair.Sendrecv(1-pair.Rank(), []byte{byte(c.Rank())}, 1-pair.Rank(), 7)
 		if want := byte(8 - c.Rank()); len(got) != 1 || got[0] != want {

@@ -561,7 +561,7 @@ func (m *Mesh) Send(to int, f Frame, cancel <-chan struct{}) error {
 
 // Buffer returns an empty buffer from the stock of the link toward a
 // peer, for the caller to build one frame in: AppendHeader, then the
-// payload, then SendEncoded or TrySendEncoded, which take it back. The
+// payload, then SendEncoded, which takes it back. The
 // message path encodes typed payloads straight into it, so a frame is
 // copied once (into the link's write buffer) between the sender's slice
 // and the socket.
@@ -594,23 +594,6 @@ func (m *Mesh) SendEncoded(to int, buf []byte, cancel <-chan struct{}) error {
 		return m.Err()
 	case <-cancel:
 		return errors.New("net: send canceled")
-	}
-}
-
-// TrySendEncoded is SendEncoded without blocking; false means the link
-// queue is full and the caller, who then still owns buf, must fall back
-// to SendEncoded. An unsealable (oversized) frame also reports false and
-// fails in that fallback.
-func (m *Mesh) TrySendEncoded(to int, buf []byte) bool {
-	p := m.peers[to]
-	if p == nil || sealFrame(buf) != nil {
-		return false
-	}
-	select {
-	case p.out <- buf:
-		return true
-	default:
-		return false
 	}
 }
 

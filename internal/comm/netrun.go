@@ -375,10 +375,10 @@ func (rt *Runtime) arrivalLink(from, src, dst int) *link {
 // inject delivers one incoming data frame into the destination
 // mailbox. It runs on the mesh's per-connection reader goroutines and
 // must never block: a full mailbox defers to a chained goroutine (the
-// same per-stream chain Isend's overflow uses), so one slow pair cannot
-// head-of-line block the connection. Each (src, dst) pair arrives on
-// exactly one connection, so the link's tail is accessed
-// single-threaded, as a local sender's is.
+// link's tail, see deferDelivery), so one slow pair cannot head-of-line
+// block the connection, and the pair's frames keep their order. Each
+// (src, dst) pair arrives on exactly one connection, so the link's tail
+// is accessed by one goroutine only.
 func (rt *Runtime) inject(from int, f cnet.Frame) {
 	src, dst := int(f.Src), int(f.Dst)
 	if src < 0 || src >= rt.size || rt.proc.procOf(src) != from || dst < rt.lo || dst >= rt.hi {
@@ -420,30 +420,6 @@ func (rt *Runtime) netSend(src, dst int, m message) {
 		rt.failLocal(err)
 		panic(errAborted{})
 	}
-}
-
-// isendRemote is the nonblocking remote delivery under isendMsg,
-// preserving per-pair order through the stream's tail chain exactly
-// like the in-process overflow path.
-func (c *Comm) isendRemote(l *link, src, dst int, m message) *Request {
-	rt := c.rt
-	buf, err := rt.encodeFrame(src, dst, m)
-	if err != nil {
-		rt.fail(err)
-		panic(errAborted{})
-	}
-	to := rt.proc.procOf(dst)
-	if !l.tailPending() && rt.proc.mesh.TrySendEncoded(to, buf) {
-		return c.doneRequest()
-	}
-	rt.deferDelivery(l, func(abort <-chan struct{}) {
-		// The rank goroutine observes a failed send at its next receive
-		// or blocked send.
-		if err := rt.proc.mesh.SendEncoded(to, buf, abort); err != nil {
-			rt.fail(err)
-		}
-	})
-	return &Request{comm: c, sent: l.tail}
 }
 
 // --- final state deposits -------------------------------------------

@@ -302,3 +302,53 @@ func TestRemoteFailureReleasesReceivers(t *testing.T) {
 		})
 	}
 }
+
+// TestSocketArrivalsKeepOrder: frames that arrive over the socket faster
+// than the receiving rank drains them wait in a chain of deferred
+// deliveries (inject), and a frame that arrives while that chain is
+// pending must queue behind it even when the mailbox has room. In each
+// of 16 rounds a rank on proc 0 sends 32 tagged messages, the later ones
+// paced, to a rank on proc 1 that sleeps before it starts receiving, so
+// frames arrive while it drains the earlier ones; every tag must arrive
+// in order, on every mailbox capacity, and nothing may be left running.
+// An acknowledgement closes each round.
+func TestSocketArrivalsKeepOrder(t *testing.T) {
+	const rounds, msgs, ack = 16, 32, 99
+	for _, boxCap := range []int{-1, 1, 8} {
+		t.Run(fmt.Sprintf("cap=%d", boxCap), func(t *testing.T) {
+			defer leakcheck.Check(t)()
+			errs := meshErrors(t, 2, 1, func(proc *comm.Proc) error {
+				_, _, err := comm.RunProc(2, comm.Options{MailboxCap: boxCap}, proc, func(c *comm.Comm) error {
+					for r := 0; r < rounds; r++ {
+						if c.Rank() == 0 {
+							for i := 0; i < msgs; i++ {
+								c.Send(1, i, []byte{byte(i)})
+								if i >= msgs/4 {
+									time.Sleep(20 * time.Microsecond)
+								}
+							}
+							c.Recv(1, ack)
+							continue
+						}
+						time.Sleep(300 * time.Microsecond)
+						for i := 0; i < msgs; i++ {
+							// A frame out of order carries another tag, and Recv
+							// panics on the mismatch.
+							if b := c.Recv(0, i); len(b) != 1 || b[0] != byte(i) {
+								return fmt.Errorf("round %d: message %d carried %v", r, i, b)
+							}
+						}
+						c.Send(0, ack, nil)
+					}
+					return nil
+				})
+				return err
+			})
+			for i, err := range errs {
+				if err != nil {
+					t.Errorf("process %d: %v", i, err)
+				}
+			}
+		})
+	}
+}

@@ -148,42 +148,3 @@ func TestUnobservedRunUnchanged(t *testing.T) {
 		t.Errorf("unobserved accounting broken: %+v", rep.Sum[trace.Shift])
 	}
 }
-
-// TestObservedIsendPath checks the nonblocking send path records events
-// and metrics like the blocking one.
-func TestObservedIsendPath(t *testing.T) {
-	o := obs.NewObserver(2, 256)
-	_, err := Run(2, Options{Observe: o}, func(c *Comm) error {
-		c.SetPhase(trace.Shift)
-		if c.Rank() == 0 {
-			req := c.Isend(1, 7, []byte("abcd"))
-			req.Wait()
-		} else {
-			req := c.Irecv(0, 7)
-			if got := req.Wait(); string(got) != "abcd" {
-				t.Errorf("irecv payload %q", got)
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sends, recvs int
-	for r := 0; r < 2; r++ {
-		for _, ev := range o.Timeline.Events(r) {
-			switch ev.Kind {
-			case obs.KindSend:
-				sends++
-			case obs.KindRecv:
-				recvs++
-			}
-		}
-	}
-	if sends != 1 || recvs != 1 {
-		t.Errorf("sends=%d recvs=%d, want 1/1", sends, recvs)
-	}
-	if got := o.Metrics.Snapshot().Counters["comm.sent.msgs"]; got != 1 {
-		t.Errorf("metrics sent = %d", got)
-	}
-}

@@ -150,10 +150,10 @@ type link struct {
 	// run counts from zero.
 	seq uint64
 	// tail is closed when the most recent deferred delivery on the
-	// stream (an Isend, or an arriving frame, that found the mailbox
-	// full) has completed; nil when there has been none. Deferred
-	// deliveries chain on it, so message order survives past mailbox
-	// capacity.
+	// stream (a frame that arrived over the socket and found the mailbox
+	// full, see inject) has completed; nil when there has been none.
+	// Deferred deliveries chain on it, so message order survives past
+	// mailbox capacity.
 	tail chan struct{}
 }
 

@@ -81,48 +81,3 @@ func TestSendrecvTypedUnbuffered(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// TestSendrecvAfterIsendOverflowKeepsOrder drives an Isend stream past
-// the mailbox capacity and then issues a Sendrecv on the same pair: the
-// Sendrecv's outgoing message must queue behind the overflow chain, not
-// jump it, so the peer observes one FIFO stream. (The pattern is
-// asymmetric — the peer drains — because holding unmatched sends past
-// capacity on BOTH sides of a pair is an invalid, deadlocking schedule
-// on any bounded transport.)
-func TestSendrecvAfterIsendOverflowKeepsOrder(t *testing.T) {
-	const burst = 5 // mailbox capacity 1 → four overflow sends
-	_, err := Run(2, Options{MailboxCap: 1}, func(c *Comm) error {
-		if c.Rank() == 0 {
-			reqs := make([]*Request, 0, burst)
-			for i := 0; i < burst; i++ {
-				reqs = append(reqs, c.Isend(1, 7, []byte{byte(i)}))
-			}
-			// tailPending is true here, so the exchange takes the
-			// chain-preserving path.
-			got := c.Sendrecv(1, []byte{burst}, 1, 7)
-			if got[0] != 99 {
-				return fmt.Errorf("rank 0: sendrecv payload %d, want 99", got[0])
-			}
-			for _, r := range reqs {
-				r.Wait()
-			}
-			return nil
-		}
-		// Rank 1 exchanges first, then drains: the stream must read
-		// 0,1,...,burst in exactly the order rank 0 issued the sends.
-		got := c.Sendrecv(0, []byte{99}, 0, 7)
-		if got[0] != 0 {
-			return fmt.Errorf("rank 1: sendrecv collected %d, want 0", got[0])
-		}
-		for i := 1; i <= burst; i++ {
-			b := c.Recv(0, 7)
-			if b[0] != byte(i) {
-				return fmt.Errorf("rank 1: stream message %d carried %d", i, b[0])
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}

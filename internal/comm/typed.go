@@ -14,15 +14,15 @@ package comm
 // Ownership-transfer contract (extending the buffer hand-off rules on
 // Send): a typed send transfers ownership of the payload slice to the
 // receiver. The sender must not WRITE the slice after the send returns;
-// reading a still-referenced slice is fine (the overlap shift computes
-// on a buffer that is in flight — receivers only read it as well). The
-// slice returned by a typed receive is owned by the receiver outright
-// and may be reused as scratch or a send buffer in later steps. A
-// sender wanting to write a previously sent buffer again must first
-// pass a synchronization point that transitively orders every reader
-// behind the reuse: the timestep loops use the next step's team
-// broadcast/reduce pair, and double-buffer the shift exchange so the
-// overwrite happens two steps after the hand-off.
+// reading a still-referenced slice is fine (the all-pairs loop sweeps
+// gathered views of buffers that have moved on — receivers only read
+// them as well). The slice returned by a typed receive is owned by the
+// receiver outright and may be reused as scratch or a send buffer in
+// later steps. A sender wanting to write a previously sent buffer again
+// must first pass a synchronization point that transitively orders
+// every reader behind the reuse: the timestep loops use the next step's
+// team broadcast/reduce pair, and double-buffer the closed ring's shift
+// exchange so the overwrite happens two steps after the hand-off.
 
 import "repro/internal/phys"
 
@@ -52,22 +52,11 @@ func (c *Comm) SendrecvParticles(to int, ps []phys.Particle, from, tag int) []ph
 	return c.sendrecvMsg(to, tag, particlesMsg(ps), from).particlesPayload(c)
 }
 
-// SendTeamParticles is SendParticles with a source-team frame: the
+// SendrecvTeamParticles is SendrecvParticles for framed payloads: the
 // message carries the sending team's id alongside the payload and is
 // charged the framed wire size, 4 + phys.WireBytes(len(ps)) — exactly
-// what the encoded path's frameTeam layout occupies.
-func (c *Comm) SendTeamParticles(to, tag, team int, ps []phys.Particle) {
-	c.sendMsg(to, tag, teamParticlesMsg(team, ps))
-}
-
-// RecvTeamParticles blocks for the next framed particle message from
-// rank `from` and returns the source team and the payload.
-func (c *Comm) RecvTeamParticles(from, tag int) (int, []phys.Particle) {
-	return c.recvMsg(from, tag).teamParticlesPayload(c)
-}
-
-// SendrecvTeamParticles is SendrecvParticles for framed payloads: the
-// shift primitive of the cutoff algorithm's exchange window.
+// what the encoded path's frameTeam layout occupies. It is the shift
+// primitive of the cutoff algorithm's exchange window.
 func (c *Comm) SendrecvTeamParticles(to, team int, ps []phys.Particle, from, tag int) (int, []phys.Particle) {
 	if to == c.rank && from == c.rank {
 		return team, ps

@@ -29,7 +29,8 @@ func testParticles(n int, seed int64) []phys.Particle {
 // TestTypedP2PMatchesEncodedWire checks the heart of the accounting
 // contract: a typed particle, framed-particle, or float64 send is
 // charged exactly the bytes its encoded wire format would occupy, and
-// the payload arrives bit-identical without a codec round-trip.
+// the payload arrives bit-identical without a codec round-trip. The
+// framed payloads cross in one exchange, each way with its own team.
 func TestTypedP2PMatchesEncodedWire(t *testing.T) {
 	const n = 13
 	ps := testParticles(n, 1)
@@ -37,7 +38,9 @@ func TestTypedP2PMatchesEncodedWire(t *testing.T) {
 	rep, err := Run(2, Options{}, func(c *Comm) error {
 		if c.Rank() == 0 {
 			c.SendParticles(1, 1, ps)
-			c.SendTeamParticles(1, 2, 7, ps)
+			if team, framed := c.SendrecvTeamParticles(1, 7, ps, 1, 2); team != 8 || len(framed) != n {
+				return fmt.Errorf("framed payload on rank 0: team %d len %d", team, len(framed))
+			}
 			c.SendF64s(1, 3, vals)
 			return nil
 		}
@@ -47,9 +50,9 @@ func TestTypedP2PMatchesEncodedWire(t *testing.T) {
 				return fmt.Errorf("particle %d changed in transit: %+v vs %+v", i, got[i], ps[i])
 			}
 		}
-		team, framed := c.RecvTeamParticles(0, 2)
+		team, framed := c.SendrecvTeamParticles(0, 8, got, 0, 2)
 		if team != 7 || len(framed) != n {
-			return fmt.Errorf("framed payload: team %d len %d", team, len(framed))
+			return fmt.Errorf("framed payload on rank 1: team %d len %d", team, len(framed))
 		}
 		f := c.RecvF64s(0, 3)
 		for i := range f {
@@ -62,14 +65,14 @@ func TestTypedP2PMatchesEncodedWire(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantBytes := int64(phys.WireBytes(n) + 4 + phys.WireBytes(n) + 8*len(vals))
+	wantBytes := int64(phys.WireBytes(n) + 2*(4+phys.WireBytes(n)) + 8*len(vals))
 	var sent, sentB int64
 	for _, ph := range trace.Phases() {
 		sent += rep.Sum[ph].Messages
 		sentB += rep.Sum[ph].Bytes
 	}
-	if sent != 3 {
-		t.Errorf("typed sends counted %d messages, want 3", sent)
+	if sent != 4 {
+		t.Errorf("typed sends counted %d messages, want 4", sent)
 	}
 	if sentB != wantBytes {
 		t.Errorf("typed sends charged %d bytes, want %d (the encoded wire size)", sentB, wantBytes)

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/phys"
-	"repro/internal/trace"
 )
 
 // serialRun advances the same initial particle set with the serial
@@ -74,41 +73,6 @@ func TestAllPairsMatchesSerial(t *testing.T) {
 				t.Errorf("worst position deviation %g exceeds 1e-9", worst)
 			}
 		})
-	}
-}
-
-func TestAllPairsOverlapMatchesSynchronous(t *testing.T) {
-	// The overlapped shift loop visits the same source buffers in a
-	// different order; results must be identical to the synchronous
-	// algorithm and the serial reference, with identical message
-	// counts.
-	for _, tc := range []struct{ p, c, n int }{
-		{16, 2, 32},
-		{16, 4, 32},
-		{64, 4, 128},
-	} {
-		pr := defaultParams(tc.p, tc.c, 3)
-		ps := phys.InitUniform(tc.n, pr.Box, 21)
-		sync, syncRep, err := AllPairs(ps, pr)
-		if err != nil {
-			t.Fatalf("sync p=%d c=%d: %v", tc.p, tc.c, err)
-		}
-		pr.Overlap = true
-		over, overRep, err := AllPairs(ps, pr)
-		if err != nil {
-			t.Fatalf("overlap p=%d c=%d: %v", tc.p, tc.c, err)
-		}
-		for i := range sync {
-			if d := sync[i].Pos.Dist(over[i].Pos); d > 1e-12 {
-				t.Fatalf("p=%d c=%d: overlap deviates by %g at particle %d", tc.p, tc.c, d, i)
-			}
-		}
-		for _, ph := range []trace.Phase{trace.Shift, trace.Skew, trace.Broadcast, trace.Reduce} {
-			if syncRep.CriticalPath[ph].Messages != overRep.CriticalPath[ph].Messages {
-				t.Errorf("p=%d c=%d %v: message counts differ: %d vs %d", tc.p, tc.c, ph,
-					syncRep.CriticalPath[ph].Messages, overRep.CriticalPath[ph].Messages)
-			}
-		}
 	}
 }
 

@@ -83,8 +83,7 @@ func NewNaiveAllGather(ps []phys.Particle, pr Params) (*Session, error) {
 				}
 				pr.Law.AccumulateIn(mine, others, pr.Box)
 			}
-			phys.Step(mine, pr.Box, pr.DT)
-			return nil
+			return phys.Step(mine, pr.Box, pr.DT)
 		}
 		return rankLoop{step, func() (int, []phys.Particle, bool) { return r, mine, true }}
 	}), nil

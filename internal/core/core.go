@@ -37,13 +37,6 @@ type Params struct {
 	DT      float64 // timestep length
 	Steps   int     // timesteps of a one-shot driver (AllPairs, ...); a Session takes them per Advance
 	Options comm.Options
-	// Overlap enables communication/computation overlap in the shift
-	// loops (all-pairs and cutoff): each rank computes on its current
-	// exchange buffer while the buffer is in flight to its neighbor
-	// (double buffering via nonblocking sends). The paper's algorithm
-	// is synchronous; this is the optimization production MD codes add
-	// on top.
-	Overlap bool
 	// Workers is the intra-rank worker-pool width for the force phase:
 	// each rank tiles its force accumulation over this many goroutines
 	// (disjoint target blocks, bitwise-identical results for any

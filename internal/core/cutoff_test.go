@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/phys"
-	"repro/internal/trace"
 )
 
 // serialCutoffRun advances the particles with the brute-force cutoff
@@ -117,38 +116,6 @@ func TestCutoffLargerReplication(t *testing.T) {
 		t.Fatalf("Cutoff: %v", err)
 	}
 	checkAgainst(t, got, want, 1e-9)
-}
-
-func TestCutoffOverlapMatchesSynchronous(t *testing.T) {
-	for _, tc := range []struct {
-		p, c, n, dim int
-		boundary     phys.Boundary
-	}{
-		{16, 2, 64, 1, phys.Reflective},
-		{32, 4, 96, 1, phys.Periodic},
-		{32, 2, 64, 2, phys.Reflective},
-		{144, 4, 144, 2, phys.Periodic},
-	} {
-		pr := cutoffParams(tc.p, tc.c, tc.dim, tc.boundary)
-		ps := phys.InitLattice(tc.n, pr.Box, 51)
-		sync, syncRep, err := Cutoff(ps, pr)
-		if err != nil {
-			t.Fatalf("sync p=%d c=%d dim=%d: %v", tc.p, tc.c, tc.dim, err)
-		}
-		pr.Overlap = true
-		over, overRep, err := Cutoff(ps, pr)
-		if err != nil {
-			t.Fatalf("overlap p=%d c=%d dim=%d: %v", tc.p, tc.c, tc.dim, err)
-		}
-		checkAgainst(t, over, sync, 1e-12)
-		if syncRep.CriticalPath[trace.Shift].Messages != overRep.CriticalPath[trace.Shift].Messages {
-			t.Errorf("p=%d c=%d dim=%d: shift message counts differ: %d vs %d", tc.p, tc.c, tc.dim,
-				syncRep.CriticalPath[trace.Shift].Messages, overRep.CriticalPath[trace.Shift].Messages)
-		}
-		// And still correct against the serial reference.
-		want := serialCutoffRun(ps, pr.Law, pr.Box, pr.Steps, pr.DT)
-		checkAgainst(t, over, want, 1e-9)
-	}
 }
 
 func TestCutoffRejectsBadParams(t *testing.T) {

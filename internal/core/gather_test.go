@@ -53,10 +53,10 @@ func allPairsOnArrival(ps []phys.Particle, pr Params) ([]phys.Particle, error) {
 // TestGatherSweepBoundaries holds the gathering all-pairs loop to the
 // loop that sweeps every block on arrival, on grids that put the block
 // length n/T below, at and above sweepBatch and the end of a walk both
-// on and inside a batch boundary: under either walk, on either
-// transport, for one and two workers, the final state is struct-equal,
-// the pair count is the closed form, and the timeline shows one Compute
-// span per sweep (plus the leader's integration).
+// on and inside a batch boundary: on either transport, for one and two
+// workers, the final state is struct-equal, the pair count is the closed
+// form, and the timeline shows one Compute span per sweep (plus the
+// leader's integration).
 func TestGatherSweepBoundaries(t *testing.T) {
 	const steps = 4 // a buffer is rewritten two steps after it was loaded
 	cases := []struct {
@@ -84,55 +84,50 @@ func TestGatherSweepBoundaries(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, overlap := range []bool{false, true} {
-				pr := defaultParams(tc.p, tc.c, steps)
-				pr.Overlap = overlap
-				ps := phys.InitUniform(n, pr.Box, 77)
-				// The overlapped walk visits the blocks in rotated order, so
-				// each walk has its own reference.
-				want, err := allPairsOnArrival(ps, pr)
-				if err != nil {
-					t.Fatalf("overlap=%v: reference: %v", overlap, err)
-				}
-				for _, oracle := range []bool{false, true} {
-					for _, workers := range []int{1, 2} {
-						run := fmt.Sprintf("overlap=%v oracle=%v workers=%d", overlap, oracle, workers)
-						pr := pr
-						pr.oracle, pr.Workers = oracle, workers
-						ob := obs.NewObserver(tc.p, 1<<13)
-						pr.Options.Observe = ob
-						got, _, err := AllPairs(ps, pr)
-						if err != nil {
-							t.Fatalf("%s: %v", run, err)
+			pr := defaultParams(tc.p, tc.c, steps)
+			ps := phys.InitUniform(n, pr.Box, 77)
+			want, err := allPairsOnArrival(ps, pr)
+			if err != nil {
+				t.Fatalf("reference: %v", err)
+			}
+			for _, oracle := range []bool{false, true} {
+				for _, workers := range []int{1, 2} {
+					run := fmt.Sprintf("oracle=%v workers=%d", oracle, workers)
+					pr := pr
+					pr.oracle, pr.Workers = oracle, workers
+					ob := obs.NewObserver(tc.p, 1<<13)
+					pr.Options.Observe = ob
+					got, _, err := AllPairs(ps, pr)
+					if err != nil {
+						t.Fatalf("%s: %v", run, err)
+					}
+					if len(got) != len(want) {
+						t.Fatalf("%s: %d particles, want %d", run, len(got), len(want))
+					}
+					for i := range got {
+						if got[i] != want[i] {
+							t.Fatalf("%s: particle %d\n gathered   %+v\n on arrival %+v", run, i, got[i], want[i])
 						}
-						if len(got) != len(want) {
-							t.Fatalf("%s: %d particles, want %d", run, len(got), len(want))
-						}
-						for i := range got {
-							if got[i] != want[i] {
-								t.Fatalf("%s: particle %d\n gathered   %+v\n on arrival %+v", run, i, got[i], want[i])
+					}
+					if pairs, want := ob.Metrics.Snapshot().Counters["compute.pairs"], int64(steps)*int64(n*n-n); pairs != want {
+						t.Errorf("%s: compute.pairs = %d, want %d", run, pairs, want)
+					}
+					if d := ob.Timeline.Dropped(); d != 0 {
+						t.Fatalf("%s: timeline dropped %d events", run, d)
+					}
+					for r := 0; r < tc.p; r++ {
+						spans := 0
+						for _, ev := range ob.Timeline.Events(r) {
+							if ev.Kind == obs.KindPhase && ev.Phase == uint8(trace.Compute) {
+								spans++
 							}
 						}
-						if pairs, want := ob.Metrics.Snapshot().Counters["compute.pairs"], int64(steps)*int64(n*n-n); pairs != want {
-							t.Errorf("%s: compute.pairs = %d, want %d", run, pairs, want)
+						wantSpans := steps * sweeps
+						if row, _ := cg.Coord(r); row == 0 {
+							wantSpans += steps // the leader integrates under Compute
 						}
-						if d := ob.Timeline.Dropped(); d != 0 {
-							t.Fatalf("%s: timeline dropped %d events", run, d)
-						}
-						for r := 0; r < tc.p; r++ {
-							spans := 0
-							for _, ev := range ob.Timeline.Events(r) {
-								if ev.Kind == obs.KindPhase && ev.Phase == uint8(trace.Compute) {
-									spans++
-								}
-							}
-							wantSpans := steps * sweeps
-							if row, _ := cg.Coord(r); row == 0 {
-								wantSpans += steps // the leader integrates under Compute
-							}
-							if spans != wantSpans {
-								t.Errorf("%s: rank %d has %d Compute spans, want %d (%d sweeps a step)", run, r, spans, wantSpans, sweeps)
-							}
+						if spans != wantSpans {
+							t.Errorf("%s: rank %d has %d Compute spans, want %d (%d sweeps a step)", run, r, spans, wantSpans, sweeps)
 						}
 					}
 				}

@@ -279,7 +279,9 @@ func midpointND(ps []phys.Particle, pr Params, dim int) (*Session, error) {
 
 			// (4) Integrate and migrate.
 			st.SetPhase(trace.Compute)
-			phys.Step(mine, pr.Box, pr.DT)
+			if err := phys.Step(mine, pr.Box, pr.DT); err != nil {
+				return err
+			}
 			st.SetPhase(trace.Reassign)
 			var err error
 			mine, err = mig.migrate(x, world, tg, me, mine, pr.Box, dirs, false)

@@ -100,22 +100,19 @@ func checkSocketMatchesInProcess(t *testing.T, procs int, pr Params, ps []phys.P
 	sameReportCounts(t, localRep, socketRep)
 }
 
+// The socket tests' subtest names keep the overlap=false segment, as
+// TestAllPairsTypedMatchesEncoded's do.
 func TestAllPairsSocketMatchesInProcess(t *testing.T) {
-	cases := []struct {
-		procs, p, c, n int
-		overlap        bool
-	}{
-		{2, 2, 1, 16, false},
-		{2, 4, 2, 24, false},
-		{2, 4, 2, 24, true},
-		{4, 4, 1, 24, false},
+	cases := []struct{ procs, p, c, n int }{
+		{2, 2, 1, 16},
+		{2, 4, 2, 24},
+		{4, 4, 1, 24},
 	}
 	for _, tc := range cases {
 		tc := tc
-		t.Run(fmt.Sprintf("procs=%d/p=%d/c=%d/overlap=%v", tc.procs, tc.p, tc.c, tc.overlap), func(t *testing.T) {
+		t.Run(fmt.Sprintf("procs=%d/p=%d/c=%d/overlap=false", tc.procs, tc.p, tc.c), func(t *testing.T) {
 			t.Parallel()
 			pr := defaultParams(tc.p, tc.c, 4)
-			pr.Overlap = tc.overlap
 			ps := phys.InitUniform(tc.n, pr.Box, 7)
 			checkSocketMatchesInProcess(t, tc.procs, pr, ps, AllPairs)
 		})
@@ -126,18 +123,15 @@ func TestCutoffSocketMatchesInProcess(t *testing.T) {
 	cases := []struct {
 		procs, p, c, dim, n int
 		boundary            phys.Boundary
-		overlap             bool
 	}{
-		{2, 4, 1, 1, 32, phys.Periodic, false},
-		{2, 8, 1, 1, 64, phys.Periodic, true},
-		{4, 8, 1, 1, 64, phys.Reflective, false},
+		{2, 4, 1, 1, 32, phys.Periodic},
+		{4, 8, 1, 1, 64, phys.Reflective},
 	}
 	for _, tc := range cases {
 		tc := tc
-		t.Run(fmt.Sprintf("procs=%d/p=%d/dim=%d/%v/overlap=%v", tc.procs, tc.p, tc.dim, tc.boundary, tc.overlap), func(t *testing.T) {
+		t.Run(fmt.Sprintf("procs=%d/p=%d/dim=%d/%v/overlap=false", tc.procs, tc.p, tc.dim, tc.boundary), func(t *testing.T) {
 			t.Parallel()
 			pr := cutoffParams(tc.p, tc.c, tc.dim, tc.boundary)
-			pr.Overlap = tc.overlap
 			ps := phys.InitUniform(tc.n, pr.Box, 11)
 			checkSocketMatchesInProcess(t, tc.procs, pr, ps, Cutoff)
 		})

@@ -80,7 +80,7 @@ func newPlan(cg *commGrid, movesOf func(row, col int) moves, w *windowed) *Plan 
 				rp := &pl.Ranks[r]
 				rp.Moves = append(rp.Moves, ring[h.to])
 				// A closed ring's position 0 is its last one's block, which
-				// walkSync computes on at the end instead.
+				// walk computes on at the end instead.
 				rp.Computes = append(rp.Computes, (i > 0 || !ms[col].closed) && (w == nil || w.inWindow(col, next[col])))
 			}
 			held, next = next, held

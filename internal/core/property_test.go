@@ -70,10 +70,12 @@ func TestParallelMomentumConservation(t *testing.T) {
 
 // TestCutoffMigrationTooFastFails injects a failure: a timestep so large
 // that particles jump more than one team width must surface as a clean
-// error from every rank, not a hang or corruption.
+// error from every rank, not a hang or corruption. (Not so large that
+// they leave the box by more than its length: the integrator reports
+// that before migration can.)
 func TestCutoffMigrationTooFastFails(t *testing.T) {
 	pr := cutoffParams(16, 2, 1, phys.Reflective)
-	pr.DT = 50 // absurd timestep
+	pr.DT = 0.5 // absurd timestep: teams are 2 wide
 	pr.Steps = 3
 	ps := phys.InitLattice(64, pr.Box, 5)
 	// Give particles real velocity so they cross multiple slabs.

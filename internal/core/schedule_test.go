@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"reflect"
 	"testing"
 
 	"repro/internal/comm"
@@ -168,13 +167,13 @@ func TestSerpentineAdjacency(t *testing.T) {
 }
 
 // paperXfer is a transport that moves nothing: driven by a rank's real
-// shiftLoop.step, it writes down what the rank would have sent, awaited
-// and computed on, in order, so that a whole ring can be replayed on
-// paper afterwards.
+// shiftLoop.step, it writes down what the rank would have sent and
+// computed on, in order, so that a whole ring can be replayed on paper
+// afterwards.
 type paperXfer struct{ log []paperOp }
 
 type paperOp struct {
-	kind          byte // 'm' a completed move, 's' a started one, 'f' its completion, 'u' an update
+	kind          byte // 'm' a move, 'u' an update
 	to, from, tag int
 }
 
@@ -183,12 +182,8 @@ func (x *paperXfer) loadExchange([]phys.Particle)                          {}
 func (x *paperXfer) reduceForces(*comm.Comm, []phys.Particle) []float64    { return nil }
 func (x *paperXfer) sendParticles(*comm.Comm, int, int, []phys.Particle)   {}
 func (x *paperXfer) recvParticles(*comm.Comm, int, int) []phys.Particle    { return nil }
-func (x *paperXfer) finishShift()                                          { x.log = append(x.log, paperOp{kind: 'f'}) }
 func (x *paperXfer) shift(_ *comm.Comm, to, from, tag int) {
 	x.log = append(x.log, paperOp{'m', to, from, tag})
-}
-func (x *paperXfer) startShift(_ *comm.Comm, to, from, tag int) {
-	x.log = append(x.log, paperOp{'s', to, from, tag})
 }
 func (x *paperXfer) view() (int, []phys.Particle) {
 	x.log = append(x.log, paperOp{kind: 'u'})
@@ -205,18 +200,17 @@ func (noPairing) integrated(_ *shiftLoop, mine []phys.Particle) ([]phys.Particle
 }
 
 // walkRing runs one timestep of every rank of one ring — rank t gets
-// plan(t) — under the synchronous or the overlapped walk and replays
-// the logs in lock step. It checks that the ranks agree on every move
-// (same kind of operation, every hop's to is its peer's from, same tag
-// at both ends) and returns applied[t][src]: how often team t computed
-// on the buffer team src loaded.
-func walkRing(t *testing.T, teams int, overlap bool, plan func(team int) moves) [][]int {
+// plan(t) — and replays the logs in lock step. It checks that the ranks
+// agree on every move (same kind of operation, every hop's to is its
+// peer's from, same tag at both ends) and returns applied[t][src]: how
+// often team t computed on the buffer team src loaded.
+func walkRing(t *testing.T, teams int, plan func(team int) moves) [][]int {
 	t.Helper()
 	logs := make([][]paperOp, teams)
 	for team := range logs {
 		x := &paperXfer{}
 		l := &shiftLoop{
-			rank: &rank{st: trace.NewStats()}, pr: &Params{Overlap: overlap},
+			rank: &rank{st: trace.NewStats()}, pr: &Params{},
 			slot: team, moves: plan(team), x: x, pairing: noPairing{},
 		}
 		if err := l.step(); err != nil {
@@ -232,7 +226,6 @@ func walkRing(t *testing.T, teams int, overlap bool, plan func(team int) moves) 
 	for team := range applied {
 		applied[team] = make([]int, teams)
 	}
-	pending := make([]int, teams) // the from of each team's started move
 	for k, op0 := range logs[0] {
 		next := append([]int(nil), holds...)
 		for team, log := range logs {
@@ -243,19 +236,13 @@ func walkRing(t *testing.T, teams int, overlap bool, plan func(team int) moves) 
 			switch op.kind {
 			case 'u':
 				applied[team][holds[team]]++
-			case 'm', 's':
+			case 'm':
 				peer := logs[op.to][k]
 				if peer.from != team || peer.tag != op.tag {
 					t.Fatalf("operation %d: team %d ships to %d under tag %d, which awaits %d under tag %d",
 						k, team, op.to, op.tag, peer.from, peer.tag)
 				}
-				if op.kind == 'm' {
-					next[team] = holds[op.from]
-				} else {
-					pending[team] = op.from
-				}
-			case 'f':
-				next[team] = holds[pending[team]]
+				next[team] = holds[op.from]
 			}
 		}
 		holds = next
@@ -263,31 +250,24 @@ func walkRing(t *testing.T, teams int, overlap bool, plan func(team int) moves) 
 	return applied
 }
 
-// stepOnPaper is walkRing over every layer of a grid, under both walks:
-// applied[t][src] counts how often, in one timestep, some rank of team t
-// computed on the buffer team src loaded. The synchronous and the
-// overlapped walk must apply the same multiset.
+// stepOnPaper is walkRing over every layer of a grid: applied[t][src]
+// counts how often, in one timestep, some rank of team t computed on the
+// buffer team src loaded.
 func stepOnPaper(t *testing.T, teams, layers int, plan func(layer, team int) moves) [][]int {
 	t.Helper()
-	var totals [2][][]int
-	for w, overlap := range []bool{false, true} {
-		totals[w] = make([][]int, teams)
-		for team := range totals[w] {
-			totals[w][team] = make([]int, teams)
-		}
-		for layer := 0; layer < layers; layer++ {
-			applied := walkRing(t, teams, overlap, func(team int) moves { return plan(layer, team) })
-			for team := range applied {
-				for src, n := range applied[team] {
-					totals[w][team][src] += n
-				}
+	totals := make([][]int, teams)
+	for team := range totals {
+		totals[team] = make([]int, teams)
+	}
+	for layer := 0; layer < layers; layer++ {
+		applied := walkRing(t, teams, func(team int) moves { return plan(layer, team) })
+		for team := range applied {
+			for src, n := range applied[team] {
+				totals[team][src] += n
 			}
 		}
 	}
-	if !reflect.DeepEqual(totals[0], totals[1]) {
-		t.Fatalf("the overlapped walk applies %v, the synchronous one %v", totals[1], totals[0])
-	}
-	return totals[0]
+	return totals
 }
 
 // TestAllPairsPlanAppliesEveryBlockOnce walks Algorithm 1's plan on

@@ -19,18 +19,12 @@ var sessionLoops = []struct {
 	new  func([]phys.Particle, Params) (*Session, error)
 }{
 	{"allpairs", defaultParams(8, 2, 0), 32, NewAllPairs},
-	{"allpairs/overlap", withOverlap(defaultParams(8, 2, 0)), 32, NewAllPairs},
 	{"force", defaultParams(16, 4, 0), 32, NewForceDecomposition},
 	{"naive", defaultParams(8, 1, 0), 32, NewNaiveAllGather},
-	{"cutoff1D/periodic/overlap", withOverlap(cutoffParams(8, 1, 1, phys.Periodic)), 64, NewCutoff},
+	{"cutoff1D/periodic", cutoffParams(8, 1, 1, phys.Periodic), 64, NewCutoff},
 	{"cutoff2D", cutoffParams(32, 2, 2, phys.Reflective), 96, NewCutoff},
 	{"midpoint1D", cutoffParams(4, 1, 1, phys.Reflective), 32, NewMidpoint1D},
 	{"midpoint2D", cutoffParams(16, 1, 2, phys.Reflective), 64, NewMidpoint2D},
-}
-
-func withOverlap(pr Params) Params {
-	pr.Overlap = true
-	return pr
 }
 
 // TestSessionRunsCompose is the session's lifetime contract: advanced

@@ -230,9 +230,9 @@ type hop struct{ to, from int }
 type moves struct {
 	// closed says the ring closes: positions 0 and last hold the same
 	// block. Algorithm 1's does (s·c ≡ 0 mod T), the cutoff window's does
-	// not. It decides which positions a walk computes on (walkSync,
-	// walkOverlapped) and how the transport may reuse the exchange
-	// buffer (the reuse discipline in transport.go).
+	// not. It decides which positions the walk computes on (walk) and how
+	// the transport may reuse the exchange buffer (the reuse discipline
+	// in transport.go).
 	closed bool
 	last   int
 	// hops lists every move. Nil for Algorithm 1, whose moves have a
@@ -328,11 +328,7 @@ func (l *shiftLoop) step() error {
 		l.x.shift(l.ring, h.to, h.from, tag)
 	}
 	// (4) Shift and update along the remaining moves.
-	if l.pr.Overlap {
-		l.walkOverlapped()
-	} else {
-		l.walkSync()
-	}
+	l.walk()
 	l.pairing.flush(l)
 	// (5) Sum-reduce the partial force contributions within the team;
 	// the leader integrates.
@@ -341,7 +337,9 @@ func (l *shiftLoop) step() error {
 	if l.leader {
 		applyForces(l.mine, total)
 		l.st.SetPhase(trace.Compute)
-		phys.Step(l.mine, l.pr.Box, l.pr.DT)
+		if err := phys.Step(l.mine, l.pr.Box, l.pr.DT); err != nil {
+			return err
+		}
 		var err error
 		l.mine, err = l.pairing.integrated(l, l.mine)
 		return err
@@ -349,12 +347,12 @@ func (l *shiftLoop) step() error {
 	return nil
 }
 
-// walkSync is the shift loop as Algorithm 1 writes it: move, then
-// update against the buffer that arrived. On a closed ring that covers
-// every position once — the last move brings back position 0's block.
-// On an open ring position 0 is a block of its own and is computed on
-// before the first shift.
-func (l *shiftLoop) walkSync() {
+// walk is the shift loop as Algorithm 1 writes it: move, then update
+// against the buffer that arrived. On a closed ring that covers every
+// position once — the last move brings back position 0's block. On an
+// open ring position 0 is a block of its own and is computed on before
+// the first shift.
+func (l *shiftLoop) walk() {
 	if !l.closed {
 		l.pairing.update(l)
 	}
@@ -363,31 +361,6 @@ func (l *shiftLoop) walkSync() {
 		if h, tag := l.move(i); h.to != l.slot {
 			l.x.shift(l.ring, h.to, h.from, tag)
 		}
-		l.pairing.update(l)
-	}
-}
-
-// walkOverlapped hides each move behind the update against the buffer
-// the rank holds when the move starts: the buffer is shipped first and
-// computed on while in flight (the payload is only read on both sides).
-// Every update thus runs one position earlier than in walkSync. On a
-// closed ring that is the same set of blocks, visited in rotated order;
-// on an open ring the last position still has to be computed on once
-// its buffer has arrived.
-func (l *shiftLoop) walkOverlapped() {
-	for i := 1; i <= l.last; i++ {
-		l.st.SetPhase(trace.Shift)
-		h, tag := l.move(i)
-		if h.to != l.slot {
-			l.x.startShift(l.ring, h.to, h.from, tag)
-		}
-		l.pairing.update(l)
-		if h.to != l.slot {
-			l.st.SetPhase(trace.Shift)
-			l.x.finishShift()
-		}
-	}
-	if !l.closed {
 		l.pairing.update(l)
 	}
 }

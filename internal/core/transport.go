@@ -42,14 +42,9 @@ type xfer interface {
 	// until the rank enters reduceForces (the reuse discipline below),
 	// whatever it has moved in between.
 	view() (srcTeam int, ps []phys.Particle)
-	// shift synchronously exchanges the buffer with the ring neighbors:
-	// ship to rank `to`, adopt the buffer arriving from rank `from`.
+	// shift exchanges the buffer with the ring neighbors: ship to rank
+	// `to`, adopt the buffer arriving from rank `from`.
 	shift(rc *comm.Comm, to, from, tag int)
-	// startShift posts the exchange nonblockingly; finishShift adopts
-	// the received buffer. Between the two the current buffer may only
-	// be read (it is in flight).
-	startShift(rc *comm.Comm, to, from, tag int)
-	finishShift()
 	// reduceForces sum-reduces the replica's force accumulators to the
 	// team leader (rank 0 of tc), returning the flattened totals there
 	// and nil elsewhere. The result is transport-owned scratch.
@@ -65,39 +60,30 @@ type xfer interface {
 // newXfer builds the transport for one rank. frame is the rank's team
 // id when exchange buffers carry a source-team frame (the cutoff
 // algorithm), -1 for the unframed all-pairs exchange. closed is the
-// rank's moves.closed (false where nothing shifts): with pr.Overlap it
-// selects the exchange-buffer reuse discipline below.
+// rank's moves.closed (false where nothing shifts): it selects the
+// exchange-buffer reuse discipline below.
 func newXfer(pr Params, frame int, closed bool) xfer {
 	if pr.oracle {
-		return &encodedXfer{frame: frame, closed: closed, overlap: pr.Overlap}
+		return &encodedXfer{frame: frame, closed: closed}
 	}
-	return &typedXfer{frame: frame, closed: closed, overlap: pr.Overlap}
+	return &typedXfer{frame: frame, closed: closed}
 }
 
 // Exchange-buffer reuse discipline, shared by both transports.
 //
-// Synchronous shifts pass buffers along a chain of custody: every
-// holder reads the buffer strictly before forwarding it, so the final
-// holder — the only rank that ever writes it again, at the next step's
-// loadExchange — is already ordered after every read, and a single
-// retained slot is safe (the open ring of the cutoff loop uses this).
+// Shifts pass buffers along a chain of custody: every holder reads the
+// buffer strictly before forwarding it, so the final holder — the only
+// rank that ever writes it again, at the next step's loadExchange — is
+// already ordered after every read, and a single retained slot is safe.
+// The open ring of the cutoff loop uses this: it may not keep a view
+// past its next move.
 //
-// Overlap mode breaks the chain: a sender computes on the buffer while
-// it is in flight, concurrently with everything downstream. On a closed
-// ring the load is therefore double-buffered: loadExchange writes
-// the buffer held at the end of step k−2, never the one just received.
-// That deferral is safe because the ring closes — for all-pairs s·c ≡ 0
-// (mod T), so each step's buffer ends the step at the rank its shifts
-// started from — and the intervening step's shift messages therefore
-// order every reader of the step-k−2 buffer before the end of the
-// rank's step k−1, which precedes the write. (The closed ring
-// double-buffers under the synchronous walk too, where either
-// discipline is safe.)
-//
-// The all-pairs loop leans on the same closure for longer: it gathers
-// the views of the buffers that visit a rank and reads them when it
-// sweeps, at the latest in the flush that ends its walk (everyBlock in
-// allpairs.go) — long after the buffer went on, under either walk. The
+// The all-pairs loop does not read strictly before forwarding: it
+// gathers the views of the buffers that visit a rank and reads them
+// when it sweeps, at the latest in the flush that ends its walk
+// (everyBlock in allpairs.go) — long after the buffer went on. Its ring
+// closes, so the load is double-buffered: loadExchange writes the
+// buffer held at the end of step k−2, never the one just received. The
 // readers of the buffer a rank holds at the end of step k are the T/c
 // ranks of its shift cycle (its row, every c-th team), each until its
 // flush of step k; the rank writes the buffer at the loadExchange of
@@ -105,34 +91,24 @@ func newXfer(pr Params, frame int, closed bool) xfer {
 // it sends in step k+1, whose T/c shifts pass a message from each rank
 // of the cycle to the next: after them every rank of the cycle has
 // received, directly or through the ranks between, from every other,
-// and only then does it go on to step k+2 and write. So "read while in
-// flight" extends to "read until the flush" — on this ring, and for two
-// steps, no further. The race detector checks it mechanically (`make
-// race`): the oracle transport decodes every view into memory of its
-// own, so state alone cannot.
-//
-// The cutoff schedule's ring does not close in general, so no such
-// ordering exists; in overlap mode an open ring loads into a fresh
-// buffer each step instead (one O(n/T) allocation per step — the only
-// one the cutoff loop makes; migration recycles its buffers, see
-// migrator in cutoff.go). Nor may an open ring keep a view past its
-// next move: the single retained slot rests on "read strictly before
-// forwarding".
+// and only then does it go on to step k+2 and write. So a view is
+// readable until the flush — on this ring, and for two steps, no
+// further. The race detector checks it mechanically (`make race`): the
+// oracle transport decodes every view into memory of its own, so state
+// alone cannot.
 
 // typedXfer is the zero-copy transport: payload slices move through the
 // comm mailboxes by reference under the ownership-transfer contract
 // (see internal/comm/typed.go), charged at exact wire-format sizes.
 type typedXfer struct {
-	frame           int
-	closed, overlap bool
+	frame  int
+	closed bool
 
 	team     []phys.Particle // broadcast replica scratch
 	exchange []phys.Particle // current exchange payload
 	exTeam   int             // source team of the exchange payload
 	spare    []phys.Particle // all-pairs double-buffer (end of step k−2)
 	forces   []float64       // flattened reduction payload
-
-	pendSend, pendRecv *comm.Request
 }
 
 func (x *typedXfer) bcastTeam(tc *comm.Comm, mine []phys.Particle) []phys.Particle {
@@ -146,14 +122,12 @@ func (x *typedXfer) bcastTeam(tc *comm.Comm, mine []phys.Particle) []phys.Partic
 
 func (x *typedXfer) loadExchange(team []phys.Particle) {
 	x.exTeam = x.frame
-	// The write target, by the reuse discipline above. Synchronous chain
-	// of custody on an open ring: the end-of-step buffer itself.
+	// The write target, by the reuse discipline above: on an open ring
+	// the end-of-step buffer itself, on a closed one the buffer of step
+	// k−2.
 	target := x.exchange
-	switch {
-	case x.closed: // double-buffered under either walk
+	if x.closed {
 		target, x.spare = x.spare, x.exchange
-	case x.overlap: // open ring, overlapped: a fresh buffer
-		target = nil
 	}
 	x.exchange = append(target[:0], team...)
 }
@@ -168,25 +142,6 @@ func (x *typedXfer) shift(rc *comm.Comm, to, from, tag int) {
 		return
 	}
 	x.exchange = rc.SendrecvParticles(to, x.exchange, from, tag)
-}
-
-func (x *typedXfer) startShift(rc *comm.Comm, to, from, tag int) {
-	if x.frame >= 0 {
-		x.pendSend = rc.IsendTeamParticles(to, tag, x.exTeam, x.exchange)
-	} else {
-		x.pendSend = rc.IsendParticles(to, tag, x.exchange)
-	}
-	x.pendRecv = rc.Irecv(from, tag)
-}
-
-func (x *typedXfer) finishShift() {
-	if x.frame >= 0 {
-		x.exTeam, x.exchange = x.pendRecv.WaitTeamParticles()
-	} else {
-		x.exchange = x.pendRecv.WaitParticles()
-	}
-	x.pendSend.Wait()
-	x.pendSend, x.pendRecv = nil, nil
 }
 
 func (x *typedXfer) reduceForces(tc *comm.Comm, team []phys.Particle) []float64 {
@@ -209,8 +164,8 @@ func (x *typedXfer) recvParticles(lc *comm.Comm, from, tag int) []phys.Particle 
 // encodedXfer is the original serialize-and-ship transport, retained as
 // the test oracle (Params.oracle).
 type encodedXfer struct {
-	frame           int
-	closed, overlap bool
+	frame  int
+	closed bool
 
 	bcastBuf []byte          // leader's encode buffer
 	teamData []byte          // this step's broadcast payload (framed exchange source)
@@ -224,8 +179,6 @@ type encodedXfer struct {
 	exchange []byte    // current exchange payload
 	spare    []byte    // all-pairs double-buffer (end of step k−2)
 	forces   []float64 // flattened reduction payload
-
-	pendSend, pendRecv *comm.Request
 }
 
 // decodeInto decodes bytes a peer's encodedXfer produced; failing is a
@@ -252,11 +205,8 @@ func (x *encodedXfer) bcastTeam(tc *comm.Comm, mine []phys.Particle) []phys.Part
 
 func (x *encodedXfer) loadExchange(team []phys.Particle) {
 	target := x.exchange // as in typedXfer.loadExchange
-	switch {
-	case x.closed:
+	if x.closed {
 		target, x.spare = x.spare, x.exchange
-	case x.overlap:
-		target = nil
 	}
 	if x.frame >= 0 {
 		// The framed exchange reuses the raw broadcast bytes; the force
@@ -283,17 +233,6 @@ func (x *encodedXfer) view() (int, []phys.Particle) {
 
 func (x *encodedXfer) shift(rc *comm.Comm, to, from, tag int) {
 	x.exchange = rc.Sendrecv(to, x.exchange, from, tag)
-}
-
-func (x *encodedXfer) startShift(rc *comm.Comm, to, from, tag int) {
-	x.pendSend = rc.Isend(to, tag, x.exchange)
-	x.pendRecv = rc.Irecv(from, tag)
-}
-
-func (x *encodedXfer) finishShift() {
-	x.exchange = x.pendRecv.Wait()
-	x.pendSend.Wait()
-	x.pendSend, x.pendRecv = nil, nil
 }
 
 func (x *encodedXfer) reduceForces(tc *comm.Comm, team []phys.Particle) []float64 {

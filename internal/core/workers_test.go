@@ -41,19 +41,14 @@ func TestWorkerCountInvariance(t *testing.T) {
 			pr.oracle, pr.Workers = encoded, workers
 			return AllPairs(phys.InitUniform(32, pr.Box, 51), pr)
 		}},
-		{"allpairs_overlap", func(encoded bool, workers int) ([]phys.Particle, *trace.Report, error) {
-			pr := defaultParams(16, 2, 3)
-			pr.oracle, pr.Workers, pr.Overlap = encoded, workers, true
-			return AllPairs(phys.InitUniform(32, pr.Box, 51), pr)
-		}},
 		{"cutoff", func(encoded bool, workers int) ([]phys.Particle, *trace.Report, error) {
 			pr := cutoffParams(8, 2, 1, phys.Periodic)
 			pr.oracle, pr.Workers = encoded, workers
 			return Cutoff(phys.InitLattice(64, pr.Box, 51), pr)
 		}},
-		{"cutoff_overlap", func(encoded bool, workers int) ([]phys.Particle, *trace.Report, error) {
+		{"cutoff2D", func(encoded bool, workers int) ([]phys.Particle, *trace.Report, error) {
 			pr := cutoffParams(18, 2, 2, phys.Reflective)
-			pr.oracle, pr.Workers, pr.Overlap = encoded, workers, true
+			pr.oracle, pr.Workers = encoded, workers
 			return Cutoff(phys.InitLattice(64, pr.Box, 51), pr)
 		}},
 		{"midpoint", func(encoded bool, workers int) ([]phys.Particle, *trace.Report, error) {

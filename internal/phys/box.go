@@ -2,6 +2,7 @@ package phys
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/vec"
 )
@@ -60,36 +61,50 @@ func (b Box) Apply(p *Particle) {
 	}
 }
 
+// apply1 applies the boundary to one coordinate and its velocity. Within
+// one box length that is one reflection or one wrap; beyond it, x is
+// first folded by the boundary's period (2L for the mirroring walls).
 func (b Box) apply1(x, v float64) (float64, float64) {
-	switch b.Boundary {
-	case Periodic:
-		x = wrap(x, b.L)
-		return x, v
-	default:
-		// Reflect until inside; a particle can overshoot by more than
-		// one box length only with absurd timesteps, but stay safe.
-		for x < 0 || x > b.L {
-			if x < 0 {
-				x = -x
-				v = -v
-			}
-			if x > b.L {
-				x = 2*b.L - x
-				v = -v
-			}
+	if b.Boundary == Periodic {
+		if x < -b.L || x >= 2*b.L {
+			x = fold(x, b.L)
+		}
+		if x < 0 {
+			x += b.L
+		}
+		if x >= b.L {
+			x -= b.L
 		}
 		return x, v
 	}
+	if x < -b.L || x > 2*b.L {
+		x = fold(x, 2*b.L)
+	}
+	if x < 0 {
+		x, v = -x, -v
+	}
+	if x > b.L {
+		x, v = 2*b.L-x, -v
+	}
+	return x, v
 }
 
-func wrap(x, l float64) float64 {
-	for x < 0 {
-		x += l
-	}
-	for x >= l {
-		x -= l
+// fold returns x modulo period in [0, period] (period itself only by
+// rounding); a non-finite x gives NaN.
+func fold(x, period float64) float64 {
+	x = math.Mod(x, period)
+	if x < 0 {
+		x += period
 	}
 	return x
+}
+
+// inReach reports whether pos lies within one box length of the box on
+// every axis, where the boundary condition is at most one reflection or
+// one wrap. A non-finite coordinate is out of reach.
+func (b Box) inReach(pos vec.Vec2) bool {
+	in := func(x float64) bool { return x >= -b.L && x <= 2*b.L }
+	return in(pos.X) && (b.Dim < 2 || in(pos.Y))
 }
 
 // ApplyAll enforces the boundary condition on every particle in ps.

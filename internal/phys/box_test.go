@@ -2,6 +2,7 @@ package phys
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -127,5 +128,96 @@ func TestMaxSpeed(t *testing.T) {
 	ps := []Particle{{Vel: vec.Vec2{X: 3, Y: 4}}, {Vel: vec.Vec2{X: 1}}}
 	if got := MaxSpeed(ps); got != 5 {
 		t.Errorf("MaxSpeed = %g, want 5", got)
+	}
+}
+
+// TestBoundaryWithinReachKeepsBits holds the boundary condition, for a
+// position within one box length of the box, to the loops it had before
+// it learned to fold far positions: at most one reflection or one wrap,
+// bit for bit, so no state a step can reach changes.
+func TestBoundaryWithinReachKeepsBits(t *testing.T) {
+	const l = 7.0
+	loop := map[Boundary]func(x, v float64) (float64, float64){
+		Reflective: func(x, v float64) (float64, float64) {
+			for x < 0 || x > l {
+				if x < 0 {
+					x, v = -x, -v
+				}
+				if x > l {
+					x, v = 2*l-x, -v
+				}
+			}
+			return x, v
+		},
+		Periodic: func(x, v float64) (float64, float64) {
+			for x < 0 {
+				x += l
+			}
+			for x >= l {
+				x -= l
+			}
+			return x, v
+		},
+	}
+	edges := []float64{-l, math.Nextafter(-l, 0), -1e-300, 0, l, math.Nextafter(l, 2*l), math.Nextafter(2*l, 0), 2 * l}
+	for b, want := range loop {
+		box := NewBox(l, 1, b)
+		check := func(x float64) bool {
+			gx, gv := box.apply1(x, 1.5)
+			wx, wv := want(x, 1.5)
+			if math.Float64bits(gx) != math.Float64bits(wx) || gv != wv {
+				t.Errorf("%v: x=%g gives (%g, %g), want (%g, %g)", b, x, gx, gv, wx, wv)
+				return false
+			}
+			return true
+		}
+		for _, x := range edges {
+			check(x)
+		}
+		if err := quick.Check(func(u float64) bool { return check(math.Mod(math.Abs(u), 3*l) - l) }, nil); err != nil {
+			t.Error(err)
+		}
+	}
+}
+
+// TestBoundaryFoldsAnyPosition: any float64 position comes back inside
+// the box — or stays non-finite — instead of looping once per box length
+// (or forever, where 2L − x rounds to −x or x ± L to x).
+func TestBoundaryFoldsAnyPosition(t *testing.T) {
+	for _, b := range []Boundary{Reflective, Periodic} {
+		box := NewBox(7, 1, b)
+		for _, x := range []float64{3.5 * 7, -3.5 * 7, 1e14, -1e14, 1e300, -1e300, math.MaxFloat64, -math.MaxFloat64, math.Inf(1), math.Inf(-1), math.NaN()} {
+			got, _ := box.apply1(x, 1)
+			if math.IsInf(x, 0) || math.IsNaN(x) {
+				if !math.IsNaN(got) && !math.IsInf(got, 0) {
+					t.Errorf("%v: x=%g folds to the finite %g", b, x, got)
+				}
+				continue
+			}
+			if !box.Contains(vec.Vec2{X: got}) {
+				t.Errorf("%v: x=%g folds to %g, outside the box", b, x, got)
+			}
+		}
+	}
+	// 3.5 box lengths out: three walls crossed, the velocity flips.
+	if x, v := NewBox(7, 1, Reflective).apply1(3.5*7, 1); x != 3.5 || v != -1 {
+		t.Errorf("reflective fold of 3.5 L: (%g, %g), want (3.5, -1)", x, v)
+	}
+}
+
+// TestStepReportsRunawayParticle: a force that carries a particle more
+// than a box length out in one step, or beyond float64, ends the step
+// with an error naming that particle.
+func TestStepReportsRunawayParticle(t *testing.T) {
+	box := NewBox(10, 2, Periodic)
+	for _, f := range []float64{1e20, 1e300, math.Inf(1), math.NaN()} {
+		ps := []Particle{{ID: 3, Pos: vec.Vec2{X: 5, Y: 5}}, {ID: 7, Pos: vec.Vec2{X: 5, Y: 5}, Force: vec.Vec2{Y: f}}}
+		if err := Step(ps, box, 1e-3); err == nil || !strings.Contains(err.Error(), "particle 7 ") {
+			t.Errorf("force %g: Step returned %v, want particle 7 named", f, err)
+		}
+	}
+	ps := []Particle{{Pos: vec.Vec2{X: 5, Y: 5}, Vel: vec.Vec2{X: 1e4}}}
+	if err := Step(ps, box, 1e-3); err != nil || ps[0].Pos.X != 5 {
+		t.Errorf("a step of one box length: %v, position %g, want no error and a wrap to 5", err, ps[0].Pos.X)
 	}
 }

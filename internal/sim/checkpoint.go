@@ -39,15 +39,21 @@ type Header struct {
 	Potential int64
 	Epsilon   float64
 	Sigma     float64
-	// Version 3 addition: the overlapped shift loop, which visits a
-	// closed ring's blocks in another order and so sums other bits. It
-	// shares the Lattice word (bit 1), which version 2 wrote as 0 or 1.
-	Overlap bool
 }
 
 const (
 	checkpointMagic   = 0x43414e42 // "CANB"
 	checkpointVersion = 3
+)
+
+// The flags word holds Lattice in bit 0. Version 3 set bit 1 for the
+// overlapped shift loop, which summed a closed ring's blocks in another
+// order and so produced other bits; that loop no longer exists, so a
+// checkpoint with the bit set cannot be resumed on the bits it was
+// saved on and is refused. No other bit has ever been written.
+const (
+	flagLattice = 1 << 0
+	flagOverlap = 1 << 1
 )
 
 // Save writes the checkpoint in the repository's binary format: magic,
@@ -76,10 +82,7 @@ func Save(w io.Writer, cp *Checkpoint) error {
 	h := cp.Header
 	flags := uint64(0)
 	if h.Lattice {
-		flags |= 1
-	}
-	if h.Overlap {
-		flags |= 2
+		flags |= flagLattice
 	}
 	fields := []uint64{
 		uint64(h.Step), uint64(h.N), uint64(h.P), uint64(h.C),
@@ -136,12 +139,18 @@ func Load(r io.Reader) (*Checkpoint, error) {
 			return nil, fmt.Errorf("sim: load header: %w", err)
 		}
 	}
+	switch flags := fields[13]; {
+	case flags&flagOverlap != 0:
+		return nil, fmt.Errorf("sim: checkpoint saved with the overlapped shift loop, which no longer exists")
+	case flags&^flagLattice != 0:
+		return nil, fmt.Errorf("sim: unknown checkpoint flags %#x", flags)
+	}
 	h := Header{
 		Step: int64(fields[0]), N: int64(fields[1]), P: int64(fields[2]), C: int64(fields[3]),
 		Algorithm: int64(fields[4]), Dim: int64(fields[5]), Boundary: int64(fields[6]), Seed: fields[7],
 		BoxLength: math.Float64frombits(fields[8]), Cutoff: math.Float64frombits(fields[9]),
 		DT: math.Float64frombits(fields[10]), ForceK: math.Float64frombits(fields[11]),
-		Softening: math.Float64frombits(fields[12]), Lattice: fields[13]&1 != 0, Overlap: fields[13]&2 != 0,
+		Softening: math.Float64frombits(fields[12]), Lattice: fields[13]&flagLattice != 0,
 		Potential: int64(fields[14]), Epsilon: math.Float64frombits(fields[15]),
 		Sigma: math.Float64frombits(fields[16]),
 	}

@@ -118,7 +118,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	cp := &Checkpoint{
 		Header: Header{
 			Step: 42, N: 25, P: 8, C: 2, Algorithm: 1, Dim: 2, Boundary: 0,
-			Seed: 99, BoxLength: 10, Cutoff: 2.5, DT: 1e-3, ForceK: 1, Softening: 1e-3, Lattice: true, Overlap: true,
+			Seed: 99, BoxLength: 10, Cutoff: 2.5, DT: 1e-3, ForceK: 1, Softening: 1e-3, Lattice: true,
 		},
 		Particles: ps,
 	}
@@ -167,6 +167,16 @@ func TestCheckpointValidation(t *testing.T) {
 		t.Error("bad version should fail")
 	}
 	data[4] = checkpointVersion
+	// The flags word (header field 13): Lattice alone loads; the
+	// overlapped walk's bit is refused by name, and any unknown bit too.
+	flags := 8 + 8*13
+	for bits, want := range map[byte]string{flagLattice: "", flagOverlap: "overlapped", flagLattice | flagOverlap: "overlapped", 1 << 7: "unknown"} {
+		data[flags] = bits
+		if _, err := Load(bytes.NewReader(data)); (err == nil) != (want == "") || err != nil && !strings.Contains(err.Error(), want) {
+			t.Errorf("flags %#x: Load returned %v, want an error containing %q", bits, err, want)
+		}
+	}
+	data[flags] = 0
 	// Truncated particle body.
 	if _, err := Load(bytes.NewReader(data[:len(data)-10])); err == nil {
 		t.Error("truncated body should fail")

@@ -49,7 +49,7 @@ func (s *Simulation) Save(w io.Writer) error {
 			Step: int64(s.steps), N: int64(cfg.N), P: int64(cfg.P), C: int64(cfg.C),
 			Algorithm: int64(cfg.Algorithm), Dim: int64(cfg.Dim), Boundary: int64(cfg.Boundary),
 			Seed: cfg.Seed, BoxLength: cfg.BoxLength, Cutoff: cfg.Cutoff, DT: cfg.DT,
-			ForceK: cfg.ForceK, Softening: cfg.Softening, Lattice: cfg.Lattice, Overlap: cfg.Overlap,
+			ForceK: cfg.ForceK, Softening: cfg.Softening, Lattice: cfg.Lattice,
 			Potential: int64(cfg.Potential), Epsilon: cfg.Epsilon, Sigma: cfg.Sigma,
 		},
 		Particles: s.Particles(),
@@ -69,7 +69,7 @@ func Load(r io.Reader) (*Simulation, error) {
 		N: int(h.N), P: int(h.P), C: int(h.C), Algorithm: Algorithm(h.Algorithm),
 		Dim: int(h.Dim), Boundary: Boundary(h.Boundary), Seed: h.Seed,
 		BoxLength: h.BoxLength, Cutoff: h.Cutoff, DT: h.DT,
-		ForceK: h.ForceK, Softening: h.Softening, Lattice: h.Lattice, Overlap: h.Overlap,
+		ForceK: h.ForceK, Softening: h.Softening, Lattice: h.Lattice,
 		Potential: PotentialKind(h.Potential), Epsilon: h.Epsilon, Sigma: h.Sigma,
 	}.withDefaults()
 	// A checkpoint written before New settled the replication factor may

@@ -8,10 +8,11 @@ import (
 	"testing"
 )
 
-// TestSaveLoadResume: for every algorithm, with and without overlap, at
-// one and two workers, Run(a), Save, Load, Run(b) ends where Run(a+b)
-// does, checkpoint byte for byte — a checkpoint drops nothing that
-// decides the results.
+// TestSaveLoadResume: for every algorithm, at one and two workers,
+// Run(a), Save, Load, Run(b) ends where Run(a+b) does, checkpoint byte
+// for byte — a checkpoint drops nothing that decides the results. (The
+// subtest names keep the overlap=false segment they had while a second,
+// overlapped walk existed, so their IDs stay stable.)
 func TestSaveLoadResume(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -25,27 +26,25 @@ func TestSaveLoadResume(t *testing.T) {
 		{"naive", Config{N: 32, P: 4, Algorithm: NaiveAllGather}},
 		{"midpoint", Config{N: 64, P: 16, Algorithm: Midpoint, Dim: 1, Cutoff: 4, Lattice: true, DT: 5e-4}},
 	} {
-		for _, overlap := range []bool{false, true} {
-			for _, workers := range []int{1, 2} {
-				cfg := tc.cfg
-				cfg.Overlap, cfg.Workers = overlap, workers
-				t.Run(fmt.Sprintf("%s/overlap=%v/workers=%d", tc.name, overlap, workers), func(t *testing.T) {
-					const a, b = 3, 2
-					restored, err := Load(bytes.NewReader(checkpointOf(t, cfg, a)))
-					var resumed bytes.Buffer
-					if err == nil {
-						if err = restored.Run(b); err == nil {
-							err = restored.Save(&resumed)
-						}
+		for _, workers := range []int{1, 2} {
+			cfg := tc.cfg
+			cfg.Workers = workers
+			t.Run(fmt.Sprintf("%s/overlap=false/workers=%d", tc.name, workers), func(t *testing.T) {
+				const a, b = 3, 2
+				restored, err := Load(bytes.NewReader(checkpointOf(t, cfg, a)))
+				var resumed bytes.Buffer
+				if err == nil {
+					if err = restored.Run(b); err == nil {
+						err = restored.Save(&resumed)
 					}
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !bytes.Equal(resumed.Bytes(), checkpointOf(t, cfg, a+b)) {
-						t.Errorf("Run(%d), Save, Load, Run(%d) differs from Run(%d)", a, b, a+b)
-					}
-				})
-			}
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(resumed.Bytes(), checkpointOf(t, cfg, a+b)) {
+					t.Errorf("Run(%d), Save, Load, Run(%d) differs from Run(%d)", a, b, a+b)
+				}
+			})
 		}
 	}
 }
@@ -87,13 +86,20 @@ const (
 	hdrStep      = 0
 	hdrP         = 2
 	hdrDim       = 5
+	hdrBoundary  = 6
 	hdrBoxLength = 8
 	hdrCutoff    = 9
+	hdrDT        = 10
+	hdrSoftening = 12
+	hdrFlags     = 13
+	hdrPotential = 14
 )
 
 // TestLoadRejectsForgedHeader: a checkpoint header is outside input.
 // Values New refuses — and the box constructor or the grid allocations
-// would panic on — must come back from Load as errors too.
+// would panic on, or a run would carry out on nonsense — must come back
+// from Load as errors too. So must a checkpoint of the overlapped shift
+// loop (flag bit 1), which no longer exists to resume it on its bits.
 func TestLoadRejectsForgedHeader(t *testing.T) {
 	good := checkpointOf(t, Config{N: 64, P: 16, C: 2, Seed: 9}, 1)
 	if _, err := Load(bytes.NewReader(good)); err != nil {
@@ -110,6 +116,14 @@ func TestLoadRejectsForgedHeader(t *testing.T) {
 		{"NaN cutoff", hdrCutoff, math.Float64bits(math.NaN())},
 		{"2^50 ranks", hdrP, 1 << 50},
 		{"negative step count", hdrStep, 1 << 63},
+		{"boundary 7", hdrBoundary, 7},
+		{"potential 9", hdrPotential, 9},
+		{"flag bits 0xff", hdrFlags, 0xff},
+		{"overlapped walk", hdrFlags, 2},
+		{"overlapped walk on a lattice", hdrFlags, 3},
+		{"NaN timestep", hdrDT, math.Float64bits(math.NaN())},
+		{"negative timestep", hdrDT, math.Float64bits(-1)},
+		{"NaN softening", hdrSoftening, math.Float64bits(math.NaN())},
 	} {
 		if _, err := Load(bytes.NewReader(withHeaderField(good, tc.field, tc.v))); err == nil {
 			t.Errorf("%s: accepted", tc.name)
@@ -133,6 +147,8 @@ func FuzzLoad(f *testing.F) {
 	f.Add(allPairs[:len(allPairs)-7])
 	f.Add(withHeaderField(allPairs, hdrDim, 3))
 	f.Add(withHeaderField(allPairs, hdrBoxLength, math.Float64bits(-16)))
+	f.Add(withHeaderField(allPairs, hdrFlags, 0xff))
+	f.Add(withHeaderField(allPairs, hdrDT, math.Float64bits(math.NaN())))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// The session constructor allocates O(P). Up to maxRanks is
