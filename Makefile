@@ -61,10 +61,16 @@ fuzzsmoke:
 # HTTP servers, twenty times over. A test that is green once and red
 # once in twenty is a broken test (or a real race); the allocation
 # guards in particular must hold on every run, which is why they
-# measure on one quiet P (see runMallocs in internal/core). Run it at
-# GOMAXPROCS=1, 2 and 8 before opening a PR that touches comm or core.
+# measure on one quiet P (see runMallocs in internal/core). The rank
+# mailboxes park and wake by a hand-written protocol (internal/comm's
+# stream.go), and one P and an oversubscribed eight are the schedules a
+# lost wake-up shows under, so the runtime and the timestep loops also
+# run five times at each of those.
 flake:
 	$(GO) test -count=20 ./internal/core ./internal/comm/... ./internal/obs/...
+	for procs in 1 8; do \
+		GOMAXPROCS=$$procs $(GO) test -count=5 ./internal/comm ./internal/core || exit 1; \
+	done
 
 # The roadmap's robustness criterion, as one command: the rank runtime
 # and the timestep loops fifty times over at one, two and eight Ps. One

@@ -12,13 +12,13 @@ import (
 	"repro/internal/trace"
 )
 
-// The abort path: a receive is a bare channel receive, so a failure
-// reaches a blocked receiver only through the abort token failLocal
-// offers its mailbox (blocked senders still select on rt.abort). These
-// tests hold every blocking primitive to the same contract, on every
-// mailbox capacity: the run returns the failing rank's error promptly
-// and leaves no goroutine — rank, deferred delivery or token offer —
-// behind.
+// The abort path: a receive never looks at the run's abort channel, so a
+// failure reaches a blocked receiver only through its own mailbox, which
+// failLocal marks aborted and whose receiver it wakes (blocked senders
+// still select on rt.abort). These tests hold every blocking primitive
+// to the same contract, on every mailbox capacity: the run returns the
+// failing rank's error promptly and leaves no goroutine — rank or
+// deferred delivery — behind.
 
 // runAborted runs fn on p ranks and requires Run to return an error
 // containing want within two seconds, with the goroutine count back at
@@ -82,7 +82,7 @@ var blockedCases = []blockedCase{
 		// drains does not; the others feed it and park.
 		switch c.Rank() {
 		case 0:
-			for i := 0; i < cap(c.sendLink(dies).box); i++ {
+			for i := 0; i < c.sendLink(dies).s.capacity(); i++ {
 				c.Send(dies, 0, []byte{0})
 			}
 			c.Sendrecv(dies, []byte{1}, 2, 0)
@@ -137,7 +137,7 @@ func TestAbortReleasesBlockedRanks(t *testing.T) {
 // TestAbortReachesMailboxCreatedLater: survivors that first address a
 // peer after the failure was recorded — their mailbox does not exist
 // when failLocal sweeps, or comes into being while it does — must find
-// an abort token in it.
+// it born aborted.
 func TestAbortReachesMailboxCreatedLater(t *testing.T) {
 	const p, dies = 4, 1
 	for _, f := range failures {
@@ -158,48 +158,60 @@ func TestAbortReachesMailboxCreatedLater(t *testing.T) {
 	}
 }
 
-// TestAbortTokens drives the token protocol on a bare runtime: every
-// mailbox that exists at the failure and every mailbox created after it
-// holds (or is offered) exactly one token, behind what was delivered
-// before; a full or unbuffered mailbox is offered its token by a
-// goroutine that ends with the run when nobody takes it.
+// TestAbortTokens drives the abort protocol on a bare runtime's streams:
+// a mailbox that exists at the failure and one created after it report
+// the abort to a receive — and keep reporting it, with nothing behind —
+// while a full mailbox first yields, in order, every message delivered
+// before the failure. No goroutine is started for any of it.
 func TestAbortTokens(t *testing.T) {
 	for _, boxCap := range []int{-1, 1, 8} {
 		t.Run(fmt.Sprintf("cap=%d", boxCap), func(t *testing.T) {
 			noLeak := leakcheck.Check(t)
 			rt := newRuntime(4, boxCap)
-			early := rt.link(0, 1).box
-			full := rt.link(2, 1).box
-			for i := 0; i < cap(full); i++ {
-				full <- bytesMsg([]byte{byte(i)})
+			early := rt.link(0, 1).s
+			full := rt.link(2, 1).s
+			// A rendezvous mailbox holds the one message its sender waits on.
+			filled := max(full.capacity(), 1)
+			for i := 0; i < filled; i++ {
+				m := bytesMsg([]byte{byte(i)})
+				if !full.tryPut(&m) {
+					t.Fatalf("full mailbox: message %d found no room", i)
+				}
 			}
 			rt.failLocal(errors.New("injected failure"))
-			rt.failLocal(errors.New("a later failure")) // offers nothing more
-			late := rt.link(3, 1).box
+			rt.failLocal(errors.New("a later failure")) // aborts nothing more
+			late := rt.link(3, 1).s
 
-			for name, box := range map[string]chan message{"early": early, "late": late} {
-				if m := <-box; m.kind != payloadAbort {
-					t.Errorf("%s mailbox: got a %v message, want the abort token", name, m.kind)
+			for name, s := range map[string]*stream{"early": early, "late": late} {
+				var m message
+				if s.get(&m) {
+					t.Errorf("%s mailbox: got a %v message, want the abort", name, m.kind)
 				}
-				select {
-				case m := <-box:
-					t.Errorf("%s mailbox: a second message (%v) behind the token", name, m.kind)
-				case <-time.After(time.Millisecond):
-				}
-			}
-			for i := 0; i < cap(full); i++ {
-				if m := <-full; m.kind != payloadBytes || m.data[0] != byte(i) {
-					t.Fatalf("full mailbox: message %d is %v %v, want the payload sent before the failure", i, m.kind, m.data)
+				if s.get(&m) {
+					t.Errorf("%s mailbox: a message (%v) behind the abort", name, m.kind)
 				}
 			}
-			if m := <-full; m.kind != payloadAbort {
-				t.Errorf("full mailbox: got a %v message behind the payloads, want the abort token", m.kind)
+			for i := 0; i < filled; i++ {
+				var m message
+				if !full.get(&m) || m.kind != payloadBytes || payload[byte](&m)[0] != byte(i) {
+					t.Fatalf("full mailbox: message %d is %v %v, want the payload sent before the failure", i, m.kind, payload[byte](&m))
+				}
+			}
+			var behind message
+			if full.get(&behind) {
+				t.Errorf("full mailbox: got a %v message behind the payloads, want the abort", behind.kind)
 			}
 
-			// Offers nobody takes end with the run.
+			// A sender parked on a mailbox nobody drains gives up on the
+			// run's abort channel.
+			m := bytesMsg([]byte{9})
+			for full.tryPut(&m) {
+			}
+			if full.put(&m, rt.abort) {
+				t.Error("a put into a full mailbox completed after the failure")
+			}
 			rt.link(0, 2)
 			rt.link(1, 2)
-			close(rt.done)
 			noLeak()
 			if err := rt.err; err == nil || err.Error() != "injected failure" {
 				t.Errorf("runtime kept error %v, want the first one", err)

@@ -16,10 +16,10 @@ type Options struct {
 	// disables observation; the instrumented paths then cost only nil
 	// checks.
 	Observe *obs.Observer
-	// MailboxCap overrides the per-(src,dst) mailbox buffer capacity:
-	// 0 means the default (8), negative means unbuffered. Tests shrink
-	// it to prove point-to-point patterns correct on any
-	// bounded-capacity transport.
+	// MailboxCap overrides the per-(src,dst) mailbox capacity: 0 means
+	// the default (8), negative means a rendezvous — a send returns only
+	// once the receiver has taken the message. Tests shrink it to prove
+	// point-to-point patterns correct on any bounded-capacity transport.
 	MailboxCap int
 }
 
@@ -47,7 +47,7 @@ type Comm struct {
 // until that direction is used, so a one-way pair costs one mailbox.
 type peer struct {
 	out *link
-	in  chan message
+	in  *stream
 }
 
 // peer returns the cache slot of communicator rank r.
@@ -68,10 +68,10 @@ func (c *Comm) sendLink(to int) *link {
 }
 
 // mailbox returns this rank's mailbox for communicator rank `from`.
-func (c *Comm) mailbox(from int) chan message {
+func (c *Comm) mailbox(from int) *stream {
 	p := c.peer(from)
 	if p.in == nil {
-		p.in = c.rt.link(c.group[from], c.group[c.rank]).box
+		p.in = c.rt.link(c.group[from], c.group[c.rank]).s
 	}
 	return p.in
 }
@@ -135,33 +135,31 @@ func (c *Comm) checkPeer(peer int) {
 // steady-state timestep run with zero allocations in its encode, decode,
 // and frame paths.
 func (c *Comm) Send(to, tag int, data []byte) {
-	c.sendMsg(to, tag, bytesMsg(data))
+	m := bytesMsg(data)
+	c.sendMsg(to, tag, &m)
 }
 
 // sendMsg is the shared delivery path under Send and the typed sends:
-// it stamps the communicator id, delivers into the destination mailbox,
-// and charges m.wire bytes to the sender's active phase and the obs
-// instruments.
+// it stamps the communicator id, tag and sequence number into *m,
+// delivers a copy into the destination mailbox, and charges m.wire()
+// bytes to the sender's active phase and the obs instruments.
 //
 // What a failed peer costs the survivors — the failure-latency contract
-// of every operation in this package. A send tries its channel
-// operation bare and, only when the mailbox (or the link queue of a
-// remote destination) is full, blocks in a select that also offers the
-// runtime's abort channel: a ready mailbox costs one operation on a
-// channel only its two endpoints use. A receive never looks at the
-// abort channel; it is one bare channel receive, parked or not, and a
-// failure reaches it through its own mailbox — failLocal offers an
-// abort token to every local mailbox, at once where there is room, and
-// keeps the offer up for the ones that are full, unbuffered or not yet
-// created. So a survivor blocked in a receive on any mailbox, or in a
-// send, unwinds as soon as the failure is recorded. A survivor that is
-// running consumes what was delivered before the failure, in order (the
-// token queues behind it), and unwinds at the first receive that finds
-// nothing ahead of the token: it runs on only until it needs a message
-// the failed rank (or a rank stuck behind it) never sent, or — if it
-// only sends — until a mailbox nobody drains any more is full, at most
-// MailboxCap messages per stream later.
-func (c *Comm) sendMsg(to, tag int, m message) {
+// of every operation in this package. A send that finds room in the
+// mailbox (or the link queue of a remote destination) completes without
+// looking at the runtime's abort channel; only a send that must wait
+// parks in a select that also offers it. A receive never looks at the
+// abort channel: failLocal marks every local mailbox aborted — those
+// created later are born so — and wakes its receiver. A receiver takes
+// what is in its mailbox, in order, and unwinds when it finds the
+// mailbox empty and aborted. So a survivor blocked in a receive on any
+// mailbox, or in a send, unwinds as soon as the failure is recorded. A
+// survivor that is running consumes what was delivered to it and
+// unwinds at the first receive that finds nothing left: it runs on only
+// until it needs a message the failed rank (or a rank stuck behind it)
+// never sent, or — if it only sends — until a mailbox nobody drains any
+// more is full, at most MailboxCap messages per stream later.
+func (c *Comm) sendMsg(to, tag int, m *message) {
 	c.checkPeer(to)
 	if to == c.rank {
 		panic(fmt.Sprintf("comm: self-send (use local copies instead) (%s)", c.diag()))
@@ -172,29 +170,18 @@ func (c *Comm) sendMsg(to, tag int, m message) {
 	m.tag = tag
 	l.seq++
 	m.seq = l.seq
-	if l.box == nil {
-		c.cm.countSend(int(c.stats.Phase()), src, dst, m.wire, c.rt.proc.queueDepthTo(dst))
+	wire := m.wire()
+	if l.s == nil {
+		c.cm.countSend(int(c.stats.Phase()), src, dst, wire, c.rt.proc.queueDepthTo(dst))
 		c.rt.netSend(src, dst, m)
 	} else {
-		c.cm.countSend(int(c.stats.Phase()), src, dst, m.wire, len(l.box))
-		select {
-		case l.box <- m:
-		default:
-			c.blockingSend(l.box, m)
+		c.cm.countSend(int(c.stats.Phase()), src, dst, wire, l.s.depth())
+		if !l.s.put(m, c.rt.abort) || !l.s.settle(c.rt.abort) {
+			panic(errAborted{})
 		}
 	}
-	c.stats.CountMessage(m.wire)
-	c.tr.Send(dst, tag, m.wire, m.seq)
-}
-
-// blockingSend delivers m into a full mailbox, unwinding if the run
-// aborts first.
-func (c *Comm) blockingSend(box chan message, m message) {
-	select {
-	case box <- m:
-	case <-c.rt.abort:
-		panic(errAborted{})
-	}
+	c.stats.CountMessage(wire)
+	c.tr.Send(dst, tag, wire, m.seq)
 }
 
 // Recv blocks until the next message from rank `from` of this
@@ -203,37 +190,38 @@ func (c *Comm) blockingSend(box chan message, m message) {
 // repository are deterministic, so a mismatch indicates a schedule bug
 // and panics rather than being silently reordered.
 func (c *Comm) Recv(from, tag int) []byte {
-	return c.recvMsg(from, tag).bytesPayload(c)
+	var m message
+	c.recvMsg(from, tag, &m)
+	return m.bytesPayload(c)
 }
 
-// recvMsg blocks for the next message from `from` under tag and returns
-// it, charging m.wire bytes to the receiver's active phase.
-func (c *Comm) recvMsg(from, tag int) message {
+// recvMsg blocks for the next message from `from` under tag and takes it
+// into *m, charging m.wire() bytes to the receiver's active phase.
+func (c *Comm) recvMsg(from, tag int, m *message) {
 	c.checkPeer(from)
 	if from == c.rank {
 		panic(fmt.Sprintf("comm: self-receive (%s)", c.diag()))
 	}
-	box := c.mailbox(from)
+	in := c.mailbox(from)
 	t0 := c.tr.Now()
-	m := <-box
+	if !in.get(m) {
+		panic(errAborted{})
+	}
 	c.finishRecv(m, from, tag, t0)
-	return m
 }
 
 // finishRecv validates and accounts one message taken from `from`'s
 // mailbox; t0 is the tracer timestamp taken when the receive was
-// posted. Taking an abort token (see failLocal) unwinds the rank.
-func (c *Comm) finishRecv(m message, from, tag int, t0 int64) {
-	if m.kind == payloadAbort {
-		panic(errAborted{})
-	}
+// posted.
+func (c *Comm) finishRecv(m *message, from, tag int, t0 int64) {
 	if m.comm != c.id || m.tag != tag {
 		panic(fmt.Sprintf("comm: rank %d expected (comm %x, tag %d) from %d, got (comm %x, tag %d) (%s)",
 			c.rank, c.id, tag, from, m.comm, m.tag, c.diag()))
 	}
-	c.stats.CountRecv(m.wire)
-	c.tr.Recv(t0, c.group[from], tag, m.wire, m.seq)
-	c.cm.countRecv(int(c.stats.Phase()), c.group[from], c.group[c.rank], m.wire)
+	wire := m.wire()
+	c.stats.CountRecv(wire)
+	c.tr.Recv(t0, c.group[from], tag, wire, m.seq)
+	c.cm.countRecv(int(c.stats.Phase()), c.group[from], c.group[c.rank], wire)
 }
 
 // Payload accessors: the algorithms in this repository are
@@ -241,32 +229,32 @@ func (c *Comm) finishRecv(m message, from, tag int, t0 int64) {
 // indicates a schedule bug mixing the typed and encoded transports and
 // panics rather than silently converting.
 
-func (m message) bytesPayload(c *Comm) []byte {
+func (m *message) bytesPayload(c *Comm) []byte {
 	if m.kind != payloadBytes {
 		panic(fmt.Sprintf("comm: expected a byte payload, got %v (tag %d, %s)", m.kind, m.tag, c.diag()))
 	}
-	return m.data
+	return payload[byte](m)
 }
 
-func (m message) particlesPayload(c *Comm) []phys.Particle {
+func (m *message) particlesPayload(c *Comm) []phys.Particle {
 	if m.kind != payloadParticles {
 		panic(fmt.Sprintf("comm: expected a particle payload, got %v (tag %d, %s)", m.kind, m.tag, c.diag()))
 	}
-	return m.ps
+	return payload[phys.Particle](m)
 }
 
-func (m message) teamParticlesPayload(c *Comm) (int, []phys.Particle) {
+func (m *message) teamParticlesPayload(c *Comm) (int, []phys.Particle) {
 	if m.kind != payloadTeamParticles {
 		panic(fmt.Sprintf("comm: expected a framed particle payload, got %v (tag %d, %s)", m.kind, m.tag, c.diag()))
 	}
-	return int(m.hdr), m.ps
+	return int(m.hdr), payload[phys.Particle](m)
 }
 
-func (m message) f64sPayload(c *Comm) []float64 {
+func (m *message) f64sPayload(c *Comm) []float64 {
 	if m.kind != payloadF64s {
 		panic(fmt.Sprintf("comm: expected a float64 payload, got %v (tag %d, %s)", m.kind, m.tag, c.diag()))
 	}
-	return m.f64s
+	return payload[float64](m)
 }
 
 // Sendrecv sends data to rank `to` and receives a payload from rank
@@ -278,25 +266,29 @@ func (c *Comm) Sendrecv(to int, data []byte, from, tag int) []byte {
 		// Degenerate single-rank ring: the shift is the identity.
 		return data
 	}
-	return c.sendrecvMsg(to, tag, bytesMsg(data), from).bytesPayload(c)
+	m := bytesMsg(data)
+	c.sendrecvMsg(to, tag, &m, from)
+	return m.bytesPayload(c)
 }
 
 // sendrecvMsg is the shared exchange under Sendrecv and its typed
-// variants. When neither half can complete at once, the send and the
-// receive are offered simultaneously in one select, so a ring of ranks
-// exchanging at once cannot deadlock on any mailbox capacity —
-// including zero. (The historical blocking send-then-recv only avoided
-// deadlock because the default mailboxes buffer eight messages; a
-// shrunken mailbox or a saturated transport breaks that assumption,
-// which TestSendrecvRingUnbuffered pins.) The select starts no
-// goroutine, keeping the steady-state shift loops allocation-free.
+// variants: it sends *m to `to` and takes the message from `from` into
+// *m. When neither half can complete at once, the two are offered
+// together — both mailboxes' bells in one select — so a ring of ranks
+// exchanging at once cannot deadlock on any mailbox capacity, rendezvous
+// included. (A blocking send-then-recv only avoids deadlock while the
+// mailboxes have room; a shrunken mailbox or a saturated transport
+// breaks that assumption, which TestSendrecvRingUnbuffered pins.) The
+// exchange starts no goroutine, keeping the steady-state shift loops
+// allocation-free.
 //
-// Progress argument for the recv-first arm: once this rank's receive
-// completes, its upstream neighbor's send has completed, so by
-// induction around any exchange cycle every blocked send eventually
-// finds its receiver — each rank keeps its receive offered until it
-// completes.
-func (c *Comm) sendrecvMsg(to, tag int, m message, from int) message {
+// Progress argument: once this rank's receive completes, its upstream
+// neighbor's send has completed, so by induction around any exchange
+// cycle every blocked send eventually finds room — each rank keeps its
+// receive offered until it completes. On a rendezvous mailbox a send
+// puts its message into the one slot at once and only then waits for it
+// to be taken, after its own receive.
+func (c *Comm) sendrecvMsg(to, tag int, m *message, from int) {
 	c.checkPeer(to)
 	c.checkPeer(from)
 	if to == c.rank {
@@ -306,57 +298,49 @@ func (c *Comm) sendrecvMsg(to, tag int, m message, from int) message {
 		panic(fmt.Sprintf("comm: self-receive (%s)", c.diag()))
 	}
 	l := c.sendLink(to)
-	if l.box == nil {
+	if l.s == nil {
 		// A remote send cannot join a mailbox cycle — the link's writer
 		// goroutine drains the queue and the remote reader never blocks
 		// on delivery — so Send's blocking delivery completes, and the
 		// receive follows it.
 		c.sendMsg(to, tag, m)
-		return c.recvMsg(from, tag)
+		c.recvMsg(from, tag, m)
+		return
 	}
 	src, dst := c.group[c.rank], c.group[to]
-	box := l.box
-	c.cm.countSend(int(c.stats.Phase()), src, dst, m.wire, len(box))
+	out, in, abort := l.s, c.mailbox(from), c.rt.abort
 	m.comm = c.id
 	m.tag = tag
 	l.seq++
 	m.seq = l.seq
-	c.stats.CountMessage(m.wire)
-	c.tr.Send(dst, tag, m.wire, m.seq)
-	rbox := c.mailbox(from)
+	wire := m.wire()
+	c.cm.countSend(int(c.stats.Phase()), src, dst, wire, out.depth())
+	c.stats.CountMessage(wire)
+	c.tr.Send(dst, tag, wire, m.seq)
 	t0 := c.tr.Now()
-	// Fast path: a send that finds room leaves one bare receive to do.
-	// Only a send that would block looks further: it takes a message
-	// that is already there, and when neither half can complete the two
-	// are offered together — with the abort channel, for the send's sake.
+	// Fast path: a send that finds room leaves one receive to do. Only a
+	// send that would block looks further: it takes a message that is
+	// already there, and while neither half can complete the two wait
+	// together — with the abort channel, for the send's sake.
 	var got message
-	sent, received := false, false
-	select {
-	case box <- m:
-		sent = true
-	default:
-		select {
-		case got = <-rbox:
-			received = true
-		default:
-			select {
-			case box <- m:
-				sent = true
-			case got = <-rbox:
-				received = true
-			case <-c.rt.abort:
-				panic(errAborted{})
-			}
+	sent, received := out.tryPut(m), false
+	for !sent && !received {
+		if received = in.tryGet(&got); received {
+			break
 		}
+		if !awaitEither(out, in, abort) {
+			panic(errAborted{})
+		}
+		sent = out.tryPut(m)
 	}
-	if !received {
-		got = <-rbox
+	if !received && !in.get(&got) {
+		panic(errAborted{})
 	}
-	c.finishRecv(got, from, tag, t0)
-	if !sent {
-		c.blockingSend(box, m)
+	c.finishRecv(&got, from, tag, t0)
+	if !sent && !out.put(m, abort) || !out.settle(abort) {
+		panic(errAborted{})
 	}
-	return got
+	*m = got
 }
 
 // Barrier blocks until every rank of the communicator has entered it.

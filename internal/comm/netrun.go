@@ -228,7 +228,7 @@ func (rt *Runtime) detach() {
 // destination link. Typed payloads serialize with the exact codec whose
 // size the typed transport charges, so both sides of the socket account
 // identically.
-func (rt *Runtime) encodeFrame(src, dst int, m message) ([]byte, error) {
+func (rt *Runtime) encodeFrame(src, dst int, m *message) ([]byte, error) {
 	buf := cnet.AppendHeader(rt.proc.mesh.Buffer(rt.proc.procOf(dst)), &cnet.Frame{
 		Kind: uint8(m.kind),
 		Src:  uint32(src), Dst: uint32(dst),
@@ -236,11 +236,11 @@ func (rt *Runtime) encodeFrame(src, dst int, m message) ([]byte, error) {
 	})
 	switch m.kind {
 	case payloadBytes:
-		return append(buf, m.data...), nil
+		return append(buf, payload[byte](m)...), nil
 	case payloadParticles, payloadTeamParticles:
-		return phys.AppendSlice(buf, m.ps), nil
+		return phys.AppendSlice(buf, payload[phys.Particle](m)), nil
 	case payloadF64s:
-		return appendF64s(buf, m.f64s), nil
+		return appendF64s(buf, payload[float64](m)), nil
 	default:
 		return nil, fmt.Errorf("comm: unsendable payload kind %v", m.kind)
 	}
@@ -290,50 +290,46 @@ func (s *stock[T]) put(v []T) {
 // recycle returns the typed payload of a received message to the rank's
 // spares if this process decoded it off the wire. The caller must be
 // done with the slice and must not have passed it on.
-func (c *Comm) recycle(m message) {
+func (c *Comm) recycle(m *message) {
 	if !m.offWire {
 		return
 	}
 	sp := &c.rt.wire.spares[c.group[c.rank]-c.rt.lo]
 	switch m.kind {
 	case payloadParticles, payloadTeamParticles:
-		sp.ps.put(m.ps)
+		sp.ps.put(payload[phys.Particle](m))
 	case payloadF64s:
-		sp.f64s.put(m.f64s)
+		sp.f64s.put(payload[float64](m))
 	}
 }
 
 // msgFromFrame decodes a wire frame addressed to local rank dst back
-// into a message, recomputing the accounted wire size from the payload
-// length by the same formulas the payload constructors use. The frame's
-// payload is only lent (cnet.Decoder), so nothing of it is retained.
+// into a message, whose wire() then prices the payload length by the
+// same formulas as on the sending side. The frame's payload is only lent
+// (cnet.Decoder), so nothing of it is retained.
 func (rt *Runtime) msgFromFrame(f cnet.Frame, src, dst int) (message, error) {
 	m := message{comm: f.Comm, tag: int(f.Tag), kind: payloadKind(f.Kind), seq: f.Seq, hdr: f.Hdr}
 	sp := &rt.wire.spares[dst-rt.lo]
 	switch m.kind {
 	case payloadBytes:
-		m.data = bytes.Clone(f.Payload)
-		m.wire = len(f.Payload)
+		m = withPayload(m, bytes.Clone(f.Payload))
 	case payloadParticles, payloadTeamParticles:
 		if len(f.Payload) > 0 {
 			ps, err := phys.DecodeSliceInto(sp.ps.take(), f.Payload)
 			if err != nil {
 				return m, fmt.Errorf("comm: frame from rank %d: %w", src, err)
 			}
-			m.ps, m.offWire = ps, true
-		}
-		m.wire = phys.WireBytes(len(m.ps))
-		if m.kind == payloadTeamParticles {
-			m.wire += frameBytes
+			m = withPayload(m, ps)
+			m.offWire = true
 		}
 	case payloadF64s:
 		if len(f.Payload)%8 != 0 {
 			return m, fmt.Errorf("comm: frame from rank %d: float64 payload of %d bytes", src, len(f.Payload))
 		}
 		if len(f.Payload) > 0 {
-			m.f64s, m.offWire = decodeF64sInto(sp.f64s.take(), f.Payload), true
+			m = withPayload(m, decodeF64sInto(sp.f64s.take(), f.Payload))
+			m.offWire = true
 		}
-		m.wire = len(f.Payload)
 	default:
 		return m, fmt.Errorf("comm: frame from rank %d: unknown payload kind %d", src, f.Kind)
 	}
@@ -375,10 +371,11 @@ func (rt *Runtime) arrivalLink(from, src, dst int) *link {
 // inject delivers one incoming data frame into the destination
 // mailbox. It runs on the mesh's per-connection reader goroutines and
 // must never block: a full mailbox defers to a chained goroutine (the
-// link's tail, see deferDelivery), so one slow pair cannot head-of-line
-// block the connection, and the pair's frames keep their order. Each
-// (src, dst) pair arrives on exactly one connection, so the link's tail
-// is accessed by one goroutine only.
+// link's deferred delivery, see deferDelivery), so one slow pair cannot
+// head-of-line block the connection, and the pair's frames keep their
+// order. Each (src, dst) pair arrives on exactly one connection, so the
+// link's feeding state is accessed by one goroutine at a time, and its
+// stream has one producer.
 func (rt *Runtime) inject(from int, f cnet.Frame) {
 	src, dst := int(f.Src), int(f.Dst)
 	if src < 0 || src >= rt.size || rt.proc.procOf(src) != from || dst < rt.lo || dst >= rt.hi {
@@ -392,25 +389,20 @@ func (rt *Runtime) inject(from int, f cnet.Frame) {
 	}
 	rt.wire.arrived++
 	l := rt.arrivalLink(from, src, dst)
-	if !l.tailPending() {
-		select {
-		case l.box <- m:
-			return
-		default:
-		}
+	if !l.deferredPending() && l.s.tryPut(&m) {
+		return
 	}
+	// Only a deferred delivery copies the message to the heap.
+	held := m
 	rt.deferDelivery(l, func(abort <-chan struct{}) {
-		select {
-		case l.box <- m:
-		case <-abort:
-		}
+		l.s.put(&held, abort)
 	})
 }
 
 // netSend is the blocking remote delivery under sendMsg: encode, then
 // queue to the destination proc's link (blocking while the link queue
 // is full, unwinding on abort).
-func (rt *Runtime) netSend(src, dst int, m message) {
+func (rt *Runtime) netSend(src, dst int, m *message) {
 	buf, err := rt.encodeFrame(src, dst, m)
 	if err != nil {
 		rt.fail(err)

@@ -261,15 +261,15 @@ func TestTallyStartsFromZeroEachRun(t *testing.T) {
 // TestRemoteFailureReleasesReceivers: a rank on one process fails while
 // every rank of the other process sits in a receive — half of them on a
 // mailbox fed over the socket, half on a mailbox between two local
-// ranks, which only the abort token reaches. Both RunProc calls must
+// ranks, which only the abort of the local mailboxes reaches. Both RunProc calls must
 // return the failure, neither may hang, and no goroutine may be left.
 func TestRemoteFailureReleasesReceivers(t *testing.T) {
 	const procs, rpp = 2, 4
 	const dies = rpp // first rank of proc 1
 	for _, boxCap := range []int{-1, 1, 8} {
 		t.Run(fmt.Sprintf("cap=%d", boxCap), func(t *testing.T) {
-			// Ranks, token offers and — the meshes being closed — link
-			// goroutines must all be gone.
+			// Ranks and — the meshes being closed — link goroutines must
+			// all be gone.
 			defer leakcheck.Check(t)()
 			finished := make(chan []error, 1)
 			go func() {

@@ -1,7 +1,7 @@
 // Package comm is a hand-rolled message-passing substrate that stands in
 // for MPI (Go has no mature MPI bindings). A Runtime executes p ranks as
 // goroutines in one SPMD function; ranks exchange byte-slice or typed
-// messages through per-pair channels and synchronize with collectives —
+// messages through per-pair streams and synchronize with collectives —
 // broadcast, reduce, allgather, barrier and the sendrecv shifts the
 // communication-avoiding algorithms are built from.
 // Sub-communicators are built from explicit member lists (Comm.Sub)
@@ -11,13 +11,16 @@
 // and what the first run built — mailboxes, communicators, accounting
 // records — is there for the next. Building a world costs O(p): a
 // pair's mailbox is created the first time one of its endpoints
-// addresses the other, exactly once, and a message costs one channel
-// operation that only the two endpoints contend for. A receive is a
-// bare channel receive whether or not it parks: a receiver never
-// consults the run-wide abort channel, it is woken on its own mailbox by
-// an abort token when a peer fails (see failLocal). Only an operation blocked on a full mailbox or queue —
-// a send, a deferred delivery — selects on the abort channel as well
-// (see link and sendMsg).
+// addresses the other, exactly once. A mailbox is a single-producer,
+// single-consumer ring (stream.go): a message that finds room costs the
+// sender one slot write and one atomic store, and the receiver the same,
+// with no lock and no channel operation; only a side that must wait parks,
+// on a channel of its pair's own. A receiver never consults the run-wide
+// abort channel: a failure marks every local mailbox aborted and wakes
+// its receiver (see failLocal), which unwinds once it has taken what was
+// delivered before. Only an operation blocked on a full mailbox or queue
+// — a send, a deferred delivery — selects on the abort channel as well
+// (see stream.put and sendMsg).
 //
 // Broadcast and reduction run down and up one binomial tree
 // (topo.BinomialParent), the ⌈log₂ c⌉-stage tree the paper prices them
@@ -30,6 +33,7 @@ import (
 	"fmt"
 	"runtime/debug"
 	"sync"
+	"unsafe"
 
 	"repro/internal/obs"
 	"repro/internal/phys"
@@ -47,11 +51,6 @@ const (
 	payloadParticles
 	payloadTeamParticles // particles prefixed with a 4-byte source-team frame
 	payloadF64s
-	// payloadAbort marks an abort token: not a payload but the wake-up
-	// failLocal puts into every local mailbox when the run fails. No
-	// constructor below produces it and encodeFrame refuses it, so only
-	// failLocal can make one; a receiver that takes one unwinds.
-	payloadAbort
 )
 
 func (k payloadKind) String() string {
@@ -64,22 +63,28 @@ func (k payloadKind) String() string {
 		return "team-particles"
 	case payloadF64s:
 		return "f64s"
-	case payloadAbort:
-		return "abort"
 	default:
 		return fmt.Sprintf("payloadKind(%d)", int(k))
 	}
 }
 
-// message is what travels between ranks. The comm id separates traffic of
-// different communicators that share the underlying mailboxes. Exactly
-// one payload representation is populated, named by kind; wire is the
-// byte size charged to the trace phase and obs instruments — for byte
-// payloads len(data), for typed payloads the size the encoded wire
-// format would occupy.
+// message is what travels between ranks: a kind, a header and one
+// payload slice, 56 bytes, copied into and out of a mailbox slot on every
+// hop. The comm id separates traffic of different communicators that
+// share the underlying mailboxes. The payload is held as the pointer,
+// length and capacity of a slice whose element type kind names — bytes,
+// particles or float64s — and only the kind-checked accessors below turn
+// it back into one.
 type message struct {
 	comm uint64
+	// seq is the 1-based per-(src,dst) world-rank sequence number stamped
+	// at send time; the per-pair FIFO mailboxes deliver it in order, so
+	// the receiving endpoint observes the same number. The timeline's
+	// flow events bind send to recv through it. 0 never occurs on a
+	// delivered message.
+	seq  uint64
 	tag  int
+	hdr  uint32 // source-team frame of payloadTeamParticles
 	kind payloadKind
 	// offWire marks a typed payload this process decoded off a socket:
 	// the slice is referenced by nothing but this message, so a receiver
@@ -87,36 +92,60 @@ type message struct {
 	// decode (see spares in netrun.go). False on every message that
 	// travelled by reference.
 	offWire bool
-	wire    int
-	// seq is the 1-based per-(src,dst) world-rank sequence number stamped
-	// at send time; the per-pair FIFO mailboxes deliver it in order, so
-	// the receiving endpoint observes the same number. The timeline's
-	// flow events bind send to recv through it. 0 never occurs on a
-	// delivered message.
-	seq  uint64
-	data []byte
-	ps   []phys.Particle
-	f64s []float64
-	hdr  uint32 // source-team frame of payloadTeamParticles
+	ptr     unsafe.Pointer // the payload's first element; nil for a nil slice
+	n, c    int            // the payload's length and capacity
 }
 
-// Payload constructors: each fixes the kind/wire pairing so accounting
-// cannot drift from the payload representation.
+// Payload constructors: the kind they set is what the accessors check
+// and what wire prices.
 
 func bytesMsg(data []byte) message {
-	return message{kind: payloadBytes, wire: len(data), data: data}
+	return withPayload(message{kind: payloadBytes}, data)
 }
 
 func particlesMsg(ps []phys.Particle) message {
-	return message{kind: payloadParticles, wire: phys.WireBytes(len(ps)), ps: ps}
+	return withPayload(message{kind: payloadParticles}, ps)
 }
 
 func teamParticlesMsg(team int, ps []phys.Particle) message {
-	return message{kind: payloadTeamParticles, wire: frameBytes + phys.WireBytes(len(ps)), ps: ps, hdr: uint32(team)}
+	return withPayload(message{kind: payloadTeamParticles, hdr: uint32(team)}, ps)
 }
 
 func f64sMsg(vals []float64) message {
-	return message{kind: payloadF64s, wire: 8 * len(vals), f64s: vals}
+	return withPayload(message{kind: payloadF64s}, vals)
+}
+
+// withPayload stores v as m's payload slice.
+func withPayload[T any](m message, v []T) message {
+	m.ptr, m.n, m.c = unsafe.Pointer(unsafe.SliceData(v)), len(v), cap(v)
+	return m
+}
+
+// payload returns m's payload slice as a []T, which must be the element
+// type m.kind names: a nil slice stays nil, and the capacity comes back
+// with it, since a receiver owns the slice and may grow into it.
+func payload[T any](m *message) []T {
+	if m.ptr == nil {
+		return nil
+	}
+	return unsafe.Slice((*T)(m.ptr), m.c)[:m.n]
+}
+
+// wire is the byte size charged to the trace phase and obs instruments:
+// for byte payloads their length, for typed payloads the size the
+// encoded wire format would occupy — so both transports, and the socket
+// path that decodes a frame back into a message, measure identical S/W.
+func (m *message) wire() int {
+	switch m.kind {
+	case payloadParticles:
+		return phys.WireBytes(m.n)
+	case payloadTeamParticles:
+		return frameBytes + phys.WireBytes(m.n)
+	case payloadF64s:
+		return 8 * m.n
+	default:
+		return m.n
+	}
 }
 
 // frameBytes is the wire size of the source-team frame a
@@ -124,49 +153,49 @@ func f64sMsg(vals []float64) message {
 // in internal/core).
 const frameBytes = 4
 
-// mailboxCap is the default per-(src,dst) channel buffer. The algorithms
-// in this repository keep at most a few outstanding messages per pair;
-// a sender blocked on a full mailbox selects on the abort channel too,
-// which prevents a hard deadlock if that assumption is violated.
-// Options.MailboxCap overrides it: tests use tiny (even zero) capacities
-// to prove point-to-point patterns correct on any bounded-capacity
-// transport.
+// mailboxCap is the default per-(src,dst) mailbox capacity. The
+// algorithms in this repository keep at most a few outstanding messages
+// per pair; a sender blocked on a full mailbox selects on the abort
+// channel too, which prevents a hard deadlock if that assumption is
+// violated. Options.MailboxCap overrides it: tests use tiny capacities,
+// and rendezvous mailboxes, to prove point-to-point patterns correct on
+// any bounded-capacity transport.
 const mailboxCap = 8
 
 // link is the src→dst message stream of a world: the destination's
 // mailbox for this source plus the state of whoever feeds it. A link is
 // created the first time either endpoint names the pair and lives as
 // long as the world, so a world costs memory for the pairs it uses, not
-// for the P² it could. box is immutable after creation and the only field
-// the receiver touches (each Comm caches the channel itself, see
+// for the P² it could. s is immutable after creation and the only field
+// the receiver touches (each Comm caches the stream itself, see
 // Comm.mailbox); everything else belongs to the feeding goroutine — the
 // rank src when it is hosted by this process, the mesh connection's
 // reader goroutine otherwise.
 type link struct {
-	// box is dst's mailbox for src; nil when dst lives in another
-	// process (the stream then ends in the mesh, not in a mailbox).
-	box chan message
+	// s is dst's mailbox for src; nil when dst lives in another process
+	// (the stream then ends in the mesh, not in a mailbox).
+	s *stream
 	// seq is the per-pair sequence counter backing message.seq; every
 	// run counts from zero.
 	seq uint64
-	// tail is closed when the most recent deferred delivery on the
+	// deferred is closed when the most recent deferred delivery on the
 	// stream (a frame that arrived over the socket and found the mailbox
 	// full, see inject) has completed; nil when there has been none.
 	// Deferred deliveries chain on it, so message order survives past
-	// mailbox capacity.
-	tail chan struct{}
+	// mailbox capacity, and the stream keeps one producer at a time.
+	deferred chan struct{}
 }
 
-// tailPending reaps a completed deferred delivery and reports whether
-// one is still in flight (in which case inline mailbox delivery would
-// reorder the stream).
-func (l *link) tailPending() bool {
-	if l.tail == nil {
+// deferredPending reaps a completed deferred delivery and reports
+// whether one is still in flight (in which case inline mailbox delivery
+// would reorder the stream).
+func (l *link) deferredPending() bool {
+	if l.deferred == nil {
 		return false
 	}
 	select {
-	case <-l.tail:
-		l.tail = nil
+	case <-l.deferred:
+		l.deferred = nil
 		return false
 	default:
 		return true
@@ -174,11 +203,11 @@ func (l *link) tailPending() bool {
 }
 
 // deferDelivery runs deliver on a goroutine once the stream's previous
-// deferred delivery has completed and makes it the stream's tail.
+// deferred delivery has completed and makes it the stream's last.
 // deliver is handed the abort channel of the run it belongs to, and must
 // give up when that is closed.
 func (rt *Runtime) deferDelivery(l *link, deliver func(abort <-chan struct{})) {
-	prev, done, abort := l.tail, make(chan struct{}), rt.abort
+	prev, done, abort := l.deferred, make(chan struct{}), rt.abort
 	go func() {
 		defer close(done)
 		if prev != nil {
@@ -190,7 +219,7 @@ func (rt *Runtime) deferDelivery(l *link, deliver func(abort <-chan struct{})) {
 		}
 		deliver(abort)
 	}()
-	l.tail = done
+	l.deferred = done
 }
 
 // inbox indexes the links that end at one destination rank. Its lock
@@ -198,14 +227,13 @@ func (rt *Runtime) deferDelivery(l *link, deliver func(abort <-chan struct{})) {
 // peer — and is what makes link creation exactly-once: both endpoints
 // may miss at the same moment, and the loser must find the winner's
 // link rather than allocate a second mailbox (besides the wasted
-// channel, a race-dependent allocation would make a run's malloc count
+// memory, a race-dependent allocation would make a run's malloc count
 // vary, which the steady-state allocation guards forbid).
 type inbox struct {
 	mu   sync.Mutex
 	from map[int]*link
-	// aborted is set, under mu, when failLocal has offered an abort token
-	// to every mailbox in from: a mailbox created later is handed its
-	// token at creation, so each mailbox of a failed run gets exactly one.
+	// aborted is set, under mu, when failLocal has aborted every mailbox
+	// in from: a mailbox created later is born aborted.
 	aborted bool
 }
 
@@ -226,10 +254,13 @@ type Runtime struct {
 	stats   []*trace.Stats
 	worlds  []*Comm // world communicator of each local rank, by rank-lo
 
+	// yield, when non-nil, is handed to every mailbox the world creates
+	// (see stream.yield); tests set it before the first Run.
+	yield func()
+
 	// Per-run state, made fresh by every Run. err is the run's first
 	// failure, and once set the world's verdict: Run refuses to start.
 	abort    chan struct{} // closed on the run's first failure
-	done     chan struct{} // closed when every local rank has returned
 	mu       sync.Mutex
 	err      error
 	deposits map[int][]phys.Particle // final state published via Comm.Deposit
@@ -249,14 +280,13 @@ func newRuntime(size, boxCap int) *Runtime {
 	if boxCap == 0 {
 		boxCap = mailboxCap
 	} else if boxCap < 0 {
-		boxCap = 0 // explicit request for unbuffered mailboxes
+		boxCap = 0 // explicit request for rendezvous mailboxes
 	}
 	rt := &Runtime{
 		size:    size,
 		boxCap:  boxCap,
 		inboxes: make([]inbox, size),
 		abort:   make(chan struct{}),
-		done:    make(chan struct{}),
 		stats:   make([]*trace.Stats, size),
 		hi:      size,
 	}
@@ -328,9 +358,10 @@ func (rt *Runtime) link(src, dst int) *link {
 		}
 		l = &link{}
 		if !rt.remote(dst) {
-			l.box = make(chan message, rt.boxCap)
+			l.s = newStream(rt.boxCap)
+			l.s.yield = rt.yield
 			if in.aborted {
-				rt.offerAbort(l.box)
+				l.s.abort()
 			}
 		}
 		in.from[src] = l
@@ -357,11 +388,10 @@ func (rt *Runtime) fail(err error) {
 // The first call releases the local ranks in two ways. Closing rt.abort
 // releases whatever is blocked on a full mailbox or queue (senders,
 // deferred deliveries, remote sends), which select on it. Receivers do
-// not — a receive is a bare channel receive — so every local mailbox,
-// present or future, is offered one abort token (offerAbort), behind
-// whatever it already holds: a rank blocked in, or arriving at, a
-// receive on any mailbox drains the messages delivered before the
-// failure, takes the token and unwinds.
+// not, so every local mailbox, present or future, is marked aborted and
+// its receiver woken (stream.abort): a rank blocked in, or arriving at,
+// a receive on any mailbox takes the messages delivered before the
+// failure in order, finds the mailbox empty and aborted, and unwinds.
 func (rt *Runtime) failLocal(err error) {
 	if !rt.markFailed(err) {
 		return
@@ -372,7 +402,7 @@ func (rt *Runtime) failLocal(err error) {
 		in.mu.Lock()
 		in.aborted = true
 		for _, l := range in.from {
-			rt.offerAbort(l.box)
+			l.s.abort()
 		}
 		in.mu.Unlock()
 	}
@@ -388,26 +418,6 @@ func (rt *Runtime) markFailed(err error) bool {
 	}
 	rt.err = err
 	return true
-}
-
-// offerAbort puts an abort token into box: at once if the mailbox has
-// room, otherwise from a goroutine that keeps the offer up until the
-// receiver takes it or every local rank has returned (rt.done), so
-// unbuffered and full mailboxes are covered and nothing outlives
-// Run. It never blocks; the caller holds the mailbox's inbox lock.
-func (rt *Runtime) offerAbort(box chan message) {
-	token := message{kind: payloadAbort}
-	select {
-	case box <- token:
-	default:
-		done := rt.done
-		go func() {
-			select {
-			case box <- token:
-			case <-done:
-			}
-		}()
-	}
 }
 
 // errAborted is the panic payload used to unwind ranks blocked on
@@ -465,7 +475,6 @@ func (rt *Runtime) Run(fn func(*Comm) error) (*trace.Report, map[int][]phys.Part
 		go rt.runRank(&wg, c, fn)
 	}
 	wg.Wait()
-	close(rt.done)
 	if rt.proc != nil {
 		// Detach before the result exchange, not after: once every local
 		// rank has returned, all of this run's inbound traffic has been
@@ -495,17 +504,17 @@ func (rt *Runtime) Run(fn func(*Comm) error) (*trace.Report, map[int][]phys.Part
 	return rep, rt.deposits, rt.err
 }
 
-// reset starts a run: fresh abort and done channels, the per-pair
+// reset starts a run: a fresh abort channel, the per-pair
 // sequence numbers back at zero, no deferred delivery pending (every one
 // of the previous run completed before its ranks could return), zero
 // counts and no deposits. It runs while nothing else touches the world.
 func (rt *Runtime) reset() {
-	rt.abort, rt.done = make(chan struct{}), make(chan struct{})
+	rt.abort = make(chan struct{})
 	for d := range rt.inboxes {
 		in := &rt.inboxes[d]
 		in.mu.Lock()
 		for _, l := range in.from {
-			l.seq, l.tail = 0, nil
+			l.seq, l.deferred = 0, nil
 		}
 		in.mu.Unlock()
 	}

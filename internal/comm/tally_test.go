@@ -232,7 +232,7 @@ func TestArrivalLinksResolvedOncePerPair(t *testing.T) {
 	receiver := make(chan *link, 1)
 	go func() { receiver <- rt.link(1, 5) }()
 	first := rt.arrivalLink(0, 1, 5)
-	if got := <-receiver; got != first || first.box == nil {
+	if got := <-receiver; got != first || first.s == nil {
 		t.Fatalf("reader and receiver resolved different links for 1→5 (%p, %p)", first, got)
 	}
 	rt.inboxes[5].mu.Lock() // a cached pair must not come back here

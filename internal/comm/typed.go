@@ -30,13 +30,16 @@ import "repro/internal/phys"
 // sender's active phase phys.WireBytes(len(ps)) — the particle wire
 // format's exact size. Ownership of ps transfers to the receiver.
 func (c *Comm) SendParticles(to, tag int, ps []phys.Particle) {
-	c.sendMsg(to, tag, particlesMsg(ps))
+	m := particlesMsg(ps)
+	c.sendMsg(to, tag, &m)
 }
 
 // RecvParticles blocks for the next typed particle message from rank
 // `from` and returns its payload, owned by the caller.
 func (c *Comm) RecvParticles(from, tag int) []phys.Particle {
-	return c.recvMsg(from, tag).particlesPayload(c)
+	var m message
+	c.recvMsg(from, tag, &m)
+	return m.particlesPayload(c)
 }
 
 // SendrecvParticles is Sendrecv over the typed transport: it ships ps to
@@ -49,7 +52,9 @@ func (c *Comm) SendrecvParticles(to int, ps []phys.Particle, from, tag int) []ph
 	if to == c.rank && from == c.rank {
 		return ps
 	}
-	return c.sendrecvMsg(to, tag, particlesMsg(ps), from).particlesPayload(c)
+	m := particlesMsg(ps)
+	c.sendrecvMsg(to, tag, &m, from)
+	return m.particlesPayload(c)
 }
 
 // SendrecvTeamParticles is SendrecvParticles for framed payloads: the
@@ -61,17 +66,22 @@ func (c *Comm) SendrecvTeamParticles(to, team int, ps []phys.Particle, from, tag
 	if to == c.rank && from == c.rank {
 		return team, ps
 	}
-	return c.sendrecvMsg(to, tag, teamParticlesMsg(team, ps), from).teamParticlesPayload(c)
+	m := teamParticlesMsg(team, ps)
+	c.sendrecvMsg(to, tag, &m, from)
+	return m.teamParticlesPayload(c)
 }
 
 // SendF64s delivers vals to rank `to` by reference, charging 8 bytes per
 // element — the F64sToBytes wire size. Ownership transfers.
 func (c *Comm) SendF64s(to, tag int, vals []float64) {
-	c.sendMsg(to, tag, f64sMsg(vals))
+	m := f64sMsg(vals)
+	c.sendMsg(to, tag, &m)
 }
 
 // RecvF64s blocks for the next typed float64 message from rank `from`
 // and returns its payload, owned by the caller.
 func (c *Comm) RecvF64s(from, tag int) []float64 {
-	return c.recvMsg(from, tag).f64sPayload(c)
+	var m message
+	c.recvMsg(from, tag, &m)
+	return m.f64sPayload(c)
 }

@@ -32,29 +32,30 @@ func (c *Comm) BcastParticles(root int, ps, dst []phys.Particle) []phys.Particle
 		return append(dst[:0], ps...)
 	}
 	t0 := c.tr.Now()
-	alias, spent := c.bcastParticles(root, ps)
+	var spent message
+	alias := c.bcastParticles(root, ps, &spent)
 	out := append(dst[:0], alias...)
-	c.recycle(spent)
+	c.recycle(&spent)
 	c.tr.Collective(obs.KindBcast, t0, phys.WireBytes(len(alias)))
 	return out
 }
 
 // bcastParticles moves the payload alias down the tree of fanOut and
-// returns the alias the caller holds — and, when the caller received it
-// and forwarded it to no one, the message it came in, which the caller
-// recycles after copying (the zero message otherwise: a forwarded slice
-// is aliased downstream).
-func (c *Comm) bcastParticles(root int, ps []phys.Particle) (alias []phys.Particle, spent message) {
+// returns the alias the caller holds. When the caller received it and
+// forwarded it to no one, *spent is left holding the message it came
+// in, which the caller recycles after copying (the zero message
+// otherwise: a forwarded slice is aliased downstream).
+func (c *Comm) bcastParticles(root int, ps []phys.Particle, spent *message) []phys.Particle {
 	vr := c.virtual(root)
 	if vr != 0 {
-		spent = c.recvMsg(c.actual(root, topo.BinomialParent(vr)), tagBcast)
+		c.recvMsg(c.actual(root, topo.BinomialParent(vr)), tagBcast, spent)
 		ps = spent.particlesPayload(c)
 	}
 	for k := topo.BinomialChildren(vr, c.Size()) - 1; k >= 0; k-- {
 		c.SendParticles(c.actual(root, vr+1<<k), tagBcast, ps)
-		spent = message{}
+		*spent = message{}
 	}
-	return ps, spent
+	return ps
 }
 
 // ReduceF64sInPlace element-wise sums vals across all ranks with the
@@ -92,7 +93,8 @@ func (c *Comm) reduceF64sInPlace(root int, vals []float64) []float64 {
 // adds it into vals. The received slice is dropped here, so one that was
 // decoded off a socket goes back to the rank's spares.
 func (c *Comm) recvAddF64s(vals []float64, from int) {
-	m := c.recvMsg(from, tagReduce)
+	var m message
+	c.recvMsg(from, tagReduce, &m)
 	addF64s(vals, m.f64sPayload(c))
-	c.recycle(m)
+	c.recycle(&m)
 }

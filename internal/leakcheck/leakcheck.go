@@ -1,7 +1,7 @@
 // Package leakcheck holds tests to the rule that code which starts
 // goroutines has ended them when it returns: a Run's ranks, its force
-// pools' workers, its deferred deliveries and abort-token offers, and the
-// link goroutines of a mesh that has been closed.
+// pools' workers, its deferred deliveries, and the link goroutines of a
+// mesh that has been closed.
 package leakcheck
 
 import (

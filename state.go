@@ -3,6 +3,7 @@ package nbody
 import (
 	"fmt"
 	"io"
+	"math"
 
 	"repro/internal/phys"
 	"repro/internal/sim"
@@ -88,8 +89,35 @@ func Load(r io.Reader) (*Simulation, error) {
 	}
 	s := &Simulation{cfg: cfg, particles: cp.Particles, steps: int(h.Step)}
 	phys.SortByID(s.particles)
+	if err := checkParticles(s.particles, cfg); err != nil {
+		return nil, err
+	}
 	if err := s.build(); err != nil {
 		return nil, err
 	}
 	return s, nil
+}
+
+// checkParticles refuses a checkpoint's particles, sorted by ID, unless
+// they are a state a run could have reached: IDs exactly 0..N-1, every
+// position inside the box, every velocity finite, and in one dimension
+// nothing off the X axis. A run started from anything else is not the
+// continuation of one — a position far outside the box, say, sends the
+// cutoff loops' neighbor searches across astronomically many cells.
+func checkParticles(ps []phys.Particle, cfg Config) error {
+	box := cfg.box()
+	finite := func(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
+	for i, p := range ps {
+		switch {
+		case p.ID != uint32(i):
+			return fmt.Errorf("nbody: checkpoint particle IDs are not 0..%d: %d is missing or repeated", len(ps)-1, i)
+		case !finite(p.Pos.X) || !finite(p.Pos.Y) || !box.Contains(p.Pos):
+			return fmt.Errorf("nbody: checkpoint particle %d at %v is outside the box of length %g", i, p.Pos, box.L)
+		case !finite(p.Vel.X) || !finite(p.Vel.Y):
+			return fmt.Errorf("nbody: checkpoint particle %d has velocity %v", i, p.Vel)
+		case cfg.Dim == 1 && (p.Pos.Y != 0 || p.Vel.Y != 0):
+			return fmt.Errorf("nbody: checkpoint particle %d of a 1D run has Y position %g, Y velocity %g", i, p.Pos.Y, p.Vel.Y)
+		}
+	}
+	return nil
 }

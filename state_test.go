@@ -6,6 +6,10 @@ import (
 	"fmt"
 	"math"
 	"testing"
+	"time"
+
+	"repro/internal/phys"
+	"repro/internal/sim"
 )
 
 // TestSaveLoadResume: for every algorithm, at one and two workers,
@@ -99,7 +103,12 @@ const (
 // Values New refuses — and the box constructor or the grid allocations
 // would panic on, or a run would carry out on nonsense — must come back
 // from Load as errors too. So must a checkpoint of the overlapped shift
-// loop (flag bit 1), which no longer exists to resume it on its bits.
+// loop (flag bit 1), which no longer exists to resume it on its bits,
+// and one whose particles no run could have reached: IDs other than
+// 0..N-1, a position outside the box or not finite, a velocity not
+// finite, a 1D particle off the X axis. Each Load must also return
+// promptly — a position of 1e300 once sent the cutoff loop's neighbor
+// search through astronomically many cells.
 func TestLoadRejectsForgedHeader(t *testing.T) {
 	good := checkpointOf(t, Config{N: 64, P: 16, C: 2, Seed: 9}, 1)
 	if _, err := Load(bytes.NewReader(good)); err != nil {
@@ -125,10 +134,70 @@ func TestLoadRejectsForgedHeader(t *testing.T) {
 		{"negative timestep", hdrDT, math.Float64bits(-1)},
 		{"NaN softening", hdrSoftening, math.Float64bits(math.NaN())},
 	} {
-		if _, err := Load(bytes.NewReader(withHeaderField(good, tc.field, tc.v))); err == nil {
+		if err := loadWithin(withHeaderField(good, tc.field, tc.v)); err == nil {
 			t.Errorf("%s: accepted", tc.name)
 		}
 	}
+
+	line := checkpointOf(t, Config{N: 64, P: 4, Dim: 1, Boundary: Periodic, Cutoff: 4}, 1)
+	if err := loadWithin(line); err != nil {
+		t.Fatalf("unforged 1D checkpoint: %v", err)
+	}
+	for _, tc := range []struct {
+		name  string
+		ckpt  []byte
+		forge func(ps []phys.Particle)
+	}{
+		{"position 1e300", line, func(ps []phys.Particle) { ps[5].Pos.X = 1e300 }},
+		{"position beyond the box", line, func(ps []phys.Particle) { ps[5].Pos.X = 16.5 }},
+		{"negative position", line, func(ps []phys.Particle) { ps[5].Pos.X = -0.5 }},
+		{"NaN position", line, func(ps []phys.Particle) { ps[5].Pos.X = math.NaN() }},
+		{"Y position beyond a 2D box", good, func(ps []phys.Particle) { ps[5].Pos.Y = 1e300 }},
+		{"duplicate ID", line, func(ps []phys.Particle) { ps[5].ID = 6 }},
+		{"ID out of range", line, func(ps []phys.Particle) { ps[63].ID = 64 }},
+		{"NaN velocity", line, func(ps []phys.Particle) { ps[5].Vel.X = math.NaN() }},
+		{"infinite velocity", good, func(ps []phys.Particle) { ps[5].Vel.Y = math.Inf(-1) }},
+		{"1D Y position", line, func(ps []phys.Particle) { ps[5].Pos.Y = 1 }},
+		{"1D Y velocity", line, func(ps []phys.Particle) { ps[5].Vel.Y = 0.25 }},
+	} {
+		if err := loadWithin(withParticles(t, tc.ckpt, tc.forge)); err == nil {
+			t.Errorf("%s: accepted", tc.name)
+		}
+	}
+}
+
+// loadWithin is Load of a checkpoint's bytes that must return within
+// five seconds, panicking otherwise — after the test binary's stack dump
+// names where it hung.
+func loadWithin(ckpt []byte) error {
+	done := make(chan error, 1)
+	go func() {
+		_, err := Load(bytes.NewReader(ckpt))
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		return err
+	case <-time.After(5 * time.Second):
+		panic("Load still running after 5 s")
+	}
+}
+
+// withParticles returns a copy of a checkpoint whose particles, sorted
+// by ID, forge has altered.
+func withParticles(t *testing.T, ckpt []byte, forge func([]phys.Particle)) []byte {
+	t.Helper()
+	cp, err := sim.Load(bytes.NewReader(ckpt))
+	if err != nil {
+		t.Fatal(err)
+	}
+	phys.SortByID(cp.Particles)
+	forge(cp.Particles)
+	var out bytes.Buffer
+	if err := sim.Save(&out, cp); err != nil {
+		t.Fatal(err)
+	}
+	return out.Bytes()
 }
 
 // FuzzLoad drives Load past where internal/sim's FuzzLoad stops: the
