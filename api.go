@@ -81,11 +81,6 @@ const (
 	// NaiveAllGather is the textbook baseline that allgathers all
 	// particles every step (Section II-B).
 	NaiveAllGather
-	// Midpoint is the midpoint method (Section II-D related work): pair
-	// interactions are computed by the processor owning the pair's
-	// midpoint, halving the import region at the cost of a force-return
-	// phase. 1D and 2D reflective boxes, requires a cutoff.
-	Midpoint
 )
 
 func (a Algorithm) String() string {
@@ -102,8 +97,6 @@ func (a Algorithm) String() string {
 		return "force-decomposition"
 	case NaiveAllGather:
 		return "naive-allgather"
-	case Midpoint:
-		return "midpoint"
 	default:
 		return fmt.Sprintf("Algorithm(%d)", int(a))
 	}
@@ -119,8 +112,8 @@ type Config struct {
 	P int
 	// C is the replication factor, 1 ≤ c ≤ √p for all-pairs runs
 	// (default 1). The number of teams p/c must divide N for all-pairs.
-	// Four algorithms fix it — ParticleDecomp, NaiveAllGather and
-	// Midpoint run at c = 1, ForceDecomp at c = √p: there 0 and 1 mean
+	// Three algorithms fix it — ParticleDecomp and NaiveAllGather run
+	// at c = 1, ForceDecomp at c = √p: there 0 and 1 mean
 	// "whatever the algorithm runs at", any other value that disagrees
 	// is rejected, and Simulation.Config reports the value in effect.
 	C int
@@ -155,9 +148,9 @@ type Config struct {
 	// instead of uniformly at random.
 	Lattice bool
 	// Clusters, when positive, initializes particles in that many
-	// Gaussian blobs of width ClusterSigma (default 1/16 of the box) —
-	// the non-uniform workload that stresses spatial load balance.
-	// Overrides Lattice.
+	// Gaussian blobs of width ClusterSigma (≤ 0 means 1/16 of the box;
+	// NaN and ±Inf are rejected) — the non-uniform workload that
+	// stresses spatial load balance. Overrides Lattice.
 	Clusters     int
 	ClusterSigma float64
 	// Workers is the intra-rank worker-pool width for the force phase:
@@ -171,7 +164,7 @@ type Config struct {
 	// phase then time-slices instead of speeding up, and latency-bound
 	// phases (shifts, reductions) suffer scheduling jitter. Prefer
 	// raising Workers only while P × Workers ≤ GOMAXPROCS; negative
-	// values are rejected.
+	// values, and P × Workers above 2^20, are rejected.
 	Workers int
 	// Observe, when non-nil, records a per-rank event timeline and a
 	// metrics registry during runs; retrieve them with
@@ -242,7 +235,7 @@ func (c Config) law() phys.Law {
 // is built.
 func (c Config) fixedC() int {
 	switch c.resolveAlgorithm() {
-	case ParticleDecomp, NaiveAllGather, Midpoint:
+	case ParticleDecomp, NaiveAllGather:
 		return 1
 	case ForceDecomp:
 		// A non-square P is the session constructor's to reject.
@@ -317,9 +310,10 @@ func New(cfg Config) (*Simulation, error) {
 	return s, nil
 }
 
-// maxRanks bounds P. Ranks are goroutines, and every driver allocates
-// O(P) — the replication grid, the runtime's tables — before it can
-// reject anything, so a nonsense count has to stop here.
+// maxRanks bounds P, and P × Workers. Ranks are goroutines, and every
+// driver allocates O(P) — the replication grid, the runtime's tables —
+// before it can reject anything, and every rank's force pool starts
+// Workers more, so a nonsense count has to stop here.
 const maxRanks = 1 << 20
 
 // validate rejects, on a defaulted configuration, what no driver may be
@@ -332,20 +326,23 @@ func (c Config) validate() error {
 	if c.N <= 0 {
 		return fmt.Errorf("nbody: config needs N > 0")
 	}
-	if c.P > maxRanks {
-		return fmt.Errorf("nbody: implausible rank count %d (at most %d)", c.P, maxRanks)
+	if c.Workers < 0 {
+		return fmt.Errorf("nbody: negative worker count %d", c.Workers)
+	}
+	if w := max(1, c.Workers); c.P > maxRanks/w {
+		return fmt.Errorf("nbody: implausible goroutine count: %d ranks × %d workers (at most %d)", c.P, w, maxRanks)
 	}
 	if c.Dim != 1 && c.Dim != 2 {
 		return fmt.Errorf("nbody: dimension must be 1 or 2, got %d", c.Dim)
 	}
-	if !(c.BoxLength > 0) {
-		return fmt.Errorf("nbody: box length %g is not positive", c.BoxLength)
+	if !finitePositive(c.BoxLength) {
+		return fmt.Errorf("nbody: box length %g is not a positive finite number", c.BoxLength)
 	}
 	if !(c.Cutoff >= 0 && c.Cutoff <= c.BoxLength) {
 		return fmt.Errorf("nbody: cutoff %g outside [0, box length %g]", c.Cutoff, c.BoxLength)
 	}
-	if c.Workers < 0 {
-		return fmt.Errorf("nbody: negative worker count %d", c.Workers)
+	if c.Clusters > 0 && (math.IsNaN(c.ClusterSigma) || math.IsInf(c.ClusterSigma, 0)) {
+		return fmt.Errorf("nbody: cluster width %g is not a finite number", c.ClusterSigma)
 	}
 	if c.Boundary != Reflective && c.Boundary != Periodic {
 		return fmt.Errorf("nbody: unknown boundary %v", c.Boundary)
@@ -363,7 +360,7 @@ func (c Config) validate() error {
 	case !(c.Softening >= 0) || math.IsInf(c.Softening, 1):
 		return fmt.Errorf("nbody: Softening %g is not a non-negative finite number", c.Softening)
 	}
-	if alg := c.resolveAlgorithm(); (alg == CACutoff || alg == Midpoint) && c.Cutoff == 0 {
+	if alg := c.resolveAlgorithm(); alg == CACutoff && c.Cutoff == 0 {
 		return fmt.Errorf("nbody: %v requires a positive cutoff", alg)
 	}
 	if c.Proc != nil && c.Proc.WorldSize() != c.P {
@@ -424,12 +421,6 @@ func (s *Simulation) build() error {
 		s.session, err = core.NewForceDecomposition(s.particles, pr)
 	case NaiveAllGather:
 		s.session, err = core.NewNaiveAllGather(s.particles, pr)
-	case Midpoint:
-		if c.Dim == 2 {
-			s.session, err = core.NewMidpoint2D(s.particles, pr)
-		} else {
-			s.session, err = core.NewMidpoint1D(s.particles, pr)
-		}
 	default:
 		err = fmt.Errorf("nbody: unknown algorithm %v", c.Algorithm)
 	}

@@ -219,38 +219,6 @@ func TestTrajectoryThroughAPI(t *testing.T) {
 	}
 }
 
-func TestMidpointSimulation(t *testing.T) {
-	sim, err := New(Config{N: 64, P: 16, Algorithm: Midpoint, Dim: 1, Cutoff: 4, Lattice: true, DT: 5e-4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sim.Run(5); err != nil {
-		t.Fatal(err)
-	}
-	worst, err := sim.VerifySerial()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if worst > 1e-9 {
-		t.Errorf("midpoint run deviates by %g", worst)
-	}
-	// Midpoint and CA cutoff are independent implementations; they must
-	// agree through the public API too.
-	ca, err := New(Config{N: 64, P: 16, Algorithm: CACutoff, Dim: 1, Cutoff: 4, Lattice: true, DT: 5e-4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ca.Run(5); err != nil {
-		t.Fatal(err)
-	}
-	a, b := sim.Particles(), ca.Particles()
-	for i := range a {
-		if d := a[i].Pos.Dist(b[i].Pos); d > 1e-9 {
-			t.Fatalf("particle %d: midpoint and CA cutoff differ by %g", i, d)
-		}
-	}
-}
-
 func TestNewValidation(t *testing.T) {
 	cases := []struct {
 		name string
@@ -269,6 +237,9 @@ func TestNewValidation(t *testing.T) {
 		{"infinite Lennard-Jones sigma", Config{N: 10, Potential: LennardJonesPotential, Sigma: math.Inf(1)}},
 		{"unknown boundary", Config{N: 10, Boundary: 7}},
 		{"unknown potential", Config{N: 10, Potential: 9}},
+		{"a billion workers per rank", Config{N: 64, P: 4, Workers: 1 << 30}},
+		{"infinite box length", Config{N: 10, BoxLength: math.Inf(1)}},
+		{"NaN cluster width", Config{N: 10, Clusters: 2, ClusterSigma: math.NaN()}},
 	}
 	for _, tc := range cases {
 		if _, err := New(tc.cfg); err == nil {
@@ -435,7 +406,7 @@ func TestAlgorithmString(t *testing.T) {
 	}
 }
 
-// TestFixedReplicationFactorIsReported: four algorithms run at a
+// TestFixedReplicationFactorIsReported: three algorithms run at a
 // replication factor of their own — c = 1, or √p for the force
 // decomposition — whatever Config.C says. A caller's 0 or 1 must
 // resolve to that value everywhere it is reported (the configuration,
@@ -448,7 +419,6 @@ func TestFixedReplicationFactorIsReported(t *testing.T) {
 	}{
 		{Config{N: 64, P: 16, Algorithm: ParticleDecomp}, 1},
 		{Config{N: 64, P: 16, Algorithm: NaiveAllGather}, 1},
-		{Config{N: 64, P: 16, Algorithm: Midpoint, Cutoff: 4}, 1},
 		{Config{N: 64, P: 16, Algorithm: ForceDecomp}, 4},
 	} {
 		for _, c := range []int{0, 1, tc.want} {

@@ -218,28 +218,6 @@ func BenchmarkBaselines(b *testing.B) {
 // Ablation benchmarks for the design choices DESIGN.md calls out.
 // ---------------------------------------------------------------------------
 
-// BenchmarkMidpointVsCACutoff compares the two independent cutoff
-// implementations on the same 1D workload.
-func BenchmarkMidpointVsCACutoff(b *testing.B) {
-	for _, alg := range []Algorithm{CACutoff, Midpoint} {
-		b.Run(alg.String(), func(b *testing.B) {
-			sim, err := New(Config{N: 2048, P: 16, Algorithm: alg, Dim: 1, Cutoff: 4, Lattice: true, DT: 1e-4})
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := sim.Run(1); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			rep := sim.Report()
-			b.ReportMetric(float64(rep.W()), "bytes/step")
-		})
-	}
-}
-
 // BenchmarkAblationTopologyAware measures the modeled benefit of the
 // bidirectional-torus shift optimization (Section III-C).
 func BenchmarkAblationTopologyAware(b *testing.B) {

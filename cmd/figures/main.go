@@ -14,32 +14,25 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"log"
 	"os"
 	"path/filepath"
-	"time"
 
 	nbody "repro"
-	"repro/internal/obs"
-	"repro/internal/obs/live"
 )
 
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("figures: ")
 	var (
-		fig        = flag.String("fig", "", "figure id (2a..2d, 3a, 3b, 6a..6d, 7a..7d)")
-		all        = flag.Bool("all", false, "render every figure")
-		csv        = flag.Bool("csv", false, "emit CSV instead of text tables")
-		chart      = flag.Bool("chart", false, "emit stacked text bars (replication figures only)")
-		outDir     = flag.String("o", "", "write per-figure files into this directory instead of stdout")
-		claims     = flag.Bool("claims", false, "evaluate the paper's quantitative claims")
-		compare    = flag.Bool("compare", false, "print the Section II decomposition cost comparison")
-		memory     = flag.Bool("memory", false, "print the memory-limited replication tables (Equation 4)")
-		traceOut   = flag.String("trace-out", "", "write a Chrome trace of the figure rendering (one phase per figure) to this file")
-		metricsOut = flag.String("metrics-out", "", "write the render-time metrics snapshot as JSON to this file")
-		httpAddr   = flag.String("http", "", "serve the live telemetry hub on this address while figures render")
+		fig     = flag.String("fig", "", "figure id (2a..2d, 3a, 3b, 6a..6d, 7a..7d)")
+		all     = flag.Bool("all", false, "render every figure")
+		csv     = flag.Bool("csv", false, "emit CSV instead of text tables")
+		chart   = flag.Bool("chart", false, "emit stacked text bars (replication figures only)")
+		outDir  = flag.String("o", "", "write per-figure files into this directory instead of stdout")
+		claims  = flag.Bool("claims", false, "evaluate the paper's quantitative claims")
+		compare = flag.Bool("compare", false, "print the Section II decomposition cost comparison")
+		memory  = flag.Bool("memory", false, "print the memory-limited replication tables (Equation 4)")
 	)
 	flag.Parse()
 
@@ -78,36 +71,12 @@ func main() {
 		os.Exit(2)
 	}
 
-	// Figures render from the analytic models, not from comm runs, so
-	// the observability here is about the rendering itself: a one-rank
-	// timeline with one phase per figure id plus a render-time histogram.
-	var observer *obs.Observer
-	var tracer *obs.Tracer
-	if *traceOut != "" || *metricsOut != "" || *httpAddr != "" {
-		observer = obs.NewObserver(1, 0)
-		observer.Timeline.SetPhaseNames(ids)
-		tracer = observer.Timeline.Rank(0)
-	}
-	if *httpAddr != "" {
-		hub := live.New(observer)
-		bound, err := hub.Start(*httpAddr)
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer hub.Close()
-		fmt.Printf("live telemetry on http://%s/\n", bound)
-	}
-
 	if *outDir != "" {
 		if err := os.MkdirAll(*outDir, 0o755); err != nil {
 			log.Fatal(err)
 		}
 	}
-	for i, id := range ids {
-		if tracer != nil {
-			tracer.Phase(uint8(i))
-		}
-		t0 := time.Now()
+	for _, id := range ids {
 		var body string
 		var err error
 		ext := ".txt"
@@ -124,9 +93,6 @@ func main() {
 		default:
 			body, err = nbody.Figure(id)
 		}
-		if observer != nil {
-			observer.Metrics.Histogram("figure.render_ns").Observe(time.Since(t0).Nanoseconds())
-		}
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -140,41 +106,4 @@ func main() {
 		}
 		fmt.Println(body)
 	}
-	if tracer != nil {
-		tracer.Close()
-	}
-
-	if *traceOut != "" {
-		if err := writeFile(*traceOut, observer.Timeline.WriteChromeTrace); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Println("Chrome trace written to", *traceOut)
-	}
-	if *metricsOut != "" {
-		write := func(w io.Writer) error {
-			data, err := observer.Metrics.Snapshot().JSON()
-			if err != nil {
-				return err
-			}
-			_, err = w.Write(data)
-			return err
-		}
-		if err := writeFile(*metricsOut, write); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Println("metrics snapshot written to", *metricsOut)
-	}
-}
-
-// writeFile creates path and streams an export into it.
-func writeFile(path string, write func(io.Writer) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := write(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

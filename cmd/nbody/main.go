@@ -37,7 +37,7 @@ func main() {
 		dt         = flag.Float64("dt", 1e-3, "timestep length")
 		boxL       = flag.Float64("box", 16, "box side length")
 		seed       = flag.Uint64("seed", 1, "init seed")
-		algName    = flag.String("alg", "auto", "algorithm: auto, ca-all-pairs, ca-cutoff, particle, force, naive, midpoint")
+		algName    = flag.String("alg", "auto", "algorithm: auto, ca-all-pairs, ca-cutoff, particle, force, naive")
 		boundary   = flag.String("boundary", "reflective", "boundary condition: reflective or periodic")
 		lattice    = flag.Bool("lattice", false, "initialize particles on a jittered lattice")
 		verify     = flag.Bool("verify", false, "verify against the serial reference after the run")
@@ -117,8 +117,6 @@ func main() {
 		cfg.Algorithm = nbody.ForceDecomp
 	case "naive":
 		cfg.Algorithm = nbody.NaiveAllGather
-	case "midpoint":
-		cfg.Algorithm = nbody.Midpoint
 	default:
 		log.Fatalf("unknown -alg %q", *algName)
 	}

@@ -14,18 +14,14 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"log"
 	"os"
 
 	"repro/internal/bounds"
-	"repro/internal/comm"
 	"repro/internal/core"
 	"repro/internal/machine"
 	"repro/internal/model"
 	"repro/internal/netsim"
-	"repro/internal/obs"
-	"repro/internal/obs/live"
 	"repro/internal/phys"
 	"repro/internal/trace"
 )
@@ -34,39 +30,16 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("validate: ")
 	var (
-		n          = flag.Int("n", 512, "particles for the real-execution checks")
-		p          = flag.Int("p", 64, "ranks for the real-execution checks")
-		traceOut   = flag.String("trace-out", "", "write a Chrome trace of the real-execution checks to this file")
-		metricsOut = flag.String("metrics-out", "", "write the metrics registry snapshot as JSON to this file")
-		httpAddr   = flag.String("http", "", "serve the live telemetry hub on this address while the checks run")
+		n = flag.Int("n", 512, "particles for the real-execution checks")
+		p = flag.Int("p", 64, "ranks for the real-execution checks")
 	)
 	flag.Parse()
 	failed := false
 
-	// One observer spans every real-execution check (all run at p ranks):
-	// the timeline keeps appending across runs, so the exported trace
-	// shows the whole validation pass end to end.
-	var observer *obs.Observer
-	var opts comm.Options
-	if *traceOut != "" || *metricsOut != "" || *httpAddr != "" {
-		observer = obs.NewObserver(*p, 0)
-		observer.Timeline.SetPhaseNames(trace.PhaseNames())
-		opts.Observe = observer
-	}
-	if *httpAddr != "" {
-		hub := live.New(observer)
-		bound, err := hub.Start(*httpAddr)
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer hub.Close()
-		fmt.Printf("live telemetry on http://%s/\n", bound)
-	}
-
 	fmt.Println("== counted communication vs. Equation 5 closed forms ==")
 	fmt.Printf("%-6s %12s %12s %14s %14s %8s\n", "c", "shift msgs", "expected", "shift bytes", "expected", "ok")
 	for c := 1; c*c <= *p; c *= 2 {
-		pr := core.Params{P: *p, C: c, Law: phys.DefaultLaw(), Box: phys.NewBox(16, 2, phys.Reflective), DT: 1e-3, Steps: 1, Options: opts}
+		pr := core.Params{P: *p, C: c, Law: phys.DefaultLaw(), Box: phys.NewBox(16, 2, phys.Reflective), DT: 1e-3, Steps: 1}
 		ps := phys.InitUniform(*n, pr.Box, 1)
 		_, rep, err := core.AllPairs(ps, pr)
 		if err != nil {
@@ -84,7 +57,7 @@ func main() {
 	fmt.Println("\n== counted communication vs. Equation 2 lower bounds ==")
 	fmt.Printf("%-6s %10s %10s %10s %10s %10s\n", "c", "S", "S lb", "W(words)", "W lb", "ratios")
 	for c := 1; c*c <= *p; c *= 2 {
-		pr := core.Params{P: *p, C: c, Law: phys.DefaultLaw(), Box: phys.NewBox(16, 2, phys.Reflective), DT: 1e-3, Steps: 1, Options: opts}
+		pr := core.Params{P: *p, C: c, Law: phys.DefaultLaw(), Box: phys.NewBox(16, 2, phys.Reflective), DT: 1e-3, Steps: 1}
 		ps := phys.InitUniform(*n, pr.Box, 1)
 		_, rep, err := core.AllPairs(ps, pr)
 		if err != nil {
@@ -122,43 +95,9 @@ func main() {
 		fmt.Printf("%-6d %14.3e %14.3e %8.2f\n", c, sim.Comm(), mod.Comm(), ratio)
 	}
 
-	if *traceOut != "" {
-		if err := writeFile(*traceOut, observer.Timeline.WriteChromeTrace); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("\nChrome trace written to %s\n", *traceOut)
-	}
-	if *metricsOut != "" {
-		write := func(w io.Writer) error {
-			data, err := observer.Metrics.Snapshot().JSON()
-			if err != nil {
-				return err
-			}
-			_, err = w.Write(data)
-			return err
-		}
-		if err := writeFile(*metricsOut, write); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("metrics snapshot written to %s\n", *metricsOut)
-	}
-
 	if failed {
 		fmt.Println("\nvalidation FAILED")
 		os.Exit(1)
 	}
 	fmt.Println("\nall validations passed")
-}
-
-// writeFile creates path and streams an export into it.
-func writeFile(path string, write func(io.Writer) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := write(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

@@ -87,13 +87,10 @@ func ExampleConfig_workers() {
 	// Output: pooled run bitwise-identical=true
 }
 
-// Switching the decomposition: the midpoint method from the paper's
-// related work computes each pair on the processor owning its midpoint.
+// Switching the decomposition: Plimpton's force decomposition, the
+// c = √p extreme of the paper's replication range, settles C itself.
 func ExampleConfig() {
-	sim, err := nbody.New(nbody.Config{
-		N: 64, P: 16, Algorithm: nbody.Midpoint,
-		Dim: 1, Cutoff: 4, Lattice: true, DT: 5e-4,
-	})
+	sim, err := nbody.New(nbody.Config{N: 64, P: 16, Algorithm: nbody.ForceDecomp})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -104,6 +101,6 @@ func ExampleConfig() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("midpoint verified=%v\n", worst < 1e-9)
-	// Output: midpoint verified=true
+	fmt.Printf("force decomposition c=%d verified=%v\n", sim.Config().C, worst < 1e-9)
+	// Output: force decomposition c=4 verified=true
 }

@@ -29,8 +29,8 @@ func main() {
 
 	fmt.Println("\ncutoff workload: n=1024, p=16, 1D, rc=L/4")
 	fmt.Printf("%-26s %14s %10s %12s %10s\n", "algorithm", "time/step", "S", "W (bytes)", "max err")
-	for _, alg := range []nbody.Algorithm{nbody.CACutoff, nbody.Midpoint} {
-		cfg := nbody.Config{N: 1024, P: 16, Algorithm: alg, Dim: 1, Cutoff: 4, Lattice: true, DT: 2e-4}
+	for _, c := range []int{1, 2} {
+		cfg := nbody.Config{N: 1024, P: 16, C: c, Algorithm: nbody.CACutoff, Dim: 1, Cutoff: 4, Lattice: true, DT: 2e-4}
 		row(cfg, steps)
 	}
 }

@@ -36,8 +36,8 @@ const goldenSteps = 6
 // The first five rows are the configurations of benchmark/workloads.go
 // (copied: benchmark/ is its own module, and ap-socket is ap-latency's
 // configuration over the socket mesh), then a 2D cutoff run whose
-// particles migrate (uniform, not a lattice), the midpoint method, the
-// fixed-c decompositions, and ap-latency's configuration under a cutoff
+// particles migrate (uniform, not a lattice), the fixed-c
+// decompositions, and ap-latency's configuration under a cutoff
 // law in a periodic box — the all-pairs loop's traffic does not depend
 // on the law.
 var goldenRuns = []goldenRun{
@@ -53,8 +53,6 @@ var goldenRuns = []goldenRun{
 		want: goldenCounts{sum: 0x15a3b1503f2d5745, s: 168, w: 792720, phases: [5][2]int64{{12, 159744}, {6, 79896}, {12, 159792}, {6, 24576}, {48, 0}}}},
 	{name: "cutoff-2d-migrating", cfg: Config{N: 1024, P: 64, C: 4, Dim: 2, Cutoff: 4, DT: 2e-3},
 		want: goldenCounts{sum: 0x132ed4edcd192330, s: 168, w: 245584, phases: [5][2]int64{{12, 51376}, {6, 25712}, {12, 46640}, {6, 7904}, {48, 52}}}},
-	{name: "midpoint-2d", cfg: Config{N: 1024, P: 16, Algorithm: Midpoint, Dim: 2, Cutoff: 4, DT: 2e-3},
-		want: goldenCounts{sum: 0x7e763a3c2e7a0300, s: 288, w: 489772, phases: [5][2]int64{{0, 0}, {0, 0}, {48, 205504}, {48, 51984}, {48, 52}}}},
 	{name: "force-decomp", cfg: Config{N: 256, P: 16, Algorithm: ForceDecomp},
 		want: goldenCounts{sum: 0x2a3884267b4451ff, s: 48, w: 118272, phases: [5][2]int64{{12, 39936}, {6, 19968}, {0, 0}, {6, 6144}, {0, 0}}}},
 	{name: "particle-decomp", cfg: Config{N: 256, P: 16, Algorithm: ParticleDecomp},

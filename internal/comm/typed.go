@@ -77,11 +77,3 @@ func (c *Comm) SendF64s(to, tag int, vals []float64) {
 	m := f64sMsg(vals)
 	c.sendMsg(to, tag, &m)
 }
-
-// RecvF64s blocks for the next typed float64 message from rank `from`
-// and returns its payload, owned by the caller.
-func (c *Comm) RecvF64s(from, tag int) []float64 {
-	var m message
-	c.recvMsg(from, tag, &m)
-	return m.f64sPayload(c)
-}

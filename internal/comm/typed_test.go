@@ -30,7 +30,9 @@ func testParticles(n int, seed int64) []phys.Particle {
 // contract: a typed particle, framed-particle, or float64 send is
 // charged exactly the bytes its encoded wire format would occupy, and
 // the payload arrives bit-identical without a codec round-trip. The
-// framed payloads cross in one exchange, each way with its own team.
+// framed payloads cross in one exchange, each way with its own team;
+// the float64s cross as the one message of a two-rank reduce tree
+// whose root contributes zeros.
 func TestTypedP2PMatchesEncodedWire(t *testing.T) {
 	const n = 13
 	ps := testParticles(n, 1)
@@ -41,7 +43,12 @@ func TestTypedP2PMatchesEncodedWire(t *testing.T) {
 			if team, framed := c.SendrecvTeamParticles(1, 7, ps, 1, 2); team != 8 || len(framed) != n {
 				return fmt.Errorf("framed payload on rank 0: team %d len %d", team, len(framed))
 			}
-			c.SendF64s(1, 3, vals)
+			f := c.ReduceF64sInPlace(0, make([]float64, len(vals)))
+			for i := range f {
+				if f[i] != vals[i] {
+					return fmt.Errorf("f64 %d: %v != %v", i, f[i], vals[i])
+				}
+			}
 			return nil
 		}
 		got := c.RecvParticles(0, 1)
@@ -54,12 +61,7 @@ func TestTypedP2PMatchesEncodedWire(t *testing.T) {
 		if team != 7 || len(framed) != n {
 			return fmt.Errorf("framed payload on rank 1: team %d len %d", team, len(framed))
 		}
-		f := c.RecvF64s(0, 3)
-		for i := range f {
-			if f[i] != vals[i] {
-				return fmt.Errorf("f64 %d: %v != %v", i, f[i], vals[i])
-			}
-		}
+		c.ReduceF64sInPlace(0, append([]float64(nil), vals...))
 		return nil
 	})
 	if err != nil {

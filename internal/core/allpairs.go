@@ -46,7 +46,7 @@ func NewAllPairs(ps []phys.Particle, pr Params) (*Session, error) {
 	// input; the blocks never grow, so they may share one copy.
 	owned := append([]phys.Particle(nil), ps...)
 
-	return newSession(n, pr, pr.Law.Kernel().Impl(), perS, perW, func(rk *rank) rankLoop {
+	return newSession(n, pr, perS, perW, func(rk *rank) rankLoop {
 		l, row, col := newShiftLoop(rk, &pr, cg)
 		l.moves = allPairsMoves(T, pr.C, row, col)
 		l.pairing = newEveryBlock(l.last, npt)

@@ -68,7 +68,7 @@ func NewNaiveAllGather(ps []phys.Particle, pr Params) (*Session, error) {
 	perS, perW := directBounds(n, pr)
 	owned := append([]phys.Particle(nil), ps...)
 
-	return newSession(n, pr, pr.Law.Kernel().Impl(), perS, perW, func(rk *rank) rankLoop {
+	return newSession(n, pr, perS, perW, func(rk *rank) rankLoop {
 		r := rk.world.Rank()
 		mine := owned[r*npr : (r+1)*npr : (r+1)*npr]
 		step := func() error {

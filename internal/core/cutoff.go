@@ -58,7 +58,7 @@ func NewCutoff(ps []phys.Particle, pr Params) (*Session, error) {
 	perS, perW := cutoffBounds(n, pr)
 	owned := scatterByTeam(ps, pr.Box, w.tg)
 
-	return newSession(n, pr, pr.Law.Kernel().Impl(), perS, perW, func(rk *rank) rankLoop {
+	return newSession(n, pr, perS, perW, func(rk *rank) rankLoop {
 		l, layer, team := newShiftLoop(rk, &pr, cg)
 		l.moves = cutoffMoves(sched, w.tg, layer, team)
 		pairing := w // the migrator in it is the rank's own

@@ -36,7 +36,7 @@ func allPairsOnArrival(ps []phys.Particle, pr Params) ([]phys.Particle, error) {
 	}
 	npt := n / T
 	perS, perW := directBounds(n, pr)
-	s := newSession(n, pr, pr.Law.Kernel().Impl(), perS, perW, func(rk *rank) rankLoop {
+	s := newSession(n, pr, perS, perW, func(rk *rank) rankLoop {
 		l, row, col := newShiftLoop(rk, &pr, cg)
 		l.moves = allPairsMoves(T, pr.C, row, col)
 		l.pairing = onArrival{}

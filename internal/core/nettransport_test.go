@@ -138,14 +138,14 @@ func TestCutoffSocketMatchesInProcess(t *testing.T) {
 	}
 }
 
-func TestMidpointSocketMatchesInProcess(t *testing.T) {
+func TestNaiveAllGatherSocketMatchesInProcess(t *testing.T) {
 	for _, procs := range []int{2, 4} {
 		procs := procs
 		t.Run(fmt.Sprintf("procs=%d", procs), func(t *testing.T) {
 			t.Parallel()
-			pr := cutoffParams(4, 1, 1, phys.Reflective)
+			pr := defaultParams(4, 1, 4)
 			ps := phys.InitUniform(32, pr.Box, 13)
-			checkSocketMatchesInProcess(t, procs, pr, ps, Midpoint1D)
+			checkSocketMatchesInProcess(t, procs, pr, ps, NaiveAllGather)
 		})
 	}
 }

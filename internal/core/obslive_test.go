@@ -120,10 +120,6 @@ func TestMatrixConservation(t *testing.T) {
 			_, rep, err := Cutoff(ps, pr)
 			return rep, err
 		}},
-		{"midpoint", func(pr Params, ps []phys.Particle) (*trace.Report, error) {
-			_, rep, err := Midpoint2D(ps, pr)
-			return rep, err
-		}},
 	}
 	for _, alg := range algos {
 		t.Run(alg.name, func(t *testing.T) {
@@ -135,10 +131,6 @@ func TestMatrixConservation(t *testing.T) {
 				p = 8 // 1D cutoff needs enough teams for its window
 				pr = cutoffParams(p, 2, 1, phys.Periodic)
 				ps = phys.InitLattice(64, pr.Box, 9)
-			case "midpoint":
-				p = 9 // 2D midpoint wants a square rank grid
-				pr = cutoffParams(p, 1, 2, phys.Reflective)
-				ps = phys.InitLattice(128, pr.Box, 9)
 			default:
 				p = 4
 				pr = defaultParams(p, 2, 3)
@@ -238,8 +230,7 @@ func TestDroppedWarning(t *testing.T) {
 // footer and, on an observed run, the compute.kernel_avx2 gauge. Only
 // the repulsive law has vector sweeps, open or cut off, whichever loop
 // calls them — the all-pairs loop under a cutoff law runs the cutoff
-// sweep; a Lennard-Jones run and the midpoint method's staged sweep are
-// Go loops on every host.
+// sweep; a Lennard-Jones run is a Go loop on every host.
 func TestKernelImplAttribution(t *testing.T) {
 	host := phys.KernelImpl()
 	if host != "avx2" && host != "avx512vl" && host != "portable" {
@@ -283,10 +274,6 @@ func TestKernelImplAttribution(t *testing.T) {
 			_, rep, err := Cutoff(phys.InitLattice(64, pr.Box, 13), pr)
 			return rep, err
 		}, cutoffParams(8, 2, 1, phys.Periodic)},
-		{"midpoint", "portable", func(pr Params) (*trace.Report, error) {
-			_, rep, err := Midpoint2D(phys.InitLattice(64, pr.Box, 13), pr)
-			return rep, err
-		}, cutoffParams(9, 1, 2, phys.Reflective)},
 	} {
 		ob := obs.NewObserver(tc.pr.P, 0)
 		tc.pr.Options.Observe = ob

@@ -77,14 +77,6 @@ func TestRecordingConservesReport(t *testing.T) {
 			_, rep, err := Cutoff(phys.InitLattice(64, pr.Box, 9), pr)
 			return pr.Steps, rep, err
 		}},
-		{"midpoint-p9", func(rec *record.Recorder) (int, *trace.Report, error) {
-			pr := cutoffParams(9, 1, 2, phys.Reflective)
-			ob, _ := newTestRecorder("", 0, 9, 1)
-			pr.Options.Observe = ob
-			pr.Record = rec
-			_, rep, err := Midpoint2D(phys.InitLattice(128, pr.Box, 29), pr)
-			return pr.Steps, rep, err
-		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

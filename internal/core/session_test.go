@@ -23,8 +23,6 @@ var sessionLoops = []struct {
 	{"naive", defaultParams(8, 1, 0), 32, NewNaiveAllGather},
 	{"cutoff1D/periodic", cutoffParams(8, 1, 1, phys.Periodic), 64, NewCutoff},
 	{"cutoff2D", cutoffParams(32, 2, 2, phys.Reflective), 96, NewCutoff},
-	{"midpoint1D", cutoffParams(4, 1, 1, phys.Reflective), 32, NewMidpoint1D},
-	{"midpoint2D", cutoffParams(16, 1, 2, phys.Reflective), 64, NewMidpoint2D},
 }
 
 // TestSessionRunsCompose is the session's lifetime contract: advanced

@@ -74,10 +74,9 @@ func runMallocs(run func()) uint64 {
 // of the timestep loops: once a session's retained buffers exist, a
 // step allocates nothing anywhere in the pipeline — broadcast, skew,
 // shifts, force kernel (inline, pooled), reduce, integrate and, for the
-// cutoff loop in one and two dimensions, spatial reassignment; nor, in
-// the midpoint method, import, staged sweep, force return or
-// reassignment. Two runs that differ only in step count must therefore
-// allocate exactly the same number of objects, in two settings. On a
+// cutoff loop in one and two dimensions, spatial reassignment. Two
+// runs that differ only in step count must therefore allocate exactly
+// the same number of objects, in two settings. On a
 // fresh session each, the set-up (communicators, mailboxes of the pairs
 // used, first-step buffer growth) is identical in both. Run after Run on
 // one session there is none left, only what every Advance starts — the
@@ -106,16 +105,6 @@ func TestSteadyStateAllocFree(t *testing.T) {
 			pr := cutoffParams(32, c, 2, phys.Reflective)
 			pr.Workers = workers
 			return NewCutoff(phys.InitLattice(4*n, pr.Box, 5), pr)
-		}},
-		{"midpoint1D", func(workers int) (*Session, error) {
-			pr := cutoffParams(8, 1, 1, phys.Reflective)
-			pr.Workers = workers
-			return NewMidpoint1D(phys.InitLattice(n, pr.Box, 5), pr)
-		}},
-		{"midpoint2D", func(workers int) (*Session, error) {
-			pr := cutoffParams(16, 1, 2, phys.Reflective)
-			pr.Workers = workers
-			return NewMidpoint2D(phys.InitLattice(2*n, pr.Box, 5), pr)
 		}},
 	}
 	for _, lp := range loops {

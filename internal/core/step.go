@@ -62,11 +62,11 @@ type Session struct {
 }
 
 // newSession wraps an algorithm's per-rank loop builder in a session of
-// n particles. impl names the force-kernel implementation the loop's
-// compute phase runs (phys.Kernel.Impl), for the report and the
-// metrics; perS and perW are the run's per-step lower bounds.
-func newSession(n int, pr Params, impl string, perS, perW float64, build func(*rank) rankLoop) *Session {
-	return &Session{n: n, pr: pr, impl: impl, perS: perS, perW: perW, build: build, ranks: make([]*rank, pr.P)}
+// n particles; perS and perW are the run's per-step lower bounds. The
+// force-kernel implementation the compute phase runs, named in the
+// report and the metrics, is the law's (phys.Kernel.Impl).
+func newSession(n int, pr Params, perS, perW float64, build func(*rank) rankLoop) *Session {
+	return &Session{n: n, pr: pr, impl: pr.Law.Kernel().Impl(), perS: perS, perW: perW, build: build, ranks: make([]*rank, pr.P)}
 }
 
 // once is the one-shot form of a driver: a session constructed, then

@@ -120,30 +120,3 @@ func TestCutoffTypedMatchesEncoded(t *testing.T) {
 		})
 	}
 }
-
-// TestMidpointTypedMatchesEncoded covers the migration path shared with
-// the midpoint method: the transport choice must not perturb ownership
-// reassignment.
-func TestMidpointTypedMatchesEncoded(t *testing.T) {
-	box := phys.NewBox(16, 2, phys.Reflective)
-	pr := Params{
-		P:     16,
-		C:     1,
-		Law:   phys.DefaultLaw().WithCutoff(box.L / 4),
-		Box:   box,
-		DT:    5e-4,
-		Steps: 3,
-	}
-	ps := phys.InitUniform(64, box, 13)
-	typed, typedRep, err := Midpoint2D(ps, pr)
-	if err != nil {
-		t.Fatalf("typed Midpoint2D: %v", err)
-	}
-	pr.oracle = true
-	encoded, encodedRep, err := Midpoint2D(ps, pr)
-	if err != nil {
-		t.Fatalf("encoded Midpoint2D: %v", err)
-	}
-	samePhysState(t, typed, encoded)
-	sameReportCounts(t, typedRep, encodedRep)
-}

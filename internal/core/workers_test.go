@@ -51,11 +51,6 @@ func TestWorkerCountInvariance(t *testing.T) {
 			pr.oracle, pr.Workers = encoded, workers
 			return Cutoff(phys.InitLattice(64, pr.Box, 51), pr)
 		}},
-		{"midpoint", func(encoded bool, workers int) ([]phys.Particle, *trace.Report, error) {
-			pr := cutoffParams(8, 1, 1, phys.Reflective)
-			pr.oracle, pr.Workers = encoded, workers
-			return Midpoint1D(phys.InitLattice(64, pr.Box, 51), pr)
-		}},
 	}
 	for _, alg := range algos {
 		for _, encoded := range []bool{false, true} {

@@ -10,7 +10,7 @@ func TestCutoff1DStepReplicationReducesShift(t *testing.T) {
 	mach := machine.Generic()
 	prev := -1.0
 	for _, c := range []int{1, 2, 4} {
-		b, err := Cutoff1DStep(mach, 64, 1024, c, 0.25)
+		b, err := CutoffStep(mach, 64, 1024, c, 0.25, 1)
 		if err != nil {
 			t.Fatalf("c=%d: %v", c, err)
 		}
@@ -24,11 +24,11 @@ func TestCutoff1DStepReplicationReducesShift(t *testing.T) {
 
 func TestCutoff2DStepReplicationHelps(t *testing.T) {
 	mach := machine.Generic()
-	b1, err := Cutoff2DStep(mach, 256, 4096, 1, 0.25) // 256 teams, 16x16, m=4
+	b1, err := CutoffStep(mach, 256, 4096, 1, 0.25, 2) // 256 teams, 16x16, m=4
 	if err != nil {
 		t.Fatal(err)
 	}
-	b4, err := Cutoff2DStep(mach, 256, 4096, 4, 0.25) // 64 teams, 8x8, m=2
+	b4, err := CutoffStep(mach, 256, 4096, 4, 0.25, 2) // 64 teams, 8x8, m=2
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,13 +40,13 @@ func TestCutoff2DStepReplicationHelps(t *testing.T) {
 
 func TestCutoff1DStepRejectsBadConfigs(t *testing.T) {
 	mach := machine.Generic()
-	if _, err := Cutoff1DStep(mach, 0, 100, 1, 0.25); err == nil {
+	if _, err := CutoffStep(mach, 0, 100, 1, 0.25, 1); err == nil {
 		t.Error("p=0 should fail")
 	}
-	if _, err := Cutoff1DStep(mach, 6, 100, 4, 0.25); err == nil {
+	if _, err := CutoffStep(mach, 6, 100, 4, 0.25, 1); err == nil {
 		t.Error("c∤p should fail")
 	}
-	if _, err := Cutoff1DStep(mach, 4, 100, 1, 0.45); err == nil {
+	if _, err := CutoffStep(mach, 4, 100, 1, 0.45, 1); err == nil {
 		t.Error("oversized window should fail")
 	}
 }

@@ -22,18 +22,6 @@ func AllPairsStep(mach machine.Machine, p, n, c int) (model.Breakdown, error) {
 	return replay(NewSim(mach, p), plan, n), nil
 }
 
-// Cutoff1DStep simulates one timestep of the 1D distance-limited
-// algorithm through the event-driven network. See CutoffStep.
-func Cutoff1DStep(mach machine.Machine, p, n, c int, rcFrac float64) (model.Breakdown, error) {
-	return CutoffStep(mach, p, n, c, rcFrac, 1)
-}
-
-// Cutoff2DStep simulates the 2D serpentine generalization. See
-// CutoffStep.
-func Cutoff2DStep(mach machine.Machine, p, n, c int, rcFrac float64) (model.Breakdown, error) {
-	return CutoffStep(mach, p, n, c, rcFrac, 2)
-}
-
 // CutoffStep simulates one timestep of the distance-limited algorithm in
 // a reflective box of dim dimensions, with the cutoff rcFrac box lengths,
 // through the event-driven network. Compute is charged only where the

@@ -7,8 +7,8 @@ import (
 )
 
 // This file holds the compaction loop, the Go loop of every cutoff law
-// (Kernel.AccumulateIn), and the staged sweep it shares with the
-// midpoint timestep loop. A cutoff law skips a beyond-cutoff pair
+// (Kernel.AccumulateIn), and the staged sweep it folds survivors
+// through. A cutoff law skips a beyond-cutoff pair
 // without any add, which legalizes dropping it before any arithmetic:
 // the loop blocks the interaction matrix into source tiles of
 // vec.TileCap particles, loads a tile once into a structure-of-arrays

@@ -12,8 +12,8 @@ import (
 // (kernel.go): the open sweep, which all-pairs loops spend their time
 // in, and the cutoff sweep, the cutoff loop's (or the all-pairs loop's
 // with a cutoff law; under Box{} it runs without the wrap). Lennard-
-// Jones, the midpoint loop's SweepStaged, other architectures, pre-AVX2
-// CPUs and `-tags purego` run the Go loops, which are also the
+// Jones, SweepStaged, other architectures, pre-AVX2 CPUs and
+// `-tags purego` run the Go loops, which are also the
 // reference these sweeps are tested against (sweep_amd64_test.go).
 //
 // The sweeps vectorize across targets, not sources. Four consecutive

@@ -1,10 +1,11 @@
 #!/bin/sh
 # netsmoke: the multi-process transport gate `make check` runs.
 #
-# For each of the three timestep loops (ca-all-pairs, ca-cutoff,
-# midpoint) it runs the same configuration twice — once with every rank
-# in-process, once spanned across OS processes over TCP loopback via
-# -spawn — and requires the two runs to be indistinguishable:
+# For each of the three timestep loops (ca-all-pairs, ca-cutoff, and
+# the naive all-gather) it runs the same configuration twice — once
+# with every rank in-process, once spanned across OS processes over TCP
+# loopback via -spawn — and requires the two runs to be
+# indistinguishable:
 #
 #   * checkpoint: the saved checkpoints are bitwise identical (`cmp`);
 #   * matrix: the communication matrices (-matrix-out: messages and
@@ -54,7 +55,7 @@ run_case() {
 
 run_case allpairs 2 -n 64 -p 4 -c 2 -steps 4 -seed 3
 run_case cutoff 8 -n 128 -p 16 -c 1 -cutoff 2 -steps 4 -seed 3
-run_case midpoint 2 -alg midpoint -n 64 -p 4 -dim 1 -cutoff 4 -steps 4 -seed 3
+run_case naive 2 -alg naive -n 64 -p 4 -steps 4 -seed 3
 
 if [ "$failed" -ne 0 ]; then
     echo "netsmoke: FAIL — socket and in-process runs differ" >&2

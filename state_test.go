@@ -28,7 +28,6 @@ func TestSaveLoadResume(t *testing.T) {
 		{"particle", Config{N: 32, P: 4, Algorithm: ParticleDecomp}},
 		{"force", Config{N: 36, P: 9, Algorithm: ForceDecomp}},
 		{"naive", Config{N: 32, P: 4, Algorithm: NaiveAllGather}},
-		{"midpoint", Config{N: 64, P: 16, Algorithm: Midpoint, Dim: 1, Cutoff: 4, Lattice: true, DT: 5e-4}},
 	} {
 		for _, workers := range []int{1, 2} {
 			cfg := tc.cfg
@@ -89,6 +88,7 @@ func withHeaderField(ckpt []byte, i int, v uint64) []byte {
 const (
 	hdrStep      = 0
 	hdrP         = 2
+	hdrAlgorithm = 4
 	hdrDim       = 5
 	hdrBoundary  = 6
 	hdrBoxLength = 8
@@ -103,10 +103,11 @@ const (
 // Values New refuses — and the box constructor or the grid allocations
 // would panic on, or a run would carry out on nonsense — must come back
 // from Load as errors too. So must a checkpoint of the overlapped shift
-// loop (flag bit 1), which no longer exists to resume it on its bits,
-// and one whose particles no run could have reached: IDs other than
-// 0..N-1, a position outside the box or not finite, a velocity not
-// finite, a 1D particle off the X axis. Each Load must also return
+// loop (flag bit 1) or of algorithm 6 (the midpoint method), neither of
+// which exists any more to resume it on its bits, and one whose
+// particles no run could have reached: IDs other than 0..N-1, a
+// position outside the box or not finite, a velocity not finite, a 1D
+// particle off the X axis. Each Load must also return
 // promptly — a position of 1e300 once sent the cutoff loop's neighbor
 // search through astronomically many cells.
 func TestLoadRejectsForgedHeader(t *testing.T) {
@@ -114,27 +115,33 @@ func TestLoadRejectsForgedHeader(t *testing.T) {
 	if _, err := Load(bytes.NewReader(good)); err != nil {
 		t.Fatalf("unforged checkpoint: %v", err)
 	}
+	// The midpoint method ran a reflective cutoff box at c = 1, so its
+	// row forges the algorithm of such a run, not of good.
+	reflective := checkpointOf(t, Config{N: 64, P: 16, Algorithm: CACutoff, Dim: 1, Cutoff: 4, Lattice: true, DT: 5e-4}, 1)
 	for _, tc := range []struct {
 		name  string
+		ckpt  []byte
 		field int
 		v     uint64
 	}{
-		{"three dimensions", hdrDim, 3},
-		{"negative box length", hdrBoxLength, math.Float64bits(-16)},
-		{"NaN box length", hdrBoxLength, math.Float64bits(math.NaN())},
-		{"NaN cutoff", hdrCutoff, math.Float64bits(math.NaN())},
-		{"2^50 ranks", hdrP, 1 << 50},
-		{"negative step count", hdrStep, 1 << 63},
-		{"boundary 7", hdrBoundary, 7},
-		{"potential 9", hdrPotential, 9},
-		{"flag bits 0xff", hdrFlags, 0xff},
-		{"overlapped walk", hdrFlags, 2},
-		{"overlapped walk on a lattice", hdrFlags, 3},
-		{"NaN timestep", hdrDT, math.Float64bits(math.NaN())},
-		{"negative timestep", hdrDT, math.Float64bits(-1)},
-		{"NaN softening", hdrSoftening, math.Float64bits(math.NaN())},
+		{"three dimensions", good, hdrDim, 3},
+		{"negative box length", good, hdrBoxLength, math.Float64bits(-16)},
+		{"NaN box length", good, hdrBoxLength, math.Float64bits(math.NaN())},
+		{"+Inf box length", good, hdrBoxLength, math.Float64bits(math.Inf(1))},
+		{"NaN cutoff", good, hdrCutoff, math.Float64bits(math.NaN())},
+		{"2^50 ranks", good, hdrP, 1 << 50},
+		{"negative step count", good, hdrStep, 1 << 63},
+		{"boundary 7", good, hdrBoundary, 7},
+		{"potential 9", good, hdrPotential, 9},
+		{"flag bits 0xff", good, hdrFlags, 0xff},
+		{"overlapped walk", good, hdrFlags, 2},
+		{"overlapped walk on a lattice", good, hdrFlags, 3},
+		{"NaN timestep", good, hdrDT, math.Float64bits(math.NaN())},
+		{"negative timestep", good, hdrDT, math.Float64bits(-1)},
+		{"NaN softening", good, hdrSoftening, math.Float64bits(math.NaN())},
+		{"algorithm 6", reflective, hdrAlgorithm, 6},
 	} {
-		if err := loadWithin(withHeaderField(good, tc.field, tc.v)); err == nil {
+		if err := loadWithin(withHeaderField(tc.ckpt, tc.field, tc.v)); err == nil {
 			t.Errorf("%s: accepted", tc.name)
 		}
 	}
@@ -212,7 +219,7 @@ func FuzzLoad(f *testing.F) {
 	f.Add(allPairs)
 	f.Add(checkpointOf(f, Config{N: 48, P: 8, C: 2, Dim: 1, Boundary: Periodic, Cutoff: 4, Lattice: true}, 2))
 	f.Add(checkpointOf(f, Config{N: 36, P: 9, Algorithm: ForceDecomp, Potential: LennardJonesPotential}, 1))
-	f.Add(checkpointOf(f, Config{N: 64, P: 16, Algorithm: Midpoint, Dim: 1, Cutoff: 4, Lattice: true, DT: 5e-4}, 1))
+	f.Add(withHeaderField(allPairs, hdrAlgorithm, 6))
 	f.Add(allPairs[:len(allPairs)-7])
 	f.Add(withHeaderField(allPairs, hdrDim, 3))
 	f.Add(withHeaderField(allPairs, hdrBoxLength, math.Float64bits(-16)))
