@@ -130,7 +130,7 @@ netsmoke:
 # the analytic model (communication time within a factor of two). Well
 # under a second once built.
 validate:
-	$(GO) run ./cmd/validate
+	$(GO) run ./cmd/nbody validate
 
 # The repository benchmark (BENCHMARK.json, benchmark/README.md) on one
 # workload — by default its most communication-bound one; `make benchrepo

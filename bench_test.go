@@ -15,7 +15,7 @@ import (
 // regenerates the figure's full data series from the machine models and
 // reports the series' anchor numbers as custom metrics, so `go test
 // -bench Figure` reproduces every row the paper plots. The tables
-// themselves are printed by `go run ./cmd/figures -all`.
+// themselves are printed by `go run ./cmd/nbody figures -all`.
 // ---------------------------------------------------------------------------
 
 func benchmarkReplicationFigure(b *testing.B, id string) {

@@ -16,11 +16,9 @@ import (
 // process simply races to join the given rendezvous. Every process ends
 // up parsing the same flag set — the spawner forwards its own argv,
 // minus -spawn, with -rendezvous rewritten — which keeps collective
-// decisions (step chunking, observation) symmetric across the mesh.
+// decisions (step chunking, the sweep's configurations) symmetric across
+// the mesh.
 func setupMesh(p, ranksPerProc int, rendezvous string, spawn bool) *nbody.ProcGroup {
-	if ranksPerProc <= 0 {
-		log.Fatalf("-ranks-per-proc must be positive, got %d", ranksPerProc)
-	}
 	if p%ranksPerProc != 0 {
 		log.Fatalf("-ranks-per-proc %d does not divide -p %d", ranksPerProc, p)
 	}
@@ -49,8 +47,7 @@ func setupMesh(p, ranksPerProc int, rendezvous string, spawn bool) *nbody.ProcGr
 	args := followerArgs(os.Args[1:], l.Addr())
 	for i := 1; i < procs; i++ {
 		cmd := exec.Command(exe, args...)
-		cmd.Stdout = os.Stdout
-		cmd.Stderr = os.Stderr
+		cmd.Stderr = os.Stderr // stdout stays unset: a follower discards its own (join)
 		if err := cmd.Start(); err != nil {
 			l.Close()
 			log.Fatalf("spawning follower %d: %v", i, err)
@@ -67,7 +64,8 @@ func setupMesh(p, ranksPerProc int, rendezvous string, spawn bool) *nbody.ProcGr
 // followerArgs rewrites the spawner's argv for a follower process:
 // -spawn is dropped and -rendezvous is replaced with the bound address,
 // so the follower joins the mesh the parent is listening on while
-// parsing an otherwise identical flag set.
+// parsing an otherwise identical flag set. A leading subcommand word
+// (sweep) passes through, and stays first.
 func followerArgs(argv []string, addr string) []string {
 	out := make([]string, 0, len(argv)+1)
 	skipNext := false

@@ -44,7 +44,7 @@ func main() {
 		fmt.Printf("%-8d %8.3f %8.3f\n", p, e1, e16)
 	}
 
-	fmt.Println("\nfull figure table (cmd/figures renders all of 2a-2d, 3a-3b, 6a-6d, 7a-7d):")
+	fmt.Println("\nfull figure table (`nbody figures -all` renders all of 2a-2d, 3a-3b, 6a-6d, 7a-7d):")
 	tbl, err := nbody.Figure("3a")
 	if err != nil {
 		log.Fatal(err)

@@ -120,7 +120,3 @@ func OptimalityRatio(achieved, lower float64) float64 {
 	}
 	return achieved / lower
 }
-
-// PerfectStrongScaling returns the ideal efficiency (always 1); provided
-// for symmetry in the sweep tables.
-func PerfectStrongScaling() float64 { return 1 }

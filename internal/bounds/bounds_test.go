@@ -117,9 +117,3 @@ func TestBoundsPositive(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestPerfectStrongScaling(t *testing.T) {
-	if PerfectStrongScaling() != 1 {
-		t.Error("ideal efficiency must be 1")
-	}
-}

@@ -15,7 +15,7 @@
 //
 // The event-driven simulator in internal/netsim and the instrumented
 // goroutine runtime in internal/comm cross-validate this model at small
-// scale (see cmd/validate).
+// scale (see `nbody validate`, in cmd/nbody).
 package model
 
 import (

@@ -116,7 +116,7 @@ func TestAllPairsStepAgainstModel(t *testing.T) {
 	}
 }
 
-// TestCommWithinModel holds cmd/validate's netsim-vs-model gate at its
+// TestCommWithinModel holds `nbody validate`'s netsim-vs-model gate at its
 // default configuration (Generic machine, p = 64, n = 512): the replayed
 // communication time stays within a factor of two of the analytic
 // model's for every c. Measured ratios are 0.74, 1.21, 1.00 and 1.71.

@@ -8,7 +8,7 @@ import (
 )
 
 // TestBreakdownsPinned holds every configuration the package's tests and
-// cmd/validate's defaults simulate (Generic machine, rc = L/4) to its
+// `nbody validate`'s defaults simulate (Generic machine, rc = L/4) to its
 // Breakdown bit for bit: a change that moves a phase updates the table.
 func TestBreakdownsPinned(t *testing.T) {
 	mach := machine.Generic()

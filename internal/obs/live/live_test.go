@@ -130,7 +130,7 @@ func TestNilObserver(t *testing.T) {
 }
 
 // TestAttachSwap checks a long-lived hub can switch observers between
-// runs, as cmd/sweep does per configuration.
+// runs, as `nbody sweep` does per configuration.
 func TestAttachSwap(t *testing.T) {
 	o1 := obs.NewObserver(1, 16)
 	o1.Metrics.Gauge("step.current").Set(1)

@@ -107,13 +107,6 @@ func (b Box) inReach(pos vec.Vec2) bool {
 	return in(pos.X) && (b.Dim < 2 || in(pos.Y))
 }
 
-// ApplyAll enforces the boundary condition on every particle in ps.
-func (b Box) ApplyAll(ps []Particle) {
-	for i := range ps {
-		b.Apply(&ps[i])
-	}
-}
-
 // Contains reports whether position pos lies inside the box (inclusive).
 func (b Box) Contains(pos vec.Vec2) bool {
 	if pos.X < 0 || pos.X > b.L {

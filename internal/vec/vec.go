@@ -40,18 +40,3 @@ func (v Vec2) Dist(w Vec2) float64 { return v.Sub(w).Norm() }
 
 // Dist2 returns the squared Euclidean distance between v and w.
 func (v Vec2) Dist2(w Vec2) float64 { return v.Sub(w).Norm2() }
-
-// Clamp returns v with each component clamped to [lo, hi].
-func (v Vec2) Clamp(lo, hi float64) Vec2 {
-	return Vec2{clamp(v.X, lo, hi), clamp(v.Y, lo, hi)}
-}
-
-func clamp(x, lo, hi float64) float64 {
-	if x < lo {
-		return lo
-	}
-	if x > hi {
-		return hi
-	}
-	return x
-}

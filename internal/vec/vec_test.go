@@ -59,17 +59,6 @@ func TestDotAndScale(t *testing.T) {
 	}
 }
 
-func TestClamp(t *testing.T) {
-	v := Vec2{-1, 7}.Clamp(0, 5)
-	if v != (Vec2{0, 5}) {
-		t.Errorf("Clamp = %+v, want {0 5}", v)
-	}
-	v = Vec2{2, 3}.Clamp(0, 5)
-	if v != (Vec2{2, 3}) {
-		t.Errorf("Clamp changed in-range vector: %+v", v)
-	}
-}
-
 func TestRNGDeterministic(t *testing.T) {
 	a, b := NewRNG(42), NewRNG(42)
 	for i := 0; i < 100; i++ {

@@ -30,7 +30,7 @@ type CommMatrixSnapshot = obs.MatrixSnapshot
 // LiveServer is the embedded HTTP telemetry hub: /metrics (Prometheus
 // text), /snapshot.json, /trace (Chrome trace JSON, safe mid-run),
 // /matrix.json, /series.json, /series/stream and /debug/pprof. Create
-// with NewLiveServer or ServeLive.
+// it with NewLiveHub, Start it, and AttachLive each simulation.
 type LiveServer = live.Server
 
 // Recorder is the per-step flight recorder of an observed simulation: a
@@ -175,37 +175,10 @@ func (s *Simulation) CommMatrix() CommMatrixSnapshot {
 	return s.observer.Matrix().Snapshot(func(ph int) string { return tl.PhaseName(uint8(ph)) })
 }
 
-// NewLiveServer returns an HTTP telemetry hub serving this simulation's
-// observer, not yet listening: mount Handler() yourself or call
-// Start(addr). Errors when the simulation is not observed.
-func (s *Simulation) NewLiveServer() (*LiveServer, error) {
-	if s.observer == nil {
-		return nil, errNotObserved
-	}
-	srv := live.New(s.observer)
-	srv.AttachRecorder(s.recorder)
-	return srv, nil
-}
-
-// ServeLive starts the telemetry hub on addr (e.g. "localhost:8080", or
-// "localhost:0" for an ephemeral port) in a background goroutine and
-// returns the server and its bound address. Every endpoint is safe to
-// scrape while Run is in flight. Close the server when done.
-func (s *Simulation) ServeLive(addr string) (*LiveServer, string, error) {
-	srv, err := s.NewLiveServer()
-	if err != nil {
-		return nil, "", err
-	}
-	bound, err := srv.Start(addr)
-	if err != nil {
-		return nil, "", err
-	}
-	return srv, bound, nil
-}
-
 // NewLiveHub returns a telemetry hub with no observer attached yet —
 // the shape long-lived servers want: start it once, then AttachLive
-// each simulation in turn (a sweep does exactly this). Endpoints
+// each simulation in turn (cmd/nbody does this for a run and for each
+// configuration of a sweep). Endpoints
 // report an empty state until the first attach.
 func NewLiveHub() *LiveServer { return live.New(nil) }
 

@@ -5,7 +5,8 @@
 # the naive all-gather) it runs the same configuration twice — once
 # with every rank in-process, once spanned across OS processes over TCP
 # loopback via -spawn — and requires the two runs to be
-# indistinguishable:
+# indistinguishable (a fourth case holds `nbody sweep` to the same
+# contract on its c, S and W columns):
 #
 #   * checkpoint: the saved checkpoints are bitwise identical (`cmp`);
 #   * matrix: the communication matrices (-matrix-out: messages and
@@ -56,6 +57,18 @@ run_case() {
 run_case allpairs 2 -n 64 -p 4 -c 2 -steps 4 -seed 3
 run_case cutoff 8 -n 128 -p 16 -c 1 -cutoff 2 -steps 4 -seed 3
 run_case naive 2 -alg naive -n 64 -p 4 -steps 4 -seed 3
+
+# sweep: one process per two ranks must measure the same S and W per
+# configuration as the in-process sweep; the time column is left out.
+echo "netsmoke: sweep"
+"$tmp/nbody" sweep -n 64 -p 4 -cs 1,2 -steps 2 | awk '/^c=/ {print $1, $3, $4}' >"$tmp/sweep.single"
+"$tmp/nbody" sweep -n 64 -p 4 -cs 1,2 -steps 2 -ranks-per-proc 2 -spawn |
+    awk '/^c=/ {print $1, $3, $4}' >"$tmp/sweep.multi"
+if [ "$(wc -l <"$tmp/sweep.single")" -ne 2 ] || ! cmp -s "$tmp/sweep.single" "$tmp/sweep.multi"; then
+    echo "netsmoke: sweep: S/W: sweep rows differ between transports" >&2
+    diff "$tmp/sweep.single" "$tmp/sweep.multi" >&2 || true
+    failed=1
+fi
 
 if [ "$failed" -ne 0 ]; then
     echo "netsmoke: FAIL — socket and in-process runs differ" >&2
