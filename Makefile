@@ -47,15 +47,24 @@ crossbuild:
 	GOARCH=arm64 $(GO) build ./...
 	GOARCH=arm64 $(GO) vet ./internal/phys/
 
-# Fuzz gate: twenty seconds each of the two fuzz targets. Every kernel
-# change leans on FuzzSweepMatchesGo's property — the selected force
-# sweep equals its reference (the plain Go loop, the generic per-pair
-# path under a cutoff) bit for bit, whatever the coordinates, strength,
-# block cuts and ID overlap — and `go test` alone only replays its
-# seeds.
+# Fuzz gate: twenty seconds each of the two kernel and particle codec
+# targets, ten of each wire decoder. Every kernel change leans on
+# FuzzSweepMatchesGo's property — the selected force sweep equals its
+# reference (the plain Go loop, the generic per-pair path under a
+# cutoff) bit for bit, whatever the coordinates, strength, block cuts
+# and ID overlap. The wire decoders take bytes from another process:
+# the frame reader, the handshake's hello and welcome, and the
+# end-of-run FINISH (with its cell block) and RESULT must each return an
+# error or a value that re-encodes to the same bytes. `go test` alone
+# only replays their seeds.
+WIRE_FUZZ = ./internal/comm/net:FuzzReadFrame ./internal/comm/net:FuzzHello ./internal/comm/net:FuzzWelcome \
+	./internal/comm:FuzzSummaryCells ./internal/comm:FuzzSummary ./internal/comm:FuzzResult
 fuzzsmoke:
 	$(GO) test -run '^$$' -fuzz FuzzSweepMatchesGo -fuzztime 20s ./internal/phys
 	$(GO) test -run '^$$' -fuzz FuzzDecodeSlice -fuzztime 20s ./internal/phys
+	for t in $(WIRE_FUZZ); do \
+		$(GO) test -run '^$$' -fuzz "^$${t#*:}$$" -fuzztime 10s "$${t%%:*}" || exit 1; \
+	done
 
 # Flake gate: the packages whose tests run rank goroutines, sockets or
 # HTTP servers, twenty times over. A test that is green once and red

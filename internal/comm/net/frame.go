@@ -73,6 +73,10 @@ const (
 	MaxPayload = 1 << 28
 
 	maxFrame = headerSize + MaxPayload
+
+	// FrameOverhead is what AppendHeader writes ahead of a payload: the
+	// length prefix and the fixed header.
+	FrameOverhead = 4 + headerSize
 )
 
 // ErrFrameTooLarge is returned when a length prefix exceeds the frame

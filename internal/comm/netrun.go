@@ -33,14 +33,10 @@ package comm
 
 import (
 	"bytes"
-	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"sync"
-	"time"
 
 	cnet "repro/internal/comm/net"
-	"repro/internal/obs"
 	"repro/internal/phys"
 	"repro/internal/trace"
 )
@@ -417,8 +413,8 @@ func (rt *Runtime) netSend(src, dst int, m *message) {
 // --- final state deposits -------------------------------------------
 
 // Deposit publishes a rank's slice of the final particle state under a
-// globally unique slot index (team id, rank id — whatever the
-// algorithm partitions output by). Deposits from every process are
+// globally unique slot index in [0, world size) (team id, rank id —
+// whatever the algorithm partitions output by). Deposits from every process are
 // merged and broadcast at the end of a distributed run, so Run
 // returns the complete final state on every process; in process they
 // are simply collected. The slice is retained by
@@ -433,83 +429,20 @@ func (c *Comm) Deposit(slot int, ps []phys.Particle) {
 	rt.mu.Unlock()
 }
 
-func encodeDeposits(deps map[int][]phys.Particle) map[int][]byte {
-	if len(deps) == 0 {
-		return nil
-	}
-	out := make(map[int][]byte, len(deps))
-	for slot, ps := range deps {
-		out[slot] = phys.EncodeSlice(ps)
-	}
-	return out
-}
-
-func decodeDeposits(in map[int][]byte) (map[int][]phys.Particle, error) {
-	if len(in) == 0 {
-		return nil, nil
-	}
-	out := make(map[int][]phys.Particle, len(in))
-	for slot, b := range in {
-		ps, err := phys.DecodeSlice(b)
-		if err != nil {
-			return nil, fmt.Errorf("comm: deposit slot %d: %w", slot, err)
-		}
-		out[slot] = ps
-	}
-	return out, nil
-}
-
 // --- end-of-run result exchange -------------------------------------
 
-// rankStatsWire is one rank's trace accounting in transit.
-type rankStatsWire struct {
-	Rank          int                `json:"rank"`
-	ByPhase       []trace.PhaseStats `json:"by_phase"`
-	WorkerCompute []time.Duration    `json:"worker_compute,omitempty"`
+// controlPayload is the payload of an end-of-run control frame
+// (exchange.go), which knows its encoded size exactly.
+type controlPayload interface {
+	size() int
+	appendTo(dst []byte) []byte
 }
 
-// procSummary is the JSON part of a follower's end-of-run report to
-// proc 0: per-local-rank stats, the local deposits, timeline losses and
-// the process's share of the socket counters. The follower's traffic
-// cells travel beside it, see encodeSummary.
-type procSummary struct {
-	Proc            int             `json:"proc"`
-	Stats           []rankStatsWire `json:"stats"`
-	Deposits        map[int][]byte  `json:"deposits,omitempty"`
-	TimelineDropped int64           `json:"timeline_dropped,omitempty"`
-	Frames          int64           `json:"frames,omitempty"`
-	Flushes         int64           `json:"flushes,omitempty"`
-}
-
-// encodeSummary lays out a FINISH payload: a 4-byte big-endian length,
-// that many bytes of traffic cells (appendCells), then the JSON summary.
-// The cells stand outside the JSON so that a proc 0 with no observer to
-// merge them into skips them without decoding a byte.
-func encodeSummary(sum procSummary, cells []obs.MatrixCell) ([]byte, error) {
-	out := appendCells(make([]byte, 4, 4096), cells)
-	binary.BigEndian.PutUint32(out, uint32(len(out)-4))
-	js, err := json.Marshal(sum)
-	if err != nil {
-		return nil, err
-	}
-	return append(out, js...), nil
-}
-
-// splitSummary separates a FINISH payload into its cell block and its
-// JSON.
-func splitSummary(payload []byte) (cells, js []byte, err error) {
-	if len(payload) < 4 || uint64(binary.BigEndian.Uint32(payload)) > uint64(len(payload)-4) {
-		return nil, nil, fmt.Errorf("finish frame of %d bytes is shorter than its cell block", len(payload))
-	}
-	n := 4 + int(binary.BigEndian.Uint32(payload))
-	return payload[4:n], payload[n:], nil
-}
-
-// runResult is proc 0's reply: the merged report and final state,
-// identical on every process.
-type runResult struct {
-	Report   *trace.Report  `json:"report"`
-	Deposits map[int][]byte `json:"deposits,omitempty"`
+// sendControl encodes a control frame straight into a buffer of its
+// exact size (see cnet.Mesh.Buffer) and queues it to proc `to`.
+func (p *Proc) sendControl(to int, kind uint8, pl controlPayload) error {
+	buf := cnet.AppendHeader(make([]byte, 0, cnet.FrameOverhead+pl.size()), &cnet.Frame{Kind: kind, Src: uint32(p.ID())})
+	return p.mesh.SendEncoded(to, pl.appendTo(buf), nil)
 }
 
 // joinDistributed completes a distributed run after the local ranks
@@ -538,12 +471,8 @@ func (rt *Runtime) joinDistributed(opts Options) (*trace.Report, map[int][]phys.
 
 func (rt *Runtime) followerJoin(opts Options) (*trace.Report, map[int][]phys.Particle, error) {
 	mesh := rt.proc.mesh
-	payload, err := encodeSummary(rt.localSummary(opts), mergeTallies(rt.wire.tallies))
-	if err != nil {
-		mesh.Abort(err)
-		return nil, nil, err
-	}
-	if err := mesh.Send(0, cnet.Frame{Kind: cnet.KindFinish, Src: uint32(rt.proc.ID()), Payload: payload}, nil); err != nil {
+	sum := rt.localSummary(opts)
+	if err := rt.proc.sendControl(0, cnet.KindFinish, &sum); err != nil {
 		return nil, nil, err
 	}
 	f, err := mesh.RecvCtrl()
@@ -555,23 +484,20 @@ func (rt *Runtime) followerJoin(opts Options) (*trace.Report, map[int][]phys.Par
 		mesh.Abort(err)
 		return nil, nil, err
 	}
-	var res runResult
-	if err := json.Unmarshal(f.Payload, &res); err != nil {
-		mesh.Abort(err)
-		return nil, nil, err
-	}
-	deps, err := decodeDeposits(res.Deposits)
+	res, err := decodeResult(f.Payload, rt.size)
 	if err != nil {
+		err = fmt.Errorf("comm: result from proc 0: %w", err)
 		mesh.Abort(err)
 		return nil, nil, err
 	}
-	return res.Report, deps, nil
+	return res.Report, res.Deposits, nil
 }
 
 func (rt *Runtime) leaderJoin(opts Options) (*trace.Report, map[int][]phys.Particle, error) {
 	mesh := rt.proc.mesh
 	frames, flushes := rt.socketShare(opts) // before the exchange adds its control frames
 	var remoteDropped int64
+	reported := make([]bool, rt.proc.NumProcs())
 	for i := 1; i < rt.proc.NumProcs(); i++ {
 		f, err := mesh.RecvCtrl()
 		if err != nil {
@@ -582,7 +508,7 @@ func (rt *Runtime) leaderJoin(opts Options) (*trace.Report, map[int][]phys.Parti
 			mesh.Abort(err)
 			return rt.Report(), nil, err
 		}
-		sum, err := rt.mergeSummary(f, opts)
+		sum, err := rt.mergeSummary(f, opts, reported)
 		if err != nil {
 			mesh.Abort(err)
 			return rt.Report(), nil, err
@@ -599,38 +525,32 @@ func (rt *Runtime) leaderJoin(opts Options) (*trace.Report, map[int][]phys.Parti
 		o.Metrics.Gauge("timeline.dropped").Set(dropped)
 	}
 	rt.mu.Lock()
-	deposits := rt.deposits
+	res := runResult{Report: rep, Deposits: rt.deposits}
 	rt.mu.Unlock()
-	payload, err := json.Marshal(runResult{Report: rep, Deposits: encodeDeposits(deposits)})
-	if err != nil {
-		mesh.Abort(err)
-		return rep, nil, err
-	}
 	for i := 1; i < rt.proc.NumProcs(); i++ {
-		if err := mesh.Send(i, cnet.Frame{Kind: cnet.KindResult, Payload: payload}, nil); err != nil {
+		if err := rt.proc.sendControl(i, cnet.KindResult, &res); err != nil {
 			return rep, nil, err
 		}
 	}
-	return rep, deposits, nil
+	return rep, res.Deposits, nil
 }
 
-// localSummary snapshots this process's share of the run for proc 0.
+// localSummary snapshots this process's share of the run for proc 0. It
+// refers to the ranks' worker times and deposits, which nothing touches
+// until the next run.
 func (rt *Runtime) localSummary(opts Options) procSummary {
-	sum := procSummary{Proc: rt.proc.ID()}
+	sum := procSummary{Proc: rt.proc.ID(), Cells: mergeTallies(rt.wire.tallies)}
 	sum.Frames, sum.Flushes = rt.socketShare(opts)
+	sum.Stats = make([]rankStatsWire, 0, rt.hi-rt.lo)
 	for r := rt.lo; r < rt.hi; r++ {
 		st := rt.stats[r]
-		sum.Stats = append(sum.Stats, rankStatsWire{
-			Rank:          r,
-			ByPhase:       append([]trace.PhaseStats(nil), st.ByPhase[:]...),
-			WorkerCompute: st.WorkerCompute,
-		})
+		sum.Stats = append(sum.Stats, rankStatsWire{Rank: r, ByPhase: st.ByPhase, WorkerCompute: st.WorkerCompute})
 	}
 	if o := opts.Observe; o != nil {
 		sum.TimelineDropped = o.Timeline.Dropped()
 	}
 	rt.mu.Lock()
-	sum.Deposits = encodeDeposits(rt.deposits)
+	sum.Deposits = rt.deposits
 	rt.mu.Unlock()
 	return sum
 }
@@ -672,56 +592,46 @@ func (rt *Runtime) socketShare(opts Options) (frames, flushes int64) {
 // the leader's state: remote rank stats land in rt.stats, and — sends
 // having been counted at the sender's process and receives at the
 // receiver's — adding the follower's cells to an observed leader's
-// matrix reconstructs the global run. Without an observer the cells are
-// not looked at.
-func (rt *Runtime) mergeSummary(f cnet.Frame, opts Options) (sum procSummary, err error) {
+// matrix reconstructs the global run. reported marks the procs whose
+// summary has been merged, so that every remote rank is merged exactly
+// once.
+func (rt *Runtime) mergeSummary(f cnet.Frame, opts Options, reported []bool) (sum procSummary, err error) {
 	defer func() {
 		if err != nil {
 			err = fmt.Errorf("comm: summary from proc %d: %w", f.Src, err)
 		}
 	}()
-	cells, js, err := splitSummary(f.Payload)
-	if err != nil {
-		return sum, err
-	}
-	if err := json.Unmarshal(js, &sum); err != nil {
-		return sum, err
-	}
 	// Everything is checked before anything is merged.
-	for _, w := range sum.Stats {
-		if w.Rank < 0 || w.Rank >= rt.size || (w.Rank >= rt.lo && w.Rank < rt.hi) {
-			return sum, fmt.Errorf("it covers rank %d", w.Rank)
-		}
-	}
-	mx := opts.Observe.Matrix()
-	var traffic []obs.MatrixCell
-	if mx != nil {
-		if traffic, err = decodeCells(cells, mx.Phases(), mx.Ranks()); err != nil {
-			return sum, err
-		}
-	}
-	deps, err := decodeDeposits(sum.Deposits)
-	if err != nil {
+	if sum, err = decodeSummary(f.Payload, rt.proc.NumProcs(), rt.proc.ranksPerProc); err != nil {
 		return sum, err
 	}
+	if sum.Proc != int(f.Src) {
+		return sum, fmt.Errorf("it claims to come from proc %d", sum.Proc)
+	}
+	if reported[sum.Proc] {
+		return sum, fmt.Errorf("a second summary of the run")
+	}
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	for slot := range sum.Deposits {
+		if _, dup := rt.deposits[slot]; dup {
+			return sum, fmt.Errorf("duplicate deposit slot %d", slot)
+		}
+	}
+	reported[sum.Proc] = true
 	for _, w := range sum.Stats {
 		st := rt.stats[w.Rank]
-		copy(st.ByPhase[:], w.ByPhase)
+		st.ByPhase = w.ByPhase
 		st.WorkerCompute = w.WorkerCompute
 	}
-	mx.AddCells(traffic)
-	if len(deps) > 0 {
-		rt.mu.Lock()
-		defer rt.mu.Unlock()
-		if rt.deposits == nil {
-			rt.deposits = make(map[int][]phys.Particle, len(deps))
-		}
-		for slot, ps := range deps {
-			if _, dup := rt.deposits[slot]; dup {
-				return sum, fmt.Errorf("duplicate deposit slot %d", slot)
-			}
-			rt.deposits[slot] = ps
-		}
+	if mx := opts.Observe.Matrix(); mx != nil {
+		mx.AddCells(sum.Cells)
+	}
+	if len(sum.Deposits) > 0 && rt.deposits == nil {
+		rt.deposits = make(map[int][]phys.Particle, len(sum.Deposits))
+	}
+	for slot, ps := range sum.Deposits {
+		rt.deposits[slot] = ps
 	}
 	return sum, nil
 }

@@ -128,8 +128,9 @@ var errCells = errors.New("comm: corrupt summary cells")
 
 // decodeCells decodes an appendCells block for a phases×ranks×ranks
 // matrix. The block comes off the wire, so everything in it is checked —
-// truncation, trailing bytes, counts past int64, a phase or rank out of
-// range, cells out of order or repeated (strictly ascending order is
+// truncation, trailing bytes, a uvarint not in its shortest form (so
+// that a block has one encoding), counts past int64, a phase or rank out
+// of range, cells out of order or repeated (strictly ascending order is
 // what makes a duplicate detectable without a set) — and reported as an
 // error, never a panic; the allocation is bounded by the block's own
 // length, not by the count it claims.
@@ -138,6 +139,9 @@ func decodeCells(b []byte, phases, ranks int) ([]obs.MatrixCell, error) {
 		v, n := binary.Uvarint(b)
 		if n <= 0 {
 			return 0, fmt.Errorf("%w: truncated %s", errCells, what)
+		}
+		if n > 1 && b[n-1] == 0 {
+			return 0, fmt.Errorf("%w: %s %d not minimally encoded", errCells, what, v)
 		}
 		if v > uint64(max(limit, 0)) {
 			return 0, fmt.Errorf("%w: %s %d out of range", errCells, what, v)

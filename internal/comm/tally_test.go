@@ -1,21 +1,14 @@
 package comm
 
 import (
+	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
-	"fmt"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"reflect"
-	"strings"
 	"testing"
-	"time"
 
-	cnet "repro/internal/comm/net"
 	"repro/internal/obs"
-	"repro/internal/trace"
 )
 
 // TestTalliesRebuildTheMatrix counts one random message stream twice —
@@ -93,6 +86,7 @@ var malformedCells = map[string][]byte{
 	"duplicate cell":      uvarints(2, 0, 1, 2, 1, 1, 1, 1, 0, 1, 2, 1, 1, 1, 1),
 	"cells out of order":  uvarints(2, 1, 1, 2, 1, 1, 1, 1, 0, 1, 2, 1, 1, 1, 1),
 	"overlong cell count": {0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01},
+	"padded uvarint":      {0x81, 0x00, 0, 1, 2, 1, 1, 1, 1},
 }
 
 func TestDecodeCellsRejectsMalformedBlocks(t *testing.T) {
@@ -109,7 +103,7 @@ func TestDecodeCellsRejectsMalformedBlocks(t *testing.T) {
 // FuzzSummaryCells holds the cell decoder to its contract on arbitrary
 // bytes: an error or a list, never a panic; an accepted list is in
 // range, strictly ascending, no larger than its encoding allows, and
-// survives re-encoding.
+// re-encodes to the same bytes.
 func FuzzSummaryCells(f *testing.F) {
 	f.Add(appendCells(nil, []obs.MatrixCell{
 		{Phase: 0, Src: 1, Dst: 2, SentMsgs: 3, SentBytes: 1248},
@@ -137,88 +131,10 @@ func FuzzSummaryCells(f *testing.F) {
 				t.Fatalf("cells %d and %d out of order: %+v %+v", i-1, i, cells[i-1], c)
 			}
 		}
-		again, err := decodeCells(appendCells(nil, cells), phases, ranks)
-		if err != nil || !reflect.DeepEqual(again, cells) {
-			t.Fatalf("accepted cells do not survive re-encoding: %v", err)
+		if again := appendCells(nil, cells); !bytes.Equal(again, data) || cellsSize(cells) != len(data) {
+			t.Fatalf("accepted cells re-encode to % x (sized %d), decoded from % x", again, cellsSize(cells), data)
 		}
 	})
-}
-
-// TestMalformedSummaryFailsEveryProc: a follower whose FINISH frame
-// carries out-of-range, repeated or mangled cells must fail the run on
-// proc 0 — with an error, not a panic in the matrix — and through the
-// aborted mesh on the follower as well.
-func TestMalformedSummaryFailsEveryProc(t *testing.T) {
-	js, err := json.Marshal(procSummary{Proc: 1, Stats: []rankStatsWire{{Rank: 1, ByPhase: make([]trace.PhaseStats, len(trace.Phases()))}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// finish lays a FINISH payload out around an arbitrary cell block.
-	finish := func(block []byte) []byte {
-		return append(append(binary.BigEndian.AppendUint32(nil, uint32(len(block))), block...), js...)
-	}
-	cells := func(cells ...obs.MatrixCell) []byte { return appendCells(nil, cells) }
-	valid := cells(obs.MatrixCell{Phase: 1, Src: 1, Dst: 0, SentMsgs: 1, SentBytes: 8})
-	cases := map[string][]byte{
-		"src rank out of range": finish(cells(obs.MatrixCell{Phase: 1, Src: 2, Dst: 0, SentMsgs: 1})),
-		"phase out of range":    finish(cells(obs.MatrixCell{Phase: len(trace.Phases()), Src: 1, Dst: 0, SentMsgs: 1})),
-		"duplicate cell":        finish(cells(obs.MatrixCell{Phase: 1, Src: 1, Dst: 0, SentMsgs: 1}, obs.MatrixCell{Phase: 1, Src: 1, Dst: 0, RecvMsgs: 1})),
-		"cell block cut short":  finish(valid[:len(valid)-1]),
-		"length past the frame": binary.BigEndian.AppendUint32(nil, 1<<20),
-		"no length at all":      {1},
-		"no summary":            finish(valid)[:4+len(valid)],
-	}
-	for name, payload := range cases {
-		t.Run(name, func(t *testing.T) {
-			dir, err := os.MkdirTemp("", "mesh")
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer os.RemoveAll(dir)
-			l, err := ListenProcs("unix:"+filepath.Join(dir, "r"), 2, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			follower := make(chan error, 1)
-			go func() {
-				// The follower is played by hand: it has no ranks to run and
-				// goes straight to the exchange.
-				p, err := JoinProcs(l.Addr(), 2, 1)
-				if err != nil {
-					follower <- fmt.Errorf("join: %w", err)
-					return
-				}
-				defer p.Close()
-				if err := p.mesh.Send(0, cnet.Frame{Kind: cnet.KindFinish, Src: 1, Payload: payload}, nil); err != nil {
-					follower <- fmt.Errorf("send: %w", err)
-					return
-				}
-				_, err = p.mesh.RecvCtrl()
-				follower <- err
-			}()
-			leader, err := l.Accept()
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer leader.Close()
-			ob := obs.NewObserver(2, 0)
-			_, _, err = RunProc(2, Options{Observe: ob}, leader, func(*Comm) error { return nil })
-			if err == nil || !strings.Contains(err.Error(), "comm: summary from") {
-				t.Errorf("proc 0 returned %v, want a summary error", err)
-			}
-			select {
-			case ferr := <-follower:
-				if ferr == nil || strings.HasPrefix(ferr.Error(), "join") || strings.HasPrefix(ferr.Error(), "send") {
-					t.Errorf("the follower saw %v, want the run's failure", ferr)
-				}
-			case <-time.After(10 * time.Second):
-				t.Fatal("the follower is still waiting for a result")
-			}
-			if s, _, _, _ := ob.Matrix().PhaseTotals(1); s != 0 {
-				t.Errorf("a rejected summary left %d messages in proc 0's matrix", s)
-			}
-		})
-	}
 }
 
 // TestArrivalLinksResolvedOncePerPair: the reader of a peer link finds

@@ -204,19 +204,12 @@ func TestMigratorRecyclesBuffers(t *testing.T) {
 // Frames are encoded into the link's recycled buffers, decoded straight
 // out of its read buffer into the receiving rank's spares, and counted in
 // per-rank tallies that keep their cells from one run to the next — so,
-// as in process, ten more steps must allocate nothing.
-//
-// One thing in a run is not the program's to decide under the race
-// detector: the end-of-run result exchange encodes JSON, encoding/json
-// takes its encoder from a sync.Pool, and with -race a sync.Pool drops a
-// quarter of what is put back on purpose. A run whose encoder was dropped
-// allocates a new one, 15 objects. That noise only ever adds, so each
-// length's count is the minimum over enough runs that all of them losing
-// an encoder is out of reach (a run keeps both encoders about half the
-// time; 8 × 3 runs all lose one with odds below 10⁻⁶). Without -race the
-// first measurement is already exact.
+// as in process, ten more steps must allocate nothing. Nothing on the
+// socket path takes from a sync.Pool (which under -race drops a quarter
+// of what is put back), so the first measurement is exact under the race
+// detector too.
 func TestSocketSteadyStateAllocBound(t *testing.T) {
-	const procs, extra, rounds = 2, 10, 8
+	const procs, extra = 2, 10
 	pr := defaultParams(8, 2, 0)
 	ps := phys.InitUniform(32, pr.Box, 5)
 	dir, err := os.MkdirTemp("", "mesh")
@@ -267,11 +260,7 @@ func TestSocketSteadyStateAllocBound(t *testing.T) {
 		}
 	}
 	run(2)()
-	base, long := ^uint64(0), ^uint64(0)
-	for i := 0; i < rounds; i++ {
-		base = min(base, runMallocs(run(2)))
-		long = min(long, runMallocs(run(2+extra)))
-	}
+	base, long := runMallocs(run(2)), runMallocs(run(2+extra))
 	t.Logf("Run after Run, 2 steps: %d objects, %d steps: %d objects", base, 2+extra, long)
 	if long != base {
 		t.Errorf("Run after Run, a %d-step socket run allocated %d objects, a 2-step one %d; %d extra steps must allocate 0",
