@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: check build fmt vet benchvet test purego crossbuild fuzzsmoke flake flakematrix race obsdebug benchguard netsmoke validate benchrepo loc
+.PHONY: check build fmt vet benchvet test purego crossbuild fuzzsmoke flake flakematrix race obsdebug benchguard netsmoke validate benchrepo pairs loc
 
 check: build fmt vet benchvet test purego crossbuild fuzzsmoke flake race obsdebug benchguard netsmoke validate
 
@@ -149,6 +149,17 @@ validate:
 WORKLOAD ?= ap-latency
 benchrepo:
 	bash benchmark/run.sh --workload $(WORKLOAD) --seconds 5 --trace 0
+
+# A comparison of the working tree with BASE (default HEAD, the parent
+# of uncommitted work) on one workload: PAIRS alternating pairs of full
+# benchmark runs, the BASE copy unpacked by git archive, printed as a
+# markdown table of medians, quartiles and wins (scripts/pairs.sh).
+# `make pairs WORKLOAD=ap-compute BASE=HEAD~1` compares a commit with its
+# parent. Not part of `check`: ten pairs take several minutes.
+PAIRS ?= 10
+BASE ?= HEAD
+pairs:
+	sh scripts/pairs.sh -w $(WORKLOAD) -n $(PAIRS) -b $(BASE)
 
 # The two line counts ROADMAP.md tracks: non-test Go and test Go,
 # benchmark/ and cmd/ included.

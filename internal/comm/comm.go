@@ -172,10 +172,14 @@ func (c *Comm) sendMsg(to, tag int, m *message) {
 	m.seq = l.seq
 	wire := m.wire()
 	if l.s == nil {
-		c.cm.countSend(int(c.stats.Phase()), src, dst, wire, c.rt.proc.queueDepthTo(dst))
+		if c.cm != nil {
+			c.cm.countSend(int(c.stats.Phase()), src, dst, wire, c.rt.proc.queueDepthTo(dst))
+		}
 		c.rt.netSend(src, dst, m)
 	} else {
-		c.cm.countSend(int(c.stats.Phase()), src, dst, wire, l.s.depth())
+		if c.cm != nil {
+			c.cm.countSend(int(c.stats.Phase()), src, dst, wire, l.s.depth())
+		}
 		if !l.s.put(m, c.rt.abort) || !l.s.settle(c.rt.abort) {
 			panic(errAborted{})
 		}
@@ -314,7 +318,9 @@ func (c *Comm) sendrecvMsg(to, tag int, m *message, from int) {
 	l.seq++
 	m.seq = l.seq
 	wire := m.wire()
-	c.cm.countSend(int(c.stats.Phase()), src, dst, wire, out.depth())
+	if c.cm != nil {
+		c.cm.countSend(int(c.stats.Phase()), src, dst, wire, out.depth())
+	}
 	c.stats.CountMessage(wire)
 	c.tr.Send(dst, tag, wire, m.seq)
 	t0 := c.tr.Now()

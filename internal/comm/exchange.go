@@ -25,7 +25,9 @@ package comm
 // the bytes present, no trailing bytes, exactly numPhases phases, ranks
 // and slots in range and strictly ascending — before the caller merges
 // anything, and fail with an error, never a panic. Accepted input
-// re-encodes to the same bytes.
+// re-encodes to the same bytes. They decode into an exchangeScratch the
+// world keeps from run to run, so a steady Run allocates none of it
+// again.
 
 import (
 	"encoding/binary"
@@ -72,6 +74,16 @@ type runResult struct {
 	Deposits map[int][]phys.Particle
 }
 
+// exchangeScratch is the storage one end-of-run payload is decoded into
+// — or, on a follower, its own summary is built in. A decode reuses what
+// the previous one left and overwrites what it returned.
+type exchangeScratch struct {
+	stats     []rankStatsWire // each entry's WorkerCompute too
+	cells     []obs.MatrixCell
+	deposits  map[int][]phys.Particle
+	particles []phys.Particle // every deposit's, one slot after another
+}
+
 func (s *procSummary) size() int {
 	n := 36 + depositsSize(s.Deposits) + 4 + cellsSize(s.Cells)
 	for _, w := range s.Stats {
@@ -102,9 +114,9 @@ func (s *procSummary) appendTo(dst []byte) []byte {
 }
 
 // decodeSummary decodes the FINISH payload of a follower of a mesh of
-// procs processes hosting ranksPerProc ranks each: it must name a
-// follower and list exactly that follower's ranks, in order.
-func decodeSummary(b []byte, procs, ranksPerProc int) (procSummary, error) {
+// procs processes hosting ranksPerProc ranks each into sc: it must name
+// a follower and list exactly that follower's ranks, in order.
+func decodeSummary(b []byte, procs, ranksPerProc int, sc *exchangeScratch) (procSummary, error) {
 	c := cnet.NewCursor(b)
 	var s procSummary
 	s.Proc = int(c.U32("proc"))
@@ -119,7 +131,8 @@ func decodeSummary(b []byte, procs, ranksPerProc int) (procSummary, error) {
 	case n != ranksPerProc:
 		c.Fail("stats of %d ranks, want proc %d's %d", n, s.Proc, ranksPerProc)
 	default:
-		s.Stats = make([]rankStatsWire, n)
+		sc.stats = slices.Grow(sc.stats[:0], n)[:n]
+		s.Stats = sc.stats
 	}
 	for i := range s.Stats {
 		w := &s.Stats[i]
@@ -128,23 +141,22 @@ func decodeSummary(b []byte, procs, ranksPerProc int) (procSummary, error) {
 			c.Fail("stats entry %d is rank %d, want rank %d (each of ranks [%d,%d) once, in order)", i, w.Rank, lo+i, lo, lo+ranksPerProc)
 		}
 		readPhases(c, w.ByPhase[:])
-		if n := c.Count(8, "worker count"); n > 0 {
-			w.WorkerCompute = make([]time.Duration, n)
-			for k := range w.WorkerCompute {
-				w.WorkerCompute[k] = time.Duration(c.I64("worker time"))
-			}
+		n := c.Count(8, "worker count")
+		w.WorkerCompute = slices.Grow(w.WorkerCompute[:0], n)[:n]
+		for k := range w.WorkerCompute {
+			w.WorkerCompute[k] = time.Duration(c.I64("worker time"))
 		}
 	}
-	s.Deposits = readDeposits(c, procs*ranksPerProc)
+	s.Deposits = readDeposits(c, procs*ranksPerProc, sc)
 	block := c.Bytes(int(c.U32("cell block length")), "cell block")
 	if err := c.Finish(); err != nil {
 		return procSummary{}, err
 	}
-	cells, err := decodeCells(block, numPhases, procs*ranksPerProc)
-	if err != nil {
+	var err error
+	if sc.cells, err = decodeCells(sc.cells, block, numPhases, procs*ranksPerProc); err != nil {
 		return procSummary{}, err
 	}
-	s.Cells = cells
+	s.Cells = sc.cells
 	return s, nil
 }
 
@@ -171,8 +183,9 @@ func (r *runResult) appendTo(dst []byte) []byte {
 	return appendDeposits(dst, r.Deposits)
 }
 
-// decodeResult decodes the RESULT payload of a run of size ranks.
-func decodeResult(b []byte, size int) (runResult, error) {
+// decodeResult decodes the RESULT payload of a run of size ranks, its
+// deposits into sc.
+func decodeResult(b []byte, size int, sc *exchangeScratch) (runResult, error) {
 	c := cnet.NewCursor(b)
 	rep := &trace.Report{Ranks: int(c.U32("report ranks"))}
 	if c.Err() == nil && rep.Ranks != size {
@@ -188,7 +201,7 @@ func decodeResult(b []byte, size int) (runResult, error) {
 	rep.TimelineDropped = c.I64("timeline drops")
 	rep.KernelImpl = string(c.Bytes(int(c.U32("kernel name length")), "kernel name"))
 	rep.SocketFrames, rep.SocketFlushes = c.I64("socket frames"), c.I64("socket flushes")
-	deps := readDeposits(c, size)
+	deps := readDeposits(c, size, sc)
 	if err := c.Finish(); err != nil {
 		return runResult{}, err
 	}
@@ -244,14 +257,22 @@ func appendDeposits(dst []byte, deps map[int][]phys.Particle) []byte {
 }
 
 // readDeposits decodes a deposits block of a world of size ranks, whose
-// slots are in [0, size). The particles are decoded straight out of the
-// payload into a slice per slot.
-func readDeposits(c *cnet.Cursor, size int) map[int][]phys.Particle {
+// slots are in [0, size), into sc's map. The particles are decoded
+// straight out of the payload into sc.particles, a slot's slice capped
+// at its end.
+func readDeposits(c *cnet.Cursor, size int, sc *exchangeScratch) map[int][]phys.Particle {
 	n := c.Count(8, "deposit count")
 	if n == 0 {
 		return nil
 	}
-	deps := make(map[int][]phys.Particle, n)
+	if sc.deposits == nil {
+		sc.deposits = make(map[int][]phys.Particle, n)
+	}
+	deps := sc.deposits
+	clear(deps)
+	// What is left of the payload bounds the particles: one allocation
+	// covers every slot.
+	ps := slices.Grow(sc.particles[:0], c.Len()/phys.WireSize)
 	prev := -1
 	for i := 0; i < n && c.Err() == nil; i++ {
 		slot := int(c.U32("deposit slot"))
@@ -264,8 +285,11 @@ func readDeposits(c *cnet.Cursor, size int) map[int][]phys.Particle {
 			break
 		}
 		prev = slot
-		deps[slot], _ = phys.DecodeSliceInto(make([]phys.Particle, 0, len(b)/phys.WireSize), b)
+		start := len(ps)
+		ps, _ = phys.DecodeSliceInto(ps, b)
+		deps[slot] = ps[start:len(ps):len(ps)]
 	}
+	sc.particles = ps
 	return deps
 }
 

@@ -88,7 +88,7 @@ func TestExchangeGoldenBytes(t *testing.T) {
 	if len(gotSum) != sum.size() {
 		t.Errorf("FINISH of %d bytes, sized %d", len(gotSum), sum.size())
 	}
-	if back, err := decodeSummary(gotSum, 2, 1); err != nil || !reflect.DeepEqual(back, sum) {
+	if back, err := decodeSummary(gotSum, 2, 1, new(exchangeScratch)); err != nil || !reflect.DeepEqual(back, sum) {
 		t.Errorf("FINISH decodes to %+v, %v; want %+v", back, err, sum)
 	}
 	gotRes := res.appendTo(nil)
@@ -98,14 +98,49 @@ func TestExchangeGoldenBytes(t *testing.T) {
 	if len(gotRes) != res.size() {
 		t.Errorf("RESULT of %d bytes, sized %d", len(gotRes), res.size())
 	}
-	if back, err := decodeResult(gotRes, 2); err != nil || !reflect.DeepEqual(back, res) {
+	if back, err := decodeResult(gotRes, 2, new(exchangeScratch)); err != nil || !reflect.DeepEqual(back, res) {
 		t.Errorf("RESULT decodes to %+v, %v; want %+v", back, err, res)
 	}
 }
 
+// dirtyScratch returns exchange storage a larger payload than the fuzz
+// seeds was decoded into, as a world's is after a run: a summary of
+// proc 1 of 3 × 2 ranks with more workers, deposit slots and cells,
+// then a result of 4 ranks with more deposit slots.
+func dirtyScratch(t *testing.T) *exchangeScratch {
+	sc := new(exchangeScratch)
+	ps := []phys.Particle{particleAt12(1), particleAt12(2), particleAt12(3)}
+	sum := procSummary{
+		Proc: 1,
+		Stats: []rankStatsWire{
+			{Rank: 2, ByPhase: shiftStats(9, 3), WorkerCompute: []time.Duration{1, 2, 3, 4, 5}},
+			{Rank: 3, ByPhase: shiftStats(7, 1), WorkerCompute: []time.Duration{6, 7, 8}},
+		},
+		Deposits: map[int][]phys.Particle{0: ps, 1: ps[:1], 3: ps, 4: ps[:2]},
+		Cells: []obs.MatrixCell{
+			{Phase: 0, Src: 0, Dst: 1, SentMsgs: 9}, {Phase: 1, Src: 2, Dst: 3, RecvMsgs: 5},
+			{Phase: 2, Src: 3, Dst: 5, SentBytes: 7}, {Phase: 3, Src: 5, Dst: 0, RecvBytes: 1 << 50},
+		},
+	}
+	if _, err := decodeSummary(sum.appendTo(nil), 3, 2, sc); err != nil {
+		t.Fatal(err)
+	}
+	res := runResult{Report: &trace.Report{Ranks: 4}, Deposits: map[int][]phys.Particle{0: ps[:1], 1: ps, 2: ps, 3: ps[:2]}}
+	if _, err := decodeResult(res.appendTo(nil), 4, sc); err != nil {
+		t.Fatal(err)
+	}
+	return sc
+}
+
+// sameErr reports whether two decodes failed alike.
+func sameErr(a, b error) bool {
+	return (a == nil) == (b == nil) && (a == nil || a.Error() == b.Error())
+}
+
 // FuzzSummary: arbitrary bytes decode, as the FINISH payload of a
 // follower of 3 procs × 2 ranks, to an error or to a summary of exactly
-// that follower's ranks that re-encodes to the same bytes.
+// that follower's ranks that re-encodes to the same bytes — into fresh
+// storage and into the dirty storage of a world after a run alike.
 func FuzzSummary(f *testing.F) {
 	f.Add((&procSummary{Proc: 1, Stats: []rankStatsWire{{Rank: 2}, {Rank: 3}}}).appendTo(nil))
 	f.Add((&procSummary{
@@ -120,9 +155,16 @@ func FuzzSummary(f *testing.F) {
 	}).appendTo(nil))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		const procs, rpp = 3, 2
-		s, err := decodeSummary(data, procs, rpp)
+		s, err := decodeSummary(data, procs, rpp, new(exchangeScratch))
+		dirty, dirtyErr := decodeSummary(data, procs, rpp, dirtyScratch(t))
+		if !sameErr(err, dirtyErr) {
+			t.Fatalf("decoding into dirty storage fails with %v, into fresh with %v", dirtyErr, err)
+		}
 		if err != nil {
 			return
+		}
+		if again := dirty.appendTo(nil); !bytes.Equal(again, data) {
+			t.Fatalf("summary decoded into dirty storage re-encodes to % x, decoded from % x", again, data)
 		}
 		if s.Proc < 1 || s.Proc >= procs || len(s.Stats) != rpp {
 			t.Fatalf("accepted proc %d with %d ranks", s.Proc, len(s.Stats))
@@ -139,16 +181,24 @@ func FuzzSummary(f *testing.F) {
 }
 
 // FuzzResult: arbitrary bytes decode, as the RESULT payload of a 4-rank
-// run, to an error or to a result that re-encodes to the same bytes.
+// run, to an error or to a result that re-encodes to the same bytes —
+// into fresh storage and into dirty storage alike.
 func FuzzResult(f *testing.F) {
 	f.Add((&runResult{Report: &trace.Report{Ranks: 4}}).appendTo(nil))
 	rep := &trace.Report{Ranks: 4, WorkerLanes: 1, WorkerMax: 5, WorkerSum: 5, SLowerBound: 3.5, KernelImpl: "portable", SocketFrames: 8, SocketFlushes: 2}
 	rep.CriticalPath, rep.Sum = shiftStats(1, 1), shiftStats(4, 4)
 	f.Add((&runResult{Report: rep, Deposits: map[int][]phys.Particle{0: {particleAt12(0)}, 3: {particleAt12(1), particleAt12(2)}}}).appendTo(nil))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		r, err := decodeResult(data, 4)
+		r, err := decodeResult(data, 4, new(exchangeScratch))
+		dirty, dirtyErr := decodeResult(data, 4, dirtyScratch(t))
+		if !sameErr(err, dirtyErr) {
+			t.Fatalf("decoding into dirty storage fails with %v, into fresh with %v", dirtyErr, err)
+		}
 		if err != nil {
 			return
+		}
+		if again := dirty.appendTo(nil); !bytes.Equal(again, data) {
+			t.Fatalf("result decoded into dirty storage re-encodes to % x, decoded from % x", again, data)
 		}
 		if again := r.appendTo(nil); !bytes.Equal(again, data) || r.size() != len(data) {
 			t.Fatalf("result re-encodes to % x (sized %d), decoded from % x", again, r.size(), data)

@@ -169,6 +169,9 @@ func (c *Cursor) Count(size int, what string) int {
 	return int(n)
 }
 
+// Len returns the number of bytes left.
+func (c *Cursor) Len() int { return len(c.b) }
+
 // Fail records a rejected value unless an error is already recorded.
 func (c *Cursor) Fail(format string, args ...any) {
 	if c.err == nil {

@@ -167,6 +167,7 @@ func (rt *Runtime) bindProc(p *Proc) error {
 	rt.wire = &wireState{
 		spares:   make([]spares, p.ranksPerProc),
 		arrivals: make([][][]arrival, p.NumProcs()),
+		exchange: make([]exchangeScratch, p.NumProcs()),
 	}
 	if p.ID() != 0 {
 		rt.wire.tallies = make([]tally, p.ranksPerProc)
@@ -189,6 +190,11 @@ type wireState struct {
 	// arrived counts the data frames delivered to the current run; like
 	// arrivals it is guarded by the mesh's routing lock.
 	arrived int64
+	// exchange is the end-of-run exchange's storage: a follower builds
+	// its summary and decodes the result in its entry 0, proc 0 decodes
+	// the i-th summary to arrive in entry i. What a run keeps from it —
+	// remote deposits, remote worker times — is valid until the next run.
+	exchange []exchangeScratch
 }
 
 // reset zeroes what a run counts on the socket side.
@@ -484,7 +490,7 @@ func (rt *Runtime) followerJoin(opts Options) (*trace.Report, map[int][]phys.Par
 		mesh.Abort(err)
 		return nil, nil, err
 	}
-	res, err := decodeResult(f.Payload, rt.size)
+	res, err := decodeResult(f.Payload, rt.size, &rt.wire.exchange[0])
 	if err != nil {
 		err = fmt.Errorf("comm: result from proc 0: %w", err)
 		mesh.Abort(err)
@@ -508,7 +514,7 @@ func (rt *Runtime) leaderJoin(opts Options) (*trace.Report, map[int][]phys.Parti
 			mesh.Abort(err)
 			return rt.Report(), nil, err
 		}
-		sum, err := rt.mergeSummary(f, opts, reported)
+		sum, err := rt.mergeSummary(f, opts, reported, &rt.wire.exchange[i])
 		if err != nil {
 			mesh.Abort(err)
 			return rt.Report(), nil, err
@@ -535,17 +541,20 @@ func (rt *Runtime) leaderJoin(opts Options) (*trace.Report, map[int][]phys.Parti
 	return rep, res.Deposits, nil
 }
 
-// localSummary snapshots this process's share of the run for proc 0. It
-// refers to the ranks' worker times and deposits, which nothing touches
-// until the next run.
+// localSummary snapshots this process's share of the run for proc 0,
+// in the world's exchange storage. It refers to the ranks' worker times
+// and deposits, which nothing touches until the next run.
 func (rt *Runtime) localSummary(opts Options) procSummary {
-	sum := procSummary{Proc: rt.proc.ID(), Cells: mergeTallies(rt.wire.tallies)}
+	sc := &rt.wire.exchange[0]
+	sc.cells = mergeTallies(sc.cells, rt.wire.tallies)
+	sum := procSummary{Proc: rt.proc.ID(), Cells: sc.cells}
 	sum.Frames, sum.Flushes = rt.socketShare(opts)
-	sum.Stats = make([]rankStatsWire, 0, rt.hi-rt.lo)
+	sc.stats = sc.stats[:0]
 	for r := rt.lo; r < rt.hi; r++ {
 		st := rt.stats[r]
-		sum.Stats = append(sum.Stats, rankStatsWire{Rank: r, ByPhase: st.ByPhase, WorkerCompute: st.WorkerCompute})
+		sc.stats = append(sc.stats, rankStatsWire{Rank: r, ByPhase: st.ByPhase, WorkerCompute: st.WorkerCompute})
 	}
+	sum.Stats = sc.stats
 	if o := opts.Observe; o != nil {
 		sum.TimelineDropped = o.Timeline.Dropped()
 	}
@@ -594,15 +603,16 @@ func (rt *Runtime) socketShare(opts Options) (frames, flushes int64) {
 // receiver's — adding the follower's cells to an observed leader's
 // matrix reconstructs the global run. reported marks the procs whose
 // summary has been merged, so that every remote rank is merged exactly
-// once.
-func (rt *Runtime) mergeSummary(f cnet.Frame, opts Options, reported []bool) (sum procSummary, err error) {
+// once. The frame is decoded into sc, which the merged worker times
+// and deposits refer to until the next run.
+func (rt *Runtime) mergeSummary(f cnet.Frame, opts Options, reported []bool, sc *exchangeScratch) (sum procSummary, err error) {
 	defer func() {
 		if err != nil {
 			err = fmt.Errorf("comm: summary from proc %d: %w", f.Src, err)
 		}
 	}()
 	// Everything is checked before anything is merged.
-	if sum, err = decodeSummary(f.Payload, rt.proc.NumProcs(), rt.proc.ranksPerProc); err != nil {
+	if sum, err = decodeSummary(f.Payload, rt.proc.NumProcs(), rt.proc.ranksPerProc, sc); err != nil {
 		return sum, err
 	}
 	if sum.Proc != int(f.Src) {

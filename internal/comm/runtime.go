@@ -454,7 +454,8 @@ func RunProc(size int, opts Options, proc *Proc, fn func(*Comm) error) (*trace.R
 //
 // A run must receive every message it sends: a message left in a
 // mailbox would be the next run's to receive. The deposits map is the
-// world's, valid until the next Run; the slices in it are the ranks'.
+// world's, valid until the next Run, and so are the slices in it that
+// came off a mesh; the others are the ranks'.
 func (rt *Runtime) Run(fn func(*Comm) error) (*trace.Report, map[int][]phys.Particle, error) {
 	rt.mu.Lock()
 	dead := rt.err
@@ -551,7 +552,8 @@ func (rt *Runtime) runRank(wg *sync.WaitGroup, c *Comm, fn func(*Comm) error) {
 // of a multi-process run, where every rank has a commMetrics of its own —
 // the rank's tally. Resolving once at Run start keeps map lookups out of
 // the per-message path. A nil *commMetrics disables all of it at the
-// cost of one nil check per site.
+// cost of one nil check per site — at the call, for sends, so that an
+// unobserved send does not read the mailbox depth it would record.
 type commMetrics struct {
 	sentMsgs  *obs.Counter
 	sentBytes *obs.Counter
@@ -591,11 +593,8 @@ func (m *commMetrics) withTally(t *tally) *commMetrics {
 
 // countSend records one src→dst world-rank message in the rank's tally,
 // the registry instruments and the communication matrix, under the
-// sender's phase.
+// sender's phase. The caller checks m for nil.
 func (m *commMetrics) countSend(phase, src, dst, bytes, boxDepth int) {
-	if m == nil {
-		return
-	}
 	if m.tally != nil {
 		c := m.tally.at(phase, src, dst)
 		c.SentMsgs++

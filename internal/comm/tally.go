@@ -86,11 +86,11 @@ func compareCells(a, b obs.MatrixCell) int {
 }
 
 // mergeTallies flattens per-rank tallies into one list in summary
-// order. A pair with both ends in this process appears in two tallies —
-// the sender's holds its sent counts, the receiver's its received ones —
-// and comes out as one cell.
-func mergeTallies(tallies []tally) []obs.MatrixCell {
-	var all []obs.MatrixCell
+// order, in dst's storage. A pair with both ends in this process
+// appears in two tallies — the sender's holds its sent counts, the
+// receiver's its received ones — and comes out as one cell.
+func mergeTallies(dst []obs.MatrixCell, tallies []tally) []obs.MatrixCell {
+	all := dst[:0]
 	for i := range tallies {
 		all = append(all, tallies[i].cells...)
 	}
@@ -127,14 +127,15 @@ func appendCells(dst []byte, cells []obs.MatrixCell) []byte {
 var errCells = errors.New("comm: corrupt summary cells")
 
 // decodeCells decodes an appendCells block for a phases×ranks×ranks
-// matrix. The block comes off the wire, so everything in it is checked —
-// truncation, trailing bytes, a uvarint not in its shortest form (so
-// that a block has one encoding), counts past int64, a phase or rank out
-// of range, cells out of order or repeated (strictly ascending order is
-// what makes a duplicate detectable without a set) — and reported as an
-// error, never a panic; the allocation is bounded by the block's own
-// length, not by the count it claims.
-func decodeCells(b []byte, phases, ranks int) ([]obs.MatrixCell, error) {
+// matrix into dst's storage. The block comes off the wire, so
+// everything in it is checked — truncation, trailing bytes, a uvarint
+// not in its shortest form (so that a block has one encoding), counts
+// past int64, a phase or rank out of range, cells out of order or
+// repeated (strictly ascending order is what makes a duplicate
+// detectable without a set) — and reported as an error, never a panic;
+// the allocation is bounded by the block's own length, not by the count
+// it claims.
+func decodeCells(dst []obs.MatrixCell, b []byte, phases, ranks int) ([]obs.MatrixCell, error) {
 	next := func(limit int64, what string) (int64, error) {
 		v, n := binary.Uvarint(b)
 		if n <= 0 {
@@ -161,7 +162,7 @@ func decodeCells(b []byte, phases, ranks int) ([]obs.MatrixCell, error) {
 		{math.MaxInt64, "sent messages"}, {math.MaxInt64, "sent bytes"},
 		{math.MaxInt64, "received messages"}, {math.MaxInt64, "received bytes"},
 	}
-	cells := make([]obs.MatrixCell, count)
+	cells := slices.Grow(dst[:0], int(count))[:count]
 	for i := range cells {
 		var v [7]int64
 		for k, f := range fields {

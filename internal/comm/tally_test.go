@@ -6,6 +6,7 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/obs"
@@ -40,8 +41,8 @@ func TestTalliesRebuildTheMatrix(t *testing.T) {
 	if tallies[3].index == nil || tallies[7].index != nil && len(tallies[7].cells) <= tallyScan {
 		t.Fatalf("hub tally has %d cells and index %v; want it indexed", len(tallies[3].cells), tallies[3].index != nil)
 	}
-	cells := mergeTallies(tallies)
-	decoded, err := decodeCells(appendCells(nil, cells), phases, ranks)
+	cells := mergeTallies(nil, tallies)
+	decoded, err := decodeCells(nil, appendCells(nil, cells), phases, ranks)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,11 +92,11 @@ var malformedCells = map[string][]byte{
 
 func TestDecodeCellsRejectsMalformedBlocks(t *testing.T) {
 	for name, block := range malformedCells {
-		if cells, err := decodeCells(block, 4, 8); !errors.Is(err, errCells) {
+		if cells, err := decodeCells(nil, block, 4, 8); !errors.Is(err, errCells) {
 			t.Errorf("%s: decoded %d cells, err %v; want errCells", name, len(cells), err)
 		}
 	}
-	if cells, err := decodeCells(uvarints(0), 4, 8); err != nil || len(cells) != 0 {
+	if cells, err := decodeCells(nil, uvarints(0), 4, 8); err != nil || len(cells) != 0 {
 		t.Errorf("an empty cell list: %d cells, err %v", len(cells), err)
 	}
 }
@@ -103,7 +104,8 @@ func TestDecodeCellsRejectsMalformedBlocks(t *testing.T) {
 // FuzzSummaryCells holds the cell decoder to its contract on arbitrary
 // bytes: an error or a list, never a panic; an accepted list is in
 // range, strictly ascending, no larger than its encoding allows, and
-// re-encodes to the same bytes.
+// re-encodes to the same bytes; and decoding into storage a longer
+// list was decoded into gives the same.
 func FuzzSummaryCells(f *testing.F) {
 	f.Add(appendCells(nil, []obs.MatrixCell{
 		{Phase: 0, Src: 1, Dst: 2, SentMsgs: 3, SentBytes: 1248},
@@ -115,9 +117,20 @@ func FuzzSummaryCells(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		const phases, ranks = 4, 8
-		cells, err := decodeCells(data, phases, ranks)
+		cells, err := decodeCells(nil, data, phases, ranks)
+		dirty := make([]obs.MatrixCell, 12)
+		for i := range dirty {
+			dirty[i] = obs.MatrixCell{Phase: i % phases, Src: i % ranks, Dst: 7, SentMsgs: int64(i), RecvBytes: 1}
+		}
+		dirty, dirtyErr := decodeCells(dirty[:5], data, phases, ranks)
+		if !sameErr(err, dirtyErr) {
+			t.Fatalf("decoding into dirty storage fails with %v, into fresh with %v", dirtyErr, err)
+		}
 		if err != nil {
 			return
+		}
+		if !slices.Equal(dirty, cells) {
+			t.Fatalf("decoded into dirty storage to %+v, into fresh to %+v", dirty, cells)
 		}
 		if 7*len(cells) > len(data) {
 			t.Fatalf("%d cells out of %d bytes", len(cells), len(data))

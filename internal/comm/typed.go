@@ -21,7 +21,8 @@ package comm
 // later steps. A sender wanting to write a previously sent buffer again
 // must first pass a synchronization point that transitively orders
 // every reader behind the reuse: the timestep loops use the next step's
-// team broadcast/reduce pair, and double-buffer the closed ring's shift
+// team broadcast/reduce pair, and where a rank reads gathered views
+// after their buffer moved on, double-buffer the closed ring's shift
 // exchange so the overwrite happens two steps after the hand-off.
 
 import "repro/internal/phys"

@@ -50,7 +50,9 @@ func NewAllPairs(ps []phys.Particle, pr Params) (*Session, error) {
 		l, row, col := newShiftLoop(rk, &pr, cg)
 		l.moves = allPairsMoves(T, pr.C, row, col)
 		l.pairing = newEveryBlock(l.last, npt)
-		l.x = newXfer(pr, -1, l.closed)
+		// A block shorter than a batch waits for others, past the
+		// rank's next move; a longer one is swept on arrival.
+		l.x = newXfer(pr, -1, npt < sweepBatch)
 		if l.leader {
 			l.mine = owned[col*npt : (col+1)*npt : (col+1)*npt]
 		}
@@ -108,9 +110,11 @@ const sweepBatch = 128
 // therefore swept at once, alone; many short ones share one kernel
 // call and one Compute span. Each target still folds its sources in
 // arrival order, so the forces are those of a sweep per block, bit for
-// bit. Reading a view that late is legal on the closed ring only (the
-// reuse discipline in transport.go); a rank references at most
-// sweepBatch + n/T visiting particles beyond the buffer it holds.
+// bit. Reading a view that late is legal on the closed ring only, and
+// only on a transport built to keep views (the reuse discipline in
+// transport.go), which NewAllPairs asks for when n/T < sweepBatch; a
+// rank references at most sweepBatch + n/T visiting particles beyond
+// the buffer it holds.
 type everyBlock struct {
 	gathered [][]phys.Particle // since the last sweep; never grows
 	n        int               // particles in gathered

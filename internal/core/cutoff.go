@@ -64,8 +64,9 @@ func NewCutoff(ps []phys.Particle, pr Params) (*Session, error) {
 		pairing := w // the migrator in it is the rank's own
 		l.pairing = &pairing
 		// The exchange buffer carries its true source team so receivers
-		// can reject aliased buffers near reflective boundaries.
-		l.x = newXfer(pr, team, l.closed)
+		// can reject aliased buffers near reflective boundaries;
+		// windowed applies each block on arrival and keeps no view.
+		l.x = newXfer(pr, team, false)
 		if l.leader {
 			l.mine = owned[team]
 		}

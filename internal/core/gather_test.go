@@ -40,7 +40,7 @@ func allPairsOnArrival(ps []phys.Particle, pr Params) ([]phys.Particle, error) {
 		l, row, col := newShiftLoop(rk, &pr, cg)
 		l.moves = allPairsMoves(T, pr.C, row, col)
 		l.pairing = onArrival{}
-		l.x = newXfer(pr, -1, l.closed)
+		l.x = newXfer(pr, -1, false)
 		if l.leader {
 			l.mine = append([]phys.Particle(nil), ps[col*npt:(col+1)*npt]...)
 		}

@@ -138,6 +138,41 @@ func TestSteadyStateAllocFree(t *testing.T) {
 	}
 }
 
+// TestExchangeBuffersPerRank pins what the reuse discipline of
+// transport.go costs in memory: a rank keeps a second exchange buffer
+// exactly when its pairing reads a view after the rank's next move —
+// everyBlock with blocks shorter than sweepBatch — and loads into it
+// first at a session's second step. So on fresh all-pairs sessions
+// Advance(2) allocates one object per rank more than Advance(1) when
+// n/T < sweepBatch, and not one more when n/T ≥ sweepBatch.
+func TestExchangeBuffersPerRank(t *testing.T) {
+	const p, c = 4, 2
+	for _, npt := range []int{sweepBatch / 8, sweepBatch - 1, sweepBatch, 2*sweepBatch + 3} {
+		pr := defaultParams(p, c, 0)
+		ps := phys.InitUniform(pr.Teams()*npt, pr.Box, 5)
+		fresh := func(steps int) func() {
+			return func() {
+				s, err := NewAllPairs(ps, pr)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, _, err := s.Advance(steps); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		want := int64(0)
+		if npt < sweepBatch {
+			want = p
+		}
+		one, two := runMallocs(fresh(1)), runMallocs(fresh(2))
+		if got := int64(two) - int64(one); got != want {
+			t.Errorf("n/T=%d: Advance(2) allocated %d objects, Advance(1) %d: %d more, want %d (one spare exchange buffer per rank where views are kept)",
+				npt, two, one, got, want)
+		}
+	}
+}
+
 // TestMigratorRecyclesBuffers drives the reassignment buffers directly,
 // on a conveyor: every step every particle crosses into the next team,
 // so each leader ships its whole set one way and adopts its neighbor's.

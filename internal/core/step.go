@@ -45,8 +45,8 @@ type rank struct {
 // particles' first owners — on the caller's goroutine, starting nothing.
 // The first Advance builds the comm world and, inside each rank's
 // goroutine, the rank's loop; the session keeps both, the loops with
-// every buffer they have grown (replica, exchange double-buffer,
-// reduction payload, migration stock), so a later Advance costs its
+// every buffer they have grown (replica, exchange buffers, reduction
+// payload, migration stock), so a later Advance costs its
 // steps and not a rebuild. Between calls it is memory only: the rank
 // goroutines and the force pools' workers start and stop with each
 // Advance. A failed Advance leaves the session dead.
@@ -230,9 +230,7 @@ type hop struct{ to, from int }
 type moves struct {
 	// closed says the ring closes: positions 0 and last hold the same
 	// block. Algorithm 1's does (s·c ≡ 0 mod T), the cutoff window's does
-	// not. It decides which positions the walk computes on (walk) and how
-	// the transport may reuse the exchange buffer (the reuse discipline
-	// in transport.go).
+	// not. It decides which positions the walk computes on (walk).
 	closed bool
 	last   int
 	// hops lists every move. Nil for Algorithm 1, whose moves have a
@@ -258,8 +256,9 @@ func (m *moves) move(i int) (hop, int) {
 type pairing interface {
 	// update applies the buffer the rank holds (l.x.view) to l.replica —
 	// under the Compute phase, booked with l.counted — or skips a block
-	// that must not interact. On a closed ring it may instead keep the
-	// view and apply it later, no later than flush.
+	// that must not interact. On a closed ring, and a transport built to
+	// keep views (newXfer), it may instead keep the view and apply it
+	// later, no later than flush.
 	update(l *shiftLoop)
 	// flush runs when the walk has ended, before the reduce: it applies
 	// whatever update has kept back.

@@ -37,10 +37,10 @@ type xfer interface {
 	// view exposes the particles currently in the exchange buffer and
 	// the team they originate from (-1 on unframed transports). The
 	// slice is read-only: it may alias a buffer that is simultaneously
-	// in flight to a neighbor, or that a neighbor holds by now. On an
-	// open ring it is valid until the rank's next move; on a closed ring
-	// until the rank enters reduceForces (the reuse discipline below),
-	// whatever it has moved in between.
+	// in flight to a neighbor, or that a neighbor holds by now. It is
+	// valid until the rank's next move; on a transport built to keep
+	// views, until the rank enters reduceForces (the reuse discipline
+	// below), whatever it has moved in between.
 	view() (srcTeam int, ps []phys.Particle)
 	// shift exchanges the buffer with the ring neighbors: ship to rank
 	// `to`, adopt the buffer arriving from rank `from`.
@@ -59,14 +59,14 @@ type xfer interface {
 
 // newXfer builds the transport for one rank. frame is the rank's team
 // id when exchange buffers carry a source-team frame (the cutoff
-// algorithm), -1 for the unframed all-pairs exchange. closed is the
-// rank's moves.closed (false where nothing shifts): it selects the
-// exchange-buffer reuse discipline below.
-func newXfer(pr Params, frame int, closed bool) xfer {
+// algorithm), -1 for the unframed all-pairs exchange. keepsViews says
+// the rank's pairing reads a view after the rank's next move: it
+// selects the exchange-buffer reuse discipline below.
+func newXfer(pr Params, frame int, keepsViews bool) xfer {
 	if pr.oracle {
-		return &encodedXfer{frame: frame, closed: closed}
+		return &encodedXfer{frame: frame, keepsViews: keepsViews}
 	}
-	return &typedXfer{frame: frame, closed: closed}
+	return &typedXfer{frame: frame, keepsViews: keepsViews}
 }
 
 // Exchange-buffer reuse discipline, shared by both transports.
@@ -75,39 +75,41 @@ func newXfer(pr Params, frame int, closed bool) xfer {
 // buffer strictly before forwarding it, so the final holder — the only
 // rank that ever writes it again, at the next step's loadExchange — is
 // already ordered after every read, and a single retained slot is safe.
-// The open ring of the cutoff loop uses this: it may not keep a view
-// past its next move.
+// A pairing that reads each view before the rank's next move keeps to
+// it: the cutoff loop's windowed, and the all-pairs loop's everyBlock
+// when a block fills a sweep batch by itself and is swept the moment it
+// arrives (n/T ≥ sweepBatch).
 //
-// The all-pairs loop does not read strictly before forwarding: it
-// gathers the views of the buffers that visit a rank and reads them
-// when it sweeps, at the latest in the flush that ends its walk
-// (everyBlock in allpairs.go) — long after the buffer went on. Its ring
-// closes, so the load is double-buffered: loadExchange writes the
-// buffer held at the end of step k−2, never the one just received. The
-// readers of the buffer a rank holds at the end of step k are the T/c
-// ranks of its shift cycle (its row, every c-th team), each until its
-// flush of step k; the rank writes the buffer at the loadExchange of
-// step k+2. A reader's flush precedes its reduce and so every message
-// it sends in step k+1, whose T/c shifts pass a message from each rank
-// of the cycle to the next: after them every rank of the cycle has
-// received, directly or through the ranks between, from every other,
-// and only then does it go on to step k+2 and write. So a view is
-// readable until the flush — on this ring, and for two steps, no
-// further. The race detector checks it mechanically (`make race`): the
-// oracle transport decodes every view into memory of its own, so state
-// alone cannot.
+// With shorter blocks everyBlock does not read strictly before
+// forwarding: it gathers the views of the buffers that visit a rank and
+// reads them when it sweeps, at the latest in the flush that ends its
+// walk — long after the buffer went on. Such a transport keeps views
+// (newXfer), and its load is double-buffered: loadExchange writes the
+// buffer held at the end of step k−2, never the one just received. That
+// is safe because the all-pairs ring closes. The readers of the buffer a
+// rank holds at the end of step k are the T/c ranks of its shift cycle
+// (its row, every c-th team), each until its flush of step k; the rank
+// writes the buffer at the loadExchange of step k+2. A reader's flush
+// precedes its reduce and so every message it sends in step k+1, whose
+// T/c shifts pass a message from each rank of the cycle to the next:
+// after them every rank of the cycle has received, directly or through
+// the ranks between, from every other, and only then does it go on to
+// step k+2 and write. So a kept view is readable until the flush — on
+// this ring, and for two steps, no further. The race detector checks
+// both regimes mechanically (`make race`): the oracle transport decodes
+// every view into memory of its own, so state alone cannot.
 
 // typedXfer is the zero-copy transport: payload slices move through the
 // comm mailboxes by reference under the ownership-transfer contract
 // (see internal/comm/typed.go), charged at exact wire-format sizes.
 type typedXfer struct {
-	frame  int
-	closed bool
+	frame      int
+	keepsViews bool
 
 	team     []phys.Particle // broadcast replica scratch
 	exchange []phys.Particle // current exchange payload
 	exTeam   int             // source team of the exchange payload
-	spare    []phys.Particle // all-pairs double-buffer (end of step k−2)
+	spare    []phys.Particle // double-buffer where views are kept (end of step k−2)
 	forces   []float64       // flattened reduction payload
 }
 
@@ -122,11 +124,10 @@ func (x *typedXfer) bcastTeam(tc *comm.Comm, mine []phys.Particle) []phys.Partic
 
 func (x *typedXfer) loadExchange(team []phys.Particle) {
 	x.exTeam = x.frame
-	// The write target, by the reuse discipline above: on an open ring
-	// the end-of-step buffer itself, on a closed one the buffer of step
-	// k−2.
+	// The write target, by the reuse discipline above: the end-of-step
+	// buffer itself, or the buffer of step k−2 where views are kept.
 	target := x.exchange
-	if x.closed {
+	if x.keepsViews {
 		target, x.spare = x.spare, x.exchange
 	}
 	x.exchange = append(target[:0], team...)
@@ -164,20 +165,21 @@ func (x *typedXfer) recvParticles(lc *comm.Comm, from, tag int) []phys.Particle 
 // encodedXfer is the original serialize-and-ship transport, retained as
 // the test oracle (Params.oracle).
 type encodedXfer struct {
-	frame  int
-	closed bool
+	frame      int
+	keepsViews bool
 
 	bcastBuf []byte          // leader's encode buffer
 	teamData []byte          // this step's broadcast payload (framed exchange source)
 	team     []phys.Particle // decoded replica
-	// views holds one decode scratch per view handed out since the last
-	// reduceForces, nviews of them in use: a view stays readable until
-	// then, so the next one may not decode over it. Retained across
-	// steps.
+	// views holds the decode scratch of the views handed out, nviews of
+	// them in use. Where views are kept, one per view since the last
+	// reduceForces: a view stays readable until then, so the next one
+	// may not decode over it. Otherwise a view is dead by the next one,
+	// and one scratch serves. Retained across steps.
 	views    [][]phys.Particle
 	nviews   int
 	exchange []byte    // current exchange payload
-	spare    []byte    // all-pairs double-buffer (end of step k−2)
+	spare    []byte    // double-buffer where views are kept (end of step k−2)
 	forces   []float64 // flattened reduction payload
 }
 
@@ -205,7 +207,7 @@ func (x *encodedXfer) bcastTeam(tc *comm.Comm, mine []phys.Particle) []phys.Part
 
 func (x *encodedXfer) loadExchange(team []phys.Particle) {
 	target := x.exchange // as in typedXfer.loadExchange
-	if x.closed {
+	if x.keepsViews {
 		target, x.spare = x.spare, x.exchange
 	}
 	if x.frame >= 0 {
@@ -221,6 +223,9 @@ func (x *encodedXfer) view() (int, []phys.Particle) {
 	src, body := -1, x.exchange
 	if x.frame >= 0 {
 		src, body = unframeTeam(x.exchange)
+	}
+	if !x.keepsViews {
+		x.nviews = 0
 	}
 	if x.nviews == len(x.views) {
 		x.views = append(x.views, nil)

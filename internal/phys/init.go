@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"math"
 	"slices"
-	"sort"
 
 	"repro/internal/vec"
 )
@@ -57,18 +56,6 @@ func InitLattice(n int, box Box, seed uint64) []Particle {
 		ps[i].Vel.Y = r.Range(-0.01, 0.01)
 	}
 	return ps
-}
-
-// SortByX reorders particles by ascending X coordinate (by ID for ties).
-// The spatial decompositions use it to deal contiguous spatial slabs to
-// teams.
-func SortByX(ps []Particle) {
-	sort.Slice(ps, func(i, j int) bool {
-		if ps[i].Pos.X != ps[j].Pos.X {
-			return ps[i].Pos.X < ps[j].Pos.X
-		}
-		return ps[i].ID < ps[j].ID
-	})
 }
 
 // SortByID reorders particles by ascending ID, the canonical order used

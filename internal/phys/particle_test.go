@@ -2,6 +2,7 @@ package phys
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -85,12 +86,7 @@ func TestClearForces(t *testing.T) {
 func TestSortHelpers(t *testing.T) {
 	box := NewBox(5, 2, Reflective)
 	ps := InitUniform(50, box, 11)
-	SortByX(ps)
-	for i := 1; i < len(ps); i++ {
-		if ps[i].Pos.X < ps[i-1].Pos.X {
-			t.Fatal("SortByX out of order")
-		}
-	}
+	slices.Reverse(ps)
 	SortByID(ps)
 	for i := range ps {
 		if ps[i].ID != uint32(i) {

@@ -56,10 +56,6 @@ func (l Law) ljPotential(r2 float64) float64 {
 	return 4 * l.Epsilon * (s6*s6 - s6)
 }
 
-// LJMinimum returns the pair distance of the potential minimum,
-// 2^(1/6)·σ.
-func (l Law) LJMinimum() float64 { return math.Pow(2, 1.0/6.0) * l.Sigma }
-
 // pairVec dispatches the force computation by potential kind; d is the
 // displacement toward the target particle.
 func (l Law) pairVec(d vec.Vec2) vec.Vec2 {

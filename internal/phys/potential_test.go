@@ -9,7 +9,7 @@ import (
 
 func TestLJForceZeroAtMinimum(t *testing.T) {
 	l := Law{Kind: LennardJones, Epsilon: 1, Sigma: 1} // no softening
-	rMin := l.LJMinimum()
+	rMin := math.Pow(2, 1.0/6.0) * l.Sigma
 	f := l.Pair(vec.Vec2{X: rMin}, vec.Vec2{})
 	if math.Abs(f.X) > 1e-12 {
 		t.Errorf("force at the LJ minimum = %g, want ~0", f.X)
@@ -25,7 +25,7 @@ func TestLJForceZeroAtMinimum(t *testing.T) {
 
 func TestLJPotentialDepth(t *testing.T) {
 	l := Law{Kind: LennardJones, Epsilon: 2.5, Sigma: 1}
-	u := l.PairPotential(vec.Vec2{X: l.LJMinimum()}, vec.Vec2{})
+	u := l.PairPotential(vec.Vec2{X: math.Pow(2, 1.0/6.0) * l.Sigma}, vec.Vec2{})
 	if math.Abs(u+2.5) > 1e-12 {
 		t.Errorf("potential at minimum = %g, want -ε = -2.5", u)
 	}

@@ -59,42 +59,3 @@ func clamp(x, lo, hi float64) float64 {
 	}
 	return x
 }
-
-// OccupancyImbalance returns max/mean occupancy over a regular grid of
-// side cells per box dimension — 1.0 for a perfectly uniform layout,
-// larger for clustered ones. The cutoff experiments use it to quantify
-// the spatial load imbalance a particle distribution induces.
-func OccupancyImbalance(ps []Particle, box Box, side int) float64 {
-	if side < 1 || len(ps) == 0 {
-		return 1
-	}
-	cells := side
-	if box.Dim == 2 {
-		cells = side * side
-	}
-	counts := make([]int, cells)
-	w := box.L / float64(side)
-	for i := range ps {
-		cx := int(ps[i].Pos.X / w)
-		if cx >= side {
-			cx = side - 1
-		}
-		idx := cx
-		if box.Dim == 2 {
-			cy := int(ps[i].Pos.Y / w)
-			if cy >= side {
-				cy = side - 1
-			}
-			idx = cy*side + cx
-		}
-		counts[idx]++
-	}
-	max := 0
-	for _, c := range counts {
-		if c > max {
-			max = c
-		}
-	}
-	mean := float64(len(ps)) / float64(cells)
-	return float64(max) / mean
-}

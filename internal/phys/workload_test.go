@@ -33,32 +33,6 @@ func TestInitClusteredStaysInBox(t *testing.T) {
 	}
 }
 
-func TestClusteredIsMoreImbalancedThanLattice(t *testing.T) {
-	box := NewBox(20, 2, Reflective)
-	uniform := InitLattice(400, box, 5)
-	clustered := InitClustered(400, box, 2, 0.8, 5)
-	iu := OccupancyImbalance(uniform, box, 4)
-	ic := OccupancyImbalance(clustered, box, 4)
-	if ic <= 1.5*iu {
-		t.Errorf("clustered imbalance %.2f not well above uniform %.2f", ic, iu)
-	}
-}
-
-func TestOccupancyImbalanceEdgeCases(t *testing.T) {
-	box := NewBox(10, 1, Reflective)
-	if got := OccupancyImbalance(nil, box, 4); got != 1 {
-		t.Errorf("empty set imbalance %g", got)
-	}
-	if got := OccupancyImbalance(InitLattice(16, box, 1), box, 0); got != 1 {
-		t.Errorf("zero cells imbalance %g", got)
-	}
-	// Perfectly even 1D lattice across 4 cells.
-	ps := InitLattice(16, box, 1)
-	if got := OccupancyImbalance(ps, box, 4); got != 1 {
-		t.Errorf("lattice imbalance %g, want 1", got)
-	}
-}
-
 func TestGaussianMoments(t *testing.T) {
 	// Mean ≈ 0, variance ≈ 1 over many samples.
 	r := newTestRNG()

@@ -1,6 +1,6 @@
 // Package sim provides the simulation-level services around the core
 // algorithms: physical observables (energy, temperature, momentum,
-// radial distribution), a time-series recorder, and binary
+// radial distribution), trajectory output, and binary
 // checkpoint/restore of simulation state. The public nbody package
 // exposes these through Simulation; they are also what the longer
 // examples use to demonstrate that the parallel algorithms produce
@@ -47,51 +47,6 @@ func Measure(ps []phys.Particle, law phys.Law, box phys.Box, step int, dt float6
 		s.Temperature = 2 * s.Kinetic / (dof * n)
 	}
 	return s
-}
-
-// Recorder accumulates samples at a fixed step cadence.
-type Recorder struct {
-	Every   int // sample every Every steps (default 1)
-	Samples []Sample
-}
-
-// ShouldSample reports whether the recorder wants a measurement at step.
-func (r *Recorder) ShouldSample(step int) bool {
-	every := r.Every
-	if every <= 0 {
-		every = 1
-	}
-	return step%every == 0
-}
-
-// Add appends a sample.
-func (r *Recorder) Add(s Sample) { r.Samples = append(r.Samples, s) }
-
-// EnergyDrift returns the relative drift of total energy between the
-// first and last sample: |E_last − E_first| / max(|E_first|, ε). It is
-// the standard sanity check that an integrator+force pipeline is not
-// blowing up. Zero samples yield zero drift.
-func (r *Recorder) EnergyDrift() float64 {
-	if len(r.Samples) < 2 {
-		return 0
-	}
-	first, last := r.Samples[0].Total, r.Samples[len(r.Samples)-1].Total
-	scale := math.Abs(first)
-	if scale < 1e-12 {
-		scale = 1e-12
-	}
-	return math.Abs(last-first) / scale
-}
-
-// String renders the recorder as an aligned table.
-func (r *Recorder) String() string {
-	out := fmt.Sprintf("%-8s %10s %12s %12s %12s %12s\n",
-		"step", "time", "kinetic", "potential", "total", "temperature")
-	for _, s := range r.Samples {
-		out += fmt.Sprintf("%-8d %10.4f %12.6f %12.6f %12.6f %12.6f\n",
-			s.Step, s.Time, s.Kinetic, s.Potential, s.Total, s.Temperature)
-	}
-	return out
 }
 
 // RadialDistribution computes the radial distribution function g(r) of
