@@ -151,15 +151,18 @@ benchrepo:
 	bash benchmark/run.sh --workload $(WORKLOAD) --seconds 5 --trace 0
 
 # A comparison of the working tree with BASE (default HEAD, the parent
-# of uncommitted work) on one workload: PAIRS alternating pairs of full
-# benchmark runs, the BASE copy unpacked by git archive, printed as a
-# markdown table of medians, quartiles and wins (scripts/pairs.sh).
-# `make pairs WORKLOAD=ap-compute BASE=HEAD~1` compares a commit with its
-# parent. Not part of `check`: ten pairs take several minutes.
+# of uncommitted work) on one workload or several: PAIRS alternating
+# pairs of full benchmark runs per workload, the BASE copy unpacked by
+# git archive, printed as one markdown table of medians, quartiles and
+# wins per workload (scripts/pairs.sh). `make pairs WORKLOAD=ap-compute
+# BASE=HEAD~1` compares a commit with its parent; `make pairs
+# WORKLOAD="ap-socket ap-latency"` measures a claim and its control in
+# one command. Not part of `check`: ten pairs take several minutes a
+# workload.
 PAIRS ?= 10
 BASE ?= HEAD
 pairs:
-	sh scripts/pairs.sh -w $(WORKLOAD) -n $(PAIRS) -b $(BASE)
+	sh scripts/pairs.sh -w "$(WORKLOAD)" -n $(PAIRS) -b $(BASE)
 
 # The two line counts ROADMAP.md tracks: non-test Go and test Go,
 # benchmark/ and cmd/ included.

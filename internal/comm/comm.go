@@ -146,7 +146,7 @@ func (c *Comm) Send(to, tag int, data []byte) {
 //
 // What a failed peer costs the survivors — the failure-latency contract
 // of every operation in this package. A send that finds room in the
-// mailbox (or the link queue of a remote destination) completes without
+// mailbox (or the link backlog of a remote destination) completes without
 // looking at the runtime's abort channel; only a send that must wait
 // parks in a select that also offers it. A receive never looks at the
 // abort channel: failLocal marks every local mailbox aborted — those

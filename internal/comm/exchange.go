@@ -3,8 +3,8 @@ package comm
 // The payloads of the end-of-run exchange of a multi-process run (see
 // joinDistributed): a follower's FINISH summary to proc 0 and proc 0's
 // RESULT reply. Both are fixed little-endian layouts (cnet's protocol
-// version 2), encoded behind the frame header into a buffer of their
-// exact size (sendControl), with every map written in sorted key order
+// version 2), encoded behind the frame header straight into the link's
+// write buffer (sendControl), with every map written in sorted key order
 // so that a run always encodes to the same bytes:
 //
 //	FINISH: proc u32 | phases u32 | timeline_dropped i64 | frames i64 |
@@ -92,6 +92,12 @@ func (s *procSummary) size() int {
 	return n
 }
 
+// AppendPayload makes a summary the payload of a FINISH frame, growing
+// dst once to its exact size.
+func (s *procSummary) AppendPayload(dst []byte) []byte {
+	return s.appendTo(slices.Grow(dst, s.size()))
+}
+
 func (s *procSummary) appendTo(dst []byte) []byte {
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(s.Proc))
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(numPhases))
@@ -162,6 +168,12 @@ func decodeSummary(b []byte, procs, ranksPerProc int, sc *exchangeScratch) (proc
 
 func (r *runResult) size() int {
 	return 8 + 2*numPhases*phaseSize + 8 + 8 + 4 + 8 + 8 + 8 + 4 + len(r.Report.KernelImpl) + 8 + 8 + depositsSize(r.Deposits)
+}
+
+// AppendPayload makes a result the payload of a RESULT frame, growing
+// dst once to its exact size.
+func (r *runResult) AppendPayload(dst []byte) []byte {
+	return r.appendTo(slices.Grow(dst, r.size()))
 }
 
 func (r *runResult) appendTo(dst []byte) []byte {

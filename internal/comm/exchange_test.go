@@ -290,7 +290,7 @@ func TestMalformedSummaryFailsEveryProc(t *testing.T) {
 							}
 						}
 					}
-					_, followers[i] = p.mesh.RecvCtrl()
+					followers[i] = p.mesh.RecvCtrl(func(cnet.Frame) error { return nil })
 				}(i)
 			}
 			leader, err := l.Accept()

@@ -3,10 +3,10 @@
 // OS processes over TCP or unix-domain sockets, as length-prefixed
 // frames. A Mesh is one process's membership in a fully connected group
 // of processes, formed through a rendezvous address; each peer link has
-// a dedicated writer goroutine (a send returns once its frame is queued,
-// and the writer batches what has queued into one write) and a dedicated
-// reader goroutine (frames are routed to an attachable sink without
-// blocking the link).
+// a dedicated writer goroutine (a send returns once its frame is in the
+// link's write buffer, and the writer hands what has gathered there to
+// the socket in one write) and a dedicated reader goroutine (frames are
+// routed to an attachable sink without blocking the link).
 //
 // The package is deliberately payload-agnostic: a Frame carries the
 // message envelope (kind, world ranks, communicator id, tag, sequence

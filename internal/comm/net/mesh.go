@@ -30,7 +30,7 @@ type Config struct {
 
 // Mesh is one process's membership in a fully connected process group.
 // Data frames are delivered to the attached sink in per-connection
-// receive order; control frames (Finish/Result) queue for RecvCtrl.
+// receive order; control frames (Finish/Result) are lent to RecvCtrl.
 // A Mesh survives multiple runs — the end-of-run result exchange is a
 // natural inter-run barrier — but an abort severs it permanently.
 type Mesh struct {
@@ -47,7 +47,8 @@ type Mesh struct {
 	sink    func(from int, f Frame)
 	pending []pendingFrame
 
-	ctrl chan Frame
+	// ctrl has room for one frame per link: a link lends one at a time.
+	ctrl chan ctrlFrame
 
 	abortCh   chan struct{}
 	abortOnce sync.Once
@@ -58,6 +59,13 @@ type Mesh struct {
 	onAbort   func(error)
 
 	wg sync.WaitGroup
+}
+
+// ctrlFrame is a control frame lent by the reader of link p, which
+// reads nothing further until RecvCtrl signals p.ctrlDone.
+type ctrlFrame struct {
+	p *peer
+	f Frame
 }
 
 // pendingFrame is a data frame that arrived while no sink was attached,
@@ -75,11 +83,24 @@ type peer struct {
 	// second buffered reader would silently swallow whatever the first
 	// one slurped past the frame it was asked for.
 	br *bufio.Reader
-	// out queues sealed frames for the writer goroutine, which owns each
-	// buffer from the moment it is queued and returns it to free once it
-	// has copied the bytes out.
-	out  chan []byte
-	free bufList
+
+	// The link's write buffer pair. Senders append sealed frames to fill
+	// under mu; the writer goroutine takes fill in exchange for spare,
+	// which it has finished writing, and owns the taken buffer until its
+	// one Write returns. Both keep the capacity they grow to.
+	mu     sync.Mutex
+	fill   []byte
+	queued int // frames in fill
+	// drained is made by a sender that finds more than linkBufSize bytes
+	// in fill, and closed by the writer when it takes them.
+	drained chan struct{}
+	// wake carries one token per fill that turned non-empty.
+	wake  chan struct{}
+	spare []byte // the writer's
+
+	// ctrlDone is signalled by RecvCtrl once the caller is done with the
+	// control payload the link's reader lent it.
+	ctrlDone chan struct{}
 
 	// sent belongs to the writer goroutine, rcvd to the reader goroutine.
 	sent, rcvd linkCounters
@@ -132,54 +153,19 @@ func (c countedConn) Write(b []byte) (int, error) {
 	return c.p.conn.Write(b)
 }
 
-// bufList is a link's stock of frame buffers: senders take one to encode
-// into, the writer goroutine puts it back once the bytes are in its
-// write buffer. Buffers past freeKeep in number or freeBufCap in
-// capacity are left to the collector, so a burst or one huge frame does
-// not pin memory.
-type bufList struct {
-	mu   sync.Mutex
-	bufs [][]byte
-}
-
-const (
-	freeKeep   = 64
-	freeBufCap = linkBufSize
-)
-
-func (l *bufList) get() []byte {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if n := len(l.bufs); n > 0 {
-		b := l.bufs[n-1]
-		l.bufs = l.bufs[:n-1]
-		return b
-	}
-	return nil
-}
-
-func (l *bufList) put(b []byte) {
-	if cap(b) > freeBufCap {
-		return
-	}
-	l.mu.Lock()
-	if len(l.bufs) < freeKeep {
-		l.bufs = append(l.bufs, b[:0])
-	}
-	l.mu.Unlock()
-}
-
-// outQueueCap is each peer link's writer queue depth. Sends beyond it
-// block (Send) or overflow to the caller's chaining logic (TrySend
-// returning false), mirroring the bounded in-process mailboxes.
-const outQueueCap = 1024
-
-// linkBufSize is the size of each link's read and write buffers.
+// linkBufSize is the size of each link's read buffer and the starting
+// capacity of each of its two write buffers. A sender that finds more
+// than this many unwritten bytes in the filling buffer waits for the
+// writer to take them, mirroring the bounded in-process mailboxes.
 const linkBufSize = 64 << 10
 
 // newPeer wires up one link's state around an established connection.
 func newPeer(id int, conn net.Conn) *peer {
-	p := &peer{id: id, conn: conn, out: make(chan []byte, outQueueCap)}
+	p := &peer{
+		id: id, conn: conn,
+		fill: make([]byte, 0, linkBufSize), spare: make([]byte, 0, linkBufSize),
+		wake: make(chan struct{}, 1), ctrlDone: make(chan struct{}, 1),
+	}
 	p.br = bufio.NewReaderSize(countedConn{p}, linkBufSize)
 	return p
 }
@@ -390,7 +376,7 @@ func newMesh(network string, id, procs int) *Mesh {
 		id:      id,
 		procs:   procs,
 		peers:   make([]*peer, procs),
-		ctrl:    make(chan Frame, 4*procs),
+		ctrl:    make(chan ctrlFrame, procs),
 		abortCh: make(chan struct{}),
 		closeCh: make(chan struct{}),
 	}
@@ -534,76 +520,96 @@ func (m *Mesh) route(from int, f Frame) {
 	m.pending = append(m.pending, pendingFrame{from, f})
 }
 
-// Send encodes a frame and queues it to a peer, blocking while the
-// link's queue is full. cancel (may be nil) aborts the wait. Returns an
-// error when the mesh has aborted or the wait was canceled. f.Payload is
-// copied before Send returns. A data frame is built in a buffer of the
-// link's stock, a control frame in one of its own (see Buffer).
+// A Payload appends a frame's payload to a link's write buffer. The
+// message path encodes typed payloads straight into it, so a frame is
+// copied once, from the sender's slice into the buffer the writer
+// hands to the socket. AppendPayload runs under the link's lock: it
+// must only encode, never block or call into the mesh.
+type Payload interface {
+	AppendPayload(dst []byte) []byte
+}
+
+// Send queues a frame to a peer, blocking while the link's backlog is
+// full. cancel (may be nil) aborts the wait. Returns an error when the
+// mesh has aborted or the wait was canceled. f.Payload is copied before
+// Send returns.
 func (m *Mesh) Send(to int, f Frame, cancel <-chan struct{}) error {
-	buf := m.Buffer(to)
-	if !IsData(f.Kind) {
-		buf = make([]byte, 0, FrameOverhead+len(f.Payload))
-	}
-	return m.SendEncoded(to, append(AppendHeader(buf, &f), f.Payload...), cancel)
+	return m.SendPayload(to, &f, rawPayload(f.Payload), cancel)
 }
 
-// Buffer returns an empty buffer from the stock of the link toward a
-// peer, for the caller to build one data frame in: AppendHeader, then
-// the payload, then SendEncoded, which takes it back. The message path
-// encodes typed payloads straight into it, so a frame is copied once
-// (into the link's write buffer) between the sender's slice and the
-// socket. A control frame is built in a buffer of its own exact size
-// instead, which the writer drops: the stock holds buffers of the sizes
-// the link's data frames need, so what a run allocates does not depend
-// on which buffer an end-of-run summary happened to grow.
-func (m *Mesh) Buffer(to int) []byte {
-	if p := m.peers[to]; p != nil {
-		return p.free.get()
-	}
-	return nil
-}
+// rawPayload is a payload already encoded.
+type rawPayload []byte
 
-// SendEncoded seals and queues a frame built in a Buffer, blocking like
-// Send. The mesh owns buf from here on, whatever the outcome.
-func (m *Mesh) SendEncoded(to int, buf []byte, cancel <-chan struct{}) error {
+func (r rawPayload) AppendPayload(dst []byte) []byte { return append(dst, r...) }
+
+// SendPayload queues a frame with f's header (f.Payload is ignored) and
+// pl's payload, blocking like Send. The frame is appended to the filling
+// buffer of the link once that buffer holds at most linkBufSize
+// unwritten bytes (a larger frame grows it), and its first frame wakes
+// the writer.
+func (m *Mesh) SendPayload(to int, f *Frame, pl Payload, cancel <-chan struct{}) error {
 	p := m.peers[to]
 	if p == nil {
 		return fmt.Errorf("net: proc %d sending to itself", to)
 	}
-	if err := sealFrame(buf); err != nil {
+	p.mu.Lock()
+	for len(p.fill) > linkBufSize {
+		if p.drained == nil {
+			p.drained = make(chan struct{})
+		}
+		drained := p.drained
+		p.mu.Unlock()
+		select {
+		case <-drained:
+		case <-m.abortCh:
+			return m.Err()
+		case <-cancel:
+			return errors.New("net: send canceled")
+		}
+		p.mu.Lock()
+	}
+	start := len(p.fill)
+	buf := pl.AppendPayload(AppendHeader(p.fill, f))
+	if err := sealFrame(buf[start:]); err != nil {
+		p.fill = buf[:start]
+		p.mu.Unlock()
 		return err
 	}
-	select {
-	case p.out <- buf:
-		return nil
-	default:
+	p.fill = buf
+	if p.queued++; p.queued == 1 {
+		select {
+		case p.wake <- struct{}{}:
+		default: // a closed mesh's writer left its last token
+		}
 	}
+	p.mu.Unlock()
+	return nil
+}
+
+// QueueDepth returns the frames waiting for the writer of the link
+// toward a peer — the socket path's analogue of mailbox occupancy.
+func (m *Mesh) QueueDepth(to int) int {
+	p := m.peers[to]
+	if p == nil {
+		return 0
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.queued
+}
+
+// RecvCtrl blocks for the next control frame (Finish or Result) and
+// calls use with it, returning use's error. The payload is lent out of
+// the link's read buffer: it is valid until use returns, and the link
+// reads nothing further until then.
+func (m *Mesh) RecvCtrl(use func(Frame) error) error {
 	select {
-	case p.out <- buf:
-		return nil
+	case c := <-m.ctrl:
+		err := use(c.f)
+		c.p.ctrlDone <- struct{}{} // never blocks: the reader waits for one signal per frame it lends
+		return err
 	case <-m.abortCh:
 		return m.Err()
-	case <-cancel:
-		return errors.New("net: send canceled")
-	}
-}
-
-// QueueDepth returns the current depth of the link queue toward a peer
-// — the socket path's analogue of mailbox occupancy.
-func (m *Mesh) QueueDepth(to int) int {
-	if p := m.peers[to]; p != nil {
-		return len(p.out)
-	}
-	return 0
-}
-
-// RecvCtrl blocks for the next control frame (Finish or Result).
-func (m *Mesh) RecvCtrl() (Frame, error) {
-	select {
-	case f := <-m.ctrl:
-		return f, nil
-	case <-m.abortCh:
-		return Frame{}, m.Err()
 	}
 }
 
@@ -645,21 +651,21 @@ func (m *Mesh) Close() error {
 	return nil
 }
 
-// writeLoop owns all writes on one link: it copies queued frames into a
-// buffered writer and decides when the buffer goes to the socket. On
-// abort it emits a final abort frame (with a short deadline — the peer
-// may already be gone) and severs the connection.
+// writeLoop owns all writes on one link: it takes the filling buffer
+// and writes it to the socket in one call. On abort it emits a final
+// abort frame (with a short deadline — the peer may already be gone)
+// and severs the connection.
 //
 // Flush policy. A flush is a write syscall here and a read plus a
 // netpoll wake-up at the peer, which at 8-particle blocks costs more
 // than the frame itself, and the ranks of a timestep send in bursts: the
 // 32 team leaders of a 2×32 grid broadcast one after another. The first
 // of them wakes this goroutine, which the scheduler runs next, ahead of
-// the senders still runnable behind it — so flushing whenever the queue
-// is momentarily empty sends every frame of the burst on its own. The
-// writer therefore drains the queue, yields the processor once, drains
-// what the goroutines that were runnable have queued meanwhile, and only
-// then flushes.
+// the senders still runnable behind it — so writing what the buffer
+// holds at that moment sends every frame of the burst on its own. The
+// writer therefore yields the processor once, lets the goroutines that
+// were runnable append their frames meanwhile, and only then takes the
+// buffer and writes it.
 //
 // Latency bound. A frame waits for at most that one runtime.Gosched.
 // With nothing else runnable — a lone message, a ping-pong — the yield
@@ -668,55 +674,25 @@ func (m *Mesh) Close() error {
 // queue empties and at the latest on its 61st scheduling decision, so
 // the wait is bounded by the goroutines already runnable, each running
 // until it blocks or is preempted (10 ms): exactly the ranks whose
-// frames the flush is waiting to carry. Nothing queued after the yield
+// frames the flush is waiting to carry. Nothing appended after the yield
 // can delay the flush further; the writer never yields twice per flush.
 func (m *Mesh) writeLoop(p *peer) {
 	defer m.wg.Done()
-	bw := bufio.NewWriterSize(countedConn{p}, linkBufSize)
-	write := func(buf []byte) error {
-		_, err := bw.Write(buf)
-		p.sent.frames.Add(1)
-		p.sent.payload.Add(int64(len(buf) - FrameOverhead))
-		if IsData(buf[4]) {
-			p.free.put(buf)
-		}
-		return err
-	}
-	drain := func() error {
-		for {
-			select {
-			case buf := <-p.out:
-				if err := write(buf); err != nil {
-					return err
-				}
-			default:
-				return nil
-			}
-		}
-	}
-	// control writes a frame the mesh itself originates and flushes.
+	// control writes a frame the mesh itself originates.
 	control := func(f Frame) {
 		p.conn.SetWriteDeadline(time.Now().Add(time.Second))
-		if buf, err := AppendFrame(nil, &f); err == nil && write(buf) == nil {
-			bw.Flush()
+		if buf, err := AppendFrame(p.spare[:0], &f); err == nil {
+			p.sent.frames.Add(1)
+			p.sent.payload.Add(int64(len(f.Payload)))
+			countedConn{p}.Write(buf)
 		}
 		p.conn.Close()
 	}
 	for {
 		select {
-		case buf := <-p.out:
-			err := write(buf)
-			if err == nil {
-				err = drain()
-			}
-			if err == nil {
-				runtime.Gosched()
-				err = drain()
-			}
-			if err == nil {
-				err = bw.Flush()
-			}
-			if err != nil {
+		case <-p.wake:
+			runtime.Gosched()
+			if err := p.flush(); err != nil {
 				m.Abort(fmt.Errorf("net: write to proc %d: %w", p.id, err))
 				p.conn.Close()
 				return
@@ -729,7 +705,7 @@ func (m *Mesh) writeLoop(p *peer) {
 			control(af)
 			return
 		case <-m.closeCh:
-			if drain() != nil {
+			if p.flush() != nil {
 				p.conn.Close()
 				return
 			}
@@ -743,8 +719,29 @@ func (m *Mesh) writeLoop(p *peer) {
 	}
 }
 
+// flush takes the filling buffer, leaves the spare one in its place,
+// releases the senders waiting for room, and writes what it took.
+func (p *peer) flush() error {
+	p.mu.Lock()
+	buf, frames := p.fill, p.queued
+	p.fill, p.queued = p.spare[:0], 0
+	if p.drained != nil {
+		close(p.drained)
+		p.drained = nil
+	}
+	p.mu.Unlock()
+	p.spare = buf
+	if frames == 0 {
+		return nil
+	}
+	p.sent.frames.Add(int64(frames))
+	p.sent.payload.Add(int64(len(buf) - frames*FrameOverhead))
+	_, err := countedConn{p}.Write(buf)
+	return err
+}
+
 // readLoop owns all reads on one link, routing data frames to the sink
-// and control frames to the ctrl queue. Any read failure outside an
+// and lending control frames to RecvCtrl. Any read failure outside an
 // orderly shutdown aborts the mesh — a crashed peer must fail this
 // proc, not hang it.
 func (m *Mesh) readLoop(p *peer) {
@@ -767,9 +764,17 @@ func (m *Mesh) readLoop(p *peer) {
 		case IsData(f.Kind):
 			m.route(p.id, f)
 		case f.Kind == KindFinish || f.Kind == KindResult:
-			f.Payload = bytes.Clone(f.Payload) // the queue outlives the loan
+			// The payload is lent to RecvCtrl, so the next frame is read
+			// only once the caller is done with it.
 			select {
-			case m.ctrl <- f:
+			case m.ctrl <- ctrlFrame{p, f}:
+			case <-m.abortCh:
+				return
+			case <-m.closeCh:
+				return
+			}
+			select {
+			case <-p.ctrlDone:
 			case <-m.abortCh:
 				return
 			case <-m.closeCh:

@@ -10,6 +10,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/leakcheck"
 )
 
 // joinAll forms an n-proc mesh within this test process, one goroutine
@@ -130,6 +132,17 @@ func TestMeshDeliversFramesSentBeforeAttach(t *testing.T) {
 	}
 }
 
+// recvCtrl receives the next control frame and copies it out of the
+// loan.
+func recvCtrl(m *Mesh) (got Frame, err error) {
+	err = m.RecvCtrl(func(f Frame) error {
+		got = f
+		got.Payload = append([]byte(nil), f.Payload...)
+		return nil
+	})
+	return got, err
+}
+
 func TestMeshCtrlPlane(t *testing.T) {
 	meshes := joinAll(t, unixRendezvous(t), 2)
 	defer func() {
@@ -140,7 +153,7 @@ func TestMeshCtrlPlane(t *testing.T) {
 	if err := meshes[1].Send(0, Frame{Kind: KindFinish, Src: 1, Payload: []byte("summary")}, nil); err != nil {
 		t.Fatal(err)
 	}
-	f, err := meshes[0].RecvCtrl()
+	f, err := recvCtrl(meshes[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,12 +163,126 @@ func TestMeshCtrlPlane(t *testing.T) {
 	if err := meshes[0].Send(1, Frame{Kind: KindResult, Payload: []byte("merged")}, nil); err != nil {
 		t.Fatal(err)
 	}
-	f, err = meshes[1].RecvCtrl()
+	f, err = recvCtrl(meshes[1])
 	if err != nil {
 		t.Fatal(err)
 	}
 	if f.Kind != KindResult || string(f.Payload) != "merged" {
 		t.Fatalf("got %+v", f)
+	}
+}
+
+// TestMeshCtrlPayloadLentUntilDone pins the loan of a control payload:
+// while RecvCtrl's caller still reads it, the link reads no further
+// frame, so a second control frame right behind it — a forged second
+// FINISH, say — can neither overwrite the payload nor be decoded.
+func TestMeshCtrlPayloadLentUntilDone(t *testing.T) {
+	meshes := joinAll(t, unixRendezvous(t), 2)
+	defer func() {
+		for _, m := range meshes {
+			m.Close()
+		}
+	}()
+	for _, payload := range []string{"first summary", "forged second"} {
+		if err := meshes[1].Send(0, Frame{Kind: KindFinish, Src: 1, Payload: []byte(payload)}, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, want := range []string{"first summary", "forged second"} {
+		err := meshes[0].RecvCtrl(func(f Frame) error {
+			time.Sleep(20 * time.Millisecond) // time enough for the reader to run ahead if it could
+			if got := string(f.Payload); got != want {
+				t.Errorf("lent payload reads %q, want %q", got, want)
+			}
+			if in := meshes[0].LinkStats()[1].FramesIn; want == "first summary" && in != 1 {
+				t.Errorf("the link decoded %d frames while the first was lent, want 1", in)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestMeshSendWaitsOnBacklog pins the link's backlog bound against a
+// peer that reads nothing: senders fill the link until the writer is
+// stuck in its Write and more than linkBufSize bytes wait behind it,
+// and then a sender waits — until its cancel channel closes, or the
+// mesh aborts — instead of growing the buffer without bound.
+func TestMeshSendWaitsOnBacklog(t *testing.T) {
+	defer leakcheck.Check(t)()
+	ln, err := net.Listen("unix", filepath.Join(t.TempDir(), "deaf.sock"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	dialed, err := net.Dial("unix", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	deaf, err := ln.Accept() // never read
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := newMesh("unix", 0, 2)
+	a.peers[1] = newPeer(1, dialed)
+	a.start()
+	p := a.peers[1]
+	defer a.Close()
+	defer deaf.Close() // fails the stuck Write, so that the writer ends
+
+	frame := Frame{Kind: KindBytes, Payload: make([]byte, 4<<10)}
+	send := func(cancel <-chan struct{}) <-chan error {
+		done := make(chan error, 1)
+		go func() {
+			for {
+				if err := a.Send(1, frame, cancel); err != nil {
+					done <- err
+					return
+				}
+			}
+		}()
+		return done
+	}
+	stillWaiting := func(done <-chan error) {
+		t.Helper()
+		select {
+		case err := <-done:
+			t.Fatalf("a sender behind a full backlog returned %v", err)
+		case <-time.After(50 * time.Millisecond):
+		}
+	}
+
+	cancel := make(chan struct{})
+	done := send(cancel)
+	for end := time.Now().Add(10 * time.Second); ; {
+		p.mu.Lock()
+		waiting, backlog := p.drained != nil, len(p.fill)
+		p.mu.Unlock()
+		if waiting {
+			if backlog <= linkBufSize || backlog > linkBufSize+FrameOverhead+len(frame.Payload) {
+				t.Errorf("a sender waits behind %d unwritten bytes, want more than %d by at most one frame", backlog, linkBufSize)
+			}
+			break
+		}
+		if time.Now().After(end) {
+			t.Fatalf("no sender waits after 10 s; %d bytes unwritten", backlog)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	stillWaiting(done)
+	close(cancel)
+	if err := <-done; err == nil || !strings.Contains(err.Error(), "canceled") {
+		t.Errorf("a canceled wait returned %v, want the cancel error", err)
+	}
+
+	done = send(nil)
+	stillWaiting(done)
+	boom := fmt.Errorf("rank 3 exploded")
+	a.Abort(boom)
+	if err := <-done; err != boom {
+		t.Errorf("a wait on an aborted mesh returned %v, want its error %v", err, boom)
 	}
 }
 
@@ -173,7 +300,7 @@ func TestMeshAbortPropagates(t *testing.T) {
 	boom := fmt.Errorf("rank 7 exploded")
 	meshes[2].Abort(boom)
 	for i := 0; i < 2; i++ {
-		if _, err := meshes[i].RecvCtrl(); err == nil {
+		if _, err := recvCtrl(meshes[i]); err == nil {
 			t.Fatalf("proc %d: RecvCtrl returned without error after peer abort", i)
 		} else if !strings.Contains(err.Error(), "exploded") {
 			t.Fatalf("proc %d: abort reason lost: %v", i, err)

@@ -9,10 +9,9 @@ package comm
 // and framed over the mesh.
 //
 // Buffers on the socket path. A remote send encodes header and payload
-// straight into a frame buffer borrowed from the destination link's
-// stock (Mesh.Buffer) before it returns, so nothing on the wire side
-// ever references the sender's slice; the link's writer puts the buffer
-// back once the bytes are in its write buffer. An arriving payload is
+// straight into the destination link's filling write buffer
+// (Mesh.SendPayload) before it returns, so nothing on the wire side
+// ever references the sender's slice. An arriving payload is
 // only lent by the link's decoder: typed payloads are decoded out of the
 // read buffer into a slice from the destination rank's spares, byte
 // payloads are copied. The receiver owns the decoded slice outright,
@@ -132,8 +131,8 @@ func (p *Proc) Close() error { return p.mesh.Close() }
 // procOf maps a world rank to the proc hosting it.
 func (p *Proc) procOf(rank int) int { return rank / p.ranksPerProc }
 
-// queueDepthTo reports the writer-queue depth toward a rank's process
-// — the socket analogue of destination-mailbox occupancy.
+// queueDepthTo reports the frames waiting for the link writer toward a
+// rank's process — the socket analogue of destination-mailbox occupancy.
 func (p *Proc) queueDepthTo(rank int) int { return p.mesh.QueueDepth(p.procOf(rank)) }
 
 // --- runtime binding -------------------------------------------------
@@ -166,6 +165,7 @@ func (rt *Runtime) bindProc(p *Proc) error {
 	rt.hi = rt.lo + p.ranksPerProc
 	rt.wire = &wireState{
 		spares:   make([]spares, p.ranksPerProc),
+		out:      make([]outgoing, p.ranksPerProc),
 		arrivals: make([][][]arrival, p.NumProcs()),
 		exchange: make([]exchangeScratch, p.NumProcs()),
 	}
@@ -184,6 +184,8 @@ type wireState struct {
 	// spares holds, by local rank, the typed slices decoded off the wire
 	// that the rank has finished with, for the readers to decode into.
 	spares []spares
+	// out holds, by local rank, the remote send in progress.
+	out []outgoing
 	// arrivals caches, per peer process and local destination rank, the
 	// links that process's reader goroutine delivers on.
 	arrivals [][][]arrival
@@ -226,25 +228,23 @@ func (rt *Runtime) detach() {
 
 // --- frame conversion ------------------------------------------------
 
-// encodeFrame builds the wire frame of a message in a buffer of the
-// destination link. Typed payloads serialize with the exact codec whose
-// size the typed transport charges, so both sides of the socket account
-// identically.
-func (rt *Runtime) encodeFrame(src, dst int, m *message) ([]byte, error) {
-	buf := cnet.AppendHeader(rt.proc.mesh.Buffer(rt.proc.procOf(dst)), &cnet.Frame{
-		Kind: uint8(m.kind),
-		Src:  uint32(src), Dst: uint32(dst),
-		Comm: m.comm, Tag: int64(m.tag), Seq: m.seq, Hdr: m.hdr,
-	})
-	switch m.kind {
+// outgoing is a local rank's remote send in progress: the message whose
+// payload the destination link appends to its write buffer. It lives in
+// the world's wire state, not on the sender's stack, because the link
+// calls it through an interface.
+type outgoing struct{ m message }
+
+// AppendPayload encodes the message's payload with the exact codec
+// whose size the typed transport charges, so both sides of the socket
+// account identically.
+func (o *outgoing) AppendPayload(dst []byte) []byte {
+	switch m := &o.m; m.kind {
 	case payloadBytes:
-		return append(buf, payload[byte](m)...), nil
+		return append(dst, payload[byte](m)...)
 	case payloadParticles, payloadTeamParticles:
-		return phys.AppendSlice(buf, payload[phys.Particle](m)), nil
-	case payloadF64s:
-		return appendF64s(buf, payload[float64](m)), nil
-	default:
-		return nil, fmt.Errorf("comm: unsendable payload kind %v", m.kind)
+		return phys.AppendSlice(dst, payload[phys.Particle](m))
+	default: // payloadF64s, the last kind
+		return appendF64s(dst, payload[float64](m))
 	}
 }
 
@@ -401,16 +401,19 @@ func (rt *Runtime) inject(from int, f cnet.Frame) {
 	})
 }
 
-// netSend is the blocking remote delivery under sendMsg: encode, then
-// queue to the destination proc's link (blocking while the link queue
-// is full, unwinding on abort).
+// netSend is the blocking remote delivery under sendMsg: encode the
+// frame into the destination proc's link (blocking while the link's
+// backlog is full, unwinding on abort).
 func (rt *Runtime) netSend(src, dst int, m *message) {
-	buf, err := rt.encodeFrame(src, dst, m)
+	o := &rt.wire.out[src-rt.lo]
+	o.m = *m
+	err := rt.proc.mesh.SendPayload(rt.proc.procOf(dst), &cnet.Frame{
+		Kind: uint8(m.kind),
+		Src:  uint32(src), Dst: uint32(dst),
+		Comm: m.comm, Tag: int64(m.tag), Seq: m.seq, Hdr: m.hdr,
+	}, o, rt.abort)
+	o.m = message{} // keeps no reference to the sender's slice
 	if err != nil {
-		rt.fail(err)
-		panic(errAborted{})
-	}
-	if err := rt.proc.mesh.SendEncoded(rt.proc.procOf(dst), buf, rt.abort); err != nil {
 		rt.failLocal(err)
 		panic(errAborted{})
 	}
@@ -437,18 +440,10 @@ func (c *Comm) Deposit(slot int, ps []phys.Particle) {
 
 // --- end-of-run result exchange -------------------------------------
 
-// controlPayload is the payload of an end-of-run control frame
-// (exchange.go), which knows its encoded size exactly.
-type controlPayload interface {
-	size() int
-	appendTo(dst []byte) []byte
-}
-
-// sendControl encodes a control frame straight into a buffer of its
-// exact size (see cnet.Mesh.Buffer) and queues it to proc `to`.
-func (p *Proc) sendControl(to int, kind uint8, pl controlPayload) error {
-	buf := cnet.AppendHeader(make([]byte, 0, cnet.FrameOverhead+pl.size()), &cnet.Frame{Kind: kind, Src: uint32(p.ID())})
-	return p.mesh.SendEncoded(to, pl.appendTo(buf), nil)
+// sendControl encodes an end-of-run control frame (exchange.go)
+// straight into the link toward proc `to`.
+func (p *Proc) sendControl(to int, kind uint8, pl cnet.Payload) error {
+	return p.mesh.SendPayload(to, &cnet.Frame{Kind: kind, Src: uint32(p.ID())}, pl, nil)
 }
 
 // joinDistributed completes a distributed run after the local ranks
@@ -481,19 +476,18 @@ func (rt *Runtime) followerJoin(opts Options) (*trace.Report, map[int][]phys.Par
 	if err := rt.proc.sendControl(0, cnet.KindFinish, &sum); err != nil {
 		return nil, nil, err
 	}
-	f, err := mesh.RecvCtrl()
+	var res runResult
+	err := mesh.RecvCtrl(func(f cnet.Frame) (err error) {
+		if f.Kind != cnet.KindResult {
+			return fmt.Errorf("comm: proc %d expected a result frame, got kind %#x", rt.proc.ID(), f.Kind)
+		}
+		if res, err = decodeResult(f.Payload, rt.size, &rt.wire.exchange[0]); err != nil {
+			return fmt.Errorf("comm: result from proc 0: %w", err)
+		}
+		return nil
+	})
 	if err != nil {
-		return nil, nil, err
-	}
-	if f.Kind != cnet.KindResult {
-		err := fmt.Errorf("comm: proc %d expected a result frame, got kind %#x", rt.proc.ID(), f.Kind)
-		mesh.Abort(err)
-		return nil, nil, err
-	}
-	res, err := decodeResult(f.Payload, rt.size, &rt.wire.exchange[0])
-	if err != nil {
-		err = fmt.Errorf("comm: result from proc 0: %w", err)
-		mesh.Abort(err)
+		mesh.Abort(err) // a no-op if the mesh failed first
 		return nil, nil, err
 	}
 	return res.Report, res.Deposits, nil
@@ -505,18 +499,16 @@ func (rt *Runtime) leaderJoin(opts Options) (*trace.Report, map[int][]phys.Parti
 	var remoteDropped int64
 	reported := make([]bool, rt.proc.NumProcs())
 	for i := 1; i < rt.proc.NumProcs(); i++ {
-		f, err := mesh.RecvCtrl()
+		var sum procSummary
+		err := mesh.RecvCtrl(func(f cnet.Frame) (err error) {
+			if f.Kind != cnet.KindFinish {
+				return fmt.Errorf("comm: proc 0 expected a finish frame, got kind %#x", f.Kind)
+			}
+			sum, err = rt.mergeSummary(f, opts, reported, &rt.wire.exchange[i])
+			return err
+		})
 		if err != nil {
-			return rt.Report(), nil, err
-		}
-		if f.Kind != cnet.KindFinish {
-			err := fmt.Errorf("comm: proc 0 expected a finish frame, got kind %#x", f.Kind)
-			mesh.Abort(err)
-			return rt.Report(), nil, err
-		}
-		sum, err := rt.mergeSummary(f, opts, reported, &rt.wire.exchange[i])
-		if err != nil {
-			mesh.Abort(err)
+			mesh.Abort(err) // a no-op if the mesh failed first
 			return rt.Report(), nil, err
 		}
 		remoteDropped += sum.TimelineDropped

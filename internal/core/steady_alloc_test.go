@@ -39,6 +39,13 @@ import (
 // P's timer heap was caught doing it); that noise only ever adds, so
 // the minimum of three measurements is the program's count.
 func runMallocs(run func()) uint64 {
+	objects, _ := runAllocs(run)
+	return objects
+}
+
+// runAllocs is runMallocs with the bytes as well, the minimum of each
+// over the three measurements.
+func runAllocs(run func()) (objects, bytes uint64) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	idle := runtime.NumGoroutine()
@@ -54,7 +61,7 @@ func runMallocs(run func()) uint64 {
 	close(gate)
 	parked.Wait()
 	run()
-	best := ^uint64(0)
+	objects, bytes = ^uint64(0), ^uint64(0)
 	for i := 0; i < 3; i++ {
 		// Goroutines signal completion a few instructions before they
 		// exit; one still on its way out is not yet on the free list.
@@ -65,9 +72,10 @@ func runMallocs(run func()) uint64 {
 		runtime.ReadMemStats(&m0)
 		run()
 		runtime.ReadMemStats(&m1)
-		best = min(best, m1.Mallocs-m0.Mallocs)
+		objects = min(objects, m1.Mallocs-m0.Mallocs)
+		bytes = min(bytes, m1.TotalAlloc-m0.TotalAlloc)
 	}
-	return best
+	return objects, bytes
 }
 
 // TestSteadyStateAllocFree pins the end-to-end zero-allocation property
@@ -300,5 +308,90 @@ func TestSocketSteadyStateAllocBound(t *testing.T) {
 	if long != base {
 		t.Errorf("Run after Run, a %d-step socket run allocated %d objects, a 2-step one %d; %d extra steps must allocate 0",
 			2+extra, long, base, extra)
+	}
+}
+
+// TestSocketRunAllocatesItsInProcessTwin holds a steady 2-proc socket
+// Run, Run after Run on one session per process, to what the same
+// session config allocates in process plus a constant. The end-of-run
+// exchange encodes its FINISH and RESULT frames straight into the links'
+// write buffers, and each is decoded out of the reader's buffer, which
+// lends it until the decode is done, into storage the world keeps. So
+// the exchange's payload — 52 bytes a deposited particle, each way —
+// allocates nothing, and the constant must not grow with the deposits:
+// it is the same at 32 particles and at 512.
+func TestSocketRunAllocatesItsInProcessTwin(t *testing.T) {
+	const procs, steps = 2, 2
+	// What the socket Run allocates beyond its twin (17 objects and
+	// 1 472 bytes when this was written): the end-of-run bookkeeping of
+	// two processes — summary and result, the follower's copy of the
+	// report, link counter snapshots, the mesh callbacks of attach.
+	const extraObjects, extraBytes = 32, 4 << 10
+	for _, n := range []int{32, 512} {
+		pr := defaultParams(8, 2, 0)
+		ps := phys.InitUniform(n, pr.Box, 5)
+		twin, err := NewAllPairs(ps, pr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dir, err := os.MkdirTemp("", "mesh")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer os.RemoveAll(dir)
+		l, err := comm.ListenProcs("unix:"+filepath.Join(dir, "r"), procs, pr.P/procs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var mesh [procs]*comm.Proc
+		joined := make(chan error, 1)
+		go func() {
+			var err error
+			mesh[1], err = comm.JoinProcs(l.Addr(), procs, pr.P/procs)
+			joined <- err
+		}()
+		if mesh[0], err = l.Accept(); err != nil {
+			t.Fatal(err)
+		}
+		if err := <-joined; err != nil {
+			t.Fatal(err)
+		}
+		defer mesh[0].Close()
+		defer mesh[1].Close()
+		var sessions [procs]*Session
+		for i := range sessions {
+			local := pr
+			local.Proc = mesh[i]
+			if sessions[i], err = NewAllPairs(ps, local); err != nil {
+				t.Fatal(err)
+			}
+		}
+		socket := func() {
+			follower := make(chan error, 1)
+			go func() {
+				_, _, err := sessions[1].Advance(steps)
+				follower <- err
+			}()
+			if _, _, err := sessions[0].Advance(steps); err != nil {
+				t.Fatal(err)
+			}
+			if err := <-follower; err != nil {
+				t.Fatal(err)
+			}
+		}
+		inProcess := func() {
+			if _, _, err := twin.Advance(steps); err != nil {
+				t.Fatal(err)
+			}
+		}
+		socket()
+		inProcess()
+		twinObjects, twinBytes := runAllocs(inProcess)
+		objects, bytes := runAllocs(socket)
+		t.Logf("n=%d: socket Run %d objects, %d bytes; in-process twin %d objects, %d bytes", n, objects, bytes, twinObjects, twinBytes)
+		if objects > twinObjects+extraObjects || bytes > twinBytes+extraBytes {
+			t.Errorf("n=%d: a steady socket Run allocated %d objects and %d bytes, its in-process twin %d and %d; want at most %d objects and %d bytes more",
+				n, objects, bytes, twinObjects, twinBytes, extraObjects, extraBytes)
+		}
 	}
 }
