@@ -150,7 +150,8 @@ type Config struct {
 	// Clusters, when positive, initializes particles in that many
 	// Gaussian blobs of width ClusterSigma (≤ 0 means 1/16 of the box;
 	// NaN and ±Inf are rejected) — the non-uniform workload that
-	// stresses spatial load balance. Overrides Lattice.
+	// stresses spatial load balance. Overrides Lattice. A count below
+	// zero or above N is rejected.
 	Clusters     int
 	ClusterSigma float64
 	// Workers is the intra-rank worker-pool width for the force phase:
@@ -340,6 +341,9 @@ func (c Config) validate() error {
 	}
 	if !(c.Cutoff >= 0 && c.Cutoff <= c.BoxLength) {
 		return fmt.Errorf("nbody: cutoff %g outside [0, box length %g]", c.Cutoff, c.BoxLength)
+	}
+	if c.Clusters < 0 || c.Clusters > c.N {
+		return fmt.Errorf("nbody: cluster count %d outside [0, N=%d]", c.Clusters, c.N)
 	}
 	if c.Clusters > 0 && (math.IsNaN(c.ClusterSigma) || math.IsInf(c.ClusterSigma, 0)) {
 		return fmt.Errorf("nbody: cluster width %g is not a finite number", c.ClusterSigma)

@@ -240,11 +240,25 @@ func TestNewValidation(t *testing.T) {
 		{"a billion workers per rank", Config{N: 64, P: 4, Workers: 1 << 30}},
 		{"infinite box length", Config{N: 10, BoxLength: math.Inf(1)}},
 		{"NaN cluster width", Config{N: 10, Clusters: 2, ClusterSigma: math.NaN()}},
+		{"negative cluster count", Config{N: 10, Clusters: -1}},
+		{"more clusters than particles", Config{N: 10, Clusters: 11}},
+		{"2^40 clusters", Config{N: 10, Clusters: 1 << 40}},
 	}
 	for _, tc := range cases {
 		if _, err := New(tc.cfg); err == nil {
 			t.Errorf("%s: expected error", tc.name)
 		}
+	}
+}
+
+// TestCutoffGridTooNarrow: a team grid under three teams a side holds no
+// cutoff window, however small the cutoff. The error names the team
+// count instead of calling the cutoff too large.
+func TestCutoffGridTooNarrow(t *testing.T) {
+	_, err := New(Config{N: 64, P: 4, Cutoff: 1e-300})
+	want := "core: 4 teams make a team grid of side 2, and a cutoff window is at least 3 teams a side: no cutoff fits (use more teams, p/c)"
+	if err == nil || err.Error() != want {
+		t.Fatalf("New: %v, want %q", err, want)
 	}
 }
 

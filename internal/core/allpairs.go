@@ -49,7 +49,7 @@ func NewAllPairs(ps []phys.Particle, pr Params) (*Session, error) {
 	return newSession(n, pr, perS, perW, func(rk *rank) rankLoop {
 		l, row, col := newShiftLoop(rk, &pr, cg)
 		l.moves = allPairsMoves(T, pr.C, row, col)
-		l.pairing = newEveryBlock(l.last, npt)
+		l.pairing = newEveryBlock(l.last, npt, l.leader)
 		// A block shorter than a batch waits for others, past the
 		// rank's next move; a longer one is swept on arrival.
 		l.x = newXfer(pr, -1, npt < sweepBatch)
@@ -115,19 +115,39 @@ const sweepBatch = 128
 // transport.go), which NewAllPairs asks for when n/T < sweepBatch; a
 // rank references at most sweepBatch + n/T visiting particles beyond
 // the buffer it holds.
+//
+// A leader's walk ends on its own team's block (position last: row 0
+// skews by nothing, and the ring closes), a copy of the replica it
+// holds. Swept alone — blocks of sweepBatch or more — that visit is
+// the replica against itself, which the kernel evaluates once per
+// unordered pair (phys.Kernel.AccumulateSelf): the same forces and the
+// same count, and no message changes, since the reaction of a pair goes
+// to a particle of the same replica.
 type everyBlock struct {
 	gathered [][]phys.Particle // since the last sweep; never grows
 	n        int               // particles in gathered
+	self     int               // the position swept as the replica against itself, or -1
 }
 
 // newEveryBlock sizes the list for the most blocks a sweep can cover:
 // all T/c of a step, or as many n/T-particle blocks as reach sweepBatch.
-func newEveryBlock(blocksPerStep, blockLen int) *everyBlock {
+// leader says the rank is its team's leader, whose last position holds
+// its own block.
+func newEveryBlock(blocksPerStep, blockLen int, leader bool) *everyBlock {
 	perSweep := min(blocksPerStep, (sweepBatch+blockLen-1)/blockLen)
-	return &everyBlock{gathered: make([][]phys.Particle, 0, perSweep)}
+	e := &everyBlock{gathered: make([][]phys.Particle, 0, perSweep), self: -1}
+	if leader && blockLen >= sweepBatch {
+		e.self = blocksPerStep
+	}
+	return e
 }
 
-func (e *everyBlock) update(l *shiftLoop) {
+func (e *everyBlock) update(l *shiftLoop, at int) {
+	if at == e.self {
+		l.st.SetPhase(trace.Compute)
+		l.counted(l.pool.AccumulateSelf(l.kern, l.replica, l.pr.Box))
+		return
+	}
 	_, visiting := l.x.view()
 	e.gathered = append(e.gathered, visiting)
 	if e.n += len(visiting); e.n >= sweepBatch {

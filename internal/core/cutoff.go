@@ -89,6 +89,10 @@ func newCutoffLayout(p, c int, rc float64, box phys.Box) (*commGrid, *CutoffSche
 		return nil, nil, windowed{}, err
 	}
 	m := SpanFor(rc, box.L, tg.Side)
+	if tg.Side < 3 {
+		// Even the narrowest window, m = 1, is three teams a side.
+		return nil, nil, windowed{}, fmt.Errorf("core: %d teams make a team grid of side %d, and a cutoff window is at least 3 teams a side: no cutoff fits (use more teams, p/c)", cg.Cols, tg.Side)
+	}
 	if 2*m+1 > tg.Side {
 		return nil, nil, windowed{}, fmt.Errorf("core: cutoff window 2m+1=%d exceeds team grid side %d (cutoff too large for this decomposition)", 2*m+1, tg.Side)
 	}
@@ -130,7 +134,7 @@ type windowed struct {
 	mig  migrator
 }
 
-func (w *windowed) update(l *shiftLoop) {
+func (w *windowed) update(l *shiftLoop, _ int) {
 	src, visiting := l.x.view()
 	if !w.inWindow(l.slot, src) {
 		return

@@ -14,7 +14,7 @@ import (
 // one kernel call per visiting block, the moment it arrives.
 type onArrival struct{}
 
-func (onArrival) update(l *shiftLoop) {
+func (onArrival) update(l *shiftLoop, _ int) {
 	_, visiting := l.x.view()
 	l.st.SetPhase(trace.Compute)
 	l.counted(l.pool.AccumulateIn(l.kern, l.replica, visiting, l.pr.Box))
@@ -70,6 +70,7 @@ func TestGatherSweepBoundaries(t *testing.T) {
 		{"five sweeps of two blocks and one of one", 36, 2, sweepBatch / 2},
 		{"a block is a batch", 8, 2, sweepBatch},
 		{"a block exceeds a batch, ragged lanes", 4, 1, sweepBatch + 3},
+		{"the leader's own block after three others", 16, 2, sweepBatch + 3},
 	}
 	for _, tc := range cases {
 		tc := tc
@@ -133,6 +134,36 @@ func TestGatherSweepBoundaries(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestGatherSweepPeriodicCutoff runs all-pairs under a cutoff law in a
+// periodic box, with blocks long enough (n/T >= sweepBatch) that each
+// leader sweeps its own block alone: that visit must measure under the
+// run's box, minimum image and all, as the loop sweeping every block on
+// arrival does. The cutoff is most of half the box, so many pairs
+// interact only across the wrap.
+func TestGatherSweepPeriodicCutoff(t *testing.T) {
+	pr := defaultParams(4, 2, 3)
+	pr.Box = phys.NewBox(10, 2, phys.Periodic)
+	pr.Law = phys.DefaultLaw().WithCutoff(4)
+	ps := phys.InitUniform(2*(2*sweepBatch), pr.Box, 19)
+	want, err := allPairsOnArrival(ps, pr)
+	if err != nil {
+		t.Fatalf("reference: %v", err)
+	}
+	for _, workers := range []int{1, 2} {
+		pr := pr
+		pr.Workers = workers
+		got, _, err := AllPairs(ps, pr)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("workers=%d: particle %d\n gathered   %+v\n on arrival %+v", workers, i, got[i], want[i])
+			}
+		}
 	}
 }
 

@@ -193,8 +193,8 @@ func (x *paperXfer) view() (int, []phys.Particle) {
 // noPairing leaves the accumulation to the paper: view logs it.
 type noPairing struct{}
 
-func (noPairing) update(l *shiftLoop) { l.x.view() }
-func (noPairing) flush(*shiftLoop)    {}
+func (noPairing) update(l *shiftLoop, _ int) { l.x.view() }
+func (noPairing) flush(*shiftLoop)           {}
 func (noPairing) integrated(_ *shiftLoop, mine []phys.Particle) ([]phys.Particle, error) {
 	return mine, nil
 }

@@ -254,12 +254,12 @@ func (m *moves) move(i int) (hop, int) {
 // pairing is what a plan leaves to the algorithm: which visiting blocks
 // interact with the rank's replica, and what follows the integration.
 type pairing interface {
-	// update applies the buffer the rank holds (l.x.view) to l.replica —
-	// under the Compute phase, booked with l.counted — or skips a block
-	// that must not interact. On a closed ring, and a transport built to
-	// keep views (newXfer), it may instead keep the view and apply it
-	// later, no later than flush.
-	update(l *shiftLoop)
+	// update applies the buffer the rank holds at ring position at
+	// (l.x.view) to l.replica — under the Compute phase, booked with
+	// l.counted — or skips a block that must not interact. On a closed
+	// ring, and a transport built to keep views (newXfer), it may instead
+	// keep the view and apply it later, no later than flush.
+	update(l *shiftLoop, at int)
 	// flush runs when the walk has ended, before the reduce: it applies
 	// whatever update has kept back.
 	flush(l *shiftLoop)
@@ -353,14 +353,14 @@ func (l *shiftLoop) step() error {
 // the first shift.
 func (l *shiftLoop) walk() {
 	if !l.closed {
-		l.pairing.update(l)
+		l.pairing.update(l, 0)
 	}
 	for i := 1; i <= l.last; i++ {
 		l.st.SetPhase(trace.Shift)
 		if h, tag := l.move(i); h.to != l.slot {
 			l.x.shift(l.ring, h.to, h.from, tag)
 		}
-		l.pairing.update(l)
+		l.pairing.update(l, i)
 	}
 }
 

@@ -41,6 +41,13 @@ func TestWorkerCountInvariance(t *testing.T) {
 			pr.oracle, pr.Workers = encoded, workers
 			return AllPairs(phys.InitUniform(32, pr.Box, 51), pr)
 		}},
+		// Blocks of sweepBatch and more: a leader's own block takes the
+		// symmetric sweep on one worker and the tiled plain one on more.
+		{"allpairs self block", func(encoded bool, workers int) ([]phys.Particle, *trace.Report, error) {
+			pr := defaultParams(4, 2, 3)
+			pr.oracle, pr.Workers = encoded, workers
+			return AllPairs(phys.InitUniform(2*(sweepBatch+5), pr.Box, 51), pr)
+		}},
 		{"cutoff", func(encoded bool, workers int) ([]phys.Particle, *trace.Report, error) {
 			pr := cutoffParams(8, 2, 1, phys.Periodic)
 			pr.oracle, pr.Workers = encoded, workers

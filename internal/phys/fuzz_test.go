@@ -45,7 +45,11 @@ func FuzzDecodeSlice(f *testing.F) {
 // hundred boxes out). cuts slices the sources into blocks — each byte
 // the length of the next one, zero an empty block, what is left the
 // last — and AccumulateBlocks over those is held to AccumulateIn over
-// the uncut slice the same way.
+// the uncut slice the same way. Last, the self mode: targets and sources
+// as one block, their IDs shared as mode says, through AccumulateSelf
+// (the symmetric sweep where the repulsive open law runs the pipelined
+// loop), held to the generic path over the block and a copy of it under
+// the same box.
 func FuzzSweepMatchesGo(f *testing.F) {
 	f.Add(uint64(1), uint8(9), uint8(13), uint8(0), 1.3, 1e-3, 0.0, []byte{}, []byte{})
 	f.Add(uint64(2), uint8(8), uint8(8), uint8(3), 1.3, 0.0, 0.9, []byte{}, []byte{3, 0, 4})
@@ -149,5 +153,13 @@ func FuzzSweepMatchesGo(f *testing.F) {
 			t.Fatalf("AccumulateBlocks counted %d pairs over %d blocks, AccumulateIn %d over the uncut slice", nCut, len(blocks), nUncut)
 		}
 		compare("AccumulateBlocks", cut, uncut)
+
+		self := append(append([]Particle(nil), targets...), sources...)
+		selfWant := append([]Particle(nil), self...)
+		nSelfWant := law.AccumulateGeneric(selfWant, append([]Particle(nil), self...), box)
+		if nSelf := k.AccumulateSelf(self, box); nSelf != nSelfWant {
+			t.Fatalf("AccumulateSelf counted %d pairs over %d particles, the generic path %d", nSelf, len(self), nSelfWant)
+		}
+		compare("AccumulateSelf", self, selfWant)
 	})
 }

@@ -129,6 +129,20 @@ func (k *Kernel) AccumulateBlocks(targets []Particle, blocks [][]Particle, box B
 	return n
 }
 
+// AccumulateSelf is AccumulateIn(ps, ps, box) — every particle of ps
+// against every other — bit for bit and returning the same count, n² − n
+// for distinct IDs. Where the repulsive open law runs the pipelined
+// sweep, it evaluates each unordered pair once and adds the reaction to
+// the other particle (Newton's third law; sweep_amd64.go says why that
+// is exact); an open law ignores box. Every other case makes the
+// AccumulateIn call.
+func (k *Kernel) AccumulateSelf(ps []Particle, box Box) int64 {
+	if usePipe && !k.lj && !k.hasCut {
+		return k.sweepRepOpenSelf(ps)
+	}
+	return k.AccumulateIn(ps, ps, box)
+}
+
 // The two open loops mirror the generic path operation for operation.
 // `fx += 0` statements reproduce the generic path's f.Add(vec.Vec2{})
 // for a coincident pair, whose force is exactly zero: adding +0

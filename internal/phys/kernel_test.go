@@ -345,6 +345,30 @@ func TestCellListForcesMatchesGeneric(t *testing.T) {
 	}
 }
 
+// TestKernelAccumulateSelf holds AccumulateSelf to the generic path over
+// the block and a copy of it, for every law and on every build: the
+// symmetric sweep where this host runs it, AccumulateIn elsewhere. A
+// cutoff law measures under the box it is given: in the periodic box,
+// pairs across the wrap interact only by the minimum image.
+func TestKernelAccumulateSelf(t *testing.T) {
+	laws := []Law{DefaultLaw(), {Kind: Repulsive, K: 1.3}, DefaultLaw().WithCutoff(0.9), LJLaw(0.7, 0.4), LJLaw(0.7, 0.4).WithCutoff(0.9)}
+	for _, box := range []Box{NewBox(3, 2, Reflective), NewBox(3, 2, Periodic)} {
+		for _, law := range laws {
+			k := law.Kernel()
+			for _, n := range []int{0, 1, 5, 16, 17, 66} {
+				ps := InitUniform(n, box, uint64(n)+3)
+				seedForces(ps)
+				want := append([]Particle(nil), ps...)
+				nWant := law.AccumulateGeneric(want, append([]Particle(nil), ps...), box)
+				if nGot := k.AccumulateSelf(ps, box); nGot != nWant || nGot != Interactions(n, n, n) {
+					t.Fatalf("law %+v %v n=%d: counted %d pairs, the generic path %d", law, box.Boundary, n, nGot, nWant)
+				}
+				compareForces(t, ps, want)
+			}
+		}
+	}
+}
+
 // TestKernelAllocs guards the fast path's zero-allocation claim: the
 // specialized loops, the cell-list walk over a built list, and the
 // append-style encode/decode must not touch the heap in steady state.
@@ -388,6 +412,10 @@ func TestKernelAllocs(t *testing.T) {
 	}
 	if a := testing.AllocsPerRun(10, func() { rep.AccumulateBlocks(targets[:31], blocks, box) }); a != 0 {
 		t.Errorf("%s repulsive AccumulateBlocks allocated %.1f times per run over a padded group, want 0", rep.Impl(), a)
+	}
+	// Nor the symmetric sweep's lanes, over whole groups and a tail.
+	if a := testing.AllocsPerRun(10, func() { rep.AccumulateSelf(many[:103], box) }); a != 0 {
+		t.Errorf("%s repulsive AccumulateSelf allocated %.1f times per run, want 0", rep.Impl(), a)
 	}
 
 	cl := NewCellList(targets, law.Cutoff, box)

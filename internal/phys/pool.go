@@ -177,6 +177,17 @@ func (p *Pool) AccumulateBlocks(k Kernel, targets []Particle, blocks [][]Particl
 	return total
 }
 
+// AccumulateSelf is Kernel.AccumulateSelf. The inline pool makes that
+// call; a wider pool tiles AccumulateIn(ps, ps, box) instead, whose
+// tiles write only their own targets — a reaction would cross them.
+// Bitwise-identical either way, with the same pair-evaluation count.
+func (p *Pool) AccumulateSelf(k Kernel, ps []Particle, box Box) int64 {
+	if p == nil {
+		return k.AccumulateSelf(ps, box)
+	}
+	return p.AccumulateIn(k, ps, ps, box)
+}
+
 // Run tiles an arbitrary index space [0, n) across the pool: fn is
 // invoked once per worker with its disjoint [lo, hi) block and worker
 // id, and Run returns the summed results. fn must write only state

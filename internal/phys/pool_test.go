@@ -38,6 +38,10 @@ func TestPoolAccumulateBitwiseInvariance(t *testing.T) {
 		// The blocks form stands for one AccumulateIn per block; cut
 		// anywhere, the blocks fold into each target in source order.
 		blocks := [][]Particle{sources[:9], nil, sources[9:10], sources[10:]}
+		// The diagonal visit: the symmetric sweep inline, the tiled
+		// plain one on wider pools, under the periodic box.
+		wantSelf := append([]Particle(nil), targets...)
+		wantSelfPairs := kern.AccumulateIn(wantSelf, append([]Particle(nil), targets...), box)
 		for _, w := range []int{1, 2, 3, 4, 8} {
 			pool := NewPool(w) // nil, the inline pool, for one worker
 			got := append([]Particle(nil), targets...)
@@ -65,6 +69,15 @@ func TestPoolAccumulateBitwiseInvariance(t *testing.T) {
 			for i := range gotIn {
 				if gotIn[i] != wantIn[i] {
 					t.Errorf("law %+v w=%d: AccumulateIn target %d diverges", law, w, i)
+				}
+			}
+			gotSelf := append([]Particle(nil), targets...)
+			if pairs := pool.AccumulateSelf(kern, gotSelf, box); pairs != wantSelfPairs {
+				t.Errorf("law %+v w=%d: AccumulateSelf pair count %d, want %d", law, w, pairs, wantSelfPairs)
+			}
+			for i := range gotSelf {
+				if gotSelf[i] != wantSelf[i] {
+					t.Errorf("law %+v w=%d: AccumulateSelf target %d = %+v, want %+v", law, w, i, gotSelf[i], wantSelf[i])
 				}
 			}
 			pool.Close()
@@ -184,5 +197,10 @@ func TestPoolAllocs(t *testing.T) {
 		pool.AccumulateIn(kern, targets, sources, box)
 	}); got != 0 {
 		t.Errorf("pooled AccumulateIn: %v allocs/op, want 0", got)
+	}
+	if got := testing.AllocsPerRun(20, func() {
+		pool.AccumulateSelf(kern, targets, box)
+	}); got != 0 {
+		t.Errorf("pooled AccumulateSelf: %v allocs/op, want 0", got)
 	}
 }

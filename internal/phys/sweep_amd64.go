@@ -56,6 +56,15 @@ import (
 // The one to three targets behind the last group of four are swept as a
 // group of their own, padded with copies of the first (groups4). The
 // identity holds for finite inputs; NaN payloads are not pinned.
+//
+// A block swept against itself (Kernel.AccumulateSelf, the all-pairs
+// leader's visit to its own team's block) takes, on the pipelined loop,
+// a symmetric sweep that evaluates each unordered pair once
+// (sweepRepOpenSelf): stage D of the pipeline also transposes the four
+// lanes' products with each source's reverse displacement and adds them,
+// in lane order, to the sources' own accumulators. The sequence of adds
+// each particle receives is the plain sweep's, so this too is bit for
+// bit.
 
 // useAVX2 selects the sweeps below and usePipe, on top of it, the
 // pipelined loops of both. Both are decided once, at start-up, from the
@@ -167,6 +176,14 @@ func sweepInRepCutAVX2(ln *lanes4, src *Particle, n int, c *sweepConsts, periodi
 //go:noescape
 func sweepRepOpenPipeAVX512(ln *lanes4, src *Particle, n int, kk, soft2 float64)
 
+// sweepRepOpenSelfAVX512 is sweepRepOpenPipeAVX512 over sources that
+// follow the lanes' targets in the caller's slice, n a positive multiple
+// of four: each lane folds the sources in order, and each source takes
+// the reactions of the four lanes, in lane order, into its accumulator.
+//
+//go:noescape
+func sweepRepOpenSelfAVX512(ln *lanes4, src *Particle, n int, kk, soft2 float64)
+
 // quotientAVX512 is the pipelined loop's quotient stage alone, for the
 // tests: q = kk/a, and whether the guard took the divider.
 //
@@ -272,6 +289,54 @@ func (k *Kernel) sweepRepOpenVia(pipe bool, targets []Particle, blocks [][]Parti
 	}
 	return n
 }
+
+// sweepRepOpenSelf is accumulateRepOpen(ps, ps) with one evaluation per
+// unordered pair of whole groups, bit for bit and count for count, where
+// the pipelined loop admits the strength; elsewhere it runs the sweep of
+// AccumulateIn(ps, ps, Box{}). The groups of four targets go in slice
+// order. A group's accumulators already hold the reactions of every
+// earlier source, in source order; the group folds its own four sources
+// on the plain loop, whose ID test skips each target itself, then the
+// later sources of whole groups with their reactions
+// (sweepRepOpenSelfAVX512), then the one to three behind them on the
+// plain loop, and is stored. Those last targets take no reactions: they
+// fold every source afterwards, in order, on the Go loop.
+//
+// A reaction is exact: the source's own sweep would compute the reverse
+// displacement s - p, the same r2, hence the same weight w, and add w
+// times that displacement — which the group computes and adds in lane
+// order, each target's contribution where the source's sweep would have
+// added it. An equal-ID pair met against a later source is tallied once
+// and stands for both of its ordered pairs.
+func (k *Kernel) sweepRepOpenSelf(ps []Particle) int64 {
+	if !k.pipeAdmits() {
+		return k.sweepRepOpenBlocks(ps, [][]Particle{ps})
+	}
+	whole := len(ps) &^ 3
+	rest := ps[whole:]
+	var ln lanes4
+	var same uint64
+	for g := 0; g < whole; g += 4 {
+		group := ps[g : g+4]
+		ln.load(group)
+		s0 := ln.tally()
+		sweepRepOpenAVX2(&ln, &ps[g], 4, k.k, k.soft2)
+		s1 := ln.tally()
+		for lo := g + 4; lo < whole; lo += sweepChunk {
+			sweepRepOpenSelfAVX512(&ln, &ps[lo], min(sweepChunk, whole-lo), k.k, k.soft2)
+		}
+		s2 := ln.tally()
+		if len(rest) > 0 {
+			sweepRepOpenAVX2(&ln, &rest[0], len(rest), k.k, k.soft2)
+		}
+		same += ln.tally() - s0 + s2 - s1
+		ln.store(group)
+	}
+	return int64(whole)*int64(len(ps)) - int64(same) + k.accumulateRepOpen(rest, ps)
+}
+
+// tally is the equal-ID sources the lanes have met.
+func (ln *lanes4) tally() uint64 { return ln.same[0] + ln.same[1] + ln.same[2] + ln.same[3] }
 
 // extent returns the componentwise minimum and maximum of the positions
 // of ps — NaN where a coordinate is NaN, and (+Inf, -Inf) of nothing.

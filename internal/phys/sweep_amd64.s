@@ -22,7 +22,9 @@
 // rc2 (cut), BX the iteration, R8..R11 the ring; the pipelined cutoff
 // sweep has the staged sources at R13, their indices in AX, the list of
 // survivors at SI and, DX being taken, its block count in R12. Its gate
-// runs before the lanes are loaded and has a plan of its own.
+// runs before the lanes are loaded and has a plan of its own. The
+// symmetric open sweep holds -0 in Y29 and its reactions in Y20..Y25,
+// Y28 and Y30.
 
 // VCMPPD predicates: ordered and quiet, so a NaN operand compares false
 // exactly as Go's ==, > and < do.
@@ -489,6 +491,131 @@ slow:
 	Q_SLOW(1)
 	Q_SLOW(2)
 	Q_SLOW(3)
+	JMP stageD
+
+// The symmetric open sweep: the pipelined open sweep over sources that
+// are targets too, each of which takes the reaction of the group's four
+// lanes. A ring slot holds two vectors more per source, the displacement
+// the source's own sweep would compute, s - p: it is not -(p - s) when
+// that is a zero.
+#define SSLOT   896
+#define SDXR(i) (640+32*i)
+#define SDYR(i) (768+32*i)
+
+// SELF_A is STAGE_A with the reverse displacement kept as well.
+#define SELF_A(i) \
+	VBROADCASTSD (Particle_Pos+0+i*Particle__size)(SI), Y10; \
+	VBROADCASTSD (Particle_Pos+8+i*Particle__size)(SI), Y13; \
+	VSUBPD       Y10, Y0, Y8;                                \
+	VSUBPD       Y13, Y1, Y9;                                \
+	VSUBPD       Y0, Y10, Y10;                               \
+	VSUBPD       Y1, Y13, Y13;                               \
+	VMOVUPD      Y10, SDXR(i)(R8);                           \
+	VMOVUPD      Y13, SDYR(i)(R8);                           \
+	A_SQUARE(i);                                             \
+	A_FINISH(i, Y6)
+
+// Q_SLOW_SELF is Q_SLOW with the reverse displacement cleared in the
+// lanes with r2 == 0 as well, whose reaction is the same +0.
+#define Q_SLOW_SELF(i) \
+	Q_SLOW(i);                       \
+	VMOVUPD.Z SDXR(i)(R10), K2, Y8;  \
+	VMOVUPD   Y8, SDXR(i)(R10);      \
+	VMOVUPD.Z SDYR(i)(R10), K2, Y8;  \
+	VMOVUPD   Y8, SDYR(i)(R10)
+
+// SELF_D is STAGE_D, and into rx and ry the reactions of source i, lane
+// by lane: w times the reverse displacement, and -0, which adds
+// nothing, in the lanes whose target is the source itself. Y29 is -0.
+#define SELF_D(i, rx, ry) \
+	STAGE_D(i);                         \
+	VMOVAPD Y29, rx;                    \
+	VMULPD  SDXR(i)(R11), Y13, K1, rx;  \
+	VMOVAPD Y29, ry;                    \
+	VMULPD  SDYR(i)(R11), Y13, K1, ry
+
+// REACT2 adds the reactions of two consecutive sources, whose x and y
+// are in rx0, ry0 and rx1, ry1, to their accumulators at off(SI): the
+// 4×4 transpose turns lane t's reactions into one vector (x, y of the
+// first source, x, y of the second), and the vectors are added in lane
+// order — each source takes its reactions one target at a time, as its
+// own sweep would have added them. Clobbers the four inputs, Y8..Y12.
+#define REACT2(rx0, ry0, rx1, ry1, off) \
+	VUNPCKLPD    ry0, rx0, Y8;                            \
+	VUNPCKHPD    ry0, rx0, Y9;                            \
+	VUNPCKLPD    ry1, rx1, Y10;                           \
+	VUNPCKHPD    ry1, rx1, Y11;                           \
+	VSHUFF64X2   $0, Y10, Y8, rx0;                        \
+	VSHUFF64X2   $0, Y11, Y9, ry0;                        \
+	VSHUFF64X2   $3, Y10, Y8, rx1;                        \
+	VSHUFF64X2   $3, Y11, Y9, ry1;                        \
+	VMOVUPD      (off)(SI), X12;                          \
+	VINSERTF128  $1, (off+Particle__size)(SI), Y12, Y12;  \
+	VADDPD       rx0, Y12, Y12;                           \
+	VADDPD       ry0, Y12, Y12;                           \
+	VADDPD       rx1, Y12, Y12;                           \
+	VADDPD       ry1, Y12, Y12;                           \
+	VMOVUPD      X12, (off)(SI);                          \
+	VEXTRACTF128 $1, Y12, (off+Particle__size)(SI)
+
+// func sweepRepOpenSelfAVX512(ln *lanes4, src *Particle, n int, kk, soft2 float64)
+//
+// sweepRepOpenPipeAVX512 over n sources, n a positive multiple of four,
+// none of them a target of the lanes, with stage D adding to each source
+// the reactions of the four lanes as well. The pipeline runs on any
+// number of blocks: a stage skips the iterations its block does not
+// exist in.
+TEXT ·sweepRepOpenSelfAVX512(SB), 0, $3648-40
+	MOVQ ln+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ n+16(FP), DX
+	LOAD_LANES
+	VBROADCASTSD soft2+32(FP), Y6
+	VBROADCASTSD kk+24(FP), Y7
+	SHRQ $2, DX
+	LEAQ 63(SP), R8
+	PIPE_SETUP(SSLOT)
+	MOVQ         $0x8000000000000000, AX
+	VPBROADCASTQ AX, Y29
+
+iter:
+	CMPQ BX, DX
+	JCC  stageB
+	SELF_A(0)
+	SELF_A(1)
+	SELF_A(2)
+	SELF_A(3)
+
+stageB:
+	STAGE_BC(DX)
+
+stageD:
+	LEAQ -3(BX), AX
+	CMPQ AX, DX
+	JCC  next
+	SELF_D(0, Y20, Y21)
+	SELF_D(1, Y22, Y23)
+	SELF_D(2, Y24, Y25)
+	SELF_D(3, Y28, Y30)
+	REACT2(Y20, Y21, Y22, Y23, Particle_Force-3*BLK)
+	REACT2(Y24, Y25, Y28, Y30, Particle_Force+2*Particle__size-3*BLK)
+
+next:
+	PIPE_ROTATE
+	ADDQ $BLK, SI
+	LEAQ 3(DX), AX
+	CMPQ BX, AX
+	JLT  iter
+	PIPE_TALLY(DX)
+	STORE_LANES
+	VZEROUPPER
+	RET
+
+slow:
+	Q_SLOW_SELF(0)
+	Q_SLOW_SELF(1)
+	Q_SLOW_SELF(2)
+	Q_SLOW_SELF(3)
 	JMP stageD
 
 // func quotientAVX512(a *[4]float64, kk float64, q *[4]float64) (divider bool)

@@ -363,6 +363,234 @@ func TestSweepCutOnGrowingStack(t *testing.T) {
 	})
 }
 
+// selfBlock is n particles of a 3-wide box with what a reaction must get
+// right planted along it: particles at x = -0 and x = +0, a pair of
+// them coincident up to the sign of zero, particles coincident with an
+// earlier one, IDs an earlier particle carries, and — past the first
+// blocks — one particle so close to particle 0 that r2*sqrt(r2)
+// underflows and one so far that r2 overflows. negZero starts every
+// accumulator at -0 instead of at seedForces' values.
+func selfBlock(n int, seed uint64, negZero bool) []Particle {
+	nz := math.Copysign(0, -1)
+	ps := InitUniform(n, NewBox(3, 2, Reflective), seed)
+	for i := range ps {
+		switch {
+		case i%16 == 14:
+			ps[i].Pos = vec.Vec2{X: nz, Y: 0}
+		case i%16 == 15:
+			ps[i].Pos = vec.Vec2{X: 0, Y: nz}
+		case i%8 == 6:
+			ps[i].Pos.X = nz
+		case i%8 == 7:
+			ps[i].Pos.X = 0
+		case i%11 == 5:
+			ps[i].Pos = ps[i-3].Pos
+		case i%13 == 9:
+			ps[i].ID = ps[i-4].ID
+		}
+	}
+	if n > 24 {
+		ps[n/3].Pos = ps[0].Pos.Add(vec.Vec2{X: 1e-120})
+		ps[n/2].Pos = vec.Vec2{X: 1e160, Y: 1}
+	}
+	seedForces(ps)
+	if negZero {
+		for i := range ps {
+			ps[i].Force = vec.Vec2{X: nz, Y: nz}
+		}
+	}
+	return ps
+}
+
+// selfLoops names the loops that can sweep a block against itself here:
+// the symmetric sweep where the pipelined loop runs, and the open
+// sweep's loops over the block as sources.
+func selfLoops(k Kernel) map[string]func([]Particle) int64 {
+	loops := map[string]func([]Particle) int64{}
+	for name, pipe := range openLoops() {
+		loops[name] = func(ps []Particle) int64 { return k.sweepRepOpenVia(pipe, ps, [][]Particle{ps}) }
+	}
+	if usePipe {
+		loops["symmetric"] = k.sweepRepOpenSelf
+	}
+	return loops
+}
+
+// checkSelf holds every loop of selfLoops, and AccumulateSelf, to the
+// generic path over ps and a copy of it: every force bit and the count.
+func checkSelf(t *testing.T, law Law, ps []Particle) {
+	t.Helper()
+	k := law.Kernel()
+	want := append([]Particle(nil), ps...)
+	nWant := law.AccumulateGeneric(want, append([]Particle(nil), ps...), Box{})
+	loops := map[string]func([]Particle) int64{}
+	if law.Kind == Repulsive && law.Cutoff == 0 {
+		loops = selfLoops(k)
+	}
+	loops["AccumulateSelf"] = func(ps []Particle) int64 { return k.AccumulateSelf(ps, Box{}) }
+	for name, sweep := range loops {
+		got := append([]Particle(nil), ps...)
+		if nGot := sweep(got); nGot != nWant {
+			t.Fatalf("%s: counted %d pairs, the generic path %d", name, nGot, nWant)
+		}
+		sameForces(t, name, got, want)
+	}
+}
+
+// TestSweepSelfShapes runs the symmetric sweep over every group
+// remainder, whole groups with no later block, one and several, a block
+// either side of the chunk an assembly call takes, and the seams of the
+// loops it is held to; with and without softening, from -0 and from
+// nonzero accumulators.
+func TestSweepSelfShapes(t *testing.T) {
+	needSweeps(t)
+	sizes := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 11, 12, 13, 15, 16, 17, 19, 20, 21, 23, 24, 25, 31, 33, 63, 64, 65, 255, 257}
+	for _, n := range sizes {
+		for _, soft := range []float64{0, 1e-3} {
+			for _, negZero := range []bool{false, true} {
+				t.Run(fmt.Sprintf("n%d/soft%g/negzero%v", n, soft, negZero), func(t *testing.T) {
+					checkSelf(t, Law{Kind: Repulsive, K: 1.3, Softening: soft}, selfBlock(n, uint64(n)+1, negZero))
+				})
+			}
+		}
+	}
+	for _, n := range []int{sweepChunk + 3, sweepChunk + 4, sweepChunk + 5, sweepChunk + 9} {
+		t.Run(fmt.Sprintf("n%d", n), func(t *testing.T) {
+			checkSelf(t, Law{Kind: Repulsive, K: 1.3}, selfBlock(n, 7, false))
+		})
+	}
+}
+
+// TestSweepSelfStrengths takes the symmetric sweep to the ends of the
+// strengths the pipelined loop admits and past them, where it runs the
+// open sweep instead, and through the other laws, which never take it.
+func TestSweepSelfStrengths(t *testing.T) {
+	needSweeps(t)
+	negZero := math.Copysign(0, -1)
+	strengths := []float64{1.3, -1.3, pipeKMin, -pipeKMin, pipeKMax, -pipeKMax,
+		math.Nextafter(pipeKMin, 0), math.Nextafter(pipeKMax, math.Inf(1)),
+		0, negZero, 5e-324, math.MaxFloat64, math.Inf(1), math.NaN()}
+	for _, kk := range strengths {
+		for _, soft := range []float64{0, 1e-3} {
+			checkSelf(t, Law{Kind: Repulsive, K: kk, Softening: soft}, selfBlock(45, 3, kk < 0))
+		}
+	}
+	for _, law := range []Law{DefaultLaw().WithCutoff(0.9), LJLaw(0.7, 0.4), LJLaw(0.7, 0.4).WithCutoff(0.9)} {
+		checkSelf(t, law, selfBlock(45, 3, false))
+	}
+}
+
+// TestSweepSelfDuplicateIDs gives the block runs of one ID — whole
+// groups of it, and one spanning a group boundary — so that the
+// reactions meet equal-ID lanes in every position, alone and four at a
+// time.
+func TestSweepSelfDuplicateIDs(t *testing.T) {
+	needSweeps(t)
+	for _, soft := range []float64{0, 1e-3} {
+		ps := selfBlock(70, 5, false)
+		for i := range ps {
+			switch {
+			case i >= 8 && i < 16, i >= 30 && i < 35:
+				ps[i].ID = 1000
+			case i%5 == 0:
+				ps[i].ID = ps[i/5].ID
+			}
+		}
+		checkSelf(t, Law{Kind: Repulsive, K: 1.3, Softening: soft}, ps)
+	}
+}
+
+// TestSweepSelfSignedZeros puts every particle on an axis, at +0, but
+// one at -0, and starts every accumulator at -0. Along that axis each
+// force is then a signed zero, and an accumulator ends at -0 only if
+// every add it received was a -0: with K > 0 the particle at -0 is the
+// one, with K < 0 all the others. A reaction taken as -(p - s) instead
+// of s - p, a coincident pair's reaction other than +0 (the particle
+// sharing the odd one's other coordinate, without softening), or an
+// equal-ID lane that adds anything (the particle sharing its ID) each
+// show as a flipped zero. The odd particle takes every position in the
+// block: a group's own, a pipelined block's lanes and sources, and the
+// tail.
+func TestSweepSelfSignedZeros(t *testing.T) {
+	needSweeps(t)
+	nz := math.Copysign(0, -1)
+	for _, n := range []int{7, 22, 45} {
+		for odd := 0; odd < n; odd++ {
+			for _, axis := range []int{0, 1} {
+				for _, twin := range []string{"", "coincident", "same ID"} {
+					ps := InitUniform(n, NewBox(3, 2, Reflective), uint64(n))
+					for i := range ps {
+						on := &ps[i].Pos.X
+						if axis == 1 {
+							on = &ps[i].Pos.Y
+						}
+						*on = 0
+						if i == odd {
+							*on = nz
+						}
+						ps[i].Force = vec.Vec2{X: nz, Y: nz}
+					}
+					other := (odd + n/2) % n
+					switch twin {
+					case "coincident":
+						ps[other].Pos = ps[odd].Pos
+						if axis == 0 {
+							ps[other].Pos.X = 0
+						} else {
+							ps[other].Pos.Y = 0
+						}
+					case "same ID":
+						ps[other].ID = ps[odd].ID
+					}
+					for _, kk := range []float64{1.3, -1.3} {
+						for _, soft := range []float64{0, 1e-3} {
+							t.Run(fmt.Sprintf("n%d/odd%d/axis%d/%s/K%g/soft%g", n, odd, axis, twin, kk, soft), func(t *testing.T) {
+								checkSelf(t, Law{Kind: Repulsive, K: kk, Softening: soft}, ps)
+							})
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestSweepSelfRoutine holds sweepRepOpenSelfAVX512 alone to the Go loop
+// run both ways: a group of four targets folds n sources, and each
+// source folds the four targets, in that order. The first group meets
+// each of the planted cases in every lane.
+func TestSweepSelfRoutine(t *testing.T) {
+	needPipe(t)
+	for _, n := range []int{4, 8, 12, 16, 20, 64, 132, sweepChunk} {
+		for _, soft := range []float64{0, 1e-3} {
+			k := Law{Kind: Repulsive, K: 1.3, Softening: soft}.Kernel()
+			ps := selfBlock(4+n, uint64(n), n%8 == 0)
+			want := append([]Particle(nil), ps...)
+			nWant := k.accumulateRepOpen(want[:4], want[4:])
+			k.accumulateRepOpen(want[4:], want[:4])
+			got := append([]Particle(nil), ps...)
+			var ln lanes4
+			ln.load(got[:4])
+			sweepRepOpenSelfAVX512(&ln, &got[4], n, k.k, k.soft2)
+			ln.store(got[:4])
+			if nGot := 4*int64(n) - int64(ln.tally()); nGot != nWant {
+				t.Fatalf("n=%d soft=%g: the lanes counted %d pairs, the Go loop %d", n, soft, nGot, nWant)
+			}
+			sameForces(t, fmt.Sprintf("n=%d soft=%g", n, soft), got, want)
+		}
+	}
+}
+
+func TestSweepSelfOnGrowingStack(t *testing.T) {
+	needPipe(t)
+	law := Law{Kind: Repulsive, K: 1.3, Softening: 1e-3}
+	ps := selfBlock(41, 2, false)
+	want := append([]Particle(nil), ps...)
+	law.AccumulateGeneric(want, append([]Particle(nil), ps...), Box{})
+	k := law.Kernel()
+	onGrowingStacks(t, ps, want, func(got []Particle) { k.sweepRepOpenSelf(got) })
+}
+
 // TestSweepKeepsNegativeZero pins the blend: a target that only meets
 // its own ID and sources beyond the cutoff is never added to, so a -0
 // accumulator must come back as -0, in a full group and in a mixed one.
@@ -996,6 +1224,21 @@ func BenchmarkSweep(b *testing.B) {
 			for name, pipe := range openLoops() {
 				run(name, func() int64 { return k.sweepRepOpenVia(pipe, targets, [][]Particle{sources}) })
 			}
+		}
+	}
+	// The diagonal visit: a block against itself, on the symmetric sweep
+	// and on the open sweep's loops. ns/pair is per ordered pair counted,
+	// so the symmetric row reads half the evaluations.
+	for _, n := range []int{256, 2048} {
+		ps := InitUniform(n, NewBox(10, 2, Reflective), 1)
+		for name, sweep := range selfLoops(open.Kernel()) {
+			b.Run(fmt.Sprintf("rep_open_self/%d/%s", n, name), func(b *testing.B) {
+				var pairs int64
+				for i := 0; i < b.N; i++ {
+					pairs = sweep(ps)
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(pairs), "ns/pair")
+			})
 		}
 	}
 }

@@ -17,3 +17,9 @@ func (k *Kernel) sweepRepOpenBlocks(targets []Particle, blocks [][]Particle) int
 func (k *Kernel) sweepInRepCut(targets, sources []Particle, box Box) int64 {
 	return k.accumulateCut(targets, sources, box)
 }
+
+// sweepRepOpenSelf is never reached without usePipe; it is the sweep
+// AccumulateSelf stands for.
+func (k *Kernel) sweepRepOpenSelf(ps []Particle) int64 {
+	return k.accumulateRepOpen(ps, ps)
+}
