@@ -12,13 +12,25 @@ import (
 )
 
 // SpanFor returns m, the number of team widths spanned by the cutoff
-// radius (Equation 6): the smallest m such that every pair within rc
-// lies in teams at Chebyshev distance at most m.
+// radius (Equation 6): the smallest m ≥ 1 with m·w ≥ rc for the team
+// width w = boxL/side, so that every pair within rc lies in teams at
+// Chebyshev distance at most m. The test is exact — the fused m·w − rc
+// is rounded once, so its sign is that of the exact difference — and a
+// cutoff past a whole number of widths by any amount takes the wider
+// window. A cutoff of side widths or more gets side, whose window
+// (2m+1 teams) no grid of that side holds.
 func SpanFor(rc, boxL float64, side int) int {
 	w := boxL / float64(side)
-	m := int(math.Ceil(rc/w - 1e-12))
-	if m < 1 {
-		m = 1
+	q := math.Ceil(rc / w) // within one of m: the quotient is rounded
+	if !(q < float64(side)) {
+		return side
+	}
+	m := max(1, int(q))
+	for m > 1 && math.FMA(float64(m-1), w, -rc) >= 0 {
+		m--
+	}
+	for math.FMA(float64(m), w, -rc) < 0 {
+		m++
 	}
 	return m
 }
@@ -126,6 +138,13 @@ func cutoffMoves(sched *CutoffSchedule, tg topo.TeamGrid, layer, team int) moves
 // source team lies in the rank's cutoff window, and a leader that has
 // integrated hands the particles that left its region to their new
 // teams.
+//
+// One block of the window is the rank's own team's, a copy of the
+// replica it holds, from the same broadcast and in the same order. That
+// visit is the replica against itself, which the kernel evaluates once
+// per unordered pair where it can (phys.Kernel.AccumulateSelf): the same
+// forces and the same count, and no message changes, since the reaction
+// of a pair goes to a particle of the same replica.
 type windowed struct {
 	tg   topo.TeamGrid
 	m    int  // cutoff span in team widths
@@ -140,6 +159,10 @@ func (w *windowed) update(l *shiftLoop, _ int) {
 		return
 	}
 	l.st.SetPhase(trace.Compute)
+	if src == l.slot {
+		l.counted(l.pool.AccumulateSelf(l.kern, l.replica, l.pr.Box))
+		return
+	}
 	l.counted(l.pool.AccumulateIn(l.kern, l.replica, visiting, l.pr.Box))
 }
 

@@ -2,9 +2,14 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/phys"
+	"repro/internal/topo"
+	"repro/internal/trace"
+	"repro/internal/vec"
 )
 
 // serialCutoffRun advances the particles with the brute-force cutoff
@@ -116,6 +121,138 @@ func TestCutoffLargerReplication(t *testing.T) {
 		t.Fatalf("Cutoff: %v", err)
 	}
 	checkAgainst(t, got, want, 1e-9)
+}
+
+// TestCutoffJustPastTeamWidths runs a cutoff nine ulps past one team
+// width, 8 teams of 2 in a periodic box of 16: the window spans two
+// teams, and the one pair in reach, between teams two apart and at a
+// separation within those ulps of the width, interacts. With a window
+// of one team the pair was never evaluated. Each particle's force is the
+// one pair's, so the velocities after a step match the serial reference
+// bit for bit.
+func TestCutoffJustPastTeamWidths(t *testing.T) {
+	pr := cutoffParams(8, 1, 1, phys.Periodic)
+	pr.Law.Cutoff = 2 + 9*0x1p-51
+	pr.Steps = 1
+	if m := SpanFor(pr.Law.Cutoff, pr.Box.L, 8); m != 2 {
+		t.Fatalf("SpanFor = %d, want 2", m)
+	}
+	ps := []phys.Particle{{ID: 0, Pos: vec.Vec2{X: math.Nextafter(2, 0)}}, {ID: 1, Pos: vec.Vec2{X: 4}}}
+	want := serialCutoffRun(ps, pr.Law, pr.Box, 1, pr.DT)
+	got, _, err := Cutoff(ps, pr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range want {
+		if want[i].Vel.X == 0 || got[i].ID != want[i].ID || got[i].Vel != want[i].Vel {
+			t.Errorf("particle %d: velocity %v, the serial reference %v (nonzero)", want[i].ID, got[i].Vel, want[i].Vel)
+		}
+	}
+}
+
+// plainWindow is the pairing windowed replaced, kept as its reference:
+// the rank's own team's block is swept as it arrives, against the
+// replica, like every other block of the window.
+type plainWindow struct{ *windowed }
+
+func (w plainWindow) update(l *shiftLoop, _ int) {
+	src, visiting := l.x.view()
+	if !w.inWindow(l.slot, src) {
+		return
+	}
+	l.st.SetPhase(trace.Compute)
+	l.counted(l.pool.AccumulateIn(l.kern, l.replica, visiting, l.pr.Box))
+}
+
+// cutoffPlain is Cutoff with that pairing, for parameters Cutoff accepts.
+func cutoffPlain(ps []phys.Particle, pr Params) ([]phys.Particle, *trace.Report, error) {
+	cg, sched, w, err := newCutoffLayout(pr.P, pr.C, pr.Law.Cutoff, pr.Box)
+	if err != nil {
+		return nil, nil, err
+	}
+	perS, perW := cutoffBounds(len(ps), pr)
+	owned := scatterByTeam(ps, pr.Box, w.tg)
+	return newSession(len(ps), pr, perS, perW, func(rk *rank) rankLoop {
+		l, layer, team := newShiftLoop(rk, &pr, cg)
+		l.moves = cutoffMoves(sched, w.tg, layer, team)
+		pairing := w
+		l.pairing = plainWindow{&pairing}
+		l.x = newXfer(pr, team, false)
+		if l.leader {
+			l.mine = owned[team]
+		}
+		return rankLoop{l.step, l.holds}
+	}).Advance(pr.Steps)
+}
+
+// TestCutoffOwnBlock holds the cutoff loop, whose ranks sweep their own
+// team's block as the replica against itself, to the loop that sweeps it
+// as a visiting block: the final state struct-equal, the pair count and
+// every phase's messages and bytes the same, on either transport and for
+// one and two workers. The own block arrives where the schedule puts it:
+// alone on layer 1 of a 1D window at c = 2 (cutoff-small's shape), and
+// at position 4 of a 3×3 window at c = 4 (cutoff-2d's), the second of
+// the leader's three blocks. Under a cutoff below the team width a block
+// spans more than the cutoff, and the kernel keeps the gated sweep for
+// it.
+func TestCutoffOwnBlock(t *testing.T) {
+	cases := []struct {
+		name       string
+		p, c, dim  int
+		boundary   phys.Boundary
+		n          int
+		rcPerWidth float64
+	}{
+		{"1D c=2, layer 1", 8, 2, 1, phys.Periodic, 512, 1},
+		{"1D c=2, reflective", 8, 2, 1, phys.Reflective, 300, 1},
+		{"2D c=4, the leader", 64, 4, 2, phys.Reflective, 1024, 1},
+		{"2D c=2, periodic", 32, 2, 2, phys.Periodic, 1024, 1},
+		{"1D, cutoff below the team width", 8, 2, 1, phys.Periodic, 512, 0.7},
+	}
+	for _, tc := range cases {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			pr := cutoffParams(tc.p, tc.c, tc.dim, tc.boundary)
+			tg, err := topo.NewTeamGrid(tc.p/tc.c, tc.dim)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pr.Law.Cutoff = tc.rcPerWidth * pr.Box.L / float64(tg.Side)
+			ps := phys.InitLattice(tc.n, pr.Box, 31)
+			ref := pr
+			ref.Options.Observe = obs.NewObserver(tc.p, 1<<12)
+			want, wantRep, err := cutoffPlain(ps, ref)
+			if err != nil {
+				t.Fatalf("reference: %v", err)
+			}
+			wantPairs := ref.Options.Observe.Metrics.Snapshot().Counters["compute.pairs"]
+			for _, oracle := range []bool{false, true} {
+				for _, workers := range []int{1, 2} {
+					run := fmt.Sprintf("oracle=%v workers=%d", oracle, workers)
+					pr := pr
+					pr.oracle, pr.Workers = oracle, workers
+					ob := obs.NewObserver(tc.p, 1<<12)
+					pr.Options.Observe = ob
+					got, rep, err := Cutoff(ps, pr)
+					if err != nil {
+						t.Fatalf("%s: %v", run, err)
+					}
+					for i := range want {
+						if got[i] != want[i] {
+							t.Fatalf("%s: particle %d\n own block as the replica %+v\n as a visiting block     %+v", run, i, got[i], want[i])
+						}
+					}
+					if !sameCommCounts(rep, wantRep) || rep.S() != wantRep.S() || rep.W() != wantRep.W() {
+						t.Errorf("%s: messages or bytes differ from the reference's", run)
+					}
+					if pairs := ob.Metrics.Snapshot().Counters["compute.pairs"]; pairs != wantPairs || pairs == 0 {
+						t.Errorf("%s: compute.pairs = %d, the reference counted %d", run, pairs, wantPairs)
+					}
+				}
+			}
+		})
+	}
 }
 
 func TestCutoffRejectsBadParams(t *testing.T) {

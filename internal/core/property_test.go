@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -148,6 +149,40 @@ func TestSpanFor(t *testing.T) {
 	}
 	if got := SpanFor(1, 16, 16); got != 1 {
 		t.Errorf("SpanFor(1,16,16) = %d, want 1", got)
+	}
+	// A cutoff past a whole number of widths by less than any relative
+	// slack takes the wider window; one at or below it does not. The
+	// width need not be exact (30/9), nor the cutoff's quotient by it.
+	w3 := 30.0 / 9
+	for _, c := range []struct {
+		rc, l float64
+		side  int
+		want  int
+	}{
+		{4 + 9*0x1p-50, 16, 4, 2}, // nine ulps past one width of 4
+		{math.Nextafter(4, 5), 16, 4, 2},
+		{math.Nextafter(4, 0), 16, 4, 1},
+		{2 + 9*0x1p-51, 16, 8, 2},
+		{math.Nextafter(4, 5), 16, 8, 3},
+		{math.Nextafter(4, 0), 16, 8, 2},
+		{w3, 30, 9, 1},
+		{math.Nextafter(w3, 4), 30, 9, 2},
+		{2 * w3, 30, 9, 2},
+		{math.Nextafter(2*w3, 7), 30, 9, 3},
+		{math.Nextafter(2*w3, 0), 30, 9, 2},
+		{16, 16, 4, 4}, // side widths: the cap
+		{100, 16, 4, 4},
+		{math.Inf(1), 16, 4, 4},
+		{math.NaN(), 16, 4, 4},
+	} {
+		w := c.l / float64(c.side)
+		got := SpanFor(c.rc, c.l, c.side)
+		if got != c.want {
+			t.Errorf("SpanFor(%v, %g, %d) = %d, want %d", c.rc, c.l, c.side, got, c.want)
+		}
+		if got < c.side && (float64(got)*w < c.rc || got > 1 && float64(got-1)*w >= c.rc) {
+			t.Errorf("SpanFor(%v, %g, %d) = %d is not the smallest m with m·w ≥ rc", c.rc, c.l, c.side, got)
+		}
 	}
 }
 

@@ -53,6 +53,14 @@ func TestWorkerCountInvariance(t *testing.T) {
 			pr.oracle, pr.Workers = encoded, workers
 			return Cutoff(phys.InitLattice(64, pr.Box, 51), pr)
 		}},
+		// Teams of sweepBatch particles spanning the cutoff: each rank's
+		// own block takes the symmetric sweep on one worker and the
+		// tiled plain one on more.
+		{"cutoff own block", func(encoded bool, workers int) ([]phys.Particle, *trace.Report, error) {
+			pr := cutoffParams(8, 2, 1, phys.Periodic)
+			pr.oracle, pr.Workers = encoded, workers
+			return Cutoff(phys.InitLattice(4*sweepBatch, pr.Box, 51), pr)
+		}},
 		{"cutoff2D", func(encoded bool, workers int) ([]phys.Particle, *trace.Report, error) {
 			pr := cutoffParams(18, 2, 2, phys.Reflective)
 			pr.oracle, pr.Workers = encoded, workers

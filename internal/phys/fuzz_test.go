@@ -45,11 +45,13 @@ func FuzzDecodeSlice(f *testing.F) {
 // hundred boxes out). cuts slices the sources into blocks — each byte
 // the length of the next one, zero an empty block, what is left the
 // last — and AccumulateBlocks over those is held to AccumulateIn over
-// the uncut slice the same way. Last, the self mode: targets and sources
-// as one block, their IDs shared as mode says, through AccumulateSelf
-// (the symmetric sweep where the repulsive open law runs the pipelined
-// loop), held to the generic path over the block and a copy of it under
-// the same box.
+// the uncut slice the same way. Last, the self modes: targets and
+// sources as one block, their IDs shared as mode says, through
+// AccumulateSelf (the symmetric sweep where the repulsive law runs the
+// pipelined loop), held to the generic path over the block and a copy of
+// it under the same box; and under a cutoff, the same block squeezed
+// into a square of side min(rc, l) at the origin, which the cutoff law's
+// symmetric sweep takes unless it wraps.
 func FuzzSweepMatchesGo(f *testing.F) {
 	f.Add(uint64(1), uint8(9), uint8(13), uint8(0), 1.3, 1e-3, 0.0, []byte{}, []byte{})
 	f.Add(uint64(2), uint8(8), uint8(8), uint8(3), 1.3, 0.0, 0.9, []byte{}, []byte{3, 0, 4})
@@ -161,5 +163,21 @@ func FuzzSweepMatchesGo(f *testing.F) {
 			t.Fatalf("AccumulateSelf counted %d pairs over %d particles, the generic path %d", nSelf, len(self), nSelfWant)
 		}
 		compare("AccumulateSelf", self, selfWant)
+
+		if rc == 0 {
+			return
+		}
+		side := min(rc, box.L)
+		squeeze := func(x float64) float64 { return min(max(x*side/box.L, 0), side) }
+		for i := range self {
+			self[i].Pos.X, self[i].Pos.Y = squeeze(self[i].Pos.X), squeeze(self[i].Pos.Y)
+		}
+		seedForces(self)
+		selfWant = append(selfWant[:0], self...)
+		nSelfWant = law.AccumulateGeneric(selfWant, append([]Particle(nil), self...), box)
+		if nSelf := k.AccumulateSelf(self, box); nSelf != nSelfWant {
+			t.Fatalf("AccumulateSelf counted %d pairs over %d squeezed particles, the generic path %d", nSelf, len(self), nSelfWant)
+		}
+		compare("AccumulateSelf over the squeezed block", self, selfWant)
 	})
 }

@@ -35,13 +35,13 @@ import "math"
 // A Kernel is a plain value: building one allocates nothing, and the
 // loops themselves are allocation-free (guarded by TestKernelAllocs).
 type Kernel struct {
-	lj     bool // Lennard-Jones; false = repulsive (the Potential default)
-	hasCut bool
-	k      float64 // repulsive strength K
-	e24    float64 // 24ε (the LJ force prefactor as the generic path groups it)
-	sig2   float64 // σ²
-	soft2  float64 // softening²
-	rc2    float64 // cutoff²
+	lj      bool // Lennard-Jones; false = repulsive (the Potential default)
+	hasCut  bool
+	k       float64 // repulsive strength K
+	e24     float64 // 24ε (the LJ force prefactor as the generic path groups it)
+	sig2    float64 // σ²
+	soft2   float64 // softening²
+	rc, rc2 float64 // cutoff, cutoff²
 }
 
 // Kernel compiles the law into its specialized inner-loop form. The
@@ -55,6 +55,7 @@ func (l Law) Kernel() Kernel {
 		e24:    24 * l.Epsilon,
 		sig2:   l.Sigma * l.Sigma,
 		soft2:  l.Softening * l.Softening,
+		rc:     l.Cutoff,
 		rc2:    l.Cutoff * l.Cutoff,
 	}
 }
@@ -131,16 +132,21 @@ func (k *Kernel) AccumulateBlocks(targets []Particle, blocks [][]Particle, box B
 
 // AccumulateSelf is AccumulateIn(ps, ps, box) — every particle of ps
 // against every other — bit for bit and returning the same count, n² − n
-// for distinct IDs. Where the repulsive open law runs the pipelined
-// sweep, it evaluates each unordered pair once and adds the reaction to
-// the other particle (Newton's third law; sweep_amd64.go says why that
-// is exact); an open law ignores box. Every other case makes the
+// for distinct IDs, the beyond-cutoff pairs included. Where the repulsive
+// law runs the pipelined sweep, it evaluates each unordered pair once and
+// adds the reaction to the other particle (Newton's third law;
+// sweep_amd64.go says why that is exact): the open law always, a cutoff
+// law on a block that needs no wrap and spans at most the cutoff along
+// each axis. An open law ignores box. Every other case makes the
 // AccumulateIn call.
 func (k *Kernel) AccumulateSelf(ps []Particle, box Box) int64 {
-	if usePipe && !k.lj && !k.hasCut {
-		return k.sweepRepOpenSelf(ps)
+	switch {
+	case !usePipe || k.lj:
+		return k.AccumulateIn(ps, ps, box)
+	case k.hasCut:
+		return k.sweepRepCutSelf(ps, box)
 	}
-	return k.AccumulateIn(ps, ps, box)
+	return k.sweepRepOpenSelf(ps)
 }
 
 // The two open loops mirror the generic path operation for operation.

@@ -349,14 +349,21 @@ func TestCellListForcesMatchesGeneric(t *testing.T) {
 // the block and a copy of it, for every law and on every build: the
 // symmetric sweep where this host runs it, AccumulateIn elsewhere. A
 // cutoff law measures under the box it is given: in the periodic box,
-// pairs across the wrap interact only by the minimum image.
+// pairs across the wrap interact only by the minimum image. The longest
+// block is squeezed within the cutoff, where a cutoff law takes the
+// symmetric sweep too.
 func TestKernelAccumulateSelf(t *testing.T) {
 	laws := []Law{DefaultLaw(), {Kind: Repulsive, K: 1.3}, DefaultLaw().WithCutoff(0.9), LJLaw(0.7, 0.4), LJLaw(0.7, 0.4).WithCutoff(0.9)}
-	for _, box := range []Box{NewBox(3, 2, Reflective), NewBox(3, 2, Periodic)} {
+	for _, box := range []Box{NewBox(3, 2, Reflective), NewBox(3, 2, Periodic), NewBox(3, 1, Periodic)} {
 		for _, law := range laws {
 			k := law.Kernel()
-			for _, n := range []int{0, 1, 5, 16, 17, 66} {
+			for _, n := range []int{0, 1, 5, 16, 17, 66, 129} {
 				ps := InitUniform(n, box, uint64(n)+3)
+				if n > 100 { // a block within the cutoff: the symmetric sweep's under a cutoff law
+					for i := range ps {
+						ps[i].Pos = ps[i].Pos.Scale(0.25)
+					}
+				}
 				seedForces(ps)
 				want := append([]Particle(nil), ps...)
 				nWant := law.AccumulateGeneric(want, append([]Particle(nil), ps...), box)
@@ -413,9 +420,17 @@ func TestKernelAllocs(t *testing.T) {
 	if a := testing.AllocsPerRun(10, func() { rep.AccumulateBlocks(targets[:31], blocks, box) }); a != 0 {
 		t.Errorf("%s repulsive AccumulateBlocks allocated %.1f times per run over a padded group, want 0", rep.Impl(), a)
 	}
-	// Nor the symmetric sweep's lanes, over whole groups and a tail.
+	// Nor the symmetric sweeps' lanes, over whole groups and a tail: the
+	// cutoff law's over a block within its cutoff.
 	if a := testing.AllocsPerRun(10, func() { rep.AccumulateSelf(many[:103], box) }); a != 0 {
 		t.Errorf("%s repulsive AccumulateSelf allocated %.1f times per run, want 0", rep.Impl(), a)
+	}
+	dense := append([]Particle(nil), many[:103]...)
+	for i := range dense {
+		dense[i].Pos = dense[i].Pos.Scale(0.25)
+	}
+	if a := testing.AllocsPerRun(10, func() { repCut.AccumulateSelf(dense, box) }); a != 0 {
+		t.Errorf("%s repulsive cutoff AccumulateSelf allocated %.1f times per run, want 0", repCut.Impl(), a)
 	}
 
 	cl := NewCellList(targets, law.Cutoff, box)

@@ -39,9 +39,15 @@ func TestPoolAccumulateBitwiseInvariance(t *testing.T) {
 		// anywhere, the blocks fold into each target in source order.
 		blocks := [][]Particle{sources[:9], nil, sources[9:10], sources[10:]}
 		// The diagonal visit: the symmetric sweep inline, the tiled
-		// plain one on wider pools, under the periodic box.
-		wantSelf := append([]Particle(nil), targets...)
-		wantSelfPairs := kern.AccumulateIn(wantSelf, append([]Particle(nil), targets...), box)
+		// plain one on wider pools, under the periodic box. The second
+		// block is the first squeezed into a quarter of the box, so that
+		// it spans less than the cutoff and a cutoff law takes the
+		// symmetric sweep too.
+		squeezed := append([]Particle(nil), targets...)
+		for i := range squeezed {
+			squeezed[i].Pos = squeezed[i].Pos.Scale(0.25)
+		}
+		selves := [][]Particle{targets, squeezed}
 		for _, w := range []int{1, 2, 3, 4, 8} {
 			pool := NewPool(w) // nil, the inline pool, for one worker
 			got := append([]Particle(nil), targets...)
@@ -71,13 +77,17 @@ func TestPoolAccumulateBitwiseInvariance(t *testing.T) {
 					t.Errorf("law %+v w=%d: AccumulateIn target %d diverges", law, w, i)
 				}
 			}
-			gotSelf := append([]Particle(nil), targets...)
-			if pairs := pool.AccumulateSelf(kern, gotSelf, box); pairs != wantSelfPairs {
-				t.Errorf("law %+v w=%d: AccumulateSelf pair count %d, want %d", law, w, pairs, wantSelfPairs)
-			}
-			for i := range gotSelf {
-				if gotSelf[i] != wantSelf[i] {
-					t.Errorf("law %+v w=%d: AccumulateSelf target %d = %+v, want %+v", law, w, i, gotSelf[i], wantSelf[i])
+			for b, self := range selves {
+				wantSelf := append([]Particle(nil), self...)
+				wantSelfPairs := kern.AccumulateIn(wantSelf, append([]Particle(nil), self...), box)
+				gotSelf := append([]Particle(nil), self...)
+				if pairs := pool.AccumulateSelf(kern, gotSelf, box); pairs != wantSelfPairs {
+					t.Errorf("law %+v w=%d block %d: AccumulateSelf pair count %d, want %d", law, w, b, pairs, wantSelfPairs)
+				}
+				for i := range gotSelf {
+					if gotSelf[i] != wantSelf[i] {
+						t.Errorf("law %+v w=%d block %d: AccumulateSelf target %d = %+v, want %+v", law, w, b, i, gotSelf[i], wantSelf[i])
+					}
 				}
 			}
 			pool.Close()

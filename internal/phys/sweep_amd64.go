@@ -57,12 +57,15 @@ import (
 // group of their own, padded with copies of the first (groups4). The
 // identity holds for finite inputs; NaN payloads are not pinned.
 //
-// A block swept against itself (Kernel.AccumulateSelf, the all-pairs
-// leader's visit to its own team's block) takes, on the pipelined loop,
-// a symmetric sweep that evaluates each unordered pair once
-// (sweepRepOpenSelf): stage D of the pipeline also transposes the four
-// lanes' products with each source's reverse displacement and adds them,
-// in lane order, to the sources' own accumulators. The sequence of adds
+// A block swept against itself (Kernel.AccumulateSelf: the all-pairs
+// leader's visit to its own team's block, and a cutoff rank's to its
+// own team's) takes, on the pipelined loop, a symmetric sweep that
+// evaluates each unordered pair once (sweepSelf): stage D of the
+// pipeline also transposes the four lanes' products with each source's
+// reverse displacement and adds them, in lane order, to the sources' own
+// accumulators. Under a cutoff, stage D masks the reactions as it masks
+// the adds, and the sweep runs only on a block no wider than the cutoff
+// that needs no wrap (selfDense); it has no gate. The sequence of adds
 // each particle receives is the plain sweep's, so this too is bit for
 // bit.
 
@@ -184,6 +187,13 @@ func sweepRepOpenPipeAVX512(ln *lanes4, src *Particle, n int, kk, soft2 float64)
 //go:noescape
 func sweepRepOpenSelfAVX512(ln *lanes4, src *Particle, n int, kk, soft2 float64)
 
+// sweepRepCutSelfAVX512 is sweepRepOpenSelfAVX512 under the cutoff law,
+// measured plainly: a lane adds, and a source takes the reaction of,
+// only the pairs within the cutoff.
+//
+//go:noescape
+func sweepRepCutSelfAVX512(ln *lanes4, src *Particle, n int, c *sweepConsts)
+
 // quotientAVX512 is the pipelined loop's quotient stage alone, for the
 // tests: q = kk/a, and whether the guard took the divider.
 //
@@ -293,26 +303,66 @@ func (k *Kernel) sweepRepOpenVia(pipe bool, targets []Particle, blocks [][]Parti
 // sweepRepOpenSelf is accumulateRepOpen(ps, ps) with one evaluation per
 // unordered pair of whole groups, bit for bit and count for count, where
 // the pipelined loop admits the strength; elsewhere it runs the sweep of
-// AccumulateIn(ps, ps, Box{}). The groups of four targets go in slice
-// order. A group's accumulators already hold the reactions of every
-// earlier source, in source order; the group folds its own four sources
-// on the plain loop, whose ID test skips each target itself, then the
-// later sources of whole groups with their reactions
-// (sweepRepOpenSelfAVX512), then the one to three behind them on the
-// plain loop, and is stored. Those last targets take no reactions: they
-// fold every source afterwards, in order, on the Go loop.
-//
-// A reaction is exact: the source's own sweep would compute the reverse
-// displacement s - p, the same r2, hence the same weight w, and add w
-// times that displacement — which the group computes and adds in lane
-// order, each target's contribution where the source's sweep would have
-// added it. An equal-ID pair met against a later source is tallied once
-// and stands for both of its ordered pairs.
+// AccumulateIn(ps, ps, Box{}). The one to three targets behind the last
+// whole group fold every source afterwards, in order, on the Go loop.
 func (k *Kernel) sweepRepOpenSelf(ps []Particle) int64 {
 	if !k.pipeAdmits() {
 		return k.sweepRepOpenBlocks(ps, [][]Particle{ps})
 	}
-	whole := len(ps) &^ 3
+	whole, pairs := k.sweepSelf(ps, nil)
+	return pairs + k.accumulateRepOpen(ps[whole:], ps)
+}
+
+// sweepRepCutSelf is accumulateCut(ps, ps, box) the way sweepRepOpenSelf
+// is accumulateRepOpen(ps, ps), where selfDense admits the block;
+// elsewhere it runs the sweep of AccumulateIn(ps, ps, box).
+func (k *Kernel) sweepRepCutSelf(ps []Particle, box Box) int64 {
+	if !k.selfDense(ps, box) {
+		return k.sweepInRepCut(ps, ps, box)
+	}
+	c := sweepConsts{kk: spread(k.k), soft2: spread(k.soft2), rc2: spread(k.rc2)}
+	whole, pairs := k.sweepSelf(ps, &c)
+	return pairs + k.accumulateCut(ps[whole:], ps, box)
+}
+
+// selfDense is the rule under which a cutoff law's block meets itself on
+// the symmetric sweep, which has no gate: the pipelined loop takes the
+// strength, the block needs no wrap in a periodic box (the sweep
+// measures plainly), and it spans at most the cutoff along each axis.
+// Then every pair is in reach in one dimension and at least 97.5 % of
+// them in two, and a gate would drop almost nothing.
+func (k *Kernel) selfDense(ps []Particle, box Box) bool {
+	if !k.pipeAdmits() {
+		return false
+	}
+	lo, hi := extent(ps)
+	if box.Boundary == Periodic {
+		if ok, seam := wrapsIn(box, lo, hi, lo, hi); !ok || seam {
+			return false
+		}
+	}
+	return hi.X-lo.X <= k.rc && hi.Y-lo.Y <= k.rc
+}
+
+// sweepSelf is the loop of both symmetric sweeps over the whole groups of
+// ps — the cutoff law's with c, the open law's without — and returns how
+// many targets they hold and the pairs they count. The groups of four
+// targets go in slice order. A group's accumulators already hold the
+// reactions of every earlier source, in source order; the group folds
+// its own four sources on the plain loop, whose ID test skips each
+// target itself, then the later sources of whole groups with their
+// reactions, then the one to three behind them on the plain loop, and is
+// stored. Those last targets take no reactions: the caller sweeps them.
+//
+// A reaction is exact: the source's own sweep would compute the reverse
+// displacement s - p, the same r2 (and d2, hence the same verdict of the
+// cutoff), the same weight w, and add w times that displacement — which
+// the group computes and adds in lane order, each target's contribution
+// where the source's sweep would have added it. An equal-ID pair met
+// against a later source is tallied once and stands for both of its
+// ordered pairs.
+func (k *Kernel) sweepSelf(ps []Particle, c *sweepConsts) (whole int, pairs int64) {
+	whole = len(ps) &^ 3
 	rest := ps[whole:]
 	var ln lanes4
 	var same uint64
@@ -320,36 +370,50 @@ func (k *Kernel) sweepRepOpenSelf(ps []Particle) int64 {
 		group := ps[g : g+4]
 		ln.load(group)
 		s0 := ln.tally()
-		sweepRepOpenAVX2(&ln, &ps[g], 4, k.k, k.soft2)
+		k.sweepPlain(&ln, group, c)
 		s1 := ln.tally()
 		for lo := g + 4; lo < whole; lo += sweepChunk {
-			sweepRepOpenSelfAVX512(&ln, &ps[lo], min(sweepChunk, whole-lo), k.k, k.soft2)
+			if n := min(sweepChunk, whole-lo); c == nil {
+				sweepRepOpenSelfAVX512(&ln, &ps[lo], n, k.k, k.soft2)
+			} else {
+				sweepRepCutSelfAVX512(&ln, &ps[lo], n, c)
+			}
 		}
 		s2 := ln.tally()
-		if len(rest) > 0 {
-			sweepRepOpenAVX2(&ln, &rest[0], len(rest), k.k, k.soft2)
-		}
+		k.sweepPlain(&ln, rest, c)
 		same += ln.tally() - s0 + s2 - s1
 		ln.store(group)
 	}
-	return int64(whole)*int64(len(ps)) - int64(same) + k.accumulateRepOpen(rest, ps)
+	return whole, int64(whole)*int64(len(ps)) - int64(same)
+}
+
+// sweepPlain folds sources into the lanes on the plain loop: the cutoff
+// sweep's without the wrap with c, the open sweep's without.
+func (k *Kernel) sweepPlain(ln *lanes4, sources []Particle, c *sweepConsts) {
+	switch {
+	case len(sources) == 0:
+	case c == nil:
+		sweepRepOpenAVX2(ln, &sources[0], len(sources), k.k, k.soft2)
+	default:
+		sweepInRepCutAVX2(ln, &sources[0], len(sources), c, false)
+	}
 }
 
 // tally is the equal-ID sources the lanes have met.
 func (ln *lanes4) tally() uint64 { return ln.same[0] + ln.same[1] + ln.same[2] + ln.same[3] }
 
 // extent returns the componentwise minimum and maximum of the positions
-// of ps — NaN where a coordinate is NaN, and (+Inf, -Inf) of nothing.
+// of ps — NaN where a coordinate is NaN, and (+Inf, -Inf) of nothing; a
+// zero's sign is either. It needs AVX2, as every sweep that calls it
+// does.
 func extent(ps []Particle) (lo, hi vec.Vec2) {
-	inf := math.Inf(1)
-	lo, hi = vec.Vec2{X: inf, Y: inf}, vec.Vec2{X: -inf, Y: -inf}
-	for i := range ps {
-		p := &ps[i].Pos
-		lo.X, hi.X = min(lo.X, p.X), max(hi.X, p.X)
-		lo.Y, hi.Y = min(lo.Y, p.Y), max(hi.Y, p.Y)
-	}
-	return lo, hi
+	var box [2]vec.Vec2
+	extentAVX2(ps, &box)
+	return box[0], box[1]
 }
+
+//go:noescape
+func extentAVX2(ps []Particle, box *[2]vec.Vec2)
 
 // wraps reports what a periodic call must do about the minimum image,
 // from the extents of its targets and its sources along one wrapped
@@ -362,6 +426,17 @@ func extent(ps []Particle) (lo, hi vec.Vec2) {
 func wraps(tlo, thi, slo, shi, l float64) (ok, seam bool) {
 	ok = tlo >= 0 && thi <= l && slo >= 0 && shi <= l
 	seam = !(thi-slo <= l/2 && tlo-shi >= -l/2)
+	return ok, seam
+}
+
+// wrapsIn is wraps over every axis the periodic box wraps, from the
+// targets' and the sources' extents.
+func wrapsIn(box Box, tlo, thi, slo, shi vec.Vec2) (ok, seam bool) {
+	ok, seam = wraps(tlo.X, thi.X, slo.X, shi.X, box.L)
+	if box.Dim >= 2 {
+		okY, seamY := wraps(tlo.Y, thi.Y, slo.Y, shi.Y, box.L)
+		ok, seam = ok && okY, seam || seamY
+	}
 	return ok, seam
 }
 
@@ -412,11 +487,7 @@ func (k *Kernel) sweepInRepCutVia(pipe bool, targets, sources []Particle, box Bo
 	if periodic {
 		tlo, thi := extent(targets)
 		slo, shi := extent(sources)
-		ok, seam := wraps(tlo.X, thi.X, slo.X, shi.X, box.L)
-		if box.Dim >= 2 {
-			okY, seamY := wraps(tlo.Y, thi.Y, slo.Y, shi.Y, box.L)
-			ok, seam = ok && okY, seam || seamY
-		}
+		ok, seam := wrapsIn(box, tlo, thi, slo, shi)
 		if !ok {
 			return k.accumulateCut(targets, sources, box)
 		}

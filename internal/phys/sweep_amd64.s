@@ -23,8 +23,9 @@
 // sweep has the staged sources at R13, their indices in AX, the list of
 // survivors at SI and, DX being taken, its block count in R12. Its gate
 // runs before the lanes are loaded and has a plan of its own. The
-// symmetric open sweep holds -0 in Y29 and its reactions in Y20..Y25,
-// Y28 and Y30.
+// symmetric sweeps hold -0 in Y29 and their reactions in Y20..Y25, Y28
+// and Y30; the cutoff one holds soft2 in Y6, as the open sweeps do, and
+// rc2 in Y31.
 
 // VCMPPD predicates: ordered and quiet, so a NaN operand compares false
 // exactly as Go's ==, > and < do.
@@ -502,8 +503,9 @@ slow:
 #define SDXR(i) (640+32*i)
 #define SDYR(i) (768+32*i)
 
-// SELF_A is STAGE_A with the reverse displacement kept as well.
-#define SELF_A(i) \
+// SELF_A is STAGE_A with the reverse displacement kept as well;
+// SELF_DISPLACE is all of it but r2, the sum of squares left in Y11.
+#define SELF_DISPLACE(i) \
 	VBROADCASTSD (Particle_Pos+0+i*Particle__size)(SI), Y10; \
 	VBROADCASTSD (Particle_Pos+8+i*Particle__size)(SI), Y13; \
 	VSUBPD       Y10, Y0, Y8;                                \
@@ -512,7 +514,10 @@ slow:
 	VSUBPD       Y1, Y13, Y13;                               \
 	VMOVUPD      Y10, SDXR(i)(R8);                           \
 	VMOVUPD      Y13, SDYR(i)(R8);                           \
-	A_SQUARE(i);                                             \
+	A_SQUARE(i)
+
+#define SELF_A(i) \
+	SELF_DISPLACE(i); \
 	A_FINISH(i, Y6)
 
 // Q_SLOW_SELF is Q_SLOW with the reverse displacement cleared in the
@@ -527,12 +532,16 @@ slow:
 // SELF_D is STAGE_D, and into rx and ry the reactions of source i, lane
 // by lane: w times the reverse displacement, and -0, which adds
 // nothing, in the lanes whose target is the source itself. Y29 is -0.
+// REACT is that second half, in the lanes of k, from the weight in Y13.
+#define REACT(i, k, rx, ry) \
+	VMOVAPD Y29, rx;                   \
+	VMULPD  SDXR(i)(R11), Y13, k, rx;  \
+	VMOVAPD Y29, ry;                   \
+	VMULPD  SDYR(i)(R11), Y13, k, ry
+
 #define SELF_D(i, rx, ry) \
-	STAGE_D(i);                         \
-	VMOVAPD Y29, rx;                    \
-	VMULPD  SDXR(i)(R11), Y13, K1, rx;  \
-	VMOVAPD Y29, ry;                    \
-	VMULPD  SDYR(i)(R11), Y13, K1, ry
+	STAGE_D(i); \
+	REACT(i, K1, rx, ry)
 
 // REACT2 adds the reactions of two consecutive sources, whose x and y
 // are in rx0, ry0 and rx1, ry1, to their accumulators at off(SI): the
@@ -597,6 +606,88 @@ stageD:
 	SELF_D(1, Y22, Y23)
 	SELF_D(2, Y24, Y25)
 	SELF_D(3, Y28, Y30)
+	REACT2(Y20, Y21, Y22, Y23, Particle_Force-3*BLK)
+	REACT2(Y24, Y25, Y28, Y30, Particle_Force+2*Particle__size-3*BLK)
+
+next:
+	PIPE_ROTATE
+	ADDQ $BLK, SI
+	LEAQ 3(DX), AX
+	CMPQ BX, AX
+	JLT  iter
+	PIPE_TALLY(DX)
+	STORE_LANES
+	VZEROUPPER
+	RET
+
+slow:
+	Q_SLOW_SELF(0)
+	Q_SLOW_SELF(1)
+	Q_SLOW_SELF(2)
+	Q_SLOW_SELF(3)
+	JMP stageD
+
+// The symmetric cutoff sweep: the symmetric open sweep with stage D
+// masked as the pipelined cutoff sweep's is, for the reactions as well.
+// Its slot holds the symmetric open sweep's vectors and d2; r2 takes
+// soft2 from Y6, and rc2 sits in Y31.
+#define CSSLOT  1024
+#define SSD2(i) (896+32*i)
+
+#define SELF_CUT_A(i) \
+	SELF_DISPLACE(i);         \
+	VMOVUPD Y11, SSD2(i)(R8); \
+	A_FINISH(i, Y6)
+
+// SELF_CUT_D is CUT_D for source i of the block three behind SI, and
+// REACT in the lanes it adds to: a lane beyond the cutoff, or whose
+// target is the source itself, hands the source -0.
+#define SELF_CUT_D(i, rx, ry) \
+	D_IDENTITY((Particle_ID+i*Particle__size-3*BLK)(SI)); \
+	VCMPPD NLT_UQ, SSD2(i)(R11), Y31, K1, K2;             \
+	D_FOLD(i, K2);                                        \
+	REACT(i, K2, rx, ry)
+
+// func sweepRepCutSelfAVX512(ln *lanes4, src *Particle, n int, c *sweepConsts)
+//
+// sweepRepOpenSelfAVX512 under the cutoff law: each lane folds, and each
+// source takes the reaction of, only the pairs within the cutoff, measured
+// plainly: the caller sends a block that needs the wrap to the gated
+// sweep instead.
+TEXT ·sweepRepCutSelfAVX512(SB), 0, $4160-32
+	MOVQ ln+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ c+24(FP), DX
+	LOAD_LANES
+	VMOVUPD sweepConsts_soft2(DX), Y6
+	VMOVUPD sweepConsts_kk(DX), Y7
+	VMOVUPD RC2, Y31
+	MOVQ n+16(FP), DX
+	SHRQ $2, DX
+	LEAQ 63(SP), R8
+	PIPE_SETUP(CSSLOT)
+	MOVQ         $0x8000000000000000, AX
+	VPBROADCASTQ AX, Y29
+
+iter:
+	CMPQ BX, DX
+	JCC  stageB
+	SELF_CUT_A(0)
+	SELF_CUT_A(1)
+	SELF_CUT_A(2)
+	SELF_CUT_A(3)
+
+stageB:
+	STAGE_BC(DX)
+
+stageD:
+	LEAQ -3(BX), AX
+	CMPQ AX, DX
+	JCC  next
+	SELF_CUT_D(0, Y20, Y21)
+	SELF_CUT_D(1, Y22, Y23)
+	SELF_CUT_D(2, Y24, Y25)
+	SELF_CUT_D(3, Y28, Y30)
 	REACT2(Y20, Y21, Y22, Y23, Particle_Force-3*BLK)
 	REACT2(Y24, Y25, Y28, Y30, Particle_Force+2*Particle__size-3*BLK)
 
@@ -988,3 +1079,75 @@ slow:
 	Q_SLOW(2)
 	Q_SLOW(3)
 	JMP stageD
+
+// func extentAVX2(ps []Particle, box *[2]vec.Vec2)
+//
+// The componentwise minimum and maximum of the positions of ps, into
+// box[0] and box[1]: VMINPD and VMAXPD over two positions to a register,
+// two registers an iteration, so four chains run side by side. MINPD
+// hands a NaN on only when it is the second operand, so the lanes that
+// met one are kept apart (Y4) and turned to NaN at the end. VMOVQ, not
+// MOVQ: a legacy SSE write after the caller's AVX code costs a state
+// transition that made this scan four times slower on the reference
+// host.
+TEXT ·extentAVX2(SB), NOSPLIT, $0-32
+	MOVQ ps_base+0(FP), SI
+	MOVQ ps_len+8(FP), CX
+	MOVQ box+24(FP), DI
+	MOVQ         $0x7FF0000000000000, AX
+	VMOVQ        AX, X0
+	VPBROADCASTQ X0, Y0
+	VMOVAPD      Y0, Y1
+	MOVQ         $0xFFF0000000000000, AX
+	VMOVQ        AX, X2
+	VPBROADCASTQ X2, Y2
+	VMOVAPD      Y2, Y3
+	VXORPD       Y4, Y4, Y4
+	CMPQ CX, $4
+	JLT  extone
+
+extfour:
+	VMOVUPD     (Particle_Pos+0*Particle__size)(SI), X8
+	VINSERTF128 $1, (Particle_Pos+1*Particle__size)(SI), Y8, Y8
+	VMOVUPD     (Particle_Pos+2*Particle__size)(SI), X9
+	VINSERTF128 $1, (Particle_Pos+3*Particle__size)(SI), Y9, Y9
+	VMINPD      Y8, Y0, Y0
+	VMAXPD      Y8, Y2, Y2
+	VMINPD      Y9, Y1, Y1
+	VMAXPD      Y9, Y3, Y3
+	VCMPPD      $3, Y8, Y8, Y8
+	VCMPPD      $3, Y9, Y9, Y9
+	VORPD       Y8, Y4, Y4
+	VORPD       Y9, Y4, Y4
+	ADDQ        $(4*Particle__size), SI
+	SUBQ        $4, CX
+	CMPQ        CX, $4
+	JGE         extfour
+
+extone:
+	TESTQ CX, CX
+	JEQ   extdone
+	VBROADCASTF128 Particle_Pos(SI), Y8
+	VMINPD         Y8, Y0, Y0
+	VMAXPD         Y8, Y2, Y2
+	VCMPPD         $3, Y8, Y8, Y8
+	VORPD          Y8, Y4, Y4
+	ADDQ           $Particle__size, SI
+	DECQ           CX
+	JMP            extone
+
+extdone:
+	VMINPD       Y1, Y0, Y0
+	VMAXPD       Y3, Y2, Y2
+	VEXTRACTF128 $1, Y0, X1
+	VEXTRACTF128 $1, Y2, X3
+	VEXTRACTF128 $1, Y4, X5
+	VMINPD       X1, X0, X0
+	VMAXPD       X3, X2, X2
+	VORPD        X5, X4, X4
+	VORPD        X4, X0, X0
+	VORPD        X4, X2, X2
+	VMOVUPD      X0, (DI)
+	VMOVUPD      X2, 16(DI)
+	VZEROUPPER
+	RET

@@ -402,11 +402,22 @@ func selfBlock(n int, seed uint64, negZero bool) []Particle {
 	return ps
 }
 
-// selfLoops names the loops that can sweep a block against itself here:
-// the symmetric sweep where the pipelined loop runs, and the open
-// sweep's loops over the block as sources.
-func selfLoops(k Kernel) map[string]func([]Particle) int64 {
+// selfLoops names the loops that can sweep a block against itself here
+// under box: the symmetric sweep where the pipelined loop runs, and the
+// loops of k's sweep over the block as sources. Under a cutoff the
+// symmetric sweep runs only on the blocks selfDense admits; the tests
+// that mean it to say so.
+func selfLoops(k Kernel, box Box) map[string]func([]Particle) int64 {
 	loops := map[string]func([]Particle) int64{}
+	if k.hasCut {
+		for name, pipe := range cutLoops() {
+			loops[name] = func(ps []Particle) int64 { return k.sweepInRepCutVia(pipe, ps, ps, box) }
+		}
+		if usePipe {
+			loops["symmetric"] = func(ps []Particle) int64 { return k.sweepRepCutSelf(ps, box) }
+		}
+		return loops
+	}
 	for name, pipe := range openLoops() {
 		loops[name] = func(ps []Particle) int64 { return k.sweepRepOpenVia(pipe, ps, [][]Particle{ps}) }
 	}
@@ -417,17 +428,18 @@ func selfLoops(k Kernel) map[string]func([]Particle) int64 {
 }
 
 // checkSelf holds every loop of selfLoops, and AccumulateSelf, to the
-// generic path over ps and a copy of it: every force bit and the count.
-func checkSelf(t *testing.T, law Law, ps []Particle) {
+// generic path over ps and a copy of it under box: every force bit and
+// the count.
+func checkSelf(t *testing.T, law Law, box Box, ps []Particle) {
 	t.Helper()
 	k := law.Kernel()
 	want := append([]Particle(nil), ps...)
-	nWant := law.AccumulateGeneric(want, append([]Particle(nil), ps...), Box{})
+	nWant := law.AccumulateGeneric(want, append([]Particle(nil), ps...), box)
 	loops := map[string]func([]Particle) int64{}
-	if law.Kind == Repulsive && law.Cutoff == 0 {
-		loops = selfLoops(k)
+	if law.Kind == Repulsive {
+		loops = selfLoops(k, box)
 	}
-	loops["AccumulateSelf"] = func(ps []Particle) int64 { return k.AccumulateSelf(ps, Box{}) }
+	loops["AccumulateSelf"] = func(ps []Particle) int64 { return k.AccumulateSelf(ps, box) }
 	for name, sweep := range loops {
 		got := append([]Particle(nil), ps...)
 		if nGot := sweep(got); nGot != nWant {
@@ -449,14 +461,14 @@ func TestSweepSelfShapes(t *testing.T) {
 		for _, soft := range []float64{0, 1e-3} {
 			for _, negZero := range []bool{false, true} {
 				t.Run(fmt.Sprintf("n%d/soft%g/negzero%v", n, soft, negZero), func(t *testing.T) {
-					checkSelf(t, Law{Kind: Repulsive, K: 1.3, Softening: soft}, selfBlock(n, uint64(n)+1, negZero))
+					checkSelf(t, Law{Kind: Repulsive, K: 1.3, Softening: soft}, Box{}, selfBlock(n, uint64(n)+1, negZero))
 				})
 			}
 		}
 	}
 	for _, n := range []int{sweepChunk + 3, sweepChunk + 4, sweepChunk + 5, sweepChunk + 9} {
 		t.Run(fmt.Sprintf("n%d", n), func(t *testing.T) {
-			checkSelf(t, Law{Kind: Repulsive, K: 1.3}, selfBlock(n, 7, false))
+			checkSelf(t, Law{Kind: Repulsive, K: 1.3}, Box{}, selfBlock(n, 7, false))
 		})
 	}
 }
@@ -472,11 +484,11 @@ func TestSweepSelfStrengths(t *testing.T) {
 		0, negZero, 5e-324, math.MaxFloat64, math.Inf(1), math.NaN()}
 	for _, kk := range strengths {
 		for _, soft := range []float64{0, 1e-3} {
-			checkSelf(t, Law{Kind: Repulsive, K: kk, Softening: soft}, selfBlock(45, 3, kk < 0))
+			checkSelf(t, Law{Kind: Repulsive, K: kk, Softening: soft}, Box{}, selfBlock(45, 3, kk < 0))
 		}
 	}
 	for _, law := range []Law{DefaultLaw().WithCutoff(0.9), LJLaw(0.7, 0.4), LJLaw(0.7, 0.4).WithCutoff(0.9)} {
-		checkSelf(t, law, selfBlock(45, 3, false))
+		checkSelf(t, law, Box{}, selfBlock(45, 3, false))
 	}
 }
 
@@ -496,7 +508,7 @@ func TestSweepSelfDuplicateIDs(t *testing.T) {
 				ps[i].ID = ps[i/5].ID
 			}
 		}
-		checkSelf(t, Law{Kind: Repulsive, K: 1.3, Softening: soft}, ps)
+		checkSelf(t, Law{Kind: Repulsive, K: 1.3, Softening: soft}, Box{}, ps)
 	}
 }
 
@@ -545,7 +557,7 @@ func TestSweepSelfSignedZeros(t *testing.T) {
 					for _, kk := range []float64{1.3, -1.3} {
 						for _, soft := range []float64{0, 1e-3} {
 							t.Run(fmt.Sprintf("n%d/odd%d/axis%d/%s/K%g/soft%g", n, odd, axis, twin, kk, soft), func(t *testing.T) {
-								checkSelf(t, Law{Kind: Repulsive, K: kk, Softening: soft}, ps)
+								checkSelf(t, Law{Kind: Repulsive, K: kk, Softening: soft}, Box{}, ps)
 							})
 						}
 					}
@@ -589,6 +601,286 @@ func TestSweepSelfOnGrowingStack(t *testing.T) {
 	law.AccumulateGeneric(want, append([]Particle(nil), ps...), Box{})
 	k := law.Kernel()
 	onGrowingStacks(t, ps, want, func(got []Particle) { k.sweepRepOpenSelf(got) })
+}
+
+// cutRC is the cutoff of the cutoff law's symmetric sweep tests: rc*rc
+// is exact, and so is the square of the offset cutSelfBlock plants one
+// ulp beyond it.
+const cutRC = 0.75
+
+// cutSelfBlock is selfBlock for the cutoff law's symmetric sweep: n
+// particles of a dim-dimensional block spanning [0, cutRC] along each
+// axis of it — the widest selfDense admits — with, planted along it,
+// particles at x = -0 and x = +0 (coincident up to the sign of zero in
+// one dimension), particles coincident with an earlier one, IDs an
+// earlier particle carries, pairs exactly at the cutoff (d2 == rc2,
+// which interact) and, in two dimensions, pairs one ulp of d2 beyond it
+// (which do not), and one pair so close that r2*sqrt(r2) underflows.
+func cutSelfBlock(n, dim int, seed uint64, negZero bool) []Particle {
+	nz := math.Copysign(0, -1)
+	rng := vec.NewRNG(seed)
+	ps := make([]Particle, n)
+	for i := range ps {
+		ps[i] = Particle{ID: uint32(i), Pos: vec.Vec2{X: cutRC * rng.Float64()}}
+		if dim == 2 {
+			ps[i].Pos.Y = cutRC * rng.Float64()
+		}
+	}
+	for i := range ps {
+		switch {
+		case i%8 == 6:
+			ps[i].Pos.X = nz
+		case i%8 == 7:
+			ps[i].Pos = vec.Vec2{X: 0, Y: ps[i-1].Pos.Y}
+		case i%9 == 2: // at the cutoff from the one before
+			ps[i-1].Pos.X = 0
+			ps[i].Pos = vec.Vec2{X: cutRC, Y: ps[i-1].Pos.Y}
+		case i%9 == 4 && dim == 2: // one ulp of d2 beyond it
+			ps[i-1].Pos = vec.Vec2{}
+			ps[i].Pos = vec.Vec2{X: cutRC, Y: 0x3p-28}
+		case i%11 == 5:
+			ps[i].Pos = ps[i-3].Pos
+		case i%13 == 9:
+			ps[i].ID = ps[i-4].ID
+		}
+	}
+	if n > 24 {
+		ps[n/3].Pos = ps[0].Pos.Add(vec.Vec2{X: 1e-120})
+		ps[n/3+1].Pos = vec.Vec2{X: cutRC, Y: cutRC * float64(dim-1)}
+	}
+	seedForces(ps)
+	if negZero {
+		for i := range ps {
+			ps[i].Force = vec.Vec2{X: nz, Y: nz}
+		}
+	}
+	return ps
+}
+
+// checkCutSelf is checkSelf for a block the symmetric cutoff sweep must
+// take: it fails if selfDense turns the block away.
+func checkCutSelf(t *testing.T, law Law, box Box, ps []Particle) {
+	t.Helper()
+	if k := law.Kernel(); usePipe && !k.selfDense(ps, box) {
+		t.Fatalf("selfDense turns the block away under %s: it would not test the symmetric sweep", boxName(box))
+	}
+	checkSelf(t, law, box, ps)
+}
+
+// cutSelfBoxes are the boxes the cutoff law's symmetric sweep runs in:
+// a periodic one measures plainly where the block needs no wrap.
+func cutSelfBoxes(dim int) []Box {
+	return []Box{NewBox(3, dim, Reflective), NewBox(3, dim, Periodic)}
+}
+
+// TestSweepCutSelfShapes runs the cutoff law's symmetric sweep over every
+// group remainder, whole groups with no later block, one and several, a
+// block either side of the chunk an assembly call takes, in one and two
+// dimensions and both kinds of box; with and without softening, from -0
+// and from nonzero accumulators.
+func TestSweepCutSelfShapes(t *testing.T) {
+	needSweeps(t)
+	if d := cutRC * cutRC; d != 0.5625 || cutRC*cutRC+0x3p-28*0x3p-28 != math.Nextafter(d, 1) {
+		t.Fatal("geometry: the planted pairs are not at the cutoff and one ulp beyond it")
+	}
+	sizes := []int{0, 1, 3, 4, 5, 7, 8, 9, 15, 16, 17, 19, 20, 21, 31, 33, 63, 64, 65, 127, 129, 255, 257}
+	for _, dim := range []int{1, 2} {
+		for _, box := range cutSelfBoxes(dim) {
+			for _, n := range sizes {
+				for _, soft := range []float64{0, 1e-3} {
+					for _, negZero := range []bool{false, true} {
+						t.Run(fmt.Sprintf("%s/n%d/soft%g/negzero%v", boxName(box), n, soft, negZero), func(t *testing.T) {
+							law := Law{Kind: Repulsive, K: 1.3, Softening: soft, Cutoff: cutRC}
+							checkCutSelf(t, law, box, cutSelfBlock(n, dim, uint64(n)+1, negZero))
+						})
+					}
+				}
+			}
+		}
+	}
+	for _, n := range []int{sweepChunk - 1, sweepChunk + 3, sweepChunk + 5} {
+		t.Run(fmt.Sprintf("n%d", n), func(t *testing.T) {
+			checkCutSelf(t, Law{Kind: Repulsive, K: 1.3, Cutoff: cutRC}, NewBox(3, 2, Reflective), cutSelfBlock(n, 2, 7, false))
+		})
+	}
+}
+
+// TestSweepCutSelfStrengths takes the cutoff law's symmetric sweep to the
+// ends of the strengths the pipelined loop admits, and past them, where
+// selfDense turns the block away and the gated sweep runs it.
+func TestSweepCutSelfStrengths(t *testing.T) {
+	needSweeps(t)
+	box := NewBox(3, 2, Reflective)
+	strengths := []float64{1.3, -1.3, pipeKMin, -pipeKMin, pipeKMax, -pipeKMax,
+		math.Nextafter(pipeKMin, 0), math.Nextafter(pipeKMax, math.Inf(1)),
+		0, math.Copysign(0, -1), 5e-324, math.MaxFloat64, math.Inf(1), math.NaN()}
+	for _, kk := range strengths {
+		for _, soft := range []float64{0, 1e-3} {
+			law := Law{Kind: Repulsive, K: kk, Softening: soft, Cutoff: cutRC}
+			ps := cutSelfBlock(45, 2, 3, kk < 0)
+			if k := law.Kernel(); usePipe && k.selfDense(ps, box) != k.pipeAdmits() {
+				t.Fatalf("K=%g: selfDense %v, but the pipelined loop admits the strength: %v", kk, k.selfDense(ps, box), k.pipeAdmits())
+			}
+			checkSelf(t, law, box, ps)
+		}
+	}
+}
+
+// TestSweepCutSelfDuplicateIDs gives the block runs of one ID — whole
+// groups of it, and one spanning a group boundary — so that the masked
+// reactions meet equal-ID lanes in every position.
+func TestSweepCutSelfDuplicateIDs(t *testing.T) {
+	needSweeps(t)
+	for _, dim := range []int{1, 2} {
+		for _, soft := range []float64{0, 1e-3} {
+			ps := cutSelfBlock(70, dim, 5, false)
+			for i := range ps {
+				switch {
+				case i >= 8 && i < 16, i >= 30 && i < 35:
+					ps[i].ID = 1000
+				case i%5 == 0:
+					ps[i].ID = ps[i/5].ID
+				}
+			}
+			checkCutSelf(t, Law{Kind: Repulsive, K: 1.3, Softening: soft, Cutoff: cutRC}, NewBox(3, dim, Periodic), ps)
+		}
+	}
+}
+
+// TestSweepCutSelfKeepsNegativeZero builds a block whose particles sit in
+// two opposite corners of a cutRC square, each corner's under one ID:
+// every pair is either an identity or beyond the cutoff, so no
+// accumulator may be added to and each -0 must come back as -0. A
+// masked reaction that adds +0, or any reaction at all, flips it. Then
+// one stranger in reach of one corner only: its reactions and its own
+// sum must still leave the other corner alone.
+func TestSweepCutSelfKeepsNegativeZero(t *testing.T) {
+	needSweeps(t)
+	nz := math.Copysign(0, -1)
+	for _, n := range []int{8, 20, 41} {
+		ps := make([]Particle, n)
+		for i := range ps {
+			ps[i] = Particle{ID: 1, Force: vec.Vec2{X: nz, Y: nz}}
+			if i%3 == 1 {
+				ps[i].ID, ps[i].Pos = 2, vec.Vec2{X: cutRC, Y: cutRC}
+			}
+		}
+		law := Law{Kind: Repulsive, K: 1.3, Cutoff: cutRC}
+		checkCutSelf(t, law, NewBox(3, 2, Reflective), ps)
+		got := append([]Particle(nil), ps...)
+		k := law.Kernel()
+		k.AccumulateSelf(got, NewBox(3, 2, Reflective))
+		for i := range got {
+			if !bitsEqual(got[i].Force.X, nz) || !bitsEqual(got[i].Force.Y, nz) {
+				t.Fatalf("n=%d particle %d: untouched -0 accumulator came back as (%x, %x)", n, i,
+					math.Float64bits(got[i].Force.X), math.Float64bits(got[i].Force.Y))
+			}
+		}
+		ps[n/2] = Particle{ID: 3, Pos: vec.Vec2{X: 0.1, Y: 0.2}, Force: vec.Vec2{X: nz, Y: nz}}
+		checkCutSelf(t, law, NewBox(3, 2, Reflective), ps)
+	}
+}
+
+// TestSweepCutSelfDensityRule pins selfDense's edges: a block spanning
+// exactly the cutoff along an axis takes the symmetric sweep, one an ulp
+// wider does not; a periodic block across the seam, or with a particle
+// outside the box, does not either, however narrow, nor one within a
+// cutoff past half the box but wider than that half, whose pairs wrap.
+// Every case agrees with the generic path.
+func TestSweepCutSelfDensityRule(t *testing.T) {
+	needSweeps(t)
+	const l = 3.0
+	law := Law{Kind: Repulsive, K: 1.3, Softening: 1e-3, Cutoff: cutRC}
+	wide := Law{Kind: Repulsive, K: 1.3, Softening: 1e-3, Cutoff: 2}
+	outside := func(ps []Particle) { // [-0.5, 0.25] along x
+		for i := range ps {
+			ps[i].Pos.X -= 1.5
+		}
+	}
+	for _, c := range []struct {
+		name  string
+		box   Box
+		place func(ps []Particle)
+		dense bool
+	}{
+		{"x at rc", NewBox(l, 2, Reflective), func(ps []Particle) { ps[3].Pos.X = 1 + cutRC }, true},
+		{"y at rc", NewBox(l, 2, Periodic), func(ps []Particle) { ps[3].Pos.Y = 1 + cutRC }, true},
+		{"x beyond rc", NewBox(l, 2, Reflective), func(ps []Particle) { ps[3].Pos.X = math.Nextafter(1+cutRC, 2) }, false},
+		{"y beyond rc", NewBox(l, 2, Periodic), func(ps []Particle) { ps[3].Pos.Y = math.Nextafter(1+cutRC, 2) }, false},
+		{"1d x at rc", NewBox(l, 1, Periodic), func(ps []Particle) { ps[3].Pos.X = 1 + cutRC }, true},
+		{"1d x beyond rc", NewBox(l, 1, Periodic), func(ps []Particle) { ps[3].Pos.X = math.Nextafter(1+cutRC, 2) }, false},
+		{"across the seam", NewBox(l, 2, Periodic), func(ps []Particle) {
+			for i := range ps {
+				ps[i].Pos.X = math.Mod(ps[i].Pos.X+1.6, l) // [2.6, 3) and [0, 0.35]
+			}
+		}, false},
+		{"wider than half the box", NewBox(l, 1, Periodic), func(ps []Particle) { ps[3].Pos.X = math.Nextafter(1+l/2, l) }, false},
+		{"half the box", NewBox(l, 1, Periodic), func(ps []Particle) { ps[3].Pos.X = 1 + l/4; ps[4].Pos.X = 1 + l/2 }, true},
+		{"outside the box", NewBox(l, 2, Periodic), outside, false},
+		{"outside a reflective box", NewBox(l, 2, Reflective), outside, true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			ps := relabel(InitUniform(37, NewBox(cutRC, c.box.Dim, Reflective), 4), 0)
+			for i := range ps {
+				ps[i].Pos.X += 1
+				if c.box.Dim == 2 {
+					ps[i].Pos.Y += 1
+				}
+			}
+			ps[0].Pos.X, ps[1].Pos.Y = 1, float64(c.box.Dim-1) // the block's low edges
+			c.place(ps)
+			seedForces(ps)
+			law := law
+			if strings.Contains(c.name, "half the box") {
+				law = wide // a cutoff past half the box, where the block can wrap within it
+			}
+			if k := law.Kernel(); usePipe && k.selfDense(ps, c.box) != c.dense {
+				t.Fatalf("selfDense says %v, want %v", !c.dense, c.dense)
+			}
+			checkSelf(t, law, c.box, ps)
+		})
+	}
+}
+
+// TestSweepCutSelfRoutine holds sweepRepCutSelfAVX512 alone to the
+// generic path run both ways: a group of four targets folds n sources,
+// and each source folds the four targets, in that order. The first
+// group meets each of the planted cases in every lane.
+func TestSweepCutSelfRoutine(t *testing.T) {
+	needPipe(t)
+	for _, dim := range []int{1, 2} {
+		for _, n := range []int{4, 8, 12, 16, 20, 64, 132, sweepChunk} {
+			for _, soft := range []float64{0, 1e-3} {
+				law := Law{Kind: Repulsive, K: 1.3, Softening: soft, Cutoff: cutRC}
+				k := law.Kernel()
+				ps := cutSelfBlock(4+n, dim, uint64(n), n%8 == 0)
+				want := append([]Particle(nil), ps...)
+				nWant := law.AccumulateGeneric(want[:4], want[4:], Box{})
+				law.AccumulateGeneric(want[4:], want[:4], Box{})
+				got := append([]Particle(nil), ps...)
+				c := sweepConsts{kk: spread(k.k), soft2: spread(k.soft2), rc2: spread(k.rc2)}
+				var ln lanes4
+				ln.load(got[:4])
+				sweepRepCutSelfAVX512(&ln, &got[4], n, &c)
+				ln.store(got[:4])
+				if nGot := 4*int64(n) - int64(ln.tally()); nGot != nWant {
+					t.Fatalf("%dd n=%d soft=%g: the lanes counted %d pairs, the generic path %d", dim, n, soft, nGot, nWant)
+				}
+				sameForces(t, fmt.Sprintf("%dd n=%d soft=%g", dim, n, soft), got, want)
+			}
+		}
+	}
+}
+
+func TestSweepCutSelfOnGrowingStack(t *testing.T) {
+	needPipe(t)
+	box := NewBox(3, 2, Periodic)
+	law := Law{Kind: Repulsive, K: 1.3, Softening: 1e-3, Cutoff: cutRC}
+	ps := cutSelfBlock(41, 2, 2, false)
+	want := append([]Particle(nil), ps...)
+	law.AccumulateGeneric(want, append([]Particle(nil), ps...), box)
+	k := law.Kernel()
+	onGrowingStacks(t, ps, want, func(got []Particle) { k.sweepRepCutSelf(got, box) })
 }
 
 // TestSweepKeepsNegativeZero pins the blend: a target that only meets
@@ -981,6 +1273,14 @@ func TestSeamTest(t *testing.T) {
 			t.Errorf("targets [%g, %g], sources [%g, %g]: in box %v, seam %v, want %v, %v", c.tlo, c.thi, c.slo, c.shi, ok, seam, c.ok, c.seam)
 		}
 	}
+}
+
+// TestExtent holds the vector scan to min and max over every count up to
+// a few iterations and its tail, with a NaN, an infinity or a signed
+// zero planted at every position: NaN where a coordinate is NaN, and
+// the extremes, up to a zero's sign, elsewhere.
+func TestExtent(t *testing.T) {
+	needSweeps(t)
 	lo, hi := extent([]Particle{{Pos: vec.Vec2{X: 1, Y: -2}}, {Pos: vec.Vec2{X: -1, Y: 5}}, {Pos: vec.Vec2{X: 0.5, Y: 0}}})
 	if want := (vec.Vec2{X: -1, Y: -2}); lo != want {
 		t.Errorf("extent: low corner %v, want %v", lo, want)
@@ -988,8 +1288,25 @@ func TestSeamTest(t *testing.T) {
 	if want := (vec.Vec2{X: 1, Y: 5}); hi != want {
 		t.Errorf("extent: high corner %v, want %v", hi, want)
 	}
-	if lo, hi := extent([]Particle{{}, {Pos: vec.Vec2{X: math.NaN()}}, {}}); !math.IsNaN(lo.X) || !math.IsNaN(hi.X) || lo.Y != 0 || hi.Y != 0 {
-		t.Errorf("extent over a NaN coordinate: %v, %v", lo, hi)
+	same := func(got, want float64) bool { return got == want || math.IsNaN(got) && math.IsNaN(want) }
+	for n := 0; n <= 19; n++ {
+		for at := -1; at < n; at++ {
+			for _, odd := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1), -7} {
+				ps := InitUniform(n, NewBox(3, 2, Reflective), uint64(n))
+				if at >= 0 {
+					ps[at].Pos.Y = odd
+				}
+				inf := math.Inf(1)
+				want := [4]float64{inf, inf, -inf, -inf}
+				for _, p := range ps {
+					want = [4]float64{min(want[0], p.Pos.X), min(want[1], p.Pos.Y), max(want[2], p.Pos.X), max(want[3], p.Pos.Y)}
+				}
+				lo, hi := extent(ps)
+				if got := [4]float64{lo.X, lo.Y, hi.X, hi.Y}; !same(got[0], want[0]) || !same(got[1], want[1]) || !same(got[2], want[2]) || !same(got[3], want[3]) {
+					t.Fatalf("n=%d, %g at %d: extent %v, want %v", n, odd, at, got, want)
+				}
+			}
+		}
 	}
 }
 
@@ -1227,12 +1544,14 @@ func BenchmarkSweep(b *testing.B) {
 		}
 	}
 	// The diagonal visit: a block against itself, on the symmetric sweep
-	// and on the open sweep's loops. ns/pair is per ordered pair counted,
-	// so the symmetric row reads half the evaluations.
-	for _, n := range []int{256, 2048} {
-		ps := InitUniform(n, NewBox(10, 2, Reflective), 1)
-		for name, sweep := range selfLoops(open.Kernel()) {
-			b.Run(fmt.Sprintf("rep_open_self/%d/%s", n, name), func(b *testing.B) {
+	// and on the loops of the law's sweep. ns/pair is per ordered pair
+	// counted, so the symmetric row reads half the evaluations. The
+	// cutoff rows are a cutoff workload's own block: cutoff-small's, a
+	// team of a 1D periodic box of 16 under a cutoff of 4 — one team
+	// width, all pairs in reach — and a cell of cutoff-2d's lattice.
+	selfRun := func(name string, ps []Particle, loops map[string]func([]Particle) int64) {
+		for loop, sweep := range loops {
+			b.Run(name+"/"+loop, func(b *testing.B) {
 				var pairs int64
 				for i := 0; i < b.N; i++ {
 					pairs = sweep(ps)
@@ -1241,4 +1560,12 @@ func BenchmarkSweep(b *testing.B) {
 			})
 		}
 	}
+	for _, n := range []int{256, 2048} {
+		selfRun(fmt.Sprintf("rep_open_self/%d", n), InitUniform(n, NewBox(10, 2, Reflective), 1), selfLoops(open.Kernel(), Box{}))
+	}
+	periodic1d := NewBox(16, 1, Periodic)
+	team := InitLattice(512, periodic1d, 1)[:128]
+	selfRun("rep_cut_self/128/periodic1d", team, selfLoops(DefaultLaw().WithCutoff(4).Kernel(), periodic1d))
+	_, box, lattice, _ := cells(Reflective, 0, 0)
+	selfRun("rep_cut_self/256/lattice", lattice, selfLoops(DefaultLaw().WithCutoff(4).Kernel(), box))
 }

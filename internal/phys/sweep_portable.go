@@ -18,8 +18,12 @@ func (k *Kernel) sweepInRepCut(targets, sources []Particle, box Box) int64 {
 	return k.accumulateCut(targets, sources, box)
 }
 
-// sweepRepOpenSelf is never reached without usePipe; it is the sweep
-// AccumulateSelf stands for.
+// The symmetric sweeps are never reached without usePipe; they are the
+// sweeps AccumulateSelf stands for.
 func (k *Kernel) sweepRepOpenSelf(ps []Particle) int64 {
 	return k.accumulateRepOpen(ps, ps)
+}
+
+func (k *Kernel) sweepRepCutSelf(ps []Particle, box Box) int64 {
+	return k.accumulateCut(ps, ps, box)
 }
