@@ -39,8 +39,12 @@ func validate(args []string) {
 	// One counted run per c fills a row of each of the first two tables.
 	var eq5, eq2 strings.Builder
 	for c := 1; c*c <= *p; c *= 2 {
-		pr := core.Params{P: *p, C: c, Law: phys.DefaultLaw(), Box: phys.NewBox(16, 2, phys.Reflective), DT: 1e-3, Steps: 1}
-		_, rep, err := core.AllPairs(phys.InitUniform(*n, pr.Box, 1), pr)
+		pr := core.Params{P: *p, C: c, Law: phys.DefaultLaw(), Box: phys.NewBox(16, 2, phys.Reflective), DT: 1e-3}
+		sess, err := core.NewAllPairs(phys.InitUniform(*n, pr.Box, 1), pr)
+		if err != nil {
+			log.Fatalf("c=%d: %v", c, err)
+		}
+		_, rep, err := sess.Advance(1)
 		if err != nil {
 			log.Fatalf("c=%d: %v", c, err)
 		}

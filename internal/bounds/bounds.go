@@ -82,12 +82,6 @@ func CACutoffCosts(n, p, c, m int) (s, w float64) {
 	return
 }
 
-// KForSpan returns k, the interactions per particle when the cutoff
-// spans m of the p/c team regions in 1D (Equation 7): k = (2·m·c/p)·n.
-func KForSpan(n, p, c, m int) float64 {
-	return 2 * float64(m) * float64(c) / float64(p) * float64(n)
-}
-
 // UniformNeighbors returns k, the expected interactions per particle
 // under a cutoff rc in a periodic box of side boxL with n uniformly
 // distributed particles: the fraction of the domain within the cutoff

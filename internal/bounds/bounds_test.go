@@ -70,7 +70,7 @@ func TestCACutoffCostsMeetCutoffBounds(t *testing.T) {
 	for _, tc := range []struct{ c, m int }{
 		{1, 4}, {2, 4}, {4, 8}, {8, 16}, {1, 32},
 	} {
-		k := KForSpan(n, p, tc.c, tc.m)
+		k := kForSpan(n, p, tc.c, tc.m)
 		mem := MemoryPerRank(n, p, tc.c)
 		s, w := CACutoffCosts(n, p, tc.c, tc.m)
 		sLB := CutoffLatency(n, p, k, mem)
@@ -91,7 +91,7 @@ func TestKForSpan(t *testing.T) {
 	// Equation 7 at full span (m = half the teams, cutoff = half the
 	// box) approaches k = n.
 	const n, p, c = 1024, 64, 1
-	k := KForSpan(n, p, c, p/2/c)
+	k := kForSpan(n, p, c, p/2/c)
 	if k != n {
 		t.Errorf("full-span k = %g, want %d", k, n)
 	}
@@ -116,4 +116,10 @@ func TestBoundsPositive(t *testing.T) {
 	if err := quick.Check(prop, nil); err != nil {
 		t.Error(err)
 	}
+}
+
+// kForSpan returns k, the interactions per particle when the cutoff
+// spans m of the p/c team regions in 1D (Equation 7): k = (2·m·c/p)·n.
+func kForSpan(n, p, c, m int) float64 {
+	return 2 * float64(m) * float64(c) / float64(p) * float64(n)
 }

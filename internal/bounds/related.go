@@ -36,26 +36,3 @@ func NeutralTerritoryCosts(n, p, m, dim int) (s, w float64) {
 	md := math.Pow(float64(m), float64(dim))
 	return 1, float64(n) * md / math.Pow(float64(p), 1.5)
 }
-
-// SpatialIsOptimalAtMinimalMemory checks the paper's Section II-C
-// observation: plugging k = O(n·m^d/p) into Equation 3 with minimal
-// memory M = n/p shows the spatial decomposition is communication
-// optimal. It returns the achieved-over-bound ratios for S and W.
-func SpatialIsOptimalAtMinimalMemory(n, p, m, dim int) (sRatio, wRatio float64) {
-	k := float64(n) * math.Pow(float64(m), float64(dim)) / float64(p)
-	mem := float64(n) / float64(p)
-	s, w := SpatialDecompositionCosts(n, p, m, dim)
-	return OptimalityRatio(s, CutoffLatency(n, p, k, mem)),
-		OptimalityRatio(w, CutoffBandwidth(n, p, k, mem))
-}
-
-// NTIsOptimalAtSqrtPMemory checks Section II-D: neutral-territory
-// methods are asymptotically optimal for M = O(n/√p). It returns the
-// achieved-over-bound ratios.
-func NTIsOptimalAtSqrtPMemory(n, p, m, dim int) (sRatio, wRatio float64) {
-	k := float64(n) * math.Pow(float64(m), float64(dim)) / float64(p)
-	mem := float64(n) / math.Sqrt(float64(p))
-	s, w := NeutralTerritoryCosts(n, p, m, dim)
-	return OptimalityRatio(s, CutoffLatency(n, p, k, mem)),
-		OptimalityRatio(w, CutoffBandwidth(n, p, k, mem))
-}

@@ -48,7 +48,7 @@ func TestNTBeatsSpatialOnBandwidth(t *testing.T) {
 func TestSpatialOptimalAtMinimalMemory(t *testing.T) {
 	// Section II-C: spatial decomposition is communication optimal at
 	// M = O(n/p) — ratios must be O(1) and ≥ 1.
-	sR, wR := SpatialIsOptimalAtMinimalMemory(1<<20, 1<<12, 4, 3)
+	sR, wR := spatialIsOptimalAtMinimalMemory(1<<20, 1<<12, 4, 3)
 	if sR < 1 || wR < 1 {
 		t.Errorf("ratios below 1: %g, %g (bound broken?)", sR, wR)
 	}
@@ -60,11 +60,34 @@ func TestSpatialOptimalAtMinimalMemory(t *testing.T) {
 func TestNTOptimalAtSqrtPMemory(t *testing.T) {
 	// Section II-D: NT methods are asymptotically optimal for
 	// M = O(n/√p).
-	sR, wR := NTIsOptimalAtSqrtPMemory(1<<20, 1<<12, 4, 3)
+	sR, wR := ntIsOptimalAtSqrtPMemory(1<<20, 1<<12, 4, 3)
 	if sR < 1 || wR < 1 {
 		t.Errorf("ratios below 1: %g, %g", sR, wR)
 	}
 	if wR > 8 {
 		t.Errorf("NT bandwidth not within O(1) of the bound: %g", wR)
 	}
+}
+
+// spatialIsOptimalAtMinimalMemory checks the paper's Section II-C
+// observation: plugging k = O(n·m^d/p) into Equation 3 with minimal
+// memory M = n/p shows the spatial decomposition is communication
+// optimal. It returns the achieved-over-bound ratios for S and W.
+func spatialIsOptimalAtMinimalMemory(n, p, m, dim int) (sRatio, wRatio float64) {
+	k := float64(n) * math.Pow(float64(m), float64(dim)) / float64(p)
+	mem := float64(n) / float64(p)
+	s, w := SpatialDecompositionCosts(n, p, m, dim)
+	return OptimalityRatio(s, CutoffLatency(n, p, k, mem)),
+		OptimalityRatio(w, CutoffBandwidth(n, p, k, mem))
+}
+
+// ntIsOptimalAtSqrtPMemory checks Section II-D: neutral-territory
+// methods are asymptotically optimal for M = O(n/√p). It returns the
+// achieved-over-bound ratios.
+func ntIsOptimalAtSqrtPMemory(n, p, m, dim int) (sRatio, wRatio float64) {
+	k := float64(n) * math.Pow(float64(m), float64(dim)) / float64(p)
+	mem := float64(n) / math.Sqrt(float64(p))
+	s, w := NeutralTerritoryCosts(n, p, m, dim)
+	return OptimalityRatio(s, CutoffLatency(n, p, k, mem)),
+		OptimalityRatio(w, CutoffBandwidth(n, p, k, mem))
 }

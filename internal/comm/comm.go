@@ -86,13 +86,6 @@ func (c *Comm) Size() int { return len(c.group) }
 // communicators of the rank).
 func (c *Comm) Stats() *trace.Stats { return c.stats }
 
-// SetPhase labels subsequent communication and computation with phase.
-func (c *Comm) SetPhase(p trace.Phase) { c.stats.SetPhase(p) }
-
-// Tracer returns the rank's timeline tracer (nil when the run is not
-// observed; a nil tracer accepts all calls as no-ops).
-func (c *Comm) Tracer() *obs.Tracer { return c.tr }
-
 // Metrics returns the run's metrics registry (nil when the run is not
 // observed; a nil registry hands out nil no-op instruments).
 func (c *Comm) Metrics() *obs.Registry {

@@ -261,7 +261,7 @@ func TestSubOfSubTranslates(t *testing.T) {
 
 func TestStatsCountMessages(t *testing.T) {
 	rep, err := Run(2, Options{}, func(c *Comm) error {
-		c.SetPhase(trace.Shift)
+		c.Stats().SetPhase(trace.Shift)
 		if c.Rank() == 0 {
 			c.Send(1, 1, make([]byte, 100))
 		} else {

@@ -284,7 +284,7 @@ func TestMalformedSummaryFailsEveryProc(t *testing.T) {
 					defer p.Close()
 					if p.ID() == 1 {
 						for _, payload := range tc.payloads {
-							if err := p.mesh.Send(0, cnet.Frame{Kind: cnet.KindFinish, Src: 1, Payload: payload}, nil); err != nil {
+							if err := p.mesh.SendPayload(0, &cnet.Frame{Kind: cnet.KindFinish, Src: 1}, rawPayload(payload), nil); err != nil {
 								followers[i] = fmt.Errorf("send: %w", err)
 								return
 							}
@@ -323,3 +323,8 @@ func TestMalformedSummaryFailsEveryProc(t *testing.T) {
 		})
 	}
 }
+
+// rawPayload is a frame payload already encoded.
+type rawPayload []byte
+
+func (r rawPayload) AppendPayload(dst []byte) []byte { return append(dst, r...) }

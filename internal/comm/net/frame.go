@@ -24,8 +24,8 @@ import (
 	"io"
 )
 
-// Data frame kinds mirror comm's payloadKind values — the socket path
-// must round-trip a message without renumbering its representation.
+// Data frame kinds are comm's payloadKind values — the socket path
+// round-trips a message without renumbering its representation.
 // Control kinds from KindHello up drive mesh formation and the
 // end-of-run result exchange.
 const (

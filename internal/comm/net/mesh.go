@@ -529,24 +529,13 @@ type Payload interface {
 	AppendPayload(dst []byte) []byte
 }
 
-// Send queues a frame to a peer, blocking while the link's backlog is
-// full. cancel (may be nil) aborts the wait. Returns an error when the
-// mesh has aborted or the wait was canceled. f.Payload is copied before
-// Send returns.
-func (m *Mesh) Send(to int, f Frame, cancel <-chan struct{}) error {
-	return m.SendPayload(to, &f, rawPayload(f.Payload), cancel)
-}
-
-// rawPayload is a payload already encoded.
-type rawPayload []byte
-
-func (r rawPayload) AppendPayload(dst []byte) []byte { return append(dst, r...) }
-
 // SendPayload queues a frame with f's header (f.Payload is ignored) and
-// pl's payload, blocking like Send. The frame is appended to the filling
+// pl's payload to a peer, blocking while the link's backlog is full.
+// cancel (may be nil) aborts the wait. Returns an error when the mesh has
+// aborted or the wait was canceled. The frame is appended to the filling
 // buffer of the link once that buffer holds at most linkBufSize
 // unwritten bytes (a larger frame grows it), and its first frame wakes
-// the writer.
+// the writer; pl is encoded before SendPayload returns.
 func (m *Mesh) SendPayload(to int, f *Frame, pl Payload, cancel <-chan struct{}) error {
 	p := m.peers[to]
 	if p == nil {

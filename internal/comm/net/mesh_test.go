@@ -42,6 +42,16 @@ func joinAll(t testing.TB, rendezvous string, n int) []*Mesh {
 	return meshes
 }
 
+// bytesPayload is a payload already encoded.
+type bytesPayload []byte
+
+func (b bytesPayload) AppendPayload(dst []byte) []byte { return append(dst, b...) }
+
+// send queues f, its payload already encoded, to the peer to.
+func send(m *Mesh, to int, f Frame, cancel <-chan struct{}) error {
+	return m.SendPayload(to, &f, bytesPayload(f.Payload), cancel)
+}
+
 func unixRendezvous(t testing.TB) string {
 	return "unix:" + filepath.Join(t.TempDir(), "r.sock")
 }
@@ -72,7 +82,7 @@ func TestMeshFormsAndRoutesData(t *testing.T) {
 			if j == i {
 				continue
 			}
-			if err := m.Send(j, Frame{Kind: KindBytes, Src: uint32(i), Dst: uint32(j), Seq: 1}, nil); err != nil {
+			if err := send(m, j, Frame{Kind: KindBytes, Src: uint32(i), Dst: uint32(j), Seq: 1}, nil); err != nil {
 				t.Fatalf("send %d→%d: %v", i, j, err)
 			}
 		}
@@ -113,7 +123,7 @@ func TestMeshDeliversFramesSentBeforeAttach(t *testing.T) {
 	// Proc 1 fires a burst at proc 0 the instant the mesh exists; proc 0
 	// attaches only afterwards.
 	for s := 1; s <= burst; s++ {
-		if err := meshes[1].Send(0, Frame{Kind: KindBytes, Src: 2, Dst: 0, Seq: uint64(s)}, nil); err != nil {
+		if err := send(meshes[1], 0, Frame{Kind: KindBytes, Src: 2, Dst: 0, Seq: uint64(s)}, nil); err != nil {
 			t.Fatalf("send %d: %v", s, err)
 		}
 	}
@@ -150,7 +160,7 @@ func TestMeshCtrlPlane(t *testing.T) {
 			m.Close()
 		}
 	}()
-	if err := meshes[1].Send(0, Frame{Kind: KindFinish, Src: 1, Payload: []byte("summary")}, nil); err != nil {
+	if err := send(meshes[1], 0, Frame{Kind: KindFinish, Src: 1, Payload: []byte("summary")}, nil); err != nil {
 		t.Fatal(err)
 	}
 	f, err := recvCtrl(meshes[0])
@@ -160,7 +170,7 @@ func TestMeshCtrlPlane(t *testing.T) {
 	if f.Kind != KindFinish || string(f.Payload) != "summary" {
 		t.Fatalf("got %+v", f)
 	}
-	if err := meshes[0].Send(1, Frame{Kind: KindResult, Payload: []byte("merged")}, nil); err != nil {
+	if err := send(meshes[0], 1, Frame{Kind: KindResult, Payload: []byte("merged")}, nil); err != nil {
 		t.Fatal(err)
 	}
 	f, err = recvCtrl(meshes[1])
@@ -184,7 +194,7 @@ func TestMeshCtrlPayloadLentUntilDone(t *testing.T) {
 		}
 	}()
 	for _, payload := range []string{"first summary", "forged second"} {
-		if err := meshes[1].Send(0, Frame{Kind: KindFinish, Src: 1, Payload: []byte(payload)}, nil); err != nil {
+		if err := send(meshes[1], 0, Frame{Kind: KindFinish, Src: 1, Payload: []byte(payload)}, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -237,7 +247,7 @@ func TestMeshSendWaitsOnBacklog(t *testing.T) {
 		done := make(chan error, 1)
 		go func() {
 			for {
-				if err := a.Send(1, frame, cancel); err != nil {
+				if err := send(a, 1, frame, cancel); err != nil {
 					done <- err
 					return
 				}
@@ -332,7 +342,7 @@ func TestMeshOrderlyCloseIsNotACrash(t *testing.T) {
 
 	// Proc 2 sends one last frame and departs; the frame must still be
 	// delivered, and neither survivor may observe an abort.
-	if err := meshes[2].Send(0, Frame{Kind: KindBytes, Src: 99, Dst: 0, Seq: 5}, nil); err != nil {
+	if err := send(meshes[2], 0, Frame{Kind: KindBytes, Src: 99, Dst: 0, Seq: 5}, nil); err != nil {
 		t.Fatal(err)
 	}
 	meshes[2].Close()
@@ -352,7 +362,7 @@ func TestMeshOrderlyCloseIsNotACrash(t *testing.T) {
 		}
 	}
 	// The survivors can still talk to each other.
-	if err := meshes[1].Send(0, Frame{Kind: KindBytes, Src: 1, Dst: 0, Seq: 6}, nil); err != nil {
+	if err := send(meshes[1], 0, Frame{Kind: KindBytes, Src: 1, Dst: 0, Seq: 6}, nil); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -398,7 +408,7 @@ func TestMeshTCP(t *testing.T) {
 	}
 	recv := make(chan Frame, 1)
 	follower.Attach(func(_ int, f Frame) { recv <- f })
-	if err := leader.Send(1, Frame{Kind: KindBytes, Seq: 42}, nil); err != nil {
+	if err := send(leader, 1, Frame{Kind: KindBytes, Seq: 42}, nil); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -466,7 +476,7 @@ func TestMeshCoalescesBurst(t *testing.T) {
 	arrived := make(chan uint64, burst)
 	b.Attach(func(_ int, f Frame) { arrived <- f.Seq })
 	send := func(seq uint64) {
-		if err := a.Send(1, Frame{Kind: KindBytes, Src: 0, Dst: 1, Seq: seq, Payload: make([]byte, size)}, nil); err != nil {
+		if err := send(a, 1, Frame{Kind: KindBytes, Src: 0, Dst: 1, Seq: seq, Payload: make([]byte, size)}, nil); err != nil {
 			t.Error(err)
 		}
 	}
@@ -544,7 +554,7 @@ func TestMeshLoneFrameFlushesPromptly(t *testing.T) {
 				}
 			}
 			t0 := time.Now()
-			if err := a.Send(1, Frame{Kind: KindBytes, Seq: 1, Payload: []byte("alone")}, nil); err != nil {
+			if err := send(a, 1, Frame{Kind: KindBytes, Seq: 1, Payload: []byte("alone")}, nil); err != nil {
 				t.Fatal(err)
 			}
 			select {
@@ -585,11 +595,11 @@ func BenchmarkMeshPingPong(b *testing.B) {
 	benchMeshes(b, func(b *testing.B, leader, follower *Mesh) {
 		back := make(chan struct{}, 1)
 		leader.Attach(func(int, Frame) { back <- struct{}{} })
-		follower.Attach(func(_ int, f Frame) { follower.Send(0, f, nil) })
+		follower.Attach(func(_ int, f Frame) { send(follower, 0, f, nil) })
 		b.SetBytes(int64(2 * len(blockPayload)))
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if err := leader.Send(1, Frame{Kind: KindParticles, Dst: 1, Payload: blockPayload}, nil); err != nil {
+			if err := send(leader, 1, Frame{Kind: KindParticles, Dst: 1, Payload: blockPayload}, nil); err != nil {
 				b.Fatal(err)
 			}
 			<-back
@@ -607,7 +617,7 @@ func BenchmarkMeshBurst32(b *testing.B) {
 		leader.Attach(func(int, Frame) { back <- struct{}{} })
 		follower.Attach(func(_ int, f Frame) {
 			if f.Seq == burst {
-				follower.Send(0, Frame{Kind: KindBytes}, nil)
+				send(follower, 0, Frame{Kind: KindBytes}, nil)
 			}
 		})
 		before := leader.LinkStats()[1]
@@ -615,7 +625,7 @@ func BenchmarkMeshBurst32(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			for s := uint64(1); s <= burst; s++ {
-				if err := leader.Send(1, Frame{Kind: KindParticles, Dst: 1, Seq: s, Payload: blockPayload}, nil); err != nil {
+				if err := send(leader, 1, Frame{Kind: KindParticles, Dst: 1, Seq: s, Payload: blockPayload}, nil); err != nil {
 					b.Fatal(err)
 				}
 			}

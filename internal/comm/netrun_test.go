@@ -64,25 +64,35 @@ func meshErrors(t *testing.T, procs, ranksPerProc int, fn func(proc *comm.Proc) 
 	return errs
 }
 
-type driver func([]phys.Particle, core.Params) ([]phys.Particle, *trace.Report, error)
-
 // mergeCase is one timestep loop configuration whose traffic matrix is
 // compared between transports.
 type mergeCase struct {
 	name string
-	run  driver
+	newS func([]phys.Particle, core.Params) (*core.Session, error)
 	pr   core.Params
 	n    int
+}
+
+// mergeSteps is the length of a merge case's run.
+const mergeSteps = 3
+
+// run advances a new session of the case mergeSteps timesteps.
+func (tc mergeCase) run(ps []phys.Particle, pr core.Params) ([]phys.Particle, *trace.Report, error) {
+	s, err := tc.newS(ps, pr)
+	if err != nil {
+		return nil, nil, err
+	}
+	return s.Advance(mergeSteps)
 }
 
 func mergeCases() []mergeCase {
 	box := phys.NewBox(16, 1, phys.Periodic)
 	return []mergeCase{
-		{"all-pairs/p=8/c=2", core.AllPairs, core.Params{
-			P: 8, C: 2, Law: phys.DefaultLaw(), Box: phys.NewBox(10, 2, phys.Reflective), DT: 1e-3, Steps: 3,
+		{"all-pairs/p=8/c=2", core.NewAllPairs, core.Params{
+			P: 8, C: 2, Law: phys.DefaultLaw(), Box: phys.NewBox(10, 2, phys.Reflective), DT: 1e-3,
 		}, 32},
-		{"cutoff/p=16", core.Cutoff, core.Params{
-			P: 16, C: 2, Law: phys.DefaultLaw().WithCutoff(box.L / 4), Box: box, DT: 5e-4, Steps: 3,
+		{"cutoff/p=16", core.NewCutoff, core.Params{
+			P: 16, C: 2, Law: phys.DefaultLaw().WithCutoff(box.L / 4), Box: box, DT: 5e-4,
 		}, 64},
 	}
 }
@@ -228,7 +238,7 @@ func TestTallyStartsFromZeroEachRun(t *testing.T) {
 					return err
 				}
 				for r := range frames {
-					_, rep, err := s.Advance(pr.Steps)
+					_, rep, err := s.Advance(mergeSteps)
 					if err != nil {
 						return fmt.Errorf("advance %d: %w", r, err)
 					}

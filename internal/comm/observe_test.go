@@ -18,16 +18,16 @@ func TestObservedRunRecordsEvents(t *testing.T) {
 	rep, err := Run(p, Options{Observe: o}, func(c *Comm) error {
 		c.Stats().StartTiming()
 		defer c.Stats().StopTiming()
-		c.SetPhase(trace.Broadcast)
+		c.Stats().SetPhase(trace.Broadcast)
 		data := c.Bcast(0, []byte("payload"))
-		c.SetPhase(trace.Shift)
+		c.Stats().SetPhase(trace.Shift)
 		next := (c.Rank() + 1) % c.Size()
 		prev := (c.Rank() - 1 + c.Size()) % c.Size()
 		c.Sendrecv(next, data, prev, 5)
-		c.SetPhase(trace.Reduce)
+		c.Stats().SetPhase(trace.Reduce)
 		c.ReduceF64s(0, []float64{1, 2})
 		c.Barrier()
-		c.SetPhase(trace.Other)
+		c.Stats().SetPhase(trace.Other)
 		return nil
 	})
 	if err != nil {
@@ -83,18 +83,18 @@ func TestTimelinePhaseTotalsMatchReport(t *testing.T) {
 		c.Stats().StartTiming()
 		defer c.Stats().StopTiming()
 		for step := 0; step < 3; step++ {
-			c.SetPhase(trace.Broadcast)
+			c.Stats().SetPhase(trace.Broadcast)
 			payload := make([]byte, 1<<12)
 			c.Bcast(0, payload)
-			c.SetPhase(trace.Compute)
+			c.Stats().SetPhase(trace.Compute)
 			busySpin(2 * time.Millisecond)
-			c.SetPhase(trace.Shift)
+			c.Stats().SetPhase(trace.Shift)
 			next := (c.Rank() + 1) % c.Size()
 			prev := (c.Rank() - 1 + c.Size()) % c.Size()
 			c.Sendrecv(next, payload, prev, step)
-			c.SetPhase(trace.Reduce)
+			c.Stats().SetPhase(trace.Reduce)
 			c.ReduceF64s(0, []float64{float64(step)})
-			c.SetPhase(trace.Other)
+			c.Stats().SetPhase(trace.Other)
 		}
 		return nil
 	})
@@ -128,12 +128,12 @@ func busySpin(d time.Duration) {
 // events, and the runtime behaves exactly as before.
 func TestUnobservedRunUnchanged(t *testing.T) {
 	rep, err := Run(2, Options{}, func(c *Comm) error {
-		if c.Tracer() != nil {
+		if c.tr != nil {
 			return nil // tracer must be nil; checked below via panic-free no-ops
 		}
-		c.Tracer().Send(0, 0, 0, 0) // nil tracer: must be a no-op
+		c.tr.Send(0, 0, 0, 0) // nil tracer: must be a no-op
 		c.Metrics().Counter("x").Inc()
-		c.SetPhase(trace.Shift)
+		c.Stats().SetPhase(trace.Shift)
 		if c.Rank() == 0 {
 			c.Send(1, 1, []byte("x"))
 		} else {

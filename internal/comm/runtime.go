@@ -35,6 +35,7 @@ import (
 	"sync"
 	"unsafe"
 
+	cnet "repro/internal/comm/net"
 	"repro/internal/obs"
 	"repro/internal/phys"
 	"repro/internal/trace"
@@ -46,11 +47,13 @@ import (
 // wire format would have had, so both transports measure identical S/W.
 type payloadKind uint8
 
+// A message crosses a socket mesh as a frame of its own kind, so the
+// kinds are the wire's data frame kinds.
 const (
-	payloadBytes payloadKind = iota
-	payloadParticles
-	payloadTeamParticles // particles prefixed with a 4-byte source-team frame
-	payloadF64s
+	payloadBytes         = payloadKind(cnet.KindBytes)
+	payloadParticles     = payloadKind(cnet.KindParticles)
+	payloadTeamParticles = payloadKind(cnet.KindTeamParticles) // particles prefixed with a 4-byte source-team frame
+	payloadF64s          = payloadKind(cnet.KindF64s)
 )
 
 func (k payloadKind) String() string {

@@ -8,17 +8,9 @@ import (
 	"repro/internal/trace"
 )
 
-// AllPairs runs the communication-avoiding all-pairs interaction
-// algorithm (Algorithm 1 of the paper) for pr.Steps timesteps on pr.P
-// goroutine ranks with replication factor pr.C, starting from the
-// particle set ps. It returns the final particles sorted by ID and the
-// aggregated communication report. It is NewAllPairs advanced once.
-func AllPairs(ps []phys.Particle, pr Params) ([]phys.Particle, *trace.Report, error) {
-	s, err := NewAllPairs(ps, pr)
-	return once(s, err, pr.Steps)
-}
-
-// NewAllPairs prepares a session of Algorithm 1 from the particle set
+// NewAllPairs prepares a session of the communication-avoiding
+// all-pairs interaction algorithm (Algorithm 1 of the paper) on pr.P
+// goroutine ranks with replication factor pr.C, from the particle set
 // ps, which it copies.
 //
 // Requirements: c² must divide p (so the shift loop runs an integral

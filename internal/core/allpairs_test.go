@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/phys"
+	"repro/internal/trace"
 )
 
 // serialRun advances the same initial particle set with the serial
@@ -18,15 +19,24 @@ func serialRun(ps []phys.Particle, law phys.Law, box phys.Box, steps int, dt flo
 	return out
 }
 
-func defaultParams(p, c, steps int) Params {
+func defaultParams(p, c int) Params {
 	return Params{
-		P:     p,
-		C:     c,
-		Law:   phys.DefaultLaw(),
-		Box:   phys.NewBox(10, 2, phys.Reflective),
-		DT:    1e-3,
-		Steps: steps,
+		P:   p,
+		C:   c,
+		Law: phys.DefaultLaw(),
+		Box: phys.NewBox(10, 2, phys.Reflective),
+		DT:  1e-3,
 	}
+}
+
+// advance is the one-shot run the tests compare: a session built by newS
+// from ps and pr, advanced steps timesteps.
+func advance(newS func([]phys.Particle, Params) (*Session, error), ps []phys.Particle, pr Params, steps int) ([]phys.Particle, *trace.Report, error) {
+	s, err := newS(ps, pr)
+	if err != nil {
+		return nil, nil, err
+	}
+	return s.Advance(steps)
 }
 
 func TestAllPairsMatchesSerial(t *testing.T) {
@@ -46,10 +56,11 @@ func TestAllPairsMatchesSerial(t *testing.T) {
 		tc := tc
 		t.Run(fmt.Sprintf("p=%d/c=%d/n=%d", tc.p, tc.c, tc.n), func(t *testing.T) {
 			t.Parallel()
-			pr := defaultParams(tc.p, tc.c, 3)
+			const steps = 3
+			pr := defaultParams(tc.p, tc.c)
 			ps := phys.InitUniform(tc.n, pr.Box, 42)
-			want := serialRun(ps, pr.Law, pr.Box, pr.Steps, pr.DT)
-			got, rep, err := AllPairs(ps, pr)
+			want := serialRun(ps, pr.Law, pr.Box, steps, pr.DT)
+			got, rep, err := advance(NewAllPairs, ps, pr, steps)
 			if err != nil {
 				t.Fatalf("AllPairs: %v", err)
 			}
@@ -83,22 +94,28 @@ func TestAllPairsRejectsBadParams(t *testing.T) {
 		pr   Params
 		n    int
 	}{
-		{"c does not divide p", defaultParams(6, 4, 1), 16},
-		{"c^2 does not divide p", defaultParams(8, 4, 1), 16},
-		{"teams do not divide n", defaultParams(16, 2, 1), 12},
-		{"zero p", defaultParams(0, 1, 1), 16},
-		{"negative steps", Params{P: 4, C: 1, Steps: -1}, 16},
+		{"c does not divide p", defaultParams(6, 4), 16},
+		{"c^2 does not divide p", defaultParams(8, 4), 16},
+		{"teams do not divide n", defaultParams(16, 2), 12},
+		{"zero p", defaultParams(0, 1), 16},
 	} {
-		if _, _, err := AllPairs(ps[:tc.n], tc.pr); err == nil {
+		if _, err := NewAllPairs(ps[:tc.n], tc.pr); err == nil {
 			t.Errorf("%s: expected error", tc.name)
 		}
+	}
+	s, err := NewAllPairs(ps, defaultParams(4, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := s.Advance(-1); err == nil {
+		t.Error("negative steps: expected error")
 	}
 }
 
 func TestBaselinesMatchSerial(t *testing.T) {
-	pr := defaultParams(16, 1, 2)
+	pr := defaultParams(16, 1)
 	ps := phys.InitUniform(32, pr.Box, 11)
-	want := serialRun(ps, pr.Law, pr.Box, pr.Steps, pr.DT)
+	want := serialRun(ps, pr.Law, pr.Box, 2, pr.DT)
 	phys.SortByID(want)
 
 	check := func(name string, got []phys.Particle, err error) {
@@ -113,14 +130,14 @@ func TestBaselinesMatchSerial(t *testing.T) {
 		}
 	}
 
-	got, _, err := NaiveAllGather(ps, pr)
+	got, _, err := advance(NewNaiveAllGather, ps, pr, 2)
 	check("NaiveAllGather", got, err)
 
-	got, _, err = ParticleDecomposition(ps, pr)
+	got, _, err = advance(NewParticleDecomposition, ps, pr, 2)
 	check("ParticleDecomposition", got, err)
 
 	fd := pr
 	fd.P = 16
-	got, _, err = ForceDecomposition(ps, fd)
+	got, _, err = advance(NewForceDecomposition, ps, fd, 2)
 	check("ForceDecomposition", got, err)
 }

@@ -8,32 +8,19 @@ import (
 	"repro/internal/trace"
 )
 
-// ParticleDecomposition runs the c = 1 degenerate case of the CA
-// algorithm: every processor is its own team and buffers shift
-// point-to-point around the ring, exactly Plimpton's particle
-// decomposition with pairwise shifting.
-func ParticleDecomposition(ps []phys.Particle, pr Params) ([]phys.Particle, *trace.Report, error) {
-	s, err := NewParticleDecomposition(ps, pr)
-	return once(s, err, pr.Steps)
-}
-
-// NewParticleDecomposition prepares a session of the particle
-// decomposition: NewAllPairs at c = 1.
+// NewParticleDecomposition prepares a session of the c = 1 degenerate
+// case of the CA algorithm, NewAllPairs at c = 1: every processor is its
+// own team and buffers shift point-to-point around the ring, exactly
+// Plimpton's particle decomposition with pairwise shifting.
 func NewParticleDecomposition(ps []phys.Particle, pr Params) (*Session, error) {
 	pr.C = 1
 	return NewAllPairs(ps, pr)
 }
 
-// ForceDecomposition runs the c = √p extreme of the CA algorithm,
-// Plimpton's force decomposition: each processor computes one
-// n/√p × n/√p block of the interaction matrix, with a single shift step.
-func ForceDecomposition(ps []phys.Particle, pr Params) ([]phys.Particle, *trace.Report, error) {
-	s, err := NewForceDecomposition(ps, pr)
-	return once(s, err, pr.Steps)
-}
-
-// NewForceDecomposition prepares a session of the force decomposition:
-// NewAllPairs at c = √p. P must be a perfect square.
+// NewForceDecomposition prepares a session of the c = √p extreme of the
+// CA algorithm, NewAllPairs at c = √p: Plimpton's force decomposition,
+// where each processor computes one n/√p × n/√p block of the interaction
+// matrix with a single shift step. P must be a perfect square.
 func NewForceDecomposition(ps []phys.Particle, pr Params) (*Session, error) {
 	root := int(math.Round(math.Sqrt(float64(pr.P))))
 	if root*root != pr.P {
@@ -43,18 +30,12 @@ func NewForceDecomposition(ps []phys.Particle, pr Params) (*Session, error) {
 	return NewAllPairs(ps, pr)
 }
 
-// NaiveAllGather is the textbook particle decomposition of Section II-B:
-// each processor owns n/p particles and sends them to every other
-// processor each timestep (via the ring allgather), paying
+// NewNaiveAllGather prepares a session of the textbook particle
+// decomposition of Section II-B from the particle set ps, which it
+// copies: each processor owns n/p particles and sends them to every
+// other processor each timestep (via the ring allgather), paying
 // S = O(p) messages and W = O(n) words on the critical path. It is the
 // baseline whose communication the CA algorithm improves upon.
-func NaiveAllGather(ps []phys.Particle, pr Params) ([]phys.Particle, *trace.Report, error) {
-	s, err := NewNaiveAllGather(ps, pr)
-	return once(s, err, pr.Steps)
-}
-
-// NewNaiveAllGather prepares a session of the naive decomposition from
-// the particle set ps, which it copies.
 func NewNaiveAllGather(ps []phys.Particle, pr Params) (*Session, error) {
 	n := len(ps)
 	pr.C = 1

@@ -1,9 +1,9 @@
 // Package core implements the paper's communication-avoiding N-body
 // algorithms and the baselines they are compared against:
 //
-//   - AllPairs: Algorithm 1, the CA all-pairs interaction algorithm on a
-//     c × p/c processor grid (broadcast, skew, p/c² shifts, reduce).
-//   - Cutoff: Algorithm 2 and its multi-dimensional generalization
+//   - NewAllPairs: Algorithm 1, the CA all-pairs interaction algorithm on
+//     a c × p/c processor grid (broadcast, skew, p/c² shifts, reduce).
+//   - NewCutoff: Algorithm 2 and its multi-dimensional generalization
 //     (Section IV), with a spatial team decomposition, shifts modulo the
 //     cutoff window, and per-timestep spatial reassignment.
 //   - Baselines: the naive particle decomposition (Section II-B) and
@@ -14,8 +14,7 @@
 // internal/comm and are verified against the serial kernels in
 // internal/phys. Each has a constructor (NewAllPairs, NewCutoff, ...)
 // returning a Session that keeps its ranks' state between Advance
-// calls, and a one-shot form (AllPairs, Cutoff, ...) that advances a
-// new session once.
+// calls.
 package core
 
 import (
@@ -35,7 +34,6 @@ type Params struct {
 	Law     phys.Law
 	Box     phys.Box
 	DT      float64 // timestep length
-	Steps   int     // timesteps of a one-shot driver (AllPairs, ...); a Session takes them per Advance
 	Options comm.Options
 	// Workers is the intra-rank worker-pool width for the force phase:
 	// each rank tiles its force accumulation over this many goroutines

@@ -60,69 +60,3 @@ func AllPairsExpectedCounts(n, p, c int) ExpectedCounts {
 	}
 	return e
 }
-
-// Cutoff1DExpectedCounts returns the exact critical-path counts for one
-// timestep of the 1D distance-limited algorithm with uniform team
-// occupancy (n divisible by and laid out across p/c teams), cutoff span
-// m, and tree collectives. The exchange frame adds 4 bytes of source
-// team id to every skew/shift message. Reassignment bytes depend on the
-// particle trajectories, so only its message count (2 neighbor exchanges
-// for interior teams) is predicted.
-func Cutoff1DExpectedCounts(n, p, c, m int) (ExpectedCounts, error) {
-	sched, err := NewCutoffSchedule(m, c, 1)
-	if err != nil {
-		return ExpectedCounts{}, err
-	}
-	T := p / c
-	npt := n / T
-	partBytes := int64(npt) * phys.WireSize
-	frameBytes := partBytes + 4
-	forceBytes := int64(npt) * 16
-	logc := int64(0)
-	if c > 1 {
-		logc = int64(math.Ceil(math.Log2(float64(c))))
-	}
-	var e ExpectedCounts
-	e.BcastSends = logc
-	e.BcastBytes = logc * partBytes
-	// Every layer's first move is non-zero except the layer whose first
-	// window offset is the origin; the critical path is any other layer.
-	e.SkewSends = 1
-	e.SkewBytes = frameBytes
-	e.ShiftSends = int64(sched.MaxSteps() - 1)
-	e.ShiftBytes = e.ShiftSends * frameBytes
-	if c > 1 {
-		e.ReduceSends = 1
-		e.ReduceBytes = forceBytes
-		e.ReduceRecvs = logc
-	}
-	return e, nil
-}
-
-// AllPairsPairEvals returns the exact number of pair-force evaluations
-// the CA all-pairs algorithm performs per timestep, summed over all
-// ranks: each of the T = p/c teams updates its n/T targets against all n
-// sources exactly once, and the diagonal visit (the team's own block
-// replicated back at it) shares all n/T IDs, which Accumulate skips
-// without counting. Each team therefore contributes
-// phys.Interactions(n/T, n, n/T) and the total is n² − n regardless of p
-// and c — replication changes which rank evaluates a pair, never how
-// many evaluations happen. Instrumented runs expose the measured count
-// as the "compute.pairs" metrics counter, which the counts tests pin to
-// this closed form.
-func AllPairsPairEvals(n, p, c int) int64 {
-	T := p / c
-	npt := n / T
-	return int64(T) * phys.Interactions(npt, n, npt)
-}
-
-// AllPairsShiftWords returns the total shift-phase traffic per rank per
-// timestep in particles: (p/c²)·(nc/p) = n/c, the W_ca = O(n/c) term of
-// Equation 5.
-func AllPairsShiftWords(n, p, c int) float64 {
-	T := p / c
-	if T <= 1 || c >= T {
-		return 0
-	}
-	return float64(p/(c*c)) * float64(n*c) / float64(p)
-}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"repro/internal/bounds"
@@ -28,9 +29,9 @@ func TestAllPairsCommunicationCounts(t *testing.T) {
 		tc := tc
 		t.Run(fmt.Sprintf("p=%d/c=%d/n=%d", tc.p, tc.c, tc.n), func(t *testing.T) {
 			t.Parallel()
-			pr := defaultParams(tc.p, tc.c, 1)
+			pr := defaultParams(tc.p, tc.c)
 			ps := phys.InitUniform(tc.n, pr.Box, 5)
-			_, rep, err := AllPairs(ps, pr)
+			_, rep, err := advance(NewAllPairs, ps, pr, 1)
 			if err != nil {
 				t.Fatalf("AllPairs: %v", err)
 			}
@@ -71,15 +72,14 @@ func TestCutoff1DCommunicationCounts(t *testing.T) {
 		t.Run(fmt.Sprintf("p=%d/c=%d/n=%d", tc.p, tc.c, tc.n), func(t *testing.T) {
 			t.Parallel()
 			pr := cutoffParams(tc.p, tc.c, 1, phys.Reflective)
-			pr.Steps = 1
 			ps := phys.InitLattice(tc.n, pr.Box, 3)
-			_, rep, err := Cutoff(ps, pr)
+			_, rep, err := advance(NewCutoff, ps, pr, 1)
 			if err != nil {
 				t.Fatalf("Cutoff: %v", err)
 			}
 			T := tc.p / tc.c
 			m := SpanFor(pr.Law.Cutoff, pr.Box.L, T)
-			want, err := Cutoff1DExpectedCounts(tc.n, tc.p, tc.c, m)
+			want, err := cutoff1DExpectedCounts(tc.n, tc.p, tc.c, m)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -112,15 +112,14 @@ func TestCutoffMeetsLowerBounds(t *testing.T) {
 	const n, p = 128, 32
 	for _, c := range []int{1, 2, 4} {
 		pr := cutoffParams(p, c, 1, phys.Reflective)
-		pr.Steps = 1
 		ps := phys.InitLattice(n, pr.Box, 3)
-		_, rep, err := Cutoff(ps, pr)
+		_, rep, err := advance(NewCutoff, ps, pr, 1)
 		if err != nil {
 			t.Fatalf("c=%d: %v", c, err)
 		}
 		T := p / c
 		m := SpanFor(pr.Law.Cutoff, pr.Box.L, T)
-		k := bounds.KForSpan(n, p, c, m)
+		k := 2 * float64(m*c) / p * n // Equation 7: k = (2·m·c/p)·n
 		M := bounds.MemoryPerRank(n, p, c)
 		sLB := bounds.CutoffLatency(n, p, k, M)
 		wLB := bounds.CutoffBandwidth(n, p, k, M)
@@ -141,14 +140,13 @@ func TestCutoffMeetsLowerBounds(t *testing.T) {
 // TestAllPairsCountsScaleWithSteps confirms per-step accounting is
 // linear in the number of timesteps.
 func TestAllPairsCountsScaleWithSteps(t *testing.T) {
-	pr := defaultParams(16, 2, 1)
+	pr := defaultParams(16, 2)
 	ps := phys.InitUniform(32, pr.Box, 5)
-	_, rep1, err := AllPairs(ps, pr)
+	_, rep1, err := advance(NewAllPairs, ps, pr, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pr.Steps = 4
-	_, rep4, err := AllPairs(ps, pr)
+	_, rep4, err := advance(NewAllPairs, ps, pr, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,9 +164,9 @@ func TestAllPairsCountsScaleWithSteps(t *testing.T) {
 func TestAllPairsMeetsLowerBounds(t *testing.T) {
 	const n, p = 128, 64
 	for _, c := range []int{1, 2, 4, 8} {
-		pr := defaultParams(p, c, 1)
+		pr := defaultParams(p, c)
 		ps := phys.InitUniform(n, pr.Box, 3)
-		_, rep, err := AllPairs(ps, pr)
+		_, rep, err := advance(NewAllPairs, ps, pr, 1)
 		if err != nil {
 			t.Fatalf("c=%d: %v", c, err)
 		}
@@ -205,14 +203,14 @@ func TestReplicationReducesCommunication(t *testing.T) {
 	const n, p = 256, 64
 	prev := int64(-1)
 	for _, c := range []int{1, 2, 4} {
-		pr := defaultParams(p, c, 1)
+		pr := defaultParams(p, c)
 		ps := phys.InitUniform(n, pr.Box, 3)
-		_, rep, err := AllPairs(ps, pr)
+		_, rep, err := advance(NewAllPairs, ps, pr, 1)
 		if err != nil {
 			t.Fatalf("c=%d: %v", c, err)
 		}
 		shift := rep.CriticalPath[trace.Shift].Bytes
-		wantWords := AllPairsShiftWords(n, p, c)
+		wantWords := allPairsShiftWords(n, p, c)
 		if got := float64(shift) / phys.WireSize; got != wantWords {
 			t.Errorf("c=%d: shift words %.0f, want %.0f", c, got, wantWords)
 		}
@@ -221,4 +219,70 @@ func TestReplicationReducesCommunication(t *testing.T) {
 		}
 		prev = shift
 	}
+}
+
+// cutoff1DExpectedCounts returns the exact critical-path counts for one
+// timestep of the 1D distance-limited algorithm with uniform team
+// occupancy (n divisible by and laid out across p/c teams), cutoff span
+// m, and tree collectives. The exchange frame adds 4 bytes of source
+// team id to every skew/shift message. Reassignment bytes depend on the
+// particle trajectories, so only its message count (2 neighbor exchanges
+// for interior teams) is predicted.
+func cutoff1DExpectedCounts(n, p, c, m int) (ExpectedCounts, error) {
+	sched, err := NewCutoffSchedule(m, c, 1)
+	if err != nil {
+		return ExpectedCounts{}, err
+	}
+	T := p / c
+	npt := n / T
+	partBytes := int64(npt) * phys.WireSize
+	frameBytes := partBytes + 4
+	forceBytes := int64(npt) * 16
+	logc := int64(0)
+	if c > 1 {
+		logc = int64(math.Ceil(math.Log2(float64(c))))
+	}
+	var e ExpectedCounts
+	e.BcastSends = logc
+	e.BcastBytes = logc * partBytes
+	// Every layer's first move is non-zero except the layer whose first
+	// window offset is the origin; the critical path is any other layer.
+	e.SkewSends = 1
+	e.SkewBytes = frameBytes
+	e.ShiftSends = int64(sched.Steps(0) - 1) // layer 0 takes the most steps
+	e.ShiftBytes = e.ShiftSends * frameBytes
+	if c > 1 {
+		e.ReduceSends = 1
+		e.ReduceBytes = forceBytes
+		e.ReduceRecvs = logc
+	}
+	return e, nil
+}
+
+// allPairsPairEvals returns the exact number of pair-force evaluations
+// the CA all-pairs algorithm performs per timestep, summed over all
+// ranks: each of the T = p/c teams updates its n/T targets against all n
+// sources exactly once, and the diagonal visit (the team's own block
+// replicated back at it) shares all n/T IDs, which Accumulate skips
+// without counting. Each team therefore contributes (n/T)·n − n/T
+// and the total is n² − n regardless of p
+// and c — replication changes which rank evaluates a pair, never how
+// many evaluations happen. Instrumented runs expose the measured count
+// as the "compute.pairs" metrics counter, which the counts tests pin to
+// this closed form.
+func allPairsPairEvals(n, p, c int) int64 {
+	T := p / c
+	npt := n / T
+	return int64(T) * int64(npt*n-npt)
+}
+
+// allPairsShiftWords returns the total shift-phase traffic per rank per
+// timestep in particles: (p/c²)·(nc/p) = n/c, the W_ca = O(n/c) term of
+// Equation 5.
+func allPairsShiftWords(n, p, c int) float64 {
+	T := p / c
+	if T <= 1 || c >= T {
+		return 0
+	}
+	return float64(p/(c*c)) * float64(n*c) / float64(p)
 }

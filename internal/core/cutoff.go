@@ -35,22 +35,14 @@ func SpanFor(rc, boxL float64, side int) int {
 	return m
 }
 
-// Cutoff runs the communication-avoiding distance-limited interaction
-// algorithm (Algorithm 2 for 1D boxes, its serpentine generalization for
-// 2D boxes) for pr.Steps timesteps. Teams own spatial regions of the
-// box; each timestep broadcasts team particles over the replication
-// dimension, shifts exchange buffers through the cutoff window with
-// stride c, reduces force contributions, integrates, and spatially
-// reassigns migrating particles between neighboring teams.
-//
-// It is NewCutoff advanced once.
-func Cutoff(ps []phys.Particle, pr Params) ([]phys.Particle, *trace.Report, error) {
-	s, err := NewCutoff(ps, pr)
-	return once(s, err, pr.Steps)
-}
-
-// NewCutoff prepares a session of Algorithm 2 from the particle set ps,
-// which it copies into the teams owning their positions.
+// NewCutoff prepares a session of the communication-avoiding
+// distance-limited interaction algorithm (Algorithm 2 for 1D boxes, its
+// serpentine generalization for 2D boxes) from the particle set ps, which
+// it copies into the teams owning their positions. Teams own spatial
+// regions of the box; each timestep broadcasts team particles over the
+// replication dimension, shifts exchange buffers through the cutoff
+// window with stride c, reduces force contributions, integrates, and
+// spatially reassigns migrating particles between neighboring teams.
 //
 // Requirements: pr.Law.Cutoff > 0; for 2D boxes the team count p/c must
 // be a perfect square; the cutoff window (2m+1 teams per dimension) must

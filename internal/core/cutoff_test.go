@@ -27,12 +27,11 @@ func serialCutoffRun(ps []phys.Particle, law phys.Law, box phys.Box, steps int, 
 func cutoffParams(p, c, dim int, boundary phys.Boundary) Params {
 	box := phys.NewBox(16, dim, boundary)
 	return Params{
-		P:     p,
-		C:     c,
-		Law:   phys.DefaultLaw().WithCutoff(box.L / 4),
-		Box:   box,
-		DT:    5e-4,
-		Steps: 3,
+		P:   p,
+		C:   c,
+		Law: phys.DefaultLaw().WithCutoff(box.L / 4),
+		Box: box,
+		DT:  5e-4,
 	}
 }
 
@@ -69,10 +68,11 @@ func TestCutoff1DMatchesSerial(t *testing.T) {
 		tc := tc
 		t.Run(fmt.Sprintf("p=%d/c=%d/n=%d/%v", tc.p, tc.c, tc.n, tc.boundary), func(t *testing.T) {
 			t.Parallel()
+			const steps = 3
 			pr := cutoffParams(tc.p, tc.c, 1, tc.boundary)
 			ps := phys.InitLattice(tc.n, pr.Box, 9)
-			want := serialCutoffRun(ps, pr.Law, pr.Box, pr.Steps, pr.DT)
-			got, _, err := Cutoff(ps, pr)
+			want := serialCutoffRun(ps, pr.Law, pr.Box, steps, pr.DT)
+			got, _, err := advance(NewCutoff, ps, pr, steps)
 			if err != nil {
 				t.Fatalf("Cutoff: %v", err)
 			}
@@ -98,10 +98,11 @@ func TestCutoff2DMatchesSerial(t *testing.T) {
 		tc := tc
 		t.Run(fmt.Sprintf("p=%d/c=%d/n=%d/%v", tc.p, tc.c, tc.n, tc.boundary), func(t *testing.T) {
 			t.Parallel()
+			const steps = 3
 			pr := cutoffParams(tc.p, tc.c, 2, tc.boundary)
 			ps := phys.InitLattice(tc.n, pr.Box, 13)
-			want := serialCutoffRun(ps, pr.Law, pr.Box, pr.Steps, pr.DT)
-			got, _, err := Cutoff(ps, pr)
+			want := serialCutoffRun(ps, pr.Law, pr.Box, steps, pr.DT)
+			got, _, err := advance(NewCutoff, ps, pr, steps)
 			if err != nil {
 				t.Fatalf("Cutoff: %v", err)
 			}
@@ -113,10 +114,11 @@ func TestCutoff2DMatchesSerial(t *testing.T) {
 func TestCutoffLargerReplication(t *testing.T) {
 	// Larger c relative to the window, including c not dividing the
 	// window size (uneven layer loads).
+	const steps = 3
 	pr := cutoffParams(40, 5, 1, phys.Reflective) // 8 teams, m=2, window 5
 	ps := phys.InitLattice(64, pr.Box, 21)
-	want := serialCutoffRun(ps, pr.Law, pr.Box, pr.Steps, pr.DT)
-	got, _, err := Cutoff(ps, pr)
+	want := serialCutoffRun(ps, pr.Law, pr.Box, steps, pr.DT)
+	got, _, err := advance(NewCutoff, ps, pr, steps)
 	if err != nil {
 		t.Fatalf("Cutoff: %v", err)
 	}
@@ -133,13 +135,12 @@ func TestCutoffLargerReplication(t *testing.T) {
 func TestCutoffJustPastTeamWidths(t *testing.T) {
 	pr := cutoffParams(8, 1, 1, phys.Periodic)
 	pr.Law.Cutoff = 2 + 9*0x1p-51
-	pr.Steps = 1
 	if m := SpanFor(pr.Law.Cutoff, pr.Box.L, 8); m != 2 {
 		t.Fatalf("SpanFor = %d, want 2", m)
 	}
 	ps := []phys.Particle{{ID: 0, Pos: vec.Vec2{X: math.Nextafter(2, 0)}}, {ID: 1, Pos: vec.Vec2{X: 4}}}
 	want := serialCutoffRun(ps, pr.Law, pr.Box, 1, pr.DT)
-	got, _, err := Cutoff(ps, pr)
+	got, _, err := advance(NewCutoff, ps, pr, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +165,8 @@ func (w plainWindow) update(l *shiftLoop, _ int) {
 	l.counted(l.pool.AccumulateIn(l.kern, l.replica, visiting, l.pr.Box))
 }
 
-// cutoffPlain is Cutoff with that pairing, for parameters Cutoff accepts.
+// cutoffPlain is NewCutoff with that pairing, for parameters NewCutoff
+// accepts, advanced three timesteps.
 func cutoffPlain(ps []phys.Particle, pr Params) ([]phys.Particle, *trace.Report, error) {
 	cg, sched, w, err := newCutoffLayout(pr.P, pr.C, pr.Law.Cutoff, pr.Box)
 	if err != nil {
@@ -182,7 +184,7 @@ func cutoffPlain(ps []phys.Particle, pr Params) ([]phys.Particle, *trace.Report,
 			l.mine = owned[team]
 		}
 		return rankLoop{l.step, l.holds}
-	}).Advance(pr.Steps)
+	}).Advance(3)
 }
 
 // TestCutoffOwnBlock holds the cutoff loop, whose ranks sweep their own
@@ -234,7 +236,7 @@ func TestCutoffOwnBlock(t *testing.T) {
 					pr.oracle, pr.Workers = oracle, workers
 					ob := obs.NewObserver(tc.p, 1<<12)
 					pr.Options.Observe = ob
-					got, rep, err := Cutoff(ps, pr)
+					got, rep, err := advance(NewCutoff, ps, pr, 3)
 					if err != nil {
 						t.Fatalf("%s: %v", run, err)
 					}
@@ -265,14 +267,14 @@ func TestCutoffRejectsBadParams(t *testing.T) {
 		{"window too large", func() Params { p := cutoffParams(4, 1, 1, phys.Reflective); p.Law.Cutoff = p.Box.L / 2; return p }()},
 		{"c exceeds window", cutoffParams(64, 8, 1, phys.Reflective)}, // 8 teams, m=2, window 5 < 8
 	} {
-		if _, _, err := Cutoff(ps, tc.pr); err == nil {
+		if _, _, err := advance(NewCutoff, ps, tc.pr, 1); err == nil {
 			t.Errorf("%s: expected error", tc.name)
 		}
 	}
 	// Non-square team count in 2D.
 	pr2 := cutoffParams(8, 1, 2, phys.Reflective)
 	ps2 := phys.InitLattice(64, pr2.Box, 1)
-	if _, _, err := Cutoff(ps2, pr2); err == nil {
+	if _, _, err := advance(NewCutoff, ps2, pr2, 1); err == nil {
 		t.Error("non-square 2D team count: expected error")
 	}
 }
@@ -281,10 +283,9 @@ func TestCutoffConservesParticles(t *testing.T) {
 	// Run long enough for real migration to happen and check no
 	// particle is lost or duplicated.
 	pr := cutoffParams(16, 2, 1, phys.Reflective)
-	pr.Steps = 25
 	pr.DT = 2e-3
 	ps := phys.InitLattice(64, pr.Box, 33)
-	got, _, err := Cutoff(ps, pr)
+	got, _, err := advance(NewCutoff, ps, pr, 25)
 	if err != nil {
 		t.Fatalf("Cutoff: %v", err)
 	}

@@ -66,14 +66,15 @@ func TestAllPairsPairEvalsCounter(t *testing.T) {
 		{16, 4, 32},
 	}
 	for _, tc := range cases {
-		pr := defaultParams(tc.p, tc.c, 3)
+		const steps = 3
+		pr := defaultParams(tc.p, tc.c)
 		ob := obs.NewObserver(tc.p, 64)
 		pr.Options.Observe = ob
 		ps := phys.InitUniform(tc.n, pr.Box, 5)
-		if _, _, err := AllPairs(ps, pr); err != nil {
+		if _, _, err := advance(NewAllPairs, ps, pr, steps); err != nil {
 			t.Fatalf("p=%d c=%d: %v", tc.p, tc.c, err)
 		}
-		want := int64(pr.Steps) * AllPairsPairEvals(tc.n, tc.p, tc.c)
+		want := steps * allPairsPairEvals(tc.n, tc.p, tc.c)
 		got := ob.Metrics.Snapshot().Counters["compute.pairs"]
 		if got != want {
 			t.Errorf("p=%d c=%d n=%d: compute.pairs = %d, want %d", tc.p, tc.c, tc.n, got, want)
@@ -86,16 +87,16 @@ func TestAllPairsPairEvalsCounter(t *testing.T) {
 // but an observed run over interacting particles must count at least one
 // evaluation per step and never more than steps × n × (n − 1).
 func TestCutoffPairEvalsCounted(t *testing.T) {
-	const p, c, n = 8, 2, 32
+	const p, c, n, steps = 8, 2, 32, 3
 	pr := cutoffParams(p, c, 1, phys.Periodic)
 	ob := obs.NewObserver(p, 64)
 	pr.Options.Observe = ob
 	ps := phys.InitUniform(n, pr.Box, 9)
-	if _, _, err := Cutoff(ps, pr); err != nil {
+	if _, _, err := advance(NewCutoff, ps, pr, steps); err != nil {
 		t.Fatal(err)
 	}
 	got := ob.Metrics.Snapshot().Counters["compute.pairs"]
-	max := int64(pr.Steps) * int64(n) * int64(n-1)
+	max := int64(steps * n * (n - 1))
 	if got <= 0 || got > max {
 		t.Errorf("compute.pairs = %d, want in (0, %d]", got, max)
 	}

@@ -26,9 +26,9 @@ func (onArrival) integrated(_ *shiftLoop, mine []phys.Particle) ([]phys.Particle
 	return mine, nil
 }
 
-// allPairsOnArrival is AllPairs with that pairing, for parameters
-// AllPairs accepts.
-func allPairsOnArrival(ps []phys.Particle, pr Params) ([]phys.Particle, error) {
+// allPairsOnArrival is NewAllPairs with that pairing, advanced steps
+// timesteps, for parameters NewAllPairs accepts.
+func allPairsOnArrival(ps []phys.Particle, pr Params, steps int) ([]phys.Particle, error) {
 	n, T := len(ps), pr.Teams()
 	cg, err := newCommGrid(pr.P, pr.C)
 	if err != nil {
@@ -46,7 +46,7 @@ func allPairsOnArrival(ps []phys.Particle, pr Params) ([]phys.Particle, error) {
 		}
 		return rankLoop{l.step, l.holds}
 	})
-	out, _, err := s.Advance(pr.Steps)
+	out, _, err := s.Advance(steps)
 	return out, err
 }
 
@@ -85,9 +85,9 @@ func TestGatherSweepBoundaries(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			pr := defaultParams(tc.p, tc.c, steps)
+			pr := defaultParams(tc.p, tc.c)
 			ps := phys.InitUniform(n, pr.Box, 77)
-			want, err := allPairsOnArrival(ps, pr)
+			want, err := allPairsOnArrival(ps, pr, steps)
 			if err != nil {
 				t.Fatalf("reference: %v", err)
 			}
@@ -98,7 +98,7 @@ func TestGatherSweepBoundaries(t *testing.T) {
 					pr.oracle, pr.Workers = oracle, workers
 					ob := obs.NewObserver(tc.p, 1<<13)
 					pr.Options.Observe = ob
-					got, _, err := AllPairs(ps, pr)
+					got, _, err := advance(NewAllPairs, ps, pr, steps)
 					if err != nil {
 						t.Fatalf("%s: %v", run, err)
 					}
@@ -144,18 +144,18 @@ func TestGatherSweepBoundaries(t *testing.T) {
 // arrival does. The cutoff is most of half the box, so many pairs
 // interact only across the wrap.
 func TestGatherSweepPeriodicCutoff(t *testing.T) {
-	pr := defaultParams(4, 2, 3)
+	pr := defaultParams(4, 2)
 	pr.Box = phys.NewBox(10, 2, phys.Periodic)
 	pr.Law = phys.DefaultLaw().WithCutoff(4)
 	ps := phys.InitUniform(2*(2*sweepBatch), pr.Box, 19)
-	want, err := allPairsOnArrival(ps, pr)
+	want, err := allPairsOnArrival(ps, pr, 3)
 	if err != nil {
 		t.Fatalf("reference: %v", err)
 	}
 	for _, workers := range []int{1, 2} {
 		pr := pr
 		pr.Workers = workers
-		got, _, err := AllPairs(ps, pr)
+		got, _, err := advance(NewAllPairs, ps, pr, 3)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -175,11 +175,11 @@ func TestGatherSweepPeriodicCutoff(t *testing.T) {
 // of a hop alone; the difference is what else a hop costs.
 func BenchmarkShiftLoopSmallBlocks(b *testing.B) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
-	pr := defaultParams(64, 2, b.N)
+	pr := defaultParams(64, 2)
 	ps := phys.InitUniform(256, pr.Box, 1)
 	b.ReportAllocs()
 	b.ResetTimer()
-	if _, _, err := AllPairs(ps, pr); err != nil {
+	if _, _, err := advance(NewAllPairs, ps, pr, b.N); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/1e3, "µs/step")

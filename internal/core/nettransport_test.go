@@ -89,13 +89,15 @@ func runOverSockets(t *testing.T, procs int, pr Params, ps []phys.Particle,
 // once distributed over `procs` socket-joined processes and requires
 // bit-identical state plus identical per-phase accounting.
 func checkSocketMatchesInProcess(t *testing.T, procs int, pr Params, ps []phys.Particle,
-	run func([]phys.Particle, Params) ([]phys.Particle, *trace.Report, error)) {
+	newS func([]phys.Particle, Params) (*Session, error), steps int) {
 	t.Helper()
-	local, localRep, err := run(ps, pr)
+	local, localRep, err := advance(newS, ps, pr, steps)
 	if err != nil {
 		t.Fatalf("in-process run: %v", err)
 	}
-	socket, socketRep := runOverSockets(t, procs, pr, ps, run)
+	socket, socketRep := runOverSockets(t, procs, pr, ps, func(ps []phys.Particle, pr Params) ([]phys.Particle, *trace.Report, error) {
+		return advance(newS, ps, pr, steps)
+	})
 	samePhysState(t, local, socket)
 	sameReportCounts(t, localRep, socketRep)
 }
@@ -112,9 +114,9 @@ func TestAllPairsSocketMatchesInProcess(t *testing.T) {
 		tc := tc
 		t.Run(fmt.Sprintf("procs=%d/p=%d/c=%d/overlap=false", tc.procs, tc.p, tc.c), func(t *testing.T) {
 			t.Parallel()
-			pr := defaultParams(tc.p, tc.c, 4)
+			pr := defaultParams(tc.p, tc.c)
 			ps := phys.InitUniform(tc.n, pr.Box, 7)
-			checkSocketMatchesInProcess(t, tc.procs, pr, ps, AllPairs)
+			checkSocketMatchesInProcess(t, tc.procs, pr, ps, NewAllPairs, 4)
 		})
 	}
 }
@@ -133,7 +135,7 @@ func TestCutoffSocketMatchesInProcess(t *testing.T) {
 			t.Parallel()
 			pr := cutoffParams(tc.p, tc.c, tc.dim, tc.boundary)
 			ps := phys.InitUniform(tc.n, pr.Box, 11)
-			checkSocketMatchesInProcess(t, tc.procs, pr, ps, Cutoff)
+			checkSocketMatchesInProcess(t, tc.procs, pr, ps, NewCutoff, 3)
 		})
 	}
 }
@@ -143,9 +145,9 @@ func TestNaiveAllGatherSocketMatchesInProcess(t *testing.T) {
 		procs := procs
 		t.Run(fmt.Sprintf("procs=%d", procs), func(t *testing.T) {
 			t.Parallel()
-			pr := defaultParams(4, 1, 4)
+			pr := defaultParams(4, 1)
 			ps := phys.InitUniform(32, pr.Box, 13)
-			checkSocketMatchesInProcess(t, procs, pr, ps, NaiveAllGather)
+			checkSocketMatchesInProcess(t, procs, pr, ps, NewNaiveAllGather, 4)
 		})
 	}
 }
@@ -158,10 +160,10 @@ func TestNaiveAllGatherSocketMatchesInProcess(t *testing.T) {
 // one's world, which nothing will run again.
 func TestSocketBackToBackRuns(t *testing.T) {
 	const procs = 2
-	pr := defaultParams(4, 2, 3)
+	pr := defaultParams(4, 2)
 	ps := phys.InitUniform(24, pr.Box, 17)
 
-	base, baseRep, err := AllPairs(ps, pr)
+	base, baseRep, err := advance(NewAllPairs, ps, pr, 3)
 	if err != nil {
 		t.Fatalf("in-process run: %v", err)
 	}
@@ -187,7 +189,7 @@ func TestSocketBackToBackRuns(t *testing.T) {
 			local := pr
 			local.Proc = proc
 			for r := 0; r < 2; r++ {
-				out, rep, err := AllPairs(ps, local)
+				out, rep, err := advance(NewAllPairs, ps, local, 3)
 				if err != nil {
 					errs[proc.ID()] = fmt.Errorf("run %d: %w", r, err)
 					return

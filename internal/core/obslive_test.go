@@ -26,11 +26,11 @@ type msgKey struct {
 // Chrome exporter bind send→recv arrows.
 func TestFlowEventsMatch(t *testing.T) {
 	const p, c, n = 2, 1, 16
-	pr := defaultParams(p, c, 1)
+	pr := defaultParams(p, c)
 	ob := obs.NewObserver(p, 0)
 	pr.Options.Observe = ob
 	ps := phys.InitUniform(n, pr.Box, 5)
-	if _, _, err := AllPairs(ps, pr); err != nil {
+	if _, _, err := advance(NewAllPairs, ps, pr, 1); err != nil {
 		t.Fatal(err)
 	}
 
@@ -113,11 +113,11 @@ func TestMatrixConservation(t *testing.T) {
 		run  func(pr Params, ps []phys.Particle) (*trace.Report, error)
 	}{
 		{"allpairs", func(pr Params, ps []phys.Particle) (*trace.Report, error) {
-			_, rep, err := AllPairs(ps, pr)
+			_, rep, err := advance(NewAllPairs, ps, pr, 3)
 			return rep, err
 		}},
 		{"cutoff", func(pr Params, ps []phys.Particle) (*trace.Report, error) {
-			_, rep, err := Cutoff(ps, pr)
+			_, rep, err := advance(NewCutoff, ps, pr, 3)
 			return rep, err
 		}},
 	}
@@ -133,7 +133,7 @@ func TestMatrixConservation(t *testing.T) {
 				ps = phys.InitLattice(64, pr.Box, 9)
 			default:
 				p = 4
-				pr = defaultParams(p, 2, 3)
+				pr = defaultParams(p, 2)
 				ps = phys.InitUniform(64, pr.Box, 9)
 			}
 			ob := obs.NewObserver(p, 0)
@@ -189,11 +189,11 @@ func TestMatrixConservation(t *testing.T) {
 // its footer warning and the timeline.dropped gauge.
 func TestDroppedWarning(t *testing.T) {
 	const p, c = 4, 2
-	pr := defaultParams(p, c, 5)
+	pr := defaultParams(p, c)
 	ob := obs.NewObserver(p, 8) // 8-event rings: guaranteed wraparound
 	pr.Options.Observe = ob
 	ps := phys.InitUniform(64, pr.Box, 13)
-	_, rep, err := AllPairs(ps, pr)
+	_, rep, err := advance(NewAllPairs, ps, pr, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,10 +212,10 @@ func TestDroppedWarning(t *testing.T) {
 	}
 
 	// Control: a roomy ring must not warn.
-	pr2 := defaultParams(p, c, 1)
+	pr2 := defaultParams(p, c)
 	ob2 := obs.NewObserver(p, 0)
 	pr2.Options.Observe = ob2
-	_, rep2, err := AllPairs(phys.InitUniform(16, pr2.Box, 13), pr2)
+	_, rep2, err := advance(NewAllPairs, phys.InitUniform(16, pr2.Box, 13), pr2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,34 +244,34 @@ func TestKernelImplAttribution(t *testing.T) {
 		pr   Params
 	}{
 		{"allpairs", host, func(pr Params) (*trace.Report, error) {
-			_, rep, err := AllPairs(phys.InitUniform(32, pr.Box, 13), pr)
+			_, rep, err := advance(NewAllPairs, phys.InitUniform(32, pr.Box, 13), pr, 2)
 			return rep, err
-		}, defaultParams(4, 2, 2)},
+		}, defaultParams(4, 2)},
 		{"allpairs/lj", "portable", func(pr Params) (*trace.Report, error) {
 			pr.Law = lj
-			_, rep, err := AllPairs(phys.InitLattice(32, pr.Box, 13), pr)
+			_, rep, err := advance(NewAllPairs, phys.InitLattice(32, pr.Box, 13), pr, 2)
 			return rep, err
-		}, defaultParams(4, 2, 2)},
+		}, defaultParams(4, 2)},
 		{"allpairs/cutoff", host, func(pr Params) (*trace.Report, error) {
-			_, rep, err := AllPairs(phys.InitUniform(32, pr.Box, 13), pr)
+			_, rep, err := advance(NewAllPairs, phys.InitUniform(32, pr.Box, 13), pr, 3)
 			return rep, err
 		}, cutoffParams(4, 2, 2, phys.Periodic)},
 		{"allpairs/lj-cutoff", "portable", func(pr Params) (*trace.Report, error) {
 			pr.Law = lj.WithCutoff(pr.Law.Cutoff)
-			_, rep, err := AllPairs(phys.InitLattice(32, pr.Box, 13), pr)
+			_, rep, err := advance(NewAllPairs, phys.InitLattice(32, pr.Box, 13), pr, 3)
 			return rep, err
 		}, cutoffParams(4, 2, 2, phys.Periodic)},
 		{"cutoff", host, func(pr Params) (*trace.Report, error) {
-			_, rep, err := Cutoff(phys.InitLattice(64, pr.Box, 13), pr)
+			_, rep, err := advance(NewCutoff, phys.InitLattice(64, pr.Box, 13), pr, 3)
 			return rep, err
 		}, cutoffParams(8, 2, 1, phys.Periodic)},
 		{"cutoff/2d", host, func(pr Params) (*trace.Report, error) {
-			_, rep, err := Cutoff(phys.InitLattice(256, pr.Box, 13), pr)
+			_, rep, err := advance(NewCutoff, phys.InitLattice(256, pr.Box, 13), pr, 3)
 			return rep, err
 		}, cutoffParams(16, 1, 2, phys.Reflective)},
 		{"cutoff/lj", "portable", func(pr Params) (*trace.Report, error) {
 			pr.Law = lj.WithCutoff(pr.Law.Cutoff)
-			_, rep, err := Cutoff(phys.InitLattice(64, pr.Box, 13), pr)
+			_, rep, err := advance(NewCutoff, phys.InitLattice(64, pr.Box, 13), pr, 3)
 			return rep, err
 		}, cutoffParams(8, 2, 1, phys.Periodic)},
 	} {

@@ -62,20 +62,20 @@ func TestRecordingConservesReport(t *testing.T) {
 		run  func(rec *record.Recorder) (int, *trace.Report, error)
 	}{
 		{"allpairs-p2", func(rec *record.Recorder) (int, *trace.Report, error) {
-			pr := defaultParams(2, 1, 5)
+			pr := defaultParams(2, 1)
 			ob, _ := newTestRecorder("", 0, 2, 1)
 			pr.Options.Observe = ob
 			pr.Record = rec
-			_, rep, err := AllPairs(phys.InitUniform(32, pr.Box, 7), pr)
-			return pr.Steps, rep, err
+			_, rep, err := advance(NewAllPairs, phys.InitUniform(32, pr.Box, 7), pr, 5)
+			return 5, rep, err
 		}},
 		{"cutoff-p8c2", func(rec *record.Recorder) (int, *trace.Report, error) {
 			pr := cutoffParams(8, 2, 1, phys.Periodic)
 			ob, _ := newTestRecorder("", 0, 8, 2)
 			pr.Options.Observe = ob
 			pr.Record = rec
-			_, rep, err := Cutoff(phys.InitLattice(64, pr.Box, 9), pr)
-			return pr.Steps, rep, err
+			_, rep, err := advance(NewCutoff, phys.InitLattice(64, pr.Box, 9), pr, 3)
+			return 3, rep, err
 		}},
 	}
 	for _, tc := range cases {
@@ -142,7 +142,7 @@ func TestRecordingConservesReport(t *testing.T) {
 // through the leader's merge of its matrix cells, which finish must
 // re-read, so the series still sums to the merged report.
 func TestSocketRecordingConservesReport(t *testing.T) {
-	pr := defaultParams(4, 2, 5)
+	pr := defaultParams(4, 2)
 	ob, rec := newTestRecorder("allpairs", 32, 4, 2)
 	var buf bytes.Buffer
 	if err := rec.StreamTo(&buf); err != nil {
@@ -154,7 +154,7 @@ func TestSocketRecordingConservesReport(t *testing.T) {
 				pr.Options.Observe = ob
 				pr.Record = rec
 			}
-			return AllPairs(ps, pr)
+			return advance(NewAllPairs, ps, pr, 5)
 		})
 	if err := rec.CloseStream(); err != nil {
 		t.Fatal(err)
@@ -163,8 +163,8 @@ func TestSocketRecordingConservesReport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(samples) != pr.Steps {
-		t.Fatalf("recording has %d samples, want %d", len(samples), pr.Steps)
+	if len(samples) != 5 {
+		t.Fatalf("recording has %d samples, want 5", len(samples))
 	}
 	checkSeriesConserves(t, samples, rep)
 	if last := samples[len(samples)-1]; last.SMeasured != rep.S() || last.WMeasured != rep.W() {
@@ -185,12 +185,12 @@ func TestRecordingChunkedRuns(t *testing.T) {
 	var reps []*trace.Report
 	total := 0
 	for _, steps := range []int{3, 4} {
-		pr := defaultParams(p, c, steps)
+		pr := defaultParams(p, c)
 		pr.Options.Observe = ob
 		pr.Record = rec
 		var rep *trace.Report
 		var err error
-		ps, rep, err = AllPairs(ps, pr)
+		ps, rep, err = advance(NewAllPairs, ps, pr, steps)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -233,7 +233,7 @@ func TestSeriesServesMidRun(t *testing.T) {
 	srv := httptest.NewServer(hub.Handler())
 	defer srv.Close()
 
-	pr := defaultParams(p, c, steps)
+	pr := defaultParams(p, c)
 	pr.Options.Observe = ob
 	pr.Record = rec
 	ps := phys.InitUniform(n, pr.Box, 17)
@@ -244,7 +244,7 @@ func TestSeriesServesMidRun(t *testing.T) {
 	}
 	done := make(chan runResult, 1)
 	go func() {
-		_, rep, err := AllPairs(ps, pr)
+		_, rep, err := advance(NewAllPairs, ps, pr, steps)
 		done <- runResult{rep, err}
 	}()
 

@@ -20,16 +20,17 @@ func TestAllPairsRandomConfigurations(t *testing.T) {
 		{4, 1}, {4, 2}, {9, 3}, {8, 2}, {12, 2}, {16, 4}, {18, 3}, {25, 5}, {27, 3}, {32, 4},
 	}
 	for trial := 0; trial < 12; trial++ {
-		pc := feasiblePC[rng.Intn(len(feasiblePC))]
+		pc := feasiblePC[intn(rng, len(feasiblePC))]
 		p, c := pc[0], pc[1]
 		T := p / c
-		n := T * (1 + rng.Intn(6)) // random multiple of the team count
+		n := T * (1 + intn(rng, 6)) // random multiple of the team count
 		seed := rng.Uint64()
-		pr := defaultParams(p, c, 2)
+		const steps = 2
+		pr := defaultParams(p, c)
 		ps := phys.InitUniform(n, pr.Box, seed)
-		want := serialRun(ps, pr.Law, pr.Box, pr.Steps, pr.DT)
+		want := serialRun(ps, pr.Law, pr.Box, steps, pr.DT)
 		phys.SortByID(want)
-		got, _, err := AllPairs(ps, pr)
+		got, _, err := advance(NewAllPairs, ps, pr, steps)
 		if err != nil {
 			t.Fatalf("trial %d (p=%d c=%d n=%d): %v", trial, p, c, n, err)
 		}
@@ -47,7 +48,7 @@ func TestAllPairsRandomConfigurations(t *testing.T) {
 // particles kept away from the walls, a parallel run must conserve
 // momentum to rounding.
 func TestParallelMomentumConservation(t *testing.T) {
-	pr := defaultParams(16, 2, 5)
+	pr := defaultParams(16, 2)
 	pr.DT = 1e-5 // keep particles off the walls over 5 steps
 	box := pr.Box
 	ps := make([]phys.Particle, 32)
@@ -59,7 +60,7 @@ func TestParallelMomentumConservation(t *testing.T) {
 		ps[i].Vel = vec.Vec2{X: rng.Range(-0.1, 0.1), Y: rng.Range(-0.1, 0.1)}
 	}
 	before := phys.Momentum(ps)
-	got, _, err := AllPairs(ps, pr)
+	got, _, err := advance(NewAllPairs, ps, pr, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,13 +78,12 @@ func TestParallelMomentumConservation(t *testing.T) {
 func TestCutoffMigrationTooFastFails(t *testing.T) {
 	pr := cutoffParams(16, 2, 1, phys.Reflective)
 	pr.DT = 0.5 // absurd timestep: teams are 2 wide
-	pr.Steps = 3
 	ps := phys.InitLattice(64, pr.Box, 5)
 	// Give particles real velocity so they cross multiple slabs.
 	for i := range ps {
 		ps[i].Vel.X = 1
 	}
-	_, _, err := Cutoff(ps, pr)
+	_, _, err := advance(NewCutoff, ps, pr, 3)
 	if err == nil {
 		t.Fatal("expected migration-distance error")
 	}
@@ -95,11 +95,12 @@ func TestCutoffMigrationTooFastFails(t *testing.T) {
 // TestAllPairsSingleRankDegenerate: p=1 must reduce to the serial
 // algorithm with zero communication.
 func TestAllPairsSingleRankDegenerate(t *testing.T) {
-	pr := defaultParams(1, 1, 3)
+	const steps = 3
+	pr := defaultParams(1, 1)
 	ps := phys.InitUniform(20, pr.Box, 9)
-	want := serialRun(ps, pr.Law, pr.Box, pr.Steps, pr.DT)
+	want := serialRun(ps, pr.Law, pr.Box, steps, pr.DT)
 	phys.SortByID(want)
-	got, rep, err := AllPairs(ps, pr)
+	got, rep, err := advance(NewAllPairs, ps, pr, steps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,13 +117,13 @@ func TestAllPairsSingleRankDegenerate(t *testing.T) {
 // TestDeterminism: two identical parallel runs must agree bitwise (the
 // runtime's collectives combine in a fixed order).
 func TestDeterminism(t *testing.T) {
-	pr := defaultParams(16, 4, 4)
+	pr := defaultParams(16, 4)
 	ps := phys.InitUniform(32, pr.Box, 123)
-	a, _, err := AllPairs(ps, pr)
+	a, _, err := advance(NewAllPairs, ps, pr, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _, err := AllPairs(ps, pr)
+	b, _, err := advance(NewAllPairs, ps, pr, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +200,6 @@ func TestClusteredWorkloadImbalance(t *testing.T) {
 	uniform := phys.InitLattice(128, box, 17)
 
 	prCut := cutoffParams(16, 1, 1, phys.Reflective)
-	prCut.Steps = 3
 	tg, err := topo.NewTeamGrid(prCut.Teams(), 1)
 	if err != nil {
 		t.Fatal(err)
@@ -215,10 +215,14 @@ func TestClusteredWorkloadImbalance(t *testing.T) {
 		t.Errorf("team occupancy max/mean: clustered %.2f (want >= 2), lattice %.2f (want 1)", ic, iu)
 	}
 	// Sanity: clustered input remains numerically correct.
-	want := serialCutoffRun(clustered, prCut.Law, prCut.Box, prCut.Steps, prCut.DT)
-	got, _, err := Cutoff(clustered, prCut)
+	const steps = 3
+	want := serialCutoffRun(clustered, prCut.Law, prCut.Box, steps, prCut.DT)
+	got, _, err := advance(NewCutoff, clustered, prCut, steps)
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkAgainst(t, got, want, 1e-9)
 }
+
+// intn returns a uniform value in [0, n) drawn from rng.
+func intn(rng *vec.RNG, n int) int { return int(rng.Uint64() % uint64(n)) }

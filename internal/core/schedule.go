@@ -56,10 +56,6 @@ func (s *CutoffSchedule) Steps(k int) int {
 	return (len(s.Seq) - k + s.C - 1) / s.C
 }
 
-// MaxSteps returns the largest per-layer step count, ⌈|window|/C⌉ —
-// O(m/c) in 1D, matching the paper's cost analysis.
-func (s *CutoffSchedule) MaxSteps() int { return s.Steps(0) }
-
 // Offset returns the window offset layer k handles at step i, i.e. the
 // relative team whose buffer the layer updates against.
 func (s *CutoffSchedule) Offset(k, i int) topo.Offset {

@@ -91,16 +91,16 @@ func TestCutoffScheduleStepCounts(t *testing.T) {
 				for k := 0; k < c; k++ {
 					steps := s.Steps(k)
 					total += steps
-					if steps > s.MaxSteps() {
-						t.Fatalf("layer %d exceeds MaxSteps", k)
+					if steps > s.Steps(0) {
+						t.Fatalf("layer %d exceeds layer 0's steps", k)
 					}
 				}
 				if total != w {
 					t.Fatalf("m=%d c=%d dim=%d: total steps %d != window %d", m, c, dim, total, w)
 				}
-				// The paper's O(m/c) step bound: ⌈w/c⌉.
-				if want := (w + c - 1) / c; s.MaxSteps() != want {
-					t.Fatalf("MaxSteps %d, want ⌈%d/%d⌉=%d", s.MaxSteps(), w, c, want)
+				// The paper's O(m/c) step bound: ⌈w/c⌉, layer 0's count.
+				if want := (w + c - 1) / c; s.Steps(0) != want {
+					t.Fatalf("layer 0 takes %d steps, want ⌈%d/%d⌉=%d", s.Steps(0), w, c, want)
 				}
 			}
 		}

@@ -18,9 +18,9 @@ var sessionLoops = []struct {
 	n    int
 	new  func([]phys.Particle, Params) (*Session, error)
 }{
-	{"allpairs", defaultParams(8, 2, 0), 32, NewAllPairs},
-	{"force", defaultParams(16, 4, 0), 32, NewForceDecomposition},
-	{"naive", defaultParams(8, 1, 0), 32, NewNaiveAllGather},
+	{"allpairs", defaultParams(8, 2), 32, NewAllPairs},
+	{"force", defaultParams(16, 4), 32, NewForceDecomposition},
+	{"naive", defaultParams(8, 1), 32, NewNaiveAllGather},
 	{"cutoff1D/periodic", cutoffParams(8, 1, 1, phys.Periodic), 64, NewCutoff},
 	{"cutoff2D", cutoffParams(32, 2, 2, phys.Reflective), 96, NewCutoff},
 }
@@ -43,8 +43,7 @@ func TestSessionRunsCompose(t *testing.T) {
 					pr.oracle = oracle
 					ps := phys.InitLattice(lp.n, pr.Box, 3)
 					whole := func(ps []phys.Particle, pr Params) ([]phys.Particle, *trace.Report, error) {
-						s, err := lp.new(ps, pr)
-						return once(s, err, a+b)
+						return advance(lp.new, ps, pr, a+b)
 					}
 					split := func(ps []phys.Particle, pr Params) ([]phys.Particle, *trace.Report, error) {
 						s, err := lp.new(ps, pr)

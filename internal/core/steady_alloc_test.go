@@ -98,7 +98,7 @@ func TestSteadyStateAllocFree(t *testing.T) {
 		new  func(workers int) (*Session, error)
 	}{
 		{"allpairs", func(workers int) (*Session, error) {
-			pr := defaultParams(4, c, 0)
+			pr := defaultParams(4, c)
 			pr.Workers = workers
 			return NewAllPairs(phys.InitUniform(n, pr.Box, 5), pr)
 		}},
@@ -156,7 +156,7 @@ func TestSteadyStateAllocFree(t *testing.T) {
 func TestExchangeBuffersPerRank(t *testing.T) {
 	const p, c = 4, 2
 	for _, npt := range []int{sweepBatch / 8, sweepBatch - 1, sweepBatch, 2*sweepBatch + 3} {
-		pr := defaultParams(p, c, 0)
+		pr := defaultParams(p, c)
 		ps := phys.InitUniform(pr.Teams()*npt, pr.Box, 5)
 		fresh := func(steps int) func() {
 			return func() {
@@ -253,7 +253,7 @@ func TestMigratorRecyclesBuffers(t *testing.T) {
 // detector too.
 func TestSocketSteadyStateAllocBound(t *testing.T) {
 	const procs, extra = 2, 10
-	pr := defaultParams(8, 2, 0)
+	pr := defaultParams(8, 2)
 	ps := phys.InitUniform(32, pr.Box, 5)
 	dir, err := os.MkdirTemp("", "mesh")
 	if err != nil {
@@ -328,7 +328,7 @@ func TestSocketRunAllocatesItsInProcessTwin(t *testing.T) {
 	// report, link counter snapshots, the mesh callbacks of attach.
 	const extraObjects, extraBytes = 32, 4 << 10
 	for _, n := range []int{32, 512} {
-		pr := defaultParams(8, 2, 0)
+		pr := defaultParams(8, 2)
 		ps := phys.InitUniform(n, pr.Box, 5)
 		twin, err := NewAllPairs(ps, pr)
 		if err != nil {

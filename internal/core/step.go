@@ -69,15 +69,6 @@ func newSession(n int, pr Params, perS, perW float64, build func(*rank) rankLoop
 	return &Session{n: n, pr: pr, impl: pr.Law.Kernel().Impl(), perS: perS, perW: perW, build: build, ranks: make([]*rank, pr.P)}
 }
 
-// once is the one-shot form of a driver: a session constructed, then
-// advanced by steps.
-func once(s *Session, err error, steps int) ([]phys.Particle, *trace.Report, error) {
-	if err != nil {
-		return nil, nil, err
-	}
-	return s.Advance(steps)
-}
-
 // Advance runs every rank's loop for steps timesteps and gathers the n
 // particles sorted by ID, with the report of these steps alone. It owns
 // everything around a step that is not the algorithm: the flight

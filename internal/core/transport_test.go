@@ -67,15 +67,15 @@ func TestAllPairsTypedMatchesEncoded(t *testing.T) {
 		tc := tc
 		t.Run(fmt.Sprintf("p=%d/c=%d/n=%d/overlap=false", tc.p, tc.c, tc.n), func(t *testing.T) {
 			t.Parallel()
-			pr := defaultParams(tc.p, tc.c, 4)
+			pr := defaultParams(tc.p, tc.c)
 			ps := phys.InitUniform(tc.n, pr.Box, 7)
 
-			typed, typedRep, err := AllPairs(ps, pr)
+			typed, typedRep, err := advance(NewAllPairs, ps, pr, 4)
 			if err != nil {
 				t.Fatalf("typed AllPairs: %v", err)
 			}
 			pr.oracle = true
-			encoded, encodedRep, err := AllPairs(ps, pr)
+			encoded, encodedRep, err := advance(NewAllPairs, ps, pr, 4)
 			if err != nil {
 				t.Fatalf("encoded AllPairs: %v", err)
 			}
@@ -106,12 +106,12 @@ func TestCutoffTypedMatchesEncoded(t *testing.T) {
 			pr := cutoffParams(tc.p, tc.c, tc.dim, tc.boundary)
 			ps := phys.InitUniform(tc.n, pr.Box, 11)
 
-			typed, typedRep, err := Cutoff(ps, pr)
+			typed, typedRep, err := advance(NewCutoff, ps, pr, 3)
 			if err != nil {
 				t.Fatalf("typed Cutoff: %v", err)
 			}
 			pr.oracle = true
-			encoded, encodedRep, err := Cutoff(ps, pr)
+			encoded, encodedRep, err := advance(NewCutoff, ps, pr, 3)
 			if err != nil {
 				t.Fatalf("encoded Cutoff: %v", err)
 			}

@@ -37,21 +37,21 @@ func TestWorkerCountInvariance(t *testing.T) {
 		run  func(encoded bool, workers int) ([]phys.Particle, *trace.Report, error)
 	}{
 		{"allpairs", func(encoded bool, workers int) ([]phys.Particle, *trace.Report, error) {
-			pr := defaultParams(4, 2, 3)
+			pr := defaultParams(4, 2)
 			pr.oracle, pr.Workers = encoded, workers
-			return AllPairs(phys.InitUniform(32, pr.Box, 51), pr)
+			return advance(NewAllPairs, phys.InitUniform(32, pr.Box, 51), pr, 3)
 		}},
 		// Blocks of sweepBatch and more: a leader's own block takes the
 		// symmetric sweep on one worker and the tiled plain one on more.
 		{"allpairs self block", func(encoded bool, workers int) ([]phys.Particle, *trace.Report, error) {
-			pr := defaultParams(4, 2, 3)
+			pr := defaultParams(4, 2)
 			pr.oracle, pr.Workers = encoded, workers
-			return AllPairs(phys.InitUniform(2*(sweepBatch+5), pr.Box, 51), pr)
+			return advance(NewAllPairs, phys.InitUniform(2*(sweepBatch+5), pr.Box, 51), pr, 3)
 		}},
 		{"cutoff", func(encoded bool, workers int) ([]phys.Particle, *trace.Report, error) {
 			pr := cutoffParams(8, 2, 1, phys.Periodic)
 			pr.oracle, pr.Workers = encoded, workers
-			return Cutoff(phys.InitLattice(64, pr.Box, 51), pr)
+			return advance(NewCutoff, phys.InitLattice(64, pr.Box, 51), pr, 3)
 		}},
 		// Teams of sweepBatch particles spanning the cutoff: each rank's
 		// own block takes the symmetric sweep on one worker and the
@@ -59,12 +59,12 @@ func TestWorkerCountInvariance(t *testing.T) {
 		{"cutoff own block", func(encoded bool, workers int) ([]phys.Particle, *trace.Report, error) {
 			pr := cutoffParams(8, 2, 1, phys.Periodic)
 			pr.oracle, pr.Workers = encoded, workers
-			return Cutoff(phys.InitLattice(4*sweepBatch, pr.Box, 51), pr)
+			return advance(NewCutoff, phys.InitLattice(4*sweepBatch, pr.Box, 51), pr, 3)
 		}},
 		{"cutoff2D", func(encoded bool, workers int) ([]phys.Particle, *trace.Report, error) {
 			pr := cutoffParams(18, 2, 2, phys.Reflective)
 			pr.oracle, pr.Workers = encoded, workers
-			return Cutoff(phys.InitLattice(64, pr.Box, 51), pr)
+			return advance(NewCutoff, phys.InitLattice(64, pr.Box, 51), pr, 3)
 		}},
 	}
 	for _, alg := range algos {
@@ -101,9 +101,9 @@ func TestWorkerCountInvariance(t *testing.T) {
 // lanes in the aggregated report (rank goroutines stamp the pool's busy
 // counters into Stats each step).
 func TestWorkerImbalanceReported(t *testing.T) {
-	pr := defaultParams(4, 2, 3)
+	pr := defaultParams(4, 2)
 	pr.Workers = 2
-	_, rep, err := AllPairs(phys.InitUniform(32, pr.Box, 52), pr)
+	_, rep, err := advance(NewAllPairs, phys.InitUniform(32, pr.Box, 52), pr, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestWorkerImbalanceReported(t *testing.T) {
 
 	// Unpooled run: no lanes, neutral figure.
 	pr.Workers = 1
-	_, rep, err = AllPairs(phys.InitUniform(32, pr.Box, 52), pr)
+	_, rep, err = advance(NewAllPairs, phys.InitUniform(32, pr.Box, 52), pr, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,9 +153,9 @@ func TestWorkersPerRank(t *testing.T) {
 // TestNegativeWorkersRejected: validation must fail before any rank
 // spawns.
 func TestNegativeWorkersRejected(t *testing.T) {
-	pr := defaultParams(4, 2, 1)
+	pr := defaultParams(4, 2)
 	pr.Workers = -1
-	if _, _, err := AllPairs(phys.InitUniform(32, pr.Box, 5), pr); err == nil {
+	if _, _, err := advance(NewAllPairs, phys.InitUniform(32, pr.Box, 5), pr, 1); err == nil {
 		t.Fatal("negative Workers accepted")
 	} else if !strings.Contains(err.Error(), "worker") {
 		t.Fatalf("unexpected error: %v", err)

@@ -1,8 +1,8 @@
 // Package netsim is a discrete-event simulator of a 3D-torus
 // interconnect with dimension-ordered routing, per-link FIFO contention
 // and store-and-forward message transfer. It replays the timestep the
-// communication-avoiding drivers run — internal/core's Plan: broadcast,
-// skew, shift rounds, reduce, reassign — message by message against a
+// communication-avoiding all-pairs algorithm runs — internal/core's Plan:
+// broadcast, skew, shift rounds, reduce — message by message against a
 // machine description, producing a makespan and per-phase breakdown that
 // cross-validate the closed-form analytic model in internal/model: the
 // model prices messages independently, the simulator exposes the
@@ -193,23 +193,3 @@ func (s *Sim) ClosePhase(name string) {
 
 // Phase returns the accumulated critical-path time of a phase.
 func (s *Sim) Phase(name string) float64 { return s.phase[name] }
-
-// Makespan returns the largest rank clock.
-func (s *Sim) Makespan() float64 {
-	var m float64
-	for _, c := range s.clock {
-		if c > m {
-			m = c
-		}
-	}
-	return m
-}
-
-// Barrier aligns all clocks to the current maximum, modeling the
-// synchronization at a timestep boundary.
-func (s *Sim) Barrier() {
-	m := s.Makespan()
-	for r := range s.clock {
-		s.clock[r] = m
-	}
-}

@@ -66,18 +66,6 @@ func (l Law) PairPotential(pi, pj vec.Vec2) float64 {
 	return u
 }
 
-// Interactions is the number of pairwise force evaluations performed
-// when ni target particles are updated against nj source particles of
-// which shared carry an ID also present among the targets. AccumulateIn
-// skips an equal-ID pair without counting it, so each shared ID removes
-// exactly one evaluation from the ni·nj total (IDs are unique within a
-// slice throughout this repository). Pass shared = ni when the sources
-// are a replica of the targets — the diagonal visit of every replicated
-// pass — and shared = 0 for disjoint sets.
-func Interactions(ni, nj, shared int) int64 {
-	return int64(ni)*int64(nj) - int64(shared)
-}
-
 // AccumulateIn adds to the force accumulator of every particle in
 // targets the force exerted by every particle in sources, skipping pairs
 // with equal IDs (a particle never acts on itself, even when the source

@@ -210,9 +210,9 @@ func TestAccumulateBlocksMatchesPerBlock(t *testing.T) {
 						}
 					}
 					nGot := k.AccumulateBlocks(got, tc.blocks, box)
-					if nGot != nWant || nGot != Interactions(nt, ns, shared) {
+					if nGot != nWant || nGot != interactions(nt, ns, shared) {
 						t.Fatalf("counted %d pairs, the per-block calls %d, Interactions %d",
-							nGot, nWant, Interactions(nt, ns, shared))
+							nGot, nWant, interactions(nt, ns, shared))
 					}
 					compareForces(t, got, want)
 					// Target 0 met nothing but its own ID and was never added
@@ -367,7 +367,7 @@ func TestKernelAccumulateSelf(t *testing.T) {
 				seedForces(ps)
 				want := append([]Particle(nil), ps...)
 				nWant := law.AccumulateGeneric(want, append([]Particle(nil), ps...), box)
-				if nGot := k.AccumulateSelf(ps, box); nGot != nWant || nGot != Interactions(n, n, n) {
+				if nGot := k.AccumulateSelf(ps, box); nGot != nWant || nGot != interactions(n, n, n) {
 					t.Fatalf("law %+v %v n=%d: counted %d pairs, the generic path %d", law, box.Boundary, n, nGot, nWant)
 				}
 				compareForces(t, ps, want)

@@ -123,12 +123,12 @@ func TestInitDeterministicAndInBox(t *testing.T) {
 }
 
 func TestInteractions(t *testing.T) {
-	if got := Interactions(10, 20, 0); got != 200 {
+	if got := interactions(10, 20, 0); got != 200 {
 		t.Errorf("Interactions(disjoint) = %d, want 200", got)
 	}
 	// Replicated pass: every target meets its own ID once among the
 	// sources, and those diagonal pairs are skipped without being counted.
-	if got := Interactions(10, 10, 10); got != 90 {
+	if got := interactions(10, 10, 10); got != 90 {
 		t.Errorf("Interactions(replica) = %d, want 90", got)
 	}
 }
@@ -151,7 +151,7 @@ func TestInteractionsMatchesAccumulate(t *testing.T) {
 	}
 	for _, tc := range cases {
 		got := law.AccumulateIn(append([]Particle(nil), targets...), tc.sources, box)
-		want := Interactions(len(targets), len(tc.sources), tc.shared)
+		want := interactions(len(targets), len(tc.sources), tc.shared)
 		if got != want {
 			t.Errorf("%s: Accumulate counted %d, Interactions predicts %d", tc.name, got, want)
 		}
@@ -186,4 +186,16 @@ func TestMaxForceErrorValue(t *testing.T) {
 	if got := MaxForceError(a, a); got != 0 {
 		t.Errorf("identical forces give error %g", got)
 	}
+}
+
+// interactions is the number of pairwise force evaluations performed
+// when ni target particles are updated against nj source particles of
+// which shared carry an ID also present among the targets. AccumulateIn
+// skips an equal-ID pair without counting it, so each shared ID removes
+// exactly one evaluation from the ni·nj total (IDs are unique within a
+// slice throughout this repository). Pass shared = ni when the sources
+// are a replica of the targets — the diagonal visit of every replicated
+// pass — and shared = 0 for disjoint sets.
+func interactions(ni, nj, shared int) int64 {
+	return int64(ni)*int64(nj) - int64(shared)
 }

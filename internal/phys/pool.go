@@ -34,7 +34,6 @@ type Pool struct {
 	sources []Particle
 	blocks  [][]Particle
 	box     Box
-	fn      func(lo, hi, worker int) int64
 
 	starts []int   // tile bounds, len nw+1: worker w owns [starts[w], starts[w+1])
 	pairs  []int64 // per-worker pair evaluations of the last batch
@@ -50,7 +49,6 @@ type Pool struct {
 const (
 	opAccumulateIn uint8 = iota
 	opAccumulateBlocks
-	opFunc
 )
 
 // NewPool returns a pool of the given worker count, spawning workers−1
@@ -113,8 +111,6 @@ func (p *Pool) exec(w int) {
 		pairs = p.kern.AccumulateIn(p.targets[lo:hi], p.sources, p.box)
 	case opAccumulateBlocks:
 		pairs = p.kern.AccumulateBlocks(p.targets[lo:hi], p.blocks, p.box)
-	case opFunc:
-		pairs = p.fn(lo, hi, w)
 	}
 	p.pairs[w] = pairs
 	ns := time.Since(t0).Nanoseconds()
@@ -186,22 +182,6 @@ func (p *Pool) AccumulateSelf(k Kernel, ps []Particle, box Box) int64 {
 		return k.AccumulateSelf(ps, box)
 	}
 	return p.AccumulateIn(k, ps, ps, box)
-}
-
-// Run tiles an arbitrary index space [0, n) across the pool: fn is
-// invoked once per worker with its disjoint [lo, hi) block and worker
-// id, and Run returns the summed results. fn must write only state
-// derived from its block. The partition depends only on n and the
-// worker count, never on timing, so deterministic fns stay
-// deterministic.
-func (p *Pool) Run(n int, fn func(lo, hi, worker int) int64) int64 {
-	if p == nil {
-		return fn(0, n, 0)
-	}
-	p.mode, p.fn = opFunc, fn
-	total := p.dispatch(n)
-	p.fn = nil
-	return total
 }
 
 // LastSpansNs returns the per-worker busy nanoseconds of the most

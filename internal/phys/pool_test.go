@@ -95,32 +95,26 @@ func TestPoolAccumulateBitwiseInvariance(t *testing.T) {
 	}
 }
 
-// TestPoolRun checks the generic tiling hook: the blocks must cover
-// [0, n) exactly once in disjoint contiguous ranges, results sum, and
-// the partition must be a pure function of (n, workers).
+// TestPoolRun checks how a batch runs on the pool: the tiles cover
+// [0, n) exactly once in disjoint contiguous ranges, the tiles' pair
+// counts sum to the inline kernel's, and the partition is a pure
+// function of (n, workers).
 func TestPoolRun(t *testing.T) {
-	for _, w := range []int{1, 2, 3, 7} {
+	kern := DefaultLaw().Kernel()
+	for _, w := range []int{2, 3, 7} {
 		pool := NewPool(w)
 		for _, n := range []int{0, 1, 5, 64, 97} {
-			covered := make([]int32, n)
-			total := pool.Run(n, func(lo, hi, worker int) int64 {
-				if lo > hi || lo < 0 || hi > n {
-					t.Errorf("w=%d n=%d: bad tile [%d,%d)", w, n, lo, hi)
-				}
-				var sum int64
-				for i := lo; i < hi; i++ {
-					covered[i]++ // each index in exactly one tile: no race
-					sum += int64(i)
-				}
-				return sum
-			})
-			want := int64(n) * int64(n-1) / 2
-			if total != want {
-				t.Errorf("w=%d n=%d: Run total %d, want %d", w, n, total, want)
+			targets, sources, box := poolTestSets(n, 9)
+			want := kern.AccumulateIn(append([]Particle(nil), targets...), sources, box)
+			if got := pool.AccumulateIn(kern, targets, sources, box); got != want {
+				t.Errorf("w=%d n=%d: pool pair count %d, want %d", w, n, got, want)
 			}
-			for i, c := range covered {
-				if c != 1 {
-					t.Errorf("w=%d n=%d: index %d covered %d times", w, n, i, c)
+			if pool.starts[0] != 0 || pool.starts[w] != n {
+				t.Errorf("w=%d n=%d: tiles span [%d,%d)", w, n, pool.starts[0], pool.starts[w])
+			}
+			for k := 0; k < w; k++ {
+				if lo, hi := pool.starts[k], pool.starts[k+1]; lo > hi || lo != k*n/w {
+					t.Errorf("w=%d n=%d: tile %d is [%d,%d), want it to start at %d", w, n, k, lo, hi, k*n/w)
 				}
 			}
 		}
@@ -150,7 +144,8 @@ func TestPoolNilAndLifecycle(t *testing.T) {
 	if pool.Workers() != 3 {
 		t.Errorf("Workers = %d, want 3", pool.Workers())
 	}
-	pool.Run(10, func(lo, hi, _ int) int64 { return 0 })
+	targets, sources, box := poolTestSets(10, 4)
+	pool.AccumulateIn(DefaultLaw().Kernel(), targets, sources, box)
 	if got := len(pool.LastSpansNs()); got != 3 {
 		t.Errorf("LastSpansNs lanes = %d, want 3", got)
 	}

@@ -177,7 +177,7 @@ func TestSweepDiagonalBlock(t *testing.T) {
 				}
 				k := law.Kernel()
 				n := k.sweepRepOpenBlocks(append([]Particle(nil), targets...), [][]Particle{sources})
-				if want := Interactions(len(targets), len(sources), len(targets)); n != want {
+				if want := interactions(len(targets), len(sources), len(targets)); n != want {
 					t.Fatalf("%s: diagonal block counted %d pairs, Interactions says %d", boxName(box), n, want)
 				}
 			}
@@ -1079,7 +1079,7 @@ func TestSweepRandom(t *testing.T) {
 	needSweeps(t)
 	for seed := uint64(1); seed <= 300; seed++ {
 		rng := vec.NewRNG(seed)
-		box := sweepBoxes[rng.Intn(len(sweepBoxes))]
+		box := sweepBoxes[intn(rng, len(sweepBoxes))]
 		box.L = 1 + 9*rng.Float64()
 		law := Law{Kind: Repulsive, K: 0.1 + 3*rng.Float64()}
 		if rng.Float64() < 0.5 {
@@ -1088,9 +1088,9 @@ func TestSweepRandom(t *testing.T) {
 		if rng.Float64() < 0.7 {
 			law.Cutoff = box.L * (0.05 + 0.6*rng.Float64())
 		}
-		targets := InitUniform(rng.Intn(40), box, seed*7+1)
-		sources := InitUniform(rng.Intn(90), box, seed*7+2)
-		shift := uint32(rng.Intn(len(targets) + 1))
+		targets := InitUniform(intn(rng, 40), box, seed*7+1)
+		sources := InitUniform(intn(rng, 90), box, seed*7+2)
+		shift := uint32(intn(rng, len(targets)+1))
 		for j := range sources {
 			sources[j].ID += shift // IDs below len(targets) overlap
 			if len(targets) > 0 && rng.Float64() < 0.05 {
@@ -1119,7 +1119,7 @@ func nearAndFar(nNear, nFar int, seed uint64) []Particle {
 	ps := append(cluster(nNear, 1.2, 1.1, 1000, seed), cluster(nFar, 6, 5, 5000, seed+1)...)
 	rng := vec.NewRNG(seed + 2)
 	for i := len(ps) - 1; i > 0; i-- {
-		j := rng.Intn(i + 1)
+		j := intn(rng, i+1)
 		ps[i], ps[j] = ps[j], ps[i]
 	}
 	return ps
@@ -1330,7 +1330,7 @@ func checkQuotient(t *testing.T, kk float64, a [4]float64) bool {
 func TestQuotientRandom(t *testing.T) {
 	needPipe(t)
 	rng := vec.NewRNG(1)
-	operand := func() float64 { return math.Ldexp(1+rng.Float64(), rng.Intn(601)-300) }
+	operand := func() float64 { return math.Ldexp(1+rng.Float64(), intn(rng, 601)-300) }
 	calls := 3_000_000
 	if testing.Short() {
 		calls /= 10
@@ -1569,3 +1569,6 @@ func BenchmarkSweep(b *testing.B) {
 	_, box, lattice, _ := cells(Reflective, 0, 0)
 	selfRun("rep_cut_self/256/lattice", lattice, selfLoops(DefaultLaw().WithCutoff(4).Kernel(), box))
 }
+
+// intn returns a uniform value in [0, n) drawn from rng.
+func intn(rng *vec.RNG, n int) int { return int(rng.Uint64() % uint64(n)) }

@@ -19,9 +19,6 @@ func (o Offset) Chebyshev() int {
 	return m
 }
 
-// Neg returns the opposite displacement.
-func (o Offset) Neg() Offset { return Offset{-o.DX, -o.DY, -o.DZ} }
-
 // Serpentine returns the offsets of the cutoff import region — all teams
 // within Chebyshev distance m, including the origin — linearized so that
 // consecutive offsets are unit steps apart. This is the linearization

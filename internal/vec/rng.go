@@ -29,11 +29,3 @@ func (r *RNG) Float64() float64 {
 func (r *RNG) Range(lo, hi float64) float64 {
 	return lo + (hi-lo)*r.Float64()
 }
-
-// Intn returns a uniform value in [0, n). It panics if n <= 0.
-func (r *RNG) Intn(n int) int {
-	if n <= 0 {
-		panic("vec: Intn with non-positive n")
-	}
-	return int(r.Uint64() % uint64(n))
-}
