@@ -118,10 +118,14 @@ obsdebug:
 # timestep of the same 64 ranks with 8-particle blocks, which prices the
 # hop whole (a hang or a failed send shows here; their timings mean
 # nothing at 100 iterations — for the per-hop and per-step cost run the
-# last two at -benchtime 20000x).
+# last two at -benchtime 20000x). The communication matrix's counting,
+# with every P a distinct rank sending and receiving into one matrix, is
+# what an observed run adds to each message (a layer number: run it at
+# the default -benchtime for ns/op).
 benchguard:
 	$(GO) test -run TestDisabledPathAllocs ./internal/obs/
 	$(GO) test -run NONE -bench BenchmarkObsDisabled -benchtime 100000x ./internal/obs/
+	$(GO) test -run NONE -bench BenchmarkCommMatrixCount -benchtime 100000x ./internal/obs/
 	$(GO) test -run NONE -bench BenchmarkMesh -benchtime 100x ./internal/comm/net/
 	$(GO) test -run NONE -bench BenchmarkRingShiftOversubscribed -benchtime 100x ./internal/comm/
 	$(GO) test -run NONE -bench BenchmarkShiftLoopSmallBlocks -benchtime 100x ./internal/core/

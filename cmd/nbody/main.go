@@ -41,6 +41,18 @@ func main() {
 	run(os.Args[1:])
 }
 
+// reportLabel names the steps the report covers: the last Run's k,
+// which end at step end; chunked says the run took several.
+func reportLabel(end, k int, chunked bool) string {
+	switch {
+	case k == 0:
+		return "report of 0 steps"
+	case chunked:
+		return fmt.Sprintf("report of steps %d-%d (the last -observe chunk)", end-k+1, end)
+	}
+	return fmt.Sprintf("report of steps %d-%d", end-k+1, end)
+}
+
 // run is the bare command: one simulation, its report, and its outputs.
 func run(args []string) {
 	fs := flag.NewFlagSet("nbody", flag.ExitOnError)
@@ -141,8 +153,9 @@ func run(args []string) {
 		fmt.Printf("%-8s %12s %12s %12s %12s\n", "step", "kinetic", "potential", "total", "temperature")
 	}
 	start := time.Now()
+	var k int // the steps of the last Run, which the report covers
 	for done := 0; ; {
-		k := min(chunk, sf.steps-done)
+		k = min(chunk, sf.steps-done)
 		if err := sim.Run(k); err != nil {
 			log.Fatal(err)
 		}
@@ -165,7 +178,7 @@ func run(args []string) {
 	fmt.Printf("algorithm=%v p=%d c=%d n=%d steps=%d dim=%d cutoff=%g\n",
 		cfg.Algorithm, cfg.P, cfg.C, cfg.N, sf.steps, cfg.Dim, cfg.Cutoff)
 	fmt.Printf("wall time: %v (%v/step)\n\n", elapsed, elapsed/time.Duration(max(1, sf.steps)))
-	fmt.Printf("%s", sim.Report())
+	fmt.Printf("%s\n%s", reportLabel(sim.Steps(), k, k < sf.steps), sim.Report())
 	sf.out.finish(sim, asIs)
 
 	if *saveFile != "" {

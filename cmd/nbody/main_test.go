@@ -47,7 +47,8 @@ func TestFollowerArgs(t *testing.T) {
 
 // TestStepCounts runs the command on step counts it must refuse or
 // report on: an error that names -steps, never a panic or a missing
-// report.
+// report, and a report labelled with the steps it covers — with
+// -observe, the last chunk's.
 func TestStepCounts(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -56,6 +57,10 @@ func TestStepCounts(t *testing.T) {
 		output string // a line the output must contain
 	}{
 		{"run 0 steps observed", []string{"-n", "64", "-p", "4", "-steps", "0", "-observe", "2"}, true, "S (critical-path msg events)"},
+		{"run 0 steps label", []string{"-n", "64", "-p", "4", "-steps", "0"}, true, "\nreport of 0 steps\n"},
+		{"run label", []string{"-n", "64", "-p", "4", "-steps", "3"}, true, "\nreport of steps 1-3\n"},
+		{"run chunked label", []string{"-n", "64", "-p", "4", "-steps", "5", "-observe", "2"}, true,
+			"\nreport of steps 5-5 (the last -observe chunk)\nphase"},
 		{"run negative steps", []string{"-n", "64", "-p", "4", "-steps", "-3", "-observe", "2"}, false, "-steps"},
 		{"sweep 0 steps", []string{"sweep", "-n", "64", "-p", "4", "-cs", "1", "-steps", "0"}, false, "-steps"},
 		{"sweep 1 step", []string{"sweep", "-n", "64", "-p", "4", "-cs", "1", "-steps", "1"}, true, "real-execution sweep"},

@@ -18,10 +18,11 @@ import (
 	"testing"
 )
 
-// testOnlyExports are the exported names under internal/ that only
-// tests call, each with why it stays exported and a test that uses it.
-// Only oracles and test support belong here. DESIGN.md's "Test-only
-// exports" table lists the same rows.
+// testOnlyExports are the exported names, functions and methods under
+// internal/ that only tests call, each with why it stays in the
+// package's non-test code and a test that uses it. Only oracles and
+// test support belong here. DESIGN.md's "Test-only exports" table lists
+// the same rows.
 var testOnlyExports = map[string]struct{ reason, test string }{
 	"phys.Law.AccumulateGeneric": {"the per-pair reference force every kernel is held to", "TestKernelMatchesGenericAccumulate"},
 	"phys.NewCellList":           {"the cell-list reference force of a cutoff law", "TestCellListMatchesBruteForceCutoff"},
@@ -33,10 +34,14 @@ var testOnlyExports = map[string]struct{ reason, test string }{
 	"phys.Law.WithCutoff":        {"builds the cutoff law fixtures of the kernel tests", "TestLJShiftedCutoffContinuity"},
 	"obs/record.ReadRecording":   {"reads back the recording format the writer pins", "TestStreamRoundTrip"},
 	"leakcheck.Check":            {"the goroutine leak check of the runtime tests", "TestWorldRunsAgain"},
+	"phys.wrap1":                 {"the spec of the minimum-image wrap compactCut inlines by hand", "TestWrap1MatchesMinImage1"},
+	"phys.quotientAVX512":        {"the pipelined sweep's quotient stage alone, held to Go's division", "TestQuotientDirected"},
 }
 
 // srcConfigs are the build configurations the source checks select
-// files under: the default build and the two tags that swap files.
+// files under: the default build and the two tags that swap files, all
+// for amd64, the one architecture with assembly files, so that every
+// host checks the same files (the test-only quotientAVX512 among them).
 var srcConfigs = [][]string{nil, {"purego"}, {"obsdebug"}}
 
 // srcPkg is one type-checked package of the repository under one or
@@ -108,6 +113,7 @@ func newSrcTree() (*srcTree, error) {
 	sort.Strings(paths)
 	for _, tags := range srcConfigs {
 		ctxt := build.Default
+		ctxt.GOARCH = "amd64"
 		ctxt.BuildTags = tags
 		l := &srcLoader{tr: tr, ctxt: &ctxt, std: std, memo: map[string]*srcPkg{}}
 		for _, p := range paths {
@@ -238,7 +244,8 @@ func exportName(obj types.Object) string {
 	return prefix + "." + obj.Name()
 }
 
-// exportSubject is one exported name declared under internal/.
+// exportSubject is one exported name, function or method declared under
+// internal/.
 type exportSubject struct {
 	pos   token.Position
 	recv  *types.Named // the receiver's type, for a method
@@ -247,8 +254,9 @@ type exportSubject struct {
 }
 
 // exportSurface returns every exported package-level name and every
-// exported method declared under internal/, keyed by exportName, and
-// the names some non-test file of any configuration refers to.
+// package-level function and method, exported or not, declared under
+// internal/, keyed by exportName, and the names some non-test file of
+// any configuration refers to.
 func (tr *srcTree) exportSurface() (subjects map[string]*exportSubject, used map[string]bool) {
 	subjects, used = map[string]*exportSubject{}, map[string]bool{}
 	for _, p := range tr.pkgs {
@@ -261,7 +269,7 @@ func (tr *srcTree) exportSurface() (subjects map[string]*exportSubject, used map
 		scope := p.types.Scope()
 		for _, n := range scope.Names() {
 			obj := scope.Lookup(n)
-			if obj.Exported() {
+			if _, fn := obj.(*types.Func); obj.Exported() || fn {
 				if _, ok := subjects[exportName(obj)]; !ok {
 					subjects[exportName(obj)] = &exportSubject{pos: tr.fset.Position(obj.Pos()), name: n}
 				}
@@ -276,7 +284,7 @@ func (tr *srcTree) exportSurface() (subjects map[string]*exportSubject, used map
 			}
 			for i := 0; i < named.NumMethods(); i++ {
 				m := named.Method(i)
-				if _, ok := subjects[exportName(m)]; m.Exported() && !ok {
+				if _, ok := subjects[exportName(m)]; !ok {
 					subjects[exportName(m)] = &exportSubject{pos: tr.fset.Position(m.Pos()), recv: named, name: m.Name()}
 				}
 			}
@@ -399,10 +407,12 @@ func implementsSome(named *types.Named, name string, ifaces []*types.Interface) 
 	return false
 }
 
-// TestNoTestOnlyExports requires every exported name under internal/ to
-// have a caller outside the tests, be reachable from the library's
-// public API, or be on the testOnlyExports list of oracles; that list
-// may not go stale, and DESIGN.md must list the same rows.
+// TestNoTestOnlyExports requires every exported name, function and
+// method under internal/ to have a caller outside the tests, be
+// reachable from the library's public API, or be on the testOnlyExports
+// list of oracles; that list may not go stale, and DESIGN.md must list
+// the same rows. An unexported function only tests call is dead code
+// the package carries as much as an exported one.
 func TestNoTestOnlyExports(t *testing.T) {
 	tr := loadSrc(t)
 	subjects, used := tr.exportSurface()
@@ -420,7 +430,7 @@ func TestNoTestOnlyExports(t *testing.T) {
 	}
 	sort.Strings(bad)
 	if len(bad) > 0 {
-		t.Errorf("%d exported names under internal/ have no non-test reference; delete them, move them into the test that uses them, or allowlist an oracle in testOnlyExports:\n\t%s",
+		t.Errorf("%d names under internal/ have no non-test reference; delete them, move them into the test that uses them, or allowlist an oracle in testOnlyExports:\n\t%s",
 			len(bad), strings.Join(bad, "\n\t"))
 	}
 

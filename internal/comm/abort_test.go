@@ -12,6 +12,16 @@ import (
 	"repro/internal/trace"
 )
 
+// capacity is the number of messages a send can leave behind without
+// waiting for the receiver: Options.MailboxCap in effect, 0 for a
+// rendezvous.
+func (s *stream) capacity() int {
+	if s.rendezvous {
+		return 0
+	}
+	return int(s.room)
+}
+
 // The abort path: a receive never looks at the run's abort channel, so a
 // failure reaches a blocked receiver only through its own mailbox, which
 // failLocal marks aborted and whose receiver it wakes (blocked senders

@@ -124,7 +124,7 @@ func inProcessMatrix(t *testing.T, tc mergeCase, ps []phys.Particle) *obs.CommMa
 }
 
 // sameMatrix requires two matrices to agree cell for cell and in their
-// per-phase running totals.
+// per-phase totals.
 func sameMatrix(t *testing.T, label string, want, got *obs.CommMatrix) {
 	t.Helper()
 	if w, g := want.Snapshot(nil), got.Snapshot(nil); !reflect.DeepEqual(w, g) {

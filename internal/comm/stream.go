@@ -73,16 +73,6 @@ func newStream(capacity int) *stream {
 	}
 }
 
-// capacity is the number of messages a send can leave behind without
-// waiting for the receiver: Options.MailboxCap in effect, 0 for a
-// rendezvous.
-func (s *stream) capacity() int {
-	if s.rendezvous {
-		return 0
-	}
-	return int(s.room)
-}
-
 // depth is the number of messages in the ring.
 func (s *stream) depth() int { return int(s.tail.Load() - s.head.Load()) }
 

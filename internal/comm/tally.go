@@ -9,9 +9,9 @@ package comm
 // against the 64·64·8 a dense phases×P×P matrix would hold at P=64 — so
 // each rank owns a tally of the cells it has actually used: nothing is
 // allocated or cleared per process and run that the run does not touch,
-// nothing is shared between ranks (a dense matrix's per-phase totals are
-// two atomics every message of every rank hits), and the summary carries
-// those cells and no zeros.
+// nothing is shared between ranks (a dense matrix's cell is atomics that
+// a message's two ranks share), and the summary carries those cells and
+// no zeros.
 
 import (
 	"encoding/binary"

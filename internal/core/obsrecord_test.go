@@ -52,40 +52,78 @@ func checkSeriesConserves(t *testing.T, samples []record.Sample, rep *trace.Repo
 	}
 }
 
-// TestRecordingConservesReport runs each recorded algorithm with a JSONL
-// stream attached and checks the written recording end-to-end: one
-// sample per step, and per-phase traffic columns that sum bitwise to the
-// end-of-run trace.Report — the telescoping-delta contract.
-func TestRecordingConservesReport(t *testing.T) {
-	cases := []struct {
-		name string
-		run  func(rec *record.Recorder) (int, *trace.Report, error)
-	}{
-		{"allpairs-p2", func(rec *record.Recorder) (int, *trace.Report, error) {
-			pr := defaultParams(2, 1)
-			ob, _ := newTestRecorder("", 0, 2, 1)
-			pr.Options.Observe = ob
-			pr.Record = rec
-			_, rep, err := advance(NewAllPairs, phys.InitUniform(32, pr.Box, 7), pr, 5)
-			return 5, rep, err
-		}},
-		{"cutoff-p8c2", func(rec *record.Recorder) (int, *trace.Report, error) {
-			pr := cutoffParams(8, 2, 1, phys.Periodic)
-			ob, _ := newTestRecorder("", 0, 8, 2)
-			pr.Options.Observe = ob
-			pr.Record = rec
-			_, rep, err := advance(NewCutoff, phys.InitLattice(64, pr.Box, 9), pr, 3)
-			return 3, rep, err
-		}},
+// observedLoop is one timestep loop the observed-run tests cover, with
+// its parameters, particles and step count.
+type observedLoop struct {
+	name  string
+	newS  func([]phys.Particle, Params) (*Session, error)
+	pr    Params
+	ps    []phys.Particle
+	steps int
+}
+
+// observedLoops are the all-pairs loop, the 1-D periodic and 2-D
+// reflective cutoff loops and the particle decomposition, each sized so
+// that two socket-joined processes split its ranks.
+func observedLoops() []observedLoop {
+	ap2, ap, part := defaultParams(2, 1), defaultParams(4, 2), defaultParams(4, 1)
+	cut1, cut2 := cutoffParams(8, 2, 1, phys.Periodic), cutoffParams(16, 1, 2, phys.Reflective)
+	return []observedLoop{
+		{"allpairs-p2", NewAllPairs, ap2, phys.InitUniform(32, ap2.Box, 7), 5},
+		{"allpairs-p4c2", NewAllPairs, ap, phys.InitUniform(32, ap.Box, 7), 5},
+		{"cutoff-p8c2", NewCutoff, cut1, phys.InitLattice(64, cut1.Box, 9), 3},
+		{"cutoff-2d-p16", NewCutoff, cut2, phys.InitLattice(256, cut2.Box, 13), 3},
+		{"particle-p4", NewParticleDecomposition, part, phys.InitUniform(32, part.Box, 7), 4},
 	}
-	for _, tc := range cases {
+}
+
+// checkPublished asserts that the gauges of an observed run and the
+// last sample it recorded equal rep: S and W by trace's one definition,
+// the bounds of the steps the observer has seen, and that step count.
+func checkPublished(t *testing.T, ob *obs.Observer, last record.Sample, rep *trace.Report, steps int) {
+	t.Helper()
+	if rep.SLowerBound <= 0 || rep.WLowerBound <= 0 || rep.S() <= 0 {
+		t.Fatalf("report has no traffic or bounds: S %d, bounds %g / %g", rep.S(), rep.SLowerBound, rep.WLowerBound)
+	}
+	g := ob.Metrics.Snapshot().Gauges
+	sLow, wLow := int64(rep.SLowerBound), int64(rep.WLowerBound)
+	for _, c := range []struct {
+		name      string
+		got, want int64
+	}{
+		{"comm.s.measured", g["comm.s.measured"], rep.S()},
+		{"comm.w.measured", g["comm.w.measured"], rep.W()},
+		{"comm.s.lowerbound", g["comm.s.lowerbound"], sLow},
+		{"comm.w.lowerbound", g["comm.w.lowerbound"], wLow},
+		{"step.current", g["step.current"], int64(steps)},
+		{"last sample's SMeasured", last.SMeasured, rep.S()},
+		{"last sample's WMeasured", last.WMeasured, rep.W()},
+		{"last sample's SLowerBound", last.SLowerBound, sLow},
+		{"last sample's WLowerBound", last.WLowerBound, wLow},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s = %d, want %d", c.name, c.got, c.want)
+		}
+	}
+}
+
+// TestRecordingConservesReport runs each loop observed and recorded with
+// a JSONL stream attached and checks the written recording end-to-end:
+// one sample per step, per-phase traffic columns that sum bitwise to the
+// end-of-run trace.Report — the telescoping-delta contract — and a last
+// sample and gauges that equal the report's S, W and bounds.
+func TestRecordingConservesReport(t *testing.T) {
+	for _, tc := range observedLoops() {
 		t.Run(tc.name, func(t *testing.T) {
-			rec := record.New(record.Meta{Algorithm: tc.name, Phases: trace.PhaseNames()}, 0)
+			ob, rec := newTestRecorder(tc.name, len(tc.ps), tc.pr.P, tc.pr.C)
 			var buf bytes.Buffer
 			if err := rec.StreamTo(&buf); err != nil {
 				t.Fatal(err)
 			}
-			steps, rep, err := tc.run(rec)
+			pr := tc.pr
+			pr.Options.Observe = ob
+			pr.Record = rec
+			_, rep, err := advance(tc.newS, tc.ps, pr, tc.steps)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -97,8 +135,8 @@ func TestRecordingConservesReport(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(samples) != steps {
-				t.Fatalf("recording has %d samples, want %d", len(samples), steps)
+			if len(samples) != tc.steps {
+				t.Fatalf("recording has %d samples, want %d", len(samples), tc.steps)
 			}
 			if len(meta.Phases) != len(trace.PhaseNames()) {
 				t.Errorf("recording header has %d phases", len(meta.Phases))
@@ -107,8 +145,8 @@ func TestRecordingConservesReport(t *testing.T) {
 
 			// The ring must hold the identical series.
 			ring := rec.Window(0, rec.Total())
-			if len(ring) != steps {
-				t.Fatalf("ring has %d samples, want %d", len(ring), steps)
+			if len(ring) != tc.steps {
+				t.Fatalf("ring has %d samples, want %d", len(ring), tc.steps)
 			}
 			for i := range ring {
 				if ring[i] != samples[i] {
@@ -124,101 +162,109 @@ func TestRecordingConservesReport(t *testing.T) {
 			if last.HeapBytes <= 0 || last.Goroutines <= 0 {
 				t.Errorf("final sample missing runtime health: heap=%d goroutines=%d", last.HeapBytes, last.Goroutines)
 			}
-			if last.SMeasured != rep.S() || last.WMeasured != rep.W() {
-				t.Errorf("final sample S/W (%d, %d) != report (%d, %d)",
-					last.SMeasured, last.WMeasured, rep.S(), rep.W())
-			}
-			if last.SLowerBound != int64(rep.SLowerBound) || last.WLowerBound != int64(rep.WLowerBound) {
-				t.Errorf("final sample bounds (%d, %d) != report (%g, %g)",
-					last.SLowerBound, last.WLowerBound, rep.SLowerBound, rep.WLowerBound)
-			}
+			checkPublished(t, ob, last, rep, tc.steps)
 		})
 	}
 }
 
-// TestSocketRecordingConservesReport records a run spanning two
+// TestSocketRecordingConservesReport records each loop spanning two
 // socket-joined processes. Only proc 0 is observed and recorded, as
-// cmd/nbody runs one; the follower's traffic reaches the recording only
-// through the leader's merge of its matrix cells, which finish must
-// re-read, so the series still sums to the merged report.
+// cmd/nbody runs one; the follower's traffic reaches the recording and
+// the gauges only through the leader's merge of its matrix cells, which
+// the publish after the join reads, so the series still sums to the
+// merged report and the gauges equal its S, W and bounds.
 func TestSocketRecordingConservesReport(t *testing.T) {
-	pr := defaultParams(4, 2)
-	ob, rec := newTestRecorder("allpairs", 32, 4, 2)
-	var buf bytes.Buffer
-	if err := rec.StreamTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	_, rep := runOverSockets(t, 2, pr, phys.InitUniform(32, pr.Box, 7),
-		func(ps []phys.Particle, pr Params) ([]phys.Particle, *trace.Report, error) {
-			if pr.Proc.ID() == 0 {
-				pr.Options.Observe = ob
-				pr.Record = rec
+	for _, tc := range observedLoops() {
+		t.Run(tc.name, func(t *testing.T) {
+			ob, rec := newTestRecorder(tc.name, len(tc.ps), tc.pr.P, tc.pr.C)
+			var buf bytes.Buffer
+			if err := rec.StreamTo(&buf); err != nil {
+				t.Fatal(err)
 			}
-			return advance(NewAllPairs, ps, pr, 5)
+			_, rep := runOverSockets(t, 2, tc.pr, tc.ps,
+				func(ps []phys.Particle, pr Params) ([]phys.Particle, *trace.Report, error) {
+					if pr.Proc.ID() == 0 {
+						pr.Options.Observe = ob
+						pr.Record = rec
+					}
+					return advance(tc.newS, ps, pr, tc.steps)
+				})
+			if err := rec.CloseStream(); err != nil {
+				t.Fatal(err)
+			}
+			_, samples, err := record.ReadRecording(bytes.NewReader(buf.Bytes()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(samples) != tc.steps {
+				t.Fatalf("recording has %d samples, want %d", len(samples), tc.steps)
+			}
+			checkSeriesConserves(t, samples, rep)
+			checkPublished(t, ob, samples[len(samples)-1], rep, tc.steps)
 		})
-	if err := rec.CloseStream(); err != nil {
-		t.Fatal(err)
-	}
-	_, samples, err := record.ReadRecording(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(samples) != 5 {
-		t.Fatalf("recording has %d samples, want 5", len(samples))
-	}
-	checkSeriesConserves(t, samples, rep)
-	if last := samples[len(samples)-1]; last.SMeasured != rep.S() || last.WMeasured != rep.W() {
-		t.Errorf("final sample S/W (%d, %d) != report (%d, %d)",
-			last.SMeasured, last.WMeasured, rep.S(), rep.W())
 	}
 }
 
-// TestRecordingChunkedRuns drives two runs into one recorder the way
-// chunked Simulation.Run calls do (the comm matrix accumulates across
-// runs; each run records from a fresh rank-0 goroutine). Step numbering
-// must stay monotone and the deltas must telescope across the boundary.
+// TestRecordingChunkedRuns drives one observed, recorded session through
+// Advance(3) and Advance(5), the way chunked Simulation.Run calls do:
+// the comm matrix accumulates across the calls, and each records from a
+// fresh rank-0 goroutine. Step numbering must stay monotone, the deltas
+// must telescope across the boundary, S and W must never decrease, and
+// the last sample and the gauges must equal the report of Advance(8) on
+// a fresh, identical session — one definition of S and W, cumulative
+// over the observer's life.
 func TestRecordingChunkedRuns(t *testing.T) {
-	const p, c, n = 4, 2, 32
-	ob, rec := newTestRecorder("allpairs", n, p, c)
-	ps := phys.InitUniform(n, phys.NewBox(10, 2, phys.Reflective), 11)
+	ap, cut2 := defaultParams(4, 2), cutoffParams(16, 1, 2, phys.Reflective)
+	for _, tc := range []observedLoop{
+		{"allpairs-p4c2", NewAllPairs, ap, phys.InitUniform(32, ap.Box, 11), 8},
+		{"cutoff-2d-p16", NewCutoff, cut2, phys.InitLattice(256, cut2.Box, 13), 8},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ob, rec := newTestRecorder(tc.name, len(tc.ps), tc.pr.P, tc.pr.C)
+			pr := tc.pr
+			pr.Options.Observe = ob
+			pr.Record = rec
+			s, err := tc.newS(tc.ps, pr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			combined := &trace.Report{}
+			for _, steps := range []int{3, 5} {
+				_, rep, err := s.Advance(steps)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, ph := range trace.Phases() {
+					combined.Sum[ph].Add(rep.Sum[ph])
+				}
+			}
 
-	var reps []*trace.Report
-	total := 0
-	for _, steps := range []int{3, 4} {
-		pr := defaultParams(p, c)
-		pr.Options.Observe = ob
-		pr.Record = rec
-		var rep *trace.Report
-		var err error
-		ps, rep, err = advance(NewAllPairs, ps, pr, steps)
-		if err != nil {
-			t.Fatal(err)
-		}
-		reps = append(reps, rep)
-		total += steps
-	}
+			if rec.Total() != int64(tc.steps) {
+				t.Fatalf("recorder holds %d samples after chunked runs, want %d", rec.Total(), tc.steps)
+			}
+			samples := rec.Window(0, rec.Total())
+			for i, smp := range samples {
+				if smp.Step != int64(i) {
+					t.Errorf("sample %d has Step %d — numbering not monotone across runs", i, smp.Step)
+				}
+				if i > 0 && (smp.SMeasured < samples[i-1].SMeasured || smp.WMeasured < samples[i-1].WMeasured) {
+					t.Errorf("sample %d: S/W fell from (%d, %d) to (%d, %d)", i,
+						samples[i-1].SMeasured, samples[i-1].WMeasured, smp.SMeasured, smp.WMeasured)
+				}
+			}
+			// The matrix accumulates over both runs, so the deltas must sum
+			// to the two reports' combined traffic.
+			checkSeriesConserves(t, samples, combined)
 
-	if rec.Total() != int64(total) {
-		t.Fatalf("recorder holds %d samples after chunked runs, want %d", rec.Total(), total)
+			fresh := tc.pr
+			fresh.Options.Observe, _ = newTestRecorder(tc.name, len(tc.ps), tc.pr.P, tc.pr.C)
+			_, want, err := advance(tc.newS, tc.ps, fresh, tc.steps)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkPublished(t, ob, samples[len(samples)-1], want, tc.steps)
+		})
 	}
-	samples := rec.Window(0, rec.Total())
-	for i, s := range samples {
-		if s.Step != int64(i) {
-			t.Errorf("sample %d has Step %d — numbering not monotone across runs", i, s.Step)
-		}
-	}
-	// The matrix accumulates over both runs, so the deltas must sum to
-	// the two reports' combined traffic.
-	combined := &trace.Report{}
-	for _, rep := range reps {
-		for _, ph := range trace.Phases() {
-			combined.Sum[ph].Messages += rep.Sum[ph].Messages
-			combined.Sum[ph].Bytes += rep.Sum[ph].Bytes
-			combined.Sum[ph].RecvMessages += rep.Sum[ph].RecvMessages
-			combined.Sum[ph].RecvBytes += rep.Sum[ph].RecvBytes
-		}
-	}
-	checkSeriesConserves(t, samples, combined)
 }
 
 // TestSeriesServesMidRun scrapes /series.json while a recorded run is in

@@ -73,9 +73,9 @@ func newSession(n int, pr Params, perS, perW float64, build func(*rank) rankLoop
 // particles sorted by ID, with the report of these steps alone. It owns
 // everything around a step that is not the algorithm: the flight
 // recorder, the phase clock, the per-step metrics, the force pool and
-// its attribution, the live bounds probe and the deposit of the final
-// state, which the world merges across processes in a distributed run
-// so every process gathers all of it. The returned slice is the
+// its attribution, the live S/W and bounds probe and the deposit of the
+// final state, which the world merges across processes in a distributed
+// run so every process gathers all of it. The returned slice is the
 // session's: the next Advance overwrites it.
 func (s *Session) Advance(steps int) ([]phys.Particle, *trace.Report, error) {
 	if steps < 0 {
@@ -88,7 +88,7 @@ func (s *Session) Advance(steps int) ([]phys.Particle, *trace.Report, error) {
 		}
 		s.rt = rt
 	}
-	rr := newRunRecorder(s.pr, steps)
+	pb := newProbe(s.pr, s.impl, s.perS, s.perW, steps)
 	report, results, err := s.rt.Run(func(world *comm.Comm) error {
 		rk := s.ranks[world.Rank()]
 		if rk == nil {
@@ -118,8 +118,6 @@ func (s *Session) Advance(steps int) ([]phys.Particle, *trace.Report, error) {
 		stepCompute := mx.Histogram("step.compute_ns")
 		stepsDone := mx.Counter("step.count")
 		observed := mx != nil
-		probe := newStepProbe(world, s.impl, s.perS, s.perW)
-		sampler := rr.sampler(world, steps)
 
 		for step := 0; step < steps; step++ {
 			var t0 time.Time
@@ -133,14 +131,13 @@ func (s *Session) Advance(steps int) ([]phys.Particle, *trace.Report, error) {
 			}
 			st.SetPhase(trace.Other)
 			rk.po.stampStep()
-			probe.stampStep()
 			if observed {
 				stepCompute.Observe(int64(st.ByPhase[trace.Compute].Time - computeBefore))
 				if world.Rank() == 0 {
 					wall := time.Since(t0)
 					stepWall.Observe(wall.Nanoseconds())
 					stepsDone.Inc()
-					sampler.stampStep(wall)
+					pb.stampStep(st, wall)
 				}
 			}
 		}
@@ -155,7 +152,7 @@ func (s *Session) Advance(steps int) ([]phys.Particle, *trace.Report, error) {
 		report.SLowerBound = s.perS * float64(steps)
 		report.WLowerBound = s.perW * float64(steps)
 	}
-	rr.finish(report)
+	pb.finish()
 	if err != nil {
 		return nil, report, err
 	}

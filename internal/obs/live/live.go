@@ -160,9 +160,13 @@ func (s *Server) handleMatrix(w http.ResponseWriter, _ *http.Request) {
 // endpoints) and W (bytes, both endpoints) contributions — the live
 // per-rank view of the paper's critical-path quantities.
 type RankSnapshot struct {
-	obs.RankTraffic
-	S int64 `json:"s_events"`
-	W int64 `json:"w_bytes"`
+	Rank      int   `json:"rank"`
+	SentMsgs  int64 `json:"sent_msgs"`
+	SentBytes int64 `json:"sent_bytes"`
+	RecvMsgs  int64 `json:"recv_msgs"`
+	RecvBytes int64 `json:"recv_bytes"`
+	S         int64 `json:"s_events"`
+	W         int64 `json:"w_bytes"`
 }
 
 // Snapshot is the /snapshot.json document: run position, live
@@ -191,8 +195,8 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, _ *http.Request) {
 }
 
 // buildSnapshot assembles the snapshot document from the observer's
-// concurrency-safe state: gauges for the run position and bounds, the
-// matrix for per-rank totals, histograms for the imbalance proxies.
+// concurrency-safe state: gauges for the run position, S/W and bounds,
+// the matrix's per-rank totals, histograms for the imbalance proxies.
 func buildSnapshot(o *obs.Observer) Snapshot {
 	var doc Snapshot
 	if o == nil {
@@ -210,29 +214,20 @@ func buildSnapshot(o *obs.Observer) Snapshot {
 
 	// Per-rank totals come from the matrix, not from trace.Stats: the
 	// Stats are owned by the rank goroutines and are not safe to read
-	// mid-run, while the matrix cells are atomics.
-	mat := o.Matrix().Snapshot(nil)
-	if mat.Ranks == 0 {
-		return doc
-	}
-	comm := make(map[int]bool, len(trace.CommPhases()))
-	for _, p := range trace.CommPhases() {
-		comm[int(p)] = true
-	}
-	ranks := make([]RankSnapshot, mat.Ranks)
-	for _, rt := range mat.RankTotals() {
-		ranks[rt.Rank].RankTraffic = rt
-	}
-	for _, ps := range mat.Phases {
-		if !comm[ps.Phase] {
-			continue
+	// mid-run, while the matrix's per-rank totals are atomics. A rank's
+	// S and W are trace's sums over its own totals.
+	m := o.Matrix()
+	for r := 0; r < m.Ranks(); r++ {
+		t := trace.RankTable(m, r)
+		rs := RankSnapshot{Rank: r, S: t.S(), W: t.W()}
+		for _, ps := range t {
+			rs.SentMsgs += ps.Messages
+			rs.SentBytes += ps.Bytes
+			rs.RecvMsgs += ps.RecvMessages
+			rs.RecvBytes += ps.RecvBytes
 		}
-		for _, rt := range ps.RankTotals() {
-			ranks[rt.Rank].S += rt.SentMsgs + rt.RecvMsgs
-			ranks[rt.Rank].W += rt.SentBytes + rt.RecvBytes
-		}
+		doc.Ranks = append(doc.Ranks, rs)
 	}
-	doc.Ranks = ranks
 	return doc
 }
 

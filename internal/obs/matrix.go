@@ -9,18 +9,23 @@ import (
 // CommMatrix accumulates per-(phase, src, dst) traffic: how many
 // messages and payload bytes each world rank sent to each other rank,
 // broken down by the sender's (for sends) or receiver's (for receives)
-// active phase. The storage is a fixed phases×p×p block of atomics, so
-// the comm substrate can stamp every message with two atomic adds and
-// the live hub can snapshot the matrix mid-run without any coordination
-// with the rank goroutines.
+// active phase. Next to the cells it keeps each rank's own totals per
+// phase: the sends it made and the receives it took. The storage is
+// fixed blocks of atomics, so the comm substrate stamps a message with
+// four atomic adds, and the live hub and rank 0 read the matrix mid-run
+// without any coordination with the rank goroutines. Of a message's
+// adds, only those to its cell are shared with another rank (the
+// peer's); a rank's totals are written by that rank alone.
 //
 // The matrix is pure *additional* instrumentation: the S/W accounting
 // of trace.Stats is untouched by it, and the conservation tests pin the
-// matrix totals to the PhaseStats counters bitwise.
+// matrix totals to the PhaseStats counters bitwise. The per-rank totals
+// are what an observed run's live S and W are computed from
+// (trace.Measure), since trace.Stats belongs to its rank.
 type CommMatrix struct {
 	phases, ranks int
 	cells         []matrixCell // [phase][src][dst], flattened
-	totals        []matrixCell // per-phase running totals over all (src, dst)
+	rows          []matrixCell // [rank][phase]: the rank's sends and receives
 }
 
 // matrixCell holds one (phase, src, dst) entry. Send counts are stamped
@@ -47,7 +52,7 @@ func NewCommMatrix(phases, ranks int) *CommMatrix {
 		phases: phases,
 		ranks:  ranks,
 		cells:  make([]matrixCell, phases*ranks*ranks),
-		totals: make([]matrixCell, phases),
+		rows:   make([]matrixCell, ranks*phases),
 	}
 }
 
@@ -78,9 +83,14 @@ func (m *CommMatrix) cell(phase, src, dst int) *matrixCell {
 	return &m.cells[(phase*m.ranks+src)*m.ranks+dst]
 }
 
+// row returns rank's totals under phase; the indices are in range.
+func (m *CommMatrix) row(rank, phase int) *matrixCell {
+	return &m.rows[rank*m.phases+phase]
+}
+
 // CountSend records one src→dst message of the given payload bytes
-// under the sender's phase. Nil-safe; four atomic adds when enabled
-// (the cell plus the phase running total).
+// under the sender's phase, in the cell and in src's totals. Nil-safe;
+// four atomic adds when enabled.
 func (m *CommMatrix) CountSend(phase, src, dst, bytes int) {
 	c := m.cell(phase, src, dst)
 	if c == nil {
@@ -88,14 +98,14 @@ func (m *CommMatrix) CountSend(phase, src, dst, bytes int) {
 	}
 	c.sentMsgs.Add(1)
 	c.sentBytes.Add(int64(bytes))
-	t := &m.totals[phase]
+	t := m.row(src, phase)
 	t.sentMsgs.Add(1)
 	t.sentBytes.Add(int64(bytes))
 }
 
 // CountRecv records the receipt of one src→dst message under the
-// receiver's phase. Nil-safe; four atomic adds when enabled (the cell
-// plus the phase running total).
+// receiver's phase, in the cell and in dst's totals. Nil-safe; four
+// atomic adds when enabled.
 func (m *CommMatrix) CountRecv(phase, src, dst, bytes int) {
 	c := m.cell(phase, src, dst)
 	if c == nil {
@@ -103,22 +113,31 @@ func (m *CommMatrix) CountRecv(phase, src, dst, bytes int) {
 	}
 	c.recvMsgs.Add(1)
 	c.recvBytes.Add(int64(bytes))
-	t := &m.totals[phase]
+	t := m.row(dst, phase)
 	t.recvMsgs.Add(1)
 	t.recvBytes.Add(int64(bytes))
 }
 
-// PhaseTotals returns the cumulative traffic stamped under one phase
-// across all (src, dst) pairs. The totals are maintained inline with
-// CountSend/CountRecv, so a per-step sampler can read cumulative phase
-// traffic in O(phases) loads instead of an O(p²) matrix sweep. Zeros
-// when m is nil or the phase is out of range.
-func (m *CommMatrix) PhaseTotals(phase int) (sentMsgs, sentBytes, recvMsgs, recvBytes int64) {
-	if m == nil || phase < 0 || phase >= m.phases {
+// RankTotals returns one rank's cumulative traffic under one phase: the
+// messages and bytes it sent and those it received. Zeros when m is nil
+// or an index is out of range.
+func (m *CommMatrix) RankTotals(rank, phase int) (sentMsgs, sentBytes, recvMsgs, recvBytes int64) {
+	if m == nil || phase < 0 || phase >= m.phases || rank < 0 || rank >= m.ranks {
 		return 0, 0, 0, 0
 	}
-	t := &m.totals[phase]
+	t := m.row(rank, phase)
 	return t.sentMsgs.Load(), t.sentBytes.Load(), t.recvMsgs.Load(), t.recvBytes.Load()
+}
+
+// PhaseTotals returns the cumulative traffic stamped under one phase
+// across all (src, dst) pairs: the sum of the ranks' totals. Zeros when
+// m is nil or the phase is out of range.
+func (m *CommMatrix) PhaseTotals(phase int) (sentMsgs, sentBytes, recvMsgs, recvBytes int64) {
+	for r := 0; r < m.Ranks(); r++ {
+		sm, sb, rm, rb := m.RankTotals(r, phase)
+		sentMsgs, sentBytes, recvMsgs, recvBytes = sentMsgs+sm, sentBytes+sb, recvMsgs+rm, recvBytes+rb
+	}
+	return sentMsgs, sentBytes, recvMsgs, recvBytes
 }
 
 // MatrixSnapshot is a frozen, JSON-marshalable view of a CommMatrix:
@@ -205,59 +224,16 @@ func (m *CommMatrix) AddCells(cells []MatrixCell) {
 		if c == nil {
 			continue
 		}
-		t := &m.totals[in.Phase]
+		src, dst := m.row(in.Src, in.Phase), m.row(in.Dst, in.Phase)
 		c.sentMsgs.Add(in.SentMsgs)
-		t.sentMsgs.Add(in.SentMsgs)
+		src.sentMsgs.Add(in.SentMsgs)
 		c.sentBytes.Add(in.SentBytes)
-		t.sentBytes.Add(in.SentBytes)
+		src.sentBytes.Add(in.SentBytes)
 		c.recvMsgs.Add(in.RecvMsgs)
-		t.recvMsgs.Add(in.RecvMsgs)
+		dst.recvMsgs.Add(in.RecvMsgs)
 		c.recvBytes.Add(in.RecvBytes)
-		t.recvBytes.Add(in.RecvBytes)
+		dst.recvBytes.Add(in.RecvBytes)
 	}
-}
-
-// RankTraffic is one world rank's traffic totals.
-type RankTraffic struct {
-	Rank      int   `json:"rank"`
-	SentMsgs  int64 `json:"sent_msgs"`
-	SentBytes int64 `json:"sent_bytes"`
-	RecvMsgs  int64 `json:"recv_msgs"`
-	RecvBytes int64 `json:"recv_bytes"`
-}
-
-// RankTotals sums one phase of the snapshot into per-rank sent (row
-// sums) and received (column sums) totals.
-func (ps MatrixPhaseSnapshot) RankTotals() []RankTraffic {
-	out := make([]RankTraffic, len(ps.SentMsgs))
-	for src := range ps.SentMsgs {
-		out[src].Rank = src
-		for dst := range ps.SentMsgs[src] {
-			out[src].SentMsgs += ps.SentMsgs[src][dst]
-			out[src].SentBytes += ps.SentBytes[src][dst]
-			out[dst].RecvMsgs += ps.RecvMsgs[src][dst]
-			out[dst].RecvBytes += ps.RecvBytes[src][dst]
-		}
-	}
-	return out
-}
-
-// RankTotals sums the whole snapshot into per-rank totals over all
-// phases — the per-rank S/W contributions the live hub serves.
-func (s MatrixSnapshot) RankTotals() []RankTraffic {
-	out := make([]RankTraffic, s.Ranks)
-	for i := range out {
-		out[i].Rank = i
-	}
-	for _, ps := range s.Phases {
-		for _, rt := range ps.RankTotals() {
-			out[rt.Rank].SentMsgs += rt.SentMsgs
-			out[rt.Rank].SentBytes += rt.SentBytes
-			out[rt.Rank].RecvMsgs += rt.RecvMsgs
-			out[rt.Rank].RecvBytes += rt.RecvBytes
-		}
-	}
-	return out
 }
 
 // Table renders the snapshot as per-phase heatmap-style tables: one

@@ -109,23 +109,6 @@ func (g *Gauge) Set(v int64) {
 	}
 }
 
-// SetMax raises the gauge to v when v exceeds the stored value (no-op
-// on nil). Ranks use it to publish cross-rank maxima — the critical-path
-// S/W gauges — while a run is still in flight: each rank CAS-maxes its
-// own cumulative total, so concurrent publishers never regress the
-// gauge.
-func (g *Gauge) SetMax(v int64) {
-	if g == nil {
-		return
-	}
-	for {
-		cur := g.v.Load()
-		if v <= cur || g.v.CompareAndSwap(cur, v) {
-			return
-		}
-	}
-}
-
 // Value returns the stored value (0 on nil).
 func (g *Gauge) Value() int64 {
 	if g == nil {

@@ -303,8 +303,8 @@ func TestPhaseTotals(t *testing.T) {
 }
 
 // TestMatrixAddCells: adding another process's cells is cell-wise
-// addition that keeps the per-phase running totals in step, and drops
-// what falls outside the matrix.
+// addition that keeps the ranks' totals, and so the per-phase totals, in
+// step, and drops what falls outside the matrix.
 func TestMatrixAddCells(t *testing.T) {
 	m := NewCommMatrix(2, 3)
 	m.CountSend(1, 0, 2, 100)
@@ -324,6 +324,12 @@ func TestMatrixAddCells(t *testing.T) {
 	}
 	if s, _, r, rb := m.PhaseTotals(0); s != 0 || r != 1 || rb != 8 {
 		t.Errorf("phase 0 totals sent %d recv %d/%d, want 0 and 1/8", s, r, rb)
+	}
+	if s, sb, r, rb := m.RankTotals(0, 1); s != 3 || sb != 150 || r != 0 || rb != 0 {
+		t.Errorf("rank 0 phase 1 totals %d/%d %d/%d, want 3/150 0/0", s, sb, r, rb)
+	}
+	if s, _, r, rb := m.RankTotals(2, 1); s != 0 || r != 3 || rb != 150 {
+		t.Errorf("rank 2 phase 1 totals sent %d recv %d/%d, want 0 and 3/150", s, r, rb)
 	}
 	var none *CommMatrix
 	none.AddCells([]MatrixCell{{SentMsgs: 1}}) // nil-safe

@@ -47,10 +47,11 @@ const DocKind = "canbody-recording"
 
 // Sample is one timestep's flight-recorder reading. Comm counts and
 // phase durations are per-step deltas; S/W, their lower bounds and
-// TimelineDropped are cumulative over the run; imbalances and runtime
-// health are instantaneous. Per-phase arrays are indexed by phase id
-// (Meta.Phases names them) and only the first len(Meta.Phases) entries
-// are meaningful.
+// TimelineDropped are cumulative over the observer's life (chunked runs
+// included); the imbalances are the histograms' readings so far, and
+// runtime health is instantaneous. Per-phase arrays are indexed by
+// phase id (Meta.Phases names them) and only the first len(Meta.Phases)
+// entries are meaningful.
 type Sample struct {
 	Step   int64 // recorder-assigned, monotone across chunked runs
 	WallNs int64 // this step's wall time on rank 0
@@ -58,7 +59,7 @@ type Sample struct {
 	PhaseNs [MaxPhases]int64 // rank 0's wall time per phase this step
 
 	// Global (all-rank) per-phase traffic this step, from the comm
-	// matrix's running totals. Per-step attribution is approximate
+	// matrix's per-rank totals. Per-step attribution is approximate
 	// mid-run — rank 0 samples while other ranks may lead or lag by a
 	// step — but the deltas telescope, so their sums over a finished
 	// recording equal the final matrix totals (and hence the
@@ -68,13 +69,22 @@ type Sample struct {
 	RecvMsgs  [MaxPhases]int64
 	RecvBytes [MaxPhases]int64
 
-	SMeasured   int64 // cumulative worst-rank comm events (comm.s.measured)
-	WMeasured   int64 // cumulative worst-rank comm bytes (comm.w.measured)
-	SLowerBound int64 // Eq. 2/3 bound scaled to steps done
+	// S and W of the traffic counted so far (comm.s.measured and
+	// comm.w.measured), by trace.Report's definition: per comm phase,
+	// the maximum over ranks of each rank's total, summed. The last
+	// sample of a run is taken after every rank has joined and equals
+	// the report of one run of all the observer's steps.
+	SMeasured int64
+	WMeasured int64
+	// The Eq. 2/3 bounds scaled to the steps the observer has seen
+	// (comm.s.lowerbound and comm.w.lowerbound).
+	SLowerBound int64
 	WLowerBound int64
 
-	ComputeImbalance float64 // max/mean of per-rank per-step compute time
-	WorkerImbalance  float64 // max/mean of per-worker busy time
+	// max/mean of the per-rank per-step compute times observed so far
+	// (the step.compute_ns histogram), in every sample.
+	ComputeImbalance float64
+	WorkerImbalance  float64 // max/mean of per-worker busy time (step.worker_compute_ns)
 	TimelineDropped  int64   // cumulative timeline ring drops
 
 	HeapBytes  int64 // runtime.MemStats.HeapAlloc (sampled off the hot path)
@@ -336,11 +346,11 @@ func (r *Recorder) RunBegin() {
 
 // RunEnd marks the end of a run: it stops the runtime sampler and, when
 // final is non-nil, records it as the run's last sample. The driver
-// holds the last step's sample back and passes it here after every rank
-// has joined, with the comm totals re-read — that residual pickup is
-// what makes a finished recording's per-step deltas sum bitwise to the
-// end-of-run report traffic. RunEnd runs on the driver goroutine, so
-// ownership is released around the final record.
+// holds the last step's sample back and completes it here after every
+// rank has joined, from the complete comm totals — that residual pickup
+// is what makes a finished recording's per-step deltas sum bitwise to
+// the end-of-run report traffic. RunEnd runs on the driver goroutine,
+// so ownership is released around the final record.
 func (r *Recorder) RunEnd(final *Sample) {
 	if r == nil {
 		return

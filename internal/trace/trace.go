@@ -117,6 +117,35 @@ func (s *PhaseStats) Max(o PhaseStats) {
 	}
 }
 
+// PhaseTable holds one PhaseStats per phase, indexed by Phase: one
+// rank's totals (Stats.ByPhase), or a Report's per-phase sums or maxima
+// over ranks.
+type PhaseTable [numPhases]PhaseStats
+
+// S returns the message events of the communication phases. Of a
+// Report's CriticalPath it is the paper's latency cost S (within a
+// factor of two, since each link event is charged to both endpoints);
+// of one rank's totals it is that rank's share.
+func (t *PhaseTable) S() int64 {
+	var s int64
+	for _, p := range CommPhases() {
+		s += t[p].Events()
+	}
+	return s
+}
+
+// W returns the bytes of the communication phases: of a Report's
+// CriticalPath the paper's bandwidth cost W, in bytes rather than words
+// (again within a factor of two from double-ended accounting); of one
+// rank's totals that rank's share.
+func (t *PhaseTable) W() int64 {
+	var w int64
+	for _, p := range CommPhases() {
+		w += t[p].Volume()
+	}
+	return w
+}
+
 // Stats is the per-rank accounting record. It is not safe for concurrent
 // use; each rank owns exactly one. Builds with the obsdebug tag enforce
 // the single-goroutine contract: the first mutating call binds the
@@ -134,7 +163,7 @@ type Stats struct {
 	timing  bool
 	guard   guard
 	tracer  *obs.Tracer
-	ByPhase [numPhases]PhaseStats
+	ByPhase PhaseTable
 	// WorkerCompute accumulates the busy time of each intra-rank force
 	// worker (index = worker id within the rank's pool). Stamped by the
 	// rank goroutine between pool batches — never by the workers — so
@@ -171,7 +200,7 @@ func (s *Stats) Reset() {
 	s.guard.release()
 	s.phase = Other
 	s.started, s.timing = 0, false
-	s.ByPhase = [numPhases]PhaseStats{}
+	s.ByPhase = PhaseTable{}
 	s.WorkerCompute = s.WorkerCompute[:0]
 }
 
@@ -252,9 +281,9 @@ type Report struct {
 	Ranks int
 	// CriticalPath holds, per phase, the maximum per-rank totals: the
 	// paper's "communication along the critical path".
-	CriticalPath [numPhases]PhaseStats
+	CriticalPath PhaseTable
 	// Sum holds, per phase, the totals across all ranks.
-	Sum [numPhases]PhaseStats
+	Sum PhaseTable
 	// Worker-lane aggregates over every rank×worker pair that recorded
 	// force-pool busy time: the slowest lane, the total across lanes,
 	// and the lane count. Zero lanes when no rank used a pool.
@@ -292,10 +321,7 @@ type Report struct {
 func Aggregate(ranks []*Stats) *Report {
 	r := &Report{Ranks: len(ranks)}
 	for _, s := range ranks {
-		for i := range s.ByPhase {
-			r.Sum[i].Add(s.ByPhase[i])
-			r.CriticalPath[i].Max(s.ByPhase[i])
-		}
+		r.addRank(&s.ByPhase)
 		for _, d := range s.WorkerCompute {
 			if d > r.WorkerMax {
 				r.WorkerMax = d
@@ -307,27 +333,49 @@ func Aggregate(ranks []*Stats) *Report {
 	return r
 }
 
-// S returns the critical-path message-event count summed over
-// communication phases — the paper's latency cost S (within a factor of
-// two, since each link event is charged to both endpoints).
-func (r *Report) S() int64 {
-	var s int64
-	for _, p := range CommPhases() {
-		s += r.CriticalPath[p].Events()
+// addRank folds one rank's totals into r: Sum adds them, CriticalPath
+// keeps the per-field maxima.
+func (r *Report) addRank(t *PhaseTable) {
+	for i := range t {
+		r.Sum[i].Add(t[i])
+		r.CriticalPath[i].Max(t[i])
 	}
-	return s
 }
 
-// W returns the critical-path traffic summed over communication phases —
-// the paper's bandwidth cost W, in bytes rather than words (again within
-// a factor of two from double-ended accounting).
-func (r *Report) W() int64 {
-	var w int64
-	for _, p := range CommPhases() {
-		w += r.CriticalPath[p].Volume()
+// Measure returns the report of the traffic m has counted: each rank's
+// phase totals folded in as Aggregate folds the ranks' Stats, so its S
+// and W are a run report's S and W by the same definition. Its times,
+// worker lanes and bounds are zero. The matrix's totals are atomics, so
+// Measure may run while the ranks count; they accumulate over the
+// observer's life, so after chunked runs the result is that of one run
+// of all their steps. Nil-safe (an empty report).
+func Measure(m *obs.CommMatrix) Report {
+	r := Report{Ranks: m.Ranks()}
+	for rank := 0; rank < r.Ranks; rank++ {
+		t := RankTable(m, rank)
+		r.addRank(&t)
 	}
-	return w
+	return r
 }
+
+// RankTable returns the phase totals m has counted for one rank, with
+// zero times.
+func RankTable(m *obs.CommMatrix, rank int) PhaseTable {
+	var t PhaseTable
+	for p := range t {
+		ps := &t[p]
+		ps.Messages, ps.Bytes, ps.RecvMessages, ps.RecvBytes = m.RankTotals(rank, p)
+	}
+	return t
+}
+
+// S returns the critical-path message-event count summed over
+// communication phases — the paper's latency cost S.
+func (r *Report) S() int64 { return r.CriticalPath.S() }
+
+// W returns the critical-path traffic summed over communication phases —
+// the paper's bandwidth cost W, in bytes.
+func (r *Report) W() int64 { return r.CriticalPath.W() }
 
 // Imbalance returns the load imbalance of a phase: the maximum per-rank
 // time divided by the mean per-rank time (1.0 = perfectly balanced). It

@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/obs"
 )
 
 func TestPhaseAccounting(t *testing.T) {
@@ -287,5 +289,53 @@ func TestPhaseStatsMaxAndAdd(t *testing.T) {
 	s.Add(b)
 	if s.Messages != 4 || s.Bytes != 15 || s.Events() != 10 || s.Volume() != 24 {
 		t.Errorf("Add = %+v", s)
+	}
+}
+
+// TestMeasureMatchesAggregate counts one traffic pattern into the ranks'
+// Stats and into a comm matrix, as the runtime does, and requires
+// Measure of the matrix to be Aggregate of the Stats: the same per-phase
+// sums and maxima, so the same S and W. The maxima are per field — rank
+// 1 sends the most and rank 2 receives the most — so a definition that
+// took the busiest rank's events instead would differ.
+func TestMeasureMatchesAggregate(t *testing.T) {
+	const ranks = 3
+	m := obs.NewCommMatrix(len(PhaseNames()), ranks)
+	stats := []*Stats{NewStats(), NewStats(), NewStats()}
+	send := func(p Phase, src, dst, bytes int) {
+		stats[src].SetPhase(p)
+		stats[src].CountMessage(bytes)
+		m.CountSend(int(p), src, dst, bytes)
+		stats[dst].SetPhase(p)
+		stats[dst].CountRecv(bytes)
+		m.CountRecv(int(p), src, dst, bytes)
+	}
+	send(Shift, 1, 2, 100)
+	send(Shift, 1, 0, 100)
+	send(Shift, 0, 2, 10)
+	send(Reduce, 2, 1, 7)
+	send(Broadcast, 0, 1, 50)
+
+	want := Aggregate(stats)
+	got := Measure(m)
+	if got.Ranks != ranks || got.Sum != want.Sum || got.CriticalPath != want.CriticalPath {
+		t.Errorf("Measure = ranks %d, sum %+v, critical path %+v;\nAggregate = sum %+v, critical path %+v",
+			got.Ranks, got.Sum, got.CriticalPath, want.Sum, want.CriticalPath)
+	}
+	if got.S() != want.S() || got.W() != want.W() {
+		t.Errorf("Measure S/W = %d/%d, Aggregate %d/%d", got.S(), got.W(), want.S(), want.W())
+	}
+	// Shift: max sent 2 (rank 1), max received 2 (rank 2); Reduce 1+1;
+	// Broadcast 1+1.
+	if want.S() != 8 {
+		t.Errorf("S = %d, want 8", want.S())
+	}
+	for r := 0; r < ranks; r++ {
+		if tab := RankTable(m, r); tab != stats[r].ByPhase {
+			t.Errorf("rank %d: RankTable %+v, Stats %+v", r, tab, stats[r].ByPhase)
+		}
+	}
+	if e := Measure(nil); e.Ranks != 0 || e.S() != 0 {
+		t.Errorf("Measure(nil) = %+v", e)
 	}
 }
