@@ -161,12 +161,14 @@ benchrepo:
 # wins per workload (scripts/pairs.sh). `make pairs WORKLOAD=ap-compute
 # BASE=HEAD~1` compares a commit with its parent; `make pairs
 # WORKLOAD="ap-socket ap-latency"` measures a claim and its control in
-# one command. Not part of `check`: ten pairs take several minutes a
-# workload.
+# one command; `make pairs TRACE=1` runs the traced set, whose per-layer
+# metrics (obs.overhead_frac, ...) it tabulates the same way. Not part
+# of `check`: ten pairs take several minutes a workload.
 PAIRS ?= 10
 BASE ?= HEAD
+TRACE ?= 0
 pairs:
-	sh scripts/pairs.sh -w "$(WORKLOAD)" -n $(PAIRS) -b $(BASE)
+	sh scripts/pairs.sh -w "$(WORKLOAD)" -n $(PAIRS) -b $(BASE) $(if $(filter 1,$(TRACE)),-t)
 
 # The two line counts ROADMAP.md tracks: non-test Go and test Go,
 # benchmark/ and cmd/ included.

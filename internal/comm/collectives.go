@@ -77,50 +77,6 @@ func (c *Comm) ReduceF64s(root int, vals []float64) []float64 {
 	return BytesToF64s(out)
 }
 
-// Allgather exchanges every rank's payload with every other rank using a
-// ring pipeline (n-1 steps) and returns the payloads indexed by rank.
-func (c *Comm) Allgather(data []byte) [][]byte {
-	n := c.Size()
-	out := make([][]byte, n)
-	out[c.rank] = data
-	if n == 1 {
-		return out
-	}
-	t0 := c.tr.Now()
-	next := (c.rank + 1) % n
-	prev := (c.rank - 1 + n) % n
-	blk := frameBlock(c.rank, data)
-	for step := 0; step < n-1; step++ {
-		recv := c.Sendrecv(next, blk, prev, tagAllgather)
-		rank, payload := unframeBlock(recv)
-		if out[rank] != nil {
-			// A duplicate origin means the transport delivered the ring
-			// stream out of order — catch it here, where the origin label
-			// makes the diagnosis obvious, instead of failing later on an
-			// empty slot.
-			panic(fmt.Sprintf("comm: allgather rank %d step %d: duplicate block for rank %d", c.rank, step, rank))
-		}
-		out[rank] = payload
-		blk = recv
-	}
-	c.tr.Collective(obs.KindAllgather, t0, len(data))
-	return out
-}
-
-func frameBlock(rank int, data []byte) []byte {
-	out := make([]byte, 4+len(data))
-	binary.LittleEndian.PutUint32(out, uint32(rank))
-	copy(out[4:], data)
-	return out
-}
-
-func unframeBlock(b []byte) (int, []byte) {
-	if len(b) < 4 {
-		panic(fmt.Sprintf("comm: malformed allgather block of %d bytes", len(b)))
-	}
-	return int(binary.LittleEndian.Uint32(b)), b[4:]
-}
-
 func addF64s(dst, src []float64) {
 	if len(dst) != len(src) {
 		panic(fmt.Sprintf("comm: reduce length mismatch %d vs %d", len(dst), len(src)))

@@ -32,13 +32,6 @@ func BenchmarkReduce(b *testing.B) {
 	})
 }
 
-func BenchmarkAllgatherRing(b *testing.B) {
-	payload := make([]byte, 1024)
-	benchmarkCollective(b, 32, func(c *Comm) {
-		c.Allgather(payload)
-	})
-}
-
 func BenchmarkSendrecvRing(b *testing.B) {
 	payload := make([]byte, 4096)
 	for i := 0; i < b.N; i++ {

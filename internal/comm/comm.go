@@ -395,5 +395,4 @@ const (
 	tagBarrier = -1 - iota
 	tagBcast
 	tagReduce
-	tagAllgather
 )

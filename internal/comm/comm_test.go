@@ -157,22 +157,6 @@ func TestAllreduceAndBarrier(t *testing.T) {
 	}
 }
 
-func TestAllgather(t *testing.T) {
-	_, err := Run(9, Options{}, func(c *Comm) error {
-		payload := []byte{byte(c.Rank()), byte(c.Rank() * 2)}
-		all := c.Allgather(payload)
-		for r := 0; r < 9; r++ {
-			if len(all[r]) != 2 || all[r][0] != byte(r) {
-				return fmt.Errorf("rank %d: allgather slot %d = %v", c.Rank(), r, all[r])
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestSubRowsAndColumns(t *testing.T) {
 	const rows, cols = 3, 4
 	_, err := Run(rows*cols, Options{}, func(c *Comm) error {

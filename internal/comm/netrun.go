@@ -36,6 +36,7 @@ import (
 	"sync"
 
 	cnet "repro/internal/comm/net"
+	"repro/internal/obs"
 	"repro/internal/phys"
 	"repro/internal/trace"
 )
@@ -593,7 +594,9 @@ func (rt *Runtime) socketShare(opts Options) (frames, flushes int64) {
 // the leader's state: remote rank stats land in rt.stats, and — sends
 // having been counted at the sender's process and receives at the
 // receiver's — adding the follower's cells to an observed leader's
-// matrix reconstructs the global run. reported marks the procs whose
+// matrix and traffic counters, and its ranks' compute times to the
+// matrix's rows (as Session.Advance charges the local ranks'),
+// reconstructs the global run. reported marks the procs whose
 // summary has been merged, so that every remote rank is merged exactly
 // once. The frame is decoded into sc, which the merged worker times
 // and deposits refer to until the next run.
@@ -628,6 +631,22 @@ func (rt *Runtime) mergeSummary(f cnet.Frame, opts Options, reported []bool, sc 
 	}
 	if mx := opts.Observe.Matrix(); mx != nil {
 		mx.AddCells(sum.Cells)
+		for _, w := range sum.Stats {
+			mx.AddTime(w.Rank, int(trace.Compute), w.ByPhase[trace.Compute].Time)
+		}
+	}
+	if o := opts.Observe; o != nil {
+		var tot obs.MatrixCell
+		for _, c := range sum.Cells {
+			tot.SentMsgs += c.SentMsgs
+			tot.SentBytes += c.SentBytes
+			tot.RecvMsgs += c.RecvMsgs
+			tot.RecvBytes += c.RecvBytes
+		}
+		o.Metrics.Counter("comm.sent.msgs").Add(tot.SentMsgs)
+		o.Metrics.Counter("comm.sent.bytes").Add(tot.SentBytes)
+		o.Metrics.Counter("comm.recv.msgs").Add(tot.RecvMsgs)
+		o.Metrics.Counter("comm.recv.bytes").Add(tot.RecvBytes)
 	}
 	if len(sum.Deposits) > 0 && rt.deposits == nil {
 		rt.deposits = make(map[int][]phys.Particle, len(sum.Deposits))

@@ -2,8 +2,8 @@
 // for MPI (Go has no mature MPI bindings). A Runtime executes p ranks as
 // goroutines in one SPMD function; ranks exchange byte-slice or typed
 // messages through per-pair streams and synchronize with collectives —
-// broadcast, reduce, allgather, barrier and the sendrecv shifts the
-// communication-avoiding algorithms are built from.
+// broadcast, reduce, barrier and the sendrecv shifts every algorithm is
+// built from (the naive baseline's all-gather is a ring of them).
 // Sub-communicators are built from explicit member lists (Comm.Sub)
 // and need no communication.
 //

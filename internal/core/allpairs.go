@@ -38,7 +38,7 @@ func NewAllPairs(ps []phys.Particle, pr Params) (*Session, error) {
 	// input; the blocks never grow, so they may share one copy.
 	owned := append([]phys.Particle(nil), ps...)
 
-	return newSession(n, pr, perS, perW, func(rk *rank) rankLoop {
+	return newSession(n, pr, perS, perW, func(rk *rank) *shiftLoop {
 		l, row, col := newShiftLoop(rk, &pr, cg)
 		l.moves = allPairsMoves(T, pr.C, row, col)
 		l.pairing = newEveryBlock(l.last, npt, l.leader)
@@ -48,7 +48,7 @@ func NewAllPairs(ps []phys.Particle, pr Params) (*Session, error) {
 		if l.leader {
 			l.mine = owned[col*npt : (col+1)*npt : (col+1)*npt]
 		}
-		return rankLoop{l.step, l.holds}
+		return l
 	}), nil
 }
 

@@ -6,15 +6,16 @@
 //   - NewCutoff: Algorithm 2 and its multi-dimensional generalization
 //     (Section IV), with a spatial team decomposition, shifts modulo the
 //     cutoff window, and per-timestep spatial reassignment.
-//   - Baselines: the naive particle decomposition (Section II-B) and
-//     Plimpton's force decomposition, which fall out of the CA algorithm
-//     at c = 1 and c = √p respectively.
+//   - Baselines: Plimpton's particle and force decompositions, which
+//     fall out of the CA algorithm at c = 1 and c = √p respectively, and
+//     the naive all-gather decomposition (Section II-B).
 //
 // All algorithms run on the goroutine message-passing runtime in
 // internal/comm and are verified against the serial kernels in
 // internal/phys. Each has a constructor (NewAllPairs, NewCutoff, ...)
 // returning a Session that keeps its ranks' state between Advance
-// calls.
+// calls, and every one runs on the one step driver (step.go): a move
+// list and a pairing per rank.
 package core
 
 import (

@@ -62,7 +62,7 @@ func NewCutoff(ps []phys.Particle, pr Params) (*Session, error) {
 	perS, perW := cutoffBounds(n, pr)
 	owned := scatterByTeam(ps, pr.Box, w.tg)
 
-	return newSession(n, pr, perS, perW, func(rk *rank) rankLoop {
+	return newSession(n, pr, perS, perW, func(rk *rank) *shiftLoop {
 		l, layer, team := newShiftLoop(rk, &pr, cg)
 		l.moves = cutoffMoves(sched, w.tg, layer, team)
 		pairing := w // the migrator in it is the rank's own
@@ -74,7 +74,7 @@ func NewCutoff(ps []phys.Particle, pr Params) (*Session, error) {
 		if l.leader {
 			l.mine = owned[team]
 		}
-		return rankLoop{l.step, l.holds}
+		return l
 	}), nil
 }
 

@@ -174,7 +174,7 @@ func cutoffPlain(ps []phys.Particle, pr Params) ([]phys.Particle, *trace.Report,
 	}
 	perS, perW := cutoffBounds(len(ps), pr)
 	owned := scatterByTeam(ps, pr.Box, w.tg)
-	return newSession(len(ps), pr, perS, perW, func(rk *rank) rankLoop {
+	return newSession(len(ps), pr, perS, perW, func(rk *rank) *shiftLoop {
 		l, layer, team := newShiftLoop(rk, &pr, cg)
 		l.moves = cutoffMoves(sched, w.tg, layer, team)
 		pairing := w
@@ -183,7 +183,7 @@ func cutoffPlain(ps []phys.Particle, pr Params) ([]phys.Particle, *trace.Report,
 		if l.leader {
 			l.mine = owned[team]
 		}
-		return rankLoop{l.step, l.holds}
+		return l
 	}).Advance(3)
 }
 

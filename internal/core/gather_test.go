@@ -36,7 +36,7 @@ func allPairsOnArrival(ps []phys.Particle, pr Params, steps int) ([]phys.Particl
 	}
 	npt := n / T
 	perS, perW := directBounds(n, pr)
-	s := newSession(n, pr, perS, perW, func(rk *rank) rankLoop {
+	s := newSession(n, pr, perS, perW, func(rk *rank) *shiftLoop {
 		l, row, col := newShiftLoop(rk, &pr, cg)
 		l.moves = allPairsMoves(T, pr.C, row, col)
 		l.pairing = onArrival{}
@@ -44,7 +44,7 @@ func allPairsOnArrival(ps []phys.Particle, pr Params, steps int) ([]phys.Particl
 		if l.leader {
 			l.mine = append([]phys.Particle(nil), ps[col*npt:(col+1)*npt]...)
 		}
-		return rankLoop{l.step, l.holds}
+		return l
 	})
 	out, _, err := s.Advance(steps)
 	return out, err

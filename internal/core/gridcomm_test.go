@@ -12,8 +12,8 @@ import (
 
 // commView is what one rank sees of one of its communicators: its own
 // rank in it and the world ranks of the members in communicator order
-// (learned by an allgather over the communicator itself, which also
-// proves the communicator carries traffic).
+// (learned by passing them around a ring of Sendrecv calls over the
+// communicator itself, which also proves it carries traffic).
 type commView struct {
 	own   int
 	group []int
@@ -32,14 +32,18 @@ func gridViews(t *testing.T, p, c int) map[string]commView {
 	views := make(map[string]commView)
 	_, err = comm.Run(p, comm.Options{}, func(world *comm.Comm) error {
 		view := func(kind string, cm *comm.Comm) {
-			me := world.Rank()
-			all := cm.Allgather([]byte{byte(me), byte(me >> 8)})
-			group := make([]int, len(all))
-			for i, b := range all {
-				group[i] = int(b[0]) | int(b[1])<<8
+			me, own, n := world.Rank(), cm.Rank(), cm.Size()
+			group := make([]int, n)
+			group[own] = me
+			// After k hops east a rank holds the world rank of the
+			// member k places before it.
+			carried := []byte{byte(me), byte(me >> 8)}
+			for k := 1; k < n; k++ {
+				carried = cm.Sendrecv((own+1)%n, carried, (own+n-1)%n, 0)
+				group[(own+n-k)%n] = int(carried[0]) | int(carried[1])<<8
 			}
 			mu.Lock()
-			views[fmt.Sprintf("%s/%03d", kind, me)] = commView{cm.Rank(), group}
+			views[fmt.Sprintf("%s/%03d", kind, me)] = commView{own, group}
 			mu.Unlock()
 		}
 		l, _, _ := newShiftLoop(&rank{world: world}, &Params{}, cg)

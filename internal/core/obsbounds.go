@@ -16,12 +16,12 @@ import (
 // bounds, scaled to the steps done), step.current, and the flight
 // recorder's per-step samples (internal/obs/record). All of them are
 // computed from observer state only, cumulative over the observer's
-// life: S and W by trace.Measure from the comm matrix's per-rank totals
-// — the definition trace.Report.S/W use — and the bounds from the steps
-// step.count has seen. So /metrics shows "% of communication-optimal"
-// while the run is in flight, and once it has joined the gauges and the
-// recording's last sample equal the report of one run of all the
-// observer's steps.
+// life: S, W and the compute imbalance by trace.Measure from the comm
+// matrix's per-rank totals — the definitions trace.Report uses — and
+// the bounds from the steps step.count has seen. So /metrics shows "%
+// of communication-optimal" while the run is in flight, and once it has
+// joined the gauges and the recording's last sample equal the report of
+// one run of all the observer's steps.
 
 // directBounds returns the per-step Equation 2 lower bounds for an
 // all-pairs configuration: S in message events and W in bytes (the
@@ -56,16 +56,16 @@ func cutoffBounds(n int, pr Params) (s, w float64) {
 // does not host rank 0 (a follower of a multi-process run, whose
 // traffic reaches proc 0's matrix only at the join).
 type probe struct {
-	o               *obs.Observer
-	rec             *record.Recorder // nil unless recorded
-	sMeas, wMeas    *obs.Gauge
-	sLow, wLow      *obs.Gauge
-	cur             *obs.Gauge
-	seen            *obs.Counter // step.count: the steps the observer has seen
-	compute, worker *obs.Histogram
-	perS, perW      float64 // per-step lower bounds
-	prevNs          [record.MaxPhases]int64
-	step, last      int
+	o            *obs.Observer
+	rec          *record.Recorder // nil unless recorded
+	sMeas, wMeas *obs.Gauge
+	sLow, wLow   *obs.Gauge
+	cur          *obs.Gauge
+	seen         *obs.Counter   // step.count: the steps the observer has seen
+	worker       *obs.Histogram // step.worker_compute_ns
+	perS, perW   float64        // per-step lower bounds
+	prevNs       [record.MaxPhases]int64
+	step, last   int
 	// held is the last step's sample, held back for finish: its
 	// traffic is complete only after every rank has joined.
 	held record.Sample
@@ -86,18 +86,17 @@ func newProbe(pr Params, impl string, perS, perW float64, steps int) *probe {
 	// open sweep (phys.Kernel.Impl).
 	mx.Gauge("compute.kernel_avx2").Set(map[string]int64{"avx2": 1, "avx512vl": 2}[impl])
 	p := &probe{
-		o:       o,
-		sMeas:   mx.Gauge("comm.s.measured"),
-		wMeas:   mx.Gauge("comm.w.measured"),
-		sLow:    mx.Gauge("comm.s.lowerbound"),
-		wLow:    mx.Gauge("comm.w.lowerbound"),
-		cur:     mx.Gauge("step.current"),
-		seen:    mx.Counter("step.count"),
-		compute: mx.Histogram("step.compute_ns"),
-		worker:  mx.Histogram("step.worker_compute_ns"),
-		perS:    perS,
-		perW:    perW,
-		last:    steps,
+		o:      o,
+		sMeas:  mx.Gauge("comm.s.measured"),
+		wMeas:  mx.Gauge("comm.w.measured"),
+		sLow:   mx.Gauge("comm.s.lowerbound"),
+		wLow:   mx.Gauge("comm.w.lowerbound"),
+		cur:    mx.Gauge("step.current"),
+		seen:   mx.Counter("step.count"),
+		worker: mx.Histogram("step.worker_compute_ns"),
+		perS:   perS,
+		perW:   perW,
+		last:   steps,
 	}
 	if pr.Record != nil && steps > 0 {
 		p.rec = pr.Record
@@ -147,11 +146,12 @@ func (p *probe) finish() {
 	p.rec.RunEnd(final)
 }
 
-// publish computes S and W of the traffic the matrix has counted
-// (trace.Measure) and sets the gauges from them and from the steps the
-// observer has seen, then fills s with those numbers, the matrix's
-// cumulative per-phase traffic (the Recorder turns it into per-step
-// deltas), the histograms' imbalance and the timeline's drops.
+// publish computes S, W and the compute imbalance of what the matrix
+// has counted (trace.Measure) and sets the gauges from them and from
+// the steps the observer has seen, then fills s with those numbers, the
+// matrix's cumulative per-phase traffic (the Recorder turns it into
+// per-step deltas), the worker histogram's imbalance and the timeline's
+// drops.
 func (p *probe) publish(s *record.Sample) {
 	rep := trace.Measure(p.o.Matrix())
 	seen := p.seen.Value()
@@ -167,7 +167,7 @@ func (p *probe) publish(s *record.Sample) {
 		t := rep.Sum[ph]
 		s.SentMsgs[ph], s.SentBytes[ph], s.RecvMsgs[ph], s.RecvBytes[ph] = t.Messages, t.Bytes, t.RecvMessages, t.RecvBytes
 	}
-	s.ComputeImbalance = p.compute.MaxOverMean()
+	s.ComputeImbalance = rep.ComputeImbalance()
 	s.WorkerImbalance = p.worker.MaxOverMean()
 	s.TimelineDropped = p.o.Timeline.Dropped()
 }

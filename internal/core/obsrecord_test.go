@@ -63,8 +63,9 @@ type observedLoop struct {
 }
 
 // observedLoops are the all-pairs loop, the 1-D periodic and 2-D
-// reflective cutoff loops and the particle decomposition, each sized so
-// that two socket-joined processes split its ranks.
+// reflective cutoff loops, the particle decomposition and the naive
+// all-gather, each sized so that two socket-joined processes split its
+// ranks.
 func observedLoops() []observedLoop {
 	ap2, ap, part := defaultParams(2, 1), defaultParams(4, 2), defaultParams(4, 1)
 	cut1, cut2 := cutoffParams(8, 2, 1, phys.Periodic), cutoffParams(16, 1, 2, phys.Reflective)
@@ -74,18 +75,27 @@ func observedLoops() []observedLoop {
 		{"cutoff-p8c2", NewCutoff, cut1, phys.InitLattice(64, cut1.Box, 9), 3},
 		{"cutoff-2d-p16", NewCutoff, cut2, phys.InitLattice(256, cut2.Box, 13), 3},
 		{"particle-p4", NewParticleDecomposition, part, phys.InitUniform(32, part.Box, 7), 4},
+		{"naive-p4", NewNaiveAllGather, part, phys.InitUniform(32, part.Box, 7), 4},
 	}
 }
 
 // checkPublished asserts that the gauges of an observed run and the
-// last sample it recorded equal rep: S and W by trace's one definition,
-// the bounds of the steps the observer has seen, and that step count.
-func checkPublished(t *testing.T, ob *obs.Observer, last record.Sample, rep *trace.Report, steps int) {
+// last sample of its recording equal the report's S, W and bounds, and
+// that the four traffic counters equal the report's summed traffic.
+// timed says rep timed the very steps the observer saw (one Advance),
+// so that the compute imbalance the last sample and /snapshot.json
+// publish must be the report's as well.
+func checkPublished(t *testing.T, ob *obs.Observer, last record.Sample, rep *trace.Report, steps int, timed bool) {
 	t.Helper()
 	if rep.SLowerBound <= 0 || rep.WLowerBound <= 0 || rep.S() <= 0 {
 		t.Fatalf("report has no traffic or bounds: S %d, bounds %g / %g", rep.S(), rep.SLowerBound, rep.WLowerBound)
 	}
-	g := ob.Metrics.Snapshot().Gauges
+	snap := ob.Metrics.Snapshot()
+	g, ctr := snap.Gauges, snap.Counters
+	var sum trace.PhaseStats
+	for _, ph := range trace.Phases() {
+		sum.Add(rep.Sum[ph])
+	}
 	sLow, wLow := int64(rep.SLowerBound), int64(rep.WLowerBound)
 	for _, c := range []struct {
 		name      string
@@ -100,10 +110,33 @@ func checkPublished(t *testing.T, ob *obs.Observer, last record.Sample, rep *tra
 		{"last sample's WMeasured", last.WMeasured, rep.W()},
 		{"last sample's SLowerBound", last.SLowerBound, sLow},
 		{"last sample's WLowerBound", last.WLowerBound, wLow},
+		{"comm.sent.msgs", ctr["comm.sent.msgs"], sum.Messages},
+		{"comm.sent.bytes", ctr["comm.sent.bytes"], sum.Bytes},
+		{"comm.recv.msgs", ctr["comm.recv.msgs"], sum.RecvMessages},
+		{"comm.recv.bytes", ctr["comm.recv.bytes"], sum.RecvBytes},
 	} {
 		if c.got != c.want {
 			t.Errorf("%s = %d, want %d", c.name, c.got, c.want)
 		}
+	}
+	if _, ok := snap.Histograms["step.compute_ns"]; ok {
+		t.Error("step.compute_ns is registered; the compute imbalance is trace.Measure's")
+	}
+	if !timed {
+		return
+	}
+	w := httptest.NewRecorder()
+	live.New(ob).Handler().ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/snapshot.json", nil))
+	var doc live.Snapshot
+	if err := json.Unmarshal(w.Body.Bytes(), &doc); err != nil {
+		t.Fatalf("/snapshot.json: %v\n%s", err, w.Body.Bytes())
+	}
+	want := rep.ComputeImbalance()
+	if want == 1 {
+		t.Fatalf("report's compute imbalance is exactly 1: no compute time was charged")
+	}
+	if last.ComputeImbalance != want || doc.ComputeImbalance != want {
+		t.Errorf("compute imbalance: last sample %g, /snapshot.json %g, report %g", last.ComputeImbalance, doc.ComputeImbalance, want)
 	}
 }
 
@@ -162,7 +195,7 @@ func TestRecordingConservesReport(t *testing.T) {
 			if last.HeapBytes <= 0 || last.Goroutines <= 0 {
 				t.Errorf("final sample missing runtime health: heap=%d goroutines=%d", last.HeapBytes, last.Goroutines)
 			}
-			checkPublished(t, ob, last, rep, tc.steps)
+			checkPublished(t, ob, last, rep, tc.steps, true)
 		})
 	}
 }
@@ -200,7 +233,7 @@ func TestSocketRecordingConservesReport(t *testing.T) {
 				t.Fatalf("recording has %d samples, want %d", len(samples), tc.steps)
 			}
 			checkSeriesConserves(t, samples, rep)
-			checkPublished(t, ob, samples[len(samples)-1], rep, tc.steps)
+			checkPublished(t, ob, samples[len(samples)-1], rep, tc.steps, true)
 		})
 	}
 }
@@ -262,7 +295,7 @@ func TestRecordingChunkedRuns(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			checkPublished(t, ob, samples[len(samples)-1], want, tc.steps)
+			checkPublished(t, ob, samples[len(samples)-1], want, tc.steps, false)
 		})
 	}
 }

@@ -81,8 +81,9 @@ func runAllocs(run func()) (objects, bytes uint64) {
 // TestSteadyStateAllocFree pins the end-to-end zero-allocation property
 // of the timestep loops: once a session's retained buffers exist, a
 // step allocates nothing anywhere in the pipeline — broadcast, skew,
-// shifts, force kernel (inline, pooled), reduce, integrate and, for the
-// cutoff loop in one and two dimensions, spatial reassignment. Two
+// shifts (the naive baseline's all-gather ring among them), force
+// kernel (inline, pooled), reduce, integrate and, for the cutoff loop
+// in one and two dimensions, spatial reassignment. Two
 // runs that differ only in step count must therefore allocate exactly
 // the same number of objects, in two settings. On a
 // fresh session each, the set-up (communicators, mailboxes of the pairs
@@ -101,6 +102,11 @@ func TestSteadyStateAllocFree(t *testing.T) {
 			pr := defaultParams(4, c)
 			pr.Workers = workers
 			return NewAllPairs(phys.InitUniform(n, pr.Box, 5), pr)
+		}},
+		{"naive", func(workers int) (*Session, error) {
+			pr := defaultParams(4, 1)
+			pr.Workers = workers
+			return NewNaiveAllGather(phys.InitUniform(n, pr.Box, 5), pr)
 		}},
 		{"cutoff", func(workers int) (*Session, error) {
 			// 8 ranks: the 1D cutoff window needs at least 3 teams.

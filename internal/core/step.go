@@ -12,19 +12,8 @@ import (
 )
 
 // This file is the one step driver: Session, the harness every
-// algorithm's timestep loop runs on, and shiftLoop, the one body that
-// executes Algorithms 1 and 2 from a per-rank plan.
-
-// rankLoop is one rank's share of an algorithm, built inside the rank's
-// goroutine on the session's first Advance and kept for the later ones.
-type rankLoop struct {
-	// step advances the rank by one timestep.
-	step func() error
-	// holds returns the particles the rank owns authoritatively at the
-	// end of an Advance and the slot they are deposited under; ok is
-	// false on ranks that only ever hold replicas.
-	holds func() (slot int, ps []phys.Particle, ok bool)
-}
+// algorithm runs on, and shiftLoop, the one timestep body that executes
+// Algorithms 1 and 2 and the naive baseline from a per-rank plan.
 
 // rank is what the harness lends a loop: the world communicator, its
 // accounting record, and the force pool, which tiles an accumulation by
@@ -36,7 +25,6 @@ type rank struct {
 	st    *trace.Stats
 	pool  *phys.Pool
 	po    poolObs
-	loop  rankLoop
 }
 
 // Session is an algorithm's parallel run that outlives its Advance
@@ -44,7 +32,7 @@ type rank struct {
 // parameters and lay out the decomposition — the grid, the schedule, the
 // particles' first owners — on the caller's goroutine, starting nothing.
 // The first Advance builds the comm world and, inside each rank's
-// goroutine, the rank's loop; the session keeps both, the loops with
+// goroutine, the rank's shiftLoop; the session keeps both, the loops with
 // every buffer they have grown (replica, exchange buffers, reduction
 // payload, migration stock), so a later Advance costs its
 // steps and not a rebuild. Between calls it is memory only: the rank
@@ -55,18 +43,18 @@ type Session struct {
 	pr         Params
 	impl       string  // force-kernel implementation of the compute phase
 	perS, perW float64 // per-step lower bounds
-	build      func(*rank) rankLoop
+	build      func(*rank) *shiftLoop
 	rt         *comm.Runtime // nil until the first Advance
-	ranks      []*rank       // by world rank; nil until the rank's first Advance
+	loops      []*shiftLoop  // by world rank; nil until the rank's first Advance
 	out        []phys.Particle
 }
 
-// newSession wraps an algorithm's per-rank loop builder in a session of
+// newSession wraps an algorithm's per-rank builder in a session of
 // n particles; perS and perW are the run's per-step lower bounds. The
 // force-kernel implementation the compute phase runs, named in the
 // report and the metrics, is the law's (phys.Kernel.Impl).
-func newSession(n int, pr Params, perS, perW float64, build func(*rank) rankLoop) *Session {
-	return &Session{n: n, pr: pr, impl: pr.Law.Kernel().Impl(), perS: perS, perW: perW, build: build, ranks: make([]*rank, pr.P)}
+func newSession(n int, pr Params, perS, perW float64, build func(*rank) *shiftLoop) *Session {
+	return &Session{n: n, pr: pr, impl: pr.Law.Kernel().Impl(), perS: perS, perW: perW, build: build, loops: make([]*shiftLoop, pr.P)}
 }
 
 // Advance runs every rank's loop for steps timesteps and gathers the n
@@ -90,59 +78,51 @@ func (s *Session) Advance(steps int) ([]phys.Particle, *trace.Report, error) {
 	}
 	pb := newProbe(s.pr, s.impl, s.perS, s.perW, steps)
 	report, results, err := s.rt.Run(func(world *comm.Comm) error {
-		rk := s.ranks[world.Rank()]
-		if rk == nil {
-			rk = &rank{world: world, st: world.Stats()}
-			s.ranks[world.Rank()] = rk
+		l := s.loops[world.Rank()]
+		if l == nil {
+			l = s.build(&rank{world: world, st: world.Stats()})
+			s.loops[world.Rank()] = l
 		}
-		st, mx := rk.st, world.Metrics()
-		rk.pool = phys.NewPool(s.pr.WorkersPerRank())
-		defer rk.pool.Close()
-		rk.po = newPoolObs(rk.pool, st, mx)
-		if rk.loop.step == nil {
-			rk.loop = s.build(rk)
-		}
-		loop := rk.loop
+		st, mx := l.st, world.Metrics()
+		l.pool = phys.NewPool(s.pr.WorkersPerRank())
+		defer l.pool.Close()
+		l.po = newPoolObs(l.pool, st, mx)
 
 		st.StartTiming()
 		defer st.StopTiming()
 
 		// Per-step metrics: rank 0 records each step's wall time (the
 		// loops are lock-step, so one rank's cadence stands for the
-		// run's); every rank feeds its per-step compute time into a
-		// shared histogram whose max/mean ratio is the per-step compute
-		// imbalance — the signal the cutoff algorithm's boundary effects
-		// show up in. Handles are nil — and the calls no-ops — when the
-		// run is not observed.
+		// run's), and every rank adds its step's compute time to its row
+		// of the comm matrix, from which trace.Measure reads the live
+		// compute imbalance by the report's definition. Handles are nil
+		// — and the calls no-ops — when the run is not observed.
 		stepWall := mx.Histogram("step.wall_ns")
-		stepCompute := mx.Histogram("step.compute_ns")
 		stepsDone := mx.Counter("step.count")
 		observed := mx != nil
+		matrix := s.pr.Options.Observe.Matrix()
 
 		for step := 0; step < steps; step++ {
 			var t0 time.Time
-			var computeBefore time.Duration
 			if observed {
 				t0 = time.Now()
-				computeBefore = st.ByPhase[trace.Compute].Time
 			}
-			if err := loop.step(); err != nil {
+			computeBefore := st.ByPhase[trace.Compute].Time
+			if err := l.step(); err != nil {
 				return err
 			}
 			st.SetPhase(trace.Other)
-			rk.po.stampStep()
-			if observed {
-				stepCompute.Observe(int64(st.ByPhase[trace.Compute].Time - computeBefore))
-				if world.Rank() == 0 {
-					wall := time.Since(t0)
-					stepWall.Observe(wall.Nanoseconds())
-					stepsDone.Inc()
-					pb.stampStep(st, wall)
-				}
+			l.po.stampStep()
+			matrix.AddTime(world.Rank(), int(trace.Compute), st.ByPhase[trace.Compute].Time-computeBefore)
+			if observed && world.Rank() == 0 {
+				wall := time.Since(t0)
+				stepWall.Observe(wall.Nanoseconds())
+				stepsDone.Inc()
+				pb.stampStep(st, wall)
 			}
 		}
-		if slot, ps, ok := loop.holds(); ok {
-			world.Deposit(slot, ps)
+		if l.leader {
+			world.Deposit(l.slot, l.mine)
 		}
 		return nil
 	})
@@ -358,5 +338,3 @@ func (l *shiftLoop) counted(pairs int64) {
 	l.pairs.Add(pairs)
 	l.po.stampBatch()
 }
-
-func (l *shiftLoop) holds() (int, []phys.Particle, bool) { return l.slot, l.mine, l.leader }

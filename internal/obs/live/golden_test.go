@@ -28,15 +28,14 @@ func TestSnapshotGolden(t *testing.T) {
 	o.Metrics.Gauge("comm.s.lowerbound").Set(32)
 	o.Metrics.Gauge("comm.w.lowerbound").Set(2048)
 	o.Metrics.Gauge("step.current").Set(7)
-	h := o.Metrics.Histogram("step.compute_ns")
-	h.Observe(100)
-	h.Observe(300)
 	hw := o.Metrics.Histogram("step.worker_compute_ns")
 	hw.Observe(200)
 	hw.Observe(200)
 	m := o.EnsureMatrix(2, 2)
 	m.CountSend(1, 0, 1, 128) // phase 1 ("shift") is a comm phase
 	m.CountRecv(1, 0, 1, 128)
+	m.AddTime(0, 0, 100) // phase 0 is trace.Compute: imbalance 300/200
+	m.AddTime(1, 0, 300)
 
 	s := New(o)
 	srv := httptest.NewServer(s.Handler())

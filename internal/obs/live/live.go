@@ -196,7 +196,8 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, _ *http.Request) {
 
 // buildSnapshot assembles the snapshot document from the observer's
 // concurrency-safe state: gauges for the run position, S/W and bounds,
-// the matrix's per-rank totals, histograms for the imbalance proxies.
+// the matrix's per-rank totals and the compute imbalance trace.Measure
+// reads off them, the worker histogram for the intra-rank imbalance.
 func buildSnapshot(o *obs.Observer) Snapshot {
 	var doc Snapshot
 	if o == nil {
@@ -208,7 +209,9 @@ func buildSnapshot(o *obs.Observer) Snapshot {
 	doc.WMeasured = doc.Metrics.Gauges["comm.w.measured"]
 	doc.SLowerBound = doc.Metrics.Gauges["comm.s.lowerbound"]
 	doc.WLowerBound = doc.Metrics.Gauges["comm.w.lowerbound"]
-	doc.ComputeImbalance = doc.Metrics.Histograms["step.compute_ns"].MaxOver
+	m := o.Matrix()
+	measured := trace.Measure(m)
+	doc.ComputeImbalance = measured.ComputeImbalance()
 	doc.WorkerImbalance = doc.Metrics.Histograms["step.worker_compute_ns"].MaxOver
 	doc.TimelineDropped = o.Timeline.Dropped()
 
@@ -216,7 +219,6 @@ func buildSnapshot(o *obs.Observer) Snapshot {
 	// Stats are owned by the rank goroutines and are not safe to read
 	// mid-run, while the matrix's per-rank totals are atomics. A rank's
 	// S and W are trace's sums over its own totals.
-	m := o.Matrix()
 	for r := 0; r < m.Ranks(); r++ {
 		t := trace.RankTable(m, r)
 		rs := RankSnapshot{Rank: r, S: t.S(), W: t.W()}

@@ -4,28 +4,37 @@ import (
 	"fmt"
 	"strings"
 	"sync/atomic"
+	"time"
 )
 
 // CommMatrix accumulates per-(phase, src, dst) traffic: how many
 // messages and payload bytes each world rank sent to each other rank,
 // broken down by the sender's (for sends) or receiver's (for receives)
 // active phase. Next to the cells it keeps each rank's own totals per
-// phase: the sends it made and the receives it took. The storage is
-// fixed blocks of atomics, so the comm substrate stamps a message with
-// four atomic adds, and the live hub and rank 0 read the matrix mid-run
-// without any coordination with the rank goroutines. Of a message's
+// phase: the sends it made, the receives it took and the time the
+// driver charged it (AddTime). The storage is fixed blocks of atomics,
+// so the comm substrate stamps a message with four atomic adds, and the
+// live hub and rank 0 read the matrix mid-run without any coordination
+// with the rank goroutines. Of a message's
 // adds, only those to its cell are shared with another rank (the
 // peer's); a rank's totals are written by that rank alone.
 //
 // The matrix is pure *additional* instrumentation: the S/W accounting
 // of trace.Stats is untouched by it, and the conservation tests pin the
 // matrix totals to the PhaseStats counters bitwise. The per-rank totals
-// are what an observed run's live S and W are computed from
-// (trace.Measure), since trace.Stats belongs to its rank.
+// are what an observed run's live S, W and compute imbalance are
+// computed from (trace.Measure), since trace.Stats belongs to its rank.
 type CommMatrix struct {
 	phases, ranks int
 	cells         []matrixCell // [phase][src][dst], flattened
-	rows          []matrixCell // [rank][phase]: the rank's sends and receives
+	rows          []matrixRow  // [rank][phase]: the rank's totals
+}
+
+// matrixRow is one rank's totals under one phase: its sends and
+// receives, and the time charged to it.
+type matrixRow struct {
+	matrixCell
+	ns atomic.Int64
 }
 
 // matrixCell holds one (phase, src, dst) entry. Send counts are stamped
@@ -52,7 +61,7 @@ func NewCommMatrix(phases, ranks int) *CommMatrix {
 		phases: phases,
 		ranks:  ranks,
 		cells:  make([]matrixCell, phases*ranks*ranks),
-		rows:   make([]matrixCell, ranks*phases),
+		rows:   make([]matrixRow, ranks*phases),
 	}
 }
 
@@ -84,7 +93,7 @@ func (m *CommMatrix) cell(phase, src, dst int) *matrixCell {
 }
 
 // row returns rank's totals under phase; the indices are in range.
-func (m *CommMatrix) row(rank, phase int) *matrixCell {
+func (m *CommMatrix) row(rank, phase int) *matrixRow {
 	return &m.rows[rank*m.phases+phase]
 }
 
@@ -127,6 +136,24 @@ func (m *CommMatrix) RankTotals(rank, phase int) (sentMsgs, sentBytes, recvMsgs,
 	}
 	t := m.row(rank, phase)
 	return t.sentMsgs.Load(), t.sentBytes.Load(), t.recvMsgs.Load(), t.recvBytes.Load()
+}
+
+// AddTime charges d of wall time to rank under phase. Nil-safe, and
+// out-of-range indices are dropped, as cell drops them; one atomic add.
+func (m *CommMatrix) AddTime(rank, phase int, d time.Duration) {
+	if m == nil || phase < 0 || phase >= m.phases || rank < 0 || rank >= m.ranks {
+		return
+	}
+	m.row(rank, phase).ns.Add(int64(d))
+}
+
+// RankTime returns the time charged to rank under phase (AddTime). Zero
+// when m is nil or an index is out of range.
+func (m *CommMatrix) RankTime(rank, phase int) time.Duration {
+	if m == nil || phase < 0 || phase >= m.phases || rank < 0 || rank >= m.ranks {
+		return 0
+	}
+	return time.Duration(m.row(rank, phase).ns.Load())
 }
 
 // PhaseTotals returns the cumulative traffic stamped under one phase

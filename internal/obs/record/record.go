@@ -21,9 +21,9 @@
 // runtime.ReadMemStats runs on a background sampler goroutine whose
 // latest reading the step path picks up with atomic loads.
 //
-// Like package obs, record imports nothing from this repository, so any
-// layer may depend on it without cycles; phase identities arrive as a
-// positional name list in Meta.
+// Like package obs, record imports nothing from this repository but the
+// leaf internal/owner, so any layer may depend on it without cycles;
+// phase identities arrive as a positional name list in Meta.
 package record
 
 import (
@@ -31,6 +31,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/owner"
 )
 
 // MaxPhases is the fixed per-sample phase-array width. It must be at
@@ -81,8 +83,8 @@ type Sample struct {
 	SLowerBound int64
 	WLowerBound int64
 
-	// max/mean of the per-rank per-step compute times observed so far
-	// (the step.compute_ns histogram), in every sample.
+	// max/mean over ranks of each rank's compute time so far, the
+	// report's ComputeImbalance (trace.Measure), in every sample.
 	ComputeImbalance float64
 	WorkerImbalance  float64 // max/mean of per-worker busy time (step.worker_compute_ns)
 	TimelineDropped  int64   // cumulative timeline ring drops
@@ -113,7 +115,12 @@ type Meta struct {
 // with New; drive with RunBegin / RecordCumulative / RunEnd.
 type Recorder struct {
 	meta Meta
-	g    guard
+	// g holds, in obsdebug builds, the contract that one goroutine per
+	// run calls RecordCumulative: the first call binds the owner, and
+	// RunBegin/RunEnd release it, which is how ownership hands over
+	// between chunked runs (each comm.Run spawns a fresh rank-0
+	// goroutine) and to the driver for the held-back final sample.
+	g owner.Guard
 
 	mu  sync.Mutex
 	buf []Sample
@@ -209,7 +216,7 @@ func (r *Recorder) RecordCumulative(s Sample) {
 	if r == nil {
 		return
 	}
-	r.g.check()
+	r.g.Check("record.Recorder")
 	s.HeapBytes = r.heap.Load()
 	s.GCPauseNs = r.gcPause.Load()
 	s.NumGC = r.numGC.Load()
@@ -332,7 +339,7 @@ func (r *Recorder) RunBegin() {
 	if r == nil {
 		return
 	}
-	r.g.release()
+	r.g.Release()
 	r.sampleRuntime()
 	r.rtMu.Lock()
 	defer r.rtMu.Unlock()
@@ -364,9 +371,9 @@ func (r *Recorder) RunEnd(final *Sample) {
 	r.rtMu.Unlock()
 	if final != nil {
 		r.sampleRuntime()
-		r.g.release()
+		r.g.Release()
 		r.RecordCumulative(*final)
-		r.g.release()
+		r.g.Release()
 	}
 }
 

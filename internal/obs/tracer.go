@@ -19,12 +19,11 @@ const (
 	// KindRecv is a completed receive: Start is when the rank began
 	// waiting, Dur how long it blocked, Peer/Tag/Bytes the message.
 	KindRecv
-	// KindBarrier..KindAllgather are collective entry/exit spans: Start
+	// KindBarrier..KindReduce are collective entry/exit spans: Start
 	// is entry, Dur the time to exit.
 	KindBarrier
 	KindBcast
 	KindReduce
-	KindAllgather
 	// KindWorker is an intra-rank force-pool worker span: Peer holds
 	// the worker id within the rank's pool, Start/Dur the tile's busy
 	// extent. Stamped by the rank goroutine after the batch drains, so
@@ -47,8 +46,6 @@ func (k Kind) String() string {
 		return "bcast"
 	case KindReduce:
 		return "reduce"
-	case KindAllgather:
-		return "allgather"
 	case KindWorker:
 		return "worker"
 	default:

@@ -66,27 +66,15 @@ func (l Law) PairPotential(pi, pj vec.Vec2) float64 {
 	return u
 }
 
-// AccumulateIn adds to the force accumulator of every particle in
-// targets the force exerted by every particle in sources, skipping pairs
-// with equal IDs (a particle never acts on itself, even when the source
-// buffer is a replica of the target buffer). It returns the number of
-// pair evaluations performed, which the instrumented tests use to check
-// that the parallel schedules cover every pair exactly once. The law
-// picks the metric: an open law uses the plain displacement, a cutoff
-// law the box's (minimum-image in a periodic box, so cutoff interactions
-// wrap around the domain) and counts a beyond-cutoff pair without adding
-// for it; Box{} measures plainly. It runs the specialized kernel (see
-// Kernel); the per-pair reference path is AccumulateGeneric.
-func (l Law) AccumulateIn(targets, sources []Particle, box Box) int64 {
-	k := l.Kernel()
-	return k.AccumulateIn(targets, sources, box)
-}
-
 // AccumulateGeneric is the unspecialized reference implementation of
-// AccumulateIn, evaluating every pair through Law.Pair with the kind and
-// cutoff re-tested per pair. The specialized kernels are verified
-// bitwise against it. Semantics and results are identical to
-// AccumulateIn.
+// the law's Kernel.AccumulateIn, evaluating every pair through Law.Pair
+// with the kind and cutoff re-tested per pair. The specialized kernels
+// are verified bitwise against it. Semantics and results are identical:
+// it adds to every target the force of every source, skips pairs with
+// equal IDs (a particle never acts on itself, even when the sources are
+// a replica of the targets), measures under box when the law has a
+// cutoff (minimum image in a periodic box) and plainly otherwise, and
+// returns the pair evaluations, a beyond-cutoff pair included.
 func (l Law) AccumulateGeneric(targets, sources []Particle, box Box) int64 {
 	if l.Cutoff <= 0 {
 		box = Box{}

@@ -55,13 +55,13 @@ func TestCoincidentParticlesSoftened(t *testing.T) {
 }
 
 func TestAccumulateSkipsSelfByID(t *testing.T) {
-	law := DefaultLaw()
+	kern := DefaultLaw().Kernel()
 	ps := []Particle{
 		{ID: 0, Pos: vec.Vec2{X: 1}},
 		{ID: 1, Pos: vec.Vec2{X: 2}},
 	}
 	replicas := append([]Particle(nil), ps...)
-	n := law.AccumulateIn(ps, replicas, Box{})
+	n := kern.AccumulateIn(ps, replicas, Box{})
 	if n != 2 {
 		t.Errorf("pair evaluations = %d, want 2 (self pairs skipped)", n)
 	}
@@ -124,7 +124,8 @@ func TestAccumulateInHonorsCutoffAndBox(t *testing.T) {
 	law := DefaultLaw().WithCutoff(2)
 	targets := []Particle{{ID: 0, Pos: vec.Vec2{X: 0.5}}}
 	sources := []Particle{{ID: 1, Pos: vec.Vec2{X: 9.5}}, {ID: 2, Pos: vec.Vec2{X: 5}}}
-	law.AccumulateIn(targets, sources, box)
+	kern := law.Kernel()
+	kern.AccumulateIn(targets, sources, box)
 	want := law.Pair(vec.Vec2{X: 1}, vec.Vec2{}) // image displacement
 	if targets[0].Force.Sub(want).Norm() > 1e-14 {
 		t.Errorf("AccumulateIn = %+v, want %+v", targets[0].Force, want)

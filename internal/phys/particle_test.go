@@ -138,7 +138,7 @@ func TestInteractions(t *testing.T) {
 // overlapping ID sets — the bug the corrected signature fixes.
 func TestInteractionsMatchesAccumulate(t *testing.T) {
 	box := NewBox(10, 2, Reflective)
-	law := DefaultLaw()
+	kern := DefaultLaw().Kernel()
 	targets := InitUniform(8, box, 1)
 	cases := []struct {
 		name    string
@@ -150,7 +150,7 @@ func TestInteractionsMatchesAccumulate(t *testing.T) {
 		{"overlap", append(append([]Particle(nil), targets[:3]...), relabel(InitUniform(4, box, 3), 200)...), 3},
 	}
 	for _, tc := range cases {
-		got := law.AccumulateIn(append([]Particle(nil), targets...), tc.sources, box)
+		got := kern.AccumulateIn(append([]Particle(nil), targets...), tc.sources, box)
 		want := interactions(len(targets), len(tc.sources), tc.shared)
 		if got != want {
 			t.Errorf("%s: Accumulate counted %d, Interactions predicts %d", tc.name, got, want)

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/owner"
 )
 
 // Phase labels one part of a timestep. The values mirror the phase
@@ -161,7 +162,7 @@ type Stats struct {
 	epoch   time.Time
 	started time.Duration
 	timing  bool
-	guard   guard
+	guard   owner.Guard
 	tracer  *obs.Tracer
 	ByPhase PhaseTable
 	// WorkerCompute accumulates the busy time of each intra-rank force
@@ -197,7 +198,7 @@ func (s *Stats) SetTracer(t *obs.Tracer) {
 // call binds the goroutine it runs on. A reusable runtime resets each
 // rank's Stats before a run, so a report counts that run alone.
 func (s *Stats) Reset() {
-	s.guard.release()
+	s.guard.Release()
 	s.phase = Other
 	s.started, s.timing = 0, false
 	s.ByPhase = PhaseTable{}
@@ -213,7 +214,7 @@ func (s *Stats) Tracer() *obs.Tracer { return s.tracer }
 // is emitted to the timeline. Re-entering the active phase is a no-op —
 // no clock reading, no span — so loops may call it redundantly.
 func (s *Stats) SetPhase(p Phase) {
-	s.guard.check()
+	s.guard.Check("trace.Stats")
 	if p == s.phase {
 		return
 	}
@@ -233,7 +234,7 @@ func (s *Stats) Phase() Phase { return s.phase }
 
 // StartTiming begins charging wall time to phases.
 func (s *Stats) StartTiming() {
-	s.guard.check()
+	s.guard.Check("trace.Stats")
 	s.timing = true
 	s.started = time.Since(s.epoch)
 }
@@ -241,7 +242,7 @@ func (s *Stats) StartTiming() {
 // StopTiming charges the time since the last phase switch and stops the
 // clock.
 func (s *Stats) StopTiming() {
-	s.guard.check()
+	s.guard.Check("trace.Stats")
 	if s.timing {
 		s.ByPhase[s.phase].Time += time.Since(s.epoch) - s.started
 		s.timing = false
@@ -253,7 +254,7 @@ func (s *Stats) StopTiming() {
 // records per-worker times internally; the rank stamps them here after
 // each batch or step).
 func (s *Stats) AddWorkerCompute(w int, d time.Duration) {
-	s.guard.check()
+	s.guard.Check("trace.Stats")
 	for len(s.WorkerCompute) <= w {
 		s.WorkerCompute = append(s.WorkerCompute, 0)
 	}
@@ -263,7 +264,7 @@ func (s *Stats) AddWorkerCompute(w int, d time.Duration) {
 // CountMessage attributes one sent message of n payload bytes to the
 // active phase.
 func (s *Stats) CountMessage(n int) {
-	s.guard.check()
+	s.guard.Check("trace.Stats")
 	s.ByPhase[s.phase].Messages++
 	s.ByPhase[s.phase].Bytes += int64(n)
 }
@@ -271,7 +272,7 @@ func (s *Stats) CountMessage(n int) {
 // CountRecv attributes one received message of n payload bytes to the
 // active phase.
 func (s *Stats) CountRecv(n int) {
-	s.guard.check()
+	s.guard.Check("trace.Stats")
 	s.ByPhase[s.phase].RecvMessages++
 	s.ByPhase[s.phase].RecvBytes += int64(n)
 }
@@ -342,13 +343,14 @@ func (r *Report) addRank(t *PhaseTable) {
 	}
 }
 
-// Measure returns the report of the traffic m has counted: each rank's
-// phase totals folded in as Aggregate folds the ranks' Stats, so its S
-// and W are a run report's S and W by the same definition. Its times,
-// worker lanes and bounds are zero. The matrix's totals are atomics, so
-// Measure may run while the ranks count; they accumulate over the
-// observer's life, so after chunked runs the result is that of one run
-// of all their steps. Nil-safe (an empty report).
+// Measure returns the report of what m has counted: each rank's phase
+// totals folded in as Aggregate folds the ranks' Stats, so its S, W and
+// phase imbalances are a run report's by the same definition. Its times
+// are those the driver charged to the matrix's rows (the compute time
+// of an observed run); its worker lanes and bounds are zero. The rows
+// are atomics, so Measure may run while the ranks count; they
+// accumulate over the observer's life, so after chunked runs the result
+// is that of one run of all their steps. Nil-safe (an empty report).
 func Measure(m *obs.CommMatrix) Report {
 	r := Report{Ranks: m.Ranks()}
 	for rank := 0; rank < r.Ranks; rank++ {
@@ -358,13 +360,13 @@ func Measure(m *obs.CommMatrix) Report {
 	return r
 }
 
-// RankTable returns the phase totals m has counted for one rank, with
-// zero times.
+// RankTable returns the phase totals m has counted for one rank.
 func RankTable(m *obs.CommMatrix, rank int) PhaseTable {
 	var t PhaseTable
 	for p := range t {
 		ps := &t[p]
 		ps.Messages, ps.Bytes, ps.RecvMessages, ps.RecvBytes = m.RankTotals(rank, p)
+		ps.Time = m.RankTime(rank, p)
 	}
 	return t
 }

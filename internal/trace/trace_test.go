@@ -315,6 +315,11 @@ func TestMeasureMatchesAggregate(t *testing.T) {
 	send(Shift, 0, 2, 10)
 	send(Reduce, 2, 1, 7)
 	send(Broadcast, 0, 1, 50)
+	// The driver charges each rank's compute time to its row as well.
+	for r, d := range []time.Duration{3, 9, 5} {
+		stats[r].ByPhase[Compute].Time += d
+		m.AddTime(r, int(Compute), d)
+	}
 
 	want := Aggregate(stats)
 	got := Measure(m)
@@ -324,6 +329,9 @@ func TestMeasureMatchesAggregate(t *testing.T) {
 	}
 	if got.S() != want.S() || got.W() != want.W() {
 		t.Errorf("Measure S/W = %d/%d, Aggregate %d/%d", got.S(), got.W(), want.S(), want.W())
+	}
+	if got.ComputeImbalance() != want.ComputeImbalance() || want.ComputeImbalance() <= 1 {
+		t.Errorf("Measure compute imbalance %g, Aggregate %g (max 9 over mean 17/3)", got.ComputeImbalance(), want.ComputeImbalance())
 	}
 	// Shift: max sent 2 (rank 1), max received 2 (rank 2); Reduce 1+1;
 	// Broadcast 1+1.

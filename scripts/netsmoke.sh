@@ -1,8 +1,8 @@
 #!/bin/sh
 # netsmoke: the multi-process transport gate `make check` runs.
 #
-# For each of the three timestep loops (ca-all-pairs, ca-cutoff, and
-# the naive all-gather) it runs the same configuration twice — once
+# For each of the three algorithms (ca-all-pairs, ca-cutoff, and the
+# naive all-gather) it runs the same configuration twice — once
 # with every rank in-process, once spanned across OS processes over TCP
 # loopback via -spawn — and requires the two runs to be
 # indistinguishable (a fourth case holds `nbody sweep` to the same

@@ -4,7 +4,7 @@
 # 1: a speed claim is measured on the parent and on the change in ten or
 # more alternating pairs).
 #
-#   sh scripts/pairs.sh [-w "workload ..."] [-n pairs] [-b base] [-s seconds] [-d dir]
+#   sh scripts/pairs.sh [-w "workload ..."] [-n pairs] [-b base] [-s seconds] [-d dir] [-t]
 #
 # The base (default HEAD, the parent of uncommitted work) is unpacked
 # with `git archive` into dir/parent. -w takes one workload or a
@@ -13,7 +13,10 @@
 # `bash benchmark/run.sh --workload W --seed i --trace 0` once in that
 # copy and once in the working tree, the base first in odd pairs and
 # second in even ones, so that a drift of the host over the session
-# falls on both sides alike. -s adds `--seconds S` to every run.
+# falls on both sides alike. -s adds `--seconds S` to every run. -t runs
+# the traced set (`--trace 1`) instead, whose report prints the
+# per-layer metrics (`obs.overhead_frac`, the phase times, ...); they
+# are tabulated the same way.
 #
 # It prints, as markdown, one table per workload: each end-to-end
 # metric's median and quartiles on either side, the ratio of the medians
@@ -25,15 +28,16 @@
 # own .bench_build/.
 set -eu
 
-workloads=ap-compute pairs=10 base=HEAD seconds= dir=
-while getopts w:n:b:s:d: opt; do
+workloads=ap-compute pairs=10 base=HEAD seconds= dir= trace=0 label=
+while getopts w:n:b:s:d:t opt; do
     case $opt in
     w) workloads=$OPTARG ;;
     n) pairs=$OPTARG ;;
     b) base=$OPTARG ;;
     s) seconds=$OPTARG ;;
     d) dir=$OPTARG ;;
-    *) echo "usage: $0 [-w \"workload ...\"] [-n pairs] [-b base] [-s seconds] [-d dir]" >&2; exit 2 ;;
+    t) trace=1 label="traced set, " ;;
+    *) echo "usage: $0 [-w \"workload ...\"] [-n pairs] [-b base] [-s seconds] [-d dir] [-t]" >&2; exit 2 ;;
     esac
 done
 
@@ -48,7 +52,7 @@ git -C "$root" archive "$base" | tar -x -C "$dir/parent"
 run() { # workload side pair
     workload=$1 run_side=$2 run_pair=$3
     if [ "$run_side" = parent ]; then checkout=$dir/parent; else checkout=$root; fi
-    set -- --workload "$workload" --seed "$run_pair" --trace 0
+    set -- --workload "$workload" --seed "$run_pair" --trace "$trace"
     [ -z "$seconds" ] || set -- "$@" --seconds "$seconds"
     echo "pairs: $workload pair $run_pair: $run_side" >&2
     out=$dir/$workload.$run_side.$run_pair
@@ -74,7 +78,7 @@ table() { # workload
                 awk -v side="$side" -v i="$i" '{ print "value", side, i, $1, $2 }'
         done
         i=$((i + 1))
-    done | awk -v pairs="$pairs" -v workload="$1" -v rev="$rev" '
+    done | awk -v pairs="$pairs" -v workload="$1" -v rev="$rev" -v label="$label" '
     function sorted(side, m,    k, j, t, n) {
         n = 0
         for (k = 1; k <= pairs; k++) if ((side, k, m) in v) s[++n] = v[side, k, m]
@@ -100,7 +104,7 @@ table() { # workload
         if (!($4 in seen)) { seen[$4] = 1; order[++nm] = $4 }
     }
     END {
-        printf "## %s: %d alternating pairs, %s (parent) against the working tree (change)\n\n", workload, pairs, rev
+        printf "## %s: %d alternating pairs, %s%s (parent) against the working tree (change)\n\n", workload, pairs, label, rev
         print "| metric | better | parent median [q1, q3] | change median [q1, q3] | change / parent | change wins |"
         print "|---|---|---:|---:|---:|---:|"
         for (k = 1; k <= nm; k++) {
