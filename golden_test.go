@@ -50,9 +50,9 @@ var goldenRuns = []goldenRun{
 	{name: "cutoff-small", cfg: Config{N: 512, P: 8, C: 2, Dim: 1, Boundary: Periodic, Cutoff: 4, Lattice: true, DT: 5e-4},
 		want: goldenCounts{sum: 0x5d76f184ce724d19, s: 72, w: 264288, phases: [5][2]int64{{6, 39936}, {6, 39960}, {6, 39960}, {6, 12288}, {12, 0}}}},
 	{name: "cutoff-2d", cfg: Config{N: 4096, P: 64, C: 4, Dim: 2, Boundary: Reflective, Cutoff: 4, Lattice: true, DT: 5e-4},
-		want: goldenCounts{sum: 0x15a3b1503f2d5745, s: 168, w: 792720, phases: [5][2]int64{{12, 159744}, {6, 79896}, {12, 159792}, {6, 24576}, {48, 0}}}},
+		want: goldenCounts{sum: 0x15a3b1503f2d5745, s: 120, w: 792720, phases: [5][2]int64{{12, 159744}, {6, 79896}, {12, 159792}, {6, 24576}, {24, 0}}}},
 	{name: "cutoff-2d-migrating", cfg: Config{N: 1024, P: 64, C: 4, Dim: 2, Cutoff: 4, DT: 2e-3},
-		want: goldenCounts{sum: 0x132ed4edcd192330, s: 168, w: 245584, phases: [5][2]int64{{12, 51376}, {6, 25712}, {12, 46640}, {6, 7904}, {48, 52}}}},
+		want: goldenCounts{sum: 0x132ed4edcd192330, s: 120, w: 245584, phases: [5][2]int64{{12, 51376}, {6, 25712}, {12, 46640}, {6, 7904}, {24, 52}}}},
 	{name: "force-decomp", cfg: Config{N: 256, P: 16, Algorithm: ForceDecomp},
 		want: goldenCounts{sum: 0x2a3884267b4451ff, s: 48, w: 118272, phases: [5][2]int64{{12, 39936}, {6, 19968}, {0, 0}, {6, 6144}, {0, 0}}}},
 	{name: "particle-decomp", cfg: Config{N: 256, P: 16, Algorithm: ParticleDecomp},

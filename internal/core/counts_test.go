@@ -98,9 +98,59 @@ func TestCutoff1DCommunicationCounts(t *testing.T) {
 			check("reduce sends", rep.CriticalPath[trace.Reduce].Messages, want.ReduceSends)
 			check("reduce bytes", rep.CriticalPath[trace.Reduce].Bytes, want.ReduceBytes)
 			check("reduce recvs", rep.CriticalPath[trace.Reduce].RecvMessages, want.ReduceRecvs)
-			// Reassignment: interior leaders exchange with both
-			// neighbors.
-			check("reassign sends", rep.CriticalPath[trace.Reassign].Messages, 2)
+		})
+	}
+}
+
+// TestCutoffReassignMessages pins the dimension-ordered reassignment's
+// message count: an interior leader sends and receives 2·dim messages a
+// step — one toward each side of each axis, empty or not — against the
+// 3^dim − 1 of an exchange with every Chebyshev neighbor. The maximum
+// over ranks is an interior leader's; in a periodic box every leader is
+// interior, so the sum over ranks is the leaders' count times as much.
+func TestCutoffReassignMessages(t *testing.T) {
+	const steps = 3
+	for _, tc := range []struct {
+		p, c, dim, n int
+		boundary     phys.Boundary
+	}{
+		{16, 2, 1, 64, phys.Reflective},
+		{16, 2, 1, 64, phys.Periodic},
+		{64, 4, 2, 1024, phys.Reflective},
+		{64, 4, 2, 1024, phys.Periodic},
+		{32, 2, 2, 1024, phys.Periodic},
+	} {
+		t.Run(fmt.Sprintf("p=%d/c=%d/dim=%d/%v", tc.p, tc.c, tc.dim, tc.boundary), func(t *testing.T) {
+			t.Parallel()
+			pr := cutoffParams(tc.p, tc.c, tc.dim, tc.boundary)
+			ps := phys.InitUniform(tc.n, pr.Box, 7)
+			for i := range ps {
+				// Up to a tenth of a team width a step: some particles
+				// migrate every step, none further than one team.
+				ps[i].Vel.X = float64(i%11-5) * 20
+				if tc.dim == 2 {
+					ps[i].Vel.Y = float64(i%13-6) * 20
+				}
+			}
+			_, rep, err := advance(NewCutoff, ps, pr, steps)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := int64(2 * tc.dim * steps)
+			got := rep.CriticalPath[trace.Reassign]
+			if got.Messages != want || got.RecvMessages != want {
+				t.Errorf("an interior leader sent %d and received %d reassignment messages in %d steps, want %d each (2·dim a step)",
+					got.Messages, got.RecvMessages, steps, want)
+			}
+			if tc.boundary == phys.Periodic {
+				leaders := int64(tc.p / tc.c)
+				if sum := rep.Sum[trace.Reassign].Messages; sum != leaders*want {
+					t.Errorf("%d leaders sent %d reassignment messages in all, want %d", leaders, sum, leaders*want)
+				}
+			}
+			if rep.Sum[trace.Reassign].Bytes == 0 {
+				t.Error("no particle migrated: the count is not measured under traffic")
+			}
 		})
 	}
 }

@@ -104,7 +104,7 @@ func newCutoffLayout(p, c int, rc float64, box phys.Box) (*commGrid, *CutoffSche
 	if err != nil {
 		return nil, nil, windowed{}, err
 	}
-	w := windowed{tg: tg, m: m, wrap: box.Boundary == phys.Periodic, dirs: migrationDirs(box.Dim)}
+	w := windowed{tg: tg, m: m, wrap: box.Boundary == phys.Periodic}
 	return cg, sched, w, nil
 }
 
@@ -141,7 +141,6 @@ type windowed struct {
 	tg   topo.TeamGrid
 	m    int  // cutoff span in team widths
 	wrap bool // periodic box: team distances wrap
-	dirs []topo.Offset
 	mig  migrator
 }
 
@@ -176,7 +175,7 @@ func (*windowed) flush(*shiftLoop) {}
 // indexed by team: that is the leader's ring.
 func (w *windowed) integrated(l *shiftLoop, mine []phys.Particle) ([]phys.Particle, error) {
 	l.st.SetPhase(trace.Reassign)
-	return w.mig.migrate(l.x, l.ring, w.tg, l.slot, mine, l.pr.Box, w.dirs, w.wrap)
+	return w.mig.migrate(l.x, l.ring, w.tg, l.slot, mine, l.pr.Box, w.wrap)
 }
 
 // teamOfPos returns the team owning a position: the spatial cell of the
@@ -199,24 +198,6 @@ func clampCell(c, side int) int {
 		return side - 1
 	}
 	return c
-}
-
-// migrationDirs lists the neighbor directions particles can migrate
-// toward in one timestep, in a fixed order shared by all leaders.
-func migrationDirs(dim int) []topo.Offset {
-	if dim == 1 {
-		return []topo.Offset{{DX: -1}, {DX: 1}}
-	}
-	var out []topo.Offset
-	for dy := -1; dy <= 1; dy++ {
-		for dx := -1; dx <= 1; dx++ {
-			if dx == 0 && dy == 0 {
-				continue
-			}
-			out = append(out, topo.Offset{DX: dx, DY: dy})
-		}
-	}
-	return out
 }
 
 // scatterByTeam buckets the initial particles by owning team in one
@@ -246,87 +227,163 @@ func scatterByTeam(ps []phys.Particle, box phys.Box, tg topo.TeamGrid) [][]phys.
 
 // migrator is one leader's spatial-reassignment state, retained across
 // steps so that the steady state allocates nothing: the outgoing
-// particles are bucketed by direction in a fixed array, the team is
-// rebuilt in a buffer double-buffered against the current one, and the
-// payloads received in one step are the send buffers of later ones.
+// particles are bucketed by stage and side in a fixed array, the
+// arrivals gathered in a retained buffer, the team rebuilt in a buffer
+// double-buffered against the current one, and the payloads received in
+// one step are the send buffers of later ones.
 type migrator struct {
-	out [8][]phys.Particle // by index into migrationDirs
+	// out is indexed by axis (0 is x, 1 is y) and side (0 toward −axis,
+	// 1 toward +axis): the payload of one message of that axis's stage.
+	out [2][2][]phys.Particle
+	// arrived holds the step's incoming particles that stay here, to be
+	// merged into the stayers.
+	arrived []phys.Particle
 	// spare is the previous team buffer, the target of the next rebuild.
 	// The current one cannot be rebuilt in place while incoming
-	// particles are appended behind the stayers, and the previous one is
+	// particles are merged among the stayers, and the previous one is
 	// free: its last readers, the team members copying the broadcast,
 	// finished before the force reduction of the step it was sent in.
 	spare []phys.Particle
-	// free holds payloads received in earlier steps. A received slice
-	// is the receiver's outright (the ownership-transfer contract in
-	// transport.go), so it backs a later send; buffers circulate between
-	// neighbors instead of being allocated by every sender every step.
+	// free holds payloads received in earlier stages and steps. A
+	// received slice is the receiver's outright (the ownership-transfer
+	// contract in transport.go), so it backs a later send; buffers
+	// circulate between neighbors instead of being allocated by every
+	// sender every step.
 	free [][]phys.Particle
-}
-
-// dirIndex is the position of a Chebyshev-unit offset in
-// migrationDirs(dim).
-func dirIndex(off topo.Offset, dim int) int {
-	if dim == 1 {
-		return (off.DX + 1) / 2
-	}
-	i := (off.DY+1)*3 + off.DX + 1
-	if i > 4 {
-		i-- // the origin is not a direction
-	}
-	return i
 }
 
 // migrate exchanges particles that left the team's spatial region with
 // the neighboring teams over the given transport and returns the updated
-// local set (in a different buffer than mine, which the migrator keeps
-// for the next step). Typed sends transfer their payload outright.
-// Particles may move at most one team width per step; exceeding that is
-// reported as an error (the timestep is too large for the
+// local set in ID order (in a different buffer than mine, which the
+// migrator keeps for the next step). Typed sends transfer their payload
+// outright.
+//
+// The exchange is dimension-ordered: one stage per axis, x first, in
+// which the leader sends one message toward −axis and one toward +axis
+// and receives one from each side — 2·dim messages out and 2·dim in,
+// each sent even when empty, since nothing else tells a receiver that
+// nothing is coming. A particle travels along the first axis on which
+// its team differs from the holder's; one that arrives but still lies
+// off along a later axis is forwarded in that axis's stage, so a
+// diagonal migrant reaches its team through its x neighbor. Particles
+// may move at most one team width per step; exceeding that is reported
+// by the source leader as an error (the timestep is too large for the
 // decomposition).
-func (mg *migrator) migrate(x xfer, leaders *comm.Comm, tg topo.TeamGrid, team int, mine []phys.Particle, box phys.Box, dirs []topo.Offset, wrap bool) ([]phys.Particle, error) {
-	tx, ty := tg.Coord(team)
-	merged := mg.spare[:0]
+func (mg *migrator) migrate(x xfer, leaders *comm.Comm, tg topo.TeamGrid, team int, mine []phys.Particle, box phys.Box, wrap bool) ([]phys.Particle, error) {
+	stay := mg.spare[:0]
+	inOrder := true
 	for i := range mine {
 		dst := teamOfPos(mine[i].Pos, box, tg)
 		if dst == team {
-			merged = append(merged, mine[i])
+			inOrder = inOrder && (len(stay) == 0 || stay[len(stay)-1].ID < mine[i].ID)
+			stay = append(stay, mine[i])
 			continue
 		}
-		dx, dy := tg.Coord(dst)
-		off := topo.Offset{DX: dx - tx, DY: dy - ty}
-		if wrap {
-			off.DX = wrapStep(off.DX, tg.Side)
-			off.DY = wrapStep(off.DY, tg.Side)
-		}
+		off := teamOffset(tg, team, dst, wrap)
 		if off.Chebyshev() > 1 {
 			return nil, fmt.Errorf("core: particle %d migrated %d team widths in one step; reduce dt or enlarge teams", mine[i].ID, off.Chebyshev())
 		}
-		d := dirIndex(off, tg.Dim)
-		if mg.out[d] == nil && len(mg.free) > 0 {
-			last := len(mg.free) - 1
-			mg.out[d], mg.free = mg.free[last][:0], mg.free[:last]
-		}
-		mg.out[d] = append(mg.out[d], mine[i])
+		mg.route(off, mine[i])
 	}
-	for d, dir := range dirs {
-		if to, ok := migrationPeer(tg, team, dir, wrap); ok {
-			x.sendParticles(leaders, to, tagMigrate+d, mg.out[d])
-		} else if len(mg.out[d]) > 0 {
-			return nil, fmt.Errorf("core: particles migrating off the reflective grid toward %+v", dir)
-		}
-		mg.out[d] = nil
-		if from, ok := migrationPeer(tg, team, topo.Offset{DX: -dir.DX, DY: -dir.DY}, wrap); ok {
-			inc := x.recvParticles(leaders, from, tagMigrate+d)
-			merged = append(merged, inc...)
+	mg.arrived = mg.arrived[:0]
+	for a := 0; a < tg.Dim; a++ {
+		for side := range 2 {
+			dir := axisStep(a, side)
+			tag := tagMigrate + 2*a + side
+			if to, ok := migrationPeer(tg, team, dir, wrap); ok {
+				x.sendParticles(leaders, to, tag, mg.out[a][side])
+			} else if len(mg.out[a][side]) > 0 {
+				return nil, fmt.Errorf("core: particles migrating off the reflective grid toward %+v", dir)
+			}
+			mg.out[a][side] = nil
+			from, ok := migrationPeer(tg, team, topo.Offset{DX: -dir.DX, DY: -dir.DY}, wrap)
+			if !ok {
+				continue
+			}
+			inc := x.recvParticles(leaders, from, tag)
+			for i := range inc {
+				// A forwarded particle is copied into a later stage's
+				// buffer before inc joins the free list below.
+				if dst := teamOfPos(inc[i].Pos, box, tg); dst != team {
+					mg.route(teamOffset(tg, team, dst, wrap), inc[i])
+					continue
+				}
+				mg.arrived = append(mg.arrived, inc[i])
+			}
 			if cap(inc) > 0 {
 				mg.free = append(mg.free, inc)
 			}
 		}
 	}
-	phys.SortByID(merged)
 	mg.spare = mine
-	return merged, nil
+	return mergeByID(stay, mg.arrived, inOrder), nil
+}
+
+// route appends p, whose team lies at the nonzero offset off, to the
+// outgoing buffer of the first axis along which off is nonzero, taking
+// the buffer from the free list when it has none yet.
+func (mg *migrator) route(off topo.Offset, p phys.Particle) {
+	a, d := 0, off.DX
+	if d == 0 {
+		a, d = 1, off.DY
+	}
+	side := (d + 1) / 2
+	if mg.out[a][side] == nil && len(mg.free) > 0 {
+		last := len(mg.free) - 1
+		mg.out[a][side], mg.free = mg.free[last][:0], mg.free[:last]
+	}
+	mg.out[a][side] = append(mg.out[a][side], p)
+}
+
+// mergeByID returns the team rebuilt in ID order in stay's buffer: the
+// stayers, which keep the ID order of the team they came from, and the
+// few arrivals, sorted and merged in from the back. A stayer out of ID
+// order (a team in the caller's input order, before its first step)
+// takes the full sort instead. Either way, with distinct IDs (a valid
+// state has them), the result is the one ID order, whatever route a
+// particle took.
+func mergeByID(stay, arrived []phys.Particle, inOrder bool) []phys.Particle {
+	ns := len(stay)
+	team := append(stay, arrived...)
+	if !inOrder {
+		phys.SortByID(team)
+		return team
+	}
+	phys.SortByID(arrived)
+	i, j := ns-1, len(arrived)-1
+	for k := len(team) - 1; j >= 0; k-- {
+		if i >= 0 && team[i].ID > arrived[j].ID {
+			team[k] = team[i]
+			i--
+		} else {
+			team[k] = arrived[j]
+			j--
+		}
+	}
+	return team
+}
+
+// teamOffset is the offset from team to dst on the team grid, each
+// coordinate wrapped to the shorter way round in a periodic box.
+func teamOffset(tg topo.TeamGrid, team, dst int, wrap bool) topo.Offset {
+	tx, ty := tg.Coord(team)
+	dx, dy := tg.Coord(dst)
+	off := topo.Offset{DX: dx - tx, DY: dy - ty}
+	if wrap {
+		off.DX = wrapStep(off.DX, tg.Side)
+		off.DY = wrapStep(off.DY, tg.Side)
+	}
+	return off
+}
+
+// axisStep is the unit offset along axis a (0 is x, 1 is y) toward its
+// side: 0 is −axis, 1 is +axis.
+func axisStep(a, side int) topo.Offset {
+	d := 2*side - 1
+	if a == 0 {
+		return topo.Offset{DX: d}
+	}
+	return topo.Offset{DY: d}
 }
 
 // migrationPeer is the team a leader sends the particles moving in

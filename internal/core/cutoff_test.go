@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/obs"
@@ -301,5 +302,126 @@ func TestCutoffConservesParticles(t *testing.T) {
 		if !pr.Box.Contains(got[i].Pos) {
 			t.Fatalf("particle %d escaped the box: %+v", got[i].ID, got[i].Pos)
 		}
+	}
+}
+
+// TestCutoffDiagonalMigration drives particles across team corners,
+// where reassignment forwards them: a particle whose team lies one step
+// along x and one along y travels to its x neighbor in the first stage
+// and on to its team in the second. Over a lattice background, one
+// particle sits just inside a corner of the team grid at every grid
+// vertex — in the quadrant the vertex's index picks, so no two meet —
+// moving diagonally away from its quadrant, and crosses the vertex in
+// the second step. In the periodic box the vertices on the box edges are
+// the corner seam, which the crossing wraps around. The IDs are shuffled
+// against the input order, so the first step rebuilds teams by the full
+// sort and the crossing step by the merge. On the typed transport and
+// its encoded oracle, in one process and across two: every particle
+// ends in the team its position maps to, none is lost or duplicated,
+// the state matches the serial reference, and the runs agree bit for
+// bit. A diagonal jump of two team widths still fails at its source.
+func TestCutoffDiagonalMigration(t *testing.T) {
+	const p, c, steps = 32, 2, 4
+	for _, boundary := range []phys.Boundary{phys.Reflective, phys.Periodic} {
+		t.Run(boundary.String(), func(t *testing.T) {
+			pr := cutoffParams(p, c, 2, boundary)
+			tg, err := topo.NewTeamGrid(p/c, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			w := pr.Box.L / float64(tg.Side)
+			ps := phys.InitLattice(64, pr.Box, 11)
+			first := 1 // interior vertices only: a reflective edge turns a particle back
+			if boundary == phys.Periodic {
+				first = 0
+			}
+			const inside, speed = 0.03, 40 // 0.02 a step: the vertex is crossed in step 2
+			var corner []int               // indices into ps of the corner particles
+			for i := first; i < tg.Side; i++ {
+				for j := first; j < tg.Side; j++ {
+					q := (i + 2*j) % 4
+					sx, sy := float64(1-2*(q%2)), float64(1-2*(q/2)) // the direction of travel
+					var pt phys.Particle
+					pt.Pos = vec.Vec2{X: math.Mod(float64(i)*w-sx*inside+pr.Box.L, pr.Box.L), Y: math.Mod(float64(j)*w-sy*inside+pr.Box.L, pr.Box.L)}
+					pt.Vel = vec.Vec2{X: sx * speed, Y: sy * speed}
+					corner = append(corner, len(ps))
+					ps = append(ps, pt)
+				}
+			}
+			for i := range ps {
+				ps[i].ID = uint32(i * 7 % len(ps))
+			}
+			startTeam := make([]int, len(ps))
+			for i := range ps {
+				startTeam[i] = teamOfPos(ps[i].Pos, pr.Box, tg)
+			}
+			want := serialCutoffRun(ps, pr.Law, pr.Box, steps, pr.DT)
+			for _, i := range corner {
+				from, to := startTeam[i], teamOfPos(want[ps[i].ID].Pos, pr.Box, tg)
+				fx, fy := tg.Coord(from)
+				tx, ty := tg.Coord(to)
+				if fx == tx || fy == ty {
+					t.Fatalf("corner particle %d went from team %d to team %d: not a diagonal migration", ps[i].ID, from, to)
+				}
+			}
+
+			var ref []phys.Particle
+			for _, oracle := range []bool{false, true} {
+				pr := pr
+				pr.oracle = oracle
+				for _, procs := range []int{1, 2} {
+					run := fmt.Sprintf("oracle=%v/procs=%d", oracle, procs)
+					check := func(ps []phys.Particle, pr Params) ([]phys.Particle, *trace.Report, error) {
+						s, err := NewCutoff(ps, pr)
+						if err != nil {
+							return nil, nil, err
+						}
+						out, rep, err := s.Advance(steps)
+						if err != nil {
+							return nil, nil, err
+						}
+						for _, l := range s.loops {
+							if l == nil || !l.leader {
+								continue // a rank of the other process, or not a leader
+							}
+							for _, pt := range l.mine {
+								if got := teamOfPos(pt.Pos, pr.Box, tg); got != l.slot {
+									return nil, nil, fmt.Errorf("particle %d at %+v is held by team %d, its position maps to team %d", pt.ID, pt.Pos, l.slot, got)
+								}
+							}
+						}
+						return out, rep, nil
+					}
+					var got []phys.Particle
+					if procs > 1 {
+						got, _ = runOverSockets(t, procs, pr, ps, check)
+					} else {
+						got, _, err = check(ps, pr)
+						if err != nil {
+							t.Fatalf("%s: %v", run, err)
+						}
+					}
+					for i := range got {
+						if got[i].ID != uint32(i) {
+							t.Fatalf("%s: the gathered state holds ID %d at index %d: a particle was lost or duplicated", run, got[i].ID, i)
+						}
+					}
+					checkAgainst(t, got, want, 1e-9)
+					if ref == nil {
+						ref = append(ref, got...)
+						continue
+					}
+					samePhysState(t, ref, got)
+				}
+			}
+
+			jump := append([]phys.Particle(nil), ps...)
+			i := corner[len(corner)-1]
+			jump[i].Vel = vec.Vec2{X: 1.75 * w / pr.DT, Y: 1.75 * w / pr.DT} // from the middle of team (0, 0) into team (2, 2)
+			jump[i].Pos = vec.Vec2{X: 0.5 * w, Y: 0.5 * w}
+			if _, _, err := advance(NewCutoff, jump, pr, 1); err == nil || !strings.Contains(err.Error(), "migrated") {
+				t.Errorf("a diagonal jump of two team widths returned %v, want the migration error", err)
+			}
+		})
 	}
 }

@@ -188,61 +188,92 @@ func TestExchangeBuffersPerRank(t *testing.T) {
 }
 
 // TestMigratorRecyclesBuffers drives the reassignment buffers directly,
-// on a conveyor: every step every particle crosses into the next team,
-// so each leader ships its whole set one way and adopts its neighbor's.
+// on a conveyor: every step every particle crosses into a neighboring
+// team, so each leader ships its whole set and adopts its neighbors'.
 // (The lattice runs above never migrate; this is the opposite extreme.)
-// After the first two steps — which allocate the two team buffers and
-// the first payloads — the payload received in one step must be the
-// send buffer of the next and the team buffers must alternate, so more
-// steps allocate nothing; and every leader must hold exactly the
-// particles that have travelled to it.
+// In 1D every particle moves one team east; in 2D each moves one team
+// along one of the four diagonals, chosen by its ID, so every particle
+// takes the forwarding path: the x stage delivers it to a leader that
+// passes it on in the y stage. After the first steps — which allocate
+// the two team buffers, the arrivals buffer and the first payloads — the
+// payload received in one stage must be the send buffer of a later one
+// and the team buffers must alternate, so more steps allocate nothing;
+// and every leader must hold, in ID order, exactly the particles that
+// have travelled to it.
 func TestMigratorRecyclesBuffers(t *testing.T) {
-	const teams, per = 4, 6
-	box := phys.NewBox(16, 1, phys.Periodic)
-	tg, err := topo.NewTeamGrid(teams, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	width := box.L / teams
-	dirs := migrationDirs(1)
-	conveyor := func(steps int) func() {
-		return func() {
-			_, err := comm.Run(teams, comm.Options{}, func(leaders *comm.Comm) error {
-				team := leaders.Rank()
-				mine := make([]phys.Particle, per)
-				for i := range mine {
-					mine[i].ID = uint32(team*per + i)
-					mine[i].Pos.X = (float64(team) + 0.5) * width
-				}
-				x := newXfer(Params{}, team, false)
-				var mig migrator
-				for step := 0; step < steps; step++ {
-					for i := range mine {
-						mine[i].Pos.X = math.Mod(mine[i].Pos.X+width, box.L)
-					}
-					var err error
-					if mine, err = mig.migrate(x, leaders, tg, team, mine, box, dirs, true); err != nil {
-						return err
-					}
-				}
-				origin := topo.Mod(team-steps, teams)
-				for i := range mine {
-					if len(mine) != per || mine[i].ID != uint32(origin*per+i) {
-						return fmt.Errorf("team %d after %d steps holds %d particles, particle %d has ID %d; want team %d's %d in ID order",
-							team, steps, len(mine), i, mine[i].ID, origin, per)
-					}
-				}
-				return nil
-			})
+	const per = 8
+	for _, tc := range []struct {
+		dim, teams int
+		moves      []topo.Offset // by particle ID mod len(moves)
+	}{
+		{1, 4, []topo.Offset{{DX: 1}}},
+		{2, 16, []topo.Offset{{DX: 1, DY: 1}, {DX: -1, DY: 1}, {DX: 1, DY: -1}, {DX: -1, DY: -1}}},
+	} {
+		t.Run(fmt.Sprintf("dim=%d", tc.dim), func(t *testing.T) {
+			box := phys.NewBox(16, tc.dim, phys.Periodic)
+			tg, err := topo.NewTeamGrid(tc.teams, tc.dim)
 			if err != nil {
 				t.Fatal(err)
 			}
-		}
-	}
-	base := runMallocs(conveyor(3))
-	long := runMallocs(conveyor(23))
-	if long != base {
-		t.Errorf("a 23-step conveyor allocated %d objects, a 3-step one %d; 20 extra steps must allocate 0", long, base)
+			width := box.L / float64(tg.Side)
+			// home is the team particle id reaches after steps steps.
+			home := func(id, steps int) int {
+				x, y := tg.Coord(id / per)
+				mv := tc.moves[id%len(tc.moves)]
+				to, _ := tg.Neighbor(tg.Team(x, y), steps*mv.DX, steps*mv.DY, true)
+				return to
+			}
+			conveyor := func(steps int) func() {
+				return func() {
+					_, err := comm.Run(tg.Teams(), comm.Options{}, func(leaders *comm.Comm) error {
+						team := leaders.Rank()
+						tx, ty := tg.Coord(team)
+						mine := make([]phys.Particle, per)
+						for i := range mine {
+							mine[i].ID = uint32(team*per + i)
+							mine[i].Pos.X = (float64(tx) + 0.5) * width
+							if tc.dim == 2 {
+								mine[i].Pos.Y = (float64(ty) + 0.5) * width
+							}
+						}
+						x := newXfer(Params{}, team, false)
+						var mig migrator
+						for step := 0; step < steps; step++ {
+							for i := range mine {
+								mv := tc.moves[int(mine[i].ID)%len(tc.moves)]
+								mine[i].Pos.X = math.Mod(mine[i].Pos.X+float64(mv.DX)*width+box.L, box.L)
+								if tc.dim == 2 {
+									mine[i].Pos.Y = math.Mod(mine[i].Pos.Y+float64(mv.DY)*width+box.L, box.L)
+								}
+							}
+							var err error
+							if mine, err = mig.migrate(x, leaders, tg, team, mine, box, true); err != nil {
+								return err
+							}
+						}
+						if len(mine) != per {
+							return fmt.Errorf("team %d after %d steps holds %d particles, want %d", team, steps, len(mine), per)
+						}
+						for i := range mine {
+							id := int(mine[i].ID)
+							if home(id, steps) != team || (i > 0 && mine[i-1].ID >= mine[i].ID) {
+								return fmt.Errorf("team %d after %d steps holds particle %d (of team %d) at index %d; want its own arrivals in ID order",
+									team, steps, id, home(id, steps), i)
+							}
+						}
+						return nil
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			base := runMallocs(conveyor(3))
+			long := runMallocs(conveyor(23))
+			if long != base {
+				t.Errorf("a 23-step conveyor allocated %d objects, a 3-step one %d; 20 extra steps must allocate 0", long, base)
+			}
+		})
 	}
 }
 

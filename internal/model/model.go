@@ -292,9 +292,15 @@ func evalCutoff(cfg Config, dim int) (Breakdown, error) {
 	avgW := averageWindow(mSpan, side, dim)
 	b.Shift += (window - avgW) / float64(c) * npt * npt * m.InteractionTime
 
-	// Reassignment: leaders exchange migrants with their 2·dim (1D) or
-	// 8 (2D) neighbors, plus per-particle re-bucketing work; migrant
-	// volume is the drift fraction of a team width.
+	// Reassignment: leaders exchange migrants with each of their
+	// 3^dim − 1 Chebyshev neighbors (2 in 1D, 8 in 2D), plus
+	// per-particle re-bucketing work; migrant volume is the drift
+	// fraction of a team width. The neighbor term prices the exchange
+	// of the paper's machines, not this code's: internal/core's
+	// migrator sends 2·dim messages a step, one stage per axis, and
+	// forwards diagonal migrants (the same 2 in 1D, 4 in 2D). The
+	// formula, and the committed results/ figures it produces, are
+	// left as they are.
 	migr := math.Min(1, migrationDrift*side)
 	migrBytes := int(math.Ceil(migr * npt * phys.WireSize))
 	neighbors := intPow(3, dim) - 1

@@ -60,7 +60,7 @@ func InitLattice(n int, box Box, seed uint64) []Particle {
 
 // SortByID reorders particles by ascending ID, the canonical order used
 // when comparing parallel results against the serial reference. It does
-// not allocate (the cutoff loop sorts every step).
+// not allocate (the cutoff loop sorts each step's arrivals).
 func SortByID(ps []Particle) {
 	slices.SortFunc(ps, func(a, b Particle) int { return cmp.Compare(a.ID, b.ID) })
 }

@@ -1,12 +1,12 @@
 #!/bin/sh
 # netsmoke: the multi-process transport gate `make check` runs.
 #
-# For each of the three algorithms (ca-all-pairs, ca-cutoff, and the
-# naive all-gather) it runs the same configuration twice — once
-# with every rank in-process, once spanned across OS processes over TCP
-# loopback via -spawn — and requires the two runs to be
-# indistinguishable (a fourth case holds `nbody sweep` to the same
-# contract on its c, S and W columns):
+# For each of the three algorithms (ca-all-pairs, ca-cutoff — in 1D,
+# and in 2D with migrating particles — and the naive all-gather) it runs
+# the same configuration twice — once with every rank in-process, once
+# spanned across OS processes over TCP loopback via -spawn — and
+# requires the two runs to be indistinguishable (a last case holds
+# `nbody sweep` to the same contract on its c, S and W columns):
 #
 #   * checkpoint: the saved checkpoints are bitwise identical (`cmp`);
 #   * matrix: the communication matrices (-matrix-out: messages and
@@ -57,6 +57,25 @@ run_case() {
 run_case allpairs 2 -n 64 -p 4 -c 2 -steps 4 -seed 3
 run_case cutoff 8 -n 128 -p 16 -c 1 -cutoff 2 -steps 4 -seed 3
 run_case naive 2 -alg naive -n 64 -p 4 -steps 4 -seed 3
+
+# cutoff2d-migrating: a 2D periodic cutoff run whose particles (uniform,
+# and a timestep large enough to set them moving) change teams, so
+# reassignment forwards migrants between stages — x first, then y —
+# and the y stage crosses between the two processes, which hold two
+# rows of the 4 × 4 team grid each. A run that stops migrating would
+# pass the checks above without exercising any of that, so it fails
+# unless its matrix shows reassignment bytes.
+run_case cutoff2d-migrating 8 -n 512 -p 16 -c 1 -dim 2 -boundary periodic -cutoff 4 -dt 3e-2 -steps 40 -seed 3
+reassign_bytes=$(awk '
+    /"name":/ { phase = $2 }
+    /"sent_bytes":/ { bytes = 1; next }
+    /"(sent_msgs|recv_msgs|recv_bytes)":/ { bytes = 0 }
+    bytes && phase ~ /"reassign"/ && /^[ \t]*[0-9]+,?$/ { gsub(/[ \t,]/, ""); sum += $0 }
+    END { print sum + 0 }' "$tmp/cutoff2d-migrating.multi.matrix.json")
+if [ "$reassign_bytes" -eq 0 ]; then
+    echo "netsmoke: cutoff2d-migrating: migration: the matrix shows 0 reassignment bytes; the case no longer migrates" >&2
+    failed=1
+fi
 
 # sweep: one process per two ranks must measure the same S and W per
 # configuration as the in-process sweep; the time column is left out.
