@@ -142,8 +142,11 @@ netsmoke:
 # the Equation 2 lower bounds, and the event-driven torus replay against
 # the analytic model (communication time within a factor of two). Well
 # under a second once built.
+# The command's own checks, then its output against the committed
+# artifact: a change that moves a number shows it in results/validate.txt.
 validate:
-	$(GO) run ./cmd/nbody validate
+	@out=$$($(GO) run ./cmd/nbody validate) || { echo "$$out"; exit 1; }; \
+	echo "$$out" | diff -u results/validate.txt - || { echo "validate: output differs from results/validate.txt"; exit 1; }
 
 # The repository benchmark (BENCHMARK.json, benchmark/README.md) on one
 # workload — by default its most communication-bound one; `make benchrepo

@@ -31,7 +31,6 @@ var testOnlyExports = map[string]struct{ reason, test string }{
 	"phys.MaxForceError":         {"the relative force error the reference comparisons read", "TestMaxForceErrorValue"},
 	"phys.NetForce":              {"the momentum check of the force kernels", "TestDiagnosticsConservation"},
 	"phys.LJLaw":                 {"the Lennard-Jones law fixture of the kernel tests", "TestLJShiftedCutoffContinuity"},
-	"phys.Law.WithCutoff":        {"builds the cutoff law fixtures of the kernel tests", "TestLJShiftedCutoffContinuity"},
 	"obs/record.ReadRecording":   {"reads back the recording format the writer pins", "TestStreamRoundTrip"},
 	"leakcheck.Check":            {"the goroutine leak check of the runtime tests", "TestWorldRunsAgain"},
 	"phys.wrap1":                 {"the spec of the minimum-image wrap compactCut inlines by hand", "TestWrap1MatchesMinImage1"},

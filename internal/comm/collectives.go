@@ -18,7 +18,7 @@ func (c *Comm) Bcast(root int, data []byte) []byte {
 		return data
 	}
 	t0 := c.tr.Now()
-	out := c.fanOut(root, tagBcast, data)
+	out := c.fanOut(root, TagBcast, data)
 	c.tr.Collective(obs.KindBcast, t0, len(out))
 	return out
 }
@@ -68,7 +68,7 @@ func (c *Comm) ReduceF64s(root int, vals []float64) []float64 {
 		return vals
 	}
 	t0 := c.tr.Now()
-	out := c.fanInCombine(root, tagReduce, F64sToBytes(vals), func(acc, child []byte) []byte {
+	out := c.fanInCombine(root, TagReduce, F64sToBytes(vals), func(acc, child []byte) []byte {
 		a := BytesToF64s(acc)
 		addF64s(a, BytesToF64s(child))
 		return F64sToBytes(a)

@@ -393,6 +393,6 @@ func (c *Comm) Sub(parentRanks []int) *Comm {
 // Tags used by the built-in collectives; user code must use tags >= 0.
 const (
 	tagBarrier = -1 - iota
-	tagBcast
-	tagReduce
+	TagBcast
+	TagReduce
 )

@@ -151,6 +151,14 @@ func (m *message) wire() int {
 	}
 }
 
+// ParticlesWire, TeamParticlesWire and F64sWire are what message.wire
+// charges a message of n particles, of n particles under a source-team
+// frame, and of n float64s: the prices of a schedule evaluated without
+// sending anything (core's Session.Plan).
+func ParticlesWire(n int) int     { return (&message{kind: payloadParticles, n: n}).wire() }
+func TeamParticlesWire(n int) int { return (&message{kind: payloadTeamParticles, n: n}).wire() }
+func F64sWire(n int) int          { return (&message{kind: payloadF64s, n: n}).wire() }
+
 // frameBytes is the wire size of the source-team frame a
 // payloadTeamParticles message carries (mirrors appendFrameTeam's header
 // in internal/core).

@@ -48,11 +48,11 @@ func (c *Comm) BcastParticles(root int, ps, dst []phys.Particle) []phys.Particle
 func (c *Comm) bcastParticles(root int, ps []phys.Particle, spent *message) []phys.Particle {
 	vr := c.virtual(root)
 	if vr != 0 {
-		c.recvMsg(c.actual(root, topo.BinomialParent(vr)), tagBcast, spent)
+		c.recvMsg(c.actual(root, topo.BinomialParent(vr)), TagBcast, spent)
 		ps = spent.particlesPayload(c)
 	}
 	for k := topo.BinomialChildren(vr, c.Size()) - 1; k >= 0; k-- {
-		c.SendParticles(c.actual(root, vr+1<<k), tagBcast, ps)
+		c.SendParticles(c.actual(root, vr+1<<k), TagBcast, ps)
 		*spent = message{}
 	}
 	return ps
@@ -83,7 +83,7 @@ func (c *Comm) reduceF64sInPlace(root int, vals []float64) []float64 {
 		c.recvAddF64s(vals, c.actual(root, vr+1<<k))
 	}
 	if vr != 0 {
-		c.SendF64s(c.actual(root, topo.BinomialParent(vr)), tagReduce, vals)
+		c.SendF64s(c.actual(root, topo.BinomialParent(vr)), TagReduce, vals)
 		return nil
 	}
 	return vals
@@ -94,7 +94,7 @@ func (c *Comm) reduceF64sInPlace(root int, vals []float64) []float64 {
 // decoded off a socket goes back to the rank's spares.
 func (c *Comm) recvAddF64s(vals []float64, from int) {
 	var m message
-	c.recvMsg(from, tagReduce, &m)
+	c.recvMsg(from, TagReduce, &m)
 	addF64s(vals, m.f64sPayload(c))
 	c.recycle(&m)
 }

@@ -38,13 +38,13 @@ func NewAllPairs(ps []phys.Particle, pr Params) (*Session, error) {
 	// input; the blocks never grow, so they may share one copy.
 	owned := append([]phys.Particle(nil), ps...)
 
-	return newSession(n, pr, perS, perW, func(rk *rank) *shiftLoop {
+	return newSession(n, pr, perS, perW, cg, func(rk *rank) *shiftLoop {
 		l, row, col := newShiftLoop(rk, &pr, cg)
 		l.moves = allPairsMoves(T, pr.C, row, col)
 		l.pairing = newEveryBlock(l.last, npt, l.leader)
 		// A block shorter than a batch waits for others, past the
 		// rank's next move; a longer one is swept on arrival.
-		l.x = newXfer(pr, -1, npt < sweepBatch)
+		l.x = rk.newXfer(pr, -1, npt < sweepBatch)
 		if l.leader {
 			l.mine = owned[col*npt : (col+1)*npt : (col+1)*npt]
 		}

@@ -58,13 +58,13 @@ func NewNaiveAllGather(ps []phys.Particle, pr Params) (*Session, error) {
 	perS, perW := directBounds(n, pr)
 	owned := append([]phys.Particle(nil), ps...)
 
-	return newSession(n, pr, perS, perW, func(rk *rank) *shiftLoop {
+	return newSession(n, pr, perS, perW, cg, func(rk *rank) *shiftLoop {
 		l, _, r := newShiftLoop(rk, &pr, cg)
 		l.moves = ringMoves(pr.P, r)
 		l.pairing = &everyTeam{blocks: make([][]phys.Particle, pr.P)}
 		// The frame names the block's owner; everyTeam copies each block
 		// on arrival and keeps no view.
-		l.x = newXfer(pr, r, false)
+		l.x = rk.newXfer(pr, r, false)
 		l.mine = owned[r*npr : (r+1)*npr : (r+1)*npr]
 		return l
 	}), nil

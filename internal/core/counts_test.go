@@ -2,7 +2,7 @@ package core
 
 import (
 	"fmt"
-	"math"
+	"math/bits"
 	"testing"
 
 	"repro/internal/bounds"
@@ -10,9 +10,10 @@ import (
 	"repro/internal/trace"
 )
 
-// TestAllPairsCommunicationCounts pins the implementation to the paper's
-// cost analysis: the instrumented runtime must reproduce the closed-form
-// critical-path message and byte counts of Equation 5 exactly.
+// TestAllPairsCommunicationCounts pins the step to the paper's cost
+// analysis: the evaluated step's critical path is Equation 5's closed
+// form (eq5) exactly, and the instrumented runtime counts the
+// evaluated step.
 func TestAllPairsCommunicationCounts(t *testing.T) {
 	cases := []struct{ p, c, n int }{
 		{4, 1, 16},
@@ -31,34 +32,80 @@ func TestAllPairsCommunicationCounts(t *testing.T) {
 			t.Parallel()
 			pr := defaultParams(tc.p, tc.c)
 			ps := phys.InitUniform(tc.n, pr.Box, 5)
-			_, rep, err := advance(NewAllPairs, ps, pr, 1)
+			s, err := NewAllPairs(ps, pr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pl, err := s.Plan()
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, rep, err := s.Advance(1)
 			if err != nil {
 				t.Fatalf("AllPairs: %v", err)
 			}
-			want := AllPairsExpectedCounts(tc.n, tc.p, tc.c)
-
-			check := func(phase trace.Phase, field string, got, want int64) {
-				t.Helper()
-				if got != want {
-					t.Errorf("%v %s: got %d, want %d", phase, field, got, want)
+			got, want := pl.Report().CriticalPath, eq5(tc.n, tc.p, tc.c)
+			for _, ph := range []trace.Phase{trace.Broadcast, trace.Skew, trace.Shift, trace.Reduce} {
+				if got[ph].Messages != want[ph].Messages || got[ph].Bytes != want[ph].Bytes {
+					t.Errorf("%v: the evaluated step sends %d messages of %d bytes, Equation 5 %d of %d",
+						ph, got[ph].Messages, got[ph].Bytes, want[ph].Messages, want[ph].Bytes)
 				}
 			}
-			check(trace.Broadcast, "sends", rep.CriticalPath[trace.Broadcast].Messages, want.BcastSends)
-			check(trace.Broadcast, "bytes", rep.CriticalPath[trace.Broadcast].Bytes, want.BcastBytes)
-			check(trace.Skew, "sends", rep.CriticalPath[trace.Skew].Messages, want.SkewSends)
-			check(trace.Skew, "bytes", rep.CriticalPath[trace.Skew].Bytes, want.SkewBytes)
-			check(trace.Shift, "sends", rep.CriticalPath[trace.Shift].Messages, want.ShiftSends)
-			check(trace.Shift, "bytes", rep.CriticalPath[trace.Shift].Bytes, want.ShiftBytes)
-			check(trace.Reduce, "sends", rep.CriticalPath[trace.Reduce].Messages, want.ReduceSends)
-			check(trace.Reduce, "bytes", rep.CriticalPath[trace.Reduce].Bytes, want.ReduceBytes)
-			check(trace.Reduce, "recvs", rep.CriticalPath[trace.Reduce].RecvMessages, want.ReduceRecvs)
+			if g, w := got[trace.Reduce].RecvMessages, want[trace.Reduce].RecvMessages; g != w {
+				t.Errorf("reduce: the evaluated root receives %d messages, Equation 5 %d", g, w)
+			}
+			samePhases(t, "measured critical path", rep.CriticalPath, got)
 		})
 	}
 }
 
-// TestCutoff1DCommunicationCounts pins the cutoff implementation to the
-// Section IV-B cost analysis: measured critical-path messages and bytes
-// must match the closed forms exactly on uniformly occupied teams.
+// eq5 is Equation 5 made exact: one step's critical path of Algorithm
+// 1 with n particles on p ranks at replication factor c under tree
+// collectives — the most messages and bytes a rank sends per phase, and
+// the receives of a reduction root.
+func eq5(n, p, c int) trace.PhaseTable {
+	T := p / c
+	part := int64(n/T) * phys.WireSize   // a team's block
+	logc := int64(bits.Len(uint(c - 1))) // ⌈log₂ c⌉
+	var e trace.PhaseTable
+	// Broadcast: the binomial root sends ⌈log₂ c⌉ messages of the block.
+	e[trace.Broadcast] = trace.PhaseStats{Messages: logc, Bytes: logc * part}
+	// Skew: every non-zero row sends one message (none when T == 1).
+	if T > 1 && c > 1 {
+		e[trace.Skew] = trace.PhaseStats{Messages: 1, Bytes: part}
+	}
+	// Shift: p/c² steps of one message each, n/c particles in all,
+	// unless the shift is the identity (c == T).
+	if T > 1 && c < T {
+		e[trace.Shift] = trace.PhaseStats{Messages: int64(p / (c * c)), Bytes: int64(p/(c*c)) * part}
+	}
+	// Reduce: every non-root sends its n/T forces once; the root
+	// receives its ⌈log₂ c⌉ children.
+	if c > 1 {
+		e[trace.Reduce] = trace.PhaseStats{Messages: 1, Bytes: int64(n/T) * 16, RecvMessages: logc}
+	}
+	return e
+}
+
+// samePhases holds a measured table to an evaluated one: every
+// communication phase's messages and bytes, sent and received, and only
+// the messages of the reassignment, whose bytes the motion decides.
+func samePhases(t *testing.T, label string, got, want trace.PhaseTable) {
+	t.Helper()
+	for _, ph := range trace.CommPhases() {
+		g, w := got[ph], want[ph]
+		if ph == trace.Reassign {
+			g.Bytes, g.RecvBytes = 0, 0
+		}
+		if g.Messages != w.Messages || g.Bytes != w.Bytes || g.RecvMessages != w.RecvMessages || g.RecvBytes != w.RecvBytes {
+			t.Errorf("%s %v: sent %d msgs %d bytes, received %d msgs %d bytes; the evaluated step %d, %d, %d, %d",
+				label, ph, g.Messages, g.Bytes, g.RecvMessages, g.RecvBytes, w.Messages, w.Bytes, w.RecvMessages, w.RecvBytes)
+		}
+	}
+}
+
+// TestCutoff1DCommunicationCounts holds the measured critical path of
+// the 1D cutoff step to the evaluated one, every phase.
 func TestCutoff1DCommunicationCounts(t *testing.T) {
 	cases := []struct{ p, c, n int }{
 		{8, 1, 64},
@@ -72,32 +119,19 @@ func TestCutoff1DCommunicationCounts(t *testing.T) {
 		t.Run(fmt.Sprintf("p=%d/c=%d/n=%d", tc.p, tc.c, tc.n), func(t *testing.T) {
 			t.Parallel()
 			pr := cutoffParams(tc.p, tc.c, 1, phys.Reflective)
-			ps := phys.InitLattice(tc.n, pr.Box, 3)
-			_, rep, err := advance(NewCutoff, ps, pr, 1)
-			if err != nil {
-				t.Fatalf("Cutoff: %v", err)
-			}
-			T := tc.p / tc.c
-			m := SpanFor(pr.Law.Cutoff, pr.Box.L, T)
-			want, err := cutoff1DExpectedCounts(tc.n, tc.p, tc.c, m)
+			s, err := NewCutoff(phys.InitLattice(tc.n, pr.Box, 3), pr)
 			if err != nil {
 				t.Fatal(err)
 			}
-			check := func(name string, got, wantV int64) {
-				t.Helper()
-				if got != wantV {
-					t.Errorf("%s: got %d, want %d", name, got, wantV)
-				}
+			pl, err := s.Plan()
+			if err != nil {
+				t.Fatal(err)
 			}
-			check("bcast sends", rep.CriticalPath[trace.Broadcast].Messages, want.BcastSends)
-			check("bcast bytes", rep.CriticalPath[trace.Broadcast].Bytes, want.BcastBytes)
-			check("skew sends", rep.CriticalPath[trace.Skew].Messages, want.SkewSends)
-			check("skew bytes", rep.CriticalPath[trace.Skew].Bytes, want.SkewBytes)
-			check("shift sends", rep.CriticalPath[trace.Shift].Messages, want.ShiftSends)
-			check("shift bytes", rep.CriticalPath[trace.Shift].Bytes, want.ShiftBytes)
-			check("reduce sends", rep.CriticalPath[trace.Reduce].Messages, want.ReduceSends)
-			check("reduce bytes", rep.CriticalPath[trace.Reduce].Bytes, want.ReduceBytes)
-			check("reduce recvs", rep.CriticalPath[trace.Reduce].RecvMessages, want.ReduceRecvs)
+			_, rep, err := s.Advance(1)
+			if err != nil {
+				t.Fatalf("Cutoff: %v", err)
+			}
+			samePhases(t, "critical path", rep.CriticalPath, pl.Report().CriticalPath)
 		})
 	}
 }
@@ -260,53 +294,14 @@ func TestReplicationReducesCommunication(t *testing.T) {
 			t.Fatalf("c=%d: %v", c, err)
 		}
 		shift := rep.CriticalPath[trace.Shift].Bytes
-		wantWords := allPairsShiftWords(n, p, c)
-		if got := float64(shift) / phys.WireSize; got != wantWords {
-			t.Errorf("c=%d: shift words %.0f, want %.0f", c, got, wantWords)
+		if want := eq5(n, p, c)[trace.Shift].Bytes; shift != want {
+			t.Errorf("c=%d: shift bytes %d, Equation 5 %d", c, shift, want)
 		}
 		if prev >= 0 && shift*2 != prev {
 			t.Errorf("c=%d: shift bytes %d, want exactly half of previous %d", c, shift, prev)
 		}
 		prev = shift
 	}
-}
-
-// cutoff1DExpectedCounts returns the exact critical-path counts for one
-// timestep of the 1D distance-limited algorithm with uniform team
-// occupancy (n divisible by and laid out across p/c teams), cutoff span
-// m, and tree collectives. The exchange frame adds 4 bytes of source
-// team id to every skew/shift message. Reassignment bytes depend on the
-// particle trajectories, so only its message count (2 neighbor exchanges
-// for interior teams) is predicted.
-func cutoff1DExpectedCounts(n, p, c, m int) (ExpectedCounts, error) {
-	sched, err := NewCutoffSchedule(m, c, 1)
-	if err != nil {
-		return ExpectedCounts{}, err
-	}
-	T := p / c
-	npt := n / T
-	partBytes := int64(npt) * phys.WireSize
-	frameBytes := partBytes + 4
-	forceBytes := int64(npt) * 16
-	logc := int64(0)
-	if c > 1 {
-		logc = int64(math.Ceil(math.Log2(float64(c))))
-	}
-	var e ExpectedCounts
-	e.BcastSends = logc
-	e.BcastBytes = logc * partBytes
-	// Every layer's first move is non-zero except the layer whose first
-	// window offset is the origin; the critical path is any other layer.
-	e.SkewSends = 1
-	e.SkewBytes = frameBytes
-	e.ShiftSends = int64(sched.Steps(0) - 1) // layer 0 takes the most steps
-	e.ShiftBytes = e.ShiftSends * frameBytes
-	if c > 1 {
-		e.ReduceSends = 1
-		e.ReduceBytes = forceBytes
-		e.ReduceRecvs = logc
-	}
-	return e, nil
 }
 
 // allPairsPairEvals returns the exact number of pair-force evaluations
@@ -324,15 +319,4 @@ func allPairsPairEvals(n, p, c int) int64 {
 	T := p / c
 	npt := n / T
 	return int64(T) * int64(npt*n-npt)
-}
-
-// allPairsShiftWords returns the total shift-phase traffic per rank per
-// timestep in particles: (p/c²)·(nc/p) = n/c, the W_ca = O(n/c) term of
-// Equation 5.
-func allPairsShiftWords(n, p, c int) float64 {
-	T := p / c
-	if T <= 1 || c >= T {
-		return 0
-	}
-	return float64(p/(c*c)) * float64(n*c) / float64(p)
 }

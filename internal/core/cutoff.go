@@ -62,7 +62,7 @@ func NewCutoff(ps []phys.Particle, pr Params) (*Session, error) {
 	perS, perW := cutoffBounds(n, pr)
 	owned := scatterByTeam(ps, pr.Box, w.tg)
 
-	return newSession(n, pr, perS, perW, func(rk *rank) *shiftLoop {
+	return newSession(n, pr, perS, perW, cg, func(rk *rank) *shiftLoop {
 		l, layer, team := newShiftLoop(rk, &pr, cg)
 		l.moves = cutoffMoves(sched, w.tg, layer, team)
 		pairing := w // the migrator in it is the rank's own
@@ -70,7 +70,7 @@ func NewCutoff(ps []phys.Particle, pr Params) (*Session, error) {
 		// The exchange buffer carries its true source team so receivers
 		// can reject aliased buffers near reflective boundaries;
 		// windowed applies each block on arrival and keeps no view.
-		l.x = newXfer(pr, team, false)
+		l.x = rk.newXfer(pr, team, false)
 		if l.leader {
 			l.mine = owned[team]
 		}

@@ -175,12 +175,12 @@ func cutoffPlain(ps []phys.Particle, pr Params) ([]phys.Particle, *trace.Report,
 	}
 	perS, perW := cutoffBounds(len(ps), pr)
 	owned := scatterByTeam(ps, pr.Box, w.tg)
-	return newSession(len(ps), pr, perS, perW, func(rk *rank) *shiftLoop {
+	return newSession(len(ps), pr, perS, perW, cg, func(rk *rank) *shiftLoop {
 		l, layer, team := newShiftLoop(rk, &pr, cg)
 		l.moves = cutoffMoves(sched, w.tg, layer, team)
 		pairing := w
 		l.pairing = plainWindow{&pairing}
-		l.x = newXfer(pr, team, false)
+		l.x = rk.newXfer(pr, team, false)
 		if l.leader {
 			l.mine = owned[team]
 		}

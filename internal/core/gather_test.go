@@ -36,11 +36,11 @@ func allPairsOnArrival(ps []phys.Particle, pr Params, steps int) ([]phys.Particl
 	}
 	npt := n / T
 	perS, perW := directBounds(n, pr)
-	s := newSession(n, pr, perS, perW, func(rk *rank) *shiftLoop {
+	s := newSession(n, pr, perS, perW, cg, func(rk *rank) *shiftLoop {
 		l, row, col := newShiftLoop(rk, &pr, cg)
 		l.moves = allPairsMoves(T, pr.C, row, col)
 		l.pairing = onArrival{}
-		l.x = newXfer(pr, -1, false)
+		l.x = rk.newXfer(pr, -1, false)
 		if l.leader {
 			l.mine = append([]phys.Particle(nil), ps[col*npt:(col+1)*npt]...)
 		}

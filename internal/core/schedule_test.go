@@ -2,9 +2,9 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
-	"repro/internal/comm"
 	"repro/internal/phys"
 	"repro/internal/topo"
 	"repro/internal/trace"
@@ -166,142 +166,175 @@ func TestSerpentineAdjacency(t *testing.T) {
 	}
 }
 
-// paperXfer is a transport that moves nothing: driven by a rank's real
-// shiftLoop.step, it writes down what the rank would have sent and
-// computed on, in order, so that a whole ring can be replayed on paper
-// afterwards.
-type paperXfer struct{ log []paperOp }
-
-type paperOp struct {
-	kind          byte // 'm' a move, 'u' an update
-	to, from, tag int
-}
-
-func (x *paperXfer) bcastTeam(*comm.Comm, []phys.Particle) []phys.Particle { return nil }
-func (x *paperXfer) loadExchange([]phys.Particle)                          {}
-func (x *paperXfer) reduceForces(*comm.Comm, []phys.Particle) []float64    { return nil }
-func (x *paperXfer) sendParticles(*comm.Comm, int, int, []phys.Particle)   {}
-func (x *paperXfer) recvParticles(*comm.Comm, int, int) []phys.Particle    { return nil }
-func (x *paperXfer) shift(_ *comm.Comm, to, from, tag int) {
-	x.log = append(x.log, paperOp{'m', to, from, tag})
-}
-func (x *paperXfer) view() (int, []phys.Particle) {
-	x.log = append(x.log, paperOp{kind: 'u'})
-	return -1, nil
-}
-
-// noPairing leaves the accumulation to the paper: view logs it.
-type noPairing struct{}
-
-func (noPairing) update(l *shiftLoop, _ int) { l.x.view() }
-func (noPairing) flush(*shiftLoop)           {}
-func (noPairing) integrated(_ *shiftLoop, mine []phys.Particle) ([]phys.Particle, error) {
-	return mine, nil
-}
-
-// walkRing runs one timestep of every rank of one ring — rank t gets
-// plan(t) — and replays the logs in lock step. It checks that the ranks
-// agree on every move (same kind of operation, every hop's to is its
-// peer's from, same tag at both ends) and returns applied[t][src]: how
-// often team t computed on the buffer team src loaded.
-func walkRing(t *testing.T, teams int, plan func(team int) moves) [][]int {
+// evaluated is the plan of a session of newS over ps and pr, held to
+// checkSchedule. Under rendezvous semantics the step must run to its
+// end, except that the reassignment of a periodic box stalls: each
+// leader of a ring of teams sends toward one side before it receives
+// from the other, so the ring waits on itself. The runtime's mailboxes
+// buffer those sends, and a socket's writer drains them; a rendezvous
+// mailbox (comm.Options.MailboxCap < 0) hangs such a run.
+func evaluated(t *testing.T, newS func([]phys.Particle, Params) (*Session, error), ps []phys.Particle, pr Params) *Plan {
 	t.Helper()
-	logs := make([][]paperOp, teams)
-	for team := range logs {
-		x := &paperXfer{}
-		l := &shiftLoop{
-			rank: &rank{st: trace.NewStats()}, pr: &Params{},
-			slot: team, moves: plan(team), x: x, pairing: noPairing{},
+	s, err := newS(ps, pr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl, err := s.Plan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, op := range checkSchedule(t, pl) {
+		if op.Phase != trace.Reassign || pr.Box.Boundary != phys.Periodic {
+			kind := [...]string{"a send", "a receive", "a move"}[op.Kind]
+			t.Fatalf("under rendezvous the step deadlocks: a rank waits in %s of the %v (to %d, from %d, tag %d)", kind, op.Phase, op.To, op.From, op.Tag)
 		}
-		if err := l.step(); err != nil {
-			t.Fatal(err)
-		}
-		logs[team] = x.log
 	}
-	holds := make([]int, teams) // the loader of the buffer each team holds
-	for team := range holds {
-		holds[team] = team
-	}
-	applied := make([][]int, teams)
-	for team := range applied {
-		applied[team] = make([]int, teams)
-	}
-	for k, op0 := range logs[0] {
-		next := append([]int(nil), holds...)
-		for team, log := range logs {
-			if len(log) != len(logs[0]) || log[k].kind != op0.kind {
-				t.Fatalf("team %d and team 0 disagree on operation %d of the step", team, k)
-			}
-			op := log[k]
-			switch op.kind {
-			case 'u':
-				applied[team][holds[team]]++
-			case 'm':
-				peer := logs[op.to][k]
-				if peer.from != team || peer.tag != op.tag {
-					t.Fatalf("operation %d: team %d ships to %d under tag %d, which awaits %d under tag %d",
-						k, team, op.to, op.tag, peer.from, peer.tag)
-				}
-				next[team] = holds[op.from]
-			}
-		}
-		holds = next
-	}
-	return applied
+	return pl
 }
 
-// stepOnPaper is walkRing over every layer of a grid: applied[t][src]
-// counts how often, in one timestep, some rank of team t computed on the
-// buffer team src loaded.
-func stepOnPaper(t *testing.T, teams, layers int, plan func(layer, team int) moves) [][]int {
+// checkSchedule holds a plan's messages — collectives, moves and
+// reassignment — to what the runtime needs of them: every send meets a
+// receive at its peer with the same tag and bytes, each rank's receives
+// from a peer come in the order it posts them (the mailboxes are FIFO
+// per pair), and under rendezvous semantics, where a send completes
+// only when its receive is taken, the step runs to its end: no cycle of
+// ranks waits on each other. A move (OpSendrecv) offers its send and its
+// receive at once, as comm's Sendrecv does. It returns the operation
+// each rank that cannot finish under rendezvous waits in.
+func checkSchedule(t *testing.T, pl *Plan) (stalled []Op) {
 	t.Helper()
-	totals := make([][]int, teams)
-	for team := range totals {
-		totals[team] = make([]int, teams)
-	}
-	for layer := 0; layer < layers; layer++ {
-		applied := walkRing(t, teams, func(team int) moves { return plan(layer, team) })
-		for team := range applied {
-			for src, n := range applied[team] {
-				totals[team][src] += n
+	type half struct{ tag, bytes int }
+	sent, recvd := map[[2]int][]half{}, map[[2]int][]half{}
+	ops := make([][]Op, len(pl.Ranks)) // each rank's messages
+	for r, rops := range pl.Ranks {
+		for _, op := range rops {
+			if op.Kind == OpVisit {
+				continue
+			}
+			ops[r] = append(ops[r], op)
+			if op.To >= 0 {
+				sent[[2]int{r, op.To}] = append(sent[[2]int{r, op.To}], half{op.Tag, op.Bytes})
+			}
+			if op.From >= 0 {
+				recvd[[2]int{op.From, r}] = append(recvd[[2]int{op.From, r}], half{op.Tag, op.RecvBytes})
 			}
 		}
 	}
-	return totals
+	for pair, s := range sent {
+		if r := recvd[pair]; !slices.Equal(s, r) {
+			t.Fatalf("rank %d sends rank %d (tag, bytes) %v, which receives %v", pair[0], pair[1], s, r)
+		}
+	}
+	for pair, r := range recvd {
+		if _, ok := sent[pair]; !ok {
+			t.Fatalf("rank %d awaits %v from rank %d, which sends it nothing", pair[1], r, pair[0])
+		}
+	}
+	// Rendezvous: repeatedly match a rank's pending send with the
+	// receive its peer has posted, until no match is left.
+	at := make([]int, len(ops))
+	sentHalf, recvHalf := make([]bool, len(ops)), make([]bool, len(ops))
+	pending := func(r int) *Op {
+		if at[r] == len(ops[r]) {
+			return nil
+		}
+		return &ops[r][at[r]]
+	}
+	done := func(r int) {
+		op := pending(r)
+		if (op.To < 0 || sentHalf[r]) && (op.From < 0 || recvHalf[r]) {
+			at[r]++
+			sentHalf[r], recvHalf[r] = false, false
+		}
+	}
+	for progress := true; progress; {
+		progress = false
+		for r := range ops {
+			op := pending(r)
+			if op == nil || op.To < 0 || sentHalf[r] {
+				continue
+			}
+			peer := pending(op.To)
+			if peer == nil || peer.From != r || recvHalf[op.To] || peer.Tag != op.Tag {
+				continue
+			}
+			sentHalf[r], recvHalf[op.To] = true, true
+			done(r)
+			if op.To != r {
+				done(op.To)
+			}
+			progress = true
+		}
+	}
+	for r := range ops {
+		if op := pending(r); op != nil {
+			stalled = append(stalled, *op)
+		}
+	}
+	return stalled
 }
 
-// TestAllPairsPlanAppliesEveryBlockOnce walks Algorithm 1's plan on
-// paper for the (p, c) grid of the all-pairs tests: over the c rows of
-// the grid, every team's buffer is applied to every team exactly once
-// per step.
+// applied counts, over the visits of a plan of teams teams, how often
+// some rank of team t was handed the block team src loaded:
+// applied[t][src].
+func applied(pl *Plan, teams int) [][]int {
+	out := make([][]int, teams)
+	for team := range out {
+		out[team] = make([]int, teams)
+	}
+	for r, ops := range pl.Ranks {
+		for _, op := range ops {
+			if op.Kind == OpVisit {
+				out[r%teams][op.Src]++
+			}
+		}
+	}
+	return out
+}
+
+// TestAllPairsPlanAppliesEveryBlockOnce evaluates Algorithm 1's step
+// for the (p, c) grid of the all-pairs tests: over the c rows of the
+// grid, every team's buffer is applied to every team exactly once per
+// step, and the schedule is consistent (checkSchedule). The naive
+// all-gather at each p hands every rank every block once.
 func TestAllPairsPlanAppliesEveryBlockOnce(t *testing.T) {
 	for _, tc := range []struct{ p, c int }{
 		{1, 1}, {4, 1}, {4, 2}, {8, 2}, {16, 1}, {16, 2}, {16, 4}, {36, 6}, {64, 4}, {64, 8},
 	} {
-		T := tc.p / tc.c
-		applied := stepOnPaper(t, T, tc.c, func(row, col int) moves { return allPairsMoves(T, tc.c, row, col) })
-		for team := range applied {
-			for src, n := range applied[team] {
-				if n != 1 {
-					t.Fatalf("p=%d c=%d: team %d's buffer applied to team %d %d times, want once", tc.p, tc.c, src, team, n)
+		pr := defaultParams(tc.p, tc.c)
+		ps := phys.InitLattice(2*tc.p, pr.Box, 3)
+		for _, alg := range []struct {
+			name  string
+			newS  func([]phys.Particle, Params) (*Session, error)
+			teams int
+		}{{"ca-all-pairs", NewAllPairs, tc.p / tc.c}, {"naive", NewNaiveAllGather, tc.p}} {
+			if alg.name == "naive" && tc.c != 1 {
+				continue
+			}
+			for team, srcs := range applied(evaluated(t, alg.newS, ps, pr), alg.teams) {
+				for src, n := range srcs {
+					if n != 1 {
+						t.Fatalf("%s p=%d c=%d: team %d's buffer applied to team %d %d times, want once", alg.name, tc.p, tc.c, src, team, n)
+					}
 				}
 			}
 		}
 	}
 }
 
-// TestCutoffPlanAppliesWindowOnce walks Algorithm 2's plan on paper
-// over the schedule grid, on a team grid that is exactly the window and
-// on a wider one: for either boundary, the buffers that pass the window
-// test are those of the teams of the cutoff window, each exactly once.
-// (What else arrives — a buffer that wrapped around a reflective edge —
-// is what the test is there to skip.)
+// TestCutoffPlanAppliesWindowOnce evaluates Algorithm 2's step over
+// the schedule grid, on a team grid that is exactly the window and on a
+// wider one, in either boundary: the buffers that pass the window test
+// are those of the teams of the cutoff window, each exactly once, and
+// the schedule, the reassignment included, is consistent
+// (checkSchedule). (What else arrives — a buffer that wrapped around a
+// reflective edge — is what the window test is there to skip.)
 func TestCutoffPlanAppliesWindowOnce(t *testing.T) {
 	for dim := 1; dim <= 2; dim++ {
 		maxM := 6
 		if dim == 2 {
 			// (2m+2)² teams × up to (2m+1)² layers × (2m+1)² values of c,
-			// each walked twice: m = 3 alone would be 300 000 steps.
+			// each evaluated twice: m = 3 alone would be 300 000 steps.
 			maxM = 2
 		}
 		for m := 1; m <= maxM; m++ {
@@ -315,17 +348,18 @@ func TestCutoffPlanAppliesWindowOnce(t *testing.T) {
 					t.Fatal(err)
 				}
 				for c := 1; c <= topo.WindowSize(m, dim); c++ {
-					sched, err := NewCutoffSchedule(m, c, dim)
-					if err != nil {
-						t.Fatal(err)
-					}
-					applied := stepOnPaper(t, T, c, func(layer, team int) moves { return cutoffMoves(sched, tg, layer, team) })
-					for _, wrap := range []bool{false, true} {
-						for team := range applied {
-							for src, n := range applied[team] {
+					for _, boundary := range []phys.Boundary{phys.Reflective, phys.Periodic} {
+						// Teams one unit wide and a cutoff of m units: a
+						// span of m.
+						box := phys.NewBox(float64(side), dim, boundary)
+						pr := Params{P: T * c, C: c, Law: phys.DefaultLaw().WithCutoff(float64(m)), Box: box, DT: 1e-3}
+						pl := evaluated(t, NewCutoff, phys.InitLattice(T, box, 3), pr)
+						wrap := boundary == phys.Periodic
+						for team, srcs := range applied(pl, T) {
+							for src, n := range srcs {
 								if tg.ChebyshevDist(team, src, wrap) <= m && n != 1 {
-									t.Fatalf("dim=%d m=%d side=%d c=%d wrap=%v: team %d's buffer applied to team %d %d times, want once",
-										dim, m, side, c, wrap, src, team, n)
+									t.Fatalf("dim=%d m=%d side=%d c=%d %v: team %d's buffer applied to team %d %d times, want once",
+										dim, m, side, c, boundary, src, team, n)
 								}
 							}
 						}

@@ -236,7 +236,7 @@ func TestMigratorRecyclesBuffers(t *testing.T) {
 								mine[i].Pos.Y = (float64(ty) + 0.5) * width
 							}
 						}
-						x := newXfer(Params{}, team, false)
+						x := (&rank{}).newXfer(Params{}, team, false)
 						var mig migrator
 						for step := 0; step < steps; step++ {
 							for i := range mine {

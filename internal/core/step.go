@@ -25,6 +25,9 @@ type rank struct {
 	st    *trace.Stats
 	pool  *phys.Pool
 	po    poolObs
+	// rec is the transport of a step that is only evaluated, with no
+	// world (Session.Plan); nil on a run.
+	rec *recorder
 }
 
 // Session is an algorithm's parallel run that outlives its Advance
@@ -43,6 +46,7 @@ type Session struct {
 	pr         Params
 	impl       string  // force-kernel implementation of the compute phase
 	perS, perW float64 // per-step lower bounds
+	cg         *commGrid
 	build      func(*rank) *shiftLoop
 	rt         *comm.Runtime // nil until the first Advance
 	loops      []*shiftLoop  // by world rank; nil until the rank's first Advance
@@ -50,11 +54,11 @@ type Session struct {
 }
 
 // newSession wraps an algorithm's per-rank builder in a session of
-// n particles; perS and perW are the run's per-step lower bounds. The
-// force-kernel implementation the compute phase runs, named in the
-// report and the metrics, is the law's (phys.Kernel.Impl).
-func newSession(n int, pr Params, perS, perW float64, build func(*rank) *shiftLoop) *Session {
-	return &Session{n: n, pr: pr, impl: pr.Law.Kernel().Impl(), perS: perS, perW: perW, build: build, loops: make([]*shiftLoop, pr.P)}
+// n particles on the grid cg; perS and perW are the run's per-step
+// lower bounds. The force-kernel implementation the compute phase runs,
+// named in the report and the metrics, is the law's (phys.Kernel.Impl).
+func newSession(n int, pr Params, perS, perW float64, cg *commGrid, build func(*rank) *shiftLoop) *Session {
+	return &Session{n: n, pr: pr, impl: pr.Law.Kernel().Impl(), perS: perS, perW: perW, cg: cg, build: build, loops: make([]*shiftLoop, pr.P)}
 }
 
 // Advance runs every rank's loop for steps timesteps and gathers the n
@@ -270,6 +274,10 @@ type shiftLoop struct {
 // rank's place (row, col) on cg; the caller adds the moves, the pairing,
 // the transport and the leader's particles.
 func newShiftLoop(rk *rank, pr *Params, cg *commGrid) (l *shiftLoop, row, col int) {
+	if rk.rec != nil {
+		row, col = rk.rec.vr, rk.rec.slot
+		return &shiftLoop{rank: rk, pr: pr, slot: col, leader: row == 0}, row, col
+	}
 	row, col = cg.Coord(rk.world.Rank())
 	return &shiftLoop{
 		rank: rk, pr: pr, slot: col, leader: row == 0,

@@ -57,12 +57,17 @@ type xfer interface {
 	recvParticles(lc *comm.Comm, from, tag int) []phys.Particle
 }
 
-// newXfer builds the transport for one rank. frame is the rank's team
+// newXfer builds the transport for rank rk. frame is the rank's team
 // id when exchange buffers carry a source-team frame (the cutoff
 // algorithm), -1 for the unframed all-pairs exchange. keepsViews says
 // the rank's pairing reads a view after the rank's next move: it
-// selects the exchange-buffer reuse discipline below.
-func newXfer(pr Params, frame int, keepsViews bool) xfer {
+// selects the exchange-buffer reuse discipline below. A rank whose step
+// is only evaluated gets its recorder.
+func (rk *rank) newXfer(pr Params, frame int, keepsViews bool) xfer {
+	if rk.rec != nil {
+		rk.rec.framed = frame >= 0
+		return rk.rec
+	}
 	if pr.oracle {
 		return &encodedXfer{frame: frame, keepsViews: keepsViews}
 	}
