@@ -103,8 +103,9 @@ flakematrix:
 race:
 	$(GO) test -race ./internal/comm/... ./internal/obs/... ./internal/core/... ./internal/phys/... ./internal/vec/...
 
-# obsdebug builds enforce the Stats single-goroutine ownership contract
-# (pool workers never touch Stats; only the rank goroutine stamps).
+# obsdebug builds enforce the single-goroutine ownership contracts of
+# the Stats and the comm tallies (pool workers never touch either; only
+# the rank goroutine counts and publishes).
 # internal/obs rides along so the live hub's mid-run serving is also
 # exercised under the debug assertions.
 obsdebug:
@@ -118,14 +119,15 @@ obsdebug:
 # timestep of the same 64 ranks with 8-particle blocks, which prices the
 # hop whole (a hang or a failed send shows here; their timings mean
 # nothing at 100 iterations — for the per-hop and per-step cost run the
-# last two at -benchtime 20000x). The communication matrix's counting,
-# with every P a distinct rank sending and receiving into one matrix, is
-# what an observed run adds to each message (a layer number: run it at
-# the default -benchtime for ns/op).
+# last two at -benchtime 20000x). A rank's tally count of a send and a
+# receive, with its share of the per-step publish into the one shared
+# matrix and counters, every P a distinct rank, is what an observed run
+# adds to each message (a layer number: run it at the default -benchtime
+# for ns/op).
 benchguard:
 	$(GO) test -run TestDisabledPathAllocs ./internal/obs/
 	$(GO) test -run NONE -bench BenchmarkObsDisabled -benchtime 100000x ./internal/obs/
-	$(GO) test -run NONE -bench BenchmarkCommMatrixCount -benchtime 100000x ./internal/obs/
+	$(GO) test -run NONE -bench BenchmarkObservedMessage -benchtime 100000x ./internal/comm/
 	$(GO) test -run NONE -bench BenchmarkMesh -benchtime 100x ./internal/comm/net/
 	$(GO) test -run NONE -bench BenchmarkRingShiftOversubscribed -benchtime 100x ./internal/comm/
 	$(GO) test -run NONE -bench BenchmarkShiftLoopSmallBlocks -benchtime 100x ./internal/core/

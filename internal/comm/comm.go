@@ -2,6 +2,7 @@ package comm
 
 import (
 	"fmt"
+	"time"
 
 	"repro/internal/obs"
 	"repro/internal/phys"
@@ -93,6 +94,17 @@ func (c *Comm) Metrics() *obs.Registry {
 		return nil
 	}
 	return c.opts.Observe.Metrics
+}
+
+// Publish adds the traffic the rank has counted since its last publish
+// to the observer's matrix and comm.{sent,recv}.* counters, and charges
+// compute to its compute time there. A timestep driver calls it at each
+// step's end, the runtime when the rank's function returns. A no-op
+// unobserved; a follower process's counts accumulate for its summary.
+func (c *Comm) Publish(compute time.Duration) {
+	if c.cm != nil {
+		c.cm.tally.publish(c.rt.pub, c.group[c.rank], compute)
+	}
 }
 
 // diag identifies the caller for panic messages: world rank, active

@@ -316,8 +316,8 @@ func TestMalformedSummaryFailsEveryProc(t *testing.T) {
 				t.Fatal("a follower is still waiting for a result")
 			}
 			for ph := 0; ph < numPhases; ph++ {
-				if s, _, r, _ := ob.Matrix().PhaseTotals(ph); s != 0 || r != 0 {
-					t.Errorf("a rejected summary left %d sends and %d receives of phase %d in proc 0's matrix", s, r, ph)
+				if tot := trace.Measure(ob.Matrix()).Sum[ph]; tot.Messages != 0 || tot.RecvMessages != 0 {
+					t.Errorf("a rejected summary left %d sends and %d receives of phase %d in proc 0's matrix", tot.Messages, tot.RecvMessages, ph)
 				}
 			}
 		})

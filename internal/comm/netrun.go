@@ -36,7 +36,6 @@ import (
 	"sync"
 
 	cnet "repro/internal/comm/net"
-	"repro/internal/obs"
 	"repro/internal/phys"
 	"repro/internal/trace"
 )
@@ -170,18 +169,11 @@ func (rt *Runtime) bindProc(p *Proc) error {
 		arrivals: make([][][]arrival, p.NumProcs()),
 		exchange: make([]exchangeScratch, p.NumProcs()),
 	}
-	if p.ID() != 0 {
-		rt.wire.tallies = make([]tally, p.ranksPerProc)
-	}
 	return nil
 }
 
 // wireState is what a world keeps for its socket side.
 type wireState struct {
-	// tallies holds, by local rank, the traffic a follower process
-	// reports to proc 0 at the end of a run (nil on proc 0, whose own
-	// counts go to its observer's matrix or nowhere).
-	tallies []tally
 	// spares holds, by local rank, the typed slices decoded off the wire
 	// that the rank has finished with, for the readers to decode into.
 	spares []spares
@@ -198,14 +190,6 @@ type wireState struct {
 	// the i-th summary to arrive in entry i. What a run keeps from it —
 	// remote deposits, remote worker times — is valid until the next run.
 	exchange []exchangeScratch
-}
-
-// reset zeroes what a run counts on the socket side.
-func (w *wireState) reset() {
-	w.arrived = 0
-	for i := range w.tallies {
-		w.tallies[i].reset()
-	}
 }
 
 // attach connects the world to the mesh for one run: incoming data
@@ -505,7 +489,7 @@ func (rt *Runtime) leaderJoin(opts Options) (*trace.Report, map[int][]phys.Parti
 			if f.Kind != cnet.KindFinish {
 				return fmt.Errorf("comm: proc 0 expected a finish frame, got kind %#x", f.Kind)
 			}
-			sum, err = rt.mergeSummary(f, opts, reported, &rt.wire.exchange[i])
+			sum, err = rt.mergeSummary(f, reported, &rt.wire.exchange[i])
 			return err
 		})
 		if err != nil {
@@ -539,7 +523,7 @@ func (rt *Runtime) leaderJoin(opts Options) (*trace.Report, map[int][]phys.Parti
 // and deposits, which nothing touches until the next run.
 func (rt *Runtime) localSummary(opts Options) procSummary {
 	sc := &rt.wire.exchange[0]
-	sc.cells = mergeTallies(sc.cells, rt.wire.tallies)
+	sc.cells = mergeTallies(sc.cells, rt.tallies)
 	sum := procSummary{Proc: rt.proc.ID(), Cells: sc.cells}
 	sum.Frames, sum.Flushes = rt.socketShare(opts)
 	sc.stats = sc.stats[:0]
@@ -591,16 +575,13 @@ func (rt *Runtime) socketShare(opts Options) (frames, flushes int64) {
 }
 
 // mergeSummary folds the summary in one follower's FINISH frame into
-// the leader's state: remote rank stats land in rt.stats, and — sends
-// having been counted at the sender's process and receives at the
-// receiver's — adding the follower's cells to an observed leader's
-// matrix and traffic counters, and its ranks' compute times to the
-// matrix's rows (as Session.Advance charges the local ranks'),
-// reconstructs the global run. reported marks the procs whose
-// summary has been merged, so that every remote rank is merged exactly
-// once. The frame is decoded into sc, which the merged worker times
-// and deposits refer to until the next run.
-func (rt *Runtime) mergeSummary(f cnet.Frame, opts Options, reported []bool, sc *exchangeScratch) (sum procSummary, err error) {
+// the leader's state: remote rank stats land in rt.stats, and an
+// observed leader publishes the follower's cells, as its own ranks
+// publish their tallies, and charges its ranks' compute times. reported
+// marks the procs whose summary has been merged, so that every remote
+// rank is merged exactly once. The frame is decoded into sc, which the
+// merged worker times and deposits refer to until the next run.
+func (rt *Runtime) mergeSummary(f cnet.Frame, reported []bool, sc *exchangeScratch) (sum procSummary, err error) {
 	defer func() {
 		if err != nil {
 			err = fmt.Errorf("comm: summary from proc %d: %w", f.Src, err)
@@ -629,24 +610,11 @@ func (rt *Runtime) mergeSummary(f cnet.Frame, opts Options, reported []bool, sc 
 		st.ByPhase = w.ByPhase
 		st.WorkerCompute = w.WorkerCompute
 	}
-	if mx := opts.Observe.Matrix(); mx != nil {
-		mx.AddCells(sum.Cells)
+	if rt.pub != nil {
+		rt.pub.publish(sum.Cells)
 		for _, w := range sum.Stats {
-			mx.AddTime(w.Rank, int(trace.Compute), w.ByPhase[trace.Compute].Time)
+			rt.pub.matrix.AddTime(w.Rank, int(trace.Compute), w.ByPhase[trace.Compute].Time)
 		}
-	}
-	if o := opts.Observe; o != nil {
-		var tot obs.MatrixCell
-		for _, c := range sum.Cells {
-			tot.SentMsgs += c.SentMsgs
-			tot.SentBytes += c.SentBytes
-			tot.RecvMsgs += c.RecvMsgs
-			tot.RecvBytes += c.RecvBytes
-		}
-		o.Metrics.Counter("comm.sent.msgs").Add(tot.SentMsgs)
-		o.Metrics.Counter("comm.sent.bytes").Add(tot.SentBytes)
-		o.Metrics.Counter("comm.recv.msgs").Add(tot.RecvMsgs)
-		o.Metrics.Counter("comm.recv.bytes").Add(tot.RecvBytes)
 	}
 	if len(sum.Deposits) > 0 && rt.deposits == nil {
 		rt.deposits = make(map[int][]phys.Particle, len(sum.Deposits))

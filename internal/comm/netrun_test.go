@@ -109,9 +109,10 @@ func inProcessMatrix(t *testing.T, tc mergeCase, ps []phys.Particle) *obs.CommMa
 		t.Fatalf("in-process run: %v", err)
 	}
 	mx := ob.Matrix()
+	tot := trace.Measure(mx).Sum
 	var msgs int64
 	for _, ph := range trace.Phases() {
-		sent, bytes, _, _ := mx.PhaseTotals(int(ph))
+		sent, bytes := tot[ph].Messages, tot[ph].Bytes
 		if sent != rep.Sum[ph].Messages || bytes != rep.Sum[ph].Bytes {
 			t.Fatalf("phase %v: in-process matrix holds %d msgs / %d bytes, report %d / %d", ph, sent, bytes, rep.Sum[ph].Messages, rep.Sum[ph].Bytes)
 		}
@@ -130,11 +131,11 @@ func sameMatrix(t *testing.T, label string, want, got *obs.CommMatrix) {
 	if w, g := want.Snapshot(nil), got.Snapshot(nil); !reflect.DeepEqual(w, g) {
 		t.Errorf("%s: merged matrix differs from the in-process matrix\nwant:\n%sgot:\n%s", label, w.Table(), g.Table())
 	}
-	for ph := 0; ph < want.Phases(); ph++ {
-		ws, wb, wr, wrb := want.PhaseTotals(ph)
-		gs, gb, gr, grb := got.PhaseTotals(ph)
-		if ws != gs || wb != gb || wr != gr || wrb != grb {
-			t.Errorf("%s: phase %d totals sent %d/%d recv %d/%d, want sent %d/%d recv %d/%d", label, ph, gs, gb, gr, grb, ws, wb, wr, wrb)
+	w, g := trace.Measure(want).Sum, trace.Measure(got).Sum
+	for ph := range w {
+		w[ph].Time, g[ph].Time = 0, 0 // traffic only
+		if w[ph] != g[ph] {
+			t.Errorf("%s: phase %d totals %+v, want %+v", label, ph, g[ph], w[ph])
 		}
 	}
 }
@@ -252,9 +253,10 @@ func TestTallyStartsFromZeroEachRun(t *testing.T) {
 				sameMatrix(t, fmt.Sprintf("run %d", r), want, ob.Matrix())
 			}
 			for label, ob := range map[string]*obs.Observer{"one observer": kept, "one session": reused} {
-				for ph := 0; ph < want.Phases(); ph++ {
-					ws, wb, wr, wrb := want.PhaseTotals(ph)
-					gs, gb, gr, grb := ob.Matrix().PhaseTotals(ph)
+				w, g := trace.Measure(want).Sum, trace.Measure(ob.Matrix()).Sum
+				for ph := range w {
+					ws, wb, wr, wrb := w[ph].Messages, w[ph].Bytes, w[ph].RecvMessages, w[ph].RecvBytes
+					gs, gb, gr, grb := g[ph].Messages, g[ph].Bytes, g[ph].RecvMessages, g[ph].RecvBytes
 					if gs != runs*ws || gb != runs*wb || gr != runs*wr || grb != runs*wrb {
 						t.Errorf("%s, phase %d after %d runs: sent %d/%d recv %d/%d, want %d times sent %d/%d recv %d/%d",
 							label, ph, runs, gs, gb, gr, grb, runs, ws, wb, wr, wrb)

@@ -255,7 +255,7 @@ type inbox struct {
 // again once it has returned. What a run builds — mailboxes, the peers
 // its communicators cache, sub-communicators the caller keeps, decode
 // spares — serves the next one; what a run counts starts from zero each
-// time: the per-pair sequence numbers, the Stats, the socket tallies.
+// time: the per-pair sequence numbers, the Stats, the tallies.
 // Nothing runs between calls. A failed run leaves the world dead.
 type Runtime struct {
 	size    int
@@ -264,6 +264,12 @@ type Runtime struct {
 	inboxes []inbox // by destination world rank
 	stats   []*trace.Stats
 	worlds  []*Comm // world communicator of each local rank, by rank-lo
+
+	// tallies holds each local rank's traffic counts, by rank-lo: in an
+	// observed world and on a follower process, nil otherwise. pub is
+	// where they are published; nil unobserved and on a follower.
+	tallies []tally
+	pub     *publisher
 
 	// yield, when non-nil, is handed to every mailbox the world creates
 	// (see stream.yield); tests set it before the first Run.
@@ -325,23 +331,34 @@ func NewRuntime(size int, opts Options, proc *Proc) (*Runtime, error) {
 			return nil, err
 		}
 	}
-	var cm *commMetrics
-	if o := opts.Observe; o != nil {
+	o, follower := opts.Observe, proc != nil && proc.ID() != 0
+	var reg *obs.Registry
+	if o != nil {
 		o.Timeline.SetPhaseNamesIfUnset(trace.PhaseNames())
-		cm = newCommMetrics(o.Metrics, o.EnsureMatrix(len(trace.PhaseNames()), size))
+		reg = o.Metrics
+		if !follower {
+			rt.pub = newPublisher(o, size)
+		}
+	}
+	if o != nil || follower {
+		// A follower's ranks count too, observed or not, so that proc 0's
+		// matrix covers the whole world.
+		rt.tallies = make([]tally, rt.hi-rt.lo)
 	}
 	group := identity(size)
 	rt.worlds = make([]*Comm, rt.hi-rt.lo)
 	for r := rt.lo; r < rt.hi; r++ {
 		var tr *obs.Tracer
-		if o := opts.Observe; o != nil {
+		var cm *commMetrics
+		if o != nil {
 			tr = o.Timeline.Rank(r)
 		}
-		rankCM := cm
-		if proc != nil && proc.ID() != 0 {
-			// A follower's ranks each count into their own tally, observed
-			// or not, so proc 0's merged matrix covers the whole world.
-			rankCM = cm.withTally(&rt.wire.tallies[r-rt.lo])
+		if rt.tallies != nil {
+			cm = &commMetrics{
+				msgBytes: reg.Histogram("comm.msg.bytes"),
+				mailbox:  reg.Histogram("comm.mailbox.depth"),
+				tally:    &rt.tallies[r-rt.lo],
+			}
 		}
 		rt.worlds[r-rt.lo] = &Comm{
 			rt:    rt,
@@ -351,7 +368,7 @@ func NewRuntime(size int, opts Options, proc *Proc) (*Runtime, error) {
 			opts:  opts,
 			stats: rt.stats[r],
 			tr:    tr,
-			cm:    rankCM,
+			cm:    cm,
 		}
 	}
 	return rt, nil
@@ -533,9 +550,12 @@ func (rt *Runtime) reset() {
 	for _, st := range rt.stats {
 		st.Reset()
 	}
+	for i := range rt.tallies {
+		rt.tallies[i].reset()
+	}
 	clear(rt.deposits)
 	if rt.wire != nil {
-		rt.wire.reset()
+		rt.wire.arrived = 0
 	}
 }
 
@@ -543,6 +563,7 @@ func (rt *Runtime) reset() {
 func (rt *Runtime) runRank(wg *sync.WaitGroup, c *Comm, fn func(*Comm) error) {
 	defer wg.Done()
 	defer c.tr.Close()
+	defer c.Publish(0) // what the rank counted since its last publish
 	defer func() {
 		switch v := recover().(type) {
 		case nil:
@@ -558,87 +579,33 @@ func (rt *Runtime) runRank(wg *sync.WaitGroup, c *Comm, fn func(*Comm) error) {
 	}
 }
 
-// commMetrics holds the substrate's pre-resolved registry instruments,
-// shared by all ranks (updates are atomic), plus — on a follower process
-// of a multi-process run, where every rank has a commMetrics of its own —
-// the rank's tally. Resolving once at Run start keeps map lookups out of
-// the per-message path. A nil *commMetrics disables all of it at the
-// cost of one nil check per site — at the call, for sends, so that an
-// unobserved send does not read the mailbox depth it would record.
+// commMetrics is one rank's traffic instruments: its tally, and the
+// registry's message-size and mailbox-depth histograms, resolved once
+// so that no map lookup is left on the per-message path. A nil
+// *commMetrics disables all of it at the cost of one nil check per site
+// — at the call, for sends, so that an unobserved send does not read
+// the mailbox depth it would record.
 type commMetrics struct {
-	sentMsgs  *obs.Counter
-	sentBytes *obs.Counter
-	recvMsgs  *obs.Counter
-	recvBytes *obs.Counter
-	msgBytes  *obs.Histogram // payload size distribution of sends
-	mailbox   *obs.Histogram // destination mailbox depth seen by sends
-	matrix    *obs.CommMatrix
-	tally     *tally // rank-owned; nil except on a follower process
+	msgBytes *obs.Histogram // payload size distribution of sends
+	mailbox  *obs.Histogram // destination mailbox depth seen by sends
+	tally    *tally
 }
 
-func newCommMetrics(reg *obs.Registry, matrix *obs.CommMatrix) *commMetrics {
-	if reg == nil && matrix == nil {
-		return nil
-	}
-	return &commMetrics{
-		sentMsgs:  reg.Counter("comm.sent.msgs"),
-		sentBytes: reg.Counter("comm.sent.bytes"),
-		recvMsgs:  reg.Counter("comm.recv.msgs"),
-		recvBytes: reg.Counter("comm.recv.bytes"),
-		msgBytes:  reg.Histogram("comm.msg.bytes"),
-		mailbox:   reg.Histogram("comm.mailbox.depth"),
-		matrix:    matrix,
-	}
-}
-
-// withTally returns one rank's copy of m (nil for an unobserved run)
-// that also counts into t.
-func (m *commMetrics) withTally(t *tally) *commMetrics {
-	var own commMetrics
-	if m != nil {
-		own = *m
-	}
-	own.tally = t
-	return &own
-}
-
-// countSend records one src→dst world-rank message in the rank's tally,
-// the registry instruments and the communication matrix, under the
-// sender's phase. The caller checks m for nil.
+// countSend records one src→dst world-rank message under the sender's
+// phase. The caller checks m for nil.
 func (m *commMetrics) countSend(phase, src, dst, bytes, boxDepth int) {
-	if m.tally != nil {
-		c := m.tally.at(phase, src, dst)
-		c.SentMsgs++
-		c.SentBytes += int64(bytes)
-		if m.matrix == nil {
-			return // unobserved follower: the tally is all there is
-		}
-	}
-	m.sentMsgs.Inc()
-	m.sentBytes.Add(int64(bytes))
+	m.tally.send(phase, src, dst, bytes)
 	m.msgBytes.Observe(int64(bytes))
 	m.mailbox.Observe(int64(boxDepth))
-	m.matrix.CountSend(phase, src, dst, bytes)
 }
 
-// countRecv records one received src→dst world-rank message the same
-// way, under the receiver's phase (which may differ from the phase the
-// send was stamped under).
+// countRecv records one received src→dst world-rank message under the
+// receiver's phase (which may differ from the phase the send was
+// counted under).
 func (m *commMetrics) countRecv(phase, src, dst, bytes int) {
-	if m == nil {
-		return
+	if m != nil {
+		m.tally.recv(phase, src, dst, bytes)
 	}
-	if m.tally != nil {
-		c := m.tally.at(phase, src, dst)
-		c.RecvMsgs++
-		c.RecvBytes += int64(bytes)
-		if m.matrix == nil {
-			return
-		}
-	}
-	m.recvMsgs.Inc()
-	m.recvBytes.Add(int64(bytes))
-	m.matrix.CountRecv(phase, src, dst, bytes)
 }
 
 func identity(n int) []int {

@@ -1,17 +1,13 @@
 package comm
 
-// The traffic a follower process of a multi-process run reports to
-// proc 0: a sparse per-rank tally while the run is going, and a compact
-// cell list in the end-of-run summary.
-//
-// The counts live where the messages do. A rank of a timestep loop uses
-// a handful of (phase, src, dst) cells — a few hundred per process
-// against the 64·64·8 a dense phases×P×P matrix would hold at P=64 — so
-// each rank owns a tally of the cells it has actually used: nothing is
-// allocated or cleared per process and run that the run does not touch,
-// nothing is shared between ranks (a dense matrix's cell is atomics that
-// a message's two ranks share), and the summary carries those cells and
-// no zeros.
+// A rank's traffic counts: a sparse tally of the (phase, src, dst)
+// cells the rank has used, counted with plain adds. They reach an
+// observer one way, publish (at each step's end and when the rank's
+// function returns); a follower's reach proc 0 as the cell list of its
+// end-of-run summary. A rank of a timestep loop uses a handful of
+// cells, so nothing is allocated or cleared that the run does not
+// touch, nothing is shared between ranks per message, and the summary
+// carries no zeros.
 
 import (
 	"encoding/binary"
@@ -19,22 +15,95 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"time"
 
 	"repro/internal/obs"
+	"repro/internal/owner"
+	"repro/internal/trace"
 )
 
 // tally is one rank's traffic counts: the cells whose src it is carry
-// its sends, the cells whose dst it is its receives. Only the rank's own
-// goroutine touches it, so counting is a plain add.
+// its sends, the cells whose dst it is its receives. Only the rank's
+// own goroutine counts into it or publishes it (checked under
+// obsdebug), so counting is a plain add.
 type tally struct {
 	cells []obs.MatrixCell
 	// index locates a cell once there are too many for a scan; nil until
 	// then. A rank of a timestep loop talks to a handful of peers in a
 	// few phases and never builds it.
 	index map[cellKey]int
+	guard owner.Guard
 }
 
 type cellKey struct{ phase, src, dst int }
+
+// send counts one src→dst message of the given bytes under the
+// sender's phase.
+func (t *tally) send(phase, src, dst, bytes int) {
+	c := t.at(phase, src, dst)
+	c.SentMsgs++
+	c.SentBytes += int64(bytes)
+}
+
+// recv counts the receipt of one src→dst message under the receiver's
+// phase.
+func (t *tally) recv(phase, src, dst, bytes int) {
+	c := t.at(phase, src, dst)
+	c.RecvMsgs++
+	c.RecvBytes += int64(bytes)
+}
+
+// publish hands the counts to p, charges compute to rank's compute time
+// and zeroes the counts, keeping the cells for the steps to come. With
+// p nil — a follower process, whose counts reach proc 0 in its summary —
+// the tally keeps accumulating.
+func (t *tally) publish(p *publisher, rank int, compute time.Duration) {
+	t.guard.Check("comm.tally")
+	if p == nil {
+		return
+	}
+	p.publish(t.cells)
+	p.matrix.AddTime(rank, int(trace.Compute), compute)
+	for i := range t.cells {
+		c := &t.cells[i]
+		c.SentMsgs, c.SentBytes, c.RecvMsgs, c.RecvBytes = 0, 0, 0, 0
+	}
+}
+
+// publisher is where an observed world's counts go: the communication
+// matrix and the four traffic counters, which publish alone writes.
+type publisher struct {
+	matrix                                   *obs.CommMatrix
+	sentMsgs, sentBytes, recvMsgs, recvBytes *obs.Counter
+}
+
+func newPublisher(o *obs.Observer, ranks int) *publisher {
+	reg := o.Metrics
+	return &publisher{
+		matrix:    o.EnsureMatrix(len(trace.PhaseNames()), ranks),
+		sentMsgs:  reg.Counter("comm.sent.msgs"),
+		sentBytes: reg.Counter("comm.sent.bytes"),
+		recvMsgs:  reg.Counter("comm.recv.msgs"),
+		recvBytes: reg.Counter("comm.recv.bytes"),
+	}
+}
+
+// publish adds cells to the matrix and their summed counts to the
+// traffic counters.
+func (p *publisher) publish(cells []obs.MatrixCell) {
+	p.matrix.AddCells(cells)
+	var tot obs.MatrixCell
+	for _, c := range cells {
+		tot.SentMsgs += c.SentMsgs
+		tot.SentBytes += c.SentBytes
+		tot.RecvMsgs += c.RecvMsgs
+		tot.RecvBytes += c.RecvBytes
+	}
+	p.sentMsgs.Add(tot.SentMsgs)
+	p.sentBytes.Add(tot.SentBytes)
+	p.recvMsgs.Add(tot.RecvMsgs)
+	p.recvBytes.Add(tot.RecvBytes)
+}
 
 // tallyScan is the cell count up to which finding a cell by linear scan
 // beats a map lookup.
@@ -43,6 +112,7 @@ const tallyScan = 16
 // at returns the rank's cell for (phase, src, dst), adding it on first
 // use.
 func (t *tally) at(phase, src, dst int) *obs.MatrixCell {
+	t.guard.Check("comm.tally")
 	if t.index != nil {
 		if i, ok := t.index[cellKey{phase, src, dst}]; ok {
 			return &t.cells[i]
@@ -67,10 +137,12 @@ func (t *tally) at(phase, src, dst int) *obs.MatrixCell {
 	return &t.cells[len(t.cells)-1]
 }
 
-// reset empties the tally for the next run, keeping its storage.
+// reset empties the tally for the next run, keeping its storage, and
+// frees it for that run's rank goroutine.
 func (t *tally) reset() {
 	t.cells = t.cells[:0]
 	clear(t.index)
+	t.guard.Release()
 }
 
 // compareCells orders cells by (phase, src, dst) — the order of the

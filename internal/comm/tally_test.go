@@ -12,36 +12,54 @@ import (
 	"repro/internal/obs"
 )
 
-// TestTalliesRebuildTheMatrix counts one random message stream twice —
-// into a dense matrix, and into per-rank tallies the way a follower's
-// ranks do (the sender's tally takes the send, the receiver's the
-// receipt) — and requires the tallies, merged, encoded, decoded and
-// added to an empty matrix, to reproduce the dense one. One rank talks
+// TestTalliesRebuildTheMatrix counts one random message stream into
+// per-rank tallies as the ranks do (the sender's tally takes the send,
+// the receiver's the receipt) and requires both ways out of a tally to
+// give the matrix, rows and traffic counters the test counts itself:
+// publishing every rank's tally at the end of each step, and — as a
+// follower does — accumulating them all run long, then merging,
+// encoding, decoding and publishing the summary's cells. One rank talks
 // to enough peers to outgrow the linear scan.
 func TestTalliesRebuildTheMatrix(t *testing.T) {
-	const phases, ranks = 5, 40
+	const phases, ranks, steps, msgsPerStep = 5, 40, 20, 1000
+	type counts struct{ sentMsgs, sentBytes, recvMsgs, recvBytes int64 }
+	want := make([]counts, phases*ranks*ranks) // [phase][src][dst]
+	var total counts
+	stepped, follower := make([]tally, ranks), make([]tally, ranks)
+	stepPub := newPublisher(obs.NewObserver(ranks, 0), ranks)
 	rng := rand.New(rand.NewSource(1))
-	dense := obs.NewCommMatrix(phases, ranks)
-	tallies := make([]tally, ranks)
-	for i := 0; i < 20000; i++ {
-		src, dst := rng.Intn(ranks), rng.Intn(ranks)
-		if i%2 == 0 {
-			src = 3 // a hub, so its tally grows past tallyScan cells
+	for step := 0; step < steps; step++ {
+		for i := 0; i < msgsPerStep; i++ {
+			src, dst := rng.Intn(ranks), rng.Intn(ranks)
+			if i%2 == 0 {
+				src = 3 // a hub, so its tally grows past tallyScan cells
+			}
+			sendPhase, recvPhase, bytes := rng.Intn(phases), rng.Intn(phases), rng.Intn(1<<20)
+			w := &want[(sendPhase*ranks+src)*ranks+dst]
+			w.sentMsgs++
+			w.sentBytes += int64(bytes)
+			w = &want[(recvPhase*ranks+src)*ranks+dst]
+			w.recvMsgs++
+			w.recvBytes += int64(bytes)
+			total.sentMsgs++
+			total.recvMsgs++
+			total.sentBytes += int64(bytes)
+			total.recvBytes += int64(bytes)
+			for _, ts := range [][]tally{stepped, follower} {
+				ts[src].send(sendPhase, src, dst, bytes)
+				ts[dst].recv(recvPhase, src, dst, bytes)
+			}
 		}
-		sendPhase, recvPhase, bytes := rng.Intn(phases), rng.Intn(phases), rng.Intn(1<<20)
-		dense.CountSend(sendPhase, src, dst, bytes)
-		dense.CountRecv(recvPhase, src, dst, bytes)
-		c := tallies[src].at(sendPhase, src, dst)
-		c.SentMsgs++
-		c.SentBytes += int64(bytes)
-		c = tallies[dst].at(recvPhase, src, dst)
-		c.RecvMsgs++
-		c.RecvBytes += int64(bytes)
+		for r := range stepped {
+			stepped[r].publish(stepPub, r, 0)
+			follower[r].publish(nil, r, 0) // a follower's tally keeps counting
+		}
 	}
-	if tallies[3].index == nil || tallies[7].index != nil && len(tallies[7].cells) <= tallyScan {
-		t.Fatalf("hub tally has %d cells and index %v; want it indexed", len(tallies[3].cells), tallies[3].index != nil)
+	if stepped[3].index == nil || stepped[7].index != nil && len(stepped[7].cells) <= tallyScan {
+		t.Fatalf("hub tally has %d cells and index %v; want it indexed", len(stepped[3].cells), stepped[3].index != nil)
 	}
-	cells := mergeTallies(nil, tallies)
+
+	cells := mergeTallies(nil, follower)
 	decoded, err := decodeCells(nil, appendCells(nil, cells), phases, ranks)
 	if err != nil {
 		t.Fatal(err)
@@ -49,16 +67,38 @@ func TestTalliesRebuildTheMatrix(t *testing.T) {
 	if !reflect.DeepEqual(cells, decoded) {
 		t.Fatal("cells changed across encode/decode")
 	}
-	rebuilt := obs.NewCommMatrix(phases, ranks)
-	rebuilt.AddCells(decoded)
-	if !reflect.DeepEqual(dense.Snapshot(nil), rebuilt.Snapshot(nil)) {
-		t.Error("matrix rebuilt from tallies differs from the dense count")
-	}
-	for ph := 0; ph < phases; ph++ {
-		ws, wb, wr, wrb := dense.PhaseTotals(ph)
-		gs, gb, gr, grb := rebuilt.PhaseTotals(ph)
-		if ws != gs || wb != gb || wr != gr || wrb != grb {
-			t.Errorf("phase %d totals differ", ph)
+	summaryPub := newPublisher(obs.NewObserver(ranks, 0), ranks)
+	summaryPub.publish(decoded)
+
+	for label, p := range map[string]*publisher{"published per step": stepPub, "summary": summaryPub} {
+		got := make([]counts, len(want))
+		for _, ps := range p.matrix.Snapshot(nil).Phases {
+			for src := range ranks {
+				for dst := range ranks {
+					got[(ps.Phase*ranks+src)*ranks+dst] = counts{ps.SentMsgs[src][dst], ps.SentBytes[src][dst], ps.RecvMsgs[src][dst], ps.RecvBytes[src][dst]}
+				}
+			}
+		}
+		if !slices.Equal(got, want) {
+			t.Errorf("%s: matrix cells differ from the messages counted", label)
+		}
+		for r := range ranks {
+			for ph := range phases {
+				var row counts
+				for peer := range ranks {
+					sent, recvd := want[(ph*ranks+r)*ranks+peer], want[(ph*ranks+peer)*ranks+r]
+					row.sentMsgs += sent.sentMsgs
+					row.sentBytes += sent.sentBytes
+					row.recvMsgs += recvd.recvMsgs
+					row.recvBytes += recvd.recvBytes
+				}
+				if sm, sb, rm, rb := p.matrix.RankTotals(r, ph); (counts{sm, sb, rm, rb}) != row {
+					t.Errorf("%s: rank %d phase %d totals %v, want %v", label, r, ph, counts{sm, sb, rm, rb}, row)
+				}
+			}
+		}
+		if c := (counts{p.sentMsgs.Value(), p.sentBytes.Value(), p.recvMsgs.Value(), p.recvBytes.Value()}); c != total {
+			t.Errorf("%s: traffic counters %v, want %v", label, c, total)
 		}
 	}
 }

@@ -290,17 +290,25 @@ func (mg *migrator) migrate(x xfer, leaders *comm.Comm, tg topo.TeamGrid, team i
 		for side := range 2 {
 			dir := axisStep(a, side)
 			tag := tagMigrate + 2*a + side
-			if to, ok := migrationPeer(tg, team, dir, wrap); ok {
-				x.sendParticles(leaders, to, tag, mg.out[a][side])
-			} else if len(mg.out[a][side]) > 0 {
+			to, sends := migrationPeer(tg, team, dir, wrap)
+			if !sends && len(mg.out[a][side]) > 0 {
 				return nil, fmt.Errorf("core: particles migrating off the reflective grid toward %+v", dir)
 			}
-			mg.out[a][side] = nil
-			from, ok := migrationPeer(tg, team, topo.Offset{DX: -dir.DX, DY: -dir.DY}, wrap)
-			if !ok {
-				continue
+			from, receives := migrationPeer(tg, team, topo.Offset{DX: -dir.DX, DY: -dir.DY}, wrap)
+			// A leader with both neighbours offers the send and the
+			// receive at once: a periodic ring of leaders each sending
+			// first would wait on itself where a send completes only once
+			// it is received.
+			var inc []phys.Particle
+			switch {
+			case sends && receives:
+				inc = x.sendrecvParticles(leaders, to, mg.out[a][side], from, tag)
+			case sends:
+				x.sendParticles(leaders, to, tag, mg.out[a][side])
+			case receives:
+				inc = x.recvParticles(leaders, from, tag)
 			}
-			inc := x.recvParticles(leaders, from, tag)
+			mg.out[a][side] = nil
 			for i := range inc {
 				// A forwarded particle is copied into a later stage's
 				// buffer before inc joins the free list below.

@@ -2,10 +2,13 @@ package core
 
 import (
 	"fmt"
+	"hash/fnv"
 	"math"
 	"strings"
 	"testing"
+	"time"
 
+	"repro/internal/leakcheck"
 	"repro/internal/obs"
 	"repro/internal/phys"
 	"repro/internal/topo"
@@ -124,6 +127,77 @@ func TestCutoffLargerReplication(t *testing.T) {
 		t.Fatalf("Cutoff: %v", err)
 	}
 	checkAgainst(t, got, want, 1e-9)
+}
+
+// TestPeriodicReassignUnderRendezvous: the reassignment of a periodic
+// box passes particles round rings of teams, and on rendezvous
+// mailboxes (comm.Options.MailboxCap < 0), where a send waits for its
+// receive, a ring whose every team sent before receiving would wait on
+// itself. A 1-D and a 2-D periodic run, whose particles do migrate,
+// must finish there within a time bound, leave no goroutine behind and
+// reach the buffered run's state hash and traffic.
+func TestPeriodicReassignUnderRendezvous(t *testing.T) {
+	const steps = 4
+	for _, tc := range []struct{ p, c, dim, n int }{{16, 2, 1, 64}, {32, 2, 2, 128}} {
+		t.Run(fmt.Sprintf("p=%d/c=%d/dim=%d", tc.p, tc.c, tc.dim), func(t *testing.T) {
+			defer leakcheck.Check(t)()
+			pr := cutoffParams(tc.p, tc.c, tc.dim, phys.Periodic)
+			ps := phys.InitLattice(tc.n, pr.Box, 5)
+			for i := range ps {
+				// A common drift, 0.6 in a run, carries the particles near
+				// a team's upper edges (diagonally in 2-D) to the next.
+				ps[i].Vel.X += 300
+				if tc.dim == 2 {
+					ps[i].Vel.Y += 300
+				}
+			}
+			run := func(boxCap int) (uint64, *trace.Report, []phys.Particle) {
+				pr := pr
+				pr.Options.MailboxCap = boxCap
+				type result struct {
+					out []phys.Particle
+					rep *trace.Report
+					err error
+				}
+				done := make(chan result, 1)
+				go func() {
+					out, rep, err := advance(NewCutoff, ps, pr, steps)
+					done <- result{out, rep, err}
+				}()
+				select {
+				case r := <-done:
+					if r.err != nil {
+						t.Fatalf("MailboxCap %d: %v", boxCap, r.err)
+					}
+					h := fnv.New64a()
+					h.Write(phys.AppendSlice(nil, r.out))
+					return h.Sum64(), r.rep, r.out
+				case <-time.After(20 * time.Second):
+					t.Fatalf("MailboxCap %d: %d steps did not finish in 20 s", boxCap, steps)
+					return 0, nil, nil
+				}
+			}
+			wantHash, wantRep, out := run(0)
+			gotHash, gotRep, _ := run(-1)
+			if gotHash != wantHash {
+				t.Errorf("rendezvous state hash %#x, buffered %#x", gotHash, wantHash)
+			}
+			sameReportCounts(t, wantRep, gotRep)
+			tg, err := topo.NewTeamGrid(tc.p/tc.c, tc.dim)
+			if err != nil {
+				t.Fatal(err)
+			}
+			moved := 0
+			for i := range out {
+				if teamOfPos(out[i].Pos, pr.Box, tg) != teamOfPos(ps[out[i].ID].Pos, pr.Box, tg) {
+					moved++
+				}
+			}
+			if moved == 0 {
+				t.Fatal("no particle changed team; the reassignment carried nothing")
+			}
+		})
+	}
 }
 
 // TestCutoffJustPastTeamWidths runs a cutoff nine ulps past one team

@@ -30,7 +30,7 @@ type OpKind uint8
 const (
 	OpSend     OpKind = iota // a message to To
 	OpRecv                   // a message from From
-	OpSendrecv               // a skew or shift move: to To and from From at once
+	OpSendrecv               // a move or a reassignment exchange: to To and from From at once
 	OpVisit                  // the walk hands the pairing the block it holds
 )
 
@@ -130,7 +130,8 @@ func (s *Session) Plan() (*Plan, error) {
 // own notes cannot: the block a rank holds came to it along its ring.
 // Every rank of a ring starts on its own team's block and moves in lock
 // step with the others, its k-th move adopting what the rank it
-// receives from held before that move.
+// receives from held before that move; a reassignment exchange, its
+// bytes Unpredicted, is not a move.
 func (p *Plan) resolve(cg *commGrid, occ []int, wire func(int) int) error {
 	for _, ring := range cg.rows {
 		held := make([]int, len(ring)) // the team whose block each holds
@@ -143,7 +144,7 @@ func (p *Plan) resolve(cg *commGrid, occ []int, wire func(int) int) error {
 			moving := 0
 			for k, r := range ring {
 				ops := p.Ranks[r]
-				for ; at[k] < len(ops) && ops[at[k]].Kind != OpSendrecv; at[k]++ {
+				for ; at[k] < len(ops) && (ops[at[k]].Kind != OpSendrecv || ops[at[k]].Bytes == Unpredicted); at[k]++ {
 					if ops[at[k]].Kind == OpVisit {
 						ops[at[k]].Src = held[k]
 					}
@@ -254,6 +255,11 @@ func (x *recorder) sendParticles(_ *comm.Comm, to, tag int, _ []phys.Particle) {
 
 func (x *recorder) recvParticles(_ *comm.Comm, from, tag int) []phys.Particle {
 	x.note(OpRecv, -1, x.ring[from], tag, 0, Unpredicted)
+	return nil
+}
+
+func (x *recorder) sendrecvParticles(_ *comm.Comm, to int, _ []phys.Particle, from, tag int) []phys.Particle {
+	x.note(OpSendrecv, x.ring[to], x.ring[from], tag, Unpredicted, Unpredicted)
 	return nil
 }
 

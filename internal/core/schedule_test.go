@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/phys"
 	"repro/internal/topo"
-	"repro/internal/trace"
 )
 
 // layerOffsets returns the window offsets layer k handles, in step
@@ -167,12 +166,8 @@ func TestSerpentineAdjacency(t *testing.T) {
 }
 
 // evaluated is the plan of a session of newS over ps and pr, held to
-// checkSchedule. Under rendezvous semantics the step must run to its
-// end, except that the reassignment of a periodic box stalls: each
-// leader of a ring of teams sends toward one side before it receives
-// from the other, so the ring waits on itself. The runtime's mailboxes
-// buffer those sends, and a socket's writer drains them; a rendezvous
-// mailbox (comm.Options.MailboxCap < 0) hangs such a run.
+// checkSchedule: under rendezvous semantics the step must run to its
+// end.
 func evaluated(t *testing.T, newS func([]phys.Particle, Params) (*Session, error), ps []phys.Particle, pr Params) *Plan {
 	t.Helper()
 	s, err := newS(ps, pr)
@@ -184,10 +179,8 @@ func evaluated(t *testing.T, newS func([]phys.Particle, Params) (*Session, error
 		t.Fatal(err)
 	}
 	for _, op := range checkSchedule(t, pl) {
-		if op.Phase != trace.Reassign || pr.Box.Boundary != phys.Periodic {
-			kind := [...]string{"a send", "a receive", "a move"}[op.Kind]
-			t.Fatalf("under rendezvous the step deadlocks: a rank waits in %s of the %v (to %d, from %d, tag %d)", kind, op.Phase, op.To, op.From, op.Tag)
-		}
+		kind := [...]string{"a send", "a receive", "a move"}[op.Kind]
+		t.Fatalf("under rendezvous the step deadlocks: a rank waits in %s of the %v (to %d, from %d, tag %d)", kind, op.Phase, op.To, op.From, op.Tag)
 	}
 	return pl
 }

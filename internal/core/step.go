@@ -97,14 +97,14 @@ func (s *Session) Advance(steps int) ([]phys.Particle, *trace.Report, error) {
 
 		// Per-step metrics: rank 0 records each step's wall time (the
 		// loops are lock-step, so one rank's cadence stands for the
-		// run's), and every rank adds its step's compute time to its row
-		// of the comm matrix, from which trace.Measure reads the live
-		// compute imbalance by the report's definition. Handles are nil
-		// — and the calls no-ops — when the run is not observed.
+		// run's), and every rank publishes its step's traffic and compute
+		// time to the comm matrix, from which trace.Measure reads the
+		// live S, W and compute imbalance by the report's definition.
+		// Handles are nil — and the calls no-ops — when the run is not
+		// observed.
 		stepWall := mx.Histogram("step.wall_ns")
 		stepsDone := mx.Counter("step.count")
 		observed := mx != nil
-		matrix := s.pr.Options.Observe.Matrix()
 
 		for step := 0; step < steps; step++ {
 			var t0 time.Time
@@ -117,7 +117,7 @@ func (s *Session) Advance(steps int) ([]phys.Particle, *trace.Report, error) {
 			}
 			st.SetPhase(trace.Other)
 			l.po.stampStep()
-			matrix.AddTime(world.Rank(), int(trace.Compute), st.ByPhase[trace.Compute].Time-computeBefore)
+			world.Publish(st.ByPhase[trace.Compute].Time - computeBefore)
 			if observed && world.Rank() == 0 {
 				wall := time.Since(t0)
 				stepWall.Observe(wall.Nanoseconds())

@@ -49,12 +49,13 @@ type xfer interface {
 	// team leader (rank 0 of tc), returning the flattened totals there
 	// and nil elsewhere. The result is transport-owned scratch.
 	reduceForces(tc *comm.Comm, team []phys.Particle) []float64
-	// sendParticles/recvParticles move migration payloads between team
-	// leaders. Sent slices transfer ownership; received slices are
-	// owned by the caller, which is what lets the migrator send them
-	// on in a later step.
+	// sendParticles, recvParticles and sendrecvParticles (both at once)
+	// move migration payloads between team leaders. Sent slices
+	// transfer ownership; received slices are owned by the caller, which
+	// is what lets the migrator send them on in a later step.
 	sendParticles(lc *comm.Comm, to, tag int, ps []phys.Particle)
 	recvParticles(lc *comm.Comm, from, tag int) []phys.Particle
+	sendrecvParticles(lc *comm.Comm, to int, ps []phys.Particle, from, tag int) []phys.Particle
 }
 
 // newXfer builds the transport for rank rk. frame is the rank's team
@@ -167,6 +168,10 @@ func (x *typedXfer) recvParticles(lc *comm.Comm, from, tag int) []phys.Particle 
 	return lc.RecvParticles(from, tag)
 }
 
+func (x *typedXfer) sendrecvParticles(lc *comm.Comm, to int, ps []phys.Particle, from, tag int) []phys.Particle {
+	return lc.SendrecvParticles(to, ps, from, tag)
+}
+
 // encodedXfer is the original serialize-and-ship transport, retained as
 // the test oracle (Params.oracle).
 type encodedXfer struct {
@@ -257,6 +262,10 @@ func (x *encodedXfer) sendParticles(lc *comm.Comm, to, tag int, ps []phys.Partic
 
 func (x *encodedXfer) recvParticles(lc *comm.Comm, from, tag int) []phys.Particle {
 	return decodeInto(nil, lc.Recv(from, tag))
+}
+
+func (x *encodedXfer) sendrecvParticles(lc *comm.Comm, to int, ps []phys.Particle, from, tag int) []phys.Particle {
+	return decodeInto(nil, lc.Sendrecv(to, phys.EncodeSlice(ps), from, tag))
 }
 
 // appendFrameTeam appends the encoded particle payload, prefixed with

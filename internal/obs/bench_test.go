@@ -1,9 +1,6 @@
 package obs
 
-import (
-	"sync/atomic"
-	"testing"
-)
+import "testing"
 
 // BenchmarkObsDisabled measures the cost of the fully disabled
 // observability path — a nil tracer and nil instruments on every
@@ -50,24 +47,4 @@ func BenchmarkRegistryEnabled(b *testing.B) {
 		ctr.Inc()
 		h.Observe(int64(i))
 	}
-}
-
-// BenchmarkCommMatrixCount prices the matrix's per-message counting as
-// an observed run does it: each goroutine is a distinct rank that counts
-// a send to its ring successor and a receive from its predecessor, all
-// into one matrix, under one communication phase. ns/op is one send and
-// one receive.
-func BenchmarkCommMatrixCount(b *testing.B) {
-	const phases, ranks, shift = 7, 64, 3
-	m := NewCommMatrix(phases, ranks)
-	var next atomic.Int64
-	b.ReportAllocs()
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		r := int(next.Add(1)-1) % ranks
-		for pb.Next() {
-			m.CountSend(shift, r, (r+1)%ranks, 64)
-			m.CountRecv(shift, (r+ranks-1)%ranks, r, 64)
-		}
-	})
 }

@@ -32,8 +32,8 @@ func TestSnapshotGolden(t *testing.T) {
 	hw.Observe(200)
 	hw.Observe(200)
 	m := o.EnsureMatrix(2, 2)
-	m.CountSend(1, 0, 1, 128) // phase 1 ("shift") is a comm phase
-	m.CountRecv(1, 0, 1, 128)
+	// Phase 1 ("shift") is a comm phase.
+	m.AddCells([]obs.MatrixCell{{Phase: 1, Src: 0, Dst: 1, SentMsgs: 1, SentBytes: 128, RecvMsgs: 1, RecvBytes: 128}})
 	m.AddTime(0, 0, 100) // phase 0 is trace.Compute: imbalance 300/200
 	m.AddTime(1, 0, 300)
 

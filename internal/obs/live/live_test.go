@@ -36,8 +36,7 @@ func TestEndpoints(t *testing.T) {
 	o.Metrics.Gauge("comm.s.lowerbound").Set(4)
 	o.Metrics.Gauge("step.current").Set(7)
 	m := o.EnsureMatrix(2, 2)
-	m.CountSend(1, 0, 1, 128)
-	m.CountRecv(1, 0, 1, 128)
+	m.AddCells([]obs.MatrixCell{{Phase: 1, Src: 0, Dst: 1, SentMsgs: 1, SentBytes: 128, RecvMsgs: 1, RecvBytes: 128}})
 	tr := o.Timeline.Rank(0)
 	tr.Phase(1)
 	tr.Send(1, 5, 128, 1)
@@ -179,6 +178,7 @@ func TestMidRunScrapes(t *testing.T) {
 			tr := o.Timeline.Rank(r)
 			ctr := o.Metrics.Counter("comm.sent.msgs")
 			mat := o.Matrix()
+			cell := make([]obs.MatrixCell, 1)
 			var seq uint64
 			for i := 0; ; i++ {
 				select {
@@ -192,8 +192,8 @@ func TestMidRunScrapes(t *testing.T) {
 				tr.Send(1-r, 0, 64, seq)
 				tr.Recv(tr.Now(), 1-r, 0, 64, seq)
 				ctr.Inc()
-				mat.CountSend(i%2, r, 1-r, 64)
-				mat.CountRecv(i%2, r, 1-r, 64)
+				cell[0] = obs.MatrixCell{Phase: i % 2, Src: r, Dst: 1 - r, SentMsgs: 1, SentBytes: 64, RecvMsgs: 1, RecvBytes: 64}
+				mat.AddCells(cell)
 			}
 		}(r)
 	}

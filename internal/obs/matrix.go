@@ -9,21 +9,20 @@ import (
 
 // CommMatrix accumulates per-(phase, src, dst) traffic: how many
 // messages and payload bytes each world rank sent to each other rank,
-// broken down by the sender's (for sends) or receiver's (for receives)
-// active phase. Next to the cells it keeps each rank's own totals per
-// phase: the sends it made, the receives it took and the time the
-// driver charged it (AddTime). The storage is fixed blocks of atomics,
-// so the comm substrate stamps a message with four atomic adds, and the
-// live hub and rank 0 read the matrix mid-run without any coordination
-// with the rank goroutines. Of a message's
-// adds, only those to its cell are shared with another rank (the
-// peer's); a rank's totals are written by that rank alone.
+// under the sender's (for sends) or receiver's (for receives) active
+// phase. Next to the cells it keeps each rank's own totals per phase:
+// its sends, its receives and the time the driver charged it (AddTime).
+// Traffic arrives only in batches of cells (AddCells): each rank counts
+// its messages in a tally of its own and publishes it at its step's end
+// and when its run returns, so the matrix lags a rank by at most a step.
+// The storage is fixed blocks of atomics, so the live hub and rank 0
+// read it mid-run without coordinating with the ranks.
 //
-// The matrix is pure *additional* instrumentation: the S/W accounting
-// of trace.Stats is untouched by it, and the conservation tests pin the
-// matrix totals to the PhaseStats counters bitwise. The per-rank totals
-// are what an observed run's live S, W and compute imbalance are
-// computed from (trace.Measure), since trace.Stats belongs to its rank.
+// The matrix is additional instrumentation: trace.Stats stays the S/W
+// accounting, and the conservation tests pin the matrix totals to it
+// bitwise. The per-rank totals are what an observed run's live S, W and
+// compute imbalance are computed from (trace.Measure), since
+// trace.Stats belongs to its rank.
 type CommMatrix struct {
 	phases, ranks int
 	cells         []matrixCell // [phase][src][dst], flattened
@@ -37,11 +36,11 @@ type matrixRow struct {
 	ns atomic.Int64
 }
 
-// matrixCell holds one (phase, src, dst) entry. Send counts are stamped
-// by the sender under its phase; recv counts by the receiver under its
-// phase — the two sides of one message may land in different phases
-// (e.g. a send posted in Shift consumed by a rank still labelled Skew),
-// which is why both directions are kept.
+// matrixCell holds one (phase, src, dst) entry. Send counts are the
+// sender's under its phase, recv counts the receiver's under its phase —
+// the two sides of one message may land in different phases (a send
+// posted in Shift consumed by a rank still labelled Skew), which is why
+// both directions are kept.
 type matrixCell struct {
 	sentMsgs  atomic.Int64
 	sentBytes atomic.Int64
@@ -97,36 +96,6 @@ func (m *CommMatrix) row(rank, phase int) *matrixRow {
 	return &m.rows[rank*m.phases+phase]
 }
 
-// CountSend records one src→dst message of the given payload bytes
-// under the sender's phase, in the cell and in src's totals. Nil-safe;
-// four atomic adds when enabled.
-func (m *CommMatrix) CountSend(phase, src, dst, bytes int) {
-	c := m.cell(phase, src, dst)
-	if c == nil {
-		return
-	}
-	c.sentMsgs.Add(1)
-	c.sentBytes.Add(int64(bytes))
-	t := m.row(src, phase)
-	t.sentMsgs.Add(1)
-	t.sentBytes.Add(int64(bytes))
-}
-
-// CountRecv records the receipt of one src→dst message under the
-// receiver's phase, in the cell and in dst's totals. Nil-safe; four
-// atomic adds when enabled.
-func (m *CommMatrix) CountRecv(phase, src, dst, bytes int) {
-	c := m.cell(phase, src, dst)
-	if c == nil {
-		return
-	}
-	c.recvMsgs.Add(1)
-	c.recvBytes.Add(int64(bytes))
-	t := m.row(dst, phase)
-	t.recvMsgs.Add(1)
-	t.recvBytes.Add(int64(bytes))
-}
-
 // RankTotals returns one rank's cumulative traffic under one phase: the
 // messages and bytes it sent and those it received. Zeros when m is nil
 // or an index is out of range.
@@ -154,17 +123,6 @@ func (m *CommMatrix) RankTime(rank, phase int) time.Duration {
 		return 0
 	}
 	return time.Duration(m.row(rank, phase).ns.Load())
-}
-
-// PhaseTotals returns the cumulative traffic stamped under one phase
-// across all (src, dst) pairs: the sum of the ranks' totals. Zeros when
-// m is nil or the phase is out of range.
-func (m *CommMatrix) PhaseTotals(phase int) (sentMsgs, sentBytes, recvMsgs, recvBytes int64) {
-	for r := 0; r < m.Ranks(); r++ {
-		sm, sb, rm, rb := m.RankTotals(r, phase)
-		sentMsgs, sentBytes, recvMsgs, recvBytes = sentMsgs+sm, sentBytes+sb, recvMsgs+rm, recvBytes+rb
-	}
-	return sentMsgs, sentBytes, recvMsgs, recvBytes
 }
 
 // MatrixSnapshot is a frozen, JSON-marshalable view of a CommMatrix:
@@ -229,22 +187,20 @@ func (m *CommMatrix) Snapshot(nameOf func(int) string) MatrixSnapshot {
 }
 
 // MatrixCell is one (phase, src, dst) entry of the matrix by value: the
-// unit in which a process that keeps no dense matrix tallies its traffic
-// and in which the end-of-run summary of a multi-process run carries it.
+// unit in which a rank tallies its traffic and in which the end-of-run
+// summary of a multi-process run carries it.
 type MatrixCell struct {
 	Phase, Src, Dst     int
 	SentMsgs, SentBytes int64
 	RecvMsgs, RecvBytes int64
 }
 
-// AddCells folds traffic counted on another process into this matrix,
-// cell by cell. In a multi-process run each send is stamped once (at
-// the sender's process) and each receive once (at the receiver's), so
-// cell-wise addition of every process's counts reconstructs the exact
-// global matrix a single-process run would have produced. Cells outside
-// this matrix's dimensions are dropped, matching cell's policy for
-// out-of-range traffic (the summary decoder has rejected them before
-// they get here). Nil-safe.
+// AddCells adds counted traffic to the matrix, to each cell and to its
+// sender's and receiver's totals. Each send is counted once (by its
+// sender) and each receive once (by its receiver), so adding every
+// rank's counts gives the run's matrix, whichever process counted them.
+// Cells outside the matrix's dimensions are dropped (the summary
+// decoder has rejected them before they get here). Nil-safe.
 func (m *CommMatrix) AddCells(cells []MatrixCell) {
 	for _, in := range cells {
 		c := m.cell(in.Phase, in.Src, in.Dst)

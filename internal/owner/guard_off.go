@@ -2,7 +2,7 @@
 
 // Package owner holds the goroutine-ownership check of the
 // observability types that one goroutine at a time may use (trace.Stats,
-// record.Recorder). The check runs only in builds with the obsdebug
+// record.Recorder, comm's per-rank tallies). The check runs only in builds with the obsdebug
 // tag; elsewhere a Guard is zero-size and its calls are no-ops.
 package owner
 

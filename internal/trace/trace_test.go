@@ -305,10 +305,10 @@ func TestMeasureMatchesAggregate(t *testing.T) {
 	send := func(p Phase, src, dst, bytes int) {
 		stats[src].SetPhase(p)
 		stats[src].CountMessage(bytes)
-		m.CountSend(int(p), src, dst, bytes)
 		stats[dst].SetPhase(p)
 		stats[dst].CountRecv(bytes)
-		m.CountRecv(int(p), src, dst, bytes)
+		m.AddCells([]obs.MatrixCell{{Phase: int(p), Src: src, Dst: dst,
+			SentMsgs: 1, SentBytes: int64(bytes), RecvMsgs: 1, RecvBytes: int64(bytes)}})
 	}
 	send(Shift, 1, 2, 100)
 	send(Shift, 1, 0, 100)
