@@ -37,30 +37,34 @@ const goldenSteps = 6
 // (copied: benchmark/ is its own module, and ap-socket is ap-latency's
 // configuration over the socket mesh), then a 2D cutoff run whose
 // particles migrate (uniform, not a lattice), the fixed-c
-// decompositions, and ap-latency's configuration under a cutoff
-// law in a periodic box — the all-pairs loop's traffic does not depend
-// on the law.
+// decompositions, an all-pairs run at c = 3 — a team that is no power
+// of two, whose allreduce reduces to the leader and broadcasts the
+// total — and ap-latency's configuration under a cutoff law in a
+// periodic box — the all-pairs loop's traffic does not depend on the
+// law.
 var goldenRuns = []goldenRun{
 	{name: "ap-compute", cfg: Config{N: 4096, P: 4, C: 2},
-		want: goldenCounts{sum: 0x340ea1f20ea1b083, s: 36, w: 2949120, phases: [5][2]int64{{6, 638976}, {6, 638976}, {0, 0}, {6, 196608}, {0, 0}}}},
+		want: goldenCounts{sum: 0x340ea1f20ea1b083, s: 24, w: 1671168, phases: [5][2]int64{{0, 0}, {6, 638976}, {0, 0}, {6, 196608}, {0, 0}}}},
 	{name: "ap-latency", cfg: Config{N: 256, P: 64, C: 2},
-		want: goldenCounts{sum: 0xcd18d59597b848e5, s: 228, w: 91392, phases: [5][2]int64{{6, 2496}, {6, 2496}, {96, 39936}, {6, 768}, {0, 0}}}},
+		want: goldenCounts{sum: 0xcd18d59597b848e5, s: 216, w: 86400, phases: [5][2]int64{{0, 0}, {6, 2496}, {96, 39936}, {6, 768}, {0, 0}}}},
 	{name: "ap-socket", cfg: Config{N: 256, P: 64, C: 2}, socket: true,
-		want: goldenCounts{sum: 0xcd18d59597b848e5, s: 228, w: 91392, phases: [5][2]int64{{6, 2496}, {6, 2496}, {96, 39936}, {6, 768}, {0, 0}}}},
+		want: goldenCounts{sum: 0xcd18d59597b848e5, s: 216, w: 86400, phases: [5][2]int64{{0, 0}, {6, 2496}, {96, 39936}, {6, 768}, {0, 0}}}},
 	{name: "cutoff-small", cfg: Config{N: 512, P: 8, C: 2, Dim: 1, Boundary: Periodic, Cutoff: 4, Lattice: true, DT: 5e-4},
-		want: goldenCounts{sum: 0x5d76f184ce724d19, s: 72, w: 264288, phases: [5][2]int64{{6, 39936}, {6, 39960}, {6, 39960}, {6, 12288}, {12, 0}}}},
+		want: goldenCounts{sum: 0x5d76f184ce724d19, s: 60, w: 184416, phases: [5][2]int64{{0, 0}, {6, 39960}, {6, 39960}, {6, 12288}, {12, 0}}}},
 	{name: "cutoff-2d", cfg: Config{N: 4096, P: 64, C: 4, Dim: 2, Boundary: Reflective, Cutoff: 4, Lattice: true, DT: 5e-4},
-		want: goldenCounts{sum: 0x15a3b1503f2d5745, s: 120, w: 792720, phases: [5][2]int64{{12, 159744}, {6, 79896}, {12, 159792}, {6, 24576}, {24, 0}}}},
+		want: goldenCounts{sum: 0x15a3b1503f2d5745, s: 108, w: 577680, phases: [5][2]int64{{0, 0}, {6, 79896}, {12, 159792}, {12, 49152}, {24, 0}}}},
 	{name: "cutoff-2d-migrating", cfg: Config{N: 1024, P: 64, C: 4, Dim: 2, Cutoff: 4, DT: 2e-3},
-		want: goldenCounts{sum: 0x132ed4edcd192330, s: 120, w: 245584, phases: [5][2]int64{{12, 51376}, {6, 25712}, {12, 46640}, {6, 7904}, {24, 52}}}},
+		want: goldenCounts{sum: 0x132ed4edcd192330, s: 108, w: 176424, phases: [5][2]int64{{0, 0}, {6, 25712}, {12, 46640}, {12, 15808}, {24, 52}}}},
 	{name: "force-decomp", cfg: Config{N: 256, P: 16, Algorithm: ForceDecomp},
-		want: goldenCounts{sum: 0x2a3884267b4451ff, s: 48, w: 118272, phases: [5][2]int64{{12, 39936}, {6, 19968}, {0, 0}, {6, 6144}, {0, 0}}}},
+		want: goldenCounts{sum: 0x2a3884267b4451ff, s: 36, w: 64512, phases: [5][2]int64{{0, 0}, {6, 19968}, {0, 0}, {12, 12288}, {0, 0}}}},
 	{name: "particle-decomp", cfg: Config{N: 256, P: 16, Algorithm: ParticleDecomp},
 		want: goldenCounts{sum: 0xf35558c555cbf215, s: 192, w: 159744, phases: [5][2]int64{{0, 0}, {0, 0}, {96, 79872}, {0, 0}, {0, 0}}}},
 	{name: "naive", cfg: Config{N: 256, P: 16, Algorithm: NaiveAllGather},
 		want: goldenCounts{sum: 0x43ec4bc838318d90, s: 180, w: 150480, phases: [5][2]int64{{0, 0}, {0, 0}, {90, 75240}, {0, 0}, {0, 0}}}},
+	{name: "ap-c3", cfg: Config{N: 216, P: 9, C: 3},
+		want: goldenCounts{sum: 0xb3a64ec6addd1775, s: 36, w: 72576, phases: [5][2]int64{{0, 0}, {6, 22464}, {0, 0}, {12, 13824}, {0, 0}}}},
 	{name: "ap-periodic-cutoff", cfg: Config{N: 256, P: 64, C: 2, Algorithm: CAAllPairs, Boundary: Periodic, Cutoff: 4},
-		want: goldenCounts{sum: 0x92dfbddd2d90f27f, s: 228, w: 91392, phases: [5][2]int64{{6, 2496}, {6, 2496}, {96, 39936}, {6, 768}, {0, 0}}}},
+		want: goldenCounts{sum: 0x92dfbddd2d90f27f, s: 216, w: 86400, phases: [5][2]int64{{0, 0}, {6, 2496}, {96, 39936}, {6, 768}, {0, 0}}}},
 }
 
 // TestGoldenStateAndTraffic is the invariance gate of the timestep

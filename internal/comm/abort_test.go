@@ -110,6 +110,11 @@ var blockedCases = []blockedCase{
 		// Rank p-1 is a leaf of the reduction tree rooted at 0.
 		c.ReduceF64sInPlace(0, make([]float64, 16))
 	}},
+	{"AllreduceF64s/partner", 1, func(c *Comm, dies int) {
+		// Rank 0 waits on rank 1 in the first doubling round, rank 3 in
+		// the second; rank 2 on rank 0, which never gets there.
+		c.AllreduceF64s(make([]float64, 16))
+	}},
 	{"Barrier", 1, func(c *Comm, dies int) {
 		c.Barrier()
 	}},

@@ -77,6 +77,39 @@ func (c *Comm) ReduceF64s(root int, vals []float64) []float64 {
 	return BytesToF64s(out)
 }
 
+// AllreduceF64sEncoded is AllreduceF64s on the encoded path: the same
+// exchanges or tree, the same combination order and the same wire
+// bytes, each payload serialized and decoded into fresh memory, so it
+// lends nothing.
+func (c *Comm) AllreduceF64sEncoded(vals []float64) []float64 {
+	n := c.Size()
+	if n == 1 {
+		return vals
+	}
+	if n&(n-1) != 0 {
+		var total []byte
+		if red := c.ReduceF64s(0, vals); c.rank == 0 {
+			total = F64sToBytes(red)
+		}
+		return BytesToF64s(c.Bcast(0, total))
+	}
+	t0 := c.tr.Now()
+	cur := vals
+	for j := 1; j < n; j <<= 1 {
+		partner := c.rank ^ j
+		theirs := BytesToF64s(c.Sendrecv(partner, F64sToBytes(cur), partner, TagReduce))
+		out := make([]float64, len(vals))
+		if c.rank&j == 0 {
+			sumF64s(out, cur, theirs)
+		} else {
+			sumF64s(out, theirs, cur)
+		}
+		cur = out
+	}
+	c.tr.Collective(obs.KindReduce, t0, 8*len(vals))
+	return cur
+}
+
 func addF64s(dst, src []float64) {
 	if len(dst) != len(src) {
 		panic(fmt.Sprintf("comm: reduce length mismatch %d vs %d", len(dst), len(src)))

@@ -41,6 +41,8 @@ type Comm struct {
 	// peers are first addressed, so the per-message path indexes a
 	// private slice and never consults the runtime's shared tables.
 	peers []peer
+	// sums is AllreduceF64s's storage for the partial sums it lends.
+	sums Alternating
 }
 
 // peer is one cached pair of streams: out carries this rank's messages
@@ -135,8 +137,8 @@ func (c *Comm) checkPeer(peer int) {
 // by every rank of the communicator until those ranks are known to have
 // finished with it, so a root wanting to reuse its broadcast buffer must
 // first pass a synchronization point that transitively orders every
-// member behind the reuse (the timestep loops in internal/core use the
-// team force reduction for this). This contract is what lets the
+// member behind the reuse (AllreduceF64s names the one its payloads
+// wait for). This contract is what lets the
 // steady-state timestep run with zero allocations in its encode, decode,
 // and frame paths.
 func (c *Comm) Send(to, tag int, data []byte) {

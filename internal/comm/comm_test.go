@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"repro/internal/trace"
 )
@@ -61,6 +62,28 @@ func TestErrorAbortsCleanly(t *testing.T) {
 	})
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want wrapped boom", err)
+	}
+}
+
+// TestLowestFailingRankReported: when several ranks fail on their own,
+// Run returns the lowest rank's failure, whichever came first — as the
+// members of a team do, each failing on its equal copy of the team.
+// Rank 5 fails at once, rank 1 well after it; the others wait to be
+// released.
+func TestLowestFailingRankReported(t *testing.T) {
+	_, err := Run(8, Options{}, func(c *Comm) error {
+		switch c.Rank() {
+		case 5:
+			return errors.New("rank 5's copy")
+		case 1:
+			time.Sleep(20 * time.Millisecond)
+			return errors.New("rank 1's copy")
+		}
+		c.Recv((c.Rank()+1)%8, 0)
+		return nil
+	})
+	if err == nil || !strings.Contains(err.Error(), "rank 1: rank 1's copy") {
+		t.Fatalf("err = %v, want rank 1's failure", err)
 	}
 }
 
@@ -132,20 +155,10 @@ func TestReduceAllAlgorithms(t *testing.T) {
 	}
 }
 
-// allreduce sums vals over c's ranks and returns the total on every
-// rank: ReduceF64s to rank 0, then Bcast.
-func allreduce(c *Comm, vals []float64) []float64 {
-	var total []byte
-	if red := c.ReduceF64s(0, vals); c.Rank() == 0 {
-		total = F64sToBytes(red)
-	}
-	return BytesToF64s(c.Bcast(0, total))
-}
-
 func TestAllreduceAndBarrier(t *testing.T) {
 	_, err := Run(12, Options{}, func(c *Comm) error {
 		c.Barrier()
-		got := allreduce(c, []float64{1})
+		got := c.AllreduceF64s([]float64{1})
 		if got[0] != 12 {
 			return fmt.Errorf("allreduce = %v", got)
 		}
@@ -178,11 +191,11 @@ func TestSubRowsAndColumns(t *testing.T) {
 			return fmt.Errorf("col comm size %d rank %d", colComm.Size(), colComm.Rank())
 		}
 		// Sub-communicator collectives work and do not cross-talk.
-		sum := allreduce(rowComm, []float64{float64(col)})
+		sum := rowComm.AllreduceF64s([]float64{float64(col)})
 		if sum[0] != float64(cols*(cols-1)/2) {
 			return fmt.Errorf("row allreduce = %v", sum)
 		}
-		sum = allreduce(colComm, []float64{1})
+		sum = colComm.AllreduceF64s([]float64{1})
 		if sum[0] != rows {
 			return fmt.Errorf("col allreduce = %v", sum)
 		}
@@ -200,7 +213,7 @@ func TestSubCommunicator(t *testing.T) {
 			if sub.Size() != 3 || sub.Rank() != c.Rank()/2 {
 				return fmt.Errorf("sub size %d rank %d", sub.Size(), sub.Rank())
 			}
-			got := allreduce(sub, []float64{float64(c.Rank())})
+			got := sub.AllreduceF64s([]float64{float64(c.Rank())})
 			if got[0] != 6 {
 				return fmt.Errorf("sub allreduce = %v", got)
 			}

@@ -314,7 +314,16 @@ func (rt *Runtime) msgFromFrame(f cnet.Frame, src, dst int) (message, error) {
 			return m, fmt.Errorf("comm: frame from rank %d: float64 payload of %d bytes", src, len(f.Payload))
 		}
 		if len(f.Payload) > 0 {
-			m = withPayload(m, decodeF64sInto(sp.f64s.take(), f.Payload))
+			into := sp.f64s.take()
+			if into == nil {
+				// An AllreduceF64s partner may run a step ahead, so the
+				// rank can be sent its next payload before it recycles
+				// this one: the stock gets the second slice with the first.
+				pair := make([]float64, len(f.Payload)/4)
+				into = pair[: 0 : len(pair)/2]
+				sp.f64s.put(pair[len(pair)/2:])
+			}
+			m = withPayload(m, decodeF64sInto(into, f.Payload))
 			m.offWire = true
 		}
 	default:
@@ -366,12 +375,12 @@ func (rt *Runtime) arrivalLink(from, src, dst int) *link {
 func (rt *Runtime) inject(from int, f cnet.Frame) {
 	src, dst := int(f.Src), int(f.Dst)
 	if src < 0 || src >= rt.size || rt.proc.procOf(src) != from || dst < rt.lo || dst >= rt.hi {
-		rt.fail(fmt.Errorf("comm: frame addressed %d→%d on the link from proc %d, outside this process (local ranks [%d,%d))", src, dst, from, rt.lo, rt.hi))
+		rt.fail(-1, fmt.Errorf("comm: frame addressed %d→%d on the link from proc %d, outside this process (local ranks [%d,%d))", src, dst, from, rt.lo, rt.hi))
 		return
 	}
 	m, err := rt.msgFromFrame(f, src, dst)
 	if err != nil {
-		rt.fail(err)
+		rt.fail(-1, err)
 		return
 	}
 	rt.wire.arrived++

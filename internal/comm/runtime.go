@@ -2,8 +2,8 @@
 // for MPI (Go has no mature MPI bindings). A Runtime executes p ranks as
 // goroutines in one SPMD function; ranks exchange byte-slice or typed
 // messages through per-pair streams and synchronize with collectives —
-// broadcast, reduce, barrier and the sendrecv shifts every algorithm is
-// built from (the naive baseline's all-gather is a ring of them).
+// broadcast, reduce, allreduce, barrier and the sendrecv shifts every
+// algorithm is built from (the naive baseline's all-gather is a ring of them).
 // Sub-communicators are built from explicit member lists (Comm.Sub)
 // and need no communication.
 //
@@ -160,7 +160,7 @@ func TeamParticlesWire(n int) int { return (&message{kind: payloadTeamParticles,
 func F64sWire(n int) int          { return (&message{kind: payloadF64s, n: n}).wire() }
 
 // frameBytes is the wire size of the source-team frame a
-// payloadTeamParticles message carries (mirrors appendFrameTeam's header
+// payloadTeamParticles message carries (mirrors appendFrame's header
 // in internal/core).
 const frameBytes = 4
 
@@ -275,11 +275,14 @@ type Runtime struct {
 	// (see stream.yield); tests set it before the first Run.
 	yield func()
 
-	// Per-run state, made fresh by every Run. err is the run's first
-	// failure, and once set the world's verdict: Run refuses to start.
+	// Per-run state, made fresh by every Run. err is the run's failure
+	// (markFailed says which), and once set the world's verdict: Run
+	// refuses to start. errRank is the world rank it is the failure of,
+	// -1 for a failure of no rank.
 	abort    chan struct{} // closed on the run's first failure
 	mu       sync.Mutex
 	err      error
+	errRank  int
 	deposits map[int][]phys.Particle // final state published via Comm.Deposit
 
 	// Multi-process state (nil/zero in process). lo/hi bound the world
@@ -400,18 +403,22 @@ func (rt *Runtime) link(src, dst int) *link {
 // Report aggregates the per-rank stats into a critical-path report.
 func (rt *Runtime) Report() *trace.Report { return trace.Aggregate(rt.stats) }
 
-// fail records the first error, releases every blocked local rank, and
-// severs the mesh so remote peers fail fast instead of hanging.
-func (rt *Runtime) fail(err error) {
-	rt.failLocal(err)
+// fail records the failure of world rank rank (-1: of no rank),
+// releases every blocked local rank, and severs the mesh so remote peers
+// fail fast instead of hanging.
+func (rt *Runtime) fail(rank int, err error) {
+	rt.abortLocal(rank, err)
 	if rt.proc != nil {
 		rt.proc.mesh.Abort(err)
 	}
 }
 
-// failLocal is fail without the mesh propagation — the form the mesh's
-// own abort callback uses, so failure notifications arriving from a
-// remote process do not recurse back into the mesh.
+// failLocal is fail of no rank without the mesh propagation — the form
+// the mesh's own abort callback uses, so failure notifications arriving
+// from a remote process do not recurse back into the mesh.
+func (rt *Runtime) failLocal(err error) { rt.abortLocal(-1, err) }
+
+// abortLocal is fail without the mesh propagation.
 //
 // The first call releases the local ranks in two ways. Closing rt.abort
 // releases whatever is blocked on a full mailbox or queue (senders,
@@ -420,8 +427,8 @@ func (rt *Runtime) fail(err error) {
 // its receiver woken (stream.abort): a rank blocked in, or arriving at,
 // a receive on any mailbox takes the messages delivered before the
 // failure in order, finds the mailbox empty and aborted, and unwinds.
-func (rt *Runtime) failLocal(err error) {
-	if !rt.markFailed(err) {
+func (rt *Runtime) abortLocal(rank int, err error) {
+	if !rt.markFailed(rank, err) {
 		return
 	}
 	close(rt.abort)
@@ -436,15 +443,22 @@ func (rt *Runtime) failLocal(err error) {
 	}
 }
 
-// markFailed records err unless a failure is already recorded, and
-// reports whether it was the first.
-func (rt *Runtime) markFailed(err error) bool {
+// markFailed records err, the failure of world rank rank (-1: of no
+// rank), unless a failure is already recorded, and reports whether it
+// was the first. A rank's failure still replaces that of a higher rank:
+// every member of a team holds an equal copy of it, so a fault in the
+// copy fails each of them, and the run reports its leader's failure
+// whichever copy the schedule let fail first.
+func (rt *Runtime) markFailed(rank int, err error) bool {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	if rt.err != nil {
+		if rank >= 0 && rank < rt.errRank {
+			rt.err, rt.errRank = err, rank
+		}
 		return false
 	}
-	rt.err = err
+	rt.err, rt.errRank = err, rank
 	return true
 }
 
@@ -494,7 +508,7 @@ func (rt *Runtime) Run(fn func(*Comm) error) (*trace.Report, map[int][]phys.Part
 	rt.reset()
 	if rt.proc != nil {
 		if err := rt.attach(); err != nil {
-			rt.markFailed(err)
+			rt.markFailed(-1, err)
 			return nil, nil, err
 		}
 	}
@@ -516,7 +530,7 @@ func (rt *Runtime) Run(fn func(*Comm) error) (*trace.Report, map[int][]phys.Part
 		rt.detach()
 		rep, deps, err := rt.joinDistributed(rt.opts)
 		if err != nil {
-			rt.markFailed(err)
+			rt.markFailed(-1, err)
 		}
 		return rep, deps, err
 	}
@@ -570,12 +584,12 @@ func (rt *Runtime) runRank(wg *sync.WaitGroup, c *Comm, fn func(*Comm) error) {
 		case errAborted:
 			// Peer failed first; nothing to report.
 		default:
-			rt.fail(fmt.Errorf("comm: rank %d panicked: %v\n%s", c.rank, v, debug.Stack()))
+			rt.fail(c.rank, fmt.Errorf("comm: rank %d panicked: %v\n%s", c.rank, v, debug.Stack()))
 		}
 	}()
 	c.stats.SetTracer(c.tr)
 	if err := fn(c); err != nil {
-		rt.fail(fmt.Errorf("comm: rank %d: %w", c.rank, err))
+		rt.fail(c.rank, fmt.Errorf("comm: rank %d: %w", c.rank, err))
 	}
 }
 

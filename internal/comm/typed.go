@@ -20,8 +20,9 @@ package comm
 // receiver outright and may be reused as scratch or a send buffer in
 // later steps. A sender wanting to write a previously sent buffer again
 // must first pass a synchronization point that transitively orders
-// every reader behind the reuse: the timestep loops use the next step's
-// team broadcast/reduce pair, and where a rank reads gathered views
+// every reader behind the reuse: the timestep loops alternate two
+// allreduce payloads, each free again once the next step's allreduce
+// has returned (AllreduceF64s), and where a rank reads gathered views
 // after their buffer moved on, double-buffer the closed ring's shift
 // exchange so the overwrite happens two steps after the hand-off.
 

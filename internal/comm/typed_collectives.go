@@ -1,13 +1,16 @@
 package comm
 
-// Typed collectives: the zero-copy counterparts of Bcast and ReduceF64s
-// the timestep loops run on. They walk the same tree stage for stage —
+// Typed collectives: the zero-copy counterparts of Bcast, ReduceF64s
+// and AllreduceF64sEncoded. They walk the same tree stage for stage —
 // same peer schedule, same combination order — so the message counts,
 // the per-hop byte charges, and the floating-point results are identical
 // to the encoded path bit for bit; only the serialization work
-// disappears.
+// disappears. The timestep loops run AllreduceF64s.
 
 import (
+	"fmt"
+	"math/bits"
+
 	"repro/internal/obs"
 	"repro/internal/phys"
 	"repro/internal/topo"
@@ -63,9 +66,10 @@ func (c *Comm) bcastParticles(root int, ps []phys.Particle, spent *message) []ph
 // bit-identical — but accumulates into the callers' slices instead of
 // serializing: non-root ranks hand their slice to the
 // parent (ownership transfers; see the typed-transport contract for
-// when it may be written again — the timestep loops rely on the next
-// step's broadcast) and return nil, and root returns vals itself holding
-// the total. The steady state allocates nothing.
+// when it may be written again — AllreduceF64s, which the timestep
+// loops run, broadcasts the total down the same tree, so a member has
+// it only after its parent's read) and return nil, and root returns
+// vals itself holding the total. The steady state allocates nothing.
 func (c *Comm) ReduceF64sInPlace(root int, vals []float64) []float64 {
 	c.checkPeer(root)
 	if c.Size() == 1 {
@@ -97,4 +101,110 @@ func (c *Comm) recvAddF64s(vals []float64, from int) {
 	c.recvMsg(from, TagReduce, &m)
 	addF64s(vals, m.f64sPayload(c))
 	c.recycle(&m)
+}
+
+// AllreduceF64s element-wise sums vals across all ranks and returns the
+// total on every rank, bit for bit the total ReduceF64sInPlace leaves at
+// root 0. All ranks pass slices of equal length.
+//
+// On a power-of-two communicator it runs recursive doubling: in round j
+// each rank exchanges its partial sum with rank r ^ 1<<j and adds the
+// two, the lower rank's first. Those are the two partial sums the
+// binomial tree adds at the node that joins the same two subtrees (the
+// root's total is ((x0+x1)+(x2+x3))+…), so every rank ends with the
+// root's bits after log₂ n exchanges of len(vals) floats. Any other
+// size reduces to rank 0 on the binomial tree (ReduceF64sInPlace) and
+// broadcasts the total down it, which keeps the bits too.
+//
+// Loans. Payloads travel by reference, so a partner may read vals, and
+// the partial sums the communicator keeps, after this call has returned
+// here. The loan ends when this rank's next AllreduceF64s on the
+// communicator returns: a rank's read in round j of one call precedes
+// its send in round j of the next, which this rank receives in its next
+// call (the tree's reads likewise precede the next call's reduction
+// sends). So a caller that refills vals every call alternates two
+// buffers (Alternating), as the communicator does its own storage. The
+// returned total is read-only and valid as long as vals's loan. The
+// steady state allocates nothing.
+func (c *Comm) AllreduceF64s(vals []float64) []float64 {
+	n := c.Size()
+	if n == 1 {
+		return vals
+	}
+	if n&(n-1) != 0 {
+		return c.bcastTotal(c.ReduceF64sInPlace(0, vals), len(vals))
+	}
+	t0 := c.tr.Now()
+	rounds := bits.TrailingZeros(uint(n))
+	sums := c.sums.Next(rounds * len(vals))
+	cur := vals
+	for j := 0; j < rounds; j++ {
+		partner := c.rank ^ 1<<j
+		m := f64sMsg(cur)
+		c.sendrecvMsg(partner, TagReduce, &m, partner)
+		theirs := m.f64sPayload(c)
+		out := sums[j*len(vals) : (j+1)*len(vals)]
+		if c.rank&(1<<j) == 0 {
+			sumF64s(out, cur, theirs)
+		} else {
+			sumF64s(out, theirs, cur)
+		}
+		c.recycle(&m)
+		cur = out
+	}
+	c.tr.Collective(obs.KindReduce, t0, 8*len(vals))
+	return cur
+}
+
+// bcastTotal is AllreduceF64s's broadcast of the total that root 0
+// holds (others pass nil) down the binomial tree: a member forwards the
+// slice it received by reference and returns a copy in its own
+// storage, so that one decoded off a socket goes back to the spares.
+func (c *Comm) bcastTotal(total []float64, n int) []float64 {
+	t0 := c.tr.Now()
+	var m message
+	if c.rank != 0 {
+		c.recvMsg(topo.BinomialParent(c.rank), TagBcast, &m)
+		total = m.f64sPayload(c)
+	}
+	for k := topo.BinomialChildren(c.rank, c.Size()) - 1; k >= 0; k-- {
+		c.SendF64s(c.rank+1<<k, TagBcast, total)
+		m = message{}
+	}
+	if c.rank != 0 {
+		total = append(c.sums.Next(n)[:0], total...)
+		c.recycle(&m)
+	}
+	c.tr.Collective(obs.KindBcast, t0, 8*n)
+	return total
+}
+
+// Alternating is storage for a payload that is lent anew every call of
+// a collective and whose loan ends one call later, as AllreduceF64s's
+// are: two halves, handed out in turn.
+type Alternating struct {
+	buf    []float64
+	parity int
+}
+
+// Next returns n floats of the half not handed out last, growing the
+// storage — both halves afresh, as the other may be on loan — when a
+// half is shorter.
+func (a *Alternating) Next(n int) []float64 {
+	if len(a.buf)/2 < n {
+		a.buf = make([]float64, 2*n)
+	}
+	a.parity ^= 1
+	h := a.parity * (len(a.buf) / 2)
+	return a.buf[h : h+n : h+n]
+}
+
+// sumF64s writes a + b element-wise into dst.
+func sumF64s(dst, a, b []float64) {
+	if len(a) != len(dst) || len(b) != len(dst) {
+		panic(fmt.Sprintf("comm: allreduce length mismatch %d vs %d", len(a), len(b)))
+	}
+	for i := range dst {
+		dst[i] = a[i] + b[i]
+	}
 }

@@ -2,6 +2,8 @@ package comm
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 	"math/rand"
 	"strings"
 	"testing"
@@ -210,6 +212,8 @@ func TestSingleRankCollectivesStampNoEvents(t *testing.T) {
 		c.ReduceF64s(0, []float64{1})
 		c.BcastParticles(0, testParticles(2, 3), nil)
 		c.ReduceF64sInPlace(0, []float64{5})
+		c.AllreduceF64s([]float64{5})
+		c.AllreduceF64sEncoded([]float64{5})
 		return nil
 	})
 	if err != nil {
@@ -219,6 +223,104 @@ func TestSingleRankCollectivesStampNoEvents(t *testing.T) {
 		switch ev.Kind {
 		case obs.KindBcast, obs.KindReduce:
 			t.Errorf("single-rank run stamped a %v event", ev.Kind)
+		}
+	}
+}
+
+// TestAllreduceMatchesReduceRoot holds AllreduceF64s and its encoded
+// twin to ReduceF64sInPlace's root total, bit for bit on every rank: on
+// power-of-two communicators (recursive doubling) and on others (reduce,
+// then broadcast the total), buffered and rendezvous. The contributions
+// mix signs and magnitudes from 1e-20 to 1e20, so a sum associated any
+// other way differs — checked against a right fold of the same values.
+// Three calls in a row on caller buffers alternated as the loan asks
+// exercise the communicator's own alternating storage, and the traffic
+// is log₂ n exchanges a rank, or the tree's 2(n − 1) messages.
+func TestAllreduceMatchesReduceRoot(t *testing.T) {
+	const n, calls = 64, 3
+	contrib := func(call, rank int) []float64 {
+		rng := rand.New(rand.NewSource(int64(100*call + rank)))
+		v := make([]float64, n)
+		for i := range v {
+			v[i] = rng.NormFloat64() * math.Pow(10, float64(rng.Intn(41)-20))
+		}
+		return v
+	}
+	for _, size := range []int{2, 3, 4, 8} {
+		for _, boxCap := range []int{0, -1} {
+			size, boxCap := size, boxCap
+			t.Run(fmt.Sprintf("size=%d/cap=%d", size, boxCap), func(t *testing.T) {
+				t.Parallel()
+				opts := Options{MailboxCap: boxCap}
+				want := make([][]float64, calls)
+				_, err := Run(size, opts, func(c *Comm) error {
+					for call := range want {
+						if total := c.ReduceF64sInPlace(0, contrib(call, c.Rank())); c.Rank() == 0 {
+							want[call] = total
+						}
+					}
+					return nil
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if size > 2 {
+					differs := false
+					for call := range want {
+						for i := range want[call] {
+							fold := contrib(call, size-1)[i]
+							for r := size - 2; r >= 0; r-- {
+								fold = contrib(call, r)[i] + fold
+							}
+							differs = differs || fold != want[call][i]
+						}
+					}
+					if !differs {
+						t.Fatal("a right fold sums every element to the tree's bits: the values cannot tell an association")
+					}
+				}
+				for _, encoded := range []bool{false, true} {
+					got := make([][][]float64, size) // by rank and call
+					rep, err := Run(size, opts, func(c *Comm) error {
+						var bufs [2][]float64
+						for call := 0; call < calls; call++ {
+							vals := append(bufs[call%2][:0], contrib(call, c.Rank())...)
+							bufs[call%2] = vals
+							var total []float64
+							if encoded {
+								total = c.AllreduceF64sEncoded(vals)
+							} else {
+								total = c.AllreduceF64s(vals)
+							}
+							got[c.Rank()] = append(got[c.Rank()], append([]float64(nil), total...))
+						}
+						return nil
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+					for r := range got {
+						for call := range want {
+							for i := range want[call] {
+								if g, w := got[r][call][i], want[call][i]; math.Float64bits(g) != math.Float64bits(w) {
+									t.Fatalf("encoded=%v rank %d call %d element %d: %v, the reduce's root %v", encoded, r, call, i, g, w)
+								}
+							}
+						}
+					}
+					msgs := int64(2 * (size - 1))
+					if size&(size-1) == 0 {
+						msgs = int64(size * bits.TrailingZeros(uint(size)))
+					}
+					var sent int64
+					for _, ph := range trace.Phases() {
+						sent += rep.Sum[ph].Messages
+					}
+					if sent != calls*msgs {
+						t.Errorf("encoded=%v: %d messages in %d calls, want %d a call", encoded, sent, calls, msgs)
+					}
+				}
+			})
 		}
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/phys"
 	"repro/internal/topo"
@@ -34,8 +35,8 @@ func NewAllPairs(ps []phys.Particle, pr Params) (*Session, error) {
 	}
 	npt := n / T // particles per team
 	perS, perW := directBounds(n, pr)
-	// Team t's leader owns the t-th contiguous block of the ID-ordered
-	// input; the blocks never grow, so they may share one copy.
+	// Team t owns the t-th contiguous block of the ID-ordered input;
+	// each member integrates a copy of its own.
 	owned := append([]phys.Particle(nil), ps...)
 
 	return newSession(n, pr, perS, perW, cg, func(rk *rank) *shiftLoop {
@@ -45,9 +46,7 @@ func NewAllPairs(ps []phys.Particle, pr Params) (*Session, error) {
 		// A block shorter than a batch waits for others, past the
 		// rank's next move; a longer one is swept on arrival.
 		l.x = rk.newXfer(pr, -1, npt < sweepBatch)
-		if l.leader {
-			l.mine = owned[col*npt : (col+1)*npt : (col+1)*npt]
-		}
+		l.mine = slices.Clone(owned[col*npt : (col+1)*npt])
 		return l
 	}), nil
 }
@@ -67,9 +66,9 @@ func allPairsMoves(T, c, row, col int) moves {
 }
 
 // sweepBatch is the number of gathered visiting particles at which a
-// rank sweeps them into its replica (everyBlock). A constant of the
-// code, not a knob: it is read off what a sweep costs beyond its pairs,
-// which no input changes. Hot, the kernel has almost nothing of that
+// rank sweeps them into its copy of its team (everyBlock). A constant
+// of the code, not a knob: it is read off what a sweep costs beyond its
+// pairs, which no input changes. Hot, the kernel has almost nothing of that
 // kind left — ns/pair of one sweep for 8 targets against the sources it
 // covers (phys.BenchmarkAccumulateBlocks, AVX2, the 2-vCPU 2.1 GHz Xeon
 // this repository is measured on):
@@ -94,11 +93,11 @@ func allPairsMoves(T, c, row, col int) moves {
 const sweepBatch = 128
 
 // everyBlock is Algorithm 1's pairing: every visiting block interacts
-// with the replica, and nothing follows the integration. The blocks are
-// gathered, not applied on arrival: update records the view of the held
-// buffer — a slice header, no copy — and the rank sweeps what it has
-// gathered when that reaches sweepBatch particles and once more when
-// the walk ends (flush). A block of sweepBatch particles or more is
+// with the rank's copy of its team, and nothing follows the
+// integration. The blocks are gathered, not applied on arrival: update
+// records the view of the held buffer — a slice header, no copy — and
+// the rank sweeps what it has gathered when that reaches sweepBatch
+// particles and once more when the walk ends (flush). A block of sweepBatch particles or more is
 // therefore swept at once, alone; many short ones share one kernel
 // call and one Compute span. Each target still folds its sources in
 // arrival order, so the forces are those of a sweep per block, bit for
@@ -109,16 +108,16 @@ const sweepBatch = 128
 // the buffer it holds.
 //
 // A leader's walk ends on its own team's block (position last: row 0
-// skews by nothing, and the ring closes), a copy of the replica it
-// holds. Swept alone — blocks of sweepBatch or more — that visit is
-// the replica against itself, which the kernel evaluates once per
-// unordered pair (phys.Kernel.AccumulateSelf): the same forces and the
-// same count, and no message changes, since the reaction of a pair goes
-// to a particle of the same replica.
+// skews by nothing, and the ring closes), a copy of the team it holds.
+// Swept alone — blocks of sweepBatch or more — that visit is the team
+// against itself, which the kernel evaluates once per unordered pair
+// (phys.Kernel.AccumulateSelf): the same forces and the same count, and
+// no message changes, since the reaction of a pair goes to a particle
+// of the same copy.
 type everyBlock struct {
 	gathered [][]phys.Particle // since the last sweep; never grows
 	n        int               // particles in gathered
-	self     int               // the position swept as the replica against itself, or -1
+	self     int               // the position swept as the team against itself, or -1
 }
 
 // newEveryBlock sizes the list for the most blocks a sweep can cover:
@@ -137,7 +136,7 @@ func newEveryBlock(blocksPerStep, blockLen int, leader bool) *everyBlock {
 func (e *everyBlock) update(l *shiftLoop, at int) {
 	if at == e.self {
 		l.st.SetPhase(trace.Compute)
-		l.counted(l.pool.AccumulateSelf(l.kern, l.replica, l.pr.Box))
+		l.counted(l.pool.AccumulateSelf(l.kern, l.mine, l.pr.Box))
 		return
 	}
 	_, visiting := l.x.view()
@@ -152,7 +151,7 @@ func (e *everyBlock) flush(l *shiftLoop) {
 		return
 	}
 	l.st.SetPhase(trace.Compute)
-	l.counted(l.pool.AccumulateBlocks(l.kern, l.replica, e.gathered, l.pr.Box))
+	l.counted(l.pool.AccumulateBlocks(l.kern, l.mine, e.gathered, l.pr.Box))
 	e.gathered, e.n = e.gathered[:0], 0
 }
 

@@ -38,9 +38,9 @@ func NewForceDecomposition(ps []phys.Particle, pr Params) (*Session, error) {
 // words on the critical path. It is the baseline whose communication
 // the CA algorithm improves upon.
 //
-// It runs on the step driver as one-rank teams (c = 1: the broadcast
-// and the reduce send nothing) on ringMoves, an all-gather around the
-// ring, with the pairing everyTeam.
+// It runs on the step driver as one-rank teams (c = 1: the allreduce
+// sends nothing) on ringMoves, an all-gather around the ring, with the
+// pairing everyTeam.
 func NewNaiveAllGather(ps []phys.Particle, pr Params) (*Session, error) {
 	n := len(ps)
 	pr.C = 1
@@ -100,7 +100,7 @@ func (e *everyTeam) update(l *shiftLoop, _ int) {
 
 func (e *everyTeam) flush(l *shiftLoop) {
 	l.st.SetPhase(trace.Compute)
-	l.counted(l.pool.AccumulateBlocks(l.kern, l.replica, e.blocks, l.pr.Box))
+	l.counted(l.pool.AccumulateBlocks(l.kern, l.mine, e.blocks, l.pr.Box))
 }
 
 func (*everyTeam) integrated(_ *shiftLoop, mine []phys.Particle) ([]phys.Particle, error) {

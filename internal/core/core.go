@@ -2,7 +2,8 @@
 // algorithms and the baselines they are compared against:
 //
 //   - NewAllPairs: Algorithm 1, the CA all-pairs interaction algorithm on
-//     a c × p/c processor grid (broadcast, skew, p/c² shifts, reduce).
+//     a c × p/c processor grid (skew, p/c² shifts, force allreduce; every
+//     member of a team integrates its own copy of it).
 //   - NewCutoff: Algorithm 2 and its multi-dimensional generalization
 //     (Section IV), with a spatial team decomposition, shifts modulo the
 //     cutoff window, and per-timestep spatial reassignment.
@@ -129,10 +130,10 @@ func newCommGrid(p, c int) (*commGrid, error) {
 }
 
 // flattenForcesInto appends the force accumulators of ps to dst as
-// (x0, y0, x1, y1, ...) for reduction, reusing dst's capacity; the
-// timestep loops pass a retained scratch as dst[:0] so the steady-state
-// flatten allocates nothing. Reuse across steps is safe because
-// ReduceF64s copies the payload before any rank retains it.
+// (x0, y0, x1, y1, ...) for the allreduce, reusing dst's capacity; the
+// timestep loops pass retained scratch so the steady-state flatten
+// allocates nothing. When that scratch is free to be written again is
+// the transport's to say (typedXfer.allreduceForces).
 func flattenForcesInto(dst []float64, ps []phys.Particle) []float64 {
 	for i := range ps {
 		dst = append(dst, ps[i].Force.X, ps[i].Force.Y)

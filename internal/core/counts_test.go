@@ -10,9 +10,9 @@ import (
 	"repro/internal/trace"
 )
 
-// TestAllPairsCommunicationCounts pins the step to the paper's cost
-// analysis: the evaluated step's critical path is Equation 5's closed
-// form (eq5) exactly, and the instrumented runtime counts the
+// TestAllPairsCommunicationCounts pins the step to its cost analysis:
+// the evaluated step's critical path is the closed form of the schedule
+// the code runs (eq5) exactly, and the instrumented runtime counts the
 // evaluated step.
 func TestAllPairsCommunicationCounts(t *testing.T) {
 	cases := []struct{ p, c, n int }{
@@ -47,29 +47,30 @@ func TestAllPairsCommunicationCounts(t *testing.T) {
 			got, want := pl.Report().CriticalPath, eq5(tc.n, tc.p, tc.c)
 			for _, ph := range []trace.Phase{trace.Broadcast, trace.Skew, trace.Shift, trace.Reduce} {
 				if got[ph].Messages != want[ph].Messages || got[ph].Bytes != want[ph].Bytes {
-					t.Errorf("%v: the evaluated step sends %d messages of %d bytes, Equation 5 %d of %d",
+					t.Errorf("%v: the evaluated step sends %d messages of %d bytes, the closed form %d of %d",
 						ph, got[ph].Messages, got[ph].Bytes, want[ph].Messages, want[ph].Bytes)
 				}
 			}
 			if g, w := got[trace.Reduce].RecvMessages, want[trace.Reduce].RecvMessages; g != w {
-				t.Errorf("reduce: the evaluated root receives %d messages, Equation 5 %d", g, w)
+				t.Errorf("allreduce: the evaluated step receives %d messages, the closed form %d", g, w)
 			}
 			samePhases(t, "measured critical path", rep.CriticalPath, got)
 		})
 	}
 }
 
-// eq5 is Equation 5 made exact: one step's critical path of Algorithm
-// 1 with n particles on p ranks at replication factor c under tree
-// collectives — the most messages and bytes a rank sends per phase, and
-// the receives of a reduction root.
+// eq5 is Equation 5 made exact for the schedule the code runs: one
+// step's critical path of Algorithm 1 with n particles on p ranks at
+// replication factor c — the most messages and bytes a rank sends per
+// phase, and the most it receives in the allreduce. The paper's
+// schedule broadcasts each team's block from its leader, ⌈log₂ c⌉
+// messages of it; here every member keeps a copy, so there is no
+// broadcast, and the reduce is an allreduce of the forces.
 func eq5(n, p, c int) trace.PhaseTable {
 	T := p / c
 	part := int64(n/T) * phys.WireSize   // a team's block
 	logc := int64(bits.Len(uint(c - 1))) // ⌈log₂ c⌉
 	var e trace.PhaseTable
-	// Broadcast: the binomial root sends ⌈log₂ c⌉ messages of the block.
-	e[trace.Broadcast] = trace.PhaseStats{Messages: logc, Bytes: logc * part}
 	// Skew: every non-zero row sends one message (none when T == 1).
 	if T > 1 && c > 1 {
 		e[trace.Skew] = trace.PhaseStats{Messages: 1, Bytes: part}
@@ -79,10 +80,12 @@ func eq5(n, p, c int) trace.PhaseTable {
 	if T > 1 && c < T {
 		e[trace.Shift] = trace.PhaseStats{Messages: int64(p / (c * c)), Bytes: int64(p/(c*c)) * part}
 	}
-	// Reduce: every non-root sends its n/T forces once; the root
-	// receives its ⌈log₂ c⌉ children.
+	// Allreduce of the n/T forces: on a power-of-two team every rank
+	// sends and receives log₂ c of them, one per doubling round. On any
+	// other the leader receives its ⌈log₂ c⌉ children's sums and sends
+	// the total back to them, and no member passes more.
 	if c > 1 {
-		e[trace.Reduce] = trace.PhaseStats{Messages: 1, Bytes: int64(n/T) * 16, RecvMessages: logc}
+		e[trace.Reduce] = trace.PhaseStats{Messages: logc, Bytes: logc * int64(n/T) * 16, RecvMessages: logc}
 	}
 	return e
 }
@@ -137,11 +140,12 @@ func TestCutoff1DCommunicationCounts(t *testing.T) {
 }
 
 // TestCutoffReassignMessages pins the dimension-ordered reassignment's
-// message count: an interior leader sends and receives 2·dim messages a
+// message count: an interior rank sends and receives 2·dim messages a
 // step — one toward each side of each axis, empty or not — against the
-// 3^dim − 1 of an exchange with every Chebyshev neighbor. The maximum
-// over ranks is an interior leader's; in a periodic box every leader is
-// interior, so the sum over ranks is the leaders' count times as much.
+// 3^dim − 1 of an exchange with every Chebyshev neighbor. Every layer
+// migrates its own copy of the teams, so the maximum over ranks is an
+// interior rank's; in a periodic box every rank is interior, so the sum
+// over ranks is p times as much.
 func TestCutoffReassignMessages(t *testing.T) {
 	const steps = 3
 	for _, tc := range []struct {
@@ -173,13 +177,12 @@ func TestCutoffReassignMessages(t *testing.T) {
 			want := int64(2 * tc.dim * steps)
 			got := rep.CriticalPath[trace.Reassign]
 			if got.Messages != want || got.RecvMessages != want {
-				t.Errorf("an interior leader sent %d and received %d reassignment messages in %d steps, want %d each (2·dim a step)",
+				t.Errorf("an interior rank sent %d and received %d reassignment messages in %d steps, want %d each (2·dim a step)",
 					got.Messages, got.RecvMessages, steps, want)
 			}
 			if tc.boundary == phys.Periodic {
-				leaders := int64(tc.p / tc.c)
-				if sum := rep.Sum[trace.Reassign].Messages; sum != leaders*want {
-					t.Errorf("%d leaders sent %d reassignment messages in all, want %d", leaders, sum, leaders*want)
+				if sum := rep.Sum[trace.Reassign].Messages; sum != int64(tc.p)*want {
+					t.Errorf("%d ranks sent %d reassignment messages in all, want %d", tc.p, sum, int64(tc.p)*want)
 				}
 			}
 			if rep.Sum[trace.Reassign].Bytes == 0 {

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/comm"
 	"repro/internal/phys"
@@ -39,10 +40,11 @@ func SpanFor(rc, boxL float64, side int) int {
 // distance-limited interaction algorithm (Algorithm 2 for 1D boxes, its
 // serpentine generalization for 2D boxes) from the particle set ps, which
 // it copies into the teams owning their positions. Teams own spatial
-// regions of the box; each timestep broadcasts team particles over the
-// replication dimension, shifts exchange buffers through the cutoff
-// window with stride c, reduces force contributions, integrates, and
-// spatially reassigns migrating particles between neighboring teams.
+// regions of the box, and every member of a team holds a copy of its
+// particles; each timestep shifts exchange buffers through the cutoff
+// window with stride c, sums the force contributions over the team,
+// integrates every copy, and spatially reassigns migrating particles
+// between neighboring teams, layer by layer.
 //
 // Requirements: pr.Law.Cutoff > 0; for 2D boxes the team count p/c must
 // be a perfect square; the cutoff window (2m+1 teams per dimension) must
@@ -71,9 +73,7 @@ func NewCutoff(ps []phys.Particle, pr Params) (*Session, error) {
 		// can reject aliased buffers near reflective boundaries;
 		// windowed applies each block on arrival and keeps no view.
 		l.x = rk.newXfer(pr, team, false)
-		if l.leader {
-			l.mine = owned[team]
-		}
+		l.mine = slices.Clone(owned[team])
 		return l
 	}), nil
 }
@@ -127,16 +127,16 @@ func cutoffMoves(sched *CutoffSchedule, tg topo.TeamGrid, layer, team int) moves
 }
 
 // windowed is Algorithm 2's pairing: a visiting block interacts if its
-// source team lies in the rank's cutoff window, and a leader that has
-// integrated hands the particles that left its region to their new
-// teams.
+// source team lies in the rank's cutoff window, and a rank that has
+// integrated hands the particles that left its region to the same layer
+// of their new teams.
 //
-// One block of the window is the rank's own team's, a copy of the
-// replica it holds, from the same broadcast and in the same order. That
-// visit is the replica against itself, which the kernel evaluates once
-// per unordered pair where it can (phys.Kernel.AccumulateSelf): the same
+// One block of the window is the rank's own team's, a copy of the team
+// it holds, loaded from an equal copy and in the same order. That visit
+// is the team against itself, which the kernel evaluates once per
+// unordered pair where it can (phys.Kernel.AccumulateSelf): the same
 // forces and the same count, and no message changes, since the reaction
-// of a pair goes to a particle of the same replica.
+// of a pair goes to a particle of the same copy.
 type windowed struct {
 	tg   topo.TeamGrid
 	m    int  // cutoff span in team widths
@@ -151,14 +151,14 @@ func (w *windowed) update(l *shiftLoop, _ int) {
 	}
 	l.st.SetPhase(trace.Compute)
 	if src == l.slot {
-		l.counted(l.pool.AccumulateSelf(l.kern, l.replica, l.pr.Box))
+		l.counted(l.pool.AccumulateSelf(l.kern, l.mine, l.pr.Box))
 		return
 	}
-	l.counted(l.pool.AccumulateIn(l.kern, l.replica, visiting, l.pr.Box))
+	l.counted(l.pool.AccumulateIn(l.kern, l.mine, visiting, l.pr.Box))
 }
 
 // inWindow is the window test: the block team src loaded interacts
-// with team's replica if the two are within Chebyshev distance m,
+// with team's copy if the two are within Chebyshev distance m,
 // unwrapped for reflective boxes — a wrapped delivery means the buffer
 // aliased around the data-movement torus and must be skipped.
 func (w *windowed) inWindow(team, src int) bool {
@@ -171,8 +171,9 @@ func (w *windowed) inWindow(team, src int) bool {
 func (*windowed) flush(*shiftLoop) {}
 
 // integrated is step (6), the spatial reassignment between neighboring
-// teams. Migration runs between the team leaders, the layer-0 ranks
-// indexed by team: that is the leader's ring.
+// teams. Every layer migrates its own copies, over its ring: the ranks
+// of the layer indexed by team. Equal copies send equal particles, so
+// the copies stay equal.
 func (w *windowed) integrated(l *shiftLoop, mine []phys.Particle) ([]phys.Particle, error) {
 	l.st.SetPhase(trace.Reassign)
 	return w.mig.migrate(l.x, l.ring, w.tg, l.slot, mine, l.pr.Box, w.wrap)
@@ -225,7 +226,7 @@ func scatterByTeam(ps []phys.Particle, box phys.Box, tg topo.TeamGrid) [][]phys.
 	return owned
 }
 
-// migrator is one leader's spatial-reassignment state, retained across
+// migrator is one rank's spatial-reassignment state, retained across
 // steps so that the steady state allocates nothing: the outgoing
 // particles are bucketed by stage and side in a fixed array, the
 // arrivals gathered in a retained buffer, the team rebuilt in a buffer
@@ -241,8 +242,7 @@ type migrator struct {
 	// spare is the previous team buffer, the target of the next rebuild.
 	// The current one cannot be rebuilt in place while incoming
 	// particles are merged among the stayers, and the previous one is
-	// free: its last readers, the team members copying the broadcast,
-	// finished before the force reduction of the step it was sent in.
+	// free: no other rank reads a team buffer (loadExchange copies it).
 	spare []phys.Particle
 	// free holds payloads received in earlier stages and steps. A
 	// received slice is the receiver's outright (the ownership-transfer
@@ -259,7 +259,7 @@ type migrator struct {
 // outright.
 //
 // The exchange is dimension-ordered: one stage per axis, x first, in
-// which the leader sends one message toward −axis and one toward +axis
+// which the rank sends one message toward −axis and one toward +axis
 // and receives one from each side — 2·dim messages out and 2·dim in,
 // each sent even when empty, since nothing else tells a receiver that
 // nothing is coming. A particle travels along the first axis on which
@@ -267,9 +267,9 @@ type migrator struct {
 // off along a later axis is forwarded in that axis's stage, so a
 // diagonal migrant reaches its team through its x neighbor. Particles
 // may move at most one team width per step; exceeding that is reported
-// by the source leader as an error (the timestep is too large for the
+// by the source rank as an error (the timestep is too large for the
 // decomposition).
-func (mg *migrator) migrate(x xfer, leaders *comm.Comm, tg topo.TeamGrid, team int, mine []phys.Particle, box phys.Box, wrap bool) ([]phys.Particle, error) {
+func (mg *migrator) migrate(x xfer, layer *comm.Comm, tg topo.TeamGrid, team int, mine []phys.Particle, box phys.Box, wrap bool) ([]phys.Particle, error) {
 	stay := mg.spare[:0]
 	inOrder := true
 	for i := range mine {
@@ -295,18 +295,18 @@ func (mg *migrator) migrate(x xfer, leaders *comm.Comm, tg topo.TeamGrid, team i
 				return nil, fmt.Errorf("core: particles migrating off the reflective grid toward %+v", dir)
 			}
 			from, receives := migrationPeer(tg, team, topo.Offset{DX: -dir.DX, DY: -dir.DY}, wrap)
-			// A leader with both neighbours offers the send and the
-			// receive at once: a periodic ring of leaders each sending
+			// A rank with both neighbours offers the send and the
+			// receive at once: a periodic ring of ranks each sending
 			// first would wait on itself where a send completes only once
 			// it is received.
 			var inc []phys.Particle
 			switch {
 			case sends && receives:
-				inc = x.sendrecvParticles(leaders, to, mg.out[a][side], from, tag)
+				inc = x.sendrecvParticles(layer, to, mg.out[a][side], from, tag)
 			case sends:
-				x.sendParticles(leaders, to, tag, mg.out[a][side])
+				x.sendParticles(layer, to, tag, mg.out[a][side])
 			case receives:
-				inc = x.recvParticles(leaders, from, tag)
+				inc = x.recvParticles(layer, from, tag)
 			}
 			mg.out[a][side] = nil
 			for i := range inc {
@@ -394,7 +394,7 @@ func axisStep(a, side int) topo.Offset {
 	return topo.Offset{DY: d}
 }
 
-// migrationPeer is the team a leader sends the particles moving in
+// migrationPeer is the team a rank sends the particles moving in
 // direction dir to, and whether it has one: none beyond a reflective
 // edge, nor itself across a periodic grid one team wide.
 func migrationPeer(tg topo.TeamGrid, team int, dir topo.Offset, wrap bool) (int, bool) {

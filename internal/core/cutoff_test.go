@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -133,9 +134,10 @@ func TestCutoffLargerReplication(t *testing.T) {
 // box passes particles round rings of teams, and on rendezvous
 // mailboxes (comm.Options.MailboxCap < 0), where a send waits for its
 // receive, a ring whose every team sent before receiving would wait on
-// itself. A 1-D and a 2-D periodic run, whose particles do migrate,
-// must finish there within a time bound, leave no goroutine behind and
-// reach the buffered run's state hash and traffic.
+// itself. A 1-D and a 2-D periodic run, whose particles do migrate
+// on every layer's ring, must finish there within a time bound, leave
+// no goroutine behind and reach the buffered run's state hash and
+// traffic.
 func TestPeriodicReassignUnderRendezvous(t *testing.T) {
 	const steps = 4
 	for _, tc := range []struct{ p, c, dim, n int }{{16, 2, 1, 64}, {32, 2, 2, 128}} {
@@ -183,6 +185,10 @@ func TestPeriodicReassignUnderRendezvous(t *testing.T) {
 				t.Errorf("rendezvous state hash %#x, buffered %#x", gotHash, wantHash)
 			}
 			sameReportCounts(t, wantRep, gotRep)
+			// Every rank of every layer reassigns over its ring.
+			if got, want := gotRep.Sum[trace.Reassign].Messages, int64(tc.p*2*tc.dim*steps); got != want {
+				t.Errorf("%d reassignment messages, want %d: 2·dim a step from each of the %d ranks", got, want, tc.p)
+			}
 			tg, err := topo.NewTeamGrid(tc.p/tc.c, tc.dim)
 			if err != nil {
 				t.Fatal(err)
@@ -237,7 +243,7 @@ func (w plainWindow) update(l *shiftLoop, _ int) {
 		return
 	}
 	l.st.SetPhase(trace.Compute)
-	l.counted(l.pool.AccumulateIn(l.kern, l.replica, visiting, l.pr.Box))
+	l.counted(l.pool.AccumulateIn(l.kern, l.mine, visiting, l.pr.Box))
 }
 
 // cutoffPlain is NewCutoff with that pairing, for parameters NewCutoff
@@ -255,9 +261,7 @@ func cutoffPlain(ps []phys.Particle, pr Params) ([]phys.Particle, *trace.Report,
 		pairing := w
 		l.pairing = plainWindow{&pairing}
 		l.x = rk.newXfer(pr, team, false)
-		if l.leader {
-			l.mine = owned[team]
-		}
+		l.mine = slices.Clone(owned[team])
 		return l
 	}).Advance(3)
 }

@@ -8,7 +8,7 @@ import (
 )
 
 // TestSteadyStateStepAllocFree pins the zero-allocation claim for the
-// timestep hot path: the sequence of encode, decode, frame, unframe,
+// timestep hot path: the sequence of frame, encode, unframe, decode,
 // kernel evaluation, force flatten/apply and integration that every rank
 // runs per step — with the retained scratch buffers the real loops in
 // AllPairs and Cutoff carry — must not allocate once the buffers have
@@ -21,7 +21,6 @@ func TestSteadyStateStepAllocFree(t *testing.T) {
 	mine := phys.InitUniform(32, box, 7)
 
 	var (
-		bcast    []byte
 		exchange []byte
 		team     []phys.Particle
 		visiting []phys.Particle
@@ -29,13 +28,9 @@ func TestSteadyStateStepAllocFree(t *testing.T) {
 	)
 	var stepErr error
 	step := func() {
-		bcast = phys.AppendSlice(bcast[:0], mine)
-		team, stepErr = phys.DecodeSliceInto(team[:0], bcast)
-		if stepErr != nil {
-			return
-		}
+		team = append(team[:0], mine...)
 		phys.ClearForces(team)
-		exchange = appendFrameTeam(exchange[:0], 3, bcast)
+		exchange = phys.AppendSlice(appendFrame(exchange[:0], 3), team)
 		_, body := unframeTeam(exchange)
 		visiting, stepErr = phys.DecodeSliceInto(visiting[:0], body)
 		if stepErr != nil {

@@ -17,7 +17,7 @@ type onArrival struct{}
 func (onArrival) update(l *shiftLoop, _ int) {
 	_, visiting := l.x.view()
 	l.st.SetPhase(trace.Compute)
-	l.counted(l.pool.AccumulateIn(l.kern, l.replica, visiting, l.pr.Box))
+	l.counted(l.pool.AccumulateIn(l.kern, l.mine, visiting, l.pr.Box))
 }
 
 func (onArrival) flush(*shiftLoop) {}
@@ -41,9 +41,7 @@ func allPairsOnArrival(ps []phys.Particle, pr Params, steps int) ([]phys.Particl
 		l.moves = allPairsMoves(T, pr.C, row, col)
 		l.pairing = onArrival{}
 		l.x = rk.newXfer(pr, -1, false)
-		if l.leader {
-			l.mine = append([]phys.Particle(nil), ps[col*npt:(col+1)*npt]...)
-		}
+		l.mine = append([]phys.Particle(nil), ps[col*npt:(col+1)*npt]...)
 		return l
 	})
 	out, _, err := s.Advance(steps)
@@ -56,7 +54,7 @@ func allPairsOnArrival(ps []phys.Particle, pr Params, steps int) ([]phys.Particl
 // on and inside a batch boundary: on either transport, for one and two
 // workers, the final state is struct-equal, the pair count is the closed
 // form, and the timeline shows one Compute span per sweep (plus the
-// leader's integration).
+// integration, which every rank runs).
 func TestGatherSweepBoundaries(t *testing.T) {
 	const steps = 4 // a buffer is rewritten two steps after it was loaded
 	cases := []struct {
@@ -81,10 +79,6 @@ func TestGatherSweepBoundaries(t *testing.T) {
 			blocks := T / tc.c                             // visiting blocks per rank and step
 			perSweep := (sweepBatch + tc.npt - 1) / tc.npt // blocks that fill a batch
 			sweeps := (blocks + perSweep - 1) / perSweep   // the last one by flush
-			cg, err := newCommGrid(tc.p, tc.c)
-			if err != nil {
-				t.Fatal(err)
-			}
 			pr := defaultParams(tc.p, tc.c)
 			ps := phys.InitUniform(n, pr.Box, 77)
 			want, err := allPairsOnArrival(ps, pr, steps)
@@ -123,10 +117,7 @@ func TestGatherSweepBoundaries(t *testing.T) {
 								spans++
 							}
 						}
-						wantSpans := steps * sweeps
-						if row, _ := cg.Coord(r); row == 0 {
-							wantSpans += steps // the leader integrates under Compute
-						}
+						wantSpans := steps * (sweeps + 1) // every rank integrates under Compute
 						if spans != wantSpans {
 							t.Errorf("%s: rank %d has %d Compute spans, want %d (%d sweeps a step)", run, r, spans, wantSpans, sweeps)
 						}

@@ -17,8 +17,8 @@ import (
 // `nbody validate` and the accounting tests hold measured runs to it.
 type Plan struct {
 	// Teams lists each team's world ranks, leader first: the groups the
-	// step's broadcast and force reduction run over. The lists are the
-	// session's own; read them only.
+	// step's force allreduce runs over. The lists are the session's own;
+	// read them only.
 	Teams [][]int
 	// Ranks holds each world rank's operations, by world rank.
 	Ranks [][]Op
@@ -30,7 +30,7 @@ type OpKind uint8
 const (
 	OpSend     OpKind = iota // a message to To
 	OpRecv                   // a message from From
-	OpSendrecv               // a move or a reassignment exchange: to To and from From at once
+	OpSendrecv               // a move, an allreduce or a reassignment exchange: to To and from From at once
 	OpVisit                  // the walk hands the pairing the block it holds
 )
 
@@ -126,12 +126,18 @@ func (s *Session) Plan() (*Plan, error) {
 	return pl, nil
 }
 
+// move says the operation is a move of the exchange buffer: an exchange
+// of the skew or the shift, not one of the allreduce or the
+// reassignment.
+func (o *Op) move() bool {
+	return o.Kind == OpSendrecv && (o.Phase == trace.Skew || o.Phase == trace.Shift)
+}
+
 // resolve prices the moves and names the visited blocks, which a rank's
 // own notes cannot: the block a rank holds came to it along its ring.
 // Every rank of a ring starts on its own team's block and moves in lock
 // step with the others, its k-th move adopting what the rank it
-// receives from held before that move; a reassignment exchange, its
-// bytes Unpredicted, is not a move.
+// receives from held before that move.
 func (p *Plan) resolve(cg *commGrid, occ []int, wire func(int) int) error {
 	for _, ring := range cg.rows {
 		held := make([]int, len(ring)) // the team whose block each holds
@@ -144,7 +150,7 @@ func (p *Plan) resolve(cg *commGrid, occ []int, wire func(int) int) error {
 			moving := 0
 			for k, r := range ring {
 				ops := p.Ranks[r]
-				for ; at[k] < len(ops) && (ops[at[k]].Kind != OpSendrecv || ops[at[k]].Bytes == Unpredicted); at[k]++ {
+				for ; at[k] < len(ops) && !ops[at[k]].move(); at[k]++ {
 					if ops[at[k]].Kind == OpVisit {
 						ops[at[k]].Src = held[k]
 					}
@@ -179,8 +185,9 @@ func (p *Plan) resolve(cg *commGrid, occ []int, wire func(int) int) error {
 // step (Session.Plan): it moves and computes nothing, and notes each
 // message the rank's step would send or receive, under the phase the
 // step has set and priced by comm's wire sizes, and each block the walk
-// hands the pairing. The team collectives expand over topo's binomial
-// tree in comm's order. A move ships the block the rank holds by then,
+// hands the pairing. The team's allreduce expands as comm runs it:
+// recursive doubling on a power-of-two team, else topo's binomial tree,
+// in comm's order. A move ships the block the rank holds by then,
 // which came along its ring: resolve prices the moves once every rank
 // has stepped. The real pairing integrates no particles, so that a
 // reassignment sends its messages empty.
@@ -199,7 +206,7 @@ func (x *recorder) note(kind OpKind, to, from, tag, bytes, recv int) {
 	x.ops = append(x.ops, Op{Kind: kind, Phase: x.st.Phase(), To: to, From: from, Tag: tag, Bytes: bytes, RecvBytes: recv, At: -1, Src: -1})
 }
 
-// tree notes the rank's messages of a team collective of b-byte
+// tree notes the rank's messages of a tree collective of b-byte
 // payloads rooted at the leader, as comm walks the tree: a broadcast
 // receives from the parent, then sends to the children, largest subtree
 // first; a reduction receives from the children, nearest first, then
@@ -226,12 +233,6 @@ func (x *recorder) tree(tag, b int) {
 	}
 }
 
-func (x *recorder) bcastTeam(*comm.Comm, []phys.Particle) []phys.Particle {
-	n := x.occ[x.slot]
-	x.tree(comm.TagBcast, comm.ParticlesWire(n))
-	return make([]phys.Particle, n)
-}
-
 func (x *recorder) loadExchange([]phys.Particle) {}
 
 func (x *recorder) view() (int, []phys.Particle) { return -1, nil }
@@ -240,11 +241,17 @@ func (x *recorder) shift(_ *comm.Comm, to, from, tag int) {
 	x.note(OpSendrecv, x.ring[to], x.ring[from], tag, 0, 0)
 }
 
-func (x *recorder) reduceForces(_ *comm.Comm, team []phys.Particle) []float64 {
+func (x *recorder) allreduceForces(_ *comm.Comm, team []phys.Particle) []float64 {
 	x.forces = flattenForcesInto(x.forces[:0], team)
-	x.tree(comm.TagReduce, comm.F64sWire(len(x.forces)))
-	if x.vr != 0 {
-		return nil
+	b := comm.F64sWire(len(x.forces))
+	if n := len(x.team); n&(n-1) != 0 {
+		x.tree(comm.TagReduce, b)
+		x.tree(comm.TagBcast, b)
+		return x.forces
+	}
+	for j := 1; j < len(x.team); j <<= 1 {
+		partner := x.team[x.vr^j]
+		x.note(OpSendrecv, partner, partner, comm.TagReduce, b, b)
 	}
 	return x.forces
 }

@@ -22,8 +22,8 @@ type planCase struct {
 
 // planCases covers every algorithm: CA all-pairs, the cutoff loop in 1D
 // and 2D with particles that migrate every step (so teams grow and
-// shrink), Plimpton's particle and force decompositions, and the naive
-// all-gather.
+// shrink), Plimpton's particle and force decompositions, the naive
+// all-gather, and CA all-pairs at c = 3.
 func planCases() []planCase {
 	moving := func(pr Params, n int) []phys.Particle {
 		ps := phys.InitUniform(n, pr.Box, 7)
@@ -46,6 +46,9 @@ func planCases() []planCase {
 		{"particle", NewParticleDecomposition, defaultParams(8, 1), phys.InitUniform(32, ap.Box, 5)},
 		{"force", NewForceDecomposition, defaultParams(16, 4), phys.InitUniform(32, ap.Box, 5)},
 		{"naive", NewNaiveAllGather, defaultParams(8, 1), phys.InitUniform(32, ap.Box, 5)},
+		// Teams of three: the allreduce is the tree's reduce and a
+		// broadcast of the total.
+		{"ca-all-pairs-c3", NewAllPairs, defaultParams(18, 3), phys.InitUniform(36, ap.Box, 5)},
 	}
 }
 

@@ -20,6 +20,7 @@ import (
 	"repro/internal/comm"
 	"repro/internal/phys"
 	"repro/internal/topo"
+	"repro/internal/trace"
 )
 
 // runMallocs returns the number of heap objects one call of run
@@ -80,10 +81,11 @@ func runAllocs(run func()) (objects, bytes uint64) {
 
 // TestSteadyStateAllocFree pins the end-to-end zero-allocation property
 // of the timestep loops: once a session's retained buffers exist, a
-// step allocates nothing anywhere in the pipeline — broadcast, skew,
-// shifts (the naive baseline's all-gather ring among them), force
-// kernel (inline, pooled), reduce, integrate and, for the cutoff loop
-// in one and two dimensions, spatial reassignment. Two
+// step allocates nothing anywhere in the pipeline — skew, shifts (the
+// naive baseline's all-gather ring among them), force kernel (inline,
+// pooled), allreduce, integrate and, for the cutoff loop in one and two
+// dimensions, spatial reassignment, which every rank of every layer
+// runs; in the migrating case particles cross teams every step. Two
 // runs that differ only in step count must therefore allocate exactly
 // the same number of objects, in two settings. On a
 // fresh session each, the set-up (communicators, mailboxes of the pairs
@@ -119,6 +121,29 @@ func TestSteadyStateAllocFree(t *testing.T) {
 			pr := cutoffParams(32, c, 2, phys.Reflective)
 			pr.Workers = workers
 			return NewCutoff(phys.InitLattice(4*n, pr.Box, 5), pr)
+		}},
+		{"cutoff/migrating", func(workers int) (*Session, error) {
+			// The lattice of 8 particles a team, 0.5 apart, drifts 0.3 a
+			// step round the periodic box: a particle crosses into the
+			// next team most steps. Team sizes drift by a particle or
+			// so, and the team, exchange and allreduce buffers grow at
+			// each new largest team, so the session is handed over after
+			// a dozen steps, when none grows any more.
+			pr := cutoffParams(8, c, 1, phys.Periodic)
+			pr.Workers = workers
+			ps := phys.InitLattice(n, pr.Box, 5)
+			for i := range ps {
+				ps[i].Vel.X = 0.3 / pr.DT
+			}
+			s, err := NewCutoff(ps, pr)
+			if err != nil {
+				return nil, err
+			}
+			_, rep, err := s.Advance(12)
+			if err == nil && rep.Sum[trace.Reassign].Bytes == 0 {
+				err = fmt.Errorf("no particle migrated")
+			}
+			return s, err
 		}},
 	}
 	for _, lp := range loops {
@@ -279,8 +304,9 @@ func TestMigratorRecyclesBuffers(t *testing.T) {
 
 // TestSocketSteadyStateAllocBound is the steady-state guard of the
 // socket path, Run after Run on one session per process: a 2×4
-// all-pairs grid split row by row over a unix-socket mesh, so every step
-// sends four team broadcasts and four force reductions across the wire.
+// all-pairs grid split row by row over a unix-socket mesh, so in every
+// step each of the four teams exchanges its forces across the wire, one
+// message each way.
 // Frames are encoded into the link's recycled buffers, decoded straight
 // out of its read buffer into the receiving rank's spares, and counted in
 // per-rank tallies that keep their cells from one run to the next — so,

@@ -36,8 +36,8 @@ type rank struct {
 // particles' first owners — on the caller's goroutine, starting nothing.
 // The first Advance builds the comm world and, inside each rank's
 // goroutine, the rank's shiftLoop; the session keeps both, the loops with
-// every buffer they have grown (replica, exchange buffers, reduction
-// payload, migration stock), so a later Advance costs its
+// every buffer they have grown (the team's particles, exchange buffers,
+// allreduce payloads, migration stock), so a later Advance costs its
 // steps and not a rebuild. Between calls it is memory only: the rank
 // goroutines and the force pools' workers start and stop with each
 // Advance. A failed Advance leaves the session dead.
@@ -224,26 +224,32 @@ func (m *moves) move(i int) (hop, int) {
 }
 
 // pairing is what a plan leaves to the algorithm: which visiting blocks
-// interact with the rank's replica, and what follows the integration.
+// interact with the rank's copy of its team, and what follows the
+// integration.
 type pairing interface {
 	// update applies the buffer the rank holds at ring position at
-	// (l.x.view) to l.replica — under the Compute phase, booked with
+	// (l.x.view) to l.mine — under the Compute phase, booked with
 	// l.counted — or skips a block that must not interact. On a closed
 	// ring, and a transport built to keep views (newXfer), it may instead
 	// keep the view and apply it later, no later than flush.
 	update(l *shiftLoop, at int)
-	// flush runs when the walk has ended, before the reduce: it applies
-	// whatever update has kept back.
+	// flush runs when the walk has ended, before the allreduce: it
+	// applies whatever update has kept back.
 	flush(l *shiftLoop)
-	// integrated runs on the leader once it has integrated mine and
-	// returns the block the leader owns from here on.
+	// integrated runs on every rank once it has integrated mine and
+	// returns the team's particles the rank holds from here on.
 	integrated(l *shiftLoop, mine []phys.Particle) ([]phys.Particle, error)
 }
 
-// shiftLoop is the timestep of Algorithms 1 and 2 — broadcast, skew,
-// shift-and-update, reduce, integrate — as one rank executes it from
-// its plan: its place on the replication grid, the communicators of
-// its ring and its team, its move list and the algorithm's pairing.
+// shiftLoop is the timestep of Algorithms 1 and 2 — skew,
+// shift-and-update, force allreduce, integrate — as one rank executes
+// it from its plan: its place on the replication grid, the
+// communicators of its ring and its team, its move list and the
+// algorithm's pairing. The paper's algorithms broadcast the team from
+// its leader at the start of a step and reduce the forces to it at the
+// end; here every member of a team keeps a copy of the team's particles
+// and integrates it, so the step's one team collective is the
+// allreduce of the forces, and the copies stay equal bit for bit.
 // The fast-path state is built once per session — the law compiled to
 // a specialized kernel (kind/cutoff/softening resolved outside the pair
 // loop), a transport that retains its buffers across steps and Advance
@@ -257,22 +263,22 @@ type shiftLoop struct {
 	slot   int
 	leader bool
 	// ring is the rank's replication layer, indexed by team: exchange
-	// buffers shift along it. team is its column, leader first: the
-	// broadcast/reduce group.
+	// buffers shift along it, and particles migrate along it. team is
+	// its column, leader first: the allreduce group.
 	ring, team *comm.Comm
 	pairing    pairing
 	pr         *Params
 	kern       phys.Kernel
 	x          xfer
 	pairs      *obs.Counter // nil, and Add a no-op, on unobserved runs
-	// mine is the leader's authoritative copy of the team's particles,
-	// replica the rank's private copy of this step's broadcast.
-	mine, replica []phys.Particle
+	// mine is the rank's copy of its team's particles, the same bits on
+	// every member of the team; the leader's is deposited at the end.
+	mine []phys.Particle
 }
 
 // newShiftLoop fills in what follows from the run's parameters and the
 // rank's place (row, col) on cg; the caller adds the moves, the pairing,
-// the transport and the leader's particles.
+// the transport and the team's particles.
 func newShiftLoop(rk *rank, pr *Params, cg *commGrid) (l *shiftLoop, row, col int) {
 	if rk.rec != nil {
 		row, col = rk.rec.vr, rk.rec.slot
@@ -288,38 +294,29 @@ func newShiftLoop(rk *rank, pr *Params, cg *commGrid) (l *shiftLoop, row, col in
 }
 
 func (l *shiftLoop) step() error {
-	// (1) Broadcast St from the team leader to team members.
-	l.st.SetPhase(trace.Broadcast)
-	var lead []phys.Particle
-	if l.leader {
-		lead = l.mine
-	}
-	l.replica = l.x.bcastTeam(l.team, lead)
-	// (2) Copy St to the exchange buffer.
-	l.x.loadExchange(l.replica)
-	// (3) Skew: move 0 puts the buffer at the rank's first position.
+	// (1) Clear the team's force accumulators and copy its particles,
+	// St, to the exchange buffer.
 	l.st.SetPhase(trace.Skew)
+	phys.ClearForces(l.mine)
+	l.x.loadExchange(l.mine)
+	// (2) Skew: move 0 puts the buffer at the rank's first position.
 	if h, tag := l.move(0); h.to != l.slot {
 		l.x.shift(l.ring, h.to, h.from, tag)
 	}
-	// (4) Shift and update along the remaining moves.
+	// (3) Shift and update along the remaining moves.
 	l.walk()
 	l.pairing.flush(l)
-	// (5) Sum-reduce the partial force contributions within the team;
-	// the leader integrates.
+	// (4) Sum the partial force contributions over the team, on every
+	// member; each integrates its own copy.
 	l.st.SetPhase(trace.Reduce)
-	total := l.x.reduceForces(l.team, l.replica)
-	if l.leader {
-		applyForces(l.mine, total)
-		l.st.SetPhase(trace.Compute)
-		if err := phys.Step(l.mine, l.pr.Box, l.pr.DT); err != nil {
-			return err
-		}
-		var err error
-		l.mine, err = l.pairing.integrated(l, l.mine)
+	applyForces(l.mine, l.x.allreduceForces(l.team, l.mine))
+	l.st.SetPhase(trace.Compute)
+	if err := phys.Step(l.mine, l.pr.Box, l.pr.DT); err != nil {
 		return err
 	}
-	return nil
+	var err error
+	l.mine, err = l.pairing.integrated(l, l.mine)
+	return err
 }
 
 // walk is the shift loop as Algorithm 1 writes it: move, then update

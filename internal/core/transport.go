@@ -8,9 +8,9 @@ import (
 	"repro/internal/phys"
 )
 
-// xfer is the per-rank transport the timestep loops run on: the team
-// broadcast, the exchange-buffer shifts, the force reduction, and
-// particle migration, abstracted over the payload representation.
+// xfer is the per-rank transport the timestep loops run on: the
+// exchange-buffer shifts, the team's force allreduce, and particle
+// migration, abstracted over the payload representation.
 //
 // Every run uses typedXfer: particle and float64 slices move through
 // the mailboxes by reference — zero serialization — while charging the
@@ -25,32 +25,28 @@ import (
 // A transport belongs to one rank; construct it inside the rank's
 // closure.
 type xfer interface {
-	// bcastTeam broadcasts the team leader's particles (rank 0 of tc;
-	// others pass nil) and returns the rank's private replica with
-	// force accumulators cleared. The replica is transport-owned
-	// scratch, valid until the next bcastTeam.
-	bcastTeam(tc *comm.Comm, mine []phys.Particle) []phys.Particle
-	// loadExchange (re)fills the exchange buffer from the replica the
-	// preceding bcastTeam produced, tagging it with the source-team
-	// frame fixed at construction.
+	// loadExchange (re)fills the exchange buffer with a copy of the
+	// team's particles, tagging it with the source-team frame fixed at
+	// construction.
 	loadExchange(team []phys.Particle)
 	// view exposes the particles currently in the exchange buffer and
 	// the team they originate from (-1 on unframed transports). The
 	// slice is read-only: it may alias a buffer that is simultaneously
 	// in flight to a neighbor, or that a neighbor holds by now. It is
 	// valid until the rank's next move; on a transport built to keep
-	// views, until the rank enters reduceForces (the reuse discipline
+	// views, until the rank enters allreduceForces (the reuse discipline
 	// below), whatever it has moved in between.
 	view() (srcTeam int, ps []phys.Particle)
 	// shift exchanges the buffer with the ring neighbors: ship to rank
 	// `to`, adopt the buffer arriving from rank `from`.
 	shift(rc *comm.Comm, to, from, tag int)
-	// reduceForces sum-reduces the replica's force accumulators to the
-	// team leader (rank 0 of tc), returning the flattened totals there
-	// and nil elsewhere. The result is transport-owned scratch.
-	reduceForces(tc *comm.Comm, team []phys.Particle) []float64
+	// allreduceForces sums the team's force accumulators over its
+	// members (tc) and returns the flattened totals, the same bits on
+	// every member. The result is transport-owned and read-only, valid
+	// until the next allreduceForces returns.
+	allreduceForces(tc *comm.Comm, team []phys.Particle) []float64
 	// sendParticles, recvParticles and sendrecvParticles (both at once)
-	// move migration payloads between team leaders. Sent slices
+	// move migration payloads between the ranks of a layer. Sent slices
 	// transfer ownership; received slices are owned by the caller, which
 	// is what lets the migrator send them on in a later step.
 	sendParticles(lc *comm.Comm, to, tag int, ps []phys.Particle)
@@ -96,7 +92,7 @@ func (rk *rank) newXfer(pr Params, frame int, keepsViews bool) xfer {
 // rank holds at the end of step k are the T/c ranks of its shift cycle
 // (its row, every c-th team), each until its flush of step k; the rank
 // writes the buffer at the loadExchange of step k+2. A reader's flush
-// precedes its reduce and so every message it sends in step k+1, whose
+// precedes its allreduce and so every message it sends in step k+1, whose
 // T/c shifts pass a message from each rank of the cycle to the next:
 // after them every rank of the cycle has received, directly or through
 // the ranks between, from every other, and only then does it go on to
@@ -112,20 +108,13 @@ type typedXfer struct {
 	frame      int
 	keepsViews bool
 
-	team     []phys.Particle // broadcast replica scratch
 	exchange []phys.Particle // current exchange payload
 	exTeam   int             // source team of the exchange payload
 	spare    []phys.Particle // double-buffer where views are kept (end of step k−2)
-	forces   []float64       // flattened reduction payload
-}
-
-func (x *typedXfer) bcastTeam(tc *comm.Comm, mine []phys.Particle) []phys.Particle {
-	// The leader's slice is aliased by every team member until each has
-	// taken its copy; the leader writes it again only after the force
-	// reduction, which every member enters after copying.
-	x.team = tc.BcastParticles(0, mine, x.team)
-	phys.ClearForces(x.team)
-	return x.team
+	// forces holds the flattened allreduce payload, which a team
+	// partner may read until this rank's allreduce of the next step
+	// returns (comm.AllreduceF64s).
+	forces comm.Alternating
 }
 
 func (x *typedXfer) loadExchange(team []phys.Particle) {
@@ -151,13 +140,8 @@ func (x *typedXfer) shift(rc *comm.Comm, to, from, tag int) {
 	x.exchange = rc.SendrecvParticles(to, x.exchange, from, tag)
 }
 
-func (x *typedXfer) reduceForces(tc *comm.Comm, team []phys.Particle) []float64 {
-	// Non-leaders hand the scratch slice to their parent; rewriting it
-	// here next step is ordered behind the parent's read by the next
-	// broadcast (root completes the reduce before broadcasting, and the
-	// flatten below runs after this rank receives that broadcast).
-	x.forces = flattenForcesInto(x.forces[:0], team)
-	return tc.ReduceF64sInPlace(0, x.forces)
+func (x *typedXfer) allreduceForces(tc *comm.Comm, team []phys.Particle) []float64 {
+	return tc.AllreduceF64s(flattenForcesInto(x.forces.Next(2 * len(team))[:0], team))
 }
 
 func (x *typedXfer) sendParticles(lc *comm.Comm, to, tag int, ps []phys.Particle) {
@@ -178,19 +162,16 @@ type encodedXfer struct {
 	frame      int
 	keepsViews bool
 
-	bcastBuf []byte          // leader's encode buffer
-	teamData []byte          // this step's broadcast payload (framed exchange source)
-	team     []phys.Particle // decoded replica
 	// views holds the decode scratch of the views handed out, nviews of
 	// them in use. Where views are kept, one per view since the last
-	// reduceForces: a view stays readable until then, so the next one
+	// allreduceForces: a view stays readable until then, so the next one
 	// may not decode over it. Otherwise a view is dead by the next one,
 	// and one scratch serves. Retained across steps.
 	views    [][]phys.Particle
 	nviews   int
 	exchange []byte    // current exchange payload
 	spare    []byte    // double-buffer where views are kept (end of step k−2)
-	forces   []float64 // flattened reduction payload
+	forces   []float64 // flattened allreduce payload
 }
 
 // decodeInto decodes bytes a peer's encodedXfer produced; failing is a
@@ -203,30 +184,16 @@ func decodeInto(dst []phys.Particle, b []byte) []phys.Particle {
 	return ps
 }
 
-func (x *encodedXfer) bcastTeam(tc *comm.Comm, mine []phys.Particle) []phys.Particle {
-	var payload []byte
-	if tc.Rank() == 0 {
-		x.bcastBuf = phys.AppendSlice(x.bcastBuf[:0], mine)
-		payload = x.bcastBuf
-	}
-	x.teamData = tc.Bcast(0, payload)
-	x.team = decodeInto(x.team[:0], x.teamData)
-	phys.ClearForces(x.team)
-	return x.team
-}
-
 func (x *encodedXfer) loadExchange(team []phys.Particle) {
 	target := x.exchange // as in typedXfer.loadExchange
 	if x.keepsViews {
 		target, x.spare = x.spare, x.exchange
 	}
+	target = target[:0]
 	if x.frame >= 0 {
-		// The framed exchange reuses the raw broadcast bytes; the force
-		// fields in them are stale, but views never read forces.
-		x.exchange = appendFrameTeam(target[:0], x.frame, x.teamData)
-		return
+		target = appendFrame(target, x.frame)
 	}
-	x.exchange = phys.AppendSlice(target[:0], team)
+	x.exchange = phys.AppendSlice(target, team)
 }
 
 func (x *encodedXfer) view() (int, []phys.Particle) {
@@ -250,10 +217,10 @@ func (x *encodedXfer) shift(rc *comm.Comm, to, from, tag int) {
 	x.exchange = rc.Sendrecv(to, x.exchange, from, tag)
 }
 
-func (x *encodedXfer) reduceForces(tc *comm.Comm, team []phys.Particle) []float64 {
+func (x *encodedXfer) allreduceForces(tc *comm.Comm, team []phys.Particle) []float64 {
 	x.nviews = 0
 	x.forces = flattenForcesInto(x.forces[:0], team)
-	return tc.ReduceF64s(0, x.forces)
+	return tc.AllreduceF64sEncoded(x.forces)
 }
 
 func (x *encodedXfer) sendParticles(lc *comm.Comm, to, tag int, ps []phys.Particle) {
@@ -268,15 +235,10 @@ func (x *encodedXfer) sendrecvParticles(lc *comm.Comm, to int, ps []phys.Particl
 	return decodeInto(nil, lc.Sendrecv(to, phys.EncodeSlice(ps), from, tag))
 }
 
-// appendFrameTeam appends the encoded particle payload, prefixed with
-// its source team, to dst, reusing its capacity; the timestep loop
-// passes a retained exchange buffer as dst[:0] so the steady-state frame
-// allocates nothing.
-func appendFrameTeam(dst []byte, team int, body []byte) []byte {
-	var hdr [4]byte
-	binary.LittleEndian.PutUint32(hdr[:], uint32(team))
-	dst = append(dst, hdr[:]...)
-	return append(dst, body...)
+// appendFrame appends the source-team header of a framed exchange
+// payload to dst; the encoded particles follow it.
+func appendFrame(dst []byte, team int) []byte {
+	return binary.LittleEndian.AppendUint32(dst, uint32(team))
 }
 
 func unframeTeam(b []byte) (int, []byte) {

@@ -2,7 +2,7 @@
 // interconnect with dimension-ordered routing, per-link FIFO contention
 // and store-and-forward message transfer. It replays the timestep the
 // communication-avoiding all-pairs algorithm runs — internal/core's Plan:
-// broadcast, skew, shift rounds, reduce — message by message against a
+// skew, shift rounds, the force allreduce — message by message against a
 // machine description, producing a makespan and per-phase breakdown that
 // cross-validate the closed-form analytic model in internal/model: the
 // model prices messages independently, the simulator exposes the
@@ -80,9 +80,6 @@ func NewSim(mach machine.Machine, p int) *Sim {
 	}
 }
 
-// Ranks returns the number of simulated ranks.
-func (s *Sim) Ranks() int { return len(s.clock) }
-
 // Compute advances rank's clock by seconds of local work.
 func (s *Sim) Compute(rank int, seconds float64) { s.clock[rank] += seconds }
 
@@ -114,63 +111,6 @@ func (s *Sim) Round(msgs []Message) {
 		if a.at > s.clock[a.dst] {
 			s.clock[a.dst] = a.at
 		}
-	}
-}
-
-// Bcast executes a broadcast of bytes from ranks[0] down the binomial
-// tree over ranks (topo.BinomialParent), including the collective
-// software penalty. It runs top-down as the runtime does: a member
-// forwards once it has the data, to its largest subtree first.
-func (s *Sim) Bcast(ranks []int, bytes int) {
-	n := len(ranks)
-	if n <= 1 {
-		return
-	}
-	for vr := 0; vr < n; vr++ {
-		for k := topo.BinomialChildren(vr, n) - 1; k >= 0; k-- {
-			s.treeHop(ranks[vr], ranks[vr+1<<k], bytes)
-		}
-	}
-	s.collectivePenalty(ranks)
-}
-
-// Reduce executes a reduction of bytes up the binomial tree over ranks
-// toward ranks[0]. It runs leaves first as the runtime does: a member
-// sends to its parent once it has folded its children, nearest first,
-// one at a time — taking the next costs it what a send costs a sender —
-// so a reduction and a broadcast over the same members cost the same.
-func (s *Sim) Reduce(ranks []int, bytes int) {
-	n := len(ranks)
-	if n <= 1 {
-		return
-	}
-	for vr := n - 1; vr >= 0; vr-- {
-		for k, kids := 0, topo.BinomialChildren(vr, n); k < kids; k++ {
-			if k > 0 {
-				s.clock[ranks[vr]] += s.net.mach.CollAlpha + s.net.mach.Alpha
-			}
-			s.treeHop(ranks[vr+1<<k], ranks[vr], bytes)
-		}
-	}
-	s.collectivePenalty(ranks)
-}
-
-// treeHop is one message of a collective: the sender pays its
-// collective overhead before the transfer and alpha after it, the
-// receiver waits for the arrival.
-func (s *Sim) treeHop(src, dst, bytes int) {
-	depart := s.clock[src] + s.net.mach.CollAlpha
-	at := s.net.Transfer(depart, src, dst, bytes)
-	s.clock[src] = depart + s.net.mach.Alpha
-	s.clock[dst] = max(s.clock[dst], at)
-}
-
-// collectivePenalty charges every member half the machine's collective
-// software penalty (a broadcast and a reduction make the whole).
-func (s *Sim) collectivePenalty(ranks []int) {
-	pen := s.net.mach.CollectivePenalty(len(ranks), s.Ranks()) / 2
-	for _, r := range ranks {
-		s.clock[r] += pen
 	}
 }
 

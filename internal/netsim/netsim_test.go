@@ -1,11 +1,14 @@
 package netsim
 
 import (
-	"math"
+	"slices"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/machine"
 	"repro/internal/model"
+	"repro/internal/phys"
+	"repro/internal/trace"
 )
 
 func TestTransferBasics(t *testing.T) {
@@ -49,36 +52,56 @@ func TestRoundAdvancesReceivers(t *testing.T) {
 	}
 }
 
-// TestBcastReduceCriticalPath: run in the runtime's order — broadcast
-// top-down, reduction leaves first — the two cost the same over the same
-// members, and each doubling adds about one two-member stage.
-func TestBcastReduceCriticalPath(t *testing.T) {
-	mach := machine.Generic()
-	cost := func(members int, op func(*Sim, []int, int)) float64 {
-		s := NewSim(mach, 64)
-		ranks := make([]int, members)
-		for i := range ranks {
-			ranks[i] = i
+// TestAllreduceRounds: the replay's allreduce takes its rounds from the
+// plan's own messages. A power-of-two team's are its doubling rounds —
+// in round j every rank exchanges with the member whose team index
+// differs in bit j — and a team of three reduces to its leader in one
+// round and broadcasts the total from it in the next.
+func TestAllreduceRounds(t *testing.T) {
+	plan := func(p, c int) *core.Plan {
+		box := phys.NewBox(16, 2, phys.Reflective)
+		s, err := core.NewAllPairs(phys.InitLattice(4*p, box, 1), core.Params{P: p, C: c, Law: phys.DefaultLaw(), Box: box, DT: 1e-3})
+		if err != nil {
+			t.Fatal(err)
 		}
-		op(s, ranks, 1000)
-		return makespan(s)
+		pl, err := s.Plan()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return pl
 	}
-	stage := cost(2, (*Sim).Bcast)
-	for _, n := range []int{2, 3, 4, 8, 16} {
-		b, r := cost(n, (*Sim).Bcast), cost(n, (*Sim).Reduce)
-		if math.Abs(b/r-1) > 0.01 {
-			t.Errorf("%d members: broadcast %.3g s, reduction %.3g s, want equal within 1%%", n, b, r)
-		}
-		if grew := (b - cost(n/2, (*Sim).Bcast)) / stage; n > 2 && n&(n-1) == 0 && (grew < 0.75 || grew > 1.25) {
-			t.Errorf("%d members: the broadcast grew by %.2f stages over %d, want about one", n, grew, n/2)
+	pl := plan(64, 8)
+	member := map[int][2]int{} // world rank -> (team, index in it)
+	for k, team := range pl.Teams {
+		for i, r := range team {
+			member[r] = [2]int{k, i}
 		}
 	}
-	// A degenerate single-member collective costs nothing.
-	s2 := NewSim(mach, 8)
-	s2.Bcast([]int{3}, 1000)
-	s2.Reduce([]int{3}, 1000)
-	if makespan(s2) != 0 {
-		t.Error("single-member collectives should be free")
+	rounds := causalRounds(pl, trace.Reduce)
+	if len(rounds) != 3 {
+		t.Fatalf("c=8: %d rounds, want log₂ 8 = 3", len(rounds))
+	}
+	for j, msgs := range rounds {
+		if len(msgs) != 64 {
+			t.Errorf("c=8 round %d: %d messages, want one from each of the 64 ranks", j, len(msgs))
+		}
+		for _, m := range msgs {
+			src, dst := member[m.Src], member[m.Dst]
+			if src[0] != dst[0] || src[1]^dst[1] != 1<<j {
+				t.Errorf("c=8 round %d: rank %d (team %d, index %d) sends to rank %d (team %d, index %d)", j, m.Src, src[0], src[1], m.Dst, dst[0], dst[1])
+			}
+		}
+	}
+	pl = plan(9, 3)
+	rounds = causalRounds(pl, trace.Reduce)
+	var perRound []int
+	for _, msgs := range rounds {
+		perRound = append(perRound, len(msgs))
+	}
+	// Round 0: both non-leaders of each of the 3 teams send to their
+	// leader; round 1: each leader sends the total to both.
+	if !slices.Equal(perRound, []int{6, 6}) {
+		t.Errorf("c=3: messages per round %v, want [6 6]", perRound)
 	}
 }
 
@@ -119,7 +142,7 @@ func TestAllPairsStepAgainstModel(t *testing.T) {
 // TestCommWithinModel holds `nbody validate`'s netsim-vs-model gate at its
 // default configuration (Generic machine, p = 64, n = 512): the replayed
 // communication time stays within a factor of two of the analytic
-// model's for every c. Measured ratios are 0.74, 1.21, 1.00 and 1.71.
+// model's for every c. Measured ratios are 0.74, 1.00, 0.81 and 1.19.
 func TestCommWithinModel(t *testing.T) {
 	mach := machine.Generic()
 	const p, n = 64, 512

@@ -1,6 +1,8 @@
 package netsim
 
 import (
+	"slices"
+
 	"repro/internal/core"
 	"repro/internal/machine"
 	"repro/internal/model"
@@ -27,30 +29,15 @@ func AllPairsStep(mach machine.Machine, p, n, c int) (model.Breakdown, error) {
 
 // replay executes one timestep of plan over n particles on s, a fresh
 // simulator of the plan's ranks, charging every message the bytes the
-// plan records: the team broadcasts; one round per ring position —
-// every rank's move to it in world-rank order, the first round the
-// skew, the others shifts — each followed by the compute of the ranks
-// that visit a block there; and the team reductions.
+// plan records: one round per ring position — every rank's move to it
+// in world-rank order, the first round the skew, the others shifts —
+// each followed by the compute of the ranks that visit a block there;
+// then the force allreduce, a round per level of its messages
+// (causalRounds): one per doubling exchange on a power-of-two team.
 func replay(s *Sim, plan *core.Plan, n int) model.Breakdown {
 	mach := s.net.mach
 	npt := float64(n) / float64(len(plan.Teams))
 	perSlotWork := npt * npt * mach.InteractionTime
-
-	// Every message of a team's broadcast or reduction carries the
-	// payload of the first one its leader sends or receives.
-	collective := func(name string, ph trace.Phase, op func([]int, int)) {
-		s.Mark()
-		for _, team := range plan.Teams {
-			for _, o := range plan.Ranks[team[0]] {
-				if o.Phase == ph {
-					op(team, max(o.Bytes, o.RecvBytes))
-					break
-				}
-			}
-		}
-		s.ClosePhase(name)
-	}
-	collective("bcast", trace.Broadcast, s.Bcast)
 
 	// A skew is round 0; a shift belongs to the position of the visit
 	// that follows it.
@@ -95,14 +82,65 @@ func replay(s *Sim, plan *core.Plan, n int) model.Breakdown {
 		}
 	}
 
-	collective("reduce", trace.Reduce, s.Reduce)
+	s.Mark()
+	for _, msgs := range causalRounds(plan, trace.Reduce) {
+		s.Round(msgs)
+	}
+	s.ClosePhase("reduce")
 
 	return model.Breakdown{
 		// The busiest rank's compute.
 		Compute: float64(maxComputes) * perSlotWork,
-		Bcast:   s.Phase("bcast"),
 		Skew:    s.Phase("skew"),
 		Shift:   s.Phase("shift"),
 		Reduce:  s.Phase("reduce"),
 	}
+}
+
+// causalRounds groups the messages the plan's ranks send in phase ph
+// into rounds by causal depth: a message goes in the round after the
+// latest round of the messages its sender received before sending it,
+// round 0 if none. An exchange (core.OpSendrecv) sends before it
+// receives, so round j of recursive doubling is every rank's j-th
+// exchange; a tree's message waits for those of the subtree below it.
+// Within a round, messages are in world-rank order of their senders.
+func causalRounds(plan *core.Plan, ph trace.Phase) [][]Message {
+	queued := map[[2]int][]int{} // rounds of the messages sent, not yet received, by (src, dst)
+	at := make([]int, len(plan.Ranks))
+	round := make([]int, len(plan.Ranks)) // of each rank's next send
+	sent := make([]bool, len(plan.Ranks)) // the send half of op at is done
+	var rounds [][]Message
+	for progress := true; progress; {
+		progress = false
+		for r, ops := range plan.Ranks {
+			for ; at[r] < len(ops); at[r]++ {
+				o := ops[at[r]]
+				if o.Phase != ph {
+					continue
+				}
+				if o.To >= 0 && !sent[r] {
+					for len(rounds) <= round[r] {
+						rounds = append(rounds, nil)
+					}
+					rounds[round[r]] = append(rounds[round[r]], Message{Src: r, Dst: o.To, Bytes: o.Bytes})
+					queued[[2]int{r, o.To}] = append(queued[[2]int{r, o.To}], round[r])
+					sent[r], progress = true, true
+				}
+				if o.From >= 0 {
+					q := queued[[2]int{o.From, r}]
+					if len(q) == 0 {
+						break // the message is not sent yet
+					}
+					round[r] = max(round[r], q[0]+1)
+					queued[[2]int{o.From, r}] = q[1:]
+					progress = true
+				}
+				sent[r] = false
+			}
+		}
+	}
+	for _, msgs := range rounds {
+		slices.SortStableFunc(msgs, func(a, b Message) int { return a.Src - b.Src })
+	}
+	return rounds
 }
