@@ -115,11 +115,13 @@ obsdebug:
 # (asserted by TestDisabledPathAllocs) and the benchmark must run clean;
 # so must the socket mesh's ping-pong and burst benchmarks, over unix
 # sockets and TCP loopback, the in-process ring shift of 64 ranks on
-# 2 Ps, which prices the message of a hop alone, and the all-pairs
-# timestep of the same 64 ranks with 8-particle blocks, which prices the
-# hop whole (a hang or a failed send shows here; their timings mean
-# nothing at 100 iterations — for the per-hop and per-step cost run the
-# last two at -benchtime 20000x). A rank's tally count of a send and a
+# 2 Ps, which prices the message of a hop alone, the force allreduce of
+# a team (recursive doubling at c = 4, reduce and broadcast at c = 3),
+# the step's one team collective, and the all-pairs timestep of the
+# same 64 ranks with 8-particle blocks, which prices the hop whole (a
+# hang or a failed send shows here; their timings mean nothing at 100
+# iterations — for the per-hop and per-step cost run the ring shift and
+# the timestep at -benchtime 20000x). A rank's tally count of a send and a
 # receive, with its share of the per-step publish into the one shared
 # matrix and counters, every P a distinct rank, is what an observed run
 # adds to each message (a layer number: run it at the default -benchtime
@@ -130,6 +132,7 @@ benchguard:
 	$(GO) test -run NONE -bench BenchmarkObservedMessage -benchtime 100000x ./internal/comm/
 	$(GO) test -run NONE -bench BenchmarkMesh -benchtime 100x ./internal/comm/net/
 	$(GO) test -run NONE -bench BenchmarkRingShiftOversubscribed -benchtime 100x ./internal/comm/
+	$(GO) test -run NONE -bench BenchmarkAllreduceF64s -benchtime 100x ./internal/comm/
 	$(GO) test -run NONE -bench BenchmarkShiftLoopSmallBlocks -benchtime 100x ./internal/core/
 
 # Multi-process transport gate: run each timestep loop once in-process

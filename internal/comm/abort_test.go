@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/leakcheck"
 	"repro/internal/obs"
+	"repro/internal/phys"
 	"repro/internal/trace"
 )
 
@@ -82,10 +83,11 @@ var blockedCases = []blockedCase{
 	{"Recv", 1, func(c *Comm, dies int) {
 		c.Recv(dies, 0)
 	}},
+	// The Sendrecv cases exchange with SendrecvParticles.
 	{"Sendrecv/recv-half", 1, func(c *Comm, dies int) {
 		// The send finds room (or, unbuffered, waits beside the receive);
 		// the receive never completes.
-		c.Sendrecv(dies, []byte{1}, dies, 0)
+		c.SendrecvParticles(dies, make([]phys.Particle, 1), dies, 0)
 	}},
 	{"Sendrecv/send-half", 1, func(c *Comm, dies int) {
 		// Rank 0's receive completes, its send into a mailbox nobody
@@ -95,9 +97,9 @@ var blockedCases = []blockedCase{
 			for i := 0; i < c.sendLink(dies).s.capacity(); i++ {
 				c.Send(dies, 0, []byte{0})
 			}
-			c.Sendrecv(dies, []byte{1}, 2, 0)
+			c.SendrecvParticles(dies, make([]phys.Particle, 1), 2, 0)
 		case 2:
-			c.Send(0, 0, []byte{2})
+			c.SendParticles(0, 0, make([]phys.Particle, 1))
 			c.Recv(dies, 0)
 		default:
 			c.Recv(dies, 0)

@@ -5,23 +5,8 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/obs"
 	"repro/internal/topo"
 )
-
-// Bcast distributes root's data to every rank of the communicator and
-// returns it, down the binomial tree of topo.BinomialParent (⌈log₂ n⌉
-// stages). Non-root ranks pass nil.
-func (c *Comm) Bcast(root int, data []byte) []byte {
-	c.checkPeer(root)
-	if c.Size() == 1 {
-		return data
-	}
-	t0 := c.tr.Now()
-	out := c.fanOut(root, TagBcast, data)
-	c.tr.Collective(obs.KindBcast, t0, len(out))
-	return out
-}
 
 // virtual returns the caller's virtual rank in the tree rooted at root.
 func (c *Comm) virtual(root int) int { return (c.rank - root + c.Size()) % c.Size() }
@@ -30,7 +15,7 @@ func (c *Comm) virtual(root int) int { return (c.rank - root + c.Size()) % c.Siz
 // rooted at root.
 func (c *Comm) actual(root, vr int) int { return (vr + root) % c.Size() }
 
-// fanOut is the tree broadcast under Bcast and Barrier.
+// fanOut is the tree broadcast under Barrier.
 func (c *Comm) fanOut(root, tag int, data []byte) []byte {
 	vr := c.virtual(root)
 	if vr != 0 {
@@ -42,9 +27,8 @@ func (c *Comm) fanOut(root, tag int, data []byte) []byte {
 	return data
 }
 
-// fanInCombine is the tree reduction under ReduceF64s and Barrier:
-// combine merges a child's payload into the accumulator and must be
-// associative. The reduced payload is returned at the root; other ranks
+// fanInCombine is the tree reduction under Barrier: combine merges a
+// child's payload into the accumulator and must be associative. The reduced payload is returned at the root; other ranks
 // return nil.
 func (c *Comm) fanInCombine(root, tag int, data []byte, combine func(acc, child []byte) []byte) []byte {
 	vr := c.virtual(root)
@@ -58,58 +42,6 @@ func (c *Comm) fanInCombine(root, tag int, data []byte, combine func(acc, child 
 	return data
 }
 
-// ReduceF64s element-wise sums vals across all ranks up the binomial
-// tree, leaving the result at root (other ranks get nil). All ranks must
-// pass slices of equal length. The combination order is fixed by the
-// communicator's size, so runs are bit-reproducible.
-func (c *Comm) ReduceF64s(root int, vals []float64) []float64 {
-	c.checkPeer(root)
-	if c.Size() == 1 {
-		return vals
-	}
-	t0 := c.tr.Now()
-	out := c.fanInCombine(root, TagReduce, F64sToBytes(vals), func(acc, child []byte) []byte {
-		a := BytesToF64s(acc)
-		addF64s(a, BytesToF64s(child))
-		return F64sToBytes(a)
-	})
-	c.tr.Collective(obs.KindReduce, t0, 8*len(vals))
-	return BytesToF64s(out)
-}
-
-// AllreduceF64sEncoded is AllreduceF64s on the encoded path: the same
-// exchanges or tree, the same combination order and the same wire
-// bytes, each payload serialized and decoded into fresh memory, so it
-// lends nothing.
-func (c *Comm) AllreduceF64sEncoded(vals []float64) []float64 {
-	n := c.Size()
-	if n == 1 {
-		return vals
-	}
-	if n&(n-1) != 0 {
-		var total []byte
-		if red := c.ReduceF64s(0, vals); c.rank == 0 {
-			total = F64sToBytes(red)
-		}
-		return BytesToF64s(c.Bcast(0, total))
-	}
-	t0 := c.tr.Now()
-	cur := vals
-	for j := 1; j < n; j <<= 1 {
-		partner := c.rank ^ j
-		theirs := BytesToF64s(c.Sendrecv(partner, F64sToBytes(cur), partner, TagReduce))
-		out := make([]float64, len(vals))
-		if c.rank&j == 0 {
-			sumF64s(out, cur, theirs)
-		} else {
-			sumF64s(out, theirs, cur)
-		}
-		cur = out
-	}
-	c.tr.Collective(obs.KindReduce, t0, 8*len(vals))
-	return cur
-}
-
 func addF64s(dst, src []float64) {
 	if len(dst) != len(src) {
 		panic(fmt.Sprintf("comm: reduce length mismatch %d vs %d", len(dst), len(src)))
@@ -119,33 +51,13 @@ func addF64s(dst, src []float64) {
 	}
 }
 
-// F64sToBytes serializes a float64 slice little-endian. A nil slice
-// serializes to nil.
-func F64sToBytes(vals []float64) []byte {
-	if vals == nil {
-		return nil
-	}
-	return appendF64s(make([]byte, 0, 8*len(vals)), vals)
-}
-
-// appendF64s appends vals to dst in the F64sToBytes encoding.
+// appendF64s appends vals to dst little-endian, the wire encoding of
+// a float64 payload.
 func appendF64s(dst []byte, vals []float64) []byte {
 	for _, v := range vals {
 		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
 	}
 	return dst
-}
-
-// BytesToF64s deserializes a slice produced by F64sToBytes. It panics on
-// lengths that are not a multiple of 8.
-func BytesToF64s(b []byte) []float64 {
-	if b == nil {
-		return nil
-	}
-	if len(b)%8 != 0 {
-		panic(fmt.Sprintf("comm: float payload of %d bytes", len(b)))
-	}
-	return decodeF64sInto(nil, b)
 }
 
 // decodeF64sInto deserializes b, whose length must be a multiple of 8,

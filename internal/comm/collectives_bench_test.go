@@ -1,48 +1,29 @@
 package comm
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
-func benchmarkCollective(b *testing.B, p int, body func(c *Comm)) {
-	b.Helper()
-	for i := 0; i < b.N; i++ {
-		if _, err := Run(p, Options{}, func(c *Comm) error {
-			body(c)
-			return nil
-		}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkBcast(b *testing.B) {
-	payload := make([]byte, 4096)
-	benchmarkCollective(b, 32, func(c *Comm) {
-		var data []byte
-		if c.Rank() == 0 {
-			data = payload
-		}
-		c.Bcast(0, data)
-	})
-}
-
-func BenchmarkReduce(b *testing.B) {
-	vals := make([]float64, 512)
-	benchmarkCollective(b, 32, func(c *Comm) {
-		c.ReduceF64s(0, vals)
-	})
-}
-
-func BenchmarkSendrecvRing(b *testing.B) {
-	payload := make([]byte, 4096)
-	for i := 0; i < b.N; i++ {
-		if _, err := Run(64, Options{}, func(c *Comm) error {
-			data := payload
-			for s := 0; s < 8; s++ {
-				data = c.Sendrecv((c.Rank()+1)%64, data, (c.Rank()+63)%64, s)
+// BenchmarkAllreduceF64s is the step's one team collective on its own:
+// every member of a team sums a 16-float force payload (an 8-particle
+// block, ap-latency's) with AllreduceF64s — recursive doubling on the
+// power-of-two team, the tree's reduce and broadcast of the total at
+// c = 3. One iteration is one allreduce of the whole team; the caller's
+// two buffers alternate, as the loan asks.
+func BenchmarkAllreduceF64s(b *testing.B) {
+	for _, c := range []int{4, 3} {
+		b.Run(fmt.Sprintf("c=%d", c), func(b *testing.B) {
+			b.ReportAllocs()
+			if _, err := Run(c, Options{}, func(cm *Comm) error {
+				bufs := [2][]float64{make([]float64, 16), make([]float64, 16)}
+				for i := 0; i < b.N; i++ {
+					cm.AllreduceF64s(bufs[i%2])
+				}
+				return nil
+			}); err != nil {
+				b.Fatal(err)
 			}
-			return nil
-		}); err != nil {
-			b.Fatal(err)
-		}
+		})
 	}
 }

@@ -237,7 +237,7 @@ func (c *Comm) finishRecv(m *message, from, tag int, t0 int64) {
 
 // Payload accessors: the algorithms in this repository are
 // deterministic, so a receive finding the wrong payload representation
-// indicates a schedule bug mixing the typed and encoded transports and
+// (bytes where particles were due, say) indicates a schedule bug and
 // panics rather than silently converting.
 
 func (m *message) bytesPayload(c *Comm) []byte {
@@ -268,22 +268,8 @@ func (m *message) f64sPayload(c *Comm) []float64 {
 	return payload[float64](m)
 }
 
-// Sendrecv sends data to rank `to` and receives a payload from rank
-// `from` under the same tag, without deadlocking when all ranks of a ring
-// call it simultaneously. This is the primitive behind the skew and shift
-// steps of the communication-avoiding algorithms.
-func (c *Comm) Sendrecv(to int, data []byte, from, tag int) []byte {
-	if to == c.rank && from == c.rank {
-		// Degenerate single-rank ring: the shift is the identity.
-		return data
-	}
-	m := bytesMsg(data)
-	c.sendrecvMsg(to, tag, &m, from)
-	return m.bytesPayload(c)
-}
-
-// sendrecvMsg is the shared exchange under Sendrecv and its typed
-// variants: it sends *m to `to` and takes the message from `from` into
+// sendrecvMsg is the shared exchange under the typed sendrecv calls and
+// AllreduceF64s: it sends *m to `to` and takes the message from `from` into
 // *m. When neither half can complete at once, the two are offered
 // together — both mailboxes' bells in one select — so a ring of ranks
 // exchanging at once cannot deadlock on any mailbox capacity, rendezvous

@@ -3,11 +3,13 @@ package comm
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 	"testing/quick"
 	"time"
 
+	"repro/internal/phys"
 	"repro/internal/trace"
 )
 
@@ -31,16 +33,16 @@ func TestSendRecvBasic(t *testing.T) {
 func TestSendrecvRingNoDeadlock(t *testing.T) {
 	const p = 64
 	_, err := Run(p, Options{}, func(c *Comm) error {
-		payload := []byte{byte(c.Rank())}
+		payload := []phys.Particle{{ID: uint32(c.Rank())}}
 		for step := 0; step < 10; step++ {
 			to := (c.Rank() + 1) % p
 			from := (c.Rank() - 1 + p) % p
-			payload = c.Sendrecv(to, payload, from, step)
+			payload = c.SendrecvParticles(to, payload, from, step)
 		}
 		// After 10 steps each payload has travelled 10 ranks.
-		want := byte((c.Rank() - 10 + p) % p)
-		if payload[0] != want {
-			return fmt.Errorf("rank %d: payload from %d, want %d", c.Rank(), payload[0], want)
+		want := uint32((c.Rank() - 10 + p) % p)
+		if payload[0].ID != want {
+			return fmt.Errorf("rank %d: payload from %d, want %d", c.Rank(), payload[0].ID, want)
 		}
 		return nil
 	})
@@ -100,8 +102,9 @@ func TestPanicIsReported(t *testing.T) {
 	}
 }
 
-// The tree/ level of the Bcast and Reduce subtests names the
-// collectives' algorithm, the binomial tree.
+// The tree/ level of the broadcast and reduce subtests names the
+// collectives' algorithm, the binomial tree. BcastParticles and
+// ReduceF64sInPlace are the collectives.
 func TestBcastAllAlgorithmsAllRootsAllSizes(t *testing.T) {
 	for _, p := range []int{1, 2, 3, 5, 8, 16} {
 		for root := 0; root < p; root += 3 {
@@ -109,12 +112,12 @@ func TestBcastAllAlgorithmsAllRootsAllSizes(t *testing.T) {
 			t.Run(fmt.Sprintf("tree/p=%d/root=%d", p, root), func(t *testing.T) {
 				t.Parallel()
 				_, err := Run(p, Options{}, func(c *Comm) error {
-					var data []byte
+					var data []phys.Particle
 					if c.Rank() == root {
-						data = []byte{1, 2, 3, byte(root)}
+						data = []phys.Particle{{ID: 1}, {ID: 2}, {ID: 3}, {ID: uint32(root)}}
 					}
-					got := c.Bcast(root, data)
-					if len(got) != 4 || got[3] != byte(root) {
+					got := c.BcastParticles(root, data, nil)
+					if len(got) != 4 || got[3].ID != uint32(root) {
 						return fmt.Errorf("rank %d got %v", c.Rank(), got)
 					}
 					return nil
@@ -135,7 +138,7 @@ func TestReduceAllAlgorithms(t *testing.T) {
 			root := p / 2
 			_, err := Run(p, Options{}, func(c *Comm) error {
 				vals := []float64{float64(c.Rank()), 1}
-				got := c.ReduceF64s(root, vals)
+				got := c.ReduceF64sInPlace(root, vals)
 				if c.Rank() != root {
 					if got != nil {
 						return fmt.Errorf("non-root got %v", got)
@@ -245,9 +248,9 @@ func TestSubOfSubTranslates(t *testing.T) {
 		if want := 1 - evens.Rank()/2; pair.Size() != 2 || pair.Rank() != want || pair.group[pair.rank] != c.Rank() {
 			return fmt.Errorf("world rank %d: pair size %d rank %d world rank %d", c.Rank(), pair.Size(), pair.Rank(), pair.group[pair.rank])
 		}
-		got := pair.Sendrecv(1-pair.Rank(), []byte{byte(c.Rank())}, 1-pair.Rank(), 7)
-		if want := byte(8 - c.Rank()); len(got) != 1 || got[0] != want {
-			return fmt.Errorf("world rank %d received %v from its peer, want [%d]", c.Rank(), got, want)
+		got := pair.SendrecvParticles(1-pair.Rank(), []phys.Particle{{ID: uint32(c.Rank())}}, 1-pair.Rank(), 7)
+		if want := uint32(8 - c.Rank()); len(got) != 1 || got[0].ID != want {
+			return fmt.Errorf("world rank %d received %v from its peer, want ID %d", c.Rank(), got, want)
 		}
 		return nil
 	})
@@ -278,20 +281,19 @@ func TestStatsCountMessages(t *testing.T) {
 	}
 }
 
+// TestF64sCodecRoundTrip: the float64 wire codec of the socket mesh
+// (appendF64s, decodeF64sInto) gives back every value bit for bit, NaN
+// payloads included, in 8 bytes a value.
 func TestF64sCodecRoundTrip(t *testing.T) {
 	prop := func(vals []float64) bool {
-		got := BytesToF64s(F64sToBytes(vals))
-		if len(got) != len(vals) {
+		b := appendF64s(nil, vals)
+		got := decodeF64sInto(make([]float64, 0, len(vals)), b)
+		if len(b) != 8*len(vals) || len(got) != len(vals) {
 			return false
 		}
 		for i := range vals {
-			// Bitwise comparison (NaN-safe).
-			a := F64sToBytes(vals[i : i+1])
-			b := F64sToBytes(got[i : i+1])
-			for j := range a {
-				if a[j] != b[j] {
-					return false
-				}
+			if math.Float64bits(got[i]) != math.Float64bits(vals[i]) {
+				return false
 			}
 		}
 		return true
@@ -299,8 +301,8 @@ func TestF64sCodecRoundTrip(t *testing.T) {
 	if err := quick.Check(prop, nil); err != nil {
 		t.Error(err)
 	}
-	if BytesToF64s(nil) != nil {
-		t.Error("nil should round-trip to nil")
+	if got := decodeF64sInto(nil, nil); len(got) != 0 {
+		t.Errorf("an empty payload decoded to %v", got)
 	}
 }
 

@@ -75,12 +75,12 @@ func TestPanicMidRingAbortsPromptly(t *testing.T) {
 			finished := make(chan error, 1)
 			go func() {
 				_, err := Run(p, Options{MailboxCap: boxCap}, func(c *Comm) error {
-					payload := []byte{byte(c.Rank())}
+					payload := []phys.Particle{{ID: uint32(c.Rank())}}
 					for step := 0; ; step++ {
 						if c.Rank() == dies && step == after {
 							panic("injected mid-ring failure")
 						}
-						payload = c.Sendrecv((c.Rank()+1)%p, payload, (c.Rank()+p-1)%p, step)
+						payload = c.SendrecvParticles((c.Rank()+1)%p, payload, (c.Rank()+p-1)%p, step)
 					}
 				})
 				finished <- err

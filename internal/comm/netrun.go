@@ -22,7 +22,7 @@ package comm
 // state, a remote message allocates nothing on either side.
 //
 // Accounting fidelity: the socket path charges exactly the bytes the
-// in-process transports charge. Typed payloads are encoded with the
+// in-process transport charges. Typed payloads are encoded with the
 // same codec whose size the typed path accounts (phys.WireBytes,
 // 8 bytes per float64, the 4-byte team frame), and the receiving side
 // reconstructs message.wire from the payload length by the same

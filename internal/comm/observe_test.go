@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/phys"
 	"repro/internal/trace"
 )
 
@@ -19,13 +20,17 @@ func TestObservedRunRecordsEvents(t *testing.T) {
 		c.Stats().StartTiming()
 		defer c.Stats().StopTiming()
 		c.Stats().SetPhase(trace.Broadcast)
-		data := c.Bcast(0, []byte("payload"))
+		var lead []phys.Particle
+		if c.Rank() == 0 {
+			lead = testParticles(3, 1)
+		}
+		data := c.BcastParticles(0, lead, nil)
 		c.Stats().SetPhase(trace.Shift)
 		next := (c.Rank() + 1) % c.Size()
 		prev := (c.Rank() - 1 + c.Size()) % c.Size()
-		c.Sendrecv(next, data, prev, 5)
+		c.SendrecvParticles(next, data, prev, 5)
 		c.Stats().SetPhase(trace.Reduce)
-		c.ReduceF64s(0, []float64{1, 2})
+		c.ReduceF64sInPlace(0, []float64{1, 2})
 		c.Barrier()
 		c.Stats().SetPhase(trace.Other)
 		return nil
@@ -84,16 +89,19 @@ func TestTimelinePhaseTotalsMatchReport(t *testing.T) {
 		defer c.Stats().StopTiming()
 		for step := 0; step < 3; step++ {
 			c.Stats().SetPhase(trace.Broadcast)
-			payload := make([]byte, 1<<12)
-			c.Bcast(0, payload)
+			var lead []phys.Particle
+			if c.Rank() == 0 {
+				lead = make([]phys.Particle, 64)
+			}
+			payload := c.BcastParticles(0, lead, nil)
 			c.Stats().SetPhase(trace.Compute)
 			busySpin(2 * time.Millisecond)
 			c.Stats().SetPhase(trace.Shift)
 			next := (c.Rank() + 1) % c.Size()
 			prev := (c.Rank() - 1 + c.Size()) % c.Size()
-			c.Sendrecv(next, payload, prev, step)
+			c.SendrecvParticles(next, payload, prev, step)
 			c.Stats().SetPhase(trace.Reduce)
-			c.ReduceF64s(0, []float64{float64(step)})
+			c.ReduceF64sInPlace(0, []float64{float64(step)})
 			c.Stats().SetPhase(trace.Other)
 		}
 		return nil

@@ -42,9 +42,9 @@ import (
 )
 
 // payloadKind tags the representation a message's payload travels in.
-// Byte payloads are the encoded wire format; the typed kinds move Go
-// slices by reference (zero copy) and are accounted at the byte size the
-// wire format would have had, so both transports measure identical S/W.
+// Byte payloads are raw bytes; the typed kinds move Go slices by
+// reference (zero copy) and are accounted at the byte size of their wire
+// format, so the in-process and socket transports measure identical S/W.
 type payloadKind uint8
 
 // A message crosses a socket mesh as a frame of its own kind, so the
@@ -136,8 +136,9 @@ func payload[T any](m *message) []T {
 
 // wire is the byte size charged to the trace phase and obs instruments:
 // for byte payloads their length, for typed payloads the size the
-// encoded wire format would occupy — so both transports, and the socket
-// path that decodes a frame back into a message, measure identical S/W.
+// encoded wire format would occupy — so the in-process transport and the
+// socket path that decodes a frame back into a message measure
+// identical S/W.
 func (m *message) wire() int {
 	switch m.kind {
 	case payloadParticles:
@@ -159,9 +160,9 @@ func ParticlesWire(n int) int     { return (&message{kind: payloadParticles, n: 
 func TeamParticlesWire(n int) int { return (&message{kind: payloadTeamParticles, n: n}).wire() }
 func F64sWire(n int) int          { return (&message{kind: payloadF64s, n: n}).wire() }
 
-// frameBytes is the wire size of the source-team frame a
-// payloadTeamParticles message carries (mirrors appendFrame's header
-// in internal/core).
+// frameBytes is the wire size charged for the source-team id a
+// payloadTeamParticles message carries: a uint32, which a socket frame
+// holds in its Hdr field.
 const frameBytes = 4
 
 // mailboxCap is the default per-(src,dst) mailbox capacity. The

@@ -7,7 +7,7 @@ import (
 	"repro/internal/phys"
 )
 
-// TestSendrecvRingUnbuffered pins the Sendrecv deadlock fix: with
+// TestSendrecvRingUnbuffered pins the exchange's deadlock fix: with
 // unbuffered mailboxes a blocking send-then-recv ordering deadlocks as
 // soon as every rank of a ring calls it at once (each send waits for a
 // receiver that is itself stuck sending). The simultaneous-select
@@ -18,15 +18,15 @@ func TestSendrecvRingUnbuffered(t *testing.T) {
 		t.Run(fmt.Sprintf("p=%d", p), func(t *testing.T) {
 			t.Parallel()
 			_, err := Run(p, Options{MailboxCap: -1}, func(c *Comm) error {
-				payload := []byte{byte(c.Rank())}
+				payload := []phys.Particle{{ID: uint32(c.Rank())}}
 				for step := 0; step < 20; step++ {
 					to := (c.Rank() + 1) % p
 					from := (c.Rank() - 1 + p) % p
-					payload = c.Sendrecv(to, payload, from, step)
+					payload = c.SendrecvParticles(to, payload, from, step)
 				}
-				want := byte((c.Rank() - 20 + 20*p) % p)
-				if payload[0] != want {
-					return fmt.Errorf("rank %d: payload from %d, want %d", c.Rank(), payload[0], want)
+				want := uint32((c.Rank() - 20 + 20*p) % p)
+				if payload[0].ID != want {
+					return fmt.Errorf("rank %d: payload from %d, want %d", c.Rank(), payload[0].ID, want)
 				}
 				return nil
 			})
@@ -44,9 +44,9 @@ func TestSendrecvPairUnbuffered(t *testing.T) {
 	_, err := Run(2, Options{MailboxCap: -1}, func(c *Comm) error {
 		other := 1 - c.Rank()
 		for step := 0; step < 50; step++ {
-			got := c.Sendrecv(other, []byte{byte(c.Rank()), byte(step)}, other, step)
-			if got[0] != byte(other) || got[1] != byte(step) {
-				return fmt.Errorf("rank %d step %d: got % x", c.Rank(), step, got)
+			got := c.SendrecvParticles(other, []phys.Particle{{ID: uint32(c.Rank())}, {ID: uint32(step)}}, other, step)
+			if len(got) != 2 || got[0].ID != uint32(other) || got[1].ID != uint32(step) {
+				return fmt.Errorf("rank %d step %d: got %v", c.Rank(), step, got)
 			}
 		}
 		return nil
@@ -56,9 +56,9 @@ func TestSendrecvPairUnbuffered(t *testing.T) {
 	}
 }
 
-// TestSendrecvTypedUnbuffered exercises the typed Sendrecv variants over
-// unbuffered mailboxes — they share sendrecvMsg and must inherit the
-// same progress guarantee.
+// TestSendrecvTypedUnbuffered exercises both typed exchanges, plain and
+// framed, over unbuffered mailboxes — they share sendrecvMsg and must
+// inherit the same progress guarantee.
 func TestSendrecvTypedUnbuffered(t *testing.T) {
 	const p = 4
 	_, err := Run(p, Options{MailboxCap: -1}, func(c *Comm) error {

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/leakcheck"
 	"repro/internal/obs"
+	"repro/internal/phys"
 )
 
 // chaos returns a yield hook that calls runtime.Gosched at a seeded
@@ -36,7 +37,7 @@ var streamCaps = []int{-1, 1, 8}
 // a put and a get may yield the processor, which widens each window in
 // which a lost wake-up would strand a side — the test then hangs instead
 // of finishing. First a bare producer/consumer pair, with the producer
-// sometimes waiting on a full ring; then a 64-rank Sendrecv ring whose
+// sometimes waiting on a full ring; then a 64-rank SendrecvParticles ring whose
 // receivers check each payload's origin and, on the timeline, its
 // sequence number; then the same ring with a rank failing mid-stream,
 // which every other rank must unwind from.
@@ -127,13 +128,14 @@ func ringInOrder(t *testing.T, boxCap int, seed uint64) {
 		_, _, err := rt.Run(func(c *Comm) error {
 			r := c.Rank()
 			to, from := (r+1)%p, (r+p-1)%p
-			blk := []byte{byte(r), 0}
+			// A block is its origin rank and the step it was sent in.
+			blk := []phys.Particle{{ID: uint32(r)}, {ID: 0}}
 			for step := 0; step < steps; step++ {
-				blk = c.Sendrecv(to, blk, from, step)
-				if want := (r - step - 1 + steps*p) % p; int(blk[0]) != want || int(blk[1]) != step {
-					return fmt.Errorf("rank %d step %d: block of rank %d from step %d, want rank %d", r, step, blk[0], blk[1], want)
+				blk = c.SendrecvParticles(to, blk, from, step)
+				if want := (r - step - 1 + steps*p) % p; int(blk[0].ID) != want || int(blk[1].ID) != step {
+					return fmt.Errorf("rank %d step %d: block of rank %d from step %d, want rank %d", r, step, blk[0].ID, blk[1].ID, want)
 				}
-				blk = []byte{blk[0], byte(step + 1)}
+				blk = []phys.Particle{blk[0], {ID: uint32(step + 1)}}
 			}
 			return nil
 		})
@@ -177,12 +179,12 @@ func ringAbortUnwinds(t *testing.T, boxCap int, seed uint64) {
 	finished := make(chan error, 1)
 	go func() {
 		_, _, err := rt.Run(func(c *Comm) error {
-			blk := []byte{byte(c.Rank())}
+			blk := []phys.Particle{{ID: uint32(c.Rank())}}
 			for step := 0; ; step++ {
 				if c.Rank() == dies && step == after {
 					return fmt.Errorf("injected failure at step %d", step)
 				}
-				blk = c.Sendrecv((c.Rank()+1)%p, blk, (c.Rank()+p-1)%p, step)
+				blk = c.SendrecvParticles((c.Rank()+1)%p, blk, (c.Rank()+p-1)%p, step)
 			}
 		})
 		finished <- err

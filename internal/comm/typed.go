@@ -3,13 +3,14 @@ package comm
 // Typed point-to-point operations: the zero-copy transport the timestep
 // loops in internal/core run on. Payload slices move through the
 // mailboxes by reference — no encode/decode round-trip — while every
-// send and receive is charged the byte size the encoded wire format
-// would have had (phys.WireBytes for particles, 8 bytes per float64, a
-// 4-byte header for framed payloads). The substrate's byte counts are
-// the paper's measured S and W quantities, so the fidelity constraint is
-// on accounting, not on actually serializing; the encoded path remains
-// as the verification fallback and the two are asserted bitwise
-// identical by internal/core's transport property tests.
+// send and receive is charged the byte size of the wire format the
+// socket mesh encodes (phys.WireBytes for particles, 8 bytes per
+// float64, a 4-byte header for framed payloads). The substrate's byte
+// counts are the paper's measured S and W quantities, so the fidelity
+// constraint is on accounting, not on actually serializing. The copying
+// reference is the socket twin, one rank per process, where every
+// message is encoded and decoded; internal/core's transport property
+// tests hold the two to the same bits.
 //
 // Ownership-transfer contract (extending the buffer hand-off rules on
 // Send): a typed send transfers ownership of the payload slice to the
@@ -44,12 +45,13 @@ func (c *Comm) RecvParticles(from, tag int) []phys.Particle {
 	return m.particlesPayload(c)
 }
 
-// SendrecvParticles is Sendrecv over the typed transport: it ships ps to
-// rank `to` and adopts the payload arriving from rank `from`. The
-// degenerate single-rank ring returns ps untouched without involving the
-// mailboxes or the accounting. Like Sendrecv, the exchange offers send
-// and receive simultaneously so a ring shift cannot deadlock on a full
-// mailbox or socket queue.
+// SendrecvParticles ships ps to rank `to` and adopts the payload
+// arriving from rank `from` under the same tag. The degenerate
+// single-rank ring returns ps untouched without involving the mailboxes
+// or the accounting. The exchange offers send and receive
+// simultaneously, so a ring of ranks shifting at once cannot deadlock on
+// a full mailbox or socket queue; it is the primitive behind the skew
+// and shift steps of the communication-avoiding algorithms.
 func (c *Comm) SendrecvParticles(to int, ps []phys.Particle, from, tag int) []phys.Particle {
 	if to == c.rank && from == c.rank {
 		return ps
@@ -61,9 +63,9 @@ func (c *Comm) SendrecvParticles(to int, ps []phys.Particle, from, tag int) []ph
 
 // SendrecvTeamParticles is SendrecvParticles for framed payloads: the
 // message carries the sending team's id alongside the payload and is
-// charged the framed wire size, 4 + phys.WireBytes(len(ps)) — exactly
-// what the encoded path's frameTeam layout occupies. It is the shift
-// primitive of the cutoff algorithm's exchange window.
+// charged the framed wire size, 4 + phys.WireBytes(len(ps)): the team
+// id counts as a uint32 of payload. It is the shift primitive of the
+// cutoff algorithm's exchange window.
 func (c *Comm) SendrecvTeamParticles(to, team int, ps []phys.Particle, from, tag int) (int, []phys.Particle) {
 	if to == c.rank && from == c.rank {
 		return team, ps
@@ -74,7 +76,7 @@ func (c *Comm) SendrecvTeamParticles(to, team int, ps []phys.Particle, from, tag
 }
 
 // SendF64s delivers vals to rank `to` by reference, charging 8 bytes per
-// element — the F64sToBytes wire size. Ownership transfers.
+// element — the appendF64s wire size. Ownership transfers.
 func (c *Comm) SendF64s(to, tag int, vals []float64) {
 	m := f64sMsg(vals)
 	c.sendMsg(to, tag, &m)

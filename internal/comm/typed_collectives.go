@@ -1,11 +1,12 @@
 package comm
 
-// Typed collectives: the zero-copy counterparts of Bcast, ReduceF64s
-// and AllreduceF64sEncoded. They walk the same tree stage for stage —
-// same peer schedule, same combination order — so the message counts,
-// the per-hop byte charges, and the floating-point results are identical
-// to the encoded path bit for bit; only the serialization work
-// disappears. The timestep loops run AllreduceF64s.
+// Typed collectives: the broadcast and reductions of particle and
+// float64 payloads, moved by reference down and up the binomial tree of
+// topo.BinomialParent (recursive doubling for AllreduceF64s on a
+// power-of-two communicator). The peer schedule and combination order
+// are fixed by the communicator's size, so the results are
+// bit-reproducible, and on the socket mesh — which copies every message
+// — the same bits. The timestep loops run AllreduceF64s.
 
 import (
 	"fmt"
@@ -61,10 +62,10 @@ func (c *Comm) bcastParticles(root int, ps []phys.Particle, spent *message) []ph
 	return ps
 }
 
-// ReduceF64sInPlace element-wise sums vals across all ranks with the
-// same tree and combination order as ReduceF64s — so the result is
-// bit-identical — but accumulates into the callers' slices instead of
-// serializing: non-root ranks hand their slice to the
+// ReduceF64sInPlace element-wise sums vals across all ranks up the
+// binomial tree, each node adding its children's partial sums in turn,
+// the nearest child first, and accumulates into the callers' slices:
+// non-root ranks hand their slice to the
 // parent (ownership transfers; see the typed-transport contract for
 // when it may be written again — AllreduceF64s, which the timestep
 // loops run, broadcasts the total down the same tree, so a member has
@@ -188,11 +189,12 @@ type Alternating struct {
 }
 
 // Next returns n floats of the half not handed out last, growing the
-// storage — both halves afresh, as the other may be on loan — when a
-// half is shorter.
+// storage — both halves afresh, as the other may be on loan, each with a
+// quarter of headroom for a payload that drifts (a cutoff team's) — when
+// a half is shorter.
 func (a *Alternating) Next(n int) []float64 {
 	if len(a.buf)/2 < n {
-		a.buf = make([]float64, 2*n)
+		a.buf = make([]float64, 2*(n+n/4))
 	}
 	a.parity ^= 1
 	h := a.parity * (len(a.buf) / 2)

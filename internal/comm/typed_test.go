@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/phys"
+	"repro/internal/topo"
 	"repro/internal/trace"
 	"repro/internal/vec"
 )
@@ -83,10 +84,13 @@ func TestTypedP2PMatchesEncodedWire(t *testing.T) {
 	}
 }
 
-// TestTypedCollectivesMatchEncoded runs the typed broadcast and
-// reduction against their encoded counterparts for every root and
-// several sizes: results must be bit-identical and the message/byte
-// accounting must agree exactly.
+// TestTypedCollectivesMatchEncoded holds the typed broadcast and
+// reduction to their closed forms for every root and several sizes:
+// BcastParticles leaves root's particles on every rank, bit for bit, in
+// size−1 messages of their wire size; ReduceF64sInPlace leaves at root
+// the serial sum in binomial-tree order — each node adds its children's
+// subtree sums to its own contribution, the nearest child first — bit
+// for bit, and nil elsewhere, in size−1 messages.
 func TestTypedCollectivesMatchEncoded(t *testing.T) {
 	for size := 1; size <= 5; size++ {
 		for root := 0; root < size; root++ {
@@ -94,77 +98,75 @@ func TestTypedCollectivesMatchEncoded(t *testing.T) {
 			t.Run(fmt.Sprintf("alg=tree/size=%d/root=%d", size, root), func(t *testing.T) {
 				t.Parallel()
 				ps := testParticles(9, int64(size*10+root))
-				vals := make([]float64, 17)
-				for i := range vals {
-					vals[i] = float64(i) * 1.25
+				contrib := func(r int) []float64 {
+					rng := rand.New(rand.NewSource(int64(100*size + r)))
+					v := make([]float64, 17)
+					for i := range v {
+						v[i] = rng.NormFloat64() * math.Pow(10, float64(rng.Intn(31)-15))
+					}
+					return v
 				}
+				// treeSum is the sum of the subtree at virtual rank vr.
+				var treeSum func(vr int) []float64
+				treeSum = func(vr int) []float64 {
+					acc := contrib((vr + root) % size)
+					for k := 0; k < topo.BinomialChildren(vr, size); k++ {
+						for i, v := range treeSum(vr + 1<<k) {
+							acc[i] += v
+						}
+					}
+					return acc
+				}
+				want := treeSum(0)
 
-				type out struct {
-					ps  []phys.Particle
-					red []float64
-				}
-				results := make([]out, size)
-				encRep, err := Run(size, Options{}, func(c *Comm) error {
-					var payload []byte
-					if c.Rank() == root {
-						payload = phys.AppendSlice(nil, ps)
-					}
-					got, err := phys.DecodeSlice(c.Bcast(root, payload))
-					if err != nil {
-						return err
-					}
-					mine := make([]float64, len(vals))
-					for i := range mine {
-						mine[i] = vals[i] * float64(c.Rank()+1)
-					}
-					results[c.Rank()] = out{ps: got, red: c.ReduceF64s(root, mine)}
-					return nil
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-
-				typedResults := make([]out, size)
-				typRep, err := Run(size, Options{}, func(c *Comm) error {
+				bcast := make([][]phys.Particle, size)
+				reduced := make([][]float64, size)
+				rep, err := Run(size, Options{}, func(c *Comm) error {
 					var lead []phys.Particle
 					if c.Rank() == root {
 						lead = ps
 					}
-					got := c.BcastParticles(root, lead, nil)
-					mine := make([]float64, len(vals))
-					for i := range mine {
-						mine[i] = vals[i] * float64(c.Rank()+1)
-					}
-					typedResults[c.Rank()] = out{ps: got, red: c.ReduceF64sInPlace(root, mine)}
+					c.Stats().SetPhase(trace.Broadcast)
+					bcast[c.Rank()] = c.BcastParticles(root, lead, nil)
+					c.Stats().SetPhase(trace.Reduce)
+					reduced[c.Rank()] = c.ReduceF64sInPlace(root, contrib(c.Rank()))
 					return nil
 				})
 				if err != nil {
 					t.Fatal(err)
 				}
-
 				for r := 0; r < size; r++ {
-					if len(typedResults[r].ps) != len(results[r].ps) {
-						t.Fatalf("rank %d: bcast %d particles, encoded %d", r, len(typedResults[r].ps), len(results[r].ps))
+					if len(bcast[r]) != len(ps) {
+						t.Fatalf("rank %d: bcast %d particles, root sent %d", r, len(bcast[r]), len(ps))
 					}
-					for i := range results[r].ps {
-						if typedResults[r].ps[i] != results[r].ps[i] {
-							t.Fatalf("rank %d particle %d differs from encoded", r, i)
+					for i := range ps {
+						if bcast[r][i] != ps[i] {
+							t.Fatalf("rank %d particle %d: %+v, root's %+v", r, i, bcast[r][i], ps[i])
 						}
 					}
-					if (typedResults[r].red == nil) != (results[r].red == nil) {
-						t.Fatalf("rank %d: reduce nil-ness differs", r)
+					if r != root {
+						if reduced[r] != nil {
+							t.Fatalf("rank %d: a non-root reduce returned %v", r, reduced[r])
+						}
+						continue
 					}
-					for i := range results[r].red {
-						if typedResults[r].red[i] != results[r].red[i] {
-							t.Fatalf("rank %d reduce[%d]: typed %v, encoded %v (must be bit-identical)", r, i, typedResults[r].red[i], results[r].red[i])
+					for i := range want {
+						if math.Float64bits(reduced[r][i]) != math.Float64bits(want[i]) {
+							t.Fatalf("root reduce[%d]: %v, the tree-order sum %v (must be bit-identical)", i, reduced[r][i], want[i])
 						}
 					}
 				}
-				for _, ph := range trace.Phases() {
-					e, ty := encRep.Sum[ph], typRep.Sum[ph]
-					if e.Messages != ty.Messages || e.Bytes != ty.Bytes ||
-						e.RecvMessages != ty.RecvMessages || e.RecvBytes != ty.RecvBytes {
-						t.Fatalf("phase %v accounting differs: encoded %+v, typed %+v", ph, e, ty)
+				msgs := int64(size - 1)
+				for _, tc := range []struct {
+					name string
+					got  trace.PhaseStats
+					want int64 // bytes
+				}{
+					{"bcast", rep.Sum[trace.Broadcast], msgs * int64(phys.WireBytes(len(ps)))},
+					{"reduce", rep.Sum[trace.Reduce], msgs * int64(8*len(want))},
+				} {
+					if g := tc.got; g.Messages != msgs || g.RecvMessages != msgs || g.Bytes != tc.want || g.RecvBytes != tc.want {
+						t.Errorf("%s: %+v, want %d messages and %d bytes each way", tc.name, g, msgs, tc.want)
 					}
 				}
 			})
@@ -173,15 +175,11 @@ func TestTypedCollectivesMatchEncoded(t *testing.T) {
 }
 
 // TestSendrecvSelfShortCircuits pins the degenerate single-rank ring
-// exchange for both transports: the payload comes back untouched (same
-// backing array for typed sends) and neither the mailboxes nor the
-// accounting are involved.
+// exchange, plain and framed: the payload comes back untouched (the same
+// backing array) and neither the mailboxes nor the accounting are
+// involved.
 func TestSendrecvSelfShortCircuits(t *testing.T) {
 	_, err := Run(1, Options{}, func(c *Comm) error {
-		data := []byte{1, 2, 3}
-		if got := c.Sendrecv(0, data, 0, 5); &got[0] != &data[0] {
-			return fmt.Errorf("encoded self-sendrecv copied the payload")
-		}
 		ps := testParticles(4, 2)
 		if got := c.SendrecvParticles(0, ps, 0, 6); &got[0] != &ps[0] {
 			return fmt.Errorf("typed self-sendrecv copied the payload")
@@ -208,12 +206,9 @@ func TestSendrecvSelfShortCircuits(t *testing.T) {
 func TestSingleRankCollectivesStampNoEvents(t *testing.T) {
 	o := obs.NewObserver(1, 256)
 	_, err := Run(1, Options{Observe: o}, func(c *Comm) error {
-		c.Bcast(0, []byte{1})
-		c.ReduceF64s(0, []float64{1})
 		c.BcastParticles(0, testParticles(2, 3), nil)
 		c.ReduceF64sInPlace(0, []float64{5})
 		c.AllreduceF64s([]float64{5})
-		c.AllreduceF64sEncoded([]float64{5})
 		return nil
 	})
 	if err != nil {
@@ -227,8 +222,8 @@ func TestSingleRankCollectivesStampNoEvents(t *testing.T) {
 	}
 }
 
-// TestAllreduceMatchesReduceRoot holds AllreduceF64s and its encoded
-// twin to ReduceF64sInPlace's root total, bit for bit on every rank: on
+// TestAllreduceMatchesReduceRoot holds AllreduceF64s to
+// ReduceF64sInPlace's root total, bit for bit on every rank: on
 // power-of-two communicators (recursive doubling) and on others (reduce,
 // then broadcast the total), buffered and rendezvous. The contributions
 // mix signs and magnitudes from 1e-20 to 1e20, so a sum associated any
@@ -279,46 +274,39 @@ func TestAllreduceMatchesReduceRoot(t *testing.T) {
 						t.Fatal("a right fold sums every element to the tree's bits: the values cannot tell an association")
 					}
 				}
-				for _, encoded := range []bool{false, true} {
-					got := make([][][]float64, size) // by rank and call
-					rep, err := Run(size, opts, func(c *Comm) error {
-						var bufs [2][]float64
-						for call := 0; call < calls; call++ {
-							vals := append(bufs[call%2][:0], contrib(call, c.Rank())...)
-							bufs[call%2] = vals
-							var total []float64
-							if encoded {
-								total = c.AllreduceF64sEncoded(vals)
-							} else {
-								total = c.AllreduceF64s(vals)
-							}
-							got[c.Rank()] = append(got[c.Rank()], append([]float64(nil), total...))
-						}
-						return nil
-					})
-					if err != nil {
-						t.Fatal(err)
+				got := make([][][]float64, size) // by rank and call
+				rep, err := Run(size, opts, func(c *Comm) error {
+					var bufs [2][]float64
+					for call := 0; call < calls; call++ {
+						vals := append(bufs[call%2][:0], contrib(call, c.Rank())...)
+						bufs[call%2] = vals
+						total := c.AllreduceF64s(vals)
+						got[c.Rank()] = append(got[c.Rank()], append([]float64(nil), total...))
 					}
-					for r := range got {
-						for call := range want {
-							for i := range want[call] {
-								if g, w := got[r][call][i], want[call][i]; math.Float64bits(g) != math.Float64bits(w) {
-									t.Fatalf("encoded=%v rank %d call %d element %d: %v, the reduce's root %v", encoded, r, call, i, g, w)
-								}
+					return nil
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for r := range got {
+					for call := range want {
+						for i := range want[call] {
+							if g, w := got[r][call][i], want[call][i]; math.Float64bits(g) != math.Float64bits(w) {
+								t.Fatalf("rank %d call %d element %d: %v, the reduce's root %v", r, call, i, g, w)
 							}
 						}
 					}
-					msgs := int64(2 * (size - 1))
-					if size&(size-1) == 0 {
-						msgs = int64(size * bits.TrailingZeros(uint(size)))
-					}
-					var sent int64
-					for _, ph := range trace.Phases() {
-						sent += rep.Sum[ph].Messages
-					}
-					if sent != calls*msgs {
-						t.Errorf("encoded=%v: %d messages in %d calls, want %d a call", encoded, sent, calls, msgs)
-					}
+				}
+				msgs := int64(2 * (size - 1))
+				if size&(size-1) == 0 {
+					msgs = int64(size * bits.TrailingZeros(uint(size)))
+				}
+				var sent int64
+				for _, ph := range trace.Phases() {
+					sent += rep.Sum[ph].Messages
+				}
+				if sent != calls*msgs {
+					t.Errorf("%d messages in %d calls, want %d a call", sent, calls, msgs)
 				}
 			})
 		}
@@ -326,9 +314,8 @@ func TestAllreduceMatchesReduceRoot(t *testing.T) {
 }
 
 // TestMixedTransportPanics checks the substrate fails loudly when a
-// typed receive meets an encoded payload: the schedules are
-// deterministic, so a transport mismatch is a bug, not a case to paper
-// over.
+// typed receive meets a byte payload: the schedules are deterministic,
+// so a payload-kind mismatch is a bug, not a case to paper over.
 func TestMixedTransportPanics(t *testing.T) {
 	_, err := Run(2, Options{}, func(c *Comm) error {
 		if c.Rank() == 0 {

@@ -45,7 +45,7 @@ func NewAllPairs(ps []phys.Particle, pr Params) (*Session, error) {
 		l.pairing = newEveryBlock(l.last, npt, l.leader)
 		// A block shorter than a batch waits for others, past the
 		// rank's next move; a longer one is swept on arrival.
-		l.x = rk.newXfer(pr, -1, npt < sweepBatch)
+		l.x = rk.newXfer(-1, npt < sweepBatch)
 		l.mine = slices.Clone(owned[col*npt : (col+1)*npt])
 		return l
 	}), nil

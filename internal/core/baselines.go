@@ -64,7 +64,7 @@ func NewNaiveAllGather(ps []phys.Particle, pr Params) (*Session, error) {
 		l.pairing = &everyTeam{blocks: make([][]phys.Particle, pr.P)}
 		// The frame names the block's owner; everyTeam copies each block
 		// on arrival and keeps no view.
-		l.x = rk.newXfer(pr, r, false)
+		l.x = rk.newXfer(r, false)
 		l.mine = owned[r*npr : (r+1)*npr : (r+1)*npr]
 		return l
 	}), nil

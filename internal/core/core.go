@@ -56,10 +56,6 @@ type Params struct {
 	// process of the mesh must call the same driver with the same
 	// parameters and input. Nil runs all P ranks in-process.
 	Proc *comm.Proc
-	// oracle runs the loops on the serialize-everything transport
-	// (encodedXfer) the package's property tests hold the typed one
-	// against. Unexported, so only those tests can set it.
-	oracle bool
 }
 
 // Teams returns the number of teams p/c.

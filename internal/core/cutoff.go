@@ -72,7 +72,7 @@ func NewCutoff(ps []phys.Particle, pr Params) (*Session, error) {
 		// The exchange buffer carries its true source team so receivers
 		// can reject aliased buffers near reflective boundaries;
 		// windowed applies each block on arrival and keeps no view.
-		l.x = rk.newXfer(pr, team, false)
+		l.x = rk.newXfer(team, false)
 		l.mine = slices.Clone(owned[team])
 		return l
 	}), nil
@@ -243,6 +243,8 @@ type migrator struct {
 	// The current one cannot be rebuilt in place while incoming
 	// particles are merged among the stayers, and the previous one is
 	// free: no other rank reads a team buffer (loadExchange copies it).
+	// The two keep one capacity: a rebuilt team that outgrows it grows
+	// both at once, with a quarter of headroom.
 	spare []phys.Particle
 	// free holds payloads received in earlier stages and steps. A
 	// received slice is the receiver's outright (the ownership-transfer
@@ -270,6 +272,9 @@ type migrator struct {
 // by the source rank as an error (the timestep is too large for the
 // decomposition).
 func (mg *migrator) migrate(x xfer, layer *comm.Comm, tg topo.TeamGrid, team int, mine []phys.Particle, box phys.Box, wrap bool) ([]phys.Particle, error) {
+	if cap(mg.spare) < cap(mine) {
+		mg.spare = make([]phys.Particle, 0, cap(mine))
+	}
 	stay := mg.spare[:0]
 	inOrder := true
 	for i := range mine {
@@ -324,6 +329,10 @@ func (mg *migrator) migrate(x xfer, layer *comm.Comm, tg topo.TeamGrid, team int
 		}
 	}
 	mg.spare = mine
+	if n := len(stay) + len(mg.arrived); n > cap(stay) {
+		stay = append(make([]phys.Particle, 0, n+n/4), stay...)
+		mg.spare = make([]phys.Particle, 0, n+n/4)
+	}
 	return mergeByID(stay, mg.arrived, inOrder), nil
 }
 

@@ -260,7 +260,7 @@ func cutoffPlain(ps []phys.Particle, pr Params) ([]phys.Particle, *trace.Report,
 		l.moves = cutoffMoves(sched, w.tg, layer, team)
 		pairing := w
 		l.pairing = plainWindow{&pairing}
-		l.x = rk.newXfer(pr, team, false)
+		l.x = rk.newXfer(team, false)
 		l.mine = slices.Clone(owned[team])
 		return l
 	}).Advance(3)
@@ -269,13 +269,12 @@ func cutoffPlain(ps []phys.Particle, pr Params) ([]phys.Particle, *trace.Report,
 // TestCutoffOwnBlock holds the cutoff loop, whose ranks sweep their own
 // team's block as the replica against itself, to the loop that sweeps it
 // as a visiting block: the final state struct-equal, the pair count and
-// every phase's messages and bytes the same, on either transport and for
-// one and two workers. The own block arrives where the schedule puts it:
-// alone on layer 1 of a 1D window at c = 2 (cutoff-small's shape), and
-// at position 4 of a 3×3 window at c = 4 (cutoff-2d's), the second of
-// the leader's three blocks. Under a cutoff below the team width a block
-// spans more than the cutoff, and the kernel keeps the gated sweep for
-// it.
+// every phase's messages and bytes the same, for one and two workers.
+// The own block arrives where the schedule puts it: alone on layer 1 of
+// a 1D window at c = 2 (cutoff-small's shape), and at position 4 of a
+// 3×3 window at c = 4 (cutoff-2d's), the second of the leader's three
+// blocks. Under a cutoff below the team width a block spans more than
+// the cutoff, and the kernel keeps the gated sweep for it.
 func TestCutoffOwnBlock(t *testing.T) {
 	cases := []struct {
 		name       string
@@ -308,28 +307,26 @@ func TestCutoffOwnBlock(t *testing.T) {
 				t.Fatalf("reference: %v", err)
 			}
 			wantPairs := ref.Options.Observe.Metrics.Snapshot().Counters["compute.pairs"]
-			for _, oracle := range []bool{false, true} {
-				for _, workers := range []int{1, 2} {
-					run := fmt.Sprintf("oracle=%v workers=%d", oracle, workers)
-					pr := pr
-					pr.oracle, pr.Workers = oracle, workers
-					ob := obs.NewObserver(tc.p, 1<<12)
-					pr.Options.Observe = ob
-					got, rep, err := advance(NewCutoff, ps, pr, 3)
-					if err != nil {
-						t.Fatalf("%s: %v", run, err)
+			for _, workers := range []int{1, 2} {
+				run := fmt.Sprintf("workers=%d", workers)
+				pr := pr
+				pr.Workers = workers
+				ob := obs.NewObserver(tc.p, 1<<12)
+				pr.Options.Observe = ob
+				got, rep, err := advance(NewCutoff, ps, pr, 3)
+				if err != nil {
+					t.Fatalf("%s: %v", run, err)
+				}
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("%s: particle %d\n own block as the replica %+v\n as a visiting block     %+v", run, i, got[i], want[i])
 					}
-					for i := range want {
-						if got[i] != want[i] {
-							t.Fatalf("%s: particle %d\n own block as the replica %+v\n as a visiting block     %+v", run, i, got[i], want[i])
-						}
-					}
-					if !sameCommCounts(rep, wantRep) || rep.S() != wantRep.S() || rep.W() != wantRep.W() {
-						t.Errorf("%s: messages or bytes differ from the reference's", run)
-					}
-					if pairs := ob.Metrics.Snapshot().Counters["compute.pairs"]; pairs != wantPairs || pairs == 0 {
-						t.Errorf("%s: compute.pairs = %d, the reference counted %d", run, pairs, wantPairs)
-					}
+				}
+				if !sameCommCounts(rep, wantRep) || rep.S() != wantRep.S() || rep.W() != wantRep.W() {
+					t.Errorf("%s: messages or bytes differ from the reference's", run)
+				}
+				if pairs := ob.Metrics.Snapshot().Counters["compute.pairs"]; pairs != wantPairs || pairs == 0 {
+					t.Errorf("%s: compute.pairs = %d, the reference counted %d", run, pairs, wantPairs)
 				}
 			}
 		})
@@ -393,11 +390,12 @@ func TestCutoffConservesParticles(t *testing.T) {
 // the second step. In the periodic box the vertices on the box edges are
 // the corner seam, which the crossing wraps around. The IDs are shuffled
 // against the input order, so the first step rebuilds teams by the full
-// sort and the crossing step by the merge. On the typed transport and
-// its encoded oracle, in one process and across two: every particle
-// ends in the team its position maps to, none is lost or duplicated,
-// the state matches the serial reference, and the runs agree bit for
-// bit. A diagonal jump of two team widths still fails at its source.
+// sort and the crossing step by the merge. In one process, across two,
+// and on the socket twin (one rank a process, every message copied):
+// every particle ends in the team its position maps to, none is lost or
+// duplicated, the state matches the serial reference, and the runs agree
+// bit for bit. A diagonal jump of two team widths still fails at its
+// source.
 func TestCutoffDiagonalMigration(t *testing.T) {
 	const p, c, steps = 32, 2, 4
 	for _, boundary := range []phys.Boundary{phys.Reflective, phys.Periodic} {
@@ -444,53 +442,49 @@ func TestCutoffDiagonalMigration(t *testing.T) {
 			}
 
 			var ref []phys.Particle
-			for _, oracle := range []bool{false, true} {
-				pr := pr
-				pr.oracle = oracle
-				for _, procs := range []int{1, 2} {
-					run := fmt.Sprintf("oracle=%v/procs=%d", oracle, procs)
-					check := func(ps []phys.Particle, pr Params) ([]phys.Particle, *trace.Report, error) {
-						s, err := NewCutoff(ps, pr)
-						if err != nil {
-							return nil, nil, err
+			for _, procs := range []int{1, 2, p} {
+				run := fmt.Sprintf("procs=%d", procs)
+				check := func(ps []phys.Particle, pr Params) ([]phys.Particle, *trace.Report, error) {
+					s, err := NewCutoff(ps, pr)
+					if err != nil {
+						return nil, nil, err
+					}
+					out, rep, err := s.Advance(steps)
+					if err != nil {
+						return nil, nil, err
+					}
+					for _, l := range s.loops {
+						if l == nil || !l.leader {
+							continue // a rank of the other process, or not a leader
 						}
-						out, rep, err := s.Advance(steps)
-						if err != nil {
-							return nil, nil, err
-						}
-						for _, l := range s.loops {
-							if l == nil || !l.leader {
-								continue // a rank of the other process, or not a leader
-							}
-							for _, pt := range l.mine {
-								if got := teamOfPos(pt.Pos, pr.Box, tg); got != l.slot {
-									return nil, nil, fmt.Errorf("particle %d at %+v is held by team %d, its position maps to team %d", pt.ID, pt.Pos, l.slot, got)
-								}
+						for _, pt := range l.mine {
+							if got := teamOfPos(pt.Pos, pr.Box, tg); got != l.slot {
+								return nil, nil, fmt.Errorf("particle %d at %+v is held by team %d, its position maps to team %d", pt.ID, pt.Pos, l.slot, got)
 							}
 						}
-						return out, rep, nil
 					}
-					var got []phys.Particle
-					if procs > 1 {
-						got, _ = runOverSockets(t, procs, pr, ps, check)
-					} else {
-						got, _, err = check(ps, pr)
-						if err != nil {
-							t.Fatalf("%s: %v", run, err)
-						}
-					}
-					for i := range got {
-						if got[i].ID != uint32(i) {
-							t.Fatalf("%s: the gathered state holds ID %d at index %d: a particle was lost or duplicated", run, got[i].ID, i)
-						}
-					}
-					checkAgainst(t, got, want, 1e-9)
-					if ref == nil {
-						ref = append(ref, got...)
-						continue
-					}
-					samePhysState(t, ref, got)
+					return out, rep, nil
 				}
+				var got []phys.Particle
+				if procs > 1 {
+					got, _ = runOverSockets(t, procs, pr, ps, check)
+				} else {
+					got, _, err = check(ps, pr)
+					if err != nil {
+						t.Fatalf("%s: %v", run, err)
+					}
+				}
+				for i := range got {
+					if got[i].ID != uint32(i) {
+						t.Fatalf("%s: the gathered state holds ID %d at index %d: a particle was lost or duplicated", run, got[i].ID, i)
+					}
+				}
+				checkAgainst(t, got, want, 1e-9)
+				if ref == nil {
+					ref = append(ref, got...)
+					continue
+				}
+				samePhysState(t, ref, got)
 			}
 
 			jump := append([]phys.Particle(nil), ps...)

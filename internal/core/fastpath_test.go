@@ -8,11 +8,11 @@ import (
 )
 
 // TestSteadyStateStepAllocFree pins the zero-allocation claim for the
-// timestep hot path: the sequence of frame, encode, unframe, decode,
-// kernel evaluation, force flatten/apply and integration that every rank
-// runs per step — with the retained scratch buffers the real loops in
-// AllPairs and Cutoff carry — must not allocate once the buffers have
-// grown to size. The first call (AllocsPerRun's warm-up) does the
+// timestep hot path: the sequence of encode and decode (what a block
+// crossing a socket costs its two ends), kernel evaluation, force
+// flatten/apply and integration — with retained scratch buffers, as the
+// real loops in AllPairs and Cutoff and the socket links carry them —
+// must not allocate once the buffers have grown to size. The first call (AllocsPerRun's warm-up) does the
 // growing; the measured runs must stay off the heap.
 func TestSteadyStateStepAllocFree(t *testing.T) {
 	box := phys.NewBox(4, 2, phys.Periodic)
@@ -30,9 +30,8 @@ func TestSteadyStateStepAllocFree(t *testing.T) {
 	step := func() {
 		team = append(team[:0], mine...)
 		phys.ClearForces(team)
-		exchange = phys.AppendSlice(appendFrame(exchange[:0], 3), team)
-		_, body := unframeTeam(exchange)
-		visiting, stepErr = phys.DecodeSliceInto(visiting[:0], body)
+		exchange = phys.AppendSlice(exchange[:0], team)
+		visiting, stepErr = phys.DecodeSliceInto(visiting[:0], exchange)
 		if stepErr != nil {
 			return
 		}

@@ -40,7 +40,7 @@ func allPairsOnArrival(ps []phys.Particle, pr Params, steps int) ([]phys.Particl
 		l, row, col := newShiftLoop(rk, &pr, cg)
 		l.moves = allPairsMoves(T, pr.C, row, col)
 		l.pairing = onArrival{}
-		l.x = rk.newXfer(pr, -1, false)
+		l.x = rk.newXfer(-1, false)
 		l.mine = append([]phys.Particle(nil), ps[col*npt:(col+1)*npt]...)
 		return l
 	})
@@ -51,10 +51,10 @@ func allPairsOnArrival(ps []phys.Particle, pr Params, steps int) ([]phys.Particl
 // TestGatherSweepBoundaries holds the gathering all-pairs loop to the
 // loop that sweeps every block on arrival, on grids that put the block
 // length n/T below, at and above sweepBatch and the end of a walk both
-// on and inside a batch boundary: on either transport, for one and two
-// workers, the final state is struct-equal, the pair count is the closed
-// form, and the timeline shows one Compute span per sweep (plus the
-// integration, which every rank runs).
+// on and inside a batch boundary: for one and two workers, the final
+// state is struct-equal, the pair count is the closed form, and the
+// timeline shows one Compute span per sweep (plus the integration, which
+// every rank runs).
 func TestGatherSweepBoundaries(t *testing.T) {
 	const steps = 4 // a buffer is rewritten two steps after it was loaded
 	cases := []struct {
@@ -85,42 +85,40 @@ func TestGatherSweepBoundaries(t *testing.T) {
 			if err != nil {
 				t.Fatalf("reference: %v", err)
 			}
-			for _, oracle := range []bool{false, true} {
-				for _, workers := range []int{1, 2} {
-					run := fmt.Sprintf("oracle=%v workers=%d", oracle, workers)
-					pr := pr
-					pr.oracle, pr.Workers = oracle, workers
-					ob := obs.NewObserver(tc.p, 1<<13)
-					pr.Options.Observe = ob
-					got, _, err := advance(NewAllPairs, ps, pr, steps)
-					if err != nil {
-						t.Fatalf("%s: %v", run, err)
+			for _, workers := range []int{1, 2} {
+				run := fmt.Sprintf("workers=%d", workers)
+				pr := pr
+				pr.Workers = workers
+				ob := obs.NewObserver(tc.p, 1<<13)
+				pr.Options.Observe = ob
+				got, _, err := advance(NewAllPairs, ps, pr, steps)
+				if err != nil {
+					t.Fatalf("%s: %v", run, err)
+				}
+				if len(got) != len(want) {
+					t.Fatalf("%s: %d particles, want %d", run, len(got), len(want))
+				}
+				for i := range got {
+					if got[i] != want[i] {
+						t.Fatalf("%s: particle %d\n gathered   %+v\n on arrival %+v", run, i, got[i], want[i])
 					}
-					if len(got) != len(want) {
-						t.Fatalf("%s: %d particles, want %d", run, len(got), len(want))
-					}
-					for i := range got {
-						if got[i] != want[i] {
-							t.Fatalf("%s: particle %d\n gathered   %+v\n on arrival %+v", run, i, got[i], want[i])
+				}
+				if pairs, want := ob.Metrics.Snapshot().Counters["compute.pairs"], int64(steps)*int64(n*n-n); pairs != want {
+					t.Errorf("%s: compute.pairs = %d, want %d", run, pairs, want)
+				}
+				if d := ob.Timeline.Dropped(); d != 0 {
+					t.Fatalf("%s: timeline dropped %d events", run, d)
+				}
+				for r := 0; r < tc.p; r++ {
+					spans := 0
+					for _, ev := range ob.Timeline.Events(r) {
+						if ev.Kind == obs.KindPhase && ev.Phase == uint8(trace.Compute) {
+							spans++
 						}
 					}
-					if pairs, want := ob.Metrics.Snapshot().Counters["compute.pairs"], int64(steps)*int64(n*n-n); pairs != want {
-						t.Errorf("%s: compute.pairs = %d, want %d", run, pairs, want)
-					}
-					if d := ob.Timeline.Dropped(); d != 0 {
-						t.Fatalf("%s: timeline dropped %d events", run, d)
-					}
-					for r := 0; r < tc.p; r++ {
-						spans := 0
-						for _, ev := range ob.Timeline.Events(r) {
-							if ev.Kind == obs.KindPhase && ev.Phase == uint8(trace.Compute) {
-								spans++
-							}
-						}
-						wantSpans := steps * (sweeps + 1) // every rank integrates under Compute
-						if spans != wantSpans {
-							t.Errorf("%s: rank %d has %d Compute spans, want %d (%d sweeps a step)", run, r, spans, wantSpans, sweeps)
-						}
+					wantSpans := steps * (sweeps + 1) // every rank integrates under Compute
+					if spans != wantSpans {
+						t.Errorf("%s: rank %d has %d Compute spans, want %d (%d sweeps a step)", run, r, spans, wantSpans, sweeps)
 					}
 				}
 			}

@@ -8,12 +8,13 @@ import (
 	"testing"
 
 	"repro/internal/comm"
+	"repro/internal/phys"
 )
 
 // commView is what one rank sees of one of its communicators: its own
 // rank in it and the world ranks of the members in communicator order
-// (learned by passing them around a ring of Sendrecv calls over the
-// communicator itself, which also proves it carries traffic).
+// (learned by passing them around a ring of SendrecvParticles calls over
+// the communicator itself, which also proves it carries traffic).
 type commView struct {
 	own   int
 	group []int
@@ -37,10 +38,10 @@ func gridViews(t *testing.T, p, c int) map[string]commView {
 			group[own] = me
 			// After k hops east a rank holds the world rank of the
 			// member k places before it.
-			carried := []byte{byte(me), byte(me >> 8)}
+			carried := []phys.Particle{{ID: uint32(me)}}
 			for k := 1; k < n; k++ {
-				carried = cm.Sendrecv((own+1)%n, carried, (own+n-1)%n, 0)
-				group[(own+n-k)%n] = int(carried[0]) | int(carried[1])<<8
+				carried = cm.SendrecvParticles((own+1)%n, carried, (own+n-1)%n, 0)
+				group[(own+n-k)%n] = int(carried[0].ID)
 			}
 			mu.Lock()
 			views[fmt.Sprintf("%s/%03d", kind, me)] = commView{own, group}

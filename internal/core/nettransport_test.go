@@ -87,7 +87,10 @@ func runOverSockets(t *testing.T, procs int, pr Params, ps []phys.Particle,
 
 // checkSocketMatchesInProcess runs the algorithm once in-process and
 // once distributed over `procs` socket-joined processes and requires
-// bit-identical state plus identical per-phase accounting.
+// bit-identical state plus identical per-phase accounting. At procs ==
+// pr.P — the socket twin, the copying reference of the typed transport —
+// it also checks the twin's premise: every message crossed a process, so
+// the mesh carried exactly as many frames as the run counted messages.
 func checkSocketMatchesInProcess(t *testing.T, procs int, pr Params, ps []phys.Particle,
 	newS func([]phys.Particle, Params) (*Session, error), steps int) {
 	t.Helper()
@@ -100,10 +103,21 @@ func checkSocketMatchesInProcess(t *testing.T, procs int, pr Params, ps []phys.P
 	})
 	samePhysState(t, local, socket)
 	sameReportCounts(t, localRep, socketRep)
+	if procs == pr.P {
+		var msgs int64
+		for _, ph := range trace.Phases() {
+			msgs += socketRep.Sum[ph].Messages
+		}
+		if socketRep.SocketFrames != msgs {
+			t.Errorf("one rank a process: the mesh carried %d frames, the run counted %d messages", socketRep.SocketFrames, msgs)
+		}
+	}
 }
 
 // The socket tests' subtest names keep the overlap=false segment, as
-// TestAllPairsTypedMatchesEncoded's do.
+// TestAllPairsTypedMatchesEncoded's do. Their rows split the ranks
+// several to a process; TestAllPairsTypedMatchesEncoded and
+// TestCutoffTypedMatchesEncoded run one rank a process.
 func TestAllPairsSocketMatchesInProcess(t *testing.T) {
 	cases := []struct{ procs, p, c, n int }{
 		{2, 2, 1, 16},

@@ -29,9 +29,11 @@ var sessionLoops = []struct {
 // by a steps and then by b more, a session ends bit for bit where one
 // advanced by a+b does, and the reports of the two Advance calls add up,
 // phase by phase, to the one report — the messages and bytes of each
-// rank, so the critical-path S and W too. For every loop, on the typed
-// transport and its encoded oracle, in one process and across two; and
-// no Advance, nor the mesh once closed, leaves a goroutine behind.
+// rank, so the critical-path S and W too. For every loop, in one process
+// and across two; the one run of a+b steps is made the same way
+// (oracle=false), or on the socket twin, one rank a process, which
+// copies every message (oracle=true). No Advance, nor the mesh once
+// closed, leaves a goroutine behind.
 func TestSessionRunsCompose(t *testing.T) {
 	const a, b = 2, 3
 	for _, lp := range sessionLoops {
@@ -40,7 +42,6 @@ func TestSessionRunsCompose(t *testing.T) {
 				t.Run(fmt.Sprintf("%s/oracle=%v/procs=%d", lp.name, oracle, procs), func(t *testing.T) {
 					defer leakcheck.Check(t)()
 					pr := lp.pr
-					pr.oracle = oracle
 					ps := phys.InitLattice(lp.n, pr.Box, 3)
 					whole := func(ps []phys.Particle, pr Params) ([]phys.Particle, *trace.Report, error) {
 						return advance(lp.new, ps, pr, a+b)
@@ -66,7 +67,7 @@ func TestSessionRunsCompose(t *testing.T) {
 						}
 						return out, sum, nil
 					}
-					run := func(f func([]phys.Particle, Params) ([]phys.Particle, *trace.Report, error)) ([]phys.Particle, *trace.Report) {
+					run := func(procs int, f func([]phys.Particle, Params) ([]phys.Particle, *trace.Report, error)) ([]phys.Particle, *trace.Report) {
 						if procs > 1 {
 							return runOverSockets(t, procs, pr, ps, f)
 						}
@@ -76,8 +77,12 @@ func TestSessionRunsCompose(t *testing.T) {
 						}
 						return out, rep
 					}
-					wantState, wantRep := run(whole)
-					gotState, gotRep := run(split)
+					wholeProcs := procs
+					if oracle {
+						wholeProcs = pr.P
+					}
+					wantState, wantRep := run(wholeProcs, whole)
+					gotState, gotRep := run(procs, split)
 					samePhysState(t, wantState, gotState)
 					sameReportCounts(t, wantRep, gotRep)
 				})

@@ -126,9 +126,9 @@ func TestSteadyStateAllocFree(t *testing.T) {
 			// The lattice of 8 particles a team, 0.5 apart, drifts 0.3 a
 			// step round the periodic box: a particle crosses into the
 			// next team most steps. Team sizes drift by a particle or
-			// so, and the team, exchange and allreduce buffers grow at
-			// each new largest team, so the session is handed over after
-			// a dozen steps, when none grows any more.
+			// so; the team, exchange and allreduce buffers grow with a
+			// quarter of headroom at a new largest team, so the session
+			// is handed over after four steps, when none grows any more.
 			pr := cutoffParams(8, c, 1, phys.Periodic)
 			pr.Workers = workers
 			ps := phys.InitLattice(n, pr.Box, 5)
@@ -139,7 +139,7 @@ func TestSteadyStateAllocFree(t *testing.T) {
 			if err != nil {
 				return nil, err
 			}
-			_, rep, err := s.Advance(12)
+			_, rep, err := s.Advance(4)
 			if err == nil && rep.Sum[trace.Reassign].Bytes == 0 {
 				err = fmt.Errorf("no particle migrated")
 			}
@@ -261,7 +261,7 @@ func TestMigratorRecyclesBuffers(t *testing.T) {
 								mine[i].Pos.Y = (float64(ty) + 0.5) * width
 							}
 						}
-						x := (&rank{}).newXfer(Params{}, team, false)
+						x := (&rank{}).newXfer(team, false)
 						var mig migrator
 						for step := 0; step < steps; step++ {
 							for i := range mine {

@@ -1,26 +1,22 @@
 package core
 
 import (
-	"encoding/binary"
-	"fmt"
-
 	"repro/internal/comm"
 	"repro/internal/phys"
 )
 
 // xfer is the per-rank transport the timestep loops run on: the
 // exchange-buffer shifts, the team's force allreduce, and particle
-// migration, abstracted over the payload representation.
+// migration. A run moves its payloads with typedXfer, a plan's
+// evaluation records them with the recorder.
 //
-// Every run uses typedXfer: particle and float64 slices move through
-// the mailboxes by reference — zero serialization — while charging the
-// exact encoded wire sizes, so the measured S and W communication
-// quantities are unchanged. encodedXfer is the original encode/decode
-// path, kept as the oracle of the transport property tests, which assert
-// the two produce bit-identical final states and identical trace
-// reports: it copies every message, so a buffer two ranks wrongly share
-// shows as a difference — which the socket twin, copying only what
-// crosses processes, cannot show.
+// typedXfer hands particle and float64 slices through the mailboxes by
+// reference — zero serialization — while charging the exact encoded
+// wire sizes, so the measured S and W are those of a copying transport.
+// The copying reference is the socket twin: the same run with one rank
+// per process, where every message crosses a process and is decoded
+// into memory of its own, so a buffer two ranks wrongly share shows as
+// a difference in the transport property tests (nettransport_test.go).
 //
 // A transport belongs to one rank; construct it inside the rank's
 // closure.
@@ -60,18 +56,15 @@ type xfer interface {
 // the rank's pairing reads a view after the rank's next move: it
 // selects the exchange-buffer reuse discipline below. A rank whose step
 // is only evaluated gets its recorder.
-func (rk *rank) newXfer(pr Params, frame int, keepsViews bool) xfer {
+func (rk *rank) newXfer(frame int, keepsViews bool) xfer {
 	if rk.rec != nil {
 		rk.rec.framed = frame >= 0
 		return rk.rec
 	}
-	if pr.oracle {
-		return &encodedXfer{frame: frame, keepsViews: keepsViews}
-	}
 	return &typedXfer{frame: frame, keepsViews: keepsViews}
 }
 
-// Exchange-buffer reuse discipline, shared by both transports.
+// Exchange-buffer reuse discipline.
 //
 // Shifts pass buffers along a chain of custody: every holder reads the
 // buffer strictly before forwarding it, so the final holder — the only
@@ -98,8 +91,9 @@ func (rk *rank) newXfer(pr Params, frame int, keepsViews bool) xfer {
 // the ranks between, from every other, and only then does it go on to
 // step k+2 and write. So a kept view is readable until the flush — on
 // this ring, and for two steps, no further. The race detector checks
-// both regimes mechanically (`make race`): the oracle transport decodes
-// every view into memory of its own, so state alone cannot.
+// both regimes mechanically (`make race`), and a reuse that comes too
+// early shows as a difference from the socket twin, whose views are
+// all decoded into memory of their own.
 
 // typedXfer is the zero-copy transport: payload slices move through the
 // comm mailboxes by reference under the ownership-transfer contract
@@ -120,10 +114,20 @@ type typedXfer struct {
 func (x *typedXfer) loadExchange(team []phys.Particle) {
 	x.exTeam = x.frame
 	// The write target, by the reuse discipline above: the end-of-step
-	// buffer itself, or the buffer of step k−2 where views are kept.
+	// buffer itself, or the buffer of step k−2 where views are kept. A
+	// framed exchange carries a team whose size may drift — a cutoff
+	// team's does as particles migrate — so a target it outgrows is
+	// replaced with a quarter of headroom; an all-pairs block keeps its
+	// size.
 	target := x.exchange
 	if x.keepsViews {
 		target, x.spare = x.spare, x.exchange
+	}
+	if n := len(team); cap(target) < n {
+		if x.frame >= 0 {
+			n += n / 4
+		}
+		target = make([]phys.Particle, 0, n)
 	}
 	x.exchange = append(target[:0], team...)
 }
@@ -154,96 +158,4 @@ func (x *typedXfer) recvParticles(lc *comm.Comm, from, tag int) []phys.Particle 
 
 func (x *typedXfer) sendrecvParticles(lc *comm.Comm, to int, ps []phys.Particle, from, tag int) []phys.Particle {
 	return lc.SendrecvParticles(to, ps, from, tag)
-}
-
-// encodedXfer is the original serialize-and-ship transport, retained as
-// the test oracle (Params.oracle).
-type encodedXfer struct {
-	frame      int
-	keepsViews bool
-
-	// views holds the decode scratch of the views handed out, nviews of
-	// them in use. Where views are kept, one per view since the last
-	// allreduceForces: a view stays readable until then, so the next one
-	// may not decode over it. Otherwise a view is dead by the next one,
-	// and one scratch serves. Retained across steps.
-	views    [][]phys.Particle
-	nviews   int
-	exchange []byte    // current exchange payload
-	spare    []byte    // double-buffer where views are kept (end of step k−2)
-	forces   []float64 // flattened allreduce payload
-}
-
-// decodeInto decodes bytes a peer's encodedXfer produced; failing is a
-// bug, like the malformed frame unframeTeam panics on.
-func decodeInto(dst []phys.Particle, b []byte) []phys.Particle {
-	ps, err := phys.DecodeSliceInto(dst, b)
-	if err != nil {
-		panic(fmt.Sprintf("core: malformed transport payload: %v", err))
-	}
-	return ps
-}
-
-func (x *encodedXfer) loadExchange(team []phys.Particle) {
-	target := x.exchange // as in typedXfer.loadExchange
-	if x.keepsViews {
-		target, x.spare = x.spare, x.exchange
-	}
-	target = target[:0]
-	if x.frame >= 0 {
-		target = appendFrame(target, x.frame)
-	}
-	x.exchange = phys.AppendSlice(target, team)
-}
-
-func (x *encodedXfer) view() (int, []phys.Particle) {
-	src, body := -1, x.exchange
-	if x.frame >= 0 {
-		src, body = unframeTeam(x.exchange)
-	}
-	if !x.keepsViews {
-		x.nviews = 0
-	}
-	if x.nviews == len(x.views) {
-		x.views = append(x.views, nil)
-	}
-	v := decodeInto(x.views[x.nviews][:0], body)
-	x.views[x.nviews] = v
-	x.nviews++
-	return src, v
-}
-
-func (x *encodedXfer) shift(rc *comm.Comm, to, from, tag int) {
-	x.exchange = rc.Sendrecv(to, x.exchange, from, tag)
-}
-
-func (x *encodedXfer) allreduceForces(tc *comm.Comm, team []phys.Particle) []float64 {
-	x.nviews = 0
-	x.forces = flattenForcesInto(x.forces[:0], team)
-	return tc.AllreduceF64sEncoded(x.forces)
-}
-
-func (x *encodedXfer) sendParticles(lc *comm.Comm, to, tag int, ps []phys.Particle) {
-	lc.Send(to, tag, phys.EncodeSlice(ps))
-}
-
-func (x *encodedXfer) recvParticles(lc *comm.Comm, from, tag int) []phys.Particle {
-	return decodeInto(nil, lc.Recv(from, tag))
-}
-
-func (x *encodedXfer) sendrecvParticles(lc *comm.Comm, to int, ps []phys.Particle, from, tag int) []phys.Particle {
-	return decodeInto(nil, lc.Sendrecv(to, phys.EncodeSlice(ps), from, tag))
-}
-
-// appendFrame appends the source-team header of a framed exchange
-// payload to dst; the encoded particles follow it.
-func appendFrame(dst []byte, team int) []byte {
-	return binary.LittleEndian.AppendUint32(dst, uint32(team))
-}
-
-func unframeTeam(b []byte) (int, []byte) {
-	if len(b) < 4 {
-		panic(fmt.Sprintf("core: malformed exchange frame of %d bytes", len(b)))
-	}
-	return int(binary.LittleEndian.Uint32(b)), b[4:]
 }

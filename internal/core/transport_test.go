@@ -33,9 +33,9 @@ func sameReportCounts(t *testing.T, typed, encoded *trace.Report) {
 }
 
 // samePhysState asserts exact struct equality of two particle sets —
-// not approximate agreement: the typed and encoded transports perform
-// the identical floating-point operations in the identical order, so
-// any difference at all is a transport bug.
+// not approximate agreement: the in-process and socket transports
+// perform the identical floating-point operations in the identical
+// order, so any difference at all is a transport bug.
 func samePhysState(t *testing.T, typed, encoded []phys.Particle) {
 	t.Helper()
 	if len(typed) != len(encoded) {
@@ -49,12 +49,13 @@ func samePhysState(t *testing.T, typed, encoded []phys.Particle) {
 }
 
 // TestAllPairsTypedMatchesEncoded is the transport equivalence property
-// test for the all-pairs algorithm: with identical inputs the default
-// zero-copy typed transport and the serialize-and-ship fallback must
-// produce bit-identical final states and identical message/word
-// accounting. (The subtest names keep the overlap=false segment they
-// had while a second, overlapped walk existed, so their IDs stay
-// stable.)
+// test for the all-pairs algorithm: with identical inputs the zero-copy
+// typed transport must reach the final state of the encoded run — the
+// socket twin with one rank per process, where every message is encoded,
+// crosses a process and is decoded into memory of its own — bit for
+// bit, with identical message/word accounting. (The subtest names keep
+// the overlap=false segment they had while a second, overlapped walk
+// existed, so their IDs stay stable.)
 func TestAllPairsTypedMatchesEncoded(t *testing.T) {
 	cases := []struct{ p, c, n int }{
 		{1, 1, 16},
@@ -68,27 +69,16 @@ func TestAllPairsTypedMatchesEncoded(t *testing.T) {
 		t.Run(fmt.Sprintf("p=%d/c=%d/n=%d/overlap=false", tc.p, tc.c, tc.n), func(t *testing.T) {
 			t.Parallel()
 			pr := defaultParams(tc.p, tc.c)
-			ps := phys.InitUniform(tc.n, pr.Box, 7)
-
-			typed, typedRep, err := advance(NewAllPairs, ps, pr, 4)
-			if err != nil {
-				t.Fatalf("typed AllPairs: %v", err)
-			}
-			pr.oracle = true
-			encoded, encodedRep, err := advance(NewAllPairs, ps, pr, 4)
-			if err != nil {
-				t.Fatalf("encoded AllPairs: %v", err)
-			}
-			samePhysState(t, typed, encoded)
-			sameReportCounts(t, typedRep, encodedRep)
+			checkSocketMatchesInProcess(t, tc.p, pr, phys.InitUniform(tc.n, pr.Box, 7), NewAllPairs, 4)
 		})
 	}
 }
 
 // TestCutoffTypedMatchesEncoded is the transport equivalence property
 // test for the cutoff algorithm, covering both boundary conditions,
-// and both dimensions (2D exercises per-step spatial migration). The
-// subtest names are kept as TestAllPairsTypedMatchesEncoded's are.
+// and both dimensions (2D exercises per-step spatial migration), against
+// the socket twin as TestAllPairsTypedMatchesEncoded does. The subtest
+// names are kept as that test's are.
 func TestCutoffTypedMatchesEncoded(t *testing.T) {
 	cases := []struct {
 		p, c, dim, n int
@@ -104,19 +94,7 @@ func TestCutoffTypedMatchesEncoded(t *testing.T) {
 		t.Run(fmt.Sprintf("p=%d/c=%d/dim=%d/%v/overlap=false", tc.p, tc.c, tc.dim, tc.boundary), func(t *testing.T) {
 			t.Parallel()
 			pr := cutoffParams(tc.p, tc.c, tc.dim, tc.boundary)
-			ps := phys.InitUniform(tc.n, pr.Box, 11)
-
-			typed, typedRep, err := advance(NewCutoff, ps, pr, 3)
-			if err != nil {
-				t.Fatalf("typed Cutoff: %v", err)
-			}
-			pr.oracle = true
-			encoded, encodedRep, err := advance(NewCutoff, ps, pr, 3)
-			if err != nil {
-				t.Fatalf("encoded Cutoff: %v", err)
-			}
-			samePhysState(t, typed, encoded)
-			sameReportCounts(t, typedRep, encodedRep)
+			checkSocketMatchesInProcess(t, tc.p, pr, phys.InitUniform(tc.n, pr.Box, 11), NewCutoff, 3)
 		})
 	}
 }
